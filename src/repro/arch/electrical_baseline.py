@@ -81,29 +81,18 @@ class ElectricalMeshNoC(ClockedComponent):
         self._generator: Optional[TrafficGenerator] = None
         # Per-hop wire length: die edge / mesh side (20 mm / 8 = 2.5 mm).
         self.hop_length_mm = config.die_mm / side
-        # Hook packet delivery for latency/energy accounting.
-        self._install_delivery_hook()
+        # Delivery is accounted here (latency, energy), once per flit: the
+        # inner network's own delivery metrics are not kept.
+        self.network.on_eject = self._on_flit_ejected
         sim.register(self)
 
-    # ------------------------------------------------------------------
-    def _install_delivery_hook(self) -> None:
-        noc = self
-
-        for node, endpoint in self.network.endpoints.items():
-            original_eject = endpoint.eject
-
-            def eject(flit: Flit, cycle: int, _orig=original_eject) -> None:
-                _orig(flit, cycle)
-                noc._on_flit_ejected(flit, cycle)
-
-            endpoint.eject = eject  # type: ignore[method-assign]
-
     def _on_flit_ejected(self, flit: Flit, cycle: int) -> None:
-        self.metrics.flits_delivered += 1
-        self.metrics.bits_delivered += flit.bits
+        metrics = self.metrics
+        metrics.flits_delivered += 1
+        metrics.bits_delivered += flit.packet.flit_bits
         if flit.is_tail:
-            self.metrics.packets_delivered += 1
-            self.metrics.latency.add(cycle - flit.packet.created_cycle)
+            metrics.packets_delivered += 1
+            metrics.latency.add(cycle - flit.packet.created_cycle)
             self.energy.note_message_delivered()
 
     # ------------------------------------------------------------------
@@ -196,8 +185,7 @@ class ElectricalMeshNoC(ClockedComponent):
         return 0.0
 
     def flits_in_system(self) -> int:
-        total = self.network.total_buffered_flits
-        total += sum(link.in_flight for link in self.network._links)
+        total = self.network.flits_in_network
         total += sum(
             len(ep.queue) * self.config.bw_set.packet_flits + ep.pending_flit_count
             for ep in self.network.endpoints.values()

@@ -46,13 +46,17 @@ class RoundRobinArbiter(Arbiter):
     def grant(self, requests: Sequence[int]) -> Optional[int]:
         if not requests:
             return None
-        req_set = set(requests)
-        for offset in range(self.n):
-            candidate = (self._next_priority + offset) % self.n
-            if candidate in req_set:
-                self._next_priority = (candidate + 1) % self.n
-                return candidate
-        return None
+        # The winner is the requester the fewest steps past the pointer:
+        # O(requests), and the request list is nearly always one long.
+        n, first = self.n, self._next_priority
+        steps = n
+        for requester in requests:
+            offset = (requester - first) % n
+            if offset < steps:
+                steps = offset
+        winner = (first + steps) % n
+        self._next_priority = (winner + 1) % n
+        return winner
 
     def reset(self) -> None:
         self._next_priority = 0

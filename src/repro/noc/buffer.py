@@ -93,36 +93,49 @@ class VirtualChannelBuffer:
         return self._fifo[0] if self._fifo else None
 
     def push(self, flit: Flit, cycle: int = 0) -> None:
-        if self.is_full():
+        fifo = self._fifo
+        if len(fifo) >= self.depth:
             raise BufferError(
                 f"VC {self.vc_id} overflow (depth {self.depth}); "
                 "flow control must prevent this"
             )
         self._account(cycle)
-        self._fifo.append(flit)
+        owner = self._owner
+        if owner is not None:
+            owner._occupancy += 1
+            if not fifo:
+                owner._occupied_vcs.add(self.vc_id)
+        fifo.append(flit)
         self._entry_cycles.append(cycle)
         self.total_flits_in += 1
         if flit.is_tail:
+            # Only a tail can complete the front packet on the way in.
             self.tails_contained += 1
-        if self._owner is not None:
-            self._owner._occupancy += 1
-        self._refresh_front_complete()
+            if not self._front_complete and fifo[0].is_head:
+                self._set_front_complete(True)
 
     def pop(self, cycle: int = 0) -> Flit:
-        if not self._fifo:
+        fifo = self._fifo
+        if not fifo:
             raise BufferError(f"VC {self.vc_id} underflow")
         self._account(cycle)
         self._entry_cycles.popleft()
         self.total_flits_out += 1
-        flit = self._fifo.popleft()
+        flit = fifo.popleft()
         if flit.is_tail:
             self.tails_contained -= 1
             # Wormhole state tears down with the tail flit.
             self.route = None
             self.downstream_vc = None
-        if self._owner is not None:
-            self._owner._occupancy -= 1
-        self._refresh_front_complete()
+        owner = self._owner
+        if owner is not None:
+            owner._occupancy -= 1
+            if not fifo:
+                owner._occupied_vcs.discard(self.vc_id)
+        # A buffered tail implies a non-empty FIFO.
+        complete = self.tails_contained > 0 and fifo[0].is_head
+        if complete != self._front_complete:
+            self._set_front_complete(complete)
         return flit
 
     def has_complete_packet(self) -> bool:
@@ -136,17 +149,14 @@ class VirtualChannelBuffer:
         """
         return self._front_complete
 
-    def _refresh_front_complete(self) -> None:
-        fifo = self._fifo
-        complete = bool(fifo) and fifo[0].is_head and self.tails_contained > 0
-        if complete != self._front_complete:
-            self._front_complete = complete
-            owner = self._owner
-            if owner is not None:
-                if complete:
-                    owner._complete_vcs.add(self.vc_id)
-                else:
-                    owner._complete_vcs.discard(self.vc_id)
+    def _set_front_complete(self, complete: bool) -> None:
+        self._front_complete = complete
+        owner = self._owner
+        if owner is not None:
+            if complete:
+                owner._complete_vcs.add(self.vc_id)
+            else:
+                owner._complete_vcs.discard(self.vc_id)
 
     def _account(self, cycle: int) -> None:
         """Accumulate flit-cycles of residence up to *cycle*."""
@@ -192,9 +202,10 @@ class PortBuffer:
 
     Provides the helpers the 3-stage router pipeline needs: finding a VC
     with a routable head flit, credit accounting per VC, and aggregate
-    occupancy for stats. Aggregate occupancy and the set of VCs holding
-    a complete front packet are maintained incrementally by the member
-    VCs, so the per-cycle pipeline can test them in O(1).
+    occupancy for stats. Aggregate occupancy, the ids of the non-empty
+    VCs and the set of VCs holding a complete front packet are maintained
+    incrementally by the member VCs, so the per-cycle pipeline visits
+    only VCs that hold flits and tests the rest in O(1).
     """
 
     def __init__(self, n_vcs: int, depth: int):
@@ -204,6 +215,7 @@ class PortBuffer:
             VirtualChannelBuffer(depth, vc_id=i) for i in range(n_vcs)
         ]
         self._occupancy = 0
+        self._occupied_vcs: Set[int] = set()
         self._complete_vcs: Set[int] = set()
         for vc in self.vcs:
             vc._owner = self
@@ -232,7 +244,14 @@ class PortBuffer:
 
     def free_vc_ids(self) -> List[int]:
         """VCs not currently owned by a packet (empty and unrouted)."""
-        return [vc.vc_id for vc in self.vcs if vc.is_empty() and vc.route is None]
+        return [vc.vc_id for vc in self.vcs if not vc._fifo and vc.route is None]
+
+    def first_free_vc(self) -> Optional[int]:
+        """Lowest-numbered free VC (see :meth:`free_vc_ids`), or None."""
+        for vc in self.vcs:
+            if not vc._fifo and vc.route is None:
+                return vc.vc_id
+        return None
 
     def push(self, flit: Flit, cycle: int = 0) -> None:
         self.vcs[flit.vc].push(flit, cycle)

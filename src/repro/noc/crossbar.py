@@ -27,14 +27,16 @@ class Crossbar:
             raise ValueError("crossbar dimensions must be positive")
         self.n_inputs = int(n_inputs)
         self.n_outputs = int(n_outputs)
-        self._input_used: List[bool] = [False] * self.n_inputs
-        self._output_used: List[bool] = [False] * self.n_outputs
+        # Ports are stamped with the cycle epoch that claimed them, so
+        # opening a new cycle is one increment instead of two fresh lists.
+        self._epoch = 1
+        self._input_used: List[int] = [0] * self.n_inputs
+        self._output_used: List[int] = [0] * self.n_outputs
         self.traversals = 0
         self.bits_switched = 0
 
     def begin_cycle(self) -> None:
-        self._input_used = [False] * self.n_inputs
-        self._output_used = [False] * self.n_outputs
+        self._epoch += 1
 
     def connect(self, input_port: int, output_port: int, bits: int = 0) -> None:
         """Claim the (input, output) pair for this cycle."""
@@ -42,20 +44,21 @@ class Crossbar:
             raise IndexError(f"input_port {input_port} out of range")
         if not 0 <= output_port < self.n_outputs:
             raise IndexError(f"output_port {output_port} out of range")
-        if self._input_used[input_port]:
+        epoch = self._epoch
+        if self._input_used[input_port] == epoch:
             raise CrossbarConflict(f"input {input_port} already connected this cycle")
-        if self._output_used[output_port]:
+        if self._output_used[output_port] == epoch:
             raise CrossbarConflict(f"output {output_port} already connected this cycle")
-        self._input_used[input_port] = True
-        self._output_used[output_port] = True
+        self._input_used[input_port] = epoch
+        self._output_used[output_port] = epoch
         self.traversals += 1
         self.bits_switched += bits
 
     def is_input_free(self, input_port: int) -> bool:
-        return not self._input_used[input_port]
+        return self._input_used[input_port] != self._epoch
 
     def is_output_free(self, output_port: int) -> bool:
-        return not self._output_used[output_port]
+        return self._output_used[output_port] != self._epoch
 
     def reset_stats(self) -> None:
         self.traversals = 0

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 
 class FlitType(Enum):
@@ -34,6 +34,8 @@ class FlitType(Enum):
     def is_tail(self) -> bool:
         return self in (FlitType.TAIL, FlitType.HEAD_TAIL)
 
+
+_HEAD, _TAIL, _HEAD_TAIL = FlitType.HEAD, FlitType.TAIL, FlitType.HEAD_TAIL
 
 _packet_ids = itertools.count()
 
@@ -92,18 +94,24 @@ class Packet:
         )
 
 
-@dataclass(slots=True)
 class Flit:
     """One flow-control unit of a packet.
 
     ``vc`` is assigned by virtual-channel allocation and may be rewritten
-    hop by hop; all other fields are immutable in spirit.
+    hop by hop; all other fields are immutable in spirit. ``is_head`` and
+    ``is_tail`` are fixed from ``ftype`` at construction — plain values,
+    because every buffer push/pop and router hop reads them.
     """
 
-    packet: Packet
-    ftype: FlitType
-    seq: int
-    vc: int = 0
+    __slots__ = ("packet", "ftype", "seq", "vc", "is_head", "is_tail")
+
+    def __init__(self, packet: Packet, ftype: FlitType, seq: int, vc: int = 0):
+        self.packet = packet
+        self.ftype = ftype
+        self.seq = seq
+        self.vc = vc
+        self.is_head = ftype is _HEAD or ftype is _HEAD_TAIL
+        self.is_tail = ftype is _TAIL or ftype is _HEAD_TAIL
 
     @property
     def bits(self) -> int:
@@ -116,14 +124,6 @@ class Flit:
     @property
     def dst(self) -> int:
         return self.packet.dst
-
-    @property
-    def is_head(self) -> bool:
-        return self.ftype.is_head
-
-    @property
-    def is_tail(self) -> bool:
-        return self.ftype.is_tail
 
     def __repr__(self) -> str:
         return f"Flit(pid={self.packet.pid}, {self.ftype.value}, seq={self.seq})"
@@ -146,7 +146,3 @@ def packetize(packet: Packet) -> List[Flit]:
     flits.append(Flit(packet, FlitType.TAIL, packet.n_flits - 1))
     return flits
 
-
-def iter_packet_flits(packet: Packet) -> Iterator[Flit]:
-    """Generator variant of :func:`packetize` (no intermediate list)."""
-    yield from packetize(packet)

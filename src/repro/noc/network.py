@@ -5,14 +5,14 @@ Builds a complete wormhole network over any :class:`~repro.noc.topology.Topology
 (thesis 3.1) and by the chapter-1 topology studies in the examples.
 
 Each topology node gets a router with one port per neighbor plus a local
-port. An :class:`Endpoint` per node injects packets from a queue and
-collects ejected flits, recording latency and delivered bits.
+port. An :class:`Endpoint` per node injects packets from a queue; the
+network records latency and delivered bits as flits are ejected.
 
 Per-cycle work is activity-driven: link delivery pops a due-cycle heap
 (armed by :attr:`Link.on_send`) instead of polling every link, endpoints
-are visited only while they hold work, and routers tick only while
-:meth:`~repro.noc.router.Router.is_active`. The network also implements
-the engine's idle protocol so fully-quiet spans are jumped outright.
+are visited only while they hold work, and a router's tick visits only
+the VCs that hold flits. The network also implements the engine's idle
+protocol so fully-quiet spans are jumped outright.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class NetworkMetrics:
 
 
 class Endpoint:
-    """Per-node traffic source/sink with an unbounded injection queue."""
+    """Per-node traffic source with an unbounded injection queue."""
 
     def __init__(self, node: int, network: "ElectricalNetwork"):
         self.node = node
@@ -71,6 +71,8 @@ class Endpoint:
         self.queue: Deque[Packet] = deque()
         self._pending_flits: Deque[Flit] = deque()
         self._active_vc: Optional[int] = None
+        #: The local input port of this node's router.
+        self._port = network.routers[node].inputs[network.local_port(node)]
 
     @property
     def has_work(self) -> bool:
@@ -89,41 +91,25 @@ class Endpoint:
 
     def inject_step(self, cycle: int) -> None:
         """Move one flit per cycle into the local router port if space allows."""
-        if not self._pending_flits:
+        pending = self._pending_flits
+        if not pending:
             if not self.queue:
                 return
-            self._pending_flits.extend(packetize(self.queue.popleft()))
-        flit = self._pending_flits[0]
-        router = self.network.routers[self.node]
-        local_port = self.network.local_port(self.node)
-        vc = self._choose_vc(router, local_port, flit)
-        if vc is None:
+            pending.extend(packetize(self.queue.popleft()))
+        flit = pending[0]
+        if flit.is_head:
+            vc = self._port.first_free_vc()
+        else:
+            # Wormhole: body/tail flits of this packet must follow the head's VC.
+            vc = self._active_vc
+            assert vc is not None, "body flit without an active packet VC"
+        if vc is None or not self._port.can_accept(vc):
             return
         flit.vc = vc
-        router.accept_flit(local_port, flit, cycle)
-        self._pending_flits.popleft()
-        # Wormhole: body/tail flits of this packet must follow the head's VC.
+        self._port.push(flit, cycle)
+        self.network.flits_in_network += 1
+        pending.popleft()
         self._active_vc = None if flit.is_tail else vc
-
-    def _choose_vc(self, router: Router, port: int, flit: Flit) -> Optional[int]:
-        buffers = router.inputs[port]
-        if flit.is_head:
-            free = buffers.free_vc_ids()
-            return free[0] if free else None
-        assert self._active_vc is not None, "body flit without an active packet VC"
-        return self._active_vc if buffers.can_accept(self._active_vc) else None
-
-    def eject(self, flit: Flit, cycle: int) -> None:
-        metrics = self.network.metrics
-        metrics.flits_delivered += 1
-        metrics.bits_delivered += flit.bits
-        if self.network._measuring:
-            metrics.measured_bits += flit.bits
-        if flit.is_tail:
-            metrics.packets_delivered += 1
-            latency = cycle - flit.packet.created_cycle
-            metrics.latency_sum += latency
-            metrics.latency_max = max(metrics.latency_max, latency)
 
 
 class ElectricalNetwork(ClockedComponent):
@@ -166,6 +152,13 @@ class ElectricalNetwork(ClockedComponent):
         self._link_due: List[tuple] = []
         #: Nodes whose endpoint currently holds queued or pending work.
         self._active_eps: Set[int] = set()
+        #: Flits injected and not yet ejected (in router buffers or on
+        #: links), kept so :meth:`drain` can test quiescence in O(1).
+        self.flits_in_network = 0
+        #: Called with every flit leaving the network. The default accounts
+        #: it into :attr:`metrics`; an owner keeping its own delivery
+        #: metrics replaces it, so each flit is accounted exactly once.
+        self.on_eject: Callable[[Flit, int], None] = self._record_eject
         #: Open measurement window: measured cycles/bits accumulate only
         #: while True (drain-after-measure freezes it).
         self._measuring = True
@@ -211,7 +204,7 @@ class ElectricalNetwork(ClockedComponent):
                 peer.connect_credit_return(peer_in_port, credits)
                 self._links.append(link)
             local = self._local_ports[node]
-            router.connect_output_sink(local, self._make_eject_sink(node))
+            router.connect_output_sink(local, self._eject)
 
     def _make_route_fn(self, node: int) -> Callable[[int], int]:
         topo, routing, local = self.topology, self.routing, self._local_ports[node]
@@ -224,20 +217,29 @@ class ElectricalNetwork(ClockedComponent):
         return route
 
     def _make_flit_sink(self, node: int, port: int) -> Callable[[Flit], None]:
-        router = self.routers[node]
+        push = self.routers[node].inputs[port].push
 
         def sink(flit: Flit) -> None:
-            router.accept_flit(port, flit, self._cycle)
+            push(flit, self._cycle)
 
         return sink
 
-    def _make_eject_sink(self, node: int) -> Callable[[Flit], None]:
-        endpoint = self.endpoints[node]
+    def _eject(self, flit: Flit) -> None:
+        self.flits_in_network -= 1
+        self.on_eject(flit, self._cycle)
 
-        def sink(flit: Flit) -> None:
-            endpoint.eject(flit, self._cycle)
-
-        return sink
+    def _record_eject(self, flit: Flit, cycle: int) -> None:
+        metrics = self.metrics
+        bits = flit.packet.flit_bits
+        metrics.flits_delivered += 1
+        metrics.bits_delivered += bits
+        if self._measuring:
+            metrics.measured_bits += bits
+        if flit.is_tail:
+            metrics.packets_delivered += 1
+            latency = cycle - flit.packet.created_cycle
+            metrics.latency_sum += latency
+            metrics.latency_max = max(metrics.latency_max, latency)
 
     def _make_link_armer(self, index: int) -> Callable[[int], None]:
         def arm(due_cycle: int) -> None:
@@ -267,9 +269,9 @@ class ElectricalNetwork(ClockedComponent):
                 endpoint.inject_step(cycle)
                 if not endpoint.has_work:
                     active.discard(node)
+        # Node order; an idle router's tick costs what asking it would.
         for router in self._router_order:
-            if router.is_active():
-                router.tick(cycle)
+            router.tick(cycle)
         if self._measuring:
             self.metrics.measured_cycles += 1
 
@@ -311,10 +313,6 @@ class ElectricalNetwork(ClockedComponent):
     def reset_stats_at(self, cycle: int) -> None:
         self.reset_stats(cycle)
 
-    @property
-    def total_buffered_flits(self) -> int:
-        return sum(r.buffered_flits for r in self.routers.values())
-
     def drain(self, sim: Simulator, max_cycles: int = 100_000) -> bool:
         """Run until all queues and buffers empty; True if fully drained.
 
@@ -328,13 +326,8 @@ class ElectricalNetwork(ClockedComponent):
         if self.metrics.measured_cycles > 0:
             self._measuring = False
         for _ in range(max_cycles):
-            busy = (
-                self._link_due
-                or self._active_eps
-                or self.total_buffered_flits
-                or any(ep.has_work for ep in self.endpoints.values())
-            )
-            if not busy:
+            # Endpoints with work are exactly the members of _active_eps.
+            if not (self._active_eps or self.flits_in_network):
                 return True
             sim.step()
         return False

@@ -15,15 +15,22 @@ Pande et al. [24] shown in fig. 1-3. Per cycle the pipeline performs:
 Flow control is credit-based: the router tracks free buffer slots per
 downstream VC and never transmits without a credit, so buffers can never
 overflow (asserted by :class:`repro.noc.buffer.VirtualChannelBuffer`).
+
+A tick costs what the flits present cost, not the VCs configured: each
+:class:`~repro.noc.buffer.PortBuffer` keeps the ids of its non-empty VCs
+and only those are visited. Two iteration orders are load-bearing
+(results depend on them): downstream VCs are allocated in-port-major /
+VC-ascending, and output ports forward in the order they were first
+nominated (it fixes credit, link-send and eject order).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.noc.arbiter import make_arbiter
-from repro.noc.buffer import PortBuffer
+from repro.noc.buffer import PortBuffer, VirtualChannelBuffer
 from repro.noc.crossbar import Crossbar
 from repro.noc.flit import Flit
 from repro.noc.link import CreditChannel, Link
@@ -90,11 +97,14 @@ class Router(ClockedComponent):
         ]
         # Credit return channels toward each *upstream* router (per input).
         self._credit_return: List[Optional[CreditChannel]] = [None] * n_ports
-        # Credit arrival channels from each *downstream* router (per output).
-        self._credit_arrival: List[Optional[CreditChannel]] = [None] * n_ports
-        # Wired (port, channel) pairs only — the per-cycle credit sweep
-        # never has to skip over unwired ports.
+        # (port, channel, credit counters) per wired *downstream* router —
+        # the per-cycle credit sweep never has to skip over unwired ports.
         self._credit_arrivals_wired: List[tuple] = []
+        # Nomination scratch, meaningful within one tick only: the input
+        # ports asking for each output (ascending), reset on an output's
+        # first nomination, and the VC each input put forward.
+        self._requests: List[List[int]] = [[] for _ in range(n_ports)]
+        self._nominated_vc: List[int] = [0] * n_ports
 
         # Statistics.
         self.flits_routed = 0
@@ -111,9 +121,8 @@ class Router(ClockedComponent):
         arrive on *credit_arrival*. Downstream capacity is assumed to be a
         peer router with the same :class:`RouterConfig`."""
         self._out_links[port] = link
-        self._credit_arrival[port] = credit_arrival
-        self._credit_arrivals_wired.append((port, credit_arrival))
         self._credits[port] = [self.config.vc_depth] * self.config.n_vcs
+        self._credit_arrivals_wired.append((port, credit_arrival, self._credits[port]))
 
     def connect_output_sink(self, port: int, sink: Callable[[Flit], None]) -> None:
         """Attach a local ejection sink at *port* (infinite acceptance)."""
@@ -135,17 +144,23 @@ class Router(ClockedComponent):
     def can_accept(self, port: int, vc: int) -> bool:
         return self.inputs[port].can_accept(vc)
 
-    def input_free_slots(self, port: int, vc: int) -> int:
-        return self.inputs[port][vc].free_slots
-
     # ------------------------------------------------------------------
     # Pipeline
     # ------------------------------------------------------------------
     def tick(self, cycle: int) -> None:
-        self._collect_credits(cycle)
-        self._stage_route(cycle)
-        nominations = self._stage_input_arbitration(cycle)
-        self._stage_output_arbitration(nominations, cycle)
+        """One pipeline cycle; a no-op (cheaply) on an inactive router."""
+        for port, channel, credits in self._credit_arrivals_wired:
+            if not channel._in_flight:
+                continue
+            for vc in channel.deliver(cycle):
+                credits[vc] += 1
+                if credits[vc] > self.config.vc_depth:
+                    raise RuntimeError(
+                        f"{self.name}: credit overflow on port {port} vc {vc}"
+                    )
+        nominated_outputs = self._stage_inputs(cycle)
+        if nominated_outputs:
+            self._stage_output_arbitration(nominated_outputs, cycle)
 
     def is_active(self) -> bool:
         """True when :meth:`tick` could do work: buffered flits anywhere,
@@ -155,113 +170,99 @@ class Router(ClockedComponent):
         for pb in self.inputs:
             if pb._occupancy:
                 return True
-        for _port, channel in self._credit_arrivals_wired:
+        for _port, channel, _credits in self._credit_arrivals_wired:
             if channel._in_flight:
                 return True
         return False
 
-    def _collect_credits(self, cycle: int) -> None:
-        for port, channel in self._credit_arrivals_wired:
-            if not channel._in_flight:
-                continue
-            credits = self._credits[port]
-            for vc in channel.deliver(cycle):
-                credits[vc] += 1
-                if credits[vc] > self.config.vc_depth:
-                    raise RuntimeError(
-                        f"{self.name}: credit overflow on port {port} vc {vc}"
-                    )
+    def _stage_inputs(self, cycle: int) -> List[int]:
+        """Stages 1 and 2, one occupied input port at a time: set up the
+        wormhole path of any front head flit, then nominate one ready VC.
 
-    def _stage_route(self, cycle: int) -> None:
-        """Route computation + downstream VC allocation for head flits."""
+        Routing a port just before arbitrating it equals routing every
+        port first: arbitration reads only its own port's VCs, credits
+        and link readiness, none of which another port's routing writes.
+        Returns the outputs nominated for, in order of first nomination.
+        """
+        nominated_outputs: List[int] = []
+        all_credits, out_links = self._credits, self._out_links
         for in_port, port_buffer in enumerate(self.inputs):
-            if not port_buffer._occupancy:
-                continue
-            for vcb in port_buffer:
-                head = vcb.peek()
-                if head is None or not head.is_head:
-                    continue
-                if vcb.route is None:
-                    if self.route_fn is None:
-                        raise RuntimeError(f"{self.name}: no routing function wired")
-                    vcb.route = self.route_fn(head.dst)
-                    self.flits_routed += 1
-                if vcb.downstream_vc is None:
-                    vcb.downstream_vc = self._allocate_output_vc(
-                        vcb.route, in_port, vcb.vc_id
-                    )
-
-    def _allocate_output_vc(self, out_port: int, in_port: int, in_vc: int) -> Optional[int]:
-        owners = self._out_vc_owner[out_port]
-        for vc, owner in enumerate(owners):
-            if owner is None:
-                owners[vc] = (in_port, in_vc)
-                return vc
-        return None
-
-    def _stage_input_arbitration(self, cycle: int) -> Dict[int, List[tuple]]:
-        """Each input port nominates one ready VC; group nominees by output."""
-        nominations: Dict[int, List[tuple]] = {}
-        for in_port, port_buffer in enumerate(self.inputs):
-            if not port_buffer._occupancy:
+            occupied = port_buffer._occupied_vcs
+            if not occupied:
                 # Arbiters are stateless on empty request sets, so an
                 # empty port can be skipped without perturbing priority.
                 continue
-            ready_vcs = [
-                vcb.vc_id
-                for vcb in port_buffer
-                if not vcb.is_empty()
-                and vcb.route is not None
-                and vcb.downstream_vc is not None
-                and self._credits[vcb.route][vcb.downstream_vc] > 0
-                and self._link_ready(vcb.route, cycle)
-            ]
+            vcs = port_buffer.vcs
+            ready_vcs = []
+            for vc_id in sorted(occupied) if len(occupied) > 1 else occupied:
+                vcb = vcs[vc_id]
+                downstream_vc = vcb.downstream_vc
+                if downstream_vc is None:
+                    downstream_vc = self._route_front(in_port, vcb)
+                    if downstream_vc is None:
+                        continue
+                out_port = vcb.route
+                if all_credits[out_port][downstream_vc] > 0:
+                    link = out_links[out_port]
+                    if link is None or link.can_send(cycle):
+                        ready_vcs.append(vc_id)
+            if not ready_vcs:
+                continue
             winner_vc = self._input_arbiters[in_port].grant(ready_vcs)
-            if winner_vc is None:
-                continue
-            vcb = port_buffer[winner_vc]
-            nominations.setdefault(vcb.route, []).append((in_port, winner_vc))
-        return nominations
+            self._nominated_vc[in_port] = winner_vc
+            out_port = vcs[winner_vc].route
+            if out_port not in nominated_outputs:
+                nominated_outputs.append(out_port)
+                self._requests[out_port].clear()
+            self._requests[out_port].append(in_port)
+        return nominated_outputs
 
-    def _link_ready(self, out_port: int, cycle: int) -> bool:
-        link = self._out_links[out_port]
-        if link is None:
-            return self._out_sinks[out_port] is not None
-        return link.can_send(cycle)
+    def _route_front(self, in_port: int, vcb: VirtualChannelBuffer) -> Optional[int]:
+        """Route computation + downstream VC allocation for *vcb*'s front
+        flit, if it is a head; returns the downstream VC once one is held
+        (allocation is retried every cycle until an output VC frees up)."""
+        if not vcb._fifo[0].is_head:
+            return None
+        if vcb.route is None:
+            if self.route_fn is None:
+                raise RuntimeError(f"{self.name}: no routing function wired")
+            vcb.route = self.route_fn(vcb._fifo[0].packet.dst)
+            self.flits_routed += 1
+        owners = self._out_vc_owner[vcb.route]
+        for vc, owner in enumerate(owners):
+            if owner is None:
+                owners[vc] = (in_port, vcb.vc_id)
+                vcb.downstream_vc = vc
+                return vc
+        return None
 
-    def _stage_output_arbitration(
-        self, nominations: Dict[int, List[tuple]], cycle: int
-    ) -> None:
+    def _stage_output_arbitration(self, nominated_outputs: List[int], cycle: int) -> None:
         self.crossbar.begin_cycle()
-        for out_port, nominees in nominations.items():
-            by_in_port = {in_port: (in_port, vc) for in_port, vc in nominees}
-            granted = self._output_arbiters[out_port].grant(sorted(by_in_port))
-            if granted is None:
-                continue
-            in_port, in_vc = by_in_port[granted]
-            self._forward(in_port, in_vc, out_port, cycle)
+        for out_port in nominated_outputs:
+            in_port = self._output_arbiters[out_port].grant(self._requests[out_port])
+            self._forward(in_port, self._nominated_vc[in_port], out_port, cycle)
 
     def _forward(self, in_port: int, in_vc: int, out_port: int, cycle: int) -> None:
-        vcb = self.inputs[in_port][in_vc]
+        vcb = self.inputs[in_port].vcs[in_vc]
         downstream_vc = vcb.downstream_vc
         assert downstream_vc is not None
         flit = vcb.pop(cycle)
-        self.crossbar.connect(in_port, out_port, bits=flit.bits)
+        bits = flit.packet.flit_bits
+        self.crossbar.connect(in_port, out_port, bits)
         flit.vc = downstream_vc
-        self._credits[out_port][downstream_vc] -= 1
         self.flits_forwarded += 1
-        self.bits_forwarded += flit.bits
+        self.bits_forwarded += bits
 
         link = self._out_links[out_port]
         if link is not None:
-            link.send(flit, cycle, bits=flit.bits)
+            self._credits[out_port][downstream_vc] -= 1
+            link.send(flit, cycle, bits)
         else:
             sink = self._out_sinks[out_port]
             if sink is None:
                 raise RuntimeError(f"{self.name}: output port {out_port} not wired")
+            # The local "buffer" frees instantly: no credit is consumed.
             sink(flit)
-            # Local "buffer" frees instantly.
-            self._credits[out_port][downstream_vc] += 1
 
         # Return a credit upstream for the slot we just freed.
         credit_channel = self._credit_return[in_port]
@@ -274,10 +275,6 @@ class Router(ClockedComponent):
     # ------------------------------------------------------------------
     # Stats
     # ------------------------------------------------------------------
-    @property
-    def buffered_flits(self) -> int:
-        return sum(pb.occupancy for pb in self.inputs)
-
     @property
     def buffer_flit_cycles(self) -> int:
         return sum(pb.flit_cycles for pb in self.inputs)

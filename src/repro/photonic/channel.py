@@ -173,6 +173,7 @@ class DataChannel:
 
     def reset_stats(self) -> None:
         self.busy_cycles = 0
+        self.stalled_cycles = 0
         self.bits_transmitted = 0
         self.flits_transmitted = 0
         self.packets_transmitted = 0

@@ -21,8 +21,12 @@ from repro.traffic.bandwidth_sets import BW_SET_1
 FIDELITY = Fidelity("equivalence", 500, 100, (0.4,))
 
 #: (arch, pattern, offered_gbps, scenario) — spans idle skipping
-#: (zero/low load), saturation, both architectures, fault injection and
+#: (zero/low load), saturation, every architecture, fault injection and
 #: closed-loop feedback (the scenario player must never be skipped).
+#: The electrical rows hold the idle protocol of ``ElectricalNetwork`` /
+#: ``ElectricalMeshNoC`` to the same bar as the gateways (under
+#: ``fault_storm`` the player degrades ``blackout_receiver`` to a
+#: counted skip on the gateway-less mesh).
 CASES = [
     ("dhetpnoc", "uniform", 0.0, None),
     ("dhetpnoc", "uniform", 20.0, None),
@@ -30,6 +34,10 @@ CASES = [
     ("firefly", "uniform", 20.0, None),
     ("dhetpnoc", "skewed3", 400.0, "fault_storm"),
     ("dhetpnoc", "skewed3", 480.0, "closed_loop_shedding"),
+    ("electrical", "uniform", 0.0, None),
+    ("electrical", "uniform", 20.0, None),
+    ("electrical", "skewed3", 600.0, None),
+    ("electrical", "skewed3", 400.0, "fault_storm"),
 ]
 
 

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.noc.flit import FlitType, Packet, iter_packet_flits, packetize
+from repro.noc.flit import FlitType, Packet, packetize
 
 
 def make_packet(n_flits=4, flit_bits=32, src=0, dst=1):
@@ -95,9 +95,3 @@ class TestPacketize:
     def test_bits_conserved(self, n, bits):
         packet = Packet(src=0, dst=1, n_flits=n, flit_bits=bits)
         assert sum(f.bits for f in packetize(packet)) == packet.size_bits
-
-    def test_iter_matches_list(self):
-        packet = make_packet()
-        assert [f.ftype for f in iter_packet_flits(packet)] == [
-            f.ftype for f in packetize(packet)
-        ]

@@ -114,12 +114,7 @@ def golden() -> dict:
 
 @pytest.mark.parametrize("case", sorted(MESH_CASES))
 def test_mesh_case_matches_golden(golden, case):
-    observed = json.loads(json.dumps(observe_mesh(case)))
-    expected = golden[case]
-    assert observed["drain_cycle"] == expected["drain_cycle"]
-    assert observed["metrics"] == expected["metrics"]
-    for node, counters in expected["routers"].items():
-        assert observed["routers"][node] == counters, f"router {node}"
+    assert json.loads(json.dumps(observe_mesh(case))) == golden[case]
 
 
 def test_mesh_cases_hit_the_hard_paths(golden):
@@ -133,11 +128,7 @@ def test_mesh_cases_hit_the_hard_paths(golden):
 
 
 def test_electrical_run_result_matches_golden(golden):
-    observed = json.loads(json.dumps(observe_run()))
-    expected = golden["run_result"]
-    assert observed.keys() == expected.keys()
-    for name, value in expected.items():
-        assert observed[name] == value, name
+    assert json.loads(json.dumps(observe_run())) == golden["run_result"]
 
 
 if __name__ == "__main__":

@@ -119,6 +119,22 @@ class TestDataChannel:
         assert channel.bits_transmitted == 0
         assert channel.busy_cycles == 0
 
+    def test_reset_stats_at_warmup_boundary_clears_stalls(self):
+        """A channel starved across the warm-up boundary: the reset clears
+        stalled cycles with busy cycles, so the measured window's stall
+        ratio (stalled / busy) never exceeds 1."""
+        channel = DataChannel(0)
+        channel.begin(make_reservation(4), 4, 32, 4, 0)
+        for cycle in range(3):
+            assert channel.tick(cycle) == []
+        assert (channel.busy_cycles, channel.stalled_cycles) == (3, 3)
+        channel.reset_stats()
+        assert (channel.busy_cycles, channel.stalled_cycles) == (0, 0)
+        # The transmission in progress survives the reset and keeps counting.
+        assert channel.busy
+        channel.tick(3)
+        assert (channel.busy_cycles, channel.stalled_cycles) == (1, 1)
+
 
 class TestReservationBroadcastChannel:
     def test_delivery_timing(self):

@@ -117,6 +117,12 @@ def build_benches() -> List[Tuple[str, Callable[[], None]]]:
         _run_once("dhetpnoc", BW_SET_1, "uniform", 20.0, fidelity,
                   seed=BENCH_SEED)
 
+    def run_electrical() -> None:
+        # The electrical mesh at saturation: router/link/network code
+        # only, which no photonic bench touches.
+        _run_once("electrical", BW_SET_1, "skewed3", 600.0, fidelity,
+                  seed=BENCH_SEED)
+
     def scenario_fault_storm() -> None:
         _run_once("dhetpnoc", BW_SET_1, "skewed3", 400.0, fidelity,
                   seed=BENCH_SEED, scenario="fault_storm")
@@ -214,6 +220,7 @@ def build_benches() -> List[Tuple[str, Callable[[], None]]]:
     return [
         ("run_steady", run_steady),
         ("run_low_load", run_low_load),
+        ("run_electrical", run_electrical),
         ("scenario_fault_storm", scenario_fault_storm),
         ("closed_loop_shedding", closed_loop_shedding),
         ("sweep_cache_hits", sweep_cache_hits),

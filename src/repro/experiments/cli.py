@@ -116,14 +116,33 @@ def _call_exhibit(name: str, fidelity, seed: int, session=None) -> str:
     return fn(**kwargs).render()
 
 
-def _workers(value: str) -> int:
+def _workers(value: str, minimum: int = 1) -> int:
     try:
         n = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {value!r}")
-    if n < 1:
-        raise argparse.ArgumentTypeError("need at least one worker")
+    if n < minimum:
+        raise argparse.ArgumentTypeError(f"need at least {minimum} worker(s)")
     return n
+
+
+def _add_daemon_options(
+    parser: argparse.ArgumentParser, port: int, owner: str, no_backends
+) -> None:
+    """Where a daemon (``fabric serve`` / ``serve``) binds and stores."""
+    parser.add_argument("--host", default="0.0.0.0",
+                        help="bind address (default: all interfaces)")
+    parser.add_argument("--port", type=int, default=port,
+                        help=f"bind port (default: {port}; 0 picks a free one)")
+    parser.add_argument(
+        "--store", default=None, metavar="PATH",
+        help="persistent store every peer shares (directory = sharded); "
+        f"omitting it keeps results in {owner} memory only",
+    )
+    parser.add_argument(
+        "--store-backend", default="auto",
+        choices=[n for n in backend_names() if n not in no_backends],
+    )
 
 
 def _add_parallel_options(parser: argparse.ArgumentParser) -> None:
@@ -272,19 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="host the coordinator: work queue, retries and the "
         "authoritative result store",
     )
-    serve.add_argument("--host", default="0.0.0.0",
-                       help="bind address (default: all interfaces)")
-    serve.add_argument("--port", type=int, default=7023,
-                       help="bind port (default: 7023; 0 picks a free one)")
-    serve.add_argument(
-        "--store", default=None, metavar="PATH",
-        help="persistent store served to the fabric (directory = sharded); "
-        "omitting it keeps results in coordinator memory only",
-    )
-    serve.add_argument(
-        "--store-backend", default="auto",
-        choices=[n for n in backend_names() if n not in ("memory", "remote")],
-    )
+    _add_daemon_options(serve, 7023, "coordinator", ("memory", "remote"))
     serve.add_argument(
         "--lease-size", type=int, default=2, metavar="N",
         help="points leased to a worker per request (default: 2)",
@@ -305,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument(
         "--connect", required=True, metavar="HOST:PORT",
-        help="coordinator address ('fabric serve' prints it)",
+        help="coordinator address ('fabric serve' or 'serve' prints it)",
     )
     worker.add_argument(
         "--fail-after", type=int, default=None, metavar="N",
@@ -319,22 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
         "accepts spec submissions as jobs and streams results back "
         "(see docs/service.md)",
     )
-    serve.add_argument("--host", default="0.0.0.0",
-                       help="bind address (default: all interfaces)")
-    serve.add_argument("--port", type=int, default=7123,
-                       help="bind port (default: 7123; 0 picks a free one)")
+    _add_daemon_options(serve, 7123, "service", ("memory",))
     serve.add_argument(
-        "--store", default=None, metavar="PATH",
-        help="persistent store shared by every job (directory = sharded); "
-        "omitting it keeps results in service memory only",
-    )
-    serve.add_argument(
-        "--store-backend", default="auto",
-        choices=[n for n in backend_names() if n != "memory"],
-    )
-    serve.add_argument(
-        "--workers", type=_workers, default=1,
-        help="simulation worker processes per running job (default: 1)",
+        "--workers", type=lambda value: _workers(value, 0), default=1,
+        help="local simulation lanes shared by every job (default: 1; 0 "
+        "leaves all simulation to 'fabric worker's attached to this port)",
     )
     serve.add_argument(
         "--max-jobs", type=int, default=2, metavar="N",
@@ -344,11 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-pending", type=int, default=16, metavar="N",
         help="queued jobs admitted before submissions are rejected "
         "(default: 16)",
-    )
-    serve.add_argument(
-        "--fabric", default=None, metavar="HOST:PORT",
-        help="dispatch every job's points through this fabric coordinator "
-        "('fabric serve') instead of local worker pools",
     )
 
     jobs = sub.add_parser(
@@ -891,36 +882,12 @@ def _run_spec_service(spec: ExperimentSpec, args) -> int:
 
 def _run_fabric(args) -> int:
     """``fabric serve`` / ``fabric worker``: the distributed sweep fabric."""
-    import logging
-
-    from repro.fabric.errors import FabricError
-
-    logging.basicConfig(
-        level=logging.INFO, format="%(asctime)s %(levelname)s %(message)s"
-    )
     if args.fabric_command == "serve":
-        from repro.experiments.store import open_store
-        from repro.fabric.coordinator import Coordinator
-
-        store = open_store(args.store, args.store_backend)
-        coordinator = Coordinator(
-            store=store,
-            host=args.host,
-            port=args.port,
-            lease_size=args.lease_size,
-            max_attempts=args.max_attempts,
-            worker_timeout_s=args.worker_timeout,
-        )
-        host, port = coordinator.start()
-        where = store.path if args.store else "coordinator memory"
-        print(f"fabric coordinator listening on {host}:{port} "
-              f"(store: {where})", flush=True)
-        coordinator.serve_forever()
-        return 0
-
-    # fabric worker
+        return _run_serve(args)
+    from repro.fabric.errors import FabricError
     from repro.fabric.worker import Worker
 
+    _log_to_stderr()
     worker = Worker(args.connect, fail_after=args.fail_after)
     try:
         completed = worker.run()
@@ -931,30 +898,48 @@ def _run_fabric(args) -> int:
     return 0
 
 
-def _run_serve(args) -> int:
-    """``serve``: host the experiment service daemon."""
+def _log_to_stderr() -> None:
     import logging
-
-    from repro.service.daemon import ExperimentService
 
     logging.basicConfig(
         level=logging.INFO, format="%(asctime)s %(levelname)s %(message)s"
     )
-    service = ExperimentService(
-        args.store,
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        max_jobs=args.max_jobs,
-        max_pending=args.max_pending,
-        backend=args.store_backend,
-        fabric=args.fabric,
-    )
-    host, port = service.start()
-    where = service.store.path if args.store else "service memory"
-    print(f"experiment service listening on {host}:{port} "
-          f"(store: {where})", flush=True)
-    service.serve_forever()
+
+
+def _run_serve(args) -> int:
+    """``serve`` / ``fabric serve``: host the daemon (the experiment
+    service is the fabric coordinator plus the ``jobs`` role)."""
+    _log_to_stderr()
+    if args.command == "serve":
+        from repro.service.daemon import ExperimentService
+
+        what, owner = "experiment service", "service"
+        daemon = ExperimentService(
+            args.store,
+            host=args.host,
+            port=args.port,
+            workers=args.workers,
+            max_jobs=args.max_jobs,
+            max_pending=args.max_pending,
+            backend=args.store_backend,
+        )
+    else:
+        from repro.experiments.store import open_store
+        from repro.fabric.coordinator import Coordinator
+
+        what, owner = "fabric coordinator", "coordinator"
+        daemon = Coordinator(
+            store=open_store(args.store, args.store_backend),
+            host=args.host,
+            port=args.port,
+            lease_size=args.lease_size,
+            max_attempts=args.max_attempts,
+            worker_timeout_s=args.worker_timeout,
+        )
+    host, port = daemon.start()
+    where = daemon.store.path if args.store else f"{owner} memory"
+    print(f"{what} listening on {host}:{port} (store: {where})", flush=True)
+    daemon.serve_forever()
     return 0
 
 
@@ -1476,8 +1461,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.service is not None and args.fabric is not None:
             print(
                 "dhetpnoc-repro run: error: --service and --fabric are "
-                "mutually exclusive (a service daemon can itself dispatch "
-                "through a fabric: serve --fabric)",
+                "mutually exclusive (a service daemon is itself a fabric "
+                "coordinator: attach 'fabric worker's to its port)",
                 file=sys.stderr,
             )
             return 2

@@ -12,9 +12,11 @@ see docs/fabric.md.
 Layout::
 
     errors        exception hierarchy + PointFailure records
-    transport     Transport/Listener/Connection seam (tcp; mpi gated)
+    transport     Transport/Listener/Connection seam (tcp)
     protocol      length-prefixed JSON frames + payload serialisers
-    coordinator   work queue, leases, retries, store server
+    server        RoleServer (accept loop, handshake, role dispatch,
+                  result-stream loop) + dial(), the one client handshake
+    coordinator   RoleServer + work table, leases, retries, store server
     worker        lease/execute/stream loop + heartbeats
     client        submit/collect connection used by FabricExecutor
     remote_store  RemoteBackend(StoreBackend) over the store RPCs
@@ -26,6 +28,7 @@ for callers that only need the exception types.
 
 from __future__ import annotations
 
+from repro.api.base import lazy_exports
 from repro.fabric.errors import (
     FabricError,
     PointFailedError,
@@ -55,12 +58,4 @@ _LAZY = {
     "transports": ("repro.fabric.transport", "transports"),
 }
 
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _LAZY)

@@ -21,19 +21,14 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.runner import RunResult
 from repro.experiments.store import result_from_dict
-from repro.fabric.errors import FabricError, PointFailure, ProtocolError
+from repro.fabric.errors import PointFailure, ProtocolError
 from repro.fabric.protocol import (
-    PROTOCOL_VERSION,
     expect,
+    point_label,
     recv_message,
     send_message,
 )
-from repro.fabric.transport import (
-    Address,
-    connect_with_backoff,
-    make_transport,
-    parse_address,
-)
+from repro.fabric.server import Peer
 
 __all__ = ["FabricClient", "JobOutcome"]
 
@@ -52,51 +47,11 @@ class JobOutcome:
     failures: Tuple[PointFailure, ...]
 
 
-class FabricClient:
-    """One client connection to a fabric coordinator.
+class FabricClient(Peer):
+    """One ``client``-role connection to a fabric coordinator: one
+    in-flight job at a time (the executor that owns it is synchronous)."""
 
-    Not thread-safe: one in-flight job per connection by design (the
-    executor that owns it is synchronous). Use one client per thread.
-    """
-
-    def __init__(
-        self,
-        connect: Address,
-        *,
-        transport: str = "tcp",
-        connect_timeout: float = 10.0,
-        connect_attempts: int = 5,
-    ) -> None:
-        self.address = parse_address(connect)
-        try:
-            # Bounded exponential backoff: a client launched alongside
-            # `fabric serve` (CI smoke lanes, scripted topologies) must
-            # not lose the race against the coordinator's bind.
-            self._conn = connect_with_backoff(
-                make_transport(transport),
-                self.address,
-                timeout=connect_timeout,
-                attempts=connect_attempts,
-            )
-        except OSError as exc:
-            host, port = self.address
-            raise FabricError(
-                f"cannot reach a fabric coordinator at {host}:{port}: {exc}"
-            )
-        send_message(self._conn, {
-            "type": "hello", "role": "client", "version": PROTOCOL_VERSION,
-        })
-        expect(recv_message(self._conn), "welcome")
-
-    def close(self) -> None:
-        """Drop the connection (idempotent)."""
-        self._conn.close()
-
-    def __enter__(self) -> "FabricClient":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
+    role = "client"
 
     def stats(self) -> dict:
         """Fetch the coordinator's point-in-time counters."""
@@ -118,7 +73,7 @@ class FabricClient:
         result or as a failure — or :class:`ProtocolError` is raised if
         the coordinator vanishes first.
         """
-        labels = {e["key"]: _label(e["point"]) for e in entries}
+        labels = {e["key"]: point_label(e["point"]) for e in entries}
         send_message(self._conn, {
             "type": "submit",
             "fidelity": fidelity,
@@ -127,17 +82,10 @@ class FabricClient:
         })
         results: Dict[str, RunResult] = {}
         failures: List[PointFailure] = []
-        executed = hits = 0
-        while True:
-            message = recv_message(self._conn)
-            if message is None:
-                raise ProtocolError(
-                    "coordinator closed the connection mid-job"
-                )
-            kind = message.get("type")
+        for message in self._stream("job_done"):
+            kind = message["type"]
             if kind == "point_done":
-                key = message["key"]
-                results[key] = result_from_dict(message["result"])
+                results[message["key"]] = result_from_dict(message["result"])
             elif kind == "point_failed":
                 key = message["key"]
                 failures.append(PointFailure(
@@ -146,29 +94,11 @@ class FabricClient:
                     error=str(message.get("error", "unknown")),
                     attempts=int(message.get("attempts", 0)),
                 ))
-            elif kind == "job_done":
-                executed = int(message.get("executed", 0))
-                hits = int(message.get("hits", 0))
-                break
-            elif kind == "error":
-                raise ProtocolError(
-                    f"coordinator reported: {message.get('error')}"
-                )
-            else:
+            elif kind != "job_done":
                 raise ProtocolError(f"unexpected job frame {kind!r}")
-        return JobOutcome(
+        return JobOutcome(  # the stream's last frame is the job_done
             results=results,
-            executed=executed,
-            hits=hits,
+            executed=int(message.get("executed", 0)),
+            hits=int(message.get("hits", 0)),
             failures=tuple(failures),
         )
-
-
-def _label(point: dict) -> str:
-    label = (
-        f"{point.get('arch')}/set{point.get('bw_set_index')}/"
-        f"{point.get('pattern')}@{point.get('offered_gbps'):.0f}Gb/s"
-    )
-    if point.get("scenario"):
-        label += f"/{point['scenario']}"
-    return label

@@ -29,12 +29,16 @@ deterministic simulation bug fails fast instead of hot-looping).
 
 Work items are **deduplicated by store key across jobs**: two clients
 submitting the same point concurrently share one simulation, exactly
-like the in-process executor dedups within a batch.
+like the in-process executor dedups within a batch. A job that goes
+away (its client disconnected, or it was cancelled) stops waiting on
+its keys; a key nobody waits on and no worker holds leaves the table.
 
-Thread model: one accept loop, one handler thread per connection, one
-liveness monitor. All queue/job/lease state lives behind a single
-condition variable; the result store has its own lock so slow file
-I/O never blocks scheduling.
+Thread model: the accept loop and one handler thread per connection
+come from :class:`~repro.fabric.server.RoleServer` (as do the
+handshake and the result-stream loop), plus one liveness monitor. All
+queue/job/lease state lives behind a single condition variable; the
+result store has its own lock so slow file I/O never blocks
+scheduling.
 """
 
 from __future__ import annotations
@@ -48,8 +52,9 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.experiments.store import ResultStore, result_from_dict, result_to_dict
 from repro.fabric.errors import ProtocolError
-from repro.fabric.protocol import PROTOCOL_VERSION, recv_message, send_message
-from repro.fabric.transport import Address, Connection, make_transport
+from repro.fabric.protocol import point_label, send_message
+from repro.fabric.server import RoleServer
+from repro.fabric.transport import Connection
 
 __all__ = ["Coordinator", "DEFAULT_PORT"]
 
@@ -59,78 +64,70 @@ DEFAULT_PORT = 7023
 log = logging.getLogger("repro.fabric")
 
 
-def _point_label(point: dict) -> str:
-    """Human-readable coordinates for error messages."""
-    label = (
-        f"{point.get('arch')}/set{point.get('bw_set_index')}/"
-        f"{point.get('pattern')}@{point.get('offered_gbps'):.0f}Gb/s"
-    )
-    if point.get("scenario"):
-        label += f"/{point['scenario']}"
-    return label
+@dataclass(eq=False)
+class _Job:
+    """One waiter on the work table: a batch of unique keys to resolve.
+
+    ``log`` is the job's append-only outcome stream, already in wire
+    form: one ``point_done`` or ``point_failed`` frame per resolved
+    key, in completion order. A ``client`` peer receives the frames
+    verbatim; the experiment service's job runner reads the same log
+    in-process.
+    """
+
+    job_id: str
+    #: Keys still unresolved (each leaves when its frame is logged).
+    pending: Set[str] = field(default_factory=set)
+    log: List[dict] = field(default_factory=list)
+
+    def done(self, key: str, result: dict, cached: bool) -> None:
+        """Log *key*'s result (caller holds the scheduling lock)."""
+        self.pending.discard(key)
+        self.log.append({
+            "type": "point_done", "key": key,
+            "result": result, "cached": cached,
+        })
+
+    def snapshot(self, index: int):
+        """The log from *index* on, and ``job_done`` — this job's own
+        simulated / shared / given-up-on counts — once it is complete
+        (see :meth:`~repro.fabric.server.RoleServer._tail`)."""
+        if self.pending:
+            return self.log[index:], None
+        done = [f["cached"] for f in self.log if f["type"] == "point_done"]
+        return self.log[index:], {
+            "type": "job_done", "executed": done.count(False),
+            "hits": done.count(True), "failed": len(self.log) - len(done),
+        }
 
 
 @dataclass
 class _WorkItem:
     """One deduplicated unit of simulation work, keyed by store key."""
 
-    key: str
-    point: dict
-    fidelity: dict
-    config: Optional[dict]
-    script: Optional[dict]
-    #: Jobs waiting on this key (cross-job dedup).
-    waiters: Set[str] = field(default_factory=set)
+    #: The wire-form work item: ``{key, point, fidelity, config, script}``.
+    payload: dict
+    #: Jobs waiting on this key (cross-job dedup), first come first:
+    #: ``waiters[0]`` owns the simulation (its ``executed``), everyone
+    #: behind it shares the result as a hit.
+    waiters: List[_Job] = field(default_factory=list)
+    #: Who is simulating this key right now: a :class:`_WorkerState`,
+    #: or an in-process lane's token; ``None`` while it is only queued.
+    holder: Optional[object] = None
     #: Lease grants so far (bounds the retry loop).
     attempts: int = 0
-    #: Last failure observed (worker loss / execution error).
-    error: str = ""
-
-    @property
-    def label(self) -> str:
-        return _point_label(self.point)
 
 
-@dataclass
-class _Job:
-    """One client submission: a batch of unique keys to resolve."""
-
-    job_id: str
-    pending: Set[str]
-    #: ``(key, result_dict, cached)`` ready to stream to the client.
-    ready: List[Tuple[str, dict, bool]] = field(default_factory=list)
-    #: ``(key, error, attempts)`` for points given up on.
-    failed: List[Tuple[str, str, int]] = field(default_factory=list)
-    executed: int = 0
-    hits: int = 0
-    abandoned: bool = False
-
-    @property
-    def complete(self) -> bool:
-        return not self.pending
-
-
-@dataclass
+@dataclass(eq=False)
 class _WorkerState:
     """Book-keeping for one registered worker connection."""
 
     worker_id: int
     conn: Connection
-    capabilities: dict
     last_seen: float
-    #: Keys currently leased to this worker and not yet resolved.
-    outstanding: Set[str] = field(default_factory=set)
-    alive: bool = True
 
 
-@dataclass
-class _Lease:
-    lease_id: int
-    worker_id: int
-    keys: Set[str]
-
-
-class Coordinator:
+class Coordinator(RoleServer):
     """Serve the fabric protocol over a bound endpoint.
 
     Args:
@@ -150,6 +147,8 @@ class Coordinator:
         transport: Transport registry name (default ``tcp``).
     """
 
+    title = "coordinator"
+
     def __init__(
         self,
         store: Optional[ResultStore] = None,
@@ -166,26 +165,25 @@ class Coordinator:
             raise ValueError("lease_size must be at least 1")
         if max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
+        super().__init__(host, port, transport=transport)
+        self._roles.update(
+            worker=self._serve_worker,
+            client=self._serve_client,
+            store=self._serve_store,
+        )
         self.store = store if store is not None else ResultStore()
         self.lease_size = lease_size
         self.heartbeat_s = heartbeat_s
         self.worker_timeout_s = worker_timeout_s
         self.max_attempts = max_attempts
-        self._transport = make_transport(transport)
-        self._bind = (host, port)
-        self._listener = None
-        self._closed = False
 
         self._lock = threading.RLock()
         self._state_changed = threading.Condition(self._lock)
         self._store_lock = threading.RLock()
         self._queue: List[str] = []  # FIFO of work-item keys
         self._work: Dict[str, _WorkItem] = {}
-        self._jobs: Dict[str, _Job] = {}
         self._workers: Dict[int, _WorkerState] = {}
-        self._leases: Dict[int, _Lease] = {}
         self._ids = itertools.count(1)
-        self._threads: List[threading.Thread] = []
 
         #: Cumulative counters (exposed via :meth:`stats`).
         self.total_executed = 0
@@ -193,48 +191,14 @@ class Coordinator:
         self.total_failed = 0
 
     # -- lifecycle -----------------------------------------------------------
-    @property
-    def address(self) -> Tuple[str, int]:
-        """Actual bound ``(host, port)`` (valid after :meth:`start`)."""
-        if self._listener is None:
-            raise RuntimeError("coordinator is not started")
-        return self._listener.address
-
     def start(self) -> Tuple[str, int]:
-        """Bind and begin accepting in background threads."""
-        if self._listener is not None:
-            raise RuntimeError("coordinator already started")
-        self._listener = self._transport.listen(self._bind)
-        for target, name in (
-            (self._accept_loop, "fabric-accept"),
-            (self._monitor_loop, "fabric-monitor"),
-        ):
-            thread = threading.Thread(target=target, name=name, daemon=True)
-            thread.start()
-            self._threads.append(thread)
-        host, port = self.address
-        log.info("coordinator listening on %s:%d", host, port)
-        return host, port
+        """Bind and begin accepting and monitoring in background threads."""
+        address = super().start()
+        self._spawn(self._monitor_loop, "monitor")
+        return address
 
-    def serve_forever(self) -> None:
-        """Blocking convenience for the CLI: start, then wait."""
-        if self._listener is None:
-            self.start()
-        try:
-            while not self._closed:
-                time.sleep(0.5)
-        except KeyboardInterrupt:  # pragma: no cover - interactive
-            pass
-        finally:
-            self.stop()
-
-    def stop(self) -> None:
-        """Shut down: stop accepting, drop peers, flush the store."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._listener is not None:
-            self._listener.close()
+    def _release(self) -> None:
+        """Drop the workers, wake every waiter, flush the store."""
         with self._lock:
             workers = list(self._workers.values())
             self._state_changed.notify_all()
@@ -247,240 +211,180 @@ class Coordinator:
         with self._store_lock:
             self.store.flush()
 
-    def __enter__(self) -> "Coordinator":
-        if self._listener is None:
-            self.start()
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.stop()
-
     def stats(self) -> dict:
         """Point-in-time counters (also served as a ``stats`` RPC)."""
         with self._lock:
             return {
                 "workers": len(self._workers),
                 "queued": len(self._queue),
-                "leased": sum(len(v.keys) for v in self._leases.values()),
-                "jobs": len(self._jobs),
+                "leased": sum(i.holder is not None for i in self._work.values()),
+                "jobs": len({
+                    job for i in self._work.values() for job in i.waiters
+                }),
                 "executed": self.total_executed,
                 "requeued": self.total_requeued,
                 "failed": self.total_failed,
-                "store_records": None,  # filled lazily; len() may load shards
             }
 
-    # -- accept / dispatch ---------------------------------------------------
-    def _accept_loop(self) -> None:
-        while not self._closed:
-            try:
-                conn = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            thread = threading.Thread(
-                target=self._serve_connection, args=(conn,),
-                name="fabric-peer", daemon=True,
-            )
-            thread.start()
+    # -- the work table ------------------------------------------------------
+    def _enqueue(self, job: _Job, payloads: List[dict]) -> None:
+        """Make *job* a waiter on every wire-form work item in *payloads*.
 
-    def _serve_connection(self, conn: Connection) -> None:
-        try:
-            hello = recv_message(conn)
-            if hello is None:
+        A key already on the table gains a waiter instead of a second
+        work item: one simulation per unique key across every job.
+        """
+        with self._lock:
+            for payload in payloads:
+                key = payload["key"]
+                item = self._work.get(key)
+                if item is None:
+                    item = self._work[key] = _WorkItem(payload)
+                    self._queue.append(key)
+                item.waiters.append(job)
+                job.pending.add(key)
+            self._state_changed.notify_all()
+
+    def _withdraw(self, job: _Job, keep_leased: bool = False) -> None:
+        """Stop *job* waiting on its unresolved keys.
+
+        A key nobody else waits on and no worker holds leaves the
+        table (its stale queue entry is skipped at lease time). With
+        *keep_leased* the job stays a waiter on keys a worker is
+        simulating right now — a cancelled job finishes at a point
+        boundary, so what is in flight still lands in its record.
+        """
+        with self._lock:
+            for key in sorted(job.pending):
+                item = self._work[key]
+                if keep_leased and item.holder is not None:
+                    continue
+                job.pending.discard(key)
+                item.waiters.remove(job)
+                if not item.waiters and item.holder is None:
+                    del self._work[key]
+
+    def _lease(self, holder: object, limit: int) -> List[dict]:
+        """Hand *holder* up to *limit* queued keys, as wire-form work
+        items. Caller holds the lock."""
+        items = []
+        while self._queue and len(items) < limit:
+            key = self._queue.pop(0)
+            item = self._work.get(key)
+            if item is None or item.holder is not None:
+                continue  # resolved or withdrawn since it was queued
+            item.holder = holder
+            item.attempts += 1
+            items.append(item.payload)
+        return items
+
+    def _complete_point(self, key: str, result: dict) -> None:
+        # Persist outside the scheduling lock: store I/O can be slow.
+        with self._store_lock:
+            if not self.store.contains(key):
+                self.store.put(key, result_from_dict(result))
+        with self._lock:
+            item = self._work.pop(key, None)
+            if item is None:
+                return  # duplicate completion after a requeue race
+            self.total_executed += 1
+            for position, job in enumerate(item.waiters):
+                job.done(key, result, cached=position > 0)
+            self._state_changed.notify_all()
+
+    def _requeue_or_fail(self, key: str, error: str) -> None:
+        """Re-queue one lost/errored key, or fail it past the budget."""
+        with self._lock:
+            item = self._work.get(key)
+            if item is None:
                 return
-            if hello.get("type") != "hello":
-                raise ProtocolError(f"expected hello, got {hello.get('type')!r}")
-            if hello.get("version") != PROTOCOL_VERSION:
-                raise ProtocolError(
-                    f"protocol version mismatch: peer speaks "
-                    f"{hello.get('version')!r}, this coordinator speaks "
-                    f"{PROTOCOL_VERSION}"
+            item.holder = None
+            label = point_label(item.payload["point"])
+            if not item.waiters:
+                del self._work[key]  # withdrawn in flight: nobody to retry for
+            elif item.attempts >= self.max_attempts:
+                del self._work[key]
+                self.total_failed += 1
+                log.warning(
+                    "point %s failed after %d attempt(s): %s",
+                    label, item.attempts, error,
                 )
-            role = hello.get("role")
-            if role == "worker":
-                self._serve_worker(conn, hello)
-            elif role == "client":
-                self._serve_client(conn)
-            elif role == "store":
-                self._serve_store(conn)
+                for job in item.waiters:
+                    job.pending.discard(key)
+                    job.log.append({
+                        "type": "point_failed", "key": key,
+                        "error": error, "attempts": item.attempts,
+                    })
             else:
-                raise ProtocolError(f"unknown role {role!r}")
-        except ProtocolError as exc:
-            log.warning("peer rejected: %s", exc)
-            try:
-                send_message(conn, {"type": "error", "error": str(exc)})
-            except Exception:
-                pass
-        except OSError:
-            pass
-        finally:
-            conn.close()
+                self.total_requeued += 1
+                log.info(
+                    "re-queueing %s (attempt %d/%d): %s",
+                    label, item.attempts, self.max_attempts, error,
+                )
+                self._queue.append(key)
+            self._state_changed.notify_all()
 
     # -- worker role ---------------------------------------------------------
     def _serve_worker(self, conn: Connection, hello: dict) -> None:
-        with self._lock:
-            worker = _WorkerState(
-                worker_id=next(self._ids),
-                conn=conn,
-                capabilities=dict(hello.get("capabilities") or {}),
-                last_seen=time.monotonic(),
+        capabilities = hello.get("capabilities")
+        if not isinstance(capabilities, dict):
+            raise ProtocolError(
+                "a hello for role 'worker' must carry a capabilities object"
             )
+        with self._lock:
+            worker = _WorkerState(next(self._ids), conn, time.monotonic())
             self._workers[worker.worker_id] = worker
-        log.info(
-            "worker %d registered: %s", worker.worker_id, worker.capabilities
+        log.info("worker %d registered: %s", worker.worker_id, capabilities)
+        self._welcome(
+            conn,
+            worker_id=worker.worker_id,
+            lease_size=self.lease_size,
+            heartbeat_s=self.heartbeat_s,
         )
-        send_message(conn, {
-            "type": "welcome",
-            "version": PROTOCOL_VERSION,
-            "worker_id": worker.worker_id,
-            "lease_size": self.lease_size,
-            "heartbeat_s": self.heartbeat_s,
-        })
         try:
-            while not self._closed:
-                message = recv_message(conn)
-                if message is None:
-                    break
+            for message in self._frames(conn):
                 with self._lock:
                     worker.last_seen = time.monotonic()
                 kind = message["type"]
                 if kind == "heartbeat":
                     continue
                 if kind == "lease":
-                    self._grant_lease(worker)
+                    with self._lock:
+                        items = self._lease(worker, self.lease_size)
+                    send_message(conn, {
+                        "type": "work", "lease_id": next(self._ids), "items": items,
+                    } if items else {
+                        "type": "wait", "delay": min(0.2, self.heartbeat_s),
+                    })
                 elif kind == "result":
-                    self._complete_point(
-                        worker, message["key"], message["result"]
-                    )
+                    self._complete_point(message["key"], message["result"])
                 elif kind == "result_error":
-                    self._fail_attempt(
-                        worker, message["key"],
+                    self._requeue_or_fail(
+                        message["key"],
                         str(message.get("error", "worker execution error")),
                     )
                 elif kind == "goodbye":
                     break
                 else:
                     raise ProtocolError(f"unexpected worker frame {kind!r}")
-        except (ProtocolError, OSError) as exc:
-            log.warning("worker %d connection error: %s", worker.worker_id, exc)
         finally:
+            # Runs before the server core answers a bad frame and closes
+            # the connection: the leases move whatever ended the loop.
             self._worker_lost(worker, "worker connection closed")
-
-    def _grant_lease(self, worker: _WorkerState) -> None:
-        with self._lock:
-            keys = []
-            while self._queue and len(keys) < self.lease_size:
-                key = self._queue.pop(0)
-                if key in self._work:  # still wanted
-                    keys.append(key)
-            if not keys:
-                send_message(worker.conn, {
-                    "type": "wait", "delay": min(0.2, self.heartbeat_s),
-                })
-                return
-            lease = _Lease(
-                lease_id=next(self._ids),
-                worker_id=worker.worker_id,
-                keys=set(keys),
-            )
-            self._leases[lease.lease_id] = lease
-            worker.outstanding.update(keys)
-            items = []
-            for key in keys:
-                item = self._work[key]
-                item.attempts += 1
-                items.append({
-                    "key": key,
-                    "point": item.point,
-                    "fidelity": item.fidelity,
-                    "config": item.config,
-                    "script": item.script,
-                })
-            send_message(worker.conn, {
-                "type": "work", "lease_id": lease.lease_id, "items": items,
-            })
-
-    def _complete_point(
-        self, worker: _WorkerState, key: str, result: dict
-    ) -> None:
-        # Persist outside the scheduling lock: store I/O can be slow.
-        with self._store_lock:
-            if not self.store.contains(key):
-                self.store.put(key, result_from_dict(result))
-        with self._lock:
-            worker.outstanding.discard(key)
-            for lease in self._leases.values():
-                lease.keys.discard(key)
-            self._leases = {
-                i: lease for i, lease in self._leases.items() if lease.keys
-            }
-            item = self._work.pop(key, None)
-            if item is None:
-                return  # duplicate completion after a requeue race
-            self.total_executed += 1
-            for job_id in item.waiters:
-                job = self._jobs.get(job_id)
-                if job is not None and key in job.pending:
-                    job.ready.append((key, result, False))
-                    job.executed += 1
-            self._state_changed.notify_all()
-
-    def _fail_attempt(self, worker: _WorkerState, key: str, error: str) -> None:
-        with self._lock:
-            worker.outstanding.discard(key)
-            for lease in self._leases.values():
-                lease.keys.discard(key)
-            self._requeue_or_fail(key, error)
-            self._state_changed.notify_all()
-
-    def _requeue_or_fail(self, key: str, error: str) -> None:
-        """Re-queue one lost/errored key, or fail it past the budget.
-
-        Caller holds the lock.
-        """
-        item = self._work.get(key)
-        if item is None:
-            return
-        item.error = error
-        if item.attempts >= self.max_attempts:
-            self._work.pop(key)
-            self.total_failed += 1
-            log.warning(
-                "point %s failed after %d attempt(s): %s",
-                item.label, item.attempts, error,
-            )
-            for job_id in item.waiters:
-                job = self._jobs.get(job_id)
-                if job is not None and key in job.pending:
-                    job.failed.append((key, error, item.attempts))
-        else:
-            self.total_requeued += 1
-            log.info(
-                "re-queueing %s (attempt %d/%d): %s",
-                item.label, item.attempts, self.max_attempts, error,
-            )
-            self._queue.append(key)
 
     def _worker_lost(self, worker: _WorkerState, reason: str) -> None:
         with self._lock:
-            if not worker.alive:
-                return
-            worker.alive = False
-            self._workers.pop(worker.worker_id, None)
-            lost_keys = sorted(worker.outstanding)
-            worker.outstanding.clear()
-            self._leases = {
-                i: lease for i, lease in self._leases.items()
-                if lease.worker_id != worker.worker_id
-            }
+            if self._workers.pop(worker.worker_id, None) is None:
+                return  # already declared lost
+            lost_keys = sorted(
+                key for key, item in self._work.items() if item.holder is worker
+            )
             for key in lost_keys:
                 self._requeue_or_fail(key, reason)
-            self._state_changed.notify_all()
         if lost_keys:
             log.warning(
                 "worker %d lost with %d leased point(s): %s",
                 worker.worker_id, len(lost_keys), reason,
             )
-        worker.conn.close()
 
     def _monitor_loop(self) -> None:
         """Declare workers lost when their heartbeats go quiet."""
@@ -497,167 +401,92 @@ class Coordinator:
                     worker,
                     f"no heartbeat for {self.worker_timeout_s:.0f}s",
                 )
+                worker.conn.close()  # unblocks its handler thread
 
     # -- client role ---------------------------------------------------------
-    def _serve_client(self, conn: Connection) -> None:
-        send_message(conn, {"type": "welcome", "version": PROTOCOL_VERSION})
-        while not self._closed:
-            message = recv_message(conn)
-            if message is None:
-                return
+    def _serve_client(self, conn: Connection, hello: dict) -> None:
+        self._welcome(conn)
+        for message in self._frames(conn):
             kind = message["type"]
             if kind == "submit":
                 self._run_job(conn, message)
             elif kind == "stats":
-                stats = self.stats()
-                with self._store_lock:
-                    stats["store_records"] = len(self.store)
+                with self._store_lock:  # len() may load shards
+                    stats = {**self.stats(), "store_records": len(self.store)}
                 send_message(conn, {"type": "stats_reply", "stats": stats})
             else:
                 raise ProtocolError(f"unexpected client frame {kind!r}")
 
     def _run_job(self, conn: Connection, message: dict) -> None:
         """Admit one job and stream its results until completion."""
-        job_id = f"job-{next(self._ids)}"
+        job = _Job(job_id=f"job-{next(self._ids)}")
         entries = message.get("points") or []
-        fidelity = message["fidelity"]
-        config = message.get("config")
-        job = _Job(job_id=job_id, pending={e["key"] for e in entries})
-        if len(job.pending) != len(entries):
+        shared = {"fidelity": message["fidelity"], "config": message.get("config")}
+        if len({e["key"] for e in entries}) != len(entries):
             raise ProtocolError("submitted keys must be unique per job")
         # Resolve store hits first, without the scheduling lock held.
         misses = []
         for entry in entries:
-            key = entry["key"]
             point = entry["point"]
             coords = (point["arch"], point["bw_set_index"])
             with self._store_lock:
-                hit = self.store.get(key, coords)
+                hit = self.store.get(entry["key"], coords)
             if hit is not None:
-                job.ready.append((key, result_to_dict(hit), True))
-                job.hits += 1
+                job.done(entry["key"], result_to_dict(hit), cached=True)
             else:
-                misses.append(entry)
-        with self._lock:
-            for entry in misses:
-                key = entry["key"]
-                item = self._work.get(key)
-                if item is None:
-                    item = _WorkItem(
-                        key=key,
-                        point=entry["point"],
-                        fidelity=fidelity,
-                        config=config,
-                        script=entry.get("script"),
-                    )
-                    self._work[key] = item
-                    self._queue.append(key)
-                item.waiters.add(job_id)
-            self._jobs[job_id] = job
-            self._state_changed.notify_all()
+                misses.append({
+                    "key": entry["key"], "point": point,
+                    "script": entry.get("script"), **shared,
+                })
+        self._enqueue(job, misses)
         log.info(
             "%s: %d point(s) submitted, %d store hit(s), %d to simulate",
-            job_id, len(entries), job.hits, len(misses),
+            job.job_id, len(entries), len(job.log), len(misses),
         )
         try:
-            self._stream_job(conn, job)
+            self._follow(conn, self._state_changed, job.snapshot)
         finally:
-            with self._lock:
-                self._jobs.pop(job_id, None)
-                for item in self._work.values():
-                    item.waiters.discard(job_id)
-
-    def _stream_job(self, conn: Connection, job: _Job) -> None:
-        """Send ``point_done``/``point_failed`` frames until the job ends."""
-        while True:
-            with self._lock:
-                ready, job.ready = job.ready, []
-                failed, job.failed = job.failed, []
-                for key, _result, _cached in ready:
-                    job.pending.discard(key)
-                for key, _error, _attempts in failed:
-                    job.pending.discard(key)
-                done = job.complete and not ready and not failed
-                if not ready and not failed and not done:
-                    self._state_changed.wait(timeout=0.5)
-                    if self._closed:
-                        raise ProtocolError("coordinator shutting down")
-                    continue
-            for key, result, cached in ready:
-                send_message(conn, {
-                    "type": "point_done", "key": key,
-                    "result": result, "cached": cached,
-                })
-            for key, error, attempts in failed:
-                send_message(conn, {
-                    "type": "point_failed", "key": key,
-                    "error": error, "attempts": attempts,
-                })
-            with self._lock:
-                done = job.complete and not job.ready and not job.failed
-            if done:
-                send_message(conn, {
-                    "type": "job_done",
-                    "executed": job.executed,
-                    "hits": job.hits,
-                    "failed": self.total_failed,
-                })
-                return
+            self._withdraw(job)
 
     # -- store role ----------------------------------------------------------
-    def _serve_store(self, conn: Connection) -> None:
-        send_message(conn, {"type": "welcome", "version": PROTOCOL_VERSION})
-        while not self._closed:
-            message = recv_message(conn)
-            if message is None:
-                return
+    def _serve_store(self, conn: Connection, hello: dict) -> None:
+        self._welcome(conn)
+        for message in self._frames(conn):
             kind = message["type"]
             coords = message.get("coords")
             if coords is not None:
                 coords = (coords[0], int(coords[1]))
-            if kind == "store_get":
-                with self._store_lock:
+            records = None
+            with self._store_lock:  # replies go out after it is released
+                if kind == "store_get":
                     result = self.store.get(message["key"], coords)
-                send_message(conn, {
-                    "type": "store_reply",
-                    "result": None if result is None else result_to_dict(result),
-                })
-            elif kind == "store_contains":
-                with self._store_lock:
-                    value = self.store.contains(message["key"], coords)
-                send_message(conn, {"type": "store_reply", "value": value})
-            elif kind == "store_put":
-                with self._store_lock:
+                    reply = {
+                        "result": None if result is None else result_to_dict(result)
+                    }
+                elif kind == "store_contains":
+                    reply = {"value": self.store.contains(message["key"], coords)}
+                elif kind == "store_put":
                     self.store.put(
                         message["key"], result_from_dict(message["result"])
                     )
-                send_message(conn, {"type": "store_reply", "ok": True})
-            elif kind == "store_scan":
-                with self._store_lock:
+                    reply = {"ok": True}
+                elif kind == "store_scan":
                     records = [
-                        (key, result_to_dict(result))
+                        {"type": "store_record", "key": key,
+                         "result": result_to_dict(result)}
                         for key, result in self.store.backend.scan(coords)
                     ]
-                for key, result in records:
-                    send_message(conn, {
-                        "type": "store_record", "key": key, "result": result,
-                    })
-                send_message(conn, {
-                    "type": "store_scan_end", "count": len(records),
-                })
-            elif kind == "store_flush":
-                with self._store_lock:
+                    reply = {"type": "store_scan_end", "count": len(records)}
+                elif kind == "store_flush":
                     self.store.flush()
-                send_message(conn, {"type": "store_reply", "ok": True})
-            elif kind == "store_len":
-                with self._store_lock:
-                    value = len(self.store)
-                send_message(conn, {"type": "store_reply", "value": value})
-            elif kind == "store_compact":
-                with self._store_lock:
-                    stats = self.store.compact()
-                send_message(conn, {
-                    "type": "store_reply", "stats": stats.__dict__,
-                })
-            else:
-                raise ProtocolError(f"unexpected store frame {kind!r}")
+                    reply = {"ok": True}
+                elif kind == "store_len":
+                    reply = {"value": len(self.store)}
+                elif kind == "store_compact":
+                    reply = {"stats": self.store.compact().__dict__}
+                else:
+                    raise ProtocolError(f"unexpected store frame {kind!r}")
+            for record in records or ():
+                send_message(conn, record)
+            # (a scan's reply carries its own type, which wins here)
+            send_message(conn, {"type": "store_reply", **reply})

@@ -48,6 +48,7 @@ __all__ = [
     "fidelity_from_dict",
     "fidelity_to_dict",
     "point_from_dict",
+    "point_label",
     "point_to_dict",
     "recv_message",
     "result_from_dict",
@@ -161,6 +162,17 @@ def point_from_dict(data: dict) -> RunPoint:
     if kwargs.get("bw_set") is not None:
         kwargs["bw_set"] = _bw_set_from_dict(kwargs["bw_set"])
     return RunPoint(**kwargs)
+
+
+def point_label(point: dict) -> str:
+    """Human-readable coordinates of a wire-form point, for messages."""
+    label = (
+        f"{point.get('arch')}/set{point.get('bw_set_index')}/"
+        f"{point.get('pattern')}@{point.get('offered_gbps'):.0f}Gb/s"
+    )
+    if point.get("scenario"):
+        label += f"/{point['scenario']}"
+    return label
 
 
 def fidelity_to_dict(fidelity: Fidelity) -> dict:

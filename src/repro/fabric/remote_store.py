@@ -35,26 +35,25 @@ from repro.experiments.store import (
     result_from_dict,
     result_to_dict,
 )
-from repro.fabric.errors import FabricError
-from repro.fabric.protocol import (
-    PROTOCOL_VERSION,
-    expect,
-    recv_message,
-    send_message,
-)
-from repro.fabric.transport import Address, make_transport, parse_address
+from repro.fabric.protocol import expect, recv_message, send_message
+from repro.fabric.server import Peer
+from repro.fabric.transport import Address
 
 __all__ = ["RemoteBackend"]
 
 
-class RemoteBackend(StoreBackend):
+class RemoteBackend(Peer, StoreBackend):
     """Store backend proxying every operation to a fabric coordinator.
 
     Args:
         address: The coordinator's ``host:port``.
         transport: Transport registry name (default ``tcp``).
-        connect_timeout: Seconds to wait for the coordinator.
+        connect_timeout: Seconds to wait for the coordinator per dial
+            (dials back off like every other peer's, so a store opened
+            in the same breath as ``fabric serve`` wins the bind race).
     """
+
+    role = "store"
 
     def __init__(
         self,
@@ -65,23 +64,13 @@ class RemoteBackend(StoreBackend):
     ) -> None:
         import threading
 
-        host, port = parse_address(address)
+        super().__init__(
+            address, transport=transport, connect_timeout=connect_timeout
+        )
         #: Mirrors the file backends' ``path`` attribute so store
         #: tooling can print *where* a store lives.
-        self.path = f"{host}:{port}"
+        self.path = "%s:%d" % self.address
         self._lock = threading.Lock()
-        try:
-            self._conn = make_transport(transport).connect(
-                (host, port), timeout=connect_timeout
-            )
-        except OSError as exc:
-            raise FabricError(
-                f"cannot reach a fabric coordinator at {self.path}: {exc}"
-            )
-        send_message(self._conn, {
-            "type": "hello", "role": "store", "version": PROTOCOL_VERSION,
-        })
-        expect(recv_message(self._conn), "welcome")
 
     # -- plumbing ------------------------------------------------------------
     def _request(self, message: dict, reply_type: str = "store_reply") -> dict:
@@ -92,10 +81,6 @@ class RemoteBackend(StoreBackend):
     @staticmethod
     def _coords(coords: Optional[ShardCoords]):
         return None if coords is None else [coords[0], coords[1]]
-
-    def close(self) -> None:
-        """Drop the connection (idempotent; records are server-side)."""
-        self._conn.close()
 
     # -- StoreBackend contract -----------------------------------------------
     def get(
@@ -133,16 +118,11 @@ class RemoteBackend(StoreBackend):
             send_message(self._conn, {
                 "type": "store_scan", "coords": self._coords(coords),
             })
-            while True:
-                message = recv_message(self._conn)
-                if message is None:
-                    raise FabricError("coordinator vanished mid-scan")
-                if message.get("type") == "store_scan_end":
-                    break
-                record = expect(message, "store_record")
-                records.append(
-                    (record["key"], result_from_dict(record["result"]))
-                )
+            for message in self._stream("store_scan_end"):
+                if message["type"] == "store_record":
+                    records.append(
+                        (message["key"], result_from_dict(message["result"]))
+                    )
         yield from records
 
     def flush(self) -> None:

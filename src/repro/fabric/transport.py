@@ -7,12 +7,10 @@ the concrete transports behind a registry seam:
 * ``tcp`` — stdlib sockets (:class:`TcpTransport`), the default. Works
   anywhere, needs no dependencies, and is what every CLI entry point
   (``fabric serve`` / ``fabric worker`` / ``sweep --fabric``) uses.
-* ``mpi`` — a gated placeholder: registered so cluster users discover
-  the seam, but constructing it raises a clear
-  :class:`~repro.fabric.errors.FabricError` unless ``mpi4py`` is
-  importable (this container deliberately ships without it). An MPI
-  transport only has to implement the three-method surface below to
-  slot in; nothing above the seam knows about sockets.
+
+A cluster interconnect only has to implement the three-method surface
+below and register its factory in :data:`transports` to slot in;
+nothing above the seam knows about sockets.
 
 Addresses are ``"host:port"`` strings (or ``(host, port)`` tuples);
 :func:`parse_address` normalises them.
@@ -21,9 +19,7 @@ Addresses are ``"host:port"`` strings (or ``(host, port)`` tuples);
 from __future__ import annotations
 
 import abc
-import importlib.util
 import socket
-import time
 from typing import Optional, Tuple, Union
 
 from repro.api.base import Registry
@@ -34,7 +30,6 @@ __all__ = [
     "Listener",
     "TcpTransport",
     "Transport",
-    "connect_with_backoff",
     "parse_address",
     "transports",
 ]
@@ -80,9 +75,6 @@ class Connection(abc.ABC):
     @abc.abstractmethod
     def close(self) -> None:
         """Tear the connection down (idempotent)."""
-
-    def settimeout(self, seconds: Optional[float]) -> None:
-        """Set a blocking-call timeout (``None`` = block forever)."""
 
 
 class Listener(abc.ABC):
@@ -147,9 +139,6 @@ class _TcpConnection(Connection):
         except OSError:  # pragma: no cover - platform dependent
             pass
 
-    def settimeout(self, seconds: Optional[float]) -> None:
-        self._sock.settimeout(seconds)
-
 
 class _TcpListener(Listener):
     def __init__(self, host: str, port: int) -> None:
@@ -201,55 +190,6 @@ transports = Registry("fabric transport", error=FabricError)
 transports.register("tcp", TcpTransport)
 
 
-@transports.register("mpi")
-def _mpi_transport() -> Transport:
-    """MPI transport seam — gated on ``mpi4py`` being installed."""
-    if importlib.util.find_spec("mpi4py") is None:
-        raise FabricError(
-            "the 'mpi' transport needs mpi4py, which is not installed; "
-            "use the default 'tcp' transport (an MPI implementation "
-            "only has to provide the Transport/Listener/Connection "
-            "surface in repro.fabric.transport)"
-        )
-    raise FabricError(  # pragma: no cover - mpi4py absent in CI
-        "mpi transport not implemented in this build; use 'tcp'"
-    )
-
-
 def make_transport(name: str = "tcp") -> Transport:
     """Build a transport by registry *name* (default ``tcp``)."""
     return transports.get(name)()
-
-
-def connect_with_backoff(
-    transport: Transport,
-    address: Address,
-    *,
-    timeout: Optional[float] = None,
-    attempts: int = 5,
-    base_delay: float = 0.2,
-    max_delay: float = 2.0,
-) -> Connection:
-    """Dial *address*, retrying refused connects with exponential backoff.
-
-    Daemons and the peers that join them usually start within moments
-    of each other (CI smoke lanes, ``worker --connect`` scripts fired
-    alongside ``serve``), so the first dial routinely races the
-    listener's bind. Instead of making every launcher sleep-and-poll,
-    retry here: *attempts* dials total, sleeping ``base_delay * 2**n``
-    (capped at *max_delay*) between them. Only :class:`OSError` —
-    refusal, unreachable, timeout — is retried; the last attempt's
-    error propagates unchanged. ``attempts=1`` restores single-shot
-    semantics for callers that want to fail fast.
-    """
-    if attempts < 1:
-        raise ValueError("attempts must be at least 1")
-    delay = base_delay
-    for attempt in range(1, attempts + 1):
-        try:
-            return transport.connect(address, timeout=timeout)
-        except OSError:
-            if attempt == attempts:
-                raise
-        time.sleep(min(delay, max_delay))
-        delay *= 2

@@ -38,17 +38,16 @@ from repro.experiments.store import result_to_dict
 from repro.experiments.sweep import _execute_point
 from repro.fabric.errors import FabricError
 from repro.fabric.protocol import (
-    PROTOCOL_VERSION,
     config_from_dict,
-    expect,
     fidelity_from_dict,
     point_from_dict,
     recv_message,
     send_message,
 )
-from repro.fabric.transport import Address, connect_with_backoff, make_transport
+from repro.fabric.server import dial
+from repro.fabric.transport import Address
 
-__all__ = ["Worker", "default_capabilities"]
+__all__ = ["Worker", "default_capabilities", "execute_item"]
 
 log = logging.getLogger("repro.fabric")
 
@@ -78,9 +77,8 @@ class Worker:
         connect_attempts: Initial-connect dials before giving up. A
             worker is routinely launched in the same breath as ``fabric
             serve``, so the first dial races the coordinator's bind;
-            bounded exponential backoff (see
-            :func:`~repro.fabric.transport.connect_with_backoff`)
-            absorbs that race without launcher-side sleep loops.
+            :func:`~repro.fabric.server.dial`'s bounded backoff absorbs
+            that race without launcher-side sleep loops.
     """
 
     def __init__(
@@ -94,7 +92,7 @@ class Worker:
         connect_attempts: int = 8,
     ) -> None:
         self._address = connect
-        self._transport = make_transport(transport)
+        self._transport = transport
         self._capabilities = default_capabilities()
         if capabilities:
             self._capabilities.update(capabilities)
@@ -120,21 +118,13 @@ class Worker:
         Returns the number of points simulated (0 is normal for a
         worker that joined after the queue drained).
         """
-        conn = connect_with_backoff(
-            self._transport,
-            self._address,
-            timeout=self._connect_timeout,
-            attempts=self._connect_attempts,
+        conn, welcome = dial(
+            self._address, "worker", transport=self._transport,
+            timeout=self._connect_timeout, attempts=self._connect_attempts,
+            capabilities=self._capabilities,
         )
         self._conn = conn
         try:
-            self._send({
-                "type": "hello",
-                "role": "worker",
-                "version": PROTOCOL_VERSION,
-                "capabilities": self._capabilities,
-            })
-            welcome = expect(recv_message(conn), "welcome")
             self.worker_id = welcome.get("worker_id")
             heartbeat_s = float(welcome.get("heartbeat_s", 2.0))
             log.info(
@@ -203,7 +193,7 @@ class Worker:
                 os._exit(17)
             key = item["key"]
             try:
-                result = self._execute(item)
+                result = execute_item(item)
             except Exception as exc:  # simulation bug / bad payload
                 log.warning("point %s failed: %r", key, exc)
                 self._send({
@@ -220,16 +210,6 @@ class Worker:
                 "result": result_to_dict(result),
             })
             self._completed += 1
-
-    def _execute(self, item: dict):
-        point = point_from_dict(item["point"])
-        fidelity = fidelity_from_dict(item["fidelity"])
-        config = config_from_dict(item.get("config"))
-        if point.scenario is not None:
-            self._ensure_scenario(
-                point.scenario, item.get("script"), fidelity.total_cycles
-            )
-        return _execute_point((point, fidelity, config))
 
     @staticmethod
     def _ensure_scenario(
@@ -267,3 +247,22 @@ class Worker:
                 f"work item shipped no script for it"
             )
         register_schedule(shipped)
+
+
+def execute_item(item: dict):
+    """Simulate one wire-form work item; returns its ``RunResult``.
+
+    The single execution entry behind every leased point — a remote
+    :class:`Worker` and the experiment service's local lanes both call
+    it (top-level, so a process pool can too): decode the payload,
+    make the scenario identical to the submitter's, then run
+    :func:`~repro.experiments.sweep._execute_point`.
+    """
+    point = point_from_dict(item["point"])
+    fidelity = fidelity_from_dict(item["fidelity"])
+    config = config_from_dict(item.get("config"))
+    if point.scenario is not None:
+        Worker._ensure_scenario(
+            point.scenario, item.get("script"), fidelity.total_cycles
+        )
+    return _execute_point((point, fidelity, config))

@@ -1,10 +1,12 @@
-"""Experiment service: a long-lived job daemon over ``Session``.
+"""Experiment service: the fabric coordinator plus a ``jobs`` role.
 
-One daemon (``dhetpnoc-repro serve``) owns a result store and a job
-queue; any number of clients submit :class:`~repro.api.spec.
-ExperimentSpec` JSON over the fabric's wire layer (``repro jobs
-submit|status|watch|cancel|list`` or :class:`ServiceClient`) and
-receive results streamed incrementally as points resolve. Jobs run
+One daemon (``dhetpnoc-repro serve``) owns a result store, a job queue
+and the coordinator's work table; any number of clients submit
+:class:`~repro.api.spec.ExperimentSpec` JSON over the fabric's wire
+layer (``repro jobs submit|status|watch|cancel|list`` or
+:class:`ServiceClient`) and receive results streamed incrementally as
+points resolve, simulated by the daemon's local lanes or by ``fabric
+worker`` processes attached to the same port. Jobs run
 concurrently against the shared store under per-shard write leases,
 duplicate submissions dedup by content-hashed job ID, and every
 result is bitwise-identical to a local ``Session.run`` with identical
@@ -15,7 +17,7 @@ Layout::
     errors   ServiceError (extends FabricError)
     jobs     JobRecord/JobQueue: IDs, lifecycle, admission, streaming state
     leases   ShardLeases + SingleWriterBackend (single-writer discipline)
-    daemon   ExperimentService: accept loop, runners, job_* frames
+    daemon   ExperimentService(Coordinator): runners, local lanes, job_* frames
     client   ServiceClient: submit/stream/status/cancel/list
 
 Submodules are imported lazily, mirroring ``repro.fabric``: the daemon
@@ -25,6 +27,7 @@ alone must stay cheap.
 
 from __future__ import annotations
 
+from repro.api.base import lazy_exports
 from repro.service.errors import ServiceError
 
 __all__ = [
@@ -48,12 +51,4 @@ _LAZY = {
     "job_id_for_spec": ("repro.service.jobs", "job_id_for_spec"),
 }
 
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _LAZY)

@@ -1,10 +1,10 @@
 """The service client: submit specs, follow streams, drive job RPCs.
 
 :class:`ServiceClient` is the connection object behind ``repro jobs``
-and the ``run --spec --service`` path. It mirrors
-:class:`~repro.fabric.client.FabricClient`'s shape — one persistent
-connection, backoff on the initial dial, hello/welcome with the
-``jobs`` role — but speaks the service's ``job_*`` frames: submit an
+and the ``run --spec --service`` path. Like
+:class:`~repro.fabric.client.FabricClient` it is a
+:class:`~repro.fabric.server.Peer` — one persistent connection, dialled
+with backoff — here in the ``jobs`` role, speaking ``job_*`` frames: submit an
 :class:`~repro.api.spec.ExperimentSpec`, then consume the incremental
 ``job_point`` stream until ``job_end``.
 
@@ -24,18 +24,8 @@ from repro.api.spec import ExperimentSpec
 from repro.experiments.runner import RunResult
 from repro.experiments.store import result_from_dict
 from repro.fabric.errors import ProtocolError
-from repro.fabric.protocol import (
-    PROTOCOL_VERSION,
-    expect,
-    recv_message,
-    send_message,
-)
-from repro.fabric.transport import (
-    Address,
-    connect_with_backoff,
-    make_transport,
-    parse_address,
-)
+from repro.fabric.protocol import expect, recv_message, send_message
+from repro.fabric.server import Peer
 from repro.service.errors import ServiceError
 
 __all__ = ["JobHandle", "JobRun", "ServiceClient"]
@@ -71,58 +61,13 @@ class JobRun:
     hits: int
 
 
-class ServiceClient:
-    """One client connection to an experiment service daemon.
+class ServiceClient(Peer):
+    """One ``jobs``-role connection to an experiment service daemon:
+    one in-flight stream at a time (the dedup happens daemon-side, so
+    concurrent clients still share executions)."""
 
-    Not thread-safe: one in-flight stream per connection by design.
-    Use one client per thread (the dedup happens daemon-side, so
-    concurrent clients still share executions).
-
-    Args:
-        connect: Service address (``"host:port"`` or tuple).
-        transport: Transport registry name (default ``tcp``).
-        connect_timeout: Seconds to wait for the daemon per dial.
-        connect_attempts: Initial-connect dials before giving up
-            (bounded exponential backoff, same discipline as the
-            fabric worker — a client scripted in the same breath as
-            ``repro serve`` must not lose the bind race).
-    """
-
-    def __init__(
-        self,
-        connect: Address,
-        *,
-        transport: str = "tcp",
-        connect_timeout: float = 10.0,
-        connect_attempts: int = 5,
-    ) -> None:
-        self.address = parse_address(connect)
-        try:
-            self._conn = connect_with_backoff(
-                make_transport(transport),
-                self.address,
-                timeout=connect_timeout,
-                attempts=connect_attempts,
-            )
-        except OSError as exc:
-            host, port = self.address
-            raise ServiceError(
-                f"cannot reach an experiment service at {host}:{port}: {exc}"
-            )
-        send_message(self._conn, {
-            "type": "hello", "role": "jobs", "version": PROTOCOL_VERSION,
-        })
-        expect(recv_message(self._conn), "welcome")
-
-    def close(self) -> None:
-        """Drop the connection (idempotent; daemon-side jobs live on)."""
-        self._conn.close()
-
-    def __enter__(self) -> "ServiceClient":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
+    role = "jobs"
+    unreachable = ServiceError
 
     # -- lifecycle RPCs ------------------------------------------------------
     def submit(self, spec: ExperimentSpec, *, watch: bool = False) -> JobHandle:
@@ -181,13 +126,8 @@ class ServiceClient:
         """
         results: List[RunResult] = []
         keys: List[str] = []
-        while True:
-            message = recv_message(self._conn)
-            if message is None:
-                raise ProtocolError(
-                    "service closed the connection mid-stream"
-                )
-            kind = message.get("type")
+        for message in self._stream("job_end"):
+            kind = message["type"]
             if kind == "job_point":
                 result = result_from_dict(message["result"])
                 results.append(result)
@@ -199,27 +139,21 @@ class ServiceClient:
                         result,
                         bool(message["cached"]),
                     )
-            elif kind == "job_end":
-                state = str(message.get("state"))
-                if state != "done":
-                    detail = str(message.get("error") or "")
-                    raise ServiceError(
-                        f"job {job_id} ended {state}"
-                        + (f": {detail}" if detail else "")
-                    )
-                return JobRun(
-                    job_id=job_id,
-                    results=results,
-                    keys=keys,
-                    executed=int(message.get("executed", 0)),
-                    hits=int(message.get("hits", 0)),
-                )
-            elif kind == "error":
-                raise ProtocolError(
-                    f"service reported: {message.get('error')}"
-                )
-            else:
+            elif kind != "job_end":
                 raise ProtocolError(f"unexpected stream frame {kind!r}")
+        state = str(message.get("state"))  # the last frame is the job_end
+        if state != "done":
+            detail = str(message.get("error") or "")
+            raise ServiceError(
+                f"job {job_id} ended {state}" + (f": {detail}" if detail else "")
+            )
+        return JobRun(
+            job_id=job_id,
+            results=results,
+            keys=keys,
+            executed=int(message.get("executed", 0)),
+            hits=int(message.get("hits", 0)),
+        )
 
     def run_spec(
         self, spec: ExperimentSpec, *, on_point: Optional[PointCallback] = None

@@ -1,108 +1,81 @@
-"""``ExperimentService``: a long-lived job server over ``Session``.
+"""``ExperimentService``: the coordinator plus a ``jobs`` role.
 
-``repro serve`` turns the one-shot experiment stack into a daemon:
-many clients submit :class:`~repro.api.spec.ExperimentSpec` JSON over
-the fabric's wire layer (same length-prefixed frames, same
-hello/welcome handshake and version/frame-cap discipline — new
-``job_*`` frame types under the ``jobs`` role), and a pool of runner
-threads executes the admitted jobs concurrently against one shared
-store.
+``repro serve`` is the fabric coordinator
+(:class:`~repro.fabric.coordinator.Coordinator`: one endpoint, one
+store, one work table, ``worker`` / ``client`` / ``store`` peers)
+serving one more role on the same port. ``jobs`` peers submit
+:class:`~repro.api.spec.ExperimentSpec` JSON; a pool of runner threads
+turns each admitted job into waiters on the coordinator's work table
+and records the results, in grid order, for streaming.
 
 What keeps concurrent execution honest:
 
-* **Identical results.** Every job runs through the same
-  :class:`~repro.experiments.sweep.PointExecutor` machinery a local
-  :meth:`Session.run <repro.api.session.Session.run>` uses — same
-  content-hash keys, same ``_execute_point`` entry — so streamed
-  results are bitwise-equal to a local run and land under identical
-  store keys.
+* **Identical results.** A runner computes content-hash keys with the
+  same :class:`~repro.experiments.sweep.PointExecutor` machinery a
+  local :meth:`Session.run <repro.api.session.Session.run>` uses, and
+  every miss is simulated through
+  :func:`~repro.fabric.worker.execute_item` — by one of the daemon's
+  ``workers`` local lanes or by a remote ``fabric worker`` attached to
+  the daemon's own port — so streamed results are bitwise-equal to a
+  local run and land under identical store keys.
 * **Single-writer stores.** The daemon wraps its store backend in
   :class:`~repro.service.leases.SingleWriterBackend`: one writer per
   ``(arch, bw_set_index)`` shard at a time, reads lock-free.
-* **Cross-job point dedup.** Before simulating a point, a runner
-  claims its store key in the in-flight table; a concurrent job
-  needing the same key waits for the claim to release and reads the
-  result from the store — one simulation per unique key, exactly like
-  the coordinator's cross-job work-item dedup.
+* **Cross-job point dedup.** A job resolves its store hits itself and
+  hands the misses to the work table, where a key another job — or a
+  concurrent fabric client — already wants gains a waiter instead of a
+  second simulation: one simulation and one store ``put`` per unique
+  key across everything the daemon serves.
 * **Job-level dedup.** Job IDs are content hashes of the spec
   (:func:`~repro.service.jobs.job_id_for_spec`), so duplicate
   submissions attach to the same record and replay the same stream.
 
-Cancellation is cooperative at point boundaries: completed points are
-already durably in the store (whole appended lines — no torn shards),
-so a cancelled job's spec can simply be re-submitted and resumes from
-the store. The daemon itself keeps no durable job state: after a crash
-or restart the registry starts empty, and re-submitting any spec
-resumes from whatever the store already holds.
-
-With ``fabric="host:port"`` each job executes through a
-:class:`~repro.experiments.sweep.FabricExecutor` instead of a local
-pool, composing service and fabric: many clients in, many workers out.
+Cancellation is cooperative at point boundaries: a cancelled job stops
+waiting on every point no worker holds yet, records the ones in flight
+as they land, and ends. Completed points are already durably in the
+store (whole appended lines — no torn shards), so a cancelled job's
+spec can simply be re-submitted and resumes from the store. The daemon
+itself keeps no durable job state: after a crash or restart the
+registry starts empty, and re-submitting any spec resumes from whatever
+the store already holds.
 """
 
 from __future__ import annotations
 
 import logging
-import threading
-import time
-from typing import Dict, List, Optional, Tuple
+import multiprocessing
+from typing import Dict, Optional, Tuple
 
-from repro.api.session import Session, StoreLike, _resolve_store
+from repro.api.session import StoreLike, _resolve_store
 from repro.api.spec import ExperimentSpec
 from repro.arch.config import SystemConfig
 from repro.experiments.store import ResultStore, result_to_dict
-from repro.experiments.sweep import (
-    FabricExecutor,
-    PointExecutor,
-    RunPoint,
-    SweepExecutor,
-)
+from repro.experiments.sweep import FabricExecutor
+from repro.fabric.coordinator import Coordinator, _Job
 from repro.fabric.errors import ProtocolError
-from repro.fabric.protocol import PROTOCOL_VERSION, recv_message, send_message
-from repro.fabric.transport import Connection, make_transport
+from repro.fabric.protocol import (
+    config_to_dict,
+    fidelity_to_dict,
+    point_to_dict,
+    send_message,
+)
+from repro.fabric.transport import Connection
+from repro.fabric.worker import execute_item
 from repro.service.errors import ServiceError
 from repro.service.jobs import JobQueue, JobRecord
-from repro.service.leases import ShardLeases, SingleWriterBackend
+from repro.service.leases import SingleWriterBackend
 
 __all__ = ["DEFAULT_PORT", "ExperimentService"]
 
-#: Default TCP port of ``dhetpnoc-repro serve`` (the fabric
-#: coordinator's 7023 plus a hundred: same family, different daemon).
+#: Default TCP port of ``dhetpnoc-repro serve`` (``fabric serve``'s 7023
+#: plus a hundred: same server, one more role).
 DEFAULT_PORT = 7123
 
 log = logging.getLogger("repro.service")
 
 
-class _InflightKeys:
-    """Cross-job claims on store keys currently being simulated.
-
-    ``claim`` returns ``None`` when the caller now owns the key (it
-    must ``release`` when the result is in the store), or the owner's
-    completion event to wait on. One simulation per unique key across
-    every concurrently running job.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._events: Dict[str, threading.Event] = {}
-
-    def claim(self, key: str) -> Optional[threading.Event]:
-        with self._lock:
-            event = self._events.get(key)
-            if event is not None:
-                return event
-            self._events[key] = threading.Event()
-            return None
-
-    def release(self, key: str) -> None:
-        with self._lock:
-            event = self._events.pop(key, None)
-        if event is not None:
-            event.set()
-
-
-class ExperimentService:
-    """Serve ``job_*`` RPCs over a bound endpoint (see module docstring).
+class ExperimentService(Coordinator):
+    """Serve ``job_*`` RPCs beside the fabric roles (see module docstring).
 
     Args:
         store: Anything :class:`~repro.api.session.Session` accepts —
@@ -110,20 +83,21 @@ class ExperimentService:
             The daemon wraps it for single-writer shard discipline.
         host, port: Bind address (port ``0`` picks a free port; read it
             back from :attr:`address` after :meth:`start`).
-        workers: Simulation processes *per running job* (each job gets
-            its own executor; ``run_points`` batches of this size keep
-            the pool busy while results still stream incrementally).
+        workers: Local simulation lanes shared by every running job
+            (one in-process lane for ``1``; above that a spawned process
+            pool of this width, so an embedding script needs the usual
+            ``__main__`` guard). ``0`` simulates nothing locally: every
+            miss waits for a ``fabric worker`` attached to this port.
         max_jobs: Jobs executed concurrently (runner threads).
         max_pending: Queued-job backlog admitted before submissions are
             rejected (admission control).
         backend: Store-backend name for path stores.
         config: Optional :class:`~repro.arch.config.SystemConfig`
             override applied to every job.
-        fabric: Coordinator address; when set, jobs dispatch their
-            points through the distributed fabric instead of local
-            worker pools (service + fabric compose).
         transport: Transport registry name (default ``tcp``).
     """
+
+    title = "experiment service"
 
     def __init__(
         self,
@@ -136,144 +110,89 @@ class ExperimentService:
         max_pending: int = 16,
         backend: str = "auto",
         config: Optional[SystemConfig] = None,
-        fabric: Optional[str] = None,
         transport: str = "tcp",
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
+        if workers < 0:
+            raise ValueError("workers must not be negative")
         if max_jobs < 1:
             raise ValueError("max_jobs must be at least 1")
         base = _resolve_store(store, backend)
-        self.leases = ShardLeases()
-        guarded = ResultStore(
-            backend=SingleWriterBackend(base.backend, self.leases)
+        super().__init__(
+            ResultStore(backend=SingleWriterBackend(base.backend)),
+            host, port, transport=transport,
         )
-        #: The wrapped :class:`Session` owning store + config. Its
-        #: executor computes submit-time key counts; per-job executors
-        #: share its store so every job sees every cached point.
-        self.session = Session(guarded, workers=workers, config=config)
-        self.store = self.session.store
+        self._roles["jobs"] = self._serve_jobs
         self.workers = workers
         self.max_jobs = max_jobs
-        self.fabric = fabric
         self.config = config
         self.jobs = JobQueue(max_pending=max_pending)
-        self._inflight = _InflightKeys()
-        self._transport = make_transport(transport)
-        self._bind = (host, port)
-        self._listener = None
-        self._closed = False
-        self._threads: List[threading.Thread] = []
+        self._pool: Optional[multiprocessing.pool.Pool] = None
 
     # -- lifecycle -----------------------------------------------------------
-    @property
-    def address(self) -> Tuple[str, int]:
-        """Actual bound ``(host, port)`` (valid after :meth:`start`)."""
-        if self._listener is None:
-            raise RuntimeError("service is not started")
-        return self._listener.address
-
     def start(self) -> Tuple[str, int]:
         """Bind and begin accepting + executing in background threads."""
-        if self._listener is not None:
-            raise RuntimeError("service already started")
-        self._listener = self._transport.listen(self._bind)
-        targets = [(self._accept_loop, "service-accept")]
-        targets += [
-            (self._runner_loop, f"service-runner-{i}")
-            for i in range(self.max_jobs)
-        ]
-        for target, name in targets:
-            thread = threading.Thread(target=target, name=name, daemon=True)
-            thread.start()
-            self._threads.append(thread)
-        host, port = self.address
-        log.info("experiment service listening on %s:%d", host, port)
-        return host, port
+        address = super().start()
+        if self.workers > 1:
+            # Spawned, not forked: the daemon is already multi-threaded.
+            self._pool = multiprocessing.get_context("spawn").Pool(self.workers)
+        for i in range(self.workers):
+            self._spawn(self._lane_loop, f"lane-{i}")
+        for i in range(self.max_jobs):
+            self._spawn(self._runner_loop, f"runner-{i}")
+        return address
 
-    def serve_forever(self) -> None:
-        """Blocking convenience for the CLI: start, then wait."""
-        if self._listener is None:
-            self.start()
-        try:
-            while not self._closed:
-                time.sleep(0.5)
-        except KeyboardInterrupt:  # pragma: no cover - interactive
-            pass
-        finally:
-            self.stop()
-
-    def stop(self) -> None:
-        """Shut down: stop accepting, wake waiters, flush the store."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._listener is not None:
-            self._listener.close()
+    def _release(self) -> None:
+        """Drop the workers, wake every waiter, flush the store."""
+        super()._release()
         with self.jobs.changed:
             self.jobs.changed.notify_all()
-        self.session.close()
+        if self._pool is not None:
+            self._pool.terminate()
+            self._pool.join()
 
-    def __enter__(self) -> "ExperimentService":
-        if self._listener is None:
-            self.start()
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.stop()
+    # -- local lanes ---------------------------------------------------------
+    def _lane_loop(self) -> None:
+        """An in-process worker: lease one key, simulate it, report it —
+        through the same state transitions a remote worker's frames
+        drive, so retries, failure budgets and dedup are shared."""
+        lane = object()  # what its leases are held by
+        while not self._closed:
+            with self._state_changed:
+                items = self._lease(lane, 1)
+                if not items:
+                    self._state_changed.wait(timeout=0.5)
+                    continue
+            (item,) = items
+            try:
+                if self._pool is None:
+                    result = execute_item(item)
+                else:
+                    result = self._pool.apply(execute_item, (item,))
+            except Exception as exc:  # noqa: BLE001 - spent on the point's budget
+                self._requeue_or_fail(
+                    item["key"], f"{type(exc).__name__}: {exc}"
+                )
+            else:
+                self._complete_point(item["key"], result_to_dict(result))
 
     # -- job execution -------------------------------------------------------
-    def _make_executor(self) -> PointExecutor:
-        """A fresh executor for one job (they are not thread-shareable)."""
-        if self.fabric is not None:
-            return FabricExecutor(
-                self.fabric, store=self.store, config=self.config
-            )
-        return SweepExecutor(
-            workers=self.workers, store=self.store, config=self.config
-        )
-
     def _runner_loop(self) -> None:
         while not self._closed:
             record = self.jobs.claim(timeout=0.5)
             if record is not None:
-                self._run_job(record)
+                self._execute_job(record)
 
-    def _run_job(self, record: JobRecord) -> None:
-        """Execute one job: grid order, chunked, streamed, cancellable."""
-        executor = self._make_executor()
+    def _execute_job(self, record: JobRecord) -> None:
+        """Execute one job: hits from the store, misses through the
+        work table, every point recorded in grid order."""
+        job = _Job(job_id=record.job_id)
         try:
-            points = record.spec.to_sweep_spec().expand()
-            fidelity = record.spec.fidelity
-            keys = [executor._key(p, fidelity) for p in points]
-            resolved: Dict[str, dict] = {}  # job-local key -> result dict
-            chunk = max(1, self.workers)
-            start = 0
-            while start < len(points):
-                if record.cancel_event.is_set():
-                    self.jobs.finish(record, "cancelled")
-                    log.info(
-                        "%s cancelled at %d/%d point(s)",
-                        record.job_id, record.completed, record.total,
-                    )
-                    return
-                batch = range(start, min(start + chunk, len(points)))
-                outcomes = self._resolve_batch(
-                    executor, points, keys, batch, fidelity, resolved, record
-                )
-                if outcomes is None:  # cancelled while waiting on a peer
-                    self.jobs.finish(record, "cancelled")
-                    return
-                for index in batch:
-                    result, cached = outcomes[index]
-                    self.jobs.record_point(
-                        record, index, keys[index], result, cached
-                    )
-                start = batch.stop
-            self.jobs.finish(record, "done")
+            state = self._resolve(record, job)
+            self.jobs.finish(record, state)
             log.info(
-                "%s done: %d point(s), %d simulated, %d from store",
-                record.job_id, record.total, record.executed, record.hits,
+                "%s %s: %d/%d point(s), %d simulated, %d from store",
+                record.job_id, state, record.completed, record.total,
+                record.executed, record.hits,
             )
         except Exception as exc:  # noqa: BLE001 - surfaced via job state
             log.warning("%s failed: %r", record.job_id, exc)
@@ -281,174 +200,89 @@ class ExperimentService:
                 record, "failed", error=f"{type(exc).__name__}: {exc}"
             )
         finally:
-            executor.close()
+            self._withdraw(job)
 
-    def _resolve_batch(
-        self,
-        executor: PointExecutor,
-        points: List[RunPoint],
-        keys: List[str],
-        batch: range,
-        fidelity,
-        resolved: Dict[str, dict],
-        record: JobRecord,
-    ) -> Optional[Dict[int, Tuple[dict, bool]]]:
-        """Resolve one chunk of grid indices to ``(result_dict, cached)``.
+    def _resolve(self, record: JobRecord, job: _Job) -> str:
+        """Record *record*'s grid through *job*; returns the end state."""
+        # Never dials: it derives keys, configs and scenario scripts, so
+        # a job's work items are exactly what a fabric client would ship.
+        derive = FabricExecutor(self.address, store=self.store, config=self.config)
+        points = record.spec.to_sweep_spec().expand()
+        fidelity = record.spec.fidelity
+        keys = [derive._key(point, fidelity) for point in points]
+        resolved: Dict[str, Tuple[dict, bool]] = {}
+        recorded = 0
 
-        Store hits and job-local duplicates resolve immediately; keys
-        nobody is simulating are claimed and run through *executor* in
-        one batch (pool parallelism); keys a concurrent job owns are
-        awaited and then read from the store. Returns ``None`` when the
-        job was cancelled while waiting on a peer's simulation.
-        """
-        outcomes: Dict[int, Tuple[dict, bool]] = {}
-        to_run: List[int] = []
-        waiting: List[Tuple[int, threading.Event]] = []
-        for index in batch:
-            key = keys[index]
-            if key in resolved:
-                outcomes[index] = (resolved[key], True)
-                continue
-            point = points[index]
-            hit = self.store.get(key, (point.arch, point.bw_set_index))
-            if hit is not None:
-                entry = result_to_dict(hit)
-                resolved[key] = entry
-                outcomes[index] = (entry, True)
-                continue
-            event = self._inflight.claim(key)
-            if event is None:
-                to_run.append(index)
-            else:
-                waiting.append((index, event))
-        if to_run:
-            try:
-                fresh = executor.run_points(
-                    [points[i] for i in to_run], fidelity
-                )
-            finally:
-                # Claims release even on failure, so waiters re-contend
-                # instead of hanging on a dead owner.
-                for index in to_run:
-                    self._inflight.release(keys[index])
-            for index, result in zip(to_run, fresh):
-                entry = result_to_dict(result)
-                resolved[keys[index]] = entry
-                outcomes[index] = (entry, False)
-        for index, event in waiting:
-            entry = self._await_key(executor, points, keys, index,
-                                    fidelity, event, record)
-            if entry is None:
-                return None
-            resolved[keys[index]] = entry[0]
-            outcomes[index] = entry
-        return outcomes
+        def record_resolved_prefix() -> None:
+            nonlocal recorded
+            while recorded < len(points) and keys[recorded] in resolved:
+                key = keys[recorded]
+                result, cached = resolved[key]
+                self.jobs.record_point(record, recorded, key, result, cached)
+                resolved[key] = (result, True)  # a repeat within the grid
+                recorded += 1
 
-    def _await_key(
-        self,
-        executor: PointExecutor,
-        points: List[RunPoint],
-        keys: List[str],
-        index: int,
-        fidelity,
-        event: threading.Event,
-        record: JobRecord,
-    ) -> Optional[Tuple[dict, bool]]:
-        """Wait out a peer's claim on ``keys[index]``; fall back to
-        simulating it ourselves if the peer released without storing
-        (its job failed or was cancelled mid-batch). ``None`` = this
-        job was cancelled while waiting."""
-        point = points[index]
-        key = keys[index]
-        while True:
-            while not event.wait(timeout=0.2):
-                if record.cancel_event.is_set():
-                    return None
-                if self._closed:
-                    raise ServiceError("service shutting down")
-            hit = self.store.get(key, (point.arch, point.bw_set_index))
-            if hit is not None:
-                return result_to_dict(hit), True
-            event = self._inflight.claim(key)
-            if event is None:
-                try:
-                    fresh = executor.run_points([point], fidelity)
-                finally:
-                    self._inflight.release(key)
-                return result_to_dict(fresh[0]), False
+        wire_fidelity = fidelity_to_dict(fidelity)
+        misses: Dict[str, dict] = {}
+        for point, key in zip(points, keys):
+            if key not in resolved and key not in misses:
+                with self._store_lock:
+                    hit = self.store.get(key, (point.arch, point.bw_set_index))
+                if hit is not None:
+                    resolved[key] = (result_to_dict(hit), True)
+                else:
+                    misses[key] = {
+                        "key": key,
+                        "point": point_to_dict(point),
+                        "fidelity": wire_fidelity,
+                        "config": config_to_dict(
+                            derive._config_for(point.bw_set_index)
+                        ),
+                        "script": None if point.scenario is None else
+                        derive._scenario_script(point.scenario, fidelity),
+                    }
+            record_resolved_prefix()
+        self._enqueue(job, list(misses.values()))
 
-    # -- accept / serve ------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while not self._closed:
-            try:
-                conn = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            thread = threading.Thread(
-                target=self._serve_connection, args=(conn,),
-                name="service-peer", daemon=True,
-            )
-            thread.start()
+        def snapshot(index: int):
+            if record.cancel_event.is_set():
+                self._withdraw(job, keep_leased=True)
+            return job.snapshot(index)
 
-    def _serve_connection(self, conn: Connection) -> None:
-        try:
-            hello = recv_message(conn)
-            if hello is None:
-                return
-            if hello.get("type") != "hello":
-                raise ProtocolError(
-                    f"expected hello, got {hello.get('type')!r}"
-                )
-            if hello.get("version") != PROTOCOL_VERSION:
-                raise ProtocolError(
-                    f"protocol version mismatch: peer speaks "
-                    f"{hello.get('version')!r}, this service speaks "
-                    f"{PROTOCOL_VERSION}"
-                )
-            if hello.get("role") != "jobs":
-                raise ProtocolError(
-                    f"unknown role {hello.get('role')!r}: this endpoint "
-                    f"is an experiment service (role 'jobs'), not a "
-                    f"fabric coordinator"
-                )
-            send_message(conn, {
-                "type": "welcome",
-                "version": PROTOCOL_VERSION,
-                "server": "service",
-            })
-            self._serve_client(conn)
-        except ProtocolError as exc:
-            log.warning("peer rejected: %s", exc)
-            try:
-                send_message(conn, {"type": "error", "error": str(exc)})
-            except Exception:
-                pass
-        except OSError:
-            # A client that vanished mid-stream: its jobs keep running.
-            pass
-        finally:
-            conn.close()
+        for frames in self._tail(self._state_changed, snapshot):
+            for frame in frames:
+                if frame["type"] == "point_failed":
+                    raise ServiceError(
+                        f"point {frame['key']} failed after "
+                        f"{frame['attempts']} attempt(s): {frame['error']}"
+                    )
+                if frame["type"] == "point_done":
+                    resolved[frame["key"]] = (frame["result"], frame["cached"])
+            record_resolved_prefix()
+        # A cancelled job stops short: it withdrew from what was queued
+        # and recorded only what was already in flight.
+        return "done" if recorded == len(points) else "cancelled"
 
-    def _serve_client(self, conn: Connection) -> None:
-        while not self._closed:
-            message = recv_message(conn)
-            if message is None:
-                return
-            kind = message.get("type")
+    # -- jobs role -----------------------------------------------------------
+    def _serve_jobs(self, conn: Connection, hello: dict) -> None:
+        self._welcome(conn, server="service")
+        for message in self._frames(conn):
+            kind = message["type"]
+            job_id = str(message.get("job_id"))
             try:
                 if kind == "job_submit":
                     self._handle_submit(conn, message)
                 elif kind == "job_status":
-                    record = self.jobs.get(str(message.get("job_id")))
                     send_message(conn, {
-                        "type": "job_status_reply", "job": record.describe(),
+                        "type": "job_status_reply",
+                        "job": self.jobs.get(job_id).describe(),
                     })
                 elif kind == "job_results":
-                    record = self.jobs.get(str(message.get("job_id")))
-                    self._stream_job(conn, record)
+                    self._stream_job(conn, self.jobs.get(job_id))
                 elif kind == "job_cancel":
-                    job_id = str(message.get("job_id"))
                     state = self.jobs.cancel(job_id)
+                    with self._state_changed:  # its runner waits here
+                        self._state_changed.notify_all()
                     send_message(conn, {
                         "type": "job_cancel_reply",
                         "job_id": job_id,
@@ -495,40 +329,24 @@ class ExperimentService:
             self._stream_job(conn, record)
 
     def _stream_job(self, conn: Connection, record: JobRecord) -> None:
-        """Stream ``job_point`` frames from index 0, then ``job_end``.
+        """Stream ``job_point`` frames from index 0, then ``job_end``."""
 
-        Replays already-completed points first, then follows the live
-        tail until the job reaches a terminal state. A send failure
-        (client disconnected mid-stream) propagates as ``OSError`` and
-        only drops this connection — the job keeps running.
-        """
-        index = 0
-        while True:
-            with self.jobs.changed:
-                while (
-                    index >= record.completed
-                    and not record.terminal
-                    and not self._closed
-                ):
-                    self.jobs.changed.wait(timeout=0.5)
-                batch = [
-                    (i, record.keys[i], record.results[i], record.cached[i])
-                    for i in range(index, record.completed)
-                ]
-                summary = record.describe()
-                terminal = record.terminal
-            if not terminal and self._closed:
-                raise ProtocolError("service shutting down")
-            for i, key, result, cached in batch:
-                send_message(conn, {
+        def snapshot(index: int):
+            frames = [
+                {
                     "type": "job_point",
                     "job_id": record.job_id,
                     "index": i,
-                    "key": key,
-                    "result": result,
-                    "cached": cached,
-                })
-            index += len(batch)
-            if terminal and index >= summary["completed"]:
-                send_message(conn, {"type": "job_end", **summary})
-                return
+                    "key": record.keys[i],
+                    "result": record.results[i],
+                    "cached": record.cached[i],
+                }
+                for i in range(index, record.completed)
+            ]
+            closing = (
+                {"type": "job_end", **record.describe()}
+                if record.terminal else None
+            )
+            return frames, closing
+
+        self._follow(conn, self.jobs.changed, snapshot)

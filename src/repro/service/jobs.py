@@ -165,6 +165,9 @@ class JobQueue:
         self.changed = threading.Condition(self._lock)
         self._jobs: Dict[str, JobRecord] = {}
         self._fifo: List[str] = []
+        #: Runners blocked in :meth:`claim`: a queued job one of them is
+        #: about to take is not backlog.
+        self._idle = 0
 
     # -- admission -----------------------------------------------------------
     def submit(self, spec: ExperimentSpec) -> Tuple[JobRecord, bool]:
@@ -181,7 +184,7 @@ class JobQueue:
             record = self._jobs.get(job_id)
             if record is not None and record.state not in RESTARTABLE:
                 return record, True
-            if len(self._fifo) >= self.max_pending:
+            if len(self._fifo) - self._idle >= self.max_pending:
                 raise JobRejected(
                     f"service at capacity: {len(self._fifo)} job(s) "
                     f"queued (max_pending={self.max_pending})"
@@ -215,8 +218,12 @@ class JobQueue:
                     record.state = "running"
                     self.changed.notify_all()
                     return record
-                if not self.changed.wait(timeout=timeout):
-                    return None
+                self._idle += 1
+                try:
+                    if not self.changed.wait(timeout=timeout):
+                        return None
+                finally:
+                    self._idle -= 1
 
     def record_point(
         self,

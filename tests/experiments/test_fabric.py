@@ -145,9 +145,8 @@ class TestProtocol:
 
     def test_transport_registry(self):
         assert "tcp" in transports.names()
-        assert "mpi" in transports.names()
         with pytest.raises(FabricError):
-            make_transport("mpi")  # mpi4py deliberately absent
+            make_transport("mpi")  # no such transport is registered
         with pytest.raises(FabricError):
             make_transport("carrier-pigeon")
 

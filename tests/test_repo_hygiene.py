@@ -56,3 +56,29 @@ def test_no_bytecode_tracked_in_git_index():
         if "__pycache__" in path or path.endswith(".pyc")
     ]
     assert not offenders, f"bytecode files tracked in git: {offenders}"
+
+
+def _count_in_src(needle: str) -> dict:
+    """``{relative path: occurrences}`` of *needle* under ``src/repro``."""
+    hits = {}
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        count = path.read_text(encoding="utf-8").count(needle)
+        if count:
+            hits[str(path.relative_to(REPO_ROOT))] = count
+    return hits
+
+
+@pytest.mark.parametrize(
+    "needle",
+    [
+        "def _accept_loop",       # the accept loop
+        "def _serve_connection",  # role dispatch
+        '!= "hello"',             # server-side hello validation
+        '"type": "hello"',        # client-side hello send
+        '"type": "welcome"',      # the handshake's reply
+    ],
+)
+def test_one_server_core_and_one_handshake(needle):
+    # PRs 7 and 9 each grew a private server and hand-rolled handshakes;
+    # a third must not quietly reappear beside fabric/server.py.
+    assert _count_in_src(needle) == {"src/repro/fabric/server.py": 1}

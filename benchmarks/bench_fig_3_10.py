@@ -17,7 +17,7 @@ def test_figure_3_10(benchmark, fidelity, results_dir, session):
     emit(results_dir, "figure-3-10", result.render())
 
     # Cross-check against the (cached) d-HetPNoC data of figure 3-7.
-    dhet = figure_3_7(fidelity=fidelity, seed=SEED)
+    dhet = figure_3_7(fidelity=fidelity, seed=SEED, session=session)
     for ff_row, dhet_row in zip(result.rows, dhet.rows):
         assert ff_row[0] == dhet_row[0] and ff_row[1] == dhet_row[1]
         if ff_row[1] == "skewed3":

@@ -5,9 +5,10 @@ from benchmarks.conftest import SEED, emit
 from repro.experiments.validation import render_validation, validate_all
 
 
-def test_headline_claims(benchmark, fidelity, results_dir):
+def test_headline_claims(benchmark, fidelity, results_dir, session):
     results = benchmark.pedantic(
-        lambda: validate_all(fidelity, SEED), rounds=1, iterations=1
+        lambda: validate_all(fidelity, SEED, session=session),
+        rounds=1, iterations=1,
     )
     emit(results_dir, "headline-claims", render_validation(results))
     failing = [r.claim for r in results if not r.passed]

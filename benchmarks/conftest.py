@@ -19,7 +19,7 @@ import pathlib
 import pytest
 
 from repro.api.session import Session
-from repro.experiments.runner import default_store, fidelity_from_env
+from repro.experiments.runner import fidelity_from_env
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
@@ -42,13 +42,13 @@ def bench_workers() -> int:
 
 @pytest.fixture(scope="session")
 def session() -> Session:
-    """Session-wide :class:`repro.api.Session` over the shared store.
+    """The one :class:`repro.api.Session` every bench shares.
 
     Every figure bench runs its grid through this, so the perf numbers
     track the parallel orchestration path and exhibits that share sweep
     points (3-3/3-4, 3-7/3-8/3-9) pay for them once.
     """
-    return Session(default_store(), workers=bench_workers())
+    return Session(workers=bench_workers())
 
 
 @pytest.fixture(scope="session")

@@ -64,7 +64,6 @@ __version__ = "1.1.0"
 _API_EXPORTS = {
     "ExperimentSpec": ("repro.api.spec", "ExperimentSpec"),
     "Session": ("repro.api.session", "Session"),
-    "open_session": ("repro.api.session", "open_session"),
     "api": ("repro.api", None),
 }
 
@@ -82,7 +81,6 @@ __all__ = [
     "SystemConfig",
     "TrafficGenerator",
     "api",
-    "open_session",
     "pattern_by_name",
     "__version__",
 ]

@@ -39,7 +39,6 @@ _LAZY = {
     "DryRunReport": ("repro.api.session", "DryRunReport"),
     "ExperimentSpec": ("repro.api.spec", "ExperimentSpec"),
     "Session": ("repro.api.session", "Session"),
-    "open_session": ("repro.api.session", "open_session"),
     "registry": ("repro.api.registry", None),
 }
 
@@ -49,7 +48,6 @@ __all__ = [
     "Registry",
     "RegistryError",
     "Session",
-    "open_session",
     "registry",
 ]
 

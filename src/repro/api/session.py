@@ -14,10 +14,10 @@ context-manager lifecycle::
         peaks = session.peaks(spec)              # per-curve saturation peaks
         knees = session.adaptive(spec)           # knee-bisection estimates
 
-Execution is exactly the sweep layer underneath: results are bitwise
-identical to the historic free functions (``saturation_sweep``,
-``peak_result``) for equivalent inputs, and store keys match point for
-point, so stores written by either path are interchangeable.
+Execution is exactly the sweep layer underneath: every surface (CLI,
+figures, validation, the job daemon) computes the same content-hash
+store key for the same point, so a store written by one is a cache for
+all the others.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.experiments.runner import (
     QUICK_FIDELITY,
     RunResult,
     _run_once,
-    set_default_store,
 )
 from repro.experiments.store import ResultStore, StoreBackend, open_store
 from repro.experiments.sweep import (
@@ -46,7 +45,7 @@ from repro.experiments.sweep import (
 )
 from repro.traffic.bandwidth_sets import BandwidthSet, bandwidth_set_by_index
 
-__all__ = ["CurveCount", "DryRunReport", "Session", "open_session"]
+__all__ = ["CurveCount", "DryRunReport", "Session"]
 
 #: Anything a :class:`Session` accepts as its store argument.
 StoreLike = Union[None, str, ResultStore, StoreBackend]
@@ -342,10 +341,8 @@ class Session:
     ) -> RunResult:
         """Simulate a single fully-specified point, bypassing the store.
 
-        The non-deprecated replacement for the legacy ``run_once`` free
-        function (identical semantics; ``bw_set`` additionally accepts
-        a registry index). Uses the session config unless *config*
-        overrides it.
+        ``bw_set`` is a :class:`BandwidthSet` or a registry index.
+        Uses the session config unless *config* overrides it.
         """
         if isinstance(bw_set, int):
             bw_set = bandwidth_set_by_index(bw_set)
@@ -360,26 +357,3 @@ class Session:
             scenario=scenario,
         )
 
-
-def open_session(
-    store: StoreLike = None,
-    *,
-    workers: int = 1,
-    backend: str = "auto",
-    config: Optional[SystemConfig] = None,
-    fabric: Optional[str] = None,
-    make_default: bool = False,
-) -> Session:
-    """Build a :class:`Session`; optionally adopt its store process-wide.
-
-    With ``make_default=True`` the session's store also becomes the
-    process-wide default store (the one legacy ``peak_result``-style
-    shims read), so old and new call sites share every cached point —
-    this is what the CLI does with ``--store``.
-    """
-    session = Session(
-        store, workers=workers, backend=backend, config=config, fabric=fabric
-    )
-    if make_default:
-        set_default_store(session.store)
-    return session

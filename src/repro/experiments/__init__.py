@@ -1,7 +1,7 @@
 """Experiment harness: saturation sweeps and per-figure reproduction.
 
-* :mod:`repro.experiments.runner` -- single runs, saturation sweeps and
-  peak-bandwidth extraction (thesis 3.4.1.1 methodology).
+* :mod:`repro.experiments.runner` -- the single-run core, fidelities
+  and peak-bandwidth extraction (thesis 3.4.1.1 methodology).
 * :mod:`repro.experiments.sweep` -- declarative sweep grids
   (:class:`SweepSpec`) fanned out over a worker pool
   (:class:`SweepExecutor`) with multi-seed replication.
@@ -20,8 +20,6 @@ from repro.experiments.runner import (
     RunResult,
     fidelity_from_env,
     peak_of,
-    run_once,
-    saturation_sweep,
 )
 from repro.experiments.report import ascii_table
 from repro.experiments.store import ResultStore, result_key
@@ -48,6 +46,4 @@ __all__ = [
     "peak_of",
     "replication_summary",
     "result_key",
-    "run_once",
-    "saturation_sweep",
 ]

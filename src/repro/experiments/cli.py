@@ -64,11 +64,11 @@ from repro.api.registry import (
     fidelities,
     predictors,
 )
-from repro.api.session import Session, open_session
+from repro.api.session import Session
 from repro.api.spec import ExperimentSpec
 from repro.experiments.figures import ALL_EXHIBITS
 from repro.experiments.report import ascii_table, mean_spread, percent_change
-from repro.experiments.runner import QUICK_FIDELITY, default_store
+from repro.experiments.runner import QUICK_FIDELITY
 from repro.experiments.store import backend_names
 
 
@@ -90,20 +90,16 @@ def _make_session(
 ) -> Session:
     """Build the command's :class:`Session`.
 
-    ``--store`` also becomes the process-wide default store so legacy
-    ``peak_result``-style paths persist their points too; without it
-    the session shares the existing default store. ``--fabric`` swaps
-    the local worker pool for a distributed-fabric connection.
+    Without ``--store`` the session's store is in-memory and lives for
+    this command only. ``--fabric`` swaps the local worker pool for a
+    distributed-fabric connection.
     """
-    if store_path:
-        return open_session(
-            store_path, backend=store_backend, workers=workers,
-            fabric=fabric, make_default=True,
-        )
-    return Session(default_store(), workers=workers, fabric=fabric)
+    return Session(
+        store_path, backend=store_backend, workers=workers, fabric=fabric
+    )
 
 
-def _call_exhibit(name: str, fidelity, seed: int, session=None) -> str:
+def _call_exhibit(name: str, fidelity, seed: int, session: Session) -> str:
     fn = ALL_EXHIBITS[name]
     kwargs = {}
     signature = inspect.signature(fn)
@@ -111,7 +107,7 @@ def _call_exhibit(name: str, fidelity, seed: int, session=None) -> str:
         kwargs["fidelity"] = fidelity
     if "seed" in signature.parameters:
         kwargs["seed"] = seed
-    if session is not None and "session" in signature.parameters:
+    if "session" in signature.parameters:
         kwargs["session"] = session
     return fn(**kwargs).render()
 
@@ -1214,7 +1210,7 @@ def _run_scenarios(args) -> int:
             return 2
         if _invalid_patterns([args.pattern], "scenarios run"):
             return 2
-        session = Session(default_store())
+        session = Session()
         bw_set = bandwidth_set_by_index(args.bw_set)
         offered = args.load_fraction * bw_set.aggregate_gbps
         for arch in args.arch:

@@ -2,13 +2,14 @@
 
 Each ``figure_*`` / ``table_*`` function returns a :class:`FigureResult`
 whose rows regenerate the corresponding thesis exhibit; ``render()``
-produces the ASCII form the benchmarks print. The simulated figures share
-the content-hash result store behind :mod:`repro.experiments.runner`, so
-e.g. figures 3-3, 3-4, 3-7 and 3-10 together cost one sweep per
-(architecture, bandwidth set, pattern). Passing a
-:class:`~repro.experiments.sweep.SweepExecutor` prefetches each
-exhibit's whole grid through its worker pool first (``--workers`` on the
-CLI), parallelising the simulations the exhibit needs.
+produces the ASCII form the benchmarks print. Every simulated exhibit
+takes a :class:`~repro.api.session.Session` and reads its points through
+that session's content-hash store, so e.g. figures 3-3, 3-4, 3-7 and
+3-10 run over one session together cost one sweep per (architecture,
+bandwidth set, pattern); without one, an exhibit runs in a private
+in-memory session. Each exhibit first fans its whole grid out through
+the session in one batch, so a session with ``workers > 1``
+(``--workers`` on the CLI) simulates the exhibit in parallel.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+from repro.api.session import Session
 from repro.area.model import dhetpnoc_area_mm2, firefly_area_mm2
 from repro.energy import params as energy_params
 from repro.experiments.report import ascii_table, mean_spread, percent_change
@@ -23,10 +25,13 @@ from repro.experiments.runner import (
     Fidelity,
     QUICK_FIDELITY,
     RunResult,
-    _peak_result,
     peak_of,
 )
-from repro.experiments.sweep import SweepExecutor, SweepSpec
+from repro.experiments.sweep import (
+    SweepSpec,
+    adaptive_knee_sweep,
+    replication_summary,
+)
 from repro.gpu.model import GpuMemoryModel
 from repro.traffic.bandwidth_sets import (
     BANDWIDTH_SETS,
@@ -176,48 +181,26 @@ def figure_1_1() -> FigureResult:
 # Figures 3-3 / 3-4: peak bandwidth and packet energy, both architectures
 # ---------------------------------------------------------------------------
 
-def _is_canonical(bw_set: BandwidthSet) -> bool:
-    """The executor fast-path addresses sets by index; a customised set
-    must not be rehydrated from its index, so it takes the serial path
-    (which pins the set on its points) instead."""
-    return is_canonical_set(bw_set)
-
-
-def _exec(
-    session=None, executor: Optional[SweepExecutor] = None
-) -> Optional[SweepExecutor]:
-    """Resolve the executor behind a ``session=``/``executor=`` pair.
-
-    Every simulated exhibit accepts both: ``session`` (a
-    :class:`repro.api.Session`, the preferred surface) and the historic
-    ``executor``. The session wins when both are given.
-    """
-    if session is not None:
-        return session.executor
-    return executor
-
-
 def _prefetch(
-    executor: Optional[SweepExecutor],
+    session: Session,
     archs: Sequence[str],
     bw_sets: Sequence[BandwidthSet],
     patterns: Sequence[str],
     fidelity: Fidelity,
     seed: int,
 ) -> None:
-    """Fan every needed sweep point out through *executor* in one batch.
+    """Fan every needed sweep point out through *session* in one batch.
 
-    Populates the executor's store so the per-curve peak extraction that
+    Populates the session's store so the per-curve peak extraction that
     follows is pure cache hits; with ``workers > 1`` the whole exhibit's
     grid simulates in parallel instead of curve-by-curve. Customised
-    bandwidth sets are excluded (see :func:`_is_canonical`).
+    bandwidth sets cannot be named by index, so they are left to
+    :func:`_peak`'s per-curve sweep.
     """
-    if executor is None:
-        return
-    indices = tuple(s.index for s in bw_sets if _is_canonical(s))
+    indices = tuple(s.index for s in bw_sets if is_canonical_set(s))
     if not indices:
         return
-    executor.run(
+    session.executor.run(
         SweepSpec(
             archs=tuple(archs),
             bw_set_indices=indices,
@@ -230,29 +213,27 @@ def _prefetch(
 
 
 def _peak(
+    session: Session,
     arch: str,
     bw_set: BandwidthSet,
     pattern: str,
     fidelity: Fidelity,
     seed: int,
-    executor: Optional[SweepExecutor] = None,
 ) -> RunResult:
-    if executor is None or not _is_canonical(bw_set):
-        return _peak_result(arch, bw_set, pattern, fidelity, seed)
     return peak_of(
-        executor.sweep_curve(arch, bw_set.index, pattern, fidelity, seed)
+        session.executor.sweep_curve(arch, bw_set, pattern, fidelity, seed)
     )
 
 
 def _peak_pair(
+    session: Session,
     bw_set: BandwidthSet,
     pattern: str,
     fidelity: Fidelity,
     seed: int,
-    executor: Optional[SweepExecutor] = None,
 ) -> Tuple[RunResult, RunResult]:
-    firefly = _peak("firefly", bw_set, pattern, fidelity, seed, executor)
-    dhet = _peak("dhetpnoc", bw_set, pattern, fidelity, seed, executor)
+    firefly = _peak(session, "firefly", bw_set, pattern, fidelity, seed)
+    dhet = _peak(session, "dhetpnoc", bw_set, pattern, fidelity, seed)
     return firefly, dhet
 
 
@@ -261,15 +242,14 @@ def figure_3_3(
     seed: int = 1,
     bw_sets: Sequence[BandwidthSet] = BANDWIDTH_SETS,
     patterns: Sequence[str] = CORE_PATTERNS,
-    executor: Optional[SweepExecutor] = None,
-    session=None,
+    session: Optional[Session] = None,
 ) -> FigureResult:
-    executor = _exec(session, executor)
-    _prefetch(executor, ("firefly", "dhetpnoc"), bw_sets, patterns, fidelity, seed)
+    session = session or Session()
+    _prefetch(session, ("firefly", "dhetpnoc"), bw_sets, patterns, fidelity, seed)
     rows = []
     for bw_set in bw_sets:
         for pattern in patterns:
-            firefly, dhet = _peak_pair(bw_set, pattern, fidelity, seed, executor)
+            firefly, dhet = _peak_pair(session, bw_set, pattern, fidelity, seed)
             rows.append(
                 [
                     bw_set.name,
@@ -296,8 +276,7 @@ def figure_3_3_replicated(
     bw_sets: Sequence[BandwidthSet] = (BW_SET_1,),
     patterns: Sequence[str] = CORE_PATTERNS,
     n_seeds: int = 3,
-    executor: Optional[SweepExecutor] = None,
-    session=None,
+    session: Optional[Session] = None,
 ) -> FigureResult:
     """Figure 3-3 with error columns: peaks as mean +/- std across seeds.
 
@@ -306,9 +285,7 @@ def figure_3_3_replicated(
     bandwidth-gain claim is reported with its replication uncertainty
     instead of a single lucky draw.
     """
-    from repro.experiments.sweep import replication_summary
-
-    executor = _exec(session, executor)
+    session = session or Session()
     spec = SweepSpec(
         archs=("firefly", "dhetpnoc"),
         bw_set_indices=tuple(s.index for s in bw_sets),
@@ -316,7 +293,7 @@ def figure_3_3_replicated(
         seeds=tuple(seed + i for i in range(n_seeds)),
         fidelity=fidelity,
     )
-    summaries = replication_summary(spec, executor or SweepExecutor())
+    summaries = replication_summary(spec, session.executor)
     by_key = {(s.arch, s.bw_set_index, s.pattern): s for s in summaries}
     rows = []
     for bw_set in bw_sets:
@@ -354,15 +331,14 @@ def figure_3_4(
     seed: int = 1,
     bw_sets: Sequence[BandwidthSet] = BANDWIDTH_SETS,
     patterns: Sequence[str] = CORE_PATTERNS,
-    executor: Optional[SweepExecutor] = None,
-    session=None,
+    session: Optional[Session] = None,
 ) -> FigureResult:
-    executor = _exec(session, executor)
-    _prefetch(executor, ("firefly", "dhetpnoc"), bw_sets, patterns, fidelity, seed)
+    session = session or Session()
+    _prefetch(session, ("firefly", "dhetpnoc"), bw_sets, patterns, fidelity, seed)
     rows = []
     for bw_set in bw_sets:
         for pattern in patterns:
-            firefly, dhet = _peak_pair(bw_set, pattern, fidelity, seed, executor)
+            firefly, dhet = _peak_pair(session, bw_set, pattern, fidelity, seed)
             rows.append(
                 [
                     bw_set.name,
@@ -395,14 +371,13 @@ def figure_3_5(
     seed: int = 1,
     bw_set: BandwidthSet = BW_SET_1,
     patterns: Sequence[str] = CASE_STUDY_PATTERNS,
-    executor: Optional[SweepExecutor] = None,
-    session=None,
+    session: Optional[Session] = None,
 ) -> FigureResult:
-    executor = _exec(session, executor)
-    _prefetch(executor, ("firefly", "dhetpnoc"), (bw_set,), patterns, fidelity, seed)
+    session = session or Session()
+    _prefetch(session, ("firefly", "dhetpnoc"), (bw_set,), patterns, fidelity, seed)
     rows = []
     for pattern in patterns:
-        firefly, dhet = _peak_pair(bw_set, pattern, fidelity, seed, executor)
+        firefly, dhet = _peak_pair(session, bw_set, pattern, fidelity, seed)
         rows.append(
             [
                 pattern,
@@ -431,8 +406,7 @@ def saturation_knees(
     bw_set: BandwidthSet = BW_SET_1,
     patterns: Sequence[str] = ("uniform", "skewed3"),
     resolution: float = 0.1,
-    executor: Optional[SweepExecutor] = None,
-    session=None,
+    session: Optional[Session] = None,
 ) -> FigureResult:
     """Adaptive knee localisation against the analytic fluid model.
 
@@ -443,16 +417,14 @@ def saturation_knees(
     ``resolution``), the peak delivered bandwidth, and how many
     simulations the search spent versus the equivalent fixed grid.
     """
-    from repro.experiments.sweep import adaptive_knee_sweep
-
-    executor = _exec(session, executor) or SweepExecutor()
+    session = session or Session()
     rows = []
     grid_points = max(1, round(max(fidelity.load_fractions) / resolution))
     for pattern in patterns:
         for arch in ("firefly", "dhetpnoc"):
             est = adaptive_knee_sweep(
                 arch, bw_set.index, pattern, fidelity,
-                executor=executor, seed=seed, resolution=resolution,
+                executor=session.executor, seed=seed, resolution=resolution,
             )
             rows.append(
                 [
@@ -491,6 +463,7 @@ def closed_loop_shedding(
     bw_set: BandwidthSet = BW_SET_1,
     pattern: str = "skewed3",
     load_fraction: float = 0.6,
+    session: Optional[Session] = None,
 ) -> FigureResult:
     """Feedback-controlled overload: observed latency sheds offered load.
 
@@ -503,9 +476,9 @@ def closed_loop_shedding(
     (rules evaluate on fixed cycle boundaries against observed
     counters), so the exhibit reproduces exactly.
     """
-    from repro.experiments.runner import _run_once
     from repro.scenarios.library import build_scenario
 
+    session = session or Session()
     offered = load_fraction * bw_set.aggregate_gbps
     schedule = build_scenario("closed_loop_shedding", fidelity.total_cycles)
     rules = [r for p in schedule.phases for r in p.rules]
@@ -514,7 +487,7 @@ def closed_loop_shedding(
     rows = []
     fired = {}
     for arch in ("firefly", "dhetpnoc"):
-        result = _run_once(
+        result = session.run_one(
             arch, bw_set, pattern, offered,
             fidelity=fidelity, seed=seed, scenario="closed_loop_shedding",
         )
@@ -585,19 +558,19 @@ def figure_3_6(
 # ---------------------------------------------------------------------------
 
 def _per_arch_scaling(
+    session: Session,
     arch: str,
     exhibit: str,
     title: str,
     fidelity: Fidelity,
     seed: int,
     patterns: Sequence[str],
-    executor: Optional[SweepExecutor] = None,
 ) -> FigureResult:
-    _prefetch(executor, (arch,), BANDWIDTH_SETS, patterns, fidelity, seed)
+    _prefetch(session, (arch,), BANDWIDTH_SETS, patterns, fidelity, seed)
     rows = []
     for bw_set in BANDWIDTH_SETS:
         for pattern in patterns:
-            res = _peak(arch, bw_set, pattern, fidelity, seed, executor)
+            res = _peak(session, arch, bw_set, pattern, fidelity, seed)
             rows.append(
                 [
                     bw_set.name,
@@ -623,17 +596,16 @@ def figure_3_7(
     fidelity: Fidelity = QUICK_FIDELITY,
     seed: int = 1,
     patterns: Sequence[str] = CORE_PATTERNS,
-    executor: Optional[SweepExecutor] = None,
-    session=None,
+    session: Optional[Session] = None,
 ) -> FigureResult:
     return _per_arch_scaling(
+        session or Session(),
         "dhetpnoc",
         "Figure 3-7",
         "d-HetPNoC peak core bandwidth and EPM across bandwidth sets",
         fidelity,
         seed,
         patterns,
-        _exec(session, executor),
     )
 
 
@@ -641,17 +613,16 @@ def figure_3_10(
     fidelity: Fidelity = QUICK_FIDELITY,
     seed: int = 1,
     patterns: Sequence[str] = CORE_PATTERNS,
-    executor: Optional[SweepExecutor] = None,
-    session=None,
+    session: Optional[Session] = None,
 ) -> FigureResult:
     return _per_arch_scaling(
+        session or Session(),
         "firefly",
         "Figure 3-10",
         "Firefly peak core bandwidth and EPM across bandwidth sets",
         fidelity,
         seed,
         patterns,
-        _exec(session, executor),
     )
 
 
@@ -660,12 +631,12 @@ def figure_3_10(
 # ---------------------------------------------------------------------------
 
 def _dhet_scaling_rows(
-    fidelity: Fidelity, seed: int, executor: Optional[SweepExecutor] = None
+    session: Session, fidelity: Fidelity, seed: int
 ) -> List[Tuple[BandwidthSet, RunResult, float]]:
-    _prefetch(executor, ("dhetpnoc",), BANDWIDTH_SETS, ("skewed3",), fidelity, seed)
+    _prefetch(session, ("dhetpnoc",), BANDWIDTH_SETS, ("skewed3",), fidelity, seed)
     out = []
     for bw_set in BANDWIDTH_SETS:
-        res = _peak("dhetpnoc", bw_set, "skewed3", fidelity, seed, executor)
+        res = _peak(session, "dhetpnoc", bw_set, "skewed3", fidelity, seed)
         out.append((bw_set, res, dhetpnoc_area_mm2(bw_set.total_wavelengths)))
     return out
 
@@ -673,10 +644,9 @@ def _dhet_scaling_rows(
 def figure_3_8(
     fidelity: Fidelity = QUICK_FIDELITY,
     seed: int = 1,
-    executor: Optional[SweepExecutor] = None,
-    session=None,
+    session: Optional[Session] = None,
 ) -> FigureResult:
-    data = _dhet_scaling_rows(fidelity, seed, _exec(session, executor))
+    data = _dhet_scaling_rows(session or Session(), fidelity, seed)
     base_area = data[0][2]
     base_bw = data[0][1].delivered_gbps
     rows = [
@@ -701,10 +671,9 @@ def figure_3_8(
 def figure_3_9(
     fidelity: Fidelity = QUICK_FIDELITY,
     seed: int = 1,
-    executor: Optional[SweepExecutor] = None,
-    session=None,
+    session: Optional[Session] = None,
 ) -> FigureResult:
-    data = _dhet_scaling_rows(fidelity, seed, _exec(session, executor))
+    data = _dhet_scaling_rows(session or Session(), fidelity, seed)
     base_area = data[0][2]
     base_epm = data[0][1].energy_per_message_pj
     rows = [

@@ -1,4 +1,4 @@
-"""Single-configuration runs and saturation sweeps.
+"""The single-run core, fidelities and the saturation-peak methodology.
 
 Methodology (thesis 3.4.1.1): "Peak bandwidth is measured as average
 number of bits successfully arriving at all cores per second." We sweep
@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.api.base import Registry
 from repro.arch.base import PhotonicCrossbarNoC
@@ -137,15 +137,6 @@ def build_arch(
     return architectures.get(arch_name)(sim, config, pattern)
 
 
-def _deprecated(old: str, new: str) -> None:
-    """Emit the standard legacy-shim :class:`DeprecationWarning`."""
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead (see docs/api.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 def _run_once(
     arch_name: str,
     bw_set: BandwidthSet,
@@ -222,217 +213,8 @@ def _run_once(
     )
 
 
-def run_once(
-    arch_name: str,
-    bw_set: BandwidthSet,
-    pattern_name: str,
-    offered_gbps: float,
-    fidelity: Fidelity = QUICK_FIDELITY,
-    seed: int = 1,
-    config: Optional[SystemConfig] = None,
-    scenario: Optional[str] = None,
-) -> RunResult:
-    """Deprecated shim over the single-run core.
-
-    .. deprecated::
-        Use :meth:`repro.api.Session.run_one` (or
-        :meth:`repro.api.Session.run` with an
-        :class:`~repro.api.ExperimentSpec` for grids). Behaviour is
-        unchanged — this wrapper only adds a :class:`DeprecationWarning`.
-    """
-    _deprecated("run_once()", "repro.api.Session.run_one()")
-    return _run_once(
-        arch_name, bw_set, pattern_name, offered_gbps,
-        fidelity=fidelity, seed=seed, config=config, scenario=scenario,
-    )
-
-
-def _saturation_sweep(
-    arch_name: str,
-    bw_set: BandwidthSet,
-    pattern_name: str,
-    fidelity: Fidelity = QUICK_FIDELITY,
-    seed: int = 1,
-    config: Optional[SystemConfig] = None,
-    workers: int = 1,
-) -> List[RunResult]:
-    """Run the offered-load grid for one (architecture, pattern).
-
-    Delegates to :class:`repro.experiments.sweep.SweepExecutor` against
-    the process-wide default store, so repeated sweeps over the same
-    configuration are cache hits and ``workers > 1`` fans the grid out
-    over a process pool. The given ``seed`` is used verbatim for every
-    load point (legacy semantics); use a :class:`SweepSpec` directly for
-    derived per-curve seeds.
-
-    The points are built from the *caller's* ``bw_set``/``config``
-    objects (not rehydrated from the set's index), so customised
-    bandwidth sets simulate exactly what was passed. The set is pinned
-    on each point only when it differs from the effective config's set
-    (the legacy ``run_once`` keeps the two independent); when they
-    agree, the config already carries the set and the cache key matches
-    the ``SweepSpec`` path.
-    """
-    from repro.experiments.sweep import RunPoint, SweepExecutor
-
-    config = config or SystemConfig(bw_set=bw_set)
-    executor = SweepExecutor(
-        workers=workers, store=default_store(), config=config
-    )
-    capacity = bw_set.aggregate_gbps
-    pinned = None if config.bw_set == bw_set else bw_set
-    points = [
-        RunPoint(
-            arch=arch_name,
-            bw_set_index=bw_set.index,
-            pattern=pattern_name,
-            load_fraction=fraction,
-            offered_gbps=fraction * capacity,
-            seed=seed,
-            base_seed=seed,
-            bw_set=pinned,
-        )
-        for fraction in fidelity.load_fractions
-    ]
-    return executor.run_points(points, fidelity)
-
-
-def saturation_sweep(
-    arch_name: str,
-    bw_set: BandwidthSet,
-    pattern_name: str,
-    fidelity: Fidelity = QUICK_FIDELITY,
-    seed: int = 1,
-    config: Optional[SystemConfig] = None,
-    workers: int = 1,
-) -> List[RunResult]:
-    """Deprecated shim over the one-curve sweep.
-
-    .. deprecated::
-        Use :meth:`repro.api.Session.run` with an
-        :class:`~repro.api.ExperimentSpec` (``derive_seeds=False``
-        reproduces this function's verbatim-seed semantics). Behaviour
-        is unchanged — this wrapper only adds a
-        :class:`DeprecationWarning`.
-    """
-    _deprecated("saturation_sweep()", "repro.api.Session.run(ExperimentSpec(...))")
-    return _saturation_sweep(
-        arch_name, bw_set, pattern_name, fidelity,
-        seed=seed, config=config, workers=workers,
-    )
-
-
 def peak_of(results: Sequence[RunResult]) -> RunResult:
     """The sweep point with maximum delivered bandwidth (the 'peak')."""
     if not results:
         raise ValueError("peak_of() needs at least one result")
     return max(results, key=lambda r: r.delivered_gbps)
-
-
-# ---------------------------------------------------------------------------
-# Shared result store (figures 3-3/3-4/3-7/3-10 share the same data)
-# ---------------------------------------------------------------------------
-#: Process-wide store backing ``saturation_sweep``/``peak_result``.
-#: Content-hash keyed (full fidelity schedule + config fingerprint), so
-#: same-named fidelities with different cycle counts can never collide.
-_DEFAULT_STORE = None
-
-
-def default_store():
-    """The process-wide :class:`~repro.experiments.store.ResultStore`."""
-    global _DEFAULT_STORE
-    if _DEFAULT_STORE is None:
-        from repro.experiments.store import ResultStore
-
-        _DEFAULT_STORE = ResultStore()
-    return _DEFAULT_STORE
-
-
-def set_default_store(store) -> None:
-    """Swap the process-wide store (e.g. for a JSONL-backed one)."""
-    global _DEFAULT_STORE
-    _DEFAULT_STORE = store
-
-
-def _peak_result(
-    arch_name: str,
-    bw_set: BandwidthSet,
-    pattern_name: str,
-    fidelity: Fidelity = QUICK_FIDELITY,
-    seed: int = 1,
-    workers: int = 1,
-) -> RunResult:
-    """Store-backed peak extraction for one configuration."""
-    return peak_of(
-        _saturation_sweep(
-            arch_name, bw_set, pattern_name, fidelity, seed, workers=workers
-        )
-    )
-
-
-def peak_result(
-    arch_name: str,
-    bw_set: BandwidthSet,
-    pattern_name: str,
-    fidelity: Fidelity = QUICK_FIDELITY,
-    seed: int = 1,
-    workers: int = 1,
-) -> RunResult:
-    """Deprecated shim over store-backed peak extraction.
-
-    .. deprecated::
-        Use :meth:`repro.api.Session.peaks` with an
-        :class:`~repro.api.ExperimentSpec` (``derive_seeds=False``
-        reproduces this function's verbatim-seed semantics). Behaviour
-        is unchanged — this wrapper only adds a
-        :class:`DeprecationWarning`.
-    """
-    _deprecated("peak_result()", "repro.api.Session.peaks(ExperimentSpec(...))")
-    return _peak_result(
-        arch_name, bw_set, pattern_name, fidelity, seed, workers=workers
-    )
-
-
-def adaptive_peak_result(
-    arch_name: str,
-    bw_set: BandwidthSet,
-    pattern_name: str,
-    fidelity: Fidelity = QUICK_FIDELITY,
-    seed: int = 1,
-    workers: int = 1,
-    resolution: float = 0.05,
-) -> RunResult:
-    """Peak extraction via the adaptive knee search (fewer simulations).
-
-    Seeds the search from the analytic
-    :func:`repro.experiments.sweep.analytic_knee_gbps` estimate and
-    bisects around the observed delivery knee instead of walking the
-    fidelity's whole load grid — see
-    :func:`repro.experiments.sweep.adaptive_knee_sweep`. Runs against
-    the process-wide default store, so mixed grid/adaptive sessions
-    share every coinciding point. Customised (non-table-3-1) bandwidth
-    sets fall back to the fixed-grid :func:`peak_result` path.
-    """
-    from repro.experiments.sweep import SweepExecutor, adaptive_knee_sweep
-    from repro.traffic.bandwidth_sets import is_canonical_set
-
-    if not is_canonical_set(bw_set):
-        return _peak_result(
-            arch_name, bw_set, pattern_name, fidelity, seed, workers=workers
-        )
-    executor = SweepExecutor(workers=workers, store=default_store())
-    estimate = adaptive_knee_sweep(
-        arch_name,
-        bw_set.index,
-        pattern_name,
-        fidelity,
-        executor=executor,
-        seed=seed,
-        resolution=resolution,
-    )
-    return estimate.peak
-
-
-def clear_peak_cache() -> None:
-    """Drop the in-memory view of the default store."""
-    default_store().clear()

@@ -737,10 +737,6 @@ def backend_names() -> Tuple[str, ...]:
     return ("auto",) + tuple(store_backends.names())
 
 
-#: Historic alias of :func:`backend_names` output (kept importable).
-BACKEND_NAMES = backend_names()
-
-
 def make_backend(name: str, path: Optional[str] = None) -> StoreBackend:
     """Build a backend by *name* (see :func:`backend_names`).
 
@@ -767,9 +763,9 @@ def open_store(path: Optional[str], backend: str = "auto") -> "ResultStore":
 class ResultStore:
     """Keyed store of :class:`RunResult` over a pluggable backend.
 
-    ``ResultStore(path)`` keeps the historic behaviour: a monolithic
-    JSONL file (:class:`JsonlBackend`) loaded eagerly, or a pure
-    in-process cache (:class:`MemoryBackend`) when ``path`` is ``None``.
+    ``ResultStore(path)`` is a monolithic JSONL file
+    (:class:`JsonlBackend`) loaded eagerly, or a pure in-process cache
+    (:class:`MemoryBackend`) when ``path`` is ``None``.
     Pass ``backend=`` — a :class:`StoreBackend` instance — for anything
     else (e.g. :class:`ShardedJsonlBackend`, or :func:`open_store`).
 

@@ -32,9 +32,9 @@ coordinates, reduced to 63 bits. Two properties follow:
    saturation knee); distinct curves and distinct base seeds get
    decorrelated streams.
 
-With ``derive_seeds=False`` every point uses its base seed verbatim,
-which is the legacy :func:`repro.experiments.runner.saturation_sweep`
-behaviour (kept for backwards-compatible golden data).
+With ``derive_seeds=False`` every point uses its base seed verbatim
+(what :meth:`PointExecutor.sweep_curve`, the figures and the golden
+data use).
 
 Result identity / hashing
 -------------------------
@@ -58,9 +58,9 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from statistics import mean, pstdev
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.arch.config import SystemConfig
 from repro.experiments.runner import (
@@ -68,9 +68,9 @@ from repro.experiments.runner import (
     Fidelity,
     QUICK_FIDELITY,
     RunResult,
+    _run_once,
     peak_of,
 )
-from repro.experiments.runner import _run_once as run_once
 from repro.experiments.store import ResultStore, config_fingerprint, result_key
 from repro.traffic.bandwidth_sets import (
     BANDWIDTH_SETS,
@@ -111,9 +111,9 @@ class RunPoint:
     seed: int
     base_seed: int
     #: The actual bandwidth set to simulate. ``None`` means "the
-    #: canonical table 3-1 set for ``bw_set_index``"; callers sweeping a
-    #: customised set (``runner.saturation_sweep``) pin it here so it is
-    #: never rehydrated from the index.
+    #: canonical table 3-1 set for ``bw_set_index``";
+    #: :meth:`PointExecutor.sweep_curve` pins a customised set here so
+    #: it is never rehydrated from the index.
     bw_set: Optional[BandwidthSet] = None
     #: Named scenario script to replay (``None`` = stationary run).
     #: Ships to workers as a name and is rebuilt from the library there.
@@ -217,8 +217,8 @@ def _execute_point(payload: Tuple[RunPoint, Fidelity, Optional[SystemConfig]]) -
 
     The simulated bandwidth set is, in order of precedence: the point's
     pinned ``bw_set``, the explicit config's set, the canonical set for
-    the point's index — matching ``run_once``'s legacy semantics where
-    the ``bw_set`` argument and ``config`` are independent.
+    the point's index — ``_run_once``'s ``bw_set`` argument and
+    ``config`` are independent.
     """
     point, fidelity, config = payload
     if point.bw_set is not None:
@@ -227,7 +227,7 @@ def _execute_point(payload: Tuple[RunPoint, Fidelity, Optional[SystemConfig]]) -
         bw_set = config.bw_set
     else:
         bw_set = bandwidth_set_by_index(point.bw_set_index)
-    return run_once(
+    return _run_once(
         point.arch,
         bw_set,
         point.pattern,
@@ -270,8 +270,9 @@ class PointExecutor:
         self.executed_count = 0
         # Config construction + fingerprinting is identical for every
         # point of a bandwidth set; memoize it rather than re-hashing
-        # per point.
-        self._config_cache: Dict[int, Tuple[SystemConfig, str]] = {}
+        # per point. Keyed by set index, or by the set itself for
+        # points that pin one.
+        self._config_cache: Dict[object, Tuple[SystemConfig, str]] = {}
         # Scenario fingerprints are a schedule build + hash; memoize per
         # (name, total_cycles) since every point of a grid repeats them.
         self._scenario_digests: Dict[Tuple[str, int], str] = {}
@@ -295,19 +296,23 @@ class PointExecutor:
         except BaseException:
             pass
 
-    def _config_for(self, bw_set_index: int) -> SystemConfig:
-        return self._config_entry(bw_set_index)[0]
+    def _config_for(self, point: RunPoint) -> SystemConfig:
+        return self._config_entry(point)[0]
 
-    def _config_entry(self, bw_set_index: int) -> Tuple[SystemConfig, str]:
-        entry = self._config_cache.get(bw_set_index)
+    def _config_entry(self, point: RunPoint) -> Tuple[SystemConfig, str]:
+        cache_key = point.bw_set or point.bw_set_index
+        entry = self._config_cache.get(cache_key)
         if entry is None:
             config = (
                 self.config
                 if self.config is not None
-                else SystemConfig(bw_set=bandwidth_set_by_index(bw_set_index))
+                else SystemConfig(
+                    bw_set=point.bw_set
+                    or bandwidth_set_by_index(point.bw_set_index)
+                )
             )
             entry = (config, config_fingerprint(config))
-            self._config_cache[bw_set_index] = entry
+            self._config_cache[cache_key] = entry
         return entry
 
     def _scenario_digest(self, scenario: str, fidelity: Fidelity) -> str:
@@ -321,7 +326,7 @@ class PointExecutor:
         return digest
 
     def _key(self, point: RunPoint, fidelity: Fidelity) -> str:
-        _config, digest = self._config_entry(point.bw_set_index)
+        _config, digest = self._config_entry(point)
         return result_key(
             point.arch,
             point.bw_set_index,
@@ -394,24 +399,44 @@ class PointExecutor:
     def sweep_curve(
         self,
         arch: str,
-        bw_set_index: int,
+        bw_set: Union[BandwidthSet, int],
         pattern: str,
         fidelity: Fidelity,
         seed: int = 1,
         derive_seeds: bool = False,
         scenario: Optional[str] = None,
     ) -> List[RunResult]:
-        """One load curve (legacy ``saturation_sweep`` semantics by default)."""
-        spec = SweepSpec(
+        """One load curve (the seed is used verbatim by default).
+
+        *bw_set* is a table 3-1 index or a :class:`BandwidthSet`. A set
+        object is simulated exactly as passed: when it is not what its
+        index would simulate here (a customised set, or any set beside
+        an explicit config carrying another), it is pinned on the
+        points and its own capacity scales the offered-load grid.
+        """
+        index = bw_set if isinstance(bw_set, int) else bw_set.index
+        points = SweepSpec(
             archs=(arch,),
-            bw_set_indices=(bw_set_index,),
+            bw_set_indices=(index,),
             patterns=(pattern,),
             seeds=(seed,),
             fidelity=fidelity,
             derive_seeds=derive_seeds,
             scenarios=(scenario,),
-        )
-        return self.run(spec)
+        ).expand()
+        if (
+            not isinstance(bw_set, int)
+            and bw_set != self._config_for(points[0]).bw_set
+        ):
+            points = [
+                replace(
+                    p,
+                    bw_set=bw_set,
+                    offered_gbps=p.load_fraction * bw_set.aggregate_gbps,
+                )
+                for p in points
+            ]
+        return self.run_points(points, fidelity)
 
     def peaks(
         self, spec: SweepSpec
@@ -479,7 +504,7 @@ class SweepExecutor(PointExecutor):
         fidelity: Fidelity,
     ) -> Dict[int, RunResult]:
         payloads = [
-            (p, fidelity, self._config_for(p.bw_set_index)) for _i, p in missing
+            (p, fidelity, self._config_for(p)) for _i, p in missing
         ]
         if self.workers > 1 and len(missing) > 1:
             outcomes = self._ensure_pool().map(
@@ -589,7 +614,7 @@ class FabricExecutor(PointExecutor):
         # _execute_point's inputs exactly.
         groups: Dict[str, List[Tuple[int, RunPoint]]] = {}
         for i, p in missing:
-            _config, digest = self._config_entry(p.bw_set_index)
+            _config, digest = self._config_entry(p)
             groups.setdefault(digest, []).append((i, p))
         fresh: Dict[int, RunResult] = {}
         failures = []
@@ -606,7 +631,7 @@ class FabricExecutor(PointExecutor):
             outcome = client.submit(
                 entries,
                 fidelity_dict,
-                config_to_dict(self._config_for(group[0][1].bw_set_index)),
+                config_to_dict(self._config_for(group[0][1])),
             )
             executed += outcome.executed
             failures.extend(outcome.failures)
@@ -645,7 +670,7 @@ def analytic_knee_gbps(
 ) -> Optional[float]:
     """Closed-form saturation-knee estimate for one curve, in Gb/s.
 
-    Binds *pattern* with the same placement stream ``run_once`` would
+    Binds *pattern* with the same placement stream a run would
     use for *seed* and asks the fluid model
     (:class:`repro.analysis.saturation.SaturationModel`) where the first
     write channel saturates. Returns ``None`` when the pattern is

@@ -14,9 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
+from repro.api.session import Session
 from repro.area.model import dhetpnoc_area_mm2, firefly_area_mm2
 from repro.dba.token import token_link_cycles, token_size_bits
-from repro.experiments.runner import Fidelity, QUICK_FIDELITY, _peak_result
+from repro.experiments.figures import _peak_pair
+from repro.experiments.runner import Fidelity, QUICK_FIDELITY
+from repro.experiments.sweep import (
+    SweepSpec,
+    adaptive_knee_sweep,
+    replication_summary,
+)
 from repro.gpu.model import GpuMemoryModel
 from repro.photonic.reservation import reservation_serialization_cycles
 from repro.traffic.bandwidth_sets import BW_SET_1
@@ -41,25 +48,32 @@ class ShapeClaim:
     """One executable thesis claim.
 
     ``patterns`` names every traffic pattern the check simulates (on BW
-    set 1, via ``peak_result`` for both architectures); ``validate_all``
-    derives its parallel-prefetch grid from this, so a claim that adds a
-    pattern is prefetched automatically. Static claims leave it empty.
+    set 1, both architectures' peaks); ``validate_all`` derives its
+    parallel-prefetch grid from this, so a claim that adds a pattern is
+    prefetched automatically. Static claims leave it empty.
     """
 
     claim: str
     source: str
-    check: Callable[[Fidelity, int, Optional[float]], ClaimResult]
+    check: Callable[[Session, Fidelity, int, Optional[float]], ClaimResult]
     patterns: tuple = ()
 
     def run(
-        self, fidelity: Fidelity, seed: int, rel_tol: Optional[float] = None
+        self,
+        session: Session,
+        fidelity: Fidelity,
+        seed: int,
+        rel_tol: Optional[float] = None,
     ) -> ClaimResult:
-        return self.check(fidelity, seed, rel_tol)
+        return self.check(session, fidelity, seed, rel_tol)
 
 
 def _static(claim: str, source: str, predicate: Callable[[], tuple]) -> ShapeClaim:
     def check(
-        _fidelity: Fidelity, _seed: int, _rel_tol: Optional[float] = None
+        _session: Session,
+        _fidelity: Fidelity,
+        _seed: int,
+        _rel_tol: Optional[float] = None,
     ) -> ClaimResult:
         passed, detail = predicate()
         return ClaimResult(claim, source, passed, detail)
@@ -106,10 +120,12 @@ def _gpu_figure() -> tuple:
 # ---------------------------------------------------------------------------
 
 def _uniform_tie(
-    fidelity: Fidelity, seed: int, rel_tol: Optional[float] = None
+    session: Session,
+    fidelity: Fidelity,
+    seed: int,
+    rel_tol: Optional[float] = None,
 ) -> ClaimResult:
-    firefly = _peak_result("firefly", BW_SET_1, "uniform", fidelity, seed)
-    dhet = _peak_result("dhetpnoc", BW_SET_1, "uniform", fidelity, seed)
+    firefly, dhet = _peak_pair(session, BW_SET_1, "uniform", fidelity, seed)
     gap = abs(dhet.delivered_gbps - firefly.delivered_gbps)
     rel = gap / max(firefly.delivered_gbps, 1e-9)
     tolerance = max(BASE_REL_TOL, rel_tol or 0.0)
@@ -122,12 +138,14 @@ def _uniform_tie(
 
 
 def _skew_monotone(
-    fidelity: Fidelity, seed: int, _rel_tol: Optional[float] = None
+    session: Session,
+    fidelity: Fidelity,
+    seed: int,
+    _rel_tol: Optional[float] = None,
 ) -> ClaimResult:
     gains = []
     for pattern in ("skewed1", "skewed2", "skewed3"):
-        firefly = _peak_result("firefly", BW_SET_1, pattern, fidelity, seed)
-        dhet = _peak_result("dhetpnoc", BW_SET_1, pattern, fidelity, seed)
+        firefly, dhet = _peak_pair(session, BW_SET_1, pattern, fidelity, seed)
         gains.append(dhet.delivered_gbps / firefly.delivered_gbps - 1)
     passed = gains[0] < gains[1] < gains[2] and gains[2] > 0.1
     detail = ", ".join(f"{g * 100:+.1f}%" for g in gains)
@@ -140,10 +158,12 @@ def _skew_monotone(
 
 
 def _energy_direction(
-    fidelity: Fidelity, seed: int, _rel_tol: Optional[float] = None
+    session: Session,
+    fidelity: Fidelity,
+    seed: int,
+    _rel_tol: Optional[float] = None,
 ) -> ClaimResult:
-    firefly = _peak_result("firefly", BW_SET_1, "skewed3", fidelity, seed)
-    dhet = _peak_result("dhetpnoc", BW_SET_1, "skewed3", fidelity, seed)
+    firefly, dhet = _peak_pair(session, BW_SET_1, "skewed3", fidelity, seed)
     passed = dhet.energy_per_message_pj < firefly.energy_per_message_pj
     return ClaimResult(
         "d-HetPNoC dissipates less energy per message under skew",
@@ -155,7 +175,10 @@ def _energy_direction(
 
 
 def _knee_localization(
-    fidelity: Fidelity, seed: int, _rel_tol: Optional[float] = None
+    session: Session,
+    fidelity: Fidelity,
+    seed: int,
+    _rel_tol: Optional[float] = None,
 ) -> ClaimResult:
     """The fluid model must predict where d-HetPNoC actually saturates.
 
@@ -163,17 +186,13 @@ def _knee_localization(
     estimate) rather than the fixed grid, so the check also exercises
     the few-simulation localisation path end to end.
     """
-    from repro.experiments.runner import default_store
-    from repro.experiments.sweep import SweepExecutor, adaptive_knee_sweep
-
-    executor = SweepExecutor(store=default_store())
     ff = adaptive_knee_sweep(
         "firefly", BW_SET_1.index, "skewed3", fidelity,
-        executor=executor, seed=seed, resolution=0.1,
+        executor=session.executor, seed=seed, resolution=0.1,
     )
     dh = adaptive_knee_sweep(
         "dhetpnoc", BW_SET_1.index, "skewed3", fidelity,
-        executor=executor, seed=seed, resolution=0.1,
+        executor=session.executor, seed=seed, resolution=0.1,
     )
     if dh.analytic_knee_gbps is None or ff.analytic_knee_gbps is None:
         return ClaimResult(
@@ -196,12 +215,14 @@ def _knee_localization(
 
 
 def _case_studies_win(
-    fidelity: Fidelity, seed: int, _rel_tol: Optional[float] = None
+    session: Session,
+    fidelity: Fidelity,
+    seed: int,
+    _rel_tol: Optional[float] = None,
 ) -> ClaimResult:
     losses = []
     for pattern in ("skewed_hotspot2", "real_app"):
-        firefly = _peak_result("firefly", BW_SET_1, pattern, fidelity, seed)
-        dhet = _peak_result("dhetpnoc", BW_SET_1, pattern, fidelity, seed)
+        firefly, dhet = _peak_pair(session, BW_SET_1, pattern, fidelity, seed)
         if dhet.delivered_gbps <= firefly.delivered_gbps:
             losses.append(pattern)
     return ClaimResult(
@@ -262,9 +283,9 @@ HEADLINE_CLAIMS: List[ShapeClaim] = [
 
 
 def seed_spread_tolerance(
+    session: Session,
     fidelity: Fidelity,
     seeds: Sequence[int],
-    executor=None,
     pattern: str = "uniform",
 ) -> float:
     """Relative peak-bandwidth spread across seed replicates.
@@ -275,8 +296,6 @@ def seed_spread_tolerance(
     performance" claims: two architectures cannot be told apart more
     finely than one architecture varies across equivalent seeds.
     """
-    from repro.experiments.sweep import SweepExecutor, SweepSpec, replication_summary
-
     spec = SweepSpec(
         archs=("firefly", "dhetpnoc"),
         bw_set_indices=(BW_SET_1.index,),
@@ -284,7 +303,7 @@ def seed_spread_tolerance(
         seeds=tuple(seeds),
         fidelity=fidelity,
     )
-    rows = replication_summary(spec, executor or SweepExecutor())
+    rows = replication_summary(spec, session.executor)
     rels = [
         row.delivered_gbps.spread / row.delivered_gbps.mean
         for row in rows
@@ -297,50 +316,34 @@ def validate_all(
     fidelity: Fidelity = QUICK_FIDELITY,
     seed: int = 1,
     claims: Optional[List[ShapeClaim]] = None,
-    executor=None,
     rel_tol: Optional[float] = None,
     seeds: Optional[Sequence[int]] = None,
-    session=None,
+    session: Optional[Session] = None,
 ) -> List[ClaimResult]:
     """Run every headline claim; returns their results.
 
-    With a *session* (:class:`repro.api.Session`) or an *executor*
-    (a :class:`~repro.experiments.sweep.SweepExecutor` built over the
-    default store), every simulated point the dynamic claims declare
-    via ``ShapeClaim.patterns`` is fanned out through its worker pool
-    first, so the claim checks themselves are pure cache hits. The
-    claims read through the process-wide default store either way.
+    Every simulated point the dynamic claims declare via
+    ``ShapeClaim.patterns`` is first fanned out through *session* (a
+    private in-memory :class:`~repro.api.session.Session` when none is
+    given) in one batch, so ``workers > 1`` parallelises the whole
+    validation and the claim checks themselves are pure cache hits.
 
     ``rel_tol`` loosens the dynamic "identical performance" checks; when
     absent but *seeds* lists more than one seed, it is derived from the
     measured seed spread via :func:`seed_spread_tolerance` — replication
     uncertainty propagated into the pass/fail thresholds.
     """
-    if session is not None:
-        executor = session.executor
+    session = session or Session()
     active = claims if claims is not None else HEADLINE_CLAIMS
     if rel_tol is None and seeds is not None and len(seeds) > 1:
-        rel_tol = seed_spread_tolerance(fidelity, seeds, executor=executor)
+        rel_tol = seed_spread_tolerance(session, fidelity, seeds)
     patterns = []
     for claim in active:
         for pattern in claim.patterns:
             if pattern not in patterns:
                 patterns.append(pattern)
-    if executor is not None and patterns:
-        from repro.experiments.runner import default_store
-        from repro.experiments.sweep import SweepExecutor, SweepSpec
-
-        # The claims read through ``peak_result`` and therefore through
-        # the process-wide default store; a prefetch into any other
-        # store would simulate the grid twice. Rebuild the executor
-        # over the default store if needed, keeping its pool width.
-        if executor.store is not default_store():
-            executor = SweepExecutor(
-                workers=executor.workers,
-                store=default_store(),
-                config=executor.config,
-            )
-        executor.run(
+    if patterns:
+        session.executor.run(
             SweepSpec(
                 archs=("firefly", "dhetpnoc"),
                 bw_set_indices=(BW_SET_1.index,),
@@ -350,7 +353,7 @@ def validate_all(
                 derive_seeds=False,
             )
         )
-    return [claim.run(fidelity, seed, rel_tol) for claim in active]
+    return [claim.run(session, fidelity, seed, rel_tol) for claim in active]
 
 
 def render_validation(results: List[ClaimResult]) -> str:

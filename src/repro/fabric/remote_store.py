@@ -8,7 +8,7 @@ contribute to — the same content-hash store:
 ::
 
     store = open_store("127.0.0.1:7023", backend="remote")
-    session = open_session("127.0.0.1:7023", backend="remote")
+    session = Session("127.0.0.1:7023", backend="remote")
 
 Every operation is one request/reply exchange over a single persistent
 connection (``scan`` streams ``store_record`` frames closed by a

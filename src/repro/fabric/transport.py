@@ -159,6 +159,12 @@ class _TcpListener(Listener):
         return _TcpConnection(sock)
 
     def close(self) -> None:
+        # close() alone does not wake a thread already blocked in
+        # accept() on Linux; shutdown() does.
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._sock.close()
         except OSError:  # pragma: no cover - platform dependent

@@ -16,10 +16,10 @@ so it can be re-verified (:func:`verify_finding`), shrunk
 (``tools/fuzz_triage.py``) and finally curated into the scenario
 library as a plain loadable JSON script.
 
-All runs go through the same single-run core as every sweep
-(:func:`repro.experiments.runner._run_once` via the public session
-path), with the *same* seed per architecture — the workload is the
-controlled variable, the architecture is the treatment.
+All runs go through :meth:`repro.api.session.Session.run_one` (the
+same single-run core as every sweep), with the *same* seed per
+architecture — the workload is the controlled variable, the
+architecture is the treatment.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ def differential_point(
     of its first, but generated schedules should pass the exact
     ``total_cycles`` they were sampled for.
     """
-    from repro.experiments.runner import _run_once
+    from repro.api.session import Session
     from repro.traffic.bandwidth_sets import bandwidth_set_by_index
 
     if total_cycles is None:
@@ -142,11 +142,12 @@ def differential_point(
     fidelity = fuzz_fidelity(total_cycles, load_fraction)
     bw_set = bandwidth_set_by_index(bw_set_index)
     offered = load_fraction * bw_set.aggregate_gbps
+    session = Session()
     delivered: Dict[str, float] = {}
     latency: Dict[str, float] = {}
     epm: Dict[str, float] = {}
     for arch in archs:
-        result = _run_once(
+        result = session.run_one(
             arch, bw_set, pattern, offered,
             fidelity=fidelity, seed=seed, scenario=schedule.name,
         )

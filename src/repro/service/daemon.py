@@ -235,9 +235,7 @@ class ExperimentService(Coordinator):
                         "key": key,
                         "point": point_to_dict(point),
                         "fidelity": wire_fidelity,
-                        "config": config_to_dict(
-                            derive._config_for(point.bw_set_index)
-                        ),
+                        "config": config_to_dict(derive._config_for(point)),
                         "script": None if point.scenario is None else
                         derive._scenario_script(point.scenario, fidelity),
                     }

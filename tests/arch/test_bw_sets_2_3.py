@@ -5,42 +5,46 @@ claims at the larger wavelength budgets, plus the set-3-specific
 reservation-overhead behaviour (two-cycle reservation flits).
 """
 
+import functools
+
 import pytest
 
-from repro.experiments.runner import Fidelity, run_once
+from repro.api.session import Session
+from repro.experiments.runner import Fidelity
 from repro.traffic.bandwidth_sets import BW_SET_2, BW_SET_3
 
 FAST = Fidelity("test23", 1000, 150, (0.6,))
 SEED = 13
+run_one = functools.partial(Session().run_one)
 
 
 class TestBwSet2:
     def test_uniform_tie(self):
         offered = 0.6 * BW_SET_2.aggregate_gbps
-        firefly = run_once("firefly", BW_SET_2, "uniform", offered, FAST, SEED)
-        dhet = run_once("dhetpnoc", BW_SET_2, "uniform", offered, FAST, SEED)
+        firefly = run_one("firefly", BW_SET_2, "uniform", offered)
+        dhet = run_one("dhetpnoc", BW_SET_2, "uniform", offered)
         assert dhet.delivered_gbps == pytest.approx(
             firefly.delivered_gbps, rel=0.02
         )
 
     def test_skew_win(self):
         offered = 0.6 * BW_SET_2.aggregate_gbps
-        firefly = run_once("firefly", BW_SET_2, "skewed3", offered, FAST, SEED)
-        dhet = run_once("dhetpnoc", BW_SET_2, "skewed3", offered, FAST, SEED)
+        firefly = run_one("firefly", BW_SET_2, "skewed3", offered)
+        dhet = run_one("dhetpnoc", BW_SET_2, "skewed3", offered)
         assert dhet.delivered_gbps > firefly.delivered_gbps * 1.1
 
     def test_energy_direction(self):
         offered = 0.6 * BW_SET_2.aggregate_gbps
-        firefly = run_once("firefly", BW_SET_2, "skewed3", offered, FAST, SEED)
-        dhet = run_once("dhetpnoc", BW_SET_2, "skewed3", offered, FAST, SEED)
+        firefly = run_one("firefly", BW_SET_2, "skewed3", offered)
+        dhet = run_one("dhetpnoc", BW_SET_2, "skewed3", offered)
         assert dhet.energy_per_message_pj < firefly.energy_per_message_pj
 
 
 class TestBwSet3:
     def test_uniform_tie(self):
         offered = 0.6 * BW_SET_3.aggregate_gbps
-        firefly = run_once("firefly", BW_SET_3, "uniform", offered, FAST, SEED)
-        dhet = run_once("dhetpnoc", BW_SET_3, "uniform", offered, FAST, SEED)
+        firefly = run_one("firefly", BW_SET_3, "uniform", offered)
+        dhet = run_one("dhetpnoc", BW_SET_3, "uniform", offered)
         # Set 3's two-cycle reservation costs d-HetPNoC slightly more here
         # ("slightly additional timing overhead", thesis 3.4.1.1).
         assert dhet.delivered_gbps == pytest.approx(
@@ -49,16 +53,16 @@ class TestBwSet3:
 
     def test_skew_win(self):
         offered = 0.6 * BW_SET_3.aggregate_gbps
-        firefly = run_once("firefly", BW_SET_3, "skewed3", offered, FAST, SEED)
-        dhet = run_once("dhetpnoc", BW_SET_3, "skewed3", offered, FAST, SEED)
+        firefly = run_one("firefly", BW_SET_3, "skewed3", offered)
+        dhet = run_one("dhetpnoc", BW_SET_3, "skewed3", offered)
         assert dhet.delivered_gbps > firefly.delivered_gbps * 1.1
 
     def test_cross_set_scaling(self):
         """Peak delivery grows strongly from set 2 to set 3 (fig. 3-7)."""
-        d2 = run_once("dhetpnoc", BW_SET_2, "skewed3",
-                      0.6 * BW_SET_2.aggregate_gbps, FAST, SEED)
-        d3 = run_once("dhetpnoc", BW_SET_3, "skewed3",
-                      0.6 * BW_SET_3.aggregate_gbps, FAST, SEED)
+        d2 = run_one("dhetpnoc", BW_SET_2, "skewed3",
+                     0.6 * BW_SET_2.aggregate_gbps)
+        d3 = run_one("dhetpnoc", BW_SET_3, "skewed3",
+                     0.6 * BW_SET_3.aggregate_gbps)
         assert d3.delivered_gbps > 1.4 * d2.delivered_gbps
 
     def test_set3_reservation_two_cycles_live(self):

@@ -157,12 +157,13 @@ class TestFaultStormScenario:
     through a full simulated run (the scenarios subsystem's fault path)."""
 
     def test_library_storm_fires_every_event(self):
-        from repro.experiments.runner import Fidelity, run_once
+        from repro.api.session import Session
+        from repro.experiments.runner import Fidelity
         from repro.traffic.bandwidth_sets import BW_SET_1
 
         tiny = Fidelity("tiny-storm", 700, 100, (0.5,))
-        storm = run_once("dhetpnoc", BW_SET_1, "skewed3", 480.0,
-                         fidelity=tiny, seed=9, scenario="fault_storm")
+        storm = Session().run_one("dhetpnoc", BW_SET_1, "skewed3", 480.0,
+                                  fidelity=tiny, seed=9, scenario="fault_storm")
         # All five scripted events land in the storm phase; none early.
         assert storm.phases[0].faults_fired == 0
         assert sum(p.faults_fired for p in storm.phases) == 5

@@ -8,7 +8,8 @@ and conservation/determinism invariants.
 
 import pytest
 
-from repro.experiments.runner import Fidelity, run_once
+from repro.api.session import Session
+from repro.experiments.runner import Fidelity
 from repro.sim.rng import RandomStreams
 from repro.sim.engine import Simulator
 from repro.arch.config import SystemConfig
@@ -20,10 +21,13 @@ from repro.traffic.patterns import pattern_by_name
 
 FAST = Fidelity("test", 1200, 200, (0.6,))
 SEED = 11
+run_one = Session().run_one
 
 
 def run(arch, pattern, offered_gbps=480.0, fidelity=FAST, seed=SEED):
-    return run_once(arch, BW_SET_1, pattern, offered_gbps, fidelity, seed)
+    return run_one(
+        arch, BW_SET_1, pattern, offered_gbps, fidelity=fidelity, seed=seed
+    )
 
 
 class TestUniformEquality:

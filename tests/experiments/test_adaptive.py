@@ -4,18 +4,13 @@ The contract: the bisection search must land on the same knee a dense
 fixed grid would find (within one resolution step), spend measurably
 fewer simulations doing it, stay bitwise identical across worker
 counts, and cost zero simulations on resume — the same guarantees the
-grid sweeps give, at a fraction of the ``run_once`` budget.
+grid sweeps give, at a fraction of the simulation budget.
 """
 
 import pytest
 
-from repro.experiments.runner import (
-    Fidelity,
-    QUICK_FIDELITY,
-    adaptive_peak_result,
-    clear_peak_cache,
-    peak_result,
-)
+from repro.api import ExperimentSpec, Session
+from repro.experiments.runner import Fidelity, QUICK_FIDELITY
 from repro.experiments.store import ResultStore
 from repro.experiments.sweep import (
     SweepExecutor,
@@ -177,22 +172,18 @@ class TestEstimateShape:
 class TestQuickFidelityGoldenAcceptance:
     """Acceptance criterion, verbatim: adaptive localizes the
     quick-fidelity golden knee to within one grid step of the
-    fixed-grid result, with fewer ``run_once`` calls, bitwise identical
+    fixed-grid result, with fewer simulations, bitwise identical
     serial vs parallel."""
 
     def test_adaptive_peak_near_golden_grid_peak(self):
-        clear_peak_cache()
-        try:
-            grid_peak = peak_result(
-                "dhetpnoc", BW_SET_1, "skewed3", QUICK_FIDELITY, seed=1
-            )
-            clear_peak_cache()
-            adaptive_peak = adaptive_peak_result(
-                "dhetpnoc", BW_SET_1, "skewed3", QUICK_FIDELITY, seed=1,
-                resolution=0.1,
-            )
-        finally:
-            clear_peak_cache()
+        curve = dict(
+            archs=("dhetpnoc",), bw_sets=(1,), patterns=("skewed3",),
+            seeds=(1,), fidelity=QUICK_FIDELITY, derive_seeds=False,
+        )
+        (grid_peak,) = Session().peaks(ExperimentSpec(**curve)).values()
+        (adaptive_peak,) = Session().peaks(
+            ExperimentSpec(**curve, mode="adaptive", resolution=0.1)
+        ).values()
         # One quick-grid step: the grid's largest fraction gap.
         fractions = sorted(QUICK_FIDELITY.load_fractions)
         step = max(

@@ -4,8 +4,7 @@ Covers the three acceptance surfaces of the API redesign:
 
 * ``ExperimentSpec`` serialisation: dict -> spec -> dict identity and
   the JSON file round-trip the CLI ``run --spec`` path rides on;
-* ``Session`` vs the legacy free-function shims: bitwise-equal results
-  and shared store keys, with the shims emitting ``DeprecationWarning``;
+* ``Session`` execution: store resume and adaptive-spec dispatch;
 * registry semantics: registration, override, unknown-name errors, and
   end-to-end use of a freshly registered architecture.
 """
@@ -16,14 +15,7 @@ import warnings
 import pytest
 
 from repro.api import ExperimentSpec, Registry, RegistryError, Session, registry
-from repro.experiments.runner import (
-    Fidelity,
-    QUICK_FIDELITY,
-    clear_peak_cache,
-    peak_result,
-    run_once,
-    saturation_sweep,
-)
+from repro.experiments.runner import Fidelity, QUICK_FIDELITY
 from repro.traffic.bandwidth_sets import BW_SET_1
 
 TINY = Fidelity("tiny", 700, 100, (0.3, 0.8))
@@ -118,37 +110,7 @@ class TestExperimentSpec:
 
 
 class TestSessionVsLegacyShims:
-    """The legacy free functions and the Session produce bitwise-equal
-    results (and the shims warn)."""
-
-    def test_run_matches_saturation_sweep_bitwise(self):
-        clear_peak_cache()
-        with pytest.warns(DeprecationWarning):
-            legacy = saturation_sweep("firefly", BW_SET_1, "uniform", TINY, seed=5)
-        with Session() as session:
-            assert session.run(tiny_spec()) == legacy
-        clear_peak_cache()
-
-    def test_peaks_matches_peak_result_bitwise(self):
-        clear_peak_cache()
-        with pytest.warns(DeprecationWarning):
-            legacy = peak_result("dhetpnoc", BW_SET_1, "skewed3", TINY, seed=5)
-        spec = tiny_spec(archs=("dhetpnoc",), patterns=("skewed3",))
-        with Session() as session:
-            peak = session.peaks(spec)[("dhetpnoc", 1, "skewed3", None, 5)]
-        assert peak == legacy
-        clear_peak_cache()
-
-    def test_run_one_matches_run_once_bitwise(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = run_once("dhetpnoc", BW_SET_1, "skewed2", 300.0, TINY, seed=9)
-        assert Session().run_one(
-            "dhetpnoc", BW_SET_1, "skewed2", 300.0, fidelity=TINY, seed=9
-        ) == legacy
-        # bw_set is also addressable by registry index.
-        assert Session().run_one(
-            "dhetpnoc", 1, "skewed2", 300.0, fidelity=TINY, seed=9
-        ) == legacy
+    """Session execution: store resume and adaptive-spec dispatch."""
 
     def test_session_store_is_resumable(self, tmp_path):
         path = str(tmp_path / "store.jsonl")
@@ -192,9 +154,7 @@ class TestCliSpecEquivalence:
 
     def test_spec_and_sweep_share_store_keys(self, tmp_path, capsys):
         from repro.experiments.cli import main
-        from repro.experiments.runner import default_store, set_default_store
 
-        prev = default_store()
         registry.fidelities.register("tiny", TINY)
         try:
             store = str(tmp_path / "store.jsonl")
@@ -230,7 +190,6 @@ class TestCliSpecEquivalence:
             assert rows(second) == rows(first)
         finally:
             registry.fidelities.unregister("tiny")
-            set_default_store(prev)
 
     def test_bad_spec_file_is_a_clean_error(self, tmp_path, capsys):
         from repro.experiments.cli import main

@@ -3,15 +3,6 @@
 import pytest
 
 from repro.experiments.cli import build_parser, main
-from repro.experiments.runner import default_store, set_default_store
-
-
-@pytest.fixture(autouse=True)
-def _restore_default_store():
-    """``--store`` swaps the process-wide store; put it back after."""
-    prev = default_store()
-    yield
-    set_default_store(prev)
 
 
 class TestParser:

@@ -4,14 +4,15 @@ The fast path's whole claim is that skipped work is provably no-op, so
 every measured quantity must come out *bitwise identical* to the naive
 reference loop — same RNG draws, same latencies, same energy. These
 tests run the same configurations under both loops (selected via the
-``REPRO_ENGINE_NAIVE`` environment variable, which ``_run_once`` reads
-when it constructs its ``Simulator``) and compare full ``RunResult``
+``REPRO_ENGINE_NAIVE`` environment variable, which the single-run core
+reads when it constructs its ``Simulator``) and compare full ``RunResult``
 records with ``==``.
 """
 
 import pytest
 
-from repro.experiments.runner import Fidelity, _run_once
+from repro.api.session import Session
+from repro.experiments.runner import Fidelity
 from repro.sim.engine import NAIVE_ENGINE_ENV
 from repro.traffic.bandwidth_sets import BW_SET_1
 
@@ -43,8 +44,8 @@ CASES = [
 
 def run_case(monkeypatch, naive, arch, pattern, offered, scenario):
     monkeypatch.setenv(NAIVE_ENGINE_ENV, "1" if naive else "0")
-    return _run_once(arch, BW_SET_1, pattern, offered, FIDELITY,
-                     seed=1, scenario=scenario)
+    return Session().run_one(arch, BW_SET_1, pattern, offered,
+                             fidelity=FIDELITY, seed=1, scenario=scenario)
 
 
 @pytest.mark.parametrize("arch,pattern,offered,scenario", CASES)

@@ -22,17 +22,17 @@ from repro.experiments.figures import (
     table_3_4,
     table_3_5,
 )
-from repro.experiments.runner import Fidelity, clear_peak_cache
+from repro.api.session import Session
+from repro.experiments.runner import Fidelity
 from repro.traffic.bandwidth_sets import BW_SET_1
 
 TINY = Fidelity("tiny", 900, 150, (0.5, 0.9))
 
 
-@pytest.fixture(autouse=True, scope="module")
-def _fresh_cache():
-    clear_peak_cache()
-    yield
-    clear_peak_cache()
+@pytest.fixture(scope="module")
+def session():
+    """One shared tiny-fidelity dataset for the simulated exhibits."""
+    return Session()
 
 
 class TestStaticTables:
@@ -81,47 +81,46 @@ class TestFigure36:
 
 
 class TestSimulatedFigures:
-    """One shared tiny-fidelity dataset for the simulated exhibits."""
-
-    def test_figure_3_3_executor_matches_serial(self):
+    def test_figure_3_3_executor_matches_serial(self, session):
         """The parallel prefetch path must reproduce the serial rows."""
-        from repro.experiments.sweep import SweepExecutor
-
         kwargs = dict(fidelity=TINY, seed=3, bw_sets=[BW_SET_1],
                       patterns=("uniform", "skewed3"))
-        serial = figure_3_3(**kwargs)
-        parallel = figure_3_3(**kwargs, executor=SweepExecutor(workers=2))
+        serial = figure_3_3(**kwargs, session=session)
+        with Session(workers=2) as pooled:
+            parallel = figure_3_3(**kwargs, session=pooled)
         assert parallel.rows == serial.rows
 
-    def test_figure_3_3_customised_bw_set_not_rehydrated(self):
-        """Regression: a customised BandwidthSet handed to the executor
-        path must be simulated as passed, not swapped for the canonical
-        set sharing its index."""
+    def test_figure_3_3_customised_bw_set_not_rehydrated(self, session):
+        """Regression: a customised BandwidthSet handed to an exhibit
+        must be simulated as passed, not swapped for the canonical set
+        sharing its index."""
         import dataclasses
-
-        from repro.experiments.sweep import SweepExecutor
 
         custom = dataclasses.replace(BW_SET_1, total_wavelengths=128)
         kwargs = dict(fidelity=TINY, seed=3, bw_sets=[custom],
                       patterns=("uniform",))
-        serial = figure_3_3(**kwargs)
-        parallel = figure_3_3(**kwargs, executor=SweepExecutor(workers=2))
+        serial = figure_3_3(**kwargs, session=session)
+        with Session(workers=2) as pooled:
+            parallel = figure_3_3(**kwargs, session=pooled)
         assert parallel.rows == serial.rows
+        canonical = figure_3_3(**{**kwargs, "bw_sets": [BW_SET_1]},
+                               session=session)
+        assert serial.column("Firefly") != canonical.column("Firefly")
 
-    def test_figure_3_3_shape(self):
+    def test_figure_3_3_shape(self, session):
         result = figure_3_3(fidelity=TINY, seed=3, bw_sets=[BW_SET_1],
-                            patterns=("uniform", "skewed3"))
+                            patterns=("uniform", "skewed3"), session=session)
         gains = dict(zip(result.column("pattern"), result.column("gain %")))
         assert abs(gains["uniform"]) < 5.0  # near-tie under uniform
         assert gains["skewed3"] > 10.0      # clear win under skew
 
-    def test_figure_3_3_replicated_emits_spread_columns(self):
+    def test_figure_3_3_replicated_emits_spread_columns(self, session):
         """Replicated peaks carry their +/- std instead of dropping it."""
         from repro.experiments.figures import figure_3_3_replicated
 
         result = figure_3_3_replicated(
             fidelity=TINY, seed=3, bw_sets=[BW_SET_1],
-            patterns=("skewed3",), n_seeds=2,
+            patterns=("skewed3",), n_seeds=2, session=session,
         )
         (row,) = result.rows
         # Distinct derived seeds make exact metric ties vanishingly
@@ -129,32 +128,33 @@ class TestSimulatedFigures:
         assert "+/-" in row[2] and "+/-" in row[3]
         assert row[4] > 10.0  # the skewed-3 gain survives averaging
 
-    def test_figure_3_3_replicated_deterministic_across_workers(self):
+    def test_figure_3_3_replicated_deterministic_across_workers(
+        self, session
+    ):
         from repro.experiments.figures import figure_3_3_replicated
-        from repro.experiments.sweep import SweepExecutor
 
         kwargs = dict(fidelity=TINY, seed=3, bw_sets=[BW_SET_1],
                       patterns=("uniform",), n_seeds=2)
-        serial = figure_3_3_replicated(**kwargs)
-        with SweepExecutor(workers=2) as executor:
-            parallel = figure_3_3_replicated(**kwargs, executor=executor)
+        serial = figure_3_3_replicated(**kwargs, session=session)
+        with Session(workers=2) as pooled:
+            parallel = figure_3_3_replicated(**kwargs, session=pooled)
         assert parallel.rows == serial.rows
 
-    def test_figure_3_4_shape(self):
+    def test_figure_3_4_shape(self, session):
         result = figure_3_4(fidelity=TINY, seed=3, bw_sets=[BW_SET_1],
-                            patterns=("uniform", "skewed3"))
+                            patterns=("uniform", "skewed3"), session=session)
         changes = dict(zip(result.column("pattern"), result.column("change %")))
         assert changes["skewed3"] < 0  # d-HetPNoC cheaper under skew
 
-    def test_figure_3_8_bandwidth_scales_with_wavelengths(self):
-        result = figure_3_8(fidelity=TINY, seed=3)
+    def test_figure_3_8_bandwidth_scales_with_wavelengths(self, session):
+        result = figure_3_8(fidelity=TINY, seed=3, session=session)
         peaks = result.column("peak Gb/s")
         assert peaks[-1] > 3 * peaks[0]
         areas = result.column("area mm^2")
         assert areas == sorted(areas)
 
-    def test_figure_3_9_epm_trend(self):
-        result = figure_3_9(fidelity=TINY, seed=3)
+    def test_figure_3_9_epm_trend(self, session):
+        result = figure_3_9(fidelity=TINY, seed=3, session=session)
         epms = result.column("EPM pJ")
         # Thesis: packet energy decreases slightly as wavelengths scale.
         assert epms[-1] < epms[0] * 1.2
@@ -163,11 +163,9 @@ class TestSimulatedFigures:
 class TestSaturationKnees:
     def test_knee_exhibit_shape(self):
         from repro.experiments.figures import saturation_knees
-        from repro.experiments.sweep import SweepExecutor
 
         result = saturation_knees(
             fidelity=TINY, seed=3, patterns=("skewed3",),
-            executor=SweepExecutor(),
         )
         assert len(result.rows) == 2  # one row per architecture
         by_arch = {row[1]: row for row in result.rows}

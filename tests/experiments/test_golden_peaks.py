@@ -29,8 +29,21 @@ import os
 import pytest
 
 from repro.api import ExperimentSpec, Session
-from repro.experiments.runner import PAPER_FIDELITY, QUICK_FIDELITY, peak_result
+from repro.experiments.runner import PAPER_FIDELITY, QUICK_FIDELITY, peak_of
 from repro.traffic.bandwidth_sets import BW_SET_1
+
+
+@pytest.fixture(scope="module")
+def session():
+    """The stationary goldens and the shape check share their points."""
+    return Session()
+
+
+def golden_peak(session, arch, fidelity):
+    """Saturation peak of (arch, BW set 1, skewed3, seed 1 verbatim)."""
+    return peak_of(
+        session.executor.sweep_curve(arch, BW_SET_1, "skewed3", fidelity, seed=1)
+    )
 
 #: Tolerance for incidental drift (float reassociation, refactors that
 #: preserve physics). Real behaviour changes land far outside this.
@@ -45,9 +58,9 @@ GOLDEN_QUICK = {
 
 
 @pytest.mark.parametrize("arch", sorted(GOLDEN_QUICK))
-def test_quick_fidelity_peaks_match_golden(arch):
+def test_quick_fidelity_peaks_match_golden(arch, session):
     golden_bw, golden_epm, golden_offered = GOLDEN_QUICK[arch]
-    peak = peak_result(arch, BW_SET_1, "skewed3", QUICK_FIDELITY, seed=1)
+    peak = golden_peak(session, arch, QUICK_FIDELITY)
     assert peak.delivered_gbps == pytest.approx(golden_bw, rel=REL_TOL)
     assert peak.energy_per_message_pj == pytest.approx(golden_epm, rel=REL_TOL)
     assert peak.offered_gbps == pytest.approx(golden_offered, rel=REL_TOL)
@@ -94,11 +107,11 @@ def test_scenario_goldens_keep_the_thesis_shape():
         assert dh[1] < ff[1]
 
 
-def test_golden_gap_is_the_thesis_shape():
+def test_golden_gap_is_the_thesis_shape(session):
     """The pinned pair must keep the thesis's qualitative claim: a clear
     d-HetPNoC bandwidth win and energy advantage under skewed 3."""
-    ff = peak_result("firefly", BW_SET_1, "skewed3", QUICK_FIDELITY, seed=1)
-    dh = peak_result("dhetpnoc", BW_SET_1, "skewed3", QUICK_FIDELITY, seed=1)
+    ff = golden_peak(session, "firefly", QUICK_FIDELITY)
+    dh = golden_peak(session, "dhetpnoc", QUICK_FIDELITY)
     assert dh.delivered_gbps > 1.1 * ff.delivered_gbps
     assert dh.energy_per_message_pj < ff.energy_per_message_pj
 
@@ -108,12 +121,12 @@ def test_golden_gap_is_the_thesis_shape():
     os.environ.get("REPRO_FIDELITY") != "paper",
     reason="paper-fidelity lane only (set REPRO_FIDELITY=paper)",
 )
-def test_paper_fidelity_peaks_keep_the_shape():
+def test_paper_fidelity_peaks_keep_the_shape(session):
     """Full table 3-3 schedule (10k cycles, dense sweep): the win must
     hold at paper fidelity too. Marked ``slow``; runs in the
     ``REPRO_FIDELITY=paper`` nightly lane, not in tier-1 CI.
     """
-    ff = peak_result("firefly", BW_SET_1, "skewed3", PAPER_FIDELITY, seed=1)
-    dh = peak_result("dhetpnoc", BW_SET_1, "skewed3", PAPER_FIDELITY, seed=1)
+    ff = golden_peak(session, "firefly", PAPER_FIDELITY)
+    dh = golden_peak(session, "dhetpnoc", PAPER_FIDELITY)
     assert dh.delivered_gbps > ff.delivered_gbps
     assert dh.energy_per_message_pj < ff.energy_per_message_pj

@@ -3,20 +3,19 @@
 
 import pytest
 
+from repro.api.session import Session
 from repro.experiments.runner import (
     Fidelity,
     PAPER_FIDELITY,
     QUICK_FIDELITY,
-    clear_peak_cache,
     fidelity_from_env,
     peak_of,
-    peak_result,
-    run_once,
-    saturation_sweep,
 )
 from repro.traffic.bandwidth_sets import BW_SET_1
 
 TINY = Fidelity("tiny", 700, 100, (0.3, 0.8))
+
+run_one = Session().run_one
 
 
 class TestFidelity:
@@ -41,7 +40,7 @@ class TestFidelity:
 
 class TestRunOnce:
     def test_result_fields(self):
-        result = run_once("firefly", BW_SET_1, "uniform", 300.0, TINY, seed=5)
+        result = run_one("firefly", BW_SET_1, "uniform", 300.0, fidelity=TINY, seed=5)
         assert result.arch == "firefly"
         assert result.pattern == "uniform"
         assert result.bw_set_index == 1
@@ -51,15 +50,17 @@ class TestRunOnce:
 
     def test_unknown_arch_rejected(self):
         with pytest.raises(ValueError):
-            run_once("tokenring", BW_SET_1, "uniform", 100.0, TINY)
+            run_one("tokenring", BW_SET_1, "uniform", 100.0, fidelity=TINY)
 
     def test_reproducible(self):
-        a = run_once("dhetpnoc", BW_SET_1, "skewed2", 300.0, TINY, seed=9)
-        b = run_once("dhetpnoc", BW_SET_1, "skewed2", 300.0, TINY, seed=9)
+        a = run_one("dhetpnoc", BW_SET_1, "skewed2", 300.0, fidelity=TINY, seed=9)
+        b = run_one("dhetpnoc", BW_SET_1, "skewed2", 300.0, fidelity=TINY, seed=9)
         assert a == b
+        # bw_set is also addressable by registry index.
+        assert run_one("dhetpnoc", 1, "skewed2", 300.0, fidelity=TINY, seed=9) == a
 
     def test_delivered_fraction(self):
-        result = run_once("firefly", BW_SET_1, "uniform", 200.0, TINY, seed=5)
+        result = run_one("firefly", BW_SET_1, "uniform", 200.0, fidelity=TINY, seed=5)
         assert result.delivered_fraction == pytest.approx(
             result.delivered_gbps / 200.0
         )
@@ -67,13 +68,17 @@ class TestRunOnce:
 
 class TestSweep:
     def test_sweep_covers_grid(self):
-        results = saturation_sweep("firefly", BW_SET_1, "uniform", TINY, seed=5)
+        results = Session().executor.sweep_curve(
+            "firefly", BW_SET_1, "uniform", TINY, seed=5
+        )
         assert len(results) == len(TINY.load_fractions)
         offered = [r.offered_gbps for r in results]
         assert offered == sorted(offered)
 
     def test_peak_of_picks_max(self):
-        results = saturation_sweep("firefly", BW_SET_1, "skewed3", TINY, seed=5)
+        results = Session().executor.sweep_curve(
+            "firefly", BW_SET_1, "skewed3", TINY, seed=5
+        )
         peak = peak_of(results)
         assert peak.delivered_gbps == max(r.delivered_gbps for r in results)
 
@@ -82,27 +87,25 @@ class TestSweep:
             peak_of([])
 
     def test_peak_cache_hits(self):
-        clear_peak_cache()
-        first = peak_result("firefly", BW_SET_1, "uniform", TINY, seed=5)
-        second = peak_result("firefly", BW_SET_1, "uniform", TINY, seed=5)
+        sweep = Session().executor.sweep_curve
+        first = peak_of(sweep("firefly", BW_SET_1, "uniform", TINY, seed=5))
+        second = peak_of(sweep("firefly", BW_SET_1, "uniform", TINY, seed=5))
         assert first is second
-        clear_peak_cache()
 
     def test_same_fidelity_name_different_schedule_no_collision(self):
         """Regression: the old ``_PEAK_CACHE`` keyed on ``fidelity.name``
         only, so two fidelities sharing a name but differing in cycles
         silently returned each other's results. The content-hash store
         must keep them apart."""
-        clear_peak_cache()
+        sweep = Session().executor.sweep_curve
         short = Fidelity("clash", 700, 100, (0.3, 0.8))
         longer = Fidelity("clash", 1400, 100, (0.3, 0.8))
-        a = peak_result("firefly", BW_SET_1, "uniform", short, seed=5)
-        b = peak_result("firefly", BW_SET_1, "uniform", longer, seed=5)
+        a = peak_of(sweep("firefly", BW_SET_1, "uniform", short, seed=5))
+        b = peak_of(sweep("firefly", BW_SET_1, "uniform", longer, seed=5))
         assert a != b  # twice the cycles cannot yield identical metrics
         # And each identity stays individually cached.
-        assert peak_result("firefly", BW_SET_1, "uniform", short, seed=5) == a
-        assert peak_result("firefly", BW_SET_1, "uniform", longer, seed=5) == b
-        clear_peak_cache()
+        assert peak_of(sweep("firefly", BW_SET_1, "uniform", short, seed=5)) is a
+        assert peak_of(sweep("firefly", BW_SET_1, "uniform", longer, seed=5)) is b
 
     def test_customised_bw_set_is_simulated_as_passed(self):
         """Regression: the executor path must not rehydrate the canonical
@@ -110,44 +113,45 @@ class TestSweep:
         drive the offered-load grid."""
         import dataclasses
 
-        clear_peak_cache()
+        sweep = Session().executor.sweep_curve
         custom = dataclasses.replace(BW_SET_1, total_wavelengths=128)
-        results = saturation_sweep("firefly", custom, "uniform", TINY, seed=5)
+        results = sweep("firefly", custom, "uniform", TINY, seed=5)
         assert [r.offered_gbps for r in results] == pytest.approx(
             [f * custom.aggregate_gbps for f in TINY.load_fractions]
         )
+        assert all(r.lit_wavelengths == 128 for r in results)
         # And it must not collide with the canonical set's cache entries.
-        canonical = saturation_sweep("firefly", BW_SET_1, "uniform", TINY, seed=5)
+        canonical = sweep("firefly", BW_SET_1, "uniform", TINY, seed=5)
         assert canonical[0].offered_gbps != results[0].offered_gbps
-        clear_peak_cache()
+        assert all(r.lit_wavelengths == 64 for r in canonical)
 
     def test_explicit_config_keeps_bw_set_argument(self):
         """Regression: with an explicit config whose (default) bandwidth
         set differs from the ``bw_set`` argument, the sweep must bind
-        traffic to the argument — exactly what ``run_once`` does — not
+        traffic to the argument — exactly what ``run_one`` does — not
         to ``config.bw_set``."""
         from repro.arch.config import SystemConfig
         from repro.traffic.bandwidth_sets import BW_SET_2
 
-        clear_peak_cache()
         config = SystemConfig(n_vcs=8)  # default bw_set is BW_SET_1
-        swept = saturation_sweep(
-            "firefly", BW_SET_2, "uniform", TINY, seed=5, config=config
+        swept = Session(config=config).executor.sweep_curve(
+            "firefly", BW_SET_2, "uniform", TINY, seed=5
         )
         direct = [
-            run_once("firefly", BW_SET_2, "uniform", f * BW_SET_2.aggregate_gbps,
-                     TINY, seed=5, config=config)
+            run_one("firefly", BW_SET_2, "uniform", f * BW_SET_2.aggregate_gbps,
+                    fidelity=TINY, seed=5, config=config)
             for f in TINY.load_fractions
         ]
         assert swept == direct
         assert all(r.bw_set_index == 2 for r in swept)
-        clear_peak_cache()
 
     def test_parallel_sweep_matches_serial(self):
-        serial = saturation_sweep("firefly", BW_SET_1, "uniform", TINY, seed=5)
-        clear_peak_cache()  # force the parallel path to re-simulate
-        parallel = saturation_sweep(
-            "firefly", BW_SET_1, "uniform", TINY, seed=5, workers=4
+        serial = Session().executor.sweep_curve(
+            "firefly", BW_SET_1, "uniform", TINY, seed=5
         )
+        with Session(workers=4) as session:  # own store: re-simulates
+            parallel = session.executor.sweep_curve(
+                "firefly", BW_SET_1, "uniform", TINY, seed=5
+            )
+            assert session.executed_count == len(TINY.load_fractions)
         assert serial == parallel
-        clear_peak_cache()

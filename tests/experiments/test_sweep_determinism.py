@@ -11,7 +11,7 @@ to keep.
 import pytest
 
 import repro.experiments.sweep as sweep_mod
-from repro.experiments.runner import Fidelity, QUICK_FIDELITY, saturation_sweep
+from repro.experiments.runner import Fidelity, QUICK_FIDELITY
 from repro.experiments.store import ResultStore
 from repro.experiments.sweep import (
     SweepExecutor,
@@ -117,8 +117,10 @@ class TestSerialParallelIdentity:
             seeds=(9,), fidelity=TINY, derive_seeds=False,
         )
         parallel = SweepExecutor(workers=4).run(spec)
-        legacy = saturation_sweep("dhetpnoc", BW_SET_1, "skewed2", TINY, seed=9)
-        assert parallel == legacy
+        curve = SweepExecutor().sweep_curve(
+            "dhetpnoc", BW_SET_1, "skewed2", TINY, seed=9
+        )
+        assert parallel == curve
 
     def test_result_order_follows_spec_order(self):
         points = SPEC.expand()
@@ -177,7 +179,7 @@ class TestResumeExecutesNothing:
         def explode(*_args, **_kwargs):
             raise AssertionError("cache hit must not re-simulate")
 
-        monkeypatch.setattr(sweep_mod, "run_once", explode)
+        monkeypatch.setattr(sweep_mod, "_run_once", explode)
         replay = SweepExecutor(workers=1, store=ResultStore(path)).run(SPEC)
         assert len(replay) == SPEC.n_points()
 

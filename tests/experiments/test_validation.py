@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.runner import Fidelity, clear_peak_cache
+from repro.experiments.runner import Fidelity
 from repro.experiments.validation import (
     HEADLINE_CLAIMS,
     ClaimResult,
@@ -15,10 +15,7 @@ TINY = Fidelity("tiny-validate", 900, 150, (0.5, 0.9))
 
 @pytest.fixture(scope="module")
 def results():
-    clear_peak_cache()
-    out = validate_all(TINY, seed=3)
-    clear_peak_cache()
-    return out
+    return validate_all(TINY, seed=3)
 
 
 class TestValidation:

@@ -12,9 +12,12 @@ from repro.analysis.saturation import (
     channel_shares,
 )
 from repro.arch.config import SystemConfig
-from repro.experiments.runner import Fidelity, run_once
+from repro.api.session import Session
+from repro.experiments.runner import Fidelity
 from repro.traffic.bandwidth_sets import BW_SET_1
 from repro.traffic.patterns import SkewedTraffic, UniformRandomTraffic
+
+run_one = Session().run_one
 
 
 def bound(pattern, seed=11):
@@ -111,8 +114,8 @@ class TestCrossValidation:
         model = SaturationModel(arch, pattern, config)
         offered = 0.6 * BW_SET_1.aggregate_gbps  # 480 Gb/s
         predicted = model.delivered_gbps(offered)
-        simulated = run_once(
-            arch, BW_SET_1, "skewed3", offered, self.FIDELITY, seed=11
+        simulated = run_one(
+            arch, BW_SET_1, "skewed3", offered, fidelity=self.FIDELITY, seed=11
         ).delivered_gbps
         assert simulated == pytest.approx(predicted, rel=0.35)
 
@@ -122,8 +125,11 @@ class TestCrossValidation:
             SaturationModel("dhetpnoc", pattern, config).delivered_gbps(480.0)
             / SaturationModel("firefly", pattern, config).delivered_gbps(480.0)
         )
-        f = run_once("firefly", BW_SET_1, "skewed3", 480.0, self.FIDELITY, 11)
-        d = run_once("dhetpnoc", BW_SET_1, "skewed3", 480.0, self.FIDELITY, 11)
+        f, d = (
+            run_one(arch, BW_SET_1, "skewed3", 480.0,
+                    fidelity=self.FIDELITY, seed=11)
+            for arch in ("firefly", "dhetpnoc")
+        )
         simulated_ratio = d.delivered_gbps / f.delivered_gbps
         assert predicted_ratio > 1.0
         assert simulated_ratio > 1.0

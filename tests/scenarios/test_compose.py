@@ -10,7 +10,8 @@ import random
 
 import pytest
 
-from repro.experiments.runner import Fidelity, _run_once
+from repro.api.session import Session
+from repro.experiments.runner import Fidelity
 from repro.scenarios.compose import overlay, sequence
 from repro.scenarios.library import build_scenario
 from repro.scenarios.schedule import (
@@ -27,6 +28,7 @@ from repro.scenarios.schedule import (
 from repro.traffic.bandwidth_sets import BW_SET_1
 
 TINY = Fidelity("tiny-compose", 700, 100, (0.3, 0.8))
+run_one = Session().run_one
 
 
 class TestCompositeModulators:
@@ -163,8 +165,8 @@ class TestOverlay:
         assert make().fingerprint() == make().fingerprint()
 
     def test_composed_scenario_runs_end_to_end(self):
-        result = _run_once("dhetpnoc", BW_SET_1, "skewed3", 400.0, TINY,
-                           seed=5, scenario="storm_over_diurnal")
+        result = run_one("dhetpnoc", BW_SET_1, "skewed3", 400.0, fidelity=TINY,
+                         seed=5, scenario="storm_over_diurnal")
         assert len(result.phases) == 2
         assert sum(p.faults_fired for p in result.phases) > 0
         assert result.packets_delivered > 0

@@ -12,7 +12,8 @@ The acceptance criteria covered here:
 import pytest
 
 from repro.arch.config import SystemConfig
-from repro.experiments.runner import Fidelity, _run_once, build_arch
+from repro.api.session import Session
+from repro.experiments.runner import Fidelity, build_arch
 from repro.scenarios.player import ScenarioPlayer, initial_pattern
 from repro.scenarios.schedule import (
     FeedbackRule,
@@ -25,6 +26,7 @@ from repro.sim.rng import RandomStreams
 from repro.traffic.bandwidth_sets import BW_SET_1
 
 TINY = Fidelity("tiny-feedback", 700, 100, (0.3, 0.8))
+run_one = Session().run_one
 
 #: Latency threshold that a 1.8x-overloaded skewed3 run reliably
 #: crosses inside a 700-cycle window (calibrated; see test bodies).
@@ -234,16 +236,16 @@ class TestEnergyWindows:
     def test_phase_energy_tiles_the_run_total(self, name):
         """Per-phase pJ windows sum to the run's measured dissipation
         (EPM x delivered messages), final-phase settlement included."""
-        result = _run_once("dhetpnoc", BW_SET_1, "skewed3", 480.0, TINY,
-                           seed=5, scenario=name)
+        result = run_one("dhetpnoc", BW_SET_1, "skewed3", 480.0, fidelity=TINY,
+                         seed=5, scenario=name)
         total_pj = result.energy_per_message_pj * result.packets_delivered
         assert sum(p.energy_pj for p in result.phases) == pytest.approx(
             total_pj, rel=1e-9
         )
 
     def test_steady_phase_epm_matches_run_epm(self):
-        result = _run_once("dhetpnoc", BW_SET_1, "skewed3", 400.0, TINY,
-                           seed=5, scenario="steady")
+        result = run_one("dhetpnoc", BW_SET_1, "skewed3", 400.0, fidelity=TINY,
+                         seed=5, scenario="steady")
         (phase,) = result.phases
         assert phase.energy_per_message_pj == pytest.approx(
             result.energy_per_message_pj, rel=1e-9

@@ -23,7 +23,8 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import given, settings
 
-from repro.experiments.runner import Fidelity, _run_once
+from repro.api.session import Session
+from repro.experiments.runner import Fidelity
 from repro.experiments.store import result_key
 from repro.experiments.sweep import SweepExecutor, SweepSpec
 from repro.scenarios.generate import sample_schedule, schedules
@@ -33,6 +34,7 @@ from repro.traffic.bandwidth_sets import BW_SET_1
 
 TOTAL = 500
 TINY = Fidelity("tiny-fuzz", TOTAL, 100, (0.4,))
+run_one = Session().run_one
 
 
 @contextmanager
@@ -57,11 +59,11 @@ class TestEngineEquivalence:
             prior = os.environ.get(NAIVE_ENGINE_ENV)
             try:
                 os.environ[NAIVE_ENGINE_ENV] = "0"
-                fast = _run_once("dhetpnoc", BW_SET_1, "uniform", 480.0,
-                                 TINY, seed=3, scenario=name)
+                fast = run_one("dhetpnoc", BW_SET_1, "uniform", 480.0,
+                               fidelity=TINY, seed=3, scenario=name)
                 os.environ[NAIVE_ENGINE_ENV] = "1"
-                naive = _run_once("dhetpnoc", BW_SET_1, "uniform", 480.0,
-                                  TINY, seed=3, scenario=name)
+                naive = run_one("dhetpnoc", BW_SET_1, "uniform", 480.0,
+                                fidelity=TINY, seed=3, scenario=name)
             finally:
                 if prior is None:
                     os.environ.pop(NAIVE_ENGINE_ENV, None)
@@ -94,8 +96,8 @@ class TestWindowTiling:
     @given(schedules(total_cycles=TOTAL, max_phases=3))
     def test_energy_and_packet_windows_tile_the_run(self, schedule):
         with registered(schedule) as name:
-            result = _run_once("dhetpnoc", BW_SET_1, "skewed3", 480.0,
-                               TINY, seed=5, scenario=name)
+            result = run_one("dhetpnoc", BW_SET_1, "skewed3", 480.0,
+                             fidelity=TINY, seed=5, scenario=name)
             assert sum(p.packets_delivered for p in result.phases) == (
                 result.packets_delivered
             )

@@ -14,12 +14,14 @@ import dataclasses
 
 import pytest
 
-from repro.experiments.runner import Fidelity, run_once
+from repro.api.session import Session
+from repro.experiments.runner import Fidelity
 from repro.scenarios.library import build_scenario, scenario_names
 from repro.scenarios.schedule import ScenarioError
 from repro.traffic.bandwidth_sets import BW_SET_1
 
 TINY = Fidelity("tiny-scenario", 700, 100, (0.3, 0.8))
+run_one = Session().run_one
 
 
 def _strip(result):
@@ -31,9 +33,9 @@ class TestSteadyBitIdentity:
     @pytest.mark.parametrize("arch", ["firefly", "dhetpnoc"])
     @pytest.mark.parametrize("pattern", ["uniform", "skewed3"])
     def test_steady_equals_scenarioless_run(self, arch, pattern):
-        base = run_once(arch, BW_SET_1, pattern, 320.0, TINY, seed=11)
-        steady = run_once(
-            arch, BW_SET_1, pattern, 320.0, TINY, seed=11, scenario="steady"
+        base = run_one(arch, BW_SET_1, pattern, 320.0, fidelity=TINY, seed=11)
+        steady = run_one(
+            arch, BW_SET_1, pattern, 320.0, fidelity=TINY, seed=11, scenario="steady"
         )
         assert steady.scenario == "steady"
         assert len(steady.phases) == 1
@@ -63,15 +65,15 @@ class TestDeterminism:
     @pytest.mark.parametrize("name", sorted(scenario_names()))
     def test_same_seed_same_result(self, name):
         kwargs = dict(fidelity=TINY, seed=5, scenario=name)
-        a = run_once("dhetpnoc", BW_SET_1, "skewed2", 300.0, **kwargs)
-        b = run_once("dhetpnoc", BW_SET_1, "skewed2", 300.0, **kwargs)
+        a = run_one("dhetpnoc", BW_SET_1, "skewed2", 300.0, **kwargs)
+        b = run_one("dhetpnoc", BW_SET_1, "skewed2", 300.0, **kwargs)
         assert a == b
 
     def test_different_seeds_differ(self):
-        a = run_once("dhetpnoc", BW_SET_1, "uniform", 300.0, TINY, seed=1,
-                     scenario="bursty_uniform")
-        b = run_once("dhetpnoc", BW_SET_1, "uniform", 300.0, TINY, seed=2,
-                     scenario="bursty_uniform")
+        a = run_one("dhetpnoc", BW_SET_1, "uniform", 300.0, fidelity=TINY, seed=1,
+                    scenario="bursty_uniform")
+        b = run_one("dhetpnoc", BW_SET_1, "uniform", 300.0, fidelity=TINY, seed=2,
+                    scenario="bursty_uniform")
         assert a != b
 
 
@@ -80,8 +82,8 @@ class TestPhaseWindows:
         "name", ["hotspot_drift", "load_spike", "app_phases", "fault_storm"]
     )
     def test_phase_packets_tile_the_run(self, name):
-        result = run_once("dhetpnoc", BW_SET_1, "skewed3", 320.0, TINY,
-                          seed=5, scenario=name)
+        result = run_one("dhetpnoc", BW_SET_1, "skewed3", 320.0, fidelity=TINY,
+                         seed=5, scenario=name)
         schedule = build_scenario(name, TINY.total_cycles)
         assert len(result.phases) == len(schedule)
         assert (
@@ -94,8 +96,8 @@ class TestPhaseWindows:
     def test_windows_exclude_warmup(self):
         """The phase spanning the reset reports only its post-reset
         window, consistent with the run-level metrics."""
-        result = run_once("dhetpnoc", BW_SET_1, "skewed3", 320.0, TINY,
-                          seed=5, scenario="steady")
+        result = run_one("dhetpnoc", BW_SET_1, "skewed3", 320.0, fidelity=TINY,
+                         seed=5, scenario="steady")
         (phase,) = result.phases
         assert phase.measured_cycles == TINY.total_cycles - TINY.reset_cycles
         assert phase.delivered_gbps == pytest.approx(result.delivered_gbps)
@@ -150,8 +152,8 @@ class TestPhaseWindows:
         """reset_cycles=0 fires the reset before the first tick; the
         window must re-base at cycle 0, not 1 (regression)."""
         no_reset = Fidelity("tiny-noreset", 700, 0, (0.5,))
-        result = run_once("dhetpnoc", BW_SET_1, "skewed3", 300.0, no_reset,
-                          seed=5, scenario="steady")
+        result = run_one("dhetpnoc", BW_SET_1, "skewed3", 300.0, fidelity=no_reset,
+                         seed=5, scenario="steady")
         (phase,) = result.phases
         assert phase.measured_cycles == 700
         assert phase.delivered_gbps == pytest.approx(result.delivered_gbps)
@@ -194,8 +196,8 @@ class TestPhaseWindows:
 
     def test_load_spike_shape_shows_in_phases(self):
         """Offered traffic must follow the script: quiet, spike, ramp."""
-        result = run_once("dhetpnoc", BW_SET_1, "uniform", 400.0, TINY,
-                          seed=5, scenario="load_spike")
+        result = run_one("dhetpnoc", BW_SET_1, "uniform", 400.0, fidelity=TINY,
+                         seed=5, scenario="load_spike")
         quiet, spike, ramp = result.phases
         # Per-cycle offered rate, to normalise unequal window lengths.
         def rate(p):
@@ -225,15 +227,15 @@ class TestPhaseWindows:
 
 class TestHotspotDrift:
     def test_drift_differs_from_static_hotspot(self):
-        drifting = run_once("dhetpnoc", BW_SET_1, "skewed_hotspot1", 320.0,
-                            TINY, seed=5, scenario="hotspot_drift")
-        static = run_once("dhetpnoc", BW_SET_1, "skewed_hotspot1", 320.0,
-                          TINY, seed=5, scenario="steady")
+        drifting = run_one("dhetpnoc", BW_SET_1, "skewed_hotspot1", 320.0,
+                           fidelity=TINY, seed=5, scenario="hotspot_drift")
+        static = run_one("dhetpnoc", BW_SET_1, "skewed_hotspot1", 320.0,
+                         fidelity=TINY, seed=5, scenario="steady")
         assert _strip(drifting) != _strip(static)
 
     def test_every_phase_reports_the_hotspot_pattern(self):
-        result = run_once("dhetpnoc", BW_SET_1, "uniform", 320.0, TINY,
-                          seed=5, scenario="hotspot_drift")
+        result = run_one("dhetpnoc", BW_SET_1, "uniform", 320.0, fidelity=TINY,
+                         seed=5, scenario="hotspot_drift")
         assert all(p.pattern == "skewed_hotspot1" for p in result.phases)
 
     def test_hotspot_only_phase_takes_effect(self):
@@ -271,6 +273,6 @@ class TestFirefly:
         """Firefly has no DBA plane: control-plane faults are skipped,
         everything else (blackouts, bursts, drifting patterns) applies."""
         for name in ("hotspot_drift", "fault_storm", "bursty_uniform"):
-            result = run_once("firefly", BW_SET_1, "skewed3", 300.0, TINY,
-                              seed=5, scenario=name)
+            result = run_one("firefly", BW_SET_1, "skewed3", 300.0, fidelity=TINY,
+                             seed=5, scenario=name)
             assert result.packets_delivered > 0

@@ -36,7 +36,7 @@ from repro.fabric.protocol import (
     send_message,
 )
 from repro.fabric.remote_store import RemoteBackend
-from repro.fabric.server import dial
+from repro.fabric.server import RoleServer, dial
 from repro.fabric.worker import Worker
 from repro.service.client import ServiceClient
 from repro.service.daemon import ExperimentService
@@ -303,3 +303,23 @@ def test_job_and_fabric_client_share_one_simulation_per_key():
     # Each shared key was paid for once: by the job (first to want it).
     assert run.executed == len(job_keys)
     assert outcome["executed"] == len(batch_keys) - len(shared)
+
+
+# ---------------------------------------------------------------------------
+# Lifecycle: a stopped server leaves no thread behind
+# ---------------------------------------------------------------------------
+
+def test_stopped_servers_leave_no_accept_thread_parked():
+    """``close()`` on a listening socket does not wake a thread already
+    blocked in ``accept()`` on Linux; the listener must ``shutdown()``
+    first, or every stopped server leaks its accept thread."""
+    before = threading.active_count()
+    for _ in range(5):
+        server = RoleServer("127.0.0.1", 0)
+        server.start()
+        server.stop()
+    wait_until(
+        lambda: threading.active_count() <= before,
+        timeout=2.0,
+        message="the accept threads of five stopped servers to exit",
+    )

@@ -28,7 +28,6 @@ REPRO_EXPORTS = {
     "SystemConfig",
     "TrafficGenerator",
     "api",
-    "open_session",
     "pattern_by_name",
     "__version__",
 }
@@ -40,7 +39,6 @@ REPRO_API_EXPORTS = {
     "Registry",
     "RegistryError",
     "Session",
-    "open_session",
     "registry",
 }
 

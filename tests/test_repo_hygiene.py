@@ -82,3 +82,39 @@ def test_one_server_core_and_one_handshake(needle):
     # PRs 7 and 9 each grew a private server and hand-rolled handshakes;
     # a third must not quietly reappear beside fabric/server.py.
     assert _count_in_src(needle) == {"src/repro/fabric/server.py": 1}
+
+
+@pytest.mark.parametrize(
+    "needle",
+    ["_DEFAULT_STORE", "set_default_store", "make_default", "DeprecationWarning"],
+)
+def test_no_process_wide_store_and_no_deprecated_shims(needle):
+    # A Session owns its store; a second way to run an experiment (a
+    # module-global store, free-function shims that warn) must not
+    # grow back beside it.
+    assert _count_in_src(needle) == {}
+
+
+def test_single_run_core_has_exactly_two_importers():
+    importers = set(_count_in_src("_run_once")) - {
+        "src/repro/experiments/runner.py"  # where it is defined
+    }
+    assert importers == {
+        "src/repro/api/session.py",
+        "src/repro/experiments/sweep.py",
+    }
+
+
+def test_exhibits_and_claims_take_a_session_not_an_executor():
+    import inspect
+
+    from repro.experiments import figures, validation
+
+    offenders = [
+        f"{module.__name__}.{name}"
+        for module in (figures, validation)
+        for name, fn in inspect.getmembers(module, inspect.isfunction)
+        if fn.__module__ == module.__name__
+        and "executor" in inspect.signature(fn).parameters
+    ]
+    assert not offenders

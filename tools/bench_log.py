@@ -98,38 +98,39 @@ def _bench_fidelity():
 
 def build_benches() -> List[Tuple[str, Callable[[], None]]]:
     """The timed hot paths, in execution order."""
-    from repro.experiments.runner import _run_once
+    from repro.api.session import Session
     from repro.experiments.store import ResultStore
     from repro.experiments.sweep import SweepExecutor, SweepSpec
     from repro.scenarios.library import build_scenario
     from repro.traffic.bandwidth_sets import BW_SET_1
 
     fidelity = _bench_fidelity()
+    run_one = Session().run_one
 
     def run_steady() -> None:
-        _run_once("dhetpnoc", BW_SET_1, "skewed3", 400.0, fidelity,
-                  seed=BENCH_SEED)
+        run_one("dhetpnoc", BW_SET_1, "skewed3", 400.0, fidelity=fidelity,
+                seed=BENCH_SEED)
 
     def run_low_load() -> None:
         # Near-idle run: most gateways are quiet most cycles, so this
         # bench tracks the engine's idle-skip machinery (activity-gated
         # gateway ticks, link due-queues) rather than raw pipeline cost.
-        _run_once("dhetpnoc", BW_SET_1, "uniform", 20.0, fidelity,
-                  seed=BENCH_SEED)
+        run_one("dhetpnoc", BW_SET_1, "uniform", 20.0, fidelity=fidelity,
+                seed=BENCH_SEED)
 
     def run_electrical() -> None:
         # The electrical mesh at saturation: router/link/network code
         # only, which no photonic bench touches.
-        _run_once("electrical", BW_SET_1, "skewed3", 600.0, fidelity,
-                  seed=BENCH_SEED)
+        run_one("electrical", BW_SET_1, "skewed3", 600.0, fidelity=fidelity,
+                seed=BENCH_SEED)
 
     def scenario_fault_storm() -> None:
-        _run_once("dhetpnoc", BW_SET_1, "skewed3", 400.0, fidelity,
-                  seed=BENCH_SEED, scenario="fault_storm")
+        run_one("dhetpnoc", BW_SET_1, "skewed3", 400.0, fidelity=fidelity,
+                seed=BENCH_SEED, scenario="fault_storm")
 
     def closed_loop_shedding() -> None:
-        _run_once("dhetpnoc", BW_SET_1, "skewed3", 480.0, fidelity,
-                  seed=BENCH_SEED, scenario="closed_loop_shedding")
+        run_one("dhetpnoc", BW_SET_1, "skewed3", 480.0, fidelity=fidelity,
+                seed=BENCH_SEED, scenario="closed_loop_shedding")
 
     spec = SweepSpec(
         archs=("firefly", "dhetpnoc"),
@@ -153,8 +154,8 @@ def build_benches() -> List[Tuple[str, Callable[[], None]]]:
         for _ in range(200):
             build_scenario("storm_over_diurnal", 10_000).fingerprint()
 
-    results = _run_once(
-        "dhetpnoc", BW_SET_1, "skewed3", 400.0, fidelity,
+    results = run_one(
+        "dhetpnoc", BW_SET_1, "skewed3", 400.0, fidelity=fidelity,
         seed=BENCH_SEED, scenario="fault_storm",
     )
 

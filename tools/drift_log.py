@@ -52,7 +52,6 @@ def collect(fidelity, seed: int = GOLDEN_SEED, workers: int = 1) -> list:
     both the fixed-grid peak and the knee estimate.
     """
     from repro.api import ExperimentSpec, Session
-    from repro.experiments.runner import default_store
     from repro.experiments.sweep import adaptive_knee_sweep
 
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat(
@@ -60,9 +59,9 @@ def collect(fidelity, seed: int = GOLDEN_SEED, workers: int = 1) -> list:
     )
     sha = _git_sha()
     records = []
-    # One session over the process-wide default store: the adaptive
-    # probes that land on grid fractions reuse the peak sweep's points.
-    session = Session(default_store(), workers=workers)
+    # One session: the adaptive probes that land on grid fractions
+    # reuse the peak sweep's points.
+    session = Session(workers=workers)
     spec = ExperimentSpec(
         bw_sets=(BW_SET_1.index,), patterns=(GOLDEN_PATTERN,),
         seeds=(seed,), fidelity=fidelity, derive_seeds=False,

@@ -999,7 +999,7 @@ def _run_store(args) -> int:
     """``store info`` / ``store compact`` maintenance commands."""
     import os
 
-    from repro.experiments.store import ShardedJsonlBackend, open_store
+    from repro.experiments.store import JsonlBackend, open_store
 
     store = open_store(args.store, args.store_backend)
     backend = store.backend
@@ -1016,14 +1016,17 @@ def _run_store(args) -> int:
         return 0
 
     # store info
+    files = isinstance(backend, JsonlBackend)  # either layout: files to list
     kind = type(backend).__name__
+    if files:
+        kind += " (sharded)" if backend.sharded else " (jsonl)"
     records = len(store)
     print(f"store: {store.path}")
     print(f"backend: {kind}")
     print(f"records: {records}")
     if store.corrupt_lines:
         print(f"corrupt lines skipped: {store.corrupt_lines}")
-    if isinstance(backend, ShardedJsonlBackend):
+    if files:
         counts = backend.shard_record_counts()
         rows = [
             [os.path.basename(path), counts[os.path.basename(path)],

@@ -16,19 +16,22 @@ Persistence is delegated to a pluggable :class:`StoreBackend`
 (``get``/``put``/``scan``/``flush`` plus an offline ``compact``):
 
 * :class:`MemoryBackend` — process-local dict, no persistence;
-* :class:`JsonlBackend` — one monolithic JSONL file, eagerly loaded
-  (the original ``ResultStore`` behaviour);
-* :class:`ShardedJsonlBackend` — a directory with one JSONL shard per
-  (architecture, bandwidth set), each starting with a small index
-  header. Shards load lazily: a sweep restricted to one (arch, bw set)
-  pair reads only that shard instead of the whole store.
+* :class:`JsonlBackend` — append-only JSONL files, in one of two
+  layouts that differ only in which file a result lives in: ``jsonl``,
+  one monolithic file, eagerly loaded; or ``sharded``, a directory
+  with one shard per (architecture, bandwidth set), each starting with
+  a small index header. Shards load lazily: a sweep restricted to one
+  (arch, bw set) pair reads only that shard instead of the whole store.
 
-All JSONL forms store one ``{"key": ..., "result": ...}`` object per
+Either layout stores one ``{"key": ..., "result": ...}`` object per
 line, so a store file is append-only, human-greppable, safe to merge
 with ``cat``, and tolerant of torn writes: corrupted or truncated lines
-are skipped on load rather than poisoning the sweep. ``compact``
-rewrites a store in place, deduplicating repeated keys (latest record
-wins) and dropping corrupt lines.
+are skipped on load rather than poisoning the sweep. The backend owns
+its files *and* their write locks, so threads sharing one (a
+``Session``, ``fabric serve``, the job daemon) are single-writer per
+file without wrapping it. ``compact`` rewrites a store in place,
+deduplicating repeated keys (latest record wins) and dropping corrupt
+lines.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import threading
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.api.base import Registry
@@ -159,25 +163,8 @@ def _record_line(key: str, result: RunResult) -> str:
     return _canonical({"key": key, "result": result_to_dict(result)})
 
 
-def _record_from_obj(obj) -> Optional[Tuple[str, RunResult]]:
-    """Build a record from already-parsed JSON; ``None`` if not one."""
-    try:
-        return obj["key"], result_from_dict(obj["result"])
-    except (ValueError, KeyError, TypeError, AttributeError):
-        return None
-
-
-def _parse_record(line: str) -> Optional[Tuple[str, RunResult]]:
-    """Parse one JSONL record line; ``None`` for corrupt/foreign lines."""
-    try:
-        obj = json.loads(line)
-    except ValueError:
-        return None
-    return _record_from_obj(obj)
-
-
 def _open_for_read(path: str):
-    """All backend *reads* go through here (file-open instrumentation
+    """All backend *loads* go through here (file-open instrumentation
     point: tests monkeypatch this to prove lazy shard loading)."""
     return open(path, "r", encoding="utf-8")
 
@@ -214,67 +201,6 @@ class CompactionStats:
         """Accumulate *other* (per-shard stats) into this total."""
         for f in dataclasses.fields(self):
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
-
-def _compact_jsonl_file(
-    path: str,
-    header_field: Optional[str] = None,
-    make_header=None,
-) -> Tuple[CompactionStats, Dict[str, RunResult], List[str]]:
-    """Rewrite one JSONL file: one record line per key, latest wins.
-
-    Shared by both file-backed backends. Reads the file fresh (another
-    process may have appended), drops corrupt lines, keeps first-seen
-    key order with the latest record per key, writes a temp file and
-    atomically replaces the original. With *header_field* set, a JSON
-    object line containing that field is treated as the shard's index
-    header and preserved (or synthesized by ``make_header(first_record)``
-    when absent). Returns the stats plus the surviving records/order so
-    callers can refresh their in-memory view.
-    """
-    stats = CompactionStats(files=1, bytes_before=os.path.getsize(path))
-    records: Dict[str, RunResult] = {}
-    order: List[str] = []
-    header = None
-    with _open_for_read(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except ValueError:
-                obj = None
-            if (
-                header_field is not None
-                and isinstance(obj, dict)
-                and header_field in obj
-            ):
-                header = line
-                continue
-            stats.lines_before += 1
-            parsed = None if obj is None else _record_from_obj(obj)
-            if parsed is None:
-                stats.corrupt_dropped += 1
-                continue
-            key, result = parsed
-            if key in records:
-                stats.duplicates_dropped += 1
-            else:
-                order.append(key)
-            records[key] = result
-    if header is None and make_header is not None and order:
-        header = make_header(records[order[0]])
-    tmp = path + ".compact.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        if header is not None:
-            fh.write(header + "\n")
-        for key in order:
-            fh.write(_record_line(key, records[key]) + "\n")
-    os.replace(tmp, path)
-    stats.records_after = len(order)
-    stats.bytes_after = os.path.getsize(path)
-    return stats, records, order
 
 
 class StoreBackend(abc.ABC):
@@ -375,106 +301,82 @@ class MemoryBackend(StoreBackend):
         return len(self._results)
 
 
-class JsonlBackend(StoreBackend):
-    """One monolithic JSONL file, loaded eagerly at construction.
-
-    Every :meth:`put` appends one line and flushes immediately, so a
-    concurrently-resumed sweep (or a crash) loses at most the record
-    being written. Keys already on disk survive :meth:`clear`, so a
-    re-simulated point (deterministic, hence identical) is never
-    appended as a duplicate line.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self.corrupt_lines = 0
-        #: Paths this backend actually opened for reading (instrumentation).
-        self.read_paths: List[str] = []
-        self._results: Dict[str, RunResult] = {}
-        self._persisted: Set[str] = set()
-        if os.path.exists(path):
-            self._load(path)
-
-    def _load(self, path: str) -> None:
-        self.read_paths.append(path)
-        with _open_for_read(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                parsed = _parse_record(line)
-                if parsed is None:
-                    self.corrupt_lines += 1
-                    continue
-                key, result = parsed
-                self._results[key] = result
-                self._persisted.add(key)
-
-    def get(self, key: str, coords: Optional[ShardCoords] = None) -> Optional[RunResult]:
-        """Return the record under *key* (the file is already loaded)."""
-        return self._results.get(key)
-
-    def contains(self, key: str, coords: Optional[ShardCoords] = None) -> bool:
-        """Whether *key* is in the loaded view."""
-        return key in self._results
-
-    def put(self, key: str, result: RunResult) -> None:
-        """Store *result*; new keys are appended to the file eagerly."""
-        if key not in self._persisted:
-            parent = os.path.dirname(self.path)
-            if parent:
-                os.makedirs(parent, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(_record_line(key, result) + "\n")
-                fh.flush()
-            self._persisted.add(key)
-        self._results[key] = result
-
-    def scan(
-        self, coords: Optional[ShardCoords] = None
-    ) -> Iterator[Tuple[str, RunResult]]:
-        """Iterate records; *coords* filters by (arch, bw set)."""
-        if coords is None:
-            yield from self._results.items()
-        else:
-            yield from _matching_coords(self._results.items(), coords)
-
-    def flush(self) -> None:
-        """No-op: every :meth:`put` already flushed to disk."""
-
-    def clear(self) -> None:
-        """Drop the in-memory view; on-disk lines stay authoritative."""
-        self._results.clear()
-
-    def compact(self) -> CompactionStats:
-        """Dedupe the file in place: one line per key, latest wins.
-
-        See :func:`_compact_jsonl_file`; the in-memory view is reset to
-        the compacted contents.
-        """
-        if not os.path.exists(self.path):
-            return CompactionStats()
-        self.read_paths.append(self.path)
-        stats, records, _order = _compact_jsonl_file(self.path)
-        self._results = dict(records)
-        self._persisted = set(records)
-        self.corrupt_lines = 0
-        return stats
-
-    def __len__(self) -> int:
-        return len(self._results)
-
-
 def shard_filename(arch: str, bw_set_index: int) -> str:
     """Deterministic shard file name for an ``(arch, bw set)`` pair."""
     safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in arch)
     return f"{safe}-set{int(bw_set_index)}.jsonl"
 
 
-class ShardedJsonlBackend(StoreBackend):
-    """A directory of JSONL shards, one per (architecture, bw set).
+def _header_line(coords: ShardCoords) -> str:
+    arch, bw = coords
+    return _canonical(
+        {"shard": {"arch": arch, "bw_set": int(bw)}, "v": SCHEMA_VERSION}
+    )
 
-    Each shard's first line is a small **index header**::
+
+#: What :func:`_read_lines` yields for a shard's index header line.
+_HEADER = object()
+
+#: Suffix of the temp file a compaction writes beside the file it replaces.
+_COMPACT_TMP = ".compact.tmp"
+
+
+def _read_lines(path: str) -> Iterator[Tuple[str, object]]:
+    """Classify every non-blank line of one store file.
+
+    Yields ``(line, parsed)``: *parsed* is the ``(key, result)`` pair of
+    a record line, :data:`_HEADER` for a shard index header, and
+    ``None`` for anything else (corrupt, torn or foreign).
+    """
+    with _open_for_read(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+                if isinstance(obj, dict) and "shard" in obj:
+                    parsed = _HEADER
+                else:
+                    parsed = obj["key"], result_from_dict(obj["result"])
+            except (ValueError, KeyError, TypeError, AttributeError):
+                parsed = None
+            yield line, parsed
+
+
+def _ends_with_newline(path: str) -> bool:
+    """Whether the last byte of the (non-empty) file *path* is ``\\n``."""
+    with open(path, "rb") as fh:
+        fh.seek(-1, os.SEEK_END)
+        return fh.read(1) == b"\n"
+
+
+class _StoreFile:
+    """One JSONL file of a :class:`JsonlBackend` and the lock that
+    serialises this process's writers to it."""
+
+    __slots__ = ("path", "lock", "persisted", "loaded", "appended")
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.lock = threading.Lock()
+        #: Keys known to be on disk in this file (survives ``clear``).
+        self.persisted: Set[str] = set()
+        #: Already read, or hidden by ``clear``: never read (again).
+        self.loaded = False
+        #: This instance has appended here, so the file ends in a newline.
+        self.appended = False
+
+
+class JsonlBackend(StoreBackend):
+    """Append-only JSONL files: one file, or a directory of shards.
+
+    The two layouts differ in one decision — which file a result lives
+    in. ``JsonlBackend(path)`` keeps every record in the file *path*
+    and loads it eagerly; ``JsonlBackend(root, sharded=True)`` keeps one
+    file per (architecture, bandwidth set) under the directory *root*,
+    named by :func:`shard_filename`, each starting with a small **index
+    header**::
 
         {"shard": {"arch": "firefly", "bw_set": 1}, "v": 1}
 
@@ -482,199 +384,242 @@ class ShardedJsonlBackend(StoreBackend):
     **lazily**: :meth:`get`/:meth:`contains` with ``coords`` read only
     the shard that can hold the key, so resuming a sweep restricted to
     one (arch, bw set) pair never touches the rest of a million-point
-    store. Calls without ``coords`` (or :meth:`scan`/``len``) fall back
-    to loading every shard.
+    store. Calls without ``coords`` (or an unrestricted
+    :meth:`scan`/``len``) fall back to loading every shard.
 
     :meth:`put` routes by the *result's* own ``arch``/``bw_set_index``
-    (the same coordinates the key was hashed over), appending one line
-    per new key with an eager flush, exactly like :class:`JsonlBackend`.
+    (the coordinates the key was hashed over) and appends one whole
+    line per new key with an eager flush, under that file's write lock:
+    threads sharing one backend write each key once, and a crash (or a
+    concurrently-resumed sweep in another process) loses at most the
+    record being written. A crashed writer's newline-less tail is
+    terminated before the first append after it, so the fragment stays
+    one corrupt line and takes no acknowledged record with it. Keys
+    already on disk survive :meth:`clear`, so a re-simulated point
+    (deterministic, hence identical) is never appended twice.
     """
 
-    HEADER_FIELD = "shard"
-
-    def __init__(self, root: str) -> None:
-        self.root = root
-        self.path = root  # uniform attribute across backends
+    def __init__(self, path: str, sharded: bool = False) -> None:
+        self.path = path
+        self.sharded = sharded
         self.corrupt_lines = 0
-        #: Shard paths actually opened for reading (instrumentation for
-        #: the "resume loads only the needed shard" guarantee).
+        #: Paths actually opened for reading (instrumentation for the
+        #: "resume loads only the needed shard" guarantee).
         self.read_paths: List[str] = []
         self._results: Dict[str, RunResult] = {}
-        self._persisted: Set[str] = set()
-        self._loaded: Set[str] = set()  # shard filenames already read
+        self._files: Dict[str, _StoreFile] = {}  # by path
+        self._by_coords: Dict[ShardCoords, _StoreFile] = {}  # hot-path index
         self._loaded_all = False
-        self._shard_keys: Dict[str, Set[str]] = {}
+        if not sharded:
+            self._ensure_all()
 
-    # -- shard discovery / loading ------------------------------------------
-    def _shard_path(self, coords: ShardCoords) -> str:
-        return os.path.join(self.root, shard_filename(*coords))
+    # -- layout: which file holds what ---------------------------------------
+    def _file(self, coords: ShardCoords) -> _StoreFile:
+        entry = self._by_coords.get(coords)
+        if entry is None:
+            path = self.path
+            if self.sharded:
+                path = os.path.join(path, shard_filename(*coords))
+            entry = self._by_coords[coords] = self._entry(path)
+        return entry
 
-    def shard_paths(self) -> List[str]:
-        """Every shard file currently on disk, sorted for determinism."""
-        if not os.path.isdir(self.root):
+    def _entry(self, path: str) -> _StoreFile:
+        # `setdefault` is atomic: racing first users of a file get one
+        # entry, hence one lock. (Off the hot path; see `_by_coords`.)
+        return self._files.setdefault(path, _StoreFile(path))
+
+    def _on_disk(self, suffix: str = "") -> List[str]:
+        """Store files on disk (or, with *suffix*, their leftovers),
+        sorted for determinism."""
+        if not self.sharded:
+            path = self.path + suffix
+            return [path] if os.path.exists(path) else []
+        if not os.path.isdir(self.path):
             return []
         return sorted(
-            os.path.join(self.root, name)
-            for name in os.listdir(self.root)
-            if name.endswith(".jsonl")
+            os.path.join(self.path, name)
+            for name in os.listdir(self.path)
+            if name.endswith(".jsonl" + suffix)
         )
+
+    def shard_paths(self) -> List[str]:
+        """Every store file currently on disk (one for a file store)."""
+        return self._on_disk()
 
     def shard_record_counts(self) -> Dict[str, int]:
-        """Record count per shard filename (loads every shard)."""
+        """Record count per store file name (loads every file)."""
         self._ensure_all()
         return {
-            os.path.basename(path): len(
-                self._shard_keys.get(os.path.basename(path), ())
-            )
-            for path in self.shard_paths()
+            os.path.basename(path): len(self._entry(path).persisted)
+            for path in self._on_disk()
         }
 
-    @staticmethod
-    def _header_line(coords: ShardCoords) -> str:
-        arch, bw = coords
-        return _canonical(
-            {"shard": {"arch": arch, "bw_set": int(bw)}, "v": SCHEMA_VERSION}
-        )
-
-    def _load_shard(self, path: str) -> None:
-        if not os.path.exists(path):
+    # -- loading -------------------------------------------------------------
+    def _load(self, entry: _StoreFile) -> None:
+        """Read *entry*'s file once. Caller holds ``entry.lock``."""
+        if entry.loaded:
             return
-        name = os.path.basename(path)
-        keys = self._shard_keys.setdefault(name, set())
-        self.read_paths.append(path)
-        with _open_for_read(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except ValueError:
-                    self.corrupt_lines += 1
-                    continue
-                if isinstance(obj, dict) and self.HEADER_FIELD in obj:
-                    continue  # index header, not a record
-                parsed = _record_from_obj(obj)
+        if os.path.exists(entry.path):
+            self.read_paths.append(entry.path)
+            for _line, parsed in _read_lines(entry.path):
                 if parsed is None:
                     self.corrupt_lines += 1
-                    continue
-                key, result = parsed
-                self._results[key] = result
-                self._persisted.add(key)
-                keys.add(key)
+                elif parsed is not _HEADER:
+                    key, result = parsed
+                    self._results[key] = result
+                    entry.persisted.add(key)
+        entry.loaded = True
 
-    def _ensure_shard(self, coords: ShardCoords) -> None:
-        name = shard_filename(*coords)
-        if self._loaded_all or name in self._loaded:
-            return
-        self._loaded.add(name)
-        self._load_shard(self._shard_path(coords))
+    def _ensure(self, entry: _StoreFile) -> None:
+        if not entry.loaded:
+            with entry.lock:
+                self._load(entry)
 
     def _ensure_all(self) -> None:
         if self._loaded_all:
             return
-        for path in self.shard_paths():
-            name = os.path.basename(path)
-            if name not in self._loaded:
-                self._loaded.add(name)
-                self._load_shard(path)
+        for path in self._on_disk():
+            self._ensure(self._entry(path))
         self._loaded_all = True
 
     # -- backend interface ---------------------------------------------------
     def get(self, key: str, coords: Optional[ShardCoords] = None) -> Optional[RunResult]:
-        """Return the record under *key*, lazily loading only the shard
-        *coords* names (or every shard when no hint is given)."""
-        if coords is not None:
-            self._ensure_shard(coords)
-        elif key not in self._results:
-            self._ensure_all()
+        """Return the record under *key*, lazily loading only the file
+        *coords* names (or every file when no hint is given)."""
+        if not self._loaded_all:
+            if coords is not None:
+                self._ensure(self._file(coords))
+            elif key not in self._results:
+                self._ensure_all()
         return self._results.get(key)
 
-    def contains(self, key: str, coords: Optional[ShardCoords] = None) -> bool:
-        """Membership test with the same lazy-loading as :meth:`get`."""
-        return self.get(key, coords) is not None
-
     def put(self, key: str, result: RunResult) -> None:
-        """Append *result* to the shard its own (arch, bw set) names,
-        creating the shard (header first) when needed."""
+        """Append *result* to the file its own (arch, bw set) names,
+        under that file's write lock; a new shard gets its header first."""
         coords = (result.arch, result.bw_set_index)
-        self._ensure_shard(coords)
-        if key not in self._persisted:
-            os.makedirs(self.root, exist_ok=True)
-            path = self._shard_path(coords)
-            fresh = not os.path.exists(path)
-            with open(path, "a", encoding="utf-8") as fh:
-                if fresh:
-                    fh.write(self._header_line(coords) + "\n")
-                fh.write(_record_line(key, result) + "\n")
-                fh.flush()
-            self._persisted.add(key)
-        self._results[key] = result
-        # Keep the per-shard key index consistent even for re-puts of
-        # already-persisted keys (e.g. re-simulation after clear()).
-        self._shard_keys.setdefault(shard_filename(*coords), set()).add(key)
+        entry = self._file(coords)
+        with entry.lock:
+            self._load(entry)
+            if key not in entry.persisted:
+                self._append(entry, coords, _record_line(key, result))
+                entry.persisted.add(key)
+            self._results[key] = result
+
+    def _append(self, entry: _StoreFile, coords: ShardCoords, line: str) -> None:
+        """The one place a store file is opened for append. Caller
+        holds ``entry.lock``."""
+        if not entry.appended:
+            # First append of this instance: see what is already there.
+            try:
+                size = os.path.getsize(entry.path)
+            except OSError:
+                size = 0
+                os.makedirs(os.path.dirname(entry.path) or os.curdir, exist_ok=True)
+            if size == 0:
+                if self.sharded:
+                    line = _header_line(coords) + "\n" + line
+            elif not _ends_with_newline(entry.path):
+                # A crashed writer's torn tail: end it, or this record
+                # is glued onto the fragment and lost with it.
+                line = "\n" + line
+        with open(entry.path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+            fh.flush()
+        entry.appended = True
 
     def scan(
         self, coords: Optional[ShardCoords] = None
     ) -> Iterator[Tuple[str, RunResult]]:
-        """Iterate records of one shard (*coords*) or of the whole store."""
-        if coords is not None:
-            self._ensure_shard(coords)
-            name = shard_filename(*coords)
-            for key in sorted(self._shard_keys.get(name, ())):
-                yield key, self._results[key]
-        else:
+        """Iterate the records of one (arch, bw set) — loading only its
+        file — or of the whole store."""
+        if coords is None:
             self._ensure_all()
             yield from self._results.items()
+        else:
+            if not self._loaded_all:
+                self._ensure(self._file(coords))
+            yield from _matching_coords(self._results.items(), coords)
 
     def flush(self) -> None:
         """No-op: every :meth:`put` already flushed to disk."""
 
     def clear(self) -> None:
-        """Drop the in-memory view uniformly across all shards.
+        """Drop the in-memory view uniformly across all files.
 
-        Mirrors :meth:`JsonlBackend.clear`: cleared records stay
-        invisible (no shard — loaded or not — is transparently
-        reloaded afterwards; reopen the store to see disk state again),
-        while keys known to be on disk are remembered so a re-put does
-        not append a duplicate line. Caveat: a post-clear re-put into a
-        shard that was never loaded cannot know the key is already on
-        disk and may append a duplicate; latest-wins loading and
-        :meth:`compact` make that harmless.
+        Cleared records stay invisible (no file — loaded or not — is
+        transparently reloaded afterwards; reopen the store to see disk
+        state again), while keys known to be on disk are remembered so
+        a re-put does not append a duplicate line. Caveat: a post-clear
+        re-put into a shard that was never loaded cannot know the key
+        is already on disk and may append a duplicate; latest-wins
+        loading and :meth:`compact` make that harmless.
         """
         self._results.clear()
-        self._shard_keys.clear()
-        # Mark every shard currently on disk as loaded so later
-        # coords-hinted gets do not resurrect cleared records from the
-        # shards that happened not to be loaded yet.
-        self._loaded.update(os.path.basename(p) for p in self.shard_paths())
+        for path in self._on_disk():
+            self._entry(path).loaded = True
         self._loaded_all = True
 
     def compact(self) -> CompactionStats:
-        """Rewrite every shard: header + one line per key, latest wins.
+        """Rewrite every file in place: one line per key, latest wins.
 
-        See :func:`_compact_jsonl_file`; a missing header is
-        synthesized from the shard's first record.
+        Each file is read fresh (another process may have appended),
+        corrupt lines are dropped, keys keep first-seen order, and a
+        temp file — synced before it atomically replaces the original —
+        takes the result; temp files a crashed compaction left behind
+        are removed. A shard keeps its header (synthesized from its
+        first record when absent). Loaded files' in-memory view is
+        refreshed to the compacted contents.
         """
         total = CompactionStats()
-        for path in self.shard_paths():
-            self.read_paths.append(path)
-            stats, records, order = _compact_jsonl_file(
-                path,
-                header_field=self.HEADER_FIELD,
-                make_header=lambda first: self._header_line(
-                    (first.arch, first.bw_set_index)
-                ),
-            )
-            name = os.path.basename(path)
-            if name in self._loaded or self._loaded_all:
-                for key in order:
-                    self._results[key] = records[key]
-                self._shard_keys[name] = set(order)
-            self._persisted.update(order)
+        for stale in self._on_disk(_COMPACT_TMP):
+            os.remove(stale)
+        for path in self._on_disk():
+            entry = self._entry(path)
+            with entry.lock:
+                self.read_paths.append(path)
+                stats, records = self._compact_file(path)
+                if entry.loaded:
+                    self._results.update(records)
+                entry.persisted = set(records)
             total.merge(stats)
         self.corrupt_lines = 0
         return total
+
+    def _compact_file(
+        self, path: str
+    ) -> Tuple[CompactionStats, Dict[str, RunResult]]:
+        stats = CompactionStats(files=1, bytes_before=os.path.getsize(path))
+        records: Dict[str, RunResult] = {}
+        header = None
+        for line, parsed in _read_lines(path):
+            if parsed is _HEADER:
+                header = line
+                continue
+            stats.lines_before += 1
+            if parsed is None:
+                stats.corrupt_dropped += 1
+                continue
+            key, result = parsed
+            if key in records:
+                stats.duplicates_dropped += 1
+            records[key] = result  # first-seen position, latest value
+        if not self.sharded:
+            header = None
+        elif header is None and records:
+            first = next(iter(records.values()))
+            header = _header_line((first.arch, first.bw_set_index))
+        tmp = path + _COMPACT_TMP
+        with open(tmp, "w", encoding="utf-8") as fh:
+            if header is not None:
+                fh.write(header + "\n")
+            for key, result in records.items():
+                fh.write(_record_line(key, result) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+        stats.records_after = len(records)
+        stats.bytes_after = os.path.getsize(path)
+        return stats, records
 
     def __len__(self) -> int:
         self._ensure_all()
@@ -700,7 +645,7 @@ def _sharded_backend(path: Optional[str]) -> StoreBackend:
     """One JSONL shard per (arch, bw set) (requires a directory path)."""
     if path is None:
         raise ValueError("sharded backend needs a directory path")
-    return ShardedJsonlBackend(path.rstrip("/" + os.sep))
+    return JsonlBackend(path.rstrip("/" + os.sep), sharded=True)
 
 
 @store_backends.register("memory")
@@ -740,18 +685,19 @@ def backend_names() -> Tuple[str, ...]:
 def make_backend(name: str, path: Optional[str] = None) -> StoreBackend:
     """Build a backend by *name* (see :func:`backend_names`).
 
-    ``auto`` picks :class:`MemoryBackend` without a path,
-    :class:`ShardedJsonlBackend` when *path* is (or looks like) a
-    directory, and :class:`JsonlBackend` otherwise. Every other name is
-    a :data:`store_backends` registry lookup, so registered third-party
-    backends are constructible here (and from the CLI) by name.
+    ``auto`` resolves to ``memory`` without a path, ``sharded`` when
+    *path* is (or looks like) a directory, and ``jsonl`` otherwise.
+    Every name is then a :data:`store_backends` registry lookup, so
+    registered third-party backends are constructible here (and from
+    the CLI) by name.
     """
     if name == "auto":
         if path is None:
-            return MemoryBackend()
-        if os.path.isdir(path) or path.endswith(("/", os.sep)):
-            return ShardedJsonlBackend(path.rstrip("/" + os.sep))
-        return JsonlBackend(path)
+            name = "memory"
+        elif os.path.isdir(path) or path.endswith(("/", os.sep)):
+            name = "sharded"
+        else:
+            name = "jsonl"
     return store_backends.get(name)(path)
 
 
@@ -767,7 +713,7 @@ class ResultStore:
     (:class:`JsonlBackend`) loaded eagerly, or a pure in-process cache
     (:class:`MemoryBackend`) when ``path`` is ``None``.
     Pass ``backend=`` — a :class:`StoreBackend` instance — for anything
-    else (e.g. :class:`ShardedJsonlBackend`, or :func:`open_store`).
+    else (e.g. a sharded :class:`JsonlBackend`, or :func:`open_store`).
 
     The store layer adds what every backend shares: hit/miss counters
     and the coordinate *hint* plumbing the sweep executor uses to keep

@@ -279,9 +279,10 @@ class Coordinator(RoleServer):
 
     def _complete_point(self, key: str, result: dict) -> None:
         # Persist outside the scheduling lock: store I/O can be slow.
+        # No `contains` guard: `put` is idempotent per key and routes by
+        # the result's own coords, so it touches one shard, not all.
         with self._store_lock:
-            if not self.store.contains(key):
-                self.store.put(key, result_from_dict(result))
+            self.store.put(key, result_from_dict(result))
         with self._lock:
             item = self._work.pop(key, None)
             if item is None:

@@ -6,17 +6,16 @@ and the coordinator's work table; any number of clients submit
 layer (``repro jobs submit|status|watch|cancel|list`` or
 :class:`ServiceClient`) and receive results streamed incrementally as
 points resolve, simulated by the daemon's local lanes or by ``fabric
-worker`` processes attached to the same port. Jobs run
-concurrently against the shared store under per-shard write leases,
-duplicate submissions dedup by content-hashed job ID, and every
-result is bitwise-identical to a local ``Session.run`` with identical
-store keys — see docs/service.md.
+worker`` processes attached to the same port. Jobs run concurrently
+against the shared store, whose backend serialises the writers of each
+of its files; duplicate submissions dedup by content-hashed job ID, and
+every result is bitwise-identical to a local ``Session.run`` with
+identical store keys — see docs/service.md.
 
 Layout::
 
     errors   ServiceError (extends FabricError)
     jobs     JobRecord/JobQueue: IDs, lifecycle, admission, streaming state
-    leases   ShardLeases + SingleWriterBackend (single-writer discipline)
     daemon   ExperimentService(Coordinator): runners, local lanes, job_* frames
     client   ServiceClient: submit/stream/status/cancel/list
 
@@ -37,7 +36,6 @@ __all__ = [
     "JobRejected",
     "ServiceClient",
     "ServiceError",
-    "SingleWriterBackend",
     "job_id_for_spec",
 ]
 
@@ -47,7 +45,6 @@ _LAZY = {
     "JobRecord": ("repro.service.jobs", "JobRecord"),
     "JobRejected": ("repro.service.jobs", "JobRejected"),
     "ServiceClient": ("repro.service.client", "ServiceClient"),
-    "SingleWriterBackend": ("repro.service.leases", "SingleWriterBackend"),
     "job_id_for_spec": ("repro.service.jobs", "job_id_for_spec"),
 }
 

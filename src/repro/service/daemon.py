@@ -18,9 +18,11 @@ What keeps concurrent execution honest:
   ``workers`` local lanes or by a remote ``fabric worker`` attached to
   the daemon's own port — so streamed results are bitwise-equal to a
   local run and land under identical store keys.
-* **Single-writer stores.** The daemon wraps its store backend in
-  :class:`~repro.service.leases.SingleWriterBackend`: one writer per
-  ``(arch, bw_set_index)`` shard at a time, reads lock-free.
+* **Single-writer stores.** The store backend owns the write lock of
+  each file it appends to
+  (:class:`~repro.experiments.store.JsonlBackend`): one writer per
+  ``(arch, bw_set_index)`` shard at a time, whoever shares the
+  backend; the daemon adds nothing.
 * **Cross-job point dedup.** A job resolves its store hits itself and
   hands the misses to the work table, where a key another job — or a
   concurrent fabric client — already wants gains a waiter instead of a
@@ -49,7 +51,7 @@ from typing import Dict, Optional, Tuple
 from repro.api.session import StoreLike, _resolve_store
 from repro.api.spec import ExperimentSpec
 from repro.arch.config import SystemConfig
-from repro.experiments.store import ResultStore, result_to_dict
+from repro.experiments.store import result_to_dict
 from repro.experiments.sweep import FabricExecutor
 from repro.fabric.coordinator import Coordinator, _Job
 from repro.fabric.errors import ProtocolError
@@ -63,7 +65,6 @@ from repro.fabric.transport import Connection
 from repro.fabric.worker import execute_item
 from repro.service.errors import ServiceError
 from repro.service.jobs import JobQueue, JobRecord
-from repro.service.leases import SingleWriterBackend
 
 __all__ = ["DEFAULT_PORT", "ExperimentService"]
 
@@ -80,7 +81,6 @@ class ExperimentService(Coordinator):
     Args:
         store: Anything :class:`~repro.api.session.Session` accepts —
             ``None`` (in-memory), a path, a ResultStore or a backend.
-            The daemon wraps it for single-writer shard discipline.
         host, port: Bind address (port ``0`` picks a free port; read it
             back from :attr:`address` after :meth:`start`).
         workers: Local simulation lanes shared by every running job
@@ -116,10 +116,8 @@ class ExperimentService(Coordinator):
             raise ValueError("workers must not be negative")
         if max_jobs < 1:
             raise ValueError("max_jobs must be at least 1")
-        base = _resolve_store(store, backend)
         super().__init__(
-            ResultStore(backend=SingleWriterBackend(base.backend)),
-            host, port, transport=transport,
+            _resolve_store(store, backend), host, port, transport=transport
         )
         self._roles["jobs"] = self._serve_jobs
         self.workers = workers

@@ -29,7 +29,6 @@ import repro.scenarios.schedule
 import repro.service.client
 import repro.service.daemon
 import repro.service.jobs
-import repro.service.leases
 
 MODULES = [
     repro.experiments.costing,
@@ -38,7 +37,6 @@ MODULES = [
     repro.service.client,
     repro.service.daemon,
     repro.service.jobs,
-    repro.service.leases,
     repro.scenarios.schedule,
     repro.scenarios.compose,
     repro.scenarios.generate,

@@ -29,6 +29,7 @@ from repro.experiments.store import (
     make_backend,
     open_store,
     result_to_dict,
+    shard_filename,
 )
 from repro.experiments.sweep import FabricExecutor, SweepExecutor, SweepSpec
 from repro.fabric.client import FabricClient
@@ -587,6 +588,32 @@ class TestClient:
             b.close()
             for worker in workers:
                 worker.stop()
+
+    def test_fresh_result_touches_only_its_own_shard(self, tmp_path):
+        # Recording a worker's result must not ask the store an
+        # un-hinted question: on a sharded store that loads every shard.
+        root = str(tmp_path / "shards")
+        seeded = open_store(root, "sharded")
+        seeded.put("ka", SAMPLE)
+        seeded.put("kb", dataclasses.replace(SAMPLE, arch="dhetpnoc"))
+        assert len(seeded.backend.shard_paths()) == 2
+
+        with Coordinator(store=open_store(root, "sharded")) as coordinator:
+            workers, _ = inthread_workers(coordinator.address, 1)
+            executor = FabricExecutor(coordinator.address, store=ResultStore())
+            spec = SweepSpec(
+                archs=("firefly",), bw_set_indices=(1,),
+                patterns=("uniform",), seeds=(1,),
+                fidelity=Fidelity("tiny1", 700, 100, (0.5,)),
+            )
+            executor.run(spec)
+            assert executor.executed_count == 1
+            executor.close()
+            for worker in workers:
+                worker.stop()
+            assert coordinator.store.backend.read_paths == [
+                os.path.join(root, shard_filename("firefly", 1))
+            ]
 
     def test_duplicate_keys_in_one_job_rejected(self):
         with Coordinator() as coordinator:

@@ -3,9 +3,9 @@
 Every persistent backend must honour the same contract: put/get
 roundtrip, durable resume after a partial sweep, tolerance of corrupt
 lines, and a compaction that preserves exactly the latest record per
-key. The suite runs the same assertions against :class:`JsonlBackend`
-and :class:`ShardedJsonlBackend`; sharded-only guarantees (index
-headers, lazy per-shard loading) get their own tests.
+key. The suite runs the same assertions against both layouts of
+:class:`JsonlBackend` (one file, a directory of shards); sharded-only
+guarantees (index headers, lazy per-shard loading) get their own tests.
 """
 
 import dataclasses
@@ -21,7 +21,6 @@ from repro.experiments.store import (
     JsonlBackend,
     MemoryBackend,
     ResultStore,
-    ShardedJsonlBackend,
     make_backend,
     open_store,
     shard_filename,
@@ -222,6 +221,54 @@ class TestConformance:
         stats = factory().compact()
         assert stats.records_after == 0
 
+    def test_put_after_a_torn_tail_is_not_lost(self, factory):
+        """A crashed writer's unterminated fragment must stay one
+        corrupt line: the next acknowledged put may not be glued onto
+        it (and dropped with it on reopen)."""
+        factory().put("ka", SAMPLE)
+        (path,) = _data_files(factory)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"key": "kb", "result": {"arch": "fir')  # no newline
+
+        reopened = factory()
+        assert len(reopened) == 1 and reopened.corrupt_lines == 1
+        later = dataclasses.replace(SAMPLE, offered_gbps=700.0)
+        reopened.put("kc", later)
+        reopened.put("kd", SAMPLE)  # only the first append pays the check
+
+        final = factory()
+        assert dict(iter(final)) == {"ka": SAMPLE, "kc": later, "kd": SAMPLE}
+        assert final.corrupt_lines == 1
+
+    def test_compaction_syncs_before_replacing_and_sweeps_stale_temps(
+        self, factory, monkeypatch
+    ):
+        store = factory()
+        store.put("ka", SAMPLE)
+        (path,) = _data_files(factory)
+        # What a compaction that crashed before its replace leaves behind
+        # (for a shard directory, also one whose shard is since gone).
+        stale = [path + ".compact.tmp"]
+        if factory.kind == "sharded":
+            stale.append(os.path.join(factory.path, "gone-set9.jsonl.compact.tmp"))
+        for tmp in stale:
+            _append_line(tmp, store_mod._record_line("ghost", OTHER))
+
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+        monkeypatch.setattr(
+            store_mod.os, "fsync",
+            lambda fd: (calls.append("fsync"), real_fsync(fd))[1],
+        )
+        monkeypatch.setattr(
+            store_mod.os, "replace",
+            lambda src, dst: (calls.append("replace"), real_replace(src, dst))[1],
+        )
+        store.compact()
+        assert calls == ["fsync", "replace"]
+        assert not any(os.path.exists(tmp) for tmp in stale)
+        assert dict(iter(factory())) == {"ka": SAMPLE}
+
 
 class TestShardedLayout:
     def test_one_shard_per_arch_bwset_with_header(self, tmp_path):
@@ -337,25 +384,19 @@ class TestFactory:
 
     def test_auto_picks_jsonl_for_file_path(self, tmp_path):
         backend = make_backend("auto", str(tmp_path / "store.jsonl"))
-        assert isinstance(backend, JsonlBackend)
+        assert isinstance(backend, JsonlBackend) and not backend.sharded
 
     def test_auto_picks_sharded_for_directory(self, tmp_path):
         existing = tmp_path / "shards"
         existing.mkdir()
-        assert isinstance(make_backend("auto", str(existing)), ShardedJsonlBackend)
-        assert isinstance(
-            make_backend("auto", str(tmp_path / "new") + "/"),
-            ShardedJsonlBackend,
-        )
+        assert make_backend("auto", str(existing)).sharded
+        created = make_backend("auto", str(tmp_path / "new") + "/")
+        assert created.sharded and created.path == str(tmp_path / "new")
 
     def test_explicit_names(self, tmp_path):
         assert isinstance(make_backend("memory"), MemoryBackend)
-        assert isinstance(
-            make_backend("jsonl", str(tmp_path / "a.jsonl")), JsonlBackend
-        )
-        assert isinstance(
-            make_backend("sharded", str(tmp_path / "s")), ShardedJsonlBackend
-        )
+        assert not make_backend("jsonl", str(tmp_path / "a.jsonl")).sharded
+        assert make_backend("sharded", str(tmp_path / "s")).sharded
 
     def test_path_required_errors(self):
         with pytest.raises(ValueError):
@@ -367,9 +408,8 @@ class TestFactory:
 
     def test_resultstore_default_backends_unchanged(self, tmp_path):
         assert isinstance(ResultStore().backend, MemoryBackend)
-        assert isinstance(
-            ResultStore(str(tmp_path / "s.jsonl")).backend, JsonlBackend
-        )
+        backend = ResultStore(str(tmp_path / "s.jsonl")).backend
+        assert isinstance(backend, JsonlBackend) and not backend.sharded
 
 
 class TestStoreCli:
@@ -388,10 +428,31 @@ class TestStoreCli:
 
         assert main(["store", "info", "--store", root]) == 0
         out = capsys.readouterr().out
-        assert "ShardedJsonlBackend" in out
+        assert "backend: JsonlBackend (sharded)" in out
         assert shard_filename("firefly", 1) in out
 
         assert main(["store", "compact", "--store", root]) == 0
         out = capsys.readouterr().out
         assert "1 duplicates" in out
         assert open_store(root, "sharded").get("ka") == newer
+
+    def test_info_lists_files_the_same_way_for_both_layouts(
+        self, tmp_path, capsys
+    ):
+        from repro.experiments.cli import main
+
+        tables = {}
+        for kind, path in (
+            ("jsonl", str(tmp_path / "firefly-set1.jsonl")),
+            ("sharded", str(tmp_path / "shards")),
+        ):
+            open_store(path, kind).put("ka", SAMPLE)
+            assert main(["store", "info", "--store", path]) == 0
+            out = capsys.readouterr().out
+            assert f"backend: JsonlBackend ({kind})" in out
+            tables[kind] = out[out.index("Shards"):].splitlines()
+        # Same table, row for row — only the byte count differs (the
+        # shard's index header).
+        assert len(tables["jsonl"]) == len(tables["sharded"])
+        for one_file, shard in zip(tables["jsonl"], tables["sharded"]):
+            assert one_file.split()[:-1] == shard.split()[:-1]

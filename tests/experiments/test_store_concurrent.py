@@ -9,6 +9,11 @@ processes interleave *records*, never *bytes within a record*. These
 tests pin that: N-writer appends must all survive a fresh load with
 zero corrupt lines, and a torn line planted by a crashed writer must
 be skipped without taking any neighbouring record down.
+
+Threads *sharing one backend* get more: the backend holds a write lock
+per file it appends to, so the load / "is it on disk yet" / append
+sequence of a ``put`` is one writer at a time and every key lands on
+disk exactly once — with no wrapper around the backend.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 
 import pytest
 
@@ -26,7 +32,6 @@ from repro.experiments.runner import RunResult
 from repro.experiments.store import (
     JsonlBackend,
     ResultStore,
-    ShardedJsonlBackend,
     result_to_dict,
 )
 
@@ -59,17 +64,12 @@ _WRITER = textwrap.dedent(
     """
     import sys
 
-    from repro.experiments.store import (
-        JsonlBackend, ShardedJsonlBackend, result_from_dict,
-    )
+    from repro.experiments.store import JsonlBackend, result_from_dict
 
     path, backend_name, tag, payload = sys.argv[1:5]
     import json
     records = json.loads(payload)
-    backend = (
-        JsonlBackend(path) if backend_name == "jsonl"
-        else ShardedJsonlBackend(path)
-    )
+    backend = JsonlBackend(path, sharded=backend_name == "sharded")
     for index, data in enumerate(records):
         backend.put(f"{tag}-{index}", result_from_dict(data))
     backend.flush()
@@ -108,9 +108,7 @@ class TestConcurrentWriters:
         return str(tmp_path / "shards")
 
     def _fresh_backend(self, path: str, backend_name: str):
-        if backend_name == "jsonl":
-            return JsonlBackend(path)
-        return ShardedJsonlBackend(path)
+        return JsonlBackend(path, sharded=backend_name == "sharded")
 
     def test_two_processes_interleave_without_corruption(
         self, tmp_path, backend_name
@@ -129,12 +127,12 @@ class TestConcurrentWriters:
     def test_torn_lines_tolerated_alongside_live_writers(
         self, tmp_path, backend_name
     ):
-        # Two shapes of damage a crashed writer can leave: a line whose
-        # payload was truncated but whose newline survived (planted
-        # before the live writers — a torn line *without* its newline
-        # would merge with the next append, which is exactly why `put`
-        # writes line+newline in one buffered write), and a trailing
-        # unterminated line (the crash happened last). Every record the
+        # Two shapes of damage a crashed writer can leave, both planted
+        # *before* the live writers: a line whose payload was truncated
+        # but whose newline survived, and an unterminated tail (the
+        # crash came mid-line). The first append after the tail must
+        # end it with a newline — otherwise that writer's record is
+        # glued onto the fragment and lost with it. Every record the
         # live writers append must survive both.
         path = self._path(tmp_path, backend_name)
         seed = self._fresh_backend(path, backend_name)
@@ -149,11 +147,9 @@ class TestConcurrentWriters:
             ]
         with open(torn_file, "a", encoding="utf-8") as fh:
             fh.write('{"key": "torn-mid", "result": {"arch": "fire\n')
+            fh.write('{"key": "torn-tail", "result": {"arch')  # no newline
 
         _run_writers(path, backend_name)
-
-        with open(torn_file, "a", encoding="utf-8") as fh:
-            fh.write('{"key": "torn-tail", "result": {"arch')  # no newline
 
         backend = self._fresh_backend(path, backend_name)
         records = dict(backend.scan())
@@ -177,3 +173,51 @@ class TestConcurrentWriters:
         assert len(store) == 2 * N_RECORDS
         assert store.get("alpha-0", ("firefly", 1)) == _result("firefly", 0)
         assert store.corrupt_lines == 0
+
+    def test_threads_sharing_one_backend_write_each_key_once(
+        self, tmp_path, backend_name
+    ):
+        # More writers than cores, all into one (arch, bw set) — one
+        # shard, or the one file — of a single shared backend. Each
+        # thread puts its own keys plus a set every thread puts: the
+        # per-file lock makes the check-then-append of a `put` atomic,
+        # so the shared keys land once, not once per racing thread.
+        path = self._path(tmp_path, backend_name)
+        backend = self._fresh_backend(path, backend_name)
+        n_threads, errors = 8, []
+        start = threading.Barrier(n_threads)
+
+        def write(tag: int) -> None:
+            try:
+                start.wait(timeout=30.0)
+                for index in range(N_RECORDS):
+                    backend.put(f"shared-{index}", _result("firefly", index))
+                    backend.put(f"own-{tag}-{index}", _result("firefly", index))
+            except Exception as exc:  # pragma: no cover - failure detail
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=write, args=(tag,), daemon=True)
+            for tag in range(n_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert not any(thread.is_alive() for thread in threads)
+
+        (data_file,) = backend.shard_paths()
+        with open(data_file, encoding="utf-8") as fh:
+            lines = [json.loads(line) for line in fh]
+        keys = [line["key"] for line in lines if "key" in line]
+        assert len(keys) == len(set(keys)) == (n_threads + 1) * N_RECORDS
+        assert len(lines) - len(keys) == (backend_name == "sharded")  # header
+        reopened = self._fresh_backend(path, backend_name)
+        assert dict(reopened.scan()) == dict(backend.scan())
+        assert reopened.corrupt_lines == 0

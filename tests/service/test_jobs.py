@@ -1,4 +1,4 @@
-"""Job model unit tests: IDs, lifecycle, admission, leases.
+"""Job model unit tests: IDs, lifecycle, admission.
 
 The service's dedup contract starts here: job IDs are content hashes
 of the spec's canonical JSON, so equality of experiments — not of
@@ -9,20 +9,16 @@ of queued vs running jobs) and the admission-control backpressure.
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro.api.spec import ExperimentSpec
-from repro.experiments.runner import Fidelity, RunResult
-from repro.experiments.store import MemoryBackend, ResultStore
+from repro.experiments.runner import Fidelity
 from repro.service.errors import ServiceError
 from repro.service.jobs import (
     JobQueue,
     JobRejected,
     job_id_for_spec,
 )
-from repro.service.leases import ShardLeases, SingleWriterBackend
 
 TINY = Fidelity("tiny", 700, 100, (0.3, 0.8))
 
@@ -172,74 +168,3 @@ class TestJobQueue:
         rows = queue.list_jobs()
         assert len(rows) == 2 == len(queue)
         assert {row["state"] for row in rows} == {"queued"}
-
-
-# ---------------------------------------------------------------------------
-# Shard leases
-# ---------------------------------------------------------------------------
-
-def sample_result(arch="firefly", bw=1, seed=1) -> RunResult:
-    return RunResult(
-        arch=arch,
-        pattern="uniform",
-        bw_set_index=bw,
-        offered_gbps=100.0,
-        delivered_gbps=90.0,
-        photonic_gbps=80.0,
-        per_core_gbps=1.0,
-        energy_per_message_pj=5000.0,
-        mean_latency_cycles=200.0,
-        acceptance_ratio=0.9,
-        packets_delivered=1000 + seed,
-        reservations_nacked=5,
-        laser_power_mw=640.0,
-        lit_wavelengths=64,
-    )
-
-
-class TestShardLeases:
-    def test_same_coords_share_one_lock(self):
-        leases = ShardLeases()
-        assert leases.lease(("firefly", 1)) is leases.lease(("firefly", 1))
-        assert leases.lease(("firefly", 1)) is not leases.lease(("firefly", 2))
-        assert len(leases) == 2
-
-    def test_single_writer_backend_is_transparent(self):
-        backend = SingleWriterBackend(MemoryBackend())
-        store = ResultStore(backend=backend)
-        result = sample_result()
-        store.put("a" * 64, result)
-        assert store.get("a" * 64, ("firefly", 1)) == result
-        assert store.contains("a" * 64)
-        assert dict(store.backend.scan())["a" * 64] == result
-        assert len(store) == 1
-
-    def test_writes_block_on_a_held_lease(self):
-        leases = ShardLeases()
-        backend = SingleWriterBackend(MemoryBackend(), leases)
-        release = threading.Event()
-        entered = threading.Event()
-
-        def hold() -> None:
-            with leases.lease(("firefly", 1)):
-                entered.set()
-                release.wait(timeout=5.0)
-
-        holder = threading.Thread(target=hold, daemon=True)
-        holder.start()
-        assert entered.wait(timeout=5.0)
-        writer_done = threading.Event()
-        writer = threading.Thread(
-            target=lambda: (backend.put("b" * 64, sample_result()),
-                            writer_done.set()),
-            daemon=True,
-        )
-        writer.start()
-        # The writer is stuck behind the held shard lease...
-        assert not writer_done.wait(timeout=0.2)
-        # ...and a *different* shard's writer is not.
-        backend.put("c" * 64, sample_result(bw=2))
-        release.set()
-        assert writer_done.wait(timeout=5.0)
-        holder.join(timeout=5.0)
-        writer.join(timeout=5.0)

@@ -17,6 +17,7 @@ The acceptance bar of docs/service.md is pinned here:
 
 from __future__ import annotations
 
+import json
 import socket
 import threading
 import time
@@ -221,6 +222,33 @@ class TestConcurrentDedup:
                 ]
         finally:
             service.stop()
+
+    @pytest.mark.parametrize("layout", ["jsonl", "sharded"])
+    def test_overlapping_jobs_writing_one_shard_leave_it_whole(
+        self, tmp_path, layout
+    ):
+        # Two jobs, two local lanes, one (arch, bw set): every fresh
+        # result of both lands in the same file. The file backend's own
+        # per-file write lock is all that serialises them — the daemon
+        # wraps nothing around the store it is given.
+        path = str(tmp_path / ("store.jsonl" if layout == "jsonl" else "shards"))
+        service = ExperimentService(path, backend=layout, workers=2, max_jobs=2)
+        service.start()
+        try:
+            assert service.store.backend.sharded == (layout == "sharded")
+            spec_a = tiny_spec(seeds=(1, 2, 3))
+            spec_b = tiny_spec(seeds=(3, 4, 5))
+            run_a, run_b = self._race(service, [spec_a, spec_b])
+        finally:
+            service.stop()
+        unique = set(run_a.keys) | set(run_b.keys)
+        (data_file,) = service.store.backend.shard_paths()
+        with open(data_file, encoding="utf-8") as fh:
+            lines = [json.loads(line) for line in fh]  # every line parses
+        on_disk = [line["key"] for line in lines if "key" in line]
+        assert sorted(on_disk) == sorted(unique)  # each key exactly once
+        reopened = open_store(path, layout)
+        assert len(reopened) == len(unique) and reopened.corrupt_lines == 0
 
     def test_identical_specs_share_one_job(self):
         counting = CountingBackend()

@@ -42,6 +42,18 @@ REPRO_API_EXPORTS = {
     "registry",
 }
 
+#: The exact exported surface of ``repro.service`` (all but the error
+#: are lazy: importing the package must not pull in the daemon).
+REPRO_SERVICE_EXPORTS = {
+    "ExperimentService",
+    "JobQueue",
+    "JobRecord",
+    "JobRejected",
+    "ServiceClient",
+    "ServiceError",
+    "job_id_for_spec",
+}
+
 #: The registry tables ``repro.api.registry`` must expose.
 REGISTRY_TABLES = {
     "architectures",
@@ -61,6 +73,14 @@ def test_repro_all_is_pinned():
 
 def test_repro_api_all_is_pinned():
     assert set(repro.api.__all__) == REPRO_API_EXPORTS
+
+
+def test_repro_service_exports_are_pinned_and_resolve():
+    service = importlib.import_module("repro.service")
+    assert set(service.__all__) == REPRO_SERVICE_EXPORTS
+    for name in REPRO_SERVICE_EXPORTS:
+        assert getattr(service, name) is not None
+    assert REPRO_SERVICE_EXPORTS <= set(dir(service))
 
 
 @pytest.mark.parametrize("name", sorted(REPRO_EXPORTS))

@@ -95,6 +95,52 @@ def test_no_process_wide_store_and_no_deprecated_shims(needle):
     assert _count_in_src(needle) == {}
 
 
+@pytest.mark.parametrize("needle", ["SingleWriterBackend", "ShardLeases"])
+def test_no_write_lock_lives_outside_the_backend(needle):
+    # The file backend owns its files' write locks; a second lock
+    # wrapped around it by a caller must not come back.
+    assert _count_in_src(needle) == {}
+    assert not (REPO_ROOT / "src/repro/service/leases.py").exists()
+
+
+def test_store_files_are_opened_for_append_in_one_place():
+    import re
+
+    append_open = re.compile(r"""open\([^()]*,\s*["']a[b+t]*["']""")
+    hits = {
+        str(path.relative_to(REPO_ROOT)): len(found)
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+        if (found := append_open.findall(path.read_text(encoding="utf-8")))
+    }
+    assert hits == {"src/repro/experiments/store.py": 1}
+
+
+def test_no_store_backend_only_wraps_another():
+    # A StoreBackend whose `put` hands the record to another backend's
+    # `put` is a wrapper; the one PR 9 grew existed only to hold a lock.
+    import ast
+
+    offenders = []
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            if not any(
+                getattr(base, "id", getattr(base, "attr", None)) == "StoreBackend"
+                for base in cls.bases
+            ):
+                continue
+            for call in (n for n in ast.walk(cls) if isinstance(n, ast.Call)):
+                func = call.func
+                if (
+                    isinstance(func, ast.Attribute)
+                    and func.attr == "put"
+                    and isinstance(func.value, ast.Attribute)
+                    and getattr(func.value.value, "id", None) == "self"
+                ):
+                    offenders.append(f"{path.relative_to(REPO_ROOT)}:{cls.name}")
+    assert not offenders
+
+
 def test_single_run_core_has_exactly_two_importers():
     importers = set(_count_in_src("_run_once")) - {
         "src/repro/experiments/runner.py"  # where it is defined

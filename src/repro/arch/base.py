@@ -14,7 +14,7 @@ exact differences sections 3.2/3.3 describe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 from repro.arch.config import SystemConfig
@@ -60,19 +60,9 @@ class ArchMetrics:
         return self.delivered_gbps(clock_hz) / n_cores
 
     def reset(self) -> None:
-        self.packets_accepted = 0
-        self.packets_refused = 0
-        self.packets_delivered = 0
-        self.packets_delivered_photonic = 0
-        self.bits_delivered = 0
-        self.bits_delivered_photonic = 0
-        self.flits_delivered = 0
-        self.reservations_sent = 0
-        self.reservations_nacked = 0
-        self.reservation_retries = 0
-        self.packets_dropped_flits = 0
-        self.packets_abandoned = 0
-        self.measured_cycles = 0
+        for counter in fields(self):
+            if counter.name != "latency":
+                setattr(self, counter.name, 0)
         self.latency.reset()
 
 
@@ -155,7 +145,8 @@ class PhotonicCrossbarNoC(ClockedComponent):
         if self._generator is not None:
             self._generator.tick(cycle)
         for gateway in self.gateways:
-            if not gateway.is_idle():
+            # Holding a flit already means active: skip the full test.
+            if gateway._held or not gateway.is_idle():
                 gateway.tick(cycle)
         self.metrics.measured_cycles += 1
 
@@ -185,15 +176,16 @@ class PhotonicCrossbarNoC(ClockedComponent):
         self.current_cycle = stop_cycle - 1
 
     def note_flit_delivered(self, flit: Flit, cycle: int, photonic: bool) -> None:
-        self.metrics.flits_delivered += 1
-        self.metrics.bits_delivered += flit.bits
+        metrics = self.metrics
+        metrics.flits_delivered += 1
+        metrics.bits_delivered += flit.bits
         if photonic:
-            self.metrics.bits_delivered_photonic += flit.bits
+            metrics.bits_delivered_photonic += flit.bits
         if flit.is_tail:
-            self.metrics.packets_delivered += 1
+            metrics.packets_delivered += 1
             if photonic:
-                self.metrics.packets_delivered_photonic += 1
-            self.metrics.latency.add(cycle - flit.packet.created_cycle)
+                metrics.packets_delivered_photonic += 1
+            metrics.latency.add(cycle - flit.packet.created_cycle)
             self.energy.note_message_delivered()
 
     def note_packet_delivered_whole(

@@ -64,6 +64,8 @@ class DHetPNoC(PhotonicCrossbarNoC):
             for cluster in range(config.n_clusters)
         }
         self.token = self._build_token()
+        #: (src, dst) -> (current-table version, its TxPlan).
+        self._plans: Dict[tuple, tuple] = {}
         self.controllers: List[DBAController] = [
             DBAController(
                 cluster=cluster,
@@ -130,15 +132,21 @@ class DHetPNoC(PhotonicCrossbarNoC):
     # Architecture hooks
     # ------------------------------------------------------------------
     def tx_plan(self, src_cluster: int, dst_cluster: int) -> TxPlan:
+        """Rebuilt only when the source's current table has moved."""
         controller = self.controllers[src_cluster]
-        ids = tuple(controller.wavelengths_for(dst_cluster))
-        return TxPlan(
-            n_wavelengths=len(ids),
-            wavelength_ids=ids,
-            reservation_cycles=reservation_serialization_cycles(
-                len(ids), self.n_data_waveguides, clock_hz=self.config.clock_hz
-            ),
-        )
+        table = controller.current_table
+        version, plan = self._plans.get((src_cluster, dst_cluster), (None, None))
+        if version != table.version:
+            ids = tuple(controller.wavelengths_for(dst_cluster))
+            plan = TxPlan(
+                n_wavelengths=len(ids),
+                wavelength_ids=ids,
+                reservation_cycles=reservation_serialization_cycles(
+                    len(ids), self.n_data_waveguides, clock_hz=self.config.clock_hz
+                ),
+            )
+            self._plans[src_cluster, dst_cluster] = (table.version, plan)
+        return plan
 
     def rx_demodulators_on(self, reservation: ReservationFlit) -> int:
         """Only the reserved wavelength subset is powered (section 3.3.1)."""

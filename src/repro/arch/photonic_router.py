@@ -20,6 +20,14 @@ Transmit path (store-and-forward at the gateway):
 
 Energy is charged to the shared :class:`~repro.energy.model.EnergyAccount`
 as events happen (DESIGN.md section 4 lists the charging rules).
+
+Each quantity is computed when it can change and read afterwards (rate
+and queue depth at ACK, the plan when the DBA current table moves), and
+a per-cycle stage runs only when an O(1) count says it has work. The
+orders results depend on -- stage order within a tick, launch order in
+``_inbound``, ``sorted`` ejection candidates, one energy addend per flit
+-- are listed in ``docs/engine.md`` and pinned by value in
+``tests/arch/gateway_golden.json``.
 """
 
 from __future__ import annotations
@@ -68,6 +76,8 @@ class ClusterGateway:
         self.arch = arch
         config = arch.config
         self.config = config
+        self._energy = arch.energy  # read per flit: resolved once
+        self._cores = config.cores_per_cluster
 
         # -- TX input side: one port per core ---------------------------------
         self.inputs: List[PortBuffer] = [
@@ -85,6 +95,7 @@ class ClusterGateway:
         ]
         self._pipe_packets: List[int] = [0] * config.cores_per_cluster
         self._pipe_active_vc: List[Optional[int]] = [None] * config.cores_per_cluster
+        self._pipes_active = 0  # non-empty injection pipes
 
         # -- photonic channels -------------------------------------------------
         self.channel = DataChannel(cluster_id, clock_hz=config.clock_hz)
@@ -93,13 +104,12 @@ class ClusterGateway:
             propagation_cycles=config.reservation_propagation_cycles,
         )
 
-        # -- TX FSM state --------------------------------------------------
-        self._tx_state = self.IDLE
-        self._tx_port: Optional[int] = None
-        self._tx_vc: Optional[int] = None
-        self._tx_reservation: Optional[ReservationFlit] = None
-        self._tx_plan: Optional[TxPlan] = None
-        self._tx_retries = 0
+        # -- TX FSM state (the claimed packet's fields: _clear_tx) ---------
+        self._clear_tx()
+        #: Fully buffered packets not yet claimed by a transmission: an
+        #: input VC holds one packet at most, so while the FSM is IDLE
+        #: this counts the VCs with a complete front packet.
+        self._tx_waiting = 0
         self._backoff_until = 0
 
         # -- RX side ------------------------------------------------------
@@ -115,12 +125,11 @@ class ClusterGateway:
             for _ in range(config.cores_per_cluster)
         ]
         # Ejection-ready index: per core slot, the set of source clusters
-        # whose RX-buffer front flit targets that core. Maintained on
-        # every RX push/pop so ejection never rescans all buffers.
+        # whose RX-buffer front flit targets that core. Re-indexed when a
+        # tail leaves or a buffer empties or refills -- a front's core
+        # cannot change otherwise -- so ejection never rescans buffers.
         self._rx_ready: List[set] = [set() for _ in range(config.cores_per_cluster)]
-        self._rx_front_slot: Dict[int, Optional[int]] = {
-            src: None for src in self.rx_buffers
-        }
+        self._rx_nonempty = 0  # entries across _rx_ready
 
         # Intra-cluster all-to-all electrical deliveries: (due, packet).
         self._intra: Deque[Tuple[int, Packet]] = deque()
@@ -135,14 +144,17 @@ class ClusterGateway:
     # ==================================================================
     def try_submit(self, packet: Packet, cycle: int) -> bool:
         """Queue *packet* into its source core's injection pipe."""
-        slot = self.config.core_slot(packet.src)
+        slot = packet.src % self._cores
         if self._pipe_packets[slot] >= self.config.max_pending_packets_per_core:
             return False
-        self._pipe_flits[slot].extend(packetize(packet))
+        pipe = self._pipe_flits[slot]
+        if not pipe:
+            self._pipes_active += 1
+        pipe.extend(packetize(packet))
         self._pipe_packets[slot] += 1
         self._held += packet.n_flits
         # Source core's electronic router traversal.
-        self.arch.energy.charge_router_traversal(packet.size_bits)
+        self._energy.charge_router_traversal(packet.size_bits)
         return True
 
     def submit_intra_cluster(self, packet: Packet, cycle: int) -> bool:
@@ -150,9 +162,9 @@ class ClusterGateway:
         latency = self.config.intra_cluster_latency_cycles + packet.n_flits
         self._intra.append((cycle + latency, packet))
         self._held += packet.n_flits
-        self.arch.energy.charge_router_traversal(2 * packet.size_bits)
-        self.arch.energy.charge_buffer_write(packet.size_bits)
-        self.arch.energy.charge_buffer_read(packet.size_bits)
+        self._energy.charge_router_traversal(2 * packet.size_bits)
+        self._energy.charge_buffer_write(packet.size_bits)
+        self._energy.charge_buffer_read(packet.size_bits)
         return True
 
     # ==================================================================
@@ -164,10 +176,21 @@ class ClusterGateway:
             reservation_channel.tick(cycle)
         if self._inbound:
             self._deliver_inbound(cycle)
-        if any(self._pipe_flits):
+        if self._pipes_active:
             self._inject_step(cycle)
-        self._tx_step(cycle)
-        self._eject_step(cycle)
+        # TX FSM: one dispatch on the state the stage is entered in (an
+        # ACK arrives in the reservation stage above and streams now; a
+        # state entered here is first acted on next cycle).
+        state = self._tx_state
+        if state == self.STREAMING:
+            self._tx_stream(cycle)
+        elif state == self.IDLE:
+            if self._tx_waiting:
+                self._tx_arbitrate(cycle)
+        elif state == self.BACKOFF and cycle >= self._backoff_until:
+            self._send_reservation(cycle, retry=True)
+        if self._rx_nonempty:
+            self._eject_step(cycle)
         if self._intra:
             self._deliver_intra(cycle)
 
@@ -187,39 +210,35 @@ class ClusterGateway:
 
     # -- injection pipes -------------------------------------------------
     def _inject_step(self, cycle: int) -> None:
-        for slot in range(self.config.cores_per_cluster):
-            pipe = self._pipe_flits[slot]
+        energy = self._energy
+        active_vc = self._pipe_active_vc
+        for slot, pipe in enumerate(self._pipe_flits):
             if not pipe:
                 continue
             flit = pipe[0]
-            port = self.inputs[slot]
-            if flit.is_head and self._pipe_active_vc[slot] is None:
-                free = port.free_vc_ids()
-                if not free:
+            vc = active_vc[slot]
+            if vc is None:
+                if not flit.is_head:
                     continue
-                self._pipe_active_vc[slot] = free[0]
-            vc = self._pipe_active_vc[slot]
-            if vc is None or not port.can_accept(vc):
+                vc = self.inputs[slot].first_free_vc()
+                if vc is None:
+                    continue
+                active_vc[slot] = vc
+            vcb = self.inputs[slot].vcs[vc]
+            if len(vcb._fifo) >= vcb.depth:
                 continue
             flit.vc = vc
-            port.push(flit, cycle)
+            vcb.push(flit, cycle)
             pipe.popleft()
-            self.arch.energy.charge_buffer_write(flit.bits)
+            energy.charge_buffer_write(flit.bits)
             if flit.is_tail:
-                self._pipe_active_vc[slot] = None
+                active_vc[slot] = None
                 self._pipe_packets[slot] -= 1
+                self._tx_waiting += 1
+            if not pipe:
+                self._pipes_active -= 1
 
     # -- transmit FSM ------------------------------------------------------
-    def _tx_step(self, cycle: int) -> None:
-        if self._tx_state == self.BACKOFF and cycle >= self._backoff_until:
-            self._send_reservation(cycle, retry=True)
-        if self._tx_state == self.IDLE and any(
-            port._complete_vcs for port in self.inputs
-        ):
-            self._tx_arbitrate(cycle)
-        if self._tx_state == self.STREAMING:
-            self._tx_stream(cycle)
-
     def _tx_arbitrate(self, cycle: int) -> None:
         """The two arbitration stages of the 3-stage switch."""
         nominees: Dict[int, int] = {}
@@ -235,11 +254,12 @@ class ClusterGateway:
         granted_port = self._output_arbiter.grant(sorted(nominees))
         if granted_port is None:
             return
-        self._tx_port = granted_port
-        self._tx_vc = nominees[granted_port]
-        head = self.inputs[granted_port][self._tx_vc].peek()
+        self._tx_waiting -= 1
+        self._tx_vcb = self.inputs[granted_port].vcs[nominees[granted_port]]
+        head = self._tx_vcb.peek()
         assert head is not None and head.is_head
-        dst_cluster = self.config.cluster_of(head.dst)
+        dst_cluster = head.packet.dst // self._cores
+        self._tx_dst = self.arch.gateways[dst_cluster]
         plan = self.arch.tx_plan(self.cluster_id, dst_cluster)
         self._tx_plan = plan
         self._tx_reservation = ReservationFlit(
@@ -260,16 +280,15 @@ class ClusterGateway:
         flit_bits = reservation_flit_bits(
             len(reservation.wavelength_ids), self.arch.n_data_waveguides
         )
-        dst_gateway = self.arch.gateways[reservation.dst_cluster]
         self.reservation_channel.broadcast(
             reservation,
             serialization_cycles=plan.reservation_cycles,
             cycle=cycle,
-            deliver=lambda resv: dst_gateway.on_reservation(resv),
+            deliver=self._tx_dst.on_reservation,
             flit_bits=flit_bits,
         )
         # R-SWMR: every other cluster's reservation demodulators see the flit.
-        self.arch.energy.charge_reservation(
+        self._energy.charge_reservation(
             flit_bits, n_listeners=self.config.n_clusters - 1
         )
         self.arch.metrics.reservations_sent += 1
@@ -293,7 +312,7 @@ class ClusterGateway:
             reservation,
             accepted,
             cycle,
-            deliver=lambda resv, ok: src_gateway.on_reservation_response(resv, ok),
+            deliver=src_gateway.on_reservation_response,
         )
 
     def _charge_reception_window(self, reservation: ReservationFlit) -> None:
@@ -309,7 +328,7 @@ class ClusterGateway:
         duration = math.ceil(
             packet_bits / bits_per_cycle(n_used, self.config.clock_hz)
         )
-        self.arch.energy.charge_demodulators_on(n_on, duration)
+        self._energy.charge_demodulators_on(n_on, duration)
 
     def on_reservation_response(self, reservation: ReservationFlit, accepted: bool) -> None:
         cycle = self.arch.current_cycle
@@ -340,12 +359,12 @@ class ClusterGateway:
 
     def _abandon_packet(self, cycle: int) -> None:
         """Give up on the head packet after max retries (counted as lost)."""
-        assert self._tx_port is not None and self._tx_vc is not None
-        vcb = self.inputs[self._tx_port][self._tx_vc]
+        vcb = self._tx_vcb
+        assert vcb is not None
         while True:
             flit = vcb.pop(cycle)
             self._held -= 1
-            self.arch.energy.charge_buffer_read(flit.bits)
+            self._energy.charge_buffer_read(flit.bits)
             if flit.is_tail:
                 break
         self.arch.metrics.packets_abandoned += 1
@@ -353,69 +372,60 @@ class ClusterGateway:
 
     def _clear_tx(self) -> None:
         self._tx_state = self.IDLE
-        self._tx_port = None
-        self._tx_vc = None
-        self._tx_reservation = None
-        self._tx_plan = None
+        self._tx_vcb: Optional[VirtualChannelBuffer] = None
+        self._tx_dst: Optional["ClusterGateway"] = None
+        self._tx_reservation: Optional[ReservationFlit] = None
+        self._tx_plan: Optional[TxPlan] = None
         self._tx_retries = 0
 
     def _tx_stream(self, cycle: int) -> None:
-        assert self._tx_port is not None and self._tx_vc is not None
-        vcb = self.inputs[self._tx_port][self._tx_vc]
-        wanted = self.channel.wanted_flits()
-        while wanted > 0 and not vcb.is_empty():
+        vcb, dst, channel = self._tx_vcb, self._tx_dst, self.channel
+        assert vcb is not None and dst is not None
+        energy = self._energy
+        fifo = vcb._fifo
+        wanted = channel.wanted_flits()
+        while wanted > 0 and fifo:
             flit = vcb.pop(cycle)
-            self.arch.energy.charge_buffer_read(flit.bits)
+            bits = flit.bits
+            energy.charge_buffer_read(bits)
             # Source gateway electronic traversal happens as the flit
             # crosses from buffer to modulators.
-            self.arch.energy.charge_router_traversal(flit.bits)
-            self.channel.feed(flit)
+            energy.charge_router_traversal(bits)
+            channel.feed(flit)
             wanted -= 1
-        launched = self.channel.tick(cycle)
+        launched = channel.tick(cycle)
         if launched:
             # Launched flits leave this gateway's domain for the
-            # destination's inbound queue.
-            self._held -= len(launched)
-            bits = sum(f.bits for f in launched)
-            self.arch.energy.charge_photonic_transmit(bits)
-            reservation = self._tx_reservation
-            assert reservation is not None
-            dst_gateway = self.arch.gateways[reservation.dst_cluster]
+            # destination's inbound queue; one packet's, so equal-sized.
+            n = len(launched)
+            self._held -= n
+            dst._held += n
+            energy.charge_photonic_transmit(launched[0].bits * n)
             due = cycle + self.config.data_propagation_cycles
+            inbound = dst._inbound
             for flit in launched:
-                dst_gateway.receive_flit(flit, due)
-        if not self.channel.busy:
+                inbound.append((due, flit))
+        if channel._active is None:
             self._clear_tx()
 
     # ==================================================================
     # Receive side
     # ==================================================================
-    def receive_flit(self, flit: Flit, due_cycle: int) -> None:
-        self._inbound.append((due_cycle, flit))
-        self._held += 1
-
     def _deliver_inbound(self, cycle: int) -> None:
         inbound = self._inbound
+        energy = self._energy
+        cores = self._cores
         while inbound and inbound[0][0] <= cycle:
-            _due, flit = inbound.popleft()
-            src = self.config.cluster_of(flit.src)
+            flit = inbound.popleft()[1]
+            src = flit.packet.src // cores
             buffer = self.rx_buffers[src]
+            if not buffer._fifo:
+                # Refilled: the flit is the new front.
+                self._rx_ready[flit.packet.dst % cores].add(src)
+                self._rx_nonempty += 1
             buffer.push(flit, cycle)
             self._rx_reserved[src] -= 1
-            self._rx_front_changed(src)
-            self.arch.energy.charge_buffer_write(flit.bits)
-
-    def _rx_front_changed(self, src: int) -> None:
-        """Re-index *src*'s RX buffer after its front flit changed."""
-        front = self.rx_buffers[src].peek()
-        new_slot = self.config.core_slot(front.dst) if front is not None else None
-        old_slot = self._rx_front_slot[src]
-        if new_slot != old_slot:
-            if old_slot is not None:
-                self._rx_ready[old_slot].discard(src)
-            if new_slot is not None:
-                self._rx_ready[new_slot].add(src)
-            self._rx_front_slot[src] = new_slot
+            energy.charge_buffer_write(flit.bits)
 
     def _eject_step(self, cycle: int) -> None:
         """One flit per core per cycle from the RX buffers to the cores.
@@ -424,19 +434,30 @@ class ClusterGateway:
         (sets hold source ids; ``sorted`` restores the scan order the
         arbiters have always seen), so skipping empty slots changes
         nothing observable."""
-        for slot in range(self.config.cores_per_cluster):
-            ready = self._rx_ready[slot]
+        energy = self._energy
+        delivered = self.arch.note_flit_delivered
+        for slot, ready in enumerate(self._rx_ready):
             if not ready:
                 continue
             src = self._eject_arbiters[slot].grant(sorted(ready))
             if src is None:
                 continue
-            flit = self.rx_buffers[src].pop(cycle)
+            buffer = self.rx_buffers[src]
+            fifo = buffer._fifo
+            flit = buffer.pop(cycle)
             self._held -= 1
-            self._rx_front_changed(src)
-            self.arch.energy.charge_buffer_read(flit.bits)
-            self.arch.energy.charge_router_traversal(flit.bits)
-            self.arch.note_flit_delivered(flit, cycle, photonic=True)
+            if not fifo:
+                ready.discard(src)
+                self._rx_nonempty -= 1
+            elif flit.is_tail:
+                # The next packet's front may target another core (a
+                # later slot then sees it this very cycle, as always).
+                ready.discard(src)
+                self._rx_ready[fifo[0].packet.dst % self._cores].add(src)
+            bits = flit.bits
+            energy.charge_buffer_read(bits)
+            energy.charge_router_traversal(bits)
+            delivered(flit, cycle, True)
 
     def _deliver_intra(self, cycle: int) -> None:
         intra = self._intra
@@ -469,12 +490,6 @@ class ClusterGateway:
             buffer.reset_stats(at_cycle)
         self.channel.reset_stats()
         self.reservation_channel.reset_stats()
-
-    @property
-    def occupancy(self) -> int:
-        total = sum(port.occupancy for port in self.inputs)
-        total += sum(len(b) for b in self.rx_buffers.values())
-        return total
 
     def flits_held(self) -> int:
         """Every flit currently inside this gateway's domain (injection

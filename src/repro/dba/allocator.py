@@ -80,6 +80,7 @@ class WavelengthAllocator:
         self.policy = policy
         self.passes = 0
         self.unsatisfied_passes = 0
+        self._folded: Optional[tuple] = None  # see _update_per_destination
 
     def target_for(
         self,
@@ -151,7 +152,16 @@ class WavelengthAllocator:
         A transmission to destination *d* then uses
         ``current.wavelengths_for(d)`` -- the demanded subset of the held
         wavelengths (thesis 3.3.1).
+
+        Skipped when both tables are at the versions last folded (no new
+        demand, no wavelength gained or lost, no outside write to the
+        current table): a quiescent token pass is O(1).
         """
+        if self._folded == (request_table, request_table.version,
+                            current, current.version):
+            return
         held = current.held_count
         for dst, requested in request_table.as_dict().items():
             current.set_allocation(dst, min(requested, held))
+        self._folded = (request_table, request_table.version,
+                        current, current.version)

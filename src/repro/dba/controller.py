@@ -171,15 +171,21 @@ class TokenRing:
         total_demand = sum(c.capped_request for c in self.controllers)
         return pool_size, total_demand
 
-    def _visit(self, epoch: int) -> None:
-        if not self._running or epoch != self._epoch:
-            return
-        controller = self.controllers[self._position]
-        pool_size, total_demand = self._pool_accounting()
-        result = controller.on_token(self.token, pool_size, total_demand)
+    def _give_token(self, controller: DBAController) -> None:
+        """One pass. Pool accounting sums over all controllers, so only
+        its one reader, the ``proportional`` policy, pays for it."""
+        if controller.allocator.policy == "proportional":
+            result = controller.on_token(self.token, *self._pool_accounting())
+        else:
+            result = controller.on_token(self.token)
         if self.on_pass is not None:
             self.on_pass(controller, result)
         self.hops += 1
+
+    def _visit(self, epoch: int) -> None:
+        if not self._running or epoch != self._epoch:
+            return
+        self._give_token(self.controllers[self._position])
         self._position = (self._position + 1) % len(self.controllers)
         if self._position == 0:
             self.rounds_completed += 1
@@ -194,9 +200,5 @@ class TokenRing:
         so both architectures start configured.
         """
         for controller in self.controllers:
-            pool_size, total_demand = self._pool_accounting()
-            result = controller.on_token(self.token, pool_size, total_demand)
-            if self.on_pass is not None:
-                self.on_pass(controller, result)
-            self.hops += 1
+            self._give_token(controller)
         self.rounds_completed += 1

@@ -79,6 +79,9 @@ class RequestTable:
     highest demanded bandwidths or number of wavelengths to the other
     clusters." The table is *not* cleared after an allocation pass, so
     unsatisfied demand is retried on the next token round.
+
+    Only :meth:`recompute` writes: it caches the maximum and bumps
+    ``version``, so a token pass sees unchanged demand in O(1).
     """
 
     def __init__(self, n_clusters: int, own_cluster: int):
@@ -87,6 +90,8 @@ class RequestTable:
         self._request: Dict[int, int] = {
             d: 0 for d in range(n_clusters) if d != own_cluster
         }
+        self._max = 0
+        self.version = 0
 
     def recompute(self, demand_tables: Sequence[DemandTable]) -> None:
         """Fold the demand tables: request[d] = max_i demand_i[d]."""
@@ -100,6 +105,8 @@ class RequestTable:
             self._request[dst] = max(
                 (t.demand(dst) for t in demand_tables), default=0
             )
+        self._max = max(self._request.values(), default=0)
+        self.version += 1
 
     def request(self, dst_cluster: int) -> int:
         if dst_cluster not in self._request:
@@ -109,7 +116,7 @@ class RequestTable:
     def max_request(self) -> int:
         """The acquisition target: "The cluster aims to acquire the highest
         number of wavelengths among all the entries in the request table"."""
-        return max(self._request.values(), default=0)
+        return self._max
 
     def as_dict(self) -> Dict[int, int]:
         return dict(self._request)
@@ -126,6 +133,10 @@ class CurrentTable:
     The table is initialised with the cluster's statically *reserved*
     wavelengths ("This ensures that no cluster starves ... at least 1
     wavelength per cluster").
+
+    Every write, by the allocator or anyone else (fault injection clamps
+    entries), bumps ``version``: what was derived from the table (the
+    allocator's fold, a transmission plan) is stale when it differs.
     """
 
     def __init__(
@@ -146,6 +157,7 @@ class CurrentTable:
         self._allocated_per_dst: Dict[int, int] = {
             d: 0 for d in range(n_clusters) if d != own_cluster
         }
+        self.version = 0
 
     # -- held wavelengths ------------------------------------------------
     @property
@@ -166,6 +178,7 @@ class CurrentTable:
             if wid in self._dynamic or wid in self.reserved:
                 raise TableError(f"{wid} already held by cluster {self.own_cluster}")
             self._dynamic.append(wid)
+        self.version += 1
 
     def remove_dynamic(self, count: int) -> List[WavelengthId]:
         """Drop *count* dynamic wavelengths (most recently acquired first)."""
@@ -175,8 +188,8 @@ class CurrentTable:
             raise TableError(
                 f"cannot release {count}; only {len(self._dynamic)} dynamic held"
             )
-        released = [self._dynamic.pop() for _ in range(count)]
-        return released
+        self.version += 1
+        return [self._dynamic.pop() for _ in range(count)]
 
     # -- per-destination allocation ---------------------------------------
     def set_allocation(self, dst_cluster: int, wavelengths: int) -> None:
@@ -189,6 +202,7 @@ class CurrentTable:
                 f"allocation {wavelengths} exceeds held wavelengths {self.held_count}"
             )
         self._allocated_per_dst[dst_cluster] = wavelengths
+        self.version += 1
 
     def allocation(self, dst_cluster: int) -> int:
         if dst_cluster not in self._allocated_per_dst:

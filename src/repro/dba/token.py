@@ -94,8 +94,6 @@ class WavelengthToken:
             raise ValueError("token must cover at least one wavelength")
         self._order: List[WavelengthId] = list(wavelengths)
         self._owner: Dict[WavelengthId, Optional[int]] = {w: None for w in wavelengths}
-        self.acquire_ops = 0
-        self.release_ops = 0
 
     @classmethod
     def for_pool(
@@ -148,7 +146,6 @@ class WavelengthToken:
                 f"cluster {cluster} may only take free wavelengths"
             )
         self._owner[wid] = cluster
-        self.acquire_ops += 1
 
     def release(self, wid: WavelengthId, cluster: int) -> None:
         self._check(wid)
@@ -157,7 +154,6 @@ class WavelengthToken:
                 f"cluster {cluster} cannot release {wid} owned by {self._owner[wid]}"
             )
         self._owner[wid] = None
-        self.release_ops += 1
 
     def acquire_up_to(self, count: int, cluster: int) -> List[WavelengthId]:
         """Take up to *count* free wavelengths (lowest ids first)."""
@@ -169,7 +165,6 @@ class WavelengthToken:
                 break
             if self._owner[wid] is None:
                 self._owner[wid] = cluster
-                self.acquire_ops += 1
                 taken.append(wid)
         return taken
 

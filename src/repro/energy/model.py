@@ -73,8 +73,13 @@ class EnergyBreakdown:
         }
 
 
+def _negative_bits(bits: float) -> ValueError:
+    return ValueError(f"bits must be >= 0, got {bits}")
+
+
 class EnergyAccount:
-    """Mutable energy ledger charged by the architecture models."""
+    """Mutable energy ledger charged by the architecture models (once
+    per flit per stage: arguments are tested inline, not by a call)."""
 
     def __init__(self, params: PhotonicEnergyParams | None = None, clock_hz: float = 2.5e9):
         self.params = params or PhotonicEnergyParams()
@@ -85,7 +90,8 @@ class EnergyAccount:
     # -- photonic data path -----------------------------------------------
     def charge_photonic_transmit(self, bits: int) -> None:
         """Launch + modulate + tune *bits* onto the data channel."""
-        self._check_bits(bits)
+        if bits < 0:
+            raise _negative_bits(bits)
         p = self.params
         self.breakdown.launch_pj += p.launch_pj_per_bit * bits
         self.breakdown.modulation_pj += p.modulation_pj_per_bit * bits
@@ -103,7 +109,8 @@ class EnergyAccount:
     # -- reservation channel -------------------------------------------------
     def charge_reservation(self, flit_bits: int, n_listeners: int) -> None:
         """One reservation broadcast: modulate once, demodulate everywhere."""
-        self._check_bits(flit_bits)
+        if flit_bits < 0:
+            raise _negative_bits(flit_bits)
         if n_listeners < 0:
             raise ValueError("n_listeners must be >= 0")
         p = self.params
@@ -113,18 +120,21 @@ class EnergyAccount:
 
     # -- buffers ---------------------------------------------------------
     def charge_buffer_write(self, bits: int) -> None:
-        self._check_bits(bits)
+        if bits < 0:
+            raise _negative_bits(bits)
         self.breakdown.buffer_pj += self.params.buffer_pj_per_bit * bits
 
     def charge_buffer_read(self, bits: int) -> None:
-        self._check_bits(bits)
+        if bits < 0:
+            raise _negative_bits(bits)
         self.breakdown.buffer_pj += self.params.buffer_pj_per_bit * bits
 
     def charge_buffer_retention(self, flit_bits: int, flit_cycles: float) -> None:
         """Leakage for *flit_cycles* of residence of flits of *flit_bits*."""
         if flit_cycles < 0:
             raise ValueError("flit_cycles must be >= 0")
-        self._check_bits(flit_bits)
+        if flit_bits < 0:
+            raise _negative_bits(flit_bits)
         self.breakdown.buffer_pj += (
             self.params.buffer_pj_per_bit
             * flit_bits
@@ -134,7 +144,8 @@ class EnergyAccount:
 
     # -- electronic routers -------------------------------------------------
     def charge_router_traversal(self, bits: int) -> None:
-        self._check_bits(bits)
+        if bits < 0:
+            raise _negative_bits(bits)
         self.breakdown.router_pj += self.params.router_pj_per_bit * bits
 
     # -- reporting ---------------------------------------------------------
@@ -160,8 +171,3 @@ class EnergyAccount:
     def reset(self) -> None:
         self.breakdown = EnergyBreakdown()
         self.messages_delivered = 0
-
-    @staticmethod
-    def _check_bits(bits: float) -> None:
-        if bits < 0:
-            raise ValueError(f"bits must be >= 0, got {bits}")

@@ -38,9 +38,6 @@ class VirtualChannelBuffer:
         "depth",
         "vc_id",
         "_fifo",
-        "_entry_cycles",
-        "total_flits_in",
-        "total_flits_out",
         "flit_cycles",
         "_last_accounted_cycle",
         "route",
@@ -56,9 +53,6 @@ class VirtualChannelBuffer:
         self.depth = int(depth)
         self.vc_id = int(vc_id)
         self._fifo: Deque[Flit] = deque()
-        self._entry_cycles: Deque[int] = deque()
-        self.total_flits_in = 0
-        self.total_flits_out = 0
         #: Accumulated flit-cycles of residence (for retention energy).
         self.flit_cycles = 0
         self._last_accounted_cycle = 0
@@ -94,20 +88,23 @@ class VirtualChannelBuffer:
 
     def push(self, flit: Flit, cycle: int = 0) -> None:
         fifo = self._fifo
-        if len(fifo) >= self.depth:
+        held = len(fifo)
+        if held >= self.depth:
             raise BufferError(
                 f"VC {self.vc_id} overflow (depth {self.depth}); "
                 "flow control must prevent this"
             )
-        self._account(cycle)
+        # :meth:`settle`, inlined here and in :meth:`pop`: every flit of
+        # every buffer passes through both.
+        if cycle > self._last_accounted_cycle:
+            self.flit_cycles += held * (cycle - self._last_accounted_cycle)
+            self._last_accounted_cycle = cycle
         owner = self._owner
         if owner is not None:
             owner._occupancy += 1
-            if not fifo:
+            if not held:
                 owner._occupied_vcs.add(self.vc_id)
         fifo.append(flit)
-        self._entry_cycles.append(cycle)
-        self.total_flits_in += 1
         if flit.is_tail:
             # Only a tail can complete the front packet on the way in.
             self.tails_contained += 1
@@ -118,9 +115,9 @@ class VirtualChannelBuffer:
         fifo = self._fifo
         if not fifo:
             raise BufferError(f"VC {self.vc_id} underflow")
-        self._account(cycle)
-        self._entry_cycles.popleft()
-        self.total_flits_out += 1
+        if cycle > self._last_accounted_cycle:
+            self.flit_cycles += len(fifo) * (cycle - self._last_accounted_cycle)
+            self._last_accounted_cycle = cycle
         flit = fifo.popleft()
         if flit.is_tail:
             self.tails_contained -= 1
@@ -158,21 +155,12 @@ class VirtualChannelBuffer:
             else:
                 owner._complete_vcs.discard(self.vc_id)
 
-    def _account(self, cycle: int) -> None:
-        """Accumulate flit-cycles of residence up to *cycle*."""
+    def settle(self, cycle: int) -> None:
+        """Accumulate flit-cycles of residence up to *cycle* (call at end
+        of run; :meth:`push` and :meth:`pop` carry the same three lines)."""
         if cycle > self._last_accounted_cycle:
             self.flit_cycles += len(self._fifo) * (cycle - self._last_accounted_cycle)
             self._last_accounted_cycle = cycle
-
-    def settle(self, cycle: int) -> None:
-        """Flush occupancy accounting up to *cycle* (call at end of run)."""
-        self._account(cycle)
-
-    def head_wait_cycles(self, cycle: int) -> int:
-        """Cycles the head flit has waited in this VC (0 when empty)."""
-        if not self._entry_cycles:
-            return 0
-        return max(0, cycle - self._entry_cycles[0])
 
     def reset_stats(self, at_cycle: Optional[int] = None) -> None:
         """Clear statistics, optionally settling residency first.
@@ -186,9 +174,7 @@ class VirtualChannelBuffer:
         that reset between independent drains of an empty network.
         """
         if at_cycle is not None:
-            self._account(at_cycle)
-        self.total_flits_in = 0
-        self.total_flits_out = 0
+            self.settle(at_cycle)
         self.flit_cycles = 0
         if at_cycle is not None:
             self._last_accounted_cycle = at_cycle
@@ -233,21 +219,13 @@ class PortBuffer:
     def occupancy(self) -> int:
         return self._occupancy
 
-    @property
-    def complete_vc_count(self) -> int:
-        """Number of VCs whose front packet is fully buffered."""
-        return len(self._complete_vcs)
-
     def complete_vc_ids(self) -> List[int]:
         """VC ids with a complete front packet, in ascending order."""
         return sorted(self._complete_vcs)
 
-    def free_vc_ids(self) -> List[int]:
-        """VCs not currently owned by a packet (empty and unrouted)."""
-        return [vc.vc_id for vc in self.vcs if not vc._fifo and vc.route is None]
-
     def first_free_vc(self) -> Optional[int]:
-        """Lowest-numbered free VC (see :meth:`free_vc_ids`), or None."""
+        """Lowest-numbered VC not owned by a packet (empty and unrouted),
+        or None."""
         for vc in self.vcs:
             if not vc._fifo and vc.route is None:
                 return vc.vc_id

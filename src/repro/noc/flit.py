@@ -40,12 +40,6 @@ _HEAD, _TAIL, _HEAD_TAIL = FlitType.HEAD, FlitType.TAIL, FlitType.HEAD_TAIL
 _packet_ids = itertools.count()
 
 
-def reset_packet_ids() -> None:
-    """Reset the global packet-id counter (test isolation helper)."""
-    global _packet_ids
-    _packet_ids = itertools.count()
-
-
 @dataclass
 class Packet:
     """A network packet.
@@ -99,11 +93,12 @@ class Flit:
 
     ``vc`` is assigned by virtual-channel allocation and may be rewritten
     hop by hop; all other fields are immutable in spirit. ``is_head`` and
-    ``is_tail`` are fixed from ``ftype`` at construction — plain values,
-    because every buffer push/pop and router hop reads them.
+    ``is_tail`` are fixed from ``ftype`` and ``bits`` from the packet at
+    construction — plain values, because every buffer push/pop, router
+    hop and energy charge reads them.
     """
 
-    __slots__ = ("packet", "ftype", "seq", "vc", "is_head", "is_tail")
+    __slots__ = ("packet", "ftype", "seq", "vc", "is_head", "is_tail", "bits")
 
     def __init__(self, packet: Packet, ftype: FlitType, seq: int, vc: int = 0):
         self.packet = packet
@@ -112,10 +107,7 @@ class Flit:
         self.vc = vc
         self.is_head = ftype is _HEAD or ftype is _HEAD_TAIL
         self.is_tail = ftype is _TAIL or ftype is _HEAD_TAIL
-
-    @property
-    def bits(self) -> int:
-        return self.packet.flit_bits
+        self.bits = packet.flit_bits
 
     @property
     def src(self) -> int:
@@ -142,7 +134,7 @@ def packetize(packet: Packet) -> List[Flit]:
     if packet.n_flits == 1:
         return [Flit(packet, FlitType.HEAD_TAIL, 0)]
     flits = [Flit(packet, FlitType.HEAD, 0)]
-    flits.extend(Flit(packet, FlitType.BODY, i) for i in range(1, packet.n_flits - 1))
+    flits.extend([Flit(packet, FlitType.BODY, i) for i in range(1, packet.n_flits - 1)])
     flits.append(Flit(packet, FlitType.TAIL, packet.n_flits - 1))
     return flits
 

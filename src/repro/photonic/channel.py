@@ -32,23 +32,23 @@ class ChannelError(RuntimeError):
 
 @dataclass
 class ActiveTransmission:
-    """Book-keeping for the packet currently on the write channel."""
+    """Book-keeping for the packet currently on the write channel.
+
+    ``per_cycle`` (credit earned each cycle, 5 bits per wavelength) and
+    ``queue_target`` (flits kept queued at the modulators: one plus a
+    cycle's worth) are fixed by :meth:`DataChannel.begin`, as wavelengths
+    and flit size are from ACK to last flit.
+    """
 
     reservation: ReservationFlit
     expected_flits: int
-    flit_bits: int
     n_wavelengths: int
-    dst_cluster: int
-    started_cycle: int
+    per_cycle: float
+    queue_target: int
     pending: Deque[Flit]
     fed: int = 0
     launched: int = 0
     bit_credit: float = 0.0
-    bits_sent: int = 0
-
-    @property
-    def complete(self) -> bool:
-        return self.launched >= self.expected_flits
 
 
 class DataChannel:
@@ -70,13 +70,7 @@ class DataChannel:
         self.owner_cluster = owner_cluster
         self.clock_hz = clock_hz
         self._active: Optional[ActiveTransmission] = None
-        # Stats.
-        self.busy_cycles = 0
-        self.stalled_cycles = 0
-        self.bits_transmitted = 0
-        self.flits_transmitted = 0
-        self.packets_transmitted = 0
-        self.wavelength_cycles_lit = 0
+        self.reset_stats()
 
     @property
     def busy(self) -> bool:
@@ -94,6 +88,7 @@ class DataChannel:
         n_wavelengths: int,
         cycle: int,
     ) -> None:
+        """Start the packet ACKed at *cycle* and fix its plan."""
         if self._active is not None:
             raise ChannelError(
                 f"channel {self.owner_cluster} already transmitting packet "
@@ -105,13 +100,13 @@ class DataChannel:
             raise ChannelError("expected_flits must be positive")
         if flit_bits <= 0:
             raise ChannelError("flit_bits must be positive")
+        per_cycle = bits_per_cycle(n_wavelengths, self.clock_hz)
         self._active = ActiveTransmission(
             reservation=reservation,
             expected_flits=expected_flits,
-            flit_bits=flit_bits,
             n_wavelengths=n_wavelengths,
-            dst_cluster=reservation.dst_cluster,
-            started_cycle=cycle,
+            per_cycle=per_cycle,
+            queue_target=1 + math.ceil(per_cycle / flit_bits),
             pending=deque(),
         )
 
@@ -124,12 +119,11 @@ class DataChannel:
         active = self._active
         if active is None:
             return 0
+        wanted = active.queue_target - len(active.pending)
         remaining = active.expected_flits - active.fed
-        if remaining <= 0:
-            return 0
-        per_cycle = bits_per_cycle(active.n_wavelengths, self.clock_hz)
-        queue_target = 1 + math.ceil(per_cycle / active.flit_bits)
-        return max(0, min(remaining, queue_target - len(active.pending)))
+        if remaining < wanted:
+            wanted = remaining
+        return wanted if wanted > 0 else 0
 
     def feed(self, flit: Flit) -> None:
         active = self._active
@@ -147,24 +141,29 @@ class DataChannel:
             return []
         self.busy_cycles += 1
         self.wavelength_cycles_lit += active.n_wavelengths
-        if not active.pending:
+        pending = active.pending
+        if not pending:
             # Feeder starved the channel: lit but idle.
             self.stalled_cycles += 1
             active.bit_credit = 0.0
             return []
-        active.bit_credit += bits_per_cycle(active.n_wavelengths, self.clock_hz)
+        # One float add per cycle, one subtract per flit: the credit's
+        # rounding history is pinned behaviour.
+        credit = active.bit_credit + active.per_cycle
         done: List[Flit] = []
-        while active.pending and active.bit_credit >= active.pending[0].bits:
-            flit = active.pending.popleft()
-            active.bit_credit -= flit.bits
-            active.bits_sent += flit.bits
-            active.launched += 1
+        while pending and credit >= pending[0].bits:
+            flit = pending.popleft()
+            credit -= flit.bits
             self.bits_transmitted += flit.bits
-            self.flits_transmitted += 1
             done.append(flit)
-        if active.complete:
-            self.packets_transmitted += 1
-            self._active = None
+        active.bit_credit = credit
+        if done:
+            n = len(done)
+            active.launched += n
+            self.flits_transmitted += n
+            if active.launched >= active.expected_flits:
+                self.packets_transmitted += 1
+                self._active = None
         return done
 
     def abort(self) -> None:
@@ -190,23 +189,16 @@ class ReservationBroadcastChannel:
     contention; a source can have one outstanding reservation at a time.
     """
 
-    def __init__(
-        self,
-        owner_cluster: int,
-        propagation_cycles: int = 1,
-        demodulator_on_cycles: int = 1,
-    ):
+    def __init__(self, owner_cluster: int, propagation_cycles: int = 1):
         if propagation_cycles < 1:
             raise ValueError("propagation_cycles must be >= 1")
         self.owner_cluster = owner_cluster
         self.propagation_cycles = propagation_cycles
-        self.demodulator_on_cycles = demodulator_on_cycles
         #: (due_cycle, reservation, deliver_cb)
         self._outbound: Deque[Tuple[int, ReservationFlit, Callable]] = deque()
         #: (due_cycle, reservation, accepted, deliver_cb)
         self._responses: Deque[Tuple[int, ReservationFlit, bool, Callable]] = deque()
-        self.reservations_sent = 0
-        self.reservation_bits_sent = 0
+        self.reset_stats()
 
     def broadcast(
         self,
@@ -218,7 +210,8 @@ class ReservationBroadcastChannel:
     ) -> int:
         """Send *reservation*; returns the cycle it reaches the destination.
 
-        Total latency = serialization + propagation + demodulator turn-on.
+        Latency modelled: serialization + propagation. Demodulator
+        turn-on costs energy (the reception window), not cycles.
         """
         if serialization_cycles < 1:
             raise ValueError("serialization_cycles must be >= 1")

@@ -323,9 +323,3 @@ class Simulator:
             f"Simulator(cycle={self.cycle}, components={len(self._components)}, "
             f"clock={self.clock_hz / 1e9:.2f} GHz)"
         )
-
-
-def optional_name(obj: object, default: str) -> str:
-    """Return ``obj.name`` if present and truthy, else *default*."""
-    name: Optional[str] = getattr(obj, "name", None)
-    return name if name else default

@@ -120,6 +120,39 @@ class TestRemap:
         assert after[hot] == 1
         assert after[cold] == 8
 
+    def test_remap_reaches_entries_and_plan_at_the_next_token_pass(self):
+        _sim, noc, _ = make(SkewedTraffic(3), circulate_token=False)
+        holdings = noc.allocation_snapshot()
+        cold = min(holdings, key=holdings.get)
+        hot = max(holdings, key=holdings.get)
+        table, dst = noc.controllers[cold].current_table, (cold + 1) % 16
+        plan = noc.tx_plan(cold, dst)
+        assert plan.n_wavelengths == 1
+        # A quiescent pass writes nothing, so the plan is still the one.
+        version = table.version
+        noc.token_ring.run_round_immediately()
+        assert table.version == version
+        assert noc.tx_plan(cold, dst) is plan
+        # More demand toward one destination: holdings grow with it.
+        for slot in range(4):
+            noc.remap_demand(cold, slot, {dst: 3})
+        assert noc.tx_plan(cold, dst) is plan  # not before the token visits
+        noc.token_ring.run_round_immediately()
+        assert table.allocation(dst) == 3
+        assert table.allocation((cold + 2) % 16) == 1
+        grown = noc.tx_plan(cold, dst)
+        assert grown.wavelength_ids == tuple(table.held_ids[:3])
+        # Less demand toward one destination of a cluster whose other
+        # requests keep its holdings where they were.
+        hot_table, hot_dst = noc.controllers[hot].current_table, (hot + 1) % 16
+        assert noc.tx_plan(hot, hot_dst).n_wavelengths == holdings[hot]
+        for slot in range(4):
+            noc.remap_demand(hot, slot, {hot_dst: 2})
+        noc.token_ring.run_round_immediately()
+        assert noc.controllers[hot].held_count == holdings[hot]
+        assert hot_table.allocation(hot_dst) == 2
+        assert noc.tx_plan(hot, hot_dst).n_wavelengths == 2
+
     def test_token_keeps_circulating_during_run(self):
         sim, noc, _ = make(SkewedTraffic(1))
         sim.run(200)

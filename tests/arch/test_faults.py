@@ -64,6 +64,29 @@ class TestWavelengthDeath:
         sim.run(8 * noc.token_ring.worst_case_repossession_cycles())
         assert noc.controllers[hot].held_count == before
 
+    def test_token_pass_after_a_kill_lifts_the_clamped_entries(self):
+        """The kill clamps the current table from outside the token
+        pass; the pass that re-acquires brings held count and requests
+        back to what the allocator last folded in, and must still
+        restore ``min(request, held)`` and the transmission plan."""
+        sim, noc, _ = build()
+        hot = max(range(16), key=lambda c: noc.controllers[c].held_count)
+        controller = noc.controllers[hot]
+        table, dst = controller.current_table, (hot + 1) % 16
+        held = controller.held_count
+        assert table.allocation(dst) == noc.tx_plan(hot, dst).n_wavelengths == held
+        dead = FaultInjector(noc).kill_wavelengths(hot, 2)
+        assert table.allocation(dst) == noc.tx_plan(hot, dst).n_wavelengths == held - 2
+        noc.token_ring.run_round_immediately()
+        assert controller.held_count == held
+        assert all(
+            table.allocation(d) == min(controller.request_table.request(d), held)
+            for d in range(16) if d != hot
+        )
+        plan = noc.tx_plan(hot, dst)
+        assert plan.wavelength_ids == tuple(table.held_ids[:held])
+        assert not set(plan.wavelength_ids) & set(dead)
+
     def test_degradation_when_pool_exhausted(self):
         """Killing more wavelengths than the pool's slack genuinely costs
         delivered bandwidth."""

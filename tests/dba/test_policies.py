@@ -91,6 +91,28 @@ class TestOversubscription:
         assert holdings[16] > holdings[8] > holdings[2]
 
 
+class TestPolicySwitch:
+    def test_switch_to_proportional_sees_fresh_pool_accounting(self):
+        """Pool accounting is computed only for the policy that reads it;
+        a ring switched to it mid-run, and demand changed afterwards,
+        must reach the allocator on the very next passes."""
+        _sim, controllers, ring = make_ring("max_request")
+        ring.run_round_immediately()
+        assert min(c.held_count for c in controllers) == 1  # hoarded
+        for controller in controllers:
+            controller.allocator.policy = "proportional"
+        for _ in range(2):  # one round to release, one to pick up
+            ring.run_round_immediately()
+        assert [c.held_count for c in controllers] == [4] * 16
+        # Half the chip drops to a demand of 1: 8*8 + 8*1 = 72 over a
+        # pool of 64 leaves the rest a fair share of floor(64*8/72) = 7.
+        for controller in controllers[8:]:
+            controller.update_core_demand_uniform(0, 1)
+        for _ in range(2):
+            ring.run_round_immediately()
+        assert [c.held_count for c in controllers] == [7] * 8 + [1] * 8
+
+
 class TestUndersubscription:
     """When demand fits the pool, both policies behave identically --
     the proportional cap must not distort the thesis's base case."""

@@ -12,6 +12,7 @@ records with ``==``.
 import pytest
 
 from repro.api.session import Session
+from repro.arch.config import SystemConfig
 from repro.experiments.runner import Fidelity
 from repro.sim.engine import NAIVE_ENGINE_ENV
 from repro.traffic.bandwidth_sets import BW_SET_1
@@ -22,8 +23,9 @@ from repro.traffic.bandwidth_sets import BW_SET_1
 FIDELITY = Fidelity("equivalence", 500, 100, (0.4,))
 
 #: (arch, pattern, offered_gbps, scenario) — spans idle skipping
-#: (zero/low load), saturation, every architecture, fault injection and
-#: closed-loop feedback (the scenario player must never be skipped).
+#: (zero/low load), saturation past the knee, every architecture, fault
+#: injection and closed-loop feedback (the scenario player must never
+#: be skipped).
 #: The electrical rows hold the idle protocol of ``ElectricalNetwork`` /
 #: ``ElectricalMeshNoC`` to the same bar as the gateways (under
 #: ``fault_storm`` the player degrades ``blackout_receiver`` to a
@@ -33,6 +35,8 @@ CASES = [
     ("dhetpnoc", "uniform", 20.0, None),
     ("dhetpnoc", "skewed3", 400.0, None),
     ("firefly", "uniform", 20.0, None),
+    ("dhetpnoc", "skewed3", 600.0, None),
+    ("firefly", "skewed3", 600.0, None),
     ("dhetpnoc", "skewed3", 400.0, "fault_storm"),
     ("dhetpnoc", "skewed3", 480.0, "closed_loop_shedding"),
     ("electrical", "uniform", 0.0, None),
@@ -42,10 +46,24 @@ CASES = [
 ]
 
 
-def run_case(monkeypatch, naive, arch, pattern, offered, scenario):
+#: One-packet RX buffers and two retries: reservations NACK, sources
+#: back off, retry and abandon (no other row ever NACKs). With four wide
+#: clusters a channel fills an RX buffer faster than one core drains it,
+#: so most reservations do.
+SWAMPED = {"rx_buffer_packets": 1, "max_retries": 2, "retry_backoff_cycles": 3}
+SWAMPED_WIDE = {**SWAMPED, "n_clusters": 4, "cores_per_cluster": 16}
+SWAMPED_CASES = [
+    ("dhetpnoc", "skewed3", 600.0, SWAMPED),
+    ("firefly", "skewed3", 600.0, SWAMPED_WIDE),
+    ("firefly", "uniform", 1500.0, SWAMPED_WIDE),
+]
+
+
+def run_case(monkeypatch, naive, arch, pattern, offered, scenario, config=None):
     monkeypatch.setenv(NAIVE_ENGINE_ENV, "1" if naive else "0")
     return Session().run_one(arch, BW_SET_1, pattern, offered,
-                             fidelity=FIDELITY, seed=1, scenario=scenario)
+                             fidelity=FIDELITY, seed=1, scenario=scenario,
+                             config=config)
 
 
 @pytest.mark.parametrize("arch,pattern,offered,scenario", CASES)
@@ -56,6 +74,20 @@ def test_fast_path_matches_naive_bitwise(monkeypatch, arch, pattern,
     # RunResult is a frozen dataclass: == compares every field, including
     # the per-phase windows of scenario runs.
     assert fast == naive
+
+
+@pytest.mark.parametrize(
+    "arch,pattern,offered,overrides", SWAMPED_CASES,
+    ids=lambda value: "swamped" if isinstance(value, dict) else None,
+)
+def test_fast_path_matches_naive_when_reservations_nack(
+    monkeypatch, arch, pattern, offered, overrides
+):
+    config = SystemConfig(bw_set=BW_SET_1, **overrides)
+    fast = run_case(monkeypatch, False, arch, pattern, offered, None, config)
+    naive = run_case(monkeypatch, True, arch, pattern, offered, None, config)
+    assert fast == naive
+    assert fast.reservations_nacked > 5
 
 
 def test_fast_path_is_deterministic(monkeypatch):
@@ -70,9 +102,9 @@ def test_gateway_held_counter_matches_enumeration(monkeypatch):
     ``audit_flits_held`` re-derives the held-flit count by enumerating
     every pipe, buffer and in-flight channel; the incremental ``_held``
     counter must agree at every cycle, across injection, transmission,
-    ejection and abandonment.
+    ejection and abandonment. So must the counts that gate the
+    gateway's stages, each against what it stands for.
     """
-    from repro.arch.config import SystemConfig
     from repro.arch.registry import architectures
     from repro.sim.engine import Simulator
     from repro.sim.rng import RandomStreams
@@ -99,6 +131,15 @@ def test_gateway_held_counter_matches_enumeration(monkeypatch):
                 f"cycle {cycle}: gateway {gateway.cluster_id} counter "
                 "drifted from enumeration"
             )
+            where = f"cycle {cycle}, gateway {gateway.cluster_id}"
+            assert gateway._pipes_active == sum(
+                1 for pipe in gateway._pipe_flits if pipe), where
+            nonempty = {s for s, b in gateway.rx_buffers.items() if len(b)}
+            assert gateway._rx_nonempty == len(nonempty), where
+            assert set().union(*gateway._rx_ready) == nonempty, where
+            if gateway._tx_state == gateway.IDLE:
+                assert gateway._tx_waiting == sum(
+                    len(port._complete_vcs) for port in gateway.inputs), where
 
     arch.add_tick_hook(audit)
     sim.run(300)

@@ -125,6 +125,20 @@ class TestEnergyAccount:
         assert account.breakdown.total_pj == 0.0
         assert account.messages_delivered == 0
 
+    @pytest.mark.parametrize("charge, args", [
+        ("charge_photonic_transmit", (-1,)),
+        ("charge_reservation", (-1, 15)),
+        ("charge_buffer_write", (-1,)),
+        ("charge_buffer_read", (-1,)),
+        ("charge_buffer_retention", (-1, 4.0)),
+        ("charge_router_traversal", (-1,)),
+    ])
+    def test_every_charge_rejects_negative_bits(self, charge, args):
+        account = EnergyAccount()
+        with pytest.raises(ValueError, match="bits must be >= 0, got -1"):
+            getattr(account, charge)(*args)
+        assert account.breakdown.total_pj == 0.0
+
     def test_negative_bits_rejected(self):
         account = EnergyAccount()
         with pytest.raises(ValueError):

@@ -56,12 +56,6 @@ class TestVirtualChannelBuffer:
         vc.settle(cycle=8)
         assert vc.flit_cycles == 8
 
-    def test_head_wait_cycles(self):
-        vc = VirtualChannelBuffer(depth=4)
-        assert vc.head_wait_cycles(10) == 0
-        vc.push(flit(), cycle=2)
-        assert vc.head_wait_cycles(10) == 8
-
     def test_wormhole_state_clears_on_tail(self):
         vc = VirtualChannelBuffer(depth=8)
         packet = Packet(src=0, dst=1, n_flits=3, flit_bits=32)
@@ -114,17 +108,20 @@ class TestPortBuffer:
         assert len(port) == 16
         assert all(vc.depth == 64 for vc in port)
 
-    def test_free_vc_ids(self):
+    def test_first_free_vc(self):
         port = PortBuffer(n_vcs=3, depth=4)
-        f = flit(FlitType.HEAD)
-        f.vc = 1
-        port.push(f)
-        assert port.free_vc_ids() == [0, 2]
+        for vc in (0, 1):
+            f = flit(FlitType.HEAD)
+            f.vc = vc
+            port.push(f)
+        assert port.first_free_vc() == 2
+        port[2].route = 0
+        assert port.first_free_vc() is None
 
     def test_free_excludes_routed(self):
         port = PortBuffer(n_vcs=2, depth=4)
         port[0].route = 1  # owned by an in-flight wormhole
-        assert port.free_vc_ids() == [1]
+        assert port.first_free_vc() == 1
 
     def test_occupancy(self):
         port = PortBuffer(n_vcs=2, depth=4)

@@ -84,6 +84,22 @@ class TestDataChannel:
                 break
         assert len(total) == 4
 
+    def test_each_packet_streams_at_its_own_plan(self):
+        """Rate and queue depth are fixed per transmission at ``begin``:
+        the next packet, granted other wavelengths, gets its own."""
+        channel = DataChannel(owner_cluster=0)
+        channel.begin(make_reservation(8), 8, 32, 16, 0)
+        assert (channel.active.per_cycle, channel.active.queue_target) == (80.0, 4)
+        assert channel.wanted_flits() == 4
+        channel.abort()
+        fast = transmit_fully(channel, make_flits(8), n_wavelengths=16)
+        assert fast[-1][0] == 3  # 256 bits at 80 bits/cycle
+        slow = transmit_fully(channel, make_flits(8), n_wavelengths=1)
+        assert slow[-1][0] == 51  # 256 bits at 5 bits/cycle
+        channel.begin(make_reservation(8), 8, 32, 1, 0)
+        assert (channel.active.per_cycle, channel.active.queue_target) == (5.0, 2)
+        assert channel.wanted_flits() == 2
+
     def test_begin_while_busy_rejected(self):
         channel = DataChannel(0)
         channel.begin(make_reservation(4), 4, 32, 4, 0)

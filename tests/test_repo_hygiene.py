@@ -103,6 +103,41 @@ def test_no_write_lock_lives_outside_the_backend(needle):
     assert not (REPO_ROOT / "src/repro/service/leases.py").exists()
 
 
+@pytest.mark.parametrize(
+    "needle",
+    [
+        # Per-flit work nothing read: a second deque per VC, counters.
+        "_entry_cycles", "head_wait_cycles", "total_flits_in", "total_flits_out",
+        "acquire_ops", "release_ops",
+        # Written per flit or per packet on the channel, never read.
+        "active.bits_sent", "started_cycle", "demodulator_on_cycles",
+        # Queries and call layers the gateway's per-cycle path replaced
+        # (first_free_vc is the one free-VC query; tick dispatches the TX
+        # FSM itself; launched flits go straight onto _inbound).
+        "free_vc_ids", "complete_vc_count", "_tx_step", "receive_flit",
+        "_check_bits", "_rx_front_changed",
+        # Defined, exported nowhere, called nowhere.
+        "optional_name", "reset_packet_ids",
+    ],
+)
+def test_names_the_gateway_hot_path_stopped_paying_for_stay_gone(needle):
+    assert _count_in_src(needle) == {}
+
+
+def test_one_gateway_one_channel_one_allocator():
+    # The gateway's per-cycle path was rewritten in place: no flag, no
+    # environment switch and no reference implementation beside it.
+    for needle in ("fast_gateway", "legacy_gateway", "ReferenceGateway"):
+        assert _count_in_src(needle) == {}
+    simulator = ("sim", "noc", "arch", "dba", "photonic", "energy")
+    env_reads = {
+        path: count
+        for path, count in _count_in_src("os.environ").items()
+        if path.split("/")[2] in simulator
+    }
+    assert env_reads == {"src/repro/sim/engine.py": 1}  # REPRO_ENGINE_NAIVE
+
+
 def test_store_files_are_opened_for_append_in_one_place():
     import re
 

@@ -22,6 +22,7 @@ all the others.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Tuple, Union
 
 from dataclasses import dataclass
@@ -205,35 +206,26 @@ class Session:
     ) -> DryRunReport:
         """Count what executing *spec* would cost, without simulating.
 
-        Grid mode computes every point's store key (sharing the
-        executor's config/scenario fingerprint caches, so the keys are
-        exactly execution's keys) and checks the session store;
-        adaptive mode reports the per-curve search estimate — sharpened
-        by a fitted :class:`repro.ml.model.QoSModel` when *model* is
-        given (the search is replayed against the model's predicted
-        knee; see :func:`repro.experiments.costing.
+        Grid mode asks the executor for its plan
+        (:meth:`PointExecutor.plan
+        <repro.experiments.sweep.PointExecutor.plan>`, the step
+        execution itself starts with), so the count is exactly what a
+        run would simulate; adaptive mode reports the per-curve search
+        estimate — sharpened by a fitted
+        :class:`repro.ml.model.QoSModel` when *model* is given (the
+        search is replayed against the model's predicted knee; see
+        :func:`repro.experiments.costing.
         adaptive_curve_estimates`). The CLI's ``run --spec --dry-run``
         prints :meth:`DryRunReport.describe`, and fabric sweeps use the
         same report to say how much work they are about to scatter.
         """
-        counts: Dict[
-            Tuple[str, int, str, Optional[str], int], List[int]
-        ] = {}
         if spec.mode == "grid":
-            seen: set = set()
             points = spec.to_sweep_spec().expand()
-            for point in points:
-                entry = counts.setdefault(point.curve, [0, 0])
-                entry[0] += 1
-                key = self.executor._key(point, spec.fidelity)
-                if key not in seen and not self.store.contains(
-                    key, (point.arch, point.bw_set_index)
-                ):
-                    entry[1] += 1
-                seen.add(key)
+            _keys, missing = self.executor.plan(points, spec.fidelity)
+            misses = Counter(point.curve for _index, point in missing)
             curves = tuple(
-                CurveCount(*curve, points=n, to_simulate=miss)
-                for curve, (n, miss) in counts.items()
+                CurveCount(*curve, points=n, to_simulate=misses[curve])
+                for curve, n in Counter(p.curve for p in points).items()
             )
             return DryRunReport(
                 mode=spec.mode,

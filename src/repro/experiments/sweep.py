@@ -273,9 +273,14 @@ class PointExecutor:
         # per point. Keyed by set index, or by the set itself for
         # points that pin one.
         self._config_cache: Dict[object, Tuple[SystemConfig, str]] = {}
-        # Scenario fingerprints are a schedule build + hash; memoize per
-        # (name, total_cycles) since every point of a grid repeats them.
-        self._scenario_digests: Dict[Tuple[str, int], str] = {}
+        # A scenario's fingerprint (a store-key input) and built script
+        # (shipped with work items) are a schedule build + hash; memoize
+        # the pair per (name, total_cycles) since every point of a grid
+        # repeats them.
+        self._scenarios: Dict[Tuple[str, int], Tuple[str, dict]] = {}
+        # The wire-form {fidelity, config} every work item of one job
+        # shares, serialised once per (config, fidelity), not per point.
+        self._job_fields: Dict[Tuple[str, Fidelity], dict] = {}
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
@@ -315,15 +320,17 @@ class PointExecutor:
             self._config_cache[cache_key] = entry
         return entry
 
-    def _scenario_digest(self, scenario: str, fidelity: Fidelity) -> str:
+    def _scenario(self, scenario: str, fidelity: Fidelity) -> Tuple[str, dict]:
+        """``(fingerprint, script)`` of the named scenario at *fidelity*."""
         cache_key = (scenario, fidelity.total_cycles)
-        digest = self._scenario_digests.get(cache_key)
-        if digest is None:
+        entry = self._scenarios.get(cache_key)
+        if entry is None:
             from repro.scenarios.library import build_scenario
 
-            digest = build_scenario(scenario, fidelity.total_cycles).fingerprint()
-            self._scenario_digests[cache_key] = digest
-        return digest
+            schedule = build_scenario(scenario, fidelity.total_cycles)
+            entry = (schedule.fingerprint(), schedule.to_dict())
+            self._scenarios[cache_key] = entry
+        return entry
 
     def _key(self, point: RunPoint, fidelity: Fidelity) -> str:
         _config, digest = self._config_entry(point)
@@ -338,22 +345,24 @@ class PointExecutor:
             bw_set=point.bw_set,
             scenario=point.scenario,
             scenario_digest=(
-                self._scenario_digest(point.scenario, fidelity)
+                self._scenario(point.scenario, fidelity)[0]
                 if point.scenario is not None
                 else None
             ),
         )
 
-    def run_points(
+    def plan(
         self, points: Sequence[RunPoint], fidelity: Fidelity
-    ) -> List[RunResult]:
-        """Execute *points*, returning results in the same order."""
+    ) -> Tuple[List[str], List[Tuple[int, RunPoint]]]:
+        """What executing *points* would cost, without simulating.
+
+        Returns every point's store key, in point order, and the
+        ``(index, point)`` pairs a run would simulate: the first
+        occurrence of each unique key the store does not hold.
+        """
         keys = [self._key(p, fidelity) for p in points]
-        # Dedup identical keys within the batch: a key repeated in
-        # *points* (same simulation inputs) runs once and is shared.
-        # Membership checks and gets pass the point's (arch, bw set)
-        # coordinates so a sharded store loads only the shards this
-        # batch can actually hit.
+        # Membership checks pass the point's (arch, bw set) coordinates
+        # so a sharded store loads only the shards this batch can hit.
         batch_seen = set()
         missing = []
         for i, (p, k) in enumerate(zip(points, keys)):
@@ -363,6 +372,32 @@ class PointExecutor:
                 continue
             batch_seen.add(k)
             missing.append((i, p))
+        return keys, missing
+
+    def work_item(self, point: RunPoint, key: str, fidelity: Fidelity) -> dict:
+        """The wire-form work item a fabric worker simulates *point* from."""
+        from repro.fabric import protocol  # imports this module
+
+        config, digest = self._config_entry(point)
+        shared = self._job_fields.get((digest, fidelity))
+        if shared is None:
+            shared = self._job_fields[digest, fidelity] = {
+                "fidelity": protocol.fidelity_to_dict(fidelity),
+                "config": protocol.config_to_dict(config),
+            }
+        return {
+            "key": key,
+            "point": protocol.point_to_dict(point),
+            **shared,
+            "script": None if point.scenario is None else
+            self._scenario(point.scenario, fidelity)[1],
+        }
+
+    def run_points(
+        self, points: Sequence[RunPoint], fidelity: Fidelity
+    ) -> List[RunResult]:
+        """Execute *points*, returning results in the same order."""
+        keys, missing = self.plan(points, fidelity)
         self.executed_count = 0
         fresh: Dict[int, RunResult] = {}
         if missing:
@@ -558,9 +593,6 @@ class FabricExecutor(PointExecutor):
         self._transport_name = transport
         self._connect_timeout = connect_timeout
         self._client = None
-        # Built scenario scripts shipped with work items, memoized per
-        # (name, total_cycles) like the digests they must match.
-        self._scenario_scripts: Dict[Tuple[str, int], dict] = {}
 
     def _ensure_client(self):
         if self._client is None:
@@ -583,16 +615,6 @@ class FabricExecutor(PointExecutor):
         except BaseException:  # pragma: no cover - shutdown-order timing
             pass
 
-    def _scenario_script(self, scenario: str, fidelity: Fidelity) -> dict:
-        cache_key = (scenario, fidelity.total_cycles)
-        script = self._scenario_scripts.get(cache_key)
-        if script is None:
-            from repro.scenarios.library import build_scenario
-
-            script = build_scenario(scenario, fidelity.total_cycles).to_dict()
-            self._scenario_scripts[cache_key] = script
-        return script
-
     def _execute(
         self,
         missing: List[Tuple[int, RunPoint]],
@@ -600,49 +622,40 @@ class FabricExecutor(PointExecutor):
         fidelity: Fidelity,
     ) -> Dict[int, RunResult]:
         from repro.fabric.errors import PointFailedError
-        from repro.fabric.protocol import (
-            config_to_dict,
-            fidelity_to_dict,
-            point_to_dict,
-        )
 
         client = self._ensure_client()
-        fidelity_dict = fidelity_to_dict(fidelity)
         # One submitted job per effective config: a batch can span
         # bandwidth sets, whose default configs differ, and the wire
         # format ships one config per job so workers reproduce
         # _execute_point's inputs exactly.
-        groups: Dict[str, List[Tuple[int, RunPoint]]] = {}
+        groups: Dict[str, List[dict]] = {}
         for i, p in missing:
             _config, digest = self._config_entry(p)
-            groups.setdefault(digest, []).append((i, p))
-        fresh: Dict[int, RunResult] = {}
-        failures = []
-        executed = 0
-        for group in groups.values():
-            entries = []
-            for i, p in group:
-                entry = {"key": keys[i], "point": point_to_dict(p)}
-                if p.scenario is not None:
-                    entry["script"] = self._scenario_script(
-                        p.scenario, fidelity
-                    )
-                entries.append(entry)
-            outcome = client.submit(
-                entries,
-                fidelity_dict,
-                config_to_dict(self._config_for(group[0][1])),
+            groups.setdefault(digest, []).append(
+                self.work_item(p, keys[i], fidelity)
             )
-            executed += outcome.executed
+        results: Dict[str, RunResult] = {}
+        failures = []
+        for items in groups.values():
+            # The frame carries the group's fidelity and config once.
+            outcome = client.submit(
+                [
+                    {
+                        field: item[field]
+                        for field in ("key", "point", "script")
+                        if item[field] is not None
+                    }
+                    for item in items
+                ],
+                items[0]["fidelity"],
+                items[0]["config"],
+            )
+            self.executed_count += outcome.executed
             failures.extend(outcome.failures)
-            for i, _p in group:
-                result = outcome.results.get(keys[i])
-                if result is not None:
-                    fresh[i] = result
-        self.executed_count = executed
+            results.update(outcome.results)
         if failures:
             raise PointFailedError(failures)
-        return fresh
+        return {i: results[keys[i]] for i, _p in missing}
 
 
 # ---------------------------------------------------------------------------

@@ -27,18 +27,21 @@ degrades into a diagnosable partial failure, never a hang. Worker-side
 execution errors count against the same attempt budget (a
 deterministic simulation bug fails fast instead of hot-looping).
 
-Work items are **deduplicated by store key across jobs**: two clients
-submitting the same point concurrently share one simulation, exactly
-like the in-process executor dedups within a batch. A job that goes
-away (its client disconnected, or it was cancelled) stops waiting on
-its keys; a key nobody waits on and no worker holds leaves the table.
+Every batch somebody waits for — a client's submission, or a spec job
+of the experiment service built on this class — is one
+:class:`JobRecord`, admitted by :meth:`Coordinator._admit`. Work items
+are **deduplicated by store key across jobs**: two records wanting the
+same point concurrently share one simulation, exactly like the
+in-process executor dedups within a batch. A job that goes away (its
+client disconnected, or it was cancelled) stops waiting on its keys; a
+key nobody waits on and no worker holds leaves the table.
 
 Thread model: the accept loop and one handler thread per connection
 come from :class:`~repro.fabric.server.RoleServer` (as do the
 handshake and the result-stream loop), plus one liveness monitor. All
-queue/job/lease state lives behind a single condition variable; the
-result store has its own lock so slow file I/O never blocks
-scheduling.
+queue/job/lease state — the records included — lives behind a single
+condition variable; the result store has its own lock so slow file I/O
+never blocks scheduling.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import logging
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.experiments.store import ResultStore, result_from_dict, result_to_dict
 from repro.fabric.errors import ProtocolError
@@ -56,7 +59,7 @@ from repro.fabric.protocol import point_label, send_message
 from repro.fabric.server import RoleServer
 from repro.fabric.transport import Connection
 
-__all__ = ["Coordinator", "DEFAULT_PORT"]
+__all__ = ["Coordinator", "DEFAULT_PORT", "JobRecord"]
 
 #: Default TCP port of ``dhetpnoc-repro fabric serve``.
 DEFAULT_PORT = 7023
@@ -64,41 +67,139 @@ DEFAULT_PORT = 7023
 log = logging.getLogger("repro.fabric")
 
 
-@dataclass(eq=False)
-class _Job:
-    """One waiter on the work table: a batch of unique keys to resolve.
+#: Job states no further transition leaves (see :mod:`repro.service.jobs`).
+TERMINAL = ("done", "failed", "cancelled")
 
-    ``log`` is the job's append-only outcome stream, already in wire
-    form: one ``point_done`` or ``point_failed`` frame per resolved
-    key, in completion order. A ``client`` peer receives the frames
-    verbatim; the experiment service's job runner reads the same log
-    in-process.
+
+@dataclass(eq=False)
+class JobRecord:
+    """One batch of points somebody waits for: a waiter on the work table.
+
+    A ``jobs``-role job (a spec, a content-hash id, a lifecycle) and a
+    ``client``-role batch (unique keys, no spec, born running) are the
+    same record, written only under the coordinator's scheduling lock.
+    It carries both views of itself: ``log``, one ``point_done`` or
+    ``point_failed`` frame per resolved key, streamed to a ``client``
+    peer verbatim in completion order (:meth:`log_view`); and the filled
+    prefix of its grid, ``keys[:completed]``, streamed to ``jobs`` peers
+    in strict grid order (:meth:`grid_view`).
     """
 
     job_id: str
-    #: Keys still unresolved (each leaves when its frame is logged).
+    #: The submitted :class:`~repro.api.spec.ExperimentSpec`, and the size
+    #: of its expanded grid; a client batch has no spec and reports no total.
+    spec: Any = None
+    total: int = 0
+    state: str = "queued"
+    #: Why the job failed.
+    error: str = ""
+    #: Cancellation was requested; the thread that admitted the job
+    #: withdraws it at the next point boundary.
+    cancelled: bool = False
+    #: Store keys in grid order (filled at admission).
+    keys: List[str] = field(default_factory=list)
+    #: Keys this job waits for on the work table (each leaves when its
+    #: frame is logged or the job withdraws from it).
     pending: Set[str] = field(default_factory=set)
-    log: List[dict] = field(default_factory=list)
+    #: Each resolved key's frame; insertion order is completion order.
+    log: Dict[str, dict] = field(default_factory=dict)
+    #: Keys this job simulated and has not yet counted: a key repeated
+    #: in the grid is paid for once and a hit afterwards.
+    owned: Set[str] = field(default_factory=set)
+    #: Per grid index of the filled prefix: answered from the store, a
+    #: concurrent job or an earlier index rather than simulated here.
+    cached: List[bool] = field(default_factory=list)
 
     def done(self, key: str, result: dict, cached: bool) -> None:
-        """Log *key*'s result (caller holds the scheduling lock)."""
-        self.pending.discard(key)
-        self.log.append({
+        """Log *key*'s protocol-dict *result*."""
+        if not cached:
+            self.owned.add(key)
+        self._resolve({
             "type": "point_done", "key": key,
             "result": result, "cached": cached,
         })
 
-    def snapshot(self, index: int):
+    def failed(self, key: str, reason: str, error: str, attempts: int) -> None:
+        """Log that *key* was given up on; the first *reason* fails the job."""
+        self.error = self.error or reason
+        self._resolve({
+            "type": "point_failed", "key": key,
+            "error": error, "attempts": attempts,
+        })
+
+    def _resolve(self, frame: dict) -> None:
+        self.pending.discard(frame["key"])
+        self.log[frame["key"]] = frame
+        # Grow the filled prefix over every grid index now answered.
+        while self.completed < len(self.keys):
+            key = self.keys[self.completed]
+            if "result" not in self.log.get(key, ()):
+                break  # unresolved, or given up on
+            self.cached.append(key not in self.owned)
+            self.owned.discard(key)
+
+    @property
+    def completed(self) -> int:
+        """Points resolved so far: the length of the filled prefix."""
+        return len(self.cached)
+
+    @property
+    def hits(self) -> int:
+        """Prefix points answered from the store / concurrent jobs."""
+        return self.cached.count(True)
+
+    @property
+    def executed(self) -> int:
+        """Prefix points this job simulated fresh."""
+        return self.cached.count(False)
+
+    @property
+    def terminal(self) -> bool:
+        """Whether no further transition can leave this state."""
+        return self.state in TERMINAL
+
+    def describe(self) -> dict:
+        """JSON-able status row (``job_status`` / ``job_list`` replies)."""
+        return {
+            "job_id": self.job_id,
+            "state": self.state,
+            "total": self.total,
+            "completed": self.completed,
+            "executed": self.executed,
+            "hits": self.hits,
+            "error": self.error,
+        }
+
+    def log_view(self, index: int):
         """The log from *index* on, and ``job_done`` — this job's own
-        simulated / shared / given-up-on counts — once it is complete
-        (see :meth:`~repro.fabric.server.RoleServer._tail`)."""
+        simulated / shared / given-up-on counts — once nothing is
+        pending (see :meth:`~repro.fabric.server.RoleServer._follow`)."""
+        frames = []
+        if index < len(self.log):  # a wake-up for someone else skips nothing
+            frames = list(itertools.islice(self.log.values(), index, None))
         if self.pending:
-            return self.log[index:], None
-        done = [f["cached"] for f in self.log if f["type"] == "point_done"]
-        return self.log[index:], {
+            return frames, None
+        done = [f["cached"] for f in self.log.values() if "result" in f]
+        return frames, {
             "type": "job_done", "executed": done.count(False),
             "hits": done.count(True), "failed": len(self.log) - len(done),
         }
+
+    def grid_view(self, index: int):
+        """``job_point`` frames for the filled prefix from grid *index*
+        on, and ``job_end`` once the job is terminal."""
+        frames = [
+            {
+                "type": "job_point", "job_id": self.job_id, "index": i,
+                "key": self.keys[i],
+                "result": self.log[self.keys[i]]["result"],
+                "cached": self.cached[i],
+            }
+            for i in range(index, self.completed)
+        ]
+        return frames, (
+            {"type": "job_end", **self.describe()} if self.terminal else None
+        )
 
 
 @dataclass
@@ -110,7 +211,7 @@ class _WorkItem:
     #: Jobs waiting on this key (cross-job dedup), first come first:
     #: ``waiters[0]`` owns the simulation (its ``executed``), everyone
     #: behind it shares the result as a hit.
-    waiters: List[_Job] = field(default_factory=list)
+    waiters: List[JobRecord] = field(default_factory=list)
     #: Who is simulating this key right now: a :class:`_WorkerState`,
     #: or an in-process lane's token; ``None`` while it is only queued.
     holder: Optional[object] = None
@@ -227,24 +328,48 @@ class Coordinator(RoleServer):
             }
 
     # -- the work table ------------------------------------------------------
-    def _enqueue(self, job: _Job, payloads: List[dict]) -> None:
-        """Make *job* a waiter on every wire-form work item in *payloads*.
+    def _admit(
+        self,
+        job: JobRecord,
+        keys: List[str],
+        wanted: Sequence[Tuple[int, Tuple[str, int]]],
+        item_for: Callable[[int], dict],
+    ) -> None:
+        """Put *job* on the work table: the admission path of every role.
 
-        A key already on the table gains a waiter instead of a second
-        work item: one simulation per unique key across every job.
+        *keys* is the job's grid; *wanted* names, in grid order, the
+        ``(index, store coords)`` of each unique key's first occurrence;
+        ``item_for(index)`` builds that point's wire-form work item and
+        is asked only for store misses, so a warm job serialises
+        nothing. The store is read outside the scheduling lock. A hit
+        resolves at once; a miss already on the table gains a waiter
+        instead of a second work item: one simulation per unique key
+        across every job.
         """
         with self._lock:
-            for payload in payloads:
-                key = payload["key"]
-                item = self._work.get(key)
-                if item is None:
-                    item = self._work[key] = _WorkItem(payload)
-                    self._queue.append(key)
-                item.waiters.append(job)
-                job.pending.add(key)
-            self._state_changed.notify_all()
+            job.keys = keys
+        for index, coords in wanted:
+            key = keys[index]
+            with self._store_lock:
+                hit = self.store.get(key, coords)
+            if hit is None:
+                payload = item_for(index)
+            else:
+                result = result_to_dict(hit)
+            with self._lock:
+                if job.cancelled:
+                    return  # its admitting thread withdraws the rest
+                if hit is not None:
+                    job.done(key, result, cached=True)
+                else:
+                    if key not in self._work:
+                        self._work[key] = _WorkItem(payload)
+                        self._queue.append(key)
+                    self._work[key].waiters.append(job)
+                    job.pending.add(key)
+                self._state_changed.notify_all()
 
-    def _withdraw(self, job: _Job, keep_leased: bool = False) -> None:
+    def _withdraw(self, job: JobRecord, keep_leased: bool = False) -> None:
         """Stop *job* waiting on its unresolved keys.
 
         A key nobody else waits on and no worker holds leaves the
@@ -305,16 +430,13 @@ class Coordinator(RoleServer):
             elif item.attempts >= self.max_attempts:
                 del self._work[key]
                 self.total_failed += 1
-                log.warning(
-                    "point %s failed after %d attempt(s): %s",
-                    label, item.attempts, error,
+                reason = (
+                    f"point {label} failed after {item.attempts} "
+                    f"attempt(s): {error}"
                 )
+                log.warning(reason)
                 for job in item.waiters:
-                    job.pending.discard(key)
-                    job.log.append({
-                        "type": "point_failed", "key": key,
-                        "error": error, "attempts": item.attempts,
-                    })
+                    job.failed(key, reason, error, item.attempts)
             else:
                 self.total_requeued += 1
                 log.info(
@@ -419,33 +541,28 @@ class Coordinator(RoleServer):
                 raise ProtocolError(f"unexpected client frame {kind!r}")
 
     def _run_job(self, conn: Connection, message: dict) -> None:
-        """Admit one job and stream its results until completion."""
-        job = _Job(job_id=f"job-{next(self._ids)}")
+        """Admit one batch — the degenerate job: unique keys, no spec,
+        born running — and stream its log until completion."""
         entries = message.get("points") or []
         shared = {"fidelity": message["fidelity"], "config": message.get("config")}
-        if len({e["key"] for e in entries}) != len(entries):
+        keys = [entry["key"] for entry in entries]
+        if len(set(keys)) != len(keys):
             raise ProtocolError("submitted keys must be unique per job")
-        # Resolve store hits first, without the scheduling lock held.
-        misses = []
-        for entry in entries:
-            point = entry["point"]
-            coords = (point["arch"], point["bw_set_index"])
-            with self._store_lock:
-                hit = self.store.get(entry["key"], coords)
-            if hit is not None:
-                job.done(entry["key"], result_to_dict(hit), cached=True)
-            else:
-                misses.append({
-                    "key": entry["key"], "point": point,
-                    "script": entry.get("script"), **shared,
-                })
-        self._enqueue(job, misses)
-        log.info(
-            "%s: %d point(s) submitted, %d store hit(s), %d to simulate",
-            job.job_id, len(entries), len(job.log), len(misses),
-        )
+        wanted = [
+            (index, (entry["point"]["arch"], entry["point"]["bw_set_index"]))
+            for index, entry in enumerate(entries)
+        ]
+        job = JobRecord(job_id=f"job-{next(self._ids)}", state="running")
         try:
-            self._follow(conn, self._state_changed, job.snapshot)
+            self._admit(job, keys, wanted, lambda index: {
+                "key": keys[index], "point": entries[index]["point"],
+                "script": entries[index].get("script"), **shared,
+            })
+            log.info(
+                "%s: %d point(s) submitted, %d store hit(s), %d to simulate",
+                job.job_id, len(entries), len(job.log), len(job.pending),
+            )
+            self._follow(conn, self._state_changed, job.log_view)
         finally:
             self._withdraw(job)
 

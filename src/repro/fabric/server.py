@@ -9,7 +9,7 @@ connection to the handler registered for the peer's role.
 adds ``jobs``. Shared by every role, and so defined only here: the
 lifecycle, the handshake, the rule that a peer's bad frame earns an
 ``error`` frame instead of a traceback, and the result-stream loop
-(:meth:`RoleServer._tail`).
+(:meth:`RoleServer._follow`).
 
 :func:`dial` is the client half — connect with bounded backoff, send
 ``hello``, expect ``welcome`` — and :class:`Peer` the connection
@@ -285,21 +285,26 @@ class RoleServer:
                 return
             yield message
 
-    def _tail(
+    def _follow(
         self,
+        conn: Connection,
         changed: threading.Condition,
         snapshot: Callable[[int], Tuple[List[dict], Optional[dict]]],
-    ) -> Iterator[List[dict]]:
-        """Replay a job's log from frame 0, then follow the live tail.
+    ) -> None:
+        """Stream a job to a peer: replay it from frame 0, then follow
+        the live tail.
 
         *snapshot(index)*, called with *changed* held, returns the
-        log's frames from *index* on plus the closing frame (``None``
-        while the log can still grow). Yields the frames in batches as
+        job's frames from *index* on plus the closing frame (``None``
+        while more can still come). The frames go out in batches as
         they appear — a late watcher gets the whole prefix first — and
-        ends with the closing frame.
+        the closing frame last. A send failure (the peer left
+        mid-stream) raises ``OSError`` and drops only this connection,
+        never the job.
         """
         index = 0
-        while True:
+        closing = None
+        while closing is None:
             with changed:
                 frames, closing = snapshot(index)
                 while not frames and closing is None:
@@ -308,15 +313,6 @@ class RoleServer:
                     changed.wait(timeout=0.5)
                     frames, closing = snapshot(index)
             index += len(frames)
-            if closing is not None:
-                yield frames + [closing]
-                return
-            yield frames
-
-    def _follow(self, conn: Connection, changed, snapshot) -> None:
-        """Stream :meth:`_tail` to a peer. A send failure (the peer left
-        mid-stream) raises ``OSError`` and drops only this connection,
-        never the job."""
-        for frames in self._tail(changed, snapshot):
             for frame in frames:
                 send_message(conn, frame)
+        send_message(conn, closing)

@@ -15,7 +15,7 @@ identical store keys — see docs/service.md.
 Layout::
 
     errors   ServiceError (extends FabricError)
-    jobs     JobRecord/JobQueue: IDs, lifecycle, admission, streaming state
+    jobs     JobQueue: IDs, lifecycle, admission (JobRecord is the coordinator's)
     daemon   ExperimentService(Coordinator): runners, local lanes, job_* frames
     client   ServiceClient: submit/stream/status/cancel/list
 

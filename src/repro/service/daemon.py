@@ -4,16 +4,19 @@
 (:class:`~repro.fabric.coordinator.Coordinator`: one endpoint, one
 store, one work table, ``worker`` / ``client`` / ``store`` peers)
 serving one more role on the same port. ``jobs`` peers submit
-:class:`~repro.api.spec.ExperimentSpec` JSON; a pool of runner threads
-turns each admitted job into waiters on the coordinator's work table
-and records the results, in grid order, for streaming.
+:class:`~repro.api.spec.ExperimentSpec` JSON; each admitted job is a
+:class:`~repro.fabric.coordinator.JobRecord` — the record a fabric
+client batch uses — put on the work table by the same admission method
+and resolved there by whoever completes its keys. ``max_jobs`` runner
+threads bound how many jobs are on the table at once: a runner admits
+one and holds its slot until the record is resolved, failed or cancelled.
 
 What keeps concurrent execution honest:
 
-* **Identical results.** A runner computes content-hash keys with the
-  same :class:`~repro.experiments.sweep.PointExecutor` machinery a
-  local :meth:`Session.run <repro.api.session.Session.run>` uses, and
-  every miss is simulated through
+* **Identical results.** A job's content-hash keys and work items come
+  from the same :class:`~repro.experiments.sweep.PointExecutor`
+  planning a local :meth:`Session.run <repro.api.session.Session.run>`
+  starts with, and every miss is simulated through
   :func:`~repro.fabric.worker.execute_item` — by one of the daemon's
   ``workers`` local lanes or by a remote ``fabric worker`` attached to
   the daemon's own port — so streamed results are bitwise-equal to a
@@ -23,8 +26,8 @@ What keeps concurrent execution honest:
   (:class:`~repro.experiments.store.JsonlBackend`): one writer per
   ``(arch, bw_set_index)`` shard at a time, whoever shares the
   backend; the daemon adds nothing.
-* **Cross-job point dedup.** A job resolves its store hits itself and
-  hands the misses to the work table, where a key another job — or a
+* **Cross-job point dedup.** Admission answers a job's store hits and
+  puts the misses on the work table, where a key another job — or a
   concurrent fabric client — already wants gains a waiter instead of a
   second simulation: one simulation and one store ``put`` per unique
   key across everything the daemon serves.
@@ -32,35 +35,30 @@ What keeps concurrent execution honest:
   (:func:`~repro.service.jobs.job_id_for_spec`), so duplicate
   submissions attach to the same record and replay the same stream.
 
-Cancellation is cooperative at point boundaries: a cancelled job stops
-waiting on every point no worker holds yet, records the ones in flight
-as they land, and ends. Completed points are already durably in the
-store (whole appended lines — no torn shards), so a cancelled job's
-spec can simply be re-submitted and resumes from the store. The daemon
-itself keeps no durable job state: after a crash or restart the
-registry starts empty, and re-submitting any spec resumes from whatever
-the store already holds.
+Cancellation is cooperative at point boundaries: a cancelled job's
+runner stops admitting, withdraws it from every point no worker holds
+yet, lets the ones in flight land in the record, and ends it. Completed
+points are already durably in the store (whole appended lines — no torn
+shards), so a cancelled job's spec can simply be re-submitted and
+resumes from the store. The daemon itself keeps no durable job state:
+after a crash or restart the registry starts empty, and re-submitting
+any spec resumes from whatever the store already holds.
 """
 
 from __future__ import annotations
 
 import logging
 import multiprocessing
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.api.session import StoreLike, _resolve_store
 from repro.api.spec import ExperimentSpec
 from repro.arch.config import SystemConfig
 from repro.experiments.store import result_to_dict
-from repro.experiments.sweep import FabricExecutor
-from repro.fabric.coordinator import Coordinator, _Job
+from repro.experiments.sweep import PointExecutor
+from repro.fabric.coordinator import Coordinator
 from repro.fabric.errors import ProtocolError
-from repro.fabric.protocol import (
-    config_to_dict,
-    fidelity_to_dict,
-    point_to_dict,
-    send_message,
-)
+from repro.fabric.protocol import send_message
 from repro.fabric.transport import Connection
 from repro.fabric.worker import execute_item
 from repro.service.errors import ServiceError
@@ -122,8 +120,11 @@ class ExperimentService(Coordinator):
         self._roles["jobs"] = self._serve_jobs
         self.workers = workers
         self.max_jobs = max_jobs
-        self.config = config
-        self.jobs = JobQueue(max_pending=max_pending)
+        self.jobs = JobQueue(self._state_changed, max_pending=max_pending)
+        # Plans jobs the way a local Session.run does (keys, in-batch
+        # dedup, work items). It holds no results: the daemon's store is
+        # read at admission, under its lock, so every unique key "misses".
+        self._planner = PointExecutor(config=config)
         self._pool: Optional[multiprocessing.pool.Pool] = None
 
     # -- lifecycle -----------------------------------------------------------
@@ -142,8 +143,6 @@ class ExperimentService(Coordinator):
     def _release(self) -> None:
         """Drop the workers, wake every waiter, flush the store."""
         super()._release()
-        with self.jobs.changed:
-            self.jobs.changed.notify_all()
         if self._pool is not None:
             self._pool.terminate()
             self._pool.join()
@@ -181,83 +180,47 @@ class ExperimentService(Coordinator):
                 self._execute_job(record)
 
     def _execute_job(self, record: JobRecord) -> None:
-        """Execute one job: hits from the store, misses through the
-        work table, every point recorded in grid order."""
-        job = _Job(job_id=record.job_id)
+        """Hold one of the ``max_jobs`` slots for *record*: admit it,
+        then wait while the work table resolves it."""
+        failure = ""
         try:
-            state = self._resolve(record, job)
-            self.jobs.finish(record, state)
-            log.info(
-                "%s %s: %d/%d point(s), %d simulated, %d from store",
-                record.job_id, state, record.completed, record.total,
-                record.executed, record.hits,
+            points = record.spec.to_sweep_spec().expand()
+            fidelity = record.spec.fidelity
+            keys, unique = self._planner.plan(points, fidelity)
+            self._admit(
+                record, keys,
+                [(i, (point.arch, point.bw_set_index)) for i, point in unique],
+                lambda i: self._planner.work_item(points[i], keys[i], fidelity),
             )
+            with self._state_changed:
+                while True:
+                    if record.cancelled:
+                        self._withdraw(record, keep_leased=True)
+                    if record.error or not record.pending:
+                        break
+                    if self._closed:
+                        raise ProtocolError(f"{self.title} shutting down")
+                    self._state_changed.wait(timeout=0.5)
         except Exception as exc:  # noqa: BLE001 - surfaced via job state
             log.warning("%s failed: %r", record.job_id, exc)
-            self.jobs.finish(
-                record, "failed", error=f"{type(exc).__name__}: {exc}"
-            )
-        finally:
-            self._withdraw(job)
-
-    def _resolve(self, record: JobRecord, job: _Job) -> str:
-        """Record *record*'s grid through *job*; returns the end state."""
-        # Never dials: it derives keys, configs and scenario scripts, so
-        # a job's work items are exactly what a fabric client would ship.
-        derive = FabricExecutor(self.address, store=self.store, config=self.config)
-        points = record.spec.to_sweep_spec().expand()
-        fidelity = record.spec.fidelity
-        keys = [derive._key(point, fidelity) for point in points]
-        resolved: Dict[str, Tuple[dict, bool]] = {}
-        recorded = 0
-
-        def record_resolved_prefix() -> None:
-            nonlocal recorded
-            while recorded < len(points) and keys[recorded] in resolved:
-                key = keys[recorded]
-                result, cached = resolved[key]
-                self.jobs.record_point(record, recorded, key, result, cached)
-                resolved[key] = (result, True)  # a repeat within the grid
-                recorded += 1
-
-        wire_fidelity = fidelity_to_dict(fidelity)
-        misses: Dict[str, dict] = {}
-        for point, key in zip(points, keys):
-            if key not in resolved and key not in misses:
-                with self._store_lock:
-                    hit = self.store.get(key, (point.arch, point.bw_set_index))
-                if hit is not None:
-                    resolved[key] = (result_to_dict(hit), True)
-                else:
-                    misses[key] = {
-                        "key": key,
-                        "point": point_to_dict(point),
-                        "fidelity": wire_fidelity,
-                        "config": config_to_dict(derive._config_for(point)),
-                        "script": None if point.scenario is None else
-                        derive._scenario_script(point.scenario, fidelity),
-                    }
-            record_resolved_prefix()
-        self._enqueue(job, list(misses.values()))
-
-        def snapshot(index: int):
-            if record.cancel_event.is_set():
-                self._withdraw(job, keep_leased=True)
-            return job.snapshot(index)
-
-        for frames in self._tail(self._state_changed, snapshot):
-            for frame in frames:
-                if frame["type"] == "point_failed":
-                    raise ServiceError(
-                        f"point {frame['key']} failed after "
-                        f"{frame['attempts']} attempt(s): {frame['error']}"
-                    )
-                if frame["type"] == "point_done":
-                    resolved[frame["key"]] = (frame["result"], frame["cached"])
-            record_resolved_prefix()
-        # A cancelled job stops short: it withdrew from what was queued
-        # and recorded only what was already in flight.
-        return "done" if recorded == len(points) else "cancelled"
+            failure = f"{type(exc).__name__}: {exc}"
+        with self._state_changed:
+            # Off the table before the state says so: a restart must
+            # never find this attempt still waiting on its keys.
+            self._withdraw(record)
+            error = record.error or failure
+            if error:
+                state = "failed"
+            elif record.completed == record.total:
+                state = "done"
+            else:
+                state = "cancelled"
+            self.jobs.finish(record, state, error=error)
+        log.info(
+            "%s %s: %d/%d point(s), %d simulated, %d from store",
+            record.job_id, state, record.completed, record.total,
+            record.executed, record.hits,
+        )
 
     # -- jobs role -----------------------------------------------------------
     def _serve_jobs(self, conn: Connection, hello: dict) -> None:
@@ -274,15 +237,13 @@ class ExperimentService(Coordinator):
                         "job": self.jobs.get(job_id).describe(),
                     })
                 elif kind == "job_results":
-                    self._stream_job(conn, self.jobs.get(job_id))
+                    record = self.jobs.get(job_id)
+                    self._follow(conn, self._state_changed, record.grid_view)
                 elif kind == "job_cancel":
-                    state = self.jobs.cancel(job_id)
-                    with self._state_changed:  # its runner waits here
-                        self._state_changed.notify_all()
                     send_message(conn, {
                         "type": "job_cancel_reply",
                         "job_id": job_id,
-                        "state": state,
+                        "state": self.jobs.cancel(job_id),
                     })
                 elif kind == "job_list":
                     send_message(conn, {
@@ -322,27 +283,4 @@ class ExperimentService(Coordinator):
             "total": record.total,
         })
         if message.get("watch"):
-            self._stream_job(conn, record)
-
-    def _stream_job(self, conn: Connection, record: JobRecord) -> None:
-        """Stream ``job_point`` frames from index 0, then ``job_end``."""
-
-        def snapshot(index: int):
-            frames = [
-                {
-                    "type": "job_point",
-                    "job_id": record.job_id,
-                    "index": i,
-                    "key": record.keys[i],
-                    "result": record.results[i],
-                    "cached": record.cached[i],
-                }
-                for i in range(index, record.completed)
-            ]
-            closing = (
-                {"type": "job_end", **record.describe()}
-                if record.terminal else None
-            )
-            return frames, closing
-
-        self._follow(conn, self.jobs.changed, snapshot)
+            self._follow(conn, self._state_changed, record.grid_view)

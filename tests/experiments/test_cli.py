@@ -243,6 +243,24 @@ class TestDryRun:
         out = capsys.readouterr().out
         assert "0 to simulate (2 cached)" in out
 
+        # Half-warm, with a load fraction repeated in the grid (the one
+        # way a spec repeats a store key): the dry run plans through the
+        # step execution starts with, so it predicts the run exactly.
+        from repro.api import ExperimentSpec, Session
+
+        wider = ExperimentSpec.load(self._spec_path(
+            tmp_path, archs=("firefly", "dhetpnoc"),
+            fidelity={"name": "tiny", "total_cycles": 700,
+                      "reset_cycles": 100, "load_fractions": [0.3, 0.3, 0.8]},
+        ))
+        with Session(store) as session:
+            report = session.dry_run(wider)
+            assert (report.total_points, report.to_simulate) == (6, 2)
+            assert [c.to_simulate for c in report.curves] == [0, 2]
+            session.run(wider)
+            assert session.executed_count == report.to_simulate
+            assert session.dry_run(wider).to_simulate == 0
+
     def test_adaptive_dry_run_reports_estimates(self, capsys, tmp_path):
         path = self._spec_path(tmp_path, mode="adaptive")
         assert main(["run", "--spec", path, "--dry-run"]) == 0

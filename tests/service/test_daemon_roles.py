@@ -205,7 +205,7 @@ def test_remote_backend_backoff_wins_the_bind_race():
 # ---------------------------------------------------------------------------
 
 def test_job_an_idle_runner_is_about_to_take_is_not_backlog():
-    queue = JobQueue(max_pending=1)
+    queue = JobQueue(threading.Condition(), max_pending=1)
     claimed = []
     runner = threading.Thread(
         target=lambda: claimed.append(queue.claim(timeout=10.0)), daemon=True

@@ -83,6 +83,34 @@ def test_repro_service_exports_are_pinned_and_resolve():
     assert REPRO_SERVICE_EXPORTS <= set(dir(service))
 
 
+def test_both_roles_use_the_one_job_record(monkeypatch):
+    # A `client`-role submit instantiates the very class `repro.service`
+    # exports: there is no second job model behind the fabric role.
+    from repro.fabric import coordinator
+    from repro.fabric.protocol import recv_message, send_message
+    from repro.fabric.server import dial
+
+    service = importlib.import_module("repro.service")
+    assert service.JobRecord is coordinator.JobRecord
+    created = []
+
+    class Spy(service.JobRecord):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            created.append(self)
+
+    monkeypatch.setattr(coordinator, "JobRecord", Spy)
+    with coordinator.Coordinator() as server:
+        conn, _welcome = dial(server.address, "client")
+        send_message(conn, {
+            "type": "submit", "fidelity": {}, "config": None, "points": [],
+        })
+        assert recv_message(conn)["type"] == "job_done"
+        conn.close()
+    (record,) = created
+    assert record.spec is None and record.state == "running"
+
+
 @pytest.mark.parametrize("name", sorted(REPRO_EXPORTS))
 def test_every_repro_export_resolves(name):
     assert getattr(repro, name) is not None

@@ -199,3 +199,46 @@ def test_exhibits_and_claims_take_a_session_not_an_executor():
         and "executor" in inspect.signature(fn).parameters
     ]
     assert not offenders
+
+
+def test_one_job_record_one_admission_path():
+    # A fabric client batch is the degenerate service job: one record
+    # class, on one work table, under one condition, admitted by one
+    # method. None of the second model's pieces may grow back.
+    import re
+
+    assert _count_in_src("class JobRecord") == {
+        "src/repro/fabric/coordinator.py": 1
+    }
+    for needle in ("class _Job", "record_point", "cancel_event"):
+        assert _count_in_src(needle) == {}, needle
+    # The daemon builds no executor it never executes with and owns no
+    # lock: its job registry lives on the coordinator's condition.
+    conditions = _count_in_src("threading.Condition(")
+    assert conditions == {"src/repro/fabric/coordinator.py": 1}
+    assert not [
+        path for path in _count_in_src("FabricExecutor(")
+        if path.startswith("src/repro/service/")
+    ]
+    # Keys, configs and scenario scripts are derived behind the
+    # executor's public plan()/work_item(), never through its privates.
+    for needle in ("._key(", "._config_for(", "._scenario(", "._scenario_script("):
+        assert set(_count_in_src(needle)) <= {
+            "src/repro/experiments/sweep.py"
+        }, needle
+    # Work items are built from RunPoints in one place (the client
+    # role's frame-to-item merge is the only other constructor).
+    for needle in ("config_to_dict(", "fidelity_to_dict("):
+        callers = _count_in_src(needle)
+        assert callers.pop("src/repro/fabric/protocol.py") == 1  # its def
+        assert set(callers) == {"src/repro/experiments/sweep.py"}, needle
+    private_import = re.compile(
+        r"from repro\.fabric\.coordinator import[^\n]*\b_\w+"
+        r"|from repro\.fabric\.coordinator import \([^)]*\b_\w+"
+    )
+    offenders = [
+        str(path.relative_to(REPO_ROOT))
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+        if private_import.search(path.read_text(encoding="utf-8"))
+    ]
+    assert not offenders

@@ -1,7 +1,9 @@
 """Experiment harness: saturation sweeps and per-figure reproduction.
 
-* :mod:`repro.experiments.runner` -- the single-run core, fidelities
-  and peak-bandwidth extraction (thesis 3.4.1.1 methodology).
+* :mod:`repro.experiments.runner` -- the single-run core
+  (``wire_run`` + ``attach_traffic``: the one place a simulation is
+  assembled), fidelities and peak-bandwidth extraction (thesis 3.4.1.1
+  methodology).
 * :mod:`repro.experiments.sweep` -- declarative sweep grids
   (:class:`SweepSpec`) fanned out over a worker pool
   (:class:`SweepExecutor`) with multi-seed replication.
@@ -10,7 +12,10 @@
 * :mod:`repro.experiments.figures` -- one function per thesis table and
   figure, returning structured rows.
 * :mod:`repro.experiments.report` -- ASCII rendering of results.
-* :mod:`repro.experiments.cli` -- ``dhetpnoc-repro`` command line.
+* :mod:`repro.experiments.cli` -- the ``dhetpnoc-repro`` command line,
+  a package: ``options`` (every shared flag, once) and one module per
+  verb group (``run``, ``fabric``, ``store``, ``scenarios``, ``trace``,
+  ``ml``).
 """
 
 from repro.experiments.runner import (

@@ -23,6 +23,7 @@ import os
 from typing import Optional
 
 from repro.experiments.runner import Fidelity
+from repro.experiments.sweep import knee_search
 
 __all__ = [
     "adaptive_curve_estimates",
@@ -148,54 +149,28 @@ def adaptive_probe_count(
 ) -> int:
     """Distinct load points a knee search evaluates, replayed exactly.
 
-    A pure re-enactment of :func:`repro.experiments.sweep.
-    adaptive_knee_sweep`'s probe policy on an *n*-point grid, assuming
-    the true knee sits at grid index *knee* (the "reaches the plateau"
-    predicate becomes ``i >= knee``): the plateau probe at ``n``, the
-    seed probe at *start*, the descent (halving — with the
-    one-step-below check first when ``model_seeded``), then bisection.
-    Deterministic, so dry runs can price an adaptive curve without
-    simulating anything.
+    Runs :func:`repro.experiments.sweep.knee_search` -- the policy
+    :func:`~repro.experiments.sweep.adaptive_knee_sweep` itself runs --
+    on an *n*-point grid, assuming the true knee sits at grid index
+    *knee* (the "reaches the plateau" predicate becomes ``i >= knee``),
+    and counts the probes: the plateau probe at ``n`` plus every
+    distinct point the search asks about. Deterministic, so dry runs
+    can price an adaptive curve without simulating anything.
 
     >>> adaptive_probe_count(20, 16, 16)                     # analytic
     6
     >>> adaptive_probe_count(20, 16, 16, model_seeded=True)  # exact seed
     3
     """
-    if n <= 1:
-        return 1
-    evaluated = {n}
-    start = min(max(start, 1), n - 1)
+    probed = {n}
     knee = min(max(knee, 1), n)
-    descent = []
-    if model_seeded and start - 1 >= 1:
-        descent.append(start - 1)
-    cand = start // 2
-    while cand >= 1:
-        if not descent or cand < descent[-1]:
-            descent.append(cand)
-        cand //= 2
-    lo, hi = 0, n
-    evaluated.add(start)
-    if start >= knee:
-        hi = start
-        for cand in descent:
-            evaluated.add(cand)
-            if cand >= knee:
-                hi = cand
-            else:
-                lo = cand
-                break
-    else:
-        lo = start
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        evaluated.add(mid)
-        if mid >= knee:
-            hi = mid
-        else:
-            lo = mid
-    return len(evaluated)
+
+    def at_plateau(i: int) -> bool:
+        probed.add(i)
+        return i >= knee
+
+    knee_search(n, start, model_seeded, at_plateau)
+    return len(probed)
 
 
 def adaptive_curve_estimates(spec, model=None) -> list:

@@ -22,7 +22,7 @@ from repro.api.base import Registry
 from repro.arch.base import PhotonicCrossbarNoC
 from repro.arch.config import SystemConfig
 from repro.arch.registry import architectures
-from repro.scenarios.schedule import PhaseStats
+from repro.scenarios.schedule import PhaseStats, ScenarioSchedule
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.traffic.bandwidth_sets import BandwidthSet
@@ -137,6 +137,108 @@ def build_arch(
     return architectures.get(arch_name)(sim, config, pattern)
 
 
+@dataclass
+class WiredRun:
+    """One simulation, assembled by :func:`wire_run`.
+
+    Everything a run consists of before its traffic source exists; the
+    source -- :func:`attach_traffic`'s generator or scenario player, or
+    a trace replayer -- goes in through :meth:`attach`. A caller that
+    wants to observe the injections the run accepts wraps
+    ``arch.submit`` between the two steps, before any source captures it.
+    """
+
+    config: SystemConfig
+    streams: RandomStreams
+    sim: Simulator
+    #: The bound pattern the architecture's demand tables were built
+    #: from (phase 0's, for a scenario run).
+    pattern: TrafficPattern
+    arch: PhotonicCrossbarNoC
+    #: The scenario script being played (``None`` = stationary run).
+    schedule: Optional[ScenarioSchedule] = None
+    #: The attached traffic source (``None`` until :meth:`attach`).
+    source: object = None
+
+    def attach(self, source) -> None:
+        """Make *source* the run's traffic source."""
+        self.source = source
+        self.arch.attach_generator(source)
+
+    def simulate(self, total_cycles: int, reset_cycles: int) -> None:
+        """Run *total_cycles* (statistics reset after the first
+        *reset_cycles*) and close the architecture's books."""
+        self.sim.run_with_reset(total_cycles, reset_cycles)
+        self.arch.finalize()
+
+
+def wire_run(
+    arch_name: str,
+    bw_set: BandwidthSet,
+    pattern_name: str,
+    fidelity: Fidelity,
+    seed: int,
+    config: Optional[SystemConfig] = None,
+    scenario: Optional[str] = None,
+) -> WiredRun:
+    """Assemble one run up to, not including, its traffic source.
+
+    Config, named random streams, the simulator, the bound pattern and
+    the architecture built from it. With a *scenario* name the pattern
+    is the script's phase-0 pattern (``pattern_name`` is the default
+    for phases that do not rebind) and the script, scaled to
+    *fidelity*'s cycle span, rides along for :func:`attach_traffic`.
+    """
+    config = config or SystemConfig(bw_set=bw_set)
+    streams = RandomStreams(seed)
+    sim = Simulator(clock_hz=config.clock_hz, seed=seed)
+    schedule = None
+    if scenario is None:
+        pattern = pattern_by_name(pattern_name).bind(
+            bw_set,
+            config.n_clusters,
+            config.cores_per_cluster,
+            streams.get("placement"),
+        )
+    else:
+        from repro.scenarios.library import build_scenario
+        from repro.scenarios.player import initial_pattern
+
+        schedule = build_scenario(scenario, fidelity.total_cycles)
+        pattern = initial_pattern(
+            schedule, pattern_name, bw_set,
+            config.n_clusters, config.cores_per_cluster, streams,
+        )
+    arch = build_arch(arch_name, sim, config, pattern)
+    return WiredRun(config, streams, sim, pattern, arch, schedule)
+
+
+def attach_traffic(
+    run: WiredRun, offered_gbps: float, fidelity: Fidelity
+) -> None:
+    """Attach the run's own traffic source at *offered_gbps*.
+
+    A :class:`~repro.traffic.generator.TrafficGenerator` over the bound
+    pattern, or -- for a scenario run -- the
+    :class:`~repro.scenarios.player.ScenarioPlayer` of its script. Either
+    captures ``run.arch.submit`` as it is at this moment.
+    """
+    if run.schedule is None:
+        source = TrafficGenerator.for_offered_gbps(
+            run.pattern, offered_gbps, run.streams.get("traffic"),
+            run.arch.submit, run.config.clock_hz,
+        )
+    else:
+        from repro.scenarios.player import ScenarioPlayer
+
+        source = ScenarioPlayer(
+            run.schedule, run.arch, run.pattern, offered_gbps, run.streams,
+            total_cycles=fidelity.total_cycles,
+            clock_hz=run.config.clock_hz,
+        )
+    run.attach(source)
+
+
 def _run_once(
     arch_name: str,
     bw_set: BandwidthSet,
@@ -156,42 +258,14 @@ def _run_once(
     not rebind, and the result carries per-phase metric windows. The
     ``steady`` scenario reproduces the scenario-less path bit for bit.
     """
-    config = config or SystemConfig(bw_set=bw_set)
-    streams = RandomStreams(seed)
-    sim = Simulator(clock_hz=config.clock_hz, seed=seed)
-    player = None
-    if scenario is None:
-        pattern = pattern_by_name(pattern_name).bind(
-            bw_set,
-            config.n_clusters,
-            config.cores_per_cluster,
-            streams.get("placement"),
-        )
-        arch = build_arch(arch_name, sim, config, pattern)
-        generator = TrafficGenerator.for_offered_gbps(
-            pattern, offered_gbps, streams.get("traffic"), arch.submit, config.clock_hz
-        )
-        arch.attach_generator(generator)
-    else:
-        from repro.scenarios.library import build_scenario
-        from repro.scenarios.player import ScenarioPlayer, initial_pattern
-
-        schedule = build_scenario(scenario, fidelity.total_cycles)
-        pattern = initial_pattern(
-            schedule, pattern_name, bw_set,
-            config.n_clusters, config.cores_per_cluster, streams,
-        )
-        arch = build_arch(arch_name, sim, config, pattern)
-        player = ScenarioPlayer(
-            schedule, arch, pattern, offered_gbps, streams,
-            total_cycles=fidelity.total_cycles, clock_hz=config.clock_hz,
-        )
-        generator = player
-        arch.attach_generator(player)
-    sim.run_with_reset(fidelity.total_cycles, fidelity.reset_cycles)
-    arch.finalize()
-    if player is not None:
-        player.finish(fidelity.total_cycles)
+    run = wire_run(
+        arch_name, bw_set, pattern_name, fidelity, seed, config, scenario
+    )
+    attach_traffic(run, offered_gbps, fidelity)
+    run.simulate(fidelity.total_cycles, fidelity.reset_cycles)
+    arch, config, source = run.arch, run.config, run.source
+    if scenario is not None:
+        source.finish(fidelity.total_cycles)
     metrics = arch.metrics
     return RunResult(
         arch=arch_name,
@@ -203,13 +277,13 @@ def _run_once(
         per_core_gbps=metrics.per_core_gbps(config.clock_hz, config.n_cores),
         energy_per_message_pj=arch.energy_per_message_pj,
         mean_latency_cycles=metrics.latency.mean,
-        acceptance_ratio=generator.acceptance_ratio,
+        acceptance_ratio=source.acceptance_ratio,
         packets_delivered=metrics.packets_delivered,
         reservations_nacked=metrics.reservations_nacked,
         laser_power_mw=arch.laser_power_mw(),
         lit_wavelengths=arch.lit_wavelengths(),
         scenario=scenario,
-        phases=player.phase_stats() if player is not None else (),
+        phases=source.phase_stats() if scenario is not None else (),
     )
 
 

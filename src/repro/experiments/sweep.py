@@ -575,7 +575,6 @@ class FabricExecutor(PointExecutor):
         config: Explicit :class:`SystemConfig` (as for the local
             executor); shipped with every batch so remote workers
             simulate exactly this configuration.
-        transport: Fabric transport registry name (default ``tcp``).
         connect_timeout: Seconds to wait for the coordinator.
     """
 
@@ -585,12 +584,10 @@ class FabricExecutor(PointExecutor):
         store: Optional[ResultStore] = None,
         config: Optional[SystemConfig] = None,
         *,
-        transport: str = "tcp",
         connect_timeout: float = 10.0,
     ) -> None:
         super().__init__(store=store, config=config)
         self.address = connect
-        self._transport_name = transport
         self._connect_timeout = connect_timeout
         self._client = None
 
@@ -599,9 +596,7 @@ class FabricExecutor(PointExecutor):
             from repro.fabric.client import FabricClient
 
             self._client = FabricClient(
-                self.address,
-                transport=self._transport_name,
-                connect_timeout=self._connect_timeout,
+                self.address, connect_timeout=self._connect_timeout,
             )
         return self._client
 
@@ -743,6 +738,58 @@ class KneeEstimate:
     model_knee_gbps: Optional[float] = None
 
 
+def knee_search(n: int, start: int, check_below: bool, at_plateau) -> int:
+    """The knee-search probe policy, over grid indices ``1..n``.
+
+    ``at_plateau(i)`` says whether grid point *i* reaches the plateau --
+    a monotone predicate, trivially true at *n* and false at 0. Returns
+    the smallest index found to satisfy it, probing as few points as it
+    can: the seed estimate's point *start* (clamped inside the grid)
+    first; when that is already on the plateau, a descent -- *start*
+    halved repeatedly, preceded by the point just below *start* when
+    *check_below* (a model seed claims to *be* the knee, so when the
+    claim is exact that one probe closes the bracket to a single step
+    instead of halving far below it) -- until a point falls short; then
+    bisection of the bracket down to one step. This is the one copy of
+    the policy: :func:`adaptive_knee_sweep` passes "simulate and
+    compare", :func:`repro.experiments.costing.adaptive_probe_count` a
+    hypothetical knee and counts the calls, so a dry run prices exactly
+    the search that would run.
+    """
+    if n <= 1:
+        return n
+    start = min(max(start, 1), n - 1)
+    descent = []
+    if check_below and start - 1 >= 1:
+        descent.append(start - 1)
+    cand = start // 2
+    while cand >= 1:
+        if not descent or cand < descent[-1]:
+            descent.append(cand)
+        cand //= 2
+    # Bracket: lo = largest index known below the plateau (0 = trivially
+    # so: zero offered load delivers nothing), hi = smallest index known
+    # to reach it (n is trivially at the plateau).
+    lo, hi = 0, n
+    if at_plateau(start):
+        hi = start
+        for cand in descent:
+            if at_plateau(cand):
+                hi = cand
+            else:
+                lo = cand
+                break
+    else:
+        lo = start
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if at_plateau(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def adaptive_knee_sweep(
     arch: str,
     bw_set_index: int,
@@ -872,45 +919,11 @@ def adaptive_knee_sweep(
         start = round(seed_gbps / capacity / resolution)
     else:
         start = n // 2
-    start = min(max(start, 1), n - 1) if n > 1 else 1
-
-    # Descent candidates probed when the start is already at the
-    # plateau. The analytic path halves down from the start (unchanged:
-    # its probe sequence — and hence its store keys and simulation
-    # counts — is bitwise-stable across this change). A model seed
-    # claims to *be* the knee, so it first checks the grid point just
-    # below: when the claim is exact that one probe closes the bracket
-    # to a single step, instead of halving far below the knee.
-    descent = []
-    if model_knee is not None and start - 1 >= 1:
-        descent.append(start - 1)
-    cand = start // 2
-    while cand >= 1:
-        if not descent or cand < descent[-1]:
-            descent.append(cand)
-        cand //= 2
-
-    # Bracket: lo = largest index known below the plateau (0 = trivially
-    # so: zero offered load delivers nothing), hi = smallest index known
-    # to reach it (n is trivially at the plateau).
-    lo, hi = 0, n
-    if plateau > 0 and n > 1:
-        if at_plateau(start):
-            hi = start
-            for cand in descent:
-                if at_plateau(cand):
-                    hi = cand
-                else:
-                    lo = cand
-                    break
-        else:
-            lo = start
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if at_plateau(mid):
-                hi = mid
-            else:
-                lo = mid
+    # The analytic path's probe sequence -- and hence its store keys and
+    # simulation counts -- does not depend on whether a model exists.
+    hi = n
+    if plateau > 0:
+        hi = knee_search(n, start, model_knee is not None, at_plateau)
 
     knee_fraction = fraction(hi)
     ordered = tuple(evaluated[i] for i in sorted(evaluated))

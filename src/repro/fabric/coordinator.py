@@ -245,7 +245,6 @@ class Coordinator(RoleServer):
         worker_timeout_s: Silence (no frames at all) after which a
             worker is declared lost and its leases re-queued.
         max_attempts: Lease grants per key before the point is failed.
-        transport: Transport registry name (default ``tcp``).
     """
 
     title = "coordinator"
@@ -260,13 +259,12 @@ class Coordinator(RoleServer):
         heartbeat_s: float = 2.0,
         worker_timeout_s: float = 20.0,
         max_attempts: int = 3,
-        transport: str = "tcp",
     ) -> None:
         if lease_size < 1:
             raise ValueError("lease_size must be at least 1")
         if max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        super().__init__(host, port, transport=transport)
+        super().__init__(host, port)
         self._roles.update(
             worker=self._serve_worker,
             client=self._serve_client,

@@ -47,7 +47,6 @@ class RemoteBackend(Peer, StoreBackend):
 
     Args:
         address: The coordinator's ``host:port``.
-        transport: Transport registry name (default ``tcp``).
         connect_timeout: Seconds to wait for the coordinator per dial
             (dials back off like every other peer's, so a store opened
             in the same breath as ``fabric serve`` wins the bind race).
@@ -59,13 +58,12 @@ class RemoteBackend(Peer, StoreBackend):
         self,
         address: Address,
         *,
-        transport: str = "tcp",
         connect_timeout: float = 10.0,
     ) -> None:
         import threading
 
         super().__init__(
-            address, transport=transport, connect_timeout=connect_timeout
+            address, connect_timeout=connect_timeout
         )
         #: Mirrors the file backends' ``path`` attribute so store
         #: tooling can print *where* a store lives.

@@ -46,7 +46,6 @@ def dial(
     address: Address,
     role: str,
     *,
-    transport: str = "tcp",
     timeout: float = 10.0,
     attempts: int = 5,
     unreachable: Type[FabricError] = FabricError,
@@ -66,7 +65,7 @@ def dial(
     if attempts < 1:
         raise ValueError("attempts must be at least 1")
     host, port = parse_address(address)
-    dialler = make_transport(transport)
+    dialler = make_transport()
     delay = 0.2
     for attempt in range(1, attempts + 1):
         try:
@@ -99,7 +98,6 @@ class Peer:
 
     Args:
         connect: Server address (``"host:port"`` or tuple).
-        transport: Transport registry name (default ``tcp``).
         connect_timeout: Seconds to wait for the server per dial.
         connect_attempts: Dials before giving up (see :func:`dial`).
     """
@@ -112,15 +110,13 @@ class Peer:
         self,
         connect: Address,
         *,
-        transport: str = "tcp",
         connect_timeout: float = 10.0,
         connect_attempts: int = 5,
     ) -> None:
         self.address = parse_address(connect)
         self._conn, _welcome = dial(
-            self.address, self.role, transport=transport,
-            timeout=connect_timeout, attempts=connect_attempts,
-            unreachable=self.unreachable,
+            self.address, self.role, timeout=connect_timeout,
+            attempts=connect_attempts, unreachable=self.unreachable,
         )
 
     def close(self) -> None:
@@ -154,14 +150,13 @@ class RoleServer:
     Args:
         host, port: Bind address (port ``0`` picks a free port; read it
             back from :attr:`address` after :meth:`start`).
-        transport: Transport registry name (default ``tcp``).
     """
 
     #: What log lines and error messages call this server.
     title = "server"
 
-    def __init__(self, host: str, port: int, *, transport: str = "tcp") -> None:
-        self._transport = make_transport(transport)
+    def __init__(self, host: str, port: int) -> None:
+        self._transport = make_transport()
         self._bind = (host, port)
         self._listener = None
         self._closed = False

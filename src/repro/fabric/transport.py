@@ -4,16 +4,21 @@ The protocol layer (:mod:`repro.fabric.protocol`) frames JSON messages
 over an abstract byte-stream :class:`Connection`; this module supplies
 the concrete transports behind a registry seam:
 
-* ``tcp`` — stdlib sockets (:class:`TcpTransport`), the default. Works
-  anywhere, needs no dependencies, and is what every CLI entry point
-  (``fabric serve`` / ``fabric worker`` / ``sweep --fabric``) uses.
+* ``tcp`` — stdlib sockets (:class:`TcpTransport`). Works anywhere,
+  needs no dependencies, and is what every server and peer uses.
 
 A cluster interconnect only has to implement the three-method surface
 below and register its factory in :data:`transports` to slot in;
 nothing above the seam knows about sockets.
 
-Addresses are ``"host:port"`` strings (or ``(host, port)`` tuples);
-:func:`parse_address` normalises them.
+How a transport is chosen: from the address, never from an option.
+Addresses are ``"host:port"`` strings (or ``(host, port)`` tuples;
+:func:`parse_address` normalises them), every one of them means TCP
+today, and :func:`make_transport` -- called where a server binds and
+where a peer dials, in :mod:`repro.fabric.server` -- is the one place a
+second registry entry would be told apart by the address it is given
+(a scheme prefix, say). No signature above it carries a transport
+name.
 """
 
 from __future__ import annotations
@@ -189,8 +194,8 @@ class TcpTransport(Transport):
 
 
 #: Registry of ``name -> factory() -> Transport`` (exposed through
-#: :mod:`repro.api.registry`). A cluster-interconnect transport becomes
-#: CLI-addressable (``--transport``) by registering its factory here.
+#: :mod:`repro.api.registry`). A cluster-interconnect transport starts
+#: by registering its factory here.
 transports = Registry("fabric transport", error=FabricError)
 
 transports.register("tcp", TcpTransport)

@@ -68,7 +68,6 @@ class Worker:
 
     Args:
         connect: Coordinator address (``"host:port"`` or tuple).
-        transport: Transport registry name (default ``tcp``).
         capabilities: Extra capability keys merged over
             :func:`default_capabilities`.
         fail_after: Chaos hook — hard-exit after this many streamed
@@ -85,14 +84,12 @@ class Worker:
         self,
         connect: Address,
         *,
-        transport: str = "tcp",
         capabilities: Optional[dict] = None,
         fail_after: Optional[int] = None,
         connect_timeout: float = 10.0,
         connect_attempts: int = 8,
     ) -> None:
         self._address = connect
-        self._transport = transport
         self._capabilities = default_capabilities()
         if capabilities:
             self._capabilities.update(capabilities)
@@ -119,7 +116,7 @@ class Worker:
         worker that joined after the queue drained).
         """
         conn, welcome = dial(
-            self._address, "worker", transport=self._transport,
+            self._address, "worker",
             timeout=self._connect_timeout, attempts=self._connect_attempts,
             capabilities=self._capabilities,
         )

@@ -26,14 +26,6 @@ class FlitType(Enum):
     #: Single-flit packet: head and tail at once.
     HEAD_TAIL = "head_tail"
 
-    @property
-    def is_head(self) -> bool:
-        return self in (FlitType.HEAD, FlitType.HEAD_TAIL)
-
-    @property
-    def is_tail(self) -> bool:
-        return self in (FlitType.TAIL, FlitType.HEAD_TAIL)
-
 
 _HEAD, _TAIL, _HEAD_TAIL = FlitType.HEAD, FlitType.TAIL, FlitType.HEAD_TAIL
 

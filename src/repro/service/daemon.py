@@ -92,7 +92,6 @@ class ExperimentService(Coordinator):
         backend: Store-backend name for path stores.
         config: Optional :class:`~repro.arch.config.SystemConfig`
             override applied to every job.
-        transport: Transport registry name (default ``tcp``).
     """
 
     title = "experiment service"
@@ -108,14 +107,13 @@ class ExperimentService(Coordinator):
         max_pending: int = 16,
         backend: str = "auto",
         config: Optional[SystemConfig] = None,
-        transport: str = "tcp",
     ) -> None:
         if workers < 0:
             raise ValueError("workers must not be negative")
         if max_jobs < 1:
             raise ValueError("max_jobs must be at least 1")
         super().__init__(
-            _resolve_store(store, backend), host, port, transport=transport
+            _resolve_store(store, backend), host, port
         )
         self._roles["jobs"] = self._serve_jobs
         self.workers = workers

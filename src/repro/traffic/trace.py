@@ -86,34 +86,6 @@ class TrafficTrace:
 
         return submit
 
-    # -- replay -----------------------------------------------------------
-    def replayer(
-        self, bw_set: BandwidthSet, submit: Callable[[Packet], bool]
-    ) -> Callable[[int], None]:
-        """Return a per-cycle callable replaying the trace through *submit*."""
-        if not self._sorted:
-            self.sort()
-        position = 0
-        records = self.records
-
-        def tick(cycle: int) -> None:
-            nonlocal position
-            while position < len(records) and records[position].cycle <= cycle:
-                record = records[position]
-                position += 1
-                submit(
-                    Packet(
-                        src=record.src,
-                        dst=record.dst,
-                        n_flits=bw_set.packet_flits,
-                        flit_bits=bw_set.flit_bits,
-                        created_cycle=cycle,
-                        bw_class=record.bw_class,
-                    )
-                )
-
-        return tick
-
     @property
     def span_cycles(self) -> int:
         """Cycle span of the trace (last record's cycle + 1; 0 empty)."""
@@ -168,14 +140,16 @@ class TrafficTrace:
 
 
 class TraceReplayGenerator:
-    """A trace replay shaped like a traffic generator.
+    """A trace replay shaped like a traffic generator: the one replay loop.
 
-    Wraps :meth:`TrafficTrace.replayer` in the generator protocol the
-    architectures drive (``tick``/``is_idle``/``acceptance_ratio``/
-    ``reset_stats``), so a recorded injection stream can be attached via
+    Speaks the generator protocol the architectures drive
+    (``tick``/``is_idle``/``acceptance_ratio``/``reset_stats``), so a
+    recorded injection stream can be attached via
     ``arch.attach_generator`` and replayed through the full simulation
     loop — including the event-driven engine's idle-skip, which this
-    generator re-enables once the trace is exhausted.
+    generator re-enables once the trace is exhausted. Each replayed
+    packet is created at the cycle it is injected, with *bw_set*'s
+    packet geometry.
     """
 
     def __init__(self, trace: TrafficTrace, bw_set: BandwidthSet, submit):

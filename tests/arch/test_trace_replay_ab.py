@@ -17,7 +17,7 @@ from repro.sim.rng import RandomStreams
 from repro.traffic.bandwidth_sets import BW_SET_1
 from repro.traffic.generator import TrafficGenerator
 from repro.traffic.patterns import pattern_by_name
-from repro.traffic.trace import TrafficTrace
+from repro.traffic.trace import TraceReplayGenerator, TrafficTrace
 
 CYCLES = 1500
 SEED = 23
@@ -50,7 +50,7 @@ def replay_into(arch_cls, pattern_name: str, trace: TrafficTrace):
         noc = arch_cls(sim, config, pattern=pattern)
     else:
         noc = arch_cls(sim, config)
-    noc.add_tick_hook(trace.replayer(BW_SET_1, noc.submit))
+    noc.add_tick_hook(TraceReplayGenerator(trace, BW_SET_1, noc.submit).tick)
     sim.run(CYCLES)
     return noc
 

@@ -10,12 +10,14 @@ grid sweeps give, at a fraction of the simulation budget.
 import pytest
 
 from repro.api import ExperimentSpec, Session
+from repro.experiments.costing import adaptive_probe_count
 from repro.experiments.runner import Fidelity, QUICK_FIDELITY
 from repro.experiments.store import ResultStore
 from repro.experiments.sweep import (
     SweepExecutor,
     SweepSpec,
     adaptive_knee_sweep,
+    knee_search,
     analytic_knee_gbps,
 )
 from repro.traffic.bandwidth_sets import BW_SET_1
@@ -206,3 +208,38 @@ class TestQuickFidelityGoldenAcceptance:
             max(QUICK_FIDELITY.load_fractions) / 0.05
         )
         assert est.n_simulated < equivalent_grid / 2
+
+
+#: ``adaptive_probe_count(n, start, knee, model_seeded)`` as the commit
+#: before the policy was extracted computed it, one digit per
+#: combination: n = 1..6, start and knee = 0..n+1 (the clamps
+#: included), analytic then model-seeded.
+PARENT_PROBE_COUNTS = (
+    "1111111111111111112222222222222222222222222222222222223333332222"
+    "3333333333332222333333222233333322222222334444442222334444443333"
+    "3333333334344443222234344443222234344443222222224444444444222244"
+    "4444444433333333444444343444433333334545454443222245454544432222"
+    "4545454443222222224444445555552222444444555555333333444444444434"
+    "3444433344444445454544433333334545454555532222454545455553222245"
+    "45454555532222"
+)
+
+
+class TestOneKneeSearchPolicy:
+    def test_probe_counts_equal_the_parents_exhaustively(self):
+        counts = "".join(
+            str(adaptive_probe_count(n, start, knee, seeded))
+            for n in range(1, 7)
+            for start in range(n + 2)
+            for knee in range(n + 2)
+            for seeded in (False, True)
+        )
+        assert counts == PARENT_PROBE_COUNTS
+
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_search_finds_every_knee_on_a_monotone_curve(self, seeded):
+        for n in range(1, 25):
+            for start in range(n + 2):
+                for knee in range(1, n + 1):
+                    found = knee_search(n, start, seeded, lambda i: i >= knee)
+                    assert found == knee

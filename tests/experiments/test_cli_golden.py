@@ -325,14 +325,18 @@ def collect_transcript() -> list:
     return rows
 
 
-def collect(parsers_only: bool = False) -> dict:
+def _numpy_version():
     try:
         import numpy
     except ImportError:
-        numpy = None
+        return None
+    return numpy.__version__
+
+
+def collect(parsers_only: bool = False) -> dict:
     record = {
         "python": "%d.%d" % sys.version_info[:2],
-        "numpy": getattr(numpy, "__version__", None),
+        "numpy": _numpy_version(),
         "parsers": collect_parsers(),
     }
     if not parsers_only:
@@ -411,11 +415,7 @@ def test_help_text(observed_parsers, prog):
 def test_transcript(observed_transcript, expected):
     observed = dict(observed_transcript[expected["name"]])
     expected = dict(expected)
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - the fixture skipped already
-        numpy = None
-    if getattr(numpy, "__version__", None) != GOLDEN["numpy"]:
+    if _numpy_version() != GOLDEN["numpy"]:
         for row in (observed, expected):
             row["files"] = {
                 path: digest for path, digest in row["files"].items()

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.noc.flit import FlitType, Packet, packetize
+from repro.noc.flit import Flit, FlitType, Packet, packetize
 
 
 def make_packet(n_flits=4, flit_bits=32, src=0, dst=1):
@@ -36,21 +36,27 @@ class TestPacket:
 
 
 class TestFlitType:
+    """A flit carries its own head/tail flags, fixed from its type."""
+
+    @staticmethod
+    def flit(ftype):
+        return Flit(make_packet(), ftype, 0)
+
     def test_head_properties(self):
-        assert FlitType.HEAD.is_head
-        assert not FlitType.HEAD.is_tail
+        assert self.flit(FlitType.HEAD).is_head
+        assert not self.flit(FlitType.HEAD).is_tail
 
     def test_tail_properties(self):
-        assert FlitType.TAIL.is_tail
-        assert not FlitType.TAIL.is_head
+        assert self.flit(FlitType.TAIL).is_tail
+        assert not self.flit(FlitType.TAIL).is_head
 
     def test_head_tail_is_both(self):
-        assert FlitType.HEAD_TAIL.is_head
-        assert FlitType.HEAD_TAIL.is_tail
+        assert self.flit(FlitType.HEAD_TAIL).is_head
+        assert self.flit(FlitType.HEAD_TAIL).is_tail
 
     def test_body_is_neither(self):
-        assert not FlitType.BODY.is_head
-        assert not FlitType.BODY.is_tail
+        assert not self.flit(FlitType.BODY).is_head
+        assert not self.flit(FlitType.BODY).is_tail
 
 
 class TestPacketize:

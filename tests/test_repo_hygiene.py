@@ -242,3 +242,86 @@ def test_one_job_record_one_admission_path():
         if private_import.search(path.read_text(encoding="utf-8"))
     ]
     assert not offenders
+
+
+def test_import_repro_pulls_no_third_party_module():
+    # README: "no third-party runtime dependencies". numpy stays
+    # import-gated behind repro.ml's fit/predict calls.
+    import os
+    import sys
+
+    probe = (
+        "import sys; before = set(sys.modules); "
+        "import repro, repro.experiments.cli; "
+        "print(' '.join(sorted({name.partition('.')[0] "
+        "for name in set(sys.modules) - before})))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True,
+        text=True, check=True, timeout=60,
+    ).stdout.split()
+    assert "repro" in loaded
+    ours = {"repro", "__mp_main__"}  # the alias multiprocessing installs
+    foreign = [
+        name for name in loaded
+        if name not in ours and name not in sys.stdlib_module_names
+    ]
+    assert not foreign, f"import repro pulled in {foreign}"
+    assert _count_in_src("networkx") == {}
+
+
+def test_one_place_wires_a_simulation():
+    # runner.wire_run + attach_traffic: _run_once, `trace record` and
+    # `trace replay` are all written on them (the quickstart in the
+    # package docstring and the engine's own doctest are the only other
+    # texts that spell a step out).
+    wiring = {"src/repro/experiments/runner.py", "src/repro/__init__.py",
+              "src/repro/sim/engine.py"}
+    for needle in ("build_arch(", ".attach_generator(", ".run_with_reset(",
+                   " Simulator("):
+        assert set(_count_in_src(needle)) <= wiring, needle
+    # One replay loop, one knee-search policy, no flag-reading enum.
+    assert _count_in_src("def replayer") == {}
+    assert _count_in_src("def is_head") == _count_in_src("def is_tail") == {}
+    assert _count_in_src("cand //= 2") == {"src/repro/experiments/sweep.py": 1}
+    # A transport is chosen from the address, not from a keyword.
+    for needle in ("transport=", "transport: str"):
+        assert _count_in_src(needle) == {}, needle
+
+
+def test_cli_is_a_table_of_verbs():
+    import re
+
+    package = REPO_ROOT / "src" / "repro" / "experiments"
+    assert not (package / "cli.py").exists()
+    sources = {
+        path.name: path.read_text(encoding="utf-8")
+        for path in sorted((package / "cli").glob("*.py"))
+    }
+    everything = "\n".join(sources.values())
+    # One dispatch (args.handler), one error exit (main's).
+    assert "_command ==" not in everything
+    assert "args.command ==" not in everything
+    assert [name for name, text in sources.items()
+            if "file=sys.stderr" in text] == ["__init__.py"]
+    assert sources["__init__.py"].count("file=sys.stderr") == 1
+    # Nothing is simulated except through the runner's wiring.
+    for needle in ("build_arch(", "attach_generator(", "run_with_reset(",
+                   "Simulator("):
+        assert needle not in everything, needle
+    # Registry-derived choices are read in one module...
+    for needle in ("architectures.names()", "bandwidth_sets.names()",
+                   "fidelities", "backend_names()"):
+        readers = [name for name, text in sources.items() if needle in text]
+        assert readers == ["options.py"], needle
+    # ...and each shared flag is declared by one add_argument call
+    # (--pattern, --store and --store-backend once per variant).
+    declared = re.findall(r'add_argument\(\s*"(--[a-z-]+)"', everything)
+    for flag in ("--arch", "--bw-set", "--fidelity", "--seed",
+                 "--load-fraction"):
+        assert declared.count(flag) == 1, flag
+    options = re.findall(r'add_argument\(\s*"(--[a-z-]+)"', sources["options.py"])
+    for flag, variants in (("--pattern", 2), ("--store", 3),
+                           ("--store-backend", 3)):
+        assert declared.count(flag) == options.count(flag) == variants, flag

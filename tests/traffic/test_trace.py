@@ -8,7 +8,11 @@ from repro.noc.flit import Packet
 from repro.traffic.bandwidth_sets import BW_SET_1
 from repro.traffic.generator import TrafficGenerator
 from repro.traffic.patterns import UniformRandomTraffic
-from repro.traffic.trace import TraceRecord, TrafficTrace
+from repro.traffic.trace import (
+    TraceRecord,
+    TraceReplayGenerator,
+    TrafficTrace,
+)
 
 
 class TestTraceRecord:
@@ -48,7 +52,9 @@ class TestTrafficTrace:
             [TraceRecord(0, 0, 5, bw_class=2), TraceRecord(3, 1, 6)]
         )
         replayed = []
-        tick = trace.replayer(BW_SET_1, lambda p: replayed.append(p) or True)
+        tick = TraceReplayGenerator(
+            trace, BW_SET_1, lambda p: replayed.append(p) or True
+        ).tick
         for cycle in range(5):
             tick(cycle)
         assert len(replayed) == 2
@@ -59,9 +65,10 @@ class TestTrafficTrace:
     def test_replay_timing(self):
         trace = TrafficTrace([TraceRecord(3, 0, 1)])
         seen_cycles = []
-        tick = trace.replayer(
-            BW_SET_1, lambda p: seen_cycles.append(p.created_cycle) or True
-        )
+        tick = TraceReplayGenerator(
+            trace, BW_SET_1,
+            lambda p: seen_cycles.append(p.created_cycle) or True,
+        ).tick
         for cycle in range(6):
             tick(cycle)
         assert seen_cycles == [3]
@@ -145,13 +152,14 @@ class TestTrafficTrace:
 
         def replay(t):
             packets = []
-            tick = t.replayer(
+            tick = TraceReplayGenerator(
+                t,
                 BW_SET_1,
                 lambda p: packets.append(
                     (p.created_cycle, p.src, p.dst, p.bw_class, p.n_flits)
                 )
                 or True,
-            )
+            ).tick
             for cycle in range(200):
                 tick(cycle)
             return packets
@@ -171,10 +179,11 @@ class TestTrafficTrace:
             gen.tick(cycle)
 
         replayed = []
-        tick = trace.replayer(
+        tick = TraceReplayGenerator(
+            trace,
             BW_SET_1,
             lambda p: replayed.append((p.created_cycle, p.src, p.dst)) or True,
-        )
+        ).tick
         for cycle in range(300):
             tick(cycle)
         assert replayed == recorded

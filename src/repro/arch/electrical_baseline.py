@@ -79,6 +79,7 @@ class ElectricalMeshNoC(ClockedComponent):
         self.metrics = ArchMetrics()
         self.current_cycle = 0
         self._generator: Optional[TrafficGenerator] = None
+        self._generator_is_idle = None
         # Per-hop wire length: die edge / mesh side (20 mm / 8 = 2.5 mm).
         self.hop_length_mm = config.die_mm / side
         # Delivery is accounted here (latency, energy), once per flit: the
@@ -98,6 +99,9 @@ class ElectricalMeshNoC(ClockedComponent):
     # ------------------------------------------------------------------
     def attach_generator(self, generator: TrafficGenerator) -> None:
         self._generator = generator
+        # Generators without the idle protocol (scenario players, test
+        # doubles) are conservatively treated as always-active.
+        self._generator_is_idle = getattr(generator, "is_idle", None)
 
     def submit(self, packet: Packet) -> bool:
         endpoint = self.network.endpoints[packet.src]
@@ -131,7 +135,7 @@ class ElectricalMeshNoC(ClockedComponent):
 
     def is_idle(self) -> bool:
         if self._generator is not None:
-            checker = getattr(self._generator, "is_idle", None)
+            checker = self._generator_is_idle
             if checker is None or not checker():
                 return False
         return self.network.is_idle()
@@ -185,9 +189,11 @@ class ElectricalMeshNoC(ClockedComponent):
         return 0.0
 
     def flits_in_system(self) -> int:
+        """Phits accepted and not yet delivered (queued packets count at
+        their re-flitted length, not the bandwidth set's)."""
         total = self.network.flits_in_network
         total += sum(
-            len(ep.queue) * self.config.bw_set.packet_flits + ep.pending_flit_count
+            sum(packet.n_flits for packet in ep.queue) + ep.pending_flit_count
             for ep in self.network.endpoints.values()
         )
         return total

@@ -4,12 +4,17 @@ Intra-cluster links are "traditional copper interconnects in an all-to-all
 manner" (thesis 3.1); they carry one flit per cycle with a configurable
 pipeline latency. Credit channels return buffer credits upstream with the
 same delay discipline, implementing credit-based wormhole flow control.
+
+Neither holds what it carries. The network that wires them owns one
+due-ordered queue of flits in flight and one of credits, and hands every
+link and channel the queue to append to; it lands what is due at the top
+of its own tick. A link keeps what is its own: the one-send-per-cycle
+check and the traffic counters wire energy is computed from.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from typing import Any, Deque, List
 
 
 class LinkBusyError(RuntimeError):
@@ -17,26 +22,30 @@ class LinkBusyError(RuntimeError):
 
 
 class Link:
-    """A point-to-point pipelined link.
+    """A point-to-point pipelined link into one router input port.
 
     Parameters
     ----------
+    in_flight:
+        The owner's queue of ``(due cycle, vcs, node, item)``. Every link
+        appending to one queue must have the same latency, and cycles
+        must not run backwards, so that append order is due order.
+    vcs, node:
+        The input port's virtual channels (an item lands in
+        ``vcs[item.vc]``) and the node whose router they belong to.
     latency:
         Delivery delay in cycles (>= 1).
     width:
         Items accepted per cycle (1 flit/cycle for electrical links).
-
-    The owner advances the link by calling :meth:`deliver` each cycle —
-    either by polling, or (the fast path) by arming a due-cycle queue
-    from the :attr:`on_send` hook, which fires whenever the link goes
-    from empty to carrying traffic.
     """
 
     def __init__(
         self,
+        in_flight: Deque[tuple],
+        vcs: List[Any],
+        node: int,
         latency: int = 1,
         width: int = 1,
-        sink: Optional[Callable[[Any], None]] = None,
         name: str = "link",
     ):
         if latency < 1:
@@ -45,20 +54,17 @@ class Link:
             raise ValueError(f"link width must be >= 1, got {width}")
         self.latency = int(latency)
         self.width = int(width)
-        self.sink = sink
         self.name = name
-        self._in_flight: Deque[Tuple[int, Any]] = deque()
+        self._in_flight = in_flight
+        self._vcs = vcs
+        self._node = node
         self._sent_this_cycle = 0
         self._current_cycle = -1
         self.items_carried = 0
         self.bits_carried = 0
-        #: Called with the earliest due cycle when the link transitions
-        #: from idle to carrying traffic (set by the owning network to
-        #: arm its delivery queue).
-        self.on_send: Optional[Callable[[int], None]] = None
 
     def send(self, item: Any, cycle: int, bits: int = 0) -> None:
-        """Enqueue *item* at *cycle*; it arrives at ``cycle + latency``."""
+        """Enqueue *item* at *cycle*; it is due at ``cycle + latency``."""
         if cycle != self._current_cycle:
             self._current_cycle = cycle
             self._sent_this_cycle = 0
@@ -67,36 +73,9 @@ class Link:
                 f"link {self.name!r}: more than {self.width} sends in cycle {cycle}"
             )
         self._sent_this_cycle += 1
-        was_empty = not self._in_flight
-        self._in_flight.append((cycle + self.latency, item))
         self.items_carried += 1
         self.bits_carried += bits
-        if was_empty and self.on_send is not None:
-            self.on_send(cycle + self.latency)
-
-    def can_send(self, cycle: int) -> bool:
-        if cycle != self._current_cycle:
-            return True
-        return self._sent_this_cycle < self.width
-
-    def deliver(self, cycle: int) -> List[Any]:
-        """Pop and return items due at *cycle* (also pushed to the sink)."""
-        out: List[Any] = []
-        while self._in_flight and self._in_flight[0][0] <= cycle:
-            _due, item = self._in_flight.popleft()
-            out.append(item)
-            if self.sink is not None:
-                self.sink(item)
-        return out
-
-    @property
-    def in_flight(self) -> int:
-        return len(self._in_flight)
-
-    @property
-    def next_due(self) -> Optional[int]:
-        """Arrival cycle of the oldest in-flight item (None when empty)."""
-        return self._in_flight[0][0] if self._in_flight else None
+        self._in_flight.append((cycle + self.latency, self._vcs, self._node, item))
 
     def reset_stats(self) -> None:
         self.items_carried = 0
@@ -108,27 +87,24 @@ class CreditChannel:
 
     Credit-based flow control: the upstream router keeps a credit counter
     per downstream VC; popping a flit downstream frees a slot and sends a
-    credit back.
+    credit back. *counters* is that upstream row and *in_flight* the
+    owner's queue of ``(due cycle, counters, vc)``, under the same
+    one-latency rule as :class:`Link`.
     """
 
-    def __init__(self, latency: int = 1, name: str = "credits"):
+    def __init__(
+        self,
+        in_flight: Deque[tuple],
+        counters: List[int],
+        latency: int = 1,
+        name: str = "credits",
+    ):
         if latency < 1:
             raise ValueError(f"credit latency must be >= 1, got {latency}")
         self.latency = int(latency)
         self.name = name
-        self._in_flight: Deque[Tuple[int, int]] = deque()  # (due_cycle, vc)
+        self._in_flight = in_flight
+        self._counters = counters
 
     def send_credit(self, vc: int, cycle: int) -> None:
-        self._in_flight.append((cycle + self.latency, vc))
-
-    def deliver(self, cycle: int) -> List[int]:
-        """Return the VC ids whose credits arrive at *cycle*."""
-        out: List[int] = []
-        while self._in_flight and self._in_flight[0][0] <= cycle:
-            _due, vc = self._in_flight.popleft()
-            out.append(vc)
-        return out
-
-    @property
-    def in_flight(self) -> int:
-        return len(self._in_flight)
+        self._in_flight.append((cycle + self.latency, self._counters, vc))

@@ -1,23 +1,26 @@
 """Electrical network assembly: routers + links + traffic endpoints.
 
-Builds a complete wormhole network over any :class:`~repro.noc.topology.Topology`
--- the standalone electrical substrate used by the intra-cluster fabric
-(thesis 3.1) and by the chapter-1 topology studies in the examples.
+Builds a complete wormhole network over any :class:`~repro.noc.topology.Topology`.
+Its one constructor is the 64-core mesh of
+:mod:`repro.arch.electrical_baseline`, the chapter-1 baseline the
+photonic architectures are compared against.
 
 Each topology node gets a router with one port per neighbor plus a local
 port. An :class:`Endpoint` per node injects packets from a queue; the
 network records latency and delivered bits as flits are ejected.
 
-Per-cycle work is activity-driven: link delivery pops a due-cycle heap
-(armed by :attr:`Link.on_send`) instead of polling every link, endpoints
-are visited only while they hold work, and a router's tick visits only
-the VCs that hold flits. The network also implements the engine's idle
-protocol so fully-quiet spans are jumped outright.
+A cycle costs what is in flight, not what is wired. The network owns the
+only two delay queues -- flits on links and credits on their way back,
+each in due order because every link has the one ``link_latency`` -- and
+lands what is due before anything else acts in a cycle. It keeps the set
+of routers holding a flit and ticks only those (in node order), visits
+only endpoints that hold work, and a router's tick visits only the VCs
+that hold flits. It also implements the engine's idle protocol so
+fully-quiet spans are jumped outright.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Set
@@ -108,6 +111,7 @@ class Endpoint:
         flit.vc = vc
         self._port.push(flit, cycle)
         self.network.flits_in_network += 1
+        self.network._occupied.add(self.node)
         pending.popleft()
         self._active_vc = None if flit.is_tail else vc
 
@@ -146,10 +150,16 @@ class ElectricalNetwork(ClockedComponent):
         self.endpoints: Dict[int, Endpoint] = {}
         self._links: List[Link] = []
         self._local_ports: Dict[int, int] = {}
-        #: (due_cycle, link_index) min-heap; a non-empty link has exactly
-        #: one entry (armed on its idle->busy edge, re-armed after each
-        #: delivery that leaves items in flight).
-        self._link_due: List[tuple] = []
+        #: Flits on links, ``(due, destination VCs, destination node,
+        #: flit)``, and credits on their way upstream, ``(due, upstream
+        #: credit row, vc)``. Links and credit channels append here; one
+        #: ``link_latency`` and a clock that never runs backwards make
+        #: append order due order.
+        self._flits_due: Deque[tuple] = deque()
+        self._credits_due: Deque[tuple] = deque()
+        #: Nodes whose router holds a flit in some input port: added to
+        #: where a flit enters a router, dropped by the router's own tick.
+        self._occupied: Set[int] = set()
         #: Nodes whose endpoint currently holds queued or pending work.
         self._active_eps: Set[int] = set()
         #: Flits injected and not yet ejected (in router buffers or on
@@ -163,10 +173,6 @@ class ElectricalNetwork(ClockedComponent):
         #: while True (drain-after-measure freezes it).
         self._measuring = True
         self._build()
-        #: Routers in deterministic node order for the tick sweep.
-        self._router_order: List[Router] = [
-            self.routers[node] for node in self.topology.nodes()
-        ]
 
     # ------------------------------------------------------------------
     def local_port(self, node: int) -> int:
@@ -194,13 +200,17 @@ class ElectricalNetwork(ClockedComponent):
                 peer = self.routers[neighbor]
                 peer_in_port = topo.port_of(neighbor, node)
                 link = Link(
+                    self._flits_due,
+                    peer.inputs[peer_in_port].vcs,
+                    neighbor,
                     latency=self.link_latency,
-                    sink=self._make_flit_sink(neighbor, peer_in_port),
                     name=f"{self.name}.{node}->{neighbor}",
                 )
-                link.on_send = self._make_link_armer(len(self._links))
-                credits = CreditChannel(latency=self.link_latency)
-                router.connect_output_link(port, link, credits)
+                credits = CreditChannel(
+                    self._credits_due,
+                    router.connect_output_link(port, link),
+                    latency=self.link_latency,
+                )
                 peer.connect_credit_return(peer_in_port, credits)
                 self._links.append(link)
             local = self._local_ports[node]
@@ -215,14 +225,6 @@ class ElectricalNetwork(ClockedComponent):
             return topo.port_of(node, routing.next_hop(node, dst))
 
         return route
-
-    def _make_flit_sink(self, node: int, port: int) -> Callable[[Flit], None]:
-        push = self.routers[node].inputs[port].push
-
-        def sink(flit: Flit) -> None:
-            push(flit, self._cycle)
-
-        return sink
 
     def _eject(self, flit: Flit) -> None:
         self.flits_in_network -= 1
@@ -241,27 +243,26 @@ class ElectricalNetwork(ClockedComponent):
             metrics.latency_sum += latency
             metrics.latency_max = max(metrics.latency_max, latency)
 
-    def _make_link_armer(self, index: int) -> Callable[[int], None]:
-        def arm(due_cycle: int) -> None:
-            heapq.heappush(self._link_due, (due_cycle, index))
-
-        return arm
-
     # ------------------------------------------------------------------
     _cycle: int = 0
 
     def tick(self, cycle: int) -> None:
         self._cycle = cycle
-        # Deliver only links with traffic due; the (due, index) key pops
-        # same-cycle deliveries in wiring order, matching a full poll.
-        due = self._link_due
+        # What is due lands before anyone acts in this cycle. Anything
+        # sent during it is due at cycle + latency >= cycle + 1, so this
+        # is what every receiver polling at its own turn would see.
+        occupied = self._occupied
+        due = self._flits_due
         while due and due[0][0] <= cycle:
-            _when, index = heapq.heappop(due)
-            link = self._links[index]
-            link.deliver(cycle)
-            next_due = link.next_due
-            if next_due is not None:
-                heapq.heappush(due, (next_due, index))
+            _when, vcs, node, flit = due.popleft()
+            vcs[flit.vc].push(flit, cycle)
+            occupied.add(node)
+        due, depth = self._credits_due, self.router_config.vc_depth
+        while due and due[0][0] <= cycle:
+            _when, credits, vc = due.popleft()
+            credits[vc] += 1
+            if credits[vc] > depth:
+                raise self._credit_overflow(credits, vc)
         active = self._active_eps
         if active:
             for node in sorted(active):
@@ -269,21 +270,29 @@ class ElectricalNetwork(ClockedComponent):
                 endpoint.inject_step(cycle)
                 if not endpoint.has_work:
                     active.discard(node)
-        # Node order; an idle router's tick costs what asking it would.
-        for router in self._router_order:
-            router.tick(cycle)
+        # Node order; only a router's own tick empties it.
+        routers = self.routers
+        for node in sorted(occupied):
+            if not routers[node].tick(cycle):
+                occupied.discard(node)
         if self._measuring:
             self.metrics.measured_cycles += 1
 
+    def _credit_overflow(self, credits: List[int], vc: int) -> RuntimeError:
+        router, port = next(
+            (router, port)
+            for router in self.routers.values()
+            for port, row in enumerate(router._credits)
+            if row is credits
+        )
+        return RuntimeError(f"{router.name}: credit overflow on port {port} vc {vc}")
+
     def is_idle(self) -> bool:
-        """No traffic anywhere: nothing on links, no endpoint work, every
-        router quiescent. Ticking in this state would only burn cycles."""
-        if self._active_eps or self._link_due:
-            return False
-        for router in self._router_order:
-            if router.is_active():
-                return False
-        return True
+        """No traffic anywhere: no endpoint work, nothing in flight, every
+        router empty. Ticking in this state would only burn cycles."""
+        return not (
+            self._active_eps or self._occupied or self._flits_due or self._credits_due
+        )
 
     def skip_cycles(self, start_cycle: int, stop_cycle: int) -> None:
         """Account an idle span the engine jumped over: idle cycles inside

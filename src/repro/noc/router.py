@@ -22,6 +22,15 @@ and only those are visited. Two iteration orders are load-bearing
 (results depend on them): downstream VCs are allocated in-port-major /
 VC-ascending, and output ports forward in the order they were first
 nominated (it fixes credit, link-send and eject order).
+
+What is in flight lives with whoever wires the routers together: a
+forwarded flit and the credit it frees go onto the owner's due queues
+(through :class:`~repro.noc.link.Link` and
+:class:`~repro.noc.link.CreditChannel`), and the owner puts arriving
+flits into ``inputs[port].vcs`` and arriving credits into the row
+:meth:`Router.connect_output_link` returned. A router with every input
+port empty has nothing to do, so :meth:`Router.tick` reports how many
+flits it still holds and the owner ticks only routers that hold some.
 """
 
 from __future__ import annotations
@@ -56,10 +65,11 @@ class Router(ClockedComponent):
     """A wormhole VC router with ``n_ports`` symmetric ports.
 
     Wiring is explicit: for each output port attach either a
-    :class:`~repro.noc.link.Link` (plus the matching upstream-facing
-    :class:`~repro.noc.link.CreditChannel` of the *downstream* router) or a
-    local sink callable for ejection. Input flits arrive through
-    :meth:`accept_flit` (the network calls it from link sinks).
+    :class:`~repro.noc.link.Link` or a local sink callable for ejection,
+    and for each input port fed by a link the
+    :class:`~repro.noc.link.CreditChannel` back to the router upstream.
+    Input flits arrive through :meth:`accept_flit` or, from the owner's
+    due queue, straight into ``inputs[port].vcs``.
     """
 
     def __init__(
@@ -97,9 +107,6 @@ class Router(ClockedComponent):
         ]
         # Credit return channels toward each *upstream* router (per input).
         self._credit_return: List[Optional[CreditChannel]] = [None] * n_ports
-        # (port, channel, credit counters) per wired *downstream* router —
-        # the per-cycle credit sweep never has to skip over unwired ports.
-        self._credit_arrivals_wired: List[tuple] = []
         # Nomination scratch, meaningful within one tick only: the input
         # ports asking for each output (ascending), reset on an output's
         # first nomination, and the VC each input put forward.
@@ -114,15 +121,14 @@ class Router(ClockedComponent):
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    def connect_output_link(
-        self, port: int, link: Link, credit_arrival: CreditChannel
-    ) -> None:
-        """Attach *link* at *port*; credits for the downstream buffers
-        arrive on *credit_arrival*. Downstream capacity is assumed to be a
-        peer router with the same :class:`RouterConfig`."""
+    def connect_output_link(self, port: int, link: Link) -> List[int]:
+        """Attach *link* at *port* and return the credit counters for the
+        buffers it feeds, which whoever lands returning credits adds to.
+        Downstream capacity is assumed to be a peer router with the same
+        :class:`RouterConfig`."""
         self._out_links[port] = link
         self._credits[port] = [self.config.vc_depth] * self.config.n_vcs
-        self._credit_arrivals_wired.append((port, credit_arrival, self._credits[port]))
+        return self._credits[port]
 
     def connect_output_sink(self, port: int, sink: Callable[[Flit], None]) -> None:
         """Attach a local ejection sink at *port* (infinite acceptance)."""
@@ -138,7 +144,7 @@ class Router(ClockedComponent):
     # Input side
     # ------------------------------------------------------------------
     def accept_flit(self, port: int, flit: Flit, cycle: int) -> None:
-        """Receive *flit* on input *port* (called by the upstream link sink)."""
+        """Receive *flit* on input *port*."""
         self.inputs[port].push(flit, cycle)
 
     def can_accept(self, port: int, vc: int) -> bool:
@@ -147,51 +153,30 @@ class Router(ClockedComponent):
     # ------------------------------------------------------------------
     # Pipeline
     # ------------------------------------------------------------------
-    def tick(self, cycle: int) -> None:
-        """One pipeline cycle; a no-op (cheaply) on an inactive router."""
-        for port, channel, credits in self._credit_arrivals_wired:
-            if not channel._in_flight:
-                continue
-            for vc in channel.deliver(cycle):
-                credits[vc] += 1
-                if credits[vc] > self.config.vc_depth:
-                    raise RuntimeError(
-                        f"{self.name}: credit overflow on port {port} vc {vc}"
-                    )
-        nominated_outputs = self._stage_inputs(cycle)
-        if nominated_outputs:
-            self._stage_output_arbitration(nominated_outputs, cycle)
+    def tick(self, cycle: int) -> int:
+        """One pipeline cycle; returns the flits still buffered after it.
 
-    def is_active(self) -> bool:
-        """True when :meth:`tick` could do work: buffered flits anywhere,
-        or credits still in flight toward this router. The arbiters and
-        crossbar hold no cross-cycle obligations of their own (an empty
-        grant is stateless), so an inactive router's tick is a no-op."""
-        for pb in self.inputs:
-            if pb._occupancy:
-                return True
-        for _port, channel, _credits in self._credit_arrivals_wired:
-            if channel._in_flight:
-                return True
-        return False
-
-    def _stage_inputs(self, cycle: int) -> List[int]:
-        """Stages 1 and 2, one occupied input port at a time: set up the
-        wormhole path of any front head flit, then nominate one ready VC.
-
-        Routing a port just before arbitrating it equals routing every
-        port first: arbitration reads only its own port's VCs, credits
-        and link readiness, none of which another port's routing writes.
-        Returns the outputs nominated for, in order of first nomination.
+        The arbiters and crossbar hold no cross-cycle obligations of
+        their own (an empty grant is stateless), so the tick of a router
+        holding nothing is a no-op its owner can leave out.
         """
-        nominated_outputs: List[int] = []
-        all_credits, out_links = self._credits, self._out_links
+        # Stages 1 and 2, one occupied input port at a time: set up the
+        # wormhole path of any front head flit, then nominate one ready
+        # VC. Routing a port just before arbitrating it equals routing
+        # every port first: arbitration reads only its own port's VCs and
+        # credits, neither of which another port's routing writes. An
+        # output link is always free here -- only stage 3 of this router
+        # sends on it, once a cycle (``Link.send`` checks).
+        nominated_outputs: List[int] = []  # in order of first nomination
+        held = 0
+        all_credits = self._credits
         for in_port, port_buffer in enumerate(self.inputs):
             occupied = port_buffer._occupied_vcs
             if not occupied:
                 # Arbiters are stateless on empty request sets, so an
                 # empty port can be skipped without perturbing priority.
                 continue
+            held += port_buffer._occupancy
             vcs = port_buffer.vcs
             ready_vcs = []
             for vc_id in sorted(occupied) if len(occupied) > 1 else occupied:
@@ -201,11 +186,8 @@ class Router(ClockedComponent):
                     downstream_vc = self._route_front(in_port, vcb)
                     if downstream_vc is None:
                         continue
-                out_port = vcb.route
-                if all_credits[out_port][downstream_vc] > 0:
-                    link = out_links[out_port]
-                    if link is None or link.can_send(cycle):
-                        ready_vcs.append(vc_id)
+                if all_credits[vcb.route][downstream_vc] > 0:
+                    ready_vcs.append(vc_id)
             if not ready_vcs:
                 continue
             winner_vc = self._input_arbiters[in_port].grant(ready_vcs)
@@ -215,7 +197,14 @@ class Router(ClockedComponent):
                 nominated_outputs.append(out_port)
                 self._requests[out_port].clear()
             self._requests[out_port].append(in_port)
-        return nominated_outputs
+        if nominated_outputs:
+            # Stage 3: every nominated output grants one input and
+            # forwards its flit, in order of first nomination.
+            self.crossbar.begin_cycle()
+            for out_port in nominated_outputs:
+                in_port = self._output_arbiters[out_port].grant(self._requests[out_port])
+                self._forward(in_port, self._nominated_vc[in_port], out_port, cycle)
+        return held - len(nominated_outputs)
 
     def _route_front(self, in_port: int, vcb: VirtualChannelBuffer) -> Optional[int]:
         """Route computation + downstream VC allocation for *vcb*'s front
@@ -236,18 +225,12 @@ class Router(ClockedComponent):
                 return vc
         return None
 
-    def _stage_output_arbitration(self, nominated_outputs: List[int], cycle: int) -> None:
-        self.crossbar.begin_cycle()
-        for out_port in nominated_outputs:
-            in_port = self._output_arbiters[out_port].grant(self._requests[out_port])
-            self._forward(in_port, self._nominated_vc[in_port], out_port, cycle)
-
     def _forward(self, in_port: int, in_vc: int, out_port: int, cycle: int) -> None:
         vcb = self.inputs[in_port].vcs[in_vc]
         downstream_vc = vcb.downstream_vc
         assert downstream_vc is not None
         flit = vcb.pop(cycle)
-        bits = flit.packet.flit_bits
+        bits = flit.bits
         self.crossbar.connect(in_port, out_port, bits)
         flit.vc = downstream_vc
         self.flits_forwarded += 1

@@ -96,6 +96,29 @@ def test_fast_path_is_deterministic(monkeypatch):
     assert a == b
 
 
+def wire_by_hand(arch_name, bw_set, pattern_name, offered):
+    """A simulator and an architecture under generated traffic, wired
+    the way the runner does it, for tests that audit state mid-run."""
+    from repro.arch.registry import architectures
+    from repro.sim.engine import Simulator
+    from repro.sim.rng import RandomStreams
+    from repro.traffic.generator import TrafficGenerator
+    from repro.traffic.patterns import pattern_by_name
+
+    streams = RandomStreams(1)
+    config = SystemConfig(bw_set=bw_set)
+    sim = Simulator(seed=1)
+    pattern = pattern_by_name(pattern_name).bind(
+        bw_set, config.n_clusters, config.cores_per_cluster,
+        streams.get("placement"),
+    )
+    arch = architectures.get(arch_name)(sim, config, pattern)
+    arch.attach_generator(TrafficGenerator.for_offered_gbps(
+        pattern, offered, streams.get("traffic"), arch.submit, config.clock_hz
+    ))
+    return sim, arch
+
+
 def test_gateway_held_counter_matches_enumeration(monkeypatch):
     """The O(1) ``flits_held`` counter never drifts from the full audit.
 
@@ -105,25 +128,8 @@ def test_gateway_held_counter_matches_enumeration(monkeypatch):
     ejection and abandonment. So must the counts that gate the
     gateway's stages, each against what it stands for.
     """
-    from repro.arch.registry import architectures
-    from repro.sim.engine import Simulator
-    from repro.sim.rng import RandomStreams
-    from repro.traffic.generator import TrafficGenerator
-    from repro.traffic.patterns import pattern_by_name
-
     monkeypatch.delenv(NAIVE_ENGINE_ENV, raising=False)
-    streams = RandomStreams(1)
-    config = SystemConfig(bw_set=BW_SET_1)
-    sim = Simulator(seed=1)
-    pattern = pattern_by_name("skewed3").bind(
-        BW_SET_1, config.n_clusters, config.cores_per_cluster,
-        streams.get("placement"),
-    )
-    arch = architectures.get("dhetpnoc")(sim, config, pattern)
-    generator = TrafficGenerator.for_offered_gbps(
-        pattern, 400.0, streams.get("traffic"), arch.submit, config.clock_hz
-    )
-    arch.attach_generator(generator)
+    sim, arch = wire_by_hand("dhetpnoc", BW_SET_1, "skewed3", 400.0)
 
     def audit(cycle):
         for gateway in arch.gateways:
@@ -144,3 +150,75 @@ def test_gateway_held_counter_matches_enumeration(monkeypatch):
     arch.add_tick_hook(audit)
     sim.run(300)
     audit(sim.cycle)
+
+
+@pytest.mark.parametrize("bw_set_index", [1, 3])
+@pytest.mark.parametrize("pattern_name,offered", [("skewed3", 600.0), ("uniform", 20.0)])
+def test_mesh_counters_match_enumeration(monkeypatch, pattern_name, offered,
+                                         bw_set_index):
+    """What the mesh keeps in O(1) never drifts from a full enumeration.
+
+    ``ElectricalNetwork`` counts flits in the network (``drain`` trusts
+    it), keeps the set of routers holding a flit (only those tick) and
+    two due-ordered queues for everything in flight; each router keeps a
+    credit counter per downstream VC. After every cycle each must equal
+    what walking all buffers and both queues finds, and every credit
+    loop must still hold exactly ``vc_depth`` slots. The mesh has no
+    tick hooks, so the simulator is stepped by hand.
+    """
+    from collections import Counter
+
+    from repro.traffic.bandwidth_sets import bandwidth_set_by_index
+
+    monkeypatch.delenv(NAIVE_ENGINE_ENV, raising=False)
+    sim, arch = wire_by_hand(
+        "electrical", bandwidth_set_by_index(bw_set_index), pattern_name, offered
+    )
+    net = arch.network
+    depth = net.router_config.vc_depth
+    loops = [  # (where, upstream credit row, downstream VCs)
+        (link.name, router._credits[port], link._vcs)
+        for router in net.routers.values()
+        for port, link in enumerate(router._out_links) if link is not None
+    ]
+    assert len(loops) == len(net._links) == 224
+    most_held = most_backlogged = idle_cycles = 0
+
+    for _ in range(1000):
+        sim.step()
+        where = f"after cycle {sim.cycle - 1}: "
+        flits_due, credits_due = list(net._flits_due), list(net._credits_due)
+        for queue in (flits_due, credits_due):
+            dues = [entry[0] for entry in queue]
+            assert dues == sorted(dues), where + "a due queue is out of order"
+            assert not dues or dues[0] >= sim.cycle, where + "a due entry was left behind"
+        buffered = {
+            node: sum(len(vcb) for port in router.inputs for vcb in port.vcs)
+            for node, router in net.routers.items()
+        }
+        assert net.flits_in_network == sum(buffered.values()) + len(flits_due), where
+        assert net._occupied == {n for n, held in buffered.items() if held}, where
+        flying = Counter((id(vcs), flit.vc) for _, vcs, _, flit in flits_due)
+        returning = Counter((id(row), vc) for _, row, vc in credits_due)
+        in_flight = {key for key, _vc in (*flying, *returning)}
+        for name, row, vcs in loops:
+            slots = [depth - len(vcb) for vcb in vcs]
+            if id(vcs) in in_flight or id(row) in in_flight:
+                slots = [
+                    free - flying[id(vcs), vc] - returning[id(row), vc]
+                    for vc, free in enumerate(slots)
+                ]
+            assert row == slots, where + name
+        quiet = not (net._active_eps or net.flits_in_network or credits_due)
+        assert net.is_idle() == quiet, where
+        idle_cycles += quiet
+        most_held = max(most_held, net.flits_in_network)
+        most_backlogged = max(most_backlogged, len(net._occupied))
+
+    # Each regime is really visited: past the knee flits queue in many
+    # routers at once and the mesh is never quiet; at low load a router
+    # forwards what it gets at once and most cycles are idle.
+    if offered > 100:
+        assert most_backlogged >= 8 and idle_cycles < 100
+    else:
+        assert most_held > 0 and most_backlogged <= 2 and idle_cycles > 500

@@ -1,10 +1,13 @@
-"""Tests for the 3-stage wormhole VC router (single-router harness)."""
+"""Tests for the 3-stage wormhole VC router: one router alone, then two
+joined by a link and a credit channel."""
 
 import pytest
 
 from repro.noc.flit import Packet, packetize
-from repro.noc.link import CreditChannel, Link
+from repro.noc.link import LinkBusyError
+from repro.noc.network import ElectricalNetwork
 from repro.noc.router import Router, RouterConfig
+from repro.noc.topology import all_to_all
 
 
 class Harness:
@@ -82,6 +85,12 @@ class TestSingleRouter:
         with pytest.raises(RuntimeError):
             router.tick(0)
 
+    def test_tick_reports_flits_still_held(self):
+        h = Harness()
+        assert h.router.tick(0) == 0
+        h.inject_packet(n_flits=3)
+        assert [h.router.tick(cycle) for cycle in range(4)] == [2, 1, 0, 0]
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RouterConfig(n_vcs=0)
@@ -90,45 +99,54 @@ class TestSingleRouter:
 
 
 class TestTwoRouterCreditFlow:
-    """Router A -> link -> router B -> sink, with credit return."""
+    """Router A -> link -> router B -> sink, with credit return.
 
-    def build(self, vc_depth=2):
-        config = RouterConfig(n_vcs=1, vc_depth=vc_depth)
-        delivered = []
-        b = Router(1, 2, config, route_fn=lambda dst: 1, name="B")
-        b.connect_output_sink(1, delivered.append)
-        a = Router(0, 2, config, route_fn=lambda dst: 1, name="A")
-        link = Link(latency=1, sink=lambda f: b.accept_flit(0, f, self.cycle))
-        credits = CreditChannel(latency=1)
-        a.connect_output_link(1, link, credits)
-        b.connect_credit_return(0, credits)
-        self.a, self.b, self.link, self.delivered = a, b, link, delivered
-        self.pending = []
+    Wired and driven by the real owner of what is in flight: a two-node
+    ``ElectricalNetwork`` whose endpoint feeds A one flit per cycle.
+    """
+
+    def build(self, vc_depth=2, link_latency=1):
+        self.net = ElectricalNetwork(
+            all_to_all(2),
+            router_config=RouterConfig(n_vcs=1, vc_depth=vc_depth),
+            link_latency=link_latency,
+        )
+        self.a, self.b = self.net.routers[0], self.net.routers[1]
+        self.delivered = []
+        self.net.on_eject = lambda flit, cycle: self.delivered.append(flit)
         self.cycle = 0
-        return a, b
+        return self.a, self.b
 
     def run(self, cycles):
         for _ in range(cycles):
-            self.link.deliver(self.cycle)
-            # One flit per cycle enters A if the VC has space (models the
-            # upstream link's own flow control).
-            if self.pending and self.a.can_accept(0, 0):
-                flit = self.pending.pop(0)
-                flit.vc = 0
-                self.a.accept_flit(0, flit, self.cycle)
-            self.a.tick(self.cycle)
-            self.b.tick(self.cycle)
+            self.net.tick(self.cycle)
             self.cycle += 1
 
     def inject(self, n_flits):
-        packet = Packet(src=0, dst=9, n_flits=n_flits, flit_bits=32)
-        self.pending.extend(packetize(packet))
+        self.net.submit(Packet(src=0, dst=1, n_flits=n_flits, flit_bits=32))
 
     def test_end_to_end_delivery(self):
         self.build()
         self.inject(4)
         self.run(20)
-        assert len(self.delivered) == 4
+        assert [f.seq for f in self.delivered] == [0, 1, 2, 3]
+
+    def test_flit_lands_after_link_latency(self):
+        self.build(link_latency=3)
+        self.inject(1)
+        self.run(1)  # injected and forwarded by A in cycle 0
+        assert [due for due, _, _, _ in self.net._flits_due] == [3]
+        self.run(2)
+        assert self.b.inputs[0].occupancy == 0
+        self.run(1)  # lands at the top of cycle 3; B ejects it at once
+        assert not self.net._flits_due
+        assert len(self.delivered) == 1
+        # B's credit for the freed slot is due back at A at cycle 6.
+        assert [(due, vc) for due, _, vc in self.net._credits_due] == [(6, 0)]
+        assert self.a._credits[0] == [1]
+        self.run(3)
+        assert self.a._credits[0] == [2]
+        assert self.net.is_idle()
 
     def test_credits_prevent_overflow(self):
         """With depth 2 and slow drain, A must throttle; B never overflows."""
@@ -146,9 +164,34 @@ class TestTwoRouterCreditFlow:
         # A cannot have forwarded more than depth + returned credits allow.
         assert self.a.flits_forwarded <= 4
 
+    def test_slow_credit_loop_throttles_sender(self):
+        """Two slots and a six-cycle credit round trip: A sends two flits,
+        then stalls until the first credit is back."""
+        self.build(vc_depth=2, link_latency=3)
+        self.inject(8)
+        self.run(6)
+        assert self.a.flits_forwarded == 2
+        self.run(40)
+        assert len(self.delivered) == 8
+
     def test_throughput_one_flit_per_cycle(self):
         """Steady state moves ~1 flit/cycle despite the credit loop."""
         self.build(vc_depth=4)
         self.inject(16)
-        self.run(60)
+        self.run(20)
         assert len(self.delivered) == 16
+
+    def test_credit_overflow_is_caught_where_credits_land(self):
+        self.build()
+        # A credit nothing freed: A's row for B is already full.
+        self.net._credits_due.append((0, self.a._credits[0], 0))
+        with pytest.raises(RuntimeError, match=r"r0: credit overflow on port 0 vc 0"):
+            self.run(1)
+
+    def test_second_send_on_a_link_in_one_cycle_raises(self):
+        self.build()
+        self.inject(2)
+        self.run(1)
+        flit = packetize(Packet(src=0, dst=1, n_flits=1, flit_bits=32))[0]
+        with pytest.raises(LinkBusyError):
+            self.net._links[0].send(flit, 0)

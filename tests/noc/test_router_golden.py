@@ -9,11 +9,12 @@ kinds), plus one full ``RunResult`` of the 64-core electrical mesh.
 Beside each case, under ``"wires"``, sits what the links and credit
 loops did: every link's ``[items_carried, bits_carried]`` (they feed
 wire energy) and every router's end-state credit rows (all back at
-``vc_depth`` once the last credits have landed). Two more cases cover what a rewrite of the
-in-flight machinery can get wrong: ``link_latency=3`` (flits and
-credits stay on the wire across several cycles) and a gapped low-load
-schedule driven by ``sim.run``, where the engine jumps the idle spans
-between packets and the tick count pins where it does.
+``vc_depth`` once the last credits have landed). Two more cases cover
+what a rewrite of the in-flight machinery can get wrong:
+``link_latency=3`` (flits and credits stay on the wire across several
+cycles) and a gapped low-load schedule driven by ``sim.run``, where the
+engine jumps the idle spans between packets and the tick count pins
+where it does.
 
 The numbers in ``router_golden.json`` were produced by the commit
 before the change they guard: the first seven entries before the
@@ -114,7 +115,12 @@ def drive_gapped():
     net, sim = build_mesh(2, 4, "round_robin", fast_path=True)
     ticked = []
     tick = net.tick
-    net.tick = lambda cycle: (ticked.append(cycle), tick(cycle))
+
+    def counted_tick(cycle):
+        ticked.append(cycle)
+        tick(cycle)
+
+    net.tick = counted_tick
     rng = random.Random(sum(GAPPED_CASE.encode()))
     nodes = list(net.topology.nodes())
     for _ in range(GAPPED_BURSTS):

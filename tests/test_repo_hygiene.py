@@ -138,6 +138,31 @@ def test_one_gateway_one_channel_one_allocator():
     assert env_reads == {"src/repro/sim/engine.py": 1}  # REPRO_ENGINE_NAIVE
 
 
+@pytest.mark.parametrize(
+    "needle",
+    [
+        # The per-link deques behind a due-heap, and what armed, polled
+        # and emptied them: the network owns one queue of flits in
+        # flight and one of credits, and lands what is due itself.
+        "_link_due", "_make_link_armer", "on_send", "next_due",
+        "_make_flit_sink", "def deliver(", "can_send",
+        # The per-router credit poll and the all-routers sweep: only
+        # routers holding a flit tick, and tick() says when one stops.
+        "_credit_arrivals_wired", "_router_order", "is_active",
+        "_stage_output_arbitration",
+    ],
+)
+def test_one_owner_for_what_is_in_flight_on_the_mesh(needle):
+    assert _count_in_src(needle) == {}
+
+
+def test_mesh_due_order_needs_no_heap():
+    # One link latency per network makes append order due order.
+    assert not [
+        path for path in _count_in_src("heapq") if path.startswith("src/repro/noc/")
+    ]
+
+
 def test_store_files_are_opened_for_append_in_one_place():
     import re
 

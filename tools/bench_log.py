@@ -114,7 +114,8 @@ def build_benches() -> List[Tuple[str, Callable[[], None]]]:
     def run_low_load() -> None:
         # Near-idle run: most gateways are quiet most cycles, so this
         # bench tracks the engine's idle-skip machinery (activity-gated
-        # gateway ticks, link due-queues) rather than raw pipeline cost.
+        # gateway ticks, span jumps) rather than raw pipeline cost. No
+        # mesh runs here: the photonic path has no link queues.
         run_one("dhetpnoc", BW_SET_1, "uniform", 20.0, fidelity=fidelity,
                 seed=BENCH_SEED)
 

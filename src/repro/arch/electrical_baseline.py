@@ -3,9 +3,9 @@
 Thesis section 1.5: "Using long electrical wires for global communication
 is unreliable ... The bandwidth offered by electrical wires is also very
 less." This module makes that comparison runnable: a 64-core CLICHE mesh
-(fig. 1-2) of 3-stage wormhole VC routers with XY routing, wrapped in the
-same submit/metrics interface as the photonic architectures so the same
-traffic generators drive it.
+(fig. 1-2) of 3-stage wormhole VC routers with XY routing, a fabric under the same
+:class:`~repro.arch.base.NoCArchitecture` shell as the photonic crossbar
+so the same traffic generators drive it.
 
 Energy: electronic router traversals at ``E_router`` and buffer
 write/read at ``E_buffer`` per bit (table 3-5), plus wire energy per
@@ -21,23 +21,20 @@ aggregate bandwidth, and its per-bit energy grows with hop count.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
-from repro.arch.base import ArchMetrics
+from repro.arch.base import NoCArchitecture
 from repro.arch.config import SystemConfig
-from repro.energy.model import EnergyAccount
 from repro.energy.params import ELECTRICAL_WIRE_PJ_PER_BIT_MM
-from repro.noc.flit import Flit, Packet
+from repro.noc.flit import Packet
 from repro.noc.network import ElectricalNetwork
 from repro.noc.router import RouterConfig
 from repro.noc.routing import DimensionOrderRouting
 from repro.noc.topology import mesh
-from repro.sim.engine import ClockedComponent, Simulator
-from repro.traffic.generator import TrafficGenerator
+from repro.sim.engine import Simulator
 
 
-class ElectricalMeshNoC(ClockedComponent):
-    """A 64-core electrical mesh with the photonic architectures' API.
+class ElectricalMeshNoC(NoCArchitecture):
+    """Electrical fabric: a 64-core mesh under the architecture shell.
 
     Packets are re-flitted onto ``phit_bits``-wide links (default 32,
     the width class of the chapter-1 commercial interconnects: QuickPath
@@ -58,12 +55,11 @@ class ElectricalMeshNoC(ClockedComponent):
     ):
         if phit_bits <= 0:
             raise ValueError("phit_bits must be positive")
-        self.phit_bits = phit_bits
         side = math.isqrt(config.n_cores)
         if side * side != config.n_cores:
             raise ValueError("electrical mesh needs a square core count")
-        self.sim = sim
-        self.config = config
+        super().__init__(sim, config)
+        self.phit_bits = phit_bits
         self.side = side
         self.max_queued = max_queued_packets_per_core
         topology = mesh(side, side)
@@ -75,34 +71,19 @@ class ElectricalMeshNoC(ClockedComponent):
             routing=DimensionOrderRouting(topology),
             name="emesh",
         )
-        self.energy = EnergyAccount(clock_hz=config.clock_hz)
-        self.metrics = ArchMetrics()
-        self.current_cycle = 0
-        self._generator: Optional[TrafficGenerator] = None
-        self._generator_is_idle = None
         # Per-hop wire length: die edge / mesh side (20 mm / 8 = 2.5 mm).
         self.hop_length_mm = config.die_mm / side
-        # Delivery is accounted here (latency, energy), once per flit: the
-        # inner network's own delivery metrics are not kept.
-        self.network.on_eject = self._on_flit_ejected
-        sim.register(self)
-
-    def _on_flit_ejected(self, flit: Flit, cycle: int) -> None:
-        metrics = self.metrics
-        metrics.flits_delivered += 1
-        metrics.bits_delivered += flit.packet.flit_bits
-        if flit.is_tail:
-            metrics.packets_delivered += 1
-            metrics.latency.add(cycle - flit.packet.created_cycle)
-            self.energy.note_message_delivered()
+        # Delivery is accounted by the shell (latency, energy), once per
+        # phit: the inner network's own delivery metrics are not kept.
+        self.network.on_eject = self.note_flit_delivered
+        # The inner network is not registered with the simulator; the
+        # shell drives it through these.
+        self.tick_fabric = self.network.tick
+        self.fabric_is_idle = self.network.is_idle
+        self.skip_fabric = self.network.skip_cycles
+        self.reset_fabric = self.network.reset_stats
 
     # ------------------------------------------------------------------
-    def attach_generator(self, generator: TrafficGenerator) -> None:
-        self._generator = generator
-        # Generators without the idle protocol (scenario players, test
-        # doubles) are conservatively treated as always-active.
-        self._generator_is_idle = getattr(generator, "is_idle", None)
-
     def submit(self, packet: Packet) -> bool:
         endpoint = self.network.endpoints[packet.src]
         if len(endpoint.queue) >= self.max_queued:
@@ -126,27 +107,6 @@ class ElectricalMeshNoC(ClockedComponent):
             bw_class=packet.bw_class,
         )
 
-    def tick(self, cycle: int) -> None:
-        self.current_cycle = cycle
-        if self._generator is not None:
-            self._generator.tick(cycle)
-        self.network.tick(cycle)
-        self.metrics.measured_cycles += 1
-
-    def is_idle(self) -> bool:
-        if self._generator is not None:
-            checker = self._generator_is_idle
-            if checker is None or not checker():
-                return False
-        return self.network.is_idle()
-
-    def skip_cycles(self, start_cycle: int, stop_cycle: int) -> None:
-        """Forward the jumped span to the inner network (it is not
-        registered with the simulator; this wrapper drives it)."""
-        self.current_cycle = stop_cycle - 1
-        self.metrics.measured_cycles += stop_cycle - start_cycle
-        self.network.skip_cycles(start_cycle, stop_cycle)
-
     # ------------------------------------------------------------------
     # Energy: computed from substrate counters at finalize time.
     # ------------------------------------------------------------------
@@ -167,26 +127,8 @@ class ElectricalMeshNoC(ClockedComponent):
         # Book wire energy under the electrical (router) column.
         self.energy.breakdown.router_pj += wire_pj
 
-    @property
-    def energy_per_message_pj(self) -> float:
-        return self.energy.energy_per_message_pj
-
-    def reset_stats(self, at_cycle: Optional[int] = None) -> None:
-        self.metrics.reset()
-        self.energy.reset()
-        self.network.reset_stats(at_cycle)
-        if self._generator is not None:
-            self._generator.reset_stats()
-
-    def reset_stats_at(self, cycle: int) -> None:
-        self.reset_stats(cycle)
-
-    # Interface parity helpers -------------------------------------------------
     def lit_wavelengths(self) -> int:
         return 0
-
-    def laser_power_mw(self) -> float:
-        return 0.0
 
     def flits_in_system(self) -> int:
         """Phits accepted and not yet delivered (queued packets count at
@@ -200,14 +142,4 @@ class ElectricalMeshNoC(ClockedComponent):
 
     def mean_hop_count(self) -> float:
         """Average XY hop count of the mesh (for energy sanity checks)."""
-        side = self.side
-        total = count = 0
-        for src in range(side * side):
-            for dst in range(side * side):
-                if src == dst:
-                    continue
-                sx, sy = src % side, src // side
-                dx, dy = dst % side, dst // side
-                total += abs(sx - dx) + abs(sy - dy)
-                count += 1
-        return total / count
+        return self.network.topology.average_hop_count()

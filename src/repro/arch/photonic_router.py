@@ -480,9 +480,9 @@ class ClusterGateway:
         total += sum(b.flit_cycles for b in self.rx_buffers.values())
         return total
 
-    def reset_stats(self, at_cycle: Optional[int] = None) -> None:
-        """Clear statistics; with *at_cycle* the buffers settle residency
-        at the boundary and re-base their accounting clocks, so warm-up
+    def reset_stats(self, at_cycle: int) -> None:
+        """Clear statistics: the buffers settle residency at the boundary
+        *at_cycle* and re-base their accounting clocks, so warm-up
         flit-cycles never leak into the measured window."""
         for port in self.inputs:
             port.reset_stats(at_cycle)

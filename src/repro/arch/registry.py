@@ -5,7 +5,7 @@ dispatch in ``runner.build_arch``/``sweep._execute_point``. Each entry
 is a builder::
 
     builder(sim: Simulator, config: SystemConfig,
-            pattern: TrafficPattern) -> PhotonicCrossbarNoC
+            pattern: TrafficPattern) -> NoCArchitecture
 
 A new architecture becomes sweepable everywhere (runner, sweeps, specs,
 CLI choices) with one call::

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.api.base import Registry
-from repro.arch.base import PhotonicCrossbarNoC
+from repro.arch.base import NoCArchitecture
 from repro.arch.config import SystemConfig
 from repro.arch.registry import architectures
 from repro.scenarios.schedule import PhaseStats, ScenarioSchedule
@@ -127,7 +127,7 @@ def build_arch(
     sim: Simulator,
     config: SystemConfig,
     pattern: TrafficPattern,
-) -> PhotonicCrossbarNoC:
+) -> NoCArchitecture:
     """Instantiate the named architecture via the architecture registry.
 
     Dispatches through :data:`repro.arch.registry.architectures`, so a
@@ -154,7 +154,7 @@ class WiredRun:
     #: The bound pattern the architecture's demand tables were built
     #: from (phase 0's, for a scenario run).
     pattern: TrafficPattern
-    arch: PhotonicCrossbarNoC
+    arch: NoCArchitecture
     #: The scenario script being played (``None`` = stationary run).
     schedule: Optional[ScenarioSchedule] = None
     #: The attached traffic source (``None`` until :meth:`attach`).

@@ -162,22 +162,17 @@ class VirtualChannelBuffer:
             self.flit_cycles += len(self._fifo) * (cycle - self._last_accounted_cycle)
             self._last_accounted_cycle = cycle
 
-    def reset_stats(self, at_cycle: Optional[int] = None) -> None:
-        """Clear statistics, optionally settling residency first.
+    def reset_stats(self, at_cycle: int) -> None:
+        """Clear statistics, settling residency at *at_cycle* first.
 
-        When *at_cycle* is given (the warm-up boundary), occupancy is
-        accounted up to that cycle and the accounting clock re-based to
-        it, so flits resident across the boundary charge their warm-up
-        residency to the discarded pre-reset bucket — not to the
-        measured run. Without *at_cycle* the legacy behaviour (zero the
-        counters, keep the accounting clock) is preserved for callers
-        that reset between independent drains of an empty network.
+        Occupancy is accounted up to *at_cycle* (the warm-up boundary)
+        and the accounting clock re-based to it, so flits resident
+        across the boundary charge their warm-up residency to the
+        discarded pre-reset bucket — not to the measured run.
         """
-        if at_cycle is not None:
-            self.settle(at_cycle)
+        self.settle(at_cycle)
         self.flit_cycles = 0
-        if at_cycle is not None:
-            self._last_accounted_cycle = at_cycle
+        self._last_accounted_cycle = at_cycle
 
     def __repr__(self) -> str:
         return f"VC(id={self.vc_id}, {len(self._fifo)}/{self.depth})"
@@ -241,7 +236,7 @@ class PortBuffer:
         for vc in self.vcs:
             vc.settle(cycle)
 
-    def reset_stats(self, at_cycle: Optional[int] = None) -> None:
+    def reset_stats(self, at_cycle: int) -> None:
         for vc in self.vcs:
             vc.reset_stats(at_cycle)
 

@@ -305,12 +305,12 @@ class ElectricalNetwork(ClockedComponent):
         """Queue *packet* at its source endpoint."""
         self.endpoints[packet.src].submit(packet)
 
-    def reset_stats(self, at_cycle: Optional[int] = None) -> None:
+    def reset_stats(self, at_cycle: int) -> None:
         """Clear all statistics and reopen the measurement window.
 
-        With *at_cycle* (the warm-up boundary) router buffer residency is
-        settled at the boundary before clearing, so flits resident across
-        it don't leak warm-up flit-cycles into the measured run.
+        Router buffer residency is settled at *at_cycle* (the warm-up
+        boundary) before clearing, so flits resident across it don't
+        leak warm-up flit-cycles into the measured run.
         """
         self.metrics = NetworkMetrics()
         self._measuring = True
@@ -318,9 +318,6 @@ class ElectricalNetwork(ClockedComponent):
             router.reset_stats(at_cycle)
         for link in self._links:
             link.reset_stats()
-
-    def reset_stats_at(self, cycle: int) -> None:
-        self.reset_stats(cycle)
 
     def drain(self, sim: Simulator, max_cycles: int = 100_000) -> bool:
         """Run until all queues and buffers empty; True if fully drained.

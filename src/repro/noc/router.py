@@ -266,15 +266,12 @@ class Router(ClockedComponent):
         for pb in self.inputs:
             pb.settle(cycle)
 
-    def reset_stats(self, at_cycle: Optional[int] = None) -> None:
-        """Clear statistics; with *at_cycle*, settle buffer residency at
-        the boundary first (see ``VirtualChannelBuffer.reset_stats``)."""
+    def reset_stats(self, at_cycle: int) -> None:
+        """Clear statistics, settling buffer residency at the boundary
+        *at_cycle* first (see ``VirtualChannelBuffer.reset_stats``)."""
         self.flits_routed = 0
         self.flits_forwarded = 0
         self.bits_forwarded = 0
         self.crossbar.reset_stats()
         for pb in self.inputs:
             pb.reset_stats(at_cycle)
-
-    def reset_stats_at(self, cycle: int) -> None:
-        self.reset_stats(cycle)

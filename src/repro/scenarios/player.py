@@ -3,8 +3,8 @@
 The :class:`ScenarioPlayer` stands in for a plain
 :class:`~repro.traffic.generator.TrafficGenerator` (same duck-typed
 interface: ``tick`` / ``reset_stats`` / ``acceptance_ratio`` /
-``packets_offered`` ...), so ``PhotonicCrossbarNoC.attach_generator``
-accepts it unchanged. Each cycle it
+``is_idle`` / ``packets_offered`` ...), so
+``NoCArchitecture.attach_generator`` accepts it unchanged. Each cycle it
 
 1. crosses any due phase boundary — rebinding the traffic pattern,
    re-applying DBA demand, shifting the app mix,
@@ -138,8 +138,9 @@ class ScenarioPlayer:
     schedule:
         The validated scenario script.
     noc:
-        The architecture under test; provides ``submit``, ``metrics``
-        and (for d-HetPNoC) ``apply_pattern_demand``/``controllers``.
+        The :class:`~repro.arch.base.NoCArchitecture` under test;
+        provides ``submit``, ``metrics``, ``energy`` and (for d-HetPNoC)
+        ``apply_pattern_demand``/``controllers``.
     pattern:
         The already-bound phase-0 pattern (from :func:`initial_pattern`)
         — the same object the architecture's demand tables were
@@ -278,7 +279,7 @@ class ScenarioPlayer:
 
     def _snapshot(self, cycle: int) -> dict:
         metrics = self.noc.metrics
-        energy = getattr(self.noc, "energy", None)
+        energy = self.noc.energy
         return {
             "cycle": cycle,
             "bits": metrics.bits_delivered,
@@ -287,8 +288,8 @@ class ScenarioPlayer:
             "lat_mean": metrics.latency.mean,
             "offered": self.packets_offered,
             "refused": self.packets_refused,
-            "energy_pj": energy.breakdown.total_pj if energy is not None else 0.0,
-            "messages": energy.messages_delivered if energy is not None else 0,
+            "energy_pj": energy.breakdown.total_pj,
+            "messages": energy.messages_delivered,
         }
 
     def _close_window(self, at_cycle: int) -> None:

@@ -10,30 +10,21 @@ those flits that reach the destination as well as those that are dropped"
   (token handoffs, task remapping events).
 * :class:`~repro.sim.engine.ClockedComponent` -- base class for anything
   stepped once per cycle in registration order.
-* :mod:`repro.sim.stats` -- counters, running means, histograms and
-  bandwidth meters used for all reported metrics.
+* :mod:`repro.sim.stats` -- running means and histograms used for the
+  reported latency metrics.
 * :mod:`repro.sim.rng` -- seeded random-stream management so every
   experiment is reproducible from a single integer seed.
 """
 
 from repro.sim.engine import ClockedComponent, Simulator, SimulationError
 from repro.sim.rng import RandomStreams
-from repro.sim.stats import (
-    BandwidthMeter,
-    Counter,
-    Histogram,
-    RunningMean,
-    StatsRegistry,
-)
+from repro.sim.stats import Histogram, RunningMean
 
 __all__ = [
-    "BandwidthMeter",
     "ClockedComponent",
-    "Counter",
     "Histogram",
     "RandomStreams",
     "RunningMean",
     "SimulationError",
     "Simulator",
-    "StatsRegistry",
 ]

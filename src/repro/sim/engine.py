@@ -16,9 +16,9 @@ wake-up (:meth:`ClockedComponent.next_wake`), or the end of the run,
 whichever comes first. Components are handed the skipped span through
 :meth:`ClockedComponent.skip_cycles` so span-based statistics (measured
 cycles, buffer flit-cycle residency) stay bitwise-identical to the naive
-per-cycle loop. The naive loop remains available (``fast_path=False`` or
-``REPRO_ENGINE_NAIVE=1``) as the reference the equivalence suite pins
-the fast path against.
+per-cycle loop. The naive loop remains available (``fast_path=False``, an
+attribute a test sets on the run it builds) as the reference the
+equivalence suite pins the fast path against.
 
 Components exchange data through explicit delay queues (see
 :class:`repro.noc.link.Link`), so the call order between *different*
@@ -33,14 +33,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 from typing import Callable, List, Optional
 
 DEFAULT_CLOCK_HZ = 2.5e9
-
-#: Environment switch forcing the naive per-cycle reference loop
-#: (used by the fast-path equivalence suite).
-NAIVE_ENGINE_ENV = "REPRO_ENGINE_NAIVE"
 
 
 class SimulationError(RuntimeError):
@@ -95,23 +90,17 @@ class ClockedComponent:
         """Account the idle span ``[start_cycle, stop_cycle)`` skipped by
         the engine. Default: nothing to account."""
 
-    def reset_stats(self) -> None:
-        """Clear warm-up statistics. Called at the end of the reset period.
+    def reset_stats(self, cycle: int) -> None:
+        """Clear warm-up statistics at the boundary *cycle* (the first
+        measured cycle). Called at the end of the reset period.
 
         The thesis simulates 10 000 cycles with a 1 000-cycle reset period
-        (table 3-3); measurements only cover post-reset cycles. The default
-        implementation does nothing.
+        (table 3-3); measurements only cover post-reset cycles. Components
+        whose statistics depend on *when* the reset happened (buffer
+        flit-cycle residency, measured-cycle spans) settle accounting up
+        to *cycle* before clearing. The default implementation does
+        nothing.
         """
-
-    def reset_stats_at(self, cycle: int) -> None:
-        """Cycle-aware warm-up reset (settle-then-reset).
-
-        Components whose statistics depend on *when* the reset happened
-        (buffer flit-cycle residency, measured-cycle spans) override this
-        to settle accounting up to *cycle* before clearing. The default
-        delegates to the legacy no-argument :meth:`reset_stats`.
-        """
-        self.reset_stats()
 
 
 class Simulator:
@@ -126,10 +115,9 @@ class Simulator:
     fast_path:
         ``True`` (default) enables the event-driven fast path: idle
         components are skipped and fully-idle spans are jumped in one
-        step. ``False`` forces the naive per-cycle reference loop.
-        ``None`` reads the :data:`NAIVE_ENGINE_ENV` environment variable
-        (any non-empty value other than ``0`` selects the naive loop),
-        which is how the equivalence suite pins fast == naive bitwise.
+        step. ``False`` forces the naive per-cycle reference loop the
+        equivalence suite pins fast == naive bitwise against. A plain
+        attribute: it may be flipped between runs of one simulator.
 
     Examples
     --------
@@ -145,16 +133,14 @@ class Simulator:
         self,
         clock_hz: float = DEFAULT_CLOCK_HZ,
         seed: int = 1,
-        fast_path: Optional[bool] = None,
+        fast_path: bool = True,
     ):
         if clock_hz <= 0:
             raise SimulationError(f"clock_hz must be positive, got {clock_hz}")
         self.clock_hz = float(clock_hz)
         self.seed = int(seed)
         self.cycle = 0
-        if fast_path is None:
-            fast_path = os.environ.get(NAIVE_ENGINE_ENV, "0") in ("", "0")
-        self.fast_path = bool(fast_path)
+        self.fast_path = fast_path
         self._components: List[ClockedComponent] = []
         self._event_heap: list = []
         self._event_counter = itertools.count()
@@ -288,7 +274,7 @@ class Simulator:
             self.cycle = target
 
     def reset_all_stats(self) -> None:
-        """Invoke :meth:`ClockedComponent.reset_stats_at` on every component.
+        """Invoke :meth:`ClockedComponent.reset_stats` on every component.
 
         The current cycle is threaded through so span-based statistics
         (buffer flit-cycle residency, measured-cycle windows) settle at
@@ -297,7 +283,7 @@ class Simulator:
         warm-up bucket, not the measured run.
         """
         for component in self._components:
-            component.reset_stats_at(self.cycle)
+            component.reset_stats(self.cycle)
 
     def run_with_reset(self, total_cycles: int, reset_cycles: int) -> None:
         """Run with a warm-up period whose statistics are discarded.

@@ -1,40 +1,16 @@
 """Statistics primitives for simulator metrics.
 
-All reported quantities in the reproduction -- peak bandwidth (thesis
-section 3.4.1.1), packet energy (3.4.1.2), latency, drop counts -- are
-accumulated through the small set of classes here so that warm-up reset
-(table 3-3's 1000 reset cycles) is uniform: every primitive implements
-``reset()`` and registries fan the reset out.
+Latency is accumulated through the small set of classes here
+(:class:`RunningMean` is ``ArchMetrics.latency``; :class:`Histogram` is
+its tail-latency counterpart), each with a ``reset()`` for the warm-up
+boundary (table 3-3's 1000 reset cycles); the integer delivery, drop and
+cycle counters live on ``ArchMetrics`` itself.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
-
-
-class Counter:
-    """A monotonically increasing event counter with warm-up reset."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str = "counter"):
-        self.name = name
-        self.value = 0
-
-    def add(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"Counter.add amount must be >= 0, got {amount}")
-        self.value += amount
-
-    def reset(self) -> None:
-        self.value = 0
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name}={self.value})"
+from typing import List, Tuple
 
 
 class RunningMean:
@@ -160,105 +136,6 @@ class Histogram:
         self._summary.reset()
 
 
-class BandwidthMeter:
-    """Accumulates delivered bits over measured cycles.
-
-    "Peak bandwidth is measured as average number of bits successfully
-    arriving at all cores per second" (thesis 3.4.1.1): the meter counts
-    bits and, given a measurement window in cycles and the clock frequency,
-    reports bits/second.
-    """
-
-    __slots__ = ("name", "bits", "start_cycle")
-
-    def __init__(self, name: str = "bandwidth"):
-        self.name = name
-        self.bits = 0
-        self.start_cycle = 0
-
-    def add_bits(self, bits: int) -> None:
-        if bits < 0:
-            raise ValueError(f"bits must be >= 0, got {bits}")
-        self.bits += bits
-
-    def reset(self, at_cycle: int = 0) -> None:
-        self.bits = 0
-        self.start_cycle = at_cycle
-
-    def bits_per_second(self, end_cycle: int, clock_hz: float) -> float:
-        cycles = end_cycle - self.start_cycle
-        if cycles <= 0:
-            return 0.0
-        return self.bits * clock_hz / cycles
-
-    def gbps(self, end_cycle: int, clock_hz: float) -> float:
-        return self.bits_per_second(end_cycle, clock_hz) / 1e9
-
-
-class StatsRegistry:
-    """A flat registry of named statistics supporting collective reset."""
-
-    def __init__(self):
-        self._stats: Dict[str, object] = {}
-
-    def counter(self, name: str) -> Counter:
-        return self._get_or_create(name, Counter)
-
-    def mean(self, name: str) -> RunningMean:
-        return self._get_or_create(name, RunningMean)
-
-    def histogram(self, name: str, bucket_width: float = 10.0, n_buckets: int = 200) -> Histogram:
-        stat = self._stats.get(name)
-        if stat is None:
-            stat = Histogram(name, bucket_width=bucket_width, n_buckets=n_buckets)
-            self._stats[name] = stat
-        elif not isinstance(stat, Histogram):
-            raise TypeError(f"stat {name!r} already exists with type {type(stat)}")
-        return stat
-
-    def bandwidth(self, name: str) -> BandwidthMeter:
-        return self._get_or_create(name, BandwidthMeter)
-
-    def _get_or_create(self, name: str, cls):
-        stat = self._stats.get(name)
-        if stat is None:
-            stat = cls(name)
-            self._stats[name] = stat
-        elif not isinstance(stat, cls):
-            raise TypeError(f"stat {name!r} already exists with type {type(stat)}")
-        return stat
-
-    def get(self, name: str):
-        return self._stats[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._stats
-
-    def names(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._stats))
-
-    def reset_all(self, at_cycle: int = 0) -> None:
-        for stat in self._stats.values():
-            if isinstance(stat, BandwidthMeter):
-                stat.reset(at_cycle)
-            else:
-                stat.reset()
-
-    def snapshot(self) -> Dict[str, float]:
-        """Return a scalar snapshot of every statistic (for reports/tests)."""
-        out: Dict[str, float] = {}
-        for name, stat in self._stats.items():
-            if isinstance(stat, Counter):
-                out[name] = float(stat.value)
-            elif isinstance(stat, RunningMean):
-                out[name] = stat.mean
-            elif isinstance(stat, Histogram):
-                out[name] = stat.mean
-            elif isinstance(stat, BandwidthMeter):
-                out[name] = float(stat.bits)
-        return out
-
-
 def window_mean(
     count_before: int, mean_before: float, count_after: int, mean_after: float
 ) -> float:
@@ -278,15 +155,3 @@ def window_mean(
     if n <= 0:
         return 0.0
     return (count_after * mean_after - count_before * mean_before) / n
-
-
-def weighted_mean(pairs: Iterable[Tuple[float, float]]) -> Optional[float]:
-    """Mean of ``(value, weight)`` pairs; ``None`` when total weight is 0."""
-    total = 0.0
-    weight_sum = 0.0
-    for value, weight in pairs:
-        total += value * weight
-        weight_sum += weight
-    if weight_sum == 0:
-        return None
-    return total / weight_sum

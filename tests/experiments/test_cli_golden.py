@@ -45,6 +45,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import pytest
 
@@ -53,6 +54,13 @@ GOLDEN_PATH = pathlib.Path(__file__).with_name("cli_golden.json")
 #: Nothing listens on TCP port 1: every dial is refused, and after the
 #: client's bounded backoff (~3 s) the verb takes its unreachable exit.
 DEAD = "127.0.0.1:1"
+
+#: The calls that do dial :data:`DEAD`. Their transcript is the exit
+#: after the last refused attempt, not the waiting between attempts, so
+#: the collector runs them with the backoff's sleep stubbed out.
+DIALS_DEAD = frozenset({
+    "spec-service-unreachable", "sweep-fabric-unreachable", "jobs-unreachable",
+})
 
 #: Priced by ``run --spec --dry-run`` in place of the committed (and
 #: hand-ratcheted) ``benchmarks/baseline.json``.
@@ -308,7 +316,11 @@ def collect_transcript() -> list:
     before = _snapshot()
     for name, argv in CALLS:
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        backoff = (
+            mock.patch("repro.fabric.server.time.sleep")
+            if name in DIALS_DEAD else contextlib.nullcontext()
+        )
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), backoff:
             code = main(argv)
         after = _snapshot()
         written = {

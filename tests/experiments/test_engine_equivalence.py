@@ -3,18 +3,19 @@
 The fast path's whole claim is that skipped work is provably no-op, so
 every measured quantity must come out *bitwise identical* to the naive
 reference loop — same RNG draws, same latencies, same energy. These
-tests run the same configurations under both loops (selected via the
-``REPRO_ENGINE_NAIVE`` environment variable, which the single-run core
-reads when it constructs its ``Simulator``) and compare full ``RunResult``
-records with ``==``.
+tests run the same configurations under both loops (selected on the run
+itself: the single-run core's ``Simulator`` is built with the
+``fast_path`` the case asks for) and compare full ``RunResult`` records
+with ``==``.
 """
 
 import pytest
 
 from repro.api.session import Session
 from repro.arch.config import SystemConfig
+from repro.experiments import runner
 from repro.experiments.runner import Fidelity
-from repro.sim.engine import NAIVE_ENGINE_ENV
+from repro.sim.engine import Simulator
 from repro.traffic.bandwidth_sets import BW_SET_1
 
 #: Short schedule: long enough to exercise reservation round-trips,
@@ -60,10 +61,19 @@ SWAMPED_CASES = [
 
 
 def run_case(monkeypatch, naive, arch, pattern, offered, scenario, config=None):
-    monkeypatch.setenv(NAIVE_ENGINE_ENV, "1" if naive else "0")
-    return Session().run_one(arch, BW_SET_1, pattern, offered,
-                             fidelity=FIDELITY, seed=1, scenario=scenario,
-                             config=config)
+    built = []
+
+    def simulator(**kwargs):
+        built.append(Simulator(fast_path=not naive, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(runner, "Simulator", simulator)
+    result = Session().run_one(arch, BW_SET_1, pattern, offered,
+                               fidelity=FIDELITY, seed=1, scenario=scenario,
+                               config=config)
+    # The run really used the loop asked for (not a vacuous fast == fast).
+    assert [sim.fast_path for sim in built] == [not naive]
+    return result
 
 
 @pytest.mark.parametrize("arch,pattern,offered,scenario", CASES)
@@ -119,7 +129,7 @@ def wire_by_hand(arch_name, bw_set, pattern_name, offered):
     return sim, arch
 
 
-def test_gateway_held_counter_matches_enumeration(monkeypatch):
+def test_gateway_held_counter_matches_enumeration():
     """The O(1) ``flits_held`` counter never drifts from the full audit.
 
     ``audit_flits_held`` re-derives the held-flit count by enumerating
@@ -128,7 +138,6 @@ def test_gateway_held_counter_matches_enumeration(monkeypatch):
     ejection and abandonment. So must the counts that gate the
     gateway's stages, each against what it stands for.
     """
-    monkeypatch.delenv(NAIVE_ENGINE_ENV, raising=False)
     sim, arch = wire_by_hand("dhetpnoc", BW_SET_1, "skewed3", 400.0)
 
     def audit(cycle):
@@ -154,8 +163,7 @@ def test_gateway_held_counter_matches_enumeration(monkeypatch):
 
 @pytest.mark.parametrize("bw_set_index", [1, 3])
 @pytest.mark.parametrize("pattern_name,offered", [("skewed3", 600.0), ("uniform", 20.0)])
-def test_mesh_counters_match_enumeration(monkeypatch, pattern_name, offered,
-                                         bw_set_index):
+def test_mesh_counters_match_enumeration(pattern_name, offered, bw_set_index):
     """What the mesh keeps in O(1) never drifts from a full enumeration.
 
     ``ElectricalNetwork`` counts flits in the network (``drain`` trusts
@@ -163,14 +171,13 @@ def test_mesh_counters_match_enumeration(monkeypatch, pattern_name, offered,
     two due-ordered queues for everything in flight; each router keeps a
     credit counter per downstream VC. After every cycle each must equal
     what walking all buffers and both queues finds, and every credit
-    loop must still hold exactly ``vc_depth`` slots. The mesh has no
-    tick hooks, so the simulator is stepped by hand.
+    loop must still hold exactly ``vc_depth`` slots. Tick hooks run
+    before the fabric, so the simulator is stepped by hand.
     """
     from collections import Counter
 
     from repro.traffic.bandwidth_sets import bandwidth_set_by_index
 
-    monkeypatch.delenv(NAIVE_ENGINE_ENV, raising=False)
     sim, arch = wire_by_hand(
         "electrical", bandwidth_set_by_index(bw_set_index), pattern_name, offered
     )

@@ -93,7 +93,7 @@ class TestVirtualChannelBuffer:
         vc = VirtualChannelBuffer(depth=4)
         vc.push(flit(), cycle=0)
         vc.settle(5)
-        vc.reset_stats()
+        vc.reset_stats(5)
         assert vc.flit_cycles == 0
         assert len(vc) == 1
 

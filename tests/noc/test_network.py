@@ -103,7 +103,7 @@ class TestNetworkBehaviour:
         sim.register(net)
         net.submit(Packet(src=0, dst=1, n_flits=2, flit_bits=32))
         net.drain(sim)
-        net.reset_stats()
+        net.reset_stats(sim.cycle)
         assert net.metrics.packets_delivered == 0
         net.submit(Packet(src=1, dst=2, n_flits=2, flit_bits=32))
         net.drain(sim)

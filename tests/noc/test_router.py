@@ -75,7 +75,7 @@ class TestSingleRouter:
         h = Harness()
         h.inject_packet()
         h.run(10)
-        h.router.reset_stats()
+        h.router.reset_stats(10)
         assert h.router.flits_forwarded == 0
 
     def test_missing_route_fn_raises(self):

@@ -17,19 +17,21 @@ profile is derandomized, so these are deterministic in tier-1; the
 ``nightly`` profile re-runs them randomized).
 """
 
-import os
 from contextlib import contextmanager
+from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 
 from repro.api.session import Session
+from repro.experiments import runner
 from repro.experiments.runner import Fidelity
 from repro.experiments.store import result_key
 from repro.experiments.sweep import SweepExecutor, SweepSpec
 from repro.scenarios.generate import sample_schedule, schedules
 from repro.scenarios.library import register_schedule, scenarios
-from repro.sim.engine import NAIVE_ENGINE_ENV
+from repro.sim.engine import Simulator
 from repro.traffic.bandwidth_sets import BW_SET_1
 
 TOTAL = 500
@@ -56,19 +58,14 @@ class TestEngineEquivalence:
     @given(schedules(total_cycles=TOTAL, max_phases=3))
     def test_fast_path_matches_naive_bitwise(self, schedule):
         with registered(schedule) as name:
-            prior = os.environ.get(NAIVE_ENGINE_ENV)
-            try:
-                os.environ[NAIVE_ENGINE_ENV] = "0"
-                fast = run_one("dhetpnoc", BW_SET_1, "uniform", 480.0,
-                               fidelity=TINY, seed=3, scenario=name)
-                os.environ[NAIVE_ENGINE_ENV] = "1"
+            fast = run_one("dhetpnoc", BW_SET_1, "uniform", 480.0,
+                           fidelity=TINY, seed=3, scenario=name)
+            # The reference loop, chosen on the one run that wants it.
+            with mock.patch.object(
+                runner, "Simulator", partial(Simulator, fast_path=False)
+            ):
                 naive = run_one("dhetpnoc", BW_SET_1, "uniform", 480.0,
                                 fidelity=TINY, seed=3, scenario=name)
-            finally:
-                if prior is None:
-                    os.environ.pop(NAIVE_ENGINE_ENV, None)
-                else:
-                    os.environ[NAIVE_ENGINE_ENV] = prior
             assert fast == naive
 
 

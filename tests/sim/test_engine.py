@@ -14,7 +14,7 @@ class Recorder(ClockedComponent):
     def tick(self, cycle):
         self.ticks.append(cycle)
 
-    def reset_stats(self):
+    def reset_stats(self, cycle):
         self.resets += 1
         self.ticks.clear()
 

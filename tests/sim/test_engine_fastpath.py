@@ -10,7 +10,7 @@ reference behaviour.
 
 import pytest
 
-from repro.sim.engine import NAIVE_ENGINE_ENV, ClockedComponent, Simulator
+from repro.sim.engine import ClockedComponent, Simulator
 
 
 class Probe(ClockedComponent):
@@ -40,7 +40,7 @@ class Probe(ClockedComponent):
     def skip_cycles(self, start_cycle, stop_cycle):
         self.skips.append((start_cycle, stop_cycle))
 
-    def reset_stats_at(self, cycle):
+    def reset_stats(self, cycle):
         self.reset_cycles.append(cycle)
 
     def covered_cycles(self):
@@ -130,19 +130,7 @@ class TestWholeSpanJumps:
 
 
 class TestEnvironmentSelection:
-    @pytest.mark.parametrize("value,expect_fast", [
-        ("1", False), ("yes", False), ("0", True), ("", True),
-    ])
-    def test_env_var_selects_the_loop(self, monkeypatch, value, expect_fast):
-        monkeypatch.setenv(NAIVE_ENGINE_ENV, value)
-        assert Simulator().fast_path is expect_fast
-
-    def test_explicit_argument_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(NAIVE_ENGINE_ENV, "1")
-        assert Simulator(fast_path=True).fast_path is True
-
-    def test_default_is_fast(self, monkeypatch):
-        monkeypatch.delenv(NAIVE_ENGINE_ENV, raising=False)
+    def test_default_is_fast(self):
         assert Simulator().fast_path is True
 
 
@@ -153,18 +141,16 @@ class TestResetThreading:
         sim.run_with_reset(total_cycles=50, reset_cycles=20)
         assert probe.reset_cycles == [20]
 
-    def test_default_reset_stats_at_delegates_to_legacy(self):
-        calls = []
-
-        class Legacy(ClockedComponent):
+    def test_default_reset_needs_the_boundary_cycle(self):
+        class TickOnly(ClockedComponent):
             def tick(self, cycle):
                 pass
 
-            def reset_stats(self):
-                calls.append("legacy")
-
         sim = Simulator()
-        sim.register(Legacy())
+        component = sim.register(TickOnly())
         sim.run(3)
-        sim.reset_all_stats()
-        assert calls == ["legacy"]
+        before = dict(vars(component))
+        sim.reset_all_stats()  # reset_stats(3) on the base class
+        assert vars(component) == before
+        with pytest.raises(TypeError):
+            component.reset_stats()  # the boundary cycle is required

@@ -135,7 +135,38 @@ def test_one_gateway_one_channel_one_allocator():
         for path, count in _count_in_src("os.environ").items()
         if path.split("/")[2] in simulator
     }
-    assert env_reads == {"src/repro/sim/engine.py": 1}  # REPRO_ENGINE_NAIVE
+    assert env_reads == {}
+
+
+def test_one_architecture_shell_and_one_reset_protocol():
+    # What a run drives is held once: the three NoCs share one clocked
+    # shell (arch/base.py), and a second subclass of the kernel's base
+    # or a second traffic-source seam must not grow back beside it.
+    def in_arch(needle):
+        return {
+            path: count for path, count in _count_in_src(needle).items()
+            if path.startswith("src/repro/arch/")
+        }
+
+    assert in_arch("(ClockedComponent)") == {"src/repro/arch/base.py": 1}
+    assert in_arch("def attach_generator") == {"src/repro/arch/base.py": 1}
+    assert sum(in_arch("measured_cycles +=").values()) == 2  # tick, skip_cycles
+    # One reset method on the kernel's base, no forwarders to it.
+    assert _count_in_src("def reset_stats_at") == {}
+
+
+@pytest.mark.parametrize(
+    "needle",
+    [
+        # The is_idle probe for sources without the protocol (every
+        # source speaks it), the process-wide loop switch, statistics
+        # classes nothing used, the boundary-less legacy reset.
+        "_generator_is_idle", "NAIVE_ENGINE_ENV", "REPRO_ENGINE_NAIVE",
+        "BandwidthMeter", "StatsRegistry", "at_cycle: Optional[int] = None",
+    ],
+)
+def test_names_the_shell_retired_stay_gone(needle):
+    assert _count_in_src(needle) == {}
 
 
 @pytest.mark.parametrize(

@@ -1,2 +1,2 @@
-"""Benchmark harness: one module per thesis table/figure plus substrate
-microbenchmarks and DBA ablations. Run ``pytest benchmarks/ --benchmark-only``."""
+"""The repository's one bench harness: the perf ledger
+(``python3 benchmarks/ledger/run.py``, see ``benchmarks/ledger/README.md``)."""

@@ -123,10 +123,6 @@ class SaturationModel:
             for c, share in self.shares.items()
         )
 
-    def peak_gbps(self, max_offered_gbps: float) -> float:
-        """Predicted peak over a sweep capped at *max_offered_gbps*."""
-        return self.delivered_gbps(max_offered_gbps)
-
     def bottleneck_clusters(self) -> List[int]:
         """Clusters whose channels saturate first."""
         knee = self.knee_gbps()

@@ -202,14 +202,6 @@ class ExperimentSpec:
         span = max(2.0, max_fraction / self.resolution)
         return 2 + math.ceil(math.log2(span))
 
-    def estimated_sims(self) -> int:
-        """Estimated simulation count before store dedup.
-
-        ``n_curves * points_per_curve``: exact for grid mode (equal to
-        :meth:`n_points`), a knee-search estimate for adaptive mode.
-        """
-        return len(self.curves()) * self.points_per_curve()
-
     # -- serialisation ------------------------------------------------------
     def to_dict(self) -> dict:
         """Plain-JSON form; exact inverse of :meth:`from_dict`."""

@@ -23,7 +23,6 @@ from repro.experiments.runner import (
     PAPER_FIDELITY,
     QUICK_FIDELITY,
     RunResult,
-    fidelity_from_env,
     peak_of,
 )
 from repro.experiments.report import ascii_table
@@ -47,7 +46,6 @@ __all__ = [
     "SweepSpec",
     "ascii_table",
     "derive_seed",
-    "fidelity_from_env",
     "peak_of",
     "replication_summary",
     "result_key",

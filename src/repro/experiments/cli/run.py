@@ -48,7 +48,8 @@ def register(sub) -> None:
         "--dry-run", action="store_true",
         help="with --spec: print per-curve point counts, how many points "
         "the store is missing, and an estimated wall-clock cost priced "
-        "from benchmarks/baseline.json, then exit without simulating",
+        "from the newest benchmarks/ledger/records/BENCH_*.json, then exit "
+        "without simulating",
     )
     run.add_argument(
         "--service", default=None, metavar="HOST:PORT",

@@ -2,22 +2,27 @@
 
 A dry run already counts exactly how many points a spec would simulate
 (:meth:`Session.dry_run <repro.api.session.Session.dry_run>`); this
-module prices that count in estimated wall-seconds using the committed
-bench baseline (``benchmarks/baseline.json``, written by
-``tools/bench_log.py``). The anchor is the ``run_steady`` bench — one
-full simulation at the bench fidelity's cycle count — scaled linearly
-to the spec fidelity's ``total_cycles`` and divided across the worker
-pool. Linear-in-cycles is deliberately simple: the per-cycle hot path
+module prices that count in estimated wall-seconds using the newest
+committed perf-ledger record
+(``benchmarks/ledger/records/BENCH_*.json``). The anchor is the
+``photonic_busy`` workload's ``sim_cycles_per_s`` — simulated cycles per
+second with the whole photonic data path busy — divided into the spec
+fidelity's ``total_cycles`` and spread across the worker pool.
+Linear-in-cycles is deliberately simple: the per-cycle hot path
 dominates a run, and a dry-run estimate only needs to answer "seconds,
-minutes or hours?" before someone commits a pool to a grid.
+minutes or hours?" before someone commits a pool to a grid. The record
+is as old as its commit: the estimate reads high by whatever the
+simulator has sped up since, and corrects itself when a newer record is
+committed.
 
-Everything degrades gracefully: when no baseline is readable (fresh
-checkout, no benchmarks yet) the estimate is ``None`` and the CLI
-simply prints nothing extra.
+Everything degrades gracefully: when no record is readable (no
+checkout around the package, an empty ``records/``) the estimate is
+``None`` and the CLI simply prints nothing extra.
 """
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 from typing import Optional
@@ -31,42 +36,37 @@ __all__ = [
     "default_baseline_path",
     "describe_cost",
     "estimate_adaptive_sims",
-    "estimate_wall_seconds",
     "format_duration",
     "load_baseline",
     "per_point_seconds",
 ]
 
-#: Environment override for the baseline location (tests, exotic CI).
+#: Environment override for the record's location (tests, exotic CI).
 BASELINE_ENV = "REPRO_BENCH_BASELINE"
 
-#: The bench entry that anchors the estimate: one steady simulation.
-BASELINE_BENCH = "run_steady"
 
-#: Cycle count the bench baseline was timed at
-#: (``tools/bench_log.py``'s ``BENCH_TOTAL_CYCLES``).
-BASELINE_CYCLES = 700
-
-
-def default_baseline_path() -> str:
-    """The committed baseline's path (``benchmarks/baseline.json``)."""
+def default_baseline_path() -> Optional[str]:
+    """The newest committed ledger record (``BENCH_<n>.json``, highest
+    *n*), or the ``REPRO_BENCH_BASELINE`` override; ``None`` when the
+    records directory holds none."""
     override = os.environ.get(BASELINE_ENV)
     if override:
         return override
     here = os.path.dirname(os.path.abspath(__file__))
-    root = os.path.normpath(
-        os.path.join(here, os.pardir, os.pardir, os.pardir)
-    )
-    return os.path.join(root, "benchmarks", "baseline.json")
+    records = os.path.normpath(os.path.join(
+        here, os.pardir, os.pardir, os.pardir,
+        "benchmarks", "ledger", "records",
+    ))
+    found = glob.glob(os.path.join(records, "BENCH_*.json"))
+    # Shorter names first, so BENCH_9 sorts below BENCH_11.
+    return max(found, key=lambda path: (len(path), path), default=None)
 
 
 def load_baseline(path: Optional[str] = None) -> Optional[dict]:
-    """Load a bench-baseline record; ``None`` when unavailable.
-
-    Accepts both the committed baseline layout (``{"benches": {...}}``)
-    and a raw ``BENCH_*.json`` record from ``tools/bench_log.py``.
-    """
+    """Load a perf-ledger record; ``None`` when unavailable."""
     path = path if path is not None else default_baseline_path()
+    if path is None:
+        return None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             record = json.load(fh)
@@ -80,52 +80,22 @@ def per_point_seconds(
 ) -> Optional[float]:
     """Estimated seconds one simulation of *fidelity* costs.
 
-    Scales the baseline's ``run_steady`` timing linearly to the
-    fidelity's cycle count; ``None`` when the baseline lacks the
-    anchor bench.
+    The fidelity's cycle count over the record's ``photonic_busy``
+    simulation rate; ``None`` when the record lacks a usable one.
 
-    >>> baseline = {"benches": {"run_steady": {"seconds": 0.05}}}
+    >>> rate = {"sim_cycles_per_s": {"value": 14000.0}}
+    >>> baseline = {"workloads": {"photonic_busy": {"metrics": rate}}}
     >>> per_point_seconds(Fidelity("x", 1400, 100, (0.5,)), baseline)
     0.1
     """
-    benches = baseline.get("benches", {})
-    entry = benches.get(BASELINE_BENCH)
-    if not isinstance(entry, dict) or "seconds" not in entry:
-        return None
     try:
-        seconds = float(entry["seconds"])
-    except (TypeError, ValueError):
+        metrics = baseline["workloads"]["photonic_busy"]["metrics"]
+        rate = float(metrics["sim_cycles_per_s"]["value"])
+    except (KeyError, TypeError, ValueError):
         return None
-    if seconds <= 0:
+    if not rate > 0:
         return None
-    return seconds * fidelity.total_cycles / BASELINE_CYCLES
-
-
-def estimate_wall_seconds(
-    n_sims: int,
-    fidelity: Fidelity,
-    workers: int = 1,
-    baseline: Optional[dict] = None,
-) -> Optional[float]:
-    """Estimated wall-seconds for *n_sims* simulations of *fidelity*.
-
-    Divides the serial cost across *workers* (a sweep grid is
-    embarrassingly parallel). ``None`` when no baseline is available.
-
-    >>> baseline = {"benches": {"run_steady": {"seconds": 0.05}}}
-    >>> estimate_wall_seconds(
-    ...     8, Fidelity("x", 1400, 100, (0.5,)), workers=4,
-    ...     baseline=baseline)
-    0.2
-    """
-    if baseline is None:
-        baseline = load_baseline()
-    if baseline is None:
-        return None
-    per_point = per_point_seconds(fidelity, baseline)
-    if per_point is None:
-        return None
-    return n_sims * per_point / max(1, workers)
+    return fidelity.total_cycles / rate
 
 
 def format_duration(seconds: float) -> str:
@@ -230,9 +200,12 @@ def describe_cost(
     baseline: Optional[dict] = None,
 ) -> Optional[str]:
     """One printable cost line for a dry run; ``None`` when no
-    baseline is available (the CLI then prints nothing extra).
+    baseline is available (the CLI then prints nothing extra). The
+    serial cost is divided across *workers*: a sweep grid is
+    embarrassingly parallel.
 
-    >>> baseline = {"benches": {"run_steady": {"seconds": 0.05}}}
+    >>> rate = {"sim_cycles_per_s": {"value": 14000.0}}
+    >>> baseline = {"workloads": {"photonic_busy": {"metrics": rate}}}
     >>> describe_cost(8, Fidelity("x", 1400, 100, (0.5,)), workers=4,
     ...               baseline=baseline)
     'estimated cost: ~0.2s wall (8 sims x ~0.10s each across 4 workers)'

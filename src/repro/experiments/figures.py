@@ -2,9 +2,9 @@
 
 Each ``figure_*`` / ``table_*`` function returns a :class:`FigureResult`
 whose rows regenerate the corresponding thesis exhibit; ``render()``
-produces the ASCII form the benchmarks print. Every simulated exhibit
-takes a :class:`~repro.api.session.Session` and reads its points through
-that session's content-hash store, so e.g. figures 3-3, 3-4, 3-7 and
+produces the ASCII form ``dhetpnoc-repro run`` prints. Every simulated
+exhibit takes a :class:`~repro.api.session.Session` and reads its points
+through that session's content-hash store, so e.g. figures 3-3, 3-4, 3-7 and
 3-10 run over one session together cost one sweep per (architecture,
 bandwidth set, pattern); without one, an exhibit runs in a private
 in-memory session. Each exhibit first fans its whole grid out through

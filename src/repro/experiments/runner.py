@@ -13,8 +13,6 @@ is read at the sweep point where delivery peaked.
 
 from __future__ import annotations
 
-import os
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -56,40 +54,12 @@ PAPER_FIDELITY = Fidelity(
 QUICK_FIDELITY = Fidelity("quick", 1_500, 200, (0.25, 0.60, 1.00))
 
 #: Registry of named fidelities (also exposed through
-#: :mod:`repro.api.registry`): the CLI ``--fidelity`` choices, the
-#: ``REPRO_FIDELITY`` values, and :class:`~repro.api.spec.
-#: ExperimentSpec`'s by-name fidelity resolution all derive from it.
+#: :mod:`repro.api.registry`): the CLI ``--fidelity`` choices and
+#: :class:`~repro.api.spec.ExperimentSpec`'s by-name fidelity
+#: resolution both derive from it.
 fidelities = Registry("fidelity", error=ValueError)
 fidelities.register("paper", PAPER_FIDELITY)
 fidelities.register("quick", QUICK_FIDELITY)
-
-
-def fidelity_from_env(default: Fidelity = QUICK_FIDELITY) -> Fidelity:
-    """Pick fidelity from ``REPRO_FIDELITY`` (``paper`` or ``quick``).
-
-    An unrecognized value falls back to *default*, but loudly: a
-    ``UserWarning`` names the accepted values so a typo in a CI lane
-    (``REPRO_FIDELITY=papr``) cannot silently run the wrong schedule.
-    """
-    value = os.environ.get("REPRO_FIDELITY", "").strip().lower()
-    if not value:
-        return default
-    try:
-        return fidelities.get(value)
-    except ValueError:
-        warnings.warn(
-            f"unrecognized REPRO_FIDELITY value {value!r}; accepted values: "
-            f"{', '.join(fidelities.names())} — falling back to "
-            f"{default.name!r}",
-            UserWarning,
-            stacklevel=2,
-        )
-        return default
-
-
-#: Registered architecture names (legacy alias; the source of truth is
-#: the :data:`repro.arch.registry.architectures` registry).
-ARCHITECTURES = tuple(architectures.names())
 
 
 @dataclass(frozen=True)

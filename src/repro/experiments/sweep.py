@@ -63,8 +63,8 @@ from statistics import mean, pstdev
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.arch.config import SystemConfig
+from repro.arch.registry import architectures
 from repro.experiments.runner import (
-    ARCHITECTURES,
     Fidelity,
     QUICK_FIDELITY,
     RunResult,
@@ -132,7 +132,7 @@ class RunPoint:
 class SweepSpec:
     """Declarative (arch x bw set x pattern x seed x load) grid."""
 
-    archs: Tuple[str, ...] = ARCHITECTURES
+    archs: Tuple[str, ...] = tuple(architectures.names())
     bw_set_indices: Tuple[int, ...] = tuple(s.index for s in BANDWIDTH_SETS)
     patterns: Tuple[str, ...] = ("uniform",)
     seeds: Tuple[int, ...] = (1,)

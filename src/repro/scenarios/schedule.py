@@ -582,12 +582,6 @@ class PhaseStats:
     #: Feedback-rule firings attributed to this phase window.
     rules_fired: int = 0
 
-    @property
-    def throughput_fraction(self) -> float:
-        if self.packets_offered == 0:
-            return 1.0
-        return self.packets_delivered / self.packets_offered
-
 
 @dataclass(frozen=True)
 class ScenarioSchedule:

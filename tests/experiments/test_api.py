@@ -10,7 +10,6 @@ Covers the three acceptance surfaces of the API redesign:
 """
 
 import json
-import warnings
 
 import pytest
 
@@ -316,20 +315,3 @@ class TestRegistries:
             registry.architectures.unregister("firefly_clone")
         with pytest.raises(ValueError):
             tiny_spec(archs=("firefly_clone",))
-
-
-class TestFidelityEnvWarning:
-    def test_unrecognized_value_warns_with_accepted_names(self, monkeypatch):
-        from repro.experiments.runner import fidelity_from_env
-
-        monkeypatch.setenv("REPRO_FIDELITY", "papr")
-        with pytest.warns(UserWarning, match="paper, quick"):
-            assert fidelity_from_env() is QUICK_FIDELITY
-
-    def test_blank_value_stays_silent(self, monkeypatch):
-        from repro.experiments.runner import fidelity_from_env
-
-        monkeypatch.setenv("REPRO_FIDELITY", "  ")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert fidelity_from_env(TINY) is TINY

@@ -62,13 +62,15 @@ DIALS_DEAD = frozenset({
     "spec-service-unreachable", "sweep-fabric-unreachable", "jobs-unreachable",
 })
 
-#: Priced by ``run --spec --dry-run`` in place of the committed (and
-#: hand-ratcheted) ``benchmarks/baseline.json``.
-BASELINE = {"benches": {"run_steady": {"seconds": 0.07}}}
+#: Priced by ``run --spec --dry-run`` in place of the newest committed
+#: ledger record, so a new ``BENCH_<n>.json`` does not move the
+#: transcript: 10 000 cycles/s is 0.07 s per 700-cycle point.
+BASELINE = {"workloads": {"photonic_busy": {"metrics": {
+    "sim_cycles_per_s": {"value": 10000.0}}}}}
 
 #: Scratch files written before the first call, by name.
 TEXT_FIXTURES = {
-    "baseline.json": json.dumps(BASELINE),
+    "record.json": json.dumps(BASELINE),
     "broken.json": "{not json",
     "bad_script.json": '{"name": "bad", "phases": "nope"}\n',
     "bad_trace.csv": "not,a,trace\n1,2\n",
@@ -366,7 +368,7 @@ def _emit(*flags) -> dict:
     env.update(
         PYTHONPATH=src + os.pathsep + env.get("PYTHONPATH", ""),
         COLUMNS="80",
-        REPRO_BENCH_BASELINE="baseline.json",
+        REPRO_BENCH_BASELINE="record.json",
     )
     with tempfile.TemporaryDirectory(prefix="cli-golden-") as scratch:
         proc = subprocess.run(

@@ -7,8 +7,6 @@ from repro.api.session import Session
 from repro.experiments.runner import (
     Fidelity,
     PAPER_FIDELITY,
-    QUICK_FIDELITY,
-    fidelity_from_env,
     peak_of,
 )
 from repro.traffic.bandwidth_sets import BW_SET_1
@@ -28,14 +26,6 @@ class TestFidelity:
             Fidelity("bad", 100, 100, (0.5,))
         with pytest.raises(ValueError):
             Fidelity("bad", 100, 10, ())
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FIDELITY", "paper")
-        assert fidelity_from_env() is PAPER_FIDELITY
-        monkeypatch.setenv("REPRO_FIDELITY", "quick")
-        assert fidelity_from_env() is QUICK_FIDELITY
-        monkeypatch.delenv("REPRO_FIDELITY")
-        assert fidelity_from_env(TINY) is TINY
 
 
 class TestRunOnce:

@@ -128,6 +128,7 @@ class TestSchedule:
         c = ScenarioSchedule("s", (Phase(start_cycle=0, load_scale=1.1),))
         d = ScenarioSchedule("t", (Phase(start_cycle=0, load_scale=1.0),))
         assert a.fingerprint() == b.fingerprint()
+        assert len(a.fingerprint()) == 16  # 64 bits of hex in a store key
         assert a.fingerprint() != c.fingerprint()
         assert a.fingerprint() != d.fingerprint()
 

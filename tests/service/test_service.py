@@ -502,12 +502,12 @@ class TestDryRunCost:
                                           monkeypatch):
         from repro.experiments import costing
 
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            '{"benches": {"run_steady": {"seconds": 0.07, '
-            '"normalized": 5.0}}}'
+        record = tmp_path / "BENCH_1.json"
+        record.write_text(
+            '{"workloads": {"photonic_busy": {"metrics": '
+            '{"sim_cycles_per_s": {"value": 10000.0, "unit": "cycles/s"}}}}}'
         )
-        monkeypatch.setenv(costing.BASELINE_ENV, str(baseline))
+        monkeypatch.setenv(costing.BASELINE_ENV, str(record))
         path = tmp_path / "spec.json"
         tiny_spec().save(str(path))
         code = main(["run", "--spec", str(path), "--dry-run"])

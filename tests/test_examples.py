@@ -63,6 +63,19 @@ class TestExamples:
         assert "fired 0 time(s)" not in out
         assert "Take-away" in out
 
+    def test_dba_ablations(self):
+        out = run_example("dba_ablations.py", "--fidelity", "tiny")
+        for study in ("d-HetPNoC per-channel wavelength cap",
+                      "starvation floor size",
+                      "reservation retry backoff",
+                      "token circulation overhead", "allocation policy"):
+            assert f"Ablation: {study}" in out
+        assert "max_request " in out and "proportional " in out  # table rows
+        assert "cap of 8 wavelengths beats the Firefly-equivalent cap of 4" in out
+        assert "the token ring is off the data path" in out
+        assert "proportional sharing removes starvation" in out
+        assert "without losing aggregate bandwidth" in out
+
     def test_parallel_sweep_study(self):
         out = run_example("parallel_sweep_study.py", "--fidelity", "tiny",
                           "--seeds", "1", "2", "--workers", "2")

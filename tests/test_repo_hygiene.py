@@ -381,3 +381,57 @@ def test_cli_is_a_table_of_verbs():
     for flag, variants in (("--pattern", 2), ("--store", 3),
                            ("--store-backend", 3)):
         assert declared.count(flag) == options.count(flag) == variants, flag
+
+
+def test_the_ledger_is_the_only_bench_harness():
+    import re
+
+    def names(directory):
+        return sorted(
+            p.name for p in (REPO_ROOT / directory).iterdir()
+            if p.name != "__pycache__"
+        )
+
+    # The pytest exhibit benches and their conftest, the best-of timing
+    # tool and its hand-ratcheted baseline must not grow back beside
+    # benchmarks/ledger.
+    assert names("benchmarks") == ["__init__.py", "ledger"]
+    assert not list((REPO_ROOT / "benchmarks").rglob("bench_*.py"))
+    assert not list((REPO_ROOT / "benchmarks").rglob("conftest.py"))
+    assert names("tools") == ["drift_log.py", "fuzz_triage.py"]
+    # src/ reads one thing from benchmarks/: the committed records that
+    # price `run --spec --dry-run`.
+    named = {
+        match
+        for path in (REPO_ROOT / "src" / "repro").rglob("*.py")
+        for match in re.findall(
+            r"benchmarks/[\w./*-]+", path.read_text(encoding="utf-8")
+        )
+    }
+    assert named and all(
+        name.startswith("benchmarks/ledger/records") for name in named
+    ), named
+    assert _count_in_src('"benchmarks"') == {
+        "src/repro/experiments/costing.py": 1
+    }
+    # ...and one environment variable: that record's path.
+    assert _count_in_src("os.environ") == {
+        "src/repro/experiments/costing.py": 1
+    }
+
+
+@pytest.mark.parametrize(
+    "needle",
+    ["bench_log", "baseline.json", "fidelity_from_env", "BASELINE_CYCLES",
+     "run_steady", "pytest-benchmark"],
+)
+def test_names_of_the_retired_bench_harnesses_stay_gone(needle):
+    texts = [REPO_ROOT / "README.md", REPO_ROOT / "requirements-dev.txt",
+             REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
+    for directory in ("src", "docs", ".github"):
+        texts += [p for p in (REPO_ROOT / directory).rglob("*") if p.is_file()
+                  and p.suffix in (".py", ".md", ".yml", ".txt")]
+    assert len(texts) > 100
+    hits = [str(p.relative_to(REPO_ROOT)) for p in texts
+            if p.exists() and needle in p.read_text(encoding="utf-8")]
+    assert not hits

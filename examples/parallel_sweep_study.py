@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Parallel, resumable multi-seed sweep via the orchestration subsystem.
+"""Parallel, resumable multi-seed sweep through a :class:`Session`.
 
-Declares one :class:`SweepSpec` over (architecture x pattern x seed x
-load), fans it out over a worker pool, persists every simulated point to
-a JSONL store, and reports saturation peaks as mean +/- spread across
-seed replicates — the thesis's figure 3-3 comparison with error bars.
+Declares one :class:`ExperimentSpec` over (architecture x pattern x seed
+x load), fans it out over the session's worker pool, persists every
+simulated point to a JSONL store, and reports saturation peaks as mean
++/- spread across seed replicates — the thesis's figure 3-3 comparison
+with error bars.
 
 Re-running with the same ``--store`` executes zero new simulations: the
 report regenerates entirely from the store.
@@ -17,10 +18,9 @@ from __future__ import annotations
 
 import argparse
 
+from repro.api import ExperimentSpec, Session
 from repro.experiments.report import ascii_table, mean_spread, percent_change
 from repro.experiments.runner import PAPER_FIDELITY, QUICK_FIDELITY, Fidelity
-from repro.experiments.store import ResultStore
-from repro.experiments.sweep import SweepExecutor, SweepSpec, replication_summary
 
 PATTERNS = ("uniform", "skewed3")
 
@@ -40,20 +40,18 @@ def main() -> None:
         "tiny": Fidelity("tiny", 700, 100, (0.3, 0.8)),
     }[args.fidelity]
 
-    spec = SweepSpec(
+    spec = ExperimentSpec(
         archs=("firefly", "dhetpnoc"),
-        bw_set_indices=(1,),
+        bw_sets=(1,),
         patterns=PATTERNS,
-        seeds=tuple(args.seeds),
+        seeds=args.seeds,
         fidelity=fidelity,
     )
-    executor = SweepExecutor(
-        workers=args.workers,
-        store=ResultStore(args.store) if args.store else None,
-    )
-    summaries = replication_summary(spec, executor)
-    print(f"{spec.n_points()} grid points, {executor.executed_count} simulated "
-          f"({spec.n_points() - executor.executed_count} from store), "
+    with Session(args.store, workers=args.workers) as session:
+        summaries = session.replicated(spec)
+        simulated = session.executed_count
+    print(f"{spec.n_points()} grid points, {simulated} simulated "
+          f"({spec.n_points() - simulated} from store), "
           f"{args.workers} workers\n")
 
     by_key = {(s.arch, s.pattern): s for s in summaries}

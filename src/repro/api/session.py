@@ -1,10 +1,10 @@
-"""``Session``: the facade every experiment surface drives through.
+"""``Session``: the one door between experiment code and the executors.
 
 A session owns the three stateful pieces the experiment layer needs —
-the :class:`~repro.experiments.sweep.SweepExecutor` (worker pool +
-config/fingerprint caches), the :class:`~repro.experiments.store.
-ResultStore` backend, and the system configuration — behind a
-context-manager lifecycle::
+an executor from :mod:`repro.experiments.sweep` (worker pool or fabric
+connection + config/fingerprint caches), the
+:class:`~repro.experiments.store.ResultStore` backend, and the system
+configuration — behind a context-manager lifecycle::
 
     from repro.api import ExperimentSpec, Session
 
@@ -12,20 +12,28 @@ context-manager lifecycle::
     with Session("results/store.jsonl", workers=4) as session:
         results = session.run(spec)              # every grid point
         peaks = session.peaks(spec)              # per-curve saturation peaks
+        rows = session.replicated(spec)          # mean +/- spread over seeds
         knees = session.adaptive(spec)           # knee-bisection estimates
+        curve = session.curve("dhetpnoc", 1, "skewed3", spec.fidelity)
+        knee = session.knee("dhetpnoc", 1, "skewed3", spec.fidelity)
 
-Execution is exactly the sweep layer underneath: every surface (CLI,
-figures, validation, the job daemon) computes the same content-hash
-store key for the same point, so a store written by one is a cache for
-all the others.
+Every curve-shaped question — a load curve, its saturation peak, its
+knee, its spread over seeds — is one of those calls. The exhibits, the
+validation claims, the CLI, ``tools/`` and ``examples/`` build an
+:class:`~repro.api.spec.ExperimentSpec` and ask the session; none of
+them reaches the executor, so whatever a session is told to do to
+every run (a config override today) happens in one place. Underneath
+it is exactly the sweep layer: every surface computes the same
+content-hash store key for the same point, so a store written by one
+is a cache for all the others, and ``workers=1``, ``workers=N`` and
+``fabric=`` return bitwise-equal results from every method.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple, Union
-
-from dataclasses import dataclass
 
 from repro.api.spec import ExperimentSpec
 from repro.arch.config import SystemConfig
@@ -34,16 +42,12 @@ from repro.experiments.runner import (
     QUICK_FIDELITY,
     RunResult,
     _run_once,
+    peak_of,
 )
+from repro.experiments.knee import KneeEstimate, adaptive_knee_sweep
+from repro.experiments.replication import ReplicatedPeak, replication_summary
 from repro.experiments.store import ResultStore, StoreBackend, open_store
-from repro.experiments.sweep import (
-    FabricExecutor,
-    KneeEstimate,
-    ReplicatedPeak,
-    SweepExecutor,
-    adaptive_knee_sweep,
-    replication_summary,
-)
+from repro.experiments.sweep import FabricExecutor, SweepExecutor
 from repro.traffic.bandwidth_sets import BandwidthSet, bandwidth_set_by_index
 
 __all__ = ["CurveCount", "DryRunReport", "Session"]
@@ -163,6 +167,7 @@ class Session:
         fabric: Optional[str] = None,
     ) -> None:
         self.store = _resolve_store(store, backend)
+        self._fabric = fabric
         if fabric is not None:
             self.executor: "SweepExecutor | FabricExecutor" = FabricExecutor(
                 fabric, store=self.store, config=config
@@ -174,10 +179,10 @@ class Session:
 
     # -- lifecycle ----------------------------------------------------------
     @property
-    def workers(self) -> int:
-        """Worker-pool width this session fans misses out over (1 for
-        a fabric session: the fan-out happens coordinator-side)."""
-        return getattr(self.executor, "workers", 1)
+    def fabric(self) -> Optional[str]:
+        """The coordinator address misses are submitted to (``None`` for
+        a session that simulates them locally)."""
+        return self._fabric
 
     @property
     def config(self) -> Optional[SystemConfig]:
@@ -272,7 +277,88 @@ class Session:
                     e.peak
                 for e in self.adaptive(spec)
             }
-        return self.executor.peaks(spec.to_sweep_spec())
+        points = spec.to_sweep_spec().expand()
+        curves: Dict[
+            Tuple[str, int, str, Optional[str], int], List[RunResult]
+        ] = {}
+        for point, result in zip(
+            points, self.executor.run_points(points, spec.fidelity)
+        ):
+            curves.setdefault(point.curve, []).append(result)
+        return {curve: peak_of(rs) for curve, rs in curves.items()}
+
+    def curve(
+        self,
+        arch: str,
+        bw_set: Union[BandwidthSet, int],
+        pattern: str,
+        fidelity: Fidelity,
+        seed: int = 1,
+        scenario: Optional[str] = None,
+    ) -> List[RunResult]:
+        """One load curve over *fidelity*'s grid, *seed* used verbatim.
+
+        *bw_set* is a table 3-1 index or a :class:`BandwidthSet`. A set
+        object is simulated exactly as passed: when it is not what its
+        index would simulate here (a customised set, or any set beside
+        a session config carrying another), it is pinned on the points
+        and its own capacity scales the offered-load grid.
+        """
+        index = bw_set if isinstance(bw_set, int) else bw_set.index
+        points = ExperimentSpec(
+            archs=(arch,),
+            bw_sets=(index,),
+            patterns=(pattern,),
+            scenarios=(scenario,),
+            seeds=(seed,),
+            fidelity=fidelity,
+            derive_seeds=False,
+        ).to_sweep_spec().expand()
+        if (
+            not isinstance(bw_set, int)
+            and bw_set != self.executor.config_for(points[0]).bw_set
+        ):
+            points = [
+                replace(
+                    p,
+                    bw_set=bw_set,
+                    offered_gbps=p.load_fraction * bw_set.aggregate_gbps,
+                )
+                for p in points
+            ]
+        return self.executor.run_points(points, fidelity)
+
+    def knee(
+        self,
+        arch: str,
+        bw_set: int,
+        pattern: str,
+        fidelity: Fidelity,
+        seed: int = 1,
+        scenario: Optional[str] = None,
+        *,
+        resolution: float = 0.05,
+        max_fraction: Optional[float] = None,
+        derive_seeds: bool = False,
+        model=None,
+    ) -> KneeEstimate:
+        """Localise one curve's saturation knee by bisection (see
+        :func:`repro.experiments.knee.adaptive_knee_sweep`); *bw_set*
+        is a table 3-1 index. Probes run through this session's store,
+        so loads that coincide with a grid run's are shared with it."""
+        return adaptive_knee_sweep(
+            arch,
+            bw_set,
+            pattern,
+            fidelity,
+            self.executor,
+            seed=seed,
+            scenario=scenario,
+            resolution=resolution,
+            max_fraction=max_fraction,
+            derive_seeds=derive_seeds,
+            model=model,
+        )
 
     def adaptive(
         self, spec: ExperimentSpec, model=None
@@ -292,32 +378,27 @@ class Session:
         max_fraction = (
             max(spec.load_fractions) if spec.load_fractions else None
         )
-        estimates = []
-        for arch in spec.archs:
-            for bw_index in spec.bw_sets:
-                for pattern in spec.patterns:
-                    for scenario in spec.scenarios:
-                        for seed in spec.seeds:
-                            estimates.append(
-                                adaptive_knee_sweep(
-                                    arch,
-                                    bw_index,
-                                    pattern,
-                                    spec.fidelity,
-                                    executor=self.executor,
-                                    seed=seed,
-                                    scenario=scenario,
-                                    resolution=spec.resolution,
-                                    max_fraction=max_fraction,
-                                    derive_seeds=spec.derive_seeds,
-                                    model=model,
-                                )
-                            )
-        return estimates
+        return [
+            self.knee(
+                arch,
+                bw_index,
+                pattern,
+                spec.fidelity,
+                seed,
+                scenario,
+                resolution=spec.resolution,
+                max_fraction=max_fraction,
+                derive_seeds=spec.derive_seeds,
+                model=model,
+            )
+            for arch, bw_index, pattern, scenario, seed in spec.curves()
+        ]
 
     def replicated(self, spec: ExperimentSpec) -> List[ReplicatedPeak]:
-        """Fold the seed axis into mean +/- spread rows per curve family."""
-        return replication_summary(spec.to_sweep_spec(), self.executor)
+        """The seed axis of :meth:`peaks` folded into mean +/- spread
+        rows, one per curve family (for an adaptive spec, the peaks its
+        knee searches found)."""
+        return replication_summary(self.peaks(spec))
 
     def run_one(
         self,

@@ -169,12 +169,6 @@ class ExperimentSpec:
         """Size of the expanded grid (product of the axis lengths)."""
         return self.to_sweep_spec().n_points()
 
-    def n_curves(self) -> int:
-        """Number of load curves (grid points / load fractions)."""
-        return self.n_points() // len(
-            self.load_fractions or self.fidelity.load_fractions
-        )
-
     def curves(self) -> Tuple[Tuple[str, int, str, Optional[str], int], ...]:
         """Curve coordinates in axis order: ``(arch, bw_set, pattern,
         scenario, seed)`` — the key shape :meth:`Session.peaks` uses."""

@@ -18,7 +18,7 @@ with B the per-wavelength bandwidth (12.5 Gb/s).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.photonic.wavelength import (
     LAMBDA_PER_WAVEGUIDE,
@@ -94,26 +94,6 @@ class WavelengthToken:
             raise ValueError("token must cover at least one wavelength")
         self._order: List[WavelengthId] = list(wavelengths)
         self._owner: Dict[WavelengthId, Optional[int]] = {w: None for w in wavelengths}
-
-    @classmethod
-    def for_pool(
-        cls,
-        n_waveguides: int,
-        reserved_per_cluster: Dict[int, List[WavelengthId]] | None = None,
-        lambda_per_waveguide: int = LAMBDA_PER_WAVEGUIDE,
-    ) -> "WavelengthToken":
-        """Build a token over every wavelength not statically reserved."""
-        reserved: Set[WavelengthId] = set()
-        if reserved_per_cluster:
-            for ids in reserved_per_cluster.values():
-                reserved.update(ids)
-        pool = [
-            WavelengthId(w, i)
-            for w in range(n_waveguides)
-            for i in range(lambda_per_waveguide)
-            if WavelengthId(w, i) not in reserved
-        ]
-        return cls(pool)
 
     # ------------------------------------------------------------------
     @property

@@ -4,9 +4,16 @@
   (``wire_run`` + ``attach_traffic``: the one place a simulation is
   assembled), fidelities and peak-bandwidth extraction (thesis 3.4.1.1
   methodology).
-* :mod:`repro.experiments.sweep` -- declarative sweep grids
-  (:class:`SweepSpec`) fanned out over a worker pool
-  (:class:`SweepExecutor`) with multi-seed replication.
+* :mod:`repro.experiments.sweep` -- the executors, and nothing else:
+  the point grid (:class:`SweepSpec` -> :class:`RunPoint`) and the
+  store-aware :class:`SweepExecutor` / ``FabricExecutor`` that turn
+  points into results. The mechanism level.
+* :mod:`repro.experiments.knee` / :mod:`repro.experiments.replication`
+  -- the policy level above it: the adaptive knee search and the
+  mean +/- spread fold over seeds. Code outside this package reaches
+  all three through :class:`repro.api.session.Session` (``run`` /
+  ``curve`` / ``peaks`` / ``knee`` / ``adaptive`` / ``replicated``),
+  never through an executor.
 * :mod:`repro.experiments.store` -- JSONL-backed, content-hash-keyed
   :class:`ResultStore` making sweeps resumable across processes.
 * :mod:`repro.experiments.figures` -- one function per thesis table and
@@ -26,13 +33,13 @@ from repro.experiments.runner import (
     peak_of,
 )
 from repro.experiments.report import ascii_table
+from repro.experiments.replication import replication_summary
 from repro.experiments.store import ResultStore, result_key
 from repro.experiments.sweep import (
     RunPoint,
     SweepExecutor,
     SweepSpec,
     derive_seed,
-    replication_summary,
 )
 
 __all__ = [

@@ -271,14 +271,11 @@ def execute_spec(spec: ExperimentSpec, session: Session, model=None) -> None:
     """Dispatch a spec to the matching renderer (grid vs adaptive)."""
     from repro.fabric.errors import FabricError
 
-    from repro.experiments.sweep import FabricExecutor
-
-    if isinstance(session.executor, FabricExecutor):
+    if session.fabric is not None:
         # Reuse the dry-run counters to say what is about to scatter.
         report = session.dry_run(spec, model)
         summary = report.describe().splitlines()[0]
-        print(f"fabric {session.executor.address}: "
-              f"{summary.split(': ', 1)[1]}")
+        print(f"fabric {session.fabric}: {summary.split(': ', 1)[1]}")
     try:
         if spec.mode == "adaptive":
             _print_adaptive(spec, session, model)

@@ -28,7 +28,7 @@ import os
 from typing import Optional
 
 from repro.experiments.runner import Fidelity
-from repro.experiments.sweep import knee_search
+from repro.experiments.knee import knee_search
 
 __all__ = [
     "adaptive_curve_estimates",
@@ -119,8 +119,8 @@ def adaptive_probe_count(
 ) -> int:
     """Distinct load points a knee search evaluates, replayed exactly.
 
-    Runs :func:`repro.experiments.sweep.knee_search` -- the policy
-    :func:`~repro.experiments.sweep.adaptive_knee_sweep` itself runs --
+    Runs :func:`repro.experiments.knee.knee_search` -- the policy
+    :func:`~repro.experiments.knee.adaptive_knee_sweep` itself runs --
     on an *n*-point grid, assuming the true knee sits at grid index
     *knee* (the "reaches the plateau" predicate becomes ``i >= knee``),
     and counts the probes: the plateau probe at ``n`` plus every

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.api.session import Session
+from repro.api.spec import ExperimentSpec
 from repro.area.model import dhetpnoc_area_mm2, firefly_area_mm2
 from repro.energy import params as energy_params
 from repro.experiments.report import ascii_table, mean_spread, percent_change
@@ -26,11 +27,6 @@ from repro.experiments.runner import (
     QUICK_FIDELITY,
     RunResult,
     peak_of,
-)
-from repro.experiments.sweep import (
-    SweepSpec,
-    adaptive_knee_sweep,
-    replication_summary,
 )
 from repro.gpu.model import GpuMemoryModel
 from repro.traffic.bandwidth_sets import (
@@ -192,19 +188,20 @@ def _prefetch(
     """Fan every needed sweep point out through *session* in one batch.
 
     Populates the session's store so the per-curve peak extraction that
-    follows is pure cache hits; with ``workers > 1`` the whole exhibit's
-    grid simulates in parallel instead of curve-by-curve. Customised
-    bandwidth sets cannot be named by index, so they are left to
-    :func:`_peak`'s per-curve sweep.
+    follows is pure cache hits; with ``workers > 1`` the whole grid — an
+    exhibit's, or every claim's of a validation run — simulates in
+    parallel instead of curve-by-curve. Customised bandwidth sets
+    cannot be named by index, so they are left to :func:`_peak`'s
+    per-curve sweep.
     """
     indices = tuple(s.index for s in bw_sets if is_canonical_set(s))
-    if not indices:
+    if not indices or not patterns:
         return
-    session.executor.run(
-        SweepSpec(
-            archs=tuple(archs),
-            bw_set_indices=indices,
-            patterns=tuple(patterns),
+    session.run(
+        ExperimentSpec(
+            archs=archs,
+            bw_sets=indices,
+            patterns=patterns,
             seeds=(seed,),
             fidelity=fidelity,
             derive_seeds=False,
@@ -220,9 +217,7 @@ def _peak(
     fidelity: Fidelity,
     seed: int,
 ) -> RunResult:
-    return peak_of(
-        session.executor.sweep_curve(arch, bw_set, pattern, fidelity, seed)
-    )
+    return peak_of(session.curve(arch, bw_set, pattern, fidelity, seed))
 
 
 def _peak_pair(
@@ -281,19 +276,19 @@ def figure_3_3_replicated(
     """Figure 3-3 with error columns: peaks as mean +/- std across seeds.
 
     The seed axis runs ``seed, seed+1, ..., seed+n_seeds-1`` through
-    :func:`~repro.experiments.sweep.replication_summary`, so the
-    bandwidth-gain claim is reported with its replication uncertainty
-    instead of a single lucky draw.
+    :meth:`Session.replicated`, so the bandwidth-gain claim is reported
+    with its replication uncertainty instead of a single lucky draw.
     """
     session = session or Session()
-    spec = SweepSpec(
-        archs=("firefly", "dhetpnoc"),
-        bw_set_indices=tuple(s.index for s in bw_sets),
-        patterns=tuple(patterns),
-        seeds=tuple(seed + i for i in range(n_seeds)),
-        fidelity=fidelity,
+    summaries = session.replicated(
+        ExperimentSpec(
+            archs=("firefly", "dhetpnoc"),
+            bw_sets=tuple(s.index for s in bw_sets),
+            patterns=patterns,
+            seeds=tuple(seed + i for i in range(n_seeds)),
+            fidelity=fidelity,
+        )
     )
-    summaries = replication_summary(spec, session.executor)
     by_key = {(s.arch, s.bw_set_index, s.pattern): s for s in summaries}
     rows = []
     for bw_set in bw_sets:
@@ -413,18 +408,18 @@ def saturation_knees(
     For each (architecture, pattern) curve the exhibit reports the
     closed-form knee prediction of
     :mod:`repro.analysis.saturation`, the knee measured by
-    :func:`~repro.experiments.sweep.adaptive_knee_sweep` (bisection to
-    ``resolution``), the peak delivered bandwidth, and how many
-    simulations the search spent versus the equivalent fixed grid.
+    :meth:`Session.knee` (bisection to ``resolution``), the peak
+    delivered bandwidth, and how many simulations the search spent
+    versus the equivalent fixed grid.
     """
     session = session or Session()
     rows = []
     grid_points = max(1, round(max(fidelity.load_fractions) / resolution))
     for pattern in patterns:
         for arch in ("firefly", "dhetpnoc"):
-            est = adaptive_knee_sweep(
-                arch, bw_set.index, pattern, fidelity,
-                executor=session.executor, seed=seed, resolution=resolution,
+            est = session.knee(
+                arch, bw_set.index, pattern, fidelity, seed,
+                resolution=resolution,
             )
             rows.append(
                 [

@@ -85,12 +85,6 @@ class RunResult:
     #: Per-phase metric windows for scenario runs (empty otherwise).
     phases: Tuple[PhaseStats, ...] = ()
 
-    @property
-    def delivered_fraction(self) -> float:
-        if self.offered_gbps <= 0:
-            return 1.0
-        return self.delivered_gbps / self.offered_gbps
-
 
 def build_arch(
     arch_name: str,

@@ -1,17 +1,28 @@
-"""Parallel, resumable sweep orchestration over the experiment grid.
+"""The executors: the mechanism level of the sweep layer.
 
 The thesis's headline exhibits are all offered-load sweeps over an
 (architecture x bandwidth set x traffic pattern x scenario x seed x
-load) grid. This module turns that grid into first-class objects:
+load) grid. The sweep layer has two levels with one door between them:
 
-* :class:`SweepSpec` — a declarative description of the grid, expandable
-  to a flat list of :class:`RunPoint`\\ s;
-* :class:`SweepExecutor` — fans points out over a ``multiprocessing``
-  worker pool, consults a :class:`~repro.experiments.store.ResultStore`
-  first, and only simulates points the store has never seen, making
-  sweeps resumable and cache hits instant across processes;
-* :func:`replication_summary` — multi-seed replication (mean +/- spread
-  across seeds) for the scenario-diversity axis.
+* **Mechanism — this module.** :class:`SweepSpec` describes the grid
+  and expands it to flat :class:`RunPoint`\\ s; a
+  :class:`PointExecutor` turns points into results — content-hash
+  keys, in-batch dedup, store consultation, ordered reassembly — and
+  its two subclasses differ only in how the miss set is simulated
+  (:class:`SweepExecutor`: a local ``multiprocessing`` pool;
+  :class:`FabricExecutor`: a fabric coordinator). An executor's public
+  surface is ``plan`` / ``work_item`` / ``run_points`` / ``run`` /
+  ``config_for`` / ``close``; it knows nothing of curves, peaks, knees
+  or replication.
+* **Policy — above it.** :mod:`repro.experiments.knee` (the adaptive
+  knee search) and :mod:`repro.experiments.replication` (mean +/-
+  spread across seeds) decide *which* points to ask for and how to
+  fold the answers; each is handed the executor or its results.
+* **The door — :class:`repro.api.session.Session`.** Everything above
+  the executors (exhibits, claims, the CLI, tools, examples) builds an
+  :class:`~repro.api.spec.ExperimentSpec` and calls ``Session.run`` /
+  ``curve`` / ``peaks`` / ``knee`` / ``adaptive`` / ``replicated``; the
+  session owns the executor and is the only thing that drives it.
 
 Seed derivation
 ---------------
@@ -33,8 +44,8 @@ coordinates, reduced to 63 bits. Two properties follow:
    decorrelated streams.
 
 With ``derive_seeds=False`` every point uses its base seed verbatim
-(what :meth:`PointExecutor.sweep_curve`, the figures and the golden
-data use).
+(what :meth:`Session.curve <repro.api.session.Session.curve>`, the
+figures and the golden data use).
 
 Result identity / hashing
 -------------------------
@@ -58,9 +69,8 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
-from dataclasses import dataclass, field, replace
-from statistics import mean, pstdev
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.config import SystemConfig
 from repro.arch.registry import architectures
@@ -69,7 +79,6 @@ from repro.experiments.runner import (
     QUICK_FIDELITY,
     RunResult,
     _run_once,
-    peak_of,
 )
 from repro.experiments.store import ResultStore, config_fingerprint, result_key
 from repro.traffic.bandwidth_sets import (
@@ -112,8 +121,8 @@ class RunPoint:
     base_seed: int
     #: The actual bandwidth set to simulate. ``None`` means "the
     #: canonical table 3-1 set for ``bw_set_index``";
-    #: :meth:`PointExecutor.sweep_curve` pins a customised set here so
-    #: it is never rehydrated from the index.
+    #: :meth:`Session.curve <repro.api.session.Session.curve>` pins a
+    #: customised set here so it is never rehydrated from the index.
     bw_set: Optional[BandwidthSet] = None
     #: Named scenario script to replay (``None`` = stationary run).
     #: Ships to workers as a name and is rebuilt from the library there.
@@ -301,7 +310,10 @@ class PointExecutor:
         except BaseException:
             pass
 
-    def _config_for(self, point: RunPoint) -> SystemConfig:
+    def config_for(self, point: RunPoint) -> SystemConfig:
+        """The configuration *point* simulates under: the executor-wide
+        override when there is one, else the default for the point's
+        (pinned or canonical) bandwidth set."""
         return self._config_entry(point)[0]
 
     def _config_entry(self, point: RunPoint) -> Tuple[SystemConfig, str]:
@@ -430,60 +442,6 @@ class PointExecutor:
         """Expand and execute a whole :class:`SweepSpec`."""
         return self.run_points(spec.expand(), spec.fidelity)
 
-    # -- curve-level helpers ------------------------------------------------
-    def sweep_curve(
-        self,
-        arch: str,
-        bw_set: Union[BandwidthSet, int],
-        pattern: str,
-        fidelity: Fidelity,
-        seed: int = 1,
-        derive_seeds: bool = False,
-        scenario: Optional[str] = None,
-    ) -> List[RunResult]:
-        """One load curve (the seed is used verbatim by default).
-
-        *bw_set* is a table 3-1 index or a :class:`BandwidthSet`. A set
-        object is simulated exactly as passed: when it is not what its
-        index would simulate here (a customised set, or any set beside
-        an explicit config carrying another), it is pinned on the
-        points and its own capacity scales the offered-load grid.
-        """
-        index = bw_set if isinstance(bw_set, int) else bw_set.index
-        points = SweepSpec(
-            archs=(arch,),
-            bw_set_indices=(index,),
-            patterns=(pattern,),
-            seeds=(seed,),
-            fidelity=fidelity,
-            derive_seeds=derive_seeds,
-            scenarios=(scenario,),
-        ).expand()
-        if (
-            not isinstance(bw_set, int)
-            and bw_set != self._config_for(points[0]).bw_set
-        ):
-            points = [
-                replace(
-                    p,
-                    bw_set=bw_set,
-                    offered_gbps=p.load_fraction * bw_set.aggregate_gbps,
-                )
-                for p in points
-            ]
-        return self.run_points(points, fidelity)
-
-    def peaks(
-        self, spec: SweepSpec
-    ) -> Dict[Tuple[str, int, str, Optional[str], int], RunResult]:
-        """Per-curve saturation peaks, keyed by ``RunPoint.curve``."""
-        points = spec.expand()
-        results = self.run_points(points, spec.fidelity)
-        curves: Dict[Tuple[str, int, str, Optional[str], int], List[RunResult]] = {}
-        for point, result in zip(points, results):
-            curves.setdefault(point.curve, []).append(result)
-        return {curve: peak_of(rs) for curve, rs in curves.items()}
-
 
 class SweepExecutor(PointExecutor):
     """Run sweep points locally, fanning misses out to a process pool.
@@ -539,7 +497,7 @@ class SweepExecutor(PointExecutor):
         fidelity: Fidelity,
     ) -> Dict[int, RunResult]:
         payloads = [
-            (p, fidelity, self._config_for(p)) for _i, p in missing
+            (p, fidelity, self.config_for(p)) for _i, p in missing
         ]
         if self.workers > 1 and len(missing) > 1:
             outcomes = self._ensure_pool().map(
@@ -651,394 +609,3 @@ class FabricExecutor(PointExecutor):
         if failures:
             raise PointFailedError(failures)
         return {i: results[keys[i]] for i, _p in missing}
-
-
-# ---------------------------------------------------------------------------
-# Adaptive knee-seeking sweeps
-# ---------------------------------------------------------------------------
-#
-# A fixed load grid spends most of its simulations far from the
-# saturation knee — the paper's central Figure-3 quantity. The adaptive
-# mode seeds the search from the closed-form fluid model
-# (:mod:`repro.analysis.saturation`), then bisects the *observed*
-# delivery shortfall down to a target load resolution. All candidate
-# loads live on a fixed fraction grid (multiples of ``resolution``), so
-# two adaptive sweeps of the same curve evaluate byte-identical points,
-# share store keys with each other and with fixed-grid sweeps that
-# happen to visit the same loads, and are bitwise identical whether the
-# executor runs serially or through a worker pool.
-
-
-def analytic_knee_gbps(
-    arch: str,
-    bw_set_index: int,
-    pattern: str,
-    seed: int = 1,
-    config: Optional[SystemConfig] = None,
-) -> Optional[float]:
-    """Closed-form saturation-knee estimate for one curve, in Gb/s.
-
-    Binds *pattern* with the same placement stream a run would
-    use for *seed* and asks the fluid model
-    (:class:`repro.analysis.saturation.SaturationModel`) where the first
-    write channel saturates. Returns ``None`` when the pattern is
-    outside the model's assumptions (the adaptive sweep then starts
-    from the middle of the load range instead).
-    """
-    from repro.analysis.saturation import AnalysisError, SaturationModel
-    from repro.sim.rng import RandomStreams
-    from repro.traffic.patterns import PatternError, pattern_by_name
-
-    bw_set = bandwidth_set_by_index(bw_set_index)
-    config = config or SystemConfig(bw_set=bw_set)
-    try:
-        bound = pattern_by_name(pattern).bind(
-            bw_set,
-            config.n_clusters,
-            config.cores_per_cluster,
-            RandomStreams(seed).get("placement"),
-        )
-        return SaturationModel(arch, bound, config).knee_gbps()
-    except (AnalysisError, PatternError, ValueError):
-        return None
-
-
-@dataclass(frozen=True)
-class KneeEstimate:
-    """Outcome of one :func:`adaptive_knee_sweep` curve localisation."""
-
-    arch: str
-    bw_set_index: int
-    pattern: str
-    scenario: Optional[str]
-    base_seed: int
-    #: Load-fraction grid step the knee was localised to.
-    resolution: float
-    #: Upper end of the searched fraction range.
-    max_fraction: float
-    #: Fluid-model seed estimate (``None``: model not applicable).
-    analytic_knee_gbps: Optional[float]
-    #: Localised knee: the smallest evaluated fraction whose delivered
-    #: bandwidth reaches the saturation plateau (within
-    #: ``plateau_margin``). ``saturated`` is ``False`` when delivery was
-    #: still climbing at ``max_fraction`` (no knee inside the range).
-    knee_fraction: float
-    knee_gbps: float
-    saturated: bool
-    #: Best evaluated point by delivered bandwidth (the "peak").
-    peak: RunResult
-    #: Every evaluated point, sorted by offered load.
-    results: Tuple[RunResult, ...]
-    #: Distinct load points evaluated (store hits included).
-    n_evaluated: int
-    #: Points actually simulated (store misses) by this call.
-    n_simulated: int
-    #: Learned-model seed estimate in Gb/s (``None``: no model supplied,
-    #: or the curve is outside the model's training vocabulary).
-    model_knee_gbps: Optional[float] = None
-
-
-def knee_search(n: int, start: int, check_below: bool, at_plateau) -> int:
-    """The knee-search probe policy, over grid indices ``1..n``.
-
-    ``at_plateau(i)`` says whether grid point *i* reaches the plateau --
-    a monotone predicate, trivially true at *n* and false at 0. Returns
-    the smallest index found to satisfy it, probing as few points as it
-    can: the seed estimate's point *start* (clamped inside the grid)
-    first; when that is already on the plateau, a descent -- *start*
-    halved repeatedly, preceded by the point just below *start* when
-    *check_below* (a model seed claims to *be* the knee, so when the
-    claim is exact that one probe closes the bracket to a single step
-    instead of halving far below it) -- until a point falls short; then
-    bisection of the bracket down to one step. This is the one copy of
-    the policy: :func:`adaptive_knee_sweep` passes "simulate and
-    compare", :func:`repro.experiments.costing.adaptive_probe_count` a
-    hypothetical knee and counts the calls, so a dry run prices exactly
-    the search that would run.
-    """
-    if n <= 1:
-        return n
-    start = min(max(start, 1), n - 1)
-    descent = []
-    if check_below and start - 1 >= 1:
-        descent.append(start - 1)
-    cand = start // 2
-    while cand >= 1:
-        if not descent or cand < descent[-1]:
-            descent.append(cand)
-        cand //= 2
-    # Bracket: lo = largest index known below the plateau (0 = trivially
-    # so: zero offered load delivers nothing), hi = smallest index known
-    # to reach it (n is trivially at the plateau).
-    lo, hi = 0, n
-    if at_plateau(start):
-        hi = start
-        for cand in descent:
-            if at_plateau(cand):
-                hi = cand
-            else:
-                lo = cand
-                break
-    else:
-        lo = start
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if at_plateau(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def adaptive_knee_sweep(
-    arch: str,
-    bw_set_index: int,
-    pattern: str,
-    fidelity: Fidelity,
-    executor: Optional[SweepExecutor] = None,
-    seed: int = 1,
-    scenario: Optional[str] = None,
-    resolution: float = 0.05,
-    max_fraction: Optional[float] = None,
-    plateau_margin: float = 0.10,
-    derive_seeds: bool = False,
-    model=None,
-) -> KneeEstimate:
-    """Localise one curve's saturation knee with few simulations.
-
-    Args:
-        arch: Architecture name (``firefly`` / ``dhetpnoc``).
-        bw_set_index: Canonical table 3-1 bandwidth-set index.
-        pattern: Traffic-pattern name.
-        fidelity: Simulation schedule; its ``load_fractions`` only cap
-            the default search range (``max_fraction``), the grid itself
-            is *not* swept.
-        executor: Sweep executor to run points through (defaults to a
-            fresh serial executor over an in-memory store). Reuse one
-            executor across curves to share its store and worker pool.
-        seed: Base seed; used verbatim unless ``derive_seeds``.
-        scenario: Optional named scenario (see :mod:`repro.scenarios`).
-        resolution: Target load-fraction resolution; all evaluated
-            fractions are multiples of it, and the returned knee is
-            localised to one step.
-        max_fraction: Upper end of the searched range (default: the
-            fidelity grid's maximum).
-        plateau_margin: Relative closeness to the plateau delivery that
-            counts as "saturated": a point is at/past the knee when its
-            delivered bandwidth reaches
-            ``(1 - plateau_margin) * delivered(max_fraction)``.
-        derive_seeds: Derive the per-curve seed as ``SweepSpec`` does
-            instead of using ``seed`` verbatim.
-        model: Optional fitted :class:`repro.ml.model.QoSModel`. When
-            given, its :meth:`~repro.ml.model.QoSModel.predict_knee`
-            estimate replaces the analytic fluid-model seed for the
-            search's starting probe (falling back to the analytic seed
-            for curves outside the model's training vocabulary). The
-            seed only positions the first probe — the bisection still
-            verifies against real simulations, so the *final*
-            :class:`KneeEstimate` is identical whichever seed was used;
-            a better seed just reaches it in fewer simulations.
-
-    Returns:
-        A :class:`KneeEstimate`. ``results`` holds every evaluated
-        point, so the caller still gets a (sparse, knee-centred) curve.
-
-    The search: one probe pins the plateau delivery at ``max_fraction``,
-    one probes the seed estimate's grid point (the model's when one is
-    supplied, the analytic model's otherwise), the bracket expands
-    by halving, and bisection closes it to one grid step. Every probe is
-    one point through :meth:`SweepExecutor.run_points`, so results are
-    store-cached and deterministic regardless of worker count; a re-run
-    against the same store simulates nothing.
-    """
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
-    if not 0 < plateau_margin < 1:
-        raise ValueError("plateau_margin must be in (0, 1)")
-    executor = executor or SweepExecutor()
-    capacity = bandwidth_set_by_index(bw_set_index).aggregate_gbps
-    if max_fraction is None:
-        max_fraction = max(fidelity.load_fractions)
-    # Floor (with an epsilon for float division) so no probe exceeds
-    # the caller's load cap; at least one grid point always exists.
-    n = max(1, int(max_fraction / resolution + 1e-9))
-    point_seed = (
-        derive_seed(seed, arch, bw_set_index, pattern, scenario)
-        if derive_seeds
-        else seed
-    )
-
-    evaluated: Dict[int, RunResult] = {}
-    simulated = 0
-
-    def fraction(i: int) -> float:
-        return round(i * resolution, 9)
-
-    def evaluate(i: int) -> RunResult:
-        nonlocal simulated
-        if i not in evaluated:
-            point = RunPoint(
-                arch=arch,
-                bw_set_index=bw_set_index,
-                pattern=pattern,
-                load_fraction=fraction(i),
-                offered_gbps=fraction(i) * capacity,
-                seed=point_seed,
-                base_seed=seed,
-                scenario=scenario,
-            )
-            (evaluated[i],) = executor.run_points([point], fidelity)
-            simulated += executor.executed_count
-        return evaluated[i]
-
-    # The plateau reference: delivery at the top of the range. Below the
-    # knee delivery climbs steeply with offered load; at/past the knee
-    # it sits on the plateau (within noise), so "reaches the plateau" is
-    # a monotone predicate that bisection can localise.
-    plateau = evaluate(n).delivered_gbps
-    threshold = (1.0 - plateau_margin) * plateau
-
-    def at_plateau(i: int) -> bool:
-        return evaluate(i).delivered_gbps >= threshold
-
-    analytic = analytic_knee_gbps(arch, bw_set_index, pattern, seed=point_seed)
-    model_knee = None
-    if model is not None:
-        model_knee = model.predict_knee(
-            arch,
-            bw_set_index,
-            pattern,
-            scenario=scenario,
-            resolution=resolution,
-            max_fraction=max_fraction,
-            total_cycles=fidelity.total_cycles,
-            plateau_margin=plateau_margin,
-        )
-    seed_gbps = model_knee if model_knee is not None else analytic
-    if seed_gbps is not None and capacity > 0:
-        start = round(seed_gbps / capacity / resolution)
-    else:
-        start = n // 2
-    # The analytic path's probe sequence -- and hence its store keys and
-    # simulation counts -- does not depend on whether a model exists.
-    hi = n
-    if plateau > 0:
-        hi = knee_search(n, start, model_knee is not None, at_plateau)
-
-    knee_fraction = fraction(hi)
-    ordered = tuple(evaluated[i] for i in sorted(evaluated))
-    peak = max(ordered, key=lambda r: r.delivered_gbps)
-    return KneeEstimate(
-        arch=arch,
-        bw_set_index=bw_set_index,
-        pattern=pattern,
-        scenario=scenario,
-        base_seed=seed,
-        resolution=resolution,
-        max_fraction=max_fraction,
-        analytic_knee_gbps=analytic,
-        knee_fraction=knee_fraction,
-        knee_gbps=knee_fraction * capacity,
-        saturated=hi < n,
-        peak=peak,
-        results=ordered,
-        n_evaluated=len(evaluated),
-        n_simulated=simulated,
-        model_knee_gbps=model_knee,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Multi-seed replication (mean +/- spread across seeds)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MetricSummary:
-    """Mean/spread of one scalar metric across replicated seeds."""
-
-    mean: float
-    std: float
-    lo: float
-    hi: float
-    n: int
-
-    @property
-    def spread(self) -> float:
-        return self.hi - self.lo
-
-
-def summarize_metric(values: Sequence[float]) -> MetricSummary:
-    """Fold per-seed metric *values* into a :class:`MetricSummary`.
-
-    Uses the population standard deviation (0.0 for a single value);
-    raises :class:`ValueError` on an empty sequence.
-    """
-    if not values:
-        raise ValueError("cannot summarize zero values")
-    return MetricSummary(
-        mean=mean(values),
-        std=pstdev(values) if len(values) > 1 else 0.0,
-        lo=min(values),
-        hi=max(values),
-        n=len(values),
-    )
-
-
-@dataclass(frozen=True)
-class ReplicatedPeak:
-    """Saturation-peak statistics for one curve family across seeds."""
-
-    arch: str
-    bw_set_index: int
-    pattern: str
-    delivered_gbps: MetricSummary
-    energy_per_message_pj: MetricSummary
-    mean_latency_cycles: MetricSummary
-    seeds: Tuple[int, ...] = field(default_factory=tuple)
-    scenario: Optional[str] = None
-
-
-def replication_summary(
-    spec: SweepSpec, executor: Optional[SweepExecutor] = None
-) -> List[ReplicatedPeak]:
-    """Run *spec* and fold per-seed peaks into mean +/- spread rows.
-
-    The grouping collapses the seed axis only: one row per
-    (arch, bw set, pattern, scenario), ordered like the spec's axes.
-    """
-    executor = executor or SweepExecutor()
-    peaks = executor.peaks(spec)
-    grouped: Dict[
-        Tuple[str, int, str, Optional[str]], List[Tuple[int, RunResult]]
-    ] = {}
-    for (arch, bw_index, pattern, scenario, base_seed), peak in peaks.items():
-        grouped.setdefault((arch, bw_index, pattern, scenario), []).append(
-            (base_seed, peak)
-        )
-    out = []
-    for arch in spec.archs:
-        for bw_index in spec.bw_set_indices:
-            for pattern in spec.patterns:
-                for scenario in spec.scenarios:
-                    entries = grouped[(arch, bw_index, pattern, scenario)]
-                    seeds = tuple(s for s, _r in entries)
-                    rs = [r for _s, r in entries]
-                    out.append(
-                        ReplicatedPeak(
-                            arch=arch,
-                            bw_set_index=bw_index,
-                            pattern=pattern,
-                            delivered_gbps=summarize_metric(
-                                [r.delivered_gbps for r in rs]
-                            ),
-                            energy_per_message_pj=summarize_metric(
-                                [r.energy_per_message_pj for r in rs]
-                            ),
-                            mean_latency_cycles=summarize_metric(
-                                [r.mean_latency_cycles for r in rs]
-                            ),
-                            seeds=seeds,
-                            scenario=scenario,
-                        )
-                    )
-    return out

@@ -15,15 +15,11 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from repro.api.session import Session
+from repro.api.spec import ExperimentSpec
 from repro.area.model import dhetpnoc_area_mm2, firefly_area_mm2
 from repro.dba.token import token_link_cycles, token_size_bits
-from repro.experiments.figures import _peak_pair
+from repro.experiments.figures import _peak_pair, _prefetch
 from repro.experiments.runner import Fidelity, QUICK_FIDELITY
-from repro.experiments.sweep import (
-    SweepSpec,
-    adaptive_knee_sweep,
-    replication_summary,
-)
 from repro.gpu.model import GpuMemoryModel
 from repro.photonic.reservation import reservation_serialization_cycles
 from repro.traffic.bandwidth_sets import BW_SET_1
@@ -186,13 +182,11 @@ def _knee_localization(
     estimate) rather than the fixed grid, so the check also exercises
     the few-simulation localisation path end to end.
     """
-    ff = adaptive_knee_sweep(
-        "firefly", BW_SET_1.index, "skewed3", fidelity,
-        executor=session.executor, seed=seed, resolution=0.1,
-    )
-    dh = adaptive_knee_sweep(
-        "dhetpnoc", BW_SET_1.index, "skewed3", fidelity,
-        executor=session.executor, seed=seed, resolution=0.1,
+    ff, dh = (
+        session.knee(
+            arch, BW_SET_1.index, "skewed3", fidelity, seed, resolution=0.1
+        )
+        for arch in ("firefly", "dhetpnoc")
     )
     if dh.analytic_knee_gbps is None or ff.analytic_knee_gbps is None:
         return ClaimResult(
@@ -296,14 +290,15 @@ def seed_spread_tolerance(
     performance" claims: two architectures cannot be told apart more
     finely than one architecture varies across equivalent seeds.
     """
-    spec = SweepSpec(
-        archs=("firefly", "dhetpnoc"),
-        bw_set_indices=(BW_SET_1.index,),
-        patterns=(pattern,),
-        seeds=tuple(seeds),
-        fidelity=fidelity,
+    rows = session.replicated(
+        ExperimentSpec(
+            archs=("firefly", "dhetpnoc"),
+            bw_sets=(BW_SET_1.index,),
+            patterns=(pattern,),
+            seeds=seeds,
+            fidelity=fidelity,
+        )
     )
-    rows = replication_summary(spec, session.executor)
     rels = [
         row.delivered_gbps.spread / row.delivered_gbps.mean
         for row in rows
@@ -342,17 +337,9 @@ def validate_all(
         for pattern in claim.patterns:
             if pattern not in patterns:
                 patterns.append(pattern)
-    if patterns:
-        session.executor.run(
-            SweepSpec(
-                archs=("firefly", "dhetpnoc"),
-                bw_set_indices=(BW_SET_1.index,),
-                patterns=tuple(patterns),
-                seeds=(seed,),
-                fidelity=fidelity,
-                derive_seeds=False,
-            )
-        )
+    _prefetch(
+        session, ("firefly", "dhetpnoc"), (BW_SET_1,), patterns, fidelity, seed
+    )
     return [claim.run(session, fidelity, seed, rel_tol) for claim in active]
 
 

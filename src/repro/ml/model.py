@@ -24,7 +24,7 @@ error message) works without it.
 :meth:`QoSModel.predict_knee` is the sweep-facing surface: it scans the
 adaptive sweep's load grid with the model's delivered-throughput
 predictions and returns the first load where delivery saturates — the
-same knee definition :func:`repro.experiments.sweep.adaptive_knee_sweep`
+same knee definition :func:`repro.experiments.knee.adaptive_knee_sweep`
 probes for, so a good model's seed lands the binary search next to its
 answer.
 """

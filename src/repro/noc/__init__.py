@@ -29,7 +29,7 @@ from repro.noc.link import CreditChannel, Link
 from repro.noc.network import ElectricalNetwork, NetworkMetrics
 from repro.noc.router import Router, RouterConfig
 from repro.noc.routing import DimensionOrderRouting, TableRouting
-from repro.noc.topology import Topology, TopologyError, topologies
+from repro.noc.topology import Topology, TopologyError
 
 __all__ = [
     "CreditChannel",
@@ -46,7 +46,6 @@ __all__ = [
     "Router",
     "RouterConfig",
     "TableRouting",
-    "topologies",
     "Topology",
     "TopologyError",
     "VirtualChannelBuffer",

@@ -4,7 +4,9 @@
 routers" (thesis 1.4). The router uses round-robin arbiters at both the
 input-arbitration and output-arbitration stages (the two arbitration stages
 named in the thesis contribution list); a matrix (least-recently-served)
-arbiter is provided as an alternative and exercised in ablations.
+arbiter is what ``RouterConfig.arbiter = "matrix"`` selects instead. No
+exhibit, example or benchmark here runs with it: its unit tests are its
+only caller.
 """
 
 from __future__ import annotations

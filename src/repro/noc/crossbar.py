@@ -8,7 +8,7 @@ at most one output and each output is driven by at most one input.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List
 
 
 class CrossbarConflict(RuntimeError):
@@ -63,22 +63,3 @@ class Crossbar:
     def reset_stats(self) -> None:
         self.traversals = 0
         self.bits_switched = 0
-
-
-def max_matching(requests: Dict[int, List[int]], n_outputs: int) -> List[Tuple[int, int]]:
-    """Greedy maximal matching of inputs to outputs.
-
-    *requests* maps input index -> ordered list of acceptable outputs.
-    Returns (input, output) pairs such that no port repeats. Greedy in
-    ascending input order -- adequate for tests and simple schedulers (the
-    router proper uses its arbiters instead).
-    """
-    taken_outputs = [False] * n_outputs
-    matching: List[Tuple[int, int]] = []
-    for inp in sorted(requests):
-        for out in requests[inp]:
-            if not taken_outputs[out]:
-                taken_outputs[out] = True
-                matching.append((inp, out))
-                break
-    return matching

@@ -3,8 +3,12 @@
 Two families are provided:
 
 * :class:`TableRouting` -- next-hop tables from shortest paths, valid for
-  every topology in :mod:`repro.noc.topology` (this is what the all-to-all
-  intra-cluster fabric uses; with one hop everywhere the table is trivial).
+  every topology in :mod:`repro.noc.topology`. It is what an
+  :class:`~repro.noc.network.ElectricalNetwork` falls back to when no
+  routing is passed; no architecture in :mod:`repro.arch` builds a
+  network that way (the electrical baseline passes XY routing, and the
+  photonic gateways model the all-to-all intra-cluster fabric without a
+  routed network), so today its callers are the topology tests.
 * :class:`DimensionOrderRouting` -- deterministic XY routing for
   mesh/torus, the scheme the 2DFT photonic NoC of thesis section 2.1.3
   uses for its electronic control network.
@@ -97,12 +101,3 @@ class DimensionOrderRouting(RoutingAlgorithm):
         forward = (there - here) % size
         backward = (here - there) % size
         return 1 if forward <= backward else -1
-
-
-def make_routing(topology: Topology, kind: str = "table") -> RoutingAlgorithm:
-    """Factory: ``kind`` in {"table", "xy"}."""
-    if kind == "table":
-        return TableRouting(topology)
-    if kind == "xy":
-        return DimensionOrderRouting(topology)
-    raise ValueError(f"unknown routing kind {kind!r}")

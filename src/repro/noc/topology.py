@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 
 class TopologyError(ValueError):
@@ -230,15 +230,3 @@ def ring(n: int) -> Topology:
     if n < 3:
         raise TopologyError(f"ring needs >= 3 nodes, got {n}")
     return Topology("ring", [(i, (i + 1) % n) for i in range(n)])
-
-
-#: Registry used by examples and the CLI.
-topologies: Dict[str, Callable[..., Topology]] = {
-    "all_to_all": all_to_all,
-    "mesh": mesh,
-    "torus": torus,
-    "folded_torus": folded_torus,
-    "octagon": octagon,
-    "butterfly_fat_tree": butterfly_fat_tree,
-    "ring": ring,
-}

@@ -36,7 +36,6 @@ from repro.photonic.waveguide import Waveguide, WaveguideBundle
 from repro.photonic.wavelength import (
     LAMBDA_PER_WAVEGUIDE,
     WavelengthId,
-    WDMSpectrum,
     decode_identifiers,
     encode_identifiers,
     identifier_bits,
@@ -54,7 +53,6 @@ __all__ = [
     "PhotonicSwitchingElement",
     "ReservationBroadcastChannel",
     "ReservationFlit",
-    "WDMSpectrum",
     "Waveguide",
     "WaveguideBundle",
     "WavelengthId",

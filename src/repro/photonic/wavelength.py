@@ -12,13 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 #: DWDM channels per waveguide (Firefly [20], thesis 3.4.1).
 LAMBDA_PER_WAVEGUIDE = 64
-
-#: Adiabatic MRR free spectral range, THz (thesis 2.1.1, ref [13]).
-FSR_THZ = 6.92
 
 #: Per-wavelength modulation rate demonstrated in [28] (thesis 3.4.1).
 WAVELENGTH_RATE_GBPS = 12.5
@@ -102,50 +99,6 @@ def decode_identifiers(word: int, count: int, n_waveguides: int) -> List[Wavelen
         encoded = (word >> shift) & mask
         out.append(WavelengthId(encoded >> 6, encoded & 0x3F))
     return out
-
-
-class WDMSpectrum:
-    """The usable DWDM grid of one waveguide.
-
-    Channel spacing is FSR / capacity; with the adiabatic MRRs' 6.92 THz
-    FSR [13] and 64 channels the spacing is ~108 GHz. The spectrum checks
-    that a requested channel count fits inside one FSR.
-    """
-
-    def __init__(
-        self,
-        capacity: int = LAMBDA_PER_WAVEGUIDE,
-        center_nm: float = 1550.0,
-        fsr_thz: float = FSR_THZ,
-    ):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        if fsr_thz <= 0:
-            raise ValueError(f"fsr_thz must be positive, got {fsr_thz}")
-        self.capacity = int(capacity)
-        self.center_nm = float(center_nm)
-        self.fsr_thz = float(fsr_thz)
-
-    @property
-    def spacing_ghz(self) -> float:
-        return self.fsr_thz * 1e3 / self.capacity
-
-    def frequency_thz(self, index: int) -> float:
-        """Absolute optical frequency of channel *index*."""
-        self._check(index)
-        center_thz = SPEED_OF_LIGHT_M_S / (self.center_nm * 1e-9) / 1e12
-        offset = (index - (self.capacity - 1) / 2) * self.spacing_ghz / 1e3
-        return center_thz + offset
-
-    def wavelength_nm(self, index: int) -> float:
-        return SPEED_OF_LIGHT_M_S / (self.frequency_thz(index) * 1e12) / 1e-9
-
-    def channels(self) -> Iterable[int]:
-        return range(self.capacity)
-
-    def _check(self, index: int) -> None:
-        if not 0 <= index < self.capacity:
-            raise ValueError(f"channel {index} outside spectrum of {self.capacity}")
 
 
 def wavelengths_for_bandwidth(bandwidth_gbps: float) -> int:

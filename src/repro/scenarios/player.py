@@ -3,8 +3,10 @@
 The :class:`ScenarioPlayer` stands in for a plain
 :class:`~repro.traffic.generator.TrafficGenerator` (same duck-typed
 interface: ``tick`` / ``reset_stats`` / ``acceptance_ratio`` /
-``is_idle`` / ``packets_offered`` ...), so
-``NoCArchitecture.attach_generator`` accepts it unchanged. Each cycle it
+``is_idle``), so ``NoCArchitecture.attach_generator`` accepts it
+unchanged. It drives one generator for the whole run — a phase that
+changes the pattern rebinds it — so the generator's counters are the
+run's totals. Each cycle it
 
 1. crosses any due phase boundary — rebinding the traffic pattern,
    re-applying DBA demand, shifting the app mix,
@@ -170,20 +172,11 @@ class ScenarioPlayer:
         self.offered_gbps = offered_gbps
         self.default_pattern_name = pattern.name
         self._bounds = schedule.phase_bounds(total_cycles)
-        self._packets_per_cycle = (
-            offered_gbps * 1e9 / pattern.bw_set.packet_bits / clock_hz
-        )
-        self._traffic_rng = streams.get("traffic")
         self._scenario_rng = streams.get("scenario")
         self.pattern = pattern
-        self.generator = TrafficGenerator(
-            pattern, self._packets_per_cycle, self._traffic_rng, noc.submit
+        self.generator = TrafficGenerator.for_offered_gbps(
+            pattern, offered_gbps, streams.get("traffic"), noc.submit, clock_hz
         )
-        # Retired generators' counters (phase rebinds swap generators).
-        self._offered_acc = 0
-        self._accepted_acc = 0
-        self._refused_acc = 0
-        self._bits_offered_acc = 0
         self.faults_fired = 0
         self.faults_skipped = 0
         self._injector = None
@@ -267,15 +260,8 @@ class ScenarioPlayer:
             # New demand tables take effect at upcoming token visits —
             # the thesis's task-remapping rule (section 3.2.1).
             self.noc.apply_pattern_demand(pattern)
-        generator = self.generator
-        self._offered_acc += generator.packets_offered
-        self._accepted_acc += generator.packets_accepted
-        self._refused_acc += generator.packets_refused
-        self._bits_offered_acc += generator.bits_offered
         self.pattern = pattern
-        self.generator = TrafficGenerator(
-            pattern, self._packets_per_cycle, self._traffic_rng, self.noc.submit
-        )
+        self.generator.rebind(pattern)
 
     def _snapshot(self, cycle: int) -> dict:
         metrics = self.noc.metrics
@@ -286,8 +272,8 @@ class ScenarioPlayer:
             "packets": metrics.packets_delivered,
             "lat_count": metrics.latency.count,
             "lat_mean": metrics.latency.mean,
-            "offered": self.packets_offered,
-            "refused": self.packets_refused,
+            "offered": self.generator.packets_offered,
+            "refused": self.generator.packets_refused,
             "energy_pj": energy.breakdown.total_pj,
             "messages": energy.messages_delivered,
         }
@@ -310,8 +296,8 @@ class ScenarioPlayer:
                 start_cycle=self._phase_start,
                 end_cycle=at_cycle,
                 measured_cycles=measured,
-                packets_offered=self.packets_offered - base["offered"],
-                packets_refused=self.packets_refused - base["refused"],
+                packets_offered=current["offered"] - base["offered"],
+                packets_refused=current["refused"] - base["refused"],
                 packets_delivered=metrics.packets_delivered - base["packets"],
                 bits_delivered=bits,
                 delivered_gbps=gbps,
@@ -515,10 +501,6 @@ class ScenarioPlayer:
         always tile the run's *measured* totals.
         """
         self.generator.reset_stats()
-        self._offered_acc = 0
-        self._accepted_acc = 0
-        self._refused_acc = 0
-        self._bits_offered_acc = 0
         self._closed = [
             dataclasses.replace(
                 stats,
@@ -560,26 +542,6 @@ class ScenarioPlayer:
             raise ScenarioError("call finish() before reading phase stats")
         return tuple(self._closed)
 
-    # -- cumulative counters across generator swaps ---------------------
-    @property
-    def packets_offered(self) -> int:
-        return self._offered_acc + self.generator.packets_offered
-
-    @property
-    def packets_accepted(self) -> int:
-        return self._accepted_acc + self.generator.packets_accepted
-
-    @property
-    def packets_refused(self) -> int:
-        return self._refused_acc + self.generator.packets_refused
-
-    @property
-    def bits_offered(self) -> int:
-        return self._bits_offered_acc + self.generator.bits_offered
-
     @property
     def acceptance_ratio(self) -> float:
-        offered = self.packets_offered
-        if offered == 0:
-            return 1.0
-        return self.packets_accepted / offered
+        return self.generator.acceptance_ratio

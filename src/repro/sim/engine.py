@@ -177,18 +177,6 @@ class Simulator:
             )
         heapq.heappush(self._event_heap, (int(cycle), next(self._event_counter), callback))
 
-    def pending_events(self) -> int:
-        return len(self._event_heap)
-
-    # ------------------------------------------------------------------
-    # Time conversion helpers
-    # ------------------------------------------------------------------
-    def cycles_to_seconds(self, cycles: float) -> float:
-        return cycles / self.clock_hz
-
-    def seconds_to_cycles(self, seconds: float) -> float:
-        return seconds * self.clock_hz
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------

@@ -44,25 +44,11 @@ class TrafficGenerator:
     ):
         if offered_load_packets_per_cycle < 0:
             raise ValueError("offered load must be >= 0")
-        bw_set = pattern.bw_set
-        if bw_set is None:
-            raise ValueError("pattern must be bound before building a generator")
-        self.pattern = pattern
-        self.bw_set: BandwidthSet = bw_set
         self.rng = rng
         self.submit = submit
-        self._weights = pattern.source_weights()
-        total = sum(self._weights)
-        if total <= 0:
-            raise ValueError("pattern weights must sum to a positive value")
-        # Uncapped per-core rates; the active probabilities cap at 1.
-        self._base_rates = [
-            offered_load_packets_per_cycle * w / total for w in self._weights
-        ]
-        self._scale = 1.0
-        self._probabilities = [min(1.0, rate) for rate in self._base_rates]
-        self._any_active = any(p > 0.0 for p in self._probabilities)
         self.offered_load = offered_load_packets_per_cycle
+        self._scale = 1.0
+        self.rebind(pattern)
         # Stats.
         self.packets_offered = 0
         self.packets_accepted = 0
@@ -85,6 +71,36 @@ class TrafficGenerator:
         packets_per_cycle = offered_gbps * 1e9 / bw_set.packet_bits / clock_hz
         return cls(pattern, packets_per_cycle, rng, submit)
 
+    def rebind(self, pattern: TrafficPattern) -> None:
+        """Inject from *pattern* from the next :meth:`tick` on.
+
+        *pattern* is a newly bound pattern, or the current one after an
+        in-place change (a moved hotspot, a shifted app mix): either
+        way the per-core weights are sampled afresh and the
+        probabilities recomputed at the current scale. Counters and the
+        RNG stream are untouched, so a scenario's phases share one
+        generator and one set of run totals.
+        """
+        bw_set = pattern.bw_set
+        if bw_set is None:
+            raise ValueError("pattern must be bound before building a generator")
+        weights = pattern.source_weights()
+        total = sum(weights)
+        if total <= 0:
+            raise ValueError("pattern weights must sum to a positive value")
+        self.pattern = pattern
+        self.bw_set: BandwidthSet = bw_set
+        # Uncapped per-core rates; the active probabilities cap at 1.
+        self._base_rates = [self.offered_load * w / total for w in weights]
+        self._apply_scale()
+
+    def _apply_scale(self) -> None:
+        scale = self._scale
+        self._probabilities = [
+            min(1.0, rate * scale) for rate in self._base_rates
+        ]
+        self._any_active = any(p > 0.0 for p in self._probabilities)
+
     def set_scale(self, scale: float) -> None:
         """Rescale the offered load without rebuilding the generator.
 
@@ -98,10 +114,7 @@ class TrafficGenerator:
         if scale == self._scale:
             return
         self._scale = scale
-        self._probabilities = [
-            min(1.0, rate * scale) for rate in self._base_rates
-        ]
-        self._any_active = any(p > 0.0 for p in self._probabilities)
+        self._apply_scale()
 
     @property
     def scale(self) -> float:

@@ -281,8 +281,8 @@ class RealApplicationTraffic(TrafficPattern):
         scripted phase means the same thing whether or not its pattern
         was rebound. Source weights and reply routing pick the new
         intensities up immediately; callers holding a
-        :class:`~repro.traffic.generator.TrafficGenerator` must rebuild
-        it (weights are sampled at construction).
+        :class:`~repro.traffic.generator.TrafficGenerator` must
+        ``rebind`` it (weights are sampled at bind time).
         """
         self._require_bound()
         for app, factor in mix.items():

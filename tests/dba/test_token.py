@@ -104,13 +104,6 @@ class TestWavelengthToken:
         assert len(token.held_by(3)) == 2
         assert token.held_by(4) == []
 
-    def test_for_pool_excludes_reserved(self):
-        reserved = {0: [WavelengthId(0, 0)], 1: [WavelengthId(0, 1)]}
-        token = WavelengthToken.for_pool(1, reserved)
-        assert token.size_bits == 62
-        with pytest.raises(KeyError):
-            token.is_free(WavelengthId(0, 0))
-
     def test_duplicate_pool_rejected(self):
         with pytest.raises(ValueError):
             WavelengthToken([WavelengthId(0, 0), WavelengthId(0, 0)])

@@ -10,16 +10,16 @@ grid sweeps give, at a fraction of the simulation budget.
 import pytest
 
 from repro.api import ExperimentSpec, Session
+from repro.arch.config import SystemConfig
 from repro.experiments.costing import adaptive_probe_count
+from repro.experiments.knee import (
+    adaptive_knee_sweep,
+    analytic_knee_gbps,
+    knee_search,
+)
 from repro.experiments.runner import Fidelity, QUICK_FIDELITY
 from repro.experiments.store import ResultStore
-from repro.experiments.sweep import (
-    SweepExecutor,
-    SweepSpec,
-    adaptive_knee_sweep,
-    knee_search,
-    analytic_knee_gbps,
-)
+from repro.experiments.sweep import SweepExecutor, SweepSpec
 from repro.traffic.bandwidth_sets import BW_SET_1
 
 TINY = Fidelity("tiny", 700, 100, (0.3, 0.8))
@@ -38,10 +38,9 @@ def _grid_knee(results, margin=0.10):
     return results[-1].offered_gbps / BW_SET_1.aggregate_gbps
 
 
-def _adaptive(executor=None, arch="dhetpnoc", **kwargs):
+def _adaptive(executor, arch="dhetpnoc", **kwargs):
     return adaptive_knee_sweep(
-        arch, 1, "skewed3", TINY,
-        executor=executor, seed=1,
+        arch, 1, "skewed3", TINY, executor, seed=1,
         resolution=RESOLUTION, max_fraction=MAX_FRACTION,
         **kwargs,
     )
@@ -58,6 +57,21 @@ class TestAnalyticSeed:
         ff = analytic_knee_gbps("firefly", 1, "uniform")
         dh = analytic_knee_gbps("dhetpnoc", 1, "uniform")
         assert dh == pytest.approx(ff, rel=0.01)
+
+    def test_search_is_seeded_from_the_sessions_config(self):
+        """The fluid model must see the config the points simulate
+        under: two reserved wavelengths per cluster move d-HetPNoC's
+        skewed1 knee from 396 to 742 Gb/s, and the estimate (what the
+        ``saturation_knees`` exhibit and the CLI's "analytic knee"
+        column print) has to report the latter."""
+        config = SystemConfig(bw_set=BW_SET_1, reserved_wavelengths_per_cluster=2)
+        default = analytic_knee_gbps("dhetpnoc", 1, "skewed1")
+        reserved = analytic_knee_gbps("dhetpnoc", 1, "skewed1", config=config)
+        assert default == pytest.approx(396.1, abs=0.1)
+        assert reserved == pytest.approx(742.0, abs=0.1)
+        with Session(config=config) as session:
+            est = session.knee("dhetpnoc", 1, "skewed1", TINY, resolution=0.25)
+        assert est.analytic_knee_gbps == reserved
 
 
 class TestAdaptiveVsGrid:
@@ -151,8 +165,7 @@ class TestEstimateShape:
 
     def test_probes_never_exceed_max_fraction(self):
         est = adaptive_knee_sweep(
-            "dhetpnoc", 1, "skewed3", TINY,
-            executor=SweepExecutor(), seed=1,
+            "dhetpnoc", 1, "skewed3", TINY, SweepExecutor(), seed=1,
             resolution=0.1, max_fraction=0.55,
         )
         cap = 0.55 * BW_SET_1.aggregate_gbps
@@ -167,7 +180,8 @@ class TestEstimateShape:
             _adaptive(SweepExecutor(), plateau_margin=0.0)
         with pytest.raises(ValueError):
             adaptive_knee_sweep(
-                "dhetpnoc", 1, "skewed3", TINY, resolution=0.0
+                "dhetpnoc", 1, "skewed3", TINY, SweepExecutor(),
+                resolution=0.0,
             )
 
 
@@ -201,8 +215,7 @@ class TestQuickFidelityGoldenAcceptance:
     def test_fewer_simulations_than_equivalent_grid(self):
         est = adaptive_knee_sweep(
             "dhetpnoc", 1, "skewed3", QUICK_FIDELITY,
-            executor=SweepExecutor(store=ResultStore()),
-            seed=1, resolution=0.05,
+            SweepExecutor(store=ResultStore()), seed=1, resolution=0.05,
         )
         equivalent_grid = round(
             max(QUICK_FIDELITY.load_fractions) / 0.05

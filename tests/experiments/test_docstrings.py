@@ -2,7 +2,8 @@
 
 The documentation satellite of the sweeps PR promises that every public
 class and function of :mod:`repro.experiments.store`,
-:mod:`repro.experiments.sweep`, the :mod:`repro.scenarios` package and
+:mod:`repro.experiments.sweep` (and the knee / replication policy
+modules split out of it), the :mod:`repro.scenarios` package and
 the :mod:`repro.api` package carries a docstring. This test keeps that
 promise machine-checked (the CI doctest lane additionally executes the
 runnable examples).
@@ -17,6 +18,8 @@ import repro.api.registry
 import repro.api.session
 import repro.api.spec
 import repro.experiments.costing
+import repro.experiments.knee
+import repro.experiments.replication
 import repro.experiments.store
 import repro.experiments.sweep
 import repro.scenarios.compose
@@ -32,6 +35,8 @@ import repro.service.jobs
 
 MODULES = [
     repro.experiments.costing,
+    repro.experiments.knee,
+    repro.experiments.replication,
     repro.experiments.store,
     repro.experiments.sweep,
     repro.service.client,

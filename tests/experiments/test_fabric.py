@@ -292,22 +292,40 @@ class TestConformance:
                     proc.wait()
 
     def test_session_over_fabric(self):
+        """Every curve-shaped ``Session`` call is bitwise-equal whether
+        its misses run serially, on a pool or over the fabric."""
         from repro.api import ExperimentSpec, Session
+        from repro.traffic.bandwidth_sets import BW_SET_1
 
         spec = ExperimentSpec(
-            archs=("firefly",), bw_sets=(1,), patterns=("uniform",),
-            seeds=(1,), fidelity=TINY,
+            archs=("firefly", "dhetpnoc"), bw_sets=(1,),
+            patterns=("uniform",), seeds=(1, 2), fidelity=TINY,
         )
-        expected = Session(None).run(spec)
-        with Coordinator() as coordinator:
-            workers, _ = inthread_workers(coordinator.address, 2)
-            host, port = coordinator.address
-            with Session(None, fabric=f"{host}:{port}") as session:
-                assert session.workers == 1
-                assert session.run(spec) == expected
-                assert session.executed_count == spec.n_points()
-            for worker in workers:
-                worker.stop()
+        calls = {
+            "run": lambda s: (s.run(spec), s.executed_count),
+            "curve": lambda s: s.curve(
+                "dhetpnoc", BW_SET_1, "skewed3", TINY, seed=3
+            ),
+            "peaks": lambda s: s.peaks(spec),
+            "knee": lambda s: s.knee(
+                "dhetpnoc", 1, "skewed3", TINY, resolution=0.25
+            ),
+            "replicated": lambda s: s.replicated(spec),
+        }
+        for name, ask in calls.items():
+            # Fresh stores everywhere, so simulation counts agree too.
+            expected = ask(Session())
+            with Session(workers=2) as pooled:
+                assert pooled.fabric is None
+                assert ask(pooled) == expected, name
+            with Coordinator() as coordinator:
+                workers, _ = inthread_workers(coordinator.address, 2)
+                host, port = coordinator.address
+                with Session(fabric=f"{host}:{port}") as session:
+                    assert session.fabric == f"{host}:{port}"
+                    assert ask(session) == expected, name
+                for worker in workers:
+                    worker.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +461,12 @@ class TestFaultTolerance:
 # ---------------------------------------------------------------------------
 
 class TestRemoteBackend:
-    def test_registry_and_cli_choices(self):
+    def test_registry_and_cli_choices(self, monkeypatch):
         from repro.experiments.store import backend_names, store_backends
 
+        # The dead dial below is about the exit after the last refused
+        # attempt, not the ~3 s of backoff between attempts.
+        monkeypatch.setattr("repro.fabric.server.time.sleep", lambda _s: None)
         assert "remote" in store_backends.names()
         assert "remote" in backend_names()
         with pytest.raises(ValueError, match="coordinator address"):

@@ -41,9 +41,7 @@ def session():
 
 def golden_peak(session, arch, fidelity):
     """Saturation peak of (arch, BW set 1, skewed3, seed 1 verbatim)."""
-    return peak_of(
-        session.executor.sweep_curve(arch, BW_SET_1, "skewed3", fidelity, seed=1)
-    )
+    return peak_of(session.curve(arch, BW_SET_1, "skewed3", fidelity, seed=1))
 
 #: Tolerance for incidental drift (float reassociation, refactors that
 #: preserve physics). Real behaviour changes land far outside this.

@@ -49,16 +49,10 @@ class TestRunOnce:
         # bw_set is also addressable by registry index.
         assert run_one("dhetpnoc", 1, "skewed2", 300.0, fidelity=TINY, seed=9) == a
 
-    def test_delivered_fraction(self):
-        result = run_one("firefly", BW_SET_1, "uniform", 200.0, fidelity=TINY, seed=5)
-        assert result.delivered_fraction == pytest.approx(
-            result.delivered_gbps / 200.0
-        )
-
 
 class TestSweep:
     def test_sweep_covers_grid(self):
-        results = Session().executor.sweep_curve(
+        results = Session().curve(
             "firefly", BW_SET_1, "uniform", TINY, seed=5
         )
         assert len(results) == len(TINY.load_fractions)
@@ -66,7 +60,7 @@ class TestSweep:
         assert offered == sorted(offered)
 
     def test_peak_of_picks_max(self):
-        results = Session().executor.sweep_curve(
+        results = Session().curve(
             "firefly", BW_SET_1, "skewed3", TINY, seed=5
         )
         peak = peak_of(results)
@@ -77,7 +71,7 @@ class TestSweep:
             peak_of([])
 
     def test_peak_cache_hits(self):
-        sweep = Session().executor.sweep_curve
+        sweep = Session().curve
         first = peak_of(sweep("firefly", BW_SET_1, "uniform", TINY, seed=5))
         second = peak_of(sweep("firefly", BW_SET_1, "uniform", TINY, seed=5))
         assert first is second
@@ -87,7 +81,7 @@ class TestSweep:
         only, so two fidelities sharing a name but differing in cycles
         silently returned each other's results. The content-hash store
         must keep them apart."""
-        sweep = Session().executor.sweep_curve
+        sweep = Session().curve
         short = Fidelity("clash", 700, 100, (0.3, 0.8))
         longer = Fidelity("clash", 1400, 100, (0.3, 0.8))
         a = peak_of(sweep("firefly", BW_SET_1, "uniform", short, seed=5))
@@ -103,7 +97,7 @@ class TestSweep:
         drive the offered-load grid."""
         import dataclasses
 
-        sweep = Session().executor.sweep_curve
+        sweep = Session().curve
         custom = dataclasses.replace(BW_SET_1, total_wavelengths=128)
         results = sweep("firefly", custom, "uniform", TINY, seed=5)
         assert [r.offered_gbps for r in results] == pytest.approx(
@@ -124,7 +118,7 @@ class TestSweep:
         from repro.traffic.bandwidth_sets import BW_SET_2
 
         config = SystemConfig(n_vcs=8)  # default bw_set is BW_SET_1
-        swept = Session(config=config).executor.sweep_curve(
+        swept = Session(config=config).curve(
             "firefly", BW_SET_2, "uniform", TINY, seed=5
         )
         direct = [
@@ -136,11 +130,11 @@ class TestSweep:
         assert all(r.bw_set_index == 2 for r in swept)
 
     def test_parallel_sweep_matches_serial(self):
-        serial = Session().executor.sweep_curve(
+        serial = Session().curve(
             "firefly", BW_SET_1, "uniform", TINY, seed=5
         )
         with Session(workers=4) as session:  # own store: re-simulates
-            parallel = session.executor.sweep_curve(
+            parallel = session.curve(
                 "firefly", BW_SET_1, "uniform", TINY, seed=5
             )
             assert session.executed_count == len(TINY.load_fractions)

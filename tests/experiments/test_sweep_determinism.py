@@ -11,14 +11,10 @@ to keep.
 import pytest
 
 import repro.experiments.sweep as sweep_mod
+from repro.api import ExperimentSpec, Session
 from repro.experiments.runner import Fidelity, QUICK_FIDELITY
 from repro.experiments.store import ResultStore
-from repro.experiments.sweep import (
-    SweepExecutor,
-    SweepSpec,
-    derive_seed,
-    replication_summary,
-)
+from repro.experiments.sweep import SweepExecutor, SweepSpec, derive_seed
 from repro.traffic.bandwidth_sets import BW_SET_1
 
 TINY = Fidelity("tiny", 700, 100, (0.3, 0.8))
@@ -117,9 +113,7 @@ class TestSerialParallelIdentity:
             seeds=(9,), fidelity=TINY, derive_seeds=False,
         )
         parallel = SweepExecutor(workers=4).run(spec)
-        curve = SweepExecutor().sweep_curve(
-            "dhetpnoc", BW_SET_1, "skewed2", TINY, seed=9
-        )
+        curve = Session().curve("dhetpnoc", BW_SET_1, "skewed2", TINY, seed=9)
         assert parallel == curve
 
     def test_result_order_follows_spec_order(self):
@@ -186,12 +180,13 @@ class TestResumeExecutesNothing:
 
 class TestReplication:
     def test_summary_shape_and_determinism(self):
-        spec = SweepSpec(
-            archs=("firefly",), bw_set_indices=(1,), patterns=("uniform",),
+        spec = ExperimentSpec(
+            archs=("firefly",), bw_sets=(1,), patterns=("uniform",),
             seeds=(1, 2, 3), fidelity=TINY,
         )
-        a = replication_summary(spec, SweepExecutor(workers=2))
-        b = replication_summary(spec, SweepExecutor(workers=1))
+        with Session(workers=2) as pooled:
+            a = pooled.replicated(spec)
+        b = Session().replicated(spec)
         assert a == b
         (row,) = a
         assert row.seeds == (1, 2, 3)
@@ -200,10 +195,10 @@ class TestReplication:
         assert row.delivered_gbps.spread >= 0
 
     def test_distinct_seeds_give_distinct_scenarios(self):
-        spec = SweepSpec(
-            archs=("dhetpnoc",), bw_set_indices=(1,), patterns=("skewed3",),
+        spec = ExperimentSpec(
+            archs=("dhetpnoc",), bw_sets=(1,), patterns=("skewed3",),
             seeds=(1, 2), fidelity=TINY,
         )
-        peaks = SweepExecutor().peaks(spec)
+        peaks = Session().peaks(spec)
         (a, b) = peaks.values()
         assert a != b  # replicated scenarios actually vary

@@ -12,13 +12,10 @@ import pytest
 pytest.importorskip("numpy")
 
 from repro.experiments.costing import estimate_adaptive_sims
+from repro.experiments.knee import adaptive_knee_sweep
 from repro.experiments.runner import Fidelity
 from repro.experiments.store import ResultStore
-from repro.experiments.sweep import (
-    SweepExecutor,
-    SweepSpec,
-    adaptive_knee_sweep,
-)
+from repro.experiments.sweep import SweepExecutor, SweepSpec
 from repro.ml.dataset import export_dataset
 from repro.ml.model import fit_model, predictors
 
@@ -45,7 +42,7 @@ def trained():
 def _search(model=None):
     return adaptive_knee_sweep(
         "dhetpnoc", 1, "skewed3", TINY,
-        executor=SweepExecutor(store=ResultStore()), seed=1,
+        SweepExecutor(store=ResultStore()), seed=1,
         resolution=RESOLUTION, max_fraction=1.0, model=model,
     )
 

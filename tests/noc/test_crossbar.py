@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.noc.crossbar import Crossbar, CrossbarConflict, max_matching
+from repro.noc.crossbar import Crossbar, CrossbarConflict
 
 
 class TestCrossbar:
@@ -71,21 +71,3 @@ class TestCrossbar:
     def test_invalid_dimensions(self):
         with pytest.raises(ValueError):
             Crossbar(0, 4)
-
-
-class TestMaxMatching:
-    def test_simple(self):
-        matching = max_matching({0: [0], 1: [1]}, n_outputs=2)
-        assert sorted(matching) == [(0, 0), (1, 1)]
-
-    def test_conflict_resolved_greedily(self):
-        matching = max_matching({0: [0], 1: [0, 1]}, n_outputs=2)
-        assert (0, 0) in matching
-        assert (1, 1) in matching
-
-    def test_no_double_output(self):
-        matching = max_matching({0: [0], 1: [0]}, n_outputs=1)
-        assert len(matching) == 1
-
-    def test_empty(self):
-        assert max_matching({}, n_outputs=4) == []

@@ -6,7 +6,6 @@ from repro.noc.routing import (
     DimensionOrderRouting,
     RoutingError,
     TableRouting,
-    make_routing,
 )
 from repro.noc.topology import all_to_all, mesh, octagon, torus
 
@@ -105,15 +104,3 @@ class TestDimensionOrderRouting:
                 sx, sy = topo.coords[src]
                 dx, dy = topo.coords[dst]
                 assert hops == abs(sx - dx) + abs(sy - dy)
-
-
-class TestFactory:
-    def test_table(self):
-        assert isinstance(make_routing(mesh(3, 3), "table"), TableRouting)
-
-    def test_xy(self):
-        assert isinstance(make_routing(mesh(3, 3), "xy"), DimensionOrderRouting)
-
-    def test_unknown(self):
-        with pytest.raises(ValueError):
-            make_routing(mesh(3, 3), "magic")

@@ -12,7 +12,6 @@ from repro.noc.topology import (
     mesh,
     octagon,
     ring,
-    topologies,
     torus,
 )
 
@@ -176,8 +175,3 @@ class TestTopologyApi:
                     nbr for nbr in graph.neighbors(node)
                     if dist[nbr][dst] == dist[node][dst] - 1
                 )
-
-    def test_registry_contains_thesis_zoo(self):
-        for name in ("mesh", "torus", "folded_torus", "octagon",
-                     "butterfly_fat_tree", "all_to_all"):
-            assert name in topologies

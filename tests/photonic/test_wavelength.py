@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from repro.photonic.wavelength import (
     LAMBDA_PER_WAVEGUIDE,
-    WDMSpectrum,
     WavelengthId,
     bits_per_cycle,
     decode_identifiers,
@@ -88,28 +87,6 @@ class TestIdentifierEncoding:
     def test_out_of_range_waveguide_rejected(self):
         with pytest.raises(ValueError):
             encode_identifiers([WavelengthId(2, 0)], n_waveguides=2)
-
-
-class TestWDMSpectrum:
-    def test_64_channels_in_fsr(self):
-        spectrum = WDMSpectrum()
-        assert spectrum.capacity == 64
-        # ~108 GHz spacing from the 6.92 THz FSR of [13].
-        assert spectrum.spacing_ghz == pytest.approx(108.125)
-
-    def test_wavelengths_near_1550(self):
-        spectrum = WDMSpectrum()
-        for ch in (0, 31, 63):
-            assert 1500 < spectrum.wavelength_nm(ch) < 1600
-
-    def test_frequencies_ascend(self):
-        spectrum = WDMSpectrum()
-        freqs = [spectrum.frequency_thz(i) for i in range(64)]
-        assert freqs == sorted(freqs)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            WDMSpectrum().wavelength_nm(64)
 
 
 class TestBandwidthMath:

@@ -129,7 +129,7 @@ class TestClosedLoopTriggers:
         closed = play(overload_schedule([SHED]))
         open_loop = play(overload_schedule([]))
         assert closed.rule_events
-        assert closed.packets_offered < open_loop.packets_offered
+        assert closed.generator.packets_offered < open_loop.generator.packets_offered
 
     def test_advance_phase_jumps_early(self):
         """A rule can end a phase ahead of its scripted boundary; the
@@ -206,7 +206,7 @@ class TestClosedLoopTriggers:
         assert [
             s.delivered_gbps for s in with_rule.phase_stats()
         ] == [s.delivered_gbps for s in without.phase_stats()]
-        assert with_rule.packets_offered == without.packets_offered
+        assert with_rule.generator.packets_offered == without.generator.packets_offered
 
     def test_serial_parallel_bitwise_identity(self):
         from repro.experiments.sweep import SweepExecutor, SweepSpec

@@ -128,13 +128,6 @@ class TestEventScheduling:
         with pytest.raises(SimulationError):
             sim.schedule(-1, lambda: None)
 
-    def test_pending_events_counts(self, sim):
-        sim.schedule(10, lambda: None)
-        sim.schedule(20, lambda: None)
-        assert sim.pending_events() == 2
-        sim.run(11)
-        assert sim.pending_events() == 1
-
 
 class TestWarmupReset:
     def test_run_with_reset_calls_reset_stats(self, sim):
@@ -159,15 +152,3 @@ class TestWarmupReset:
 
         sim.register(Nested(sim))
         sim.run(1)
-
-
-class TestTimeConversion:
-    def test_cycles_to_seconds_at_2_5ghz(self):
-        sim = Simulator(clock_hz=2.5e9)
-        assert sim.cycles_to_seconds(2.5e9) == pytest.approx(1.0)
-        # One cycle is 400 ps (the thesis's timing arithmetic).
-        assert sim.cycles_to_seconds(1) == pytest.approx(400e-12)
-
-    def test_seconds_to_cycles_roundtrip(self):
-        sim = Simulator(clock_hz=2.5e9)
-        assert sim.seconds_to_cycles(sim.cycles_to_seconds(123)) == pytest.approx(123)

@@ -257,6 +257,61 @@ def test_exhibits_and_claims_take_a_session_not_an_executor():
     assert not offenders
 
 
+def test_session_is_the_one_door_to_the_executors():
+    # Signature depth is not enough: an exhibit that takes a Session and
+    # then reaches through `session.executor`, or builds the executors'
+    # own SweepSpec, has found a second way in. Only the door itself
+    # (api/session.py), the spec that lowers to a grid (api/spec.py)
+    # and the executors may do either.
+    import ast
+
+    inside = {
+        "src/repro/api/session.py",
+        "src/repro/api/spec.py",
+        "src/repro/experiments/sweep.py",
+    }
+    offenders = []
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        name = str(path.relative_to(REPO_ROOT))
+        if name in inside:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "executor":
+                offenders.append(f"{name}:{node.lineno}: .executor")
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = getattr(func, "id", None) or getattr(func, "attr", None)
+                if called == "SweepSpec":
+                    offenders.append(f"{name}:{node.lineno}: SweepSpec(")
+    assert not offenders
+    # Nor do the scripts and pages a user copies from.
+    for directory in ("tools", "examples", "docs"):
+        for path in sorted((REPO_ROOT / directory).rglob("*")):
+            if path.suffix in (".py", ".md"):
+                assert ".executor" not in path.read_text(encoding="utf-8"), path
+
+
+def test_sweep_module_is_the_executors_and_nothing_else():
+    import ast
+
+    path = REPO_ROOT / "src" / "repro" / "experiments" / "sweep.py"
+    names = [
+        node.name
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+    assert names == [
+        "derive_seed", "RunPoint", "SweepSpec", "_execute_point",
+        "PointExecutor", "SweepExecutor", "FabricExecutor",
+    ]
+    # The policy modules are handed an executor; none conjures its own.
+    assert _count_in_src("or SweepExecutor()") == {}
+    # One prefetch serves the exhibits and the claims.
+    assert _count_in_src("def _prefetch") == {
+        "src/repro/experiments/figures.py": 1
+    }
+
+
 def test_one_job_record_one_admission_path():
     # A fabric client batch is the degenerate service job: one record
     # class, on one work table, under one condition, admitted by one
@@ -340,7 +395,7 @@ def test_one_place_wires_a_simulation():
     # One replay loop, one knee-search policy, no flag-reading enum.
     assert _count_in_src("def replayer") == {}
     assert _count_in_src("def is_head") == _count_in_src("def is_tail") == {}
-    assert _count_in_src("cand //= 2") == {"src/repro/experiments/sweep.py": 1}
+    assert _count_in_src("cand //= 2") == {"src/repro/experiments/knee.py": 1}
     # A transport is chosen from the address, not from a keyword.
     for needle in ("transport=", "transport: str"):
         assert _count_in_src(needle) == {}, needle

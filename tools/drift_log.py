@@ -52,7 +52,6 @@ def collect(fidelity, seed: int = GOLDEN_SEED, workers: int = 1) -> list:
     both the fixed-grid peak and the knee estimate.
     """
     from repro.api import ExperimentSpec, Session
-    from repro.experiments.sweep import adaptive_knee_sweep
 
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat(
         timespec="seconds"
@@ -69,9 +68,8 @@ def collect(fidelity, seed: int = GOLDEN_SEED, workers: int = 1) -> list:
     peaks = session.peaks(spec)
     for arch in ("firefly", "dhetpnoc"):
         peak = peaks[(arch, BW_SET_1.index, GOLDEN_PATTERN, None, seed)]
-        knee = adaptive_knee_sweep(
-            arch, BW_SET_1.index, GOLDEN_PATTERN, fidelity,
-            executor=session.executor, seed=seed,
+        knee = session.knee(
+            arch, BW_SET_1.index, GOLDEN_PATTERN, fidelity, seed,
             resolution=0.1,
         )
         records.append({

@@ -20,9 +20,23 @@ architecture table — can build on it without import cycles.
 
 from __future__ import annotations
 
+import json
 from typing import Any, Callable, Dict, Hashable, Iterator, Optional, Tuple
 
-__all__ = ["Registry", "RegistryError", "lazy_exports"]
+__all__ = ["Registry", "RegistryError", "canonical_json", "lazy_exports"]
+
+
+def canonical_json(obj) -> str:
+    """The one form behind every content hash: sorted keys, no
+    whitespace, repr-exact floats. Store keys and record lines,
+    config and scenario fingerprints, job IDs and dataset digests all
+    hash (or write) this string, so equal values are equal bytes on
+    every machine.
+
+    >>> canonical_json({"b": 0.1, "a": [1, None]})
+    '{"a":[1,null],"b":0.1}'
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def lazy_exports(module_name: str, module_globals: dict, exports: dict):

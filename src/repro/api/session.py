@@ -225,7 +225,7 @@ class Session:
         same report to say how much work they are about to scatter.
         """
         if spec.mode == "grid":
-            points = spec.to_sweep_spec().expand()
+            points = spec.expand()
             _keys, missing = self.executor.plan(points, spec.fidelity)
             misses = Counter(point.curve for _index, point in missing)
             curves = tuple(
@@ -264,7 +264,7 @@ class Session:
                 f"Session.run() executes grid specs; this spec has "
                 f"mode={spec.mode!r} (use Session.adaptive())"
             )
-        return self.executor.run(spec.to_sweep_spec())
+        return self.executor.run(spec)
 
     def peaks(
         self, spec: ExperimentSpec
@@ -277,7 +277,7 @@ class Session:
                     e.peak
                 for e in self.adaptive(spec)
             }
-        points = spec.to_sweep_spec().expand()
+        points = spec.expand()
         curves: Dict[
             Tuple[str, int, str, Optional[str], int], List[RunResult]
         ] = {}
@@ -313,7 +313,7 @@ class Session:
             seeds=(seed,),
             fidelity=fidelity,
             derive_seeds=False,
-        ).to_sweep_spec().expand()
+        ).expand()
         if (
             not isinstance(bw_set, int)
             and bw_set != self.executor.config_for(points[0]).bw_set

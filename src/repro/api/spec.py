@@ -5,9 +5,13 @@ architectures x bandwidth sets x traffic patterns x scenarios x seeds x
 fidelity, plus the execution mode (dense load grid or adaptive knee
 search) — and round-trips through plain JSON, so the same experiment can
 be expressed as Python, stored in a file, shipped to a remote runner, or
-passed to ``dhetpnoc-repro run --spec spec.json``. Axis names are
-validated against the plugin registries at construction time, so a typo
-fails when the spec is built, not half-way through a sweep.
+passed to ``dhetpnoc-repro run --spec spec.json``. The spec *is* the
+grid: :meth:`ExperimentSpec.expand` flattens it to the
+:class:`~repro.experiments.sweep.RunPoint`\\ s the executors run, in
+the axis order :meth:`ExperimentSpec.curves` writes once. Axis names
+are validated against the plugin registries — and axes checked
+non-empty and duplicate-free — at construction time, so a typo fails
+when the spec is built, not half-way through a sweep.
 
 >>> spec = ExperimentSpec(archs=("firefly",), bw_sets=(1,))
 >>> ExperimentSpec.from_dict(spec.to_dict()) == spec
@@ -20,11 +24,11 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.arch.registry import architectures
 from repro.experiments.runner import Fidelity, QUICK_FIDELITY, fidelities
-from repro.experiments.sweep import SweepSpec
+from repro.experiments.sweep import RunPoint, curve_points
 from repro.scenarios.library import scenarios as scenario_registry
 from repro.traffic.bandwidth_sets import bandwidth_sets
 from repro.traffic.patterns import patterns
@@ -142,32 +146,42 @@ class ExperimentSpec:
         for scenario in self.scenarios:
             if scenario is not None:
                 scenario_registry.get(scenario)
-        # ... and let SweepSpec enforce the structural constraints
-        # (non-empty axes, no duplicate values).
-        self.to_sweep_spec()
+        # ... and the structure of the grid: no empty axis, and no
+        # repeated value (it would double-count the same simulation).
+        axes = ("archs", "bw_sets", "patterns", "scenarios", "seeds")
+        if not all(getattr(self, axis) for axis in axes):
+            raise ValueError("every sweep axis needs at least one value")
+        if self.load_fractions is not None and not self.load_fractions:
+            raise ValueError("load_fractions override must be non-empty")
+        for axis in axes + ("load_fractions",):
+            values = getattr(self, axis) or ()
+            if len(set(values)) != len(values):
+                raise ValueError(
+                    f"duplicate values in {axis}: {values} (a repeated axis "
+                    "value would double-count the same simulation)"
+                )
 
-    # -- execution glue -----------------------------------------------------
-    def to_sweep_spec(self) -> SweepSpec:
-        """The equivalent :class:`~repro.experiments.sweep.SweepSpec`.
+    # -- the grid -----------------------------------------------------------
+    def to_sweep_spec(self) -> "ExperimentSpec":
+        """The spec itself; only the perf ledger still calls it."""
+        return self
 
-        The mapping is exact, so a spec executed through
-        :class:`~repro.api.session.Session` visits byte-identical
-        points (and store keys) to the historic flag-built sweeps.
-        """
-        return SweepSpec(
-            archs=self.archs,
-            bw_set_indices=self.bw_sets,
-            patterns=self.patterns,
-            seeds=self.seeds,
-            fidelity=self.fidelity,
-            load_fractions=self.load_fractions,
-            derive_seeds=self.derive_seeds,
-            scenarios=self.scenarios,
-        )
+    @property
+    def fractions(self) -> Tuple[float, ...]:
+        """The load grid: the override, else the fidelity's."""
+        return self.load_fractions or self.fidelity.load_fractions
+
+    def expand(self) -> List[RunPoint]:
+        """Flatten the grid to points, in deterministic axis order."""
+        fractions = self.fractions
+        points: List[RunPoint] = []
+        for curve in self.curves():
+            points.extend(curve_points(curve, fractions, self.derive_seeds))
+        return points
 
     def n_points(self) -> int:
         """Size of the expanded grid (product of the axis lengths)."""
-        return self.to_sweep_spec().n_points()
+        return len(self.curves()) * len(self.fractions)
 
     def curves(self) -> Tuple[Tuple[str, int, str, Optional[str], int], ...]:
         """Curve coordinates in axis order: ``(arch, bw_set, pattern,
@@ -191,8 +205,8 @@ class ExperimentSpec:
         fabric's scatter report) quote per curve.
         """
         if self.mode == "grid":
-            return len(self.load_fractions or self.fidelity.load_fractions)
-        max_fraction = max(self.load_fractions or self.fidelity.load_fractions)
+            return len(self.fractions)
+        max_fraction = max(self.fractions)
         span = max(2.0, max_fraction / self.resolution)
         return 2 + math.ceil(math.log2(span))
 

@@ -1,8 +1,8 @@
 """The architecture registry: name -> NoC builder.
 
 Replaces the historic ``runner.ARCHITECTURES`` tuple and the if/else
-dispatch in ``runner.build_arch``/``sweep._execute_point``. Each entry
-is a builder::
+dispatch the runner and the sweep's worker entry each carried. Each
+entry is a builder::
 
     builder(sim: Simulator, config: SystemConfig,
             pattern: TrafficPattern) -> NoCArchitecture

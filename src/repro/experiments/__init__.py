@@ -5,9 +5,11 @@
   assembled), fidelities and peak-bandwidth extraction (thesis 3.4.1.1
   methodology).
 * :mod:`repro.experiments.sweep` -- the executors, and nothing else:
-  the point grid (:class:`SweepSpec` -> :class:`RunPoint`) and the
-  store-aware :class:`SweepExecutor` / ``FabricExecutor`` that turn
-  points into results. The mechanism level.
+  the :class:`RunPoint` an :class:`~repro.api.spec.ExperimentSpec`
+  expands to, the store-aware :class:`SweepExecutor` /
+  ``FabricExecutor`` that turn points into results, and
+  ``execute_item``, the one entry every lane simulates a store miss
+  through. The mechanism level.
 * :mod:`repro.experiments.knee` / :mod:`repro.experiments.replication`
   -- the policy level above it: the adaptive knee search and the
   mean +/- spread fold over seeds. Code outside this package reaches
@@ -35,12 +37,7 @@ from repro.experiments.runner import (
 from repro.experiments.report import ascii_table
 from repro.experiments.replication import replication_summary
 from repro.experiments.store import ResultStore, result_key
-from repro.experiments.sweep import (
-    RunPoint,
-    SweepExecutor,
-    SweepSpec,
-    derive_seed,
-)
+from repro.experiments.sweep import RunPoint, SweepExecutor, derive_seed
 
 __all__ = [
     "Fidelity",
@@ -50,7 +47,6 @@ __all__ = [
     "RunPoint",
     "RunResult",
     "SweepExecutor",
-    "SweepSpec",
     "ascii_table",
     "derive_seed",
     "peak_of",

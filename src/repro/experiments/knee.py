@@ -24,7 +24,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.arch.config import SystemConfig
 from repro.experiments.runner import Fidelity, RunResult
-from repro.experiments.sweep import PointExecutor, RunPoint, derive_seed
+from repro.experiments.sweep import PointExecutor, RunPoint, curve_points
 from repro.traffic.bandwidth_sets import bandwidth_set_by_index
 
 
@@ -186,7 +186,7 @@ def adaptive_knee_sweep(
             counts as "saturated": a point is at/past the knee when its
             delivered bandwidth reaches
             ``(1 - plateau_margin) * delivered(max_fraction)``.
-        derive_seeds: Derive the per-curve seed as ``SweepSpec`` does
+        derive_seeds: Derive the per-curve seed as grid expansion does
             instead of using ``seed`` verbatim.
         model: Optional fitted :class:`repro.ml.model.QoSModel`. When
             given, its :meth:`~repro.ml.model.QoSModel.predict_knee`
@@ -221,11 +221,6 @@ def adaptive_knee_sweep(
     # Floor (with an epsilon for float division) so no probe exceeds
     # the caller's load cap; at least one grid point always exists.
     n = max(1, int(max_fraction / resolution + 1e-9))
-    point_seed = (
-        derive_seed(seed, arch, bw_set_index, pattern, scenario)
-        if derive_seeds
-        else seed
-    )
 
     evaluated: Dict[int, RunResult] = {}
     simulated = 0
@@ -233,20 +228,18 @@ def adaptive_knee_sweep(
     def fraction(i: int) -> float:
         return round(i * resolution, 9)
 
+    def point(i: int) -> RunPoint:
+        (probe,) = curve_points(
+            (arch, bw_set_index, pattern, scenario, seed),
+            (fraction(i),),
+            derive_seeds,
+        )
+        return probe
+
     def evaluate(i: int) -> RunResult:
         nonlocal simulated
         if i not in evaluated:
-            point = RunPoint(
-                arch=arch,
-                bw_set_index=bw_set_index,
-                pattern=pattern,
-                load_fraction=fraction(i),
-                offered_gbps=fraction(i) * capacity,
-                seed=point_seed,
-                base_seed=seed,
-                scenario=scenario,
-            )
-            (evaluated[i],) = executor.run_points([point], fidelity)
+            (evaluated[i],) = executor.run_points([point(i)], fidelity)
             simulated += executor.executed_count
         return evaluated[i]
 
@@ -261,7 +254,7 @@ def adaptive_knee_sweep(
         return evaluate(i).delivered_gbps >= threshold
 
     analytic = analytic_knee_gbps(
-        arch, bw_set_index, pattern, seed=point_seed, config=executor.config
+        arch, bw_set_index, pattern, seed=point(n).seed, config=executor.config
     )
     model_knee = None
     if model is not None:

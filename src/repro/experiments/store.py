@@ -44,7 +44,7 @@ import os
 import threading
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.api.base import Registry
+from repro.api.base import Registry, canonical_json
 from repro.arch.config import SystemConfig
 from repro.experiments.runner import Fidelity, RunResult
 from repro.scenarios.schedule import PhaseStats
@@ -58,15 +58,10 @@ SCHEMA_VERSION = 1
 ShardCoords = Tuple[str, int]
 
 
-def _canonical(obj) -> str:
-    """Deterministic JSON used for hashing (sorted keys, no whitespace)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def config_fingerprint(config: SystemConfig) -> str:
     """Stable digest of every field of a :class:`SystemConfig`."""
     return hashlib.sha256(
-        _canonical(dataclasses.asdict(config)).encode()
+        canonical_json(dataclasses.asdict(config)).encode()
     ).hexdigest()[:16]
 
 
@@ -130,7 +125,7 @@ def result_key(
                 scenario, fidelity.total_cycles
             ).fingerprint()
         identity["scenario"] = {"name": scenario, "fp": scenario_digest}
-    return hashlib.sha256(_canonical(identity).encode()).hexdigest()
+    return hashlib.sha256(canonical_json(identity).encode()).hexdigest()
 
 
 def result_to_dict(result: RunResult) -> dict:
@@ -160,7 +155,7 @@ def result_from_dict(data: dict) -> RunResult:
 
 
 def _record_line(key: str, result: RunResult) -> str:
-    return _canonical({"key": key, "result": result_to_dict(result)})
+    return canonical_json({"key": key, "result": result_to_dict(result)})
 
 
 def _open_for_read(path: str):
@@ -309,7 +304,7 @@ def shard_filename(arch: str, bw_set_index: int) -> str:
 
 def _header_line(coords: ShardCoords) -> str:
     arch, bw = coords
-    return _canonical(
+    return canonical_json(
         {"shard": {"arch": arch, "bw_set": int(bw)}, "v": SCHEMA_VERSION}
     )
 

@@ -4,16 +4,21 @@ The thesis's headline exhibits are all offered-load sweeps over an
 (architecture x bandwidth set x traffic pattern x scenario x seed x
 load) grid. The sweep layer has two levels with one door between them:
 
-* **Mechanism — this module.** :class:`SweepSpec` describes the grid
-  and expands it to flat :class:`RunPoint`\\ s; a
-  :class:`PointExecutor` turns points into results — content-hash
-  keys, in-batch dedup, store consultation, ordered reassembly — and
-  its two subclasses differ only in how the miss set is simulated
-  (:class:`SweepExecutor`: a local ``multiprocessing`` pool;
-  :class:`FabricExecutor`: a fabric coordinator). An executor's public
-  surface is ``plan`` / ``work_item`` / ``run_points`` / ``run`` /
-  ``config_for`` / ``close``; it knows nothing of curves, peaks, knees
-  or replication.
+* **Mechanism — this module.** An
+  :class:`~repro.api.spec.ExperimentSpec` *is* the grid and expands
+  itself to flat :class:`RunPoint`\\ s (:func:`curve_points` builds
+  them); a :class:`PointExecutor` turns points into results —
+  content-hash keys, in-batch dedup, store consultation, ordered
+  reassembly — and its two subclasses differ only in where the miss
+  set is simulated (:class:`SweepExecutor`: in-process or a local
+  ``multiprocessing`` pool; :class:`FabricExecutor`: a fabric
+  coordinator). A miss has one form everywhere: the wire work item
+  :meth:`PointExecutor.work_item` encodes and :func:`execute_item`
+  decodes and simulates — the single entry of the in-process path, the
+  pool, the service daemon's lanes and remote fabric workers. An
+  executor's public surface is ``plan`` / ``work_item`` /
+  ``run_points`` / ``run`` / ``config_for`` / ``close``; it knows
+  nothing of curves, peaks, knees or replication.
 * **Policy — above it.** :mod:`repro.experiments.knee` (the adaptive
   knee search) and :mod:`repro.experiments.replication` (mean +/-
   spread across seeds) decide *which* points to ask for and how to
@@ -58,11 +63,14 @@ are excluded — see :mod:`repro.experiments.store`.
 
 Scenario axis
 -------------
-``SweepSpec.scenarios`` adds named workload scripts from
+``ExperimentSpec.scenarios`` adds named workload scripts from
 :mod:`repro.scenarios.library` as a grid axis (``None`` is the
-stationary legacy run). Points carry only the scenario *name*; worker
-processes rebuild the schedule from the library, keeping points
-trivially picklable while the key hashes the script's content.
+stationary legacy run). Points carry only the scenario *name*; the
+work item ships the built script beside it, and :func:`execute_item`
+verifies the local build against it — or registers it, where the name
+is unknown (a scenario registered after a pool forked, or only on the
+submitting client) — so every lane simulates the schedule the store
+key hashes.
 """
 
 from __future__ import annotations
@@ -73,19 +81,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.config import SystemConfig
-from repro.arch.registry import architectures
-from repro.experiments.runner import (
-    Fidelity,
-    QUICK_FIDELITY,
-    RunResult,
-    _run_once,
-)
+from repro.experiments.runner import Fidelity, RunResult, _run_once
 from repro.experiments.store import ResultStore, config_fingerprint, result_key
-from repro.traffic.bandwidth_sets import (
-    BANDWIDTH_SETS,
-    BandwidthSet,
-    bandwidth_set_by_index,
-)
+from repro.traffic.bandwidth_sets import BandwidthSet, bandwidth_set_by_index
 
 
 def derive_seed(
@@ -137,115 +135,39 @@ class RunPoint:
         )
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Declarative (arch x bw set x pattern x seed x load) grid."""
+def curve_points(
+    curve: Tuple[str, int, str, Optional[str], int],
+    fractions: Sequence[float],
+    derive_seeds: bool,
+) -> List[RunPoint]:
+    """The points of one load curve at *fractions* of its capacity.
 
-    archs: Tuple[str, ...] = tuple(architectures.names())
-    bw_set_indices: Tuple[int, ...] = tuple(s.index for s in BANDWIDTH_SETS)
-    patterns: Tuple[str, ...] = ("uniform",)
-    seeds: Tuple[int, ...] = (1,)
-    fidelity: Fidelity = QUICK_FIDELITY
-    #: Override the fidelity's load grid; ``None`` uses it unchanged.
-    load_fractions: Optional[Tuple[float, ...]] = None
-    derive_seeds: bool = True
-    #: Scenario axis: named scripts from :mod:`repro.scenarios.library`;
-    #: the ``None`` entry is the stationary legacy run.
-    scenarios: Tuple[Optional[str], ...] = (None,)
-
-    def __post_init__(self) -> None:
-        if not (self.archs and self.bw_set_indices and self.patterns and self.seeds):
-            raise ValueError("every sweep axis needs at least one value")
-        if not self.scenarios:
-            raise ValueError("every sweep axis needs at least one value")
-        if self.load_fractions is not None and not self.load_fractions:
-            raise ValueError("load_fractions override must be non-empty")
-        for axis, values in (
-            ("archs", self.archs),
-            ("bw_set_indices", self.bw_set_indices),
-            ("patterns", self.patterns),
-            ("seeds", self.seeds),
-            ("scenarios", self.scenarios),
-            ("load_fractions", self.load_fractions or ()),
-        ):
-            if len(set(values)) != len(values):
-                raise ValueError(
-                    f"duplicate values in {axis}: {values} (a repeated axis "
-                    "value would double-count the same simulation)"
-                )
-
-    @property
-    def fractions(self) -> Tuple[float, ...]:
-        return self.load_fractions or self.fidelity.load_fractions
-
-    def expand(self) -> List[RunPoint]:
-        """Flatten the grid to points, in deterministic axis order."""
-        points = []
-        for arch in self.archs:
-            for bw_index in self.bw_set_indices:
-                capacity = bandwidth_set_by_index(bw_index).aggregate_gbps
-                for pattern in self.patterns:
-                    for scenario in self.scenarios:
-                        for base_seed in self.seeds:
-                            seed = (
-                                derive_seed(
-                                    base_seed, arch, bw_index, pattern, scenario
-                                )
-                                if self.derive_seeds
-                                else base_seed
-                            )
-                            for fraction in self.fractions:
-                                points.append(
-                                    RunPoint(
-                                        arch=arch,
-                                        bw_set_index=bw_index,
-                                        pattern=pattern,
-                                        load_fraction=fraction,
-                                        offered_gbps=fraction * capacity,
-                                        seed=seed,
-                                        base_seed=base_seed,
-                                        scenario=scenario,
-                                    )
-                                )
-        return points
-
-    def n_points(self) -> int:
-        """Size of the expanded grid (product of the axis lengths)."""
-        return (
-            len(self.archs)
-            * len(self.bw_set_indices)
-            * len(self.patterns)
-            * len(self.scenarios)
-            * len(self.seeds)
-            * len(self.fractions)
-        )
-
-
-def _execute_point(payload: Tuple[RunPoint, Fidelity, Optional[SystemConfig]]) -> RunResult:
-    """Worker entry: simulate one point (top-level for pickling).
-
-    The simulated bandwidth set is, in order of precedence: the point's
-    pinned ``bw_set``, the explicit config's set, the canonical set for
-    the point's index — ``_run_once``'s ``bw_set`` argument and
-    ``config`` are independent.
+    *curve* is ``(arch, bw_set_index, pattern, scenario, base_seed)``
+    (the shape of :attr:`RunPoint.curve`). The one place a curve's seed
+    is derived and a load fraction becomes an offered load — grid
+    expansion and the knee search's probes both come through here, so
+    a probe that lands on a grid fraction is the grid's point.
     """
-    point, fidelity, config = payload
-    if point.bw_set is not None:
-        bw_set = point.bw_set
-    elif config is not None:
-        bw_set = config.bw_set
-    else:
-        bw_set = bandwidth_set_by_index(point.bw_set_index)
-    return _run_once(
-        point.arch,
-        bw_set,
-        point.pattern,
-        offered_gbps=point.offered_gbps,
-        fidelity=fidelity,
-        seed=point.seed,
-        config=config,
-        scenario=point.scenario,
+    arch, bw_index, pattern, scenario, base_seed = curve
+    capacity = bandwidth_set_by_index(bw_index).aggregate_gbps
+    seed = (
+        derive_seed(base_seed, arch, bw_index, pattern, scenario)
+        if derive_seeds
+        else base_seed
     )
+    return [
+        RunPoint(
+            arch=arch,
+            bw_set_index=bw_index,
+            pattern=pattern,
+            load_fraction=fraction,
+            offered_gbps=fraction * capacity,
+            seed=seed,
+            base_seed=base_seed,
+            scenario=scenario,
+        )
+        for fraction in fractions
+    ]
 
 
 class PointExecutor:
@@ -387,7 +309,9 @@ class PointExecutor:
         return keys, missing
 
     def work_item(self, point: RunPoint, key: str, fidelity: Fidelity) -> dict:
-        """The wire-form work item a fabric worker simulates *point* from."""
+        """The work item *point* is simulated from: the one form a
+        store miss takes on its way to :func:`execute_item`, in this
+        process, in a pool child or on a fabric worker."""
         from repro.fabric import protocol  # imports this module
 
         config, digest = self._config_entry(point)
@@ -438,9 +362,88 @@ class PointExecutor:
         """
         raise NotImplementedError
 
-    def run(self, spec: SweepSpec) -> List[RunResult]:
-        """Expand and execute a whole :class:`SweepSpec`."""
+    def run(self, spec) -> List[RunResult]:
+        """Expand and execute a whole grid
+        :class:`~repro.api.spec.ExperimentSpec`."""
         return self.run_points(spec.expand(), spec.fidelity)
+
+
+def ensure_scenario(
+    name: str, script: Optional[dict], total_cycles: int
+) -> None:
+    """Make the shipped scenario buildable — and *identical* — here.
+
+    Names this process knows must rebuild to the fingerprint the
+    submitter hashed into the store key; unknown names (registered on
+    the submitter only: after this pool child forked, or on a fabric
+    client) are registered from the shipped schedule.
+    """
+    from repro.fabric.errors import FabricError
+    from repro.scenarios.library import (
+        build_scenario,
+        register_schedule,
+        scenarios,
+    )
+    from repro.scenarios.schedule import ScenarioSchedule
+
+    shipped = (
+        ScenarioSchedule.from_dict(script) if script is not None else None
+    )
+    if name in scenarios.names():
+        if shipped is not None:
+            local = build_scenario(name, total_cycles)
+            if local.fingerprint() != shipped.fingerprint():
+                raise FabricError(
+                    f"scenario {name!r} differs between client and "
+                    f"worker (fingerprint mismatch); refusing to "
+                    f"simulate a schedule the store key does not hash"
+                )
+        return
+    if shipped is None:
+        raise FabricError(
+            f"scenario {name!r} is unknown to this worker and the "
+            f"work item shipped no script for it"
+        )
+    register_schedule(shipped)
+
+
+def execute_item(item: dict) -> RunResult:
+    """Simulate one work item (see :meth:`PointExecutor.work_item`).
+
+    The single execution entry of every lane — :class:`SweepExecutor`
+    in-process and in its pool, the service daemon's local lanes, a
+    remote fabric worker (top-level, so a process pool can pickle it):
+    decode the payload, make the scenario identical to the submitter's,
+    simulate. The simulated bandwidth set is, in order of precedence:
+    the point's pinned ``bw_set``, the shipped config's set, the
+    canonical set for the point's index — ``_run_once``'s ``bw_set``
+    argument and ``config`` are independent.
+    """
+    from repro.fabric import protocol  # imports this module
+
+    point = protocol.point_from_dict(item["point"])
+    fidelity = protocol.fidelity_from_dict(item["fidelity"])
+    config = protocol.config_from_dict(item.get("config"))
+    if point.scenario is not None:
+        ensure_scenario(
+            point.scenario, item.get("script"), fidelity.total_cycles
+        )
+    if point.bw_set is not None:
+        bw_set = point.bw_set
+    elif config is not None:
+        bw_set = config.bw_set
+    else:
+        bw_set = bandwidth_set_by_index(point.bw_set_index)
+    return _run_once(
+        point.arch,
+        bw_set,
+        point.pattern,
+        offered_gbps=point.offered_gbps,
+        fidelity=fidelity,
+        seed=point.seed,
+        config=config,
+        scenario=point.scenario,
+    )
 
 
 class SweepExecutor(PointExecutor):
@@ -496,15 +499,13 @@ class SweepExecutor(PointExecutor):
         keys: List[str],
         fidelity: Fidelity,
     ) -> Dict[int, RunResult]:
-        payloads = [
-            (p, fidelity, self.config_for(p)) for _i, p in missing
-        ]
+        items = [self.work_item(p, keys[i], fidelity) for i, p in missing]
         if self.workers > 1 and len(missing) > 1:
             outcomes = self._ensure_pool().map(
-                _execute_point, payloads, chunksize=1
+                execute_item, items, chunksize=1
             )
         else:
-            outcomes = [_execute_point(p) for p in payloads]
+            outcomes = [execute_item(item) for item in items]
         self.executed_count = len(missing)
         return {i: result for (i, _p), result in zip(missing, outcomes)}
 
@@ -580,7 +581,7 @@ class FabricExecutor(PointExecutor):
         # One submitted job per effective config: a batch can span
         # bandwidth sets, whose default configs differ, and the wire
         # format ships one config per job so workers reproduce
-        # _execute_point's inputs exactly.
+        # execute_item's inputs exactly.
         groups: Dict[str, List[dict]] = {}
         for i, p in missing:
             _config, digest = self._config_entry(p)

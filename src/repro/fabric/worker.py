@@ -2,17 +2,18 @@
 
 A :class:`Worker` opens one connection to the coordinator, registers
 with capability info (hostname, pid, core count, interpreter), then
-loops: request a lease, simulate each leased point through the exact
-same entry the multiprocessing pool uses
-(:func:`repro.experiments.sweep._execute_point`), and stream one
+loops: request a lease, simulate each leased work item through the one
+entry every lane uses — the in-process path, the multiprocessing pool
+and the service daemon's lanes included
+(:func:`repro.experiments.sweep.execute_item`) — and stream one
 ``result`` frame back per point. A background thread heartbeats every
 ``heartbeat_s`` (the coordinator's welcome frame sets the cadence) so
 a worker that is deep in a long simulation is still visibly alive.
 
-Scenario points ship the built schedule's JSON alongside the name.
-Builtin scenario names are rebuilt locally and *verified* against the
-shipped fingerprint; names unknown to this worker (file-loaded or
-combinator scenarios registered only on the client) are registered
+Scenario points ship the built schedule's JSON alongside the name;
+``execute_item`` rebuilds names this worker knows and *verifies* them
+against the shipped fingerprint, and registers names it does not
+(file-loaded or combinator scenarios registered only on the client)
 from the shipped schedule. Either way the worker simulates exactly the
 schedule the client fingerprinted into the store key — a mismatch is a
 loud per-point failure, never a silently different simulation.
@@ -35,19 +36,13 @@ import threading
 from typing import Optional
 
 from repro.experiments.store import result_to_dict
-from repro.experiments.sweep import _execute_point
+from repro.experiments.sweep import execute_item
 from repro.fabric.errors import FabricError
-from repro.fabric.protocol import (
-    config_from_dict,
-    fidelity_from_dict,
-    point_from_dict,
-    recv_message,
-    send_message,
-)
+from repro.fabric.protocol import recv_message, send_message
 from repro.fabric.server import dial
 from repro.fabric.transport import Address
 
-__all__ = ["Worker", "default_capabilities", "execute_item"]
+__all__ = ["Worker", "default_capabilities"]
 
 log = logging.getLogger("repro.fabric")
 
@@ -207,59 +202,3 @@ class Worker:
                 "result": result_to_dict(result),
             })
             self._completed += 1
-
-    @staticmethod
-    def _ensure_scenario(
-        name: str, script: Optional[dict], total_cycles: int
-    ) -> None:
-        """Make the shipped scenario buildable — and *identical* — here.
-
-        Builtin names must rebuild to the same fingerprint the client
-        hashed into the store key; unknown names (client-side file or
-        combinator scenarios) are registered from the shipped schedule.
-        """
-        from repro.scenarios.library import (
-            build_scenario,
-            register_schedule,
-            scenarios,
-        )
-        from repro.scenarios.schedule import ScenarioSchedule
-
-        shipped = (
-            ScenarioSchedule.from_dict(script) if script is not None else None
-        )
-        if name in scenarios.names():
-            if shipped is not None:
-                local = build_scenario(name, total_cycles)
-                if local.fingerprint() != shipped.fingerprint():
-                    raise FabricError(
-                        f"scenario {name!r} differs between client and "
-                        f"worker (fingerprint mismatch); refusing to "
-                        f"simulate a schedule the store key does not hash"
-                    )
-            return
-        if shipped is None:
-            raise FabricError(
-                f"scenario {name!r} is unknown to this worker and the "
-                f"work item shipped no script for it"
-            )
-        register_schedule(shipped)
-
-
-def execute_item(item: dict):
-    """Simulate one wire-form work item; returns its ``RunResult``.
-
-    The single execution entry behind every leased point — a remote
-    :class:`Worker` and the experiment service's local lanes both call
-    it (top-level, so a process pool can too): decode the payload,
-    make the scenario identical to the submitter's, then run
-    :func:`~repro.experiments.sweep._execute_point`.
-    """
-    point = point_from_dict(item["point"])
-    fidelity = fidelity_from_dict(item["fidelity"])
-    config = config_from_dict(item.get("config"))
-    if point.scenario is not None:
-        Worker._ensure_scenario(
-            point.scenario, item.get("script"), fidelity.total_cycles
-        )
-    return _execute_point((point, fidelity, config))

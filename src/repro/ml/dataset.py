@@ -20,6 +20,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from repro.api.base import canonical_json
 from repro.experiments.store import ResultStore
 from repro.scenarios.coverage import DIMENSIONS
 
@@ -125,10 +126,9 @@ class Dataset:
     def digest(self) -> str:
         """16-hex content identity of the table (embedded in fitted
         models for provenance)."""
-        canonical = json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        return hashlib.sha256(
+            canonical_json(self.to_dict()).encode()
+        ).hexdigest()[:16]
 
     def column(self, name: str) -> List[object]:
         """One column of the table, in row order."""

@@ -110,9 +110,10 @@ def register_schedule(
     never silently shadow — or silently lose to — a same-named script
     with different content.
 
-    Note for parallel sweeps: register before the worker pool spins up
-    (the pool inherits the registry on fork) — exactly what the CLI's
-    ``scenarios`` commands do.
+    Registration order does not matter to parallel sweeps: a scenario
+    point's work item ships the built script, and
+    ``sweep.execute_item`` registers it wherever the name is unknown —
+    a pool child forked before this call, a remote fabric worker.
     """
     if not override and schedule.name in scenarios:
         probe_cycles = schedule.phases[-1].start_cycle + 1

@@ -28,13 +28,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.api.base import canonical_json
+
 
 class ScenarioError(ValueError):
     """Raised for invalid scenario scripts."""
-
-
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------
@@ -694,4 +692,6 @@ class ScenarioSchedule:
 
     def fingerprint(self) -> str:
         """Stable content digest of the full script (store-key input)."""
-        return hashlib.sha256(_canonical(self.to_dict()).encode()).hexdigest()[:16]
+        return hashlib.sha256(
+            canonical_json(self.to_dict()).encode()
+        ).hexdigest()[:16]

@@ -11,7 +11,7 @@ with backoff — here in the ``jobs`` role, speaking ``job_*`` frames: submit an
 :meth:`run_spec` is the drop-in analogue of
 :meth:`Session.run <repro.api.session.Session.run>`: same spec in,
 grid-ordered :class:`RunResult` list out, bitwise-identical to a local
-run (the daemon executes through the same ``_execute_point`` entry and
+run (the daemon executes through the same ``sweep.execute_item`` entry and
 the stream carries the same protocol dicts the store persists).
 """
 

@@ -17,7 +17,7 @@ What keeps concurrent execution honest:
   from the same :class:`~repro.experiments.sweep.PointExecutor`
   planning a local :meth:`Session.run <repro.api.session.Session.run>`
   starts with, and every miss is simulated through
-  :func:`~repro.fabric.worker.execute_item` — by one of the daemon's
+  :func:`~repro.experiments.sweep.execute_item` — by one of the daemon's
   ``workers`` local lanes or by a remote ``fabric worker`` attached to
   the daemon's own port — so streamed results are bitwise-equal to a
   local run and land under identical store keys.
@@ -55,12 +55,11 @@ from repro.api.session import StoreLike, _resolve_store
 from repro.api.spec import ExperimentSpec
 from repro.arch.config import SystemConfig
 from repro.experiments.store import result_to_dict
-from repro.experiments.sweep import PointExecutor
+from repro.experiments.sweep import PointExecutor, execute_item
 from repro.fabric.coordinator import Coordinator
 from repro.fabric.errors import ProtocolError
 from repro.fabric.protocol import send_message
 from repro.fabric.transport import Connection
-from repro.fabric.worker import execute_item
 from repro.service.errors import ServiceError
 from repro.service.jobs import JobQueue, JobRecord
 
@@ -182,7 +181,7 @@ class ExperimentService(Coordinator):
         then wait while the work table resolves it."""
         failure = ""
         try:
-            points = record.spec.to_sweep_spec().expand()
+            points = record.spec.expand()
             fidelity = record.spec.fidelity
             keys, unique = self._planner.plan(points, fidelity)
             self._admit(

@@ -32,10 +32,10 @@ lifecycle and the work table it waits on change under one lock.
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 from typing import Dict, List, Optional, Tuple
 
+from repro.api.base import canonical_json
 from repro.api.spec import ExperimentSpec
 from repro.fabric.coordinator import TERMINAL, JobRecord
 from repro.service.errors import ServiceError
@@ -58,10 +58,10 @@ class JobRejected(ServiceError):
 def job_id_for_spec(spec: ExperimentSpec) -> str:
     """Deterministic job ID: a content hash of the spec's JSON form.
 
-    Uses the same canonicalisation discipline as the store's
-    ``result_key`` (sorted keys, compact separators, repr-exact
-    floats), so equal specs map to equal IDs on every machine and
-    duplicate submissions dedup exactly like store keys.
+    Hashes the same canonical form as the store's ``result_key``
+    (:func:`repro.api.base.canonical_json`), so equal specs map to
+    equal IDs on every machine and duplicate submissions dedup exactly
+    like store keys.
 
     >>> spec = ExperimentSpec(archs=("firefly",), bw_sets=(1,))
     >>> job_id_for_spec(spec) == job_id_for_spec(
@@ -70,9 +70,7 @@ def job_id_for_spec(spec: ExperimentSpec) -> str:
     >>> job_id_for_spec(spec).startswith("job-")
     True
     """
-    canonical = json.dumps(
-        spec.to_dict(), sort_keys=True, separators=(",", ":")
-    )
+    canonical = canonical_json(spec.to_dict())
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     return f"job-{digest[:12]}"
 

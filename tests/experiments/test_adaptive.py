@@ -19,7 +19,7 @@ from repro.experiments.knee import (
 )
 from repro.experiments.runner import Fidelity, QUICK_FIDELITY
 from repro.experiments.store import ResultStore
-from repro.experiments.sweep import SweepExecutor, SweepSpec
+from repro.experiments.sweep import SweepExecutor
 from repro.traffic.bandwidth_sets import BW_SET_1
 
 TINY = Fidelity("tiny", 700, 100, (0.3, 0.8))
@@ -78,8 +78,8 @@ class TestAdaptiveVsGrid:
     def test_knee_matches_grid_within_one_step_with_fewer_sims(self):
         # Dense fixed grid: every multiple of RESOLUTION up to 1.0.
         grid_exec = SweepExecutor(store=ResultStore())
-        spec = SweepSpec(
-            archs=("dhetpnoc",), bw_set_indices=(1,), patterns=("skewed3",),
+        spec = ExperimentSpec(
+            archs=("dhetpnoc",), bw_sets=(1,), patterns=("skewed3",),
             seeds=(1,), fidelity=TINY, load_fractions=GRID,
             derive_seeds=False,
         )
@@ -101,8 +101,8 @@ class TestAdaptiveVsGrid:
         adaptive probe lands on a grid fraction, so resume is free."""
         store = ResultStore()
         SweepExecutor(store=store).run(
-            SweepSpec(
-                archs=("dhetpnoc",), bw_set_indices=(1,),
+            ExperimentSpec(
+                archs=("dhetpnoc",), bw_sets=(1,),
                 patterns=("skewed3",), seeds=(1,), fidelity=TINY,
                 load_fractions=GRID, derive_seeds=False,
             )
@@ -112,8 +112,8 @@ class TestAdaptiveVsGrid:
 
     def test_peak_within_one_step_of_grid_peak(self):
         grid_exec = SweepExecutor(store=ResultStore())
-        spec = SweepSpec(
-            archs=("dhetpnoc",), bw_set_indices=(1,), patterns=("skewed3",),
+        spec = ExperimentSpec(
+            archs=("dhetpnoc",), bw_sets=(1,), patterns=("skewed3",),
             seeds=(1,), fidelity=TINY, load_fractions=GRID,
             derive_seeds=False,
         )

@@ -100,12 +100,13 @@ class TestExperimentSpec:
             tiny_spec(patterns=())  # empty axis
 
     def test_to_sweep_spec_matches_axes(self):
+        # The spec is the grid: the method is what the ledger calls.
         spec = tiny_spec(patterns=("uniform", "skewed3"))
-        sweep = spec.to_sweep_spec()
-        assert sweep.archs == spec.archs
-        assert sweep.bw_set_indices == spec.bw_sets
-        assert sweep.patterns == spec.patterns
-        assert spec.n_points() == sweep.n_points()
+        assert spec.to_sweep_spec() is spec
+        points = spec.expand()
+        assert spec.n_points() == len(points)
+        per_curve = len(spec.fractions)
+        assert [p.curve for p in points[::per_curve]] == list(spec.curves())
 
 
 class TestSessionVsLegacyShims:

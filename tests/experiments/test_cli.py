@@ -12,18 +12,6 @@ from repro.experiments.cli import build_parser, main
 
 
 class TestParser:
-    def test_list_command(self):
-        args = build_parser().parse_args(["list"])
-        assert args.command == "list"
-
-    def test_run_command(self):
-        args = build_parser().parse_args(["run", "table-3-1"])
-        assert args.exhibit == "table-3-1"
-
-    def test_unknown_exhibit_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "figure-9-9"])
-
     def test_fidelity_parse(self):
         args = build_parser().parse_args(["run", "table-3-1", "--fidelity", "paper"])
         assert args.fidelity.name == "paper"
@@ -31,53 +19,6 @@ class TestParser:
     def test_bad_fidelity_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "table-3-1", "--fidelity", "warp"])
-
-    def test_sweep_command_defaults(self):
-        args = build_parser().parse_args(["sweep"])
-        assert args.command == "sweep"
-        assert args.arch == ["firefly", "dhetpnoc"]
-        assert args.seeds == [1]
-        assert args.workers == 1
-        assert args.store is None
-
-    def test_sweep_command_full(self):
-        args = build_parser().parse_args(
-            ["sweep", "--arch", "firefly", "--pattern", "uniform", "skewed3",
-             "--bw-set", "1", "--seeds", "1", "2", "3", "--workers", "4",
-             "--store", "out.jsonl", "--fixed-seeds"]
-        )
-        assert args.pattern == ["uniform", "skewed3"]
-        assert args.seeds == [1, 2, 3]
-        assert args.workers == 4
-        assert args.store == "out.jsonl"
-        assert args.fixed_seeds
-
-    def test_scenarios_subcommands_parse(self):
-        parser = build_parser()
-        assert parser.parse_args(["scenarios", "list"]).scenario_command == "list"
-        args = parser.parse_args(["scenarios", "describe", "steady"])
-        assert args.name == "steady"
-        args = parser.parse_args(
-            ["scenarios", "run", "hotspot_drift", "--arch", "firefly",
-             "dhetpnoc", "--load-fraction", "0.5"]
-        )
-        assert args.name == "hotspot_drift"
-        assert args.load_fraction == 0.5
-        args = parser.parse_args(
-            ["scenarios", "sweep", "--scenario", "steady", "fault_storm",
-             "--workers", "2"]
-        )
-        assert args.scenario == ["steady", "fault_storm"]
-
-    def test_validate_accepts_seed_replicates(self):
-        args = build_parser().parse_args(["validate", "--seeds", "1", "2", "3"])
-        assert args.seeds == [1, 2, 3]
-
-    def test_workers_accepted_on_run_and_all(self):
-        assert build_parser().parse_args(
-            ["run", "figure-3-3", "--workers", "2"]
-        ).workers == 2
-        assert build_parser().parse_args(["all", "--workers", "2"]).workers == 2
 
 
 class TestMain:
@@ -90,37 +31,6 @@ class TestMain:
         assert main(["run", "figure-1-1"]) == 0
         out = capsys.readouterr().out
         assert "MUM" in out
-
-    def test_scenarios_list_and_describe(self, capsys):
-        assert main(["scenarios", "list"]) == 0
-        out = capsys.readouterr().out
-        for name in ("steady", "hotspot_drift", "fault_storm"):
-            assert name in out
-
-        assert main(["scenarios", "describe", "hotspot_drift"]) == 0
-        out = capsys.readouterr().out
-        assert "fingerprint" in out
-        assert "skewed_hotspot1" in out
-
-        assert main(["scenarios", "describe", "nope"]) == 2
-        assert main(["scenarios", "run", "nope"]) == 2
-
-    def test_scenarios_reject_invalid_pattern(self, capsys):
-        """Bad --pattern exits 2 with a message, like the sweep command,
-        instead of a raw PatternError traceback."""
-        assert main(["scenarios", "run", "steady", "--pattern", "bogus"]) == 2
-        assert "invalid pattern 'bogus'" in capsys.readouterr().err
-        assert main(["scenarios", "sweep", "--scenario", "steady",
-                     "--pattern", "bogus"]) == 2
-        assert "invalid pattern 'bogus'" in capsys.readouterr().err
-
-    def test_scenarios_run_prints_phase_table(self, capsys):
-        assert main(["scenarios", "run", "load_spike",
-                     "--pattern", "skewed3"]) == 0
-        out = capsys.readouterr().out
-        assert "load_spike on dhetpnoc" in out
-        assert "phase" in out and "Gb/s" in out
-        assert "overall:" in out
 
     def test_scenarios_load_validates_and_prints_script(self, capsys,
                                                         tmp_path):
@@ -167,13 +77,6 @@ class TestMain:
             assert "overall:" in out
         finally:
             scenarios.unregister("test-cli-run-workload")
-
-    def test_run_closed_loop_exhibit(self, capsys):
-        assert main(["run", "closed-loop-shedding"]) == 0
-        out = capsys.readouterr().out
-        assert "Closed-loop shedding" in out
-        assert "rules fired" in out
-        assert "controller: shed" in out
 
     def test_scenarios_sweep_reports_per_scenario_rows(self, capsys, tmp_path):
         store = str(tmp_path / "store.jsonl")
@@ -239,32 +142,3 @@ class TestDryRun:
             session.run(wider)
             assert session.executed_count == report.to_simulate
             assert session.dry_run(wider).to_simulate == 0
-
-
-class TestFabricCli:
-    """Parser coverage of the fabric surface (behaviour lives in
-    test_fabric.py; the end-to-end CLI path in the CI smoke lane)."""
-
-    def test_fabric_serve_defaults(self):
-        args = build_parser().parse_args(["fabric", "serve"])
-        assert args.fabric_command == "serve"
-        assert args.host == "0.0.0.0"
-        assert args.port == 7023
-        assert args.lease_size == 2
-        assert args.max_attempts == 3
-
-    def test_fabric_worker_parses_connect(self):
-        args = build_parser().parse_args(
-            ["fabric", "worker", "--connect", "10.0.0.2:7023"]
-        )
-        assert args.fabric_command == "worker"
-        assert args.connect == "10.0.0.2:7023"
-        assert args.fail_after is None
-
-    def test_sweep_accepts_fabric_and_remote_backend(self):
-        args = build_parser().parse_args(
-            ["sweep", "--fabric", "127.0.0.1:7023",
-             "--store", "127.0.0.1:7023", "--store-backend", "remote"]
-        )
-        assert args.fabric == "127.0.0.1:7023"
-        assert args.store_backend == "remote"

@@ -20,13 +20,14 @@ import textwrap
 import repro
 from repro.experiments.runner import Fidelity
 from repro.experiments.store import ResultStore
-from repro.experiments.sweep import SweepExecutor, SweepSpec
+from repro.api.spec import ExperimentSpec
+from repro.experiments.sweep import SweepExecutor
 
 TINY = Fidelity("tiny", 700, 100, (0.5,))
 
-SPEC = SweepSpec(
+SPEC = ExperimentSpec(
     archs=("firefly",),
-    bw_set_indices=(1,),
+    bw_sets=(1,),
     patterns=("uniform",),
     seeds=(1,),
     fidelity=TINY,
@@ -105,12 +106,13 @@ class TestInterpreterShutdown:
     def test_dropped_executor_after_real_work_exits_clean(self):
         stderr = self._run(
             """
+            from repro.api.spec import ExperimentSpec
             from repro.experiments.runner import Fidelity
             from repro.experiments.store import ResultStore
-            from repro.experiments.sweep import SweepExecutor, SweepSpec
+            from repro.experiments.sweep import SweepExecutor
 
-            spec = SweepSpec(
-                archs=("firefly",), bw_set_indices=(1,),
+            spec = ExperimentSpec(
+                archs=("firefly",), bw_sets=(1,),
                 patterns=("uniform",), seeds=(1,),
                 fidelity=Fidelity("tiny", 700, 100, (0.5,)),
             )

@@ -31,7 +31,12 @@ from repro.experiments.store import (
     result_to_dict,
     shard_filename,
 )
-from repro.experiments.sweep import FabricExecutor, SweepExecutor, SweepSpec
+from repro.api.spec import ExperimentSpec
+from repro.experiments.sweep import (
+    FabricExecutor,
+    SweepExecutor,
+    ensure_scenario,
+)
 from repro.fabric.client import FabricClient
 from repro.fabric.coordinator import Coordinator
 from repro.fabric.errors import FabricError, PointFailedError, ProtocolError
@@ -53,9 +58,9 @@ from repro.fabric.worker import Worker
 
 TINY = Fidelity("tiny", 700, 100, (0.3, 0.8))
 
-SPEC = SweepSpec(
+SPEC = ExperimentSpec(
     archs=("firefly", "dhetpnoc"),
-    bw_set_indices=(1,),
+    bw_sets=(1,),
     patterns=("uniform",),
     seeds=(1,),
     fidelity=TINY,
@@ -294,14 +299,43 @@ class TestConformance:
     def test_session_over_fabric(self):
         """Every curve-shaped ``Session`` call is bitwise-equal whether
         its misses run serially, on a pool or over the fabric."""
-        from repro.api import ExperimentSpec, Session
+        import dataclasses
+
+        from repro.api import Session
+        from repro.scenarios.library import (
+            build_scenario,
+            register_schedule,
+            scenarios,
+        )
         from repro.traffic.bandwidth_sets import BW_SET_1
 
         spec = ExperimentSpec(
             archs=("firefly", "dhetpnoc"), bw_sets=(1,),
             patterns=("uniform",), seeds=(1, 2), fidelity=TINY,
         )
+
+        def late_scenario(s):
+            # One batch first — a ``workers=2`` session forks its pool
+            # on it — and only then does the scenario come to exist, so
+            # no forked child has it in its registry: it must travel in
+            # the work item, as it does to a fabric worker.
+            s.run(spec)
+            register_schedule(dataclasses.replace(
+                build_scenario("hotspot_drift", TINY.total_cycles),
+                name="late_spike",
+            ))
+            try:
+                late = ExperimentSpec(
+                    archs=("firefly", "dhetpnoc"), bw_sets=(1,),
+                    patterns=("uniform",), scenarios=("late_spike",),
+                    fidelity=TINY,
+                )
+                return s.run(late), s.executed_count
+            finally:
+                scenarios.unregister("late_spike")
+
         calls = {
+            "late_scenario": late_scenario,
             "run": lambda s: (s.run(spec), s.executed_count),
             "curve": lambda s: s.curve(
                 "dhetpnoc", BW_SET_1, "skewed3", TINY, seed=3
@@ -326,6 +360,7 @@ class TestConformance:
                     assert ask(session) == expected, name
                 for worker in workers:
                     worker.stop()
+        assert "late_spike" not in scenarios
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +409,8 @@ class TestFaultTolerance:
         assert coordinator.total_failed == 0
 
     def test_bounded_retries_surface_point_failures(self):
-        spec = SweepSpec(
-            archs=("firefly",), bw_set_indices=(1,), patterns=("uniform",),
+        spec = ExperimentSpec(
+            archs=("firefly",), bw_sets=(1,), patterns=("uniform",),
             seeds=(1,),
             fidelity=Fidelity("tiny1", 700, 100, (0.5,)),
         )
@@ -403,8 +438,8 @@ class TestFaultTolerance:
             assert coordinator.total_failed == 1
 
     def test_heartbeat_timeout_requeues_leases(self):
-        spec = SweepSpec(
-            archs=("firefly",), bw_set_indices=(1,), patterns=("uniform",),
+        spec = ExperimentSpec(
+            archs=("firefly",), bw_sets=(1,), patterns=("uniform",),
             seeds=(1,),
             fidelity=Fidelity("tiny1", 700, 100, (0.5,)),
         )
@@ -506,8 +541,8 @@ class TestRemoteBackend:
         ).backend.scan())
 
     def test_sweep_resume_over_remote_store(self):
-        spec = SweepSpec(
-            archs=("firefly",), bw_set_indices=(1,), patterns=("uniform",),
+        spec = ExperimentSpec(
+            archs=("firefly",), bw_sets=(1,), patterns=("uniform",),
             seeds=(1,), fidelity=TINY,
         )
         expected = SweepExecutor(store=ResultStore()).run(spec)
@@ -544,8 +579,8 @@ class TestScenarioShipping:
             name=name,
         )
         register_schedule(schedule)
-        spec = SweepSpec(
-            archs=("dhetpnoc",), bw_set_indices=(1,), patterns=("uniform",),
+        spec = ExperimentSpec(
+            archs=("dhetpnoc",), bw_sets=(1,), patterns=("uniform",),
             seeds=(1,), fidelity=TINY, scenarios=(name,),
         )
         expected = SweepExecutor(store=ResultStore()).run(spec)
@@ -565,19 +600,18 @@ class TestScenarioShipping:
                 proc.wait()
 
     def test_builtin_scenario_verified_not_overridden(self):
-        worker = Worker(("127.0.0.1", 1))
         # Shipping the *right* script for a builtin name verifies.
         from repro.scenarios.library import build_scenario
 
         script = build_scenario("steady", 700).to_dict()
-        worker._ensure_scenario("steady", script, 700)
+        ensure_scenario("steady", script, 700)
         # Shipping a *different* script under a builtin name refuses.
         other = build_scenario("hotspot_drift", 700).to_dict()
         with pytest.raises(FabricError, match="fingerprint mismatch"):
-            worker._ensure_scenario("steady", other, 700)
+            ensure_scenario("steady", other, 700)
         # An unknown name with no script is an error, not a silent skip.
         with pytest.raises(FabricError, match="unknown to this worker"):
-            worker._ensure_scenario("no_such_scenario_anywhere", None, 700)
+            ensure_scenario("no_such_scenario_anywhere", None, 700)
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +624,8 @@ class TestClient:
             workers, _ = inthread_workers(coordinator.address, 1)
             a = FabricExecutor(coordinator.address, store=ResultStore())
             b = FabricExecutor(coordinator.address, store=ResultStore())
-            spec = SweepSpec(
-                archs=("firefly",), bw_set_indices=(1,),
+            spec = ExperimentSpec(
+                archs=("firefly",), bw_sets=(1,),
                 patterns=("uniform",), seeds=(1,),
                 fidelity=Fidelity("tiny1", 700, 100, (0.5,)),
             )
@@ -622,8 +656,8 @@ class TestClient:
         with Coordinator(store=open_store(root, "sharded")) as coordinator:
             workers, _ = inthread_workers(coordinator.address, 1)
             executor = FabricExecutor(coordinator.address, store=ResultStore())
-            spec = SweepSpec(
-                archs=("firefly",), bw_set_indices=(1,),
+            spec = ExperimentSpec(
+                archs=("firefly",), bw_sets=(1,),
                 patterns=("uniform",), seeds=(1,),
                 fidelity=Fidelity("tiny1", 700, 100, (0.5,)),
             )

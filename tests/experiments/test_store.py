@@ -11,7 +11,8 @@ from repro.experiments.store import (
     result_to_dict,
 )
 from repro.arch.config import SystemConfig
-from repro.experiments.sweep import SweepExecutor, SweepSpec
+from repro.api.spec import ExperimentSpec
+from repro.experiments.sweep import SweepExecutor
 
 TINY = Fidelity("tiny", 700, 100, (0.3, 0.8))
 
@@ -139,9 +140,9 @@ class TestStorePersistence:
 
 
 class TestResumeAfterPartialSweep:
-    SPEC = SweepSpec(
+    SPEC = ExperimentSpec(
         archs=("firefly",),
-        bw_set_indices=(1,),
+        bw_sets=(1,),
         patterns=("uniform", "skewed2"),
         seeds=(1,),
         fidelity=TINY,

@@ -25,7 +25,8 @@ from repro.experiments.store import (
     open_store,
     shard_filename,
 )
-from repro.experiments.sweep import SweepExecutor, SweepSpec
+from repro.api.spec import ExperimentSpec
+from repro.experiments.sweep import SweepExecutor
 
 TINY = Fidelity("tiny", 700, 100, (0.3, 0.8))
 
@@ -141,9 +142,9 @@ class TestConformance:
         assert dict(store.backend.scan()) == {"ka": SAMPLE}
 
     def test_resume_after_partial_sweep(self, factory):
-        spec = SweepSpec(
+        spec = ExperimentSpec(
             archs=("firefly", "dhetpnoc"),
-            bw_set_indices=(1,),
+            bw_sets=(1,),
             patterns=("uniform",),
             seeds=(1,),
             fidelity=TINY,
@@ -305,9 +306,9 @@ class TestShardedLayout:
         """Acceptance criterion: resuming a sweep restricted to one
         (arch, bandwidth-set) pair opens only that pair's shard file."""
         root = str(tmp_path / "shards")
-        full_spec = SweepSpec(
+        full_spec = ExperimentSpec(
             archs=("firefly", "dhetpnoc"),
-            bw_set_indices=(1,),
+            bw_sets=(1,),
             patterns=("uniform",),
             seeds=(1,),
             fidelity=TINY,
@@ -324,9 +325,9 @@ class TestShardedLayout:
 
         monkeypatch.setattr(store_mod, "_open_for_read", spying_open)
 
-        restricted = SweepSpec(
+        restricted = ExperimentSpec(
             archs=("firefly",),
-            bw_set_indices=(1,),
+            bw_sets=(1,),
             patterns=("uniform",),
             seeds=(1,),
             fidelity=TINY,

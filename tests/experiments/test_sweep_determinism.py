@@ -1,7 +1,7 @@
 """Determinism guarantees of the sweep orchestrator.
 
 The orchestration layer must never change physics: the same
-:class:`SweepSpec` must produce bitwise-identical :class:`RunResult`
+:class:`ExperimentSpec` must produce bitwise-identical :class:`RunResult`
 lists whether points run serially, through a 2-worker pool, or through a
 4-worker pool, and whether they are computed fresh or replayed from a
 store. These tests are the contract every future parallelism change has
@@ -14,14 +14,14 @@ import repro.experiments.sweep as sweep_mod
 from repro.api import ExperimentSpec, Session
 from repro.experiments.runner import Fidelity, QUICK_FIDELITY
 from repro.experiments.store import ResultStore
-from repro.experiments.sweep import SweepExecutor, SweepSpec, derive_seed
+from repro.experiments.sweep import SweepExecutor, derive_seed
 from repro.traffic.bandwidth_sets import BW_SET_1
 
 TINY = Fidelity("tiny", 700, 100, (0.3, 0.8))
 
-SPEC = SweepSpec(
+SPEC = ExperimentSpec(
     archs=("firefly", "dhetpnoc"),
-    bw_set_indices=(1,),
+    bw_sets=(1,),
     patterns=("uniform", "skewed3"),
     seeds=(1,),
     fidelity=TINY,
@@ -55,8 +55,8 @@ class TestSeedDerivation:
         assert all(len(seeds) == 1 for seeds in by_curve.values())
 
     def test_fixed_mode_uses_base_seed_verbatim(self):
-        spec = SweepSpec(
-            archs=("firefly",), bw_set_indices=(1,), patterns=("uniform",),
+        spec = ExperimentSpec(
+            archs=("firefly",), bw_sets=(1,), patterns=("uniform",),
             seeds=(7,), fidelity=TINY, derive_seeds=False,
         )
         assert all(p.seed == 7 for p in spec.expand())
@@ -77,17 +77,17 @@ class TestSpecExpansion:
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError):
-            SweepSpec(archs=())
+            ExperimentSpec(archs=())
         with pytest.raises(ValueError):
-            SweepSpec(load_fractions=())
+            ExperimentSpec(load_fractions=())
 
     def test_duplicate_axis_values_rejected(self):
         """A repeated seed (or any axis value) would double-count one
         simulation as two replicates; refuse it loudly."""
         with pytest.raises(ValueError, match="duplicate"):
-            SweepSpec(seeds=(1, 1), fidelity=TINY)
+            ExperimentSpec(seeds=(1, 1), fidelity=TINY)
         with pytest.raises(ValueError, match="duplicate"):
-            SweepSpec(patterns=("uniform", "uniform"), fidelity=TINY)
+            ExperimentSpec(patterns=("uniform", "uniform"), fidelity=TINY)
 
     def test_duplicate_points_simulate_once(self):
         """Identical keys within one batch run a single simulation."""
@@ -108,8 +108,8 @@ class TestSerialParallelIdentity:
         assert serial == two == four
 
     def test_parallel_matches_legacy_serial_sweep(self):
-        spec = SweepSpec(
-            archs=("dhetpnoc",), bw_set_indices=(1,), patterns=("skewed2",),
+        spec = ExperimentSpec(
+            archs=("dhetpnoc",), bw_sets=(1,), patterns=("skewed2",),
             seeds=(9,), fidelity=TINY, derive_seeds=False,
         )
         parallel = SweepExecutor(workers=4).run(spec)
@@ -132,9 +132,9 @@ class TestQuickFidelityAcceptance:
     to the serial path, and re-running against the same store executes
     zero new simulations."""
 
-    SPEC = SweepSpec(
+    SPEC = ExperimentSpec(
         archs=("dhetpnoc",),
-        bw_set_indices=(1,),
+        bw_sets=(1,),
         patterns=("skewed1",),
         seeds=(1,),
         fidelity=QUICK_FIDELITY,

@@ -9,7 +9,8 @@ import pytest
 
 from repro.experiments.runner import Fidelity, RunResult
 from repro.experiments.store import ResultStore
-from repro.experiments.sweep import SweepExecutor, SweepSpec
+from repro.api.spec import ExperimentSpec
+from repro.experiments.sweep import SweepExecutor
 from repro.ml.dataset import (
     DATASET_VERSION,
     FEATURES,
@@ -115,8 +116,8 @@ class TestRoundTrip:
 class TestScenarioRows:
     def test_scenario_runs_carry_coverage_dimensions(self):
         store = ResultStore()
-        SweepExecutor(store=store).run(SweepSpec(
-            archs=("dhetpnoc",), bw_set_indices=(1,), patterns=("uniform",),
+        SweepExecutor(store=store).run(ExperimentSpec(
+            archs=("dhetpnoc",), bw_sets=(1,), patterns=("uniform",),
             seeds=(1,), fidelity=TINY, load_fractions=(0.4,),
             scenarios=("bursty_uniform",), derive_seeds=False,
         ))

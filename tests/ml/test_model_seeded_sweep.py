@@ -15,7 +15,8 @@ from repro.experiments.costing import estimate_adaptive_sims
 from repro.experiments.knee import adaptive_knee_sweep
 from repro.experiments.runner import Fidelity
 from repro.experiments.store import ResultStore
-from repro.experiments.sweep import SweepExecutor, SweepSpec
+from repro.api.spec import ExperimentSpec
+from repro.experiments.sweep import SweepExecutor
 from repro.ml.dataset import export_dataset
 from repro.ml.model import fit_model, predictors
 
@@ -29,8 +30,8 @@ def trained():
     """(dataset, knn model) fitted on a dense grid of the test curve."""
     store = ResultStore()
     executor = SweepExecutor(store=store)
-    executor.run(SweepSpec(
-        archs=("dhetpnoc",), bw_set_indices=(1,), patterns=("skewed3",),
+    executor.run(ExperimentSpec(
+        archs=("dhetpnoc",), bw_sets=(1,), patterns=("skewed3",),
         seeds=(1,), fidelity=TINY, load_fractions=GRID,
         derive_seeds=False,
     ))

@@ -209,11 +209,12 @@ class TestClosedLoopTriggers:
         assert with_rule.generator.packets_offered == without.generator.packets_offered
 
     def test_serial_parallel_bitwise_identity(self):
-        from repro.experiments.sweep import SweepExecutor, SweepSpec
+        from repro.api.spec import ExperimentSpec
+        from repro.experiments.sweep import SweepExecutor
 
-        spec = SweepSpec(
+        spec = ExperimentSpec(
             archs=("dhetpnoc",),
-            bw_set_indices=(1,),
+            bw_sets=(1,),
             patterns=("skewed3",),
             seeds=(1,),
             fidelity=Fidelity("tiny-closed", 1500, 200, (0.45, 0.62)),

@@ -28,7 +28,8 @@ from repro.api.session import Session
 from repro.experiments import runner
 from repro.experiments.runner import Fidelity
 from repro.experiments.store import result_key
-from repro.experiments.sweep import SweepExecutor, SweepSpec
+from repro.api.spec import ExperimentSpec
+from repro.experiments.sweep import SweepExecutor
 from repro.scenarios.generate import sample_schedule, schedules
 from repro.scenarios.library import register_schedule, scenarios
 from repro.sim.engine import Simulator
@@ -74,9 +75,9 @@ class TestSerialParallelIdentity:
     @given(schedules(total_cycles=TOTAL, max_phases=3))
     def test_worker_count_never_changes_results(self, schedule):
         with registered(schedule) as name:
-            spec = SweepSpec(
+            spec = ExperimentSpec(
                 archs=("dhetpnoc",),
-                bw_set_indices=(1,),
+                bw_sets=(1,),
                 patterns=("uniform",),
                 seeds=(1,),
                 fidelity=TINY,

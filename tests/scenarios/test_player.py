@@ -45,14 +45,15 @@ class TestSteadyBitIdentity:
         """The acceptance criterion verbatim: same peak metrics as a
         scenario-less sweep with the same seed."""
         from repro.experiments.runner import peak_of
-        from repro.experiments.sweep import SweepExecutor, SweepSpec
+        from repro.api.spec import ExperimentSpec
+        from repro.experiments.sweep import SweepExecutor
 
         def peak(scenario):
             # derive_seeds=False: derived seeds fold the scenario name
             # into the curve seed (decorrelated replicates by design),
             # so "same seed" here means the verbatim-seed mode.
-            spec = SweepSpec(
-                archs=("dhetpnoc",), bw_set_indices=(1,),
+            spec = ExperimentSpec(
+                archs=("dhetpnoc",), bw_sets=(1,),
                 patterns=("skewed3",), seeds=(7,), fidelity=TINY,
                 scenarios=(scenario,), derive_seeds=False,
             )

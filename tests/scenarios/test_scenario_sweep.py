@@ -12,13 +12,14 @@ import pytest
 
 from repro.experiments.runner import Fidelity
 from repro.experiments.store import ResultStore, result_key
-from repro.experiments.sweep import SweepExecutor, SweepSpec, derive_seed
+from repro.api.spec import ExperimentSpec
+from repro.experiments.sweep import SweepExecutor, derive_seed
 
 TINY = Fidelity("tiny-scen-sweep", 700, 100, (0.3, 0.8))
 
-SPEC = SweepSpec(
+SPEC = ExperimentSpec(
     archs=("firefly", "dhetpnoc"),
-    bw_set_indices=(1,),
+    bw_sets=(1,),
     patterns=("skewed3",),
     seeds=(1,),
     fidelity=TINY,
@@ -32,7 +33,7 @@ class TestExpansion:
 
     def test_duplicate_scenarios_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            SweepSpec(scenarios=("steady", "steady"), fidelity=TINY)
+            ExperimentSpec(scenarios=("steady", "steady"), fidelity=TINY)
 
     def test_scenario_joins_the_curve_coordinates(self):
         by_curve = {}
@@ -100,8 +101,8 @@ class TestScenarioKeys:
     def test_no_cross_contamination_in_one_store(self):
         """steady and None share physics but must cache separately."""
         executor = SweepExecutor()
-        spec = SweepSpec(
-            archs=("dhetpnoc",), bw_set_indices=(1,), patterns=("uniform",),
+        spec = ExperimentSpec(
+            archs=("dhetpnoc",), bw_sets=(1,), patterns=("uniform",),
             seeds=(1,), fidelity=TINY, scenarios=(None, "steady"),
             derive_seeds=False,
         )

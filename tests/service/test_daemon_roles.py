@@ -48,7 +48,7 @@ TINY = Fidelity("tiny", 700, 100, (0.3, 0.8))
 
 
 def wire_point(seed: int = 1) -> dict:
-    spec = tiny_spec(seeds=(seed,)).to_sweep_spec()
+    spec = tiny_spec(seeds=(seed,))
     return point_to_dict(spec.expand()[0])
 
 
@@ -271,7 +271,7 @@ def test_job_and_fabric_client_share_one_simulation_per_key():
 
         def run_batch():
             with FabricExecutor(service.address, store=ResultStore()) as fabric:
-                outcome["results"] = fabric.run(batch_spec.to_sweep_spec())
+                outcome["results"] = fabric.run(batch_spec)
                 outcome["executed"] = fabric.executed_count
 
         with ServiceClient(service.address) as client:

@@ -31,7 +31,6 @@ from repro.experiments.cli import main
 from repro.experiments.runner import Fidelity
 from repro.experiments.store import (
     MemoryBackend,
-    ResultStore,
     StoreBackend,
     open_store,
     result_to_dict,
@@ -107,7 +106,7 @@ def local_run(spec):
         results = session.run(spec)
         keys = [
             session.executor._key(point, spec.fidelity)
-            for point in spec.to_sweep_spec().expand()
+            for point in spec.expand()
         ]
     return results, keys
 

@@ -235,7 +235,7 @@ def test_fabric_client_first_then_job_share_one_simulation_per_key():
 
         def run_batch():
             with FabricExecutor(service.address, store=ResultStore()) as fabric:
-                outcome["results"] = fabric.run(batch_spec.to_sweep_spec())
+                outcome["results"] = fabric.run(batch_spec)
                 outcome["executed"] = fabric.executed_count
 
         batch = threading.Thread(target=run_batch, daemon=True)
@@ -329,7 +329,7 @@ def test_client_role_frames_carry_exactly_the_catalogued_fields():
             send_message(saboteur, {
                 "type": "result_error", "key": broken["key"], "error": "boom",
             })
-            from repro.fabric.worker import execute_item
+            from repro.experiments.sweep import execute_item
 
             send_message(saboteur, {
                 "type": "result", "key": healthy["key"],

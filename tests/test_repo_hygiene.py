@@ -259,15 +259,12 @@ def test_exhibits_and_claims_take_a_session_not_an_executor():
 
 def test_session_is_the_one_door_to_the_executors():
     # Signature depth is not enough: an exhibit that takes a Session and
-    # then reaches through `session.executor`, or builds the executors'
-    # own SweepSpec, has found a second way in. Only the door itself
-    # (api/session.py), the spec that lowers to a grid (api/spec.py)
-    # and the executors may do either.
+    # then reaches through `session.executor` has found a second way
+    # in. Only the door itself (api/session.py) and the executors may.
     import ast
 
     inside = {
         "src/repro/api/session.py",
-        "src/repro/api/spec.py",
         "src/repro/experiments/sweep.py",
     }
     offenders = []
@@ -278,17 +275,19 @@ def test_session_is_the_one_door_to_the_executors():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Attribute) and node.attr == "executor":
                 offenders.append(f"{name}:{node.lineno}: .executor")
-            if isinstance(node, ast.Call):
-                func = node.func
-                called = getattr(func, "id", None) or getattr(func, "attr", None)
-                if called == "SweepSpec":
-                    offenders.append(f"{name}:{node.lineno}: SweepSpec(")
     assert not offenders
-    # Nor do the scripts and pages a user copies from.
+    # The grid has one description: ExperimentSpec expands itself. The
+    # executors' own spec class is gone, and the lowering step survives
+    # as one definition (`return self`) that only the ledger calls.
+    assert _count_in_src("SweepSpec") == {}
+    assert _count_in_src("to_sweep_spec") == {"src/repro/api/spec.py": 1}
+    # Nor do the scripts and pages a user copies from know either name.
     for directory in ("tools", "examples", "docs"):
         for path in sorted((REPO_ROOT / directory).rglob("*")):
             if path.suffix in (".py", ".md"):
-                assert ".executor" not in path.read_text(encoding="utf-8"), path
+                text = path.read_text(encoding="utf-8")
+                for needle in (".executor", "SweepSpec", "to_sweep_spec"):
+                    assert needle not in text, (path, needle)
 
 
 def test_sweep_module_is_the_executors_and_nothing_else():
@@ -301,14 +300,52 @@ def test_sweep_module_is_the_executors_and_nothing_else():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     ]
     assert names == [
-        "derive_seed", "RunPoint", "SweepSpec", "_execute_point",
-        "PointExecutor", "SweepExecutor", "FabricExecutor",
+        "derive_seed", "RunPoint", "curve_points", "PointExecutor",
+        "ensure_scenario", "execute_item", "SweepExecutor", "FabricExecutor",
     ]
+    assert _count_in_src("_execute_point") == {}
     # The policy modules are handed an executor; none conjures its own.
     assert _count_in_src("or SweepExecutor()") == {}
     # One prefetch serves the exhibits and the claims.
     assert _count_in_src("def _prefetch") == {
         "src/repro/experiments/figures.py": 1
+    }
+
+
+def test_every_lane_executes_the_same_work_item():
+    # A store miss has one form — the work_item() dict — and one entry,
+    # execute_item: it is the only callable src/ hands to a process
+    # pool, and the only module-level function that decodes a work item.
+    import ast
+
+    pool_methods = {
+        "map", "imap", "imap_unordered", "starmap", "apply",
+        "map_async", "starmap_async", "apply_async", "submit",
+    }
+    handed = set()
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(text)):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in pool_methods
+                and "pool" in ast.unparse(node.func.value).lower()
+            ):
+                handed.add((
+                    str(path.relative_to(REPO_ROOT)),
+                    ast.unparse(node.args[0]),
+                ))
+    assert handed == {
+        ("src/repro/experiments/sweep.py", "execute_item"),
+        ("src/repro/service/daemon.py", "execute_item"),
+    }
+    # ... and those two modules are the only ones that can own a pool.
+    assert set(_count_in_src("import multiprocessing")) == {
+        path for path, _callable in handed
+    }
+    assert _count_in_src("def execute_item") == {
+        "src/repro/experiments/sweep.py": 1
     }
 
 

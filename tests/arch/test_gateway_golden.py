@@ -11,6 +11,8 @@ point never takes --
     one-packet RX buffers, ``max_retries=2`` and most packets aimed at
     one core: reservations NACK, sources back off, retry and finally
     abandon packets (``arch.nack_ratio`` is 0.0 on the ledger);
+``bw_set_2``
+    16 x 128-bit flits: a queue target and launch cadence of their own;
 ``bw_set_3``
     8 x 256-bit flits over up to 64 wavelengths: the serialization queue
     target is 3 flits and several flits launch in one cycle;
@@ -20,6 +22,10 @@ point never takes --
 ``fault_storm``
     wavelength deaths clamp the current table from outside the token
     pass, the token then re-acquires from the free pool.
+
+Each case also pins, in a row of its own (``<case>:rx_end``), every
+gateway's end-state receive side: flits reserved but not yet arrived
+and flits buffered, per source cluster.
 
 The numbers in ``gateway_golden.json`` were produced by the commit
 before the gateway's per-cycle path was rewritten. Regenerate them only
@@ -56,6 +62,8 @@ RUN_ARCHS = ("dhetpnoc", "firefly")
 
 #: name -> (arch, bw set, offered Gb/s, cycles, reset).
 GENERATED_CASES = {
+    "bw_set_2-dhetpnoc": ("dhetpnoc", 2, 5000.0, 500, 100),
+    "bw_set_2-firefly": ("firefly", 2, 5000.0, 500, 100),
     "bw_set_3-dhetpnoc": ("dhetpnoc", 3, 5000.0, 500, 100),
     "bw_set_3-firefly": ("firefly", 3, 5000.0, 500, 100),
 }
@@ -70,6 +78,7 @@ DRIVEN_CASES = {
 }
 FAULT_CASE = "fault_storm-dhetpnoc"
 ALL_CASES = (*GENERATED_CASES, *DRIVEN_CASES, FAULT_CASE)
+RX_END = ":rx_end"
 
 #: Cycles at which the fault case snapshots clusters 0 and 1's current
 #: tables: before the storm, after each kill (and the token passes that
@@ -90,8 +99,22 @@ def _build(arch_name, bw_index, streams, pattern, **overrides):
     return sim, config, pattern, architectures.get(arch_name)(sim, config, pattern)
 
 
+def observe_rx_end(arch) -> dict:
+    """Per gateway, per source cluster: flits reserved and not yet
+    arrived, and flits in the RX buffer."""
+    return {
+        str(g.cluster_id): {
+            "reserved": [g._rx_reserved[src] for src in sorted(g.rx_buffers)],
+            "occupancy": [len(g.rx_buffers[src]) for src in sorted(g.rx_buffers)],
+        }
+        for g in arch.gateways
+    }
+
+
 def observe_arch(arch) -> dict:
-    """Everything pinned about one finished architecture."""
+    """Everything pinned about one finished architecture (the receive
+    side's end state under ``RX_END``)."""
+    rx_end = observe_rx_end(arch)
     arch.finalize()
     latency = arch.metrics.latency
     metrics = {
@@ -132,6 +155,7 @@ def observe_arch(arch) -> dict:
             }
             for g in arch.gateways
         },
+        RX_END: rx_end,
     }
     if hasattr(arch, "token_ring"):
         seen["token_ring"] = [arch.token_ring.hops, arch.token_ring.rounds_completed]
@@ -230,7 +254,11 @@ def observe_run(arch_name: str) -> dict:
 
 
 def observe_all() -> dict:
-    golden = {case: observe_case(case) for case in ALL_CASES}
+    golden = {}
+    for case in ALL_CASES:
+        seen = observe_case(case)
+        golden[case + RX_END] = seen.pop(RX_END)
+        golden[case] = seen
     for arch_name in RUN_ARCHS:
         golden[f"run_result-{arch_name}"] = observe_run(arch_name)
     return golden
@@ -243,7 +271,9 @@ def golden() -> dict:
 
 @pytest.mark.parametrize("case", ALL_CASES)
 def test_gateway_case_matches_golden(golden, case):
-    assert json.loads(json.dumps(observe_case(case))) == golden[case]
+    seen = json.loads(json.dumps(observe_case(case)))
+    assert seen.pop(RX_END) == golden[case + RX_END]
+    assert seen == golden[case]
 
 
 @pytest.mark.parametrize("arch_name", RUN_ARCHS)

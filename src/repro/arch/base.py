@@ -273,8 +273,9 @@ class PhotonicCrossbarNoC(NoCArchitecture):
 
     def tick_fabric(self, cycle: int) -> None:
         for gateway in self.gateways:
-            # Holding a flit already means active: skip the full test.
-            if gateway._held or not gateway.is_idle():
+            # ``not gateway.is_idle()``, inlined: it runs for every
+            # gateway every cycle.
+            if gateway._held or gateway._tx_state != ClusterGateway.IDLE:
                 gateway.tick(cycle)
 
     def fabric_is_idle(self) -> bool:

@@ -18,6 +18,11 @@ Transmit path (store-and-forward at the gateway):
    propagation delay and are ejected to their destination core, one flit
    per core per cycle.
 
+Inside the gateway a packet's flits differ only by how many there are
+(they are all ``packet.flit_bits`` wide, and store-and-forward moves a
+packet whole or in runs of its own flits), so every stage holds a packet
+and a count of its flits, never flit objects.
+
 Energy is charged to the shared :class:`~repro.energy.model.EnergyAccount`
 as events happen (DESIGN.md section 4 lists the charging rules).
 
@@ -35,14 +40,14 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.noc.arbiter import RoundRobinArbiter
-from repro.noc.buffer import PortBuffer, VirtualChannelBuffer
-from repro.noc.flit import Flit, Packet, packetize
+from repro.noc.flit import Packet
 from repro.photonic.channel import DataChannel, ReservationBroadcastChannel
 from repro.photonic.reservation import ReservationFlit, reservation_flit_bits
 from repro.photonic.wavelength import WavelengthId, bits_per_cycle
+from repro.sim.engine import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.arch.base import PhotonicCrossbarNoC
@@ -63,6 +68,84 @@ class TxPlan:
             raise ValueError("reservation serialization is >= 1 cycle")
 
 
+class _Resident:
+    """A count of flits held in one gateway buffer, with its residency.
+
+    Flit-cycles accumulate with span arithmetic -- occupancy x elapsed
+    cycles whenever the count changes -- so idle spans cost nothing to
+    account and the total is the same however the changes are grouped.
+    The per-cycle stages change ``occupancy`` directly, each right after
+    :meth:`settle`'s three lines, inlined.
+    """
+
+    __slots__ = ("occupancy", "flit_cycles", "_last_accounted_cycle")
+
+    def __init__(self) -> None:
+        self.occupancy = 0
+        #: Accumulated flit-cycles of residence (for retention energy).
+        self.flit_cycles = 0
+        self._last_accounted_cycle = 0
+
+    def __len__(self) -> int:
+        return self.occupancy
+
+    def settle(self, cycle: int) -> None:
+        """Accumulate flit-cycles of residence up to *cycle*."""
+        if cycle > self._last_accounted_cycle:
+            self.flit_cycles += self.occupancy * (cycle - self._last_accounted_cycle)
+            self._last_accounted_cycle = cycle
+
+    def reset_stats(self, at_cycle: int) -> None:
+        """Clear statistics, settling residency at *at_cycle* first, so
+        flits resident across the warm-up boundary charge their warm-up
+        residency to the discarded bucket."""
+        self.settle(at_cycle)
+        self.flit_cycles = 0
+        self._last_accounted_cycle = at_cycle
+
+
+class InputPort(_Resident):
+    """One core's input port: ``n_vcs`` VCs of ``vc_depth`` flits.
+
+    Store-and-forward means a VC holds one packet at most (a VC is taken
+    only when empty, and drains only once whole), so a VC is the packet
+    it holds and how many of that packet's flits are in.
+    """
+
+    __slots__ = ("vc_depth", "packets", "counts", "complete")
+
+    def __init__(self, n_vcs: int, vc_depth: int):
+        super().__init__()
+        self.vc_depth = vc_depth
+        self.packets: List[Optional[Packet]] = [None] * n_vcs
+        self.counts = [0] * n_vcs
+        #: VCs holding a whole packet no transmission has claimed yet.
+        self.complete: Set[int] = set()
+
+    def first_free_vc(self) -> Optional[int]:
+        """Lowest-numbered empty VC, or None."""
+        counts = self.counts
+        return counts.index(0) if 0 in counts else None
+
+
+class RxBuffer(_Resident):
+    """The receive buffer for one source cluster: a FIFO of
+    ``[packet, flits present, flits still to arrive]`` entries (one per
+    packet; a source streams one packet at a time, so its flits arrive in
+    order and contiguously)."""
+
+    __slots__ = ("depth", "fifo")
+
+    def __init__(self, depth: int):
+        super().__init__()
+        self.depth = depth
+        self.fifo: Deque[list] = deque()
+
+    @property
+    def free_slots(self) -> int:
+        return self.depth - self.occupancy
+
+
 class ClusterGateway:
     """One cluster's photonic router: TX FSM, RX buffers, ejection."""
 
@@ -76,12 +159,18 @@ class ClusterGateway:
         self.arch = arch
         config = arch.config
         self.config = config
-        self._energy = arch.energy  # read per flit: resolved once
+        self._energy = arch.energy
         self._cores = config.cores_per_cluster
+        # A flit's buffer and router charges, ``pj_per_bit * flit_bits``,
+        # are added to the account here, one addend per flit even when a
+        # stage moves several: ``x += c`` n times is not ``x += n * c`` in
+        # floating point, and every digest depends on the sequence.
+        self._buffer_pj_per_bit = self._energy.params.buffer_pj_per_bit
+        self._router_pj_per_bit = self._energy.params.router_pj_per_bit
 
         # -- TX input side: one port per core ---------------------------------
-        self.inputs: List[PortBuffer] = [
-            PortBuffer(config.n_vcs, config.vc_depth_flits)
+        self.inputs: List[InputPort] = [
+            InputPort(config.n_vcs, config.vc_depth_flits)
             for _ in range(config.cores_per_cluster)
         ]
         self._input_arbiters = [
@@ -89,11 +178,11 @@ class ClusterGateway:
         ]
         self._output_arbiter = RoundRobinArbiter(config.cores_per_cluster)
 
-        # Per-core injection pipes (core router -> gateway link, 1 flit/cycle).
-        self._pipe_flits: List[Deque[Flit]] = [
+        # Per-core injection pipes (core router -> gateway link, 1 flit/cycle):
+        # the packets queued, the front one entering the VC it has taken.
+        self._pipes: List[Deque[Packet]] = [
             deque() for _ in range(config.cores_per_cluster)
         ]
-        self._pipe_packets: List[int] = [0] * config.cores_per_cluster
         self._pipe_active_vc: List[Optional[int]] = [None] * config.cores_per_cluster
         self._pipes_active = 0  # non-empty injection pipes
 
@@ -106,20 +195,20 @@ class ClusterGateway:
 
         # -- TX FSM state (the claimed packet's fields: _clear_tx) ---------
         self._clear_tx()
-        #: Fully buffered packets not yet claimed by a transmission: an
-        #: input VC holds one packet at most, so while the FSM is IDLE
-        #: this counts the VCs with a complete front packet.
+        #: Fully buffered packets not yet claimed by a transmission (the
+        #: sizes of the ports' ``complete`` sets, summed).
         self._tx_waiting = 0
         self._backoff_until = 0
 
         # -- RX side ------------------------------------------------------
-        self.rx_buffers: Dict[int, VirtualChannelBuffer] = {
-            src: VirtualChannelBuffer(config.rx_buffer_flits, vc_id=src)
+        self.rx_buffers: Dict[int, RxBuffer] = {
+            src: RxBuffer(config.rx_buffer_flits)
             for src in range(config.n_clusters)
             if src != cluster_id
         }
         self._rx_reserved: Dict[int, int] = {src: 0 for src in self.rx_buffers}
-        self._inbound: Deque[Tuple[int, Flit]] = deque()
+        #: Launches on their way here: (due, source cluster, packet, flits).
+        self._inbound: Deque[Tuple[int, int, Packet, int]] = deque()
         self._eject_arbiters = [
             RoundRobinArbiter(config.n_clusters)
             for _ in range(config.cores_per_cluster)
@@ -144,14 +233,12 @@ class ClusterGateway:
     # ==================================================================
     def try_submit(self, packet: Packet, cycle: int) -> bool:
         """Queue *packet* into its source core's injection pipe."""
-        slot = packet.src % self._cores
-        if self._pipe_packets[slot] >= self.config.max_pending_packets_per_core:
+        pipe = self._pipes[packet.src % self._cores]
+        if len(pipe) >= self.config.max_pending_packets_per_core:
             return False
-        pipe = self._pipe_flits[slot]
         if not pipe:
             self._pipes_active += 1
-        pipe.extend(packetize(packet))
-        self._pipe_packets[slot] += 1
+        pipe.append(packet)
         self._held += packet.n_flits
         # Source core's electronic router traversal.
         self._energy.charge_router_traversal(packet.size_bits)
@@ -171,9 +258,9 @@ class ClusterGateway:
     # Per-cycle step (driven by the architecture)
     # ==================================================================
     def tick(self, cycle: int) -> None:
-        reservation_channel = self.reservation_channel
-        if reservation_channel._outbound or reservation_channel._responses:
-            reservation_channel.tick(cycle)
+        # Reservation traffic is in flight exactly while the FSM reserves.
+        if self._tx_state == self.RESERVING:
+            self.reservation_channel.tick(cycle)
         if self._inbound:
             self._deliver_inbound(cycle)
         if self._pipes_active:
@@ -196,57 +283,59 @@ class ClusterGateway:
 
     def is_idle(self) -> bool:
         """True when :meth:`tick` would be a no-op: no flit anywhere in
-        the gateway's domain, the TX FSM at rest, and no reservation
-        traffic in flight on the (source-owned) reservation waveguide.
-        Every arbitration stage is stateless on an empty request set, so
-        a gateway in this state can be skipped without drifting any
-        round-robin pointer, statistic, or energy counter."""
-        return (
-            self._held == 0
-            and self._tx_state == self.IDLE
-            and not self.reservation_channel._outbound
-            and not self.reservation_channel._responses
-        )
+        the gateway's domain and the TX FSM at rest (reservation traffic
+        is in flight on the source-owned waveguide only while its FSM
+        reserves, which :meth:`audit` checks). Every arbitration stage
+        is stateless on an empty request set, so a gateway in this state
+        can be skipped without drifting any round-robin pointer,
+        statistic, or energy counter."""
+        return not self._held and self._tx_state == self.IDLE
 
     # -- injection pipes -------------------------------------------------
     def _inject_step(self, cycle: int) -> None:
-        energy = self._energy
+        """One flit per core per cycle from the pipe into its input VC."""
+        breakdown = self._energy.breakdown
         active_vc = self._pipe_active_vc
-        for slot, pipe in enumerate(self._pipe_flits):
+        for slot, pipe in enumerate(self._pipes):
             if not pipe:
                 continue
-            flit = pipe[0]
+            port = self.inputs[slot]
             vc = active_vc[slot]
             if vc is None:
-                if not flit.is_head:
-                    continue
-                vc = self.inputs[slot].first_free_vc()
+                vc = port.first_free_vc()
                 if vc is None:
                     continue
                 active_vc[slot] = vc
-            vcb = self.inputs[slot].vcs[vc]
-            if len(vcb._fifo) >= vcb.depth:
+                port.packets[vc] = pipe[0]
+            counts = port.counts
+            entered = counts[vc]
+            if entered >= port.vc_depth:
                 continue
-            flit.vc = vc
-            vcb.push(flit, cycle)
-            pipe.popleft()
-            energy.charge_buffer_write(flit.bits)
-            if flit.is_tail:
+            packet = pipe[0]
+            if cycle > port._last_accounted_cycle:  # port.settle(cycle)
+                port.flit_cycles += port.occupancy * (cycle - port._last_accounted_cycle)
+                port._last_accounted_cycle = cycle
+            port.occupancy += 1
+            entered += 1
+            counts[vc] = entered
+            breakdown.buffer_pj += self._buffer_pj_per_bit * packet.flit_bits
+            if entered == packet.n_flits:
+                # The tail is in: the packet is whole.
+                pipe.popleft()
                 active_vc[slot] = None
-                self._pipe_packets[slot] -= 1
+                port.complete.add(vc)
                 self._tx_waiting += 1
-            if not pipe:
-                self._pipes_active -= 1
+                if not pipe:
+                    self._pipes_active -= 1
 
     # -- transmit FSM ------------------------------------------------------
     def _tx_arbitrate(self, cycle: int) -> None:
         """The two arbitration stages of the 3-stage switch."""
         nominees: Dict[int, int] = {}
         for port_idx, port in enumerate(self.inputs):
-            if not port._complete_vcs:
+            if not port.complete:
                 continue
-            ready = port.complete_vc_ids()
-            winner = self._input_arbiters[port_idx].grant(ready)
+            winner = self._input_arbiters[port_idx].grant(sorted(port.complete))
             if winner is not None:
                 nominees[port_idx] = winner
         if not nominees:
@@ -254,19 +343,23 @@ class ClusterGateway:
         granted_port = self._output_arbiter.grant(sorted(nominees))
         if granted_port is None:
             return
+        port = self.inputs[granted_port]
+        vc = nominees[granted_port]
+        port.complete.discard(vc)
         self._tx_waiting -= 1
-        self._tx_vcb = self.inputs[granted_port].vcs[nominees[granted_port]]
-        head = self._tx_vcb.peek()
-        assert head is not None and head.is_head
-        dst_cluster = head.packet.dst // self._cores
+        self._tx_port, self._tx_vc = port, vc
+        packet = port.packets[vc]
+        assert packet is not None
+        self._tx_packet = packet
+        dst_cluster = packet.dst // self._cores
         self._tx_dst = self.arch.gateways[dst_cluster]
         plan = self.arch.tx_plan(self.cluster_id, dst_cluster)
         self._tx_plan = plan
         self._tx_reservation = ReservationFlit(
             src_cluster=self.cluster_id,
             dst_cluster=dst_cluster,
-            packet_id=head.packet.pid,
-            n_flits=head.packet.n_flits,
+            packet_id=packet.pid,
+            n_flits=packet.n_flits,
             wavelength_ids=plan.wavelength_ids,
         )
         self._tx_retries = 0
@@ -358,53 +451,71 @@ class ClusterGateway:
         self._backoff_until = cycle + backoff
 
     def _abandon_packet(self, cycle: int) -> None:
-        """Give up on the head packet after max retries (counted as lost)."""
-        vcb = self._tx_vcb
-        assert vcb is not None
-        while True:
-            flit = vcb.pop(cycle)
-            self._held -= 1
-            self._energy.charge_buffer_read(flit.bits)
-            if flit.is_tail:
-                break
+        """Give up on the head packet after max retries (counted as lost):
+        its flits leave the VC, each charged a buffer read."""
+        port, vc, packet = self._tx_port, self._tx_vc, self._tx_packet
+        assert port is not None and vc is not None and packet is not None
+        n = port.counts[vc]
+        port.settle(cycle)
+        port.occupancy -= n
+        port.counts[vc] = 0
+        port.packets[vc] = None
+        read = self._buffer_pj_per_bit * packet.flit_bits
+        breakdown = self._energy.breakdown
+        buffer_pj = breakdown.buffer_pj
+        for _ in range(n):
+            buffer_pj += read
+        breakdown.buffer_pj = buffer_pj
+        self._held -= n
         self.arch.metrics.packets_abandoned += 1
         self._clear_tx()
 
     def _clear_tx(self) -> None:
         self._tx_state = self.IDLE
-        self._tx_vcb: Optional[VirtualChannelBuffer] = None
+        self._tx_port: Optional[InputPort] = None
+        self._tx_vc: Optional[int] = None
+        self._tx_packet: Optional[Packet] = None
         self._tx_dst: Optional["ClusterGateway"] = None
         self._tx_reservation: Optional[ReservationFlit] = None
         self._tx_plan: Optional[TxPlan] = None
         self._tx_retries = 0
 
     def _tx_stream(self, cycle: int) -> None:
-        vcb, dst, channel = self._tx_vcb, self._tx_dst, self.channel
-        assert vcb is not None and dst is not None
-        energy = self._energy
-        fifo = vcb._fifo
-        wanted = channel.wanted_flits()
-        while wanted > 0 and fifo:
-            flit = vcb.pop(cycle)
-            bits = flit.bits
-            energy.charge_buffer_read(bits)
-            # Source gateway electronic traversal happens as the flit
-            # crosses from buffer to modulators.
-            energy.charge_router_traversal(bits)
-            channel.feed(flit)
-            wanted -= 1
+        channel, packet = self.channel, self._tx_packet
+        # The VC holds the rest of the packet: feed all the channel wants.
+        n = channel.top_up(packet.flit_bits)
+        if n:
+            port, vc = self._tx_port, self._tx_vc
+            if cycle > port._last_accounted_cycle:  # port.settle(cycle)
+                port.flit_cycles += port.occupancy * (
+                    cycle - port._last_accounted_cycle)
+                port._last_accounted_cycle = cycle
+            port.occupancy -= n
+            port.counts[vc] -= n
+            if not port.counts[vc]:
+                port.packets[vc] = None
+            # Each flit read out of the buffer also crosses the source
+            # gateway's electronic switch to the modulators.
+            read = self._buffer_pj_per_bit * packet.flit_bits
+            traversal = self._router_pj_per_bit * packet.flit_bits
+            breakdown = self._energy.breakdown
+            buffer_pj, router_pj = breakdown.buffer_pj, breakdown.router_pj
+            for _ in range(n):
+                buffer_pj += read
+                router_pj += traversal
+            breakdown.buffer_pj, breakdown.router_pj = buffer_pj, router_pj
         launched = channel.tick(cycle)
         if launched:
             # Launched flits leave this gateway's domain for the
-            # destination's inbound queue; one packet's, so equal-sized.
-            n = len(launched)
-            self._held -= n
-            dst._held += n
-            energy.charge_photonic_transmit(launched[0].bits * n)
-            due = cycle + self.config.data_propagation_cycles
-            inbound = dst._inbound
-            for flit in launched:
-                inbound.append((due, flit))
+            # destination's inbound queue.
+            dst = self._tx_dst
+            self._held -= launched
+            dst._held += launched
+            self._energy.charge_photonic_transmit(packet.flit_bits * launched)
+            dst._inbound.append((
+                cycle + self.config.data_propagation_cycles,
+                self.cluster_id, packet, launched,
+            ))
         if channel._active is None:
             self._clear_tx()
 
@@ -413,19 +524,37 @@ class ClusterGateway:
     # ==================================================================
     def _deliver_inbound(self, cycle: int) -> None:
         inbound = self._inbound
-        energy = self._energy
-        cores = self._cores
+        breakdown = self._energy.breakdown
+        buffer_pj = breakdown.buffer_pj
         while inbound and inbound[0][0] <= cycle:
-            flit = inbound.popleft()[1]
-            src = flit.packet.src // cores
+            _due, src, packet, n = inbound.popleft()
             buffer = self.rx_buffers[src]
-            if not buffer._fifo:
-                # Refilled: the flit is the new front.
-                self._rx_ready[flit.packet.dst % cores].add(src)
+            if not buffer.occupancy:
+                # Refilled: these flits are the new front.
+                self._rx_ready[packet.dst % self._cores].add(src)
                 self._rx_nonempty += 1
-            buffer.push(flit, cycle)
-            self._rx_reserved[src] -= 1
-            energy.charge_buffer_write(flit.bits)
+            if cycle > buffer._last_accounted_cycle:  # buffer.settle(cycle)
+                buffer.flit_cycles += buffer.occupancy * (
+                    cycle - buffer._last_accounted_cycle)
+                buffer._last_accounted_cycle = cycle
+            buffer.occupancy += n
+            if buffer.occupancy > buffer.depth:
+                raise SimulationError(
+                    f"gateway {self.cluster_id}: RX buffer for cluster {src} "
+                    f"overflows ({buffer.occupancy}/{buffer.depth})"
+                )
+            fifo = buffer.fifo
+            if fifo and fifo[-1][0] is packet:
+                entry = fifo[-1]
+                entry[1] += n
+                entry[2] -= n
+            else:
+                fifo.append([packet, n, packet.n_flits - n])
+            self._rx_reserved[src] -= n
+            write = self._buffer_pj_per_bit * packet.flit_bits
+            for _ in range(n):
+                buffer_pj += write
+        breakdown.buffer_pj = buffer_pj
 
     def _eject_step(self, cycle: int) -> None:
         """One flit per core per cycle from the RX buffers to the cores.
@@ -434,30 +563,52 @@ class ClusterGateway:
         (sets hold source ids; ``sorted`` restores the scan order the
         arbiters have always seen), so skipping empty slots changes
         nothing observable."""
-        energy = self._energy
-        delivered = self.arch.note_flit_delivered
+        breakdown = self._energy.breakdown
+        buffer_pj, router_pj = breakdown.buffer_pj, breakdown.router_pj
+        read, traversal = self._buffer_pj_per_bit, self._router_pj_per_bit
+        metrics = self.arch.metrics
+        ejected = ejected_bits = 0
         for slot, ready in enumerate(self._rx_ready):
             if not ready:
                 continue
             src = self._eject_arbiters[slot].grant(sorted(ready))
-            if src is None:
-                continue
             buffer = self.rx_buffers[src]
-            fifo = buffer._fifo
-            flit = buffer.pop(cycle)
-            self._held -= 1
-            if not fifo:
+            if cycle > buffer._last_accounted_cycle:  # buffer.settle(cycle)
+                buffer.flit_cycles += buffer.occupancy * (
+                    cycle - buffer._last_accounted_cycle)
+                buffer._last_accounted_cycle = cycle
+            buffer.occupancy -= 1
+            fifo = buffer.fifo
+            entry = fifo[0]
+            entry[1] -= 1
+            tail = not entry[1] and not entry[2]
+            if tail:
+                fifo.popleft()
+            if not buffer.occupancy:
                 ready.discard(src)
                 self._rx_nonempty -= 1
-            elif flit.is_tail:
+            elif tail:
                 # The next packet's front may target another core (a
                 # later slot then sees it this very cycle, as always).
                 ready.discard(src)
-                self._rx_ready[fifo[0].packet.dst % self._cores].add(src)
-            bits = flit.bits
-            energy.charge_buffer_read(bits)
-            energy.charge_router_traversal(bits)
-            delivered(flit, cycle, True)
+                self._rx_ready[fifo[0][0].dst % self._cores].add(src)
+            packet = entry[0]
+            bits = packet.flit_bits
+            buffer_pj += read * bits
+            router_pj += traversal * bits
+            ejected += 1
+            ejected_bits += bits
+            if tail:
+                metrics.packets_delivered += 1
+                metrics.packets_delivered_photonic += 1
+                metrics.latency.add(cycle - packet.created_cycle)
+                self._energy.note_message_delivered()
+        breakdown.buffer_pj = buffer_pj
+        breakdown.router_pj = router_pj
+        self._held -= ejected
+        metrics.flits_delivered += ejected
+        metrics.bits_delivered += ejected_bits
+        metrics.bits_delivered_photonic += ejected_bits
 
     def _deliver_intra(self, cycle: int) -> None:
         intra = self._intra
@@ -469,24 +620,21 @@ class ClusterGateway:
     # ==================================================================
     # Accounting helpers
     # ==================================================================
+    def _buffers(self) -> List[_Resident]:
+        return [*self.inputs, *self.rx_buffers.values()]
+
     def settle_buffers(self, cycle: int) -> None:
-        for port in self.inputs:
-            port.settle(cycle)
-        for buffer in self.rx_buffers.values():
+        for buffer in self._buffers():
             buffer.settle(cycle)
 
     def buffer_flit_cycles(self) -> int:
-        total = sum(port.flit_cycles for port in self.inputs)
-        total += sum(b.flit_cycles for b in self.rx_buffers.values())
-        return total
+        return sum(buffer.flit_cycles for buffer in self._buffers())
 
     def reset_stats(self, at_cycle: int) -> None:
         """Clear statistics: the buffers settle residency at the boundary
         *at_cycle* and re-base their accounting clocks, so warm-up
         flit-cycles never leak into the measured window."""
-        for port in self.inputs:
-            port.reset_stats(at_cycle)
-        for buffer in self.rx_buffers.values():
+        for buffer in self._buffers():
             buffer.reset_stats(at_cycle)
         self.channel.reset_stats()
         self.reservation_channel.reset_stats()
@@ -496,17 +644,53 @@ class ClusterGateway:
         pipes, input VCs, the write channel's serialization queue, the
         in-flight photonic window, RX buffers and the intra-cluster pipe).
         Used by the flit-conservation invariant tests. O(1): the counter
-        is maintained at every boundary crossing (audited by
-        :meth:`audit_flits_held`)."""
+        is maintained at every boundary crossing (:meth:`audit` recounts
+        it)."""
         return self._held
 
-    def audit_flits_held(self) -> int:
-        """Recount :meth:`flits_held` from first principles (test hook)."""
-        total = sum(len(pipe) for pipe in self._pipe_flits)
-        total += sum(port.occupancy for port in self.inputs)
-        if self.channel.active is not None:
-            total += len(self.channel.active.pending)
-        total += len(self._inbound)
-        total += sum(len(buffer) for buffer in self.rx_buffers.values())
-        total += sum(packet.n_flits for _due, packet in self._intra)
-        return total
+    def audit(self) -> None:
+        """Recount every O(1) counter the gateway keeps from the state it
+        summarises; raise :class:`~repro.sim.engine.SimulationError`
+        naming the gateway and the first counter that drifted."""
+
+        def check(counter: str, kept: object, recount: object) -> None:
+            if kept != recount:
+                raise SimulationError(
+                    f"gateway {self.cluster_id}: {counter} is {kept!r}, "
+                    f"the state it counts gives {recount!r}"
+                )
+
+        in_pipes = 0
+        for slot, pipe in enumerate(self._pipes):
+            in_pipes += sum(packet.n_flits for packet in pipe)
+            vc = self._pipe_active_vc[slot]
+            if vc is not None:
+                in_pipes -= self.inputs[slot].counts[vc]
+        for slot, port in enumerate(self.inputs):
+            check(f"inputs[{slot}].occupancy", port.occupancy, sum(port.counts))
+        for src, buffer in self.rx_buffers.items():
+            check(f"rx_buffers[{src}].occupancy", buffer.occupancy,
+                  sum(entry[1] for entry in buffer.fifo))
+        check("reservation traffic in flight",
+              self.reservation_channel.in_flight > 0,
+              self._tx_state == self.RESERVING)
+        active = self.channel.active
+        check("_held", self._held, (
+            in_pipes
+            + sum(sum(port.counts) for port in self.inputs)
+            + (active.pending if active is not None else 0)
+            + sum(entry[3] for entry in self._inbound)
+            + sum(sum(e[1] for e in b.fifo) for b in self.rx_buffers.values())
+            + sum(packet.n_flits for _due, packet in self._intra)
+        ))
+        check("_pipes_active", self._pipes_active,
+              sum(1 for pipe in self._pipes if pipe))
+        check("_tx_waiting", self._tx_waiting,
+              sum(len(port.complete) for port in self.inputs))
+        nonempty = {src for src, b in self.rx_buffers.items() if b.occupancy}
+        check("_rx_nonempty", self._rx_nonempty, len(nonempty))
+        check("_rx_ready", [sorted(ready) for ready in self._rx_ready], [
+            sorted(src for src in nonempty
+                   if self.rx_buffers[src].fifo[0][0].dst % self._cores == slot)
+            for slot in range(self._cores)
+        ])

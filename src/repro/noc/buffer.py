@@ -42,9 +42,7 @@ class VirtualChannelBuffer:
         "_last_accounted_cycle",
         "route",
         "downstream_vc",
-        "tails_contained",
         "_owner",
-        "_front_complete",
     )
 
     def __init__(self, depth: int, vc_id: int = 0):
@@ -56,18 +54,14 @@ class VirtualChannelBuffer:
         #: Accumulated flit-cycles of residence (for retention energy).
         self.flit_cycles = 0
         self._last_accounted_cycle = 0
-        #: Tail flits currently buffered (complete-packet detection for
-        #: the gateway's store-and-forward photonic transmit).
-        self.tails_contained = 0
         #: Output port chosen by route computation for the packet currently
         #: occupying this VC (wormhole state; None between packets).
         self.route: Optional[int] = None
         #: Downstream VC granted by VC allocation (None until allocated).
         self.downstream_vc: Optional[int] = None
         #: Owning PortBuffer, if any — kept current on aggregate occupancy
-        #: and complete-packet membership so those queries are O(1).
+        #: and non-empty membership so those queries are O(1).
         self._owner: Optional["PortBuffer"] = None
-        self._front_complete = False
 
     # -- FIFO interface -------------------------------------------------
     def __len__(self) -> int:
@@ -105,11 +99,6 @@ class VirtualChannelBuffer:
             if not held:
                 owner._occupied_vcs.add(self.vc_id)
         fifo.append(flit)
-        if flit.is_tail:
-            # Only a tail can complete the front packet on the way in.
-            self.tails_contained += 1
-            if not self._front_complete and fifo[0].is_head:
-                self._set_front_complete(True)
 
     def pop(self, cycle: int = 0) -> Flit:
         fifo = self._fifo
@@ -120,7 +109,6 @@ class VirtualChannelBuffer:
             self._last_accounted_cycle = cycle
         flit = fifo.popleft()
         if flit.is_tail:
-            self.tails_contained -= 1
             # Wormhole state tears down with the tail flit.
             self.route = None
             self.downstream_vc = None
@@ -129,10 +117,6 @@ class VirtualChannelBuffer:
             owner._occupancy -= 1
             if not fifo:
                 owner._occupied_vcs.discard(self.vc_id)
-        # A buffered tail implies a non-empty FIFO.
-        complete = self.tails_contained > 0 and fifo[0].is_head
-        if complete != self._front_complete:
-            self._set_front_complete(complete)
         return flit
 
     def has_complete_packet(self) -> bool:
@@ -140,20 +124,11 @@ class VirtualChannelBuffer:
 
         Flits of one packet enter a VC contiguously, so a head flit at the
         front plus any buffered tail means the front packet is complete
-        (the gateway's store-and-forward criterion). The answer is cached
-        on push/pop, making this an O(1) field read on the transmit hot
-        path.
+        (the store-and-forward criterion). Wormhole routing never asks,
+        so this scans rather than keeping an index on every push/pop.
         """
-        return self._front_complete
-
-    def _set_front_complete(self, complete: bool) -> None:
-        self._front_complete = complete
-        owner = self._owner
-        if owner is not None:
-            if complete:
-                owner._complete_vcs.add(self.vc_id)
-            else:
-                owner._complete_vcs.discard(self.vc_id)
+        fifo = self._fifo
+        return bool(fifo) and fifo[0].is_head and any(f.is_tail for f in fifo)
 
     def settle(self, cycle: int) -> None:
         """Accumulate flit-cycles of residence up to *cycle* (call at end
@@ -183,10 +158,9 @@ class PortBuffer:
 
     Provides the helpers the 3-stage router pipeline needs: finding a VC
     with a routable head flit, credit accounting per VC, and aggregate
-    occupancy for stats. Aggregate occupancy, the ids of the non-empty
-    VCs and the set of VCs holding a complete front packet are maintained
-    incrementally by the member VCs, so the per-cycle pipeline visits
-    only VCs that hold flits and tests the rest in O(1).
+    occupancy for stats. Aggregate occupancy and the ids of the non-empty
+    VCs are maintained incrementally by the member VCs, so the per-cycle
+    pipeline visits only VCs that hold flits.
     """
 
     def __init__(self, n_vcs: int, depth: int):
@@ -197,7 +171,6 @@ class PortBuffer:
         ]
         self._occupancy = 0
         self._occupied_vcs: Set[int] = set()
-        self._complete_vcs: Set[int] = set()
         for vc in self.vcs:
             vc._owner = self
 
@@ -213,10 +186,6 @@ class PortBuffer:
     @property
     def occupancy(self) -> int:
         return self._occupancy
-
-    def complete_vc_ids(self) -> List[int]:
-        """VC ids with a complete front packet, in ascending order."""
-        return sorted(self._complete_vcs)
 
     def first_free_vc(self) -> Optional[int]:
         """Lowest-numbered VC not owned by a packet (empty and unrouted),

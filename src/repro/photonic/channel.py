@@ -10,7 +10,8 @@ demodulators turn on.
 :class:`DataChannel` is the per-cluster write channel state machine: it
 serializes flits at ``5 bits/cycle/wavelength`` (12.5 Gb/s per wavelength
 at 2.5 GHz) over however many wavelengths the current transmission was
-granted. :class:`ReservationBroadcastChannel` delivers reservation flits
+granted; what it queues and launches are counts of flits.
+:class:`ReservationBroadcastChannel` delivers reservation flits
 and ACK/NACK responses with waveguide propagation delays.
 """
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, Deque, Optional, Tuple
 
 from repro.noc.flit import Flit
 from repro.photonic.reservation import ReservationFlit
@@ -37,15 +38,19 @@ class ActiveTransmission:
     ``per_cycle`` (credit earned each cycle, 5 bits per wavelength) and
     ``queue_target`` (flits kept queued at the modulators: one plus a
     cycle's worth) are fixed by :meth:`DataChannel.begin`, as wavelengths
-    and flit size are from ACK to last flit.
+    and flit size are from ACK to last flit. The modulator queue is the
+    count ``pending`` of flits ``flit_bits`` wide (the width of the flits
+    fed; one packet's flits are all as wide), so a queued flit is nothing
+    but its place in line.
     """
 
     reservation: ReservationFlit
     expected_flits: int
     n_wavelengths: int
     per_cycle: float
+    flit_bits: int
     queue_target: int
-    pending: Deque[Flit]
+    pending: int = 0
     fed: int = 0
     launched: int = 0
     bit_credit: float = 0.0
@@ -56,11 +61,13 @@ class DataChannel:
 
     After its reservation is ACKed the owner calls :meth:`begin`, then
     *feeds* flits from the source buffer as they become available
-    (:meth:`feed`); each :meth:`tick` returns the flits whose last bit
-    left the modulators this cycle (the caller forwards them to the
-    destination with the waveguide propagation delay). The channel
-    accumulates ``5 bits/cycle/wavelength`` of credit only while it has
-    flits to send -- light with nothing modulated onto it carries nothing.
+    (:meth:`top_up` from a buffer that holds the whole packet, or
+    :meth:`feed` one flit at a time); each
+    :meth:`tick` returns how many flits' last bit left the modulators this
+    cycle (the caller forwards them to the destination with the waveguide
+    propagation delay). The channel accumulates ``5 bits/cycle/wavelength``
+    of credit only while it has flits to send -- light with nothing
+    modulated onto it carries nothing.
 
     Statistics track busy cycles and *wavelength-cycles lit* -- the
     quantity behind Firefly's demodulator-energy penalty (section 3.3.1).
@@ -106,8 +113,8 @@ class DataChannel:
             expected_flits=expected_flits,
             n_wavelengths=n_wavelengths,
             per_cycle=per_cycle,
+            flit_bits=flit_bits,
             queue_target=1 + math.ceil(per_cycle / flit_bits),
-            pending=deque(),
         )
 
     def wanted_flits(self) -> int:
@@ -119,26 +126,50 @@ class DataChannel:
         active = self._active
         if active is None:
             return 0
-        wanted = active.queue_target - len(active.pending)
+        wanted = active.queue_target - active.pending
         remaining = active.expected_flits - active.fed
         if remaining < wanted:
             wanted = remaining
         return wanted if wanted > 0 else 0
 
     def feed(self, flit: Flit) -> None:
+        """Queue one flit at the modulators (flits already queued must
+        be as wide)."""
         active = self._active
         if active is None:
             raise ChannelError("feed() with no active transmission")
         if active.fed >= active.expected_flits:
             raise ChannelError("feed() beyond expected_flits")
-        active.pending.append(flit)
+        if active.pending and flit.bits != active.flit_bits:
+            raise ChannelError(
+                f"{flit.bits}-bit flit queued behind {active.flit_bits}-bit ones"
+            )
+        active.flit_bits = flit.bits
+        active.pending += 1
         active.fed += 1
 
-    def tick(self, cycle: int) -> List[Flit]:
-        """Advance one cycle; return flits completed this cycle."""
+    def top_up(self, flit_bits: int) -> int:
+        """Queue the :meth:`wanted_flits` of a feeder that holds the rest
+        of the transmission (store-and-forward: the whole packet is
+        buffered before its reservation), each *flit_bits* wide; return
+        how many were queued."""
+        active = self._active
+        wanted = active.queue_target - active.pending
+        remaining = active.expected_flits - active.fed
+        if remaining < wanted:
+            wanted = remaining
+        if wanted <= 0:
+            return 0
+        active.flit_bits = flit_bits
+        active.pending += wanted
+        active.fed += wanted
+        return wanted
+
+    def tick(self, cycle: int) -> int:
+        """Advance one cycle; return how many flits completed in it."""
         active = self._active
         if active is None:
-            return []
+            return 0
         self.busy_cycles += 1
         self.wavelength_cycles_lit += active.n_wavelengths
         pending = active.pending
@@ -146,21 +177,21 @@ class DataChannel:
             # Feeder starved the channel: lit but idle.
             self.stalled_cycles += 1
             active.bit_credit = 0.0
-            return []
+            return 0
         # One float add per cycle, one subtract per flit: the credit's
         # rounding history is pinned behaviour.
         credit = active.bit_credit + active.per_cycle
-        done: List[Flit] = []
-        while pending and credit >= pending[0].bits:
-            flit = pending.popleft()
-            credit -= flit.bits
-            self.bits_transmitted += flit.bits
-            done.append(flit)
+        bits = active.flit_bits
+        done = 0
+        while done < pending and credit >= bits:
+            credit -= bits
+            done += 1
         active.bit_credit = credit
         if done:
-            n = len(done)
-            active.launched += n
-            self.flits_transmitted += n
+            active.pending = pending - done
+            active.launched += done
+            self.bits_transmitted += bits * done
+            self.flits_transmitted += done
             if active.launched >= active.expected_flits:
                 self.packets_transmitted += 1
                 self._active = None

@@ -96,10 +96,16 @@ class TrafficGenerator:
 
     def _apply_scale(self) -> None:
         scale = self._scale
-        self._probabilities = [
-            min(1.0, rate * scale) for rate in self._base_rates
-        ]
-        self._any_active = any(p > 0.0 for p in self._probabilities)
+        #: (core, probability) of the cores that can inject: a core at
+        #: probability 0 draws nothing from the RNG.
+        self._active = []
+        for core, rate in enumerate(self._base_rates):
+            # ``min(1.0, p)`` without the builtin call: identical for every
+            # float, NaN included (min keeps 1.0 unless p is strictly less).
+            p = rate * scale
+            p = p if p < 1.0 else 1.0
+            if p > 0.0:
+                self._active.append((core, p))
 
     def set_scale(self, scale: float) -> None:
         """Rescale the offered load without rebuilding the generator.
@@ -123,19 +129,20 @@ class TrafficGenerator:
     def is_idle(self) -> bool:
         """True when every per-core probability is zero.
 
-        :meth:`tick` short-circuits zero-probability cores *before*
-        drawing from the RNG, so skipping a fully-zeroed generator
-        consumes no randomness and cannot desynchronise the stream.
+        :meth:`tick` draws only for cores with a nonzero probability, so
+        skipping a fully-zeroed generator consumes no randomness and
+        cannot desynchronise the stream.
         """
-        return not self._any_active
+        return not self._active
 
     def tick(self, cycle: int) -> None:
         """One injection round: Bernoulli trial per core."""
         rng = self.rng
         pattern = self.pattern
         bw_set = self.bw_set
-        for core, probability in enumerate(self._probabilities):
-            if probability <= 0.0 or rng.random() >= probability:
+        draw = rng.random
+        for core, probability in self._active:
+            if draw() >= probability:
                 continue
             dst = pattern.pick_destination(core, rng)
             packet = Packet(

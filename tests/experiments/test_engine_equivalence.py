@@ -130,35 +130,79 @@ def wire_by_hand(arch_name, bw_set, pattern_name, offered):
 
 
 def test_gateway_held_counter_matches_enumeration():
-    """The O(1) ``flits_held`` counter never drifts from the full audit.
+    """The O(1) counters never drift from the state they count.
 
-    ``audit_flits_held`` re-derives the held-flit count by enumerating
-    every pipe, buffer and in-flight channel; the incremental ``_held``
-    counter must agree at every cycle, across injection, transmission,
-    ejection and abandonment. So must the counts that gate the
-    gateway's stages, each against what it stands for.
+    ``ClusterGateway.audit`` re-derives the held-flit count by
+    enumerating every pipe, buffer and in-flight launch, and the counts
+    that gate the gateway's stages each against what it stands for; it
+    must pass at every cycle, across injection, transmission, ejection
+    and abandonment.
     """
     sim, arch = wire_by_hand("dhetpnoc", BW_SET_1, "skewed3", 400.0)
-
-    def audit(cycle):
-        for gateway in arch.gateways:
-            assert gateway.flits_held() == gateway.audit_flits_held(), (
-                f"cycle {cycle}: gateway {gateway.cluster_id} counter "
-                "drifted from enumeration"
-            )
-            where = f"cycle {cycle}, gateway {gateway.cluster_id}"
-            assert gateway._pipes_active == sum(
-                1 for pipe in gateway._pipe_flits if pipe), where
-            nonempty = {s for s, b in gateway.rx_buffers.items() if len(b)}
-            assert gateway._rx_nonempty == len(nonempty), where
-            assert set().union(*gateway._rx_ready) == nonempty, where
-            if gateway._tx_state == gateway.IDLE:
-                assert gateway._tx_waiting == sum(
-                    len(port._complete_vcs) for port in gateway.inputs), where
-
-    arch.add_tick_hook(audit)
+    arch.add_tick_hook(lambda cycle: [g.audit() for g in arch.gateways])
     sim.run(300)
-    audit(sim.cycle)
+    for gateway in arch.gateways:
+        gateway.audit()
+
+
+def _launch_skipping_dst_held(original):
+    def mutant(self, cycle):
+        dst = self._tx_dst
+        before = dst._held
+        original(self, cycle)
+        dst._held = before  # the launch's ``dst._held += n`` never happened
+    return mutant
+
+
+def _tail_leaving_rx_ready_stale(original):
+    def mutant(self, cycle):
+        before = {src: slot for slot, ready in enumerate(self._rx_ready)
+                  for src in ready}
+        original(self, cycle)
+        # A source that changed core slot was re-indexed by a tail
+        # ejection: put it back where the ejected packet's core was.
+        for slot, ready in enumerate(self._rx_ready):
+            for src in [s for s in ready if before.get(s, slot) != slot]:
+                ready.discard(src)
+                self._rx_ready[before[src]].add(src)
+    return mutant
+
+
+@pytest.mark.parametrize("method,mutate,counter", [
+    ("_tx_stream", _launch_skipping_dst_held, "_held"),
+    ("_eject_step", _tail_leaving_rx_ready_stale, "_rx_ready"),
+])
+def test_gateway_audit_catches_a_planted_fault(monkeypatch, method, mutate,
+                                                counter):
+    """Each planted fault is named by ``audit`` within 50 cycles.
+
+    Three clusters each queue a packet for core 0 and then one for core
+    1 (8 x 256-bit flits): the three share core 0's ejection, so each
+    source's second packet lands behind its first, and the first's tail
+    leaving must move the source to core 1's ready set (cycle ~33).
+    """
+    from repro.arch.photonic_router import ClusterGateway
+    from repro.arch.registry import architectures
+    from repro.noc.flit import Packet
+    from repro.sim.engine import SimulationError
+    from repro.traffic.bandwidth_sets import BW_SET_3
+    from repro.traffic.patterns import pattern_by_name
+
+    monkeypatch.setattr(ClusterGateway, method,
+                        mutate(getattr(ClusterGateway, method)))
+    config = SystemConfig(bw_set=BW_SET_3)
+    sim = Simulator(seed=1)
+    pattern = pattern_by_name("uniform").bind(
+        BW_SET_3, config.n_clusters, config.cores_per_cluster)
+    arch = architectures.get("dhetpnoc")(sim, config, pattern)
+    for cluster in (1, 2, 3):
+        for dst in (0, 1):
+            arch.submit(Packet(src=4 * cluster, dst=dst,
+                               n_flits=BW_SET_3.packet_flits,
+                               flit_bits=BW_SET_3.flit_bits))
+    arch.add_tick_hook(lambda cycle: [g.audit() for g in arch.gateways])
+    with pytest.raises(SimulationError, match=rf"gateway \d+: {counter} is"):
+        sim.run(50)
 
 
 @pytest.mark.parametrize("bw_set_index", [1, 3])

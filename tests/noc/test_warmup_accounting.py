@@ -127,12 +127,12 @@ class TestEndOfRunBoundary:
 
     @staticmethod
     def _vcs(arch):
-        """Every buffer whose residency ``finalize`` charges."""
+        """Every buffer whose residency ``finalize`` charges (a gateway
+        keeps one count per input port and per RX buffer)."""
         if hasattr(arch, "gateways"):
             return [
-                vc for gateway in arch.gateways
-                for vc in (*(vc for port in gateway.inputs for vc in port),
-                           *gateway.rx_buffers.values())
+                buffer for gateway in arch.gateways
+                for buffer in (*gateway.inputs, *gateway.rx_buffers.values())
             ]
         return [
             vc for router in arch.network.routers.values()

@@ -21,15 +21,15 @@ def make_reservation(n_flits=8, src=0, dst=1):
 
 
 def transmit_fully(channel, flits, n_wavelengths, flit_bits=32, max_cycles=1000):
-    """Feed-and-tick until the transmission completes; return launch cycles."""
+    """Feed-and-tick until the transmission completes; return the launch
+    cycle of every flit."""
     channel.begin(make_reservation(len(flits)), len(flits), flit_bits, n_wavelengths, 0)
     pending = list(flits)
     launches = []
     for cycle in range(max_cycles):
         while pending and channel.wanted_flits() > 0:
             channel.feed(pending.pop(0))
-        for flit in channel.tick(cycle):
-            launches.append((cycle, flit))
+        launches.extend([cycle] * channel.tick(cycle))
         if not channel.busy:
             break
     return launches
@@ -42,20 +42,23 @@ class TestDataChannel:
         channel = DataChannel(0)
         launches = transmit_fully(channel, make_flits(64, 32), n_wavelengths=4)
         assert len(launches) == 64
-        last_cycle = launches[-1][0]
+        last_cycle = launches[-1]
         assert 100 <= last_cycle + 1 <= 106
 
     def test_doubling_wavelengths_halves_time(self):
         c4 = DataChannel(0)
-        t4 = transmit_fully(c4, make_flits(64, 32), 4)[-1][0]
+        t4 = transmit_fully(c4, make_flits(64, 32), 4)[-1]
         c8 = DataChannel(0)
-        t8 = transmit_fully(c8, make_flits(64, 32), 8)[-1][0]
+        t8 = transmit_fully(c8, make_flits(64, 32), 8)[-1]
         assert t8 == pytest.approx(t4 / 2, abs=2)
 
-    def test_flit_order_preserved(self):
+    def test_launch_cadence_follows_bit_credit(self):
+        """16 x 128-bit flits at 40 bits/cycle, never starved: flit m
+        leaves in the first cycle k with 40 (k + 1) >= 128 m."""
         channel = DataChannel(0)
-        launches = transmit_fully(channel, make_flits(16, 128), 8)
-        assert [f.seq for _c, f in launches] == list(range(16))
+        launches = transmit_fully(channel, make_flits(16, 128), 8, flit_bits=128)
+        assert launches == [-(-128 * m // 40) - 1 for m in range(1, 17)]
+        assert channel.stalled_cycles == 0
 
     def test_bits_accounted(self):
         channel = DataChannel(0)
@@ -72,17 +75,17 @@ class TestDataChannel:
         """No fed flits -> lit but idle, credit does not accumulate."""
         channel = DataChannel(0)
         channel.begin(make_reservation(4), 4, 32, 4, 0)
-        assert channel.tick(0) == []
+        assert channel.tick(0) == 0
         assert channel.stalled_cycles == 1
         # After late feeding, transmission still completes correctly.
         for flit in make_flits(4, 32):
             channel.feed(flit)
-        total = []
+        total = 0
         for cycle in range(1, 50):
-            total.extend(channel.tick(cycle))
+            total += channel.tick(cycle)
             if not channel.busy:
                 break
-        assert len(total) == 4
+        assert total == 4
 
     def test_each_packet_streams_at_its_own_plan(self):
         """Rate and queue depth are fixed per transmission at ``begin``:
@@ -93,9 +96,9 @@ class TestDataChannel:
         assert channel.wanted_flits() == 4
         channel.abort()
         fast = transmit_fully(channel, make_flits(8), n_wavelengths=16)
-        assert fast[-1][0] == 3  # 256 bits at 80 bits/cycle
+        assert fast[-1] == 3  # 256 bits at 80 bits/cycle
         slow = transmit_fully(channel, make_flits(8), n_wavelengths=1)
-        assert slow[-1][0] == 51  # 256 bits at 5 bits/cycle
+        assert slow[-1] == 51  # 256 bits at 5 bits/cycle
         channel.begin(make_reservation(8), 8, 32, 1, 0)
         assert (channel.active.per_cycle, channel.active.queue_target) == (5.0, 2)
         assert channel.wanted_flits() == 2
@@ -117,6 +120,13 @@ class TestDataChannel:
         channel.feed(flits[0])
         with pytest.raises(ChannelError):
             channel.feed(flits[1])
+
+    def test_feed_behind_flits_of_another_width_rejected(self):
+        channel = DataChannel(0)
+        channel.begin(make_reservation(4), 4, 32, 4, 0)
+        channel.feed(make_flits(1, flit_bits=32)[0])
+        with pytest.raises(ChannelError):
+            channel.feed(make_flits(1, flit_bits=64)[0])
 
     def test_zero_wavelengths_rejected(self):
         with pytest.raises(ChannelError):
@@ -142,7 +152,7 @@ class TestDataChannel:
         channel = DataChannel(0)
         channel.begin(make_reservation(4), 4, 32, 4, 0)
         for cycle in range(3):
-            assert channel.tick(cycle) == []
+            assert channel.tick(cycle) == 0
         assert (channel.busy_cycles, channel.stalled_cycles) == (3, 3)
         channel.reset_stats()
         assert (channel.busy_cycles, channel.stalled_cycles) == (0, 0)

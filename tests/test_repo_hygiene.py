@@ -138,6 +138,21 @@ def test_one_gateway_one_channel_one_allocator():
     assert env_reads == {}
 
 
+def test_the_gateway_carries_counts_not_flits():
+    # Inside the store-and-forward gateway a packet's flits differ only
+    # by how many there are: no stage builds a Flit or splits a packet
+    # into them, and the held-flit recount is part of the one audit.
+    import re
+
+    router = (REPO_ROOT / "src/repro/arch/photonic_router.py").read_text(
+        encoding="utf-8"
+    )
+    assert not re.search(r"(?<![\w.])Flit\(", router)
+    assert not re.search(r"import [^\n]*\bFlit\b", router)
+    assert "packetize" not in router
+    assert _count_in_src("audit_flits_held") == {}
+
+
 def test_one_architecture_shell_and_one_reset_protocol():
     # What a run drives is held once: the three NoCs share one clocked
     # shell (arch/base.py), and a second subclass of the kernel's base

@@ -154,6 +154,7 @@ class DataChannel:
         buffered before its reservation), each *flit_bits* wide; return
         how many were queued."""
         active = self._active
+        # wanted_flits(), inlined: this runs every streaming cycle.
         wanted = active.queue_target - active.pending
         remaining = active.expected_flits - active.fed
         if remaining < wanted:

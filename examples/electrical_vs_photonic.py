@@ -7,7 +7,8 @@ latency communication" with lower energy. This example quantifies the
 claim with the reproduction's own substrates: a generous 64-core
 electrical CLICHE mesh (32-bit links, XY routing, table 3-3 routers)
 against the Firefly photonic crossbar, across offered loads and
-bandwidth sets.
+bandwidth sets -- each point one ``Session.run_one`` at the quick
+fidelity -- and ends by checking the chapter's three claims.
 
 Run:  python examples/electrical_vs_photonic.py
 """
@@ -16,84 +17,69 @@ from __future__ import annotations
 
 import argparse
 
-from repro.arch.config import SystemConfig
-from repro.arch.electrical_baseline import ElectricalMeshNoC
-from repro.arch.firefly import FireflyNoC
+from repro.api import Session
 from repro.experiments.report import ascii_table
-from repro.sim.engine import Simulator
-from repro.sim.rng import RandomStreams
-from repro.traffic import BANDWIDTH_SETS, BW_SET_1
-from repro.traffic.generator import TrafficGenerator
-from repro.traffic.patterns import UniformRandomTraffic
+from repro.traffic import BANDWIDTH_SETS, BW_SET_1, BW_SET_3
 
 
-def run(noc_cls, offered_gbps, bw_set, seed=17, cycles=3000):
-    streams = RandomStreams(seed)
-    config = SystemConfig(bw_set=bw_set)
-    sim = Simulator(clock_hz=config.clock_hz, seed=seed)
-    noc = noc_cls(sim, config)
-    pattern = UniformRandomTraffic().bind(
-        bw_set, config.n_clusters, config.cores_per_cluster,
-        streams.get("placement"),
-    )
-    generator = TrafficGenerator.for_offered_gbps(
-        pattern, offered_gbps, streams.get("traffic"), noc.submit,
-        config.clock_hz,
-    )
-    noc.attach_generator(generator)
-    sim.run_with_reset(cycles, cycles // 10)
-    noc.finalize()
-    return noc
-
-
-def load_sweep(bw_set, loads, seed):
-    rows = []
-    for offered in loads:
-        mesh_noc = run(ElectricalMeshNoC, offered, bw_set, seed)
-        photonic = run(FireflyNoC, offered, bw_set, seed)
-        clock = 2.5e9
-        rows.append([
-            f"{offered:g}",
-            round(mesh_noc.metrics.delivered_gbps(clock), 1),
-            round(photonic.metrics.delivered_gbps(clock), 1),
-            round(mesh_noc.metrics.latency.mean, 1),
-            round(photonic.metrics.latency.mean, 1),
-            round(mesh_noc.energy_per_message_pj, 0),
-            round(photonic.energy_per_message_pj, 0),
-        ])
-    return rows
+def mesh_and_photonic(session, bw_set, offered_gbps, seed):
+    """The electrical mesh's and Firefly's results at one point."""
+    return [
+        session.run_one(arch, bw_set, "uniform", offered_gbps, seed=seed)
+        for arch in ("electrical", "firefly")
+    ]
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=17)
     args = parser.parse_args()
+    session = Session()
 
     print("Uniform traffic, BW set 1 (photonic aggregate 800 Gb/s):\n")
-    rows = load_sweep(BW_SET_1, (100, 300, 600, 900), args.seed)
+    sweep = {
+        offered: mesh_and_photonic(session, BW_SET_1, offered, args.seed)
+        for offered in (100, 300, 600, 900)
+    }
     print(ascii_table(
         ["offered Gb/s", "mesh Gb/s", "photonic Gb/s",
          "mesh lat", "photonic lat", "mesh EPM pJ", "photonic EPM pJ"],
-        rows,
+        [
+            [f"{offered:g}",
+             round(mesh.delivered_gbps, 1), round(photonic.delivered_gbps, 1),
+             round(mesh.mean_latency_cycles, 1),
+             round(photonic.mean_latency_cycles, 1),
+             round(mesh.energy_per_message_pj, 0),
+             round(photonic.energy_per_message_pj, 0)]
+            for offered, (mesh, photonic) in sweep.items()
+        ],
     ))
     print()
     print("Scaling the photonic budget (offered = 60% of aggregate):\n")
-    rows = []
-    for bw_set in BANDWIDTH_SETS:
-        offered = 0.6 * bw_set.aggregate_gbps
-        mesh_noc = run(ElectricalMeshNoC, offered, bw_set, args.seed)
-        photonic = run(FireflyNoC, offered, bw_set, args.seed)
-        clock = 2.5e9
-        rows.append([
-            bw_set.name,
-            f"{offered:g}",
-            round(mesh_noc.metrics.delivered_gbps(clock), 1),
-            round(photonic.metrics.delivered_gbps(clock), 1),
-        ])
+    scaling = {
+        bw_set.name: mesh_and_photonic(
+            session, bw_set, 0.6 * bw_set.aggregate_gbps, args.seed)
+        for bw_set in BANDWIDTH_SETS
+    }
     print(ascii_table(
         ["bandwidth set", "offered Gb/s", "mesh Gb/s", "photonic Gb/s"],
-        rows,
+        [
+            [name, f"{mesh.offered_gbps:g}", round(mesh.delivered_gbps, 1),
+             round(photonic.delivered_gbps, 1)]
+            for name, (mesh, photonic) in scaling.items()
+        ],
     ))
+    light, busy, scaled = sweep[100], sweep[300], scaling[BW_SET_3.name]
+    print("\nChapter-1 claims (section 1.5):")
+    for claim, holds in (
+        ("mesh latency lower at 100 Gb/s",
+         light[0].mean_latency_cycles < light[1].mean_latency_cycles),
+        ("photonic delivers > 1.3x the mesh on BW set 3",
+         scaled[1].delivered_gbps > 1.3 * scaled[0].delivered_gbps),
+        ("photonic energy per message lower at 300 Gb/s",
+         busy[1].energy_per_message_pj < busy[0].energy_per_message_pj),
+    ):
+        print(f"  {claim:<48}: {holds}")
     print()
     print("Reading: the mesh wins raw latency at light load (few-cycle "
           "hops, no reservation round trip) and even keeps up at BW set "

@@ -50,22 +50,7 @@ def _fidelity_from(value) -> Fidelity:
     if isinstance(value, str):
         return fidelities.get(value)
     if isinstance(value, dict):
-        known = {f.name for f in dataclasses.fields(Fidelity)}
-        unknown = set(value) - known
-        if unknown:
-            raise ValueError(
-                f"unknown fidelity fields {sorted(unknown)}; expected "
-                f"{sorted(known)}"
-            )
-        missing = known - set(value)
-        if missing:
-            raise ValueError(f"fidelity dict is missing {sorted(missing)}")
-        return Fidelity(
-            name=str(value["name"]),
-            total_cycles=int(value["total_cycles"]),
-            reset_cycles=int(value["reset_cycles"]),
-            load_fractions=tuple(float(f) for f in value["load_fractions"]),
-        )
+        return Fidelity.from_dict(value)
     raise ValueError(
         f"fidelity must be a Fidelity, a registered name or a dict, "
         f"not {type(value).__name__}"
@@ -221,12 +206,7 @@ class ExperimentSpec:
             "scenarios": list(self.scenarios),
             "scenario_files": list(self.scenario_files),
             "seeds": list(self.seeds),
-            "fidelity": {
-                "name": self.fidelity.name,
-                "total_cycles": self.fidelity.total_cycles,
-                "reset_cycles": self.fidelity.reset_cycles,
-                "load_fractions": list(self.fidelity.load_fractions),
-            },
+            "fidelity": self.fidelity.to_dict(),
             "load_fractions": (
                 None if self.load_fractions is None else list(self.load_fractions)
             ),

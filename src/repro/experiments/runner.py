@@ -13,7 +13,7 @@ is read at the sweep point where delivery peaked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Tuple
 
 from repro.api.base import Registry
@@ -43,6 +43,40 @@ class Fidelity:
             raise ValueError("reset must be shorter than the run")
         if not self.load_fractions:
             raise ValueError("need at least one load point")
+
+    def to_dict(self) -> dict:
+        """The one JSON form: a spec's ``fidelity`` and a work item's.
+
+        >>> Fidelity.from_dict(QUICK_FIDELITY.to_dict()) == QUICK_FIDELITY
+        True
+        """
+        return {
+            "name": self.name,
+            "total_cycles": self.total_cycles,
+            "reset_cycles": self.reset_cycles,
+            "load_fractions": list(self.load_fractions),
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "Fidelity":
+        """Exact inverse of :meth:`to_dict`. An unknown or a missing
+        field is a ``ValueError``: a typo never becomes a default."""
+        known = {f.name for f in fields(cls)}
+        unknown = set(data) - known
+        if unknown:
+            raise ValueError(
+                f"unknown fidelity fields {sorted(unknown)}; expected "
+                f"{sorted(known)}"
+            )
+        missing = known - set(data)
+        if missing:
+            raise ValueError(f"fidelity dict is missing {sorted(missing)}")
+        return cls(
+            name=str(data["name"]),
+            total_cycles=int(data["total_cycles"]),
+            reset_cycles=int(data["reset_cycles"]),
+            load_fractions=tuple(float(f) for f in data["load_fractions"]),
+        )
 
 
 #: Table 3-3 schedule with a dense sweep.

@@ -318,7 +318,7 @@ class PointExecutor:
         shared = self._job_fields.get((digest, fidelity))
         if shared is None:
             shared = self._job_fields[digest, fidelity] = {
-                "fidelity": protocol.fidelity_to_dict(fidelity),
+                "fidelity": fidelity.to_dict(),
                 "config": protocol.config_to_dict(config),
             }
         return {
@@ -422,7 +422,7 @@ def execute_item(item: dict) -> RunResult:
     from repro.fabric import protocol  # imports this module
 
     point = protocol.point_from_dict(item["point"])
-    fidelity = protocol.fidelity_from_dict(item["fidelity"])
+    fidelity = Fidelity.from_dict(item["fidelity"])
     config = protocol.config_from_dict(item.get("config"))
     if point.scenario is not None:
         ensure_scenario(

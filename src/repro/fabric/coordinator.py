@@ -53,6 +53,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.experiments.runner import Fidelity
 from repro.experiments.store import ResultStore, result_from_dict, result_to_dict
 from repro.fabric.errors import ProtocolError
 from repro.fabric.protocol import point_label, send_message
@@ -542,6 +543,9 @@ class Coordinator(RoleServer):
         """Admit one batch — the degenerate job: unique keys, no spec,
         born running — and stream its log until completion."""
         entries = message.get("points") or []
+        # Decoded once here, so a malformed fidelity earns the client an
+        # error frame instead of a failure on every worker it reaches.
+        Fidelity.from_dict(message["fidelity"])
         shared = {"fidelity": message["fidelity"], "config": message.get("config")}
         keys = [entry["key"] for entry in entries]
         if len(set(keys)) != len(keys):

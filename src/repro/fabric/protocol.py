@@ -17,8 +17,9 @@ message flow and docs/fabric.md for the frame catalogue).
 Determinism
 -----------
 The payload serialisers below reuse the repository's existing wire
-forms — :func:`repro.experiments.store.result_to_dict` for results and
-plain ``dataclasses.asdict`` for points/fidelities/configs. Python's
+forms — :func:`repro.experiments.store.result_to_dict` for results,
+``Fidelity.to_dict`` for fidelities and plain ``dataclasses.asdict``
+for points/configs. Python's
 ``json`` emits floats via ``repr``, which round-trips ``float``
 exactly, so a :class:`~repro.experiments.runner.RunResult` that
 crosses the fabric compares **bitwise equal** to one computed in
@@ -33,7 +34,7 @@ import struct
 from typing import Optional
 
 from repro.arch.config import SystemConfig
-from repro.experiments.runner import Fidelity, RunResult
+from repro.experiments.runner import RunResult
 from repro.experiments.store import result_from_dict, result_to_dict
 from repro.experiments.sweep import RunPoint
 from repro.fabric.errors import ProtocolError
@@ -45,8 +46,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "config_from_dict",
     "config_to_dict",
-    "fidelity_from_dict",
-    "fidelity_to_dict",
     "point_from_dict",
     "point_label",
     "point_to_dict",
@@ -173,21 +172,6 @@ def point_label(point: dict) -> str:
     if point.get("scenario"):
         label += f"/{point['scenario']}"
     return label
-
-
-def fidelity_to_dict(fidelity: Fidelity) -> dict:
-    """JSON form of a :class:`~repro.experiments.runner.Fidelity`."""
-    return dataclasses.asdict(fidelity)
-
-
-def fidelity_from_dict(data: dict) -> Fidelity:
-    """Exact inverse of :func:`fidelity_to_dict`."""
-    return Fidelity(
-        name=str(data["name"]),
-        total_cycles=int(data["total_cycles"]),
-        reset_cycles=int(data["reset_cycles"]),
-        load_fractions=tuple(float(f) for f in data["load_fractions"]),
-    )
 
 
 def config_to_dict(config: Optional[SystemConfig]) -> Optional[dict]:

@@ -147,9 +147,6 @@ class Router(ClockedComponent):
         """Receive *flit* on input *port*."""
         self.inputs[port].push(flit, cycle)
 
-    def can_accept(self, port: int, vc: int) -> bool:
-        return self.inputs[port].can_accept(vc)
-
     # ------------------------------------------------------------------
     # Pipeline
     # ------------------------------------------------------------------

@@ -98,23 +98,28 @@ def build_phase_pattern(
 ) -> TrafficPattern:
     """Instantiate, specialise and bind the pattern a phase calls for."""
     name = phase.pattern if phase.pattern is not None else default_pattern
-    pattern = pattern_by_name(name)
+    pattern = pattern_by_name(name).bind(
+        bw_set, n_clusters, cores_per_cluster, _placement_rng(streams, phase, phase_index)
+    )
+    _apply_in_place(pattern, phase, phase_index)
+    return pattern
+
+
+def _apply_in_place(pattern: TrafficPattern, phase: Phase, phase_index: int) -> None:
+    """The phase's hotspot move and app-mix shift, made on *pattern*
+    itself; a pattern without the knob is an authoring error."""
     if phase.hotspot_core is not None:
         if not hasattr(pattern, "hotspot_core"):
             raise ScenarioError(
-                f"phase {phase_index}: pattern {name!r} has no hotspot to move"
+                f"phase {phase_index}: pattern {pattern.name!r} has no hotspot to move"
             )
         pattern.hotspot_core = phase.hotspot_core
-    pattern.bind(
-        bw_set, n_clusters, cores_per_cluster, _placement_rng(streams, phase, phase_index)
-    )
     if phase.app_mix is not None:
         if not hasattr(pattern, "scale_intensities"):
             raise ScenarioError(
-                f"phase {phase_index}: pattern {name!r} has no app mix to shift"
+                f"phase {phase_index}: pattern {pattern.name!r} has no app mix to shift"
             )
         pattern.scale_intensities(dict(phase.app_mix))
-    return pattern
 
 
 def initial_pattern(
@@ -242,20 +247,7 @@ class ScenarioPlayer:
         else:
             # Same pattern object; apply the phase's in-place tweaks.
             pattern = self.pattern
-            if phase.hotspot_core is not None:
-                if not hasattr(pattern, "hotspot_core"):
-                    raise ScenarioError(
-                        f"phase {index}: pattern {pattern.name!r} has no "
-                        "hotspot to move"
-                    )
-                pattern.hotspot_core = phase.hotspot_core
-            if phase.app_mix is not None:
-                if not hasattr(pattern, "scale_intensities"):
-                    raise ScenarioError(
-                        f"phase {index}: pattern {pattern.name!r} has no "
-                        "app mix to shift"
-                    )
-                pattern.scale_intensities(dict(phase.app_mix))
+            _apply_in_place(pattern, phase, index)
         if hasattr(self.noc, "apply_pattern_demand"):
             # New demand tables take effect at upcoming token visits —
             # the thesis's task-remapping rule (section 3.2.1).

@@ -122,10 +122,6 @@ class TrafficGenerator:
         self._scale = scale
         self._apply_scale()
 
-    @property
-    def scale(self) -> float:
-        return self._scale
-
     def is_idle(self) -> bool:
         """True when every per-core probability is zero.
 

@@ -1,34 +1,25 @@
-"""Tests for the electrical-mesh baseline and the chapter-1 comparison."""
+"""Tests for the electrical-mesh baseline.
+
+Its chapter-1 comparison with the photonic crossbar is
+``examples/electrical_vs_photonic.py``'s; ``tests/test_examples.py``
+checks the three claims the example prints.
+"""
 
 import pytest
 
 from repro.arch.config import SystemConfig
 from repro.arch.electrical_baseline import ElectricalMeshNoC
-from repro.arch.firefly import FireflyNoC
+from repro.experiments.runner import QUICK_FIDELITY, attach_traffic, wire_run
 from repro.noc.flit import Packet
 from repro.sim.engine import Simulator
-from repro.sim.rng import RandomStreams
 from repro.traffic.bandwidth_sets import BW_SET_1, bandwidth_set_by_index
-from repro.traffic.generator import TrafficGenerator
-from repro.traffic.patterns import UniformRandomTraffic, pattern_by_name
 
 
-def build_mesh(seed=3, offered=None):
-    streams = RandomStreams(seed)
-    config = SystemConfig(bw_set=BW_SET_1)
-    sim = Simulator(seed=seed)
-    noc = ElectricalMeshNoC(sim, config)
-    pattern = None
+def build_mesh(seed=3, offered=None, bw_set=BW_SET_1):
+    run = wire_run("electrical", bw_set, "uniform", QUICK_FIDELITY, seed)
     if offered is not None:
-        pattern = UniformRandomTraffic().bind(
-            BW_SET_1, config.n_clusters, config.cores_per_cluster,
-            streams.get("placement"),
-        )
-        generator = TrafficGenerator.for_offered_gbps(
-            pattern, offered, streams.get("traffic"), noc.submit, config.clock_hz
-        )
-        noc.attach_generator(generator)
-    return sim, noc
+        attach_traffic(run, offered, QUICK_FIDELITY)
+    return run.sim, run.arch
 
 
 class TestElectricalMesh:
@@ -66,8 +57,7 @@ class TestElectricalMesh:
         """Every set's packet is 2048 bits = 64 phits once re-flitted,
         whatever its own flit width."""
         bw_set = bandwidth_set_by_index(bw_set_index)
-        sim = Simulator()
-        noc = ElectricalMeshNoC(sim, SystemConfig(bw_set=bw_set))
+        sim, noc = build_mesh(bw_set=bw_set)
         for dst in (61, 62, 63):
             assert noc.submit(Packet(src=0, dst=dst, n_flits=bw_set.packet_flits,
                                      flit_bits=bw_set.flit_bits))
@@ -79,27 +69,20 @@ class TestElectricalMesh:
         """accepted == delivered + in system, audited every 50 cycles
         past saturation (queues full, packets mid-injection, links and
         buffers busy)."""
-        bw_set = bandwidth_set_by_index(bw_set_index)
-        streams = RandomStreams(5)
-        config = SystemConfig(bw_set=bw_set)
-        sim = Simulator(seed=5)
-        noc = ElectricalMeshNoC(sim, config)
-        pattern = pattern_by_name("skewed3").bind(
-            bw_set, config.n_clusters, config.cores_per_cluster,
-            streams.get("placement"),
-        )
+        run = wire_run("electrical", bandwidth_set_by_index(bw_set_index),
+                       "skewed3", QUICK_FIDELITY, 5)
+        sim, noc, submit = run.sim, run.arch, run.arch.submit
         accepted_phits = 0
 
-        def submit(packet):
+        def counting_submit(packet):
             nonlocal accepted_phits
-            accepted = noc.submit(packet)
+            accepted = submit(packet)
             if accepted:
                 accepted_phits += -(-packet.size_bits // noc.phit_bits)
             return accepted
 
-        noc.attach_generator(TrafficGenerator.for_offered_gbps(
-            pattern, 600.0, streams.get("traffic"), submit, config.clock_hz
-        ))
+        noc.submit = counting_submit  # before the generator captures it
+        attach_traffic(run, 600.0, QUICK_FIDELITY)
         queued = 0
         for _ in range(12):
             sim.run(50)
@@ -133,53 +116,3 @@ class TestElectricalMesh:
         _sim, noc = build_mesh()
         # 8x8 mesh: mean Manhattan distance = 2*(side^2-1)/(3*side) ~ 5.33.
         assert noc.mean_hop_count() == pytest.approx(16 / 3, rel=0.02)
-
-
-class TestChapterOneComparison:
-    """The motivation claims: electrical wins short-range latency at low
-    load; the photonic crossbar wins aggregate bandwidth."""
-
-    def _run(self, noc_cls, offered, bw_set=BW_SET_1, seed=17, cycles=1500):
-        streams = RandomStreams(seed)
-        config = SystemConfig(bw_set=bw_set)
-        sim = Simulator(seed=seed)
-        noc = noc_cls(sim, config)
-        pattern = UniformRandomTraffic().bind(
-            bw_set, config.n_clusters, config.cores_per_cluster,
-            streams.get("placement"),
-        )
-        generator = TrafficGenerator.for_offered_gbps(
-            pattern, offered, streams.get("traffic"), noc.submit, config.clock_hz
-        )
-        noc.attach_generator(generator)
-        sim.run(cycles)
-        noc.finalize()
-        return noc
-
-    def test_mesh_latency_lower_at_low_load(self):
-        mesh_noc = self._run(ElectricalMeshNoC, offered=40.0)
-        photonic = self._run(FireflyNoC, offered=40.0)
-        assert mesh_noc.metrics.latency.mean < photonic.metrics.latency.mean
-
-    def test_photonic_bandwidth_higher_at_scale(self):
-        """The DWDM budget scales the crossbar (BW set 3: 6.4 Tb/s
-        aggregate) far past the mesh's wire-limited capacity -- section
-        1.5's scalability argument."""
-        from repro.traffic.bandwidth_sets import BW_SET_3
-
-        offered = 4000.0
-        mesh_noc = self._run(ElectricalMeshNoC, offered, bw_set=BW_SET_3)
-        photonic = self._run(FireflyNoC, offered, bw_set=BW_SET_3)
-        clock = 2.5e9
-        assert (
-            photonic.metrics.delivered_gbps(clock)
-            > 1.3 * mesh_noc.metrics.delivered_gbps(clock)
-        )
-
-    def test_photonic_energy_per_message_lower(self):
-        """Multi-hop router + wire energy makes mesh messages costlier
-        than single-photonic-hop messages (section 1.5's energy
-        argument)."""
-        mesh_noc = self._run(ElectricalMeshNoC, offered=300.0)
-        photonic = self._run(FireflyNoC, offered=300.0)
-        assert photonic.energy_per_message_pj < mesh_noc.energy_per_message_pj

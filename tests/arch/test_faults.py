@@ -5,24 +5,16 @@ import pytest
 from repro.arch.config import SystemConfig
 from repro.arch.dhetpnoc import DHetPNoC
 from repro.arch.faults import FaultError, FaultInjector
+from repro.experiments.runner import QUICK_FIDELITY, attach_traffic, wire_run
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.traffic.bandwidth_sets import BW_SET_1
-from repro.traffic.generator import TrafficGenerator
-from repro.traffic.patterns import SkewedTraffic
 
 
 def build(seed=5, offered=350.0):
-    streams = RandomStreams(seed)
-    config = SystemConfig(bw_set=BW_SET_1)
-    sim = Simulator(seed=seed)
-    pattern = SkewedTraffic(3).bind(config.bw_set, 16, 4, streams.get("placement"))
-    noc = DHetPNoC(sim, config, pattern=pattern)
-    generator = TrafficGenerator.for_offered_gbps(
-        pattern, offered, streams.get("traffic"), noc.submit, config.clock_hz
-    )
-    noc.attach_generator(generator)
-    return sim, noc, pattern
+    run = wire_run("dhetpnoc", BW_SET_1, "skewed3", QUICK_FIDELITY, seed)
+    attach_traffic(run, offered, QUICK_FIDELITY)
+    return run.sim, run.arch, run.pattern
 
 
 class TestWavelengthDeath:
@@ -219,6 +211,7 @@ class TestFaultStormScenario:
                 (Phase(start_cycle=0),
                  Phase(start_cycle=total // 2, faults=faults)),
             )
+            # wire_run plays registered scenarios only; this one is hand-made.
             streams = RandomStreams(9)
             config = SystemConfig(bw_set=BW_SET_1)
             sim = Simulator(seed=9)

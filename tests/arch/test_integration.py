@@ -9,19 +9,15 @@ and conservation/determinism invariants.
 import pytest
 
 from repro.api.session import Session
-from repro.experiments.runner import Fidelity
-from repro.sim.rng import RandomStreams
-from repro.sim.engine import Simulator
-from repro.arch.config import SystemConfig
-from repro.arch.dhetpnoc import DHetPNoC
-from repro.arch.firefly import FireflyNoC
+from repro.experiments.runner import Fidelity, attach_traffic, wire_run
 from repro.traffic.bandwidth_sets import BW_SET_1
-from repro.traffic.generator import TrafficGenerator
-from repro.traffic.patterns import pattern_by_name
 
 FAST = Fidelity("test", 1200, 200, (0.6,))
 SEED = 11
 run_one = Session().run_one
+#: The invariant tests' architectures, under their historic test ids.
+ARCHS = [pytest.param("firefly", id="FireflyNoC"),
+         pytest.param("dhetpnoc", id="DHetPNoC")]
 
 
 def run(arch, pattern, offered_gbps=480.0, fidelity=FAST, seed=SEED):
@@ -102,27 +98,14 @@ class TestCaseStudies:
 
 
 class TestInvariants:
-    def _build(self, arch_cls, pattern_name, seed=SEED, offered=480.0):
-        streams = RandomStreams(seed)
-        config = SystemConfig(bw_set=BW_SET_1)
-        sim = Simulator(seed=seed)
-        pattern = pattern_by_name(pattern_name).bind(
-            config.bw_set, config.n_clusters, config.cores_per_cluster,
-            streams.get("placement"),
-        )
-        if arch_cls is DHetPNoC:
-            noc = arch_cls(sim, config, pattern=pattern)
-        else:
-            noc = arch_cls(sim, config)
-        gen = TrafficGenerator.for_offered_gbps(
-            pattern, offered, streams.get("traffic"), noc.submit, config.clock_hz
-        )
-        noc.attach_generator(gen)
-        return sim, noc
+    def _build(self, arch, pattern_name, seed=SEED, offered=480.0):
+        run = wire_run(arch, BW_SET_1, pattern_name, FAST, seed)
+        attach_traffic(run, offered, FAST)
+        return run.sim, run.arch
 
-    @pytest.mark.parametrize("arch_cls", [FireflyNoC, DHetPNoC])
-    def test_flit_conservation(self, arch_cls):
-        sim, noc = self._build(arch_cls, "skewed3")
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_flit_conservation(self, arch):
+        sim, noc = self._build(arch, "skewed3")
         sim.run(1500)  # no warm-up reset: conservation over the whole run
         flits_per_packet = 64
         accepted = noc.metrics.packets_accepted * flits_per_packet
@@ -133,11 +116,11 @@ class TestInvariants:
         )
         assert accounted == accepted
 
-    @pytest.mark.parametrize("arch_cls", [FireflyNoC, DHetPNoC])
-    def test_determinism(self, arch_cls):
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_determinism(self, arch):
         results = []
         for _ in range(2):
-            sim, noc = self._build(arch_cls, "skewed2", seed=21)
+            sim, noc = self._build(arch, "skewed2", seed=21)
             sim.run(800)
             results.append(
                 (
@@ -151,13 +134,13 @@ class TestInvariants:
     def test_seed_changes_results(self):
         sims = []
         for seed in (1, 2):
-            sim, noc = self._build(FireflyNoC, "skewed2", seed=seed)
+            sim, noc = self._build("firefly", "skewed2", seed=seed)
             sim.run(800)
             sims.append(noc.metrics.bits_delivered)
         assert sims[0] != sims[1]
 
     def test_overload_refuses_but_never_loses(self):
-        sim, noc = self._build(FireflyNoC, "skewed3", offered=1600.0)
+        sim, noc = self._build("firefly", "skewed3", offered=1600.0)
         sim.run(1500)
         assert noc.metrics.packets_refused > 0
         accepted = noc.metrics.packets_accepted * 64

@@ -9,14 +9,8 @@ it claims, and keep the DBA holdings inside the wavelength pool.
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.arch.config import SystemConfig
-from repro.arch.dhetpnoc import DHetPNoC
-from repro.arch.firefly import FireflyNoC
-from repro.sim.engine import Simulator
-from repro.sim.rng import RandomStreams
+from repro.experiments.runner import QUICK_FIDELITY, attach_traffic, wire_run
 from repro.traffic.bandwidth_sets import BW_SET_1
-from repro.traffic.generator import TrafficGenerator
-from repro.traffic.patterns import pattern_by_name
 
 PATTERNS = ["uniform", "skewed1", "skewed2", "skewed3", "skewed_hotspot2",
             "real_app"]
@@ -24,23 +18,10 @@ PATTERNS = ["uniform", "skewed1", "skewed2", "skewed3", "skewed_hotspot2",
 
 def drive(arch_name: str, pattern_name: str, seed: int, offered: float,
           cycles: int = 400):
-    streams = RandomStreams(seed)
-    config = SystemConfig(bw_set=BW_SET_1)
-    sim = Simulator(seed=seed)
-    pattern = pattern_by_name(pattern_name).bind(
-        config.bw_set, config.n_clusters, config.cores_per_cluster,
-        streams.get("placement"),
-    )
-    if arch_name == "dhetpnoc":
-        noc = DHetPNoC(sim, config, pattern=pattern)
-    else:
-        noc = FireflyNoC(sim, config)
-    generator = TrafficGenerator.for_offered_gbps(
-        pattern, offered, streams.get("traffic"), noc.submit, config.clock_hz
-    )
-    noc.attach_generator(generator)
-    sim.run(cycles)
-    return noc
+    run = wire_run(arch_name, BW_SET_1, pattern_name, QUICK_FIDELITY, seed)
+    attach_traffic(run, offered, QUICK_FIDELITY)
+    run.sim.run(cycles)
+    return run.arch
 
 
 common_settings = settings(

@@ -44,8 +44,6 @@ from repro.fabric.protocol import (
     PROTOCOL_VERSION,
     config_from_dict,
     config_to_dict,
-    fidelity_from_dict,
-    fidelity_to_dict,
     point_from_dict,
     point_to_dict,
     recv_message,
@@ -203,7 +201,7 @@ class TestProtocol:
         assert point_from_dict(point_to_dict(point)) == point
         plain = dataclasses.replace(point, bw_set=None, scenario=None)
         assert point_from_dict(point_to_dict(plain)) == plain
-        assert fidelity_from_dict(fidelity_to_dict(TINY)) == TINY
+        assert Fidelity.from_dict(TINY.to_dict()) == TINY
         config = SystemConfig(bw_set=BW_SET_2)
         assert config_from_dict(config_to_dict(config)) == config
         assert config_from_dict(None) is None
@@ -678,7 +676,7 @@ class TestClient:
                 {"key": "same", "point": point_to_dict(_any_point())},
             ]
             with pytest.raises(ProtocolError, match="unique"):
-                client.submit(entries, fidelity_to_dict(TINY), None)
+                client.submit(entries, TINY.to_dict(), None)
             client.close()
 
 

@@ -1,5 +1,6 @@
 """Tests for the JSONL-backed result store (repro.experiments.store)."""
 
+import dataclasses
 import json
 
 from repro.experiments.runner import Fidelity, RunResult
@@ -117,6 +118,14 @@ class TestStorePersistence:
         assert reloaded.get("good") == SAMPLE
         assert len(reloaded) == 1
         assert reloaded.corrupt_lines == 5
+
+    def test_put_many_stores_every_pair(self, tmp_path):
+        path = str(tmp_path / "store.jsonl")
+        other = dataclasses.replace(SAMPLE, arch="dhetpnoc")
+        ResultStore(path).put_many([("a", SAMPLE), ("b", other)])
+        reloaded = ResultStore(path)
+        assert len(reloaded) == 2
+        assert reloaded.get("a") == SAMPLE and reloaded.get("b") == other
 
     def test_clear_keeps_backing_file(self, tmp_path):
         path = str(tmp_path / "store.jsonl")

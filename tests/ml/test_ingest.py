@@ -135,6 +135,25 @@ class TestCsv:
         assert trace.records[0] == TraceRecord(0, 1, 2, bw_class=0)
         assert trace.records[1] == TraceRecord(1, 3, 4, bw_class=None)
 
+    def test_bursty_csv_through_the_cli_fits_burst_modulators(
+        self, tmp_path, capsys
+    ):
+        """Eight injections in each of five cycles out of every fifty:
+        per-cycle counts far burstier than Poisson (Fano factor ~7), so
+        ``scenarios ingest`` fits every phase an MMPP ``burst``."""
+        from repro.experiments.cli import main
+
+        rows = ["cycle,src,dst"]
+        for start in range(0, 1000, 50):
+            for cycle in range(start, start + 5):
+                for i in range(8):
+                    rows.append(f"{cycle},{(cycle + i) % 64},{(cycle + 8 * i + 1) % 64}")
+        path = tmp_path / "bursty.csv"
+        path.write_text("\n".join(rows) + "\n")
+        assert main(["scenarios", "ingest", str(path)]) == 0
+        kinds = capsys.readouterr().out.split("[", 1)[1].split("]", 1)[0]
+        assert set(kinds.split(", ")) == {"burst"}
+
     def test_missing_columns_raise(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,source\n0,1\n")

@@ -30,6 +30,9 @@ class TestMicroRingResonator:
         with pytest.raises(ValueError):
             MicroRingResonator().tuning_power_mw(-1)
 
+    def test_circumference_of_the_5um_ring(self):
+        assert MicroRingResonator().circumference_um == pytest.approx(10 * math.pi)
+
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
             MicroRingResonator(radius_um=0)
@@ -63,6 +66,12 @@ class TestPhotoDetector:
         det = PhotoDetector(sensitivity_dbm=-17.0)
         assert det.detects(-10.0)
         assert not det.detects(-20.0)
+
+    def test_demodulation_energy_40fj_per_bit(self):
+        det = PhotoDetector()
+        assert det.demodulation_energy_pj(1000) == pytest.approx(40.0)
+        with pytest.raises(ValueError):
+            det.demodulation_energy_pj(-1)
 
     def test_dimensions_from_ref_13(self):
         det = PhotoDetector()

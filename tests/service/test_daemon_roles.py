@@ -30,7 +30,6 @@ from repro.experiments.sweep import FabricExecutor
 from repro.fabric.coordinator import Coordinator
 from repro.fabric.errors import ProtocolError
 from repro.fabric.protocol import (
-    fidelity_to_dict,
     point_to_dict,
     recv_message,
     send_message,
@@ -71,8 +70,13 @@ MALFORMED = {
     ),
     "entry-without-point": (
         Coordinator, "client", {},
-        {"type": "submit", "fidelity": fidelity_to_dict(TINY),
+        {"type": "submit", "fidelity": TINY.to_dict(),
          "points": [{"key": "k"}]},
+    ),
+    "fidelity-with-an-unknown-field": (
+        Coordinator, "client", {},
+        {"type": "submit", "fidelity": {**TINY.to_dict(), "warmup": 5},
+         "points": [{"key": "k", "point": wire_point()}]},
     ),
     "result-without-key": (
         Coordinator, "worker", {"capabilities": {}},
@@ -128,7 +132,7 @@ def _submit_raw(conn, seed: int) -> dict:
     """Submit one point over a raw client connection; the job_done."""
     send_message(conn, {
         "type": "submit",
-        "fidelity": fidelity_to_dict(TINY),
+        "fidelity": TINY.to_dict(),
         "config": None,
         "points": [{"key": f"key-{seed}", "point": wire_point(seed)}],
     })

@@ -307,14 +307,12 @@ def test_jobs_role_frames_carry_exactly_the_catalogued_fields():
 
 
 def test_client_role_frames_carry_exactly_the_catalogued_fields():
-    from repro.fabric.protocol import fidelity_to_dict
-
     with Coordinator(max_attempts=1) as coordinator:
         saboteur, _ = dial(coordinator.address, "worker", capabilities={})
         client, _ = dial(coordinator.address, "client")
         try:
             send_message(client, {
-                "type": "submit", "fidelity": fidelity_to_dict(TINY),
+                "type": "submit", "fidelity": TINY.to_dict(),
                 "config": None,
                 "points": [
                     {"key": f"key-{seed}", "point": wire_point(seed)}

@@ -86,6 +86,7 @@ def test_repro_service_exports_are_pinned_and_resolve():
 def test_both_roles_use_the_one_job_record(monkeypatch):
     # A `client`-role submit instantiates the very class `repro.service`
     # exports: there is no second job model behind the fabric role.
+    from repro.experiments.runner import QUICK_FIDELITY
     from repro.fabric import coordinator
     from repro.fabric.protocol import recv_message, send_message
     from repro.fabric.server import dial
@@ -103,7 +104,8 @@ def test_both_roles_use_the_one_job_record(monkeypatch):
     with coordinator.Coordinator() as server:
         conn, _welcome = dial(server.address, "client")
         send_message(conn, {
-            "type": "submit", "fidelity": {}, "config": None, "points": [],
+            "type": "submit", "fidelity": QUICK_FIDELITY.to_dict(),
+            "config": None, "points": [],
         })
         assert recv_message(conn)["type"] == "job_done"
         conn.close()

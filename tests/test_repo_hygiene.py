@@ -391,10 +391,12 @@ def test_one_job_record_one_admission_path():
         }, needle
     # Work items are built from RunPoints in one place (the client
     # role's frame-to-item merge is the only other constructor).
-    for needle in ("config_to_dict(", "fidelity_to_dict("):
-        callers = _count_in_src(needle)
-        assert callers.pop("src/repro/fabric/protocol.py") == 1  # its def
-        assert set(callers) == {"src/repro/experiments/sweep.py"}, needle
+    callers = _count_in_src("config_to_dict(")
+    assert callers.pop("src/repro/fabric/protocol.py") == 1  # its def
+    assert set(callers) == {"src/repro/experiments/sweep.py"}
+    # A fidelity has one JSON form: Fidelity.to_dict / Fidelity.from_dict.
+    assert _count_in_src("fidelity_to_dict") == {}
+    assert _count_in_src("fidelity_from_dict") == {}
     private_import = re.compile(
         r"from repro\.fabric\.coordinator import[^\n]*\b_\w+"
         r"|from repro\.fabric\.coordinator import \([^)]*\b_\w+"
@@ -505,7 +507,7 @@ def test_the_ledger_is_the_only_bench_harness():
     assert names("benchmarks") == ["__init__.py", "ledger"]
     assert not list((REPO_ROOT / "benchmarks").rglob("bench_*.py"))
     assert not list((REPO_ROOT / "benchmarks").rglob("conftest.py"))
-    assert names("tools") == ["drift_log.py", "fuzz_triage.py"]
+    assert names("tools") == ["drift_log.py", "fuzz_triage.py", "test_census.py"]
     # src/ reads one thing from benchmarks/: the committed records that
     # price `run --spec --dry-run`.
     named = {

@@ -5,7 +5,8 @@ against, so its behaviour is pinned by value: a 4x4 mesh under seeded
 traffic that hits the cases a pipeline rewrite gets wrong (several
 packets queued behind each other in one VC, credit exhaustion on a
 shallow VC, many inputs contending for one output, both arbiter
-kinds), plus one full ``RunResult`` of the 64-core electrical mesh.
+kinds, one VC per port), plus two full ``RunResult`` records of the
+64-core electrical mesh.
 Beside each case, under ``"wires"``, sits what the links and credit
 loops did: every link's ``[items_carried, bits_carried]`` (they feed
 wire energy) and every router's end-state credit rows (all back at
@@ -19,7 +20,8 @@ where it does.
 The numbers in ``router_golden.json`` were produced by the commit
 before the change they guard: the first seven entries before the
 activity-indexed router, ``"wires"`` and the last two cases before the
-network-owned due queues. Regenerate them only for a change that is
+network-owned due queues, the two ``single_vc`` cases and
+``run_result-set3-seed2`` before the one-pass router hop. Regenerate them only for a change that is
 *meant* to alter simulated behaviour::
 
     PYTHONPATH=src python tests/noc/test_router_golden.py
@@ -52,7 +54,9 @@ GOLDEN_PATH = pathlib.Path(__file__).with_name("router_golden.json")
 #: stall on credits every hop. ``output_contention``: 70 % of packets
 #: target node 5, so four inputs fight for one output every cycle.
 #: ``-latency3``: the credit-exhaustion traffic shape on 3-cycle links,
-#: so a 2-slot VC's credit round trip spans six cycles.
+#: so a 2-slot VC's credit round trip spans six cycles. ``single_vc``:
+#: one VC per port, so every input port has at most one ready VC to
+#: nominate and a packet blocks everything behind it in the port.
 MESH_CASES = {
     "queued_in_one_vc-round_robin": (2, 9, "round_robin", 3, 220, 0.0, 1),
     "queued_in_one_vc-matrix": (2, 9, "matrix", 3, 220, 0.0, 1),
@@ -61,6 +65,8 @@ MESH_CASES = {
     "output_contention-round_robin": (4, 4, "round_robin", 4, 160, 0.7, 1),
     "output_contention-matrix": (4, 4, "matrix", 4, 160, 0.7, 1),
     "credit_exhaustion-round_robin-latency3": (3, 2, "round_robin", 6, 120, 0.0, 3),
+    "single_vc-round_robin": (1, 4, "round_robin", 4, 120, 0.3, 1),
+    "single_vc-matrix": (1, 4, "matrix", 4, 120, 0.3, 1),
 }
 
 #: One or two packets, then a gap: 3 cycles leaves the previous packets
@@ -69,6 +75,14 @@ GAPPED_CASE = "gapped_low_load"
 GAPPED_BURSTS, GAPPED_GAPS = 24, (3, 40, 300)
 
 RUN_FIDELITY = Fidelity("router-golden", 700, 100, (0.5,))
+
+#: golden key -> (bandwidth set, pattern, offered Gb/s, seed) of a full
+#: 64-core electrical ``RunResult``. BW set 3 moves 8 x 256-bit phit
+#: trains instead of set 1's 64 x 32-bit ones.
+RUN_CASES = {
+    "run_result": (1, "skewed3", 600.0, 1),
+    "run_result-set3-seed2": (3, "skewed3", 600.0, 2),
+}
 
 
 def build_mesh(n_vcs, vc_depth, arbiter, link_latency=1, fast_path=None):
@@ -172,9 +186,10 @@ def observe_wires(net, sim) -> dict:
     }
 
 
-def observe_run() -> dict:
+def observe_run(key: str = "run_result") -> dict:
+    bw_set, pattern, offered, seed = RUN_CASES[key]
     result = Session().run_one(
-        "electrical", 1, "skewed3", 600.0, fidelity=RUN_FIDELITY, seed=1
+        "electrical", bw_set, pattern, offered, fidelity=RUN_FIDELITY, seed=seed
     )
     return result_to_dict(result)
 
@@ -187,7 +202,8 @@ def observe_all() -> dict:
     net, sim, ticked = drive_gapped()
     golden[GAPPED_CASE] = {**observe_mesh(net, sim), "cycles_ticked": ticked}
     wires[GAPPED_CASE] = observe_wires(net, sim)
-    golden["run_result"] = observe_run()
+    for key in RUN_CASES:
+        golden[key] = observe_run(key)
     golden["wires"] = wires
     return golden
 
@@ -243,6 +259,10 @@ def test_every_credit_comes_home(golden):
 
 def test_electrical_run_result_matches_golden(golden):
     assert as_json(observe_run()) == golden["run_result"]
+
+
+def test_electrical_run_result_on_bw_set_3_seed_2_matches_golden(golden):
+    assert as_json(observe_run("run_result-set3-seed2")) == golden["run_result-set3-seed2"]
 
 
 if __name__ == "__main__":

@@ -12,28 +12,28 @@ This package implements that substrate from scratch:
 * :mod:`repro.noc.buffer` -- virtual-channel FIFO buffers with occupancy
   accounting (needed for buffer-energy, thesis 3.4.1.2).
 * :mod:`repro.noc.arbiter` -- round-robin and matrix arbiters.
-* :mod:`repro.noc.crossbar` -- a conflict-checked crossbar model.
-* :mod:`repro.noc.link` -- fixed-latency links and credit channels.
+* :mod:`repro.noc.link` -- fixed-latency links and their credit return.
 * :mod:`repro.noc.topology` -- topology generators and adjacency.
 * :mod:`repro.noc.routing` -- dimension-order and table-based routing.
-* :mod:`repro.noc.router` -- the full 3-stage wormhole VC router.
+* :mod:`repro.noc.router` -- the full 3-stage wormhole VC router, its
+  conflict-checked crossbar included.
 * :mod:`repro.noc.network` -- assembles routers+links into a network with
-  traffic endpoints (used standalone and inside each d-HetPNoC cluster).
+  traffic endpoints: the 64-core electrical mesh baseline of
+  :mod:`repro.arch.electrical_baseline`. The photonic architectures do
+  not use it: a cluster gateway models its copper links as a fixed delay
+  and keeps per-VC flit counts of its own.
 """
 
 from repro.noc.arbiter import MatrixArbiter, RoundRobinArbiter
 from repro.noc.buffer import VirtualChannelBuffer
-from repro.noc.crossbar import Crossbar
 from repro.noc.flit import Flit, FlitType, Packet, packetize
-from repro.noc.link import CreditChannel, Link
+from repro.noc.link import Link
 from repro.noc.network import ElectricalNetwork, NetworkMetrics
 from repro.noc.router import Router, RouterConfig
 from repro.noc.routing import DimensionOrderRouting, TableRouting
 from repro.noc.topology import Topology, TopologyError
 
 __all__ = [
-    "CreditChannel",
-    "Crossbar",
     "DimensionOrderRouting",
     "ElectricalNetwork",
     "Flit",

@@ -36,9 +36,14 @@ class RoundRobinArbiter(Arbiter):
     The requester after the previous winner has highest priority, so every
     persistent requester is served within ``n`` grants (strong fairness).
 
+    A lone requester wins and the pointer moves past it (``Router.tick``
+    does this inline):
+
     >>> arb = RoundRobinArbiter(4)
     >>> [arb.grant([0, 2, 3]) for _ in range(4)]
     [0, 2, 3, 0]
+    >>> arb.grant([3]), arb.grant([0, 2, 3])
+    (3, 0)
     """
 
     def __init__(self, n_requesters: int):

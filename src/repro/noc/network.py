@@ -16,21 +16,23 @@ lands what is due before anything else acts in a cycle. It keeps the set
 of routers holding a flit and ticks only those (in node order), visits
 only endpoints that hold work, and a router's tick visits only the VCs
 that hold flits. It also implements the engine's idle protocol so
-fully-quiet spans are jumped outright.
+fully-quiet spans are jumped outright, and :meth:`ElectricalNetwork.audit`
+re-derives every one of those O(1) counters from the state it summarises.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Set
 
+from repro.noc.buffer import BufferError
 from repro.noc.flit import Flit, Packet, packetize
-from repro.noc.link import CreditChannel, Link
+from repro.noc.link import Link
 from repro.noc.router import Router, RouterConfig
 from repro.noc.routing import RoutingAlgorithm, TableRouting
 from repro.noc.topology import Topology
-from repro.sim.engine import ClockedComponent, Simulator
+from repro.sim.engine import ClockedComponent, SimulationError, Simulator
 
 
 @dataclass
@@ -152,7 +154,7 @@ class ElectricalNetwork(ClockedComponent):
         self._local_ports: Dict[int, int] = {}
         #: Flits on links, ``(due, destination VCs, destination node,
         #: flit)``, and credits on their way upstream, ``(due, upstream
-        #: credit row, vc)``. Links and credit channels append here; one
+        #: credit row, vc)``. The router hop appends here; one
         #: ``link_latency`` and a clock that never runs backwards make
         #: append order due order.
         self._flits_due: Deque[tuple] = deque()
@@ -201,17 +203,14 @@ class ElectricalNetwork(ClockedComponent):
                 peer_in_port = topo.port_of(neighbor, node)
                 link = Link(
                     self._flits_due,
+                    self._credits_due,
                     peer.inputs[peer_in_port].vcs,
                     neighbor,
                     latency=self.link_latency,
                     name=f"{self.name}.{node}->{neighbor}",
                 )
-                credits = CreditChannel(
-                    self._credits_due,
-                    router.connect_output_link(port, link),
-                    latency=self.link_latency,
-                )
-                peer.connect_credit_return(peer_in_port, credits)
+                router.connect_output_link(port, link)
+                peer.connect_input_link(peer_in_port, link)
                 self._links.append(link)
             local = self._local_ports[node]
             router.connect_output_sink(local, self._eject)
@@ -255,7 +254,24 @@ class ElectricalNetwork(ClockedComponent):
         due = self._flits_due
         while due and due[0][0] <= cycle:
             _when, vcs, node, flit = due.popleft()
-            vcs[flit.vc].push(flit, cycle)
+            # ``VirtualChannelBuffer.push``, inlined (its overflow check,
+            # residency settling and port-index upkeep).
+            vcb = vcs[flit.vc]
+            fifo = vcb._fifo
+            held = len(fifo)
+            if held >= vcb.depth:
+                raise BufferError(
+                    f"VC {vcb.vc_id} overflow (depth {vcb.depth}); "
+                    "flow control must prevent this"
+                )
+            if cycle > vcb._last_accounted_cycle:
+                vcb.flit_cycles += held * (cycle - vcb._last_accounted_cycle)
+                vcb._last_accounted_cycle = cycle
+            port = vcb._owner
+            port._occupancy += 1
+            if not held:
+                port._occupied_vcs.add(vcb.vc_id)
+            fifo.append(flit)
             occupied.add(node)
         due, depth = self._credits_due, self.router_config.vc_depth
         while due and due[0][0] <= cycle:
@@ -293,6 +309,64 @@ class ElectricalNetwork(ClockedComponent):
         return not (
             self._active_eps or self._occupied or self._flits_due or self._credits_due
         )
+
+    def audit(self) -> None:
+        """Recount every O(1) counter the network keeps from the state it
+        summarises; raise :class:`~repro.sim.engine.SimulationError`
+        naming the first one that drifted and what the recount gives.
+
+        Meant between ticks: ``flits_in_network`` is every flit buffered
+        in a router or on a link; ``_occupied`` is the nodes whose router
+        buffers one; each due queue is in due order with nothing due at
+        or before the last tick; around every link's credit loop the
+        upstream row holds ``vc_depth`` slots per VC less the flits
+        buffered downstream, those on the link and the credits on their
+        way back; and :meth:`is_idle` holds exactly when no endpoint
+        work, no flit and no credit is anywhere.
+        """
+
+        def check(counter: str, kept: object, recount: object) -> None:
+            if kept != recount:
+                raise SimulationError(
+                    f"{self.name}: {counter} is {kept!r}, "
+                    f"the state it counts gives {recount!r}"
+                )
+
+        flits_due, credits_due = list(self._flits_due), list(self._credits_due)
+        for counter, queue in (("_flits_due", flits_due), ("_credits_due", credits_due)):
+            dues = [entry[0] for entry in queue]
+            check(f"{counter} due order", dues, sorted(dues))
+            if dues and dues[0] <= self._cycle:
+                raise SimulationError(
+                    f"{self.name}: {counter} holds an entry due at {dues[0]}, "
+                    f"left behind by cycle {self._cycle}"
+                )
+        buffered = {
+            node: sum(len(vcb) for port in router.inputs for vcb in port.vcs)
+            for node, router in self.routers.items()
+        }
+        check("flits_in_network", self.flits_in_network,
+              sum(buffered.values()) + len(flits_due))
+        check("_occupied", sorted(self._occupied),
+              sorted(node for node, held in buffered.items() if held))
+        flying = Counter((id(vcs), flit.vc) for _, vcs, _, flit in flits_due)
+        returning = Counter((id(row), vc) for _, row, vc in credits_due)
+        in_flight = {key for key, _vc in (*flying, *returning)}
+        depth = self.router_config.vc_depth
+        for router in self.routers.values():
+            for port, link in enumerate(router._out_links):
+                if link is None:
+                    continue
+                row, vcs = router._credits[port], link.vcs
+                slots = [depth - len(vcb) for vcb in vcs]
+                if id(vcs) in in_flight or id(row) in in_flight:
+                    slots = [
+                        free - flying[id(vcs), vc] - returning[id(row), vc]
+                        for vc, free in enumerate(slots)
+                    ]
+                check(f"{link.name} credits", row, slots)
+        quiet = not (self._active_eps or self.flits_in_network or credits_due)
+        check("is_idle()", self.is_idle(), quiet)
 
     def skip_cycles(self, start_cycle: int, stop_cycle: int) -> None:
         """Account an idle span the engine jumped over: idle cycles inside

@@ -23,14 +23,18 @@ and only those are visited. Two iteration orders are load-bearing
 VC-ascending, and output ports forward in the order they were first
 nominated (it fixes credit, link-send and eject order).
 
+One flit-hop is one pass through stage 3 of :meth:`Router.tick`, with
+no method call on the way: the grant (a lone round-robin requester wins
+inline), the crossbar conflict check, the VC pop, the link send, the
+credit return and the tail's teardown are all written out there.
+
 What is in flight lives with whoever wires the routers together: a
 forwarded flit and the credit it frees go onto the owner's due queues
-(through :class:`~repro.noc.link.Link` and
-:class:`~repro.noc.link.CreditChannel`), and the owner puts arriving
-flits into ``inputs[port].vcs`` and arriving credits into the row
-:meth:`Router.connect_output_link` returned. A router with every input
-port empty has nothing to do, so :meth:`Router.tick` reports how many
-flits it still holds and the owner ticks only routers that hold some.
+that each :class:`~repro.noc.link.Link` names, and the owner puts
+arriving flits into ``inputs[port].vcs`` and arriving credits into the
+link's ``credits`` row. A router with every input port empty has nothing
+to do, so :meth:`Router.tick` reports how many flits it still holds and
+the owner ticks only routers that hold some.
 """
 
 from __future__ import annotations
@@ -39,11 +43,17 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.noc.arbiter import make_arbiter
-from repro.noc.buffer import PortBuffer, VirtualChannelBuffer
-from repro.noc.crossbar import Crossbar
+from repro.noc.buffer import BufferError, PortBuffer, VirtualChannelBuffer
 from repro.noc.flit import Flit
-from repro.noc.link import CreditChannel, Link
+from repro.noc.link import Link, LinkBusyError
 from repro.sim.engine import ClockedComponent
+
+
+class CrossbarConflict(RuntimeError):
+    """Raised when two crossbar connections collide on a port within one
+    tick: each input drives at most one output, and each output is driven
+    by at most one input (the routing/crossbar stage of the 3-stage
+    switch, Pande et al. [24])."""
 
 
 @dataclass(frozen=True)
@@ -66,10 +76,10 @@ class Router(ClockedComponent):
 
     Wiring is explicit: for each output port attach either a
     :class:`~repro.noc.link.Link` or a local sink callable for ejection,
-    and for each input port fed by a link the
-    :class:`~repro.noc.link.CreditChannel` back to the router upstream.
-    Input flits arrive through :meth:`accept_flit` or, from the owner's
-    due queue, straight into ``inputs[port].vcs``.
+    and for each input port fed by a link that link, which carries this
+    router's credits back upstream. Input flits arrive through
+    :meth:`accept_flit` or, from the owner's due queue, straight into
+    ``inputs[port].vcs``.
     """
 
     def __init__(
@@ -94,7 +104,12 @@ class Router(ClockedComponent):
         ]
         self._input_arbiters = [make_arbiter(config.arbiter, config.n_vcs) for _ in range(n_ports)]
         self._output_arbiters = [make_arbiter(config.arbiter, n_ports) for _ in range(n_ports)]
-        self.crossbar = Crossbar(n_ports, n_ports)
+        self._round_robin = config.arbiter == "round_robin"
+        # The crossbar: ports are stamped with the epoch of the tick that
+        # connected them, so opening a tick is one increment.
+        self._epoch = 0
+        self._input_used: List[int] = [0] * n_ports
+        self._output_used: List[int] = [0] * n_ports
 
         # Output-side wiring and state.
         self._out_links: List[Optional[Link]] = [None] * n_ports
@@ -105,13 +120,13 @@ class Router(ClockedComponent):
         self._out_vc_owner: List[List[Optional[tuple]]] = [
             [None] * config.n_vcs for _ in range(n_ports)
         ]
-        # Credit return channels toward each *upstream* router (per input).
-        self._credit_return: List[Optional[CreditChannel]] = [None] * n_ports
+        # The link feeding each input port, which returns its credits.
+        self._in_links: List[Optional[Link]] = [None] * n_ports
         # Nomination scratch, meaningful within one tick only: the input
-        # ports asking for each output (ascending), reset on an output's
-        # first nomination, and the VC each input put forward.
+        # ports asking for each output (ascending), replaced on an
+        # output's first nomination, and the VC each input put forward.
         self._requests: List[List[int]] = [[] for _ in range(n_ports)]
-        self._nominated_vc: List[int] = [0] * n_ports
+        self._nominated: List[Optional[VirtualChannelBuffer]] = [None] * n_ports
 
         # Statistics.
         self.flits_routed = 0
@@ -121,14 +136,13 @@ class Router(ClockedComponent):
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    def connect_output_link(self, port: int, link: Link) -> List[int]:
-        """Attach *link* at *port* and return the credit counters for the
-        buffers it feeds, which whoever lands returning credits adds to.
-        Downstream capacity is assumed to be a peer router with the same
-        :class:`RouterConfig`."""
+    def connect_output_link(self, port: int, link: Link) -> None:
+        """Attach *link* at *port*; its ``credits`` become the counters for
+        the buffers it feeds, which whoever lands returning credits adds
+        to. Downstream capacity is assumed to be a peer router with the
+        same :class:`RouterConfig`."""
         self._out_links[port] = link
-        self._credits[port] = [self.config.vc_depth] * self.config.n_vcs
-        return self._credits[port]
+        self._credits[port] = link.credits = [self.config.vc_depth] * self.config.n_vcs
 
     def connect_output_sink(self, port: int, sink: Callable[[Flit], None]) -> None:
         """Attach a local ejection sink at *port* (infinite acceptance)."""
@@ -136,9 +150,10 @@ class Router(ClockedComponent):
         # Local ejection never blocks: model as always-credited.
         self._credits[port] = [1 << 30] * self.config.n_vcs
 
-    def connect_credit_return(self, in_port: int, channel: CreditChannel) -> None:
-        """Attach the channel carrying this router's credits upstream."""
-        self._credit_return[in_port] = channel
+    def connect_input_link(self, in_port: int, link: Link) -> None:
+        """Attach the link feeding *in_port*: the freed slot of every flit
+        forwarded from it is credited back over *link*."""
+        self._in_links[in_port] = link
 
     # ------------------------------------------------------------------
     # Input side
@@ -161,12 +176,15 @@ class Router(ClockedComponent):
         # wormhole path of any front head flit, then nominate one ready
         # VC. Routing a port just before arbitrating it equals routing
         # every port first: arbitration reads only its own port's VCs and
-        # credits, neither of which another port's routing writes. An
-        # output link is always free here -- only stage 3 of this router
-        # sends on it, once a cycle (``Link.send`` checks).
+        # credits, neither of which another port's routing writes.
+        # ``RoundRobinArbiter.grant`` on a lone requester is inlined at
+        # both arbitration stages: it wins, and the pointer moves past it.
         nominated_outputs: List[int] = []  # in order of first nomination
         held = 0
         all_credits = self._credits
+        requests = self._requests
+        nominated = self._nominated
+        round_robin = self._round_robin
         for in_port, port_buffer in enumerate(self.inputs):
             occupied = port_buffer._occupied_vcs
             if not occupied:
@@ -187,21 +205,95 @@ class Router(ClockedComponent):
                     ready_vcs.append(vc_id)
             if not ready_vcs:
                 continue
-            winner_vc = self._input_arbiters[in_port].grant(ready_vcs)
-            self._nominated_vc[in_port] = winner_vc
-            out_port = vcs[winner_vc].route
-            if out_port not in nominated_outputs:
+            arbiter = self._input_arbiters[in_port]
+            if round_robin and len(ready_vcs) == 1:
+                winner_vc = ready_vcs[0]
+                arbiter._next_priority = (winner_vc + 1) % arbiter.n
+            else:
+                winner_vc = arbiter.grant(ready_vcs)
+            winner = nominated[in_port] = vcs[winner_vc]
+            out_port = winner.route
+            if out_port in nominated_outputs:
+                requests[out_port].append(in_port)
+            else:
                 nominated_outputs.append(out_port)
-                self._requests[out_port].clear()
-            self._requests[out_port].append(in_port)
-        if nominated_outputs:
-            # Stage 3: every nominated output grants one input and
-            # forwards its flit, in order of first nomination.
-            self.crossbar.begin_cycle()
-            for out_port in nominated_outputs:
-                in_port = self._output_arbiters[out_port].grant(self._requests[out_port])
-                self._forward(in_port, self._nominated_vc[in_port], out_port, cycle)
-        return held - len(nominated_outputs)
+                requests[out_port] = [in_port]
+        if not nominated_outputs:
+            return held
+
+        # Stage 3: every nominated output grants one input and forwards
+        # its flit, in order of first nomination -- one flit-hop each.
+        self._epoch += 1
+        epoch, input_used, output_used = self._epoch, self._input_used, self._output_used
+        inputs, out_links, in_links = self.inputs, self._out_links, self._in_links
+        output_arbiters, out_vc_owner = self._output_arbiters, self._out_vc_owner
+        bits_forwarded = 0
+        for out_port in nominated_outputs:
+            arbiter = output_arbiters[out_port]
+            out_requests = requests[out_port]
+            if round_robin and len(out_requests) == 1:
+                in_port = out_requests[0]
+                arbiter._next_priority = (in_port + 1) % arbiter.n
+            else:
+                in_port = arbiter.grant(out_requests)
+            if input_used[in_port] == epoch:
+                raise CrossbarConflict(f"{self.name}: input {in_port} already connected this tick")
+            if output_used[out_port] == epoch:
+                raise CrossbarConflict(f"{self.name}: output {out_port} already connected this tick")
+            input_used[in_port] = output_used[out_port] = epoch
+
+            # ``VirtualChannelBuffer.pop``, inlined (its underflow check,
+            # residency settling and port-index upkeep; the tail's
+            # wormhole teardown is at the end of the hop).
+            vcb = nominated[in_port]
+            in_vc = vcb.vc_id
+            fifo = vcb._fifo
+            if not fifo:
+                raise BufferError(f"VC {in_vc} underflow")
+            if cycle > vcb._last_accounted_cycle:
+                vcb.flit_cycles += len(fifo) * (cycle - vcb._last_accounted_cycle)
+                vcb._last_accounted_cycle = cycle
+            flit = fifo.popleft()
+            port_buffer = inputs[in_port]
+            port_buffer._occupancy -= 1
+            if not fifo:
+                port_buffer._occupied_vcs.discard(in_vc)
+
+            downstream_vc = vcb.downstream_vc
+            flit.vc = downstream_vc
+            bits = flit.bits
+            bits_forwarded += bits
+            link = out_links[out_port]
+            if link is not None:
+                # The link: one flit a cycle, counted for wire energy,
+                # due at the far end ``latency`` cycles on.
+                all_credits[out_port][downstream_vc] -= 1
+                if link.sent_cycle == cycle:
+                    raise LinkBusyError(f"link {link.name!r}: a second send in cycle {cycle}")
+                link.sent_cycle = cycle
+                link.items_carried += 1
+                link.bits_carried += bits
+                link.flits_due.append((cycle + link.latency, link.vcs, link.node, flit))
+            else:
+                sink = self._out_sinks[out_port]
+                if sink is None:
+                    raise RuntimeError(f"{self.name}: output port {out_port} not wired")
+                # The local "buffer" frees instantly: no credit is consumed.
+                sink(flit)
+
+            # Return a credit upstream for the slot just freed.
+            in_link = in_links[in_port]
+            if in_link is not None:
+                in_link.credits_due.append((cycle + in_link.latency, in_link.credits, in_vc))
+
+            if flit.is_tail:
+                # Wormhole state tears down with the tail flit.
+                vcb.route = vcb.downstream_vc = None
+                out_vc_owner[out_port][downstream_vc] = None
+        forwarded = len(nominated_outputs)
+        self.flits_forwarded += forwarded
+        self.bits_forwarded += bits_forwarded
+        return held - forwarded
 
     def _route_front(self, in_port: int, vcb: VirtualChannelBuffer) -> Optional[int]:
         """Route computation + downstream VC allocation for *vcb*'s front
@@ -222,36 +314,6 @@ class Router(ClockedComponent):
                 return vc
         return None
 
-    def _forward(self, in_port: int, in_vc: int, out_port: int, cycle: int) -> None:
-        vcb = self.inputs[in_port].vcs[in_vc]
-        downstream_vc = vcb.downstream_vc
-        assert downstream_vc is not None
-        flit = vcb.pop(cycle)
-        bits = flit.bits
-        self.crossbar.connect(in_port, out_port, bits)
-        flit.vc = downstream_vc
-        self.flits_forwarded += 1
-        self.bits_forwarded += bits
-
-        link = self._out_links[out_port]
-        if link is not None:
-            self._credits[out_port][downstream_vc] -= 1
-            link.send(flit, cycle, bits)
-        else:
-            sink = self._out_sinks[out_port]
-            if sink is None:
-                raise RuntimeError(f"{self.name}: output port {out_port} not wired")
-            # The local "buffer" frees instantly: no credit is consumed.
-            sink(flit)
-
-        # Return a credit upstream for the slot we just freed.
-        credit_channel = self._credit_return[in_port]
-        if credit_channel is not None:
-            credit_channel.send_credit(in_vc, cycle)
-
-        if flit.is_tail:
-            self._out_vc_owner[out_port][downstream_vc] = None
-
     # ------------------------------------------------------------------
     # Stats
     # ------------------------------------------------------------------
@@ -269,6 +331,5 @@ class Router(ClockedComponent):
         self.flits_routed = 0
         self.flits_forwarded = 0
         self.bits_forwarded = 0
-        self.crossbar.reset_stats()
         for pb in self.inputs:
             pb.reset_stats(at_cycle)

@@ -195,63 +195,30 @@ def test_gateway_audit_catches_a_planted_fault(monkeypatch, method, mutate,
 def test_mesh_counters_match_enumeration(pattern_name, offered, bw_set_index):
     """What the mesh keeps in O(1) never drifts from a full enumeration.
 
-    ``ElectricalNetwork`` counts flits in the network (``drain`` trusts
-    it), keeps the set of routers holding a flit (only those tick) and
-    two due-ordered queues for everything in flight; each router keeps a
-    credit counter per downstream VC. After every cycle each must equal
-    what walking all buffers and both queues finds, and every credit
-    loop must still hold exactly ``vc_depth`` slots. Tick hooks run
-    before the fabric, so the simulator is stepped by hand.
+    ``ElectricalNetwork.audit`` recounts the flits in the network
+    (``drain`` trusts it), the set of routers holding a flit (only those
+    tick), the order of the two due queues for everything in flight and
+    ``vc_depth`` slots around every credit loop; it must pass after every
+    cycle. Tick hooks run before the fabric, so the simulator is stepped
+    by hand.
 
     BW set 1 only: every set's packet is the same 64 phits on the mesh,
     and the other sets' phit conservation under load is
     ``test_electrical_baseline.py::test_phits_are_conserved_under_load``.
     """
-    from collections import Counter
-
     from repro.traffic.bandwidth_sets import bandwidth_set_by_index
 
     sim, arch = audited_run(
         "electrical", bandwidth_set_by_index(bw_set_index), pattern_name, offered
     )
     net = arch.network
-    depth = net.router_config.vc_depth
-    loops = [  # (where, upstream credit row, downstream VCs)
-        (link.name, router._credits[port], link._vcs)
-        for router in net.routers.values()
-        for port, link in enumerate(router._out_links) if link is not None
-    ]
-    assert len(loops) == len(net._links) == 224
+    assert len(net._links) == 224
     most_held = most_backlogged = idle_cycles = 0
 
     for _ in range(1000):
         sim.step()
-        where = f"after cycle {sim.cycle - 1}: "
-        flits_due, credits_due = list(net._flits_due), list(net._credits_due)
-        for queue in (flits_due, credits_due):
-            dues = [entry[0] for entry in queue]
-            assert dues == sorted(dues), where + "a due queue is out of order"
-            assert not dues or dues[0] >= sim.cycle, where + "a due entry was left behind"
-        buffered = {
-            node: sum(len(vcb) for port in router.inputs for vcb in port.vcs)
-            for node, router in net.routers.items()
-        }
-        assert net.flits_in_network == sum(buffered.values()) + len(flits_due), where
-        assert net._occupied == {n for n, held in buffered.items() if held}, where
-        flying = Counter((id(vcs), flit.vc) for _, vcs, _, flit in flits_due)
-        returning = Counter((id(row), vc) for _, row, vc in credits_due)
-        in_flight = {key for key, _vc in (*flying, *returning)}
-        for name, row, vcs in loops:
-            slots = [depth - len(vcb) for vcb in vcs]
-            if id(vcs) in in_flight or id(row) in in_flight:
-                slots = [
-                    free - flying[id(vcs), vc] - returning[id(row), vc]
-                    for vc, free in enumerate(slots)
-                ]
-            assert row == slots, where + name
-        quiet = not (net._active_eps or net.flits_in_network or credits_due)
-        assert net.is_idle() == quiet, where
-        idle_cycles += quiet
+        net.audit()
+        idle_cycles += net.is_idle()
         most_held = max(most_held, net.flits_in_network)
         most_backlogged = max(most_backlogged, len(net._occupied))
 
@@ -262,3 +229,41 @@ def test_mesh_counters_match_enumeration(pattern_name, offered, bw_set_index):
         assert most_backlogged >= 8 and idle_cycles < 100
     else:
         assert most_held > 0 and most_backlogged <= 2 and idle_cycles > 500
+
+
+def _landing_dropping_a_credit(original):
+    def mutant(self, cycle):
+        landing = [entry for entry in self._credits_due if entry[0] <= cycle]
+        original(self, cycle)
+        if landing:
+            _due, row, vc = landing[0]
+            row[vc] -= 1  # the first credit due this cycle never arrived
+    return mutant
+
+
+def _landing_leaving_occupied_stale(original):
+    def mutant(self, cycle):
+        landing = {node for due, _, node, _ in self._flits_due if due <= cycle}
+        before = set(self._occupied)
+        original(self, cycle)
+        # A router a flit landed in was never marked as holding one.
+        self._occupied -= landing - before
+    return mutant
+
+
+@pytest.mark.parametrize("mutate,counter", [
+    (_landing_dropping_a_credit, r"emesh\.\d+->\d+ credits"),
+    (_landing_leaving_occupied_stale, "_occupied"),
+], ids=["dropped-credit", "stale-occupied"])
+def test_mesh_audit_catches_a_planted_fault(monkeypatch, mutate, counter):
+    """Each planted fault in landing what is due is named by ``audit``
+    within 50 cycles of a loaded mesh."""
+    from repro.noc.network import ElectricalNetwork
+    from repro.sim.engine import SimulationError
+
+    monkeypatch.setattr(ElectricalNetwork, "tick", mutate(ElectricalNetwork.tick))
+    sim, arch = audited_run("electrical", BW_SET_1, "skewed3", 600.0)
+    with pytest.raises(SimulationError, match=rf"emesh: {counter} is"):
+        for _ in range(50):
+            sim.step()
+            arch.network.audit()

@@ -1,91 +1,98 @@
-"""Tests for links and credit channels.
+"""Tests for links and the credits they carry back.
 
-Neither holds what it carries: each appends to a queue its owner drains
-(``ElectricalNetwork.tick`` in the program; here the test reads the
-queue). What lands where, and when, is pinned through the real owner in
-``tests/noc/test_router.py`` and ``tests/noc/test_router_golden.py``.
+A link holds neither what it carries nor any behaviour: the router hop
+appends to the queues its owner drains (``ElectricalNetwork.tick``), so
+everything here is driven through that owner. What lands where, and
+when, is also pinned in ``tests/noc/test_router.py`` and
+``tests/noc/test_router_golden.py``.
 """
 
 from collections import deque
 
 import pytest
 
-from repro.noc.flit import Packet
-from repro.noc.link import CreditChannel, Link, LinkBusyError
+from repro.noc.flit import Packet, packetize
+from repro.noc.link import Link
 from repro.noc.network import ElectricalNetwork
 from repro.noc.router import RouterConfig
-from repro.noc.topology import all_to_all
-
-VCS, NODE = ["vc0", "vc1"], 7
+from repro.noc.topology import all_to_all, mesh
 
 
-def make_link(**kwargs):
-    queue = deque()
-    return Link(queue, VCS, NODE, **kwargs), queue
-
-
-def two_node_network(link_latency):
-    """Node 0 -> node 1 over the real owner of both queues, one 3-flit
-    packet submitted."""
+def two_node_network(link_latency, n_flits=3):
+    """Node 0 -> node 1 over the real owner of both queues, one packet
+    submitted."""
     net = ElectricalNetwork(
         all_to_all(2), RouterConfig(n_vcs=1, vc_depth=4), link_latency=link_latency
     )
-    net.submit(Packet(src=0, dst=1, n_flits=3, flit_bits=32))
+    net.submit(Packet(src=0, dst=1, n_flits=n_flits, flit_bits=32))
     return net
 
 
 class TestLink:
     def test_delivery_after_latency(self):
-        link, queue = make_link(latency=3)
-        link.send("x", cycle=0)
+        net = two_node_network(link_latency=3, n_flits=1)
+        net.tick(0)
         # Due at send cycle + latency, addressed to the port it feeds.
-        assert list(queue) == [(3, VCS, NODE, "x")]
-        assert queue[0][1] is VCS
+        ((due, vcs, node, flit),) = net._flits_due
+        assert (due, node, flit.seq) == (3, 1, 0)
+        assert vcs is net.routers[1].inputs[0].vcs
 
     def test_width_enforced(self):
-        link, _queue = make_link(latency=1, width=1)
-        link.send("a", cycle=0)
-        with pytest.raises(LinkBusyError):
-            link.send("b", cycle=0)
+        """A link carries at most one flit a cycle: under load no two
+        flits on one link are due in the same cycle."""
+        net = ElectricalNetwork(mesh(3, 3), RouterConfig(n_vcs=2, vc_depth=4))
+        for src in range(9):
+            for dst in ((src + 4) % 9, (src + 5) % 9):
+                net.submit(Packet(src=src, dst=dst, n_flits=4, flit_bits=32))
+        busiest = 0
+        for cycle in range(20):
+            net.tick(cycle)
+            arrivals = [(due, id(vcs)) for due, vcs, _, _ in net._flits_due]
+            assert len(arrivals) == len(set(arrivals))
+            busiest = max(busiest, len(arrivals))
+        assert busiest > 4
 
     def test_width_resets_next_cycle(self):
-        link, queue = make_link(latency=1, width=1)
-        link.send("a", cycle=0)
-        link.send("b", cycle=1)
-        assert [(due, item) for due, _, _, item in queue] == [(1, "a"), (2, "b")]
-
-    def test_wider_link(self):
-        link, queue = make_link(latency=1, width=2)
-        link.send("a", cycle=0)
-        link.send("b", cycle=0)
-        assert [(due, item) for due, _, _, item in queue] == [(1, "a"), (1, "b")]
-        with pytest.raises(LinkBusyError):
-            link.send("c", cycle=0)
+        """One send a cycle: a router sends on the same link in
+        consecutive cycles without tripping the busy check."""
+        net = ElectricalNetwork(all_to_all(2), RouterConfig(n_vcs=1, vc_depth=4))
+        router = net.routers[0]
+        for flit in packetize(Packet(src=0, dst=1, n_flits=2, flit_bits=32)):
+            router.accept_flit(1, flit, 0)
+        router.tick(0)
+        router.tick(1)
+        assert [due for due, _, _, _ in net._flits_due] == [1, 2]
 
     def test_order_preserved(self):
-        link, queue = make_link(latency=2, width=4)
-        for i in range(3):
-            link.send(i, cycle=0)
-        assert [item for _, _, _, item in queue] == [0, 1, 2]
+        net = two_node_network(link_latency=4, n_flits=3)
+        for cycle in range(3):
+            net.tick(cycle)
+        assert [flit.seq for _, _, _, flit in net._flits_due] == [0, 1, 2]
 
     def test_links_sharing_a_queue_append_in_due_order(self):
-        queue = deque()
-        links = [Link(queue, VCS, node, latency=2) for node in range(3)]
-        for cycle in range(4):
-            for link in links:
-                link.send((link._node, cycle), cycle)
-        dues = [due for due, _, _, _ in queue]
-        assert dues == sorted(dues)
-        assert [node for _, _, node, _ in queue] == [0, 1, 2] * 4
+        """Every link of a network appends to its one queue of flits (and
+        one of credits): one latency makes append order due order."""
+        net = ElectricalNetwork(mesh(3, 3), RouterConfig(n_vcs=2, vc_depth=2),
+                                link_latency=2)
+        for src in range(9):
+            net.submit(Packet(src=src, dst=(src + 4) % 9, n_flits=4, flit_bits=32))
+        senders = set()
+        for cycle in range(12):
+            net.tick(cycle)
+            for queue in (net._flits_due, net._credits_due):
+                dues = [entry[0] for entry in queue]
+                assert dues == sorted(dues)
+            senders |= {node for _, _, node, _ in net._flits_due}
+        assert len(senders) > 3
 
     def test_stats(self):
-        link, _queue = make_link(latency=1)
-        link.send("a", cycle=0, bits=32)
-        assert link.items_carried == 1
-        assert link.bits_carried == 32
+        net = two_node_network(link_latency=1)
+        for cycle in range(6):
+            net.tick(cycle)
+        link = net._links[0]
+        assert (link.items_carried, link.bits_carried) == (3, 96)
         link.reset_stats()
-        assert link.items_carried == 0
-        assert link.bits_carried == 0
+        assert (link.items_carried, link.bits_carried) == (0, 0)
 
     def test_in_flight(self):
         net = two_node_network(link_latency=5)
@@ -99,28 +106,25 @@ class TestLink:
 
     def test_zero_latency_rejected(self):
         with pytest.raises(ValueError):
-            make_link(latency=0)
-        with pytest.raises(ValueError):
-            make_link(width=0)
+            Link(deque(), deque(), [], 0, latency=0)
 
 
 class TestCreditChannel:
-    def test_delayed_credit(self):
-        queue, row = deque(), [4, 4, 4, 4]
-        ch = CreditChannel(queue, row, latency=2)
-        ch.send_credit(vc=3, cycle=0)
-        # The counters are the owner's to add to when the credit is due.
-        assert list(queue) == [(2, row, 3)]
-        assert queue[0][1] is row
-        assert row == [4, 4, 4, 4]
+    """Credits go back upstream over the link whose buffers they free."""
 
-    def test_multiple_credits_ordered(self):
-        queue = deque()
-        ch = CreditChannel(queue, [2, 2], latency=1)
-        ch.send_credit(0, cycle=0)
-        ch.send_credit(1, cycle=0)
-        ch.send_credit(0, cycle=1)
-        assert [(due, vc) for due, _, vc in queue] == [(1, 0), (1, 1), (2, 0)]
+    def test_delayed_credit(self):
+        net = two_node_network(link_latency=2, n_flits=1)
+        row = net.routers[0]._credits[0]
+        for cycle in range(3):  # sent at 0, lands and is ejected at 2
+            net.tick(cycle)
+        # The counters are the owner's to add to when the credit is due.
+        assert list(net._credits_due) == [(4, row, 0)]
+        assert net._credits_due[0][1] is net._links[0].credits
+        assert row == [3]
+        net.tick(3)
+        assert row == [3]
+        net.tick(4)
+        assert row == [4] and net.is_idle()
 
     def test_in_flight(self):
         net = two_node_network(link_latency=2)
@@ -136,4 +140,5 @@ class TestCreditChannel:
 
     def test_invalid_latency(self):
         with pytest.raises(ValueError):
-            CreditChannel(deque(), [1], latency=0)
+            ElectricalNetwork(all_to_all(2), RouterConfig(n_vcs=1, vc_depth=4),
+                              link_latency=0)

@@ -189,9 +189,11 @@ class TestTwoRouterCreditFlow:
             self.run(1)
 
     def test_second_send_on_a_link_in_one_cycle_raises(self):
-        self.build()
-        self.inject(2)
-        self.run(1)
-        flit = packetize(Packet(src=0, dst=1, n_flits=1, flit_bits=32))[0]
-        with pytest.raises(LinkBusyError):
-            self.net._links[0].send(flit, 0)
+        """A router ticked twice in one cycle: its crossbar opens a new
+        tick, but the link has already carried this cycle's flit."""
+        self.build(vc_depth=4)
+        for flit in packetize(Packet(src=0, dst=1, n_flits=2, flit_bits=32)):
+            self.a.accept_flit(1, flit, 0)
+        self.a.tick(0)
+        with pytest.raises(LinkBusyError, match=r"enet.0->1.*cycle 0"):
+            self.a.tick(0)

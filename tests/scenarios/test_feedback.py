@@ -38,7 +38,11 @@ SHED = FeedbackRule(
 
 def play(schedule, seed=5, offered=480.0, arch="dhetpnoc",
          pattern="skewed3", total=700, reset=100):
-    """Drive *schedule* through a fresh simulation; returns the player."""
+    """Drive *schedule* through a fresh simulation; returns the player.
+
+    Wired by hand: every schedule here is made in the test, and
+    ``wire_run`` plays registered scenarios only.
+    """
     config = SystemConfig(bw_set=BW_SET_1)
     streams = RandomStreams(seed)
     bound = initial_pattern(schedule, pattern, BW_SET_1, 16, 4, streams)

@@ -117,6 +117,8 @@ class TestPhaseWindows:
         from repro.sim.engine import Simulator
         from repro.sim.rng import RandomStreams
 
+        # Wired by hand: the schedule is made here, and ``wire_run``
+        # plays registered scenarios only.
         total, reset = 700, 200
         schedule = ScenarioSchedule(
             "warmup-phase",
@@ -208,22 +210,13 @@ class TestPhaseWindows:
         assert rate(spike) > rate(ramp) > rate(quiet)
 
     def test_phase_stats_refuse_unfinished_read(self):
-        from repro.arch.config import SystemConfig
-        from repro.arch.firefly import FireflyNoC
-        from repro.scenarios.player import ScenarioPlayer, initial_pattern
-        from repro.sim.engine import Simulator
-        from repro.sim.rng import RandomStreams
+        from repro.experiments.runner import attach_traffic, wire_run
 
-        config = SystemConfig(bw_set=BW_SET_1)
-        streams = RandomStreams(1)
-        schedule = build_scenario("steady", 700)
-        pattern = initial_pattern(schedule, "uniform", BW_SET_1, 16, 4, streams)
-        sim = Simulator(seed=1)
-        noc = FireflyNoC(sim, config)
-        player = ScenarioPlayer(schedule, noc, pattern, 200.0, streams,
-                                total_cycles=700)
+        run = wire_run("firefly", BW_SET_1, "uniform", TINY, seed=1,
+                       scenario="steady")
+        attach_traffic(run, 200.0, TINY)
         with pytest.raises(ScenarioError):
-            player.phase_stats()
+            run.source.phase_stats()
 
 
 class TestHotspotDrift:
@@ -250,6 +243,8 @@ class TestHotspotDrift:
         from repro.sim.engine import Simulator
         from repro.sim.rng import RandomStreams
 
+        # Wired by hand: the schedule is made here, and ``wire_run``
+        # plays registered scenarios only.
         schedule = ScenarioSchedule(
             "hotspot-jump",
             (Phase(start_cycle=0, pattern="skewed_hotspot1", hotspot_core=2),

@@ -202,6 +202,16 @@ def test_one_owner_for_what_is_in_flight_on_the_mesh(needle):
     assert _count_in_src(needle) == {}
 
 
+def test_the_mesh_hop_is_one_pass():
+    # A flit-hop is written out in Router.tick: the crossbar check, the
+    # link send and the credit return are not calls on other objects.
+    router = (REPO_ROOT / "src/repro/noc/router.py").read_text(encoding="utf-8")
+    for needle in ("Crossbar(", "_forward(", ".send(", ".send_credit("):
+        assert needle not in router, needle
+    assert not (REPO_ROOT / "src/repro/noc/crossbar.py").exists()
+    assert _count_in_src("CreditChannel") == {}
+
+
 def test_mesh_due_order_needs_no_heap():
     # One link latency per network makes append order due order.
     assert not [

@@ -80,8 +80,8 @@ class NoCArchitecture(ClockedComponent):
 
     A fabric under the shell implements :meth:`submit`,
     :meth:`tick_fabric`, :meth:`fabric_is_idle`, :meth:`reset_fabric`,
-    :meth:`finalize`, :meth:`lit_wavelengths` and
-    :meth:`flits_in_system` (and :meth:`skip_fabric` if it keeps span
+    :meth:`finalize`, :meth:`lit_wavelengths`, :meth:`flits_in_system`
+    and :meth:`audit` (and :meth:`skip_fabric` if it keeps span
     accounting of its own) -- as methods, or, where the fabric is one
     object with those methods already, by binding them in ``__init__``.
     """
@@ -135,6 +135,13 @@ class NoCArchitecture(ClockedComponent):
 
     def flits_in_system(self) -> int:
         """All flits accepted but not yet delivered (conservation checks)."""
+        raise NotImplementedError
+
+    def audit(self) -> None:
+        """Check the fabric's laws between cycles: every O(1) counter
+        against a recount of the state it summarises, and whatever its
+        state must obey. Raise :class:`~repro.sim.engine.SimulationError`
+        naming the component and the first law broken."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -283,6 +290,10 @@ class PhotonicCrossbarNoC(NoCArchitecture):
             if not gateway.is_idle():
                 return False
         return True
+
+    def audit(self) -> None:
+        for gateway in self.gateways:
+            gateway.audit()
 
     def note_packet_delivered_whole(
         self, packet: Packet, cycle: int, photonic: bool

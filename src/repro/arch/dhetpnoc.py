@@ -32,7 +32,7 @@ from repro.photonic.reservation import (
     reservation_serialization_cycles,
 )
 from repro.photonic.wavelength import WavelengthId
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.traffic.patterns import TrafficPattern
 
 
@@ -156,6 +156,33 @@ class DHetPNoC(PhotonicCrossbarNoC):
         """Only held wavelengths need laser power (energy-proportional
         on-chip sources, thesis 2.1.4)."""
         return sum(c.held_count for c in self.controllers)
+
+    def audit(self) -> None:
+        """The gateways' audits, then the ring law: each controller's
+        dynamic wavelengths are exactly those the token names its
+        cluster the owner of, the clusters together hold no more
+        wavelengths than there are, and none holds fewer than its
+        reserved floor."""
+        super().audit()
+
+        def broken(law: str) -> SimulationError:
+            return SimulationError(f"{self.name} ring: {law}")
+
+        floor = self.config.reserved_wavelengths_per_cluster
+        for controller in self.controllers:
+            cluster, table = controller.cluster, controller.current_table
+            dynamic = sorted(wid.flat for wid in table.dynamic_ids)
+            owned = sorted(wid.flat for wid in self.token.held_by(cluster))
+            if dynamic != owned:
+                raise broken(f"cluster {cluster} holds dynamic wavelengths "
+                             f"{dynamic}, the token gives it {owned}")
+            if table.held_count < floor:
+                raise broken(f"cluster {cluster} holds {table.held_count} "
+                             f"wavelengths, below its floor of {floor}")
+        held = sum(c.held_count for c in self.controllers)
+        total = self.config.bw_set.total_wavelengths
+        if held > total:
+            raise broken(f"{held} wavelengths held, {total} exist")
 
     # ------------------------------------------------------------------
     # Introspection

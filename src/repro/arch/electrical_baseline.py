@@ -28,7 +28,6 @@ from repro.energy.params import ELECTRICAL_WIRE_PJ_PER_BIT_MM
 from repro.noc.flit import Packet
 from repro.noc.network import ElectricalNetwork
 from repro.noc.router import RouterConfig
-from repro.noc.routing import DimensionOrderRouting
 from repro.noc.topology import mesh
 from repro.sim.engine import Simulator
 
@@ -36,39 +35,32 @@ from repro.sim.engine import Simulator
 class ElectricalMeshNoC(NoCArchitecture):
     """Electrical fabric: a 64-core mesh under the architecture shell.
 
-    Packets are re-flitted onto ``phit_bits``-wide links (default 32,
-    the width class of the chapter-1 commercial interconnects: QuickPath
-    is 20 bits, HyperTransport 32). Electrical wires do not get wider
-    because the photonic fabric gained wavelengths, so the mesh's
-    per-link bandwidth is fixed at ``phit_bits x clock`` regardless of
-    the bandwidth set.
+    Packets are re-flitted onto ``phit_bits``-wide links (32, the width
+    class of the chapter-1 commercial interconnects: QuickPath is 20
+    bits, HyperTransport 32). Electrical wires do not get wider because
+    the photonic fabric gained wavelengths, so the mesh's per-link
+    bandwidth is fixed at ``phit_bits x clock`` regardless of the
+    bandwidth set.
     """
 
     name = "electrical-mesh"
 
-    def __init__(
-        self,
-        sim: Simulator,
-        config: SystemConfig,
-        max_queued_packets_per_core: int = 4,
-        phit_bits: int = 32,
-    ):
-        if phit_bits <= 0:
-            raise ValueError("phit_bits must be positive")
+    #: Link width in bits.
+    phit_bits = 32
+    #: Packets a core's injection queue holds before it refuses more.
+    max_queued = 4
+
+    def __init__(self, sim: Simulator, config: SystemConfig):
         side = math.isqrt(config.n_cores)
         if side * side != config.n_cores:
             raise ValueError("electrical mesh needs a square core count")
         super().__init__(sim, config)
-        self.phit_bits = phit_bits
         self.side = side
-        self.max_queued = max_queued_packets_per_core
-        topology = mesh(side, side)
         self.network = ElectricalNetwork(
-            topology,
+            mesh(side, side),
             router_config=RouterConfig(
                 n_vcs=config.n_vcs, vc_depth=config.vc_depth_flits
             ),
-            routing=DimensionOrderRouting(topology),
             name="emesh",
         )
         # Per-hop wire length: die edge / mesh side (20 mm / 8 = 2.5 mm).
@@ -77,11 +69,12 @@ class ElectricalMeshNoC(NoCArchitecture):
         # phit: the inner network's own delivery metrics are not kept.
         self.network.on_eject = self.note_flit_delivered
         # The inner network is not registered with the simulator; the
-        # shell drives it through these.
+        # shell drives and audits it through these.
         self.tick_fabric = self.network.tick
         self.fabric_is_idle = self.network.is_idle
         self.skip_fabric = self.network.skip_cycles
         self.reset_fabric = self.network.reset_stats
+        self.audit = self.network.audit
 
     # ------------------------------------------------------------------
     def submit(self, packet: Packet) -> bool:

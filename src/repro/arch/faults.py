@@ -8,7 +8,7 @@ react to:
 
 * **Wavelength death** -- an MRR modulator/detector pair goes out of trim
   permanently. For d-HetPNoC the wavelength is removed from the owner's
-  holdings *and* from the token pool, so nobody re-acquires it; the DBA
+  holdings and retired in the token, so nobody re-acquires it; the DBA
   floor guarantees the victim cluster keeps its reserved wavelength.
 * **Token freeze** -- the control waveguide stalls. Data transfer must
   continue with the last-settled allocation (the thesis's claim that DBA
@@ -46,11 +46,11 @@ class FaultInjector:
     ) -> List[WavelengthId]:
         """Permanently fail *count* dynamic wavelengths held by *cluster*.
 
-        The wavelengths leave the cluster's current table and are marked
-        dead in this injector (never released back into the token, so the
-        pool genuinely shrinks). The reserved wavelength cannot die --
-        modelling it as trimmed/athermal hardware -- so the starvation
-        floor survives.
+        The wavelengths leave the cluster's current table, are marked
+        dead in this injector and are retired in the token (never
+        released back into it, so the pool genuinely shrinks). The
+        reserved wavelength cannot die -- modelling it as
+        trimmed/athermal hardware -- so the starvation floor survives.
 
         With ``clamp=True`` the kill is limited to the wavelengths the
         cluster actually holds (possibly zero) instead of raising --
@@ -69,6 +69,8 @@ class FaultInjector:
         if count == 0:
             return []
         dead = current.remove_dynamic(count)
+        for wid in dead:
+            self.noc.token.retire(wid, cluster)
         self.dead_wavelengths.extend(dead)
         # Re-clamp the per-destination allocations to the shrunken holding.
         for dst, allocated in current.as_dict().items():

@@ -77,14 +77,20 @@ def token_link_cycles(
     return max(1, math.ceil(seconds * clock_hz))
 
 
+#: The owner of a wavelength taken out of service (no cluster id).
+RETIRED = -1
+
+
 class WavelengthToken:
     """The token bitmap plus an owner map for invariant checking.
 
-    The physical token only carries free/allocated bits; owners are our
-    debug shadow so property tests can assert mutual exclusion (a
-    wavelength is never held by two routers -- the very hazard the token
-    mechanism exists to prevent: "to avoid reusing already allocated
-    wavelengths within a single waveguide").
+    The physical token only carries free/allocated bits; owners are a
+    shadow of them. One owner per wavelength makes mutual exclusion hold
+    by construction (a wavelength is never held by two routers -- the
+    very hazard the token mechanism exists to prevent: "to avoid reusing
+    already allocated wavelengths within a single waveguide"), so what
+    is checked is that each router's tables agree with it
+    (``DHetPNoC.audit``).
     """
 
     def __init__(self, wavelengths: List[WavelengthId]):
@@ -156,11 +162,12 @@ class WavelengthToken:
                 word |= 1 << pos
         return word
 
-    def check_exclusive(self) -> bool:
-        """Invariant: owner map is consistent (always true by construction;
-        exposed for property tests that drive acquire/release randomly)."""
-        owners = [o for o in self._owner.values() if o is not None]
-        return len(owners) == len(self._order) - self.free_count()
+    def retire(self, wid: WavelengthId, cluster: int) -> None:
+        """Take *cluster*'s *wid* out of service for good: its bit stays
+        allocated, owned by :data:`RETIRED`, so no cluster acquires it
+        again and none holds it."""
+        self.release(wid, cluster)
+        self._owner[wid] = RETIRED
 
     def _check(self, wid: WavelengthId) -> None:
         if wid not in self._owner:

@@ -1,10 +1,9 @@
-"""Fixed-latency links with their credit return.
+"""One-cycle links with their credit return.
 
-Intra-cluster links are "traditional copper interconnects in an all-to-all
-manner" (thesis 3.1); they carry one flit per cycle with a configurable
-pipeline latency. Credits for the buffers a link feeds go back upstream
-over the same link with the same delay, implementing credit-based
-wormhole flow control.
+A mesh link carries one flit per cycle and delivers it the next cycle
+(the chapter-1 mesh baseline, section 1.5). Credits for the buffers a
+link feeds go back upstream over the same link with the same one-cycle
+delay, implementing credit-based wormhole flow control.
 
 A link holds neither what it carries nor any behaviour: the router hop
 appends a forwarded flit to the owner's due-ordered queue of flits in
@@ -24,24 +23,22 @@ class LinkBusyError(RuntimeError):
 
 
 class Link:
-    """A point-to-point pipelined link into one router input port.
+    """A point-to-point one-cycle link into one router input port.
 
     Parameters
     ----------
     flits_due, credits_due:
         The owner's queues of ``(due cycle, vcs, node, flit)`` and
-        ``(due cycle, credit row, vc)``. Every link appending to one
-        queue must have the same latency, and cycles must not run
-        backwards, so that append order is due order.
+        ``(due cycle, credit row, vc)``. Every entry is due one cycle
+        after it is appended, and cycles do not run backwards, so append
+        order is due order.
     vcs, node:
         The input port's virtual channels (a flit lands in
         ``vcs[flit.vc]``) and the node whose router they belong to.
-    latency:
-        Delivery delay in cycles (>= 1), for flits and credits alike.
     """
 
     __slots__ = (
-        "latency", "name", "flits_due", "credits_due", "vcs", "node",
+        "name", "flits_due", "credits_due", "vcs", "node",
         "credits", "sent_cycle", "items_carried", "bits_carried",
     )
 
@@ -51,12 +48,8 @@ class Link:
         credits_due: Deque[tuple],
         vcs: List[Any],
         node: int,
-        latency: int = 1,
         name: str = "link",
     ):
-        if latency < 1:
-            raise ValueError(f"link latency must be >= 1, got {latency}")
-        self.latency = int(latency)
         self.name = name
         self.flits_due = flits_due
         self.credits_due = credits_due

@@ -1,6 +1,6 @@
 """Electrical network assembly: routers + links + traffic endpoints.
 
-Builds a complete wormhole network over any :class:`~repro.noc.topology.Topology`.
+Builds a complete wormhole network over a :class:`~repro.noc.topology.Topology`.
 Its one constructor is the 64-core mesh of
 :mod:`repro.arch.electrical_baseline`, the chapter-1 baseline the
 photonic architectures are compared against.
@@ -11,8 +11,8 @@ network records latency and delivered bits as flits are ejected.
 
 A cycle costs what is in flight, not what is wired. The network owns the
 only two delay queues -- flits on links and credits on their way back,
-each in due order because every link has the one ``link_latency`` -- and
-lands what is due before anything else acts in a cycle. It keeps the set
+each in due order because every link takes one cycle -- and lands what
+is due before anything else acts in a cycle. It keeps the set
 of routers holding a flit and ticks only those (in node order), visits
 only endpoints that hold work, and a router's tick visits only the VCs
 that hold flits. It also implements the engine's idle protocol so
@@ -30,7 +30,7 @@ from repro.noc.buffer import BufferError
 from repro.noc.flit import Flit, Packet, packetize
 from repro.noc.link import Link
 from repro.noc.router import Router, RouterConfig
-from repro.noc.routing import RoutingAlgorithm, TableRouting
+from repro.noc.routing import DimensionOrderRouting
 from repro.noc.topology import Topology
 from repro.sim.engine import ClockedComponent, SimulationError, Simulator
 
@@ -124,28 +124,25 @@ class ElectricalNetwork(ClockedComponent):
     Parameters
     ----------
     topology:
-        Any connected :class:`Topology`.
+        A :class:`Topology` with node coordinates (a
+        :func:`~repro.noc.topology.mesh`).
     router_config:
         Router microarchitecture (defaults per table 3-3).
     routing:
-        A routing algorithm; defaults to shortest-path tables.
-    link_latency:
-        Per-hop link latency in cycles.
+        The routing; defaults to XY routing over *topology*.
     """
 
     def __init__(
         self,
         topology: Topology,
         router_config: RouterConfig = RouterConfig(),
-        routing: Optional[RoutingAlgorithm] = None,
-        link_latency: int = 1,
+        routing: Optional[DimensionOrderRouting] = None,
         name: str = "enet",
     ):
         self.name = name
         self.topology = topology
         self.router_config = router_config
-        self.routing = routing or TableRouting(topology)
-        self.link_latency = link_latency
+        self.routing = routing or DimensionOrderRouting(topology)
         self.metrics = NetworkMetrics()
 
         self.routers: Dict[int, Router] = {}
@@ -154,9 +151,9 @@ class ElectricalNetwork(ClockedComponent):
         self._local_ports: Dict[int, int] = {}
         #: Flits on links, ``(due, destination VCs, destination node,
         #: flit)``, and credits on their way upstream, ``(due, upstream
-        #: credit row, vc)``. The router hop appends here; one
-        #: ``link_latency`` and a clock that never runs backwards make
-        #: append order due order.
+        #: credit row, vc)``. The router hop appends here; one-cycle
+        #: links and a clock that never runs backwards make append order
+        #: due order.
         self._flits_due: Deque[tuple] = deque()
         self._credits_due: Deque[tuple] = deque()
         #: Nodes whose router holds a flit in some input port: added to
@@ -206,7 +203,6 @@ class ElectricalNetwork(ClockedComponent):
                     self._credits_due,
                     peer.inputs[peer_in_port].vcs,
                     neighbor,
-                    latency=self.link_latency,
                     name=f"{self.name}.{node}->{neighbor}",
                 )
                 router.connect_output_link(port, link)
@@ -248,8 +244,8 @@ class ElectricalNetwork(ClockedComponent):
     def tick(self, cycle: int) -> None:
         self._cycle = cycle
         # What is due lands before anyone acts in this cycle. Anything
-        # sent during it is due at cycle + latency >= cycle + 1, so this
-        # is what every receiver polling at its own turn would see.
+        # sent during it is due at cycle + 1, so this is what every
+        # receiver polling at its own turn would see.
         occupied = self._occupied
         due = self._flits_due
         while due and due[0][0] <= cycle:

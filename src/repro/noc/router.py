@@ -24,8 +24,8 @@ VC-ascending, and output ports forward in the order they were first
 nominated (it fixes credit, link-send and eject order).
 
 One flit-hop is one pass through stage 3 of :meth:`Router.tick`, with
-no method call on the way: the grant (a lone round-robin requester wins
-inline), the crossbar conflict check, the VC pop, the link send, the
+no method call on the way: the grant (a lone requester wins inline),
+the crossbar conflict check, the VC pop, the link send, the
 credit return and the tail's teardown are all written out there.
 
 What is in flight lives with whoever wires the routers together: a
@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from repro.noc.arbiter import make_arbiter
+from repro.noc.arbiter import RoundRobinArbiter
 from repro.noc.buffer import BufferError, PortBuffer, VirtualChannelBuffer
 from repro.noc.flit import Flit
 from repro.noc.link import Link, LinkBusyError
@@ -62,7 +62,6 @@ class RouterConfig:
 
     n_vcs: int = 16
     vc_depth: int = 64
-    arbiter: str = "round_robin"
 
     def __post_init__(self) -> None:
         if self.n_vcs <= 0:
@@ -102,9 +101,8 @@ class Router(ClockedComponent):
         self.inputs: List[PortBuffer] = [
             PortBuffer(config.n_vcs, config.vc_depth) for _ in range(n_ports)
         ]
-        self._input_arbiters = [make_arbiter(config.arbiter, config.n_vcs) for _ in range(n_ports)]
-        self._output_arbiters = [make_arbiter(config.arbiter, n_ports) for _ in range(n_ports)]
-        self._round_robin = config.arbiter == "round_robin"
+        self._input_arbiters = [RoundRobinArbiter(config.n_vcs) for _ in range(n_ports)]
+        self._output_arbiters = [RoundRobinArbiter(n_ports) for _ in range(n_ports)]
         # The crossbar: ports are stamped with the epoch of the tick that
         # connected them, so opening a tick is one increment.
         self._epoch = 0
@@ -184,7 +182,6 @@ class Router(ClockedComponent):
         all_credits = self._credits
         requests = self._requests
         nominated = self._nominated
-        round_robin = self._round_robin
         for in_port, port_buffer in enumerate(self.inputs):
             occupied = port_buffer._occupied_vcs
             if not occupied:
@@ -206,7 +203,7 @@ class Router(ClockedComponent):
             if not ready_vcs:
                 continue
             arbiter = self._input_arbiters[in_port]
-            if round_robin and len(ready_vcs) == 1:
+            if len(ready_vcs) == 1:
                 winner_vc = ready_vcs[0]
                 arbiter._next_priority = (winner_vc + 1) % arbiter.n
             else:
@@ -227,11 +224,11 @@ class Router(ClockedComponent):
         epoch, input_used, output_used = self._epoch, self._input_used, self._output_used
         inputs, out_links, in_links = self.inputs, self._out_links, self._in_links
         output_arbiters, out_vc_owner = self._output_arbiters, self._out_vc_owner
-        bits_forwarded = 0
+        bits_forwarded, due = 0, cycle + 1
         for out_port in nominated_outputs:
             arbiter = output_arbiters[out_port]
             out_requests = requests[out_port]
-            if round_robin and len(out_requests) == 1:
+            if len(out_requests) == 1:
                 in_port = out_requests[0]
                 arbiter._next_priority = (in_port + 1) % arbiter.n
             else:
@@ -266,14 +263,14 @@ class Router(ClockedComponent):
             link = out_links[out_port]
             if link is not None:
                 # The link: one flit a cycle, counted for wire energy,
-                # due at the far end ``latency`` cycles on.
+                # due at the far end next cycle.
                 all_credits[out_port][downstream_vc] -= 1
                 if link.sent_cycle == cycle:
                     raise LinkBusyError(f"link {link.name!r}: a second send in cycle {cycle}")
                 link.sent_cycle = cycle
                 link.items_carried += 1
                 link.bits_carried += bits
-                link.flits_due.append((cycle + link.latency, link.vcs, link.node, flit))
+                link.flits_due.append((due, link.vcs, link.node, flit))
             else:
                 sink = self._out_sinks[out_port]
                 if sink is None:
@@ -284,7 +281,7 @@ class Router(ClockedComponent):
             # Return a credit upstream for the slot just freed.
             in_link = in_links[in_port]
             if in_link is not None:
-                in_link.credits_due.append((cycle + in_link.latency, in_link.credits, in_vc))
+                in_link.credits_due.append((due, in_link.credits, in_vc))
 
             if flit.is_tail:
                 # Wormhole state tears down with the tail flit.

@@ -36,6 +36,7 @@ class TestWavelengthDeath:
         for controller in noc.controllers:
             held = set(controller.current_table.held_ids)
             assert not held & dead
+        noc.audit()  # retired in the token, so no cluster's holdings
 
     def test_traffic_still_flows_after_death(self):
         sim, noc, _ = build()

@@ -143,7 +143,8 @@ class TestMultiClusterContention:
         dynamic_total = sum(len(c.dynamic_ids) for _a, _r, c in clusters)
         assert dynamic_total == 10  # pool exhausted, never oversubscribed
         assert token.free_count() == 0
-        assert token.check_exclusive()
+        for allocator, _request, current in clusters:
+            assert set(token.held_by(allocator.cluster)) == set(current.dynamic_ids)
 
     @settings(max_examples=40)
     @given(st.lists(st.integers(0, 12), min_size=4, max_size=4))

@@ -106,12 +106,24 @@ def test_fast_path_is_deterministic(monkeypatch):
     assert a == b
 
 
-def audited_run(arch_name, bw_set, pattern_name, offered):
+def audited_run(arch_name, bw_set, pattern_name, offered, scenario=None):
     """The runner's own wiring under generated traffic, for tests that
     audit state mid-run and so step the simulator themselves."""
-    run = wire_run(arch_name, bw_set, pattern_name, FIDELITY, seed=1)
+    run = wire_run(arch_name, bw_set, pattern_name, FIDELITY, seed=1,
+                   scenario=scenario)
     attach_traffic(run, offered, FIDELITY)
     return run.sim, run.arch
+
+
+@pytest.mark.parametrize("arch,pattern,offered,scenario", CASES)
+def test_audit_holds_on_every_case(arch, pattern, offered, scenario):
+    """``arch.audit`` -- on d-HetPNoC the ring law included -- holds all
+    through every equivalence row, checked every 10 cycles: under
+    ``fault_storm`` through two wavelength deaths and a token freeze."""
+    sim, noc = audited_run(arch, BW_SET_1, pattern, offered, scenario)
+    for _ in range(FIDELITY.total_cycles // 10):
+        sim.run(10)
+        noc.audit()
 
 
 def test_gateway_held_counter_matches_enumeration():
@@ -121,13 +133,13 @@ def test_gateway_held_counter_matches_enumeration():
     enumerating every pipe, buffer and in-flight launch, and the counts
     that gate the gateway's stages each against what it stands for; it
     must pass at every cycle, across injection, transmission, ejection
-    and abandonment.
+    and abandonment (``arch.audit`` runs it on every gateway, then the
+    ring law).
     """
     sim, arch = audited_run("dhetpnoc", BW_SET_1, "skewed3", 400.0)
-    arch.add_tick_hook(lambda cycle: [g.audit() for g in arch.gateways])
+    arch.add_tick_hook(lambda cycle: arch.audit())
     sim.run(300)
-    for gateway in arch.gateways:
-        gateway.audit()
+    arch.audit()
 
 
 def _launch_skipping_dst_held(original):
@@ -185,8 +197,39 @@ def test_gateway_audit_catches_a_planted_fault(monkeypatch, method, mutate,
             arch.submit(Packet(src=4 * cluster, dst=dst,
                                n_flits=BW_SET_3.packet_flits,
                                flit_bits=BW_SET_3.flit_bits))
-    arch.add_tick_hook(lambda cycle: [g.audit() for g in arch.gateways])
+    arch.add_tick_hook(lambda cycle: arch.audit())
     with pytest.raises(SimulationError, match=rf"gateway \d+: {counter} is"):
+        sim.run(50)
+
+
+def _release_keeping_one(original):
+    def mutant(self, count):
+        released = original(self, count)
+        self._dynamic.extend(released[:1])  # the token has it back; so has the table
+        return released
+    return mutant
+
+
+@pytest.mark.parametrize("mutate", [_release_keeping_one],
+                         ids=["kept-released-wavelength"])
+def test_ring_audit_catches_a_planted_fault(monkeypatch, mutate):
+    """A controller that keeps a wavelength the token has released is
+    named by ``audit`` within 50 cycles. The cores of the cluster holding
+    the most drop their demand to nothing, so the token's first visit
+    there (within one 16-hop round) releases what the cluster held."""
+    from repro.dba.tables import CurrentTable
+    from repro.sim.engine import SimulationError
+
+    sim, arch = audited_run("dhetpnoc", BW_SET_1, "skewed3", 400.0)
+    hot = max(arch.controllers, key=lambda c: c.held_count).cluster
+    assert arch.controllers[hot].current_table.dynamic_ids
+    monkeypatch.setattr(CurrentTable, "remove_dynamic",
+                        mutate(CurrentTable.remove_dynamic))
+    for slot in range(arch.config.cores_per_cluster):
+        arch.remap_demand(hot, slot, {dst: 0 for dst in range(16) if dst != hot})
+    arch.add_tick_hook(lambda cycle: arch.audit())
+    with pytest.raises(SimulationError,
+                       match=rf"d-hetpnoc ring: cluster {hot} holds dynamic wavelengths"):
         sim.run(50)
 
 
@@ -217,7 +260,7 @@ def test_mesh_counters_match_enumeration(pattern_name, offered, bw_set_index):
 
     for _ in range(1000):
         sim.step()
-        net.audit()
+        arch.audit()
         idle_cycles += net.is_idle()
         most_held = max(most_held, net.flits_in_network)
         most_backlogged = max(most_backlogged, len(net._occupied))
@@ -266,4 +309,4 @@ def test_mesh_audit_catches_a_planted_fault(monkeypatch, mutate, counter):
     with pytest.raises(SimulationError, match=rf"emesh: {counter} is"):
         for _ in range(50):
             sim.step()
-            arch.network.audit()
+            arch.audit()

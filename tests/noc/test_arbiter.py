@@ -1,9 +1,9 @@
-"""Tests for round-robin and matrix arbiters."""
+"""Tests for the round-robin arbiter."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.noc.arbiter import MatrixArbiter, RoundRobinArbiter, make_arbiter
+from repro.noc.arbiter import RoundRobinArbiter
 
 
 class TestRoundRobin:
@@ -44,60 +44,3 @@ class TestRoundRobin:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             RoundRobinArbiter(0)
-
-
-class TestMatrixArbiter:
-    def test_empty_requests(self):
-        assert MatrixArbiter(4).grant([]) is None
-
-    def test_initial_priority_is_lowest_index(self):
-        assert MatrixArbiter(4).grant([1, 3]) == 1
-
-    def test_least_recently_served(self):
-        arb = MatrixArbiter(3)
-        assert arb.grant([0, 1, 2]) == 0
-        assert arb.grant([0, 1, 2]) == 1
-        assert arb.grant([0, 1, 2]) == 2
-        # 0 served longest ago among requesters {0, 2}.
-        assert arb.grant([0, 2]) == 0
-
-    def test_winner_demoted(self):
-        arb = MatrixArbiter(2)
-        assert arb.grant([0, 1]) == 0
-        assert arb.grant([0, 1]) == 1
-
-    @given(st.lists(st.integers(0, 5), min_size=1, max_size=6))
-    def test_grant_is_a_requester(self, reqs):
-        arb = MatrixArbiter(6)
-        assert arb.grant(reqs) in set(reqs)
-
-    @given(st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=4), min_size=1, max_size=30))
-    def test_no_starvation_under_persistent_request(self, rounds):
-        """A requester present in every round is served within n rounds."""
-        arb = MatrixArbiter(4)
-        unserved = 0
-        for reqs in rounds:
-            reqs = sorted(set(reqs) | {0})
-            if arb.grant(reqs) == 0:
-                unserved = 0
-            else:
-                unserved += 1
-            assert unserved < 4
-
-    def test_reset(self):
-        arb = MatrixArbiter(3)
-        arb.grant([0, 1, 2])
-        arb.reset()
-        assert arb.grant([0, 1, 2]) == 0
-
-
-class TestFactory:
-    def test_round_robin(self):
-        assert isinstance(make_arbiter("round_robin", 4), RoundRobinArbiter)
-
-    def test_matrix(self):
-        assert isinstance(make_arbiter("matrix", 4), MatrixArbiter)
-
-    def test_unknown(self):
-        with pytest.raises(ValueError):
-            make_arbiter("magic", 4)

@@ -12,18 +12,25 @@ from repro.noc.flit import Packet, packetize
 from repro.noc.router import CrossbarConflict, Router, RouterConfig
 
 
-def four_port_router(arbiter="round_robin"):
-    """Inputs 0 and 1 each hold a one-flit packet, for sinks on outputs 2
-    and 3 (a packet for node *n* routes to port *n*)."""
+def router_with(packets, n_ports=4):
+    """One one-flit packet per ``(input port, destination)`` in
+    *packets*, for sinks on every output a destination names (a packet
+    for node *n* routes to port *n*)."""
     delivered = []
-    router = Router(0, 4, RouterConfig(n_vcs=2, vc_depth=4, arbiter=arbiter),
+    router = Router(0, n_ports, RouterConfig(n_vcs=2, vc_depth=4),
                     route_fn=lambda dst: dst)
-    for port in (2, 3):
+    for port in {dst for _in_port, dst in packets}:
         router.connect_output_sink(port, delivered.append)
-    for in_port, dst in ((0, 2), (1, 3)):
+    for in_port, dst in packets:
         (flit,) = packetize(Packet(src=9, dst=dst, n_flits=1, flit_bits=32))
         router.accept_flit(in_port, flit, 0)
     return router, delivered
+
+
+def four_port_router():
+    """Inputs 0 and 1 each hold a one-flit packet, for sinks on outputs 2
+    and 3."""
+    return router_with([(0, 2), (1, 3)])
 
 
 class TestCrossbar:
@@ -52,9 +59,13 @@ class TestCrossbar:
             Router(0, 0)
 
     def test_input_conflict(self):
-        """An output arbiter that grants input 0 whatever asks: output 3
-        then claims the input output 2 already holds."""
-        router, _delivered = four_port_router("matrix")
+        """An output arbiter that grants input 0 whatever asks: with
+        inputs 0 and 1 asking for output 4 and inputs 2 and 3 for output
+        5 (a lone requester wins without one), output 5 then claims the
+        input output 4 already holds."""
+        router, _delivered = router_with(
+            [(0, 4), (1, 4), (2, 5), (3, 5)], n_ports=6
+        )
         for arbiter in router._output_arbiters:
             arbiter.grant = lambda requests: 0
         with pytest.raises(CrossbarConflict, match="router0: input 0 already connected"):

@@ -1,4 +1,4 @@
-"""Integration tests for the electrical network over several topologies."""
+"""Integration tests for the electrical network."""
 
 import random
 
@@ -8,7 +8,7 @@ from repro.noc.flit import Packet
 from repro.noc.network import ElectricalNetwork
 from repro.noc.router import RouterConfig
 from repro.noc.routing import DimensionOrderRouting
-from repro.noc.topology import all_to_all, butterfly_fat_tree, mesh, octagon, torus
+from repro.noc.topology import mesh
 from repro.sim.engine import Simulator
 
 
@@ -34,12 +34,8 @@ def random_packets(nodes, count, rng, n_flits=4):
     "topo_factory",
     [
         lambda: mesh(4, 4),
-        lambda: torus(4, 4),
-        lambda: all_to_all(5),
-        lambda: octagon(),
-        lambda: butterfly_fat_tree(16),
     ],
-    ids=["mesh", "torus", "all_to_all", "octagon", "bft"],
+    ids=["mesh"],
 )
 class TestDeliveryAcrossTopologies:
     def test_all_packets_delivered(self, topo_factory):
@@ -76,7 +72,7 @@ class TestNetworkBehaviour:
 
     def test_heavy_contention_single_destination(self):
         """Many sources, one sink: everything still arrives (no deadlock)."""
-        topo = all_to_all(6)
+        topo = mesh(3, 2)
         packets = [
             Packet(src=src, dst=0, n_flits=4, flit_bits=32)
             for src in range(1, 6)
@@ -97,7 +93,7 @@ class TestNetworkBehaviour:
         assert n1.metrics.bits_delivered == n2.metrics.bits_delivered
 
     def test_reset_stats_mid_run(self):
-        topo = all_to_all(4)
+        topo = mesh(2, 2)
         net = ElectricalNetwork(topo, router_config=RouterConfig(n_vcs=2, vc_depth=8))
         sim = Simulator()
         sim.register(net)
@@ -110,11 +106,11 @@ class TestNetworkBehaviour:
         assert net.metrics.packets_delivered == 1
 
     def test_mean_latency_zero_when_idle(self):
-        topo = all_to_all(4)
+        topo = mesh(2, 2)
         net = ElectricalNetwork(topo)
         assert net.metrics.mean_latency == 0.0
 
     def test_delivered_gbps(self):
-        topo = all_to_all(4)
+        topo = mesh(2, 2)
         net, _ = drive(topo, [Packet(src=0, dst=1, n_flits=4, flit_bits=32)])
         assert net.metrics.delivered_gbps(2.5e9) > 0

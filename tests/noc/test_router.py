@@ -7,7 +7,7 @@ from repro.noc.flit import Packet, packetize
 from repro.noc.link import LinkBusyError
 from repro.noc.network import ElectricalNetwork
 from repro.noc.router import Router, RouterConfig
-from repro.noc.topology import all_to_all
+from repro.noc.topology import mesh
 
 
 class Harness:
@@ -101,15 +101,15 @@ class TestSingleRouter:
 class TestTwoRouterCreditFlow:
     """Router A -> link -> router B -> sink, with credit return.
 
-    Wired and driven by the real owner of what is in flight: a two-node
-    ``ElectricalNetwork`` whose endpoint feeds A one flit per cycle.
+    Wired and driven by the real owner of what is in flight: a 2x2
+    mesh ``ElectricalNetwork`` whose endpoint at node 0 (A) feeds A one
+    flit per cycle, for node 1 (B) next to it.
     """
 
-    def build(self, vc_depth=2, link_latency=1):
+    def build(self, vc_depth=2):
         self.net = ElectricalNetwork(
-            all_to_all(2),
+            mesh(2, 2),
             router_config=RouterConfig(n_vcs=1, vc_depth=vc_depth),
-            link_latency=link_latency,
         )
         self.a, self.b = self.net.routers[0], self.net.routers[1]
         self.delivered = []
@@ -132,19 +132,18 @@ class TestTwoRouterCreditFlow:
         assert [f.seq for f in self.delivered] == [0, 1, 2, 3]
 
     def test_flit_lands_after_link_latency(self):
-        self.build(link_latency=3)
+        self.build()
         self.inject(1)
         self.run(1)  # injected and forwarded by A in cycle 0
-        assert [due for due, _, _, _ in self.net._flits_due] == [3]
-        self.run(2)
+        assert [due for due, _, _, _ in self.net._flits_due] == [1]
         assert self.b.inputs[0].occupancy == 0
-        self.run(1)  # lands at the top of cycle 3; B ejects it at once
+        self.run(1)  # lands at the top of cycle 1; B ejects it at once
         assert not self.net._flits_due
         assert len(self.delivered) == 1
-        # B's credit for the freed slot is due back at A at cycle 6.
-        assert [(due, vc) for due, _, vc in self.net._credits_due] == [(6, 0)]
+        # B's credit for the freed slot is due back at A at cycle 2.
+        assert [(due, vc) for due, _, vc in self.net._credits_due] == [(2, 0)]
         assert self.a._credits[0] == [1]
-        self.run(3)
+        self.run(1)
         assert self.a._credits[0] == [2]
         assert self.net.is_idle()
 
@@ -165,12 +164,13 @@ class TestTwoRouterCreditFlow:
         assert self.a.flits_forwarded <= 4
 
     def test_slow_credit_loop_throttles_sender(self):
-        """Two slots and a six-cycle credit round trip: A sends two flits,
-        then stalls until the first credit is back."""
-        self.build(vc_depth=2, link_latency=3)
+        """One slot and a two-cycle credit round trip: A sends a flit,
+        then stalls until its credit is back, so it sends every other
+        cycle."""
+        self.build(vc_depth=1)
         self.inject(8)
         self.run(6)
-        assert self.a.flits_forwarded == 2
+        assert self.a.flits_forwarded == 3
         self.run(40)
         assert len(self.delivered) == 8
 
@@ -193,7 +193,7 @@ class TestTwoRouterCreditFlow:
         tick, but the link has already carried this cycle's flit."""
         self.build(vc_depth=4)
         for flit in packetize(Packet(src=0, dst=1, n_flits=2, flit_bits=32)):
-            self.a.accept_flit(1, flit, 0)
+            self.a.accept_flit(self.net.local_port(0), flit, 0)
         self.a.tick(0)
         with pytest.raises(LinkBusyError, match=r"enet.0->1.*cycle 0"):
             self.a.tick(0)

@@ -4,24 +4,23 @@ There is one router implementation and no naive reference to compare it
 against, so its behaviour is pinned by value: a 4x4 mesh under seeded
 traffic that hits the cases a pipeline rewrite gets wrong (several
 packets queued behind each other in one VC, credit exhaustion on a
-shallow VC, many inputs contending for one output, both arbiter
-kinds, one VC per port), plus two full ``RunResult`` records of the
-64-core electrical mesh.
+shallow VC, many inputs contending for one output, one VC per port),
+plus two full ``RunResult`` records of the 64-core electrical mesh.
 Beside each case, under ``"wires"``, sits what the links and credit
 loops did: every link's ``[items_carried, bits_carried]`` (they feed
 wire energy) and every router's end-state credit rows (all back at
-``vc_depth`` once the last credits have landed). Two more cases cover
-what a rewrite of the in-flight machinery can get wrong:
-``link_latency=3`` (flits and credits stay on the wire across several
-cycles) and a gapped low-load schedule driven by ``sim.run``, where the
-engine jumps the idle spans between packets and the tick count pins
-where it does.
+``vc_depth`` once the last credits have landed). One more case covers
+what a rewrite of the in-flight machinery can get wrong: a gapped
+low-load schedule driven by ``sim.run``, where the engine jumps the idle
+spans between packets and the tick count pins where it does.
 
 The numbers in ``router_golden.json`` were produced by the commit
-before the change they guard: the first seven entries before the
-activity-indexed router, ``"wires"`` and the last two cases before the
-network-owned due queues, the two ``single_vc`` cases and
-``run_result-set3-seed2`` before the one-pass router hop. Regenerate them only for a change that is
+before the change they guard: the first three mesh cases and
+``run_result`` before the activity-indexed router, ``"wires"`` and
+``gapped_low_load`` before the network-owned due queues,
+``single_vc-round_robin`` and ``run_result-set3-seed2`` before the
+one-pass router hop. The matrix-arbiter and 3-cycle-link cases left
+with the settings they pinned. Regenerate them only for a change that is
 *meant* to alter simulated behaviour::
 
     PYTHONPATH=src python tests/noc/test_router_golden.py
@@ -46,27 +45,21 @@ from repro.sim.engine import Simulator
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("router_golden.json")
 
-#: name -> (n_vcs, vc_depth, arbiter, n_flits, packets, hotspot share,
-#: link latency).
+#: name -> (n_vcs, vc_depth, n_flits, packets, hotspot share). Every
+#: router arbitrates round-robin (the ``-round_robin`` in each name).
 #: ``queued_in_one_vc``: 2 VCs deep enough for three 3-flit packets, so
 #: a new head sits behind the previous packet's tail in the same VC.
 #: ``credit_exhaustion``: 6-flit packets through 2-slot VCs, so senders
 #: stall on credits every hop. ``output_contention``: 70 % of packets
 #: target node 5, so four inputs fight for one output every cycle.
-#: ``-latency3``: the credit-exhaustion traffic shape on 3-cycle links,
-#: so a 2-slot VC's credit round trip spans six cycles. ``single_vc``:
-#: one VC per port, so every input port has at most one ready VC to
-#: nominate and a packet blocks everything behind it in the port.
+#: ``single_vc``: one VC per port, so every input port has at most one
+#: ready VC to nominate and a packet blocks everything behind it in the
+#: port.
 MESH_CASES = {
-    "queued_in_one_vc-round_robin": (2, 9, "round_robin", 3, 220, 0.0, 1),
-    "queued_in_one_vc-matrix": (2, 9, "matrix", 3, 220, 0.0, 1),
-    "credit_exhaustion-round_robin": (3, 2, "round_robin", 6, 120, 0.0, 1),
-    "credit_exhaustion-matrix": (3, 2, "matrix", 6, 120, 0.0, 1),
-    "output_contention-round_robin": (4, 4, "round_robin", 4, 160, 0.7, 1),
-    "output_contention-matrix": (4, 4, "matrix", 4, 160, 0.7, 1),
-    "credit_exhaustion-round_robin-latency3": (3, 2, "round_robin", 6, 120, 0.0, 3),
-    "single_vc-round_robin": (1, 4, "round_robin", 4, 120, 0.3, 1),
-    "single_vc-matrix": (1, 4, "matrix", 4, 120, 0.3, 1),
+    "queued_in_one_vc-round_robin": (2, 9, 3, 220, 0.0),
+    "credit_exhaustion-round_robin": (3, 2, 6, 120, 0.0),
+    "output_contention-round_robin": (4, 4, 4, 160, 0.7),
+    "single_vc-round_robin": (1, 4, 4, 120, 0.3),
 }
 
 #: One or two packets, then a gap: 3 cycles leaves the previous packets
@@ -85,13 +78,12 @@ RUN_CASES = {
 }
 
 
-def build_mesh(n_vcs, vc_depth, arbiter, link_latency=1, fast_path=None):
+def build_mesh(n_vcs, vc_depth, fast_path=None):
     topology = mesh(4, 4)
     net = ElectricalNetwork(
         topology,
-        router_config=RouterConfig(n_vcs=n_vcs, vc_depth=vc_depth, arbiter=arbiter),
+        router_config=RouterConfig(n_vcs=n_vcs, vc_depth=vc_depth),
         routing=DimensionOrderRouting(topology),
-        link_latency=link_latency,
     )
     sim = Simulator(fast_path=fast_path)
     sim.register(net)
@@ -100,8 +92,8 @@ def build_mesh(n_vcs, vc_depth, arbiter, link_latency=1, fast_path=None):
 
 def drive_mesh(case: str):
     """Drive one saturating mesh case to quiescence."""
-    n_vcs, vc_depth, arbiter, n_flits, n_packets, hotspot, latency = MESH_CASES[case]
-    net, sim = build_mesh(n_vcs, vc_depth, arbiter, latency)
+    n_vcs, vc_depth, n_flits, n_packets, hotspot = MESH_CASES[case]
+    net, sim = build_mesh(n_vcs, vc_depth)
     rng = random.Random(sum(case.encode()))
     nodes = list(net.topology.nodes())
     # Two or three packets per cycle: well past what a 4x4 mesh with
@@ -126,7 +118,7 @@ def drive_gapped():
     Returns the number of cycles the network was really ticked as well:
     the rest of ``sim.cycle`` was skipped or jumped.
     """
-    net, sim = build_mesh(2, 4, "round_robin", fast_path=True)
+    net, sim = build_mesh(2, 4, fast_path=True)
     ticked = []
     tick = net.tick
 
@@ -171,10 +163,9 @@ def observe_wires(net, sim) -> dict:
     """What every link carried and where every credit counter ended.
 
     ``drain`` stops with the last hop's credits still on the wire; they
-    are landed first (so call this after :func:`observe_mesh`).
+    land one cycle later (so call this after :func:`observe_mesh`).
     """
-    for _ in range(net.link_latency):
-        sim.step()
+    sim.step()
     return {
         "links": {
             link.name: [link.items_carried, link.bits_carried]
@@ -227,7 +218,7 @@ def test_mesh_case_matches_golden(golden, case):
 def test_mesh_cases_hit_the_hard_paths(golden):
     """The pins are only worth something while the traffic stays hard:
     every case must keep routers busy well past injection."""
-    for case, (_, _, _, n_flits, n_packets, _, _) in MESH_CASES.items():
+    for case, (_, _, n_flits, n_packets, _) in MESH_CASES.items():
         metrics = golden[case]["metrics"]
         assert metrics["packets_delivered"] == n_packets
         assert metrics["flits_delivered"] == n_packets * n_flits

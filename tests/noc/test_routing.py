@@ -2,49 +2,8 @@
 
 import pytest
 
-from repro.noc.routing import (
-    DimensionOrderRouting,
-    RoutingError,
-    TableRouting,
-)
-from repro.noc.topology import all_to_all, mesh, octagon, torus
-
-
-class TestTableRouting:
-    def test_all_to_all_is_direct(self):
-        topo = all_to_all(5)
-        routing = TableRouting(topo)
-        for src in topo.nodes():
-            for dst in topo.nodes():
-                if src != dst:
-                    assert routing.next_hop(src, dst) == dst
-
-    def test_path_reaches_destination(self):
-        topo = mesh(4, 4)
-        routing = TableRouting(topo)
-        path = routing.path(0, 15)
-        assert path[0] == 0
-        assert path[-1] == 15
-        assert len(path) - 1 == 6  # manhattan distance
-
-    def test_path_is_shortest(self):
-        topo = octagon()
-        routing = TableRouting(topo)
-        for src in topo.nodes():
-            for dst in topo.nodes():
-                if src != dst:
-                    assert len(routing.path(src, dst)) - 1 <= 2
-
-    def test_self_route_rejected(self):
-        routing = TableRouting(mesh(3, 3))
-        with pytest.raises(RoutingError):
-            routing.next_hop(4, 4)
-
-    def test_output_port_matches_topology(self):
-        topo = mesh(3, 3)
-        routing = TableRouting(topo)
-        port = routing.output_port(topo, 0, 8)
-        assert topo.neighbor_at(0, port) == routing.next_hop(0, 8)
+from repro.noc.routing import DimensionOrderRouting, RoutingError
+from repro.noc.topology import Topology, TopologyError, mesh
 
 
 class TestDimensionOrderRouting:
@@ -71,13 +30,6 @@ class TestDimensionOrderRouting:
             node = routing.next_hop(node, 24)
         assert node == 24
 
-    def test_torus_wraps_short_way(self):
-        topo = torus(4, 4)
-        routing = DimensionOrderRouting(topo)
-        # (0,0) -> (3,0): wrap backwards is 1 hop vs 3 forward.
-        nxt = routing.next_hop(0, 3)
-        assert topo.coords[nxt] == (3, 0)
-
     def test_mesh_never_wraps(self):
         topo = mesh(4, 4)
         routing = DimensionOrderRouting(topo)
@@ -85,10 +37,12 @@ class TestDimensionOrderRouting:
         assert topo.coords[nxt] == (1, 0)
 
     def test_requires_coords(self):
-        from repro.noc.topology import TopologyError
-
         with pytest.raises(TopologyError):
-            DimensionOrderRouting(octagon())
+            DimensionOrderRouting(Topology("path", [(0, 1), (1, 2)]))
+
+    def test_self_route_rejected(self):
+        with pytest.raises(RoutingError):
+            DimensionOrderRouting(mesh(3, 3)).next_hop(4, 4)
 
     def test_xy_path_lengths_are_manhattan(self):
         topo = mesh(4, 4)

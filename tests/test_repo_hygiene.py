@@ -213,10 +213,26 @@ def test_the_mesh_hop_is_one_pass():
 
 
 def test_mesh_due_order_needs_no_heap():
-    # One link latency per network makes append order due order.
+    # Links have one latency, a cycle, so append order is due order.
     assert not [
         path for path in _count_in_src("heapq") if path.startswith("src/repro/noc/")
     ]
+
+
+@pytest.mark.parametrize(
+    "needle",
+    [
+        # The mesh the thesis runs has one arbiter, one routing, one
+        # topology and one link latency: the second arbiter and its
+        # factory, table routing and its base class, the topology zoo
+        # and the settings that selected among them stay gone.
+        "MatrixArbiter", "make_arbiter", "TableRouting", "RoutingAlgorithm",
+        "shortest_path_tables", "def torus(", "def octagon(",
+        "def butterfly_fat_tree(", "link_latency", "arbiter: str",
+    ],
+)
+def test_the_mesh_keeps_one_of_each(needle):
+    assert _count_in_src(needle) == {}
 
 
 def test_store_files_are_opened_for_append_in_one_place():

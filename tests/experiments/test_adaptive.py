@@ -2,9 +2,10 @@
 
 The contract: the bisection search must land on the same knee a dense
 fixed grid would find (within one resolution step), spend measurably
-fewer simulations doing it, stay bitwise identical across worker
-counts, and cost zero simulations on resume — the same guarantees the
-grid sweeps give, at a fraction of the simulation budget.
+fewer simulations doing it, and cost zero simulations on resume — the
+same guarantees the grid sweeps give, at a fraction of the simulation
+budget. That it is bitwise identical on every lane is the ``knee`` row
+of ``test_lane_matrix.py``.
 """
 
 import pytest
@@ -17,12 +18,13 @@ from repro.experiments.knee import (
     analytic_knee_gbps,
     knee_search,
 )
-from repro.experiments.runner import Fidelity, QUICK_FIDELITY
+from repro.experiments.runner import QUICK_FIDELITY
 from repro.experiments.store import ResultStore
 from repro.experiments.sweep import SweepExecutor
 from repro.traffic.bandwidth_sets import BW_SET_1
 
-TINY = Fidelity("tiny", 700, 100, (0.3, 0.8))
+from support import TINY
+
 RESOLUTION = 0.1
 MAX_FRACTION = 1.0
 GRID = tuple(round(RESOLUTION * i, 9) for i in range(1, 11))  # 0.1 .. 1.0
@@ -126,12 +128,6 @@ class TestAdaptiveVsGrid:
 
 
 class TestDeterminism:
-    def test_bitwise_identical_serial_vs_parallel(self):
-        serial = _adaptive(SweepExecutor(workers=1, store=ResultStore()))
-        with SweepExecutor(workers=2, store=ResultStore()) as executor:
-            parallel = _adaptive(executor)
-        assert serial == parallel  # full KneeEstimate, results included
-
     def test_resume_simulates_nothing(self, tmp_path):
         import dataclasses
 
@@ -189,7 +185,8 @@ class TestQuickFidelityGoldenAcceptance:
     """Acceptance criterion, verbatim: adaptive localizes the
     quick-fidelity golden knee to within one grid step of the
     fixed-grid result, with fewer simulations, bitwise identical
-    serial vs parallel."""
+    serial vs parallel (the last clause is ``test_lane_matrix.py``'s
+    ``knee`` row)."""
 
     def test_adaptive_peak_near_golden_grid_peak(self):
         curve = dict(

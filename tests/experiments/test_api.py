@@ -14,23 +14,10 @@ import json
 import pytest
 
 from repro.api import ExperimentSpec, Registry, RegistryError, Session, registry
-from repro.experiments.runner import Fidelity, QUICK_FIDELITY
+from repro.experiments.runner import QUICK_FIDELITY
 from repro.traffic.bandwidth_sets import BW_SET_1
 
-TINY = Fidelity("tiny", 700, 100, (0.3, 0.8))
-
-
-def tiny_spec(**overrides) -> ExperimentSpec:
-    base = dict(
-        archs=("firefly",),
-        bw_sets=(1,),
-        patterns=("uniform",),
-        seeds=(5,),
-        fidelity=TINY,
-        derive_seeds=False,
-    )
-    base.update(overrides)
-    return ExperimentSpec(**base)
+from support import TINY, tiny_spec
 
 
 class TestExperimentSpec:
@@ -145,7 +132,7 @@ class TestSessionVsLegacyShims:
         # peaks() transparently serves adaptive specs from the estimates.
         with Session() as session:
             peaks = session.peaks(spec)
-        assert peaks[("firefly", 1, "uniform", None, 5)] == estimate.peak
+        assert peaks[("firefly", 1, "uniform", None, 1)] == estimate.peak
 
 
 class TestCliSpecEquivalence:
@@ -306,8 +293,11 @@ class TestRegistries:
         )
         try:
             with Session() as session:
-                clone = session.run(tiny_spec(archs=("firefly_clone",)))
-                original = session.run(tiny_spec())
+                # Fixed seeds: a derived seed hashes the arch name.
+                clone = session.run(
+                    tiny_spec(archs=("firefly_clone",), derive_seeds=False)
+                )
+                original = session.run(tiny_spec(derive_seeds=False))
             for c, o in zip(clone, original):
                 assert c.arch == "firefly_clone"
                 assert c.delivered_gbps == o.delivered_gbps

@@ -1,37 +1,30 @@
-"""Distributed sweep fabric: protocol, conformance, fault tolerance.
+"""Distributed sweep fabric: protocol, fault tolerance, remote store.
 
-The conformance bar of docs/fabric.md is pinned here: a sweep executed
-through ``FabricExecutor`` with two or more localhost workers returns
-``RunResult``\\ s **bitwise-equal** to the serial and multiprocessing
-paths, with identical content-hash store keys across all three. The
-fault-tolerance tests use real subprocess workers with the
-``fail_after`` chaos hook (an ``os._exit`` while holding a lease — the
-deterministic stand-in for a machine dying mid-sweep) and assert that
-leases are re-queued, bounded retries are honoured, and a sweep ends
-in results or in ``PointFailedError`` — never a hang.
+That a fabric sweep returns the serial path's results bitwise, under
+the same store keys, is one column of ``test_lane_matrix.py`` per
+worker kind. Here: the wire, and the fault-tolerance bar of
+docs/fabric.md. The fault-tolerance tests use real subprocess workers
+with the ``fail_after`` chaos hook (an ``os._exit`` while holding a
+lease -- the deterministic stand-in for a machine dying mid-sweep) and
+assert that leases are re-queued, bounded retries are honoured, and a
+sweep ends in results or in ``PointFailedError`` -- never a hang.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-import subprocess
-import sys
 import threading
-import time
 
 import pytest
 
-import repro
 from repro.experiments.runner import Fidelity, RunResult
 from repro.experiments.store import (
     ResultStore,
     make_backend,
     open_store,
-    result_to_dict,
     shard_filename,
 )
-from repro.api.spec import ExperimentSpec
 from repro.experiments.sweep import (
     FabricExecutor,
     SweepExecutor,
@@ -51,18 +44,15 @@ from repro.fabric.protocol import (
     send_message,
 )
 from repro.fabric.remote_store import RemoteBackend
+from repro.fabric.server import dial
 from repro.fabric.transport import make_transport, parse_address, transports
 from repro.fabric.worker import Worker
 
-TINY = Fidelity("tiny", 700, 100, (0.3, 0.8))
+from support import TINY, inthread_workers, spawn_worker, tiny_spec, wait_until
 
-SPEC = ExperimentSpec(
-    archs=("firefly", "dhetpnoc"),
-    bw_sets=(1,),
-    patterns=("uniform",),
-    seeds=(1,),
-    fidelity=TINY,
-)
+SPEC = tiny_spec(archs=("firefly", "dhetpnoc"))
+#: One point: the fault-tolerance and store tests need no curve.
+ONE_POINT = tiny_spec(load_fractions=(0.5,))
 
 #: Awkward floats that only survive repr-based JSON round-trips.
 UGLY = (0.1 + 0.2, 1.0 / 3.0, 676.4999999999999, 1e-17, 2.0**-1074)
@@ -83,55 +73,6 @@ SAMPLE = RunResult(
     laser_power_mw=640.0,
     lit_wavelengths=64,
 )
-
-
-# ---------------------------------------------------------------------------
-# Helpers
-# ---------------------------------------------------------------------------
-
-def _src_path() -> str:
-    return os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-
-
-def spawn_worker(address, fail_after=None) -> subprocess.Popen:
-    """Start a real subprocess worker via the CLI entry point."""
-    host, port = address
-    cmd = [
-        sys.executable, "-m", "repro.experiments.cli",
-        "fabric", "worker", "--connect", f"{host}:{port}",
-    ]
-    if fail_after is not None:
-        cmd += ["--fail-after", str(fail_after)]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = _src_path() + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.Popen(
-        cmd, env=env,
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-    )
-
-
-def inthread_workers(address, n=2):
-    """Run *n* workers inside this process (no chaos hooks allowed)."""
-    workers = [Worker(address) for _ in range(n)]
-    threads = [
-        threading.Thread(target=w.run, daemon=True) for w in workers
-    ]
-    for thread in threads:
-        thread.start()
-    return workers, threads
-
-
-def wait_until(predicate, timeout=30.0, message="condition"):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return
-        time.sleep(0.05)
-    raise AssertionError(f"timed out waiting for {message}")
-
-
-def store_keys(store: ResultStore):
-    return {key for key, _result in store.backend.scan()}
 
 
 # ---------------------------------------------------------------------------
@@ -231,137 +172,6 @@ class TestProtocol:
 
 
 # ---------------------------------------------------------------------------
-# Distributed conformance: serial == parallel == distributed, bitwise
-# ---------------------------------------------------------------------------
-
-class TestConformance:
-    def test_serial_parallel_distributed_bitwise(self):
-        serial = SweepExecutor(store=ResultStore())
-        expected = serial.run(SPEC)
-        assert serial.executed_count == SPEC.n_points()
-
-        with SweepExecutor(workers=2, store=ResultStore()) as parallel:
-            parallel_results = parallel.run(SPEC)
-            assert parallel_results == expected
-
-            with Coordinator(lease_size=1) as coordinator:
-                workers, _threads = inthread_workers(coordinator.address, 2)
-                fabric = FabricExecutor(
-                    coordinator.address, store=ResultStore()
-                )
-                fabric_results = fabric.run(SPEC)
-                assert fabric.executed_count == SPEC.n_points()
-                assert fabric_results == expected
-                # Identical content-hash keys across all three paths.
-                assert (
-                    store_keys(serial.store)
-                    == store_keys(parallel.store)
-                    == store_keys(fabric.store)
-                    == store_keys(coordinator.store)
-                )
-                # And byte-identical stored records, fabric vs serial.
-                fabric_records = dict(fabric.store.backend.scan())
-                for key, result in serial.store.backend.scan():
-                    assert result_to_dict(fabric_records[key]) == \
-                        result_to_dict(result)
-
-                # A second fabric pass resumes from the coordinator's
-                # store: nothing is simulated anywhere.
-                resumed = FabricExecutor(
-                    coordinator.address, store=ResultStore()
-                )
-                assert resumed.run(SPEC) == expected
-                assert resumed.executed_count == 0
-                fabric.close()
-                resumed.close()
-                for worker in workers:
-                    worker.stop()
-
-    def test_subprocess_workers_conformance(self, tmp_path):
-        expected = SweepExecutor(store=ResultStore()).run(SPEC)
-        store = open_store(str(tmp_path / "shards") + os.sep)
-        with Coordinator(store=store, lease_size=2) as coordinator:
-            procs = [spawn_worker(coordinator.address) for _ in range(2)]
-            try:
-                fabric = FabricExecutor(
-                    coordinator.address, store=ResultStore()
-                )
-                assert fabric.run(SPEC) == expected
-                assert fabric.executed_count == SPEC.n_points()
-                fabric.close()
-            finally:
-                for proc in procs:
-                    proc.kill()
-                    proc.wait()
-
-    def test_session_over_fabric(self):
-        """Every curve-shaped ``Session`` call is bitwise-equal whether
-        its misses run serially, on a pool or over the fabric."""
-        import dataclasses
-
-        from repro.api import Session
-        from repro.scenarios.library import (
-            build_scenario,
-            register_schedule,
-            scenarios,
-        )
-        from repro.traffic.bandwidth_sets import BW_SET_1
-
-        spec = ExperimentSpec(
-            archs=("firefly", "dhetpnoc"), bw_sets=(1,),
-            patterns=("uniform",), seeds=(1, 2), fidelity=TINY,
-        )
-
-        def late_scenario(s):
-            # One batch first — a ``workers=2`` session forks its pool
-            # on it — and only then does the scenario come to exist, so
-            # no forked child has it in its registry: it must travel in
-            # the work item, as it does to a fabric worker.
-            s.run(spec)
-            register_schedule(dataclasses.replace(
-                build_scenario("hotspot_drift", TINY.total_cycles),
-                name="late_spike",
-            ))
-            try:
-                late = ExperimentSpec(
-                    archs=("firefly", "dhetpnoc"), bw_sets=(1,),
-                    patterns=("uniform",), scenarios=("late_spike",),
-                    fidelity=TINY,
-                )
-                return s.run(late), s.executed_count
-            finally:
-                scenarios.unregister("late_spike")
-
-        calls = {
-            "late_scenario": late_scenario,
-            "run": lambda s: (s.run(spec), s.executed_count),
-            "curve": lambda s: s.curve(
-                "dhetpnoc", BW_SET_1, "skewed3", TINY, seed=3
-            ),
-            "peaks": lambda s: s.peaks(spec),
-            "knee": lambda s: s.knee(
-                "dhetpnoc", 1, "skewed3", TINY, resolution=0.25
-            ),
-            "replicated": lambda s: s.replicated(spec),
-        }
-        for name, ask in calls.items():
-            # Fresh stores everywhere, so simulation counts agree too.
-            expected = ask(Session())
-            with Session(workers=2) as pooled:
-                assert pooled.fabric is None
-                assert ask(pooled) == expected, name
-            with Coordinator() as coordinator:
-                workers, _ = inthread_workers(coordinator.address, 2)
-                host, port = coordinator.address
-                with Session(fabric=f"{host}:{port}") as session:
-                    assert session.fabric == f"{host}:{port}"
-                    assert ask(session) == expected, name
-                for worker in workers:
-                    worker.stop()
-        assert "late_spike" not in scenarios
-
-
-# ---------------------------------------------------------------------------
 # Fault tolerance: lost workers, bounded retries
 # ---------------------------------------------------------------------------
 
@@ -407,11 +217,6 @@ class TestFaultTolerance:
         assert coordinator.total_failed == 0
 
     def test_bounded_retries_surface_point_failures(self):
-        spec = ExperimentSpec(
-            archs=("firefly",), bw_sets=(1,), patterns=("uniform",),
-            seeds=(1,),
-            fidelity=Fidelity("tiny1", 700, 100, (0.5,)),
-        )
         with Coordinator(lease_size=1, max_attempts=2) as coordinator:
             # Two workers that die immediately after leasing: the single
             # point burns both attempts and must surface as a failure,
@@ -423,7 +228,7 @@ class TestFaultTolerance:
             fabric = FabricExecutor(coordinator.address, store=ResultStore())
             try:
                 with pytest.raises(PointFailedError) as err:
-                    fabric.run(spec)
+                    fabric.run(ONE_POINT)
             finally:
                 fabric.close()
                 for proc in procs:
@@ -436,11 +241,6 @@ class TestFaultTolerance:
             assert coordinator.total_failed == 1
 
     def test_heartbeat_timeout_requeues_leases(self):
-        spec = ExperimentSpec(
-            archs=("firefly",), bw_sets=(1,), patterns=("uniform",),
-            seeds=(1,),
-            fidelity=Fidelity("tiny1", 700, 100, (0.5,)),
-        )
         with Coordinator(
             lease_size=1, worker_timeout_s=1.0, max_attempts=5
         ) as coordinator:
@@ -460,7 +260,7 @@ class TestFaultTolerance:
                     coordinator.address, store=ResultStore()
                 )
                 try:
-                    outcome["results"] = fabric.run(spec)
+                    outcome["results"] = fabric.run(ONE_POINT)
                 finally:
                     fabric.close()
 
@@ -487,6 +287,41 @@ class TestFaultTolerance:
             for worker in workers:
                 worker.stop()
             zombie.close()
+
+    def test_worker_returns_when_its_connection_breaks_mid_lease(
+        self, monkeypatch
+    ):
+        def broken(_conn):
+            raise ConnectionResetError("the coordinator went away")
+
+        monkeypatch.setattr("repro.fabric.worker.recv_message", broken)
+        with Coordinator() as coordinator:
+            assert Worker(coordinator.address).run() == 0
+            wait_until(
+                lambda: coordinator.stats()["workers"] == 0,
+                message="the worker to be retired",
+            )
+
+    def test_stop_closes_a_worker_it_cannot_send_shutdown_to(
+        self, monkeypatch
+    ):
+        coordinator = Coordinator()
+        coordinator.start()
+        conn, _welcome = dial(coordinator.address, "worker", capabilities={})
+        wait_until(
+            lambda: coordinator.stats()["workers"] == 1,
+            message="the worker to register",
+        )
+
+        (peer,) = coordinator._workers.values()
+
+        def broken(_conn, _message):
+            raise BrokenPipeError("the worker went away")
+
+        monkeypatch.setattr("repro.fabric.coordinator.send_message", broken)
+        coordinator.stop()  # no frame went out, yet the worker is let go
+        assert peer.conn._sock.fileno() == -1
+        conn.close()
 
 
 # ---------------------------------------------------------------------------
@@ -539,10 +374,7 @@ class TestRemoteBackend:
         ).backend.scan())
 
     def test_sweep_resume_over_remote_store(self):
-        spec = ExperimentSpec(
-            archs=("firefly",), bw_sets=(1,), patterns=("uniform",),
-            seeds=(1,), fidelity=TINY,
-        )
+        spec = tiny_spec()
         expected = SweepExecutor(store=ResultStore()).run(spec)
         with Coordinator() as coordinator:
             host, port = coordinator.address
@@ -565,38 +397,6 @@ class TestRemoteBackend:
 # ---------------------------------------------------------------------------
 
 class TestScenarioShipping:
-    def test_client_only_scenario_ships_to_subprocess_worker(self):
-        from repro.scenarios.compose import sequence
-        from repro.scenarios.library import build_scenario, register_schedule
-
-        name = "fabric_test_sequence"
-        schedule = sequence(
-            build_scenario("steady", TINY.total_cycles),
-            build_scenario("hotspot_drift", TINY.total_cycles - 300),
-            at_cycle=300,
-            name=name,
-        )
-        register_schedule(schedule)
-        spec = ExperimentSpec(
-            archs=("dhetpnoc",), bw_sets=(1,), patterns=("uniform",),
-            seeds=(1,), fidelity=TINY, scenarios=(name,),
-        )
-        expected = SweepExecutor(store=ResultStore()).run(spec)
-        with Coordinator() as coordinator:
-            # The subprocess worker's registry has no idea about the
-            # composed scenario; it must be rebuilt from the shipped
-            # script, bit-for-bit.
-            proc = spawn_worker(coordinator.address)
-            try:
-                fabric = FabricExecutor(
-                    coordinator.address, store=ResultStore()
-                )
-                assert fabric.run(spec) == expected
-                fabric.close()
-            finally:
-                proc.kill()
-                proc.wait()
-
     def test_builtin_scenario_verified_not_overridden(self):
         # Shipping the *right* script for a builtin name verifies.
         from repro.scenarios.library import build_scenario
@@ -622,13 +422,8 @@ class TestClient:
             workers, _ = inthread_workers(coordinator.address, 1)
             a = FabricExecutor(coordinator.address, store=ResultStore())
             b = FabricExecutor(coordinator.address, store=ResultStore())
-            spec = ExperimentSpec(
-                archs=("firefly",), bw_sets=(1,),
-                patterns=("uniform",), seeds=(1,),
-                fidelity=Fidelity("tiny1", 700, 100, (0.5,)),
-            )
-            ra = a.run(spec)
-            rb = b.run(spec)  # same key: served from coordinator store
+            ra = a.run(ONE_POINT)
+            rb = b.run(ONE_POINT)  # same key: served from coordinator store
             assert ra == rb
             assert a.executed_count == 1
             assert b.executed_count == 0
@@ -654,12 +449,7 @@ class TestClient:
         with Coordinator(store=open_store(root, "sharded")) as coordinator:
             workers, _ = inthread_workers(coordinator.address, 1)
             executor = FabricExecutor(coordinator.address, store=ResultStore())
-            spec = ExperimentSpec(
-                archs=("firefly",), bw_sets=(1,),
-                patterns=("uniform",), seeds=(1,),
-                fidelity=Fidelity("tiny1", 700, 100, (0.5,)),
-            )
-            executor.run(spec)
+            executor.run(ONE_POINT)
             assert executor.executed_count == 1
             executor.close()
             for worker in workers:

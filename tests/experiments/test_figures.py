@@ -85,31 +85,19 @@ class TestFigure36:
 
 
 class TestSimulatedFigures:
-    def test_figure_3_3_executor_matches_serial(self, session):
-        """The parallel prefetch path must reproduce the serial rows."""
-        kwargs = dict(fidelity=TINY, seed=3, bw_sets=[BW_SET_1],
-                      patterns=("uniform", "skewed3"))
-        serial = figure_3_3(**kwargs, session=session)
-        with Session(workers=2) as pooled:
-            parallel = figure_3_3(**kwargs, session=pooled)
-        assert parallel.rows == serial.rows
-
     def test_figure_3_3_customised_bw_set_not_rehydrated(self, session):
         """Regression: a customised BandwidthSet handed to an exhibit
         must be simulated as passed, not swapped for the canonical set
-        sharing its index."""
+        sharing its index (on every lane: ``test_lane_matrix.py``'s
+        ``custom_bw_set`` row)."""
         import dataclasses
 
         custom = dataclasses.replace(BW_SET_1, total_wavelengths=128)
-        kwargs = dict(fidelity=TINY, seed=3, bw_sets=[custom],
-                      patterns=("uniform",))
-        serial = figure_3_3(**kwargs, session=session)
-        with Session(workers=2) as pooled:
-            parallel = figure_3_3(**kwargs, session=pooled)
-        assert parallel.rows == serial.rows
-        canonical = figure_3_3(**{**kwargs, "bw_sets": [BW_SET_1]},
-                               session=session)
-        assert serial.column("Firefly") != canonical.column("Firefly")
+        kwargs = dict(fidelity=TINY, seed=3, patterns=("uniform",),
+                      session=session)
+        customised = figure_3_3(**kwargs, bw_sets=[custom])
+        canonical = figure_3_3(**kwargs, bw_sets=[BW_SET_1])
+        assert customised.column("Firefly") != canonical.column("Firefly")
 
     def test_figure_3_3_replicated_emits_spread_columns(self, session):
         """Replicated peaks carry their +/- std instead of dropping it."""
@@ -124,18 +112,6 @@ class TestSimulatedFigures:
         # unlikely, so both architecture columns show a spread.
         assert "+/-" in row[2] and "+/-" in row[3]
         assert row[4] > 10.0  # the skewed-3 gain survives averaging
-
-    def test_figure_3_3_replicated_deterministic_across_workers(
-        self, session
-    ):
-        from repro.experiments.figures import figure_3_3_replicated
-
-        kwargs = dict(fidelity=TINY, seed=3, bw_sets=[BW_SET_1],
-                      patterns=("uniform",), n_seeds=2)
-        serial = figure_3_3_replicated(**kwargs, session=session)
-        with Session(workers=2) as pooled:
-            parallel = figure_3_3_replicated(**kwargs, session=pooled)
-        assert parallel.rows == serial.rows
 
     def test_figures_3_3_and_3_4_shape_on_every_bandwidth_set(self, session):
         """Near-tie under uniform traffic, an advantage that grows with

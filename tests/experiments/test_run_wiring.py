@@ -13,14 +13,15 @@ from repro.api.session import Session
 from repro.arch.config import SystemConfig
 from repro.arch.registry import architectures
 from repro.experiments.cli import main
-from repro.experiments.runner import Fidelity, attach_traffic, wire_run
+from repro.experiments.runner import attach_traffic, wire_run
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.traffic.bandwidth_sets import BW_SET_1
 from repro.traffic.patterns import pattern_by_name
 from repro.traffic.trace import TraceReplayGenerator, TrafficTrace
 
-TINY = Fidelity("tiny", 700, 100, (0.3, 0.8))
+from support import TINY
+
 SEED = 3
 
 

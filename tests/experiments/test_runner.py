@@ -11,7 +11,7 @@ from repro.experiments.runner import (
 )
 from repro.traffic.bandwidth_sets import BW_SET_1
 
-TINY = Fidelity("tiny", 700, 100, (0.3, 0.8))
+from support import TINY
 
 run_one = Session().run_one
 

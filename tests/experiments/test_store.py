@@ -15,7 +15,7 @@ from repro.arch.config import SystemConfig
 from repro.api.spec import ExperimentSpec
 from repro.experiments.sweep import SweepExecutor
 
-TINY = Fidelity("tiny", 700, 100, (0.3, 0.8))
+from support import TINY
 
 SAMPLE = RunResult(
     arch="firefly",

@@ -16,7 +16,7 @@ import os
 import pytest
 
 import repro.experiments.store as store_mod
-from repro.experiments.runner import Fidelity, RunResult
+from repro.experiments.runner import RunResult
 from repro.experiments.store import (
     JsonlBackend,
     MemoryBackend,
@@ -28,7 +28,7 @@ from repro.experiments.store import (
 from repro.api.spec import ExperimentSpec
 from repro.experiments.sweep import SweepExecutor
 
-TINY = Fidelity("tiny", 700, 100, (0.3, 0.8))
+from support import TINY
 
 SAMPLE = RunResult(
     arch="firefly",

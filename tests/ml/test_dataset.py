@@ -7,7 +7,7 @@ the dataset digest is the provenance identity fitted models embed.
 
 import pytest
 
-from repro.experiments.runner import Fidelity, RunResult
+from repro.experiments.runner import RunResult
 from repro.experiments.store import ResultStore
 from repro.api.spec import ExperimentSpec
 from repro.experiments.sweep import SweepExecutor
@@ -21,7 +21,7 @@ from repro.ml.dataset import (
 from repro.scenarios.coverage import DIMENSIONS
 from repro.traffic.bandwidth_sets import BW_SET_1
 
-TINY = Fidelity("tiny", 700, 100, (0.3, 0.8))
+from support import TINY
 
 
 def make_result(arch="dhetpnoc", offered=400.0, delivered=380.0):

@@ -13,14 +13,14 @@ pytest.importorskip("numpy")
 
 from repro.experiments.costing import estimate_adaptive_sims
 from repro.experiments.knee import adaptive_knee_sweep
-from repro.experiments.runner import Fidelity
 from repro.experiments.store import ResultStore
 from repro.api.spec import ExperimentSpec
 from repro.experiments.sweep import SweepExecutor
 from repro.ml.dataset import export_dataset
 from repro.ml.model import fit_model, predictors
 
-TINY = Fidelity("tiny", 700, 100, (0.3, 0.8))
+from support import TINY
+
 RESOLUTION = 0.1
 GRID = tuple(round(RESOLUTION * i, 9) for i in range(1, 11))
 

@@ -11,7 +11,6 @@ import random
 import pytest
 
 from repro.api.session import Session
-from repro.experiments.runner import Fidelity
 from repro.scenarios.compose import overlay, sequence
 from repro.scenarios.library import build_scenario
 from repro.scenarios.schedule import (
@@ -27,7 +26,8 @@ from repro.scenarios.schedule import (
 )
 from repro.traffic.bandwidth_sets import BW_SET_1
 
-TINY = Fidelity("tiny-compose", 700, 100, (0.3, 0.8))
+from support import TINY
+
 run_one = Session().run_one
 
 

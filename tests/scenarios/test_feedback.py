@@ -25,7 +25,8 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.traffic.bandwidth_sets import BW_SET_1
 
-TINY = Fidelity("tiny-feedback", 700, 100, (0.3, 0.8))
+from support import TINY
+
 run_one = Session().run_one
 
 #: Latency threshold that a 1.8x-overloaded skewed3 run reliably

@@ -9,7 +9,6 @@ the same store is pure cache hits).
 
 import pytest
 
-from repro.experiments.runner import Fidelity
 from repro.scenarios.library import (
     build_scenario,
     load_scenario_file,
@@ -25,7 +24,7 @@ from repro.scenarios.schedule import (
     SinusoidLoad,
 )
 
-TINY = Fidelity("tiny-json", 700, 100, (0.3, 0.8))
+from support import TINY
 
 
 def sample_schedule(name="test-json-workload"):

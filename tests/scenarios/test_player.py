@@ -20,7 +20,8 @@ from repro.scenarios.library import build_scenario, scenario_names
 from repro.scenarios.schedule import ScenarioError
 from repro.traffic.bandwidth_sets import BW_SET_1
 
-TINY = Fidelity("tiny-scenario", 700, 100, (0.3, 0.8))
+from support import TINY
+
 run_one = Session().run_one
 
 

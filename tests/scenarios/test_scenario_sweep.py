@@ -2,20 +2,20 @@
 
 Acceptance criteria covered here:
 
-* serial and parallel execution of a scenario sweep produce bitwise
-  identical results, and a JSONL store round-trips them;
+* a JSONL store round-trips a scenario sweep, phase windows included
+  (that serial and parallel execution agree bitwise is the
+  ``fault_storm`` row of ``tests/experiments/test_lane_matrix.py``);
 * scenario identity is part of the store's content hash — different
   scenario, different key, no cache collisions.
 """
 
 import pytest
 
-from repro.experiments.runner import Fidelity
 from repro.experiments.store import ResultStore, result_key
 from repro.api.spec import ExperimentSpec
 from repro.experiments.sweep import SweepExecutor, derive_seed
 
-TINY = Fidelity("tiny-scen-sweep", 700, 100, (0.3, 0.8))
+from support import TINY
 
 SPEC = ExperimentSpec(
     archs=("firefly", "dhetpnoc"),
@@ -55,12 +55,6 @@ class TestExpansion:
 
 
 class TestSerialParallelIdentity:
-    def test_bitwise_identical_across_worker_counts(self):
-        serial = SweepExecutor(workers=1).run(SPEC)
-        with SweepExecutor(workers=4) as executor:
-            parallel = executor.run(SPEC)
-        assert serial == parallel
-
     def test_store_roundtrip_and_resume(self, tmp_path):
         path = str(tmp_path / "scenarios.jsonl")
         with SweepExecutor(workers=2, store=ResultStore(path)) as first:

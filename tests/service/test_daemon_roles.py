@@ -9,11 +9,11 @@ so these tests drive the paths the merge created or fixed:
   coordinator's lifetime total;
 * ``RemoteBackend`` dials with the same backoff as every other peer;
 * admission control does not count a job an idle runner is about to
-  take as backlog;
-* a service job simulated only by a ``fabric worker`` attached to the
-  daemon's own port is bitwise-equal to ``Session.run``, and a job and
-  a fabric client that share a key share one simulation and one
-  store ``put``.
+  take as backlog.
+
+A job simulated only by a ``fabric worker`` attached to the daemon's
+own port is the ``jobs-worker`` column of
+``tests/experiments/test_lane_matrix.py``.
 """
 
 from __future__ import annotations
@@ -24,38 +24,15 @@ import time
 
 import pytest
 
-from repro.experiments.runner import Fidelity
-from repro.experiments.store import ResultStore, result_to_dict
-from repro.experiments.sweep import FabricExecutor
 from repro.fabric.coordinator import Coordinator
 from repro.fabric.errors import ProtocolError
-from repro.fabric.protocol import (
-    point_to_dict,
-    recv_message,
-    send_message,
-)
+from repro.fabric.protocol import recv_message, send_message
 from repro.fabric.remote_store import RemoteBackend
 from repro.fabric.server import RoleServer, dial
-from repro.fabric.worker import Worker
-from repro.service.client import ServiceClient
 from repro.service.daemon import ExperimentService
 from repro.service.jobs import JobQueue, JobRejected
 
-from test_service import CountingBackend, local_run, tiny_spec, wait_until
-
-TINY = Fidelity("tiny", 700, 100, (0.3, 0.8))
-
-
-def wire_point(seed: int = 1) -> dict:
-    spec = tiny_spec(seeds=(seed,))
-    return point_to_dict(spec.expand()[0])
-
-
-def attach_worker(address):
-    worker = Worker(address)
-    thread = threading.Thread(target=worker.run, daemon=True)
-    thread.start()
-    return worker, thread
+from support import TINY, attach_worker, tiny_spec, wait_until, wire_point
 
 
 # ---------------------------------------------------------------------------
@@ -225,88 +202,6 @@ def test_job_an_idle_runner_is_about_to_take_is_not_backlog():
             queue.submit(tiny_spec(seeds=(3,)))
     runner.join(timeout=10.0)
     assert claimed == [first]
-
-
-# ---------------------------------------------------------------------------
-# The merged path: jobs in, fabric workers out, one port
-# ---------------------------------------------------------------------------
-
-def test_job_simulated_by_an_attached_fabric_worker_equals_local_run():
-    spec = tiny_spec(archs=("firefly", "dhetpnoc"), scenarios=(None, "steady"))
-    store = ResultStore()
-    with ExperimentService(store, workers=0) as service:
-        worker, thread = attach_worker(service.address)
-        try:
-            with ServiceClient(service.address) as client:
-                run = client.run_spec(spec)
-        finally:
-            worker.stop()
-    expected, expected_keys = local_run(spec)
-    assert [result_to_dict(r) for r in run.results] == [
-        result_to_dict(r) for r in expected
-    ]
-    assert run.keys == expected_keys
-    assert run.executed == spec.n_points() and run.hits == 0
-    assert {key for key, _result in store.backend.scan()} == set(expected_keys)
-
-
-def test_pool_lanes_equal_local_run():
-    spec = tiny_spec(seeds=(1, 2))
-    with ExperimentService(workers=2) as service:
-        with ServiceClient(service.address) as client:
-            run = client.run_spec(spec)
-    expected, expected_keys = local_run(spec)
-    assert run.results == expected
-    assert run.keys == expected_keys
-
-
-def test_job_and_fabric_client_share_one_simulation_per_key():
-    counting = CountingBackend()
-    job_spec = tiny_spec(seeds=(1, 2))
-    batch_spec = tiny_spec(seeds=(2, 3))
-    _expected, job_keys = local_run(job_spec)
-    batch_expected, batch_keys = local_run(batch_spec)
-    shared = set(job_keys) & set(batch_keys)
-    assert shared
-    # No local lanes: nothing simulates until the worker attaches, so
-    # the job and the batch are both waiting on the shared keys first.
-    with ExperimentService(counting, workers=0) as service:
-        outcome: dict = {}
-
-        def run_batch():
-            with FabricExecutor(service.address, store=ResultStore()) as fabric:
-                outcome["results"] = fabric.run(batch_spec)
-                outcome["executed"] = fabric.executed_count
-
-        with ServiceClient(service.address) as client:
-            handle = client.submit(job_spec)
-            wait_until(
-                lambda: set(job_keys) <= set(service._work),
-                message="the job to own its keys",
-            )
-            batch = threading.Thread(target=run_batch, daemon=True)
-            batch.start()
-            wait_until(
-                lambda: all(
-                    key in service._work and len(service._work[key].waiters) == 2
-                    for key in shared
-                ),
-                message="both waiters on the shared keys",
-            )
-            worker, thread = attach_worker(service.address)
-            try:
-                run = client.watch(handle.job_id)
-                batch.join(timeout=60.0)
-            finally:
-                worker.stop()
-        assert not batch.is_alive()
-    assert set(counting.put_counts) == set(job_keys) | set(batch_keys)
-    assert set(counting.put_counts.values()) == {1}
-    assert outcome["results"] == batch_expected
-    assert run.keys == job_keys
-    # Each shared key was paid for once: by the job (first to want it).
-    assert run.executed == len(job_keys)
-    assert outcome["executed"] == len(batch_keys) - len(shared)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ import threading
 import pytest
 
 from repro.api.spec import ExperimentSpec
-from repro.experiments.runner import Fidelity
 from repro.service.errors import ServiceError
 from repro.service.jobs import (
     JobQueue,
@@ -26,19 +25,7 @@ from repro.service.jobs import (
     job_id_for_spec,
 )
 
-TINY = Fidelity("tiny", 700, 100, (0.3, 0.8))
-
-
-def tiny_spec(**overrides) -> ExperimentSpec:
-    kwargs = dict(
-        archs=("firefly",),
-        bw_sets=(1,),
-        patterns=("uniform",),
-        seeds=(1,),
-        fidelity=TINY,
-    )
-    kwargs.update(overrides)
-    return ExperimentSpec(**kwargs)
+from support import tiny_spec
 
 
 def make_queue(**kwargs) -> JobQueue:

@@ -12,8 +12,9 @@ admission method. These tests pin the edges that merge created:
 * a job whose point exhausts its attempts fails naming the point by
   label, lets go of the keys only it wanted, and restarts cleanly;
 * cancelling a queued job gives its backlog slot back;
-* a fabric client batch that wanted a key first pays for it, and the
-  job that joins later reports it as a hit — still one ``put`` per key;
+* whichever of a job and a fabric client batch wants a shared key
+  first pays for it, and the other reports it as a hit — one ``put``
+  per key;
 * the frames either role receives carry exactly the catalogued fields.
 """
 
@@ -33,8 +34,15 @@ from repro.service.client import ServiceClient
 from repro.service.daemon import ExperimentService
 from repro.service.errors import ServiceError
 
-from test_daemon_roles import TINY, attach_worker, wire_point
-from test_service import CountingBackend, local_run, tiny_spec, wait_until
+from support import (
+    TINY,
+    CountingBackend,
+    attach_worker,
+    local_run,
+    tiny_spec,
+    wait_until,
+    wire_point,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -219,17 +227,20 @@ def test_cancelling_a_queued_job_frees_its_slot_over_the_wire():
 
 
 # ---------------------------------------------------------------------------
-# Client batch first, job second: the mirror of the job-first case
+# A job and a client batch sharing keys, in either order
 # ---------------------------------------------------------------------------
 
-def test_fabric_client_first_then_job_share_one_simulation_per_key():
+@pytest.mark.parametrize("first", ["job", "client"])
+def test_job_and_fabric_client_share_one_simulation_per_key(first):
     counting = CountingBackend()
-    batch_spec = tiny_spec(seeds=(1, 2))
-    job_spec = tiny_spec(seeds=(2, 3))
-    batch_expected, batch_keys = local_run(batch_spec)
+    specs = tiny_spec(seeds=(1, 2)), tiny_spec(seeds=(2, 3))
+    job_spec, batch_spec = specs if first == "job" else specs[::-1]
     job_expected, job_keys = local_run(job_spec)
-    shared = set(batch_keys) & set(job_keys)
+    batch_expected, batch_keys = local_run(batch_spec)
+    shared = set(job_keys) & set(batch_keys)
     assert shared
+    # No local lanes: nothing simulates until the worker attaches, so
+    # the job and the batch are both waiting on the shared keys first.
     with ExperimentService(counting, workers=0) as service:
         outcome: dict = {}
 
@@ -238,18 +249,24 @@ def test_fabric_client_first_then_job_share_one_simulation_per_key():
                 outcome["results"] = fabric.run(batch_spec)
                 outcome["executed"] = fabric.executed_count
 
+        def owns(keys):
+            return set(keys) <= set(service._work)
+
         batch = threading.Thread(target=run_batch, daemon=True)
-        batch.start()
-        wait_until(
-            lambda: set(batch_keys) <= set(service._work),
-            message="the batch to own its keys",
-        )
         with ServiceClient(service.address) as client:
+            if first == "client":
+                batch.start()
+                wait_until(lambda: owns(batch_keys),
+                           message="the batch to own its keys")
             handle = client.submit(job_spec)
+            if first == "job":
+                wait_until(lambda: owns(job_keys),
+                           message="the job to own its keys")
+                batch.start()
             wait_until(
-                lambda: all(
+                lambda: owns(job_keys) and owns(batch_keys) and all(
                     len(service._work[key].waiters) == 2 for key in shared
-                ) and set(job_keys) <= set(service._work),
+                ),
                 message="both waiters on the shared keys",
             )
             worker, _thread = attach_worker(service.address)
@@ -259,14 +276,15 @@ def test_fabric_client_first_then_job_share_one_simulation_per_key():
             finally:
                 worker.stop()
         assert not batch.is_alive()
-    assert set(counting.put_counts) == set(batch_keys) | set(job_keys)
+    assert set(counting.put_counts) == set(job_keys) | set(batch_keys)
     assert set(counting.put_counts.values()) == {1}
     assert outcome["results"] == batch_expected
     assert run.keys == job_keys and run.results == job_expected
-    # Each shared key was paid for once: by the batch (first to want it).
-    assert outcome["executed"] == len(batch_keys)
-    assert run.executed == len(job_keys) - len(shared)
-    assert run.hits == len(shared)
+    # Each shared key was paid for once: by the side first to want it.
+    paid_by_job = len(shared) if first == "job" else 0
+    assert run.executed == len(job_keys) - len(shared) + paid_by_job
+    assert run.hits == len(shared) - paid_by_job
+    assert outcome["executed"] == len(batch_keys) - paid_by_job
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,139 @@
+"""Helpers the test modules share.
+
+One copy each of the tiny fidelity most simulated tests run at, the
+one-curve spec built from it (and its first point in wire form), a
+polling wait, the reference local run, a store backend that counts its
+``put`` calls, and the launchers of fabric workers (in this process, or
+as ``fabric worker`` subprocesses).
+
+``tests/`` holds the root ``conftest.py``, so pytest puts it on
+``sys.path`` and any test module can ``from support import ...``.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import threading
+import time
+from collections import Counter
+
+import repro
+from repro.api.session import Session
+from repro.api.spec import ExperimentSpec
+from repro.experiments.runner import Fidelity
+from repro.experiments.store import MemoryBackend, StoreBackend
+from repro.fabric.protocol import point_to_dict
+from repro.fabric.worker import Worker
+
+#: 700 cycles, 100 of them warm-up, at two loads: long enough for
+#: reservations, retries and the warm-up reset, short enough for tier-1.
+TINY = Fidelity("tiny", 700, 100, (0.3, 0.8))
+
+
+def tiny_spec(**overrides) -> ExperimentSpec:
+    """One Firefly curve (set 1, uniform, seed 1) at :data:`TINY`;
+    *overrides* replace any spec field."""
+    kwargs = dict(
+        archs=("firefly",),
+        bw_sets=(1,),
+        patterns=("uniform",),
+        seeds=(1,),
+        fidelity=TINY,
+    )
+    kwargs.update(overrides)
+    return ExperimentSpec(**kwargs)
+
+
+def wire_point(seed: int = 1) -> dict:
+    """The first point of ``tiny_spec(seeds=(seed,))`` in wire form."""
+    return point_to_dict(tiny_spec(seeds=(seed,)).expand()[0])
+
+
+def wait_until(predicate, timeout=30.0, message="condition"):
+    """Poll *predicate* until it holds; fail naming *message* after
+    *timeout* seconds."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return
+        time.sleep(0.02)
+    raise AssertionError(f"timed out waiting for {message}")
+
+
+def local_run(spec):
+    """Reference execution: results + keys from a local Session.run."""
+    with Session() as session:
+        results = session.run(spec)
+        keys = [
+            session.executor._key(point, spec.fidelity)
+            for point in spec.expand()
+        ]
+    return results, keys
+
+
+class CountingBackend(StoreBackend):
+    """Memory backend that counts ``put`` calls per key."""
+
+    def __init__(self) -> None:
+        self.inner = MemoryBackend()
+        self.put_counts: Counter = Counter()
+        self._lock = threading.Lock()
+
+    def put(self, key, result):
+        with self._lock:
+            self.put_counts[key] += 1
+        self.inner.put(key, result)
+
+    def get(self, key, coords=None):
+        return self.inner.get(key, coords)
+
+    def scan(self, coords=None):
+        return self.inner.scan(coords)
+
+    def flush(self):
+        self.inner.flush()
+
+    def clear(self):
+        """Forget every record and every count: a fresh store."""
+        with self._lock:
+            self.put_counts.clear()
+        self.inner.clear()
+
+    @property
+    def puts(self) -> int:
+        """``put`` calls since construction or the last :meth:`clear`."""
+        return sum(self.put_counts.values())
+
+
+def attach_worker(address):
+    """Run one fabric worker on a thread of this process."""
+    worker = Worker(address)
+    thread = threading.Thread(target=worker.run, daemon=True)
+    thread.start()
+    return worker, thread
+
+
+def inthread_workers(address, n=2):
+    """Run *n* workers inside this process (no chaos hooks allowed)."""
+    pairs = [attach_worker(address) for _ in range(n)]
+    return [w for w, _t in pairs], [t for _w, t in pairs]
+
+
+def spawn_worker(address, fail_after=None) -> subprocess.Popen:
+    """Start a real subprocess worker via the CLI entry point."""
+    host, port = address
+    cmd = [
+        sys.executable, "-m", "repro.experiments.cli",
+        "fabric", "worker", "--connect", f"{host}:{port}",
+    ]
+    if fail_after is not None:
+        cmd += ["--fail-after", str(fail_after)]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen(
+        cmd, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )

@@ -119,43 +119,11 @@ def audited_run(arch_name, bw_set, pattern_name, offered, scenario=None):
 def test_audit_holds_on_every_case(arch, pattern, offered, scenario):
     """``arch.audit`` -- on d-HetPNoC the ring law included -- holds all
     through every equivalence row, checked every 10 cycles: under
-    ``fault_storm`` through two wavelength deaths and a token freeze.
-
-    The electrical rows are audited after every cycle: what the mesh
-    keeps in O(1) never drifts from a full enumeration.
-    ``ElectricalNetwork.audit`` recounts the flits in the network
-    (``drain`` trusts it), the set of routers holding a flit (only those
-    tick), the order of the two due queues for everything in flight and
-    ``vc_depth`` slots around every credit loop. Tick hooks run before
-    the fabric, so the simulator is stepped by hand. BW set 1 only:
-    every set's packet is the same 64 phits on the mesh, and the other
-    sets' phit conservation under load is
-    ``test_electrical_baseline.py::test_phits_are_conserved_under_load``.
-    """
+    ``fault_storm`` through two wavelength deaths and a token freeze."""
     sim, noc = audited_run(arch, BW_SET_1, pattern, offered, scenario)
-    if arch != "electrical":
-        for _ in range(FIDELITY.total_cycles // 10):
-            sim.run(10)
-            noc.audit()
-        return
-    net = noc.network
-    assert len(net._links) == 224
-    most_held = most_backlogged = idle_cycles = 0
-    for _ in range(FIDELITY.total_cycles):
-        sim.step()
+    for _ in range(FIDELITY.total_cycles // 10):
+        sim.run(10)
         noc.audit()
-        idle_cycles += net.is_idle()
-        most_held = max(most_held, net.flits_in_network)
-        most_backlogged = max(most_backlogged, len(net._occupied))
-
-    # Each regime is really visited: past the knee flits queue in many
-    # routers at once and the mesh is never quiet; at low load a router
-    # forwards what it gets at once and most cycles are idle.
-    if scenario is None and offered > 100:
-        assert most_backlogged >= 8 and idle_cycles < FIDELITY.total_cycles // 10
-    elif scenario is None and offered > 0:
-        assert most_held > 0 and most_backlogged <= 2
-        assert idle_cycles > FIDELITY.total_cycles // 2
 
 
 def test_gateway_held_counter_matches_enumeration():
@@ -263,6 +231,47 @@ def test_ring_audit_catches_a_planted_fault(monkeypatch, mutate):
     with pytest.raises(SimulationError,
                        match=rf"d-hetpnoc ring: cluster {hot} holds dynamic wavelengths"):
         sim.run(50)
+
+
+@pytest.mark.parametrize("bw_set_index", [1])
+@pytest.mark.parametrize("pattern_name,offered", [("skewed3", 600.0), ("uniform", 20.0)])
+def test_mesh_counters_match_enumeration(pattern_name, offered, bw_set_index):
+    """What the mesh keeps in O(1) never drifts from a full enumeration.
+
+    ``ElectricalNetwork.audit`` recounts the flits in the network
+    (``drain`` trusts it), the set of routers holding a flit (only those
+    tick), the order of the two due queues for everything in flight and
+    ``vc_depth`` slots around every credit loop; it must pass after every
+    cycle. Tick hooks run before the fabric, so the simulator is stepped
+    by hand.
+
+    BW set 1 only: every set's packet is the same 64 phits on the mesh,
+    and the other sets' phit conservation under load is
+    ``test_electrical_baseline.py::test_phits_are_conserved_under_load``.
+    """
+    from repro.traffic.bandwidth_sets import bandwidth_set_by_index
+
+    sim, arch = audited_run(
+        "electrical", bandwidth_set_by_index(bw_set_index), pattern_name, offered
+    )
+    net = arch.network
+    assert len(net._links) == 224
+    most_held = most_backlogged = idle_cycles = 0
+
+    for _ in range(1000):
+        sim.step()
+        arch.audit()
+        idle_cycles += net.is_idle()
+        most_held = max(most_held, net.flits_in_network)
+        most_backlogged = max(most_backlogged, len(net._occupied))
+
+    # Each regime is really visited: past the knee flits queue in many
+    # routers at once and the mesh is never quiet; at low load a router
+    # forwards what it gets at once and most cycles are idle.
+    if offered > 100:
+        assert most_backlogged >= 8 and idle_cycles < 100
+    else:
+        assert most_held > 0 and most_backlogged <= 2 and idle_cycles > 500
 
 
 def _landing_dropping_a_credit(original):

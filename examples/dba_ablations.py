@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """DBA design-choice ablations: what each knob of the allocator buys.
 
-Five studies on BW set 1 at 480 Gb/s offered (past the Firefly knee):
+Four studies on BW set 1 at 480 Gb/s offered (past the Firefly knee):
 
 1. **Channel cap** -- table 3-3 caps the d-HetPNoC write channel at 8
    wavelengths; what do tighter caps cost? (A cap of 4 collapses to the
@@ -12,12 +12,6 @@ Five studies on BW set 1 at 480 Gb/s offered (past the Firefly knee):
 4. **Token overhead** -- token circulation is off the data path (thesis
    3.2.1): delivered bandwidth with the ring running vs frozen should
    match closely under steady demand.
-5. **Allocation policy** -- the thesis's conclusion lists "better ways to
-   effectively manage bandwidth allocation" as future work. The paper's
-   max-request policy against the proportional-share extension under an
-   *oversubscribed* demand -- every cluster hosting a top-class
-   application (chip demand 16 x 8 = 128 wavelengths vs a 64-wavelength
-   pool), the case where first-come hoarding hurts.
 
 Run:  python examples/dba_ablations.py [--fidelity quick|paper|tiny] [--seed 1]
 """
@@ -27,30 +21,18 @@ from __future__ import annotations
 import argparse
 import dataclasses
 
-from repro import (
-    BW_SET_1,
-    DHetPNoC,
-    RandomStreams,
-    Simulator,
-    SystemConfig,
-    TrafficGenerator,
-)
+from repro import BW_SET_1, SystemConfig
 from repro.api import Session
 from repro.experiments.report import ascii_table
-from repro.experiments.runner import PAPER_FIDELITY, QUICK_FIDELITY, Fidelity
-from repro.traffic.patterns import SkewedTraffic, UniformRandomTraffic
+from repro.experiments.runner import (
+    PAPER_FIDELITY,
+    QUICK_FIDELITY,
+    Fidelity,
+    attach_traffic,
+    wire_run,
+)
 
 LOAD_GBPS = 480.0
-
-
-class OversubscribedTraffic(UniformRandomTraffic):
-    """Uniform communication, but every cluster demands the top class."""
-
-    name = "oversubscribed"
-
-    def demand_wavelengths(self, src_cluster: int, dst_cluster: int) -> int:
-        bw_set = self._require_bound()
-        return bw_set.dhet_max_channel_wavelengths  # 8 at BW set 1
 
 
 def delivered_with(config: SystemConfig, fidelity: Fidelity, seed: int) -> float:
@@ -62,28 +44,15 @@ def delivered_with(config: SystemConfig, fidelity: Fidelity, seed: int) -> float
     return round(result.delivered_gbps, 1)
 
 
-def run_dhetpnoc(pattern, fidelity: Fidelity, seed: int, **knobs) -> DHetPNoC:
-    """One hand-wired d-HetPNoC run; *knobs* are constructor arguments no
-    :class:`SystemConfig` field reaches (``circulate_token``,
-    ``allocation_policy``)."""
-    streams = RandomStreams(seed)
-    config = SystemConfig(bw_set=BW_SET_1)
-    sim = Simulator(clock_hz=config.clock_hz, seed=seed)
-    bound = pattern.bind(
-        config.bw_set, config.n_clusters, config.cores_per_cluster,
-        streams.get("placement"),
-    )
-    noc = DHetPNoC(sim, config, pattern=bound, **knobs)
-    generator = TrafficGenerator.for_offered_gbps(
-        bound, LOAD_GBPS, streams.get("traffic"), noc.submit, config.clock_hz
-    )
-    noc.attach_generator(generator)
-    sim.run_with_reset(fidelity.total_cycles, fidelity.reset_cycles)
-    return noc
-
-
-def delivered_gbps(noc: DHetPNoC) -> float:
-    return round(noc.metrics.delivered_gbps(noc.config.clock_hz), 1)
+def delivered_with_token(circulating: bool, fidelity: Fidelity, seed: int) -> float:
+    """Delivered Gb/s of d-HetPNoC on skewed 3, its token ring frozen
+    after the warm start unless *circulating*."""
+    run = wire_run("dhetpnoc", BW_SET_1, "skewed3", fidelity, seed)
+    if not circulating:
+        run.arch.token_ring.stop()
+    attach_traffic(run, LOAD_GBPS, fidelity)
+    run.simulate(fidelity.total_cycles, fidelity.reset_cycles)
+    return round(run.arch.metrics.delivered_gbps(run.config.clock_hz), 1)
 
 
 def main() -> None:
@@ -135,28 +104,12 @@ def main() -> None:
     print()
 
     token = {
-        label: delivered_gbps(run_dhetpnoc(
-            SkewedTraffic(3), fidelity, seed, circulate_token=circulate))
-        for label, circulate in (("circulating", True), ("frozen", False))
+        label: delivered_with_token(circulating, fidelity, seed)
+        for label, circulating in (("circulating", True), ("frozen", False))
     }
     print(ascii_table(
         ["token ring", "delivered Gb/s"], list(token.items()),
         title="Ablation: token circulation overhead (steady demand)",
-    ))
-    print()
-
-    policies = {}
-    for policy in ("max_request", "proportional"):
-        noc = run_dhetpnoc(OversubscribedTraffic(), fidelity, seed,
-                           allocation_policy=policy)
-        held = sorted(noc.allocation_snapshot().values())
-        policies[policy] = [delivered_gbps(noc), held[0], held[-1],
-                            sum(1 for h in held if h <= 1)]
-    print(ascii_table(
-        ["policy", "delivered Gb/s", "min held", "max held",
-         "clusters at floor"],
-        [[policy, *row] for policy, row in policies.items()],
-        title="Ablation: allocation policy under oversubscribed demand",
     ))
 
     # Each verdict is computed, not asserted: tests/test_examples.py
@@ -164,16 +117,10 @@ def main() -> None:
     cap = "beats" if by_cap[8] > by_cap[4] else "does not beat"
     drift = abs(token["circulating"] - token["frozen"]) / token["frozen"]
     ring = "is" if drift <= 0.02 else "is not"
-    greedy, fair = policies["max_request"], policies["proportional"]
-    starvation = "removes" if fair[3] < greedy[3] else "does not remove"
-    cost = "without losing" if fair[0] >= 0.95 * greedy[0] else "but loses"
     print(f"\nTake-away: the table 3-3 cap of 8 wavelengths {cap} the "
           f"Firefly-equivalent cap of 4 ({by_cap[8]} vs {by_cap[4]} Gb/s); "
           f"the token ring {ring} off the data path (running it moves "
-          f"delivered bandwidth by {drift:.1%}); under oversubscribed "
-          f"demand proportional sharing {starvation} starvation "
-          f"({greedy[3]} -> {fair[3]} clusters at the floor) {cost} "
-          f"aggregate bandwidth ({fair[0]} vs {greedy[0]} Gb/s).")
+          f"delivered bandwidth by {drift:.1%}).")
 
 
 if __name__ == "__main__":

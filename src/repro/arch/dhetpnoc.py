@@ -35,6 +35,10 @@ from repro.photonic.wavelength import WavelengthId
 from repro.sim.engine import SimulationError, Simulator
 from repro.traffic.patterns import TrafficPattern
 
+#: Token rounds given at construction, before circulation starts; the
+#: second hands what one cluster released to those visited before it.
+WARM_START_ROUNDS = 2
+
 
 class DHetPNoC(PhotonicCrossbarNoC):
     """Dynamic heterogeneous photonic NoC (the thesis's contribution)."""
@@ -46,9 +50,6 @@ class DHetPNoC(PhotonicCrossbarNoC):
         sim: Simulator,
         config: SystemConfig,
         pattern: Optional[TrafficPattern] = None,
-        circulate_token: bool = True,
-        warm_start_rounds: int = 2,
-        allocation_policy: str = "max_request",
     ):
         super().__init__(sim, config)
         bw_set = config.bw_set
@@ -73,7 +74,6 @@ class DHetPNoC(PhotonicCrossbarNoC):
                 cores_per_cluster=config.cores_per_cluster,
                 reserved=self._reserved[cluster],
                 max_channel_wavelengths=bw_set.dhet_max_channel_wavelengths,
-                policy=allocation_policy,
             )
             for cluster in range(config.n_clusters)
         ]
@@ -85,10 +85,9 @@ class DHetPNoC(PhotonicCrossbarNoC):
         )
         if pattern is not None:
             self.apply_pattern_demand(pattern)
-        for _ in range(max(0, warm_start_rounds)):
+        for _ in range(WARM_START_ROUNDS):
             self.token_ring.run_round_immediately()
-        if circulate_token:
-            self.token_ring.start()
+        self.token_ring.start()
 
     def _build_token(self) -> WavelengthToken:
         """Token over every data wavelength not statically reserved (eq. 1)."""
@@ -160,9 +159,9 @@ class DHetPNoC(PhotonicCrossbarNoC):
     def audit(self) -> None:
         """The gateways' audits, then the ring law: each controller's
         dynamic wavelengths are exactly those the token names its
-        cluster the owner of, the clusters together hold no more
-        wavelengths than there are, and none holds fewer than its
-        reserved floor."""
+        cluster the owner of, none holds fewer than its reserved floor or
+        allocates more to one destination than it holds, and the clusters
+        together hold no more wavelengths than there are."""
         super().audit()
 
         def broken(law: str) -> SimulationError:
@@ -179,6 +178,11 @@ class DHetPNoC(PhotonicCrossbarNoC):
             if table.held_count < floor:
                 raise broken(f"cluster {cluster} holds {table.held_count} "
                              f"wavelengths, below its floor of {floor}")
+            for dst, allocated in table.as_dict().items():
+                if allocated > table.held_count:
+                    raise broken(f"cluster {cluster} allocates {allocated} "
+                                 f"wavelengths to cluster {dst}, holds "
+                                 f"{table.held_count}")
         held = sum(c.held_count for c in self.controllers)
         total = self.config.bw_set.total_wavelengths
         if held > total:

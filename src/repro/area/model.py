@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.photonic.wavelength import LAMBDA_PER_WAVEGUIDE
+from repro.photonic.wavelength import LAMBDA_PER_WAVEGUIDE, n_data_waveguides
 
 #: MRR radius, um ("We consider MRR's having radius of 5 um [28]").
 MRR_RADIUS_UM = 5.0
@@ -58,13 +58,6 @@ class DeviceCounts:
     @property
     def total_devices(self) -> int:
         return self.total_modulators + self.total_detectors
-
-
-def n_data_waveguides(total_wavelengths: int, lambda_w: int = LAMBDA_PER_WAVEGUIDE) -> int:
-    """N_WD = ceil(N_lambda / lambda_W) (section 3.4.3)."""
-    if total_wavelengths <= 0:
-        raise ValueError("total_wavelengths must be positive")
-    return math.ceil(total_wavelengths / lambda_w)
 
 
 def dhetpnoc_counts(

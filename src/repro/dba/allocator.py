@@ -17,22 +17,12 @@ for set 3); the allocator enforces that cap.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.dba.tables import CurrentTable, RequestTable
 from repro.dba.token import WavelengthToken
 from repro.photonic.wavelength import WavelengthId
-
-#: Allocation policies. ``max_request`` is the thesis mechanism: acquire
-#: up to the request table's maximum entry, first come first served.
-#: ``proportional`` is this reproduction's implementation of the thesis's
-#: future work ("find better ways to effectively manage bandwidth
-#: allocation"): when chip-wide demand exceeds the pool, each cluster's
-#: target is capped at its demand-proportional share, preventing the
-#: first-come hoarding the plain policy exhibits under oversubscription.
-ALLOCATION_POLICIES = ("max_request", "proportional")
 
 
 @dataclass
@@ -50,79 +40,58 @@ class AllocationResult:
 
 
 class WavelengthAllocator:
-    """Pure allocation policy for one cluster; operates on the token.
+    """The allocation rule for one cluster; operates on the token.
 
     Parameters
     ----------
     cluster:
         Owning cluster id.
     max_channel_wavelengths:
-        The per-channel cap from table 3-3 (8/32/64 per BW set), or
-        ``None`` for uncapped.
-    policy:
-        One of :data:`ALLOCATION_POLICIES`.
+        The per-channel cap from table 3-3 (8/32/64 per BW set).
     """
 
-    def __init__(
-        self,
-        cluster: int,
-        max_channel_wavelengths: int | None = None,
-        policy: str = "max_request",
-    ):
-        if max_channel_wavelengths is not None and max_channel_wavelengths < 1:
+    def __init__(self, cluster: int, max_channel_wavelengths: int):
+        if max_channel_wavelengths < 1:
             raise ValueError("max_channel_wavelengths must be >= 1")
-        if policy not in ALLOCATION_POLICIES:
-            raise ValueError(
-                f"unknown policy {policy!r}; use one of {ALLOCATION_POLICIES}"
-            )
         self.cluster = cluster
         self.max_channel_wavelengths = max_channel_wavelengths
-        self.policy = policy
         self.passes = 0
         self.unsatisfied_passes = 0
         self._folded: Optional[tuple] = None  # see _update_per_destination
 
-    def target_for(
-        self,
-        request_table: RequestTable,
-        current: CurrentTable,
-        pool_size: Optional[int] = None,
-        total_demand: Optional[int] = None,
-    ) -> int:
-        """Total wavelengths the cluster wants to hold (reserved included).
+    def target_for(self, request_table: RequestTable, current: CurrentTable) -> int:
+        """Total wavelengths the cluster wants to hold (reserved included):
+        the request table's largest entry, never below the reserved floor,
+        capped at the channel limit.
 
-        Under the ``proportional`` policy with known chip-wide
-        *total_demand* exceeding *pool_size* (dynamic wavelengths plus the
-        reserved floors), the target shrinks to the cluster's
-        demand-proportional share.
+        >>> from repro.dba.tables import DemandTable
+        >>> allocator = WavelengthAllocator(0, max_channel_wavelengths=8)
+        >>> demand = DemandTable(core_id=0, n_clusters=4, own_cluster=0)
+        >>> request = RequestTable(n_clusters=4, own_cluster=0)
+        >>> current = CurrentTable(4, 0, reserved=[WavelengthId.from_flat(0)])
+        >>> def target(wavelengths):
+        ...     demand.set_demand(1, wavelengths)
+        ...     request.recompute([demand])
+        ...     return allocator.target_for(request, current)
+        >>> target(12)  # above the cap
+        8
+        >>> target(0)  # no demand: the reserved floor
+        1
+        >>> target(5)  # in between: the request itself
+        5
         """
-        request = request_table.max_request()
-        target = max(request, len(current.reserved))
-        if (
-            self.policy == "proportional"
-            and pool_size is not None
-            and total_demand is not None
-            and total_demand > pool_size > 0
-        ):
-            fair = math.floor(pool_size * request / total_demand)
-            target = max(len(current.reserved), min(target, fair))
-        if self.max_channel_wavelengths is not None:
-            target = min(target, self.max_channel_wavelengths)
-        return target
+        target = max(request_table.max_request(), len(current.reserved))
+        return min(target, self.max_channel_wavelengths)
 
     def run_pass(
         self,
         token: WavelengthToken,
         request_table: RequestTable,
         current: CurrentTable,
-        pool_size: Optional[int] = None,
-        total_demand: Optional[int] = None,
     ) -> AllocationResult:
         """Adjust holdings toward the request-table target; update tables."""
         self.passes += 1
-        result = AllocationResult(
-            target=self.target_for(request_table, current, pool_size, total_demand)
-        )
+        result = AllocationResult(target=self.target_for(request_table, current))
         held = current.held_count
 
         if held < result.target:

@@ -14,7 +14,7 @@ the token is not present in the photonic router."
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List
 
 from repro.dba.allocator import AllocationResult, WavelengthAllocator
 from repro.dba.tables import CurrentTable, DemandTable, RequestTable
@@ -32,8 +32,7 @@ class DBAController:
         n_clusters: int,
         cores_per_cluster: int,
         reserved: List[WavelengthId],
-        max_channel_wavelengths: Optional[int] = None,
-        policy: str = "max_request",
+        max_channel_wavelengths: int,
     ):
         if cores_per_cluster <= 0:
             raise ValueError("cores_per_cluster must be positive")
@@ -46,19 +45,8 @@ class DBAController:
         ]
         self.request_table = RequestTable(n_clusters, cluster)
         self.current_table = CurrentTable(n_clusters, cluster, reserved)
-        self.allocator = WavelengthAllocator(
-            cluster, max_channel_wavelengths, policy=policy
-        )
+        self.allocator = WavelengthAllocator(cluster, max_channel_wavelengths)
         self.token_visits = 0
-        self.last_result: Optional[AllocationResult] = None
-
-    @property
-    def capped_request(self) -> int:
-        """This cluster's demand as seen by fair-share accounting."""
-        request = max(self.request_table.max_request(),
-                      len(self.current_table.reserved))
-        cap = self.allocator.max_channel_wavelengths
-        return min(request, cap) if cap is not None else request
 
     # -- demand path (asynchronous with the token) -----------------------
     def update_core_demand(
@@ -75,26 +63,12 @@ class DBAController:
         self.request_table.recompute(self.demand_tables)
 
     # -- token path -------------------------------------------------------
-    def on_token(
-        self,
-        token: WavelengthToken,
-        pool_size: Optional[int] = None,
-        total_demand: Optional[int] = None,
-    ) -> AllocationResult:
-        """Process the token: one capture/relinquish pass.
-
-        *pool_size*/*total_demand* enable the ``proportional`` policy's
-        fair-share cap; the default ``max_request`` policy ignores them.
-        """
+    def on_token(self, token: WavelengthToken) -> AllocationResult:
+        """Process the token: one capture/relinquish pass."""
         self.token_visits += 1
-        self.last_result = self.allocator.run_pass(
-            token,
-            self.request_table,
-            self.current_table,
-            pool_size=pool_size,
-            total_demand=total_demand,
+        return self.allocator.run_pass(
+            token, self.request_table, self.current_table
         )
-        return self.last_result
 
     # -- data-path queries (used by the TX engine) -------------------------
     def wavelengths_for(self, dst_cluster: int) -> List[WavelengthId]:
@@ -122,7 +96,6 @@ class TokenRing:
         controllers: List[DBAController],
         token: WavelengthToken,
         hold_cycles: int = 1,
-        on_pass: Optional[Callable[[DBAController, AllocationResult], None]] = None,
     ):
         if not controllers:
             raise ValueError("token ring needs at least one controller")
@@ -132,7 +105,6 @@ class TokenRing:
         self.controllers = controllers
         self.token = token
         self.hold_cycles = hold_cycles
-        self.on_pass = on_pass
         self.link_cycles = token_link_cycles(token.size_bits, clock_hz=sim.clock_hz)
         self.rounds_completed = 0
         self.hops = 0
@@ -162,24 +134,8 @@ class TokenRing:
     def stop(self) -> None:
         self._running = False
 
-    def _pool_accounting(self) -> tuple:
-        """(pool size incl. reserved floors, chip-wide capped demand)."""
-        reserved_total = sum(
-            len(c.current_table.reserved) for c in self.controllers
-        )
-        pool_size = self.token.size_bits + reserved_total
-        total_demand = sum(c.capped_request for c in self.controllers)
-        return pool_size, total_demand
-
     def _give_token(self, controller: DBAController) -> None:
-        """One pass. Pool accounting sums over all controllers, so only
-        its one reader, the ``proportional`` policy, pays for it."""
-        if controller.allocator.policy == "proportional":
-            result = controller.on_token(self.token, *self._pool_accounting())
-        else:
-            result = controller.on_token(self.token)
-        if self.on_pass is not None:
-            self.on_pass(controller, result)
+        controller.on_token(self.token)
         self.hops += 1
 
     def _visit(self, epoch: int) -> None:
@@ -196,8 +152,8 @@ class TokenRing:
 
         The thesis initialises allocation before measurement (allocation
         changes happen at task-mapping, "slower ... by several orders"
-        than packets); experiments call this once before the reset period
-        so both architectures start configured.
+        than packets); d-HetPNoC runs ``WARM_START_ROUNDS`` of these at
+        construction, so it starts configured.
         """
         for controller in self.controllers:
             self._give_token(controller)

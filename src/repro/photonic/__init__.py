@@ -9,8 +9,8 @@ device parameters, plus:
 * :mod:`repro.photonic.wavelength` -- DWDM wavelength identity, spectrum
   allocation (64 wavelengths per waveguide as in Firefly [20]) and the
   6-bit + waveguide-number identifier encoding of section 3.4.1.1.
-* :mod:`repro.photonic.waveguide` -- waveguides and waveguide bundles with
-  propagation delay and loss.
+* :mod:`repro.photonic.waveguide` -- waveguides: propagation delay and
+  loss.
 * :mod:`repro.photonic.channel` -- SWMR data channels and broadcast
   reservation channels (the R-SWMR fabric of Firefly, section 2.2.1).
 * :mod:`repro.photonic.reservation` -- reservation-flit geometry/timing.
@@ -32,7 +32,7 @@ from repro.photonic.reservation import (
     reservation_flit_bits,
     reservation_serialization_cycles,
 )
-from repro.photonic.waveguide import Waveguide, WaveguideBundle
+from repro.photonic.waveguide import Waveguide
 from repro.photonic.wavelength import (
     LAMBDA_PER_WAVEGUIDE,
     WavelengthId,
@@ -54,7 +54,6 @@ __all__ = [
     "ReservationBroadcastChannel",
     "ReservationFlit",
     "Waveguide",
-    "WaveguideBundle",
     "WavelengthId",
     "decode_identifiers",
     "encode_identifiers",

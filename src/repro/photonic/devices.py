@@ -10,9 +10,10 @@ Parameters default to the values the thesis cites:
   0.7 um x 20 um at 40 Gb/s (ref [13]).
 * Laser source 1.5 mW per wavelength (ref [30], table 3-4).
 
-The devices carry both the *physical* parameters (for the loss budget in
-:mod:`repro.photonic.loss`) and the *accounting* parameters the energy and
-area models consume.
+The physical parameters feed the loss budget in
+:mod:`repro.photonic.loss`. The energies, powers and ring radius are the
+constants :mod:`repro.energy.params` and :mod:`repro.area.model` name,
+imported from there; neither model reads these classes.
 """
 
 from __future__ import annotations
@@ -20,6 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.area.model import MRR_RADIUS_UM
+from repro.energy.params import (
+    E_LAUNCH_PJ_PER_BIT,
+    E_MODULATION_PJ_PER_BIT,
+    LASER_MW_PER_WAVELENGTH,
+    TUNING_MW_PER_NM,
+)
 from repro.photonic.wavelength import WAVELENGTH_RATE_GBPS
 
 
@@ -32,9 +40,9 @@ class MicroRingResonator:
     the circumference and inversely proportional to quality factor Q".
     """
 
-    radius_um: float = 5.0
+    radius_um: float = MRR_RADIUS_UM
     quality_factor: float = 9_000.0
-    tuning_mw_per_nm: float = 2.4
+    tuning_mw_per_nm: float = TUNING_MW_PER_NM
     #: Resonance index on the WDM grid this ring is tuned to.
     resonance_index: int = 0
 
@@ -70,7 +78,7 @@ class Modulator:
 
     ring: MicroRingResonator = field(default_factory=MicroRingResonator)
     rate_gbps: float = WAVELENGTH_RATE_GBPS
-    energy_pj_per_bit: float = 0.04
+    energy_pj_per_bit: float = E_MODULATION_PJ_PER_BIT
     insertion_loss_db: float = 1.0
 
     def __post_init__(self) -> None:
@@ -99,7 +107,7 @@ class PhotoDetector:
 
     responsivity_a_per_w: float = 1.08
     rate_gbps: float = WAVELENGTH_RATE_GBPS
-    energy_pj_per_bit: float = 0.04
+    energy_pj_per_bit: float = E_MODULATION_PJ_PER_BIT
     sensitivity_dbm: float = -17.0
     length_um: float = 20.0
     width_um: float = 0.7
@@ -155,9 +163,9 @@ class LaserSource:
     """
 
     n_wavelengths: int = 64
-    power_mw_per_wavelength: float = 1.5
+    power_mw_per_wavelength: float = LASER_MW_PER_WAVELENGTH
     on_chip: bool = True
-    launch_energy_pj_per_bit: float = 0.15
+    launch_energy_pj_per_bit: float = E_LAUNCH_PJ_PER_BIT
 
     def __post_init__(self) -> None:
         if self.n_wavelengths <= 0:

@@ -4,33 +4,25 @@
 deep ultraviolet lithography is used as the medium for carrying the
 optical packets" [17]. A waveguide carries up to 64 DWDM wavelengths
 (section 3.4.1); propagation delay follows from the group index, and loss
-per cm feeds the power budget.
+per cm feeds the power budget. Which cluster holds a wavelength is the
+DBA token's record (:mod:`repro.dba.token`), not the waveguide's.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
-from repro.photonic.wavelength import (
-    LAMBDA_PER_WAVEGUIDE,
-    SPEED_OF_LIGHT_M_S,
-    WavelengthId,
-)
+from repro.photonic.wavelength import SPEED_OF_LIGHT_M_S
 
 
 @dataclass
 class Waveguide:
-    """One physical waveguide with a DWDM channel population.
-
-    Channel *ownership* is tracked here only for diagnostics; the DBA token
-    (:mod:`repro.dba.token`) is the authoritative allocation record.
-    """
+    """One physical waveguide: propagation delay and loss."""
 
     waveguide_id: int
     length_mm: float = 20.0
-    capacity: int = LAMBDA_PER_WAVEGUIDE
     group_index: float = 4.0
     loss_db_per_cm: float = 1.0
     coupler_loss_db: float = 1.0
@@ -38,13 +30,7 @@ class Waveguide:
     def __post_init__(self) -> None:
         if self.length_mm <= 0:
             raise ValueError("length must be positive")
-        if self.capacity <= 0 or self.capacity > LAMBDA_PER_WAVEGUIDE:
-            raise ValueError(
-                f"capacity must be in (0, {LAMBDA_PER_WAVEGUIDE}], got {self.capacity}"
-            )
-        self._owners: Dict[int, Optional[int]] = {i: None for i in range(self.capacity)}
 
-    # -- physics -------------------------------------------------------
     def propagation_delay_s(self, distance_mm: Optional[float] = None) -> float:
         distance = self.length_mm if distance_mm is None else distance_mm
         return distance * 1e-3 * self.group_index / SPEED_OF_LIGHT_M_S
@@ -56,77 +42,3 @@ class Waveguide:
     def propagation_loss_db(self, distance_mm: Optional[float] = None) -> float:
         distance = self.length_mm if distance_mm is None else distance_mm
         return self.loss_db_per_cm * distance / 10.0
-
-    # -- channel bookkeeping --------------------------------------------
-    def claim(self, index: int, owner: int) -> None:
-        self._check(index)
-        if self._owners[index] is not None:
-            raise ValueError(
-                f"wavelength {index} of waveguide {self.waveguide_id} already "
-                f"owned by {self._owners[index]}"
-            )
-        self._owners[index] = owner
-
-    def release(self, index: int, owner: int) -> None:
-        self._check(index)
-        if self._owners[index] != owner:
-            raise ValueError(
-                f"wavelength {index} of waveguide {self.waveguide_id} not owned by {owner}"
-            )
-        self._owners[index] = None
-
-    def owner_of(self, index: int) -> Optional[int]:
-        self._check(index)
-        return self._owners[index]
-
-    def free_channels(self) -> List[int]:
-        return [i for i, owner in self._owners.items() if owner is None]
-
-    def _check(self, index: int) -> None:
-        if index not in self._owners:
-            raise ValueError(f"channel {index} outside capacity {self.capacity}")
-
-
-@dataclass
-class WaveguideBundle:
-    """The data-waveguide group of a PNoC (N_WD waveguides, eq. sec. 3.4.3).
-
-    ``for_total_wavelengths`` sizes the bundle as ceil(N_lambda / lambda_W),
-    exactly the thesis's N_WD definition.
-    """
-
-    waveguides: List[Waveguide] = field(default_factory=list)
-
-    @classmethod
-    def for_total_wavelengths(
-        cls, total_wavelengths: int, length_mm: float = 20.0
-    ) -> "WaveguideBundle":
-        if total_wavelengths <= 0:
-            raise ValueError("total_wavelengths must be positive")
-        n_waveguides = math.ceil(total_wavelengths / LAMBDA_PER_WAVEGUIDE)
-        return cls(
-            [Waveguide(i, length_mm=length_mm) for i in range(n_waveguides)]
-        )
-
-    @property
-    def n_waveguides(self) -> int:
-        return len(self.waveguides)
-
-    @property
-    def total_capacity(self) -> int:
-        return sum(wg.capacity for wg in self.waveguides)
-
-    def __getitem__(self, waveguide_id: int) -> Waveguide:
-        return self.waveguides[waveguide_id]
-
-    def claim(self, wid: WavelengthId, owner: int) -> None:
-        self.waveguides[wid.waveguide].claim(wid.index, owner)
-
-    def release(self, wid: WavelengthId, owner: int) -> None:
-        self.waveguides[wid.waveguide].release(wid.index, owner)
-
-    def free_wavelengths(self) -> List[WavelengthId]:
-        out: List[WavelengthId] = []
-        for wg in self.waveguides:
-            out.extend(WavelengthId(wg.waveguide_id, i) for i in wg.free_channels())
-        return out

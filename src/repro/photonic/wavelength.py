@@ -17,6 +17,14 @@ from typing import List, Sequence
 #: DWDM channels per waveguide (Firefly [20], thesis 3.4.1).
 LAMBDA_PER_WAVEGUIDE = 64
 
+
+def n_data_waveguides(total_wavelengths: int, lambda_w: int = LAMBDA_PER_WAVEGUIDE) -> int:
+    """N_WD = ceil(N_lambda / lambda_W) (section 3.4.3)."""
+    if total_wavelengths <= 0:
+        raise ValueError("total_wavelengths must be positive")
+    return math.ceil(total_wavelengths / lambda_w)
+
+
 #: Per-wavelength modulation rate demonstrated in [28] (thesis 3.4.1).
 WAVELENGTH_RATE_GBPS = 12.5
 

@@ -15,14 +15,13 @@ to the per-channel maximum (8 / 32 / 64 wavelengths -- table 3-3).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.api.base import Registry
 from repro.photonic.wavelength import (
-    LAMBDA_PER_WAVEGUIDE,
     WAVELENGTH_RATE_GBPS,
+    n_data_waveguides,
     wavelengths_for_bandwidth,
 )
 
@@ -56,8 +55,8 @@ class BandwidthSet:
 
     @property
     def n_waveguides(self) -> int:
-        """N_WD = ceil(N_lambda / lambda_W), thesis section 3.4.3."""
-        return math.ceil(self.total_wavelengths / LAMBDA_PER_WAVEGUIDE)
+        """N_WD, thesis section 3.4.3."""
+        return n_data_waveguides(self.total_wavelengths)
 
     @property
     def firefly_lambda_per_channel(self) -> int:

@@ -9,7 +9,7 @@ from repro.traffic.bandwidth_sets import BW_SET_1, BW_SET_3
 from repro.traffic.patterns import SkewedTraffic, UniformRandomTraffic
 
 
-def make(pattern=None, bw_set=BW_SET_1, seed=7, **kwargs):
+def make(pattern=None, bw_set=BW_SET_1, seed=7):
     config = SystemConfig(bw_set=bw_set)
     sim = Simulator(seed=seed)
     if pattern is not None:
@@ -17,7 +17,7 @@ def make(pattern=None, bw_set=BW_SET_1, seed=7, **kwargs):
             bw_set, config.n_clusters, config.cores_per_cluster,
             random.Random(seed),
         )
-    noc = DHetPNoC(sim, config, pattern=pattern, **kwargs)
+    noc = DHetPNoC(sim, config, pattern=pattern)
     return sim, noc, pattern
 
 
@@ -121,7 +121,8 @@ class TestRemap:
         assert after[cold] == 8
 
     def test_remap_reaches_entries_and_plan_at_the_next_token_pass(self):
-        _sim, noc, _ = make(SkewedTraffic(3), circulate_token=False)
+        _sim, noc, _ = make(SkewedTraffic(3))
+        noc.token_ring.stop()
         holdings = noc.allocation_snapshot()
         cold = min(holdings, key=holdings.get)
         hot = max(holdings, key=holdings.get)
@@ -159,7 +160,8 @@ class TestRemap:
         assert noc.token_ring.rounds_completed > 2
 
     def test_circulation_can_be_disabled(self):
-        sim, noc, _ = make(SkewedTraffic(1), circulate_token=False)
+        sim, noc, _ = make(SkewedTraffic(1))
+        noc.token_ring.stop()
         rounds = noc.token_ring.rounds_completed
         sim.run(200)
         assert noc.token_ring.rounds_completed == rounds

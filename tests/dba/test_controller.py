@@ -143,17 +143,6 @@ class TestTokenRing:
         assert controllers[0].held_count == 1
         assert controllers[1].held_count == 8
 
-    def test_on_pass_callback(self):
-        sim = Simulator()
-        controllers, token = make_controllers(2)
-        seen = []
-        ring = TokenRing(
-            sim, controllers, token,
-            on_pass=lambda c, r: seen.append((c.cluster, r.held_after)),
-        )
-        ring.run_round_immediately()
-        assert [c for c, _h in seen] == [0, 1]
-
     def test_empty_ring_rejected(self):
         sim = Simulator()
         _, token = make_controllers(1)

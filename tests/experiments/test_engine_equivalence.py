@@ -13,6 +13,8 @@ import pytest
 
 from repro.api.session import Session
 from repro.arch.config import SystemConfig
+from repro.dba.allocator import WavelengthAllocator
+from repro.dba.tables import CurrentTable
 from repro.experiments import runner
 from repro.experiments.runner import Fidelity, attach_traffic, wire_run
 from repro.sim.engine import Simulator
@@ -210,26 +212,37 @@ def _release_keeping_one(original):
     return mutant
 
 
-@pytest.mark.parametrize("mutate", [_release_keeping_one],
-                         ids=["kept-released-wavelength"])
-def test_ring_audit_catches_a_planted_fault(monkeypatch, mutate):
-    """A controller that keeps a wavelength the token has released is
-    named by ``audit`` within 50 cycles. The cores of the cluster holding
-    the most drop their demand to nothing, so the token's first visit
-    there (within one 16-hop round) releases what the cluster held."""
-    from repro.dba.tables import CurrentTable
+def _folding_nothing(original):
+    def mutant(self, request_table, current):
+        pass  # the per-destination entries keep what the last fold wrote
+    return mutant
+
+
+@pytest.mark.parametrize("owner,method,mutate,law", [
+    (CurrentTable, "remove_dynamic", _release_keeping_one,
+     "holds dynamic wavelengths"),
+    (WavelengthAllocator, "_update_per_destination", _folding_nothing,
+     r"allocates \d+ wavelengths to cluster \d+, holds 1$"),
+], ids=["kept-released-wavelength", "stale-per-destination-entry"])
+def test_ring_audit_catches_a_planted_fault(monkeypatch, owner, method,
+                                            mutate, law):
+    """Each planted fault is named by ``audit`` within 50 cycles. The
+    cores of the cluster holding the most drop their demand to nothing,
+    so the token's first visit there (within one 16-hop round) releases
+    what the cluster held: a controller that keeps a wavelength the
+    token has back, or entries that still allocate the old holdings,
+    break the ring law."""
     from repro.sim.engine import SimulationError
 
     sim, arch = audited_run("dhetpnoc", BW_SET_1, "skewed3", 400.0)
     hot = max(arch.controllers, key=lambda c: c.held_count).cluster
     assert arch.controllers[hot].current_table.dynamic_ids
-    monkeypatch.setattr(CurrentTable, "remove_dynamic",
-                        mutate(CurrentTable.remove_dynamic))
+    monkeypatch.setattr(owner, method, mutate(getattr(owner, method)))
     for slot in range(arch.config.cores_per_cluster):
         arch.remap_demand(hot, slot, {dst: 0 for dst in range(16) if dst != hot})
     arch.add_tick_hook(lambda cycle: arch.audit())
     with pytest.raises(SimulationError,
-                       match=rf"d-hetpnoc ring: cluster {hot} holds dynamic wavelengths"):
+                       match=rf"d-hetpnoc ring: cluster {hot} {law}"):
         sim.run(50)
 
 

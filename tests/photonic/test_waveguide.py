@@ -1,9 +1,9 @@
-"""Tests for waveguides and bundles."""
+"""Tests for waveguides and the data-waveguide count N_WD."""
 
 import pytest
 
-from repro.photonic.waveguide import Waveguide, WaveguideBundle
-from repro.photonic.wavelength import WavelengthId
+from repro.photonic.waveguide import Waveguide
+from repro.photonic.wavelength import n_data_waveguides
 
 
 class TestWaveguide:
@@ -21,61 +21,19 @@ class TestWaveguide:
         wg = Waveguide(0, length_mm=20.0, loss_db_per_cm=1.0)
         assert wg.propagation_loss_db() == pytest.approx(2.0)
 
-    def test_claim_release(self):
-        wg = Waveguide(0)
-        wg.claim(3, owner=7)
-        assert wg.owner_of(3) == 7
-        wg.release(3, owner=7)
-        assert wg.owner_of(3) is None
-
-    def test_double_claim_rejected(self):
-        wg = Waveguide(0)
-        wg.claim(3, owner=1)
-        with pytest.raises(ValueError):
-            wg.claim(3, owner=2)
-
-    def test_foreign_release_rejected(self):
-        wg = Waveguide(0)
-        wg.claim(3, owner=1)
-        with pytest.raises(ValueError):
-            wg.release(3, owner=2)
-
-    def test_free_channels(self):
-        wg = Waveguide(0)
-        assert len(wg.free_channels()) == 64
-        wg.claim(0, 1)
-        assert len(wg.free_channels()) == 63
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            Waveguide(0).claim(64, 1)
-
 
 class TestWaveguideBundle:
+    """The data-waveguide group of a PNoC: N_WD waveguides (sec. 3.4.3)."""
+
     def test_sizing_matches_n_wd(self):
         """N_WD = ceil(N_lambda / 64): 1, 4, 8 for the three BW sets."""
-        assert WaveguideBundle.for_total_wavelengths(64).n_waveguides == 1
-        assert WaveguideBundle.for_total_wavelengths(256).n_waveguides == 4
-        assert WaveguideBundle.for_total_wavelengths(512).n_waveguides == 8
+        assert n_data_waveguides(64) == 1
+        assert n_data_waveguides(256) == 4
+        assert n_data_waveguides(512) == 8
 
     def test_partial_waveguide_rounds_up(self):
-        assert WaveguideBundle.for_total_wavelengths(65).n_waveguides == 2
-
-    def test_claim_by_wavelength_id(self):
-        bundle = WaveguideBundle.for_total_wavelengths(128)
-        wid = WavelengthId(1, 10)
-        bundle.claim(wid, owner=4)
-        assert bundle[1].owner_of(10) == 4
-        bundle.release(wid, owner=4)
-        assert wid in bundle.free_wavelengths()
-
-    def test_free_wavelengths_count(self):
-        bundle = WaveguideBundle.for_total_wavelengths(128)
-        assert len(bundle.free_wavelengths()) == 128
-
-    def test_total_capacity(self):
-        assert WaveguideBundle.for_total_wavelengths(512).total_capacity == 512
+        assert n_data_waveguides(65) == 2
 
     def test_invalid_total(self):
         with pytest.raises(ValueError):
-            WaveguideBundle.for_total_wavelengths(0)
+            n_data_waveguides(0)

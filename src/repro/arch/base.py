@@ -28,11 +28,11 @@ from dataclasses import dataclass, field, fields
 from typing import Dict, List
 
 from repro.arch.config import SystemConfig
-from repro.arch.photonic_router import ClusterGateway, TxPlan
+from repro.arch.photonic_router import ClusterGateway, StreamPlans, TxPlan
 from repro.energy.model import EnergyAccount
 from repro.noc.flit import Flit, Packet
 from repro.photonic.reservation import ReservationFlit
-from repro.sim.engine import ClockedComponent, Simulator
+from repro.sim.engine import ClockedComponent, SimulationError, Simulator
 from repro.sim.stats import RunningMean
 
 
@@ -125,8 +125,8 @@ class NoCArchitecture(ClockedComponent):
     def finalize(self) -> None:
         """Settle buffer accounting and charge what is charged once per
         run. Call once after the measurement window; EPM is only
-        meaningful afterwards (DESIGN.md section 4, buffer-retention
-        rule)."""
+        meaningful afterwards (``docs/engine.md``, "The photonic
+        gateway": the buffer-retention rule)."""
         raise NotImplementedError
 
     def lit_wavelengths(self) -> int:
@@ -238,12 +238,27 @@ class PhotonicCrossbarNoC(NoCArchitecture):
     Subclasses implement :meth:`tx_plan`, :meth:`rx_demodulators_on` and
     :meth:`lit_wavelengths` (and may add control machinery such as the
     DBA token ring).
+
+    Every packet of a run has the first one's flit width (:meth:`submit`
+    enforces it), so every per-flit buffer and router charge made inside
+    :meth:`tick_fabric` is one of two addends, ``pj_per_bit`` times that
+    width. The gateways count them -- ``_filling`` open fills, each
+    writing one flit a cycle; ``_buffer_flits`` other buffer writes and
+    reads; ``_switched_flits`` flits read out of a buffer that also cross
+    an electronic switch -- and :meth:`tick_fabric` adds each addend that
+    many times once per cycle: the same sequence of ``+=`` the account
+    would see flit by flit.
     """
 
     name = "pnoc"
 
     def __init__(self, sim: Simulator, config: SystemConfig):
         super().__init__(sim, config)
+        self.stream_plans = StreamPlans(self.energy.params)
+        self._flit_bits = 0  # the run's flit width, fixed by the first packet
+        self._buffer_addend = self._router_addend = 0.0
+        self._filling = 0
+        self._buffer_flits = self._switched_flits = 0
         self.gateways: List[ClusterGateway] = [
             ClusterGateway(cluster, self) for cluster in range(config.n_clusters)
         ]
@@ -265,6 +280,16 @@ class PhotonicCrossbarNoC(NoCArchitecture):
     # Fabric
     # ------------------------------------------------------------------
     def submit(self, packet: Packet) -> bool:
+        if packet.flit_bits != self._flit_bits:
+            if self._flit_bits:
+                raise SimulationError(
+                    f"{self.name}: a {packet.flit_bits}-bit flit in a run of "
+                    f"{self._flit_bits}-bit flits"
+                )
+            params = self.energy.params
+            self._flit_bits = packet.flit_bits
+            self._buffer_addend = params.buffer_pj_per_bit * packet.flit_bits
+            self._router_addend = params.router_pj_per_bit * packet.flit_bits
         src_cluster = self.config.cluster_of(packet.src)
         dst_cluster = self.config.cluster_of(packet.dst)
         gateway = self.gateways[src_cluster]
@@ -279,11 +304,27 @@ class PhotonicCrossbarNoC(NoCArchitecture):
         return accepted
 
     def tick_fabric(self, cycle: int) -> None:
+        idle = ClusterGateway.IDLE
         for gateway in self.gateways:
             # ``not gateway.is_idle()``, inlined: it runs for every
             # gateway every cycle.
-            if gateway._held or gateway._tx_state != ClusterGateway.IDLE:
+            if gateway._held or gateway._tx_state != idle:
                 gateway.tick(cycle)
+        # This cycle's per-flit charges, one addend per flit: ``x += c``
+        # n times is not ``x += n * c`` in floating point.
+        switched = self._switched_flits
+        buffered = self._filling + self._buffer_flits + switched
+        if buffered:
+            breakdown = self.energy.breakdown
+            buffer_pj, addend = breakdown.buffer_pj, self._buffer_addend
+            for _ in range(buffered):
+                buffer_pj += addend
+            breakdown.buffer_pj = buffer_pj
+            router_pj, addend = breakdown.router_pj, self._router_addend
+            for _ in range(switched):
+                router_pj += addend
+            breakdown.router_pj = router_pj
+            self._buffer_flits = self._switched_flits = 0
 
     def fabric_is_idle(self) -> bool:
         for gateway in self.gateways:
@@ -294,6 +335,12 @@ class PhotonicCrossbarNoC(NoCArchitecture):
     def audit(self) -> None:
         for gateway in self.gateways:
             gateway.audit()
+        fills = sum(gateway.open_fills() for gateway in self.gateways)
+        if self._filling != fills:
+            raise SimulationError(
+                f"{self.name}: _filling is {self._filling}, the gateways' "
+                f"open fills give {fills}"
+            )
 
     def note_packet_delivered_whole(
         self, packet: Packet, cycle: int, photonic: bool

@@ -23,15 +23,23 @@ Inside the gateway a packet's flits differ only by how many there are
 packet whole or in runs of its own flits), so every stage holds a packet
 and a count of its flits, never flit objects.
 
+Store-and-forward also fixes two things ahead of time. A packet that
+takes a VC has its tail in ``n_flits - 1`` cycles later (a *fill*), and a
+packet whose reservation is ACKed launches on a cadence fixed by its
+wavelengths and flit widths (a *stream plan*, :class:`StreamPlans`). The
+gateway works from both instead of recomputing them every cycle.
+
 Energy is charged to the shared :class:`~repro.energy.model.EnergyAccount`
-as events happen (DESIGN.md section 4 lists the charging rules).
+as events happen (the charging rules are in ``docs/engine.md``, "The
+photonic gateway"); the per-flit buffer and router charges made inside a
+tick are counted and added by the fabric once per cycle.
 
 Each quantity is computed when it can change and read afterwards (rate
 and queue depth at ACK, the plan when the DBA current table moves), and
 a per-cycle stage runs only when an O(1) count says it has work. The
 orders results depend on -- stage order within a tick, launch order in
-``_inbound``, ``sorted`` ejection candidates, one energy addend per flit
--- are listed in ``docs/engine.md`` and pinned by value in
+``_inbound``, ``sorted`` ejection candidates, the sequence of energy
+addends -- are listed in ``docs/engine.md`` and pinned by value in
 ``tests/arch/gateway_golden.json``.
 """
 
@@ -44,6 +52,8 @@ from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.noc.arbiter import RoundRobinArbiter
 from repro.noc.flit import Packet
+from repro.energy.model import EnergyAccount
+from repro.energy.params import PhotonicEnergyParams
 from repro.photonic.channel import DataChannel, ReservationBroadcastChannel
 from repro.photonic.reservation import ReservationFlit, reservation_flit_bits
 from repro.photonic.wavelength import WavelengthId, bits_per_cycle
@@ -51,6 +61,10 @@ from repro.sim.engine import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.arch.base import PhotonicCrossbarNoC
+    from repro.sim.engine import Simulator
+
+#: ``_inject_due`` while no pipe holds a packet.
+_NEVER = math.inf
 
 
 @dataclass(frozen=True)
@@ -78,21 +92,31 @@ class _Resident:
     :meth:`settle`'s three lines, inlined.
     """
 
-    __slots__ = ("occupancy", "flit_cycles", "_last_accounted_cycle")
+    __slots__ = ("occupancy", "_flit_cycles", "_last_accounted_cycle")
 
     def __init__(self) -> None:
         self.occupancy = 0
-        #: Accumulated flit-cycles of residence (for retention energy).
-        self.flit_cycles = 0
+        self._flit_cycles = 0
         self._last_accounted_cycle = 0
 
     def __len__(self) -> int:
         return self.occupancy
 
+    @property
+    def flit_cycles(self) -> int:
+        """Flit-cycles of residence up to the last settle (for retention
+        energy)."""
+        return self._flit_cycles + self._unaccrued(self._last_accounted_cycle)
+
+    def _unaccrued(self, cycle: int) -> int:
+        """Flit-cycles already subtracted for flits counted in
+        ``occupancy`` that enter only after *cycle* (none here)."""
+        return 0
+
     def settle(self, cycle: int) -> None:
         """Accumulate flit-cycles of residence up to *cycle*."""
         if cycle > self._last_accounted_cycle:
-            self.flit_cycles += self.occupancy * (cycle - self._last_accounted_cycle)
+            self._flit_cycles += self.occupancy * (cycle - self._last_accounted_cycle)
             self._last_accounted_cycle = cycle
 
     def reset_stats(self, at_cycle: int) -> None:
@@ -100,7 +124,7 @@ class _Resident:
         flits resident across the warm-up boundary charge their warm-up
         residency to the discarded bucket."""
         self.settle(at_cycle)
-        self.flit_cycles = 0
+        self._flit_cycles = -self._unaccrued(at_cycle)
         self._last_accounted_cycle = at_cycle
 
 
@@ -110,17 +134,37 @@ class InputPort(_Resident):
     Store-and-forward means a VC holds one packet at most (a VC is taken
     only when empty, and drains only once whole), so a VC is the packet
     it holds and how many of that packet's flits are in.
+
+    A VC is taken whole (a *fill*): from the cycle the front packet's
+    first flit enters, its count and ``occupancy`` include all
+    ``n_flits``, though one flit enters per cycle up to ``fill_end``, the
+    tail's cycle. Residency is corrected in closed form: opening a fill
+    subtracts the ``n(n-1)/2`` flit-cycles its later flits are counted
+    early, and :meth:`_unaccrued` is what of that lies after a given
+    cycle, so ``flit_cycles`` and the warm-up reset are exact however a
+    fill straddles them.
     """
 
-    __slots__ = ("vc_depth", "packets", "counts", "complete")
+    __slots__ = ("vc_depth", "packets", "counts", "complete", "fill_end", "_clock")
 
-    def __init__(self, n_vcs: int, vc_depth: int):
+    def __init__(self, n_vcs: int, vc_depth: int, clock: "Simulator"):
         super().__init__()
         self.vc_depth = vc_depth
         self.packets: List[Optional[Packet]] = [None] * n_vcs
         self.counts = [0] * n_vcs
         #: VCs holding a whole packet no transmission has claimed yet.
         self.complete: Set[int] = set()
+        #: The cycle the last fill's tail enters (or entered).
+        self.fill_end = -1
+        self._clock = clock
+
+    def __len__(self) -> int:
+        """Flits resident at the end of the last whole cycle."""
+        return self.occupancy - max(0, self.fill_end - self._clock.cycle + 1)
+
+    def _unaccrued(self, cycle: int) -> int:
+        ahead = self.fill_end - cycle
+        return ahead * (ahead + 1) // 2 if ahead > 0 else 0
 
     def first_free_vc(self) -> Optional[int]:
         """Lowest-numbered empty VC, or None."""
@@ -146,6 +190,51 @@ class RxBuffer(_Resident):
         return self.depth - self.occupancy
 
 
+class StreamPlans(dict):
+    """An architecture's stream plans, built on first use.
+
+    Keyed by ``(n_wavelengths, clock_hz, queue-target width, fed width,
+    n_flits)``: everything a store-and-forward stream's cadence depends
+    on (the queue target is sized by the configured flit width, the
+    flits fed have the packet's). A plan holds one ``(fed, launched,
+    bits, launch_pj, modulation_pj, tuning_pj)`` step per streaming
+    cycle, ACK cycle first: what :meth:`DataChannel.top_up` queues and
+    :meth:`DataChannel.tick` launches that cycle, the bits launched, and
+    the three addends ``charge_photonic_transmit`` makes for them (read
+    off a fresh account). It is built by stepping a real
+    :class:`DataChannel` once, so its ``bit_credit`` history is the
+    channel's own.
+    """
+
+    def __init__(self, params: PhotonicEnergyParams):
+        super().__init__()
+        self._params = params
+
+    def __missing__(self, key: tuple) -> Tuple[tuple, ...]:
+        n_wavelengths, clock_hz, queue_bits, flit_bits, n_flits = key
+        channel = DataChannel(0, clock_hz=clock_hz)
+        channel.begin(ReservationFlit(0, 1, 0, n_flits), n_flits, queue_bits,
+                      n_wavelengths, 0)
+        account = EnergyAccount(self._params, clock_hz)
+        steps: list = []
+        distinct: dict = {}  # a plan repeats a few steps: hold each once
+        while channel.busy:
+            fed = channel.top_up(flit_bits)
+            launched = channel.tick(len(steps))
+            bits = flit_bits * launched
+            account.reset()
+            account.charge_photonic_transmit(bits)
+            charged = account.breakdown
+            step = (fed, launched, bits, charged.launch_pj,
+                    charged.modulation_pj, charged.tuning_pj)
+            steps.append(distinct.setdefault(step, step))
+        # The VC holds the whole packet, so a top-up never leaves the
+        # modulators empty: a stream never stalls.
+        assert not channel.stalled_cycles
+        plan = self[key] = tuple(steps)
+        return plan
+
+
 class ClusterGateway:
     """One cluster's photonic router: TX FSM, RX buffers, ejection."""
 
@@ -161,16 +250,10 @@ class ClusterGateway:
         self.config = config
         self._energy = arch.energy
         self._cores = config.cores_per_cluster
-        # A flit's buffer and router charges, ``pj_per_bit * flit_bits``,
-        # are added to the account here, one addend per flit even when a
-        # stage moves several: ``x += c`` n times is not ``x += n * c`` in
-        # floating point, and every digest depends on the sequence.
-        self._buffer_pj_per_bit = self._energy.params.buffer_pj_per_bit
-        self._router_pj_per_bit = self._energy.params.router_pj_per_bit
 
         # -- TX input side: one port per core ---------------------------------
         self.inputs: List[InputPort] = [
-            InputPort(config.n_vcs, config.vc_depth_flits)
+            InputPort(config.n_vcs, config.vc_depth_flits, arch.sim)
             for _ in range(config.cores_per_cluster)
         ]
         self._input_arbiters = [
@@ -179,12 +262,15 @@ class ClusterGateway:
         self._output_arbiter = RoundRobinArbiter(config.cores_per_cluster)
 
         # Per-core injection pipes (core router -> gateway link, 1 flit/cycle):
-        # the packets queued, the front one entering the VC it has taken.
+        # the packets queued, the front one filling the VC it has taken.
         self._pipes: List[Deque[Packet]] = [
             deque() for _ in range(config.cores_per_cluster)
         ]
         self._pipe_active_vc: List[Optional[int]] = [None] * config.cores_per_cluster
         self._pipes_active = 0  # non-empty injection pipes
+        #: The next cycle the inject stage has work: a fill's tail, a new
+        #: front packet, or a retry for a free VC.
+        self._inject_due = _NEVER
 
         # -- photonic channels -------------------------------------------------
         self.channel = DataChannel(cluster_id, clock_hz=config.clock_hz)
@@ -238,6 +324,8 @@ class ClusterGateway:
             return False
         if not pipe:
             self._pipes_active += 1
+            if cycle < self._inject_due:
+                self._inject_due = cycle
         pipe.append(packet)
         self._held += packet.n_flits
         # Source core's electronic router traversal.
@@ -259,22 +347,22 @@ class ClusterGateway:
     # ==================================================================
     def tick(self, cycle: int) -> None:
         # Reservation traffic is in flight exactly while the FSM reserves.
-        if self._tx_state == self.RESERVING:
+        if self._tx_state == _RESERVING:
             self.reservation_channel.tick(cycle)
         if self._inbound:
             self._deliver_inbound(cycle)
-        if self._pipes_active:
+        if self._pipes_active and cycle >= self._inject_due:
             self._inject_step(cycle)
         # TX FSM: one dispatch on the state the stage is entered in (an
         # ACK arrives in the reservation stage above and streams now; a
         # state entered here is first acted on next cycle).
         state = self._tx_state
-        if state == self.STREAMING:
+        if state == _STREAMING:
             self._tx_stream(cycle)
-        elif state == self.IDLE:
+        elif state == _IDLE:
             if self._tx_waiting:
                 self._tx_arbitrate(cycle)
-        elif state == self.BACKOFF and cycle >= self._backoff_until:
+        elif state == _BACKOFF and cycle >= self._backoff_until:
             self._send_reservation(cycle, retry=True)
         if self._rx_nonempty:
             self._eject_step(cycle)
@@ -293,9 +381,17 @@ class ClusterGateway:
 
     # -- injection pipes -------------------------------------------------
     def _inject_step(self, cycle: int) -> None:
-        """One flit per core per cycle from the pipe into its input VC."""
-        breakdown = self._energy.breakdown
+        """Fills, one flit per core per cycle from the pipe into its VC.
+
+        Runs only at ``_inject_due``: a front packet that takes a free VC
+        opens a fill (its whole count enters the VC now, its tail at
+        ``fill_end``), a fill whose tail enters now closes and the packet
+        is whole, and a front packet with no free VC retries next cycle.
+        The fabric counts one buffer write per open fill per cycle
+        (``_filling``), and the tail's write when the fill closes."""
+        arch = self.arch
         active_vc = self._pipe_active_vc
+        due = _NEVER
         for slot, pipe in enumerate(self._pipes):
             if not pipe:
                 continue
@@ -304,29 +400,48 @@ class ClusterGateway:
             if vc is None:
                 vc = port.first_free_vc()
                 if vc is None:
+                    if cycle < due:
+                        due = cycle + 1
                     continue
-                active_vc[slot] = vc
-                port.packets[vc] = pipe[0]
-            counts = port.counts
-            entered = counts[vc]
-            if entered >= port.vc_depth:
+                packet = pipe[0]
+                n = packet.n_flits
+                if n > port.vc_depth:
+                    raise SimulationError(
+                        f"gateway {self.cluster_id}: a {n}-flit packet never "
+                        f"fits a {port.vc_depth}-flit VC"
+                    )
+                if cycle > port._last_accounted_cycle:  # port.settle(cycle)
+                    port._flit_cycles += port.occupancy * (
+                        cycle - port._last_accounted_cycle)
+                    port._last_accounted_cycle = cycle
+                port.occupancy += n
+                port.counts[vc] = n
+                port.packets[vc] = packet
+                port._flit_cycles -= n * (n - 1) // 2
+                end = port.fill_end = cycle + n - 1
+                if end > cycle:
+                    active_vc[slot] = vc
+                    arch._filling += 1
+                    if end < due:
+                        due = end
+                    continue
+            elif port.fill_end > cycle:
+                if port.fill_end < due:
+                    due = port.fill_end
                 continue
-            packet = pipe[0]
-            if cycle > port._last_accounted_cycle:  # port.settle(cycle)
-                port.flit_cycles += port.occupancy * (cycle - port._last_accounted_cycle)
-                port._last_accounted_cycle = cycle
-            port.occupancy += 1
-            entered += 1
-            counts[vc] = entered
-            breakdown.buffer_pj += self._buffer_pj_per_bit * packet.flit_bits
-            if entered == packet.n_flits:
-                # The tail is in: the packet is whole.
-                pipe.popleft()
+            else:
                 active_vc[slot] = None
-                port.complete.add(vc)
-                self._tx_waiting += 1
-                if not pipe:
-                    self._pipes_active -= 1
+                arch._filling -= 1
+            # The tail enters now: the packet is whole.
+            arch._buffer_flits += 1
+            pipe.popleft()
+            port.complete.add(vc)
+            self._tx_waiting += 1
+            if not pipe:
+                self._pipes_active -= 1
+            elif cycle < due:
+                due = cycle + 1
+        self._inject_due = due
 
     # -- transmit FSM ------------------------------------------------------
     def _tx_arbitrate(self, cycle: int) -> None:
@@ -432,13 +547,20 @@ class ClusterGateway:
         plan = self._tx_plan
         assert plan is not None
         if accepted:
+            config, packet = self.config, self._tx_packet
             self.channel.begin(
                 reservation,
                 expected_flits=reservation.n_flits,
-                flit_bits=self.config.bw_set.flit_bits,
+                flit_bits=config.bw_set.flit_bits,
                 n_wavelengths=plan.n_wavelengths,
                 cycle=cycle,
             )
+            self.channel.active.flit_bits = packet.flit_bits
+            self._tx_stream_plan = self.arch.stream_plans[(
+                plan.n_wavelengths, config.clock_hz, config.bw_set.flit_bits,
+                packet.flit_bits, packet.n_flits,
+            )]
+            self._tx_index = 0
             self._tx_state = self.STREAMING
             return
         self._tx_retries += 1
@@ -460,12 +582,7 @@ class ClusterGateway:
         port.occupancy -= n
         port.counts[vc] = 0
         port.packets[vc] = None
-        read = self._buffer_pj_per_bit * packet.flit_bits
-        breakdown = self._energy.breakdown
-        buffer_pj = breakdown.buffer_pj
-        for _ in range(n):
-            buffer_pj += read
-        breakdown.buffer_pj = buffer_pj
+        self.arch._buffer_flits += n
         self._held -= n
         self.arch.metrics.packets_abandoned += 1
         self._clear_tx()
@@ -479,53 +596,68 @@ class ClusterGateway:
         self._tx_reservation: Optional[ReservationFlit] = None
         self._tx_plan: Optional[TxPlan] = None
         self._tx_retries = 0
+        #: The ACKed packet's stream plan and the step this cycle takes.
+        self._tx_stream_plan: tuple = ()
+        self._tx_index = 0
 
     def _tx_stream(self, cycle: int) -> None:
-        channel, packet = self.channel, self._tx_packet
-        # The VC holds the rest of the packet: feed all the channel wants.
-        n = channel.top_up(packet.flit_bits)
-        if n:
+        """One step of the stream plan: the flits the VC feeds the
+        modulators and those launched, with the channel's counters and
+        ``ActiveTransmission`` kept as its own ``top_up`` and ``tick``
+        would keep them."""
+        plan, index = self._tx_stream_plan, self._tx_index
+        fed, launched, bits, launch_pj, modulation_pj, tuning_pj = plan[index]
+        channel = self.channel
+        active = channel._active
+        channel.busy_cycles += 1
+        channel.wavelength_cycles_lit += active.n_wavelengths
+        active.pending += fed - launched
+        if fed:
+            active.fed += fed
             port, vc = self._tx_port, self._tx_vc
             if cycle > port._last_accounted_cycle:  # port.settle(cycle)
-                port.flit_cycles += port.occupancy * (
+                port._flit_cycles += port.occupancy * (
                     cycle - port._last_accounted_cycle)
                 port._last_accounted_cycle = cycle
-            port.occupancy -= n
-            port.counts[vc] -= n
-            if not port.counts[vc]:
+            port.occupancy -= fed
+            left = port.counts[vc] - fed
+            port.counts[vc] = left
+            if not left:
                 port.packets[vc] = None
             # Each flit read out of the buffer also crosses the source
             # gateway's electronic switch to the modulators.
-            read = self._buffer_pj_per_bit * packet.flit_bits
-            traversal = self._router_pj_per_bit * packet.flit_bits
-            breakdown = self._energy.breakdown
-            buffer_pj, router_pj = breakdown.buffer_pj, breakdown.router_pj
-            for _ in range(n):
-                buffer_pj += read
-                router_pj += traversal
-            breakdown.buffer_pj, breakdown.router_pj = buffer_pj, router_pj
-        launched = channel.tick(cycle)
+            self.arch._switched_flits += fed
         if launched:
             # Launched flits leave this gateway's domain for the
             # destination's inbound queue.
+            active.launched += launched
+            channel.bits_transmitted += bits
+            channel.flits_transmitted += launched
             dst = self._tx_dst
             self._held -= launched
             dst._held += launched
-            self._energy.charge_photonic_transmit(packet.flit_bits * launched)
+            breakdown = self._energy.breakdown
+            breakdown.launch_pj += launch_pj
+            breakdown.modulation_pj += modulation_pj
+            breakdown.tuning_pj += tuning_pj
             dst._inbound.append((
                 cycle + self.config.data_propagation_cycles,
-                self.cluster_id, packet, launched,
+                self.cluster_id, self._tx_packet, launched,
             ))
-        if channel._active is None:
+        index += 1
+        if index == len(plan):
+            channel.packets_transmitted += 1
+            channel._active = None
             self._clear_tx()
+        else:
+            self._tx_index = index
 
     # ==================================================================
     # Receive side
     # ==================================================================
     def _deliver_inbound(self, cycle: int) -> None:
         inbound = self._inbound
-        breakdown = self._energy.breakdown
-        buffer_pj = breakdown.buffer_pj
+        written = 0
         while inbound and inbound[0][0] <= cycle:
             _due, src, packet, n = inbound.popleft()
             buffer = self.rx_buffers[src]
@@ -534,7 +666,7 @@ class ClusterGateway:
                 self._rx_ready[packet.dst % self._cores].add(src)
                 self._rx_nonempty += 1
             if cycle > buffer._last_accounted_cycle:  # buffer.settle(cycle)
-                buffer.flit_cycles += buffer.occupancy * (
+                buffer._flit_cycles += buffer.occupancy * (
                     cycle - buffer._last_accounted_cycle)
                 buffer._last_accounted_cycle = cycle
             buffer.occupancy += n
@@ -551,10 +683,8 @@ class ClusterGateway:
             else:
                 fifo.append([packet, n, packet.n_flits - n])
             self._rx_reserved[src] -= n
-            write = self._buffer_pj_per_bit * packet.flit_bits
-            for _ in range(n):
-                buffer_pj += write
-        breakdown.buffer_pj = buffer_pj
+            written += n
+        self.arch._buffer_flits += written
 
     def _eject_step(self, cycle: int) -> None:
         """One flit per core per cycle from the RX buffers to the cores.
@@ -562,19 +692,24 @@ class ClusterGateway:
         Candidates come from the ready index in ascending-source order
         (sets hold source ids; ``sorted`` restores the scan order the
         arbiters have always seen), so skipping empty slots changes
-        nothing observable."""
-        breakdown = self._energy.breakdown
-        buffer_pj, router_pj = breakdown.buffer_pj, breakdown.router_pj
-        read, traversal = self._buffer_pj_per_bit, self._router_pj_per_bit
-        metrics = self.arch.metrics
+        nothing observable. A lone requester is granted inline: it wins
+        and the pointer moves past it, as ``RoundRobinArbiter.grant``
+        would compute."""
+        arch = self.arch
+        metrics = arch.metrics
         ejected = ejected_bits = 0
         for slot, ready in enumerate(self._rx_ready):
             if not ready:
                 continue
-            src = self._eject_arbiters[slot].grant(sorted(ready))
+            arbiter = self._eject_arbiters[slot]
+            if len(ready) == 1:
+                for src in ready:
+                    arbiter._next_priority = (src + 1) % arbiter.n
+            else:
+                src = arbiter.grant(sorted(ready))
             buffer = self.rx_buffers[src]
             if cycle > buffer._last_accounted_cycle:  # buffer.settle(cycle)
-                buffer.flit_cycles += buffer.occupancy * (
+                buffer._flit_cycles += buffer.occupancy * (
                     cycle - buffer._last_accounted_cycle)
                 buffer._last_accounted_cycle = cycle
             buffer.occupancy -= 1
@@ -593,18 +728,16 @@ class ClusterGateway:
                 ready.discard(src)
                 self._rx_ready[fifo[0][0].dst % self._cores].add(src)
             packet = entry[0]
-            bits = packet.flit_bits
-            buffer_pj += read * bits
-            router_pj += traversal * bits
             ejected += 1
-            ejected_bits += bits
+            ejected_bits += packet.flit_bits
             if tail:
                 metrics.packets_delivered += 1
                 metrics.packets_delivered_photonic += 1
                 metrics.latency.add(cycle - packet.created_cycle)
                 self._energy.note_message_delivered()
-        breakdown.buffer_pj = buffer_pj
-        breakdown.router_pj = router_pj
+        # Each flit ejected is read out of the RX buffer and crosses the
+        # destination's electronic switch to its core.
+        arch._switched_flits += ejected
         self._held -= ejected
         metrics.flits_delivered += ejected
         metrics.bits_delivered += ejected_bits
@@ -648,24 +781,44 @@ class ClusterGateway:
         it)."""
         return self._held
 
+    def open_fills(self) -> int:
+        """Pipes whose front packet is filling its VC."""
+        return sum(vc is not None for vc in self._pipe_active_vc)
+
     def audit(self) -> None:
         """Recount every O(1) counter the gateway keeps from the state it
-        summarises; raise :class:`~repro.sim.engine.SimulationError`
-        naming the gateway and the first counter that drifted."""
+        summarises, and check its fills and stream plan against the
+        cycle; raise :class:`~repro.sim.engine.SimulationError` naming
+        the gateway and the first counter that drifted."""
+
+        def broken(counter: str, kept: object, law: str) -> SimulationError:
+            return SimulationError(
+                f"gateway {self.cluster_id}: {counter} is {kept!r}, {law}")
 
         def check(counter: str, kept: object, recount: object) -> None:
             if kept != recount:
-                raise SimulationError(
-                    f"gateway {self.cluster_id}: {counter} is {kept!r}, "
-                    f"the state it counts gives {recount!r}"
-                )
+                raise broken(counter, kept,
+                             f"the state it counts gives {recount!r}")
 
+        last_ticked = self.arch.sim.cycle - 1
         in_pipes = 0
         for slot, pipe in enumerate(self._pipes):
             in_pipes += sum(packet.n_flits for packet in pipe)
             vc = self._pipe_active_vc[slot]
             if vc is not None:
-                in_pipes -= self.inputs[slot].counts[vc]
+                # An open fill: the VC took its whole packet, whose tail
+                # is still to enter, and the inject stage runs by then.
+                port = self.inputs[slot]
+                in_pipes -= port.counts[vc]
+                check(f"inputs[{slot}].counts[{vc}]", port.counts[vc],
+                      pipe[0].n_flits)
+                if port.fill_end <= last_ticked:
+                    raise broken(f"inputs[{slot}].fill_end", port.fill_end,
+                                 f"its tail was due by cycle {last_ticked}")
+                if self._inject_due > port.fill_end:
+                    raise broken("_inject_due", self._inject_due,
+                                 f"after inputs[{slot}]'s fill ends at "
+                                 f"{port.fill_end}")
         for slot, port in enumerate(self.inputs):
             check(f"inputs[{slot}].occupancy", port.occupancy, sum(port.counts))
         for src, buffer in self.rx_buffers.items():
@@ -675,6 +828,14 @@ class ClusterGateway:
               self.reservation_channel.in_flight > 0,
               self._tx_state == self.RESERVING)
         active = self.channel.active
+        if self._tx_state == self.STREAMING:
+            check("channel.busy", active is not None, True)
+            done = self._tx_stream_plan[:self._tx_index]
+            fed = sum(step[0] for step in done)
+            launched = sum(step[1] for step in done)
+            check("channel.active.fed", active.fed, fed)
+            check("channel.active.launched", active.launched, launched)
+            check("channel.active.pending", active.pending, fed - launched)
         check("_held", self._held, (
             in_pipes
             + sum(sum(port.counts) for port in self.inputs)
@@ -694,3 +855,12 @@ class ClusterGateway:
                    if self.rx_buffers[src].fifo[0][0].dst % self._cores == slot)
             for slot in range(self._cores)
         ])
+
+
+# The per-cycle dispatch in ``ClusterGateway.tick`` reads the FSM's states
+# as module globals: a cheaper lookup, made every cycle, than an
+# instance's class attribute.
+_IDLE, _RESERVING, _STREAMING, _BACKOFF = (
+    ClusterGateway.IDLE, ClusterGateway.RESERVING,
+    ClusterGateway.STREAMING, ClusterGateway.BACKOFF,
+)

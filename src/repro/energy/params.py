@@ -36,10 +36,11 @@ TUNING_MW_PER_NM = 2.4
 ELECTRICAL_WIRE_PJ_PER_BIT_MM = 0.15
 
 #: Retention divisor: a buffered flit leaks E_buffer/RETENTION_DIVISOR per
-#: bit per cycle of residence. This is the model choice (DESIGN.md sec. 4)
-#: that makes congestion raise packet energy, per thesis 3.4.1.2 ("flits
-#: occupy the buffers ... the photonic buffer energy is lesser in case of
-#: d-HetPNoC"). 64 cycles of residence costs one extra buffer access.
+#: bit per cycle of residence. This is the model choice (docs/engine.md,
+#: "The photonic gateway", charging rules) that makes congestion raise
+#: packet energy, per thesis 3.4.1.2 ("flits occupy the buffers ... the
+#: photonic buffer energy is lesser in case of d-HetPNoC"). 64 cycles of
+#: residence costs one extra buffer access.
 RETENTION_DIVISOR = 64.0
 
 

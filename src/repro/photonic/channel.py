@@ -198,10 +198,6 @@ class DataChannel:
                 self._active = None
         return done
 
-    def abort(self) -> None:
-        """Drop the active transmission (used only by failure-injection tests)."""
-        self._active = None
-
     def reset_stats(self) -> None:
         self.busy_cycles = 0
         self.stalled_cycles = 0

@@ -5,7 +5,7 @@ import pytest
 from repro.arch.config import SystemConfig
 from repro.arch.firefly import FireflyNoC
 from repro.noc.flit import Packet
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.traffic.bandwidth_sets import BW_SET_1
 
 
@@ -37,6 +37,19 @@ class TestSubmission:
         sim, noc = make_noc(max_pending_packets_per_core=1)
         assert noc.submit(packet(src=0, dst=8))
         assert noc.submit(packet(src=1, dst=8))  # different core, same cluster
+
+    def test_a_run_keeps_its_first_flit_width(self):
+        """Every per-flit charge inside the fabric is counted with the
+        run's one width, so a packet of another width is refused loudly
+        (inter- or intra-cluster, before anything is queued)."""
+        sim, noc = make_noc()
+        assert noc.submit(packet(src=0, dst=8))
+        for dst in (12, 5):
+            wide = Packet(src=4, dst=dst, n_flits=16, flit_bits=128)
+            with pytest.raises(SimulationError, match="128-bit flit in a run of 32-bit"):
+                noc.submit(wide)
+        assert noc.metrics.packets_accepted == 1
+        assert noc.flits_in_system() == 64
 
     def test_intra_cluster_bypasses_photonics(self):
         sim, noc = make_noc()

@@ -21,7 +21,12 @@ point never takes --
     a different addend interleaves into ``buffer_pj``;
 ``fault_storm``
     wavelength deaths clamp the current table from outside the token
-    pass, the token then re-acquires from the free pool.
+    pass, the token then re-acquires from the free pool;
+``traffic_bw_set_2``
+    an explicit config that keeps BW set 1 (queue target, reception
+    window and retention width) under BW set 2's 128-bit flits, as
+    ``Session(config=...)`` runs one: the per-flit buffer and router
+    charges must use the traffic's width.
 
 Each case also pins, in a row of its own (``<case>:rx_end``), every
 gateway's end-state receive side: flits reserved but not yet arrived
@@ -77,7 +82,12 @@ DRIVEN_CASES = {
     "intra_heavy-firefly": ("firefly", 0.6, 0.0, {}),
 }
 FAULT_CASE = "fault_storm-dhetpnoc"
-ALL_CASES = (*GENERATED_CASES, *DRIVEN_CASES, FAULT_CASE)
+#: name -> (arch, traffic's bw set, offered Gb/s, cycles, reset) under a
+#: config on BW set 1.
+MISMATCHED_CASES = {
+    "traffic_bw_set_2-firefly": ("firefly", 2, 600.0, 500, 100),
+}
+ALL_CASES = (*GENERATED_CASES, *DRIVEN_CASES, FAULT_CASE, *MISMATCHED_CASES)
 RX_END = ":rx_end"
 
 #: Cycles at which the fault case snapshots clusters 0 and 1's current
@@ -169,9 +179,18 @@ def observe_arch(arch) -> dict:
 
 
 def observe_generated(case: str) -> dict:
-    arch_name, bw_index, offered, total, reset = GENERATED_CASES[case]
-    streams = RandomStreams(1)
-    sim, config, pattern, arch = _build(arch_name, bw_index, streams, None)
+    if case in MISMATCHED_CASES:
+        arch_name, traffic_index, offered, total, reset = MISMATCHED_CASES[case]
+        streams = RandomStreams(1)
+        pattern = pattern_by_name("skewed3").bind(
+            bandwidth_set_by_index(traffic_index), 16, 4,
+            streams.get("placement"),
+        )
+        sim, config, pattern, arch = _build(arch_name, 1, streams, pattern)
+    else:
+        arch_name, bw_index, offered, total, reset = GENERATED_CASES[case]
+        streams = RandomStreams(1)
+        sim, config, pattern, arch = _build(arch_name, bw_index, streams, None)
     generator = TrafficGenerator.for_offered_gbps(
         pattern, offered, streams.get("traffic"), arch.submit, config.clock_hz
     )
@@ -239,7 +258,7 @@ def observe_fault_storm() -> dict:
 
 
 def observe_case(case: str) -> dict:
-    if case in GENERATED_CASES:
+    if case in GENERATED_CASES or case in MISMATCHED_CASES:
         return observe_generated(case)
     if case in DRIVEN_CASES:
         return observe_driven(case)

@@ -167,18 +167,45 @@ def _tail_leaving_rx_ready_stale(original):
     return mutant
 
 
-@pytest.mark.parametrize("method,mutate,counter", [
-    ("_tx_stream", _launch_skipping_dst_held, "_held"),
-    ("_eject_step", _tail_leaving_rx_ready_stale, "_rx_ready"),
+def _fill_completion_skipped(original):
+    def mutant(self, cycle):
+        if any(port.fill_end == cycle for port in self.inputs):
+            return  # the stage skips the cycle a fill's tail enters in
+        original(self, cycle)
+    return mutant
+
+
+def _open_fill_total_drifting(original):
+    def mutant(self, cycle):
+        original(self, cycle)
+        self.arch._filling += 1  # the fabric counts a fill nobody opened
+    return mutant
+
+
+@pytest.mark.parametrize("method,mutate,law", [
+    pytest.param("_tx_stream", _launch_skipping_dst_held,
+                 r"gateway \d+: _held is",
+                 id="_tx_stream-_launch_skipping_dst_held-_held"),
+    pytest.param("_eject_step", _tail_leaving_rx_ready_stale,
+                 r"gateway \d+: _rx_ready is",
+                 id="_eject_step-_tail_leaving_rx_ready_stale-_rx_ready"),
+    pytest.param("_inject_step", _fill_completion_skipped,
+                 r"gateway \d+: inputs\[\d+\]\.fill_end is \d+, its tail was due",
+                 id="fill-completion-skipped"),
+    pytest.param("_inject_step", _open_fill_total_drifting,
+                 r"d-hetpnoc: _filling is \d+, the gateways' open fills give",
+                 id="open-fill-total-drifting"),
 ])
 def test_gateway_audit_catches_a_planted_fault(monkeypatch, method, mutate,
-                                                counter):
+                                                law):
     """Each planted fault is named by ``audit`` within 50 cycles.
 
     Three clusters each queue a packet for core 0 and then one for core
     1 (8 x 256-bit flits): the three share core 0's ejection, so each
     source's second packet lands behind its first, and the first's tail
     leaving must move the source to core 1's ready set (cycle ~33).
+    Each packet fills its VC over 8 cycles, so fills open and close
+    from the first cycle.
     """
     from repro.arch.photonic_router import ClusterGateway
     from repro.arch.registry import architectures
@@ -200,7 +227,7 @@ def test_gateway_audit_catches_a_planted_fault(monkeypatch, method, mutate,
                                n_flits=BW_SET_3.packet_flits,
                                flit_bits=BW_SET_3.flit_bits))
     arch.add_tick_hook(lambda cycle: arch.audit())
-    with pytest.raises(SimulationError, match=rf"gateway \d+: {counter} is"):
+    with pytest.raises(SimulationError, match=law):
         sim.run(50)
 
 

@@ -94,7 +94,7 @@ class TestDataChannel:
         channel.begin(make_reservation(8), 8, 32, 16, 0)
         assert (channel.active.per_cycle, channel.active.queue_target) == (80.0, 4)
         assert channel.wanted_flits() == 4
-        channel.abort()
+        channel = DataChannel(owner_cluster=0)
         fast = transmit_fully(channel, make_flits(8), n_wavelengths=16)
         assert fast[-1] == 3  # 256 bits at 80 bits/cycle
         slow = transmit_fully(channel, make_flits(8), n_wavelengths=1)
@@ -131,12 +131,6 @@ class TestDataChannel:
     def test_zero_wavelengths_rejected(self):
         with pytest.raises(ChannelError):
             DataChannel(0).begin(make_reservation(4), 4, 32, 0, 0)
-
-    def test_abort_clears(self):
-        channel = DataChannel(0)
-        channel.begin(make_reservation(4), 4, 32, 4, 0)
-        channel.abort()
-        assert not channel.busy
 
     def test_reset_stats(self):
         channel = DataChannel(0)

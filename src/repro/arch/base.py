@@ -1,10 +1,10 @@
 """The architecture shell and the crossbar PNoC fabric under it.
 
 :class:`NoCArchitecture` is what a run drives, whatever carries the
-flits: the traffic source and tick hooks, the per-cycle order (cycle
-stamp -> hooks -> source -> fabric -> one measured cycle), quiescence
-for the engine's fast path, delivery accounting, the warm-up reset and
-the energy report. Two fabrics sit under it: the photonic crossbar here
+flits: the traffic source, the per-cycle order (cycle stamp -> source
+-> fabric -> one measured cycle), quiescence for the engine's fast
+path, delivery accounting, the warm-up reset and the energy report.
+Two fabrics sit under it: the photonic crossbar here
 (:class:`PhotonicCrossbarNoC`, shared by Firefly and d-HetPNoC) and the
 chapter-1 electrical mesh
 (:class:`~repro.arch.electrical_baseline.ElectricalMeshNoC`), which the
@@ -95,7 +95,6 @@ class NoCArchitecture(ClockedComponent):
         self.metrics = ArchMetrics()
         self.current_cycle = 0
         self._generator = None
-        self._tick_hooks: List = []
         sim.register(self)
 
     # ------------------------------------------------------------------
@@ -156,31 +155,18 @@ class NoCArchitecture(ClockedComponent):
         it would desynchronise its random stream."""
         self._generator = generator
 
-    def add_tick_hook(self, hook) -> None:
-        """Register a callable(cycle) run at the start of every cycle
-        (used by trace replay and failure injection)."""
-        self._tick_hooks.append(hook)
-
     # ------------------------------------------------------------------
     # Simulation
     # ------------------------------------------------------------------
     def tick(self, cycle: int) -> None:
         self.current_cycle = cycle
-        for hook in self._tick_hooks:
-            hook(cycle)
         if self._generator is not None:
             self._generator.tick(cycle)
         self.tick_fabric(cycle)
         self.metrics.measured_cycles += 1
 
     def is_idle(self) -> bool:
-        """Whole-architecture quiescence for the engine's fast path.
-
-        Tick hooks run unconditionally (they may mutate anything), so any
-        registered hook pins the architecture active.
-        """
-        if self._tick_hooks:
-            return False
+        """Whole-architecture quiescence for the engine's fast path."""
         if self._generator is not None and not self._generator.is_idle():
             return False
         return self.fabric_is_idle()

@@ -90,18 +90,10 @@ class SystemConfig:
     def firefly_channel_wavelengths(self) -> int:
         return self.bw_set.total_wavelengths // self.n_clusters
 
-    @property
-    def total_reserved_wavelengths(self) -> int:
-        """N_lambdaR of eq. (1)."""
-        return self.reserved_wavelengths_per_cluster * self.n_clusters
-
     def cluster_of(self, core: int) -> int:
         if not 0 <= core < self.n_cores:
             raise ValueError(f"core {core} out of range")
         return core // self.cores_per_cluster
-
-    def core_slot(self, core: int) -> int:
-        return core % self.cores_per_cluster
 
 
 #: Simulation schedule of table 3-3.

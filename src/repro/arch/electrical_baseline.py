@@ -132,7 +132,3 @@ class ElectricalMeshNoC(NoCArchitecture):
             for ep in self.network.endpoints.values()
         )
         return total
-
-    def mean_hop_count(self) -> float:
-        """Average XY hop count of the mesh (for energy sanity checks)."""
-        return self.network.topology.average_hop_count()

@@ -121,8 +121,3 @@ class FaultInjector:
             self.blackouts.pop(cluster, None)
 
         sim.schedule(duration_cycles, restore)
-
-    # ------------------------------------------------------------------
-    @property
-    def pool_shrinkage(self) -> int:
-        return len(self.dead_wavelengths)

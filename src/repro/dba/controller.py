@@ -74,9 +74,6 @@ class DBAController:
     def wavelengths_for(self, dst_cluster: int) -> List[WavelengthId]:
         return self.current_table.wavelengths_for(dst_cluster)
 
-    def allocation_for(self, dst_cluster: int) -> int:
-        return max(1, self.current_table.allocation(dst_cluster))
-
     @property
     def held_count(self) -> int:
         return self.current_table.held_count

@@ -58,12 +58,6 @@ class DemandTable:
         self._validate_dst(dst_cluster)
         return self._demand[dst_cluster]
 
-    def destinations(self) -> Iterable[int]:
-        return self._demand.keys()
-
-    def as_dict(self) -> Dict[int, int]:
-        return dict(self._demand)
-
     def _validate_dst(self, dst: int) -> None:
         if dst not in self._demand:
             raise TableError(
@@ -107,11 +101,6 @@ class RequestTable:
             )
         self._max = max(self._request.values(), default=0)
         self.version += 1
-
-    def request(self, dst_cluster: int) -> int:
-        if dst_cluster not in self._request:
-            raise TableError(f"destination {dst_cluster} invalid")
-        return self._request[dst_cluster]
 
     def max_request(self) -> int:
         """The acquisition target: "The cluster aims to acquire the highest

@@ -106,32 +106,11 @@ class WavelengthToken:
     def size_bits(self) -> int:
         return len(self._order)
 
-    def is_free(self, wid: WavelengthId) -> bool:
-        self._check(wid)
-        return self._owner[wid] is None
-
-    def owner_of(self, wid: WavelengthId) -> Optional[int]:
-        self._check(wid)
-        return self._owner[wid]
-
     def free_wavelengths(self) -> List[WavelengthId]:
         return [w for w in self._order if self._owner[w] is None]
 
     def held_by(self, cluster: int) -> List[WavelengthId]:
         return [w for w in self._order if self._owner[w] == cluster]
-
-    def free_count(self) -> int:
-        return sum(1 for w in self._order if self._owner[w] is None)
-
-    def acquire(self, wid: WavelengthId, cluster: int) -> None:
-        self._check(wid)
-        current = self._owner[wid]
-        if current is not None:
-            raise ValueError(
-                f"wavelength {wid} already allocated to cluster {current}; "
-                f"cluster {cluster} may only take free wavelengths"
-            )
-        self._owner[wid] = cluster
 
     def release(self, wid: WavelengthId, cluster: int) -> None:
         self._check(wid)
@@ -154,14 +133,6 @@ class WavelengthToken:
                 taken.append(wid)
         return taken
 
-    def bitmap(self) -> int:
-        """The physical token word: bit i set => wavelength i allocated."""
-        word = 0
-        for pos, wid in enumerate(self._order):
-            if self._owner[wid] is not None:
-                word |= 1 << pos
-        return word
-
     def retire(self, wid: WavelengthId, cluster: int) -> None:
         """Take *cluster*'s *wid* out of service for good: its bit stays
         allocated, owned by :data:`RETIRED`, so no cluster acquires it
@@ -175,5 +146,6 @@ class WavelengthToken:
 
     def __repr__(self) -> str:
         return (
-            f"WavelengthToken(bits={self.size_bits}, free={self.free_count()})"
+            f"WavelengthToken(bits={self.size_bits}, "
+            f"free={len(self.free_wavelengths())})"
         )

@@ -22,7 +22,6 @@ completely from source to destination at network saturation."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.energy.params import PhotonicEnergyParams
 from repro.photonic.wavelength import bits_per_cycle
@@ -60,17 +59,6 @@ class EnergyBreakdown:
     def total_pj(self) -> float:
         """E_packet of eq. (3), summed over all traffic."""
         return self.photonic_pj + self.electrical_pj
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "launch": self.launch_pj,
-            "modulation": self.modulation_pj,
-            "demodulation": self.demodulation_pj,
-            "tuning": self.tuning_pj,
-            "buffer": self.buffer_pj,
-            "router": self.router_pj,
-            "reservation": self.reservation_pj,
-        }
 
 
 def _negative_bits(bits: float) -> ValueError:

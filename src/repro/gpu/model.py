@@ -17,7 +17,7 @@ two regimes the thesis highlights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.gpu.benchmarks import GPU_BENCHMARKS, GpuBenchmark
 
@@ -76,17 +76,3 @@ class GpuMemoryModel:
         return [
             (b.label, self.speedup_percent(b, flit_bytes)) for b in self.benchmarks
         ]
-
-    def sensitive_benchmarks(self, threshold_percent: float = 5.0) -> List[GpuBenchmark]:
-        """Benchmarks whose speedup exceeds *threshold_percent*."""
-        return [
-            b
-            for b in self.benchmarks
-            if self.speedup_percent(b) > threshold_percent
-        ]
-
-    def flit_size_curve(
-        self, benchmark: GpuBenchmark, sizes: Sequence[int] = (32, 64, 128, 256, 512, 1024)
-    ) -> Dict[int, float]:
-        """Speedup vs flit size for one benchmark (sanity/inspection)."""
-        return {s: self.speedup(benchmark, s) for s in sizes}

@@ -50,6 +50,3 @@ class RoundRobinArbiter:
         winner = (first + steps) % n
         self._next_priority = (winner + 1) % n
         return winner
-
-    def reset(self) -> None:
-        self._next_priority = 0

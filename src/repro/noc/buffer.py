@@ -67,18 +67,8 @@ class VirtualChannelBuffer:
     def __len__(self) -> int:
         return len(self._fifo)
 
-    @property
-    def free_slots(self) -> int:
-        return self.depth - len(self._fifo)
-
-    def is_empty(self) -> bool:
-        return not self._fifo
-
     def is_full(self) -> bool:
         return len(self._fifo) >= self.depth
-
-    def peek(self) -> Optional[Flit]:
-        return self._fifo[0] if self._fifo else None
 
     def push(self, flit: Flit, cycle: int = 0) -> None:
         fifo = self._fifo
@@ -173,19 +163,6 @@ class PortBuffer:
         self._occupied_vcs: Set[int] = set()
         for vc in self.vcs:
             vc._owner = self
-
-    def __getitem__(self, vc: int) -> VirtualChannelBuffer:
-        return self.vcs[vc]
-
-    def __iter__(self):
-        return iter(self.vcs)
-
-    def __len__(self) -> int:
-        return len(self.vcs)
-
-    @property
-    def occupancy(self) -> int:
-        return self._occupancy
 
     def first_free_vc(self) -> Optional[int]:
         """Lowest-numbered VC not owned by a packet (empty and unrouted),

@@ -101,14 +101,6 @@ class Flit:
         self.is_tail = ftype is _TAIL or ftype is _HEAD_TAIL
         self.bits = packet.flit_bits
 
-    @property
-    def src(self) -> int:
-        return self.packet.src
-
-    @property
-    def dst(self) -> int:
-        return self.packet.dst
-
     def __repr__(self) -> str:
         return f"Flit(pid={self.packet.pid}, {self.ftype.value}, seq={self.seq})"
 

@@ -89,11 +89,6 @@ class Topology:
                     frontier.append(nbr)
         return dist
 
-    def average_hop_count(self) -> float:
-        """Mean shortest-path length over all ordered node pairs."""
-        total = sum(sum(self._distances(n).values()) for n in self.nodes())
-        return total / max(1, self.n_nodes * (self.n_nodes - 1))
-
 
 def mesh(width: int, height: int) -> Topology:
     """The CLICHE 2-D mesh of thesis fig. 1-2."""

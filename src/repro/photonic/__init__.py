@@ -3,14 +3,14 @@
 Thesis chapter 2 describes the photonic elements every PNoC is built from:
 micro-ring resonators (MRRs, section 2.1.1), germanium photo-detectors
 (2.1.2), photonic switching elements (2.1.3), laser sources (2.1.4) and
-SOI waveguides (2.1.5). This package models all of them with the cited
-device parameters, plus:
+SOI waveguides (2.1.5). :mod:`repro.photonic.devices` keeps the device
+parameters the loss budget reads, plus:
 
 * :mod:`repro.photonic.wavelength` -- DWDM wavelength identity, spectrum
   allocation (64 wavelengths per waveguide as in Firefly [20]) and the
-  6-bit + waveguide-number identifier encoding of section 3.4.1.1.
-* :mod:`repro.photonic.waveguide` -- waveguides: propagation delay and
-  loss.
+  size of the 6-bit + waveguide-number identifier of section 3.4.1.1,
+  which sizes the reservation flit (the simulator never packs the word).
+* :mod:`repro.photonic.waveguide` -- waveguides: length and loss.
 * :mod:`repro.photonic.channel` -- SWMR data channels and broadcast
   reservation channels (the R-SWMR fabric of Firefly, section 2.2.1).
 * :mod:`repro.photonic.reservation` -- reservation-flit geometry/timing.
@@ -20,7 +20,6 @@ device parameters, plus:
 
 from repro.photonic.devices import (
     LaserSource,
-    MicroRingResonator,
     Modulator,
     PhotoDetector,
     PhotonicSwitchingElement,
@@ -36,8 +35,6 @@ from repro.photonic.waveguide import Waveguide
 from repro.photonic.wavelength import (
     LAMBDA_PER_WAVEGUIDE,
     WavelengthId,
-    decode_identifiers,
-    encode_identifiers,
     identifier_bits,
 )
 
@@ -46,7 +43,6 @@ __all__ = [
     "InsertionLossBudget",
     "LAMBDA_PER_WAVEGUIDE",
     "LaserSource",
-    "MicroRingResonator",
     "Modulator",
     "PathLoss",
     "PhotoDetector",
@@ -55,8 +51,6 @@ __all__ = [
     "ReservationFlit",
     "Waveguide",
     "WavelengthId",
-    "decode_identifiers",
-    "encode_identifiers",
     "identifier_bits",
     "reservation_flit_bits",
     "reservation_serialization_cycles",

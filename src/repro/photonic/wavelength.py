@@ -1,18 +1,18 @@
-"""DWDM wavelength identity and identifier encoding.
+"""DWDM wavelength identity and identifier size.
 
 "The maximum number of wavelengths that can be accommodated in a single
 waveguide is considered to be 64 as in [20]" (thesis 3.4.1). Wavelength
 identifiers piggybacked on reservation flits are "6 bits, which denote the
 binary encoded wavelength number (out of 64 per waveguide)" plus, when more
 than one data waveguide exists, a binary waveguide number (3 bits for the
-8-waveguide BW set 3 case) -- section 3.4.1.1.
+8-waveguide BW set 3 case) -- section 3.4.1.1. The simulator sizes the
+reservation flit from :func:`identifier_bits`; it never packs the word.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
 
 #: DWDM channels per waveguide (Firefly [20], thesis 3.4.1).
 LAMBDA_PER_WAVEGUIDE = 64
@@ -27,8 +27,6 @@ def n_data_waveguides(total_wavelengths: int, lambda_w: int = LAMBDA_PER_WAVEGUI
 
 #: Per-wavelength modulation rate demonstrated in [28] (thesis 3.4.1).
 WAVELENGTH_RATE_GBPS = 12.5
-
-SPEED_OF_LIGHT_M_S = 299_792_458.0
 
 
 @dataclass(frozen=True, order=True)
@@ -75,38 +73,6 @@ def waveguide_number_bits(n_waveguides: int) -> int:
 def identifier_bits(n_waveguides: int) -> int:
     """Size of one wavelength identifier in bits (6 + waveguide bits)."""
     return 6 + waveguide_number_bits(n_waveguides)
-
-
-def encode_identifiers(ids: Sequence[WavelengthId], n_waveguides: int) -> int:
-    """Pack identifiers into one integer (MSB-first), as on the reservation flit.
-
-    >>> ids = [WavelengthId(0, 3), WavelengthId(0, 5)]
-    >>> encode_identifiers(ids, 1) == (3 << 6) | 5
-    True
-    """
-    bits_per_id = identifier_bits(n_waveguides)
-    wg_bits = waveguide_number_bits(n_waveguides)
-    word = 0
-    for wid in ids:
-        if wid.waveguide >= n_waveguides:
-            raise ValueError(
-                f"waveguide {wid.waveguide} out of range for {n_waveguides} waveguides"
-            )
-        encoded = (wid.waveguide << 6) | wid.index if wg_bits else wid.index
-        word = (word << bits_per_id) | encoded
-    return word
-
-
-def decode_identifiers(word: int, count: int, n_waveguides: int) -> List[WavelengthId]:
-    """Inverse of :func:`encode_identifiers`."""
-    bits_per_id = identifier_bits(n_waveguides)
-    mask = (1 << bits_per_id) - 1
-    out: List[WavelengthId] = []
-    for pos in range(count):
-        shift = (count - 1 - pos) * bits_per_id
-        encoded = (word >> shift) & mask
-        out.append(WavelengthId(encoded >> 6, encoded & 0x3F))
-    return out
 
 
 def wavelengths_for_bandwidth(bandwidth_gbps: float) -> int:

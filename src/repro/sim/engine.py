@@ -158,24 +158,12 @@ class Simulator:
         self._components.append(component)
         return component
 
-    @property
-    def components(self) -> tuple:
-        return tuple(self._components)
-
     def schedule(self, delay_cycles: int, callback: Callable[[], None]) -> None:
         """Run *callback* at ``cycle + delay_cycles`` before components tick."""
         if delay_cycles < 0:
             raise SimulationError(f"delay_cycles must be >= 0, got {delay_cycles}")
         when = self.cycle + int(delay_cycles)
         heapq.heappush(self._event_heap, (when, next(self._event_counter), callback))
-
-    def schedule_at(self, cycle: int, callback: Callable[[], None]) -> None:
-        """Run *callback* at absolute cycle *cycle* (must not be in the past)."""
-        if cycle < self.cycle:
-            raise SimulationError(
-                f"cannot schedule at cycle {cycle}; current cycle is {self.cycle}"
-            )
-        heapq.heappush(self._event_heap, (int(cycle), next(self._event_counter), callback))
 
     # ------------------------------------------------------------------
     # Execution

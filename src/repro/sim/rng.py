@@ -52,14 +52,3 @@ class RandomStreams:
             stream = random.Random(derive_seed(self.master_seed, name))
             self._streams[name] = stream
         return stream
-
-    def fork(self, name: str) -> "RandomStreams":
-        """Return a new :class:`RandomStreams` seeded from this one's seed and *name*.
-
-        Useful to give each experiment replica its own independent universe
-        of streams.
-        """
-        return RandomStreams(derive_seed(self.master_seed, name))
-
-    def names(self) -> tuple:
-        return tuple(sorted(self._streams))

@@ -14,23 +14,20 @@ from typing import List, Tuple
 
 
 class RunningMean:
-    """Streaming mean/variance (Welford) without storing samples."""
+    """Streaming mean (Welford's update) without storing samples."""
 
-    __slots__ = ("name", "count", "_mean", "_m2", "min", "max")
+    __slots__ = ("name", "count", "_mean", "min", "max")
 
     def __init__(self, name: str = "mean"):
         self.name = name
         self.count = 0
         self._mean = 0.0
-        self._m2 = 0.0
         self.min = math.inf
         self.max = -math.inf
 
     def add(self, value: float) -> None:
         self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
+        self._mean += (value - self._mean) / self.count
         if value < self.min:
             self.min = value
         if value > self.max:
@@ -40,18 +37,9 @@ class RunningMean:
     def mean(self) -> float:
         return self._mean if self.count else 0.0
 
-    @property
-    def variance(self) -> float:
-        return self._m2 / (self.count - 1) if self.count > 1 else 0.0
-
-    @property
-    def stdev(self) -> float:
-        return math.sqrt(self.variance)
-
     def reset(self) -> None:
         self.count = 0
         self._mean = 0.0
-        self._m2 = 0.0
         self.min = math.inf
         self.max = -math.inf
 

@@ -16,7 +16,7 @@ to the per-channel maximum (8 / 32 / 64 wavelengths -- table 3-3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.api.base import Registry
 from repro.photonic.wavelength import (
@@ -70,14 +70,6 @@ class BandwidthSet:
     def class_wavelengths(self, class_index: int) -> int:
         """Wavelengths demanded by class *class_index* (bandwidth / 12.5)."""
         return wavelengths_for_bandwidth(self.class_gbps[class_index])
-
-    def wavelengths_per_class(self) -> List[int]:
-        return [self.class_wavelengths(i) for i in range(self.n_classes)]
-
-    @property
-    def uniform_class_gbps(self) -> float:
-        """Per-channel bandwidth under a uniform split (for uniform traffic)."""
-        return self.firefly_lambda_per_channel * WAVELENGTH_RATE_GBPS
 
     def __str__(self) -> str:
         rates = "/".join(f"{g:g}" for g in self.class_gbps)

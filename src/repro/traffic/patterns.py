@@ -267,9 +267,6 @@ class RealApplicationTraffic(TrafficPattern):
         self._base_intensity = dict(self._intensity)
         self._total_intensity = sum(self._intensity.values())
 
-    def app_of_cluster(self, cluster: int) -> Optional[str]:
-        return self.cluster_app.get(cluster)
-
     def scale_intensities(self, mix: Dict[str, float]) -> None:
         """Set each app's traffic intensity to ``profile * mix.get(app, 1)``.
 

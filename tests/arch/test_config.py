@@ -34,7 +34,6 @@ class TestDerived:
         config = SystemConfig()
         assert config.cluster_of(0) == 0
         assert config.cluster_of(63) == 15
-        assert config.core_slot(5) == 1
 
     def test_cluster_of_out_of_range(self):
         with pytest.raises(ValueError):
@@ -44,9 +43,6 @@ class TestDerived:
         assert SystemConfig(bw_set=BW_SET_1).firefly_channel_wavelengths == 4
         assert SystemConfig(bw_set=BW_SET_2).firefly_channel_wavelengths == 16
         assert SystemConfig(bw_set=BW_SET_3).firefly_channel_wavelengths == 32
-
-    def test_reserved_total_is_n_lambda_r(self):
-        assert SystemConfig().total_reserved_wavelengths == 16
 
     def test_rx_buffer_flits(self):
         config = SystemConfig(bw_set=BW_SET_1, rx_buffer_packets=4)

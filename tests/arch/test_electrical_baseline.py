@@ -111,8 +111,3 @@ class TestElectricalMesh:
         _sim, noc = build_mesh()
         assert noc.lit_wavelengths() == 0
         assert noc.laser_power_mw() == 0.0
-
-    def test_mean_hop_count(self):
-        _sim, noc = build_mesh()
-        # 8x8 mesh: mean Manhattan distance = 2*(side^2-1)/(3*side) ~ 5.33.
-        assert noc.mean_hop_count() == pytest.approx(16 / 3, rel=0.02)

@@ -56,6 +56,7 @@ from repro.scenarios.library import build_scenario
 from repro.scenarios.player import ScenarioPlayer, initial_pattern
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+from repro.sim.stats import RunningMean
 from repro.traffic.bandwidth_sets import bandwidth_set_by_index
 from repro.traffic.generator import TrafficGenerator
 from repro.traffic.patterns import pattern_by_name
@@ -97,6 +98,26 @@ FAULT_TOTAL, FAULT_RESET = 800, 100
 FAULT_SNAPSHOTS = (400, 401, 440, 451, 480, 520, 640, 800)
 
 
+class WelfordMean(RunningMean):
+    """``ArchMetrics.latency`` plus Welford's sum of squared deviations,
+    which depends on the order samples arrive in: the golden pins it."""
+
+    __slots__ = ("_m2",)
+
+    def __init__(self, name: str = "latency"):
+        super().__init__(name)
+        self._m2 = 0.0
+
+    def add(self, value: float) -> None:
+        delta = value - self._mean
+        super().add(value)
+        self._m2 += delta * (value - self._mean)
+
+    def reset(self) -> None:
+        super().reset()
+        self._m2 = 0.0
+
+
 def _build(arch_name, bw_index, streams, pattern, **overrides):
     bw_set = bandwidth_set_by_index(bw_index)
     config = SystemConfig(bw_set=bw_set, **overrides)
@@ -106,7 +127,9 @@ def _build(arch_name, bw_index, streams, pattern, **overrides):
             bw_set, config.n_clusters, config.cores_per_cluster,
             streams.get("placement"),
         )
-    return sim, config, pattern, architectures.get(arch_name)(sim, config, pattern)
+    arch = architectures.get(arch_name)(sim, config, pattern)
+    arch.metrics.latency = WelfordMean()
+    return sim, config, pattern, arch
 
 
 def observe_rx_end(arch) -> dict:
@@ -118,6 +141,19 @@ def observe_rx_end(arch) -> dict:
             "occupancy": [len(g.rx_buffers[src]) for src in sorted(g.rx_buffers)],
         }
         for g in arch.gateways
+    }
+
+
+def energy_row(breakdown) -> dict:
+    """The energy breakdown's components, in the golden's order."""
+    return {
+        "launch": breakdown.launch_pj,
+        "modulation": breakdown.modulation_pj,
+        "demodulation": breakdown.demodulation_pj,
+        "tuning": breakdown.tuning_pj,
+        "buffer": breakdown.buffer_pj,
+        "router": breakdown.router_pj,
+        "reservation": breakdown.reservation_pj,
     }
 
 
@@ -136,7 +172,7 @@ def observe_arch(arch) -> dict:
         "metrics": metrics,
         # Welford's m2 depends on the order samples arrive in.
         "latency": [latency.count, latency.mean, latency._m2],
-        "energy": arch.energy.breakdown.as_dict(),
+        "energy": energy_row(arch.energy.breakdown),
         "messages_delivered": arch.energy.messages_delivered,
         "flits_in_system": arch.flits_in_system(),
         "gateways": {
@@ -252,7 +288,7 @@ def observe_fault_storm() -> dict:
     player.finish(FAULT_TOTAL)
     seen = observe_arch(arch)
     seen["tables_over_time"] = tables
-    seen["dead_wavelengths"] = player._injector.pool_shrinkage
+    seen["dead_wavelengths"] = len(player._injector.dead_wavelengths)
     seen["faults_skipped"] = player.faults_skipped
     return seen
 

@@ -54,33 +54,31 @@ def pool(n=16):
 class TestWavelengthToken:
     def test_all_free_initially(self):
         token = WavelengthToken(pool())
-        assert token.free_count() == 16
-        assert token.bitmap() == 0
+        assert token.free_wavelengths() == pool()
 
     def test_acquire_marks_owner(self):
         token = WavelengthToken(pool())
-        wid = WavelengthId(0, 3)
-        token.acquire(wid, cluster=5)
-        assert token.owner_of(wid) == 5
-        assert not token.is_free(wid)
+        wid = WavelengthId(0, 0)
+        assert token.acquire_up_to(1, cluster=5) == [wid]
+        assert token.held_by(5) == [wid]
+        assert wid not in token.free_wavelengths()
 
     def test_double_acquire_rejected(self):
         """The exact hazard the token prevents: 'reusing already allocated
         wavelengths within a single waveguide'."""
         token = WavelengthToken(pool())
-        wid = WavelengthId(0, 3)
-        token.acquire(wid, cluster=5)
-        with pytest.raises(ValueError):
-            token.acquire(wid, cluster=6)
+        token.acquire_up_to(16, cluster=5)
+        assert token.acquire_up_to(1, cluster=6) == []
+        assert token.held_by(6) == []
 
     def test_release_requires_owner(self):
         token = WavelengthToken(pool())
         wid = WavelengthId(0, 3)
-        token.acquire(wid, cluster=5)
+        token.acquire_up_to(4, cluster=5)
         with pytest.raises(ValueError):
             token.release(wid, cluster=6)
         token.release(wid, cluster=5)
-        assert token.is_free(wid)
+        assert wid in token.free_wavelengths()
 
     def test_acquire_up_to_takes_lowest_first(self):
         token = WavelengthToken(pool())
@@ -93,11 +91,6 @@ class TestWavelengthToken:
         taken = token.acquire_up_to(5, cluster=2)
         assert len(taken) == 1
 
-    def test_bitmap_reflects_allocation(self):
-        token = WavelengthToken(pool(4))
-        token.acquire(WavelengthId(0, 1), 9)
-        assert token.bitmap() == 0b0010
-
     def test_held_by(self):
         token = WavelengthToken(pool())
         token.acquire_up_to(2, cluster=3)
@@ -107,9 +100,9 @@ class TestWavelengthToken:
     def test_retired_wavelength_is_held_by_nobody_and_never_freed(self):
         token = WavelengthToken(pool(4))
         first, *rest = pool(4)
-        token.acquire(first, 2)
+        token.acquire_up_to(1, cluster=2)
         token.retire(first, 2)
-        assert token.held_by(2) == [] and not token.is_free(first)
+        assert token.held_by(2) == [] and first not in token.free_wavelengths()
         assert token.acquire_up_to(4, cluster=3) == rest
         with pytest.raises(ValueError):
             token.release(first, 2)
@@ -169,4 +162,4 @@ class TestTokenProperties:
                 for wid in released:
                     token.release(wid, cluster)
                 held[cluster] -= len(released)
-            assert token.free_count() + sum(held.values()) == 32
+            assert len(token.free_wavelengths()) + sum(held.values()) == 32

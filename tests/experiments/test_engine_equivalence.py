@@ -117,6 +117,13 @@ def audited_run(arch_name, bw_set, pattern_name, offered, scenario=None):
     return run.sim, run.arch
 
 
+def step_auditing(sim, arch, cycles):
+    """Step *cycles* cycles, auditing *arch* after each."""
+    for _ in range(cycles):
+        sim.step()
+        arch.audit()
+
+
 @pytest.mark.parametrize("arch,pattern,offered,scenario", CASES)
 def test_audit_holds_on_every_case(arch, pattern, offered, scenario):
     """``arch.audit`` -- on d-HetPNoC the ring law included -- holds all
@@ -139,9 +146,8 @@ def test_gateway_held_counter_matches_enumeration():
     ring law).
     """
     sim, arch = audited_run("dhetpnoc", BW_SET_1, "skewed3", 400.0)
-    arch.add_tick_hook(lambda cycle: arch.audit())
-    sim.run(300)
     arch.audit()
+    step_auditing(sim, arch, 300)
 
 
 def _launch_skipping_dst_held(original):
@@ -226,9 +232,8 @@ def test_gateway_audit_catches_a_planted_fault(monkeypatch, method, mutate,
             arch.submit(Packet(src=4 * cluster, dst=dst,
                                n_flits=BW_SET_3.packet_flits,
                                flit_bits=BW_SET_3.flit_bits))
-    arch.add_tick_hook(lambda cycle: arch.audit())
     with pytest.raises(SimulationError, match=law):
-        sim.run(50)
+        step_auditing(sim, arch, 50)
 
 
 def _release_keeping_one(original):
@@ -267,10 +272,9 @@ def test_ring_audit_catches_a_planted_fault(monkeypatch, owner, method,
     monkeypatch.setattr(owner, method, mutate(getattr(owner, method)))
     for slot in range(arch.config.cores_per_cluster):
         arch.remap_demand(hot, slot, {dst: 0 for dst in range(16) if dst != hot})
-    arch.add_tick_hook(lambda cycle: arch.audit())
     with pytest.raises(SimulationError,
                        match=rf"d-hetpnoc ring: cluster {hot} {law}"):
-        sim.run(50)
+        step_auditing(sim, arch, 50)
 
 
 @pytest.mark.parametrize("bw_set_index", [1])
@@ -282,8 +286,7 @@ def test_mesh_counters_match_enumeration(pattern_name, offered, bw_set_index):
     (``drain`` trusts it), the set of routers holding a flit (only those
     tick), the order of the two due queues for everything in flight and
     ``vc_depth`` slots around every credit loop; it must pass after every
-    cycle. Tick hooks run before the fabric, so the simulator is stepped
-    by hand.
+    cycle, so the simulator is stepped by hand.
 
     BW set 1 only: every set's packet is the same 64 phits on the mesh,
     and the other sets' phit conservation under load is
@@ -347,6 +350,4 @@ def test_mesh_audit_catches_a_planted_fault(monkeypatch, mutate, counter):
     monkeypatch.setattr(ElectricalNetwork, "tick", mutate(ElectricalNetwork.tick))
     sim, arch = audited_run("electrical", BW_SET_1, "skewed3", 600.0)
     with pytest.raises(SimulationError, match=rf"emesh: {counter} is"):
-        for _ in range(50):
-            sim.step()
-            arch.audit()
+        step_auditing(sim, arch, 50)

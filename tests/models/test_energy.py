@@ -147,12 +147,3 @@ class TestEnergyAccount:
             account.charge_demodulators_on(-1, 5)
         with pytest.raises(ValueError):
             account.charge_buffer_retention(32, -1)
-
-    def test_breakdown_as_dict(self):
-        account = EnergyAccount()
-        account.charge_photonic_transmit(10)
-        d = account.breakdown.as_dict()
-        assert set(d) == {
-            "launch", "modulation", "demodulation", "tuning", "buffer",
-            "router", "reservation",
-        }

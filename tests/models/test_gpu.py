@@ -72,7 +72,9 @@ class TestBenchmarkPopulation:
 
     def test_mum_and_bfs_are_the_sensitive_ones(self):
         model = GpuMemoryModel()
-        sensitive = {b.name for b in model.sensitive_benchmarks(threshold_percent=20)}
+        sensitive = {
+            b.name for b in GPU_BENCHMARKS if model.speedup_percent(b) > 20
+        }
         assert sensitive == {"MUM", "BFS"}
 
     def test_labels_encode_suite_case(self):
@@ -88,7 +90,7 @@ class TestBenchmarkPopulation:
     def test_flit_size_curve(self):
         model = GpuMemoryModel()
         mum = next(b for b in GPU_BENCHMARKS if b.name == "MUM")
-        curve = model.flit_size_curve(mum)
+        curve = {size: model.speedup(mum, size) for size in (32, 256, 1024)}
         assert curve[32] == pytest.approx(1.0)
         assert curve[1024] > curve[256] > curve[32]
 

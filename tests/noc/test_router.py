@@ -136,7 +136,7 @@ class TestTwoRouterCreditFlow:
         self.inject(1)
         self.run(1)  # injected and forwarded by A in cycle 0
         assert [due for due, _, _, _ in self.net._flits_due] == [1]
-        assert self.b.inputs[0].occupancy == 0
+        assert self.b.inputs[0]._occupancy == 0
         self.run(1)  # lands at the top of cycle 1; B ejects it at once
         assert not self.net._flits_due
         assert len(self.delivered) == 1

@@ -38,9 +38,6 @@ class TestTopologyApi:
         with pytest.raises(TopologyError):
             topo.port_of(0, 8)
 
-    def test_average_hop_count(self):
-        assert mesh(2, 2).average_hop_count() == pytest.approx(4 / 3)
-
     def test_disconnected_rejected(self):
         with pytest.raises(TopologyError):
             Topology("broken", [(0, 1)], n_nodes=3)
@@ -51,4 +48,7 @@ class TestTopologyApi:
         graph = nx.Graph(topo.edges)
         assert sorted(graph.nodes) == topo.nodes()
         assert nx.is_connected(graph)
-        assert topo.average_hop_count() == nx.average_shortest_path_length(graph)
+        for node in topo.nodes():
+            assert topo._distances(node) == nx.single_source_shortest_path_length(
+                graph, node
+            )

@@ -136,7 +136,7 @@ class TestEndOfRunBoundary:
             ]
         return [
             vc for router in arch.network.routers.values()
-            for port in router.inputs for vc in port
+            for port in router.inputs for vc in port.vcs
         ]
 
     @pytest.mark.parametrize("arch_name", ["dhetpnoc", "electrical"])
@@ -144,18 +144,18 @@ class TestEndOfRunBoundary:
         fidelity = Fidelity("boundary", self.TOTAL, self.RESET, (0.4,))
         run = wire_run(arch_name, BW_SET_1, "skewed3", fidelity, seed=1)
         attach_traffic(run, 480.0, fidelity)
-        arch, vcs = run.arch, self._vcs(run.arch)
+        sim, arch, vcs = run.sim, run.arch, self._vcs(run.arch)
         # A flit pushed in cycle c and popped in cycle d accounts d - c
-        # flit-cycles: it is resident at the *end* of cycles c .. d-1. A
-        # tick hook runs before cycle c's work, so it sees the end of c-1.
+        # flit-cycles: it is resident at the *end* of cycles c .. d-1.
+        # The simulator is stepped, with the warm-up reset where
+        # ``run_with_reset`` makes it, and the buffers enumerated after
+        # each cycle.
         resident_after = {}
-
-        def enumerate_buffers(cycle):
-            resident_after[cycle - 1] = sum(len(vc) for vc in vcs)
-
-        arch.add_tick_hook(enumerate_buffers)
-        run.sim.run_with_reset(self.TOTAL, self.RESET)
-        enumerate_buffers(self.TOTAL)
+        for cycle in range(self.TOTAL):
+            if cycle == self.RESET:
+                sim.reset_all_stats()
+            sim.step()
+            resident_after[cycle] = sum(len(vc) for vc in vcs)
         arch.finalize()
 
         assert arch.metrics.measured_cycles == self.TOTAL - self.RESET

@@ -1,4 +1,4 @@
-"""Tests for wavelength identity, identifiers and WDM spectra."""
+"""Tests for wavelength identity, identifier size and WDM spectra."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,8 +7,6 @@ from repro.photonic.wavelength import (
     LAMBDA_PER_WAVEGUIDE,
     WavelengthId,
     bits_per_cycle,
-    decode_identifiers,
-    encode_identifiers,
     identifier_bits,
     waveguide_number_bits,
     wavelengths_for_bandwidth,
@@ -55,38 +53,6 @@ class TestIdentifierBits:
     def test_invalid(self):
         with pytest.raises(ValueError):
             waveguide_number_bits(0)
-
-
-class TestIdentifierEncoding:
-    def test_doc_example(self):
-        ids = [WavelengthId(0, 3), WavelengthId(0, 5)]
-        assert encode_identifiers(ids, 1) == (3 << 6) | 5
-
-    def test_roundtrip_single_waveguide(self):
-        ids = [WavelengthId(0, i) for i in (0, 7, 63)]
-        word = encode_identifiers(ids, 1)
-        assert decode_identifiers(word, len(ids), 1) == ids
-
-    def test_roundtrip_multi_waveguide(self):
-        ids = [WavelengthId(5, 63), WavelengthId(0, 0), WavelengthId(7, 31)]
-        word = encode_identifiers(ids, 8)
-        assert decode_identifiers(word, len(ids), 8) == ids
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 7), st.integers(0, 63)),
-            min_size=1,
-            max_size=64,
-        )
-    )
-    def test_roundtrip_property(self, raw):
-        ids = [WavelengthId(w, i) for w, i in raw]
-        word = encode_identifiers(ids, 8)
-        assert decode_identifiers(word, len(ids), 8) == ids
-
-    def test_out_of_range_waveguide_rejected(self):
-        with pytest.raises(ValueError):
-            encode_identifiers([WavelengthId(2, 0)], n_waveguides=2)
 
 
 class TestBandwidthMath:

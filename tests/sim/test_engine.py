@@ -112,18 +112,6 @@ class TestEventScheduling:
         sim.run(10)
         assert fired == [0, 2, 4]
 
-    def test_schedule_at_absolute(self, sim):
-        fired = []
-        sim.run(2)
-        sim.schedule_at(5, lambda: fired.append(sim.cycle))
-        sim.run(5)
-        assert fired == [5]
-
-    def test_schedule_at_past_rejected(self, sim):
-        sim.run(5)
-        with pytest.raises(SimulationError):
-            sim.schedule_at(2, lambda: None)
-
     def test_negative_delay_rejected(self, sim):
         with pytest.raises(SimulationError):
             sim.schedule(-1, lambda: None)

@@ -123,7 +123,7 @@ class TestWholeSpanJumps:
         sim = Simulator(fast_path=True)
         probe = sim.register(Probe(idle=True, sleep_after_tick=True))
         for when in (3, 4, 50, 97):
-            sim.schedule_at(when, lambda: setattr(probe, "idle", False))
+            sim.schedule(when, lambda: setattr(probe, "idle", False))
         sim.run(100)
         assert probe.ticks == [3, 4, 50, 97]
         assert probe.covered_cycles() == list(range(100))

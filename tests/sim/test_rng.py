@@ -40,19 +40,3 @@ class TestRandomStreams:
     def test_different_names_differ(self):
         streams = RandomStreams(7)
         assert streams.get("a").random() != streams.get("b").random()
-
-    def test_fork_is_deterministic(self):
-        a = RandomStreams(5).fork("replica0").get("x").random()
-        b = RandomStreams(5).fork("replica0").get("x").random()
-        assert a == b
-
-    def test_fork_differs_from_parent(self):
-        parent = RandomStreams(5)
-        child = parent.fork("replica0")
-        assert parent.get("x").random() != child.get("x").random()
-
-    def test_names_sorted(self):
-        streams = RandomStreams(1)
-        streams.get("zeta")
-        streams.get("alpha")
-        assert streams.names() == ("alpha", "zeta")

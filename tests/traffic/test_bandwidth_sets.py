@@ -61,15 +61,14 @@ class TestDerivedQuantities:
     def test_class_demands_fit_pool(self, any_bw_set):
         """4 clusters per class: total demand <= total wavelengths, the
         condition under which DBA settles without starvation."""
-        demand = 4 * sum(any_bw_set.wavelengths_per_class())
+        demand = 4 * sum(
+            any_bw_set.class_wavelengths(i) for i in range(any_bw_set.n_classes)
+        )
         assert demand <= any_bw_set.total_wavelengths
 
     def test_aggregate_bandwidth(self):
         assert BW_SET_1.aggregate_gbps == pytest.approx(800.0)
         assert BW_SET_3.aggregate_gbps == pytest.approx(6400.0)
-
-    def test_uniform_class_gbps(self):
-        assert BW_SET_1.uniform_class_gbps == pytest.approx(50.0)
 
     def test_highest_class_equals_dhet_cap(self, any_bw_set):
         assert (

@@ -145,7 +145,7 @@ class TestHotspot:
 class TestRealApplication:
     def test_placement_matches_thesis(self):
         pattern = bind(RealApplicationTraffic())
-        apps = Counter(pattern.app_of_cluster(c) for c in range(12))
+        apps = Counter(pattern.cluster_app.get(c) for c in range(12))
         assert apps == {"MUM": 5, "BFS": 1, "CP": 1, "RAY": 1, "LPS": 4}
         assert pattern.memory_clusters == [12, 13, 14, 15]
 

@@ -55,6 +55,7 @@ import tempfile
 import threading
 import time
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent
@@ -209,9 +210,10 @@ class Census:
         }
 
 
-def run_census(pytest_args, out: Path) -> int:
-    import pytest
-
+@contextmanager
+def traced_children():
+    """Make every Python subprocess started inside the block trace itself
+    and spool what it ran; yields the spool directory."""
     spool = Path(tempfile.mkdtemp(prefix="census-spool-"))
     hook = Path(tempfile.mkdtemp(prefix="census-hook-"))
     (hook / "sitecustomize.py").write_text(
@@ -223,16 +225,23 @@ def run_census(pytest_args, out: Path) -> int:
     )
     sys.path[:0] = [str(SRC), str(ROOT)]
     os.chdir(ROOT)
-    started = time.perf_counter()
     try:
+        yield spool
+    finally:
+        shutil.rmtree(spool, ignore_errors=True)
+        shutil.rmtree(hook, ignore_errors=True)
+
+
+def run_census(pytest_args, out: Path) -> int:
+    import pytest
+
+    started = time.perf_counter()
+    with traced_children() as spool:
         census = Census(spool)
         pytest.main(["-q", "-p", "no:cacheprovider", *pytest_args],
                     plugins=[census])
         census.charge(census.current)  # children that outlived the last test
         report = census.report()
-    finally:
-        shutil.rmtree(spool, ignore_errors=True)
-        shutil.rmtree(hook, ignore_errors=True)
     report["seconds"] = round(time.perf_counter() - started, 1)
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print_summary(report)

@@ -4,8 +4,9 @@
 This is the 5-minute tour of the public API:
 
 1. pick a bandwidth set (table 3-1) and a traffic pattern (table 3-2);
-2. build each architecture on its own simulator;
-3. drive identical offered load through both;
+2. wire each architecture on its own simulator (``wire_run``);
+3. drive identical offered load through both (``attach_traffic``) on
+   the table 3-3 schedule (``PAPER_FIDELITY``);
 4. compare delivered bandwidth, latency and energy per message.
 
 Run:  python examples/quickstart.py [--pattern skewed3] [--load-gbps 500]
@@ -15,46 +16,26 @@ from __future__ import annotations
 
 import argparse
 
-from repro import (
-    BW_SET_1,
-    DHetPNoC,
-    FireflyNoC,
-    RandomStreams,
-    Simulator,
-    SystemConfig,
-    TrafficGenerator,
-    pattern_by_name,
-)
+from repro import BW_SET_1
 from repro.experiments.report import ascii_table, percent_change
+from repro.experiments.runner import PAPER_FIDELITY, attach_traffic, wire_run
+
+#: Display name -> architecture registry name.
+ARCHS = {"Firefly": "firefly", "d-HetPNoC": "dhetpnoc"}
 
 
 def run_architecture(arch_name: str, pattern_name: str, offered_gbps: float, seed: int):
     """Simulate one architecture; returns (metrics row, arch object)."""
-    streams = RandomStreams(seed)
-    config = SystemConfig(bw_set=BW_SET_1)
-    sim = Simulator(clock_hz=config.clock_hz, seed=seed)
-
-    # The pattern must be bound before use: it places application classes
-    # onto clusters (the heterogeneity d-HetPNoC exploits).
-    pattern = pattern_by_name(pattern_name).bind(
-        config.bw_set, config.n_clusters, config.cores_per_cluster,
-        streams.get("placement"),
-    )
-
-    if arch_name == "d-HetPNoC":
-        noc = DHetPNoC(sim, config, pattern=pattern)
-    else:
-        noc = FireflyNoC(sim, config)
-
-    generator = TrafficGenerator.for_offered_gbps(
-        pattern, offered_gbps, streams.get("traffic"), noc.submit, config.clock_hz
-    )
-    noc.attach_generator(generator)
+    # wire_run binds the pattern (placing application classes onto
+    # clusters: the heterogeneity d-HetPNoC exploits) and builds the
+    # architecture from it on its own simulator.
+    run = wire_run(ARCHS[arch_name], BW_SET_1, pattern_name, PAPER_FIDELITY, seed)
+    attach_traffic(run, offered_gbps, PAPER_FIDELITY)
 
     # Table 3-3 schedule: 10 000 cycles, first 1 000 discarded as warm-up.
-    sim.run_with_reset(total_cycles=10_000, reset_cycles=1_000)
-    noc.finalize()
+    run.simulate(PAPER_FIDELITY.total_cycles, PAPER_FIDELITY.reset_cycles)
 
+    noc, config, generator = run.arch, run.config, run.source
     m = noc.metrics
     row = [
         arch_name,

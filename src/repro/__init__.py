@@ -4,25 +4,17 @@ with Dynamic Bandwidth Allocation* (Shah, RIT thesis / IEEE SOCC 2014).
 Public API tour
 ---------------
 
-Build and run the proposed architecture against the baseline::
+Wire and run the proposed architecture on the table 3-3 schedule
+(10 000 cycles, the first 1 000 discarded as warm-up), the way every
+run in this package is wired::
 
-    from repro import (
-        Simulator, SystemConfig, DHetPNoC, FireflyNoC,
-        BW_SET_1, pattern_by_name, TrafficGenerator, RandomStreams,
-    )
+    from repro import BW_SET_1
+    from repro.experiments.runner import PAPER_FIDELITY, attach_traffic, wire_run
 
-    streams = RandomStreams(seed=1)
-    sim = Simulator(seed=1)
-    config = SystemConfig(bw_set=BW_SET_1)
-    pattern = pattern_by_name("skewed3").bind(
-        config.bw_set, rng=streams.get("placement"))
-    noc = DHetPNoC(sim, config, pattern=pattern)
-    gen = TrafficGenerator.for_offered_gbps(
-        pattern, 400.0, streams.get("traffic"), noc.submit)
-    noc.attach_generator(gen)
-    sim.run_with_reset(total_cycles=10_000, reset_cycles=1_000)
-    noc.finalize()
-    print(noc.metrics.delivered_gbps(config.clock_hz), "Gb/s")
+    run = wire_run("dhetpnoc", BW_SET_1, "skewed3", PAPER_FIDELITY, seed=1)
+    attach_traffic(run, 400.0, PAPER_FIDELITY)
+    run.simulate(PAPER_FIDELITY.total_cycles, PAPER_FIDELITY.reset_cycles)
+    print(run.arch.metrics.delivered_gbps(run.config.clock_hz), "Gb/s")
 
 Or drive everything through the declarative API (see ``docs/api.md``)::
 

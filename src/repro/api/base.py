@@ -21,7 +21,7 @@ architecture table — can build on it without import cycles.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, Hashable, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 __all__ = ["Registry", "RegistryError", "canonical_json", "lazy_exports"]
 
@@ -187,10 +187,6 @@ class Registry:
         are open-ended and not listed)."""
         return tuple(self._entries)
 
-    def items(self) -> Tuple[Tuple[Hashable, Any], ...]:
-        """``(name, entry)`` pairs in registration order."""
-        return tuple(self._entries.items())
-
     def _known(self) -> str:
         return ", ".join(repr(n) for n in self._entries)
 
@@ -203,12 +199,6 @@ class Registry:
             return self._resolver(name) is not None
         except Exception:
             return False
-
-    def __iter__(self) -> Iterator[Hashable]:
-        return iter(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Registry({self.kind!r}, {list(self._entries)!r})"

@@ -27,7 +27,7 @@ def register(sub) -> None:
         help="host the coordinator: work queue, retries and the "
         "authoritative result store",
     )
-    add_daemon_options(serve, 7023, "coordinator", ("memory", "remote"))
+    add_daemon_options(serve, 7023, "coordinator")
     serve.add_argument(
         "--lease-size", type=int, default=2, metavar="N",
         help="points leased to a worker per request (default: 2)",
@@ -64,7 +64,7 @@ def register(sub) -> None:
         "accepts spec submissions as jobs and streams results back "
         "(see docs/service.md)",
     )
-    add_daemon_options(serve, 7123, "service", ("memory",))
+    add_daemon_options(serve, 7123, "service")
     serve.add_argument(
         "--workers", type=lambda value: _workers(value, 0), default=1,
         help="local simulation lanes shared by every job (default: 1; 0 "
@@ -128,12 +128,16 @@ def register(sub) -> None:
 # Daemons and workers
 # ---------------------------------------------------------------------------
 
-def _log_to_stderr() -> None:
+def _as_daemon() -> None:
+    """Log to stderr, and stop on SIGTERM the way Ctrl-C stops: as a
+    ``KeyboardInterrupt``, which a server and a worker end cleanly on."""
     import logging
+    import signal
 
     logging.basicConfig(
         level=logging.INFO, format="%(asctime)s %(levelname)s %(message)s"
     )
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
 
 
 def _host(daemon, what: str, owner: str, args) -> None:
@@ -148,7 +152,7 @@ def _fabric_serve(args) -> None:
     from repro.experiments.store import open_store
     from repro.fabric.coordinator import Coordinator
 
-    _log_to_stderr()
+    _as_daemon()
     daemon = Coordinator(
         store=open_store(args.store, args.store_backend),
         host=args.host,
@@ -165,7 +169,7 @@ def _serve(args) -> None:
     role."""
     from repro.service.daemon import ExperimentService
 
-    _log_to_stderr()
+    _as_daemon()
     daemon = ExperimentService(
         args.store,
         host=args.host,
@@ -182,7 +186,7 @@ def _fabric_worker(args) -> None:
     from repro.fabric.errors import FabricError
     from repro.fabric.worker import Worker
 
-    _log_to_stderr()
+    _as_daemon()
     worker = Worker(args.connect, fail_after=args.fail_after)
     try:
         completed = worker.run()

@@ -128,9 +128,8 @@ def add_parallel_options(parser: argparse.ArgumentParser) -> None:
         # "memory" is excluded: pairing it with --store would silently
         # drop persistence, and without --store "auto" is memory anyway.
         choices=[n for n in backend_names() if n != "memory"],
-        help="store layout: one monolithic JSONL file, one shard per "
-        "(arch, bandwidth set) under a directory, or 'remote' (--store "
-        "is then a fabric coordinator host:port) (default: auto — a "
+        help="store layout: one monolithic JSONL file, or one shard per "
+        "(arch, bandwidth set) under a directory (default: auto — a "
         "directory path selects sharded)",
     )
     parser.add_argument(
@@ -142,7 +141,7 @@ def add_parallel_options(parser: argparse.ArgumentParser) -> None:
 
 
 def add_daemon_options(
-    parser: argparse.ArgumentParser, port: int, owner: str, no_backends
+    parser: argparse.ArgumentParser, port: int, owner: str
 ) -> None:
     """Where a daemon (``fabric serve`` / ``serve``) binds and stores."""
     parser.add_argument("--host", default="0.0.0.0",
@@ -156,7 +155,7 @@ def add_daemon_options(
     )
     parser.add_argument(
         "--store-backend", default="auto",
-        choices=[n for n in backend_names() if n not in no_backends],
+        choices=[n for n in backend_names() if n != "memory"],
     )
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "adaptive_probe_count",
     "default_baseline_path",
     "describe_cost",
-    "estimate_adaptive_sims",
     "format_duration",
     "load_baseline",
     "per_point_seconds",
@@ -185,12 +184,6 @@ def adaptive_curve_estimates(spec, model=None) -> list:
                 )
         estimates.append(count)
     return estimates
-
-
-def estimate_adaptive_sims(spec, model=None) -> int:
-    """Total estimated simulations for an adaptive spec (the sum of
-    :func:`adaptive_curve_estimates`)."""
-    return sum(adaptive_curve_estimates(spec, model))
 
 
 def describe_cost(

@@ -69,10 +69,6 @@ class FigureResult:
             out += "\n" + "\n".join(f"note: {n}" for n in self.notes)
         return out
 
-    def column(self, header: str) -> list:
-        idx = self.headers.index(header)
-        return [row[idx] for row in self.rows]
-
 
 # ---------------------------------------------------------------------------
 # Tables (static reproductions of the configuration tables)

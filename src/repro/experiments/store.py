@@ -654,24 +654,6 @@ def _memory_backend(path: Optional[str] = None) -> StoreBackend:
     return MemoryBackend()
 
 
-@store_backends.register("remote")
-def _remote_backend(path: Optional[str]) -> StoreBackend:
-    """Proxy to a fabric coordinator's store server (path = host:port).
-
-    The implementation lives in :mod:`repro.fabric.remote_store`;
-    importing it lazily keeps the store module free of any fabric (and
-    socket) dependency for the common local-file case.
-    """
-    if path is None:
-        raise ValueError(
-            "remote backend needs the coordinator address as the store "
-            "path, e.g. --store 127.0.0.1:7023 --store-backend remote"
-        )
-    from repro.fabric.remote_store import RemoteBackend
-
-    return RemoteBackend(path)
-
-
 def backend_names() -> Tuple[str, ...]:
     """Names accepted by :func:`make_backend` (``auto`` + the registry)."""
     return ("auto",) + tuple(store_backends.names())
@@ -771,9 +753,6 @@ class ResultStore:
     def compact(self) -> CompactionStats:
         """Offline dedupe/rewrite of the backing files; see backend."""
         return self.backend.compact()
-
-    def __contains__(self, key: str) -> bool:
-        return self.backend.contains(key)
 
     def __len__(self) -> int:
         return len(self.backend)

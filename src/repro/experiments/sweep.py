@@ -217,12 +217,6 @@ class PointExecutor:
     def close(self) -> None:
         """Release transport resources (idempotent; base has none)."""
 
-    def __enter__(self) -> "PointExecutor":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
     def __del__(self) -> None:  # pragma: no cover - GC timing dependent
         # May run during interpreter shutdown, when module globals the
         # cleanup path needs are already torn down — never let that

@@ -2,8 +2,7 @@
 
 Each :class:`ShapeClaim` encodes one sentence of the thesis as an
 executable check. ``validate_all`` runs them and returns a report --
-the machine-checkable core of EXPERIMENTS.md, also exposed as
-``dhetpnoc-repro validate``.
+exposed as ``dhetpnoc-repro validate``.
 
 Static claims (area model, token/reservation timing, fig. 1-1 shape) are
 exact; dynamic claims run short simulations at the requested fidelity.

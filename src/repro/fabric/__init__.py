@@ -16,10 +16,9 @@ Layout::
     protocol      length-prefixed JSON frames + payload serialisers
     server        RoleServer (accept loop, handshake, role dispatch,
                   result-stream loop) + dial(), the one client handshake
-    coordinator   RoleServer + work table, leases, retries, store server
+    coordinator   RoleServer + work table, leases, retries, shared store
     worker        lease/execute/stream loop + heartbeats
     client        submit/collect connection used by FabricExecutor
-    remote_store  RemoteBackend(StoreBackend) over the store RPCs
 
 Submodules are imported lazily: the fabric pulls in the whole
 simulation stack, and ``repro.fabric.errors`` alone must stay cheap
@@ -44,7 +43,6 @@ __all__ = [
     "PointFailedError",
     "PointFailure",
     "ProtocolError",
-    "RemoteBackend",
     "Worker",
     "WorkerLostError",
     "transports",
@@ -53,7 +51,6 @@ __all__ = [
 _LAZY = {
     "Coordinator": ("repro.fabric.coordinator", "Coordinator"),
     "FabricClient": ("repro.fabric.client", "FabricClient"),
-    "RemoteBackend": ("repro.fabric.remote_store", "RemoteBackend"),
     "Worker": ("repro.fabric.worker", "Worker"),
     "transports": ("repro.fabric.transport", "transports"),
 }

@@ -1,6 +1,6 @@
 """The fabric coordinator: scatter ``RunPoint``\\ s, gather results.
 
-One :class:`Coordinator` multiplexes three peer roles over a single
+One :class:`Coordinator` multiplexes two peer roles over a single
 listening endpoint (role declared in the ``hello`` handshake):
 
 * **workers** register with capability info, lease batches of points
@@ -10,11 +10,9 @@ listening endpoint (role declared in the ``hello`` handshake):
   submit jobs — lists of ``(key, point)`` pairs plus the fidelity and
   config — and receive ``point_done`` frames as points complete
   (coordinator-store hits complete immediately), closed by a
-  ``job_done`` summary;
-* **store** peers (:class:`~repro.fabric.remote_store.RemoteBackend`)
-  speak a small get/put/contains/scan/flush/compact RPC against the
-  coordinator's own :class:`~repro.experiments.store.ResultStore`, so
-  content-hash resume and dedup work across machines.
+  ``job_done`` summary. A point already in the coordinator's
+  :class:`~repro.experiments.store.ResultStore` is such a hit, so a
+  client on any machine resumes from, and adds to, that one store.
 
 Failure semantics
 -----------------
@@ -234,7 +232,7 @@ class Coordinator(RoleServer):
 
     Args:
         store: The authoritative result store every completed point is
-            persisted to (and the store the ``store`` role serves).
+            persisted to, and every submission is first answered from.
             Defaults to a fresh in-memory store; production runs point
             it at a sharded directory.
         host, port: Bind address (port ``0`` picks a free port;
@@ -269,7 +267,6 @@ class Coordinator(RoleServer):
         self._roles.update(
             worker=self._serve_worker,
             client=self._serve_client,
-            store=self._serve_store,
         )
         self.store = store if store is not None else ResultStore()
         self.lease_size = lease_size
@@ -567,46 +564,3 @@ class Coordinator(RoleServer):
             self._follow(conn, self._state_changed, job.log_view)
         finally:
             self._withdraw(job)
-
-    # -- store role ----------------------------------------------------------
-    def _serve_store(self, conn: Connection, hello: dict) -> None:
-        self._welcome(conn)
-        for message in self._frames(conn):
-            kind = message["type"]
-            coords = message.get("coords")
-            if coords is not None:
-                coords = (coords[0], int(coords[1]))
-            records = None
-            with self._store_lock:  # replies go out after it is released
-                if kind == "store_get":
-                    result = self.store.get(message["key"], coords)
-                    reply = {
-                        "result": None if result is None else result_to_dict(result)
-                    }
-                elif kind == "store_contains":
-                    reply = {"value": self.store.contains(message["key"], coords)}
-                elif kind == "store_put":
-                    self.store.put(
-                        message["key"], result_from_dict(message["result"])
-                    )
-                    reply = {"ok": True}
-                elif kind == "store_scan":
-                    records = [
-                        {"type": "store_record", "key": key,
-                         "result": result_to_dict(result)}
-                        for key, result in self.store.backend.scan(coords)
-                    ]
-                    reply = {"type": "store_scan_end", "count": len(records)}
-                elif kind == "store_flush":
-                    self.store.flush()
-                    reply = {"ok": True}
-                elif kind == "store_len":
-                    reply = {"value": len(self.store)}
-                elif kind == "store_compact":
-                    reply = {"stats": self.store.compact().__dict__}
-                else:
-                    raise ProtocolError(f"unexpected store frame {kind!r}")
-            for record in records or ():
-                send_message(conn, record)
-            # (a scan's reply carries its own type, which wins here)
-            send_message(conn, {"type": "store_reply", **reply})

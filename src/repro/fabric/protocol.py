@@ -135,10 +135,6 @@ def expect(message: Optional[dict], expected_type: str) -> dict:
 # Payload serialisers (exact round-trips; see module docstring)
 # ---------------------------------------------------------------------------
 
-def _bw_set_to_dict(bw_set: BandwidthSet) -> dict:
-    return dataclasses.asdict(bw_set)
-
-
 def _bw_set_from_dict(data: dict) -> BandwidthSet:
     fields = {f.name for f in dataclasses.fields(BandwidthSet)}
     kwargs = {k: v for k, v in data.items() if k in fields}
@@ -147,11 +143,9 @@ def _bw_set_from_dict(data: dict) -> BandwidthSet:
 
 
 def point_to_dict(point: RunPoint) -> dict:
-    """JSON form of a :class:`~repro.experiments.sweep.RunPoint`."""
-    data = dataclasses.asdict(point)
-    if point.bw_set is not None:
-        data["bw_set"] = _bw_set_to_dict(point.bw_set)
-    return data
+    """JSON form of a :class:`~repro.experiments.sweep.RunPoint` (a
+    pinned bandwidth set becomes a nested dict)."""
+    return dataclasses.asdict(point)
 
 
 def point_from_dict(data: dict) -> RunPoint:

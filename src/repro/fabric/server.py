@@ -5,7 +5,7 @@ peers on a background thread, validate ``hello`` (type,
 :data:`~repro.fabric.protocol.PROTOCOL_VERSION`, role) and hand the
 connection to the handler registered for the peer's role.
 :class:`~repro.fabric.coordinator.Coordinator` registers ``worker`` /
-``client`` / ``store``; :class:`~repro.service.daemon.ExperimentService`
+``client``; :class:`~repro.service.daemon.ExperimentService`
 adds ``jobs``. Shared by every role, and so defined only here: the
 lifecycle, the handshake, the rule that a peer's bad frame earns an
 ``error`` frame instead of a traceback, and the result-stream loop
@@ -192,7 +192,7 @@ class RoleServer:
         try:
             while not self._closed:
                 time.sleep(0.5)
-        except KeyboardInterrupt:  # pragma: no cover - interactive
+        except KeyboardInterrupt:  # Ctrl-C, or SIGTERM under the CLI
             pass
         finally:
             self.stop()
@@ -208,14 +208,6 @@ class RoleServer:
 
     def _release(self) -> None:
         """Drop peers, wake waiters, flush state (subclass hook)."""
-
-    def __enter__(self):
-        if self._listener is None:
-            self.start()
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.stop()
 
     # -- accept / dispatch ---------------------------------------------------
     def _accept_loop(self) -> None:

@@ -108,7 +108,9 @@ class Worker:
         """Connect, register, and process leases until told to stop.
 
         Returns the number of points simulated (0 is normal for a
-        worker that joined after the queue drained).
+        worker that joined after the queue drained). A
+        ``KeyboardInterrupt`` stops the loop as :meth:`stop` does; the
+        coordinator re-queues whatever the worker still held.
         """
         conn, welcome = dial(
             self._address, "worker",
@@ -129,6 +131,8 @@ class Worker:
             )
             beat.start()
             self._lease_loop()
+        except KeyboardInterrupt:
+            pass  # Ctrl-C, or SIGTERM under the CLI: stop like stop()
         finally:
             self._stop.set()
             try:

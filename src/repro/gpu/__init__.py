@@ -1,7 +1,8 @@
 """GPU-memory bandwidth sensitivity model (thesis fig. 1-1).
 
-Substitutes the thesis's GPGPU-Sim profiling (see DESIGN.md section 5)
-with an Amdahl-style memory-boundedness model over per-benchmark profiles.
+Substitutes the thesis's GPGPU-Sim profiling with an Amdahl-style
+memory-boundedness model over per-benchmark profiles (see docs/model.md,
+"GPU memory-bandwidth model").
 """
 
 from repro.gpu.benchmarks import GPU_BENCHMARKS, GpuBenchmark

@@ -44,7 +44,8 @@ class GpuBenchmark:
 
 
 #: The benchmark population of fig. 1-1 (CUDA SDK upper case, Rodinia
-#: lower case). memory_boundedness calibrated per DESIGN.md section 5.
+#: lower case). memory_boundedness is calibrated to the figure's two
+#: regimes (docs/model.md, "GPU memory-bandwidth model").
 GPU_BENCHMARKS: Tuple[GpuBenchmark, ...] = (
     GpuBenchmark("MUM", "cuda_sdk", 1, 0.500),
     GpuBenchmark("BFS", "cuda_sdk", 7, 0.430),

@@ -130,12 +130,6 @@ class Dataset:
             canonical_json(self.to_dict()).encode()
         ).hexdigest()[:16]
 
-    def column(self, name: str) -> List[object]:
-        """One column of the table, in row order."""
-        if name not in self.features and name not in self.targets:
-            raise KeyError(f"unknown dataset column {name!r}")
-        return [row[name] for row in self.rows]
-
 
 def export_dataset(store: ResultStore) -> Dataset:
     """Export *store* as a :class:`Dataset`.

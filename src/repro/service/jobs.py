@@ -185,7 +185,3 @@ class JobQueue:
         """Status rows for every admitted job, in admission order."""
         with self.changed:
             return [record.describe() for record in self._jobs.values()]
-
-    def __len__(self) -> int:
-        with self.changed:
-            return len(self._jobs)

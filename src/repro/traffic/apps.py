@@ -8,7 +8,7 @@ is determined using actual core to memory interaction from profiling these
 applications in GPGPUSim [27] ... BFS and MUM show significant speedup
 with increase in GPU-memory bandwidth, while the others do not."
 
-**Substitution (documented in DESIGN.md):** we do not have the authors'
+**Substitution (docs/model.md, "Application traffic"):** we do not have the authors'
 GPGPU-Sim traces. Each profile instead records the two quantities the
 experiment consumes -- the app's demanded bandwidth class and its share of
 traffic volume -- set to encode exactly the thesis's own characterisation

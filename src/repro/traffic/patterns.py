@@ -13,9 +13,10 @@ Skewed 3   90%       5%       2.5%      2.5%
 
 (The class columns scale with the bandwidth set per table 3-1.)
 
-Realisation (DESIGN.md section 4): clusters are partitioned evenly over
-the four application classes (4 clusters per class, seeded shuffle), so
-the chip is *heterogeneous* -- the premise of the thesis. A packet's
+Realisation (docs/model.md, "Traffic-pattern realisation"): clusters
+are partitioned evenly over the four application classes (4 clusters
+per class, seeded shuffle), so the chip is *heterogeneous* -- the
+premise of the thesis. A packet's
 source cluster fixes its bandwidth class; the share of offered traffic
 originating from class *c* equals the table 3-2 frequency.
 """

@@ -60,11 +60,6 @@ class TestClose:
         assert executor2.run(SPEC) == first  # close-then-first-use
         executor2.close()
 
-    def test_context_manager_closes(self):
-        with SweepExecutor(workers=2, store=ResultStore()) as executor:
-            executor._ensure_pool()
-        assert executor._pool is None
-
     def test_del_after_close_is_quiet(self):
         executor = SweepExecutor(workers=2, store=ResultStore())
         executor._ensure_pool()

@@ -1,4 +1,4 @@
-"""Distributed sweep fabric: protocol, fault tolerance, remote store.
+"""Distributed sweep fabric: protocol, fault tolerance, clean shutdown.
 
 That a fabric sweep returns the serial path's results bitwise, under
 the same store keys, is one column of ``test_lane_matrix.py`` per
@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import re
+import signal
 import threading
 
 import pytest
@@ -21,7 +23,6 @@ import pytest
 from repro.experiments.runner import Fidelity, RunResult
 from repro.experiments.store import (
     ResultStore,
-    make_backend,
     open_store,
     shard_filename,
 )
@@ -43,12 +44,19 @@ from repro.fabric.protocol import (
     result_roundtrip,
     send_message,
 )
-from repro.fabric.remote_store import RemoteBackend
 from repro.fabric.server import dial
 from repro.fabric.transport import make_transport, parse_address, transports
 from repro.fabric.worker import Worker
 
-from support import TINY, inthread_workers, spawn_worker, tiny_spec, wait_until
+from support import (
+    TINY,
+    inthread_workers,
+    serving,
+    spawn_cli,
+    spawn_worker,
+    tiny_spec,
+    wait_until,
+)
 
 SPEC = tiny_spec(archs=("firefly", "dhetpnoc"))
 #: One point: the fault-tolerance and store tests need no curve.
@@ -149,7 +157,7 @@ class TestProtocol:
         assert config_to_dict(None) is None
 
     def test_version_mismatch_rejected(self):
-        with Coordinator() as coordinator:
+        with serving(Coordinator()) as coordinator:
             conn = make_transport("tcp").connect(coordinator.address)
             send_message(conn, {
                 "type": "hello", "role": "worker", "version": -1,
@@ -160,7 +168,7 @@ class TestProtocol:
             conn.close()
 
     def test_unknown_role_rejected(self):
-        with Coordinator() as coordinator:
+        with serving(Coordinator()) as coordinator:
             conn = make_transport("tcp").connect(coordinator.address)
             send_message(conn, {
                 "type": "hello", "role": "observer",
@@ -178,7 +186,7 @@ class TestProtocol:
 class TestFaultTolerance:
     def test_killed_worker_leases_requeued_and_sweep_completes(self):
         expected = SweepExecutor(store=ResultStore()).run(SPEC)
-        with Coordinator(lease_size=2, max_attempts=5) as coordinator:
+        with serving(Coordinator(lease_size=2, max_attempts=5)) as coordinator:
             # The dying worker runs alone first, so it deterministically
             # holds a lease (size 2), streams one result, and hard-exits
             # on the second point.
@@ -217,7 +225,7 @@ class TestFaultTolerance:
         assert coordinator.total_failed == 0
 
     def test_bounded_retries_surface_point_failures(self):
-        with Coordinator(lease_size=1, max_attempts=2) as coordinator:
+        with serving(Coordinator(lease_size=1, max_attempts=2)) as coordinator:
             # Two workers that die immediately after leasing: the single
             # point burns both attempts and must surface as a failure,
             # not a hang.
@@ -241,9 +249,9 @@ class TestFaultTolerance:
             assert coordinator.total_failed == 1
 
     def test_heartbeat_timeout_requeues_leases(self):
-        with Coordinator(
+        with serving(Coordinator(
             lease_size=1, worker_timeout_s=1.0, max_attempts=5
-        ) as coordinator:
+        )) as coordinator:
             # A hand-rolled zombie worker: registers, leases the point,
             # then goes silent (no heartbeats, no results).
             zombie = make_transport("tcp").connect(coordinator.address)
@@ -295,7 +303,7 @@ class TestFaultTolerance:
             raise ConnectionResetError("the coordinator went away")
 
         monkeypatch.setattr("repro.fabric.worker.recv_message", broken)
-        with Coordinator() as coordinator:
+        with serving(Coordinator()) as coordinator:
             assert Worker(coordinator.address).run() == 0
             wait_until(
                 lambda: coordinator.stats()["workers"] == 0,
@@ -325,71 +333,45 @@ class TestFaultTolerance:
 
 
 # ---------------------------------------------------------------------------
-# Remote store backend
+# SIGTERM: the daemons stop as they do on Ctrl-C
 # ---------------------------------------------------------------------------
 
-class TestRemoteBackend:
-    def test_registry_and_cli_choices(self, monkeypatch):
-        from repro.experiments.store import backend_names, store_backends
-
-        # The dead dial below is about the exit after the last refused
-        # attempt, not the ~3 s of backoff between attempts.
-        monkeypatch.setattr("repro.fabric.server.time.sleep", lambda _s: None)
-        assert "remote" in store_backends.names()
-        assert "remote" in backend_names()
-        with pytest.raises(ValueError, match="coordinator address"):
-            make_backend("remote", None)
-        with pytest.raises(FabricError, match="cannot reach"):
-            make_backend("remote", "127.0.0.1:1")  # nothing listens there
-
-    def test_ops_roundtrip_and_shared_view(self, tmp_path):
-        store = open_store(str(tmp_path / "shards") + os.sep)
-        with Coordinator(store=store) as coordinator:
-            host, port = coordinator.address
-            backend = make_backend("remote", f"{host}:{port}")
-            assert isinstance(backend, RemoteBackend)
-            assert backend.path == f"{host}:{port}"
-            assert len(backend) == 0
-            assert backend.get("absent") is None
-            assert not backend.contains("absent")
-
-            backend.put("k1", SAMPLE)
-            fetched = backend.get("k1", ("firefly", 1))
-            assert fetched == SAMPLE  # bitwise through two JSON hops
-            assert backend.contains("k1")
-            assert len(backend) == 1
-            assert dict(backend.scan()) == {"k1": SAMPLE}
-            backend.flush()
-
-            # A second connection sees the same server-side records.
-            other = RemoteBackend((host, port))
-            assert other.get("k1") == SAMPLE
-            stats = backend.compact()
-            assert stats.records_after == 1
-            backend.close()
-            other.close()
-        # The coordinator's sharded store really persisted the record.
-        assert ("k1", SAMPLE) in list(open_store(
-            str(tmp_path / "shards") + os.sep
-        ).backend.scan())
-
-    def test_sweep_resume_over_remote_store(self):
-        spec = tiny_spec()
-        expected = SweepExecutor(store=ResultStore()).run(spec)
-        with Coordinator() as coordinator:
-            host, port = coordinator.address
-            first = SweepExecutor(store=ResultStore(
-                backend=RemoteBackend((host, port))
-            ))
-            assert first.run(spec) == expected
-            assert first.executed_count == spec.n_points()
-            # A different machine (fresh connection, fresh executor)
-            # resumes from the shared remote store: zero simulations.
-            second = SweepExecutor(store=ResultStore(
-                backend=RemoteBackend((host, port))
-            ))
-            assert second.run(spec) == expected
-            assert second.executed_count == 0
+def test_sigterm_stops_serve_and_its_workers_cleanly(tmp_path):
+    path = str(tmp_path / "store.jsonl")
+    with open(tmp_path / "serve.log", "w") as log:
+        serve = spawn_cli("fabric", "serve", "--host", "127.0.0.1",
+                          "--port", "0", "--store", path, stderr=log)
+    workers = []
+    try:
+        banner = serve.stdout.readline()
+        host, port = re.search(r"listening on (\S+):(\d+)", banner).groups()
+        address = (host, int(port))
+        workers = [spawn_worker(address) for _ in range(2)]
+        with FabricClient(address) as client:
+            wait_until(lambda: client.stats()["workers"] == 2,
+                       message="both workers to register")
+        fabric = FabricExecutor(address, store=ResultStore())
+        try:
+            fabric.run(ONE_POINT)
+        finally:
+            fabric.close()
+        # A worker stops on its own SIGTERM; the rest stop when the
+        # server does.
+        workers[0].send_signal(signal.SIGTERM)
+        assert workers[0].wait(timeout=30) == 0
+        serve.send_signal(signal.SIGTERM)
+        assert serve.wait(timeout=30) == 0
+        outputs = [worker.communicate(timeout=30)[0] for worker in workers]
+        assert [worker.returncode for worker in workers] == [0, 0], outputs
+    finally:
+        for process in (serve, *workers):
+            process.kill()
+            process.wait()
+            process.stdout.close()
+    assert all("worker done:" in out for out in outputs), outputs
+    store = open_store(path)
+    assert len(store) == 1
+    assert store.corrupt_lines == 0
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +400,7 @@ class TestScenarioShipping:
 
 class TestClient:
     def test_stats_and_cross_job_dedup(self):
-        with Coordinator() as coordinator:
+        with serving(Coordinator()) as coordinator:
             workers, _ = inthread_workers(coordinator.address, 1)
             a = FabricExecutor(coordinator.address, store=ResultStore())
             b = FabricExecutor(coordinator.address, store=ResultStore())
@@ -446,7 +428,8 @@ class TestClient:
         seeded.put("kb", dataclasses.replace(SAMPLE, arch="dhetpnoc"))
         assert len(seeded.backend.shard_paths()) == 2
 
-        with Coordinator(store=open_store(root, "sharded")) as coordinator:
+        store = open_store(root, "sharded")
+        with serving(Coordinator(store=store)) as coordinator:
             workers, _ = inthread_workers(coordinator.address, 1)
             executor = FabricExecutor(coordinator.address, store=ResultStore())
             executor.run(ONE_POINT)
@@ -459,7 +442,7 @@ class TestClient:
             ]
 
     def test_duplicate_keys_in_one_job_rejected(self):
-        with Coordinator() as coordinator:
+        with serving(Coordinator()) as coordinator:
             client = FabricClient(coordinator.address)
             entries = [
                 {"key": "same", "point": point_to_dict(_any_point())},

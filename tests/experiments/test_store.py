@@ -92,7 +92,7 @@ class TestStorePersistence:
     def test_in_memory_round_trip(self):
         store = ResultStore()
         store.put("k", SAMPLE)
-        assert "k" in store and store.get("k") == SAMPLE
+        assert store.contains("k") and store.get("k") == SAMPLE
         assert store.hits == 1
         assert store.get("absent") is None
         assert store.misses == 1

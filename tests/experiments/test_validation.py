@@ -2,13 +2,18 @@
 
 import pytest
 
+from repro.api.session import Session
+from repro.api.spec import ExperimentSpec
 from repro.experiments.runner import Fidelity
 from repro.experiments.validation import (
     HEADLINE_CLAIMS,
     ClaimResult,
+    ShapeClaim,
     render_validation,
     validate_all,
 )
+
+from support import TINY as TINY_SUPPORT
 
 TINY = Fidelity("tiny-validate", 900, 150, (0.5, 0.9))
 
@@ -45,6 +50,33 @@ class TestValidation:
     def test_render_marks_failures(self):
         fake = [ClaimResult("x", "thesis", False, "nope")]
         assert "FAIL" in render_validation(fake)
+
+
+def test_seeds_derive_one_tolerance_every_dynamic_claim_receives():
+    received = {}
+
+    def recording(claim):
+        def check(session, fidelity, seed, rel_tol=None):
+            received[claim.claim] = rel_tol
+            return claim.check(session, fidelity, seed, rel_tol)
+
+        return ShapeClaim(claim.claim, claim.source, check, claim.patterns)
+
+    session = Session()
+    validate_all(TINY_SUPPORT, seeds=(1, 2), session=session,
+                 claims=[recording(claim) for claim in HEADLINE_CLAIMS])
+    rows = session.replicated(ExperimentSpec(
+        archs=("firefly", "dhetpnoc"), bw_sets=(1,), patterns=("uniform",),
+        seeds=(1, 2), fidelity=TINY_SUPPORT,
+    ))
+    spread = max(row.delivered_gbps.spread / row.delivered_gbps.mean
+                 for row in rows)
+    assert spread > 0
+    dynamic = [claim.claim for claim in HEADLINE_CLAIMS if claim.patterns]
+    assert dynamic
+    assert {name: received[name] for name in dynamic} == dict.fromkeys(
+        dynamic, spread
+    )
 
 
 class TestCliValidate:

@@ -104,14 +104,6 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="unknown dataset fields"):
             Dataset.from_dict({"rows": [], "bogus": 1})
 
-    def test_column_access(self):
-        store = ResultStore()
-        store.put("a", make_result(offered=100.0))
-        dataset = export_dataset(store)
-        assert dataset.column("offered_gbps") == [100.0]
-        with pytest.raises(KeyError):
-            dataset.column("nope")
-
 
 class TestScenarioRows:
     def test_scenario_runs_carry_coverage_dimensions(self):

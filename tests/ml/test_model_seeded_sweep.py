@@ -11,7 +11,7 @@ import pytest
 
 pytest.importorskip("numpy")
 
-from repro.experiments.costing import estimate_adaptive_sims
+from repro.experiments.costing import adaptive_curve_estimates
 from repro.experiments.knee import adaptive_knee_sweep
 from repro.experiments.store import ResultStore
 from repro.api.spec import ExperimentSpec
@@ -92,6 +92,6 @@ class TestCosting:
             seeds=(1,), fidelity=TINY, mode="adaptive",
             resolution=RESOLUTION,
         )
-        with_model = estimate_adaptive_sims(spec, model)
-        without = estimate_adaptive_sims(spec, None)
+        with_model = sum(adaptive_curve_estimates(spec, model))
+        without = sum(adaptive_curve_estimates(spec, None))
         assert 1 <= with_model <= without

@@ -9,6 +9,8 @@ The acceptance criteria covered here:
 * per-phase energy windows tile the run's total dissipation.
 """
 
+from contextlib import closing
+
 import pytest
 
 from repro.arch.config import SystemConfig
@@ -226,7 +228,7 @@ class TestClosedLoopTriggers:
             scenarios=("closed_loop_shedding",),
         )
         serial = SweepExecutor(workers=1).run(spec)
-        with SweepExecutor(workers=2) as executor:
+        with closing(SweepExecutor(workers=2)) as executor:
             parallel = executor.run(spec)
         assert serial == parallel
         # The closed-loop scenario actually closes the loop at this

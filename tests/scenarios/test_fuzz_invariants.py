@@ -17,7 +17,7 @@ profile is derandomized, so these are deterministic in tier-1; the
 ``nightly`` profile re-runs them randomized).
 """
 
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from functools import partial
 from unittest import mock
 
@@ -84,7 +84,7 @@ class TestSerialParallelIdentity:
                 scenarios=(name,),
             )
             serial = SweepExecutor(workers=1).run(spec)
-            with SweepExecutor(workers=2) as executor:
+            with closing(SweepExecutor(workers=2)) as executor:
                 parallel = executor.run(spec)
             assert serial == parallel
 

@@ -9,6 +9,8 @@ Acceptance criteria covered here:
   scenario, different key, no cache collisions.
 """
 
+from contextlib import closing
+
 import pytest
 
 from repro.experiments.store import ResultStore, result_key
@@ -57,7 +59,7 @@ class TestExpansion:
 class TestSerialParallelIdentity:
     def test_store_roundtrip_and_resume(self, tmp_path):
         path = str(tmp_path / "scenarios.jsonl")
-        with SweepExecutor(workers=2, store=ResultStore(path)) as first:
+        with closing(SweepExecutor(workers=2, store=ResultStore(path))) as first:
             results = first.run(SPEC)
             assert first.executed_count == SPEC.n_points()
         second = SweepExecutor(workers=1, store=ResultStore(path))

@@ -7,7 +7,6 @@ so these tests drive the paths the merge created or fixed:
   reply and leaves the daemon serving, never a dead handler thread;
 * ``job_done.failed`` counts the job's own failures, not the
   coordinator's lifetime total;
-* ``RemoteBackend`` dials with the same backoff as every other peer;
 * admission control does not count a job an idle runner is about to
   take as backlog.
 
@@ -18,21 +17,25 @@ own port is the ``jobs-worker`` column of
 
 from __future__ import annotations
 
-import socket
 import threading
-import time
 
 import pytest
 
 from repro.fabric.coordinator import Coordinator
 from repro.fabric.errors import ProtocolError
 from repro.fabric.protocol import recv_message, send_message
-from repro.fabric.remote_store import RemoteBackend
 from repro.fabric.server import RoleServer, dial
 from repro.service.daemon import ExperimentService
 from repro.service.jobs import JobQueue, JobRejected
 
-from support import TINY, attach_worker, tiny_spec, wait_until, wire_point
+from support import (
+    TINY,
+    attach_worker,
+    serving,
+    tiny_spec,
+    wait_until,
+    wire_point,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -59,13 +62,6 @@ MALFORMED = {
         Coordinator, "worker", {"capabilities": {}},
         {"type": "result", "result": {}},
     ),
-    "store-get-without-key": (
-        Coordinator, "store", {}, {"type": "store_get"},
-    ),
-    "store-put-of-a-partial-result": (
-        Coordinator, "store", {},
-        {"type": "store_put", "key": "k", "result": {"arch": "firefly"}},
-    ),
     "spec-with-scalar-archs": (
         ExperimentService, "jobs", {},
         {"type": "job_submit", "spec": {"archs": 5}, "watch": False},
@@ -76,7 +72,7 @@ MALFORMED = {
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_frame_gets_an_error_reply_and_the_daemon_lives(case):
     server_cls, role, hello, frame = MALFORMED[case]
-    with server_cls() as server:
+    with serving(server_cls()) as server:
         conn, _welcome = dial(server.address, role, **hello)
         try:
             send_message(conn, frame)
@@ -96,7 +92,7 @@ def test_malformed_frame_gets_an_error_reply_and_the_daemon_lives(case):
 
 
 def test_unknown_role_is_rejected_by_the_service():
-    with ExperimentService() as service:
+    with serving(ExperimentService()) as service:
         with pytest.raises(ProtocolError, match="unknown role 'observer'"):
             dial(service.address, "observer", attempts=1)
 
@@ -121,7 +117,7 @@ def _submit_raw(conn, seed: int) -> dict:
 
 
 def test_job_done_reports_the_jobs_own_failures():
-    with Coordinator(max_attempts=1) as coordinator:
+    with serving(Coordinator(max_attempts=1)) as coordinator:
         # A worker that errors on whatever it leases: with one attempt
         # per point, the first job fails its point.
         saboteur, _ = dial(coordinator.address, "worker", capabilities={})
@@ -151,34 +147,6 @@ def test_job_done_reports_the_jobs_own_failures():
             client.close()
         assert done["failed"] == 0
         assert done["executed"] == 1
-
-
-# ---------------------------------------------------------------------------
-# RemoteBackend inherits the shared dial's backoff
-# ---------------------------------------------------------------------------
-
-def test_remote_backend_backoff_wins_the_bind_race():
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    host, port = probe.getsockname()
-    probe.close()
-    coordinator = Coordinator(host=host, port=port)
-
-    def start_late():
-        time.sleep(0.5)
-        coordinator.start()
-
-    starter = threading.Thread(target=start_late, daemon=True)
-    starter.start()
-    try:
-        backend = RemoteBackend((host, port))
-        try:
-            assert len(backend) == 0
-        finally:
-            backend.close()
-    finally:
-        starter.join(timeout=10.0)
-        coordinator.stop()
 
 
 # ---------------------------------------------------------------------------

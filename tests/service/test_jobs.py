@@ -109,7 +109,7 @@ class TestJobQueue:
         queue.finish(again, "cancelled")
         _, deduped = queue.submit(tiny_spec())
         assert not deduped
-        assert len(queue) == 1  # one registry row per job id, ever
+        assert len(queue.list_jobs()) == 1  # one row per job id, ever
 
     def test_done_jobs_dedup_forever(self):
         queue = make_queue()
@@ -179,7 +179,7 @@ class TestJobQueue:
         queue.submit(tiny_spec(seeds=(1,)))
         queue.submit(tiny_spec(seeds=(2,)))
         rows = queue.list_jobs()
-        assert len(rows) == 2 == len(queue)
+        assert len(rows) == 2
         assert {row["state"] for row in rows} == {"queued"}
 
 

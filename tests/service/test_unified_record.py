@@ -21,6 +21,7 @@ admission method. These tests pin the edges that merge created:
 from __future__ import annotations
 
 import threading
+from contextlib import closing
 
 import pytest
 
@@ -39,6 +40,7 @@ from support import (
     CountingBackend,
     attach_worker,
     local_run,
+    serving,
     tiny_spec,
     wait_until,
     wire_point,
@@ -55,7 +57,7 @@ def test_misses_are_queued_in_grid_order_and_hits_resolve_at_admission():
     store = ResultStore()
     for key, result in list(zip(keys, results))[::2]:
         store.put(key, result)  # indices 0, 2, 4 are warm
-    with ExperimentService(store, workers=0) as service:
+    with serving(ExperimentService(store, workers=0)) as service:
         with ServiceClient(service.address) as client:
             handle = client.submit(spec)
             record = service.jobs.get(handle.job_id)
@@ -84,7 +86,7 @@ def test_key_repeated_in_the_grid_is_simulated_once_and_streamed_twice():
     # grid repeats a store key.
     spec = tiny_spec(fidelity=Fidelity("tiny", 700, 100, (0.3, 0.3, 0.8)))
     counting = CountingBackend()
-    with ExperimentService(counting) as service:
+    with serving(ExperimentService(counting)) as service:
         with ServiceClient(service.address) as client:
             run = client.run_spec(spec)
     expected, expected_keys = local_run(spec)
@@ -120,7 +122,8 @@ class GatedBackend(CountingBackend):
 def test_cancel_racing_admission_leaves_no_waiter_and_no_orphan_item():
     spec = tiny_spec(seeds=(1, 2))
     backend = GatedBackend(free=1)
-    with ExperimentService(backend, workers=0, max_jobs=1) as service:
+    service = ExperimentService(backend, workers=0, max_jobs=1)
+    with serving(service):
         with ServiceClient(service.address) as client:
             handle = client.submit(spec)
             record = service.jobs.get(handle.job_id)
@@ -158,7 +161,7 @@ def test_cancel_racing_admission_leaves_no_waiter_and_no_orphan_item():
 def test_failed_job_names_the_point_by_label_lets_go_and_restarts():
     spec = tiny_spec()
     expected, expected_keys = local_run(spec)
-    with ExperimentService(workers=0, max_jobs=1) as service:
+    with serving(ExperimentService(workers=0, max_jobs=1)) as service:
         service.max_attempts = 1
         saboteur, _ = dial(service.address, "worker", capabilities={})
         with ServiceClient(service.address) as client:
@@ -209,7 +212,8 @@ def test_failed_job_names_the_point_by_label_lets_go_and_restarts():
 
 def test_cancelling_a_queued_job_frees_its_slot_over_the_wire():
     # No lanes and no workers: the running job stays running.
-    with ExperimentService(workers=0, max_jobs=1, max_pending=1) as service:
+    service = ExperimentService(workers=0, max_jobs=1, max_pending=1)
+    with serving(service):
         with ServiceClient(service.address) as client:
             running = client.submit(tiny_spec(seeds=(1,)))
             wait_until(
@@ -241,11 +245,12 @@ def test_job_and_fabric_client_share_one_simulation_per_key(first):
     assert shared
     # No local lanes: nothing simulates until the worker attaches, so
     # the job and the batch are both waiting on the shared keys first.
-    with ExperimentService(counting, workers=0) as service:
+    with serving(ExperimentService(counting, workers=0)) as service:
         outcome: dict = {}
 
         def run_batch():
-            with FabricExecutor(service.address, store=ResultStore()) as fabric:
+            with closing(FabricExecutor(service.address,
+                                        store=ResultStore())) as fabric:
                 outcome["results"] = fabric.run(batch_spec)
                 outcome["executed"] = fabric.executed_count
 
@@ -302,7 +307,7 @@ def _frames_until(conn, closing: str) -> list:
 
 def test_jobs_role_frames_carry_exactly_the_catalogued_fields():
     spec = tiny_spec()
-    with ExperimentService() as service:
+    with serving(ExperimentService()) as service:
         conn, _welcome = dial(service.address, "jobs")
         try:
             send_message(conn, {
@@ -325,7 +330,7 @@ def test_jobs_role_frames_carry_exactly_the_catalogued_fields():
 
 
 def test_client_role_frames_carry_exactly_the_catalogued_fields():
-    with Coordinator(max_attempts=1) as coordinator:
+    with serving(Coordinator(max_attempts=1)) as coordinator:
         saboteur, _ = dial(coordinator.address, "worker", capabilities={})
         client, _ = dial(coordinator.address, "client")
         try:

@@ -3,8 +3,9 @@
 One copy each of the tiny fidelity most simulated tests run at, the
 one-curve spec built from it (and its first point in wire form), a
 polling wait, the reference local run, a store backend that counts its
-``put`` calls, and the launchers of fabric workers (in this process, or
-as ``fabric worker`` subprocesses).
+``put`` calls, a server started for the length of a block, and the
+launchers of fabric workers (in this process, or as ``fabric worker``
+subprocesses) and of any CLI subprocess.
 
 ``tests/`` holds the root ``conftest.py``, so pytest puts it on
 ``sys.path`` and any test module can ``from support import ...``.
@@ -18,6 +19,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from contextlib import contextmanager
 
 import repro
 from repro.api.session import Session
@@ -107,6 +109,17 @@ class CountingBackend(StoreBackend):
         return sum(self.put_counts.values())
 
 
+@contextmanager
+def serving(server):
+    """Start *server* (a coordinator or a service) for the block, and
+    stop it after."""
+    server.start()
+    try:
+        yield server
+    finally:
+        server.stop()
+
+
 def attach_worker(address):
     """Run one fabric worker on a thread of this process."""
     worker = Worker(address)
@@ -121,19 +134,24 @@ def inthread_workers(address, n=2):
     return [w for w, _t in pairs], [t for _w, t in pairs]
 
 
-def spawn_worker(address, fail_after=None) -> subprocess.Popen:
-    """Start a real subprocess worker via the CLI entry point."""
-    host, port = address
-    cmd = [
-        sys.executable, "-m", "repro.experiments.cli",
-        "fabric", "worker", "--connect", f"{host}:{port}",
-    ]
-    if fail_after is not None:
-        cmd += ["--fail-after", str(fail_after)]
+def spawn_cli(*argv, **popen) -> subprocess.Popen:
+    """Start ``python -m repro.experiments.cli *argv*`` as a subprocess
+    whose stdout (and, unless *popen* redirects it, stderr) is a text
+    pipe."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    popen.setdefault("stderr", subprocess.STDOUT)
     return subprocess.Popen(
-        cmd, env=env,
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        [sys.executable, "-m", "repro.experiments.cli", *argv], env=env,
+        stdout=subprocess.PIPE, text=True, **popen,
     )
+
+
+def spawn_worker(address, fail_after=None) -> subprocess.Popen:
+    """Start a real subprocess worker via the CLI entry point."""
+    host, port = address
+    argv = ["fabric", "worker", "--connect", f"{host}:{port}"]
+    if fail_after is not None:
+        argv += ["--fail-after", str(fail_after)]
+    return spawn_cli(*argv)

@@ -13,6 +13,8 @@ import pytest
 import repro
 import repro.api
 
+from support import serving
+
 #: The exact exported surface of ``repro`` (lazy members included).
 REPRO_EXPORTS = {
     "BANDWIDTH_SETS",
@@ -101,7 +103,7 @@ def test_both_roles_use_the_one_job_record(monkeypatch):
             created.append(self)
 
     monkeypatch.setattr(coordinator, "JobRecord", Spy)
-    with coordinator.Coordinator() as server:
+    with serving(coordinator.Coordinator()) as server:
         conn, _welcome = dial(server.address, "client")
         send_message(conn, {
             "type": "submit", "fidelity": QUICK_FIDELITY.to_dict(),
@@ -140,7 +142,6 @@ def test_registry_namespace_tables():
     assert REGISTRY_TABLES <= set(module.__all__)
     for name in REGISTRY_TABLES:
         table = getattr(module, name)
-        assert len(table) > 0, f"registry {name} is empty"
         assert table.names(), f"registry {name} lists no names"
 
 

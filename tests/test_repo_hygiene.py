@@ -483,11 +483,9 @@ def test_import_repro_pulls_no_third_party_module():
 
 def test_one_place_wires_a_simulation():
     # runner.wire_run + attach_traffic: _run_once, `trace record` and
-    # `trace replay` are all written on them (the quickstart in the
-    # package docstring and the engine's own doctest are the only other
-    # texts that spell a step out).
-    wiring = {"src/repro/experiments/runner.py", "src/repro/__init__.py",
-              "src/repro/sim/engine.py"}
+    # `trace replay` are all written on them (the engine's own doctest
+    # is the only other text that spells a step out).
+    wiring = {"src/repro/experiments/runner.py", "src/repro/sim/engine.py"}
     for needle in ("build_arch(", ".attach_generator(", ".run_with_reset(",
                    " Simulator("):
         assert set(_count_in_src(needle)) <= wiring, needle
@@ -553,8 +551,8 @@ def test_the_ledger_is_the_only_bench_harness():
     assert not list((REPO_ROOT / "benchmarks").rglob("bench_*.py"))
     assert not list((REPO_ROOT / "benchmarks").rglob("conftest.py"))
     assert names("tools") == [
-        "door_allowlist.txt", "door_census.py", "drift_log.py",
-        "fuzz_triage.py", "test_census.py",
+        "daemon_smoke.sh", "door_allowlist.txt", "door_census.py",
+        "drift_log.py", "fuzz_triage.py", "test_census.py",
     ]
     # src/ reads one thing from benchmarks/: the committed records that
     # price `run --spec --dry-run`.
@@ -592,3 +590,17 @@ def test_names_of_the_retired_bench_harnesses_stay_gone(needle):
     hits = [str(p.relative_to(REPO_ROOT)) for p in texts
             if p.exists() and needle in p.read_text(encoding="utf-8")]
     assert not hits
+
+
+def test_every_page_the_source_cites_exists():
+    import re
+
+    cited = {}
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for name in re.findall(r"[\w./-]+\.md\b", text):
+            cited.setdefault(name, []).append(str(path.relative_to(REPO_ROOT)))
+    assert "docs/model.md" in cited
+    missing = {name: where for name, where in cited.items()
+               if not (REPO_ROOT / name).is_file()}
+    assert not missing

@@ -1,16 +1,20 @@
 #!/usr/bin/env python3
-"""Door census: which functions of the simulator's packages a door reaches.
+"""Door census: which functions of ``src/repro`` a door reaches.
 
 A *door* is what a user runs. This tool runs a fixed set of them under
 ``test_census``'s line tracer (subprocesses included) and lists, for
-every function in the simulator's packages (:data:`PACKAGES`), whether
-a door reached it:
+every function in every module under ``src/repro``, whether a door
+reached it:
 
 * the CLI transcript (``tests/experiments/test_cli_golden.py``);
 * every example (``tests/test_examples.py``);
 * the perf ledger's own test (``benchmarks/ledger/test_ledger.py``);
 * ``all --fidelity quick --workers 1``, every exhibit and claim, as a
-  traced subprocess.
+  traced subprocess;
+* the daemons: ``tools/daemon_smoke.sh`` (the CI smokes of ``fabric
+  serve``, ``serve``, ``fabric worker`` and ``jobs``), in a scratch
+  directory. It stops the daemons with SIGTERM, on which they exit
+  cleanly, so each writes out what it ran.
 
 A function counts as reached only when a line of its body runs: its
 ``def`` line runs at import. A nested function is classified on its
@@ -46,10 +50,6 @@ SRC = test_census.SRC
 ALLOWLIST = test_census.TOOLS / "door_allowlist.txt"
 REPORT = ROOT / "door-census.json"
 
-#: The simulator's packages under ``src/repro``.
-PACKAGES = ("arch", "noc", "photonic", "sim", "dba", "traffic", "energy",
-            "area", "analysis", "gpu")
-
 #: The test files that drive doors (each runs the CLI, an example or the
 #: ledger as a user would).
 DOOR_TESTS = (
@@ -60,6 +60,9 @@ DOOR_TESTS = (
 
 #: Every exhibit and claim, serially so the one traced process runs all.
 ALL_VERB = ("all", "--fidelity", "quick", "--workers", "1")
+
+#: The daemons, their workers and the ``jobs`` verbs, as CI runs them.
+DAEMON_SMOKE = test_census.TOOLS / "daemon_smoke.sh"
 
 
 def functions(source: str):
@@ -127,18 +130,22 @@ def run_doors():
         pytest.main(["-q", "-p", "no:cacheprovider", *DOOR_TESTS],
                     plugins=[census])
         census.charge(census.current)
-        census.current = " ".join(ALL_VERB)
-        os.environ[test_census.TEST_VAR] = census.current
-        status = subprocess.run(
-            [sys.executable, "-m", "repro.experiments.cli", *ALL_VERB,
-             "--store", str(Path(scratch, "all.jsonl"))],
-            stdout=subprocess.DEVNULL, check=False,
-        ).returncode
-        census.charge(census.current)
+        doors = (
+            (" ".join(ALL_VERB),
+             [sys.executable, "-m", "repro.experiments.cli", *ALL_VERB,
+              "--store", str(Path(scratch, "all.jsonl"))]),
+            (DAEMON_SMOKE.name, ["bash", str(DAEMON_SMOKE)]),
+        )
+        for name, command in doors:
+            census.current = os.environ[test_census.TEST_VAR] = name
+            status = subprocess.run(
+                command, cwd=scratch, stdout=subprocess.DEVNULL, check=False,
+            ).returncode
+            census.charge(name)
+            if status:
+                print(f"`{name}` exited {status}")
+                census.failed += 1
         report = census.report()
-    if status:
-        print(f"`{' '.join(ALL_VERB)}` exited {status}")
-        census.failed += 1
     return {
         name: {int(line) for line in lines}
         for name, lines in report["covered"].items()
@@ -149,16 +156,15 @@ def main() -> int:
     started = time.perf_counter()
     covered, failed = run_doors()
     reached, unreached = {}, []
-    for package in PACKAGES:
-        for path in sorted((SRC / "repro" / package).rglob("*.py")):
-            rel = str(path.relative_to(ROOT))
-            module = ".".join(path.relative_to(SRC).with_suffix("").parts)
-            module = module.removesuffix(".__init__")
-            for name, hit in classify(path, covered.get(rel, set())).items():
-                key = f"{module}:{name}"
-                reached[key] = hit
-                if not hit:
-                    unreached.append(key)
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        rel = str(path.relative_to(ROOT))
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        module = module.removesuffix(".__init__")
+        for name, hit in classify(path, covered.get(rel, set())).items():
+            key = f"{module}:{name}"
+            reached[key] = hit
+            if not hit:
+                unreached.append(key)
     listed = read_allowlist()
     unlisted = [key for key in unreached if key not in listed]
     no_function = sorted(listed - reached.keys())
@@ -174,9 +180,9 @@ def main() -> int:
         "reached": reached,
     }, indent=1) + "\n", encoding="utf-8")
 
-    print(f"\ndoor census: {len(reached)} functions in {len(PACKAGES)} "
-          f"packages, {len(unreached)} no door reaches, {len(listed)} "
-          f"allow-listed; {failed} failed report(s)")
+    print(f"\ndoor census: {len(reached)} functions under src/repro, "
+          f"{len(unreached)} no door reaches, {len(listed)} allow-listed; "
+          f"{failed} failed report(s)")
     for title, keys in (("no door reaches, not allow-listed", unlisted),
                         ("allow-listed, but no such function", no_function),
                         ("allow-listed, but a door reaches it", now_reached)):

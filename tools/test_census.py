@@ -106,7 +106,8 @@ def trace_child() -> None:
     def spool() -> None:
         sys.settrace(None)
         lines = defaultdict(list)
-        for filename, line in seen:
+        # A copy: a daemon thread may still be tracing into the set.
+        for filename, line in seen.copy():
             lines[filename].append(line)
         path = Path(os.environ[SPOOL_VAR], f"{os.getpid()}-{time.time_ns()}")
         path.with_suffix(".tmp").write_text(

@@ -13,6 +13,10 @@ semantics across the whole code base:
 * an optional *resolver* hook serves parameterised name families
   (``skewed3``, ``skewed_hotspot2``) that cannot be enumerated.
 
+It also holds the two pieces every record codec shares:
+:func:`canonical_json`, the one hashed and written JSON form, and
+:class:`FieldTable`, a dataclass's field names read once.
+
 This module deliberately imports nothing from the rest of ``repro`` so
 any layer — traffic patterns, scenario library, store backends, the
 architecture table — can build on it without import cycles.
@@ -20,10 +24,21 @@ architecture table — can build on it without import cycles.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
-__all__ = ["Registry", "RegistryError", "canonical_json", "lazy_exports"]
+__all__ = [
+    "FieldTable",
+    "Registry",
+    "RegistryError",
+    "canonical_json",
+    "lazy_exports",
+]
+
+#: Built once: ``json.dumps`` with these arguments builds a fresh
+#: encoder per call. An encoder keeps no state between calls.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def canonical_json(obj) -> str:
@@ -36,7 +51,51 @@ def canonical_json(obj) -> str:
     >>> canonical_json({"b": 0.1, "a": [1, None]})
     '{"a":[1,null],"b":0.1}'
     """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(obj)
+
+
+class FieldTable:
+    """One dataclass's field names, read once at import.
+
+    ``dataclasses.fields`` walks the class on every call, and
+    ``dataclasses.asdict`` deep-copies every value; a codec that runs
+    once per record reads this table instead.
+
+    >>> @dataclasses.dataclass
+    ... class Point:
+    ...     x: int
+    ...     y: int = 0
+    >>> table = FieldTable(Point)
+    >>> table.to_dict(Point(1, 2))
+    {'x': 1, 'y': 2}
+    >>> table.build({"x": 3, "unknown": 4})
+    Point(x=3, y=0)
+    """
+
+    __slots__ = ("cls", "names", "known")
+
+    def __init__(self, cls: type) -> None:
+        self.cls = cls
+        #: Field names in declaration order (``asdict``'s key order).
+        self.names: Tuple[str, ...] = tuple(
+            f.name for f in dataclasses.fields(cls)
+        )
+        self.known = frozenset(self.names)
+
+    def to_dict(self, obj) -> dict:
+        """``dataclasses.asdict(obj)`` for a *flat* dataclass (every
+        field a scalar or a tuple of scalars), without the deep copy."""
+        return {name: getattr(obj, name) for name in self.names}
+
+    def build(self, data: dict, **converted):
+        """An instance from *data*'s fields, with *converted* values in
+        place of the raw ones; keys that are not fields are ignored.
+        *data* is never mutated."""
+        if not self.known.issuperset(data):
+            data = {k: v for k, v in data.items() if k in self.known}
+        if converted:
+            data = {**data, **converted}
+        return self.cls(**data)
 
 
 def lazy_exports(module_name: str, module_globals: dict, exports: dict):

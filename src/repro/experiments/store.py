@@ -44,10 +44,11 @@ import os
 import threading
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.api.base import Registry, canonical_json
+from repro.api.base import FieldTable, Registry, canonical_json
 from repro.arch.config import SystemConfig
 from repro.experiments.runner import Fidelity, RunResult
 from repro.scenarios.schedule import PhaseStats
+from repro.traffic.bandwidth_sets import BandwidthSet
 
 #: Bump when the hashed identity or the serialised schema changes.
 SCHEMA_VERSION = 1
@@ -56,6 +57,12 @@ SCHEMA_VERSION = 1
 #: :meth:`ResultStore.get`/:meth:`ResultStore.contains` lets a sharded
 #: backend load only the shard that can hold the key.
 ShardCoords = Tuple[str, int]
+
+#: Field tables of the record form and of a pinned bandwidth set, read
+#: once: every store line, wire result and ledger digest goes through them.
+_RESULT_FIELDS = FieldTable(RunResult)
+_PHASE_FIELDS = FieldTable(PhaseStats)
+_BW_SET_FIELDS = FieldTable(BandwidthSet)
 
 
 def config_fingerprint(config: SystemConfig) -> str:
@@ -116,7 +123,7 @@ def result_key(
         "config": config_digest,
     }
     if bw_set is not None:
-        identity["bw_set_fields"] = dataclasses.asdict(bw_set)
+        identity["bw_set_fields"] = _BW_SET_FIELDS.to_dict(bw_set)
     if scenario is not None:
         if scenario_digest is None:
             from repro.scenarios.library import build_scenario
@@ -129,29 +136,33 @@ def result_key(
 
 
 def result_to_dict(result: RunResult) -> dict:
-    """Serialise a :class:`RunResult` to a plain JSON-able dict."""
-    return dataclasses.asdict(result)
+    """Serialise a :class:`RunResult` to a plain JSON-able dict.
+
+    Equal to ``dataclasses.asdict(result)`` — ``phases`` is a tuple of
+    dicts — without its recursive deep copy.
+    """
+    data = _RESULT_FIELDS.to_dict(result)
+    phases = data["phases"]
+    if phases:
+        data["phases"] = tuple(_PHASE_FIELDS.to_dict(p) for p in phases)
+    return data
 
 
 def result_from_dict(data: dict) -> RunResult:
     """Rebuild a :class:`RunResult` from :func:`result_to_dict` output.
 
-    Unknown fields are ignored (forward compatibility); the per-phase
-    tuple is rebuilt from its JSON list-of-dicts form so store-loaded
-    results compare equal (bitwise) to freshly simulated ones.
+    Unknown fields are ignored at both levels (forward compatibility);
+    the per-phase tuple is rebuilt from its JSON list-of-dicts form so
+    store-loaded results compare equal (bitwise) to freshly simulated
+    ones. *data* is never mutated.
     """
-    fields = {f.name for f in dataclasses.fields(RunResult)}
-    kwargs = {k: v for k, v in data.items() if k in fields}
-    phases = kwargs.get("phases")
-    if phases:
-        phase_fields = {f.name for f in dataclasses.fields(PhaseStats)}
-        kwargs["phases"] = tuple(
-            PhaseStats(**{k: v for k, v in p.items() if k in phase_fields})
-            for p in phases
-        )
-    elif phases is not None:
-        kwargs["phases"] = ()
-    return RunResult(**kwargs)
+    phases = data.get("phases")
+    if phases is None:
+        return _RESULT_FIELDS.build(data)
+    return _RESULT_FIELDS.build(
+        data,
+        phases=tuple(_PHASE_FIELDS.build(p) for p in phases) if phases else (),
+    )
 
 
 def _record_line(key: str, result: RunResult) -> str:

@@ -33,6 +33,7 @@ import json
 import struct
 from typing import Optional
 
+from repro.api.base import FieldTable
 from repro.arch.config import SystemConfig
 from repro.experiments.runner import RunResult
 from repro.experiments.store import result_from_dict, result_to_dict
@@ -65,6 +66,10 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
 
+#: Built once: ``json.dumps`` with these arguments builds a fresh
+#: encoder per call. An encoder keeps no state between calls.
+_WIRE = json.JSONEncoder(separators=(",", ":"))
+
 
 # ---------------------------------------------------------------------------
 # Framing
@@ -72,7 +77,7 @@ _LENGTH = struct.Struct(">I")
 
 def send_message(conn: Connection, message: dict) -> None:
     """Serialise *message* and send it as one length-prefixed frame."""
-    payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    payload = _WIRE.encode(message).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"refusing to send a {len(payload)}-byte frame "
@@ -135,11 +140,14 @@ def expect(message: Optional[dict], expected_type: str) -> dict:
 # Payload serialisers (exact round-trips; see module docstring)
 # ---------------------------------------------------------------------------
 
+#: Field tables of the payload dataclasses, read once.
+_BW_SET_FIELDS = FieldTable(BandwidthSet)
+_POINT_FIELDS = FieldTable(RunPoint)
+_CONFIG_FIELDS = FieldTable(SystemConfig)
+
+
 def _bw_set_from_dict(data: dict) -> BandwidthSet:
-    fields = {f.name for f in dataclasses.fields(BandwidthSet)}
-    kwargs = {k: v for k, v in data.items() if k in fields}
-    kwargs["class_gbps"] = tuple(kwargs["class_gbps"])
-    return BandwidthSet(**kwargs)
+    return _BW_SET_FIELDS.build(data, class_gbps=tuple(data["class_gbps"]))
 
 
 def point_to_dict(point: RunPoint) -> dict:
@@ -150,11 +158,10 @@ def point_to_dict(point: RunPoint) -> dict:
 
 def point_from_dict(data: dict) -> RunPoint:
     """Exact inverse of :func:`point_to_dict`."""
-    fields = {f.name for f in dataclasses.fields(RunPoint)}
-    kwargs = {k: v for k, v in data.items() if k in fields}
-    if kwargs.get("bw_set") is not None:
-        kwargs["bw_set"] = _bw_set_from_dict(kwargs["bw_set"])
-    return RunPoint(**kwargs)
+    bw_set = data.get("bw_set")
+    if bw_set is None:
+        return _POINT_FIELDS.build(data)
+    return _POINT_FIELDS.build(data, bw_set=_bw_set_from_dict(bw_set))
 
 
 def point_label(point: dict) -> str:
@@ -179,10 +186,7 @@ def config_from_dict(data: Optional[dict]) -> Optional[SystemConfig]:
     """Exact inverse of :func:`config_to_dict`."""
     if data is None:
         return None
-    fields = {f.name for f in dataclasses.fields(SystemConfig)}
-    kwargs = {k: v for k, v in data.items() if k in fields}
-    kwargs["bw_set"] = _bw_set_from_dict(kwargs["bw_set"])
-    return SystemConfig(**kwargs)
+    return _CONFIG_FIELDS.build(data, bw_set=_bw_set_from_dict(data["bw_set"]))
 
 
 def result_roundtrip(result: RunResult) -> RunResult:

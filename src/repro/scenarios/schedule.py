@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.api.base import canonical_json
+from repro.api.base import FieldTable, canonical_json
 
 
 class ScenarioError(ValueError):
@@ -60,15 +60,8 @@ class LoadModulator:
     def to_dict(self) -> dict:
         """JSON-able description (``kind`` + the dataclass fields)."""
         data = {"kind": self.kind}
-        data.update(dataclasses_asdict_shallow(self))
+        data.update(_MODULATOR_FIELDS[type(self)].to_dict(self))
         return data
-
-
-def dataclasses_asdict_shallow(obj) -> dict:
-    """``dataclasses.asdict`` without recursion (fields are scalars here)."""
-    import dataclasses
-
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
 @dataclass(frozen=True)
@@ -267,6 +260,12 @@ _MODULATOR_KINDS = {
     cls.kind: cls
     for cls in (StepLoad, RampLoad, BurstLoad, SinusoidLoad, ProductLoad,
                 OffsetLoad)
+}
+
+#: Field tables of the flat modulators (fields are scalars), read by
+#: :meth:`LoadModulator.to_dict`; the nested kinds serialise themselves.
+_MODULATOR_FIELDS = {
+    cls: FieldTable(cls) for cls in (StepLoad, RampLoad, BurstLoad, SinusoidLoad)
 }
 
 

@@ -9,10 +9,11 @@ comparisons. Traces serialise to JSON lines for archival.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, List, Optional
 
+from repro.api.base import FieldTable
 from repro.noc.flit import Packet
 from repro.traffic.bandwidth_sets import BandwidthSet
 
@@ -31,6 +32,10 @@ class TraceRecord:
             raise ValueError("cycle must be >= 0")
         if self.src == self.dst:
             raise ValueError("src == dst in trace record")
+
+
+#: Read once: :meth:`TrafficTrace.save` writes one line per record.
+_RECORD_FIELDS = FieldTable(TraceRecord)
 
 
 class TrafficTrace:
@@ -100,7 +105,7 @@ class TrafficTrace:
         path = Path(path)
         with path.open("w", encoding="utf-8") as fh:
             for record in self.records:
-                fh.write(json.dumps(asdict(record)) + "\n")
+                fh.write(json.dumps(_RECORD_FIELDS.to_dict(record)) + "\n")
 
     @classmethod
     def load(cls, path: Path | str) -> "TrafficTrace":

@@ -1,16 +1,23 @@
 """Tests for the JSONL-backed result store (repro.experiments.store)."""
 
+import copy
 import dataclasses
 import json
+import typing
 
+from hypothesis import given, strategies as st
+
+from repro.api.base import canonical_json
 from repro.experiments.runner import Fidelity, RunResult
 from repro.experiments.store import (
     ResultStore,
+    _record_line,
     config_fingerprint,
     result_from_dict,
     result_key,
     result_to_dict,
 )
+from repro.scenarios.schedule import PhaseStats
 from repro.arch.config import SystemConfig
 from repro.api.spec import ExperimentSpec
 from repro.experiments.sweep import SweepExecutor
@@ -48,6 +55,86 @@ class TestSerialization:
         data = result_to_dict(SAMPLE)
         data["added_in_a_future_schema"] = 42
         assert result_from_dict(data) == SAMPLE
+
+
+#: Scalars a record carries, with the edge cases the JSON form must keep:
+#: ``-0.0`` (``==`` to ``0.0``, but not the same bytes), infinities and
+#: ints past 64 bits. NaN is left out: it is never ``==`` to itself.
+_SCALARS = {
+    int: st.one_of(st.integers(), st.just(2**64 + 1), st.just(-(2**70))),
+    float: st.one_of(st.just(-0.0), st.floats(allow_nan=False)),
+    str: st.text(max_size=8),
+}
+
+
+def _records(cls, **special):
+    """Instances of a flat dataclass, each field drawn by its type."""
+    hints = typing.get_type_hints(cls)
+    return st.builds(cls, **{
+        f.name: special[f.name] if f.name in special else _SCALARS[hints[f.name]]
+        for f in dataclasses.fields(cls)
+    })
+
+
+RESULTS = _records(
+    RunResult,
+    scenario=st.one_of(st.none(), st.text(max_size=8)),
+    phases=st.lists(_records(PhaseStats), max_size=3).map(tuple),
+)
+
+
+class TestCodecProperties:
+    """The record codec against ``dataclasses.asdict`` as its reference."""
+
+    @given(RESULTS)
+    def test_encodes_as_asdict(self, result):
+        data = result_to_dict(result)
+        reference = dataclasses.asdict(result)
+        assert data == reference
+        assert canonical_json(data) == canonical_json(reference)
+        assert _record_line("k", result) == canonical_json(
+            {"key": "k", "result": reference}
+        )
+
+    @given(RESULTS)
+    def test_round_trips_through_canonical_json(self, result):
+        line = canonical_json(result_to_dict(result))
+        back = result_from_dict(json.loads(line))
+        assert back == result
+        assert canonical_json(result_to_dict(back)) == line
+
+    @given(RESULTS)
+    def test_unknown_keys_ignored_at_both_levels(self, result):
+        data = json.loads(canonical_json(result_to_dict(result)))
+        data["added_in_a_future_schema"] = 1
+        for phase in data["phases"]:
+            phase["added_in_a_future_schema"] = [2]
+        assert result_from_dict(data) == result
+
+    @given(RESULTS)
+    def test_empty_missing_and_null_phases(self, result):
+        data = json.loads(canonical_json(result_to_dict(result)))
+        data["phases"] = []
+        assert result_from_dict(data).phases == ()
+        del data["phases"]
+        assert result_from_dict(data).phases == ()
+        # A null ``phases`` decodes to ``None`` and re-encodes as null.
+        data["phases"] = None
+        back = result_from_dict(data)
+        assert back.phases is None
+        assert result_to_dict(back) == dataclasses.asdict(back) == data
+        assert canonical_json(result_to_dict(back)) == canonical_json(data)
+
+    @given(RESULTS)
+    def test_never_mutates_its_input(self, result):
+        data = json.loads(canonical_json(result_to_dict(result)))
+        data["added_in_a_future_schema"] = 1
+        for phase in data["phases"]:
+            phase["added_in_a_future_schema"] = 2
+        before = copy.deepcopy(data)
+        result_from_dict(data)
+        assert data == before
+        assert canonical_json(data) == canonical_json(before)
 
 
 class TestResultKey:

@@ -54,7 +54,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.experiments.runner import Fidelity
 from repro.experiments.store import ResultStore, result_from_dict, result_to_dict
 from repro.fabric.errors import ProtocolError
-from repro.fabric.protocol import point_label, send_message
+from repro.fabric.protocol import encode_message, point_label, send_message
 from repro.fabric.server import RoleServer
 from repro.fabric.transport import Connection
 
@@ -81,7 +81,8 @@ class JobRecord:
     ``point_failed`` frame per resolved key, streamed to a ``client``
     peer verbatim in completion order (:meth:`log_view`); and the filled
     prefix of its grid, ``keys[:completed]``, streamed to ``jobs`` peers
-    in strict grid order (:meth:`grid_view`).
+    in strict grid order (:meth:`grid_view`), each ``job_point`` frame
+    encoded once per record (:meth:`grid_frames`).
     """
 
     job_id: str
@@ -108,6 +109,9 @@ class JobRecord:
     #: Per grid index of the filled prefix: answered from the store, a
     #: concurrent job or an earlier index rather than simulated here.
     cached: List[bool] = field(default_factory=list)
+    #: Encoded ``job_point`` payload per grid index, as far as a ``jobs``
+    #: peer has been streamed: every later stream resends these bytes.
+    encoded: List[bytes] = field(default_factory=list)
 
     def done(self, key: str, result: dict, cached: bool) -> None:
         """Log *key*'s protocol-dict *result*."""
@@ -199,6 +203,13 @@ class JobRecord:
         return frames, (
             {"type": "job_end", **self.describe()} if self.terminal else None
         )
+
+    def grid_frames(self, index: int):
+        """:meth:`grid_view` with each ``job_point`` frame as its encoded
+        payload, encoded the first time any peer is streamed it."""
+        fresh, closing = self.grid_view(len(self.encoded))
+        self.encoded.extend(map(encode_message, fresh))
+        return self.encoded[index:], closing
 
 
 @dataclass

@@ -6,6 +6,9 @@ One frame is a 4-byte big-endian length followed by that many bytes of
 UTF-8 JSON — trivially debuggable (``nc`` + a hex dump), and with no
 dependencies beyond the stdlib. Frames above :data:`MAX_FRAME_BYTES`
 are rejected so a corrupt length prefix cannot allocate gigabytes.
+A stream of frames (:func:`send_frames`) goes out a batch per write,
+and the TCP transport reads through a buffer, so frames coalesce and
+split on the wire freely; only the byte sequence is the protocol.
 
 Every message is a JSON object with a ``"type"`` field. Connections
 open with a ``hello``/``welcome`` handshake that pins the peer's
@@ -31,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import struct
-from typing import Optional
+from typing import Iterable, Optional, Union
 
 from repro.api.base import FieldTable
 from repro.arch.config import SystemConfig
@@ -47,12 +50,14 @@ __all__ = [
     "PROTOCOL_VERSION",
     "config_from_dict",
     "config_to_dict",
+    "encode_message",
     "point_from_dict",
     "point_label",
     "point_to_dict",
     "recv_message",
     "result_from_dict",
     "result_to_dict",
+    "send_frames",
     "send_message",
 ]
 
@@ -66,6 +71,10 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
 
+#: Bytes one ``send_bytes`` call carries at most when a batch of frames
+#: goes out together (a single larger frame still goes out whole).
+_WRITE_BYTES = 256 * 1024
+
 #: Built once: ``json.dumps`` with these arguments builds a fresh
 #: encoder per call. An encoder keeps no state between calls.
 _WIRE = json.JSONEncoder(separators=(",", ":"))
@@ -75,15 +84,41 @@ _WIRE = json.JSONEncoder(separators=(",", ":"))
 # Framing
 # ---------------------------------------------------------------------------
 
+def encode_message(message: dict) -> bytes:
+    """The UTF-8 JSON payload *message* travels as (no length prefix)."""
+    return _WIRE.encode(message).encode("utf-8")
+
+
+def send_frames(conn: Connection, frames: Iterable[Union[dict, bytes]]) -> None:
+    """Send *frames* in order, length-prefixed, in as few writes as fit.
+
+    A frame is a message dict, or ``bytes`` that :func:`encode_message`
+    produced earlier (a stored frame is sent, not re-encoded). The
+    frames are joined into one ``send_bytes`` call per
+    :data:`_WRITE_BYTES`; the bytes on the wire are the same as one
+    :func:`send_message` per frame.
+    """
+    parts: list = []
+    size = 0
+    for frame in frames:
+        payload = frame if isinstance(frame, bytes) else encode_message(frame)
+        if len(payload) > MAX_FRAME_BYTES:
+            raise ProtocolError(
+                f"refusing to send a {len(payload)}-byte frame "
+                f"(cap: {MAX_FRAME_BYTES})"
+            )
+        if parts and size + _LENGTH.size + len(payload) > _WRITE_BYTES:
+            conn.send_bytes(b"".join(parts))
+            parts, size = [], 0
+        parts += (_LENGTH.pack(len(payload)), payload)
+        size += _LENGTH.size + len(payload)
+    if parts:
+        conn.send_bytes(b"".join(parts))
+
+
 def send_message(conn: Connection, message: dict) -> None:
     """Serialise *message* and send it as one length-prefixed frame."""
-    payload = _WIRE.encode(message).encode("utf-8")
-    if len(payload) > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"refusing to send a {len(payload)}-byte frame "
-            f"(cap: {MAX_FRAME_BYTES})"
-        )
-    conn.send_bytes(_LENGTH.pack(len(payload)) + payload)
+    send_frames(conn, (message,))
 
 
 def recv_message(conn: Connection) -> Optional[dict]:

@@ -28,6 +28,7 @@ from repro.fabric.protocol import (
     PROTOCOL_VERSION,
     expect,
     recv_message,
+    send_frames,
     send_message,
 )
 from repro.fabric.transport import (
@@ -282,12 +283,12 @@ class RoleServer:
         the live tail.
 
         *snapshot(index)*, called with *changed* held, returns the
-        job's frames from *index* on plus the closing frame (``None``
-        while more can still come). The frames go out in batches as
-        they appear — a late watcher gets the whole prefix first — and
-        the closing frame last. A send failure (the peer left
-        mid-stream) raises ``OSError`` and drops only this connection,
-        never the job.
+        job's frames (dicts, or payloads encoded earlier) from *index*
+        on plus the closing frame (``None`` while more can still come).
+        Each snapshot goes out as one batch (:func:`send_frames`) — a
+        late watcher gets the whole prefix first — with the closing
+        frame last. A send failure (the peer left mid-stream) raises
+        ``OSError`` and drops only this connection, never the job.
         """
         index = 0
         closing = None
@@ -300,6 +301,4 @@ class RoleServer:
                     changed.wait(timeout=0.5)
                     frames, closing = snapshot(index)
             index += len(frames)
-            for frame in frames:
-                send_message(conn, frame)
-        send_message(conn, closing)
+            send_frames(conn, frames if closing is None else [*frames, closing])

@@ -117,23 +117,29 @@ class Transport(abc.ABC):
 # TCP (stdlib sockets) — the default transport
 # ---------------------------------------------------------------------------
 
+#: Bytes one ``recv`` asks for: a frame that has arrived whole costs
+#: one call, and a batch of small frames usually one in total.
+_RECV_BYTES = 64 * 1024
+
+
 class _TcpConnection(Connection):
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
+        #: Received bytes not yet handed out (one reader per connection).
+        self._buffer = bytearray()
 
     def send_bytes(self, data: bytes) -> None:
         self._sock.sendall(data)
 
     def recv_bytes(self, n: int) -> bytes:
-        chunks = []
-        remaining = n
-        while remaining:
-            chunk = self._sock.recv(remaining)
+        buffer = self._buffer
+        while len(buffer) < n:
+            chunk = self._sock.recv(max(n - len(buffer), _RECV_BYTES))
             if not chunk:
                 break  # EOF mid-message is the caller's ProtocolError
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        data = b"".join(chunks)
+            buffer += chunk
+        data = bytes(buffer[:n])
+        del buffer[:n]
         # A clean EOF before any byte is an orderly close; a partial
         # read is surfaced as-is and the framing layer rejects it.
         return data

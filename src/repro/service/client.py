@@ -122,26 +122,41 @@ class ServiceClient(Peer):
         Returns the :class:`JobRun` when the job finished ``done``;
         raises :class:`ServiceError` naming the terminal state when it
         was cancelled or failed (the partial stream is consumed either
-        way, and *on_point* sees every streamed point).
+        way, and *on_point* sees every streamed point). A stream whose
+        indices skip or repeat, or a ``done`` job whose ``completed``
+        disagrees with the points streamed, raises
+        :class:`~repro.fabric.errors.ProtocolError`.
         """
         results: List[RunResult] = []
         keys: List[str] = []
         for message in self._stream("job_end"):
             kind = message["type"]
             if kind == "job_point":
+                index = int(message["index"])
+                if index != len(results):
+                    # A lost or repeated frame would shift every later
+                    # result onto the wrong grid point.
+                    raise ProtocolError(
+                        f"job {job_id}: job_point index {index} arrived "
+                        f"where index {len(results)} was due"
+                    )
                 result = result_from_dict(message["result"])
                 results.append(result)
                 keys.append(str(message["key"]))
                 if on_point is not None:
                     on_point(
-                        int(message["index"]),
-                        str(message["key"]),
-                        result,
+                        index, str(message["key"]), result,
                         bool(message["cached"]),
                     )
             elif kind != "job_end":
                 raise ProtocolError(f"unexpected stream frame {kind!r}")
         state = str(message.get("state"))  # the last frame is the job_end
+        if state == "done" and message.get("completed") != len(results):
+            raise ProtocolError(
+                f"job {job_id} ended done with "
+                f"{message.get('completed')!r} point(s) completed, "
+                f"but {len(results)} were streamed"
+            )
         if state != "done":
             detail = str(message.get("error") or "")
             raise ServiceError(

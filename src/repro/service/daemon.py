@@ -235,7 +235,7 @@ class ExperimentService(Coordinator):
                     })
                 elif kind == "job_results":
                     record = self.jobs.get(job_id)
-                    self._follow(conn, self._state_changed, record.grid_view)
+                    self._follow(conn, self._state_changed, record.grid_frames)
                 elif kind == "job_cancel":
                     send_message(conn, {
                         "type": "job_cancel_reply",
@@ -280,4 +280,4 @@ class ExperimentService(Coordinator):
             "total": record.total,
         })
         if message.get("watch"):
-            self._follow(conn, self._state_changed, record.grid_view)
+            self._follow(conn, self._state_changed, record.grid_frames)

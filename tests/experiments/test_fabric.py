@@ -16,7 +16,9 @@ import dataclasses
 import os
 import re
 import signal
+import struct
 import threading
+from contextlib import contextmanager
 
 import pytest
 
@@ -35,17 +37,27 @@ from repro.fabric.client import FabricClient
 from repro.fabric.coordinator import Coordinator
 from repro.fabric.errors import FabricError, PointFailedError, ProtocolError
 from repro.fabric.protocol import (
+    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
+    _WRITE_BYTES,
     config_from_dict,
     config_to_dict,
+    encode_message,
     point_from_dict,
     point_to_dict,
     recv_message,
     result_roundtrip,
+    send_frames,
     send_message,
 )
 from repro.fabric.server import dial
-from repro.fabric.transport import make_transport, parse_address, transports
+from repro.fabric.transport import (
+    Connection,
+    _TcpConnection,
+    make_transport,
+    parse_address,
+    transports,
+)
 from repro.fabric.worker import Worker
 
 from support import (
@@ -56,6 +68,8 @@ from support import (
     spawn_worker,
     tiny_spec,
     wait_until,
+    wire_frame,
+    within,
 )
 
 SPEC = tiny_spec(archs=("firefly", "dhetpnoc"))
@@ -177,6 +191,166 @@ class TestProtocol:
             reply = recv_message(conn)
             assert reply is not None and reply["type"] == "error"
             conn.close()
+
+
+# ---------------------------------------------------------------------------
+# Framing under hostile segmentation
+# ---------------------------------------------------------------------------
+
+#: Frames of assorted sizes, multi-byte UTF-8 included.
+FRAMES = [
+    {"type": "x", "i": i, "floats": list(UGLY), "pad": "\u00e9" * (40 * i)}
+    for i in range(6)
+]
+
+
+class Recording(Connection):
+    """A connection that keeps every ``send_bytes`` call's data."""
+
+    def __init__(self) -> None:
+        self.writes = []
+
+    def send_bytes(self, data: bytes) -> None:
+        self.writes.append(data)
+
+    def recv_bytes(self, n: int) -> bytes:
+        return b""
+
+    def close(self) -> None:
+        pass
+
+
+@contextmanager
+def tcp_pair():
+    """A connected ``(client, server)`` pair over localhost TCP."""
+    transport = make_transport("tcp")
+    listener = transport.listen(("127.0.0.1", 0))
+    client = transport.connect(listener.address, timeout=10.0)
+    server = listener.accept()
+    try:
+        yield client, server
+    finally:
+        for end in (client, server, listener):
+            end.close()
+
+
+def read_all(conn, n: int):
+    """*n* frames, then what the next read returns (``None`` at EOF)."""
+    return [recv_message(conn) for _ in range(n)], recv_message(conn)
+
+
+class FakeSocket:
+    """Serves queued segments to ``recv``, counting the calls."""
+
+    def __init__(self, *segments: bytes) -> None:
+        self.segments = list(segments)
+        self.recvs = 0
+
+    def recv(self, n: int) -> bytes:
+        self.recvs += 1
+        if not self.segments:
+            return b""
+        segment = self.segments.pop(0)
+        if len(segment) > n:
+            segment, rest = segment[:n], segment[n:]
+            self.segments.insert(0, rest)
+        return segment
+
+    def close(self) -> None:
+        pass
+
+
+class TestFraming:
+    def test_a_batch_is_one_write_of_one_frame_per_message(self):
+        conn = Recording()
+        send_frames(conn, FRAMES)
+        assert conn.writes == [b"".join(map(wire_frame, FRAMES))]
+        one_by_one = Recording()
+        for frame in FRAMES:
+            send_message(one_by_one, frame)
+        assert one_by_one.writes == list(map(wire_frame, FRAMES))
+        # A payload encoded earlier is sent as it is.
+        stored = Recording()
+        send_frames(stored, [encode_message(f) for f in FRAMES[:3]] + FRAMES[3:])
+        assert stored.writes == conn.writes
+
+    def test_a_batch_past_the_write_cap_splits_between_frames(self):
+        big = {"type": "x", "pad": "a" * (_WRITE_BYTES // 3)}
+        frames = [big] * 7
+        conn = Recording()
+        send_frames(conn, frames)
+        assert len(conn.writes) > 1
+        assert all(len(w) <= _WRITE_BYTES for w in conn.writes)
+        assert b"".join(conn.writes) == b"".join(map(wire_frame, frames))
+        whole = {"type": "x", "pad": "a" * _WRITE_BYTES}  # one frame, whole
+        conn = Recording()
+        send_frames(conn, [FRAMES[0], whole, FRAMES[1]])
+        assert conn.writes == list(map(wire_frame, [FRAMES[0], whole, FRAMES[1]]))
+
+    def test_coalesced_frames_decode_in_order(self):
+        with tcp_pair() as (client, server):
+            client.send_bytes(b"".join(map(wire_frame, FRAMES)))
+            client.close()
+            assert within(10, lambda: read_all(server, len(FRAMES))) == (
+                FRAMES, None,
+            )
+
+    def test_frames_sent_one_byte_per_write_decode_in_order(self):
+        data = b"".join(map(wire_frame, FRAMES))
+        with tcp_pair() as (client, server):
+            def trickle():
+                for i in range(len(data)):
+                    client.send_bytes(data[i:i + 1])
+                client.close()
+
+            writer = threading.Thread(target=trickle, daemon=True)
+            writer.start()
+            assert within(10, lambda: read_all(server, len(FRAMES))) == (
+                FRAMES, None,
+            )
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+
+    def test_a_valid_frame_then_an_over_cap_prefix_in_one_segment(self):
+        with tcp_pair() as (client, server):
+            client.send_bytes(
+                wire_frame(FRAMES[1]) + struct.pack(">I", MAX_FRAME_BYTES + 1)
+            )
+            assert within(10, lambda: recv_message(server)) == FRAMES[1]
+            with pytest.raises(ProtocolError, match="exceeds cap"):
+                within(10, lambda: recv_message(server))
+
+    def test_eof_mid_header_is_a_short_header(self):
+        with tcp_pair() as (client, server):
+            client.send_bytes(wire_frame(FRAMES[0]) + b"\x00\x00")
+            client.close()
+            assert within(10, lambda: recv_message(server)) == FRAMES[0]
+            with pytest.raises(ProtocolError, match="short header"):
+                within(10, lambda: recv_message(server))
+
+    def test_eof_mid_payload_is_a_short_payload(self):
+        frame = wire_frame(FRAMES[2])
+        with tcp_pair() as (client, server):
+            client.send_bytes(frame[:len(frame) // 2])
+            client.close()
+            with pytest.raises(ProtocolError, match="short payload"):
+                within(10, lambda: recv_message(server))
+
+    def test_orderly_eof_with_an_empty_buffer_is_none(self):
+        with tcp_pair() as (client, server):
+            client.close()
+            assert within(10, lambda: recv_message(server)) is None
+
+    def test_a_frame_that_arrived_whole_costs_one_recv(self):
+        sock = FakeSocket(b"".join(map(wire_frame, FRAMES)))
+        conn = _TcpConnection(sock)
+        assert read_all(conn, len(FRAMES)) == (FRAMES, None)
+        assert sock.recvs == 2  # the segment, then EOF
+        # Split anywhere, a frame still decodes.
+        data = wire_frame(FRAMES[3])
+        for cut in (1, 3, 4, 5, len(data) - 1):
+            sock = FakeSocket(data[:cut], data[cut:])
+            assert read_all(_TcpConnection(sock), 1) == ([FRAMES[3]], None)
 
 
 # ---------------------------------------------------------------------------

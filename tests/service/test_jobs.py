@@ -7,7 +7,8 @@ lifecycle (queued/running/terminal, restartable states, cancellation
 of queued vs running jobs) and the admission-control backpressure; the
 record tests pin the two views one ``JobRecord`` carries — the
 completion-ordered log a ``client`` peer streams and the grid-ordered
-filled prefix a ``jobs`` peer streams.
+filled prefix a ``jobs`` peer streams, each ``job_point`` of it
+encoded once per record.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import threading
 import pytest
 
 from repro.api.spec import ExperimentSpec
+from repro.fabric.protocol import encode_message
 from repro.service.errors import ServiceError
 from repro.service.jobs import (
     JobQueue,
@@ -236,3 +238,22 @@ class TestJobRecord:
         assert record.log_view(0)[1] == {
             "type": "job_done", "executed": 1, "hits": 0, "failed": 1,
         }
+
+    def test_each_grid_frame_is_grid_views_dict_encoded_once(self):
+        record = JobRecord(job_id="job-x", total=3, keys=["a", "b", "a"])
+        record.done("a", {"r": [0.1 + 0.2, "\u00e9"]}, cached=False)
+        frames, closing = record.grid_frames(0)
+        # Index 1 is unresolved: the prefix stops at index 0.
+        assert (len(frames), closing) == (1, None)
+        record.done("b", {"r": 1.0 / 3.0}, cached=True)
+        record.state = "done"
+        frames, closing = record.grid_frames(0)
+        dicts, end = record.grid_view(0)
+        assert frames == [encode_message(frame) for frame in dicts]
+        assert closing == end and closing["completed"] == 3
+        # Stored, not re-encoded: every later stream resends the same
+        # objects, from whatever index it starts at.
+        again, _ = record.grid_frames(0)
+        assert all(x is y for x, y in zip(again, frames))
+        assert record.grid_frames(2)[0] == frames[2:]
+        assert record.grid_frames(3) == ([], closing)

@@ -6,7 +6,9 @@ under identical store keys is the ``jobs`` columns of
 bar of docs/service.md is pinned here:
 
 * results stream incrementally in grid order, and a duplicate
-  submission replays the identical stream;
+  submission or a later watch replays the identical stream, byte for
+  byte; a watcher attaching mid-job gets the prefix, then the live
+  tail; a client refuses a stream that skips or repeats an index;
 * overlapping specs submitted by concurrent clients produce exactly
   one simulation (one store ``put``) per unique key, and both clients
   receive identical streams for the shared points;
@@ -23,22 +25,35 @@ import json
 import socket
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
 from repro.experiments.cli import main
+from repro.experiments.runner import RunResult
 from repro.experiments.store import open_store, result_to_dict
+from repro.experiments.sweep import execute_item
+from repro.fabric.errors import ProtocolError
 from repro.fabric.protocol import (
     PROTOCOL_VERSION,
     recv_message,
+    send_frames,
     send_message,
 )
-from repro.fabric.transport import make_transport
+from repro.fabric.server import dial
+from repro.fabric.transport import Connection, make_transport
 from repro.service.client import ServiceClient
 from repro.service.daemon import ExperimentService
 from repro.service.errors import ServiceError
 
-from support import CountingBackend, local_run, tiny_spec, wait_until
+from support import (
+    CountingBackend,
+    local_run,
+    tiny_spec,
+    wait_until,
+    wire_frame,
+    within,
+)
 
 
 @pytest.fixture
@@ -76,6 +91,183 @@ class TestConformance:
         assert [result_to_dict(r) for r in again.results] == [
             result_to_dict(r) for r in first.results
         ]
+
+
+class Tap(Connection):
+    """Wraps a connection and keeps every byte received through it."""
+
+    def __init__(self, inner: Connection) -> None:
+        self.inner = inner
+        self.received = bytearray()
+
+    def send_bytes(self, data: bytes) -> None:
+        self.inner.send_bytes(data)
+
+    def recv_bytes(self, n: int) -> bytes:
+        data = self.inner.recv_bytes(n)
+        self.received += data
+        return data
+
+    def close(self) -> None:
+        self.inner.close()
+
+    def take(self) -> bytes:
+        """The bytes received since the last call."""
+        data = bytes(self.received)
+        self.received.clear()
+        return data
+
+
+class TestStoredFrames:
+    def test_a_replay_resends_the_live_streams_bytes(self, service):
+        spec = tiny_spec(seeds=(1, 2))
+        with ServiceClient(service.address) as client:
+            tap = client._conn = Tap(client._conn)
+            handle = client.submit(spec, watch=True)
+            tap.take()  # job_accepted
+            client.stream(handle.job_id)
+            live = tap.take()
+            client.watch(handle.job_id)
+            watched = tap.take()
+            assert client.submit(spec, watch=True).deduped
+            tap.take()
+            client.stream(handle.job_id)
+            duplicate = tap.take()
+        assert watched == live and duplicate == live
+        # Every byte is one frame per message of the record's dict view.
+        frames, closing = service.jobs.get(handle.job_id).grid_view(0)
+        assert len(frames) == spec.n_points()
+        assert live == b"".join(map(wire_frame, [*frames, closing]))
+
+    def test_a_watcher_attaching_mid_job_gets_the_prefix_then_the_tail(self):
+        # No local lanes: this test is the only one simulating, one key
+        # at a time, through the transitions a lane drives.
+        spec = tiny_spec(seeds=(1, 2))
+        n = spec.n_points()
+        service = ExperimentService(workers=0, max_jobs=1)
+        service.start()
+        lane = object()
+
+        def complete_one() -> None:
+            with service._state_changed:
+                (item,) = service._lease(lane, 1)
+            service._complete_point(
+                item["key"], result_to_dict(execute_item(item))
+            )
+
+        conn = None
+        try:
+            with ServiceClient(service.address) as client:
+                job_id = client.submit(spec).job_id
+            record = service.jobs.get(job_id)
+            wait_until(lambda: len(record.pending) == n, message="admission")
+            complete_one()
+            complete_one()
+            conn, _welcome = dial(service.address, "jobs")
+            send_message(conn, {"type": "job_results", "job_id": job_id})
+            def read():
+                return within(10, lambda: recv_message(conn))
+
+            seen = [read(), read()]  # the prefix
+            for _ in range(n - 2):  # the live tail, one point at a time
+                complete_one()
+                seen.append(read())
+            seen.append(read())  # job_end
+            frames, closing = record.grid_view(0)
+            assert [f.get("index") for f in seen] == [*range(n), None]
+            assert seen == json.loads(json.dumps([*frames, closing]))
+            assert closing["state"] == "done" and closing["completed"] == n
+        finally:
+            if conn is not None:
+                conn.close()
+            service.stop()
+
+
+# ---------------------------------------------------------------------------
+# Stream integrity: a client refuses a shifted stream
+# ---------------------------------------------------------------------------
+
+#: Any decodable result: the scripted daemon below streams it.
+RESULT = result_to_dict(RunResult(
+    arch="firefly", pattern="uniform", bw_set_index=1, offered_gbps=1.0,
+    delivered_gbps=1.0, photonic_gbps=0.5, per_core_gbps=0.01,
+    energy_per_message_pj=2.0, mean_latency_cycles=30.0,
+    acceptance_ratio=1.0, packets_delivered=10, reservations_nacked=0,
+    laser_power_mw=640.0, lit_wavelengths=64,
+))
+
+
+def point(index: int) -> dict:
+    return {
+        "type": "job_point", "job_id": "job-x", "index": index,
+        "key": f"k{index}", "result": RESULT, "cached": True,
+    }
+
+
+@contextmanager
+def scripted_daemon(*frames):
+    """A one-connection ``jobs`` daemon: it answers the handshake and
+    the first request with ``job_accepted`` and then *frames*."""
+    listener = make_transport("tcp").listen(("127.0.0.1", 0))
+
+    def serve():
+        conn = listener.accept()
+        try:
+            recv_message(conn)  # hello
+            send_message(conn, {
+                "type": "welcome", "version": PROTOCOL_VERSION,
+                "server": "service",
+            })
+            recv_message(conn)  # job_submit
+            send_frames(conn, [{
+                "type": "job_accepted", "job_id": "job-x",
+                "state": "running", "deduped": False, "total": 3,
+            }, *frames])
+            recv_message(conn)  # until the client hangs up
+        finally:
+            conn.close()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.address
+    finally:
+        listener.close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def end(completed: int) -> dict:
+    return {
+        "type": "job_end", "job_id": "job-x", "state": "done", "total": 3,
+        "completed": completed, "executed": 0, "hits": completed,
+        "error": "",
+    }
+
+
+class TestStreamIntegrity:
+    @pytest.mark.parametrize("indices, wrong", [
+        ((0, 2, 1), "index 2 arrived where index 1 was due"),
+        ((0, 0, 1, 2), "index 0 arrived where index 1 was due"),
+    ])
+    def test_a_skipped_or_repeated_index_is_a_protocol_error(
+        self, indices, wrong
+    ):
+        seen = []
+        frames = [point(i) for i in indices]
+        with scripted_daemon(*frames, end(3)) as address:
+            with ServiceClient(address) as client:
+                with pytest.raises(ProtocolError, match=wrong):
+                    client.run_spec(
+                        tiny_spec(), on_point=lambda i, *_: seen.append(i)
+                    )
+        assert seen == [0]
+
+    def test_a_done_job_must_count_the_points_it_streamed(self):
+        with scripted_daemon(point(0), point(1), end(3)) as address:
+            with ServiceClient(address) as client:
+                with pytest.raises(ProtocolError, match="3 point"):
+                    client.run_spec(tiny_spec())
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 One copy each of the tiny fidelity most simulated tests run at, the
 one-curve spec built from it (and its first point in wire form), a
-polling wait, the reference local run, a store backend that counts its
-``put`` calls, a server started for the length of a block, and the
-launchers of fabric workers (in this process, or as ``fabric worker``
-subprocesses) and of any CLI subprocess.
+polling wait, a deadline on a blocking read, the bytes of one wire
+frame built without the protocol module, the reference local run, a
+store backend that counts its ``put`` calls, a server started for the
+length of a block, and the launchers of fabric workers (in this
+process, or as ``fabric worker`` subprocesses) and of any CLI
+subprocess.
 
 ``tests/`` holds the root ``conftest.py``, so pytest puts it on
 ``sys.path`` and any test module can ``from support import ...``.
@@ -13,7 +15,9 @@ subprocesses) and of any CLI subprocess.
 
 from __future__ import annotations
 
+import json
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -51,6 +55,32 @@ def tiny_spec(**overrides) -> ExperimentSpec:
 def wire_point(seed: int = 1) -> dict:
     """The first point of ``tiny_spec(seeds=(seed,))`` in wire form."""
     return point_to_dict(tiny_spec(seeds=(seed,)).expand()[0])
+
+
+def within(seconds: float, read):
+    """``read()`` on a helper thread: fail instead of hanging."""
+    box = {}
+
+    def run():
+        try:
+            box["value"] = read()
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            box["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"read still blocked after {seconds}s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+def wire_frame(message: dict) -> bytes:
+    """One frame's bytes, built independently of the protocol module:
+    big-endian u32 length, then compact UTF-8 JSON."""
+    payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    return struct.pack(">I", len(payload)) + payload
 
 
 def wait_until(predicate, timeout=30.0, message="condition"):

@@ -91,6 +91,11 @@ job_a=$(grep -o "job-[0-9a-f]*" submitA.out)
 $cli jobs watch "$job_a" \
   --connect 127.0.0.1:7123 | tee watchA.out
 grep -q "done" watchA.out
+# Watching the finished job again replays its stored frames: the
+# transcript must be the same, line for line.
+$cli jobs watch "$job_a" \
+  --connect 127.0.0.1:7123 > watchA-replay.out
+cmp watchA.out watchA-replay.out
 # One record, one admission path, both roles on one port: a
 # `client`-role batch of specA's grid is answered wholly from
 # what the `jobs`-role job just stored, and resubmitting the

@@ -21,7 +21,7 @@ from repro.arch.base import NoCArchitecture
 from repro.arch.config import SystemConfig
 from repro.arch.registry import architectures
 from repro.scenarios.schedule import PhaseStats, ScenarioSchedule
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.rng import RandomStreams
 from repro.traffic.bandwidth_sets import BandwidthSet
 from repro.traffic.generator import TrafficGenerator
@@ -163,11 +163,46 @@ class WiredRun:
         self.source = source
         self.arch.attach_generator(source)
 
-    def simulate(self, total_cycles: int, reset_cycles: int) -> None:
+    def simulate(
+        self, total_cycles: int, reset_cycles: int, audit: int = 0
+    ) -> None:
         """Run *total_cycles* (statistics reset after the first
-        *reset_cycles*) and close the architecture's books."""
-        self.sim.run_with_reset(total_cycles, reset_cycles)
+        *reset_cycles*) and close the architecture's books.
+
+        With ``audit=N > 0`` each stretch, the warm-up and the measured
+        run, checks the architecture's laws (``arch.audit()``) before
+        it starts and after every N or fewer cycles, so the last check
+        comes before the books close. A broken law raises
+        :class:`~repro.sim.engine.SimulationError` naming the cycle the
+        audit ran at (the cycles before it have run) and carrying the
+        architecture's message. Auditing does not change the run: its
+        results are bitwise those of ``audit=0``.
+        """
+        if audit < 0:
+            raise ValueError(f"audit must be >= 0, got {audit}")
+        self._advance(reset_cycles, audit)
+        self.sim.reset_all_stats()
+        self._advance(total_cycles - reset_cycles, audit)
         self.arch.finalize()
+
+    def _advance(self, cycles: int, audit: int) -> None:
+        """Run *cycles* cycles; with *audit* > 0, audit before them and
+        after every *audit* or fewer."""
+        sim = self.sim
+        if not audit:
+            sim.run(cycles)
+            return
+        end = sim.cycle + cycles
+        while True:
+            try:
+                self.arch.audit()
+            except SimulationError as exc:
+                raise SimulationError(
+                    f"audit at cycle {sim.cycle}: {exc}"
+                ) from exc
+            if sim.cycle == end:
+                return
+            sim.run(min(audit, end - sim.cycle))
 
 
 def wire_run(

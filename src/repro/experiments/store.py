@@ -65,6 +65,22 @@ _PHASE_FIELDS = FieldTable(PhaseStats)
 _BW_SET_FIELDS = FieldTable(BandwidthSet)
 
 
+#: The identity line :func:`result_key` hashes: ``canonical_json`` of
+#: the identity dict, written out with its members already in sorted
+#: order. Strings go through the encoder's own string function, ints
+#: render as ``str`` renders them, the rounded load as ``float.__repr__``
+#: with JSON's spellings of the non-finite values, and the optional
+#: members (``bw_set_fields``, ``scenario``) are ``canonical_json``
+#: fragments with their leading comma, or empty.
+_KEY_LINE = (
+    '{"arch":%s,"bw_set":%s%s,"config":%s,"offered_gbps":%s,'
+    '"pattern":%s,"reset_cycles":%s%s,"seed":%s,"total_cycles":%s,'
+    '"v":' + str(SCHEMA_VERSION) + "}"
+)
+_json_str = json.encoder.encode_basestring_ascii
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def config_fingerprint(config: SystemConfig) -> str:
     """Stable digest of every field of a :class:`SystemConfig`."""
     return hashlib.sha256(
@@ -111,19 +127,12 @@ def result_key(
     """
     if config_digest is None:
         config_digest = config_fingerprint(config or SystemConfig())
-    identity = {
-        "v": SCHEMA_VERSION,
-        "arch": arch,
-        "bw_set": bw_set_index,
-        "pattern": pattern,
-        "offered_gbps": round(float(offered_gbps), 9),
-        "seed": int(seed),
-        "total_cycles": fidelity.total_cycles,
-        "reset_cycles": fidelity.reset_cycles,
-        "config": config_digest,
-    }
+    pinned = ""
     if bw_set is not None:
-        identity["bw_set_fields"] = _BW_SET_FIELDS.to_dict(bw_set)
+        pinned = ',"bw_set_fields":' + canonical_json(
+            _BW_SET_FIELDS.to_dict(bw_set)
+        )
+    played = ""
     if scenario is not None:
         if scenario_digest is None:
             from repro.scenarios.library import build_scenario
@@ -131,8 +140,16 @@ def result_key(
             scenario_digest = build_scenario(
                 scenario, fidelity.total_cycles
             ).fingerprint()
-        identity["scenario"] = {"name": scenario, "fp": scenario_digest}
-    return hashlib.sha256(canonical_json(identity).encode()).hexdigest()
+        played = ',"scenario":' + canonical_json(
+            {"name": scenario, "fp": scenario_digest}
+        )
+    load = repr(round(float(offered_gbps), 9))
+    line = _KEY_LINE % (
+        _json_str(arch), bw_set_index, pinned, _json_str(config_digest),
+        _NON_FINITE.get(load, load), _json_str(pattern),
+        fidelity.reset_cycles, played, int(seed), fidelity.total_cycles,
+    )
+    return hashlib.sha256(line.encode()).hexdigest()
 
 
 def result_to_dict(result: RunResult) -> dict:
@@ -283,10 +300,6 @@ class MemoryBackend(StoreBackend):
         """Store *result* in the process-local dict."""
         self._results[key] = result
 
-    def contains(self, key: str, coords: Optional[ShardCoords] = None) -> bool:
-        """Whether *key* is present."""
-        return key in self._results
-
     def scan(
         self, coords: Optional[ShardCoords] = None
     ) -> Iterator[Tuple[str, RunResult]]:
@@ -320,6 +333,11 @@ def _header_line(coords: ShardCoords) -> str:
     )
 
 
+#: ``json.loads`` without its per-call wrapper: the strict C scanner
+#: of a default decoder, which returns ``(value, end)``. A stripped
+#: line holds one JSON value exactly when ``end == len(line)``.
+_scan = json.JSONDecoder().scan_once
+
 #: What :func:`_read_lines` yields for a shard's index header line.
 _HEADER = object()
 
@@ -340,12 +358,16 @@ def _read_lines(path: str) -> Iterator[Tuple[str, object]]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-                if isinstance(obj, dict) and "shard" in obj:
+                obj, end = _scan(line, 0)
+                if end != len(line):
+                    parsed = None  # glued records, trailing junk
+                elif isinstance(obj, dict) and "shard" in obj:
                     parsed = _HEADER
                 else:
                     parsed = obj["key"], result_from_dict(obj["result"])
-            except (ValueError, KeyError, TypeError, AttributeError):
+            except (StopIteration, ValueError, KeyError, TypeError,
+                    AttributeError):
+                # StopIteration: the scanner found no JSON value at all.
                 parsed = None
             yield line, parsed
 

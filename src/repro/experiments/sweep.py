@@ -288,19 +288,29 @@ class PointExecutor:
         ``(index, point)`` pairs a run would simulate: the first
         occurrence of each unique key the store does not hold.
         """
-        keys = [self._key(p, fidelity) for p in points]
-        # Membership checks pass the point's (arch, bw set) coordinates
-        # so a sharded store loads only the shards this batch can hit.
-        batch_seen = set()
-        missing = []
-        for i, (p, k) in enumerate(zip(points, keys)):
-            if k in batch_seen or self.store.contains(
-                k, (p.arch, p.bw_set_index)
-            ):
-                continue
-            batch_seen.add(k)
-            missing.append((i, p))
+        keys, missing, _found = self._lookup(points, fidelity)
         return keys, missing
+
+    def _lookup(self, points: Sequence[RunPoint], fidelity: Fidelity) -> Tuple[
+        List[str], List[Tuple[int, RunPoint]], List[Optional[RunResult]]
+    ]:
+        """:meth:`plan`, plus the record the store holds for each point
+        (``None`` for a miss): one ``store.get`` per point, none for a
+        point whose key this batch already missed. :meth:`run_points`
+        hands those records back instead of asking again."""
+        keys = [self._key(p, fidelity) for p in points]
+        # Lookups pass the point's (arch, bw set) coordinates so a
+        # sharded store loads only the shards this batch can hit.
+        batch_missed = set()
+        missing = []
+        found: List[Optional[RunResult]] = [None] * len(keys)
+        for i, (p, k) in enumerate(zip(points, keys)):
+            if k not in batch_missed:
+                result = found[i] = self.store.get(k, (p.arch, p.bw_set_index))
+                if result is None:
+                    batch_missed.add(k)
+                    missing.append((i, p))
+        return keys, missing, found
 
     def work_item(self, point: RunPoint, key: str, fidelity: Fidelity) -> dict:
         """The work item *point* is simulated from: the one form a
@@ -327,19 +337,19 @@ class PointExecutor:
         self, points: Sequence[RunPoint], fidelity: Fidelity
     ) -> List[RunResult]:
         """Execute *points*, returning results in the same order."""
-        keys, missing = self.plan(points, fidelity)
+        keys, missing, found = self._lookup(points, fidelity)
         self.executed_count = 0
-        fresh: Dict[int, RunResult] = {}
         if missing:
-            fresh = self._execute(missing, keys, fidelity)
-            for i, result in fresh.items():
+            fresh = {}
+            for i, result in self._execute(missing, keys, fidelity).items():
                 self.store.put(keys[i], result)
-        return [
-            fresh[i]
-            if i in fresh
-            else self.store.get(keys[i], (p.arch, p.bw_set_index))
-            for i, p in enumerate(points)
-        ]
+                fresh[keys[i]] = result
+            # A point repeating a missed key gets its twin's result.
+            found = [
+                fresh.get(k) if stored is None else stored
+                for k, stored in zip(keys, found)
+            ]
+        return found
 
     def _execute(
         self,

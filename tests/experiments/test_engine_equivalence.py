@@ -9,6 +9,8 @@ itself: the single-run core's ``Simulator`` is built with the
 with ``==``.
 """
 
+import re
+
 import pytest
 
 from repro.api.session import Session
@@ -19,6 +21,8 @@ from repro.experiments import runner
 from repro.experiments.runner import Fidelity, attach_traffic, wire_run
 from repro.sim.engine import Simulator
 from repro.traffic.bandwidth_sets import BW_SET_1
+
+from support import TINY
 
 #: Short schedule: long enough to exercise reservation round-trips,
 #: retries and warm-up reset; short enough that the naive runs keep the
@@ -351,3 +355,70 @@ def test_mesh_audit_catches_a_planted_fault(monkeypatch, mutate, counter):
     sim, arch = audited_run("electrical", BW_SET_1, "skewed3", 600.0)
     with pytest.raises(SimulationError, match=rf"emesh: {counter} is"):
         step_auditing(sim, arch, 50)
+
+
+#: What ``WiredRun.simulate(audit=N)`` must leave bitwise alone: both
+#: photonic fabrics past the knee, the mesh, a near-idle d-HetPNoC and
+#: a fault-storm replay (700 cycles, 100 of them warm-up).
+AUDITED_CASES = [
+    ("dhetpnoc", "skewed3", 600.0, None),
+    ("firefly", "skewed3", 600.0, None),
+    ("electrical", "skewed3", 600.0, None),
+    ("dhetpnoc", "uniform", 20.0, None),
+    ("dhetpnoc", "skewed3", 400.0, "fault_storm"),
+]
+
+
+@pytest.mark.parametrize("arch,pattern,offered,scenario", AUDITED_CASES)
+def test_an_audited_run_equals_the_unaudited_one(monkeypatch, arch, pattern,
+                                                 offered, scenario):
+    """``audit=7`` audits before the warm-up, after every 7 or fewer
+    cycles, again right after the warm-up reset and at the end; the
+    result is the ``audit=0`` one, field for field."""
+    simulate = runner.WiredRun.simulate
+    audited_at = []
+
+    def audited(self, total_cycles, reset_cycles):
+        law = self.arch.audit
+        self.arch.audit = lambda: (audited_at.append(self.sim.cycle), law())
+        simulate(self, total_cycles, reset_cycles, audit=7)
+
+    def run():
+        return runner._run_once(arch, BW_SET_1, pattern, offered,
+                                fidelity=TINY, seed=1, scenario=scenario)
+
+    plain = run()
+    monkeypatch.setattr(runner.WiredRun, "simulate", audited)
+    assert run() == plain
+    assert audited_at[:17] == [0, *range(7, 99, 7), 100, 100]
+    assert audited_at[-1] == TINY.total_cycles
+    assert max(b - a for a, b in zip(audited_at, audited_at[1:])) == 7
+
+
+def test_an_audited_run_names_a_planted_fault_and_its_cycle():
+    """A scheduled event bumps one gateway's held-flit counter at cycle
+    250: ``audit=7`` stops the run at the first audit after it, naming
+    the cycle and the counter; ``audit=0`` finishes, silently wrong."""
+    from repro.sim.engine import SimulationError
+
+    def planted():
+        run = wire_run("dhetpnoc", BW_SET_1, "skewed3", TINY, seed=1)
+        attach_traffic(run, 400.0, TINY)
+
+        def bump():
+            run.arch.gateways[3]._held += 1
+        run.sim.schedule(250, bump)
+        return run
+
+    law = r"^audit at cycle (\d+): gateway 3: _held is"
+    with pytest.raises(SimulationError, match=law) as caught:
+        planted().simulate(TINY.total_cycles, TINY.reset_cycles, audit=7)
+    assert 250 < int(re.match(law, str(caught.value))[1]) <= 257
+    planted().simulate(TINY.total_cycles, TINY.reset_cycles)
+
+
+def test_a_negative_audit_interval_is_refused():
+    run = wire_run("dhetpnoc", BW_SET_1, "uniform", TINY, seed=1)
+    with pytest.raises(ValueError, match="audit must be >= 0, got -1"):
+        run.simulate(TINY.total_cycles, TINY.reset_cycles, audit=-1)
+    assert run.sim.cycle == 0

@@ -2,14 +2,22 @@
 
 import copy
 import dataclasses
+import hashlib
 import json
 import typing
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.api.base import canonical_json
-from repro.experiments.runner import Fidelity, RunResult
+from repro.experiments.runner import (
+    PAPER_FIDELITY,
+    QUICK_FIDELITY,
+    Fidelity,
+    RunResult,
+)
 from repro.experiments.store import (
+    SCHEMA_VERSION,
+    _BW_SET_FIELDS,
     ResultStore,
     _record_line,
     config_fingerprint,
@@ -21,6 +29,7 @@ from repro.scenarios.schedule import PhaseStats
 from repro.arch.config import SystemConfig
 from repro.api.spec import ExperimentSpec
 from repro.experiments.sweep import SweepExecutor
+from repro.traffic.bandwidth_sets import BANDWIDTH_SETS
 
 from support import TINY
 
@@ -172,6 +181,72 @@ class TestResultKey:
         ) != result_key("firefly", 1, "uniform", 100.0, 1, TINY)
         assert config_fingerprint(SystemConfig()) == config_fingerprint(
             SystemConfig()
+        )
+
+
+def reference_key(arch, bw_set_index, pattern, offered_gbps, seed, fidelity,
+                  config_digest, bw_set=None, scenario=None,
+                  scenario_digest=None):
+    """``result_key`` as the generic encoder writes it: the identity
+    dict, ``canonical_json``, SHA-256."""
+    identity = {
+        "v": SCHEMA_VERSION,
+        "arch": arch,
+        "bw_set": bw_set_index,
+        "pattern": pattern,
+        "offered_gbps": round(float(offered_gbps), 9),
+        "seed": int(seed),
+        "total_cycles": fidelity.total_cycles,
+        "reset_cycles": fidelity.reset_cycles,
+        "config": config_digest,
+    }
+    if bw_set is not None:
+        identity["bw_set_fields"] = _BW_SET_FIELDS.to_dict(bw_set)
+    if scenario is not None:
+        identity["scenario"] = {"name": scenario, "fp": scenario_digest}
+    return hashlib.sha256(canonical_json(identity).encode()).hexdigest()
+
+
+#: Text with the characters JSON escapes: quotes, backslashes, control
+#: characters, and non-ASCII ones beyond the basic plane.
+KEY_TEXT = st.text(
+    st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u2028é\U0001f600')
+)
+
+#: Offered loads, the awkward ones drawn often: signed zeros,
+#: subnormals, a float repr switches to exponent form at, NaN, inf.
+KEY_LOADS = st.one_of(
+    st.floats(),
+    st.sampled_from([
+        0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e22, 5e-10,
+        123.4567890125, float("nan"), float("inf"), float("-inf"),
+    ]),
+)
+
+
+class TestResultKeyBytes:
+    @settings(max_examples=200)
+    @given(
+        arch=KEY_TEXT, pattern=KEY_TEXT, digest=KEY_TEXT,
+        bw_set_index=st.integers(-5, 10**6),
+        offered=KEY_LOADS,
+        seed=st.integers(-(2**80), 2**80),
+        fidelity=st.sampled_from([PAPER_FIDELITY, QUICK_FIDELITY]),
+        bw_set=st.none() | st.sampled_from(BANDWIDTH_SETS),
+        scenario=st.none() | st.tuples(KEY_TEXT, KEY_TEXT),
+    )
+    def test_key_is_the_canonical_identity_hash(
+        self, arch, pattern, digest, bw_set_index, offered, seed, fidelity,
+        bw_set, scenario,
+    ):
+        name, fingerprint = scenario or (None, None)
+        assert result_key(
+            arch, bw_set_index, pattern, offered, seed, fidelity,
+            config_digest=digest, bw_set=bw_set, scenario=name,
+            scenario_digest=fingerprint,
+        ) == reference_key(
+            arch, bw_set_index, pattern, offered, seed, fidelity, digest,
+            bw_set, name, fingerprint,
         )
 
 

@@ -12,6 +12,7 @@ import dataclasses
 import glob
 import json
 import os
+from collections import Counter
 
 import pytest
 
@@ -25,10 +26,11 @@ from repro.experiments.store import (
     open_store,
     shard_filename,
 )
+from repro.api.session import Session
 from repro.api.spec import ExperimentSpec
 from repro.experiments.sweep import SweepExecutor
 
-from support import TINY
+from support import TINY, CountingBackend, tiny_spec
 
 SAMPLE = RunResult(
     arch="firefly",
@@ -177,6 +179,40 @@ class TestConformance:
         assert reloaded.get("ka") == SAMPLE
         assert len(reloaded) == 1
         assert reloaded.corrupt_lines == 3
+
+    def test_a_line_holding_anything_but_one_record_is_corrupt(self, factory):
+        """Glued records, a record trailed by junk, bare JSON values, a
+        line opening on no JSON value, a record without its result:
+        each is one corrupt line, loads nothing, and compaction drops
+        it."""
+        glued = [store_mod._record_line(k, SAMPLE) for k in ("kg1", "kg2")]
+        trailed = store_mod._record_line("kt", SAMPLE)
+        corrupt = [
+            glued[0] + glued[1],
+            glued[0] + " " + glued[1],
+            trailed + " x",
+            trailed + "}",
+            "1", '"s"', "null", "[]",
+            "x" + trailed,
+            "\ufeff" + trailed,
+            '{"key": "no-result"}',
+        ]
+        factory().put("ka", SAMPLE)
+        (path,) = _data_files(factory)
+        for line in corrupt:
+            _append_line(path, line)
+
+        reloaded = factory()
+        assert dict(iter(reloaded)) == {"ka": SAMPLE}
+        assert reloaded.corrupt_lines == len(corrupt)
+        stats = reloaded.compact()
+        assert stats.lines_before == len(corrupt) + 1
+        assert (stats.corrupt_dropped, stats.records_after) == (len(corrupt), 1)
+        assert factory().corrupt_lines == 0
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        assert lines[-1] == store_mod._record_line("ka", SAMPLE)
+        assert len(lines) == (2 if factory.kind == "sharded" else 1)
 
     def test_compaction_preserves_latest_record_per_key(self, factory):
         store = factory()
@@ -377,6 +413,60 @@ class TestShardedLayout:
             shard_filename("firefly", 1): 1,
             shard_filename("dhetpnoc", 1): 1,
         }
+
+
+class LookupCounting(CountingBackend):
+    """Counts ``get`` calls per key too: a membership test through the
+    default ``contains`` is one."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.get_counts: Counter = Counter()
+
+    def get(self, key, coords=None):
+        self.get_counts[key] += 1
+        return super().get(key, coords)
+
+
+#: Three points, two keys: a load rounds to 9 decimals before it is
+#: hashed, so the first two points are one simulation.
+TWIN_SPEC = tiny_spec(load_fractions=(0.3, 0.3 + 1e-14, 0.8))
+
+
+class TestOneLookupPerPoint:
+    def test_a_full_resume_gets_each_point_once(self):
+        """The plan's lookup is the only one: one ``get`` per key of a
+        grid without repeats, one per point of a grid with a twin."""
+        backend = LookupCounting()
+        with Session(backend) as session:
+            cold = session.run(TWIN_SPEC)
+            for spec, expected in ((tiny_spec(), [cold[0], cold[2]]),
+                                   (TWIN_SPEC, cold)):
+                keys = [session.executor._key(p, TINY) for p in spec.expand()]
+                backend.get_counts.clear()
+                assert session.run(spec) == expected
+                assert session.executed_count == 0
+                assert backend.get_counts == Counter(keys)
+        assert len(keys) == 3 and len(set(keys)) == 2
+
+    def test_dry_run_predicts_the_run_with_a_repeated_key(self):
+        with Session(LookupCounting()) as session:
+            session.run(tiny_spec(load_fractions=(0.8,)))
+            assert session.dry_run(TWIN_SPEC).to_simulate == 1
+            session.run(TWIN_SPEC)
+            assert session.executed_count == 1
+            assert session.dry_run(TWIN_SPEC).to_simulate == 0
+
+    def test_a_partial_store_simulates_only_its_misses(self):
+        with Session() as cold:
+            reference = cold.run(TWIN_SPEC)
+        backend = LookupCounting()
+        with Session(backend) as session:
+            session.run(tiny_spec(load_fractions=(0.8,)))
+            backend.put_counts.clear()
+            assert session.run(TWIN_SPEC) == reference
+            assert session.executed_count == 1
+        assert backend.puts == 1
 
 
 class TestFactory:

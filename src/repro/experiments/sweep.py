@@ -518,17 +518,19 @@ class FabricExecutor(PointExecutor):
     """Run sweep points through a distributed fabric coordinator.
 
     A drop-in :class:`PointExecutor` sibling of :class:`SweepExecutor`:
-    cache-missing points are submitted to a coordinator
-    (``dhetpnoc-repro fabric serve``) that leases them to remote
-    workers and answers from its own store when another client already
-    paid for the simulation. Keys, configs and scenario digests come
-    from the shared base class, so the results — and the store they
-    resume from — are bitwise-identical to a local run.
+    cache-missing points are submitted, as a planned-batch job on the
+    ``jobs`` role, to a coordinator (``dhetpnoc-repro fabric serve``)
+    that leases them to remote workers and answers from its own store
+    when another client already paid for the simulation. Keys, configs
+    and scenario digests come from the shared base class, so the
+    results — and the store they resume from — are bitwise-identical
+    to a local run.
 
     The connection is opened lazily on the first batch and kept for
     the executor's lifetime (adaptive sweeps submit many small jobs).
-    Points the coordinator gives up on after bounded retries surface
-    as :class:`~repro.fabric.errors.PointFailedError` — never a hang.
+    A point the coordinator gives up on after bounded retries fails
+    its job, which surfaces as
+    :class:`~repro.fabric.errors.PointFailedError` — never a hang.
 
     Args:
         connect: Coordinator address (``"host:port"`` or tuple).
@@ -556,9 +558,9 @@ class FabricExecutor(PointExecutor):
 
     def _ensure_client(self):
         if self._client is None:
-            from repro.fabric.client import FabricClient
+            from repro.service.client import ServiceClient
 
-            self._client = FabricClient(
+            self._client = ServiceClient(
                 self.address, connect_timeout=self._connect_timeout,
             )
         return self._client
@@ -579,7 +581,7 @@ class FabricExecutor(PointExecutor):
         keys: List[str],
         fidelity: Fidelity,
     ) -> Dict[int, RunResult]:
-        from repro.fabric.errors import PointFailedError
+        from repro.fabric.protocol import point_label
 
         client = self._ensure_client()
         # One submitted job per effective config: a batch can span
@@ -593,10 +595,9 @@ class FabricExecutor(PointExecutor):
                 self.work_item(p, keys[i], fidelity)
             )
         results: Dict[str, RunResult] = {}
-        failures = []
         for items in groups.values():
             # The frame carries the group's fidelity and config once.
-            outcome = client.submit(
+            handle = client.submit_batch(
                 [
                     {
                         field: item[field]
@@ -607,10 +608,14 @@ class FabricExecutor(PointExecutor):
                 ],
                 items[0]["fidelity"],
                 items[0]["config"],
+                watch=True,
             )
-            self.executed_count += outcome.executed
-            failures.extend(outcome.failures)
-            results.update(outcome.results)
-        if failures:
-            raise PointFailedError(failures)
+            run = client.stream(handle.job_id, labels={
+                item["key"]: point_label(item["point"]) for item in items
+            })
+            # A batch that attached to an admitted job was paid for by
+            # the submission that admitted it.
+            if not handle.deduped:
+                self.executed_count += run.executed
+            results.update(zip(run.keys, run.results))
         return {i: results[keys[i]] for i, _p in missing}

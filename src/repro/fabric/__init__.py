@@ -4,8 +4,9 @@ One coordinator (``dhetpnoc-repro fabric serve``) owns the result
 store and a work queue; any number of workers (``fabric worker
 --connect host:port``) lease point batches and stream results back;
 clients (``sweep --fabric host:port`` or
-:class:`~repro.experiments.sweep.FabricExecutor`) submit batches and
-collect results. The conformance bar: serial == parallel ==
+:class:`~repro.experiments.sweep.FabricExecutor`) submit batches as
+jobs, through :class:`~repro.service.client.ServiceClient`, and collect
+results. The conformance bar: serial == parallel ==
 distributed, **bitwise**, with identical content-hash store keys —
 see docs/fabric.md.
 
@@ -16,9 +17,9 @@ Layout::
     protocol      length-prefixed JSON frames + payload serialisers
     server        RoleServer (accept loop, handshake, role dispatch,
                   result-stream loop) + dial(), the one client handshake
-    coordinator   RoleServer + work table, leases, retries, shared store
+    coordinator   RoleServer + work table, leases, retries, shared
+                  store, the jobs role and its runner threads
     worker        lease/execute/stream loop + heartbeats
-    client        submit/collect connection used by FabricExecutor
 
 Submodules are imported lazily: the fabric pulls in the whole
 simulation stack, and ``repro.fabric.errors`` alone must stay cheap
@@ -33,24 +34,20 @@ from repro.fabric.errors import (
     PointFailedError,
     PointFailure,
     ProtocolError,
-    WorkerLostError,
 )
 
 __all__ = [
     "Coordinator",
-    "FabricClient",
     "FabricError",
     "PointFailedError",
     "PointFailure",
     "ProtocolError",
     "Worker",
-    "WorkerLostError",
     "transports",
 ]
 
 _LAZY = {
     "Coordinator": ("repro.fabric.coordinator", "Coordinator"),
-    "FabricClient": ("repro.fabric.client", "FabricClient"),
     "Worker": ("repro.fabric.worker", "Worker"),
     "transports": ("repro.fabric.transport", "transports"),
 }

@@ -6,11 +6,13 @@ listening endpoint (role declared in the ``hello`` handshake):
 * **workers** register with capability info, lease batches of points
   off the shared work queue, stream one ``result`` frame back per
   completed point, and heartbeat while computing;
-* **clients** (:class:`~repro.experiments.sweep.FabricExecutor`)
-  submit jobs — lists of ``(key, point)`` pairs plus the fidelity and
-  config — and receive ``point_done`` frames as points complete
-  (coordinator-store hits complete immediately), closed by a
-  ``job_done`` summary. A point already in the coordinator's
+* **jobs** peers (:class:`~repro.service.client.ServiceClient`, which
+  :class:`~repro.experiments.sweep.FabricExecutor` submits through)
+  submit jobs — an :class:`~repro.api.spec.ExperimentSpec`, or a
+  planned batch of ``(key, point)`` entries plus the fidelity and
+  config — and receive ``job_point`` frames in grid order as the grid
+  fills (coordinator-store hits fill it at once), closed by a
+  ``job_end`` summary. A point already in the coordinator's
   :class:`~repro.experiments.store.ResultStore` is such a hit, so a
   client on any machine resumes from, and adds to, that one store.
 
@@ -19,27 +21,28 @@ Failure semantics
 A worker is **lost** when its connection drops or its heartbeats go
 quiet for ``worker_timeout_s``. Every key the lost worker still held a
 lease on is re-queued; a key that has been leased ``max_attempts``
-times without producing a result is *failed* and reported to its
-waiting clients as a ``point_failed`` frame — a distributed sweep
-degrades into a diagnosable partial failure, never a hang. Worker-side
-execution errors count against the same attempt budget (a
+times without producing a result is *failed*, and so is every job
+waiting on it: its ``job_end`` lists the points given up on — a
+distributed sweep degrades into a diagnosable failure, never a hang.
+Worker-side execution errors count against the same attempt budget (a
 deterministic simulation bug fails fast instead of hot-looping).
 
-Every batch somebody waits for — a client's submission, or a spec job
-of the experiment service built on this class — is one
-:class:`JobRecord`, admitted by :meth:`Coordinator._admit`. Work items
-are **deduplicated by store key across jobs**: two records wanting the
-same point concurrently share one simulation, exactly like the
-in-process executor dedups within a batch. A job that goes away (its
-client disconnected, or it was cancelled) stops waiting on its keys; a
-key nobody waits on and no worker holds leaves the table.
+Every job is one :class:`JobRecord`, registered in a
+:class:`~repro.service.jobs.JobQueue` under its content-hash ID, run by
+one of ``max_jobs`` runner threads and admitted by
+:meth:`Coordinator._admit`. Work items are **deduplicated by store key
+across jobs**: two records wanting the same point concurrently share
+one simulation, exactly like the in-process executor dedups within a
+batch. A job whose peer disconnects runs on (re-submitting it attaches
+to its record); a cancelled one stops waiting on its keys, and a key
+nobody waits on and no worker holds leaves the table.
 
 Thread model: the accept loop and one handler thread per connection
 come from :class:`~repro.fabric.server.RoleServer` (as do the
-handshake and the result-stream loop), plus one liveness monitor. All
-queue/job/lease state — the records included — lives behind a single
-condition variable; the result store has its own lock so slow file I/O
-never blocks scheduling.
+handshake and the result-stream loop), plus one liveness monitor and
+the runner threads. All queue/job/lease state — the records included —
+lives behind a single condition variable; the result store has its own
+lock so slow file I/O never blocks scheduling.
 """
 
 from __future__ import annotations
@@ -51,12 +54,21 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.api.spec import ExperimentSpec
 from repro.experiments.runner import Fidelity
 from repro.experiments.store import ResultStore, result_from_dict, result_to_dict
+from repro.experiments.sweep import PointExecutor
 from repro.fabric.errors import ProtocolError
 from repro.fabric.protocol import encode_message, point_label, send_message
 from repro.fabric.server import RoleServer
 from repro.fabric.transport import Connection
+from repro.service.errors import ServiceError
+from repro.service.jobs import (
+    TERMINAL,
+    JobQueue,
+    job_id_for_batch,
+    job_id_for_spec,
+)
 
 __all__ = ["Coordinator", "DEFAULT_PORT", "JobRecord"]
 
@@ -66,29 +78,25 @@ DEFAULT_PORT = 7023
 log = logging.getLogger("repro.fabric")
 
 
-#: Job states no further transition leaves (see :mod:`repro.service.jobs`).
-TERMINAL = ("done", "failed", "cancelled")
-
-
 @dataclass(eq=False)
 class JobRecord:
-    """One batch of points somebody waits for: a waiter on the work table.
+    """One job: a batch of points somebody waits for, a waiter on the
+    work table.
 
-    A ``jobs``-role job (a spec, a content-hash id, a lifecycle) and a
-    ``client``-role batch (unique keys, no spec, born running) are the
-    same record, written only under the coordinator's scheduling lock.
-    It carries both views of itself: ``log``, one ``point_done`` or
-    ``point_failed`` frame per resolved key, streamed to a ``client``
-    peer verbatim in completion order (:meth:`log_view`); and the filled
-    prefix of its grid, ``keys[:completed]``, streamed to ``jobs`` peers
+    A spec job (planned from its spec when a runner admits it) and a
+    planned batch (the work items it was submitted as) are the same
+    record, written only under the coordinator's scheduling lock. Peers
+    are streamed the filled prefix of its grid, ``keys[:completed]``,
     in strict grid order (:meth:`grid_view`), each ``job_point`` frame
     encoded once per record (:meth:`grid_frames`).
     """
 
     job_id: str
-    #: The submitted :class:`~repro.api.spec.ExperimentSpec`, and the size
-    #: of its expanded grid; a client batch has no spec and reports no total.
+    #: The submitted :class:`~repro.api.spec.ExperimentSpec` ...
     spec: Any = None
+    #: ... or the planned batch's wire-form work items, in grid order.
+    items: Optional[List[dict]] = None
+    #: The size of the job's grid.
     total: int = 0
     state: str = "queued"
     #: Why the job failed.
@@ -98,48 +106,57 @@ class JobRecord:
     cancelled: bool = False
     #: Store keys in grid order (filled at admission).
     keys: List[str] = field(default_factory=list)
-    #: Keys this job waits for on the work table (each leaves when its
-    #: frame is logged or the job withdraws from it).
+    #: Keys this job waits for on the work table (each leaves when it
+    #: resolves or the job withdraws from it).
     pending: Set[str] = field(default_factory=set)
-    #: Each resolved key's frame; insertion order is completion order.
-    log: Dict[str, dict] = field(default_factory=dict)
+    #: Each resolved key's protocol-dict result.
+    results: Dict[str, dict] = field(default_factory=dict)
+    #: The points given up on, as ``job_end`` lists them:
+    #: ``{key, error, attempts}`` each.
+    failures: List[dict] = field(default_factory=list)
     #: Keys this job simulated and has not yet counted: a key repeated
     #: in the grid is paid for once and a hit afterwards.
     owned: Set[str] = field(default_factory=set)
     #: Per grid index of the filled prefix: answered from the store, a
     #: concurrent job or an earlier index rather than simulated here.
     cached: List[bool] = field(default_factory=list)
-    #: Encoded ``job_point`` payload per grid index, as far as a ``jobs``
-    #: peer has been streamed: every later stream resends these bytes.
+    #: Encoded ``job_point`` payload per grid index, as far as a peer
+    #: has been streamed: every later stream resends these bytes.
     encoded: List[bytes] = field(default_factory=list)
 
+    @classmethod
+    def for_spec(cls, spec: ExperimentSpec) -> "JobRecord":
+        """A spec job's record, named by the spec's content hash."""
+        return cls(job_id_for_spec(spec), spec=spec, total=spec.n_points())
+
+    @classmethod
+    def for_batch(cls, items: List[dict]) -> "JobRecord":
+        """A planned batch's record, named by its ordered keys' hash."""
+        return cls(
+            job_id_for_batch([item["key"] for item in items]),
+            items=items, total=len(items),
+        )
+
     def done(self, key: str, result: dict, cached: bool) -> None:
-        """Log *key*'s protocol-dict *result*."""
+        """Record *key*'s protocol-dict *result*."""
         if not cached:
             self.owned.add(key)
-        self._resolve({
-            "type": "point_done", "key": key,
-            "result": result, "cached": cached,
-        })
-
-    def failed(self, key: str, reason: str, error: str, attempts: int) -> None:
-        """Log that *key* was given up on; the first *reason* fails the job."""
-        self.error = self.error or reason
-        self._resolve({
-            "type": "point_failed", "key": key,
-            "error": error, "attempts": attempts,
-        })
-
-    def _resolve(self, frame: dict) -> None:
-        self.pending.discard(frame["key"])
-        self.log[frame["key"]] = frame
+        self.pending.discard(key)
+        self.results[key] = result
         # Grow the filled prefix over every grid index now answered.
         while self.completed < len(self.keys):
             key = self.keys[self.completed]
-            if "result" not in self.log.get(key, ()):
+            if key not in self.results:
                 break  # unresolved, or given up on
             self.cached.append(key not in self.owned)
             self.owned.discard(key)
+
+    def failed(self, key: str, reason: str, error: str, attempts: int) -> None:
+        """Record that *key* was given up on; the first *reason* fails
+        the job."""
+        self.error = self.error or reason
+        self.pending.discard(key)
+        self.failures.append({"key": key, "error": error, "attempts": attempts})
 
     @property
     def completed(self) -> int:
@@ -173,35 +190,22 @@ class JobRecord:
             "error": self.error,
         }
 
-    def log_view(self, index: int):
-        """The log from *index* on, and ``job_done`` — this job's own
-        simulated / shared / given-up-on counts — once nothing is
-        pending (see :meth:`~repro.fabric.server.RoleServer._follow`)."""
-        frames = []
-        if index < len(self.log):  # a wake-up for someone else skips nothing
-            frames = list(itertools.islice(self.log.values(), index, None))
-        if self.pending:
-            return frames, None
-        done = [f["cached"] for f in self.log.values() if "result" in f]
-        return frames, {
-            "type": "job_done", "executed": done.count(False),
-            "hits": done.count(True), "failed": len(self.log) - len(done),
-        }
-
     def grid_view(self, index: int):
         """``job_point`` frames for the filled prefix from grid *index*
-        on, and ``job_end`` once the job is terminal."""
+        on, and ``job_end`` — with the points given up on — once the
+        job is terminal."""
         frames = [
             {
                 "type": "job_point", "job_id": self.job_id, "index": i,
                 "key": self.keys[i],
-                "result": self.log[self.keys[i]]["result"],
+                "result": self.results[self.keys[i]],
                 "cached": self.cached[i],
             }
             for i in range(index, self.completed)
         ]
         return frames, (
-            {"type": "job_end", **self.describe()} if self.terminal else None
+            {"type": "job_end", **self.describe(), "failed": self.failures}
+            if self.terminal else None
         )
 
     def grid_frames(self, index: int):
@@ -255,6 +259,9 @@ class Coordinator(RoleServer):
         worker_timeout_s: Silence (no frames at all) after which a
             worker is declared lost and its leases re-queued.
         max_attempts: Lease grants per key before the point is failed.
+        max_jobs: Jobs on the work table at once (runner threads).
+        max_pending: Queued-job backlog admitted before submissions are
+            refused (admission control).
     """
 
     title = "coordinator"
@@ -269,24 +276,31 @@ class Coordinator(RoleServer):
         heartbeat_s: float = 2.0,
         worker_timeout_s: float = 20.0,
         max_attempts: int = 3,
+        max_jobs: int = 2,
+        max_pending: int = 16,
     ) -> None:
         if lease_size < 1:
             raise ValueError("lease_size must be at least 1")
         if max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
+        if max_jobs < 1:
+            raise ValueError("max_jobs must be at least 1")
         super().__init__(host, port)
-        self._roles.update(
-            worker=self._serve_worker,
-            client=self._serve_client,
-        )
+        self._roles.update(worker=self._serve_worker, jobs=self._serve_jobs)
         self.store = store if store is not None else ResultStore()
         self.lease_size = lease_size
         self.heartbeat_s = heartbeat_s
         self.worker_timeout_s = worker_timeout_s
         self.max_attempts = max_attempts
+        self.max_jobs = max_jobs
 
         self._lock = threading.RLock()
         self._state_changed = threading.Condition(self._lock)
+        self.jobs = JobQueue(self._state_changed, max_pending=max_pending)
+        # Plans spec jobs the way a local Session.run does (keys,
+        # in-batch dedup, work items). It holds no results: the store is
+        # read at admission, under its lock, so every unique key "misses".
+        self._planner = PointExecutor()
         self._store_lock = threading.RLock()
         self._queue: List[str] = []  # FIFO of work-item keys
         self._work: Dict[str, _WorkItem] = {}
@@ -300,9 +314,12 @@ class Coordinator(RoleServer):
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> Tuple[str, int]:
-        """Bind and begin accepting and monitoring in background threads."""
+        """Bind and begin accepting, monitoring and running jobs in
+        background threads."""
         address = super().start()
         self._spawn(self._monitor_loop, "monitor")
+        for i in range(self.max_jobs):
+            self._spawn(self._runner_loop, f"runner-{i}")
         return address
 
     def _release(self) -> None:
@@ -533,45 +550,154 @@ class Coordinator(RoleServer):
                 )
                 worker.conn.close()  # unblocks its handler thread
 
-    # -- client role ---------------------------------------------------------
-    def _serve_client(self, conn: Connection, hello: dict) -> None:
+    # -- job execution -------------------------------------------------------
+    def _runner_loop(self) -> None:
+        while not self._closed:
+            record = self.jobs.claim(timeout=0.5)
+            if record is not None:
+                self._execute_job(record)
+
+    def _plan(self, record: JobRecord):
+        """*record*'s ``(keys, wanted, item_for)``, as :meth:`_admit`
+        takes them."""
+        if record.spec is None:  # a planned batch: its items are the plan
+            items = record.items
+            keys = [item["key"] for item in items]
+            wanted = [
+                (i, (item["point"]["arch"], item["point"]["bw_set_index"]))
+                for i, item in enumerate(items)
+            ]
+            return keys, wanted, items.__getitem__
+        points = record.spec.expand()
+        fidelity = record.spec.fidelity
+        keys, unique = self._planner.plan(points, fidelity)
+        wanted = [(i, (point.arch, point.bw_set_index)) for i, point in unique]
+        return keys, wanted, lambda i: self._planner.work_item(
+            points[i], keys[i], fidelity
+        )
+
+    def _execute_job(self, record: JobRecord) -> None:
+        """Hold one of the ``max_jobs`` slots for *record*: admit it,
+        then wait while the work table resolves it."""
+        failure = ""
+        try:
+            self._admit(record, *self._plan(record))
+            with self._state_changed:
+                while True:
+                    if record.cancelled:
+                        self._withdraw(record, keep_leased=True)
+                    if record.error or not record.pending:
+                        break
+                    if self._closed:
+                        raise ProtocolError(f"{self.title} shutting down")
+                    self._state_changed.wait(timeout=0.5)
+        except Exception as exc:  # noqa: BLE001 - surfaced via job state
+            log.warning("%s failed: %r", record.job_id, exc)
+            failure = f"{type(exc).__name__}: {exc}"
+        with self._state_changed:
+            # Off the table before the state says so: a restart must
+            # never find this attempt still waiting on its keys.
+            self._withdraw(record)
+            error = record.error or failure
+            if error:
+                state = "failed"
+            elif record.completed == record.total:
+                state = "done"
+            else:
+                state = "cancelled"
+            self.jobs.finish(record, state, error=error)
+        log.info(
+            "%s %s: %d/%d point(s), %d simulated, %d from store",
+            record.job_id, state, record.completed, record.total,
+            record.executed, record.hits,
+        )
+
+    # -- jobs role -----------------------------------------------------------
+    def _serve_jobs(self, conn: Connection, hello: dict) -> None:
         self._welcome(conn)
         for message in self._frames(conn):
             kind = message["type"]
-            if kind == "submit":
-                self._run_job(conn, message)
-            elif kind == "stats":
-                with self._store_lock:  # len() may load shards
-                    stats = {**self.stats(), "store_records": len(self.store)}
-                send_message(conn, {"type": "stats_reply", "stats": stats})
-            else:
-                raise ProtocolError(f"unexpected client frame {kind!r}")
+            job_id = str(message.get("job_id"))
+            try:
+                if kind == "job_submit":
+                    self._handle_submit(conn, message)
+                elif kind == "job_status":
+                    send_message(conn, {
+                        "type": "job_status_reply",
+                        "job": self.jobs.get(job_id).describe(),
+                    })
+                elif kind == "job_results":
+                    record = self.jobs.get(job_id)
+                    self._follow(conn, self._state_changed, record.grid_frames)
+                elif kind == "job_cancel":
+                    send_message(conn, {
+                        "type": "job_cancel_reply",
+                        "job_id": job_id,
+                        "state": self.jobs.cancel(job_id),
+                    })
+                elif kind == "job_list":
+                    send_message(conn, {
+                        "type": "job_list_reply",
+                        "jobs": self.jobs.list_jobs(),
+                    })
+                elif kind == "stats":
+                    with self._store_lock:  # len() may load shards
+                        stats = {**self.stats(), "store_records": len(self.store)}
+                    send_message(conn, {"type": "stats_reply", "stats": stats})
+                else:
+                    raise ProtocolError(f"unexpected jobs frame {kind!r}")
+            except ServiceError as exc:
+                # RPC-level refusals (bad spec, unknown job, capacity)
+                # keep the connection: reply and serve the next frame.
+                send_message(conn, {"type": "error", "error": str(exc)})
 
-    def _run_job(self, conn: Connection, message: dict) -> None:
-        """Admit one batch — the degenerate job: unique keys, no spec,
-        born running — and stream its log until completion."""
-        entries = message.get("points") or []
-        # Decoded once here, so a malformed fidelity earns the client an
+    def _handle_submit(self, conn: Connection, message: dict) -> None:
+        if "points" in message:
+            record = JobRecord.for_batch(self._batch_items(message))
+        else:
+            record = JobRecord.for_spec(self._grid_spec(message.get("spec")))
+        record, deduped = self.jobs.submit(record)
+        log.info(
+            "%s %s: %d point(s) (%s)",
+            record.job_id, record.state, record.total,
+            "deduped" if deduped else "admitted",
+        )
+        send_message(conn, {
+            "type": "job_accepted",
+            "job_id": record.job_id,
+            "state": record.state,
+            "deduped": deduped,
+            "total": record.total,
+        })
+        if message.get("watch"):
+            self._follow(conn, self._state_changed, record.grid_frames)
+
+    @staticmethod
+    def _grid_spec(data) -> ExperimentSpec:
+        try:
+            spec = ExperimentSpec.from_dict(data)
+        except (KeyError, ValueError, OSError) as exc:
+            raise ServiceError(f"bad spec: {exc}")
+        if spec.mode != "grid":
+            raise ServiceError(
+                f"service jobs execute grid specs; this spec has "
+                f"mode={spec.mode!r} (run adaptive searches locally)"
+            )
+        return spec
+
+    @staticmethod
+    def _batch_items(message: dict) -> List[dict]:
+        """A planned batch's entries merged with the fidelity and config
+        they share into wire-form work items."""
+        # Decoded once here, so a malformed fidelity earns the peer an
         # error frame instead of a failure on every worker it reaches.
         Fidelity.from_dict(message["fidelity"])
         shared = {"fidelity": message["fidelity"], "config": message.get("config")}
-        keys = [entry["key"] for entry in entries]
-        if len(set(keys)) != len(keys):
-            raise ProtocolError("submitted keys must be unique per job")
-        wanted = [
-            (index, (entry["point"]["arch"], entry["point"]["bw_set_index"]))
-            for index, entry in enumerate(entries)
+        items = [
+            {"key": entry["key"], "point": entry["point"],
+             "script": entry.get("script"), **shared}
+            for entry in message["points"]
         ]
-        job = JobRecord(job_id=f"job-{next(self._ids)}", state="running")
-        try:
-            self._admit(job, keys, wanted, lambda index: {
-                "key": keys[index], "point": entries[index]["point"],
-                "script": entries[index].get("script"), **shared,
-            })
-            log.info(
-                "%s: %d point(s) submitted, %d store hit(s), %d to simulate",
-                job.job_id, len(entries), len(job.log), len(job.pending),
-            )
-            self._follow(conn, self._state_changed, job.log_view)
-        finally:
-            self._withdraw(job)
+        if len({item["key"] for item in items}) != len(items):
+            raise ServiceError("submitted keys must be unique per job")
+        return items

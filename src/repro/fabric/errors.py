@@ -7,10 +7,6 @@ class. The distinction that matters operationally:
 * :class:`ProtocolError` — the wire itself misbehaved (bad frame, bad
   message, version mismatch). Talking to a non-fabric endpoint, or to
   an incompatible build, lands here.
-* :class:`WorkerLostError` — a worker connection died or timed out.
-  Internal to the coordinator's retry machinery; it surfaces to users
-  only once retries are exhausted, folded into a
-  :class:`PointFailedError`.
 * :class:`PointFailedError` — one or more sweep points could not be
   completed after bounded retries. Carries the per-point
   :class:`PointFailure` records so a distributed sweep degrades into a
@@ -29,10 +25,6 @@ class FabricError(RuntimeError):
 
 class ProtocolError(FabricError):
     """Malformed frame/message or incompatible protocol version."""
-
-
-class WorkerLostError(FabricError):
-    """A worker connection died or stopped heartbeating mid-lease."""
 
 
 @dataclass(frozen=True)

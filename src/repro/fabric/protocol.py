@@ -12,7 +12,7 @@ split on the wire freely; only the byte sequence is the protocol.
 
 Every message is a JSON object with a ``"type"`` field. Connections
 open with a ``hello``/``welcome`` handshake that pins the peer's
-*role* (``worker`` / ``client`` / ``store``) and checks
+*role* (``worker`` / ``jobs``) and checks
 :data:`PROTOCOL_VERSION`; everything after the handshake is
 role-specific (see :mod:`repro.fabric.coordinator` for the full
 message flow and docs/fabric.md for the frame catalogue).
@@ -63,7 +63,7 @@ __all__ = [
 
 #: Bump on incompatible message-schema changes; checked in the
 #: ``hello``/``welcome`` handshake.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one frame's payload. Work batches and scan replies
 #: are far below this; the cap only guards against garbage prefixes.

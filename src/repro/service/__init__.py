@@ -1,4 +1,4 @@
-"""Experiment service: the fabric coordinator plus a ``jobs`` role.
+"""Experiment service: the ``jobs`` role and the daemon around it.
 
 One daemon (``dhetpnoc-repro serve``) owns a result store, a job queue
 and the coordinator's work table; any number of clients submit
@@ -16,8 +16,8 @@ Layout::
 
     errors   ServiceError (extends FabricError)
     jobs     JobQueue: IDs, lifecycle, admission (JobRecord is the coordinator's)
-    daemon   ExperimentService(Coordinator): runners, local lanes, job_* frames
-    client   ServiceClient: submit/stream/status/cancel/list
+    daemon   ExperimentService(Coordinator): local lanes, path stores, port
+    client   ServiceClient: submit/stream/status/cancel/list/stats
 
 Submodules are imported lazily, mirroring ``repro.fabric``: the daemon
 pulls in the whole simulation stack, and ``repro.service.errors``
@@ -42,7 +42,7 @@ __all__ = [
 _LAZY = {
     "ExperimentService": ("repro.service.daemon", "ExperimentService"),
     "JobQueue": ("repro.service.jobs", "JobQueue"),
-    "JobRecord": ("repro.service.jobs", "JobRecord"),
+    "JobRecord": ("repro.fabric.coordinator", "JobRecord"),
     "JobRejected": ("repro.service.jobs", "JobRejected"),
     "ServiceClient": ("repro.service.client", "ServiceClient"),
     "job_id_for_spec": ("repro.service.jobs", "job_id_for_spec"),

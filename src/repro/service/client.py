@@ -1,12 +1,12 @@
-"""The service client: submit specs, follow streams, drive job RPCs.
+"""The service client: submit jobs, follow streams, drive job RPCs.
 
-:class:`ServiceClient` is the connection object behind ``repro jobs``
-and the ``run --spec --service`` path. Like
-:class:`~repro.fabric.client.FabricClient` it is a
+:class:`ServiceClient` is the connection object behind ``repro jobs``,
+the ``run --spec --service`` path and
+:class:`~repro.experiments.sweep.FabricExecutor`. It is a
 :class:`~repro.fabric.server.Peer` — one persistent connection, dialled
-with backoff — here in the ``jobs`` role, speaking ``job_*`` frames: submit an
-:class:`~repro.api.spec.ExperimentSpec`, then consume the incremental
-``job_point`` stream until ``job_end``.
+with backoff — in the ``jobs`` role, speaking ``job_*`` frames: submit an
+:class:`~repro.api.spec.ExperimentSpec` or a planned batch, then consume
+the incremental ``job_point`` stream until ``job_end``.
 
 :meth:`run_spec` is the drop-in analogue of
 :meth:`Session.run <repro.api.session.Session.run>`: same spec in,
@@ -18,12 +18,12 @@ the stream carries the same protocol dicts the store persists).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.api.spec import ExperimentSpec
 from repro.experiments.runner import RunResult
 from repro.experiments.store import result_from_dict
-from repro.fabric.errors import ProtocolError
+from repro.fabric.errors import PointFailedError, PointFailure, ProtocolError
 from repro.fabric.protocol import expect, recv_message, send_message
 from repro.fabric.server import Peer
 from repro.service.errors import ServiceError
@@ -40,7 +40,7 @@ class JobHandle:
 
     job_id: str
     state: str
-    #: Whether the spec attached to an already-admitted job.
+    #: Whether the submission attached to an already-admitted job.
     deduped: bool
     #: Expanded grid size.
     total: int
@@ -62,8 +62,8 @@ class JobRun:
 
 
 class ServiceClient(Peer):
-    """One ``jobs``-role connection to an experiment service daemon:
-    one in-flight stream at a time (the dedup happens daemon-side, so
+    """One ``jobs``-role connection to a coordinator or service daemon:
+    one in-flight stream at a time (the dedup happens server-side, so
     concurrent clients still share executions)."""
 
     role = "jobs"
@@ -77,11 +77,29 @@ class ServiceClient(Peer):
         result stream on this same connection — consume it with
         :meth:`stream` (or use :meth:`run_spec`, which does both).
         """
-        send_message(self._conn, {
-            "type": "job_submit",
-            "spec": spec.to_dict(),
-            "watch": watch,
-        })
+        return self._submit({"spec": spec.to_dict()}, watch)
+
+    def submit_batch(
+        self,
+        entries: List[dict],
+        fidelity: dict,
+        config: Optional[dict],
+        *,
+        watch: bool = False,
+    ) -> JobHandle:
+        """Submit a planned batch; returns the :class:`JobHandle`.
+
+        *entries* are ``{"key", "point", "script"?}`` dicts with unique
+        keys; *fidelity*/*config* are the protocol dict forms shared by
+        every point of the batch. The job ID is the content hash of the
+        ordered keys, so the same batch again attaches to its record.
+        """
+        return self._submit(
+            {"points": entries, "fidelity": fidelity, "config": config}, watch
+        )
+
+    def _submit(self, job: dict, watch: bool) -> JobHandle:
+        send_message(self._conn, {"type": "job_submit", **job, "watch": watch})
         reply = self._expect("job_accepted")
         return JobHandle(
             job_id=str(reply["job_id"]),
@@ -105,6 +123,11 @@ class ServiceClient(Peer):
         send_message(self._conn, {"type": "job_list"})
         return self._expect("job_list_reply")["jobs"]
 
+    def stats(self) -> dict:
+        """The server's point-in-time counters."""
+        send_message(self._conn, {"type": "stats"})
+        return self._expect("stats_reply")["stats"]
+
     # -- streaming -----------------------------------------------------------
     def watch(
         self, job_id: str, *, on_point: Optional[PointCallback] = None
@@ -115,14 +138,22 @@ class ServiceClient(Peer):
         return self.stream(job_id, on_point=on_point)
 
     def stream(
-        self, job_id: str, *, on_point: Optional[PointCallback] = None
+        self,
+        job_id: str,
+        *,
+        on_point: Optional[PointCallback] = None,
+        labels: Optional[Dict[str, str]] = None,
     ) -> JobRun:
         """Consume ``job_point`` frames until ``job_end``.
 
         Returns the :class:`JobRun` when the job finished ``done``;
         raises :class:`ServiceError` naming the terminal state when it
         was cancelled or failed (the partial stream is consumed either
-        way, and *on_point* sees every streamed point). A stream whose
+        way, and *on_point* sees every streamed point). Given *labels*
+        (store key -> point label, as a batch's submitter knows them), a
+        job failed by points given up on raises
+        :class:`~repro.fabric.errors.PointFailedError` instead, one
+        :class:`~repro.fabric.errors.PointFailure` per point. A stream whose
         indices skip or repeat, or a ``done`` job whose ``completed``
         disagrees with the points streamed, raises
         :class:`~repro.fabric.errors.ProtocolError`.
@@ -158,6 +189,15 @@ class ServiceClient(Peer):
                 f"but {len(results)} were streamed"
             )
         if state != "done":
+            failed = message.get("failed") or ()
+            if labels is not None and failed:
+                raise PointFailedError([
+                    PointFailure(
+                        key=f["key"], label=labels.get(f["key"], f["key"]),
+                        error=str(f["error"]), attempts=int(f["attempts"]),
+                    )
+                    for f in failed
+                ])
             detail = str(message.get("error") or "")
             raise ServiceError(
                 f"job {job_id} ended {state}" + (f": {detail}" if detail else "")

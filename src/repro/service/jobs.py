@@ -1,12 +1,15 @@
-"""Job model of the experiment service: IDs, lifecycle, admission.
+"""Job model of the ``jobs`` role: IDs, lifecycle, admission.
 
-A **job** is one :class:`~repro.api.spec.ExperimentSpec` submitted to a
-running :class:`~repro.service.daemon.ExperimentService`. Its identity
+A **job** is one :class:`~repro.api.spec.ExperimentSpec`, or one
+planned batch of work items (what a
+:class:`~repro.experiments.sweep.FabricExecutor` sends), submitted to a
+running :class:`~repro.fabric.coordinator.Coordinator`. Its identity
 is content-derived, exactly like store keys: :func:`job_id_for_spec`
-hashes the spec's canonical JSON form, so two clients submitting the
-same experiment — concurrently or hours apart — name the *same* job
-and share one execution, the job-level analogue of the store's
-content-hash dedup.
+hashes the spec's canonical JSON form and :func:`job_id_for_batch` the
+batch's ordered store keys (which already hash every input of a
+point), so two clients submitting the same experiment — concurrently
+or hours apart — name the *same* job and share one execution, the
+job-level analogue of the store's content-hash dedup.
 
 Lifecycle::
 
@@ -21,31 +24,36 @@ never tears the store, so a resumed job reports the already-stored
 points as hits ("0 simulated" when everything landed meanwhile).
 
 The record is the coordinator's
-:class:`~repro.fabric.coordinator.JobRecord`, the one a fabric client
-batch uses too. :class:`JobQueue` adds what only specs need: a FIFO of
-queued job IDs plus the registry of every job ever admitted (status and
-result replay stay available for the daemon's lifetime). It owns no
-lock: it is built on the coordinator's scheduling condition, so a job's
-lifecycle and the work table it waits on change under one lock.
+:class:`~repro.fabric.coordinator.JobRecord`, whichever form the job
+was submitted in. :class:`JobQueue` is the FIFO of queued job IDs plus
+the registry of every job ever admitted (status and result replay stay
+available for the server's lifetime). It owns no lock: it is built on
+the coordinator's scheduling condition, so a job's lifecycle and the
+work table it waits on change under one lock.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.base import canonical_json
 from repro.api.spec import ExperimentSpec
-from repro.fabric.coordinator import TERMINAL, JobRecord
 from repro.service.errors import ServiceError
+
+if TYPE_CHECKING:  # the coordinator imports this module
+    from repro.fabric.coordinator import JobRecord
 
 __all__ = [
     "JobQueue",
-    "JobRecord",
     "JobRejected",
+    "job_id_for_batch",
     "job_id_for_spec",
 ]
+
+#: Job states no further transition leaves.
+TERMINAL = ("done", "failed", "cancelled")
 
 #: States a re-submission restarts instead of deduplicating against.
 RESTARTABLE = ("failed", "cancelled")
@@ -70,13 +78,29 @@ def job_id_for_spec(spec: ExperimentSpec) -> str:
     >>> job_id_for_spec(spec).startswith("job-")
     True
     """
-    canonical = canonical_json(spec.to_dict())
+    return _job_id(spec.to_dict())
+
+
+def job_id_for_batch(keys: Sequence[str]) -> str:
+    """Deterministic job ID of a planned batch: a content hash of its
+    store keys in grid order.
+
+    >>> job_id_for_batch(["k0", "k1"]) == job_id_for_batch(("k0", "k1"))
+    True
+    >>> job_id_for_batch(["k0", "k1"]) == job_id_for_batch(["k1", "k0"])
+    False
+    """
+    return _job_id(list(keys))
+
+
+def _job_id(content) -> str:
+    canonical = canonical_json(content)
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     return f"job-{digest[:12]}"
 
 
 class JobQueue:
-    """FIFO admission queue + registry behind the service daemon.
+    """FIFO admission queue + registry behind the ``jobs`` role.
 
     Args:
         changed: The condition guarding every record and this queue —
@@ -99,29 +123,26 @@ class JobQueue:
         self._idle = 0
 
     # -- admission -----------------------------------------------------------
-    def submit(self, spec: ExperimentSpec) -> Tuple[JobRecord, bool]:
-        """Admit *spec*; returns ``(record, deduped)``.
+    def submit(self, record: JobRecord) -> Tuple[JobRecord, bool]:
+        """Admit the fresh *record*; returns ``(record, deduped)``.
 
-        A spec whose job is queued, running or done dedups onto the
-        existing record (``deduped=True``); a failed/cancelled job is
-        queued again on a fresh record (a restart, not a dedup). Fresh
-        submissions beyond ``max_pending`` queued jobs raise
-        :class:`JobRejected`.
+        A job ID that is queued, running or done dedups: the registered
+        record comes back (``deduped=True``) and *record* is dropped; a
+        failed/cancelled job is queued again on *record* (a restart,
+        not a dedup). Fresh submissions beyond ``max_pending`` queued
+        jobs raise :class:`JobRejected`.
         """
-        job_id = job_id_for_spec(spec)
         with self.changed:
-            record = self._jobs.get(job_id)
-            if record is not None and record.state not in RESTARTABLE:
-                return record, True
+            known = self._jobs.get(record.job_id)
+            if known is not None and known.state not in RESTARTABLE:
+                return known, True
             if len(self._fifo) - self._idle >= self.max_pending:
                 raise JobRejected(
                     f"service at capacity: {len(self._fifo)} job(s) "
                     f"queued (max_pending={self.max_pending})"
                 )
-            record = self._jobs[job_id] = JobRecord(
-                job_id=job_id, spec=spec, total=spec.n_points()
-            )
-            self._fifo.append(job_id)
+            self._jobs[record.job_id] = record
+            self._fifo.append(record.job_id)
             self.changed.notify_all()
             return record, False
 

@@ -33,7 +33,6 @@ from repro.experiments.sweep import (
     SweepExecutor,
     ensure_scenario,
 )
-from repro.fabric.client import FabricClient
 from repro.fabric.coordinator import Coordinator
 from repro.fabric.errors import FabricError, PointFailedError, ProtocolError
 from repro.fabric.protocol import (
@@ -59,6 +58,8 @@ from repro.fabric.transport import (
     transports,
 )
 from repro.fabric.worker import Worker
+from repro.service.client import ServiceClient
+from repro.service.errors import ServiceError
 
 from support import (
     TINY,
@@ -521,7 +522,7 @@ def test_sigterm_stops_serve_and_its_workers_cleanly(tmp_path):
         host, port = re.search(r"listening on (\S+):(\d+)", banner).groups()
         address = (host, int(port))
         workers = [spawn_worker(address) for _ in range(2)]
-        with FabricClient(address) as client:
+        with ServiceClient(address) as client:
             wait_until(lambda: client.stats()["workers"] == 2,
                        message="both workers to register")
         fabric = FabricExecutor(address, store=ResultStore())
@@ -583,7 +584,7 @@ class TestClient:
             assert ra == rb
             assert a.executed_count == 1
             assert b.executed_count == 0
-            client = FabricClient(coordinator.address)
+            client = ServiceClient(coordinator.address)
             stats = client.stats()
             assert stats["executed"] == 1
             assert stats["store_records"] == 1
@@ -617,13 +618,13 @@ class TestClient:
 
     def test_duplicate_keys_in_one_job_rejected(self):
         with serving(Coordinator()) as coordinator:
-            client = FabricClient(coordinator.address)
+            client = ServiceClient(coordinator.address)
             entries = [
                 {"key": "same", "point": point_to_dict(_any_point())},
                 {"key": "same", "point": point_to_dict(_any_point())},
             ]
-            with pytest.raises(ProtocolError, match="unique"):
-                client.submit(entries, TINY.to_dict(), None)
+            with pytest.raises(ServiceError, match="unique"):
+                client.submit_batch(entries, TINY.to_dict(), None)
             client.close()
 
 

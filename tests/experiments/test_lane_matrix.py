@@ -184,7 +184,7 @@ class PoolLane:
 
 
 class FabricLane:
-    """``Session(fabric=...)``: a ``client``-role batch on *daemon*."""
+    """``Session(fabric=...)``: planned-batch jobs on *daemon*."""
 
     def __init__(self, daemon: Coordinator) -> None:
         self.daemon = daemon
@@ -211,7 +211,7 @@ class JobsLane(FabricLane):
 
     The stream must be the grid in grid order, under the keys a local
     run computes, and must answer the row's ``Session`` call with no
-    simulation. The second pass is a ``client``-role batch.
+    simulation. The second pass is a planned batch.
     """
 
     def run(self, row: Row):

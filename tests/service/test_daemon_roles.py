@@ -1,12 +1,15 @@
-"""One daemon, every role: the merged coordinator + ``jobs`` server.
+"""One server, every role: the coordinator's ``worker`` and ``jobs`` roles.
 
-``ExperimentService`` is the fabric coordinator serving one more role,
-so these tests drive the paths the merge created or fixed:
+Every coordinator serves the ``jobs`` role, and ``ExperimentService``
+is the coordinator plus local lanes, so these tests drive the paths
+the two roles share:
 
 * a malformed (well-framed) peer frame in any role earns an ``error``
   reply and leaves the daemon serving, never a dead handler thread;
-* ``job_done.failed`` counts the job's own failures, not the
-  coordinator's lifetime total;
+* a hello in the retired protocol version is told so, whatever role
+  it names;
+* ``job_end.failed`` lists the job's own failures, not the
+  coordinator's lifetime ones;
 * admission control does not count a job an idle runner is about to
   take as backlog.
 
@@ -21,7 +24,7 @@ import threading
 
 import pytest
 
-from repro.fabric.coordinator import Coordinator
+from repro.fabric.coordinator import Coordinator, JobRecord
 from repro.fabric.errors import ProtocolError
 from repro.fabric.protocol import recv_message, send_message
 from repro.fabric.server import RoleServer, dial
@@ -44,18 +47,19 @@ from support import (
 
 #: (server class, role, extra hello fields, the malformed frame)
 MALFORMED = {
-    "submit-without-fidelity": (
-        Coordinator, "client", {},
-        {"type": "submit", "points": [{"key": "k", "point": wire_point()}]},
+    "batch-without-fidelity": (
+        Coordinator, "jobs", {},
+        {"type": "job_submit",
+         "points": [{"key": "k", "point": wire_point()}]},
     ),
     "entry-without-point": (
-        Coordinator, "client", {},
-        {"type": "submit", "fidelity": TINY.to_dict(),
+        Coordinator, "jobs", {},
+        {"type": "job_submit", "fidelity": TINY.to_dict(),
          "points": [{"key": "k"}]},
     ),
     "fidelity-with-an-unknown-field": (
-        Coordinator, "client", {},
-        {"type": "submit", "fidelity": {**TINY.to_dict(), "warmup": 5},
+        Coordinator, "jobs", {},
+        {"type": "job_submit", "fidelity": {**TINY.to_dict(), "warmup": 5},
          "points": [{"key": "k", "point": wire_point()}]},
     ),
     "result-without-key": (
@@ -97,31 +101,45 @@ def test_unknown_role_is_rejected_by_the_service():
             dial(service.address, "observer", attempts=1)
 
 
+@pytest.mark.parametrize("role", ["client", "jobs"])
+def test_a_version_1_hello_is_a_version_mismatch(role):
+    # The retired `client` role is no longer served, but a peer that
+    # still speaks it learns that its protocol is old, not that its
+    # role is unknown.
+    with serving(Coordinator()) as coordinator:
+        with pytest.raises(
+            ProtocolError, match="version mismatch: peer speaks 1, "
+        ):
+            dial(coordinator.address, role, attempts=1, version=1)
+
+
 # ---------------------------------------------------------------------------
-# job_done.failed is the job's own count
+# job_end.failed lists the job's own failures
 # ---------------------------------------------------------------------------
 
 def _submit_raw(conn, seed: int) -> dict:
-    """Submit one point over a raw client connection; the job_done."""
+    """Submit a one-point batch over a raw ``jobs`` connection; its
+    job_end."""
     send_message(conn, {
-        "type": "submit",
+        "type": "job_submit",
         "fidelity": TINY.to_dict(),
         "config": None,
         "points": [{"key": f"key-{seed}", "point": wire_point(seed)}],
+        "watch": True,
     })
     while True:
         message = recv_message(conn)
         assert message is not None
-        if message["type"] == "job_done":
+        if message["type"] == "job_end":
             return message
 
 
-def test_job_done_reports_the_jobs_own_failures():
+def test_job_end_lists_the_jobs_own_failures():
     with serving(Coordinator(max_attempts=1)) as coordinator:
         # A worker that errors on whatever it leases: with one attempt
         # per point, the first job fails its point.
         saboteur, _ = dial(coordinator.address, "worker", capabilities={})
-        client, _ = dial(coordinator.address, "client")
+        client, _ = dial(coordinator.address, "jobs")
         outcome: dict = {}
         waiter = threading.Thread(
             target=lambda: outcome.update(_submit_raw(client, 1)), daemon=True
@@ -135,7 +153,10 @@ def test_job_done_reports_the_jobs_own_failures():
         })
         waiter.join(timeout=10.0)
         saboteur.close()
-        assert outcome["failed"] == 1
+        assert outcome["state"] == "failed"
+        assert outcome["failed"] == [
+            {"key": "key-1", "error": "boom", "attempts": 1},
+        ]
         assert coordinator.total_failed == 1
 
         # A clean job after the unrelated failure claims none.
@@ -145,7 +166,7 @@ def test_job_done_reports_the_jobs_own_failures():
         finally:
             worker.stop()
             client.close()
-        assert done["failed"] == 0
+        assert done["state"] == "done" and done["failed"] == []
         assert done["executed"] == 1
 
 
@@ -164,10 +185,11 @@ def test_job_an_idle_runner_is_about_to_take_is_not_backlog():
     # Holding the queue's lock keeps the notified runner from waking:
     # the window a client's back-to-back submissions can land in.
     with queue.changed:
-        first, _ = queue.submit(tiny_spec(seeds=(1,)))
-        queue.submit(tiny_spec(seeds=(2,)))  # the one queued job allowed
+        first, _ = queue.submit(JobRecord.for_spec(tiny_spec(seeds=(1,))))
+        # The one queued job allowed:
+        queue.submit(JobRecord.for_spec(tiny_spec(seeds=(2,))))
         with pytest.raises(JobRejected, match="capacity"):
-            queue.submit(tiny_spec(seeds=(3,)))
+            queue.submit(JobRecord.for_spec(tiny_spec(seeds=(3,))))
     runner.join(timeout=10.0)
     assert claimed == [first]
 

@@ -1,8 +1,8 @@
 """One job record on one work table, driven over the wire.
 
-A ``jobs``-role job and a ``client``-role batch are the same
-``JobRecord``, put on the coordinator's work table by the same
-admission method. These tests pin the edges that merge created:
+A spec job and a planned batch (what ``FabricExecutor`` submits) are
+the same ``JobRecord`` on the ``jobs`` role, put on the coordinator's
+work table by the same admission method. These tests pin its edges:
 
 * admission queues a job's misses in grid order (the incremental
   stream stalls otherwise) and pays for a key repeated in the grid
@@ -12,10 +12,12 @@ admission method. These tests pin the edges that merge created:
 * a job whose point exhausts its attempts fails naming the point by
   label, lets go of the keys only it wanted, and restarts cleanly;
 * cancelling a queued job gives its backlog slot back;
-* whichever of a job and a fabric client batch wants a shared key
+* whichever of a spec job and a fabric batch wants a shared key
   first pays for it, and the other reports it as a hit — one ``put``
   per key;
-* the frames either role receives carry exactly the catalogued fields.
+* a batch whose peer leaves runs on, and the same batch again attaches
+  to its record; a batch past the backlog is refused like a spec;
+* the frames either form receives carry exactly the catalogued fields.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import pytest
 
 from repro.experiments.runner import Fidelity
 from repro.experiments.store import ResultStore, result_to_dict
-from repro.experiments.sweep import FabricExecutor
+from repro.experiments.sweep import FabricExecutor, PointExecutor
 from repro.fabric.coordinator import Coordinator
 from repro.fabric.protocol import recv_message, send_message
 from repro.fabric.server import dial
@@ -66,7 +68,7 @@ def test_misses_are_queued_in_grid_order_and_hits_resolve_at_admission():
             )
             assert service._queue == keys[1::2]
             assert record.pending == set(keys[1::2])
-            assert list(record.log) == keys[::2]
+            assert list(record.results) == keys[::2]
             # Index 0 streams at once; index 1 is the first miss.
             assert record.completed == 1 and record.state == "running"
             worker, _thread = attach_worker(service.address)
@@ -231,7 +233,7 @@ def test_cancelling_a_queued_job_frees_its_slot_over_the_wire():
 
 
 # ---------------------------------------------------------------------------
-# A job and a client batch sharing keys, in either order
+# A spec job and a fabric batch sharing keys, in either order
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("first", ["job", "client"])
@@ -324,44 +326,115 @@ def test_jobs_role_frames_carry_exactly_the_catalogued_fields():
         }
     assert set(end) == {
         "type", "job_id", "state", "total", "completed", "executed",
-        "hits", "error",
+        "hits", "error", "failed",
     }
     assert end["state"] == "done" and end["error"] == ""
+    assert end["failed"] == []
 
 
-def test_client_role_frames_carry_exactly_the_catalogued_fields():
+def test_batch_frames_carry_exactly_the_catalogued_fields():
     with serving(Coordinator(max_attempts=1)) as coordinator:
         saboteur, _ = dial(coordinator.address, "worker", capabilities={})
-        client, _ = dial(coordinator.address, "client")
+        conn, _ = dial(coordinator.address, "jobs")
         try:
-            send_message(client, {
-                "type": "submit", "fidelity": TINY.to_dict(),
+            send_message(conn, {
+                "type": "job_submit", "fidelity": TINY.to_dict(),
                 "config": None,
                 "points": [
                     {"key": f"key-{seed}", "point": wire_point(seed)}
                     for seed in (1, 2)
                 ],
+                "watch": True,
             })
             wait_until(
                 lambda: len(coordinator._queue) == 2, message="admission"
             )
             send_message(saboteur, {"type": "lease"})
-            broken, healthy = recv_message(saboteur)["items"]
-            send_message(saboteur, {
-                "type": "result_error", "key": broken["key"], "error": "boom",
-            })
+            healthy, broken = recv_message(saboteur)["items"]
             from repro.experiments.sweep import execute_item
 
             send_message(saboteur, {
                 "type": "result", "key": healthy["key"],
                 "result": result_to_dict(execute_item(healthy)),
             })
-            failed, done, summary = _frames_until(client, "job_done")
+            send_message(saboteur, {
+                "type": "result_error", "key": broken["key"], "error": "boom",
+            })
+            accepted, *points, end = _frames_until(conn, "job_end")
         finally:
             saboteur.close()
-            client.close()
-    assert set(failed) == {"type", "key", "error", "attempts"}
-    assert set(done) == {"type", "key", "result", "cached"}
-    assert summary == {
-        "type": "job_done", "executed": 1, "hits": 0, "failed": 1,
+            conn.close()
+    assert set(accepted) == {"type", "job_id", "state", "deduped", "total"}
+    (point,) = points
+    assert set(point) == {
+        "type", "job_id", "index", "key", "result", "cached",
     }
+    assert (point["index"], point["key"]) == (0, "key-1")
+    assert end["state"] == "failed" and end["completed"] == 1
+    assert end["failed"] == [
+        {"key": "key-2", "error": "boom", "attempts": 1},
+    ]
+
+
+# ---------------------------------------------------------------------------
+# A batch is a job: detached on disconnect, deduped, admission-controlled
+# ---------------------------------------------------------------------------
+
+def _batch(spec):
+    """*spec*'s grid as the planned batch a ``FabricExecutor`` submits:
+    ``(entries, fidelity, config)``."""
+    planner = PointExecutor()
+    points = spec.expand()
+    keys, unique = planner.plan(points, spec.fidelity)
+    items = [planner.work_item(p, keys[i], spec.fidelity) for i, p in unique]
+    entries = [{"key": item["key"], "point": item["point"]} for item in items]
+    return entries, items[0]["fidelity"], items[0]["config"]
+
+
+def test_a_batch_whose_peer_leaves_runs_on_and_a_resubmission_attaches():
+    spec = tiny_spec(seeds=(1, 2))
+    expected, keys = local_run(spec)
+    batch = _batch(spec)
+    # No worker yet: the peer leaves before any point is simulated.
+    with serving(Coordinator()) as coordinator:
+        with ServiceClient(coordinator.address) as client:
+            handle = client.submit_batch(*batch, watch=True)
+        record = coordinator.jobs.get(handle.job_id)
+        worker, _thread = attach_worker(coordinator.address)
+        try:
+            wait_until(lambda: record.state == "done",
+                       message="the detached batch to finish")
+            assert record.executed == len(keys)
+            with ServiceClient(coordinator.address) as client:
+                again = client.submit_batch(*batch, watch=True)
+                run = client.stream(again.job_id)
+            with closing(FabricExecutor(coordinator.address,
+                                        store=ResultStore())) as fabric:
+                results = fabric.run(spec)
+                executed = fabric.executed_count
+        finally:
+            worker.stop()
+        assert len(coordinator.jobs.list_jobs()) == 1
+        assert coordinator.total_executed == len(keys)
+    assert again.deduped and again.job_id == handle.job_id
+    assert run.keys == keys and run.results == expected
+    # The submission that attached paid for nothing.
+    assert results == expected and executed == 0
+
+
+def test_a_batch_past_max_pending_is_refused():
+    # No worker: the first job holds the one runner slot, the second
+    # fills the backlog.
+    with serving(Coordinator(max_jobs=1, max_pending=1)) as coordinator:
+        with ServiceClient(coordinator.address) as client:
+            running = client.submit_batch(*_batch(tiny_spec(seeds=(1,))))
+            wait_until(
+                lambda: client.status(running.job_id)["state"] == "running",
+                message="the runner to take the first batch",
+            )
+            queued = client.submit_batch(*_batch(tiny_spec(seeds=(2,))))
+            assert queued.state == "queued"
+            with pytest.raises(ServiceError, match="capacity"):
+                client.submit_batch(*_batch(tiny_spec(seeds=(3,))))
+            # The refusal left the connection usable.
+            assert client.stats()["jobs"] == 1

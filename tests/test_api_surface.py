@@ -85,9 +85,9 @@ def test_repro_service_exports_are_pinned_and_resolve():
     assert REPRO_SERVICE_EXPORTS <= set(dir(service))
 
 
-def test_both_roles_use_the_one_job_record(monkeypatch):
-    # A `client`-role submit instantiates the very class `repro.service`
-    # exports: there is no second job model behind the fabric role.
+def test_both_job_forms_use_the_one_job_record(monkeypatch):
+    # A planned batch instantiates the very class `repro.service`
+    # exports: there is no second job model behind the fabric executor.
     from repro.experiments.runner import QUICK_FIDELITY
     from repro.fabric import coordinator
     from repro.fabric.protocol import recv_message, send_message
@@ -104,15 +104,17 @@ def test_both_roles_use_the_one_job_record(monkeypatch):
 
     monkeypatch.setattr(coordinator, "JobRecord", Spy)
     with serving(coordinator.Coordinator()) as server:
-        conn, _welcome = dial(server.address, "client")
+        conn, _welcome = dial(server.address, "jobs")
         send_message(conn, {
-            "type": "submit", "fidelity": QUICK_FIDELITY.to_dict(),
-            "config": None, "points": [],
+            "type": "job_submit", "fidelity": QUICK_FIDELITY.to_dict(),
+            "config": None, "points": [], "watch": True,
         })
-        assert recv_message(conn)["type"] == "job_done"
+        assert recv_message(conn)["type"] == "job_accepted"
+        assert recv_message(conn)["type"] == "job_end"
         conn.close()
     (record,) = created
-    assert record.spec is None and record.state == "running"
+    assert record.spec is None and record.items == []
+    assert record.state == "done"
 
 
 @pytest.mark.parametrize("name", sorted(REPRO_EXPORTS))

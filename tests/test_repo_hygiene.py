@@ -410,15 +410,18 @@ def test_every_lane_executes_the_same_work_item():
 
 
 def test_one_job_record_one_admission_path():
-    # A fabric client batch is the degenerate service job: one record
-    # class, on one work table, under one condition, admitted by one
-    # method. None of the second model's pieces may grow back.
+    # A fabric batch is a job like a spec: one record class, on one
+    # work table, under one condition, admitted by one method, streamed
+    # in one dialect. None of the second model's pieces may grow back.
     import re
 
     assert _count_in_src("class JobRecord") == {
         "src/repro/fabric/coordinator.py": 1
     }
-    for needle in ("class _Job", "record_point", "cancel_event"):
+    for needle in (
+        "class _Job", "record_point", "cancel_event", "FabricClient",
+        "log_view", '"point_done"', '"point_failed"', '"job_done"',
+    ):
         assert _count_in_src(needle) == {}, needle
     # The daemon builds no executor it never executes with and owns no
     # lock: its job registry lives on the coordinator's condition.
@@ -434,8 +437,8 @@ def test_one_job_record_one_admission_path():
         assert set(_count_in_src(needle)) <= {
             "src/repro/experiments/sweep.py"
         }, needle
-    # Work items are built from RunPoints in one place (the client
-    # role's frame-to-item merge is the only other constructor).
+    # Work items are built from RunPoints in one place (a planned
+    # batch's frame-to-item merge is the only other constructor).
     callers = _count_in_src("config_to_dict(")
     assert callers.pop("src/repro/fabric/protocol.py") == 1  # its def
     assert set(callers) == {"src/repro/experiments/sweep.py"}

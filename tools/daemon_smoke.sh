@@ -24,7 +24,10 @@ cli="python -m repro.experiments.cli"
 # holding a lease (--fail-after 1). The sweep must still complete (its
 # points re-queue to the survivor), and a second sweep with a fresh
 # local store must resume entirely from the coordinator's shared store
-# (0 simulated).
+# (0 simulated). A sweep's batch is a job on the coordinator's `jobs`
+# role, named by its keys: the second sweep submits the same batch, so
+# it attaches to the first one's record, and the list shows that one
+# job, done.
 # No sleep/poll for the coordinator's bind: workers and clients dial
 # with bounded exponential backoff, which is itself part of what this
 # lane exercises.
@@ -41,6 +44,9 @@ $cli sweep --arch firefly dhetpnoc --bw-set 1 \
   --fabric 127.0.0.1:7023 --store local2.jsonl | tee fabric-rerun.out
 grep -q "0 simulated" fabric-rerun.out
 grep -q "re-queueing" serve.log   # the killed worker's lease moved
+$cli jobs list --connect 127.0.0.1:7023 | tee fabric-jobs.out
+test "$(grep -c "^job-" fabric-jobs.out)" -eq 1
+grep -q "^job-[0-9a-f]* *| done " fabric-jobs.out
 kill $(jobs -p) 2>/dev/null || true
 wait  # until each has stopped (and written out what it ran)
 
@@ -96,10 +102,10 @@ grep -q "done" watchA.out
 $cli jobs watch "$job_a" \
   --connect 127.0.0.1:7123 > watchA-replay.out
 cmp watchA.out watchA-replay.out
-# One record, one admission path, both roles on one port: a
-# `client`-role batch of specA's grid is answered wholly from
-# what the `jobs`-role job just stored, and resubmitting the
-# finished spec attaches to its record instead of a new one.
+# One record, one admission path, one dialect: a planned batch of
+# specA's grid is answered wholly from what the spec job just
+# stored, and resubmitting the finished spec attaches to its record
+# instead of a new one.
 $cli run --spec specA.json \
   --fabric 127.0.0.1:7123 --store client-view.jsonl \
   | tee fabric-on-service.out

@@ -104,8 +104,8 @@ def lazy_exports(module_name: str, module_globals: dict, exports: dict):
     *exports* maps an attribute name to ``(module, attribute)``; an
     attribute of ``None`` yields the imported module itself. Resolved
     values are cached in *module_globals*, so each lazy import runs at
-    most once. Shared by ``repro`` and ``repro.api`` so the two
-    packages' lazy-loading stays one implementation::
+    most once. The package ``__init__``s of ``repro`` export through
+    it, so a process imports only the layers it uses::
 
         __getattr__, __dir__ = lazy_exports(__name__, globals(), _LAZY)
     """

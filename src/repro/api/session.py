@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro.api.spec import ExperimentSpec
 from repro.arch.config import SystemConfig
@@ -44,11 +44,13 @@ from repro.experiments.runner import (
     _run_once,
     peak_of,
 )
-from repro.experiments.knee import KneeEstimate, adaptive_knee_sweep
-from repro.experiments.replication import ReplicatedPeak, replication_summary
 from repro.experiments.store import ResultStore, StoreBackend, open_store
 from repro.experiments.sweep import FabricExecutor, SweepExecutor
 from repro.traffic.bandwidth_sets import BandwidthSet, bandwidth_set_by_index
+
+if TYPE_CHECKING:  # the policy level loads on the first knee or fold
+    from repro.experiments.knee import KneeEstimate
+    from repro.experiments.replication import ReplicatedPeak
 
 __all__ = ["CurveCount", "DryRunReport", "Session"]
 
@@ -346,6 +348,8 @@ class Session:
         :func:`repro.experiments.knee.adaptive_knee_sweep`); *bw_set*
         is a table 3-1 index. Probes run through this session's store,
         so loads that coincide with a grid run's are shared with it."""
+        from repro.experiments.knee import adaptive_knee_sweep
+
         return adaptive_knee_sweep(
             arch,
             bw_set,
@@ -398,6 +402,8 @@ class Session:
         """The seed axis of :meth:`peaks` folded into mean +/- spread
         rows, one per curve family (for an adaptive spec, the peaks its
         knee searches found)."""
+        from repro.experiments.replication import replication_summary
+
         return replication_summary(self.peaks(spec))
 
     def run_one(

@@ -29,7 +29,6 @@ from typing import List, Optional, Tuple
 from repro.arch.registry import architectures
 from repro.experiments.runner import Fidelity, QUICK_FIDELITY, fidelities
 from repro.experiments.sweep import RunPoint, curve_points
-from repro.scenarios.library import scenarios as scenario_registry
 from repro.traffic.bandwidth_sets import bandwidth_sets
 from repro.traffic.patterns import patterns
 
@@ -128,8 +127,11 @@ class ExperimentSpec:
 
             for path in self.scenario_files:
                 load_scenario_file(path)
-        for scenario in self.scenarios:
-            if scenario is not None:
+        named = [scenario for scenario in self.scenarios if scenario is not None]
+        if named:
+            from repro.scenarios.library import scenarios as scenario_registry
+
+            for scenario in named:
                 scenario_registry.get(scenario)
         # ... and the structure of the grid: no empty axis, and no
         # repeated value (it would double-count the same simulation).

@@ -8,25 +8,25 @@ That base and the chapter-1 electrical mesh are the two fabrics under
 one shell, :class:`~repro.arch.base.NoCArchitecture`.
 """
 
-from repro.arch.base import ArchMetrics, NoCArchitecture, PhotonicCrossbarNoC
-from repro.arch.config import PAPER_RESET_CYCLES, PAPER_TOTAL_CYCLES, SystemConfig
-from repro.arch.dhetpnoc import DHetPNoC
-from repro.arch.electrical_baseline import ElectricalMeshNoC
-from repro.arch.faults import FaultInjector
-from repro.arch.firefly import FireflyNoC
-from repro.arch.photonic_router import ClusterGateway, TxPlan
+from repro.api.base import lazy_exports
 
-__all__ = [
-    "ArchMetrics",
-    "ClusterGateway",
-    "DHetPNoC",
-    "ElectricalMeshNoC",
-    "FaultInjector",
-    "FireflyNoC",
-    "NoCArchitecture",
-    "PAPER_RESET_CYCLES",
-    "PAPER_TOTAL_CYCLES",
-    "PhotonicCrossbarNoC",
-    "SystemConfig",
-    "TxPlan",
-]
+#: Every export: name -> (module, attribute), imported on first use
+#: (PEP 562).
+_LAZY = {
+    "ArchMetrics": ("repro.arch.base", "ArchMetrics"),
+    "ClusterGateway": ("repro.arch.photonic_router", "ClusterGateway"),
+    "DHetPNoC": ("repro.arch.dhetpnoc", "DHetPNoC"),
+    "ElectricalMeshNoC": ("repro.arch.electrical_baseline", "ElectricalMeshNoC"),
+    "FaultInjector": ("repro.arch.faults", "FaultInjector"),
+    "FireflyNoC": ("repro.arch.firefly", "FireflyNoC"),
+    "NoCArchitecture": ("repro.arch.base", "NoCArchitecture"),
+    "PAPER_RESET_CYCLES": ("repro.arch.config", "PAPER_RESET_CYCLES"),
+    "PAPER_TOTAL_CYCLES": ("repro.arch.config", "PAPER_TOTAL_CYCLES"),
+    "PhotonicCrossbarNoC": ("repro.arch.base", "PhotonicCrossbarNoC"),
+    "SystemConfig": ("repro.arch.config", "SystemConfig"),
+    "TxPlan": ("repro.arch.photonic_router", "TxPlan"),
+}
+
+__all__ = list(_LAZY)
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _LAZY)

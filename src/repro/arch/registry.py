@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from repro.api.base import Registry
 from repro.arch.dhetpnoc import DHetPNoC
-from repro.arch.electrical_baseline import ElectricalMeshNoC
 from repro.arch.firefly import FireflyNoC
 
 __all__ = ["architectures"]
@@ -51,5 +50,9 @@ def _build_electrical(sim, config, pattern):
 
     Registered so differential scenario checks can run every generated
     schedule against all three substrates; it never joins a default
-    sweep (CLI/validation grids stay pinned to the thesis pair)."""
+    sweep (CLI/validation grids stay pinned to the thesis pair). The
+    mesh modules load on the first build: a photonic run never needs
+    them."""
+    from repro.arch.electrical_baseline import ElectricalMeshNoC
+
     return ElectricalMeshNoC(sim, config)

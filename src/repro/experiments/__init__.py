@@ -27,29 +27,25 @@
   ``ml``).
 """
 
-from repro.experiments.runner import (
-    Fidelity,
-    PAPER_FIDELITY,
-    QUICK_FIDELITY,
-    RunResult,
-    peak_of,
-)
-from repro.experiments.report import ascii_table
-from repro.experiments.replication import replication_summary
-from repro.experiments.store import ResultStore, result_key
-from repro.experiments.sweep import RunPoint, SweepExecutor, derive_seed
+from repro.api.base import lazy_exports
 
-__all__ = [
-    "Fidelity",
-    "PAPER_FIDELITY",
-    "QUICK_FIDELITY",
-    "ResultStore",
-    "RunPoint",
-    "RunResult",
-    "SweepExecutor",
-    "ascii_table",
-    "derive_seed",
-    "peak_of",
-    "replication_summary",
-    "result_key",
-]
+#: Every export: name -> (module, attribute), imported on first use
+#: (PEP 562).
+_LAZY = {
+    "Fidelity": ("repro.experiments.runner", "Fidelity"),
+    "PAPER_FIDELITY": ("repro.experiments.runner", "PAPER_FIDELITY"),
+    "QUICK_FIDELITY": ("repro.experiments.runner", "QUICK_FIDELITY"),
+    "ResultStore": ("repro.experiments.store", "ResultStore"),
+    "RunPoint": ("repro.experiments.sweep", "RunPoint"),
+    "RunResult": ("repro.experiments.runner", "RunResult"),
+    "SweepExecutor": ("repro.experiments.sweep", "SweepExecutor"),
+    "ascii_table": ("repro.experiments.report", "ascii_table"),
+    "derive_seed": ("repro.experiments.sweep", "derive_seed"),
+    "peak_of": ("repro.experiments.runner", "peak_of"),
+    "replication_summary": ("repro.experiments.replication", "replication_summary"),
+    "result_key": ("repro.experiments.store", "result_key"),
+}
+
+__all__ = list(_LAZY)
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _LAZY)

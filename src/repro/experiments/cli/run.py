@@ -273,9 +273,17 @@ def execute_spec(spec: ExperimentSpec, session: Session, model=None) -> None:
 
     if session.fabric is not None:
         # Reuse the dry-run counters to say what is about to scatter.
+        # They read only the local store: the coordinator's may hold
+        # any of the misses, so the banner claims no cache count.
         report = session.dry_run(spec, model)
-        summary = report.describe().splitlines()[0]
-        print(f"fabric {session.fabric}: {summary.split(': ', 1)[1]}")
+        if report.to_simulate is None:
+            summary = report.describe().splitlines()[0].split(": ", 1)[1]
+        else:
+            summary = (
+                f"{len(report.curves)} curve(s), {report.total_points} grid "
+                f"point(s), {report.to_simulate} not in the local store"
+            )
+        print(f"fabric {session.fabric}: {summary}")
     try:
         if spec.mode == "adaptive":
             _print_adaptive(spec, session, model)

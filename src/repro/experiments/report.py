@@ -79,7 +79,7 @@ def phase_table(phases, title: Optional[str] = None) -> str:
 
     Accepts the ``phases`` tuple of a scenario
     :class:`~repro.experiments.runner.RunResult` (see
-    :class:`~repro.scenarios.schedule.PhaseStats`).
+    :class:`~repro.sim.stats.PhaseStats`).
     """
     rows = [
         [

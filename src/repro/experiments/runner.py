@@ -14,18 +14,21 @@ is read at the sweep point where delivery peaked.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from repro.api.base import Registry
 from repro.arch.base import NoCArchitecture
 from repro.arch.config import SystemConfig
 from repro.arch.registry import architectures
-from repro.scenarios.schedule import PhaseStats, ScenarioSchedule
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.rng import RandomStreams
+from repro.sim.stats import PhaseStats
 from repro.traffic.bandwidth_sets import BandwidthSet
 from repro.traffic.generator import TrafficGenerator
 from repro.traffic.patterns import TrafficPattern, pattern_by_name
+
+if TYPE_CHECKING:  # a scenario run loads the engine when it builds one
+    from repro.scenarios.schedule import ScenarioSchedule
 
 
 @dataclass(frozen=True)

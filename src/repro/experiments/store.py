@@ -47,7 +47,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 from repro.api.base import FieldTable, Registry, canonical_json
 from repro.arch.config import SystemConfig
 from repro.experiments.runner import Fidelity, RunResult
-from repro.scenarios.schedule import PhaseStats
+from repro.sim.stats import PhaseStats
 from repro.traffic.bandwidth_sets import BandwidthSet
 
 #: Bump when the hashed identity or the serialised schema changes.

@@ -76,14 +76,16 @@ key hashes.
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.config import SystemConfig
 from repro.experiments.runner import Fidelity, RunResult, _run_once
 from repro.experiments.store import ResultStore, config_fingerprint, result_key
 from repro.traffic.bandwidth_sets import BandwidthSet, bandwidth_set_by_index
+
+if TYPE_CHECKING:  # imported by the pool builder, on the first parallel batch
+    import multiprocessing.pool
 
 
 def derive_seed(
@@ -476,6 +478,8 @@ class SweepExecutor(PointExecutor):
     # -- worker-pool lifecycle ---------------------------------------------
     def _ensure_pool(self) -> "multiprocessing.pool.Pool":
         if self._pool is None:
+            import multiprocessing
+
             self._pool = multiprocessing.Pool(self.workers)
         return self._pool
 

@@ -94,7 +94,8 @@ class JobRecord:
     job_id: str
     #: The submitted :class:`~repro.api.spec.ExperimentSpec` ...
     spec: Any = None
-    #: ... or the planned batch's wire-form work items, in grid order.
+    #: ... or the planned batch's wire-form work items, in grid order
+    #: (``None`` again once the job is terminal).
     items: Optional[List[dict]] = None
     #: The size of the job's grid.
     total: int = 0
@@ -177,6 +178,14 @@ class JobRecord:
     def terminal(self) -> bool:
         """Whether no further transition can leave this state."""
         return self.state in TERMINAL
+
+    def end(self, state: str, error: str = "") -> None:
+        """Move to the terminal *state*. A batch's work items go: a
+        restart queues a fresh record and an attach replays the stored
+        frames, so nothing reads them again."""
+        self.state = state
+        self.error = error
+        self.items = None
 
     def describe(self) -> dict:
         """JSON-able status row (``job_status`` / ``job_list`` replies)."""

@@ -24,28 +24,27 @@ This package implements that substrate, and only that, from scratch:
   and keeps per-VC flit counts of its own.
 """
 
-from repro.noc.arbiter import RoundRobinArbiter
-from repro.noc.buffer import VirtualChannelBuffer
-from repro.noc.flit import Flit, FlitType, Packet, packetize
-from repro.noc.link import Link
-from repro.noc.network import ElectricalNetwork, NetworkMetrics
-from repro.noc.router import Router, RouterConfig
-from repro.noc.routing import DimensionOrderRouting
-from repro.noc.topology import Topology, TopologyError
+from repro.api.base import lazy_exports
 
-__all__ = [
-    "DimensionOrderRouting",
-    "ElectricalNetwork",
-    "Flit",
-    "FlitType",
-    "Link",
-    "NetworkMetrics",
-    "Packet",
-    "RoundRobinArbiter",
-    "Router",
-    "RouterConfig",
-    "Topology",
-    "TopologyError",
-    "VirtualChannelBuffer",
-    "packetize",
-]
+#: Every export: name -> (module, attribute), imported on first use
+#: (PEP 562).
+_LAZY = {
+    "DimensionOrderRouting": ("repro.noc.routing", "DimensionOrderRouting"),
+    "ElectricalNetwork": ("repro.noc.network", "ElectricalNetwork"),
+    "Flit": ("repro.noc.flit", "Flit"),
+    "FlitType": ("repro.noc.flit", "FlitType"),
+    "Link": ("repro.noc.link", "Link"),
+    "NetworkMetrics": ("repro.noc.network", "NetworkMetrics"),
+    "Packet": ("repro.noc.flit", "Packet"),
+    "RoundRobinArbiter": ("repro.noc.arbiter", "RoundRobinArbiter"),
+    "Router": ("repro.noc.router", "Router"),
+    "RouterConfig": ("repro.noc.router", "RouterConfig"),
+    "Topology": ("repro.noc.topology", "Topology"),
+    "TopologyError": ("repro.noc.topology", "TopologyError"),
+    "VirtualChannelBuffer": ("repro.noc.buffer", "VirtualChannelBuffer"),
+    "packetize": ("repro.noc.flit", "packetize"),
+}
+
+__all__ = list(_LAZY)
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _LAZY)

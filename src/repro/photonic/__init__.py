@@ -18,40 +18,28 @@ parameters the loss budget reads, plus:
   analysis (an extension grounded in the device survey).
 """
 
-from repro.photonic.devices import (
-    LaserSource,
-    Modulator,
-    PhotoDetector,
-    PhotonicSwitchingElement,
-)
-from repro.photonic.channel import DataChannel, ReservationBroadcastChannel
-from repro.photonic.loss import InsertionLossBudget, PathLoss
-from repro.photonic.reservation import (
-    ReservationFlit,
-    reservation_flit_bits,
-    reservation_serialization_cycles,
-)
-from repro.photonic.waveguide import Waveguide
-from repro.photonic.wavelength import (
-    LAMBDA_PER_WAVEGUIDE,
-    WavelengthId,
-    identifier_bits,
-)
+from repro.api.base import lazy_exports
 
-__all__ = [
-    "DataChannel",
-    "InsertionLossBudget",
-    "LAMBDA_PER_WAVEGUIDE",
-    "LaserSource",
-    "Modulator",
-    "PathLoss",
-    "PhotoDetector",
-    "PhotonicSwitchingElement",
-    "ReservationBroadcastChannel",
-    "ReservationFlit",
-    "Waveguide",
-    "WavelengthId",
-    "identifier_bits",
-    "reservation_flit_bits",
-    "reservation_serialization_cycles",
-]
+#: Every export: name -> (module, attribute), imported on first use
+#: (PEP 562).
+_LAZY = {
+    "DataChannel": ("repro.photonic.channel", "DataChannel"),
+    "InsertionLossBudget": ("repro.photonic.loss", "InsertionLossBudget"),
+    "LAMBDA_PER_WAVEGUIDE": ("repro.photonic.wavelength", "LAMBDA_PER_WAVEGUIDE"),
+    "LaserSource": ("repro.photonic.devices", "LaserSource"),
+    "Modulator": ("repro.photonic.devices", "Modulator"),
+    "PathLoss": ("repro.photonic.loss", "PathLoss"),
+    "PhotoDetector": ("repro.photonic.devices", "PhotoDetector"),
+    "PhotonicSwitchingElement": ("repro.photonic.devices", "PhotonicSwitchingElement"),
+    "ReservationBroadcastChannel": ("repro.photonic.channel", "ReservationBroadcastChannel"),
+    "ReservationFlit": ("repro.photonic.reservation", "ReservationFlit"),
+    "Waveguide": ("repro.photonic.waveguide", "Waveguide"),
+    "WavelengthId": ("repro.photonic.wavelength", "WavelengthId"),
+    "identifier_bits": ("repro.photonic.wavelength", "identifier_bits"),
+    "reservation_flit_bits": ("repro.photonic.reservation", "reservation_flit_bits"),
+    "reservation_serialization_cycles": ("repro.photonic.reservation", "reservation_serialization_cycles"),
+}
+
+__all__ = list(_LAZY)
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _LAZY)

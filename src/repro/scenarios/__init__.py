@@ -22,71 +22,45 @@
   every architecture, margin inversions flagged as structured findings.
 """
 
-from repro.scenarios.compose import overlay, sequence
-from repro.scenarios.coverage import CoverageReport, coverage_report
-from repro.scenarios.differential import (
-    Finding,
-    differential_point,
-    run_differential,
-)
-from repro.scenarios.generate import sample_schedule, schedules
-from repro.scenarios.library import (
-    build_scenario,
-    describe_scenario,
-    load_scenario_file,
-    register_scenario,
-    register_schedule,
-    scenario_catalog,
-    scenario_names,
-)
-from repro.scenarios.player import RuleFiring, ScenarioPlayer, initial_pattern
-from repro.scenarios.schedule import (
-    BurstLoad,
-    FaultEvent,
-    FeedbackRule,
-    LoadModulator,
-    OffsetLoad,
-    Phase,
-    PhaseStats,
-    ProductLoad,
-    RampLoad,
-    ScenarioError,
-    ScenarioSchedule,
-    SinusoidLoad,
-    StepLoad,
-)
+from repro.api.base import lazy_exports
 
-__all__ = [
-    "BurstLoad",
-    "CoverageReport",
-    "FaultEvent",
-    "FeedbackRule",
-    "Finding",
-    "LoadModulator",
-    "OffsetLoad",
-    "Phase",
-    "PhaseStats",
-    "ProductLoad",
-    "RampLoad",
-    "RuleFiring",
-    "ScenarioError",
-    "ScenarioPlayer",
-    "ScenarioSchedule",
-    "SinusoidLoad",
-    "StepLoad",
-    "build_scenario",
-    "coverage_report",
-    "describe_scenario",
-    "differential_point",
-    "initial_pattern",
-    "load_scenario_file",
-    "overlay",
-    "register_scenario",
-    "register_schedule",
-    "run_differential",
-    "sample_schedule",
-    "scenario_catalog",
-    "scenario_names",
-    "schedules",
-    "sequence",
-]
+#: Every export: name -> (module, attribute), imported on first use
+#: (PEP 562).
+_LAZY = {
+    "BurstLoad": ("repro.scenarios.schedule", "BurstLoad"),
+    "CoverageReport": ("repro.scenarios.coverage", "CoverageReport"),
+    "FaultEvent": ("repro.scenarios.schedule", "FaultEvent"),
+    "FeedbackRule": ("repro.scenarios.schedule", "FeedbackRule"),
+    "Finding": ("repro.scenarios.differential", "Finding"),
+    "LoadModulator": ("repro.scenarios.schedule", "LoadModulator"),
+    "OffsetLoad": ("repro.scenarios.schedule", "OffsetLoad"),
+    "Phase": ("repro.scenarios.schedule", "Phase"),
+    "PhaseStats": ("repro.sim.stats", "PhaseStats"),
+    "ProductLoad": ("repro.scenarios.schedule", "ProductLoad"),
+    "RampLoad": ("repro.scenarios.schedule", "RampLoad"),
+    "RuleFiring": ("repro.scenarios.player", "RuleFiring"),
+    "ScenarioError": ("repro.scenarios.schedule", "ScenarioError"),
+    "ScenarioPlayer": ("repro.scenarios.player", "ScenarioPlayer"),
+    "ScenarioSchedule": ("repro.scenarios.schedule", "ScenarioSchedule"),
+    "SinusoidLoad": ("repro.scenarios.schedule", "SinusoidLoad"),
+    "StepLoad": ("repro.scenarios.schedule", "StepLoad"),
+    "build_scenario": ("repro.scenarios.library", "build_scenario"),
+    "coverage_report": ("repro.scenarios.coverage", "coverage_report"),
+    "describe_scenario": ("repro.scenarios.library", "describe_scenario"),
+    "differential_point": ("repro.scenarios.differential", "differential_point"),
+    "initial_pattern": ("repro.scenarios.player", "initial_pattern"),
+    "load_scenario_file": ("repro.scenarios.library", "load_scenario_file"),
+    "overlay": ("repro.scenarios.compose", "overlay"),
+    "register_scenario": ("repro.scenarios.library", "register_scenario"),
+    "register_schedule": ("repro.scenarios.library", "register_schedule"),
+    "run_differential": ("repro.scenarios.differential", "run_differential"),
+    "sample_schedule": ("repro.scenarios.generate", "sample_schedule"),
+    "scenario_catalog": ("repro.scenarios.library", "scenario_catalog"),
+    "scenario_names": ("repro.scenarios.library", "scenario_names"),
+    "schedules": ("repro.scenarios.generate", "schedules"),
+    "sequence": ("repro.scenarios.compose", "sequence"),
+}
+
+__all__ = list(_LAZY)
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _LAZY)

@@ -29,6 +29,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.api.base import FieldTable, canonical_json
+# Re-exported: it lives with the other metrics so that a run and the
+# store can name it without loading the scenario engine.
+from repro.sim.stats import PhaseStats as PhaseStats
 
 
 class ScenarioError(ValueError):
@@ -544,40 +547,6 @@ class Phase:
             FeedbackRule.from_dict(r) for r in kwargs.get("rules") or ()
         )
         return cls(**kwargs)
-
-
-@dataclass(frozen=True)
-class PhaseStats:
-    """Per-phase measurement window of one scenario run.
-
-    Stored inside :class:`~repro.experiments.runner.RunResult` (and thus
-    serialised through the JSONL result store), so every field is a JSON
-    scalar. Metrics cover the *measured* part of the phase: a phase that
-    spans the warm-up reset reports only its post-reset window.
-    """
-
-    index: int
-    pattern: str
-    start_cycle: int
-    end_cycle: int
-    measured_cycles: int
-    packets_offered: int
-    packets_refused: int
-    packets_delivered: int
-    bits_delivered: int
-    delivered_gbps: float
-    mean_latency_cycles: float
-    faults_fired: int = 0
-    #: Energy dissipated inside this phase's measured window (pJ), from
-    #: an :class:`~repro.energy.model.EnergyAccount` snapshot at each
-    #: phase boundary. The final phase also absorbs the end-of-run
-    #: settlement (buffer retention charged by ``finalize()``).
-    energy_pj: float = 0.0
-    #: Phase-local EPM: ``energy_pj`` over the messages delivered in the
-    #: window (0.0 when the window delivered nothing).
-    energy_per_message_pj: float = 0.0
-    #: Feedback-rule firings attributed to this phase window.
-    rules_fired: int = 0
 
 
 @dataclass(frozen=True)

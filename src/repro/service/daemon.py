@@ -48,13 +48,15 @@ any spec resumes from whatever the store already holds.
 
 from __future__ import annotations
 
-import multiprocessing
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.api.session import StoreLike, _resolve_store
 from repro.experiments.store import result_to_dict
 from repro.experiments.sweep import execute_item
 from repro.fabric.coordinator import Coordinator
+
+if TYPE_CHECKING:  # imported when start() builds a lane pool
+    import multiprocessing.pool
 
 __all__ = ["DEFAULT_PORT", "ExperimentService"]
 
@@ -109,6 +111,8 @@ class ExperimentService(Coordinator):
         """Bind and begin accepting + executing in background threads."""
         address = super().start()
         if self.workers > 1:
+            import multiprocessing
+
             # Spawned, not forked: the daemon is already multi-threaded.
             self._pool = multiprocessing.get_context("spawn").Pool(self.workers)
         for i in range(self.workers):

@@ -171,8 +171,7 @@ class JobQueue:
         if state not in TERMINAL:
             raise ValueError(f"not a terminal state: {state!r}")
         with self.changed:
-            record.state = state
-            record.error = error
+            record.end(state, error)
             self.changed.notify_all()
 
     # -- lifecycle RPCs ------------------------------------------------------
@@ -195,7 +194,7 @@ class JobQueue:
         with self.changed:
             record = self.get(job_id)
             if record.state == "queued":
-                record.state = "cancelled"
+                record.end("cancelled")
                 self._fifo.remove(job_id)
             elif record.state == "running":
                 record.cancelled = True

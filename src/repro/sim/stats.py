@@ -4,12 +4,16 @@ Latency is accumulated through the small set of classes here
 (:class:`RunningMean` is ``ArchMetrics.latency``; :class:`Histogram` is
 its tail-latency counterpart), each with a ``reset()`` for the warm-up
 boundary (table 3-3's 1000 reset cycles); the integer delivery, drop and
-cycle counters live on ``ArchMetrics`` itself.
+cycle counters live on ``ArchMetrics`` itself. :class:`PhaseStats` is
+the per-phase window a scenario run records; it lives here, not in the
+scenario engine, so a stationary run and the result store can name it
+without loading :mod:`repro.scenarios`.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import List, Tuple
 
 
@@ -143,3 +147,37 @@ def window_mean(
     if n <= 0:
         return 0.0
     return (count_after * mean_after - count_before * mean_before) / n
+
+
+@dataclass(frozen=True)
+class PhaseStats:
+    """Per-phase measurement window of one scenario run.
+
+    Stored inside :class:`~repro.experiments.runner.RunResult` (and thus
+    serialised through the JSONL result store), so every field is a JSON
+    scalar. Metrics cover the *measured* part of the phase: a phase that
+    spans the warm-up reset reports only its post-reset window.
+    """
+
+    index: int
+    pattern: str
+    start_cycle: int
+    end_cycle: int
+    measured_cycles: int
+    packets_offered: int
+    packets_refused: int
+    packets_delivered: int
+    bits_delivered: int
+    delivered_gbps: float
+    mean_latency_cycles: float
+    faults_fired: int = 0
+    #: Energy dissipated inside this phase's measured window (pJ), from
+    #: an :class:`~repro.energy.model.EnergyAccount` snapshot at each
+    #: phase boundary. The final phase also absorbs the end-of-run
+    #: settlement (buffer retention charged by ``finalize()``).
+    energy_pj: float = 0.0
+    #: Phase-local EPM: ``energy_pj`` over the messages delivered in the
+    #: window (0.0 when the window delivered nothing).
+    energy_per_message_pj: float = 0.0
+    #: Feedback-rule firings attributed to this phase window.
+    rules_fired: int = 0

@@ -11,45 +11,32 @@
 * :mod:`repro.traffic.trace` -- record/replay of injection traces.
 """
 
-from repro.traffic.apps import APP_PROFILES, AppProfile, place_applications
-from repro.traffic.bandwidth_sets import (
-    BANDWIDTH_SETS,
-    BW_SET_1,
-    BW_SET_2,
-    BW_SET_3,
-    BandwidthSet,
-)
-from repro.traffic.generator import TrafficGenerator
-from repro.traffic.patterns import (
-    BitComplementTraffic,
-    HotspotSkewedTraffic,
-    RealApplicationTraffic,
-    SkewedTraffic,
-    TrafficPattern,
-    TransposeTraffic,
-    UniformRandomTraffic,
-    pattern_by_name,
-)
-from repro.traffic.trace import TraceRecord, TrafficTrace
+from repro.api.base import lazy_exports
 
-__all__ = [
-    "APP_PROFILES",
-    "AppProfile",
-    "BANDWIDTH_SETS",
-    "BW_SET_1",
-    "BW_SET_2",
-    "BW_SET_3",
-    "BandwidthSet",
-    "BitComplementTraffic",
-    "HotspotSkewedTraffic",
-    "RealApplicationTraffic",
-    "SkewedTraffic",
-    "TraceRecord",
-    "TrafficGenerator",
-    "TrafficPattern",
-    "TrafficTrace",
-    "TransposeTraffic",
-    "UniformRandomTraffic",
-    "pattern_by_name",
-    "place_applications",
-]
+#: Every export: name -> (module, attribute), imported on first use
+#: (PEP 562).
+_LAZY = {
+    "APP_PROFILES": ("repro.traffic.apps", "APP_PROFILES"),
+    "AppProfile": ("repro.traffic.apps", "AppProfile"),
+    "BANDWIDTH_SETS": ("repro.traffic.bandwidth_sets", "BANDWIDTH_SETS"),
+    "BW_SET_1": ("repro.traffic.bandwidth_sets", "BW_SET_1"),
+    "BW_SET_2": ("repro.traffic.bandwidth_sets", "BW_SET_2"),
+    "BW_SET_3": ("repro.traffic.bandwidth_sets", "BW_SET_3"),
+    "BandwidthSet": ("repro.traffic.bandwidth_sets", "BandwidthSet"),
+    "BitComplementTraffic": ("repro.traffic.patterns", "BitComplementTraffic"),
+    "HotspotSkewedTraffic": ("repro.traffic.patterns", "HotspotSkewedTraffic"),
+    "RealApplicationTraffic": ("repro.traffic.patterns", "RealApplicationTraffic"),
+    "SkewedTraffic": ("repro.traffic.patterns", "SkewedTraffic"),
+    "TraceRecord": ("repro.traffic.trace", "TraceRecord"),
+    "TrafficGenerator": ("repro.traffic.generator", "TrafficGenerator"),
+    "TrafficPattern": ("repro.traffic.patterns", "TrafficPattern"),
+    "TrafficTrace": ("repro.traffic.trace", "TrafficTrace"),
+    "TransposeTraffic": ("repro.traffic.patterns", "TransposeTraffic"),
+    "UniformRandomTraffic": ("repro.traffic.patterns", "UniformRandomTraffic"),
+    "pattern_by_name": ("repro.traffic.patterns", "pattern_by_name"),
+    "place_applications": ("repro.traffic.apps", "place_applications"),
+}
+
+__all__ = list(_LAZY)
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _LAZY)

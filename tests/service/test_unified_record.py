@@ -16,7 +16,8 @@ work table by the same admission method. These tests pin its edges:
   first pays for it, and the other reports it as a hit — one ``put``
   per key;
 * a batch whose peer leaves runs on, and the same batch again attaches
-  to its record; a batch past the backlog is refused like a spec;
+  to its record, which dropped its work items when it ended; a batch
+  past the backlog is refused like a spec;
 * the frames either form receives carry exactly the catalogued fields.
 """
 
@@ -419,6 +420,31 @@ def test_a_batch_whose_peer_leaves_runs_on_and_a_resubmission_attaches():
     assert again.deduped and again.job_id == handle.job_id
     assert run.keys == keys and run.results == expected
     # The submission that attached paid for nothing.
+    assert results == expected and executed == 0
+
+
+def test_a_finished_batch_drops_its_items_and_still_attaches():
+    # Nothing reads a terminal batch's work items: an attach replays
+    # the stored frames, a restart queues the fresh record.
+    spec = tiny_spec(seeds=(1,))
+    expected, keys = local_run(spec)
+    batch = _batch(spec)
+    with serving(ExperimentService()) as service:
+        with ServiceClient(service.address) as client:
+            first = client.submit_batch(*batch, watch=True)
+            client.stream(first.job_id)
+            record = service.jobs.get(first.job_id)
+            assert record.state == "done" and record.items is None
+            again = client.submit_batch(*batch, watch=True)
+            run = client.stream(again.job_id)
+        with closing(FabricExecutor(service.address,
+                                    store=ResultStore())) as fabric:
+            results = fabric.run(spec)
+            executed = fabric.executed_count
+        assert service.total_executed == len(keys)
+        assert service.jobs.get(first.job_id) is record
+    assert again.deduped and again.job_id == first.job_id
+    assert run.keys == keys and run.results == expected
     assert results == expected and executed == 0
 
 

@@ -484,6 +484,68 @@ def test_import_repro_pulls_no_third_party_module():
     assert _count_in_src("networkx") == {}
 
 
+#: Layers a stationary photonic run never executes, so never imports.
+_NOT_ON_THE_PHOTONIC_PATH = (
+    "repro.scenarios",
+    "repro.noc.network", "repro.noc.router", "repro.noc.routing",
+    "repro.noc.topology", "repro.noc.buffer", "repro.noc.link",
+    "repro.experiments.knee", "repro.experiments.replication",
+    "repro.experiments.report", "repro.experiments.figures",
+    "repro.experiments.validation",
+    "repro.fabric", "repro.service", "repro.ml", "repro.analysis",
+    "multiprocessing",
+)
+
+
+def test_a_photonic_run_loads_only_the_layers_it_runs():
+    # Every CLI run, daemon lane and ledger worker is a fresh
+    # interpreter that imports (and, without bytecode, compiles) each
+    # module it loads: package __init__s export lazily and optional
+    # layers import on first use.
+    import os
+    import sys
+
+    probe = (
+        "import sys, repro\n"
+        "from repro.experiments.runner import Fidelity\n"
+        "tiny = Fidelity('tiny', 300, 100, (0.5,))\n"
+        "for arch in ('firefly', 'dhetpnoc'):\n"
+        "    repro.Session().run_one(arch, 1, 'skewed3', 200.0,"
+        " fidelity=tiny)\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True,
+        text=True, check=True, timeout=60,
+    ).stdout.split()
+    unneeded = [
+        name for name in loaded
+        if any(name == layer or name.startswith(layer + ".")
+               for layer in _NOT_ON_THE_PHOTONIC_PATH)
+    ]
+    assert not unneeded, f"a photonic run loaded {unneeded}"
+    ours = [name for name in loaded if name.partition(".")[0] == "repro"]
+    assert len(ours) <= 42, f"{len(ours)} repro modules: {ours}"
+
+
+def _packages():
+    for init in sorted((REPO_ROOT / "src").glob("repro/**/__init__.py")):
+        yield ".".join(init.parent.relative_to(REPO_ROOT / "src").parts)
+
+
+@pytest.mark.parametrize("name", list(_packages()))
+def test_every_package_export_resolves_and_is_listed(name):
+    # A lazy map is a table of strings: a typo in it surfaces only when
+    # the name is first read.
+    import importlib
+
+    package = importlib.import_module(name)
+    for export in getattr(package, "__all__", ()):
+        assert getattr(package, export) is not None, export
+        assert export in dir(package), export
+
+
 def test_one_place_wires_a_simulation():
     # runner.wire_run + attach_traffic: _run_once, `trace record` and
     # `trace replay` are all written on them (the engine's own doctest

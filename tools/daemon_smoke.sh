@@ -42,6 +42,9 @@ $cli sweep --arch firefly dhetpnoc --bw-set 1 \
 grep -q "fabric 127.0.0.1:7023" fabric.out
 $cli sweep --arch firefly dhetpnoc --bw-set 1 \
   --fabric 127.0.0.1:7023 --store local2.jsonl | tee fabric-rerun.out
+# The banner reads only the fresh local store; the coordinator's
+# shared store answers every point.
+grep -q "6 not in the local store" fabric-rerun.out
 grep -q "0 simulated" fabric-rerun.out
 grep -q "re-queueing" serve.log   # the killed worker's lease moved
 $cli jobs list --connect 127.0.0.1:7023 | tee fabric-jobs.out

@@ -152,7 +152,10 @@ class NoCArchitecture(ClockedComponent):
         :class:`~repro.traffic.generator.TrafficGenerator`, a scenario
         player, a trace replayer). A source that cannot prove a cycle
         injection-free answers ``is_idle()`` with ``False`` -- skipping
-        it would desynchronise its random stream."""
+        it would desynchronise its random stream. One that can also has
+        ``skip(ticks)``, which accounts skipped idle ticks, and
+        ``idle_ticks()``, the number of ticks before the next that may
+        inject (``None`` for never)."""
         self._generator = generator
 
     # ------------------------------------------------------------------
@@ -166,16 +169,28 @@ class NoCArchitecture(ClockedComponent):
         self.metrics.measured_cycles += 1
 
     def is_idle(self) -> bool:
-        """Whole-architecture quiescence for the engine's fast path."""
+        """Whole-architecture quiescence for the engine's fast path: an
+        idle fabric, and no injection this cycle."""
         if self._generator is not None and not self._generator.is_idle():
             return False
         return self.fabric_is_idle()
 
+    def next_wake(self):
+        """The cycle of the source's next possible injection: an idle
+        fabric stays idle until then."""
+        if self._generator is None:
+            return None
+        wait = self._generator.idle_ticks()
+        return None if wait is None else self.sim.cycle + wait
+
     def skip_cycles(self, start_cycle: int, stop_cycle: int) -> None:
         """Account a jumped idle span: idle cycles are still measured
-        cycles, and settle boundaries must match the per-cycle loop."""
+        cycles, the source's idle ticks, and settle boundaries must match
+        the per-cycle loop."""
         self.metrics.measured_cycles += stop_cycle - start_cycle
         self.current_cycle = stop_cycle - 1
+        if self._generator is not None:
+            self._generator.skip(stop_cycle - start_cycle)
         self.skip_fabric(start_cycle, stop_cycle)
 
     def note_flit_delivered(

@@ -161,7 +161,9 @@ class DHetPNoC(PhotonicCrossbarNoC):
         dynamic wavelengths are exactly those the token names its
         cluster the owner of, none holds fewer than its reserved floor or
         allocates more to one destination than it holds, and the clusters
-        together hold no more wavelengths than there are."""
+        together hold no more wavelengths than there are; last, the token
+        ring's own law (:meth:`~repro.dba.controller.TokenRing.audit`),
+        which wakes a sleeping ring."""
         super().audit()
 
         def broken(law: str) -> SimulationError:
@@ -187,6 +189,7 @@ class DHetPNoC(PhotonicCrossbarNoC):
         total = self.config.bw_set.total_wavelengths
         if held > total:
             raise broken(f"{held} wavelengths held, {total} exist")
+        self.token_ring.audit()
 
     # ------------------------------------------------------------------
     # Introspection

@@ -68,6 +68,7 @@ class FaultInjector:
             count = available
         if count == 0:
             return []
+        self.noc.token_ring.wake()
         dead = current.remove_dynamic(count)
         for wid in dead:
             self.noc.token.retire(wid, cluster)

@@ -168,20 +168,31 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    @property
+    def in_cycle(self) -> bool:
+        """True while :meth:`run` or :meth:`step` executes: ``cycle`` is
+        under way and its events have fired (or, seen from an event,
+        are firing). Between calls, nothing of ``cycle`` has run yet."""
+        return self._running
+
     def step(self) -> None:
         """Advance exactly one cycle (never jumps, but skips idle ticks)."""
-        self._fire_due_events()
-        if self.fast_path:
-            cycle = self.cycle
-            for component in self._components:
-                if component.is_idle():
-                    component.skip_cycles(cycle, cycle + 1)
-                else:
-                    component.tick(cycle)
-        else:
-            for component in self._components:
-                component.tick(self.cycle)
-        self.cycle += 1
+        running, self._running = self._running, True
+        try:
+            self._fire_due_events()
+            if self.fast_path:
+                cycle = self.cycle
+                for component in self._components:
+                    if component.is_idle():
+                        component.skip_cycles(cycle, cycle + 1)
+                    else:
+                        component.tick(cycle)
+            else:
+                for component in self._components:
+                    component.tick(self.cycle)
+            self.cycle += 1
+        finally:
+            self._running = running
 
     def run(self, cycles: int) -> None:
         """Advance *cycles* cycles (jumping over fully-idle spans)."""

@@ -196,6 +196,13 @@ class TraceReplayGenerator:
         again and the engine may skip ahead)."""
         return self._position >= len(self._records)
 
+    def idle_ticks(self) -> None:
+        """An exhausted replay never injects again."""
+        return None
+
+    def skip(self, ticks: int) -> None:
+        """Records are due at cycles, not ticks: nothing to account."""
+
     @property
     def acceptance_ratio(self) -> float:
         if self.packets_offered == 0:

@@ -22,7 +22,7 @@ from functools import partial
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.api.session import Session
 from repro.experiments import runner
@@ -32,6 +32,7 @@ from repro.api.spec import ExperimentSpec
 from repro.experiments.sweep import SweepExecutor
 from repro.scenarios.generate import sample_schedule, schedules
 from repro.scenarios.library import register_schedule, scenarios
+from repro.scenarios.schedule import Phase, ScenarioSchedule, StepLoad
 from repro.sim.engine import Simulator
 from repro.traffic.bandwidth_sets import BW_SET_1
 
@@ -89,19 +90,38 @@ class TestSerialParallelIdentity:
             assert serial == parallel
 
 
+#: Silent until cycle 325, then twice the load: bits land in the
+#: measured window, but no packet completes, so the run's energy per
+#: message is 0.0 while the account holds the energy those bits cost.
+SILENT_THEN_LOUD = ScenarioSchedule("fuzz_silent_then_loud", (
+    Phase(start_cycle=0, pattern="uniform", modulator=StepLoad(0.0),
+          placement_key="fuzz-fixed"),
+    Phase(start_cycle=325, pattern="uniform", modulator=StepLoad(2.0),
+          placement_key="fuzz-fixed"),
+))
+
+
 class TestWindowTiling:
     @settings(max_examples=3, deadline=None)
     @given(schedules(total_cycles=TOTAL, max_phases=3))
+    @example(SILENT_THEN_LOUD)
     def test_energy_and_packet_windows_tile_the_run(self, schedule):
+        """The phase windows add up to the measured run: its delivered
+        packets, and the energy its ``EnergyAccount`` charged after the
+        warm-up reset (what energy per message divides, when any
+        message completes)."""
         with registered(schedule) as name:
-            result = run_one("dhetpnoc", BW_SET_1, "skewed3", 480.0,
-                             fidelity=TINY, seed=5, scenario=name)
-            assert sum(p.packets_delivered for p in result.phases) == (
-                result.packets_delivered
+            run = runner.wire_run("dhetpnoc", BW_SET_1, "skewed3", TINY,
+                                  seed=5, scenario=name)
+            runner.attach_traffic(run, 480.0, TINY)
+            run.simulate(TINY.total_cycles, TINY.reset_cycles)
+            run.source.finish(TINY.total_cycles)
+            phases = run.source.phase_stats()
+            assert sum(p.packets_delivered for p in phases) == (
+                run.arch.metrics.packets_delivered
             )
-            total_pj = result.energy_per_message_pj * result.packets_delivered
-            assert sum(p.energy_pj for p in result.phases) == pytest.approx(
-                total_pj, rel=1e-9
+            assert sum(p.energy_pj for p in phases) == pytest.approx(
+                run.arch.energy.breakdown.total_pj, rel=1e-9
             )
 
 

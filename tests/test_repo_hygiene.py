@@ -669,3 +669,40 @@ def test_every_page_the_source_cites_exists():
     missing = {name: where for name, where in cited.items()
                if not (REPO_ROOT / name).is_file()}
     assert not missing
+
+
+def test_the_traffic_stream_has_one_reader():
+    """``streams.get("traffic")`` is read only as the stream a
+    ``TrafficGenerator`` is built over: the generator reads it ahead, so
+    a second reader would see it shifted by the words read ahead."""
+    import ast
+
+    def builds_generator(call):
+        func = call.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(
+            func, "id", None)
+        if name == "for_offered_gbps":
+            name = getattr(func.value, "id", None)
+        return name == "TrafficGenerator"
+
+    reads = stray = 0
+    for directory in ("src", "benchmarks", "examples", "tools"):
+        for path in sorted((REPO_ROOT / directory).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            built_over = {
+                id(arg) for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and builds_generator(node)
+                for arg in node.args
+            }
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "get"
+                        and [getattr(a, "value", None) for a in node.args]
+                        == ["traffic"]):
+                    reads += 1
+                    if id(node) not in built_over:
+                        stray += 1
+                        print(f"{path.relative_to(REPO_ROOT)}:{node.lineno}")
+    assert reads >= 4
+    assert stray == 0

@@ -25,12 +25,13 @@ the exact differences sections 3.2/3.3 describe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.arch.config import SystemConfig
 from repro.arch.photonic_router import ClusterGateway, StreamPlans, TxPlan
 from repro.energy.model import EnergyAccount
 from repro.noc.flit import Flit, Packet
+from repro.photonic.channel import NEVER
 from repro.photonic.reservation import ReservationFlit
 from repro.sim.engine import ClockedComponent, SimulationError, Simulator
 from repro.sim.stats import RunningMean
@@ -81,8 +82,9 @@ class NoCArchitecture(ClockedComponent):
     A fabric under the shell implements :meth:`submit`,
     :meth:`tick_fabric`, :meth:`fabric_is_idle`, :meth:`reset_fabric`,
     :meth:`finalize`, :meth:`lit_wavelengths`, :meth:`flits_in_system`
-    and :meth:`audit` (and :meth:`skip_fabric` if it keeps span
-    accounting of its own) -- as methods, or, where the fabric is one
+    and :meth:`audit` (and :meth:`skip_fabric` and
+    :meth:`fabric_next_wake` if it keeps span accounting or wakes of
+    its own) -- as methods, or, where the fabric is one
     object with those methods already, by binding them in ``__init__``.
     """
 
@@ -109,8 +111,14 @@ class NoCArchitecture(ClockedComponent):
         raise NotImplementedError
 
     def fabric_is_idle(self) -> bool:
-        """True when :meth:`tick_fabric` would be a no-op this cycle."""
+        """True when :meth:`tick_fabric` would be a no-op this cycle, up
+        to what :meth:`skip_fabric` accounts."""
         raise NotImplementedError
+
+    def fabric_next_wake(self) -> Optional[int]:
+        """The earliest cycle an idle fabric has work again of its own
+        (``None``: only new packets give it work). Default: ``None``."""
+        return None
 
     def skip_fabric(self, start_cycle: int, stop_cycle: int) -> None:
         """Account a jumped idle span in the fabric's own clocks.
@@ -176,12 +184,14 @@ class NoCArchitecture(ClockedComponent):
         return self.fabric_is_idle()
 
     def next_wake(self):
-        """The cycle of the source's next possible injection: an idle
-        fabric stays idle until then."""
-        if self._generator is None:
-            return None
-        wait = self._generator.idle_ticks()
-        return None if wait is None else self.sim.cycle + wait
+        """The earlier of the source's next possible injection and the
+        fabric's next wake: the architecture stays idle until then."""
+        wake = self.fabric_next_wake()
+        if self._generator is not None:
+            wait = self._generator.idle_ticks()
+            if wait is not None and (wake is None or self.sim.cycle + wait < wake):
+                wake = self.sim.cycle + wait
+        return wake
 
     def skip_cycles(self, start_cycle: int, stop_cycle: int) -> None:
         """Account a jumped idle span: idle cycles are still measured
@@ -249,6 +259,15 @@ class PhotonicCrossbarNoC(NoCArchitecture):
     an electronic switch -- and :meth:`tick_fabric` adds each addend that
     many times once per cycle: the same sequence of ``+=`` the account
     would see flit by flit.
+
+    On the engine's fast path :meth:`tick_fabric` ticks only the gateways
+    whose wake cycle has come (``ClusterGateway._wake``), and
+    ``_next_wake`` -- the next cycle while a gateway is awake, else the
+    earliest wake -- makes :meth:`fabric_is_idle` O(1): the engine
+    jumps every span in which no gateway is due, and
+    :meth:`skip_fabric` charges the open fills' writes for it. The naive
+    loop (``fast_path=False``) ticks every gateway that holds a flit or
+    a transmission, every cycle: the reference the wakes are held to.
     """
 
     name = "pnoc"
@@ -260,6 +279,8 @@ class PhotonicCrossbarNoC(NoCArchitecture):
         self._buffer_addend = self._router_addend = 0.0
         self._filling = 0
         self._buffer_flits = self._switched_flits = 0
+        #: The earliest gateway wake (``NEVER``: no gateway has work).
+        self._next_wake = NEVER
         self.gateways: List[ClusterGateway] = [
             ClusterGateway(cluster, self) for cluster in range(config.n_clusters)
         ]
@@ -305,12 +326,27 @@ class PhotonicCrossbarNoC(NoCArchitecture):
         return accepted
 
     def tick_fabric(self, cycle: int) -> None:
-        idle = ClusterGateway.IDLE
-        for gateway in self.gateways:
-            # ``not gateway.is_idle()``, inlined: it runs for every
-            # gateway every cycle.
-            if gateway._held or gateway._tx_state != idle:
-                gateway.tick(cycle)
+        if self.sim.fast_path:
+            awake = False
+            for gateway in self.gateways:
+                if gateway._wake <= cycle and gateway.tick(cycle):
+                    awake = True
+            # While a gateway is awake the fabric is due next cycle; only
+            # a cycle after which all sleep looks for the first wake (a
+            # launch may have lowered the wake of one already passed).
+            if awake:
+                self._next_wake = cycle + 1
+            else:
+                self._next_wake = min(
+                    [gateway._wake for gateway in self.gateways])
+        else:
+            idle = ClusterGateway.IDLE
+            for gateway in self.gateways:
+                if gateway._held or gateway._tx_state != idle:
+                    gateway.tick(cycle)
+                    # The reference counts each lit step in its cycle.
+                    gateway.settle_stream(cycle + 1)
+            self._next_wake = min(gateway._wake for gateway in self.gateways)
         # This cycle's per-flit charges, one addend per flit: ``x += c``
         # n times is not ``x += n * c`` in floating point.
         switched = self._switched_flits
@@ -328,10 +364,24 @@ class PhotonicCrossbarNoC(NoCArchitecture):
             self._buffer_flits = self._switched_flits = 0
 
     def fabric_is_idle(self) -> bool:
-        for gateway in self.gateways:
-            if not gateway.is_idle():
-                return False
-        return True
+        return self._next_wake > self.sim.cycle
+
+    def fabric_next_wake(self) -> Optional[int]:
+        wake = self._next_wake
+        return None if wake == NEVER else wake
+
+    def skip_fabric(self, start_cycle: int, stop_cycle: int) -> None:
+        """The open fills' writes, one addend per fill per cycle, as
+        :meth:`tick_fabric` adds them (a fill stays open to its tail's
+        cycle, when its gateway is due). A stream's steps that launch
+        nothing settle when the channel's counts are read."""
+        fills = self._filling * (stop_cycle - start_cycle)
+        if fills:
+            breakdown = self.energy.breakdown
+            buffer_pj, addend = breakdown.buffer_pj, self._buffer_addend
+            for _ in range(fills):
+                buffer_pj += addend
+            breakdown.buffer_pj = buffer_pj
 
     def audit(self) -> None:
         for gateway in self.gateways:
@@ -341,6 +391,15 @@ class PhotonicCrossbarNoC(NoCArchitecture):
             raise SimulationError(
                 f"{self.name}: _filling is {self._filling}, the gateways' "
                 f"open fills give {fills}"
+            )
+        # The fabric is due when its first gateway is, or at once while
+        # one is awake (its wake passed).
+        now = self.sim.cycle
+        first = min(gateway._wake for gateway in self.gateways)
+        if max(self._next_wake, now) != max(first, now):
+            raise SimulationError(
+                f"{self.name}: _next_wake is {self._next_wake}, the "
+                f"gateways' wakes give {first}"
             )
 
     def note_packet_delivered_whole(

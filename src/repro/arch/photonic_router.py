@@ -54,7 +54,7 @@ from repro.noc.arbiter import RoundRobinArbiter
 from repro.noc.flit import Packet
 from repro.energy.model import EnergyAccount
 from repro.energy.params import PhotonicEnergyParams
-from repro.photonic.channel import DataChannel, ReservationBroadcastChannel
+from repro.photonic.channel import NEVER, DataChannel, ReservationBroadcastChannel
 from repro.photonic.reservation import ReservationFlit, reservation_flit_bits
 from repro.photonic.wavelength import WavelengthId, bits_per_cycle
 from repro.sim.engine import SimulationError
@@ -63,8 +63,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.arch.base import PhotonicCrossbarNoC
     from repro.sim.engine import Simulator
 
-#: ``_inject_due`` while no pipe holds a packet.
-_NEVER = math.inf
+#: ``_inject_due`` while no pipe holds a packet; ``_wake`` of a gateway
+#: with nothing left to do.
+_NEVER = NEVER
 
 
 @dataclass(frozen=True)
@@ -204,11 +205,18 @@ class StreamPlans(dict):
     off a fresh account). It is built by stepping a real
     :class:`DataChannel` once, so its ``bit_credit`` history is the
     channel's own.
+
+    ``next_active[key]`` is the plan's next-active-step table: entry *i*
+    is how many cycles after step *i* the next step that feeds or
+    launches a flit comes (0 after the last step). The first step feeds,
+    and a step that does neither only keeps the channel lit, so a
+    streaming gateway sleeps from one active step to the next.
     """
 
     def __init__(self, params: PhotonicEnergyParams):
         super().__init__()
         self._params = params
+        self.next_active: Dict[tuple, Tuple[int, ...]] = {}
 
     def __missing__(self, key: tuple) -> Tuple[tuple, ...]:
         n_wavelengths, clock_hz, queue_bits, flit_bits, n_flits = key
@@ -232,11 +240,64 @@ class StreamPlans(dict):
         # modulators empty: a stream never stalls.
         assert not channel.stalled_cycles
         plan = self[key] = tuple(steps)
+        table, following = [0] * len(plan), None
+        for index in range(len(plan) - 1, -1, -1):
+            if following is not None:
+                table[index] = following - index
+            if plan[index][0] or plan[index][1]:
+                following = index
+        self.next_active[key] = tuple(table)
         return plan
 
 
+class PlannedChannel(DataChannel):
+    """A gateway's write channel, stepped by stream plans.
+
+    Every step of a plan keeps the channel lit, and a sleeping gateway
+    does not run the steps that only do that, so the gateway counts a
+    stream's steps into ``busy_cycles`` and ``wavelength_cycles_lit``
+    at its end, and these settle the steps of the stream under way when
+    read (the gateway settles them at the warm-up reset): the counts are
+    those of a channel stepped every cycle.
+    """
+
+    def __init__(self, gateway: "ClusterGateway", clock_hz: float):
+        self._gateway = gateway
+        super().__init__(gateway.cluster_id, clock_hz=clock_hz)
+
+    @property
+    def busy_cycles(self) -> int:
+        gateway = self._gateway
+        gateway.settle_stream(gateway.arch.sim.cycle)
+        return self._busy_cycles
+
+    @busy_cycles.setter
+    def busy_cycles(self, value: int) -> None:
+        self._busy_cycles = value
+
+    @property
+    def wavelength_cycles_lit(self) -> int:
+        gateway = self._gateway
+        gateway.settle_stream(gateway.arch.sim.cycle)
+        return self._wavelength_cycles_lit
+
+    @wavelength_cycles_lit.setter
+    def wavelength_cycles_lit(self, value: int) -> None:
+        self._wavelength_cycles_lit = value
+
+
 class ClusterGateway:
-    """One cluster's photonic router: TX FSM, RX buffers, ejection."""
+    """One cluster's photonic router: TX FSM, RX buffers, ejection.
+
+    On the engine's fast path the fabric ticks a gateway only from its
+    wake cycle ``_wake`` on: the earliest cycle one of its stages is
+    due. A tick that finds nothing due sets it from the gateway's state
+    (:meth:`_sleep`); a tick that did work leaves it, so the gateway is
+    ticked again next cycle; and whatever hands a gateway work from
+    outside its own tick lowers it (a submit, a launch toward it). The
+    reservation channel keeps its own ``due`` the same way: a
+    reservation and a response lower it.
+    """
 
     IDLE = "idle"
     RESERVING = "reserving"
@@ -273,7 +334,7 @@ class ClusterGateway:
         self._inject_due = _NEVER
 
         # -- photonic channels -------------------------------------------------
-        self.channel = DataChannel(cluster_id, clock_hz=config.clock_hz)
+        self.channel = PlannedChannel(self, config.clock_hz)
         self.reservation_channel = ReservationBroadcastChannel(
             cluster_id,
             propagation_cycles=config.reservation_propagation_cycles,
@@ -313,6 +374,8 @@ class ClusterGateway:
         #: :meth:`flits_held`), maintained incrementally so the idle
         #: check is O(1).
         self._held = 0
+        #: The cycle from which the fabric ticks this gateway.
+        self._wake = _NEVER
 
     # ==================================================================
     # Injection (called by the architecture's submit path)
@@ -326,6 +389,7 @@ class ClusterGateway:
             self._pipes_active += 1
             if cycle < self._inject_due:
                 self._inject_due = cycle
+            self._wake_by(cycle)
         pipe.append(packet)
         self._held += packet.n_flits
         # Source core's electronic router traversal.
@@ -334,8 +398,9 @@ class ClusterGateway:
 
     def submit_intra_cluster(self, packet: Packet, cycle: int) -> bool:
         """All-to-all copper path within the cluster (thesis 3.1)."""
-        latency = self.config.intra_cluster_latency_cycles + packet.n_flits
-        self._intra.append((cycle + latency, packet))
+        due = cycle + self.config.intra_cluster_latency_cycles + packet.n_flits
+        self._intra.append((due, packet))
+        self._wake_by(due)
         self._held += packet.n_flits
         self._energy.charge_router_traversal(2 * packet.size_bits)
         self._energy.charge_buffer_write(packet.size_bits)
@@ -345,39 +410,81 @@ class ClusterGateway:
     # ==================================================================
     # Per-cycle step (driven by the architecture)
     # ==================================================================
-    def tick(self, cycle: int) -> None:
+    def tick(self, cycle: int) -> bool:
+        """Run the stages due at *cycle*; return True when the gateway
+        stays awake for the next cycle. A gateway that did work stays
+        awake (unless nothing is left in it at all); one that found
+        nothing due sleeps until its next stage is (:meth:`_sleep`). A
+        stage not due is a no-op -- a streaming step that launches
+        nothing included: it is counted when the channel's counts are
+        read."""
+        worked = False
         # Reservation traffic is in flight exactly while the FSM reserves.
-        if self._tx_state == _RESERVING:
+        if self.reservation_channel.due <= cycle:
             self.reservation_channel.tick(cycle)
-        if self._inbound:
-            self._deliver_inbound(cycle)
+            worked = True
+        if self._inbound and self._deliver_inbound(cycle):
+            worked = True
         if self._pipes_active and cycle >= self._inject_due:
             self._inject_step(cycle)
+            worked = True
         # TX FSM: one dispatch on the state the stage is entered in (an
         # ACK arrives in the reservation stage above and streams now; a
-        # state entered here is first acted on next cycle).
+        # state entered here is first acted on next cycle). ``_tx_due``
+        # is ``NEVER`` unless the FSM streams.
         state = self._tx_state
-        if state == _STREAMING:
+        if cycle >= self._tx_due:
             self._tx_stream(cycle)
+            worked = True
         elif state == _IDLE:
             if self._tx_waiting:
                 self._tx_arbitrate(cycle)
+                worked = True
         elif state == _BACKOFF and cycle >= self._backoff_until:
             self._send_reservation(cycle, retry=True)
+            worked = True
         if self._rx_nonempty:
             self._eject_step(cycle)
-        if self._intra:
-            self._deliver_intra(cycle)
+            worked = True
+        if self._intra and self._deliver_intra(cycle):
+            worked = True
+        if not worked:
+            self._sleep(cycle)
+            return False
+        if self._held or self._tx_state != _IDLE:
+            return True
+        # Nothing left: no stage is due until new work comes.
+        self._wake = _NEVER
+        return False
 
-    def is_idle(self) -> bool:
-        """True when :meth:`tick` would be a no-op: no flit anywhere in
-        the gateway's domain and the TX FSM at rest (reservation traffic
-        is in flight on the source-owned waveguide only while its FSM
-        reserves, which :meth:`audit` checks). Every arbitration stage
-        is stateless on an empty request set, so a gateway in this state
-        can be skipped without drifting any round-robin pointer,
-        statistic, or energy counter."""
-        return not self._held and self._tx_state == self.IDLE
+    def _sleep(self, cycle: int) -> None:
+        """Set ``_wake`` after a tick at *cycle* that found nothing due:
+        the earliest due of the reservation channel, the inject stage,
+        the inbound launches, the transmit FSM (the stream plan's next
+        active step, the end of the back-off) and the intra-cluster
+        pipe; ``NEVER`` when none is due. (Nothing was due, so no packet
+        waits for arbitration and no RX buffer holds a flit.)"""
+        wake = self.reservation_channel.due
+        if self._pipes_active and self._inject_due < wake:
+            wake = self._inject_due
+        if self._inbound and self._inbound[0][0] < wake:
+            wake = self._inbound[0][0]
+        if self._tx_due < wake:
+            wake = self._tx_due
+        elif self._tx_state == _BACKOFF and self._backoff_until < wake:
+            wake = self._backoff_until
+        if self._intra and self._intra[0][0] < wake:
+            wake = self._intra[0][0]
+        self._wake = wake
+
+    def _wake_by(self, cycle: int) -> None:
+        """Work handed over from outside this gateway's tick is due at
+        *cycle*: wake the gateway, and the fabric, by then."""
+        if cycle < self._wake:
+            self._wake = cycle
+            arch = self.arch
+            if cycle < arch._next_wake:
+                arch._next_wake = cycle
 
     # -- injection pipes -------------------------------------------------
     def _inject_step(self, cycle: int) -> None:
@@ -556,11 +663,13 @@ class ClusterGateway:
                 cycle=cycle,
             )
             self.channel.active.flit_bits = packet.flit_bits
-            self._tx_stream_plan = self.arch.stream_plans[(
-                plan.n_wavelengths, config.clock_hz, config.bw_set.flit_bits,
-                packet.flit_bits, packet.n_flits,
-            )]
-            self._tx_index = 0
+            key = (plan.n_wavelengths, config.clock_hz,
+                   config.bw_set.flit_bits, packet.flit_bits, packet.n_flits)
+            plans = self.arch.stream_plans
+            self._tx_stream_plan = plans[key]
+            self._tx_next_active = plans.next_active[key]
+            self._tx_start = self._tx_due = cycle
+            self._tx_counted = 0
             self._tx_state = self.STREAMING
             return
         self._tx_retries += 1
@@ -596,21 +705,27 @@ class ClusterGateway:
         self._tx_reservation: Optional[ReservationFlit] = None
         self._tx_plan: Optional[TxPlan] = None
         self._tx_retries = 0
-        #: The ACKed packet's stream plan and the step this cycle takes.
+        #: The ACKed packet's stream plan, its next-active-step table,
+        #: the ACK cycle (step *i* is cycle ``_tx_start + i``'s), the
+        #: cycle of the next step that feeds or launches (``NEVER`` unless
+        #: streaming), and the steps counted into the channel's busy and
+        #: lit counts.
         self._tx_stream_plan: tuple = ()
-        self._tx_index = 0
+        self._tx_next_active: tuple = ()
+        self._tx_start = self._tx_counted = 0
+        self._tx_due = _NEVER
 
     def _tx_stream(self, cycle: int) -> None:
-        """One step of the stream plan: the flits the VC feeds the
-        modulators and those launched, with the channel's counters and
-        ``ActiveTransmission`` kept as its own ``top_up`` and ``tick``
-        would keep them."""
-        plan, index = self._tx_stream_plan, self._tx_index
+        """The stream plan's step for *cycle*, one that feeds or launches:
+        the flits the VC feeds the modulators and those launched, with
+        the channel's counters and ``ActiveTransmission`` kept as its own
+        ``top_up`` and ``tick`` would keep them -- but for the busy and
+        lit counts, which count every step of the stream at its end (or
+        when read)."""
+        plan, index = self._tx_stream_plan, cycle - self._tx_start
         fed, launched, bits, launch_pj, modulation_pj, tuning_pj = plan[index]
         channel = self.channel
         active = channel._active
-        channel.busy_cycles += 1
-        channel.wavelength_cycles_lit += active.n_wavelengths
         active.pending += fed - launched
         if fed:
             active.fed += fed
@@ -640,22 +755,43 @@ class ClusterGateway:
             breakdown.launch_pj += launch_pj
             breakdown.modulation_pj += modulation_pj
             breakdown.tuning_pj += tuning_pj
-            dst._inbound.append((
-                cycle + self.config.data_propagation_cycles,
-                self.cluster_id, self._tx_packet, launched,
-            ))
-        index += 1
-        if index == len(plan):
+            due = cycle + self.config.data_propagation_cycles
+            dst._inbound.append((due, self.cluster_id, self._tx_packet, launched))
+            # The destination is due when the flits land. (This gateway
+            # did work, so the fabric looks at its gateways' wakes again
+            # after this cycle: no need to lower its ``_next_wake``.)
+            if due < dst._wake:
+                dst._wake = due
+        gap = self._tx_next_active[index]
+        if gap:
+            self._tx_due = cycle + gap
+        else:  # the last step
+            lit = index + 1 - self._tx_counted
+            channel._busy_cycles += lit
+            channel._wavelength_cycles_lit += lit * active.n_wavelengths
             channel.packets_transmitted += 1
             channel._active = None
             self._clear_tx()
-        else:
-            self._tx_index = index
+
+    def settle_stream(self, cycle: int) -> None:
+        """Count into the channel's busy and lit counts the steps of the
+        stream before *cycle* not counted yet."""
+        if self._tx_state == _STREAMING:
+            done = cycle - self._tx_start
+            lit = done - self._tx_counted
+            if lit > 0:
+                self._tx_counted = done
+                channel = self.channel
+                channel._busy_cycles += lit
+                channel._wavelength_cycles_lit += (
+                    lit * channel._active.n_wavelengths)
 
     # ==================================================================
     # Receive side
     # ==================================================================
-    def _deliver_inbound(self, cycle: int) -> None:
+    def _deliver_inbound(self, cycle: int) -> int:
+        """Land the launches due by *cycle* in their RX buffers; return
+        the flits landed."""
         inbound = self._inbound
         written = 0
         while inbound and inbound[0][0] <= cycle:
@@ -685,6 +821,7 @@ class ClusterGateway:
             self._rx_reserved[src] -= n
             written += n
         self.arch._buffer_flits += written
+        return written
 
     def _eject_step(self, cycle: int) -> None:
         """One flit per core per cycle from the RX buffers to the cores.
@@ -743,12 +880,17 @@ class ClusterGateway:
         metrics.bits_delivered += ejected_bits
         metrics.bits_delivered_photonic += ejected_bits
 
-    def _deliver_intra(self, cycle: int) -> None:
+    def _deliver_intra(self, cycle: int) -> bool:
+        """Deliver the intra-cluster packets due by *cycle*; return
+        whether any was."""
         intra = self._intra
+        if intra[0][0] > cycle:
+            return False
         while intra and intra[0][0] <= cycle:
             _due, packet = intra.popleft()
             self._held -= packet.n_flits
             self.arch.note_packet_delivered_whole(packet, cycle, photonic=False)
+        return True
 
     # ==================================================================
     # Accounting helpers
@@ -769,6 +911,7 @@ class ClusterGateway:
         flit-cycles never leak into the measured window."""
         for buffer in self._buffers():
             buffer.reset_stats(at_cycle)
+        self.settle_stream(at_cycle)
         self.channel.reset_stats()
         self.reservation_channel.reset_stats()
 
@@ -800,7 +943,8 @@ class ClusterGateway:
                 raise broken(counter, kept,
                              f"the state it counts gives {recount!r}")
 
-        last_ticked = self.arch.sim.cycle - 1
+        now = self.arch.sim.cycle
+        last_ticked = now - 1
         in_pipes = 0
         for slot, pipe in enumerate(self._pipes):
             in_pipes += sum(packet.n_flits for packet in pipe)
@@ -830,7 +974,7 @@ class ClusterGateway:
         active = self.channel.active
         if self._tx_state == self.STREAMING:
             check("channel.busy", active is not None, True)
-            done = self._tx_stream_plan[:self._tx_index]
+            done = self._tx_stream_plan[:now - self._tx_start]
             fed = sum(step[0] for step in done)
             launched = sum(step[1] for step in done)
             check("channel.active.fed", active.fed, fed)
@@ -855,6 +999,43 @@ class ClusterGateway:
                    if self.rx_buffers[src].fifo[0][0].dst % self._cores == slot)
             for slot in range(self._cores)
         ])
+        # The wake law: a gateway is asleep from a tick that found
+        # nothing due until ``_wake`` (an awake one's is a past cycle),
+        # and sleeps exactly until the earliest due its state gives.
+        if self._wake >= now:
+            due = self._due_from_state(now)
+            if due < now:
+                raise broken("_wake", self._wake,
+                             f"asleep while a stage was due at cycle {due}")
+            if self._wake != due:
+                raise broken("_wake", self._wake,
+                             f"its state is due at cycle {due}")
+
+    def _due_from_state(self, now: int) -> int:
+        """The earliest cycle, *now* or later, a stage of this gateway is
+        due, recounted from the queues and plans themselves (not from
+        ``_inject_due`` or the reservation channel's ``due``)."""
+        dues = [self.reservation_channel.earliest_landing()]
+        for slot, pipe in enumerate(self._pipes):
+            if pipe:
+                # A front packet filling its VC is due when its tail
+                # enters; one not in a VC yet tries for one now.
+                filling = self._pipe_active_vc[slot] is not None
+                dues.append(self.inputs[slot].fill_end if filling else now)
+        dues.extend(due for due, *_launch in self._inbound)
+        dues.extend(due for due, _packet in self._intra)
+        if self._tx_state == self.STREAMING:
+            plan, start = self._tx_stream_plan, self._tx_start
+            dues.extend(start + index
+                        for index in range(max(0, now - start), len(plan))
+                        if plan[index][0] or plan[index][1])
+        elif self._tx_state == self.BACKOFF:
+            dues.append(self._backoff_until)
+        elif self._tx_waiting:
+            dues.append(now)
+        if any(buffer.occupancy for buffer in self.rx_buffers.values()):
+            dues.append(now)
+        return min(dues, default=_NEVER)
 
 
 # The per-cycle dispatch in ``ClusterGateway.tick`` reads the FSM's states

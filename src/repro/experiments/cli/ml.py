@@ -3,8 +3,9 @@ docs/ml.md)."""
 
 from __future__ import annotations
 
-from repro.api.registry import predictors
-from repro.experiments.cli.options import CliError, add_seed, add_store_options
+from repro.experiments.cli.options import (
+    CliError, LazyChoices, add_seed, add_store_options,
+)
 
 
 def register(sub) -> None:
@@ -32,11 +33,16 @@ def register(sub) -> None:
     fit.add_argument("dataset", metavar="DATASET.json")
     fit.add_argument("--out", required=True, metavar="MODEL.json")
     fit.add_argument(
-        "--kind", default="ridge", choices=sorted(predictors.names()),
-        help="predictor family (default: ridge)",
-    )
+        "--kind", default="ridge", help="predictor family (default: ridge)",
+    ).choices = LazyChoices(_predictor_names)
     add_seed(fit, default=0, help="fit seed, recorded in the model (default: 0)")
     fit.set_defaults(handler=_fit)
+
+
+def _predictor_names():
+    from repro.ml.model import predictors
+
+    return sorted(predictors.names())
 
 
 def _export(args) -> None:

@@ -15,13 +15,16 @@ from __future__ import annotations
 
 import argparse
 import os
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
-from repro.api.registry import architectures, bandwidth_sets, fidelities
+# The registries from their home modules (``repro.api.registry``
+# re-exports them): importing that namespace would load every layer.
 from repro.api.session import Session
 from repro.api.spec import ExperimentSpec
-from repro.experiments.runner import QUICK_FIDELITY
+from repro.arch.registry import architectures
+from repro.experiments.runner import QUICK_FIDELITY, fidelities
 from repro.experiments.store import backend_names
+from repro.traffic.bandwidth_sets import bandwidth_sets
 
 
 class CliError(Exception):
@@ -36,6 +39,24 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 # Flags
 # ---------------------------------------------------------------------------
+
+class LazyChoices:
+    """A flag's choices, read off *names* only when argparse checks a
+    value or prints them: a parser whose choices come from a layer
+    only its own verb runs (the exhibits, the predictors) loads that
+    layer on that verb's use, not whenever the CLI starts. Set it on
+    the action ``add_argument`` returns: ``add_argument`` formats the
+    action once, which would read the choices."""
+
+    def __init__(self, names: Callable[[], Iterable[str]]) -> None:
+        self._names = names
+
+    def __iter__(self):
+        return iter(self._names())
+
+    def __contains__(self, value: object) -> bool:
+        return value in self._names()
+
 
 def _fidelity(name: str):
     """argparse type: resolve ``--fidelity`` via the fidelity registry."""

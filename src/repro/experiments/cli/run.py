@@ -10,6 +10,7 @@ from repro.api.spec import ExperimentSpec
 from repro.experiments.cli.fabric import point_line
 from repro.experiments.cli.options import (
     CliError,
+    LazyChoices,
     add_fidelity,
     add_grid_axes,
     add_parallel_options,
@@ -20,7 +21,6 @@ from repro.experiments.cli.options import (
     open_session,
     spec_from_args,
 )
-from repro.experiments.figures import ALL_EXHIBITS
 from repro.experiments.report import ascii_table, mean_spread, percent_change
 from repro.experiments.runner import QUICK_FIDELITY
 
@@ -33,7 +33,7 @@ def register(sub) -> None:
     run = sub.add_parser(
         "run", help="regenerate one exhibit, or execute a declarative spec"
     )
-    run.add_argument("exhibit", nargs="?", choices=sorted(ALL_EXHIBITS))
+    run.add_argument("exhibit", nargs="?").choices = LazyChoices(_exhibit_names)
     run.add_argument(
         "--spec", default=None, metavar="SPEC.json",
         help="execute a declarative ExperimentSpec JSON file instead of a "
@@ -119,7 +119,15 @@ def register(sub) -> None:
 # Exhibits
 # ---------------------------------------------------------------------------
 
+def _exhibit_names():
+    from repro.experiments.figures import ALL_EXHIBITS
+
+    return sorted(ALL_EXHIBITS)
+
+
 def _call_exhibit(name: str, fidelity, seed: int, session: Session) -> str:
+    from repro.experiments.figures import ALL_EXHIBITS
+
     fn = ALL_EXHIBITS[name]
     kwargs = {}
     signature = inspect.signature(fn)
@@ -133,7 +141,7 @@ def _call_exhibit(name: str, fidelity, seed: int, session: Session) -> str:
 
 
 def _list(args) -> None:
-    for name in sorted(ALL_EXHIBITS):
+    for name in _exhibit_names():
         print(name)
 
 
@@ -174,7 +182,7 @@ def _run(args) -> None:
 
 def _all(args) -> None:
     session = open_session(args)
-    for name in sorted(ALL_EXHIBITS):
+    for name in _exhibit_names():
         print(_call_exhibit(name, args.fidelity, args.seed, session))
         print()
 

@@ -26,6 +26,11 @@ from repro.noc.flit import Flit
 from repro.photonic.reservation import ReservationFlit
 from repro.photonic.wavelength import bits_per_cycle
 
+#: A due cycle that never comes (``ReservationBroadcastChannel.due``
+#: while nothing is in flight): an int, so the per-cycle comparisons
+#: with the cycle stay int comparisons.
+NEVER = 1 << 62
+
 
 class ChannelError(RuntimeError):
     """Raised on protocol misuse of a photonic channel."""
@@ -215,6 +220,11 @@ class ReservationBroadcastChannel:
     reservation waveguide (Firefly [20]: "a reservation request is
     broadcast on separate channels"), so there is no inter-source
     contention; a source can have one outstanding reservation at a time.
+
+    ``due`` is the cycle the next flit or response lands (``NEVER`` while
+    nothing is in flight): :meth:`broadcast` and :meth:`respond` lower
+    it, and :meth:`tick` sets it from what stays queued before it hands
+    anything over, so a response sent from a delivery lowers it itself.
     """
 
     def __init__(self, owner_cluster: int, propagation_cycles: int = 1):
@@ -226,6 +236,7 @@ class ReservationBroadcastChannel:
         self._outbound: Deque[Tuple[int, ReservationFlit, Callable]] = deque()
         #: (due_cycle, reservation, accepted, deliver_cb)
         self._responses: Deque[Tuple[int, ReservationFlit, bool, Callable]] = deque()
+        self.due = NEVER
         self.reset_stats()
 
     def broadcast(
@@ -245,6 +256,8 @@ class ReservationBroadcastChannel:
             raise ValueError("serialization_cycles must be >= 1")
         due = cycle + serialization_cycles + self.propagation_cycles
         self._outbound.append((due, reservation, deliver))
+        if due < self.due:
+            self.due = due
         self.reservations_sent += 1
         self.reservation_bits_sent += flit_bits
         return due
@@ -259,15 +272,33 @@ class ReservationBroadcastChannel:
         """Destination's ACK/NACK; returns arrival cycle at the source."""
         due = cycle + self.propagation_cycles
         self._responses.append((due, reservation, accepted, deliver))
+        if due < self.due:
+            self.due = due
         return due
 
     def tick(self, cycle: int) -> None:
-        while self._outbound and self._outbound[0][0] <= cycle:
-            _due, reservation, deliver = self._outbound.popleft()
+        outbound, responses = self._outbound, self._responses
+        arrived = []
+        while outbound and outbound[0][0] <= cycle:
+            arrived.append(outbound.popleft())
+        answered = []
+        while responses and responses[0][0] <= cycle:
+            answered.append(responses.popleft())
+        self.due = self.earliest_landing()
+        # A response sent from a delivery lands a cycle later at least
+        # (``propagation_cycles >= 1``): never among those answered now.
+        for _due, reservation, deliver in arrived:
             deliver(reservation)
-        while self._responses and self._responses[0][0] <= cycle:
-            _due, reservation, accepted, deliver = self._responses.popleft()
+        for _due, reservation, accepted, deliver in answered:
             deliver(reservation, accepted)
+
+    def earliest_landing(self) -> int:
+        """The cycle the next flit or response in flight lands, from the
+        queues (``NEVER`` for none)."""
+        due = self._outbound[0][0] if self._outbound else NEVER
+        if self._responses and self._responses[0][0] < due:
+            due = self._responses[0][0]
+        return due
 
     @property
     def in_flight(self) -> int:

@@ -145,6 +145,10 @@ class Simulator:
         self._event_heap: list = []
         self._event_counter = itertools.count()
         self._running = False
+        #: Cycles some component ticked in, and cycles jumped or passed
+        #: with every component idle: together, every cycle advanced.
+        self.ticked_cycles = 0
+        self.jumped_cycles = 0
 
     # ------------------------------------------------------------------
     # Registration and scheduling
@@ -180,16 +184,23 @@ class Simulator:
         running, self._running = self._running, True
         try:
             self._fire_due_events()
+            active = True
             if self.fast_path:
                 cycle = self.cycle
+                active = False
                 for component in self._components:
                     if component.is_idle():
                         component.skip_cycles(cycle, cycle + 1)
                     else:
                         component.tick(cycle)
+                        active = True
             else:
                 for component in self._components:
                     component.tick(self.cycle)
+            if active:
+                self.ticked_cycles += 1
+            else:
+                self.jumped_cycles += 1
             self.cycle += 1
         finally:
             self._running = running
@@ -210,6 +221,7 @@ class Simulator:
                     for component in self._components:
                         component.tick(self.cycle)
                     self.cycle += 1
+                self.ticked_cycles += cycles
         finally:
             self._running = False
 
@@ -241,6 +253,7 @@ class Simulator:
                     # Skipped components still account this cycle.
                     for component in skipped:
                         component.skip_cycles(cycle, cycle + 1)
+                self.ticked_cycles += 1
                 self.cycle = cycle + 1
                 continue
             # Everything idle at `cycle`: jump to the next scheduled
@@ -258,6 +271,7 @@ class Simulator:
                 target = cycle + 1
             for component in components:
                 component.skip_cycles(cycle, target)
+            self.jumped_cycles += target - cycle
             self.cycle = target
 
     def reset_all_stats(self) -> None:

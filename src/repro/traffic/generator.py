@@ -251,27 +251,38 @@ class TrafficGenerator:
             raise ValueError("pattern weights must sum to a positive value")
         self.pattern = pattern
         self.bw_set: BandwidthSet = bw_set
-        # Uncapped per-core rates; the active probabilities cap at 1.
+        # Uncapped per-core rates; a probability is ``rate * scale``
+        # capped at 1.
         self._base_rates = [self.offered_load * w / total for w in weights]
         self._max_rate = max(self._base_rates)
-        self._apply_scale()
+        self._min_rate = min(
+            (rate for rate in self._base_rates if rate > 0.0), default=0.0
+        )
+        self._apply_scale(self._first_unticked_word(), rebuild=True)
 
-    def _apply_scale(self) -> None:
-        # The next tick's first coin, under the cores drawing until now.
-        word = self._first_unticked_word()
+    def _draws_every_rated_core(self, scale: float) -> bool:
+        """True when at *scale* exactly the cores with a positive rate
+        draw: a finite positive scale under which no product underflows
+        (``rate * scale`` is monotone in the rate)."""
+        return 0.0 < scale < math.inf and self._min_rate * scale > 0.0
+
+    def _apply_scale(self, word: int, rebuild: bool) -> None:
+        """Restart the search at the next tick, whose first coin is
+        *word*, under the current scale; with *rebuild*, re-derive which
+        cores draw first."""
         scale = self._scale
-        #: (core, probability) of the cores that can inject: a core at
-        #: probability 0 draws nothing from the RNG. ``p if p < 1.0 else
-        #: 1.0`` is ``min(1.0, p)`` without the builtin call, and ``not p
-        #: <= 0.0`` keeps a NaN rate, which caps to 1.0.
-        self._active = active = [
-            (core, p if p < 1.0 else 1.0)
-            for core, p in enumerate([rate * scale for rate in self._base_rates])
-            if not p <= 0.0
-        ]
+        if rebuild:
+            #: (core, rate) of the cores that can inject: a core at
+            #: probability 0 draws nothing from the RNG. ``not p <= 0.0``
+            #: keeps a NaN probability, which caps to 1.0 (the coin check
+            #: takes the same product and caps it).
+            self._active = [
+                (core, rate) for core, rate in enumerate(self._base_rates)
+                if not rate * scale <= 0.0
+            ]
         self._scan_tick, self._scan_core, self._scan_word = self._ticks, 0, word
         self._hit = False
-        self._next_tick = self._ticks if active else _NEVER
+        self._next_tick = self._ticks if self._active else _NEVER
         # A scale set every tick (a modulated phase) would discard what
         # a search past this tick found: the first one looks no further.
         self._checks = 0
@@ -298,13 +309,19 @@ class TrafficGenerator:
         phase boundaries (or every cycle for ramps). ``scale == 1``
         reproduces the constructor's probabilities exactly, so a
         never-modulated generator is bit-identical to the legacy path.
+        O(1) unless the set of cores that draw can change: a scale to or
+        from 0, a non-finite one, or one under which a rate underflows.
         """
         if scale < 0:
             raise ValueError(f"scale must be >= 0, got {scale}")
         if scale == self._scale:
             return
+        # The next tick's first coin, under the cores drawing until now.
+        word = self._first_unticked_word()
+        rebuild = not (self._draws_every_rated_core(self._scale)
+                       and self._draws_every_rated_core(scale))
         self._scale = scale
-        self._apply_scale()
+        self._apply_scale(word, rebuild)
 
     def is_idle(self) -> bool:
         """True when this tick injects nothing.
@@ -392,6 +409,7 @@ class TrafficGenerator:
         )
         base, end, words = rng._base, rng._n, rng._words
         screens = self._screens()
+        scale = self._scale
         while True:
             rel = word - base
             if rel + 2 > end:
@@ -419,7 +437,9 @@ class TrafficGenerator:
                 checks -= 1
             draw = ((words[rel] >> 5) * 67108864.0
                     + (words[rel + 1] >> 6)) * _TWO_TO_MINUS_53
-            if draw < active[scan_core][1]:
+            # ``min(1.0, p)`` without the builtin call; NaN caps to 1.0.
+            p = active[scan_core][1] * scale
+            if draw < (p if p < 1.0 else 1.0):
                 self._hit = True
                 break
             scan_core += 1

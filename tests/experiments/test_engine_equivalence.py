@@ -15,10 +15,12 @@ import pytest
 
 from repro.api.session import Session
 from repro.arch.config import SystemConfig
+from repro.arch.photonic_router import ClusterGateway
 from repro.dba.allocator import WavelengthAllocator
 from repro.dba.tables import CurrentTable
 from repro.experiments import runner
 from repro.experiments.runner import Fidelity, attach_traffic, wire_run
+from repro.photonic.channel import ReservationBroadcastChannel
 from repro.sim.engine import Simulator
 from repro.traffic.bandwidth_sets import BW_SET_1
 
@@ -192,40 +194,85 @@ def _open_fill_total_drifting(original):
     return mutant
 
 
-@pytest.mark.parametrize("method,mutate,law", [
-    pytest.param("_tx_stream", _launch_skipping_dst_held,
+def _launch_leaving_dst_asleep(original):
+    def mutant(self, cycle):
+        dst = self._tx_dst
+        wake = dst._wake
+        original(self, cycle)
+        dst._wake = wake  # a launch's flits never wake the destination
+    return mutant
+
+
+def _dropping_the_due_it_adds(original):
+    def mutant(self, *args, **kwargs):
+        due = self.due
+        landing = original(self, *args, **kwargs)
+        self.due = due  # the channel never learns it carries this
+        return landing
+    return mutant
+
+
+def _submit_leaving_the_gateway_asleep(original):
+    def mutant(self, packet, cycle):
+        wake, first = self._wake, self.arch._next_wake
+        accepted = original(self, packet, cycle)
+        self._wake, self.arch._next_wake = wake, first
+        return accepted
+    return mutant
+
+
+#: A sleeping gateway's wake against the one its state gives.
+WAKE_LAW = r"gateway \d+: _wake is .*, (its state is due|asleep while a stage was due)"
+
+
+@pytest.mark.parametrize("owner,method,mutate,law", [
+    pytest.param(ClusterGateway, "_tx_stream", _launch_skipping_dst_held,
                  r"gateway \d+: _held is",
                  id="_tx_stream-_launch_skipping_dst_held-_held"),
-    pytest.param("_eject_step", _tail_leaving_rx_ready_stale,
+    pytest.param(ClusterGateway, "_eject_step", _tail_leaving_rx_ready_stale,
                  r"gateway \d+: _rx_ready is",
                  id="_eject_step-_tail_leaving_rx_ready_stale-_rx_ready"),
-    pytest.param("_inject_step", _fill_completion_skipped,
+    pytest.param(ClusterGateway, "_inject_step", _fill_completion_skipped,
                  r"gateway \d+: inputs\[\d+\]\.fill_end is \d+, its tail was due",
                  id="fill-completion-skipped"),
-    pytest.param("_inject_step", _open_fill_total_drifting,
+    pytest.param(ClusterGateway, "_inject_step", _open_fill_total_drifting,
                  r"d-hetpnoc: _filling is \d+, the gateways' open fills give",
                  id="open-fill-total-drifting"),
+    pytest.param(ClusterGateway, "_tx_stream", _launch_leaving_dst_asleep,
+                 WAKE_LAW, id="wake-dropped-on-a-launch"),
+    pytest.param(ReservationBroadcastChannel, "broadcast",
+                 _dropping_the_due_it_adds, WAKE_LAW,
+                 id="wake-dropped-on-a-reservation"),
+    pytest.param(ReservationBroadcastChannel, "respond",
+                 _dropping_the_due_it_adds, WAKE_LAW,
+                 id="wake-dropped-on-a-response"),
+    pytest.param(ClusterGateway, "try_submit",
+                 _submit_leaving_the_gateway_asleep, WAKE_LAW,
+                 id="wake-dropped-on-a-submit"),
 ])
-def test_gateway_audit_catches_a_planted_fault(monkeypatch, method, mutate,
-                                                law):
-    """Each planted fault is named by ``audit`` within 50 cycles.
+def test_gateway_audit_catches_a_planted_fault(monkeypatch, owner, method,
+                                                mutate, law):
+    """Each planted fault is named by ``simulate(audit=1)`` within 50
+    cycles.
 
     Three clusters each queue a packet for core 0 and then one for core
     1 (8 x 256-bit flits): the three share core 0's ejection, so each
     source's second packet lands behind its first, and the first's tail
     leaving must move the source to core 1's ready set (cycle ~33).
     Each packet fills its VC over 8 cycles, so fills open and close
-    from the first cycle.
+    from the first cycle. The last four rows each drop one hand-off's
+    wake: the destination of a launch, the reservation channel of a
+    reservation or a response, the gateway a packet is submitted to
+    stays asleep with a stage due.
     """
-    from repro.arch.photonic_router import ClusterGateway
     from repro.arch.registry import architectures
     from repro.noc.flit import Packet
     from repro.sim.engine import SimulationError
+    from repro.sim.rng import RandomStreams
     from repro.traffic.bandwidth_sets import BW_SET_3
     from repro.traffic.patterns import pattern_by_name
 
-    monkeypatch.setattr(ClusterGateway, method,
-                        mutate(getattr(ClusterGateway, method)))
+    monkeypatch.setattr(owner, method, mutate(getattr(owner, method)))
     config = SystemConfig(bw_set=BW_SET_3)
     sim = Simulator(seed=1)
     pattern = pattern_by_name("uniform").bind(
@@ -236,8 +283,9 @@ def test_gateway_audit_catches_a_planted_fault(monkeypatch, method, mutate,
             arch.submit(Packet(src=4 * cluster, dst=dst,
                                n_flits=BW_SET_3.packet_flits,
                                flit_bits=BW_SET_3.flit_bits))
+    run = runner.WiredRun(config, RandomStreams(1), sim, pattern, arch)
     with pytest.raises(SimulationError, match=law):
-        step_auditing(sim, arch, 50)
+        run.simulate(50, 0, audit=1)
 
 
 def _release_keeping_one(original):

@@ -529,6 +529,42 @@ def test_a_photonic_run_loads_only_the_layers_it_runs():
     assert len(ours) <= 42, f"{len(ours)} repro modules: {ours}"
 
 
+#: Layers only some verbs run: their handlers (and the choices only
+#: their parsers print) import them.
+_LOADED_BY_A_VERB = (
+    "repro.experiments.figures", "repro.experiments.validation",
+    "repro.ml", "repro.scenarios", "repro.fabric", "repro.service",
+    "repro.api.registry", "repro.gpu", "repro.area",
+)
+
+
+def test_the_cli_loads_what_every_verb_needs_and_no_more():
+    # ``dhetpnoc-repro <verb>`` starts by importing the CLI package:
+    # building the parser loads the session, the spec and the store,
+    # not a layer one verb runs.
+    import os
+    import sys
+
+    probe = (
+        "import sys, repro.experiments.cli\n"
+        "repro.experiments.cli.build_parser()\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True,
+        text=True, check=True, timeout=60,
+    ).stdout.split()
+    unneeded = [
+        name for name in loaded
+        if any(name == layer or name.startswith(layer + ".")
+               for layer in _LOADED_BY_A_VERB)
+    ]
+    assert not unneeded, f"the CLI loaded {unneeded}"
+    ours = [name for name in loaded if name.partition(".")[0] == "repro"]
+    assert len(ours) <= 49, f"{len(ours)} repro modules: {ours}"
+
+
 def _packages():
     for init in sorted((REPO_ROOT / "src").glob("repro/**/__init__.py")):
         yield ".".join(init.parent.relative_to(REPO_ROOT / "src").parts)

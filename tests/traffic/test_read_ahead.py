@@ -5,6 +5,7 @@ Both are Hypothesis properties: derandomized at the ``ci`` budget in
 tier-1, randomized at the ``nightly`` budget in the nightly lane.
 """
 
+import math
 import random
 
 from hypothesis import example, given, strategies as st
@@ -52,13 +53,20 @@ def bind(seed):
     return pattern.bind(BW_SET_1, 16, 4, random.Random(seed))
 
 
+#: Load scales: 0 (no core draws), 1e-320 (the smaller rates
+#: underflow to 0 and stop drawing), infinity (every core injects, a
+#: core at rate 0 included: its product is NaN, which caps to 1).
+SCALES = st.sampled_from([0.0, 1e-320, 0.3, 1.0, 2.5, math.inf])
+
 #: What a run does to its generator between ticks: ticks, a skip over
-#: idle ticks (as the engine's jumps make), a new load scale, a rebind.
+#: idle ticks (as the engine's jumps make), a new load scale, a rebind,
+#: and a modulated stretch that sets a scale before every tick.
 STEPS = st.one_of(
     st.tuples(st.just("tick"), st.integers(1, 300)),
     st.tuples(st.just("skip"), st.integers(1, 300)),
-    st.tuples(st.just("scale"), st.sampled_from([0.0, 0.3, 1.0, 2.5])),
+    st.tuples(st.just("scale"), SCALES),
     st.tuples(st.just("rebind"), st.integers(0, 7)),
+    st.tuples(st.just("ramp"), st.lists(SCALES, min_size=1, max_size=40)),
 )
 
 
@@ -71,11 +79,16 @@ STEPS = st.one_of(
     ("tick", 3), ("skip", 300), ("tick", 200), ("scale", 0.3),
     ("skip", 300), ("rebind", 3), ("tick", 300),
 ])
+@example(seed=2, load=0.6, steps=[
+    ("ramp", [0.3, 2.5, 0.0, 0.0, 1.0, 1e-320, 2.5, math.inf, 0.3] * 4),
+    ("skip", 50), ("ramp", [1.0, 0.3] * 20),
+])
 def test_the_screened_generator_draws_what_per_core_coins_draw(seed, load, steps):
     """The reference flips ``random()`` per drawing core per tick, as the
-    generator did before it read ahead; the probabilities are those of a
-    twin generator that is rescaled and rebound in step but never
-    ticked. Both inject the same packets at the same cycles, and every
+    generator did before it read ahead, at ``min(1, rate * scale)`` from
+    the rates and scale of a twin generator that is rescaled and rebound
+    in step but never ticked (a core whose product is not above 0 draws
+    nothing). Both inject the same packets at the same cycles, and every
     tick the generator calls idle injects nothing in the reference."""
     injected = []
     generator = TrafficGenerator(
@@ -87,8 +100,11 @@ def test_the_screened_generator_draws_what_per_core_coins_draw(seed, load, steps
     reference, expected = random.Random(seed), []
 
     def reference_tick(cycle):
-        for core, probability in twin._active:
-            if reference.random() < probability:
+        for core, rate in enumerate(twin._base_rates):
+            probability = rate * twin._scale
+            if probability <= 0.0:
+                continue
+            if reference.random() < min(1.0, probability):
                 expected.append((cycle, core, twin.pattern.pick_destination(
                     core, reference)))
 
@@ -96,6 +112,13 @@ def test_the_screened_generator_draws_what_per_core_coins_draw(seed, load, steps
     for name, arg in steps:
         if name == "tick":
             for _ in range(arg):
+                generator.tick(cycle)
+                reference_tick(cycle)
+                cycle += 1
+        elif name == "ramp":
+            for scale in arg:
+                generator.set_scale(scale)
+                twin.set_scale(scale)
                 generator.tick(cycle)
                 reference_tick(cycle)
                 cycle += 1

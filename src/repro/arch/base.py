@@ -25,15 +25,14 @@ the exact differences sections 3.2/3.3 describe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.arch.config import SystemConfig
 from repro.arch.photonic_router import ClusterGateway, StreamPlans, TxPlan
 from repro.energy.model import EnergyAccount
 from repro.noc.flit import Flit, Packet
-from repro.photonic.channel import NEVER
 from repro.photonic.reservation import ReservationFlit
-from repro.sim.engine import ClockedComponent, SimulationError, Simulator
+from repro.sim.engine import NEVER, ClockedComponent, SimulationError, Simulator
 from repro.sim.stats import RunningMean
 
 
@@ -80,12 +79,11 @@ class NoCArchitecture(ClockedComponent):
     """What a run drives, whatever carries the flits.
 
     A fabric under the shell implements :meth:`submit`,
-    :meth:`tick_fabric`, :meth:`fabric_is_idle`, :meth:`reset_fabric`,
+    :meth:`tick_fabric`, :meth:`fabric_next_wake`, :meth:`reset_fabric`,
     :meth:`finalize`, :meth:`lit_wavelengths`, :meth:`flits_in_system`
-    and :meth:`audit` (and :meth:`skip_fabric` and
-    :meth:`fabric_next_wake` if it keeps span accounting or wakes of
-    its own) -- as methods, or, where the fabric is one
-    object with those methods already, by binding them in ``__init__``.
+    and :meth:`audit` (and :meth:`skip_fabric` if it keeps span
+    accounting) -- as methods, or, where the fabric is one object with
+    those methods already, by binding them in ``__init__``.
     """
 
     name = "noc"
@@ -110,15 +108,11 @@ class NoCArchitecture(ClockedComponent):
         """Advance whatever carries the flits by one cycle."""
         raise NotImplementedError
 
-    def fabric_is_idle(self) -> bool:
-        """True when :meth:`tick_fabric` would be a no-op this cycle, up
-        to what :meth:`skip_fabric` accounts."""
+    def fabric_next_wake(self, cycle: int) -> int:
+        """The first cycle at or after *cycle* at which
+        :meth:`tick_fabric` may do more than :meth:`skip_fabric`
+        accounts (``NEVER``: only new packets give the fabric work)."""
         raise NotImplementedError
-
-    def fabric_next_wake(self) -> Optional[int]:
-        """The earliest cycle an idle fabric has work again of its own
-        (``None``: only new packets give it work). Default: ``None``."""
-        return None
 
     def skip_fabric(self, start_cycle: int, stop_cycle: int) -> None:
         """Account a jumped idle span in the fabric's own clocks.
@@ -156,14 +150,15 @@ class NoCArchitecture(ClockedComponent):
     # ------------------------------------------------------------------
     def attach_generator(self, generator) -> None:
         """Make *generator* the traffic source: anything with ``tick``,
-        ``is_idle`` and ``reset_stats`` (a
+        ``next_wake``, ``skip_cycles`` and ``reset_stats`` (a
         :class:`~repro.traffic.generator.TrafficGenerator`, a scenario
-        player, a trace replayer). A source that cannot prove a cycle
-        injection-free answers ``is_idle()`` with ``False`` -- skipping
-        it would desynchronise its random stream. One that can also has
-        ``skip(ticks)``, which accounts skipped idle ticks, and
-        ``idle_ticks()``, the number of ticks before the next that may
-        inject (``None`` for never)."""
+        player, a trace replayer), the engine's wake protocol
+        (:class:`~repro.sim.engine.ClockedComponent`). A source answers
+        ``next_wake(cycle)`` with the first cycle that may inject -- one
+        that cannot prove a cycle injection-free answers *cycle*, since
+        skipping it would desynchronise its random stream -- and
+        ``skip_cycles(start, stop)`` accounts the ticks it slept
+        through."""
         self._generator = generator
 
     # ------------------------------------------------------------------
@@ -176,21 +171,17 @@ class NoCArchitecture(ClockedComponent):
         self.tick_fabric(cycle)
         self.metrics.measured_cycles += 1
 
-    def is_idle(self) -> bool:
-        """Whole-architecture quiescence for the engine's fast path: an
-        idle fabric, and no injection this cycle."""
-        if self._generator is not None and not self._generator.is_idle():
-            return False
-        return self.fabric_is_idle()
-
-    def next_wake(self):
+    def next_wake(self, cycle: int) -> int:
         """The earlier of the source's next possible injection and the
-        fabric's next wake: the architecture stays idle until then."""
-        wake = self.fabric_next_wake()
-        if self._generator is not None:
-            wait = self._generator.idle_ticks()
-            if wait is not None and (wake is None or self.sim.cycle + wait < wake):
-                wake = self.sim.cycle + wait
+        fabric's next wake (the fabric is not asked when the source is
+        due at *cycle*)."""
+        if self._generator is None:
+            return self.fabric_next_wake(cycle)
+        wake = self._generator.next_wake(cycle)
+        if wake > cycle:
+            fabric = self.fabric_next_wake(cycle)
+            if fabric < wake:
+                return fabric
         return wake
 
     def skip_cycles(self, start_cycle: int, stop_cycle: int) -> None:
@@ -200,7 +191,7 @@ class NoCArchitecture(ClockedComponent):
         self.metrics.measured_cycles += stop_cycle - start_cycle
         self.current_cycle = stop_cycle - 1
         if self._generator is not None:
-            self._generator.skip(stop_cycle - start_cycle)
+            self._generator.skip_cycles(start_cycle, stop_cycle)
         self.skip_fabric(start_cycle, stop_cycle)
 
     def note_flit_delivered(
@@ -263,7 +254,7 @@ class PhotonicCrossbarNoC(NoCArchitecture):
     On the engine's fast path :meth:`tick_fabric` ticks only the gateways
     whose wake cycle has come (``ClusterGateway._wake``), and
     ``_next_wake`` -- the next cycle while a gateway is awake, else the
-    earliest wake -- makes :meth:`fabric_is_idle` O(1): the engine
+    earliest wake -- makes :meth:`fabric_next_wake` O(1): the engine
     jumps every span in which no gateway is due, and
     :meth:`skip_fabric` charges the open fills' writes for it. The naive
     loop (``fast_path=False``) ticks every gateway that holds a flit or
@@ -363,12 +354,9 @@ class PhotonicCrossbarNoC(NoCArchitecture):
             breakdown.router_pj = router_pj
             self._buffer_flits = self._switched_flits = 0
 
-    def fabric_is_idle(self) -> bool:
-        return self._next_wake > self.sim.cycle
-
-    def fabric_next_wake(self) -> Optional[int]:
+    def fabric_next_wake(self, cycle: int) -> int:
         wake = self._next_wake
-        return None if wake == NEVER else wake
+        return wake if wake > cycle else cycle
 
     def skip_fabric(self, start_cycle: int, stop_cycle: int) -> None:
         """The open fills' writes, one addend per fill per cycle, as

@@ -71,7 +71,7 @@ class ElectricalMeshNoC(NoCArchitecture):
         # The inner network is not registered with the simulator; the
         # shell drives and audits it through these.
         self.tick_fabric = self.network.tick
-        self.fabric_is_idle = self.network.is_idle
+        self.fabric_next_wake = self.network.next_wake
         self.skip_fabric = self.network.skip_cycles
         self.reset_fabric = self.network.reset_stats
         self.audit = self.network.audit

@@ -54,18 +54,14 @@ from repro.noc.arbiter import RoundRobinArbiter
 from repro.noc.flit import Packet
 from repro.energy.model import EnergyAccount
 from repro.energy.params import PhotonicEnergyParams
-from repro.photonic.channel import NEVER, DataChannel, ReservationBroadcastChannel
+from repro.photonic.channel import DataChannel, ReservationBroadcastChannel
 from repro.photonic.reservation import ReservationFlit, reservation_flit_bits
 from repro.photonic.wavelength import WavelengthId, bits_per_cycle
-from repro.sim.engine import SimulationError
+from repro.sim.engine import NEVER, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.arch.base import PhotonicCrossbarNoC
     from repro.sim.engine import Simulator
-
-#: ``_inject_due`` while no pipe holds a packet; ``_wake`` of a gateway
-#: with nothing left to do.
-_NEVER = NEVER
 
 
 @dataclass(frozen=True)
@@ -331,7 +327,7 @@ class ClusterGateway:
         self._pipes_active = 0  # non-empty injection pipes
         #: The next cycle the inject stage has work: a fill's tail, a new
         #: front packet, or a retry for a free VC.
-        self._inject_due = _NEVER
+        self._inject_due = NEVER
 
         # -- photonic channels -------------------------------------------------
         self.channel = PlannedChannel(self, config.clock_hz)
@@ -375,7 +371,7 @@ class ClusterGateway:
         #: check is O(1).
         self._held = 0
         #: The cycle from which the fabric ticks this gateway.
-        self._wake = _NEVER
+        self._wake = NEVER
 
     # ==================================================================
     # Injection (called by the architecture's submit path)
@@ -454,7 +450,7 @@ class ClusterGateway:
         if self._held or self._tx_state != _IDLE:
             return True
         # Nothing left: no stage is due until new work comes.
-        self._wake = _NEVER
+        self._wake = NEVER
         return False
 
     def _sleep(self, cycle: int) -> None:
@@ -498,7 +494,7 @@ class ClusterGateway:
         (``_filling``), and the tail's write when the fill closes."""
         arch = self.arch
         active_vc = self._pipe_active_vc
-        due = _NEVER
+        due = NEVER
         for slot, pipe in enumerate(self._pipes):
             if not pipe:
                 continue
@@ -713,7 +709,7 @@ class ClusterGateway:
         self._tx_stream_plan: tuple = ()
         self._tx_next_active: tuple = ()
         self._tx_start = self._tx_counted = 0
-        self._tx_due = _NEVER
+        self._tx_due = NEVER
 
     def _tx_stream(self, cycle: int) -> None:
         """The stream plan's step for *cycle*, one that feeds or launches:
@@ -1035,7 +1031,7 @@ class ClusterGateway:
             dues.append(now)
         if any(buffer.occupancy for buffer in self.rx_buffers.values()):
             dues.append(now)
-        return min(dues, default=_NEVER)
+        return min(dues, default=NEVER)
 
 
 # The per-cycle dispatch in ``ClusterGateway.tick`` reads the FSM's states

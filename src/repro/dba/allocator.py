@@ -55,19 +55,11 @@ class WavelengthAllocator:
             raise ValueError("max_channel_wavelengths must be >= 1")
         self.cluster = cluster
         self.max_channel_wavelengths = max_channel_wavelengths
-        self._passes = 0
+        #: Passes that left the cluster short of its target (a sleeping
+        #: ring's passes are all satisfied, so this needs no settling;
+        #: the passes themselves are ``DBAController.token_visits``).
         self.unsatisfied_passes = 0
         self._folded: Optional[tuple] = None  # see _update_per_destination
-        #: The token ring visiting this allocator, once one does: a read
-        #: of ``passes`` settles the passes it slept through (none of
-        #: them unsatisfied, so ``unsatisfied_passes`` needs no settling).
-        self.ring = None
-
-    @property
-    def passes(self) -> int:
-        if self.ring is not None:
-            self.ring.settle()
-        return self._passes
 
     def target_for(self, request_table: RequestTable, current: CurrentTable) -> int:
         """Total wavelengths the cluster wants to hold (reserved included):
@@ -100,7 +92,6 @@ class WavelengthAllocator:
         current: CurrentTable,
     ) -> AllocationResult:
         """Adjust holdings toward the request-table target; update tables."""
-        self._passes += 1
         result = AllocationResult(target=self.target_for(request_table, current))
         held = current.held_count
 

@@ -114,12 +114,11 @@ class TokenRing:
     :meth:`audit` -- settling the visits it slept through and scheduling
     the next one at its circulating cycle; :meth:`stop` settles them and
     halts it, :meth:`start` circulates it afresh. A read of ``hops``,
-    ``rounds_completed``, a controller's ``token_visits`` or its
-    allocator's ``passes`` settles the counts without waking it (a
-    sleeping ring's passes are all satisfied, so ``unsatisfied_passes``
-    is always current). Visits at one cycle fire before that cycle's
-    ticks, so a wake or a read inside a cycle counts its visit as fired,
-    one between cycles does not. A visit commutes with the only other
+    ``rounds_completed`` or a controller's ``token_visits`` settles the
+    counts without waking it (a sleeping ring's passes are all
+    satisfied, so ``unsatisfied_passes`` is always current). Visits at
+    one cycle fire before that cycle's ticks, so a wake or a read inside
+    a cycle counts its visit as fired, one between cycles does not. A visit commutes with the only other
     event a run schedules, ``FaultInjector.blackout_receiver``'s
     restore, which touches RX reservations only.
     """
@@ -155,7 +154,6 @@ class TokenRing:
         self._next_visit = 0
         for controller in controllers:
             controller.ring = self
-            controller.allocator.ring = self
 
     @property
     def hop_latency_cycles(self) -> int:
@@ -207,9 +205,8 @@ class TokenRing:
         full, rest = divmod(visits, size)
         position = self._position
         for index, controller in enumerate(controllers):
-            count = full + ((index - position) % size < rest)
-            controller._token_visits += count
-            controller.allocator._passes += count
+            controller._token_visits += (
+                full + ((index - position) % size < rest))
         self._hops += visits
         self._rounds += (position + visits) // size
         self._position = (position + visits) % size

@@ -25,11 +25,7 @@ from typing import Callable, Deque, Optional, Tuple
 from repro.noc.flit import Flit
 from repro.photonic.reservation import ReservationFlit
 from repro.photonic.wavelength import bits_per_cycle
-
-#: A due cycle that never comes (``ReservationBroadcastChannel.due``
-#: while nothing is in flight): an int, so the per-cycle comparisons
-#: with the cycle stay int comparisons.
-NEVER = 1 << 62
+from repro.sim.engine import NEVER
 
 
 class ChannelError(RuntimeError):

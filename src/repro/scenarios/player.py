@@ -2,9 +2,9 @@
 
 The :class:`ScenarioPlayer` stands in for a plain
 :class:`~repro.traffic.generator.TrafficGenerator` (same duck-typed
-interface: ``tick`` / ``reset_stats`` / ``acceptance_ratio`` /
-``is_idle``), so ``NoCArchitecture.attach_generator`` accepts it
-unchanged. It drives one generator for the whole run — a phase that
+interface: ``tick`` / ``next_wake`` / ``skip_cycles`` /
+``reset_stats`` / ``acceptance_ratio``), so
+``NoCArchitecture.attach_generator`` accepts it unchanged. It drives one generator for the whole run — a phase that
 changes the pattern rebinds it — so the generator's counters are the
 run's totals. Each cycle it
 
@@ -477,12 +477,17 @@ class ScenarioPlayer:
         self.generator.set_scale(scale)
         self.generator.tick(cycle)
 
-    def is_idle(self) -> bool:
-        """Always active: the player advances phase/feedback/fault state
-        on every cycle boundary, and FeedbackRule evaluation cycles are
-        part of the determinism contract — skipping even a provably
-        injection-free cycle could shift a rule's trigger cycle."""
-        return False
+    def next_wake(self, cycle: int) -> int:
+        """Always *cycle*, the player never sleeps: it advances
+        phase/feedback/fault state on every cycle boundary, and
+        FeedbackRule evaluation cycles are part of the determinism
+        contract — skipping even a provably injection-free cycle could
+        shift a rule's trigger cycle."""
+        return cycle
+
+    def skip_cycles(self, start_cycle: int, stop_cycle: int) -> None:
+        """Nothing to account: a player that never sleeps is never
+        skipped."""
 
     def reset_stats(self) -> None:
         """Warm-up reset: drop counters and re-base the open window.

@@ -4,21 +4,21 @@ The engine advances a global cycle counter. Each cycle it:
 
 1. fires any events scheduled for that cycle (in FIFO order of scheduling
    for equal timestamps, so runs are deterministic), then
-2. calls :meth:`ClockedComponent.tick` on every registered component in
-   registration order — *unless* the component reports itself idle via
-   :meth:`ClockedComponent.is_idle`, in which case the tick (a provable
-   no-op) is skipped and :meth:`ClockedComponent.skip_cycles` accounts the
-   span instead.
+2. asks every registered component, in registration order, for its next
+   wake (:meth:`ClockedComponent.next_wake`) and calls
+   :meth:`ClockedComponent.tick` on those due this cycle; a component
+   not yet due is skipped (its tick is a provable no-op) and
+   :meth:`ClockedComponent.skip_cycles` accounts the cycle instead.
 
-When **every** component is idle the engine does not crawl cycle by cycle:
-it jumps straight to the next scheduled event, the earliest component
-wake-up (:meth:`ClockedComponent.next_wake`), or the end of the run,
-whichever comes first. Components are handed the skipped span through
-:meth:`ClockedComponent.skip_cycles` so span-based statistics (measured
-cycles, buffer flit-cycle residency) stay bitwise-identical to the naive
-per-cycle loop. The naive loop remains available (``fast_path=False``, an
-attribute a test sets on the run it builds) as the reference the
-equivalence suite pins the fast path against.
+When **no** component is due the engine does not crawl cycle by cycle:
+it jumps straight to the earliest answer, the next scheduled event, or
+the end of the run, whichever comes first. Components are handed the
+skipped span through :meth:`ClockedComponent.skip_cycles` so span-based
+statistics (measured cycles, buffer flit-cycle residency) stay
+bitwise-identical to the naive per-cycle loop. The naive loop remains
+available (``fast_path=False``, an attribute a test sets on the run it
+builds) as the reference the equivalence suite pins the fast path
+against.
 
 Components exchange data through explicit delay queues (see
 :class:`repro.noc.link.Link`), so the call order between *different*
@@ -33,9 +33,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 DEFAULT_CLOCK_HZ = 2.5e9
+
+#: The wake of a component that only outside input (a scheduled event,
+#: another component) can give work: later than any run reaches, and an
+#: int, so the per-cycle comparisons with the cycle stay int comparisons.
+NEVER = 1 << 62
 
 
 class SimulationError(RuntimeError):
@@ -49,26 +54,21 @@ class ClockedComponent:
     :class:`Simulator` is explicit via :meth:`Simulator.register` so the
     update order is visible at construction time.
 
-    Activity-tracking protocol (the event-driven fast path)
-    -------------------------------------------------------
-    A component may additionally implement:
+    The wake protocol (the event-driven fast path)
+    ----------------------------------------------
+    * :meth:`next_wake` -- the first cycle at or after *cycle* at which
+      :meth:`tick` may change anything (state, statistics, random
+      draws); ``NEVER`` when only outside input can give the component
+      work. The default derives it from :meth:`is_idle`, the one-line
+      hook of a component that knows only "nothing now": *cycle* while
+      it is busy, else ``NEVER``.
+    * :meth:`skip_cycles` -- account a ``[start, stop)`` span the engine
+      skipped (e.g. add ``stop - start`` to a measured-cycle counter).
+      Must leave the component in the same state as ``stop - start``
+      no-op ticks would have.
 
-    * :meth:`is_idle` — return ``True`` only when calling :meth:`tick`
-      right now would be a *no-op* (no state change, no statistics
-      change, no random draws). The default, ``False``, keeps legacy
-      components on the per-cycle path.
-    * :meth:`next_wake` — when idle, the earliest future cycle at which
-      the component could become active *on its own* (a timer, a due
-      queue). ``None`` (the default) means "only external input — a
-      scheduled event or another component — can wake me".
-    * :meth:`skip_cycles` — account a ``[start, stop)`` span of skipped
-      idle cycles (e.g. add ``stop - start`` to a measured-cycle
-      counter). Must leave the component in the same state as ``stop -
-      start`` no-op ticks would have.
-
-    The engine promises: for any cycle it skips a component, either
-    ``is_idle()`` returned ``True`` (and tick was a no-op by contract) or
-    the whole simulation jumped over the cycle with every component idle.
+    The engine promises: it skips a component only in cycles before the
+    component's answer, so every skipped tick was a no-op by contract.
     """
 
     #: Human-readable name; used in error messages and stats prefixes.
@@ -79,12 +79,14 @@ class ClockedComponent:
         raise NotImplementedError
 
     def is_idle(self) -> bool:
-        """True when :meth:`tick` would be a no-op this cycle (fast path)."""
+        """True when :meth:`tick` would be a no-op this cycle, and every
+        cycle after it until outside input arrives."""
         return False
 
-    def next_wake(self) -> Optional[int]:
-        """Earliest future cycle an idle component self-activates, or None."""
-        return None
+    def next_wake(self, cycle: int) -> int:
+        """The first cycle at or after *cycle* at which :meth:`tick` may
+        change anything; ``NEVER`` when only outside input can."""
+        return NEVER if self.is_idle() else cycle
 
     def skip_cycles(self, start_cycle: int, stop_cycle: int) -> None:
         """Account the idle span ``[start_cycle, stop_cycle)`` skipped by
@@ -174,39 +176,17 @@ class Simulator:
     # ------------------------------------------------------------------
     @property
     def in_cycle(self) -> bool:
-        """True while :meth:`run` or :meth:`step` executes: ``cycle`` is
-        under way and its events have fired (or, seen from an event,
-        are firing). Between calls, nothing of ``cycle`` has run yet."""
+        """True while :meth:`run` executes: ``cycle`` is under way and its
+        events have fired (or, seen from an event, are firing). Between
+        calls, nothing of ``cycle`` has run yet."""
         return self._running
 
     def step(self) -> None:
-        """Advance exactly one cycle (never jumps, but skips idle ticks)."""
-        running, self._running = self._running, True
-        try:
-            self._fire_due_events()
-            active = True
-            if self.fast_path:
-                cycle = self.cycle
-                active = False
-                for component in self._components:
-                    if component.is_idle():
-                        component.skip_cycles(cycle, cycle + 1)
-                    else:
-                        component.tick(cycle)
-                        active = True
-            else:
-                for component in self._components:
-                    component.tick(self.cycle)
-            if active:
-                self.ticked_cycles += 1
-            else:
-                self.jumped_cycles += 1
-            self.cycle += 1
-        finally:
-            self._running = running
+        """Advance exactly one cycle: ``run(1)``."""
+        self.run(1)
 
     def run(self, cycles: int) -> None:
-        """Advance *cycles* cycles (jumping over fully-idle spans)."""
+        """Advance *cycles* cycles (jumping over spans nobody is due in)."""
         if cycles < 0:
             raise SimulationError(f"cycles must be >= 0, got {cycles}")
         if self._running:
@@ -226,21 +206,26 @@ class Simulator:
             self._running = False
 
     def _run_fast(self, end: int) -> None:
-        """Event-driven run loop: tick active components, jump idle spans."""
+        """Event-driven run loop: tick the components due, jump the spans
+        in which none is."""
         components = self._components
         heap = self._event_heap
         while self.cycle < end:
             if heap and heap[0][0] <= self.cycle:
                 self._fire_due_events()
             cycle = self.cycle
+            target = end
             active = False
             skipped = None
             for component in components:
-                # The idle decision is made at the component's turn in
-                # the sweep, exactly where its no-op tick would have run
-                # in the naive loop; a component that turns idle *during*
-                # its own tick already accounted this cycle there.
-                if component.is_idle():
+                # Each component is asked at its turn in the sweep,
+                # exactly where its no-op tick would have run in the
+                # naive loop; one that goes to sleep *during* its own
+                # tick already accounted this cycle there.
+                wake = component.next_wake(cycle)
+                if wake > cycle:
+                    if wake < target:
+                        target = wake
                     if skipped is None:
                         skipped = [component]
                     else:
@@ -256,19 +241,12 @@ class Simulator:
                 self.ticked_cycles += 1
                 self.cycle = cycle + 1
                 continue
-            # Everything idle at `cycle`: jump to the next scheduled
-            # event, the earliest component wake-up, or the end of the
-            # run. The skipped span is provably no-op for every
-            # component, so results match the naive loop bitwise.
-            target = end
+            # Nobody due at `cycle`: jump to the earliest answer, the
+            # next scheduled event or the end of the run. Every
+            # component's ticks in the span are no-ops, so results match
+            # the naive loop bitwise.
             if heap and heap[0][0] < target:
                 target = heap[0][0]
-            for component in components:
-                wake = component.next_wake()
-                if wake is not None and cycle < wake < target:
-                    target = wake
-            if target <= cycle:
-                target = cycle + 1
             for component in components:
                 component.skip_cycles(cycle, target)
             self.jumped_cycles += target - cycle

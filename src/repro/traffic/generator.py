@@ -19,9 +19,10 @@ from __future__ import annotations
 import math
 import random
 import sys
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.noc.flit import Packet
+from repro.sim.engine import NEVER
 from repro.traffic.bandwidth_sets import BandwidthSet
 from repro.traffic.patterns import TrafficPattern
 
@@ -31,8 +32,6 @@ BLOCK_WORDS = 2048
 _WORD = next(code for code in "IL" if memoryview(bytes(8)).cast(code).itemsize == 4)
 #: ``random()``'s scale: 53 bits of two words, as CPython builds it.
 _TWO_TO_MINUS_53 = 1.0 / 9007199254740992.0
-#: The tick of a generator that never injects again.
-_NEVER = 1 << 62
 #: Candidate coins past the current tick a search checks exactly
 #: before it stops at the next (the first search after a new scale
 #: checks none).
@@ -177,9 +176,9 @@ class TrafficGenerator:
     the generator screens a window of them at once: a coin whose first
     word has a top byte of at least ``256 * p_max`` cannot come up below
     the largest probability ``p_max``, so only the others are checked
-    exactly. The generator knows the tick of its next injection, and
-    every tick before it is idle (:meth:`is_idle`): it consumes its coins
-    and changes nothing else, so :meth:`skip` accounts a span of them.
+    exactly. The generator knows the tick of its next injection
+    (:meth:`next_wake`), and every tick before it consumes its coins and
+    changes nothing else, so :meth:`skip_cycles` accounts a span of them.
     :meth:`set_scale` and :meth:`rebind` re-derive the next injection
     from the first coin of the next tick. The results are bit for bit
     those of calling ``rng.random()`` per core per tick.
@@ -206,7 +205,7 @@ class TrafficGenerator:
         self._scan_tick = self._scan_core = self._scan_word = 0
         self._hit = False
         #: The first tick that may inject, or where the search resumes.
-        self._next_tick = _NEVER
+        self._next_tick = NEVER
         self._active = []
         self._screen_key = None
         self.rebind(pattern)
@@ -282,7 +281,7 @@ class TrafficGenerator:
             ]
         self._scan_tick, self._scan_core, self._scan_word = self._ticks, 0, word
         self._hit = False
-        self._next_tick = self._ticks if self._active else _NEVER
+        self._next_tick = self._ticks if self._active else NEVER
         # A scale set every tick (a modulated phase) would discard what
         # a search past this tick found: the first one looks no further.
         self._checks = 0
@@ -323,31 +322,28 @@ class TrafficGenerator:
         self._scale = scale
         self._apply_scale(word, rebuild)
 
-    def is_idle(self) -> bool:
-        """True when this tick injects nothing.
+    def next_wake(self, cycle: int) -> int:
+        """The cycle of the first tick from this one (at *cycle*) on that
+        may inject; ``NEVER`` when no core draws.
 
-        Every coin of an idle tick comes up tails (or no core draws at
-        all), so the tick changes nothing but the position in the stream,
-        which :meth:`skip` advances the same way. At a tick where the
+        Every coin of a tick before it comes up tails, so such a tick
+        changes nothing but the position in the stream, which
+        :meth:`skip_cycles` advances the same way. At a tick where the
         search stopped short of an injection it goes on from here.
         """
-        if self._ticks < self._next_tick:
-            return True
-        self.rng.seek(self._first_unticked_word())
-        return not self._search(self._ticks)
+        ticks = self._ticks
+        if ticks >= self._next_tick:
+            self.rng.seek(self._first_unticked_word())
+            if self._search(ticks):
+                return cycle
+        if self._next_tick >= NEVER:
+            return NEVER
+        return cycle + self._next_tick - ticks
 
-    def idle_ticks(self) -> Optional[int]:
-        """Ticks from now to the first that may inject; ``None`` when no
-        core draws."""
-        if not self.is_idle():
-            return 0
-        if self._next_tick >= _NEVER:
-            return None
-        return self._next_tick - self._ticks
-
-    def skip(self, ticks: int) -> None:
-        """Account *ticks* idle ticks, as many :meth:`tick` calls would."""
-        self._ticks += ticks
+    def skip_cycles(self, start_cycle: int, stop_cycle: int) -> None:
+        """Account the ticks of ``[start_cycle, stop_cycle)`` before the
+        next injection, as that many :meth:`tick` calls would."""
+        self._ticks += stop_cycle - start_cycle
 
     def tick(self, cycle: int) -> None:
         """One injection round: Bernoulli trial per core."""

@@ -15,6 +15,7 @@ from typing import Callable, Iterator, List, Optional
 
 from repro.api.base import FieldTable
 from repro.noc.flit import Packet
+from repro.sim.engine import NEVER
 from repro.traffic.bandwidth_sets import BandwidthSet
 
 
@@ -147,14 +148,14 @@ class TrafficTrace:
 class TraceReplayGenerator:
     """A trace replay shaped like a traffic generator: the one replay loop.
 
-    Speaks the generator protocol the architectures drive
-    (``tick``/``is_idle``/``acceptance_ratio``/``reset_stats``), so a
-    recorded injection stream can be attached via
+    Speaks the source protocol the architectures drive
+    (``tick``/``next_wake``/``skip_cycles``/``acceptance_ratio``/
+    ``reset_stats``), so a recorded injection stream can be attached via
     ``arch.attach_generator`` and replayed through the full simulation
-    loop — including the event-driven engine's idle-skip, which this
-    generator re-enables once the trace is exhausted. Each replayed
-    packet is created at the cycle it is injected, with *bw_set*'s
-    packet geometry.
+    loop -- including the event-driven engine's jumps, since the replay
+    sleeps from one record's cycle to the next. Each replayed packet is
+    created at the cycle it is injected, with *bw_set*'s packet
+    geometry.
     """
 
     def __init__(self, trace: TrafficTrace, bw_set: BandwidthSet, submit):
@@ -190,17 +191,16 @@ class TraceReplayGenerator:
             if accepted:
                 self.packets_accepted += 1
 
-    def is_idle(self) -> bool:
-        """Idle only when the whole trace has been replayed (records
-        are due at fixed cycles, so an exhausted replay never injects
-        again and the engine may skip ahead)."""
-        return self._position >= len(self._records)
+    def next_wake(self, cycle: int) -> int:
+        """The next record's cycle (*cycle* once it is due): records are
+        due at fixed cycles, so the replay sleeps between them.
+        ``NEVER`` once the whole trace has been replayed."""
+        if self._position < len(self._records):
+            due = self._records[self._position].cycle
+            return due if due > cycle else cycle
+        return NEVER
 
-    def idle_ticks(self) -> None:
-        """An exhausted replay never injects again."""
-        return None
-
-    def skip(self, ticks: int) -> None:
+    def skip_cycles(self, start_cycle: int, stop_cycle: int) -> None:
         """Records are due at cycles, not ticks: nothing to account."""
 
     @property

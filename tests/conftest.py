@@ -2,9 +2,17 @@
 
 Also registers the hypothesis profiles the fuzz suites run under:
 
-* ``ci`` (the default) — derandomized with a small example budget, so
-  tier-1 is deterministic run to run, plus ``print_blob`` so any
-  failure prints the exact blob that reproduces it;
+* ``ci`` (the default) — derandomized with a small example budget,
+  plus ``print_blob`` so any failure prints the exact blob that
+  reproduces it. The draws are deterministic run to run only for a
+  given selection of test files: hypothesis (6.155) mixes into its
+  draws constants harvested from every local module loaded so far,
+  collected test files included
+  (``hypothesis.internal.conjecture.providers._get_local_constants``),
+  and has no public switch for it. So a test run alone may draw other
+  examples than it draws inside tier-1; to reproduce a failure in a
+  single-file run, pass the printed blob to
+  ``@reproduce_failure``;
 * ``nightly`` — randomized with a much larger budget, for the nightly
   lane that actually explores the scenario space.
 

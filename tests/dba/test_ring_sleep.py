@@ -33,7 +33,6 @@ def counters(ring):
         ring.hops,
         ring.rounds_completed,
         [c.token_visits for c in ring.controllers],
-        [c.allocator.passes for c in ring.controllers],
     )
 
 
@@ -44,7 +43,7 @@ def circulated(ring, fired):
     visits = [WARM_START_ROUNDS + fired // size + (c < fired % size)
               for c in range(size)]
     return (WARM_START_ROUNDS * size + fired,
-            WARM_START_ROUNDS + fired // size, visits, visits)
+            WARM_START_ROUNDS + fired // size, visits)
 
 
 def fired_before(ring, cycle):
@@ -103,8 +102,7 @@ def test_counters_read_inside_a_cycle_count_its_visit(advance):
     (0, lambda ring: ring.hops),
     (1, lambda ring: ring.rounds_completed),
     (2, lambda ring: [c.token_visits for c in ring.controllers]),
-    (3, lambda ring: [c.allocator.passes for c in ring.controllers]),
-], ids=["hops", "rounds_completed", "token_visits", "passes"])
+], ids=["hops", "rounds_completed", "token_visits"])
 def test_each_counter_settles_on_its_own_read(index, read):
     run = wired()
     ring = asleep_after(run, 300)
@@ -169,7 +167,7 @@ def test_start_after_stop_circulates_from_router_zero():
     run.sim.run(300)
     assert ring._asleep
     after = fired_before(ring, run.sim.cycle - thawed_at)
-    hops, rounds, visits, _ = counters(ring)
+    hops, rounds, visits = counters(ring)
     assert hops == WARM_START_ROUNDS * size + before + after
     assert rounds == WARM_START_ROUNDS + before // size + after // size
     assert sum(visits) == hops

@@ -10,6 +10,7 @@ with ``==``.
 """
 
 import re
+from dataclasses import fields
 
 import pytest
 
@@ -22,7 +23,11 @@ from repro.experiments import runner
 from repro.experiments.runner import Fidelity, attach_traffic, wire_run
 from repro.photonic.channel import ReservationBroadcastChannel
 from repro.sim.engine import Simulator
+from repro.sim.rng import RandomStreams
 from repro.traffic.bandwidth_sets import BW_SET_1
+from repro.traffic.generator import TrafficGenerator
+from repro.traffic.patterns import pattern_by_name
+from repro.traffic.trace import TraceReplayGenerator, TrafficTrace
 
 from support import TINY
 
@@ -112,6 +117,65 @@ def test_fast_path_is_deterministic(monkeypatch):
     a = run_case(monkeypatch, False, "dhetpnoc", "uniform", 20.0, None)
     b = run_case(monkeypatch, False, "dhetpnoc", "uniform", 20.0, None)
     assert a == b
+
+
+#: A replay long enough for a packet to drain inside each gap.
+REPLAY_FIDELITY = Fidelity("replay", 1200, 100, (0.4,))
+
+
+def gapped_trace():
+    """A recorded skewed3 stream at 1500 Gb/s of which only three short
+    bursts are kept (cycles 0-40, 500-530 and 1000-1010), so a replay
+    sleeps from record to record, across the gaps and after its last
+    record."""
+    streams = RandomStreams(5)
+    pattern = pattern_by_name("skewed3").bind(
+        BW_SET_1, 16, 4, streams.get("placement"))
+    trace = TrafficTrace()
+    generator = TrafficGenerator.for_offered_gbps(
+        pattern, 1500.0, streams.get("traffic"),
+        TrafficTrace.recording_submit(trace, lambda packet: True))
+    for cycle in range(1010):
+        generator.tick(cycle)
+    return TrafficTrace([
+        record for record in trace.records
+        if record.cycle < 40 or 500 <= record.cycle < 530
+        or 1000 <= record.cycle
+    ])
+
+
+def replayed(naive, arch, trace):
+    """Replay *trace* into *arch* as ``trace replay`` does; every count
+    the run keeps, and the simulator that ran it."""
+    run = wire_run(arch, BW_SET_1, "uniform", REPLAY_FIDELITY, seed=1)
+    run.sim.fast_path = not naive
+    run.attach(TraceReplayGenerator(trace, BW_SET_1, run.arch.submit))
+    run.simulate(REPLAY_FIDELITY.total_cycles, REPLAY_FIDELITY.reset_cycles)
+    arch, metrics = run.arch, run.arch.metrics
+    return run.sim, (
+        [getattr(metrics, f.name) for f in fields(metrics)
+         if f.name != "latency"],
+        metrics.latency.mean, vars(arch.energy.breakdown),
+        arch.energy_per_message_pj, arch.laser_power_mw(),
+        arch.flits_in_system(), run.source.acceptance_ratio,
+        run.source.packets_offered,
+    )
+
+
+@pytest.mark.parametrize("arch", ["dhetpnoc", "firefly", "electrical"])
+def test_a_trace_replay_sleeps_between_records_bitwise(arch):
+    """The replayer's wake is its next record's cycle: the fast run
+    jumps the gaps (and the quiet tail) and still equals the naive
+    one, count for count."""
+    trace = gapped_trace()
+    fast_sim, fast = replayed(False, arch, trace)
+    naive_sim, naive = replayed(True, arch, trace)
+    assert fast == naive
+    measured = [record for record in trace.records
+                if record.cycle >= REPLAY_FIDELITY.reset_cycles]
+    assert fast[-1] == len(measured) > 5  # the replay's packets_offered
+    assert naive_sim.jumped_cycles == 0
+    assert fast_sim.jumped_cycles > 100
 
 
 def audited_run(arch_name, bw_set, pattern_name, offered, scenario=None):

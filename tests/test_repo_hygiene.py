@@ -184,6 +184,32 @@ def test_one_architecture_shell_and_one_reset_protocol():
 @pytest.mark.parametrize(
     "needle",
     [
+        # The source's relative wait and its tick-count skip, the
+        # fabric's idle test beside its wake (one question, next_wake,
+        # answered in absolute cycles).
+        "idle_ticks", "fabric_is_idle", "def skip(",
+    ],
+)
+def test_one_wake_protocol(needle):
+    assert _count_in_src(needle) == {}
+
+
+def test_one_never_and_one_pass_counter():
+    # ``NEVER =`` also matches ``_NEVER =``: the sentinel is defined
+    # once, beside the protocol that answers with it.
+    assert _count_in_src("NEVER =") == {"src/repro/sim/engine.py": 1}
+    # A pass is a token visit: the allocator keeps no second count (nor
+    # the ring handle that settled it).
+    from repro.dba.allocator import WavelengthAllocator
+
+    allocator = WavelengthAllocator(0, max_channel_wavelengths=8)
+    for name in ("passes", "_passes", "ring"):
+        assert not hasattr(allocator, name), name
+
+
+@pytest.mark.parametrize(
+    "needle",
+    [
         # The is_idle probe for sources without the protocol (every
         # source speaks it), the process-wide loop switch, statistics
         # classes nothing used, the boundary-less legacy reset.

@@ -89,7 +89,8 @@ def test_the_screened_generator_draws_what_per_core_coins_draw(seed, load, steps
     the rates and scale of a twin generator that is rescaled and rebound
     in step but never ticked (a core whose product is not above 0 draws
     nothing). Both inject the same packets at the same cycles, and every
-    tick the generator calls idle injects nothing in the reference."""
+    tick before the generator's next wake injects nothing in the
+    reference."""
     injected = []
     generator = TrafficGenerator(
         bind(seed), load, random.Random(seed),
@@ -123,10 +124,11 @@ def test_the_screened_generator_draws_what_per_core_coins_draw(seed, load, steps
                 reference_tick(cycle)
                 cycle += 1
         elif name == "skip":
-            wait = generator.idle_ticks()
-            span = arg if wait is None else min(arg, wait)
-            assert generator.is_idle() == (span > 0)
-            generator.skip(span)
+            wake = generator.next_wake(cycle)
+            span = min(arg, wake - cycle)
+            # Asking again (the engine asks once per cycle) draws nothing.
+            assert generator.next_wake(cycle) == wake
+            generator.skip_cycles(cycle, cycle + span)
             for _ in range(span):
                 before = len(expected)
                 reference_tick(cycle)

@@ -362,7 +362,7 @@ class PhotonicCrossbarNoC(NoCArchitecture):
         """The open fills' writes, one addend per fill per cycle, as
         :meth:`tick_fabric` adds them (a fill stays open to its tail's
         cycle, when its gateway is due). A stream's steps that launch
-        nothing settle when the channel's counts are read."""
+        nothing are counted at its end or by :meth:`settle`."""
         fills = self._filling * (stop_cycle - start_cycle)
         if fills:
             breakdown = self.energy.breakdown
@@ -370,6 +370,12 @@ class PhotonicCrossbarNoC(NoCArchitecture):
             for _ in range(fills):
                 buffer_pj += addend
             breakdown.buffer_pj = buffer_pj
+
+    def settle(self, cycle: int) -> None:
+        """Count each stream's lit steps before *cycle* into its
+        channel's busy and lit counts."""
+        for gateway in self.gateways:
+            gateway.settle_stream(cycle)
 
     def audit(self) -> None:
         for gateway in self.gateways:

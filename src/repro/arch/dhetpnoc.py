@@ -156,6 +156,12 @@ class DHetPNoC(PhotonicCrossbarNoC):
         on-chip sources, thesis 2.1.4)."""
         return sum(c.held_count for c in self.controllers)
 
+    def settle(self, cycle: int) -> None:
+        """The gateways' streams, then the visits a sleeping token ring
+        slept through."""
+        super().settle(cycle)
+        self.token_ring.settle(cycle)
+
     def audit(self) -> None:
         """The gateways' audits, then the ring law: each controller's
         dynamic wavelengths are exactly those the token names its

@@ -246,42 +246,6 @@ class StreamPlans(dict):
         return plan
 
 
-class PlannedChannel(DataChannel):
-    """A gateway's write channel, stepped by stream plans.
-
-    Every step of a plan keeps the channel lit, and a sleeping gateway
-    does not run the steps that only do that, so the gateway counts a
-    stream's steps into ``busy_cycles`` and ``wavelength_cycles_lit``
-    at its end, and these settle the steps of the stream under way when
-    read (the gateway settles them at the warm-up reset): the counts are
-    those of a channel stepped every cycle.
-    """
-
-    def __init__(self, gateway: "ClusterGateway", clock_hz: float):
-        self._gateway = gateway
-        super().__init__(gateway.cluster_id, clock_hz=clock_hz)
-
-    @property
-    def busy_cycles(self) -> int:
-        gateway = self._gateway
-        gateway.settle_stream(gateway.arch.sim.cycle)
-        return self._busy_cycles
-
-    @busy_cycles.setter
-    def busy_cycles(self, value: int) -> None:
-        self._busy_cycles = value
-
-    @property
-    def wavelength_cycles_lit(self) -> int:
-        gateway = self._gateway
-        gateway.settle_stream(gateway.arch.sim.cycle)
-        return self._wavelength_cycles_lit
-
-    @wavelength_cycles_lit.setter
-    def wavelength_cycles_lit(self, value: int) -> None:
-        self._wavelength_cycles_lit = value
-
-
 class ClusterGateway:
     """One cluster's photonic router: TX FSM, RX buffers, ejection.
 
@@ -330,7 +294,7 @@ class ClusterGateway:
         self._inject_due = NEVER
 
         # -- photonic channels -------------------------------------------------
-        self.channel = PlannedChannel(self, config.clock_hz)
+        self.channel = DataChannel(cluster_id, clock_hz=config.clock_hz)
         self.reservation_channel = ReservationBroadcastChannel(
             cluster_id,
             propagation_cycles=config.reservation_propagation_cycles,
@@ -412,8 +376,8 @@ class ClusterGateway:
         awake (unless nothing is left in it at all); one that found
         nothing due sleeps until its next stage is (:meth:`_sleep`). A
         stage not due is a no-op -- a streaming step that launches
-        nothing included: it is counted when the channel's counts are
-        read."""
+        nothing included: it is counted at the stream's end or at the
+        run's end (:meth:`settle_stream`)."""
         worked = False
         # Reservation traffic is in flight exactly while the FSM reserves.
         if self.reservation_channel.due <= cycle:
@@ -651,14 +615,6 @@ class ClusterGateway:
         assert plan is not None
         if accepted:
             config, packet = self.config, self._tx_packet
-            self.channel.begin(
-                reservation,
-                expected_flits=reservation.n_flits,
-                flit_bits=config.bw_set.flit_bits,
-                n_wavelengths=plan.n_wavelengths,
-                cycle=cycle,
-            )
-            self.channel.active.flit_bits = packet.flit_bits
             key = (plan.n_wavelengths, config.clock_hz,
                    config.bw_set.flit_bits, packet.flit_bits, packet.n_flits)
             plans = self.arch.stream_plans
@@ -714,17 +670,15 @@ class ClusterGateway:
     def _tx_stream(self, cycle: int) -> None:
         """The stream plan's step for *cycle*, one that feeds or launches:
         the flits the VC feeds the modulators and those launched, with
-        the channel's counters and ``ActiveTransmission`` kept as its own
-        ``top_up`` and ``tick`` would keep them -- but for the busy and
-        lit counts, which count every step of the stream at its end (or
-        when read)."""
+        the channel's counters kept as its own ``top_up`` and ``tick``
+        would keep them -- but for the busy and lit counts, which count
+        every step of the stream at its end (or at a settle). The plan
+        and ``_tx_start`` are the stream's whole state: the modulator
+        queue after step *i* is the plan's fed less launched up to it."""
         plan, index = self._tx_stream_plan, cycle - self._tx_start
         fed, launched, bits, launch_pj, modulation_pj, tuning_pj = plan[index]
         channel = self.channel
-        active = channel._active
-        active.pending += fed - launched
         if fed:
-            active.fed += fed
             port, vc = self._tx_port, self._tx_vc
             if cycle > port._last_accounted_cycle:  # port.settle(cycle)
                 port._flit_cycles += port.occupancy * (
@@ -741,7 +695,6 @@ class ClusterGateway:
         if launched:
             # Launched flits leave this gateway's domain for the
             # destination's inbound queue.
-            active.launched += launched
             channel.bits_transmitted += bits
             channel.flits_transmitted += launched
             dst = self._tx_dst
@@ -762,11 +715,8 @@ class ClusterGateway:
         if gap:
             self._tx_due = cycle + gap
         else:  # the last step
-            lit = index + 1 - self._tx_counted
-            channel._busy_cycles += lit
-            channel._wavelength_cycles_lit += lit * active.n_wavelengths
+            self.settle_stream(cycle + 1)
             channel.packets_transmitted += 1
-            channel._active = None
             self._clear_tx()
 
     def settle_stream(self, cycle: int) -> None:
@@ -778,9 +728,8 @@ class ClusterGateway:
             if lit > 0:
                 self._tx_counted = done
                 channel = self.channel
-                channel._busy_cycles += lit
-                channel._wavelength_cycles_lit += (
-                    lit * channel._active.n_wavelengths)
+                channel.busy_cycles += lit
+                channel.wavelength_cycles_lit += lit * self._tx_plan.n_wavelengths
 
     # ==================================================================
     # Receive side
@@ -904,10 +853,10 @@ class ClusterGateway:
     def reset_stats(self, at_cycle: int) -> None:
         """Clear statistics: the buffers settle residency at the boundary
         *at_cycle* and re-base their accounting clocks, so warm-up
-        flit-cycles never leak into the measured window."""
+        flit-cycles never leak into the measured window (the run that
+        reached it settled the stream's steps before it)."""
         for buffer in self._buffers():
             buffer.reset_stats(at_cycle)
-        self.settle_stream(at_cycle)
         self.channel.reset_stats()
         self.reservation_channel.reset_stats()
 
@@ -967,19 +916,16 @@ class ClusterGateway:
         check("reservation traffic in flight",
               self.reservation_channel.in_flight > 0,
               self._tx_state == self.RESERVING)
-        active = self.channel.active
+        # Flits at the modulators: fed less launched by the plan's steps
+        # before now.
+        queued = 0
         if self._tx_state == self.STREAMING:
-            check("channel.busy", active is not None, True)
-            done = self._tx_stream_plan[:now - self._tx_start]
-            fed = sum(step[0] for step in done)
-            launched = sum(step[1] for step in done)
-            check("channel.active.fed", active.fed, fed)
-            check("channel.active.launched", active.launched, launched)
-            check("channel.active.pending", active.pending, fed - launched)
+            queued = sum(step[0] - step[1] for step
+                         in self._tx_stream_plan[:now - self._tx_start])
         check("_held", self._held, (
             in_pipes
             + sum(sum(port.counts) for port in self.inputs)
-            + (active.pending if active is not None else 0)
+            + queued
             + sum(entry[3] for entry in self._inbound)
             + sum(sum(e[1] for e in b.fifo) for b in self.rx_buffers.values())
             + sum(packet.n_flits for _due, packet in self._intra)

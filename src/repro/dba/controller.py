@@ -46,16 +46,10 @@ class DBAController:
         self.request_table = RequestTable(n_clusters, cluster)
         self.current_table = CurrentTable(n_clusters, cluster, reserved)
         self.allocator = WavelengthAllocator(cluster, max_channel_wavelengths)
-        self._token_visits = 0
+        self.token_visits = 0
         #: The ring circulating this controller's token, once one does:
-        #: a demand update wakes it, a counter read settles it.
+        #: a demand update wakes it.
         self.ring: Optional["TokenRing"] = None
-
-    @property
-    def token_visits(self) -> int:
-        if self.ring is not None:
-            self.ring.settle()
-        return self._token_visits
 
     # -- demand path (asynchronous with the token) -----------------------
     def update_core_demand(
@@ -79,7 +73,7 @@ class DBAController:
     # -- token path -------------------------------------------------------
     def on_token(self, token: WavelengthToken) -> AllocationResult:
         """Process the token: one capture/relinquish pass."""
-        self._token_visits += 1
+        self.token_visits += 1
         return self.allocator.run_pass(
             token, self.request_table, self.current_table
         )
@@ -113,14 +107,17 @@ class TokenRing:
     wavelength kill (``FaultInjector.kill_wavelengths``) and
     :meth:`audit` -- settling the visits it slept through and scheduling
     the next one at its circulating cycle; :meth:`stop` settles them and
-    halts it, :meth:`start` circulates it afresh. A read of ``hops``,
-    ``rounds_completed`` or a controller's ``token_visits`` settles the
-    counts without waking it (a sleeping ring's passes are all
+    halts it, :meth:`start` circulates it afresh. Otherwise the visits
+    slept through are counted into ``hops``, ``rounds_completed`` and
+    the controllers' ``token_visits`` by :meth:`settle`, which the
+    architecture's ``settle`` calls at the end of every run: the counts
+    are current between runs (a sleeping ring's passes are all
     satisfied, so ``unsatisfied_passes`` is always current). Visits at
-    one cycle fire before that cycle's ticks, so a wake or a read inside
-    a cycle counts its visit as fired, one between cycles does not. A visit commutes with the only other
-    event a run schedules, ``FaultInjector.blackout_receiver``'s
-    restore, which touches RX reservations only.
+    one cycle fire before that cycle's ticks, so a wake inside a cycle
+    counts its visit as fired, one between cycles does not. A visit
+    commutes with the only other event a run schedules,
+    ``FaultInjector.blackout_receiver``'s restore, which touches RX
+    reservations only.
     """
 
     def __init__(
@@ -139,8 +136,8 @@ class TokenRing:
         self.token = token
         self.hold_cycles = hold_cycles
         self.link_cycles = token_link_cycles(token.size_bits, clock_hz=sim.clock_hz)
-        self._rounds = 0
-        self._hops = 0
+        self.rounds_completed = 0
+        self.hops = 0
         self._position = 0
         self._running = False
         # Epoch guard: scheduled visits from a stopped circulation must
@@ -159,16 +156,6 @@ class TokenRing:
     def hop_latency_cycles(self) -> int:
         return self.link_cycles + self.hold_cycles
 
-    @property
-    def hops(self) -> int:
-        self.settle()
-        return self._hops
-
-    @property
-    def rounds_completed(self) -> int:
-        self.settle()
-        return self._rounds
-
     def worst_case_repossession_cycles(self) -> int:
         """T_L * N_PR (plus holds), thesis 3.2.1."""
         return self.hop_latency_cycles * len(self.controllers)
@@ -183,32 +170,29 @@ class TokenRing:
         self.sim.schedule(0, lambda: self._visit(epoch))
 
     def stop(self) -> None:
-        self.settle()
+        self.settle(self.sim.cycle + self.sim.in_cycle)
         self._running = False
         self._asleep = False
 
-    def settle(self) -> None:
-        """Count the visits a sleeping ring has slept through so far."""
-        if not self._asleep:
-            return
-        sim = self.sim
-        # Inside a cycle its events have fired, a visit due then among
-        # them; between cycles they have not.
-        last = sim.cycle if sim.in_cycle else sim.cycle - 1
-        if last < self._next_visit:
+    def settle(self, cycle: int) -> None:
+        """Count the visits a sleeping ring slept through before *cycle*.
+        :meth:`wake` and :meth:`stop` settle before ``sim.cycle + 1``
+        inside a cycle, whose events (a visit due then among them) have
+        fired, and before ``sim.cycle`` between cycles."""
+        if not self._asleep or cycle <= self._next_visit:
             return
         hop = self.hop_latency_cycles
-        visits = (last - self._next_visit) // hop + 1
+        visits = (cycle - 1 - self._next_visit) // hop + 1
         self._next_visit += visits * hop
         controllers = self.controllers
         size = len(controllers)
         full, rest = divmod(visits, size)
         position = self._position
         for index, controller in enumerate(controllers):
-            controller._token_visits += (
+            controller.token_visits += (
                 full + ((index - position) % size < rest))
-        self._hops += visits
-        self._rounds += (position + visits) // size
+        self.hops += visits
+        self.rounds_completed += (position + visits) // size
         self._position = (position + visits) % size
 
     def wake(self) -> None:
@@ -218,7 +202,7 @@ class TokenRing:
         self._quiet = 0
         if not self._asleep:
             return
-        self.settle()
+        self.settle(self.sim.cycle + self.sim.in_cycle)
         self._asleep = False
         epoch = self._epoch
         self.sim.schedule(
@@ -227,7 +211,7 @@ class TokenRing:
 
     def _give_token(self, controller: DBAController) -> None:
         controller.on_token(self.token)
-        self._hops += 1
+        self.hops += 1
 
     def _visit(self, epoch: int) -> None:
         if not self._running or epoch != self._epoch:
@@ -236,10 +220,10 @@ class TokenRing:
         request, current = controller.request_table, controller.current_table
         versions = (request.version, current.version)
         result = controller.on_token(self.token)
-        self._hops += 1
+        self.hops += 1
         self._position = (self._position + 1) % len(self.controllers)
         if self._position == 0:
-            self._rounds += 1
+            self.rounds_completed += 1
         hop = self.hop_latency_cycles
         if (result.acquired or result.released or not result.satisfied
                 or versions != (request.version, current.version)):
@@ -262,7 +246,7 @@ class TokenRing:
         """
         for controller in self.controllers:
             self._give_token(controller)
-        self._rounds += 1
+        self.rounds_completed += 1
 
     def audit(self) -> None:
         """Check a sleeping ring's fixed point, then wake it.

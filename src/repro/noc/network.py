@@ -32,7 +32,7 @@ from repro.noc.link import Link
 from repro.noc.router import Router, RouterConfig
 from repro.noc.routing import DimensionOrderRouting
 from repro.noc.topology import Topology
-from repro.sim.engine import ClockedComponent, SimulationError, Simulator
+from repro.sim.engine import NEVER, ClockedComponent, SimulationError, Simulator
 
 
 @dataclass
@@ -299,12 +299,16 @@ class ElectricalNetwork(ClockedComponent):
         )
         return RuntimeError(f"{router.name}: credit overflow on port {port} vc {vc}")
 
+    def next_wake(self, cycle: int) -> int:
+        """*cycle* while there is traffic anywhere (endpoint work, a flit
+        or a credit in flight, a router holding a flit), else ``NEVER``:
+        ticking then would only burn cycles."""
+        if self._active_eps or self._occupied or self._flits_due or self._credits_due:
+            return cycle
+        return NEVER
+
     def is_idle(self) -> bool:
-        """No traffic anywhere: no endpoint work, nothing in flight, every
-        router empty. Ticking in this state would only burn cycles."""
-        return not (
-            self._active_eps or self._occupied or self._flits_due or self._credits_due
-        )
+        return self.next_wake(0) == NEVER
 
     def audit(self) -> None:
         """Recount every O(1) counter the network keeps from the state it

@@ -84,10 +84,6 @@ class DataChannel:
     def busy(self) -> bool:
         return self._active is not None
 
-    @property
-    def active(self) -> Optional[ActiveTransmission]:
-        return self._active
-
     def begin(
         self,
         reservation: ReservationFlit,

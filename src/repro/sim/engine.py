@@ -15,10 +15,11 @@ it jumps straight to the earliest answer, the next scheduled event, or
 the end of the run, whichever comes first. Components are handed the
 skipped span through :meth:`ClockedComponent.skip_cycles` so span-based
 statistics (measured cycles, buffer flit-cycle residency) stay
-bitwise-identical to the naive per-cycle loop. The naive loop remains
-available (``fast_path=False``, an attribute a test sets on the run it
-builds) as the reference the equivalence suite pins the fast path
-against.
+bitwise-identical to the naive per-cycle loop; what a component keeps
+lazily is counted by :meth:`ClockedComponent.settle` at the end of every
+run. The naive loop remains available (``fast_path=False``, an
+attribute a test sets on the run it builds) as the reference the
+equivalence suite pins the fast path against.
 
 Components exchange data through explicit delay queues (see
 :class:`repro.noc.link.Link`), so the call order between *different*
@@ -66,6 +67,10 @@ class ClockedComponent:
       skipped (e.g. add ``stop - start`` to a measured-cycle counter).
       Must leave the component in the same state as ``stop - start``
       no-op ticks would have.
+    * :meth:`settle` -- count everything kept lazily (a sleeping token
+      ring's visits, a stream's lit steps) for the cycles before
+      *cycle*. The engine calls it at the end of every run, so counts
+      are current between runs, not inside a cycle.
 
     The engine promises: it skips a component only in cycles before the
     component's answer, so every skipped tick was a no-op by contract.
@@ -91,6 +96,10 @@ class ClockedComponent:
     def skip_cycles(self, start_cycle: int, stop_cycle: int) -> None:
         """Account the idle span ``[start_cycle, stop_cycle)`` skipped by
         the engine. Default: nothing to account."""
+
+    def settle(self, cycle: int) -> None:
+        """Count everything kept lazily for the cycles before *cycle*.
+        Default: nothing kept lazily."""
 
     def reset_stats(self, cycle: int) -> None:
         """Clear warm-up statistics at the boundary *cycle* (the first
@@ -186,7 +195,8 @@ class Simulator:
         self.run(1)
 
     def run(self, cycles: int) -> None:
-        """Advance *cycles* cycles (jumping over spans nobody is due in)."""
+        """Advance *cycles* cycles (jumping over spans nobody is due in),
+        then settle every component at the new cycle."""
         if cycles < 0:
             raise SimulationError(f"cycles must be >= 0, got {cycles}")
         if self._running:
@@ -204,6 +214,8 @@ class Simulator:
                 self.ticked_cycles += cycles
         finally:
             self._running = False
+        for component in self._components:
+            component.settle(self.cycle)
 
     def _run_fast(self, end: int) -> None:
         """Event-driven run loop: tick the components due, jump the spans

@@ -92,7 +92,7 @@ class TestDataChannel:
         the next packet, granted other wavelengths, gets its own."""
         channel = DataChannel(owner_cluster=0)
         channel.begin(make_reservation(8), 8, 32, 16, 0)
-        assert (channel.active.per_cycle, channel.active.queue_target) == (80.0, 4)
+        assert (channel._active.per_cycle, channel._active.queue_target) == (80.0, 4)
         assert channel.wanted_flits() == 4
         channel = DataChannel(owner_cluster=0)
         fast = transmit_fully(channel, make_flits(8), n_wavelengths=16)
@@ -100,7 +100,7 @@ class TestDataChannel:
         slow = transmit_fully(channel, make_flits(8), n_wavelengths=1)
         assert slow[-1] == 51  # 256 bits at 5 bits/cycle
         channel.begin(make_reservation(8), 8, 32, 1, 0)
-        assert (channel.active.per_cycle, channel.active.queue_target) == (5.0, 2)
+        assert (channel._active.per_cycle, channel._active.queue_target) == (5.0, 2)
         assert channel.wanted_flits() == 2
 
     def test_begin_while_busy_rejected(self):

@@ -10,7 +10,7 @@ reference behaviour.
 
 import pytest
 
-from repro.sim.engine import NEVER, ClockedComponent, Simulator
+from repro.sim.engine import NEVER, ClockedComponent, SimulationError, Simulator
 
 
 class Probe(ClockedComponent):
@@ -27,6 +27,7 @@ class Probe(ClockedComponent):
         self.ticks = []
         self.skips = []
         self.reset_cycles = []
+        self.settles = []
 
     def tick(self, cycle):
         self.ticks.append(cycle)
@@ -43,6 +44,9 @@ class Probe(ClockedComponent):
 
     def reset_stats(self, cycle):
         self.reset_cycles.append(cycle)
+
+    def settle(self, cycle):
+        self.settles.append(cycle)
 
     def covered_cycles(self):
         """Every cycle the engine accounted to this probe, in order."""
@@ -216,6 +220,27 @@ class TestStepIsRunOne:
             ran.cycle, ran.ticked_cycles, ran.jumped_cycles)
         assert seen == [(4, True), (4, True)]
         assert not stepped.in_cycle and not ran.in_cycle
+
+
+class TestSettleEndsEveryRun:
+    @pytest.mark.parametrize("fast_path", [True, False])
+    def test_one_settle_per_component_per_run_and_none_after_an_error(
+            self, fast_path):
+        sim = Simulator(fast_path=fast_path)
+        probes = [sim.register(Probe(idle=False)),
+                  sim.register(Probe(idle=True, wake=3))]
+        sim.run(5)
+        sim.run(0)
+        sim.step()
+
+        def fail():
+            raise SimulationError("planted")
+
+        sim.schedule(1, fail)
+        with pytest.raises(SimulationError, match="planted"):
+            sim.run(4)
+        for probe in probes:
+            assert probe.settles == [5, 5, 6]
 
 
 class TestEnvironmentSelection:

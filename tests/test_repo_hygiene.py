@@ -194,6 +194,20 @@ def test_one_wake_protocol(needle):
     assert _count_in_src(needle) == {}
 
 
+@pytest.mark.parametrize(
+    "needle",
+    [
+        # The gateway's channel subclass whose counts settled on read,
+        # and the private counts behind the settle-on-read properties:
+        # lazily kept counts are settled by the engine's one settle at
+        # the end of each run.
+        "PlannedChannel", "_busy_cycles", "_token_visits",
+    ],
+)
+def test_one_settle(needle):
+    assert _count_in_src(needle) == {}
+
+
 def test_one_never_and_one_pass_counter():
     # ``NEVER =`` also matches ``_NEVER =``: the sentinel is defined
     # once, beside the protocol that answers with it.

@@ -223,6 +223,10 @@ class NoCArchitecture(ClockedComponent):
         if self._generator is not None:
             self._generator.reset_stats()
 
+    def release(self) -> None:
+        """Drop the source: it captured this shell's ``submit``."""
+        self._generator = None
+
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
@@ -376,6 +380,14 @@ class PhotonicCrossbarNoC(NoCArchitecture):
         channel's busy and lit counts."""
         for gateway in self.gateways:
             gateway.settle_stream(cycle)
+
+    def release(self) -> None:
+        """Also drop each gateway's way back: the fabric, its claimed
+        packet's destination and its reservations in flight (they carry
+        gateways' bound methods)."""
+        super().release()
+        for gateway in self.gateways:
+            gateway.arch = gateway._tx_dst = gateway.reservation_channel = None
 
     def audit(self) -> None:
         for gateway in self.gateways:

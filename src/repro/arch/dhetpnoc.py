@@ -109,13 +109,11 @@ class DHetPNoC(PhotonicCrossbarNoC):
         """Load every core's demand table from the traffic pattern."""
         config = self.config
         for cluster, controller in enumerate(self.controllers):
-            demands = {
+            controller.update_cluster_demand({
                 dst: pattern.demand_wavelengths(cluster, dst)
                 for dst in range(config.n_clusters)
                 if dst != cluster
-            }
-            for slot in range(config.cores_per_cluster):
-                controller.update_core_demand(slot, demands)
+            })
 
     def remap_demand(
         self, cluster: int, core_slot: int, demands: Dict[int, int]
@@ -161,6 +159,10 @@ class DHetPNoC(PhotonicCrossbarNoC):
         slept through."""
         super().settle(cycle)
         self.token_ring.settle(cycle)
+
+    def release(self) -> None:
+        super().release()
+        self.token_ring.release()
 
     def audit(self) -> None:
         """The gateways' audits, then the ring law: each controller's

@@ -120,6 +120,10 @@ class ElectricalMeshNoC(NoCArchitecture):
         # Book wire energy under the electrical (router) column.
         self.energy.breakdown.router_pj += wire_pj
 
+    def release(self) -> None:
+        super().release()
+        self.network.release()
+
     def lit_wavelengths(self) -> int:
         return 0
 

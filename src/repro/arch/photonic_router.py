@@ -61,7 +61,6 @@ from repro.sim.engine import NEVER, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.arch.base import PhotonicCrossbarNoC
-    from repro.sim.engine import Simulator
 
 
 @dataclass(frozen=True)
@@ -95,9 +94,6 @@ class _Resident:
         self.occupancy = 0
         self._flit_cycles = 0
         self._last_accounted_cycle = 0
-
-    def __len__(self) -> int:
-        return self.occupancy
 
     @property
     def flit_cycles(self) -> int:
@@ -142,9 +138,9 @@ class InputPort(_Resident):
     fill straddles them.
     """
 
-    __slots__ = ("vc_depth", "packets", "counts", "complete", "fill_end", "_clock")
+    __slots__ = ("vc_depth", "packets", "counts", "complete", "fill_end")
 
-    def __init__(self, n_vcs: int, vc_depth: int, clock: "Simulator"):
+    def __init__(self, n_vcs: int, vc_depth: int):
         super().__init__()
         self.vc_depth = vc_depth
         self.packets: List[Optional[Packet]] = [None] * n_vcs
@@ -153,11 +149,6 @@ class InputPort(_Resident):
         self.complete: Set[int] = set()
         #: The cycle the last fill's tail enters (or entered).
         self.fill_end = -1
-        self._clock = clock
-
-    def __len__(self) -> int:
-        """Flits resident at the end of the last whole cycle."""
-        return self.occupancy - max(0, self.fill_end - self._clock.cycle + 1)
 
     def _unaccrued(self, cycle: int) -> int:
         ahead = self.fill_end - cycle
@@ -181,6 +172,9 @@ class RxBuffer(_Resident):
         super().__init__()
         self.depth = depth
         self.fifo: Deque[list] = deque()
+
+    def __len__(self) -> int:
+        return self.occupancy
 
     @property
     def free_slots(self) -> int:
@@ -274,7 +268,7 @@ class ClusterGateway:
 
         # -- TX input side: one port per core ---------------------------------
         self.inputs: List[InputPort] = [
-            InputPort(config.n_vcs, config.vc_depth_flits, arch.sim)
+            InputPort(config.n_vcs, config.vc_depth_flits)
             for _ in range(config.cores_per_cluster)
         ]
         self._input_arbiters = [
@@ -290,7 +284,7 @@ class ClusterGateway:
         self._pipe_active_vc: List[Optional[int]] = [None] * config.cores_per_cluster
         self._pipes_active = 0  # non-empty injection pipes
         #: The next cycle the inject stage has work: a fill's tail, a new
-        #: front packet, or a retry for a free VC.
+        #: front packet, or a VC freed for a front packet that found none.
         self._inject_due = NEVER
 
         # -- photonic channels -------------------------------------------------
@@ -453,9 +447,10 @@ class ClusterGateway:
         Runs only at ``_inject_due``: a front packet that takes a free VC
         opens a fill (its whole count enters the VC now, its tail at
         ``fill_end``), a fill whose tail enters now closes and the packet
-        is whole, and a front packet with no free VC retries next cycle.
-        The fabric counts one buffer write per open fill per cycle
-        (``_filling``), and the tail's write when the fill closes."""
+        is whole, and a front packet with no free VC waits for one: the
+        stream's last feed and an abandon lower ``_inject_due`` when they
+        free a VC. The fabric counts one buffer write per open fill per
+        cycle (``_filling``), and the tail's write when the fill closes."""
         arch = self.arch
         active_vc = self._pipe_active_vc
         due = NEVER
@@ -467,8 +462,6 @@ class ClusterGateway:
             if vc is None:
                 vc = port.first_free_vc()
                 if vc is None:
-                    if cycle < due:
-                        due = cycle + 1
                     continue
                 packet = pipe[0]
                 n = packet.n_flits
@@ -643,6 +636,9 @@ class ClusterGateway:
         port.occupancy -= n
         port.counts[vc] = 0
         port.packets[vc] = None
+        # Freed in the reservation stage: injectable this very cycle.
+        if cycle < self._inject_due:
+            self._inject_due = cycle
         self.arch._buffer_flits += n
         self._held -= n
         self.arch.metrics.packets_abandoned += 1
@@ -689,6 +685,9 @@ class ClusterGateway:
             port.counts[vc] = left
             if not left:
                 port.packets[vc] = None
+                # Injectable next cycle (the inject stage ran already).
+                if cycle + 1 < self._inject_due:
+                    self._inject_due = cycle + 1
             # Each flit read out of the buffer also crosses the source
             # gateway's electronic switch to the modulators.
             self.arch._switched_flits += fed
@@ -961,9 +960,11 @@ class ClusterGateway:
         for slot, pipe in enumerate(self._pipes):
             if pipe:
                 # A front packet filling its VC is due when its tail
-                # enters; one not in a VC yet tries for one now.
-                filling = self._pipe_active_vc[slot] is not None
-                dues.append(self.inputs[slot].fill_end if filling else now)
+                # enters; one not in a VC yet, now if one is free, else
+                # when a stream step or an abandon, due as such, frees one.
+                port, vc = self.inputs[slot], self._pipe_active_vc[slot]
+                if vc is not None or 0 in port.counts:
+                    dues.append(now if vc is None else port.fill_end)
         dues.extend(due for due, *_launch in self._inbound)
         dues.extend(due for due, _packet in self._intra)
         if self._tx_state == self.STREAMING:

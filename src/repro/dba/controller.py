@@ -61,6 +61,14 @@ class DBAController:
             table.set_demand(dst, wavelengths)
         self._recompute_requests()
 
+    def update_cluster_demand(self, demands: Dict[int, int]) -> None:
+        """Every core of the cluster reports *demands* (a pattern bind):
+        the request table folds them once, not once per core."""
+        for table in self.demand_tables:
+            for dst, wavelengths in demands.items():
+                table.set_demand(dst, wavelengths)
+        self._recompute_requests()
+
     def update_core_demand_uniform(self, core_slot: int, wavelengths: int) -> None:
         self.demand_tables[core_slot].set_all(wavelengths)
         self._recompute_requests()
@@ -208,6 +216,11 @@ class TokenRing:
         self.sim.schedule(
             self._next_visit - self.sim.cycle, lambda: self._visit(epoch)
         )
+
+    def release(self) -> None:
+        """Drop each controller's way back to this ring."""
+        for controller in self.controllers:
+            controller.ring = None
 
     def _give_token(self, controller: DBAController) -> None:
         controller.on_token(self.token)

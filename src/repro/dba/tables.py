@@ -54,10 +54,6 @@ class DemandTable:
             self._demand[dst] = wavelengths
         self.updates += 1
 
-    def demand(self, dst_cluster: int) -> int:
-        self._validate_dst(dst_cluster)
-        return self._demand[dst_cluster]
-
     def _validate_dst(self, dst: int) -> None:
         if dst not in self._demand:
             raise TableError(
@@ -95,11 +91,11 @@ class RequestTable:
                     f"demand table of core {table.core_id} belongs to cluster "
                     f"{table.own_cluster}, not {self.own_cluster}"
                 )
-        for dst in self._request:
-            self._request[dst] = max(
-                (t.demand(dst) for t in demand_tables), default=0
-            )
-        self._max = max(self._request.values(), default=0)
+        demands = [table._demand for table in demand_tables]
+        request = self._request
+        for dst in request:
+            request[dst] = max([demand[dst] for demand in demands], default=0)
+        self._max = max(request.values(), default=0)
         self.version += 1
 
     def max_request(self) -> int:

@@ -297,30 +297,35 @@ def _run_once(
     run = wire_run(
         arch_name, bw_set, pattern_name, fidelity, seed, config, scenario
     )
-    attach_traffic(run, offered_gbps, fidelity)
-    run.simulate(fidelity.total_cycles, fidelity.reset_cycles)
-    arch, config, source = run.arch, run.config, run.source
-    if scenario is not None:
-        source.finish(fidelity.total_cycles)
-    metrics = arch.metrics
-    return RunResult(
-        arch=arch_name,
-        pattern=pattern_name,
-        bw_set_index=bw_set.index,
-        offered_gbps=offered_gbps,
-        delivered_gbps=metrics.delivered_gbps(config.clock_hz),
-        photonic_gbps=metrics.photonic_gbps(config.clock_hz),
-        per_core_gbps=metrics.per_core_gbps(config.clock_hz, config.n_cores),
-        energy_per_message_pj=arch.energy_per_message_pj,
-        mean_latency_cycles=metrics.latency.mean,
-        acceptance_ratio=source.acceptance_ratio,
-        packets_delivered=metrics.packets_delivered,
-        reservations_nacked=metrics.reservations_nacked,
-        laser_power_mw=arch.laser_power_mw(),
-        lit_wavelengths=arch.lit_wavelengths(),
-        scenario=scenario,
-        phases=source.phase_stats() if scenario is not None else (),
-    )
+    try:
+        attach_traffic(run, offered_gbps, fidelity)
+        run.simulate(fidelity.total_cycles, fidelity.reset_cycles)
+        arch, config, source = run.arch, run.config, run.source
+        if scenario is not None:
+            source.finish(fidelity.total_cycles)
+        metrics = arch.metrics
+        return RunResult(
+            arch=arch_name,
+            pattern=pattern_name,
+            bw_set_index=bw_set.index,
+            offered_gbps=offered_gbps,
+            delivered_gbps=metrics.delivered_gbps(config.clock_hz),
+            photonic_gbps=metrics.photonic_gbps(config.clock_hz),
+            per_core_gbps=metrics.per_core_gbps(config.clock_hz, config.n_cores),
+            energy_per_message_pj=arch.energy_per_message_pj,
+            mean_latency_cycles=metrics.latency.mean,
+            acceptance_ratio=source.acceptance_ratio,
+            packets_delivered=metrics.packets_delivered,
+            reservations_nacked=metrics.reservations_nacked,
+            laser_power_mw=arch.laser_power_mw(),
+            lit_wavelengths=arch.lit_wavelengths(),
+            scenario=scenario,
+            phases=source.phase_stats() if scenario is not None else (),
+        )
+    finally:
+        # Nothing reads the run after its result, raised or not: free
+        # its graph now, not at some later full collection.
+        run.sim.release()
 
 
 def peak_of(results: Sequence[RunResult]) -> RunResult:

@@ -393,6 +393,18 @@ class ElectricalNetwork(ClockedComponent):
         for link in self._links:
             link.reset_stats()
 
+    def release(self) -> None:
+        """Break a finished run's cycles: each input port's VC list (a
+        VC points back at its port), the routers and endpoints (their
+        ejection sinks and ``network`` point back here) and
+        ``on_eject`` (this network's or its owner's bound method)."""
+        for router in self.routers.values():
+            for port in router.inputs:
+                port.vcs.clear()
+        self.routers.clear()
+        self.endpoints.clear()
+        self.on_eject = None
+
     def drain(self, sim: Simulator, max_cycles: int = 100_000) -> bool:
         """Run until all queues and buffers empty; True if fully drained.
 

@@ -101,6 +101,11 @@ class ClockedComponent:
         """Count everything kept lazily for the cycles before *cycle*.
         Default: nothing kept lazily."""
 
+    def release(self) -> None:
+        """Drop the references by which this component's graph points
+        back into itself, so reference counting frees a finished run at
+        once (:meth:`Simulator.release`). Default: it keeps none."""
+
     def reset_stats(self, cycle: int) -> None:
         """Clear warm-up statistics at the boundary *cycle* (the first
         measured cycle). Called at the end of the reset period.
@@ -288,6 +293,15 @@ class Simulator:
         self.run(reset_cycles)
         self.reset_all_stats()
         self.run(total_cycles - reset_cycles)
+
+    def release(self) -> None:
+        """End the run for good, once its owner has read its result:
+        release every component, then drop the components and the
+        pending events. Nothing is left to run afterwards."""
+        for component in self._components:
+            component.release()
+        self._components.clear()
+        self._event_heap.clear()
 
     def _fire_due_events(self) -> None:
         heap = self._event_heap

@@ -10,25 +10,33 @@ def make_demand_tables(n=4, cluster=0, n_clusters=16):
     return [DemandTable(core_id=i, n_clusters=n_clusters, own_cluster=cluster) for i in range(n)]
 
 
+def demands_of(table):
+    """One table's demands, as the request table folds them (the max
+    over one table is the table)."""
+    request = RequestTable(table.n_clusters, table.own_cluster)
+    request.recompute([table])
+    return request.as_dict()
+
+
 class TestDemandTable:
     def test_initially_zero(self):
         table = DemandTable(0, 16, own_cluster=0)
-        assert all(table.demand(d) == 0 for d in range(1, 16))
+        assert demands_of(table) == {d: 0 for d in range(1, 16)}
 
     def test_no_self_destination(self):
         table = DemandTable(0, 16, own_cluster=3)
         with pytest.raises(TableError):
-            table.demand(3)
+            table.set_demand(3, 1)
 
     def test_set_demand(self):
         table = DemandTable(0, 16, own_cluster=0)
         table.set_demand(5, 8)
-        assert table.demand(5) == 8
+        assert demands_of(table)[5] == 8
 
     def test_set_all(self):
         table = DemandTable(0, 16, own_cluster=0)
         table.set_all(4)
-        assert all(table.demand(d) == 4 for d in range(1, 16))
+        assert demands_of(table) == {d: 4 for d in range(1, 16)}
 
     def test_negative_rejected(self):
         with pytest.raises(TableError):

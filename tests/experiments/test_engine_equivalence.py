@@ -220,6 +220,34 @@ def test_gateway_held_counter_matches_enumeration():
     step_auditing(sim, arch, 300)
 
 
+def test_the_wake_law_holds_while_packets_wait_for_a_vc(monkeypatch):
+    """With one VC per port and swamped RX buffers, front packets wait
+    for a VC: a stream's last feed frees one for the next cycle, an
+    abandon (in the reservation stage) for the same cycle. Neither may
+    leave the waiting packet's gateway asleep: ``simulate(audit=1)``
+    holds the wake law all through a run in which an abandon frees a
+    VC a packet waits for."""
+    freed_for_a_waiter = []
+    abandon = ClusterGateway._abandon_packet
+
+    def counting(self, cycle):
+        port = self._tx_port
+        waiting = any(
+            pipe and self._pipe_active_vc[slot] is None
+            and self.inputs[slot] is port and 0 not in port.counts
+            for slot, pipe in enumerate(self._pipes))
+        abandon(self, cycle)
+        if waiting:
+            freed_for_a_waiter.append(cycle)
+
+    monkeypatch.setattr(ClusterGateway, "_abandon_packet", counting)
+    config = SystemConfig(bw_set=BW_SET_1, n_vcs=1, **SWAMPED)
+    run = wire_run("dhetpnoc", BW_SET_1, "skewed3", FIDELITY, 1, config)
+    attach_traffic(run, 900.0, FIDELITY)
+    run.simulate(FIDELITY.total_cycles, FIDELITY.reset_cycles, audit=1)
+    assert freed_for_a_waiter
+
+
 def _launch_skipping_dst_held(original):
     def mutant(self, cycle):
         dst = self._tx_dst
@@ -276,6 +304,14 @@ def _dropping_the_due_it_adds(original):
     return mutant
 
 
+def _vc_free_leaving_the_inject_stage_asleep(original):
+    def mutant(self, cycle):
+        due = self._inject_due
+        original(self, cycle)
+        self._inject_due = due  # a packet waiting for a VC never learns
+    return mutant
+
+
 def _submit_leaving_the_gateway_asleep(original):
     def mutant(self, packet, cycle):
         wake, first = self._wake, self.arch._next_wake
@@ -313,6 +349,9 @@ WAKE_LAW = r"gateway \d+: _wake is .*, (its state is due|asleep while a stage wa
     pytest.param(ClusterGateway, "try_submit",
                  _submit_leaving_the_gateway_asleep, WAKE_LAW,
                  id="wake-dropped-on-a-submit"),
+    pytest.param(ClusterGateway, "_tx_stream",
+                 _vc_free_leaving_the_inject_stage_asleep, WAKE_LAW,
+                 id="wake-dropped-on-a-vc-free"),
 ])
 def test_gateway_audit_catches_a_planted_fault(monkeypatch, owner, method,
                                                 mutate, law):
@@ -324,10 +363,12 @@ def test_gateway_audit_catches_a_planted_fault(monkeypatch, owner, method,
     source's second packet lands behind its first, and the first's tail
     leaving must move the source to core 1's ready set (cycle ~33).
     Each packet fills its VC over 8 cycles, so fills open and close
-    from the first cycle. The last four rows each drop one hand-off's
-    wake: the destination of a launch, the reservation channel of a
-    reservation or a response, the gateway a packet is submitted to
-    stays asleep with a stage due.
+    from the first cycle; with one VC per port, each second packet waits
+    for its first to stream out. The last five rows each drop one
+    hand-off's wake, leaving asleep with a stage due: the destination of
+    a launch, the reservation channel of a reservation or a response,
+    the gateway a packet is submitted to, and the inject stage of a
+    gateway whose stream frees the VC a packet waits for.
     """
     from repro.arch.registry import architectures
     from repro.noc.flit import Packet
@@ -337,7 +378,7 @@ def test_gateway_audit_catches_a_planted_fault(monkeypatch, owner, method,
     from repro.traffic.patterns import pattern_by_name
 
     monkeypatch.setattr(owner, method, mutate(getattr(owner, method)))
-    config = SystemConfig(bw_set=BW_SET_3)
+    config = SystemConfig(bw_set=BW_SET_3, n_vcs=1)
     sim = Simulator(seed=1)
     pattern = pattern_by_name("uniform").bind(
         BW_SET_3, config.n_clusters, config.cores_per_cluster)

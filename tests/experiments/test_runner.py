@@ -1,6 +1,8 @@
 """Tests for the experiment runner and saturation sweeps."""
 
 
+import gc
+
 import pytest
 
 from repro.api.session import Session
@@ -11,7 +13,7 @@ from repro.experiments.runner import (
 )
 from repro.traffic.bandwidth_sets import BW_SET_1
 
-from support import TINY
+from support import TINY, tiny_spec
 
 run_one = Session().run_one
 
@@ -139,3 +141,56 @@ class TestSweep:
             )
             assert session.executed_count == len(TINY.load_fractions)
         assert serial == parallel
+
+
+#: Short, and loaded past the knee: a run ends with reservations,
+#: streams and fills in flight.
+RELEASE = Fidelity("release", 400, 50, (0.5,))
+
+
+def unreachable_after(call) -> int:
+    """Objects left unreachable by *call*, once warm: what only the
+    cyclic collector, not reference counting, would free. (The warm call
+    takes what first use leaves: imports, first-use caches.)"""
+    call()
+    gc.collect()
+    gc.disable()  # no automatic collection may free a cycle first
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestAFinishedRunFreesItsGraph:
+    """Each run releases its graph once its result is read
+    (``Simulator.release``): reference counting frees it whole, so a
+    process running point after point peaks at one run's memory."""
+
+    @pytest.mark.parametrize("scenario", [
+        None, "fault_storm", "closed_loop_shedding", "diurnal"])
+    @pytest.mark.parametrize("arch", ["firefly", "dhetpnoc", "electrical"])
+    def test_run_one(self, arch, scenario):
+        def call():
+            run_one(arch, BW_SET_1, "skewed3", 600.0, fidelity=RELEASE,
+                    seed=2, scenario=scenario)
+
+        assert unreachable_after(call) == 0
+
+    def test_a_serial_session_run(self):
+        spec = tiny_spec(archs=("firefly", "dhetpnoc", "electrical"),
+                         fidelity=RELEASE)
+        assert unreachable_after(lambda: Session().run(spec)) == 0
+
+    def test_a_run_that_raises_once_its_architecture_is_built(self):
+        from repro.scenarios.schedule import ScenarioError
+
+        def call():
+            # Two cycles are too few for the storm's faults: the player
+            # refuses the script after the architecture is built.
+            with pytest.raises(ScenarioError, match="lands at/after"):
+                run_one("dhetpnoc", BW_SET_1, "skewed3", 600.0,
+                        fidelity=Fidelity("two", 2, 1, (0.5,)),
+                        scenario="fault_storm")
+
+        assert unreachable_after(call) == 0

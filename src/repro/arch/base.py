@@ -24,8 +24,12 @@ the exact differences sections 3.2/3.3 describe.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, fields
-from typing import Dict, List
+from functools import reduce
+from itertools import repeat
+from operator import add, itemgetter
+from typing import Deque, Dict, List, Tuple
 
 from repro.arch.config import SystemConfig
 from repro.arch.photonic_router import ClusterGateway, StreamPlans, TxPlan
@@ -255,14 +259,21 @@ class PhotonicCrossbarNoC(NoCArchitecture):
     many times once per cycle: the same sequence of ``+=`` the account
     would see flit by flit.
 
+    A stream is no gateway's stage: at its ACK the source hands it over
+    (:meth:`hand_off`), and :meth:`tick_fabric` lands the launches due
+    before the gateways tick (:meth:`_land`) and plays the streams'
+    events after (:meth:`_stream_pass`, in source-cluster order: only
+    streams add to ``launch_pj``, ``modulation_pj`` and ``tuning_pj``).
+
     On the engine's fast path :meth:`tick_fabric` ticks only the gateways
     whose wake cycle has come (``ClusterGateway._wake``), and
     ``_next_wake`` -- the next cycle while a gateway is awake, else the
-    earliest wake -- makes :meth:`fabric_next_wake` O(1): the engine
-    jumps every span in which no gateway is due, and
-    :meth:`skip_fabric` charges the open fills' writes for it. The naive
-    loop (``fast_path=False``) ticks every gateway that holds a flit or
-    a transmission, every cycle: the reference the wakes are held to.
+    earliest gateway wake or stream event -- makes
+    :meth:`fabric_next_wake` O(1): the engine jumps every span in which
+    nothing is due, and :meth:`skip_fabric` charges the open fills'
+    writes for it. The naive loop (``fast_path=False``) ticks every
+    gateway that holds a flit or a transmission, every cycle, and makes
+    the same stream pass: the reference the wakes are held to.
     """
 
     name = "pnoc"
@@ -270,12 +281,20 @@ class PhotonicCrossbarNoC(NoCArchitecture):
     def __init__(self, sim: Simulator, config: SystemConfig):
         super().__init__(sim, config)
         self.stream_plans = StreamPlans(self.energy.params)
+        self._propagation = config.data_propagation_cycles
         self._flit_bits = 0  # the run's flit width, fixed by the first packet
         self._buffer_addend = self._router_addend = 0.0
         self._filling = 0
         self._buffer_flits = self._switched_flits = 0
-        #: The earliest gateway wake (``NEVER``: no gateway has work).
+        #: The earliest gateway wake or stream event (``NEVER``: none).
         self._next_wake = NEVER
+        #: The live streams (see :meth:`hand_off`) by the cycle of their
+        #: next event, and the earliest of those cycles.
+        self._streams: Dict[int, List[list]] = {}
+        self._stream_due = NEVER
+        #: Launches on the waveguides, by landing cycle (ascending):
+        #: ``(cycle, [(flits, (RX buffer, destination, source)), ...])``.
+        self._landings: Deque[Tuple[int, list]] = deque()
         self.gateways: List[ClusterGateway] = [
             ClusterGateway(cluster, self) for cluster in range(config.n_clusters)
         ]
@@ -321,42 +340,120 @@ class PhotonicCrossbarNoC(NoCArchitecture):
         return accepted
 
     def tick_fabric(self, cycle: int) -> None:
+        awake = False
+        landings = self._landings
+        if landings and landings[0][0] == cycle:
+            self._land(cycle)
         if self.sim.fast_path:
-            awake = False
             for gateway in self.gateways:
                 if gateway._wake <= cycle and gateway.tick(cycle):
                     awake = True
-            # While a gateway is awake the fabric is due next cycle; only
-            # a cycle after which all sleep looks for the first wake (a
-            # launch may have lowered the wake of one already passed).
-            if awake:
-                self._next_wake = cycle + 1
-            else:
-                self._next_wake = min(
-                    [gateway._wake for gateway in self.gateways])
         else:
             idle = ClusterGateway.IDLE
             for gateway in self.gateways:
                 if gateway._held or gateway._tx_state != idle:
                     gateway.tick(cycle)
-                    # The reference counts each lit step in its cycle.
-                    gateway.settle_stream(cycle + 1)
-            self._next_wake = min(gateway._wake for gateway in self.gateways)
-        # This cycle's per-flit charges, one addend per flit: ``x += c``
-        # n times is not ``x += n * c`` in floating point.
+        if cycle >= self._stream_due:
+            self._stream_pass(cycle)
+        # While a gateway is awake the fabric is due next cycle; else at
+        # the first wake, stream event or landing (a hand-off or the
+        # pass may lower wakes already passed).
+        if awake:
+            self._next_wake = cycle + 1
+        else:
+            self._next_wake = min(
+                self._stream_due, landings[0][0] if landings else NEVER,
+                *[gateway._wake for gateway in self.gateways])
+        # This cycle's per-flit charges, one addend per flit, added one
+        # after another (``reduce``: the adds the loop ``x += c`` makes,
+        # in C): n of them is not ``x += n * c`` in floating point.
         switched = self._switched_flits
         buffered = self._filling + self._buffer_flits + switched
         if buffered:
             breakdown = self.energy.breakdown
-            buffer_pj, addend = breakdown.buffer_pj, self._buffer_addend
-            for _ in range(buffered):
-                buffer_pj += addend
-            breakdown.buffer_pj = buffer_pj
-            router_pj, addend = breakdown.router_pj, self._router_addend
-            for _ in range(switched):
-                router_pj += addend
-            breakdown.router_pj = router_pj
+            breakdown.buffer_pj = reduce(
+                add, repeat(self._buffer_addend, buffered), breakdown.buffer_pj)
+            breakdown.router_pj = reduce(
+                add, repeat(self._router_addend, switched), breakdown.router_pj)
             self._buffer_flits = self._switched_flits = 0
+
+    def hand_off(self, cycle: int, stream: list) -> None:
+        """Take a stream ACKed at *cycle*, first event now: ``[source
+        cluster, next event's index, events, source, destination, (RX
+        buffer, destination, source cluster), ACK cycle]``."""
+        self._streams.setdefault(cycle, []).append(stream)
+        self._stream_due = cycle
+
+    def _stream_pass(self, cycle: int) -> None:
+        """The streams' events at *cycle*: a launch adds its transmit
+        addends, moves its flits to the destination's held count and
+        queues their landing; the last ends the stream. Flits fed are
+        counted into this cycle's per-flit charges (read and switched)."""
+        buckets = self._streams
+        streams = buckets.pop(cycle)
+        if len(streams) > 1:
+            streams.sort(key=itemgetter(0))  # source-cluster order
+        breakdown = self.energy.breakdown
+        # Each field's addends, one after another, in stream order.
+        launch_pj, modulation_pj, tuning_pj = (
+            breakdown.launch_pj, breakdown.modulation_pj, breakdown.tuning_pj)
+        fed_flits = 0
+        landing = []
+        for stream in streams:
+            index = stream[1]
+            gap, fed, launched, launch, modulation, tuning, _step = (
+                stream[2][index])
+            fed_flits += fed
+            if launched:
+                launch_pj += launch
+                modulation_pj += modulation
+                tuning_pj += tuning
+                stream[3]._held -= launched
+                stream[4]._held += launched
+                landing.append((launched, stream[5]))
+                if not gap:
+                    stream[3].end_stream(cycle)
+                    continue
+            stream[1] = index + 1
+            due = cycle + gap
+            bucket = buckets.get(due)
+            if bucket is None:
+                buckets[due] = [stream]
+            else:
+                bucket.append(stream)
+        breakdown.launch_pj, breakdown.modulation_pj, breakdown.tuning_pj = (
+            launch_pj, modulation_pj, tuning_pj)
+        self._stream_due = min(buckets) if buckets else NEVER
+        self._switched_flits += fed_flits
+        if landing:
+            self._landings.append((cycle + self._propagation, landing))
+
+    def _land(self, cycle: int) -> None:
+        """Land the launches due at *cycle* in their RX buffers, before
+        the gateways tick (a refilled buffer's gateway is due now), and
+        count their buffer writes into this cycle's per-flit charges."""
+        landed = 0
+        for n, (buffer, dst, src) in self._landings.popleft()[1]:
+            occupancy = buffer.occupancy
+            if not occupancy:
+                # Refilled: these flits are the front packet's.
+                dst._rx_ready[buffer.fifo[0][0].dst % dst._cores].add(src)
+                dst._rx_nonempty += 1
+                if cycle < dst._wake:
+                    dst._wake = cycle
+            if cycle > buffer._last_accounted_cycle:  # buffer.settle(cycle)
+                buffer._flit_cycles += occupancy * (
+                    cycle - buffer._last_accounted_cycle)
+                buffer._last_accounted_cycle = cycle
+            occupancy += n
+            if occupancy > buffer.depth:
+                raise SimulationError(
+                    f"gateway {dst.cluster_id}: RX buffer for cluster {src} "
+                    f"overflows ({occupancy}/{buffer.depth})")
+            buffer.occupancy = occupancy
+            dst._rx_reserved[src] -= n
+            landed += n
+        self._buffer_flits += landed
 
     def fabric_next_wake(self, cycle: int) -> int:
         wake = self._next_wake
@@ -365,27 +462,31 @@ class PhotonicCrossbarNoC(NoCArchitecture):
     def skip_fabric(self, start_cycle: int, stop_cycle: int) -> None:
         """The open fills' writes, one addend per fill per cycle, as
         :meth:`tick_fabric` adds them (a fill stays open to its tail's
-        cycle, when its gateway is due). A stream's steps that launch
-        nothing are counted at its end or by :meth:`settle`."""
+        cycle, when its gateway is due). A stream's steps that feed and
+        launch nothing are counted at its end or by :meth:`settle`."""
         fills = self._filling * (stop_cycle - start_cycle)
         if fills:
             breakdown = self.energy.breakdown
-            buffer_pj, addend = breakdown.buffer_pj, self._buffer_addend
-            for _ in range(fills):
-                buffer_pj += addend
-            breakdown.buffer_pj = buffer_pj
+            breakdown.buffer_pj = reduce(
+                add, repeat(self._buffer_addend, fills), breakdown.buffer_pj)
 
     def settle(self, cycle: int) -> None:
-        """Count each stream's lit steps before *cycle* into its
-        channel's busy and lit counts."""
+        """Count each stream's steps before *cycle* into its channel's
+        busy, lit, flit and bit counts, and apply each VC drain's feeds
+        before it."""
         for gateway in self.gateways:
             gateway.settle_stream(cycle)
+            for port in gateway.inputs:
+                if port.drain is not None:
+                    port.catch_up(cycle)
 
     def release(self) -> None:
         """Also drop each gateway's way back: the fabric, its claimed
         packet's destination and its reservations in flight (they carry
         gateways' bound methods)."""
         super().release()
+        self._streams = {}
+        self._landings.clear()
         for gateway in self.gateways:
             gateway.arch = gateway._tx_dst = gateway.reservation_channel = None
 
@@ -398,14 +499,33 @@ class PhotonicCrossbarNoC(NoCArchitecture):
                 f"{self.name}: _filling is {self._filling}, the gateways' "
                 f"open fills give {fills}"
             )
-        # The fabric is due when its first gateway is, or at once while
-        # one is awake (its wake passed).
+        # Each stream waits for its first event at or after now, the
+        # pass is due at the earliest, and launches land after now.
         now = self.sim.cycle
-        first = min(gateway._wake for gateway in self.gateways)
+        for due, streams in self._streams.items():
+            for stream in streams:
+                index, events, start = stream[1], stream[2], stream[6]
+                first = sum(start + event[6] < now for event in events)
+                if index != first or due != start + events[index][6]:
+                    raise SimulationError(
+                        f"{self.name}: the stream from cluster {stream[0]} "
+                        f"waits at {due} for event {index}, its plan's "
+                        f"next is event {first}")
+        due = min(self._streams, default=NEVER)
+        landing = [cycle for cycle, _launches in self._landings]
+        if self._stream_due != due or landing != sorted(set(landing)) or (
+                landing and landing[0] < now):
+            raise SimulationError(
+                f"{self.name}: the stream pass is due at {self._stream_due},"
+                f" its streams at {due}; launches land at {landing}")
+        # The fabric is due when its first gateway, stream or landing is,
+        # or at once while a gateway is awake (its wake passed).
+        first = min(due, *landing[:1],
+                    *(gateway._wake for gateway in self.gateways))
         if max(self._next_wake, now) != max(first, now):
             raise SimulationError(
                 f"{self.name}: _next_wake is {self._next_wake}, the "
-                f"gateways' wakes give {first}"
+                f"gateways' wakes and the streams give {first}"
             )
 
     def note_packet_delivered_whole(

@@ -69,6 +69,11 @@ class SystemConfig:
                 "VC depth must hold at least one packet "
                 f"({self.bw_set.packet_flits} flits) for store-and-forward TX"
             )
+        if self.data_propagation_cycles < 1:
+            raise ValueError(
+                "data_propagation_cycles must be >= 1: a launch lands in a "
+                "later cycle than its own"
+            )
         if self.reserved_wavelengths_per_cluster < 1:
             raise ValueError(
                 "at least 1 reserved wavelength per cluster "

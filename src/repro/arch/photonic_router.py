@@ -25,9 +25,12 @@ and a count of its flits, never flit objects.
 
 Store-and-forward also fixes two things ahead of time. A packet that
 takes a VC has its tail in ``n_flits - 1`` cycles later (a *fill*), and a
-packet whose reservation is ACKed launches on a cadence fixed by its
+packet whose reservation is ACKed streams on a cadence fixed by its
 wavelengths and flit widths (a *stream plan*, :class:`StreamPlans`). The
-gateway works from both instead of recomputing them every cycle.
+gateway works from both instead of recomputing them every cycle: at the
+ACK it hands the stream to the fabric, whose stream pass plays the plan
+(:meth:`~repro.arch.base.PhotonicCrossbarNoC.tick_fabric`), so neither
+gateway is ticked for a stream step.
 
 Energy is charged to the shared :class:`~repro.energy.model.EnergyAccount`
 as events happen (the charging rules are in ``docs/engine.md``, "The
@@ -37,10 +40,10 @@ tick are counted and added by the fabric once per cycle.
 Each quantity is computed when it can change and read afterwards (rate
 and queue depth at ACK, the plan when the DBA current table moves), and
 a per-cycle stage runs only when an O(1) count says it has work. The
-orders results depend on -- stage order within a tick, launch order in
-``_inbound``, ``sorted`` ejection candidates, the sequence of energy
-addends -- are listed in ``docs/engine.md`` and pinned by value in
-``tests/arch/gateway_golden.json``.
+orders results depend on -- stage order within a tick, the stream pass
+in source-cluster order, ``sorted`` ejection candidates, the sequence of
+energy addends -- are listed in ``docs/engine.md`` and pinned by value
+in ``tests/arch/gateway_golden.json``.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.noc.arbiter import RoundRobinArbiter
@@ -136,9 +140,17 @@ class InputPort(_Resident):
     early, and :meth:`_unaccrued` is what of that lies after a given
     cycle, so ``flit_cycles`` and the warm-up reset are exact however a
     fill straddles them.
+
+    A streaming VC *drains* on its plan's feeds, applied in closed form
+    when the port is next touched (:meth:`catch_up`: by the inject
+    stage, an abandon, the next drain, the engine's settle). ``drain``
+    is ``[vc, ACK cycle, flits fed by each step, the sums of step x
+    flits fed, the last cycle applied]``; the VC frees at ``ACK cycle +
+    len(flits fed by each step)``.
     """
 
-    __slots__ = ("vc_depth", "packets", "counts", "complete", "fill_end")
+    __slots__ = ("vc_depth", "packets", "counts", "complete", "fill_end",
+                 "drain")
 
     def __init__(self, n_vcs: int, vc_depth: int):
         super().__init__()
@@ -149,10 +161,33 @@ class InputPort(_Resident):
         self.complete: Set[int] = set()
         #: The cycle the last fill's tail enters (or entered).
         self.fill_end = -1
+        self.drain: Optional[list] = None
 
     def _unaccrued(self, cycle: int) -> int:
         ahead = self.fill_end - cycle
         return ahead * (ahead + 1) // 2 if ahead > 0 else 0
+
+    def catch_up(self, cycle: int) -> None:
+        """Apply the drain's feeds of the cycles before *cycle*. Settled
+        to ``cycle - 1`` on the count they left, residency takes back
+        from each flit fed in a cycle *f* the cycles from *f* on."""
+        vc, start, fed_by, weighted, applied = self.drain
+        upto = cycle - 1
+        if upto <= applied:
+            return
+        before, after = applied - start, min(upto - start, len(fed_by) - 1)
+        fed, weight = fed_by[after], weighted[after]
+        if before >= 0:
+            fed, weight = fed - fed_by[before], weight - weighted[before]
+        self.settle(upto)
+        self._flit_cycles -= (upto - start) * fed - weight
+        self.occupancy -= fed
+        left = self.counts[vc] = self.counts[vc] - fed
+        if left:
+            self.drain[4] = upto
+        else:
+            self.packets[vc] = None
+            self.drain = None
 
     def first_free_vc(self) -> Optional[int]:
         """Lowest-numbered empty VC, or None."""
@@ -161,10 +196,10 @@ class InputPort(_Resident):
 
 
 class RxBuffer(_Resident):
-    """The receive buffer for one source cluster: a FIFO of
-    ``[packet, flits present, flits still to arrive]`` entries (one per
-    packet; a source streams one packet at a time, so its flits arrive in
-    order and contiguously)."""
+    """The receive buffer for one source cluster: a FIFO of ``[packet,
+    flits not ejected]`` entries, one per packet taken at its ACK. A
+    source streams one packet at a time, so the flits landed and not
+    ejected (``occupancy``) are the front packet's, then the next's."""
 
     __slots__ = ("depth", "fifo")
 
@@ -196,17 +231,24 @@ class StreamPlans(dict):
     :class:`DataChannel` once, so its ``bit_credit`` history is the
     channel's own.
 
-    ``next_active[key]`` is the plan's next-active-step table: entry *i*
-    is how many cycles after step *i* the next step that feeds or
-    launches a flit comes (0 after the last step). The first step feeds,
-    and a step that does neither only keeps the channel lit, so a
-    streaming gateway sleeps from one active step to the next.
+    :meth:`stream` gives the tables a hand-off takes, built with the
+    plan: its *events*, one ``(gap to the next, fed, launched, the three
+    addends, step)`` per step that launches or feeds (the last, gap 0,
+    launches the last flit), and the flits launched and fed by each step.
     """
 
     def __init__(self, params: PhotonicEnergyParams):
         super().__init__()
         self._params = params
-        self.next_active: Dict[tuple, Tuple[int, ...]] = {}
+        self._streams: Dict[tuple, tuple] = {}
+
+    def stream(self, key: tuple) -> tuple:
+        """``(events, flits launched by each step, flits fed by each
+        step to the last feed, the sums of step x flits fed by each)``
+        of *key*'s plan."""
+        if key not in self._streams:
+            self[key]  # builds the plan and its tables
+        return self._streams[key]
 
     def __missing__(self, key: tuple) -> Tuple[tuple, ...]:
         n_wavelengths, clock_hz, queue_bits, flit_bits, n_flits = key
@@ -230,13 +272,18 @@ class StreamPlans(dict):
         # modulators empty: a stream never stalls.
         assert not channel.stalled_cycles
         plan = self[key] = tuple(steps)
-        table, following = [0] * len(plan), None
-        for index in range(len(plan) - 1, -1, -1):
-            if following is not None:
-                table[index] = following - index
-            if plan[index][0] or plan[index][1]:
-                following = index
-        self.next_active[key] = tuple(table)
+        active = [index for index, step in enumerate(plan)
+                  if step[0] or step[1]]
+        events = [(after - index, fed, launched, *addends, index)
+                  for index, after, (fed, launched, _bits, *addends) in zip(
+                      active, [*active[1:], active[-1]],
+                      (plan[index] for index in active))]
+        launched_by = tuple(accumulate(step[1] for step in plan))
+        fed_by = tuple(accumulate(step[0] for step in plan))
+        feeds = range(fed_by.index(n_flits) + 1)
+        self._streams[key] = (
+            tuple(events), launched_by, fed_by[:len(feeds)],
+            tuple(accumulate(index * plan[index][0] for index in feeds)))
         return plan
 
 
@@ -248,7 +295,8 @@ class ClusterGateway:
     due. A tick that finds nothing due sets it from the gateway's state
     (:meth:`_sleep`); a tick that did work leaves it, so the gateway is
     ticked again next cycle; and whatever hands a gateway work from
-    outside its own tick lowers it (a submit, a launch toward it). The
+    outside its own tick lowers it (a submit, a landing, a stream's end
+    or the drain a waiting packet needs). The
     reservation channel keeps its own ``due`` the same way: a
     reservation and a response lower it.
     """
@@ -308,8 +356,6 @@ class ClusterGateway:
             if src != cluster_id
         }
         self._rx_reserved: Dict[int, int] = {src: 0 for src in self.rx_buffers}
-        #: Launches on their way here: (due, source cluster, packet, flits).
-        self._inbound: Deque[Tuple[int, int, Packet, int]] = deque()
         self._eject_arbiters = [
             RoundRobinArbiter(config.n_clusters)
             for _ in range(config.cores_per_cluster)
@@ -369,28 +415,22 @@ class ClusterGateway:
         stays awake for the next cycle. A gateway that did work stays
         awake (unless nothing is left in it at all); one that found
         nothing due sleeps until its next stage is (:meth:`_sleep`). A
-        stage not due is a no-op -- a streaming step that launches
-        nothing included: it is counted at the stream's end or at the
-        run's end (:meth:`settle_stream`)."""
+        stage not due is a no-op. A stream is no stage: the fabric's
+        stream pass applies it."""
         worked = False
         # Reservation traffic is in flight exactly while the FSM reserves.
         if self.reservation_channel.due <= cycle:
             self.reservation_channel.tick(cycle)
             worked = True
-        if self._inbound and self._deliver_inbound(cycle):
-            worked = True
         if self._pipes_active and cycle >= self._inject_due:
             self._inject_step(cycle)
             worked = True
         # TX FSM: one dispatch on the state the stage is entered in (an
-        # ACK arrives in the reservation stage above and streams now; a
-        # state entered here is first acted on next cycle). ``_tx_due``
-        # is ``NEVER`` unless the FSM streams.
+        # ACK arrives in the reservation stage above and hands the
+        # stream over; a state entered here is first acted on next
+        # cycle; the stream pass ends a stream after the ticks).
         state = self._tx_state
-        if cycle >= self._tx_due:
-            self._tx_stream(cycle)
-            worked = True
-        elif state == _IDLE:
+        if state == _IDLE:
             if self._tx_waiting:
                 self._tx_arbitrate(cycle)
                 worked = True
@@ -414,18 +454,12 @@ class ClusterGateway:
     def _sleep(self, cycle: int) -> None:
         """Set ``_wake`` after a tick at *cycle* that found nothing due:
         the earliest due of the reservation channel, the inject stage,
-        the inbound launches, the transmit FSM (the stream plan's next
-        active step, the end of the back-off) and the intra-cluster
-        pipe; ``NEVER`` when none is due. (Nothing was due, so no packet
-        waits for arbitration and no RX buffer holds a flit.)"""
+        the back-off and the intra-cluster pipe; ``NEVER`` when none is.
+        (No packet waits for arbitration, no RX buffer holds a flit.)"""
         wake = self.reservation_channel.due
         if self._pipes_active and self._inject_due < wake:
             wake = self._inject_due
-        if self._inbound and self._inbound[0][0] < wake:
-            wake = self._inbound[0][0]
-        if self._tx_due < wake:
-            wake = self._tx_due
-        elif self._tx_state == _BACKOFF and self._backoff_until < wake:
+        if self._tx_state == _BACKOFF and self._backoff_until < wake:
             wake = self._backoff_until
         if self._intra and self._intra[0][0] < wake:
             wake = self._intra[0][0]
@@ -447,10 +481,11 @@ class ClusterGateway:
         Runs only at ``_inject_due``: a front packet that takes a free VC
         opens a fill (its whole count enters the VC now, its tail at
         ``fill_end``), a fill whose tail enters now closes and the packet
-        is whole, and a front packet with no free VC waits for one: the
-        stream's last feed and an abandon lower ``_inject_due`` when they
-        free a VC. The fabric counts one buffer write per open fill per
-        cycle (``_filling``), and the tail's write when the fill closes."""
+        is whole, and a front packet with no free VC waits for one: until
+        its port's drain frees one (the stage is due then) or an abandon
+        does (it lowers ``_inject_due``). The fabric counts one buffer
+        write per open fill per cycle (``_filling``), and the tail's
+        write when the fill closes."""
         arch = self.arch
         active_vc = self._pipe_active_vc
         due = NEVER
@@ -460,8 +495,13 @@ class ClusterGateway:
             port = self.inputs[slot]
             vc = active_vc[slot]
             if vc is None:
+                if port.drain is not None:
+                    port.catch_up(cycle)
                 vc = port.first_free_vc()
                 if vc is None:
+                    drain = port.drain
+                    if drain is not None and drain[1] + len(drain[2]) < due:
+                        due = drain[1] + len(drain[2])
                     continue
                 packet = pipe[0]
                 n = packet.n_flits
@@ -522,7 +562,7 @@ class ClusterGateway:
         vc = nominees[granted_port]
         port.complete.discard(vc)
         self._tx_waiting -= 1
-        self._tx_port, self._tx_vc = port, vc
+        self._tx_slot, self._tx_vc = granted_port, vc
         packet = port.packets[vc]
         assert packet is not None
         self._tx_packet = packet
@@ -607,15 +647,32 @@ class ClusterGateway:
         plan = self._tx_plan
         assert plan is not None
         if accepted:
-            config, packet = self.config, self._tx_packet
+            config, packet, dst = self.config, self._tx_packet, self._tx_dst
             key = (plan.n_wavelengths, config.clock_hz,
                    config.bw_set.flit_bits, packet.flit_bits, packet.n_flits)
-            plans = self.arch.stream_plans
-            self._tx_stream_plan = plans[key]
-            self._tx_next_active = plans.next_active[key]
-            self._tx_start = self._tx_due = cycle
+            events, self._tx_launched_by, fed_by, weighted = (
+                self.arch.stream_plans.stream(key))
+            self._tx_start = cycle
             self._tx_counted = 0
             self._tx_state = self.STREAMING
+            # The VC drains on the plan's feeds from now (an earlier
+            # stream's drain of the port is done: apply it first), and a
+            # front packet waiting for a VC of the port is due after the
+            # last feed. The destination's RX buffer takes the packet.
+            slot = self._tx_slot
+            port = self.inputs[slot]
+            if port.drain is not None:
+                port.catch_up(cycle)
+            port.settle(cycle)
+            port.drain = [self._tx_vc, cycle, fed_by, weighted, cycle - 1]
+            if (self._pipes[slot] and self._pipe_active_vc[slot] is None
+                    and cycle + len(fed_by) < self._inject_due):
+                self._inject_due = cycle + len(fed_by)
+            buffer = dst.rx_buffers[self.cluster_id]
+            buffer.fifo.append([packet, packet.n_flits])
+            self.arch.hand_off(cycle, [
+                self.cluster_id, 0, events, self, dst,
+                (buffer, dst, self.cluster_id), cycle])
             return
         self._tx_retries += 1
         self.arch.metrics.packets_dropped_flits += 1
@@ -629,8 +686,11 @@ class ClusterGateway:
     def _abandon_packet(self, cycle: int) -> None:
         """Give up on the head packet after max retries (counted as lost):
         its flits leave the VC, each charged a buffer read."""
-        port, vc, packet = self._tx_port, self._tx_vc, self._tx_packet
-        assert port is not None and vc is not None and packet is not None
+        slot, vc, packet = self._tx_slot, self._tx_vc, self._tx_packet
+        assert slot is not None and vc is not None and packet is not None
+        port = self.inputs[slot]
+        if port.drain is not None:
+            port.catch_up(cycle)
         n = port.counts[vc]
         port.settle(cycle)
         port.occupancy -= n
@@ -646,127 +706,47 @@ class ClusterGateway:
 
     def _clear_tx(self) -> None:
         self._tx_state = self.IDLE
-        self._tx_port: Optional[InputPort] = None
+        self._tx_slot: Optional[int] = None
         self._tx_vc: Optional[int] = None
         self._tx_packet: Optional[Packet] = None
         self._tx_dst: Optional["ClusterGateway"] = None
         self._tx_reservation: Optional[ReservationFlit] = None
         self._tx_plan: Optional[TxPlan] = None
         self._tx_retries = 0
-        #: The ACKed packet's stream plan, its next-active-step table,
-        #: the ACK cycle (step *i* is cycle ``_tx_start + i``'s), the
-        #: cycle of the next step that feeds or launches (``NEVER`` unless
-        #: streaming), and the steps counted into the channel's busy and
-        #: lit counts.
-        self._tx_stream_plan: tuple = ()
-        self._tx_next_active: tuple = ()
+        #: The streaming packet's flits launched by each step, the ACK
+        #: cycle (step *i* is cycle ``_tx_start + i``'s) and the steps
+        #: counted into the channel's counts.
+        self._tx_launched_by: tuple = ()
         self._tx_start = self._tx_counted = 0
-        self._tx_due = NEVER
 
-    def _tx_stream(self, cycle: int) -> None:
-        """The stream plan's step for *cycle*, one that feeds or launches:
-        the flits the VC feeds the modulators and those launched, with
-        the channel's counters kept as its own ``top_up`` and ``tick``
-        would keep them -- but for the busy and lit counts, which count
-        every step of the stream at its end (or at a settle). The plan
-        and ``_tx_start`` are the stream's whole state: the modulator
-        queue after step *i* is the plan's fed less launched up to it."""
-        plan, index = self._tx_stream_plan, cycle - self._tx_start
-        fed, launched, bits, launch_pj, modulation_pj, tuning_pj = plan[index]
-        channel = self.channel
-        if fed:
-            port, vc = self._tx_port, self._tx_vc
-            if cycle > port._last_accounted_cycle:  # port.settle(cycle)
-                port._flit_cycles += port.occupancy * (
-                    cycle - port._last_accounted_cycle)
-                port._last_accounted_cycle = cycle
-            port.occupancy -= fed
-            left = port.counts[vc] - fed
-            port.counts[vc] = left
-            if not left:
-                port.packets[vc] = None
-                # Injectable next cycle (the inject stage ran already).
-                if cycle + 1 < self._inject_due:
-                    self._inject_due = cycle + 1
-            # Each flit read out of the buffer also crosses the source
-            # gateway's electronic switch to the modulators.
-            self.arch._switched_flits += fed
-        if launched:
-            # Launched flits leave this gateway's domain for the
-            # destination's inbound queue.
-            channel.bits_transmitted += bits
-            channel.flits_transmitted += launched
-            dst = self._tx_dst
-            self._held -= launched
-            dst._held += launched
-            breakdown = self._energy.breakdown
-            breakdown.launch_pj += launch_pj
-            breakdown.modulation_pj += modulation_pj
-            breakdown.tuning_pj += tuning_pj
-            due = cycle + self.config.data_propagation_cycles
-            dst._inbound.append((due, self.cluster_id, self._tx_packet, launched))
-            # The destination is due when the flits land. (This gateway
-            # did work, so the fabric looks at its gateways' wakes again
-            # after this cycle: no need to lower its ``_next_wake``.)
-            if due < dst._wake:
-                dst._wake = due
-        gap = self._tx_next_active[index]
-        if gap:
-            self._tx_due = cycle + gap
-        else:  # the last step
-            self.settle_stream(cycle + 1)
-            channel.packets_transmitted += 1
-            self._clear_tx()
+    def end_stream(self, cycle: int) -> None:
+        """The stream's last launch was at *cycle*: count it into the
+        channel and free the FSM (due next cycle if a packet waits)."""
+        self.settle_stream(cycle + 1)
+        self.channel.packets_transmitted += 1
+        self._clear_tx()
+        if self._tx_waiting:
+            self._wake = min(self._wake, cycle + 1)
 
     def settle_stream(self, cycle: int) -> None:
-        """Count into the channel's busy and lit counts the steps of the
-        stream before *cycle* not counted yet."""
+        """Count into the channel's busy, lit, flit and bit counts the
+        steps of the stream before *cycle* not counted yet."""
         if self._tx_state == _STREAMING:
-            done = cycle - self._tx_start
-            lit = done - self._tx_counted
-            if lit > 0:
+            done, counted = cycle - self._tx_start, self._tx_counted
+            if done > counted:
                 self._tx_counted = done
-                channel = self.channel
-                channel.busy_cycles += lit
-                channel.wavelength_cycles_lit += lit * self._tx_plan.n_wavelengths
+                channel, launched_by = self.channel, self._tx_launched_by
+                channel.busy_cycles += done - counted
+                channel.wavelength_cycles_lit += (
+                    (done - counted) * self._tx_plan.n_wavelengths)
+                flits = launched_by[done - 1] - (
+                    launched_by[counted - 1] if counted else 0)
+                channel.flits_transmitted += flits
+                channel.bits_transmitted += flits * self._tx_packet.flit_bits
 
     # ==================================================================
     # Receive side
     # ==================================================================
-    def _deliver_inbound(self, cycle: int) -> int:
-        """Land the launches due by *cycle* in their RX buffers; return
-        the flits landed."""
-        inbound = self._inbound
-        written = 0
-        while inbound and inbound[0][0] <= cycle:
-            _due, src, packet, n = inbound.popleft()
-            buffer = self.rx_buffers[src]
-            if not buffer.occupancy:
-                # Refilled: these flits are the new front.
-                self._rx_ready[packet.dst % self._cores].add(src)
-                self._rx_nonempty += 1
-            if cycle > buffer._last_accounted_cycle:  # buffer.settle(cycle)
-                buffer._flit_cycles += buffer.occupancy * (
-                    cycle - buffer._last_accounted_cycle)
-                buffer._last_accounted_cycle = cycle
-            buffer.occupancy += n
-            if buffer.occupancy > buffer.depth:
-                raise SimulationError(
-                    f"gateway {self.cluster_id}: RX buffer for cluster {src} "
-                    f"overflows ({buffer.occupancy}/{buffer.depth})"
-                )
-            fifo = buffer.fifo
-            if fifo and fifo[-1][0] is packet:
-                entry = fifo[-1]
-                entry[1] += n
-                entry[2] -= n
-            else:
-                fifo.append([packet, n, packet.n_flits - n])
-            self._rx_reserved[src] -= n
-            written += n
-        self.arch._buffer_flits += written
-        return written
-
     def _eject_step(self, cycle: int) -> None:
         """One flit per core per cycle from the RX buffers to the cores.
 
@@ -797,7 +777,7 @@ class ClusterGateway:
             fifo = buffer.fifo
             entry = fifo[0]
             entry[1] -= 1
-            tail = not entry[1] and not entry[2]
+            tail = not entry[1]
             if tail:
                 fifo.popleft()
             if not buffer.occupancy:
@@ -874,9 +854,10 @@ class ClusterGateway:
 
     def audit(self) -> None:
         """Recount every O(1) counter the gateway keeps from the state it
-        summarises, and check its fills and stream plan against the
-        cycle; raise :class:`~repro.sim.engine.SimulationError` naming
-        the gateway and the first counter that drifted."""
+        summarises, and check its fills and the plans of the streams
+        from and to it against the cycle; raise
+        :class:`~repro.sim.engine.SimulationError` naming the gateway and
+        the first counter that drifted."""
 
         def broken(counter: str, kept: object, law: str) -> SimulationError:
             return SimulationError(
@@ -909,24 +890,39 @@ class ClusterGateway:
                                  f"{port.fill_end}")
         for slot, port in enumerate(self.inputs):
             check(f"inputs[{slot}].occupancy", port.occupancy, sum(port.counts))
-        for src, buffer in self.rx_buffers.items():
-            check(f"rx_buffers[{src}].occupancy", buffer.occupancy,
-                  sum(entry[1] for entry in buffer.fifo))
+            if port.drain is not None:  # applied to now by the settle
+                vc, start, fed_by, _weighted, _applied = port.drain
+                check(f"inputs[{slot}].counts[{vc}]", port.counts[vc],
+                      port.packets[vc].n_flits
+                      - fed_by[min(now - 1 - start, len(fed_by) - 1)])
         check("reservation traffic in flight",
               self.reservation_channel.in_flight > 0,
               self._tx_state == self.RESERVING)
-        # Flits at the modulators: fed less launched by the plan's steps
-        # before now.
-        queued = 0
-        if self._tx_state == self.STREAMING:
-            queued = sum(step[0] - step[1] for step
-                         in self._tx_stream_plan[:now - self._tx_start])
+        # By the streams' events before now: flits at this gateway's
+        # modulators (fed less launched); by the launches and landings
+        # to come, those handed over here not landed yet.
+        queued = in_flight = 0
+        unlanded = dict.fromkeys(self.rx_buffers, 0)
+        for streams in self.arch._streams.values():
+            for src, _index, events, source, dst, _rx, start in streams:
+                for _gap, fed, launched, *_pj, step in events:
+                    if source is self and start + step < now:
+                        queued += fed - launched
+                    if dst is self and start + step >= now:
+                        unlanded[src] += launched
+        for _due, landings in self.arch._landings:
+            for n, (_buffer, dst, src) in landings:
+                if dst is self:
+                    in_flight += n
+                    unlanded[src] += n
+        for src, buffer in self.rx_buffers.items():
+            check(f"rx_buffers[{src}].occupancy", buffer.occupancy,
+                  sum(entry[1] for entry in buffer.fifo) - unlanded[src])
         check("_held", self._held, (
             in_pipes
             + sum(sum(port.counts) for port in self.inputs)
-            + queued
-            + sum(entry[3] for entry in self._inbound)
-            + sum(sum(e[1] for e in b.fifo) for b in self.rx_buffers.values())
+            + queued + in_flight
+            + sum(buffer.occupancy for buffer in self.rx_buffers.values())
             + sum(packet.n_flits for _due, packet in self._intra)
         ))
         check("_pipes_active", self._pipes_active,
@@ -961,20 +957,19 @@ class ClusterGateway:
             if pipe:
                 # A front packet filling its VC is due when its tail
                 # enters; one not in a VC yet, now if one is free, else
-                # when a stream step or an abandon, due as such, frees one.
+                # when its port's drain frees one (or an abandon does,
+                # due as such).
                 port, vc = self.inputs[slot], self._pipe_active_vc[slot]
                 if vc is not None or 0 in port.counts:
                     dues.append(now if vc is None else port.fill_end)
-        dues.extend(due for due, *_launch in self._inbound)
+                elif port.drain is not None:
+                    dues.append(port.drain[1] + len(port.drain[2]))
         dues.extend(due for due, _packet in self._intra)
-        if self._tx_state == self.STREAMING:
-            plan, start = self._tx_stream_plan, self._tx_start
-            dues.extend(start + index
-                        for index in range(max(0, now - start), len(plan))
-                        if plan[index][0] or plan[index][1])
-        elif self._tx_state == self.BACKOFF:
+        # A stream is no stage: the fabric's pass applies it, and frees
+        # the FSM, which then arbitrates.
+        if self._tx_state == self.BACKOFF:
             dues.append(self._backoff_until)
-        elif self._tx_waiting:
+        elif self._tx_state == self.IDLE and self._tx_waiting:
             dues.append(now)
         if any(buffer.occupancy for buffer in self.rx_buffers.values()):
             dues.append(now)

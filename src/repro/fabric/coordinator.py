@@ -335,7 +335,7 @@ class Coordinator(RoleServer):
         """Drop the workers, wake every waiter, flush the store."""
         with self._lock:
             workers = list(self._workers.values())
-            self._state_changed.notify_all()
+            self.jobs.close()  # wakes every waiter on the condition
         for worker in workers:
             try:
                 send_message(worker.conn, {"type": "shutdown"})
@@ -544,8 +544,7 @@ class Coordinator(RoleServer):
 
     def _monitor_loop(self) -> None:
         """Declare workers lost when their heartbeats go quiet."""
-        while not self._closed:
-            time.sleep(min(1.0, self.worker_timeout_s / 4))
+        while not self._stopped.wait(min(1.0, self.worker_timeout_s / 4)):
             now = time.monotonic()
             with self._lock:
                 stale = [

@@ -141,6 +141,10 @@ class Peer:
                 return
 
 
+#: Seconds :meth:`RoleServer.stop` waits in all for its threads to end.
+JOIN_TIMEOUT_S = 2.0
+
+
 class RoleServer:
     """Bind one endpoint and serve peers by the role they declare.
 
@@ -161,6 +165,12 @@ class RoleServer:
         self._bind = (host, port)
         self._listener = None
         self._closed = False
+        #: Set by :meth:`stop`: what a background loop waits on between
+        #: rounds, so it leaves at once.
+        self._stopped = threading.Event()
+        #: The background threads started (finished ones are dropped as
+        #: new ones start); :meth:`stop` joins them.
+        self._threads: List[threading.Thread] = []
         self._roles: Dict[str, Callable[[Connection, dict], None]] = {}
 
     # -- lifecycle -----------------------------------------------------------
@@ -182,9 +192,12 @@ class RoleServer:
         return host, port
 
     def _spawn(self, target: Callable[..., None], name: str, *args) -> None:
-        threading.Thread(
+        thread = threading.Thread(
             target=target, args=args, name=f"{self.title}-{name}", daemon=True
-        ).start()
+        )
+        self._threads = [t for t in self._threads if t.is_alive()]
+        self._threads.append(thread)
+        thread.start()
 
     def serve_forever(self) -> None:
         """Blocking convenience for the CLI: start, then wait."""
@@ -199,13 +212,21 @@ class RoleServer:
             self.stop()
 
     def stop(self) -> None:
-        """Shut down: stop accepting, then release what the roles hold."""
+        """Shut down: stop accepting, release what the roles hold, then
+        join the background threads (``JOIN_TIMEOUT_S`` at most in all:
+        a peer still connected keeps its thread)."""
         if self._closed:
             return
         self._closed = True
+        self._stopped.set()
         if self._listener is not None:
             self._listener.close()
         self._release()
+        deadline = time.monotonic() + JOIN_TIMEOUT_S
+        current = threading.current_thread()
+        for thread in self._threads:
+            if thread is not current:
+                thread.join(max(0.0, deadline - time.monotonic()))
 
     def _release(self) -> None:
         """Drop peers, wake waiters, flush state (subclass hook)."""

@@ -121,6 +121,7 @@ class JobQueue:
         #: Runners blocked in :meth:`claim`: a queued job one of them is
         #: about to take is not backlog.
         self._idle = 0
+        self._closed = False
 
     # -- admission -----------------------------------------------------------
     def submit(self, record: JobRecord) -> Tuple[JobRecord, bool]:
@@ -151,10 +152,12 @@ class JobQueue:
         """Pop the next queued job and mark it running.
 
         Blocks up to *timeout* seconds (forever when ``None``) for work;
-        returns ``None`` on timeout.
+        returns ``None`` on timeout, and at once once :meth:`close` ran.
         """
         with self.changed:
             while not self._fifo:
+                if self._closed:
+                    return None
                 self._idle += 1
                 try:
                     if not self.changed.wait(timeout=timeout):
@@ -165,6 +168,12 @@ class JobQueue:
             record.state = "running"
             self.changed.notify_all()
             return record
+
+    def close(self) -> None:
+        """End every :meth:`claim`, now and later (the service stops)."""
+        with self.changed:
+            self._closed = True
+            self.changed.notify_all()
 
     def finish(self, record: JobRecord, state: str, error: str = "") -> None:
         """Move a running job to a terminal *state* (runner-only)."""

@@ -4,6 +4,7 @@ import pytest
 
 from repro.arch.config import SystemConfig
 from repro.arch.firefly import FireflyNoC
+from repro.arch.photonic_router import ClusterGateway, TxPlan
 from repro.noc.flit import Packet
 from repro.sim.engine import SimulationError, Simulator
 from repro.traffic.bandwidth_sets import BW_SET_1
@@ -97,6 +98,68 @@ class TestPhotonicDelivery:
         noc.submit(packet(src=12, dst=10))
         sim.run(600)
         assert noc.metrics.packets_delivered == 3
+
+    #: A lone 64 x 32-bit packet from core 0 to core 8 over one and over
+    #: eight wavelengths: the stream's steps, then the latency, the
+    #: source channel's busy, lit, flit, bit and packet counts, the two
+    #: gateways' buffer flit-cycles and the energy breakdown (launch,
+    #: modulation, tuning, buffer, router, demodulation, reservation) as
+    #: the gateway that stepped its source through every stream step
+    #: left them.
+    LONE_STREAM = {
+        1: (410, 476.0, (410, 410, 64, 2048, 1), 14732, 0,
+            (307.2000000000004, 81.92000000000004, 491.5200000000004,
+             1215.46875, 3840.0, 82.4, 12.64)),
+        8: (52, 130.0, (52, 416, 64, 2048, 1), 3745, 390,
+            (307.2000000000002, 81.92000000000004, 491.5200000000003,
+             801.5234375, 3840.0, 82.4, 12.64)),
+    }
+
+    @pytest.mark.parametrize("fast_path", [True, False], ids=["fast", "naive"])
+    @pytest.mark.parametrize("n_wavelengths", sorted(LONE_STREAM))
+    def test_a_stream_costs_its_source_a_bounded_number_of_ticks(
+            self, monkeypatch, n_wavelengths, fast_path):
+        """The source hands its stream over at the ACK and the fabric's
+        stream pass plays it: on the fast path the source is ticked in
+        the ACK's cycle and the next, however many steps the stream
+        takes, and every count is what a source stepped through the
+        stream left."""
+        steps, latency, channel, source_cycles, dst_cycles, energy = (
+            self.LONE_STREAM[n_wavelengths])
+        sim, noc = make_noc()
+        sim.fast_path = fast_path
+        noc._plan = TxPlan(n_wavelengths=n_wavelengths, wavelength_ids=(),
+                           reservation_cycles=1)
+        ticked, acked, ended = [], [], []
+        for method, seen in (("tick", ticked),
+                             ("on_reservation_response", acked),
+                             ("end_stream", ended)):
+            def spy(self, *args, _original=getattr(ClusterGateway, method),
+                    _seen=seen):
+                if self.cluster_id == 0:
+                    _seen.append(sim.cycle)
+                return _original(self, *args)
+            monkeypatch.setattr(ClusterGateway, method, spy)
+        noc.submit(packet(src=0, dst=8))
+        sim.run(600)
+        noc.finalize()
+        (ack,), (end,) = acked, ended
+        assert end - ack == steps - 1
+        during = [cycle for cycle in ticked if ack <= cycle <= end]
+        assert during == ([ack, ack + 1] if fast_path
+                          else list(range(ack, end + 1)))
+        source, dst = noc.gateways[0], noc.gateways[2]
+        assert noc.metrics.latency.mean == latency
+        assert (source.channel.busy_cycles,
+                source.channel.wavelength_cycles_lit,
+                source.channel.flits_transmitted,
+                source.channel.bits_transmitted,
+                source.channel.packets_transmitted) == channel
+        assert source.buffer_flit_cycles() == source_cycles
+        assert dst.buffer_flit_cycles() == dst_cycles
+        e = noc.energy.breakdown
+        assert (e.launch_pj, e.modulation_pj, e.tuning_pj, e.buffer_pj,
+                e.router_pj, e.demodulation_pj, e.reservation_pj) == energy
 
     def test_serial_use_of_write_channel(self):
         """Two packets from one cluster share its single write channel,

@@ -5,7 +5,10 @@ on, and the engine jumps every span in which no gateway is due. The
 naive loop ticks every gateway that holds a flit or a transmission,
 every cycle. A Hypothesis property drives both over random workloads --
 near-idle to past the knee, with one-packet RX buffers that make
-reservations NACK, back off and abandon -- and holds the wake law
+reservations NACK, back off and abandon, and with one, two or sixteen
+VCs per port, so that front packets wait for a VC a stream's drain
+frees (one VC) and a port drains one VC while the next streams (two)
+-- and holds the wake law
 (``simulate(audit=1)``) all through the fast run: the two must agree
 on every metric, every energy addend and every channel count, the lit
 stream steps a sleeping gateway skipped included. Derandomized at the
@@ -59,10 +62,12 @@ def observed(fast_path, arch_name, pattern, offered, seed, config):
     offered=st.sampled_from([5.0, 40.0, 300.0, 900.0]),
     seed=st.integers(1, 2 ** 16),
     swamped=st.booleans(),
+    n_vcs=st.sampled_from([1, 2, 16]),
 )
 def test_the_wake_schedule_matches_the_naive_gating(arch, pattern, offered,
-                                                    seed, swamped):
-    config = SystemConfig(bw_set=BW_SET_1, **(SWAMPED if swamped else {}))
+                                                    seed, swamped, n_vcs):
+    config = SystemConfig(bw_set=BW_SET_1, n_vcs=n_vcs,
+                          **(SWAMPED if swamped else {}))
     fast = observed(True, arch, pattern, offered, seed, config)
     naive = observed(False, arch, pattern, offered, seed, config)
     assert fast == naive

@@ -16,6 +16,7 @@ import pytest
 
 from repro.api.session import Session
 from repro.arch.config import SystemConfig
+from repro.arch.base import PhotonicCrossbarNoC
 from repro.arch.photonic_router import ClusterGateway
 from repro.dba.allocator import WavelengthAllocator
 from repro.dba.tables import CurrentTable
@@ -222,8 +223,8 @@ def test_gateway_held_counter_matches_enumeration():
 
 def test_the_wake_law_holds_while_packets_wait_for_a_vc(monkeypatch):
     """With one VC per port and swamped RX buffers, front packets wait
-    for a VC: a stream's last feed frees one for the next cycle, an
-    abandon (in the reservation stage) for the same cycle. Neither may
+    for a VC: a stream's drain frees one the cycle after its last feed,
+    an abandon (in the reservation stage) the same cycle. Neither may
     leave the waiting packet's gateway asleep: ``simulate(audit=1)``
     holds the wake law all through a run in which an abandon frees a
     VC a packet waits for."""
@@ -231,7 +232,9 @@ def test_the_wake_law_holds_while_packets_wait_for_a_vc(monkeypatch):
     abandon = ClusterGateway._abandon_packet
 
     def counting(self, cycle):
-        port = self._tx_port
+        port = self.inputs[self._tx_slot]
+        if port.drain is not None:
+            port.catch_up(cycle)  # as the abandon does first: exact counts
         waiting = any(
             pipe and self._pipe_active_vc[slot] is None
             and self.inputs[slot] is port and 0 not in port.counts
@@ -250,10 +253,11 @@ def test_the_wake_law_holds_while_packets_wait_for_a_vc(monkeypatch):
 
 def _launch_skipping_dst_held(original):
     def mutant(self, cycle):
-        dst = self._tx_dst
-        before = dst._held
+        before = {stream[4]: stream[4]._held
+                  for stream in self._streams.get(cycle, ())}
         original(self, cycle)
-        dst._held = before  # the launch's ``dst._held += n`` never happened
+        for dst, held in before.items():
+            dst._held = held  # a launch's ``dst._held += n`` never happened
     return mutant
 
 
@@ -286,12 +290,13 @@ def _open_fill_total_drifting(original):
     return mutant
 
 
-def _launch_leaving_dst_asleep(original):
+def _landing_leaving_dst_asleep(original):
     def mutant(self, cycle):
-        dst = self._tx_dst
-        wake = dst._wake
+        wakes = {dst: dst._wake
+                 for _n, (_buffer, dst, _src) in self._landings[0][1]}
         original(self, cycle)
-        dst._wake = wake  # a launch's flits never wake the destination
+        for dst, wake in wakes.items():
+            dst._wake = wake  # flits landing never wake the destination
     return mutant
 
 
@@ -305,10 +310,10 @@ def _dropping_the_due_it_adds(original):
 
 
 def _vc_free_leaving_the_inject_stage_asleep(original):
-    def mutant(self, cycle):
+    def mutant(self, reservation, accepted):
         due = self._inject_due
-        original(self, cycle)
-        self._inject_due = due  # a packet waiting for a VC never learns
+        original(self, reservation, accepted)
+        self._inject_due = due  # a packet waiting for the VC never learns
     return mutant
 
 
@@ -326,9 +331,9 @@ WAKE_LAW = r"gateway \d+: _wake is .*, (its state is due|asleep while a stage wa
 
 
 @pytest.mark.parametrize("owner,method,mutate,law", [
-    pytest.param(ClusterGateway, "_tx_stream", _launch_skipping_dst_held,
-                 r"gateway \d+: _held is",
-                 id="_tx_stream-_launch_skipping_dst_held-_held"),
+    pytest.param(PhotonicCrossbarNoC, "_stream_pass",
+                 _launch_skipping_dst_held, r"gateway \d+: _held is",
+                 id="_stream_pass-_launch_skipping_dst_held-_held"),
     pytest.param(ClusterGateway, "_eject_step", _tail_leaving_rx_ready_stale,
                  r"gateway \d+: _rx_ready is",
                  id="_eject_step-_tail_leaving_rx_ready_stale-_rx_ready"),
@@ -338,8 +343,8 @@ WAKE_LAW = r"gateway \d+: _wake is .*, (its state is due|asleep while a stage wa
     pytest.param(ClusterGateway, "_inject_step", _open_fill_total_drifting,
                  r"d-hetpnoc: _filling is \d+, the gateways' open fills give",
                  id="open-fill-total-drifting"),
-    pytest.param(ClusterGateway, "_tx_stream", _launch_leaving_dst_asleep,
-                 WAKE_LAW, id="wake-dropped-on-a-launch"),
+    pytest.param(PhotonicCrossbarNoC, "_land", _landing_leaving_dst_asleep,
+                 WAKE_LAW, id="wake-dropped-on-a-landing"),
     pytest.param(ReservationBroadcastChannel, "broadcast",
                  _dropping_the_due_it_adds, WAKE_LAW,
                  id="wake-dropped-on-a-reservation"),
@@ -349,7 +354,7 @@ WAKE_LAW = r"gateway \d+: _wake is .*, (its state is due|asleep while a stage wa
     pytest.param(ClusterGateway, "try_submit",
                  _submit_leaving_the_gateway_asleep, WAKE_LAW,
                  id="wake-dropped-on-a-submit"),
-    pytest.param(ClusterGateway, "_tx_stream",
+    pytest.param(ClusterGateway, "on_reservation_response",
                  _vc_free_leaving_the_inject_stage_asleep, WAKE_LAW,
                  id="wake-dropped-on-a-vc-free"),
 ])
@@ -365,10 +370,10 @@ def test_gateway_audit_catches_a_planted_fault(monkeypatch, owner, method,
     Each packet fills its VC over 8 cycles, so fills open and close
     from the first cycle; with one VC per port, each second packet waits
     for its first to stream out. The last five rows each drop one
-    hand-off's wake, leaving asleep with a stage due: the destination of
-    a launch, the reservation channel of a reservation or a response,
-    the gateway a packet is submitted to, and the inject stage of a
-    gateway whose stream frees the VC a packet waits for.
+    hand-off's wake, leaving asleep with a stage due: the destination
+    flits land at, the reservation channel of a reservation or a
+    response, the gateway a packet is submitted to, and the inject stage
+    of a gateway whose ACKed stream drains the VC a packet waits for.
     """
     from repro.arch.registry import architectures
     from repro.noc.flit import Packet

@@ -568,6 +568,19 @@ class TestRobustness:
                 ("127.0.0.1", 1), connect_attempts=1, connect_timeout=0.2
             )
 
+    def test_stop_joins_the_threads_it_started(self):
+        """A stopped service leaves no thread behind, and stops at once:
+        its accept loop, monitor, runners and lane wait on what ``stop``
+        signals, not out a poll (a ``service_job`` op stops a service)."""
+        before = threading.active_count()
+        for _ in range(3):
+            service = ExperimentService()
+            service.start()
+            began = time.perf_counter()
+            service.stop()
+            assert time.perf_counter() - began < 0.2
+            assert threading.active_count() == before
+
 
 # ---------------------------------------------------------------------------
 # CLI: run --spec --service

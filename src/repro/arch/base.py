@@ -28,11 +28,11 @@ from collections import deque
 from dataclasses import dataclass, field, fields
 from functools import reduce
 from itertools import repeat
-from operator import add, itemgetter
+from operator import add
 from typing import Deque, Dict, List, Tuple
 
 from repro.arch.config import SystemConfig
-from repro.arch.photonic_router import ClusterGateway, StreamPlans, TxPlan
+from repro.arch.photonic_router import ClusterGateway, TxPlan
 from repro.energy.model import EnergyAccount
 from repro.noc.flit import Flit, Packet
 from repro.photonic.reservation import ReservationFlit
@@ -259,11 +259,13 @@ class PhotonicCrossbarNoC(NoCArchitecture):
     many times once per cycle: the same sequence of ``+=`` the account
     would see flit by flit.
 
-    A stream is no gateway's stage: at its ACK the source hands it over
-    (:meth:`hand_off`), and :meth:`tick_fabric` lands the launches due
-    before the gateways tick (:meth:`_land`) and plays the streams'
-    events after (:meth:`_stream_pass`, in source-cluster order: only
-    streams add to ``launch_pj``, ``modulation_pj`` and ``tuning_pj``).
+    A stream is no gateway's stage: a source streams one packet at a
+    time and keeps its stream's plan and next event from the ACK on
+    (``ClusterGateway._tx_events``, ``_tx_index``, ``_tx_due``), and
+    :meth:`tick_fabric` lands the launches due before the gateways tick
+    (:meth:`_land`) and plays the events due after (:meth:`_stream_pass`,
+    in gateway order, which is source-cluster order: only streams add to
+    ``launch_pj``, ``modulation_pj`` and ``tuning_pj``).
 
     On the engine's fast path :meth:`tick_fabric` ticks only the gateways
     whose wake cycle has come (``ClusterGateway._wake``), and
@@ -280,7 +282,6 @@ class PhotonicCrossbarNoC(NoCArchitecture):
 
     def __init__(self, sim: Simulator, config: SystemConfig):
         super().__init__(sim, config)
-        self.stream_plans = StreamPlans(self.energy.params)
         self._propagation = config.data_propagation_cycles
         self._flit_bits = 0  # the run's flit width, fixed by the first packet
         self._buffer_addend = self._router_addend = 0.0
@@ -288,9 +289,8 @@ class PhotonicCrossbarNoC(NoCArchitecture):
         self._buffer_flits = self._switched_flits = 0
         #: The earliest gateway wake or stream event (``NEVER``: none).
         self._next_wake = NEVER
-        #: The live streams (see :meth:`hand_off`) by the cycle of their
-        #: next event, and the earliest of those cycles.
-        self._streams: Dict[int, List[list]] = {}
+        #: The earliest of the gateways' next stream events (an ACK
+        #: lowers it, the stream pass sets it).
         self._stream_due = NEVER
         #: Launches on the waveguides, by landing cycle (ascending):
         #: ``(cycle, [(flits, (RX buffer, destination, source)), ...])``.
@@ -356,8 +356,8 @@ class PhotonicCrossbarNoC(NoCArchitecture):
         if cycle >= self._stream_due:
             self._stream_pass(cycle)
         # While a gateway is awake the fabric is due next cycle; else at
-        # the first wake, stream event or landing (a hand-off or the
-        # pass may lower wakes already passed).
+        # the first wake, stream event or landing (an ACK or the pass
+        # may lower wakes already passed).
         if awake:
             self._next_wake = cycle + 1
         else:
@@ -377,53 +377,43 @@ class PhotonicCrossbarNoC(NoCArchitecture):
                 add, repeat(self._router_addend, switched), breakdown.router_pj)
             self._buffer_flits = self._switched_flits = 0
 
-    def hand_off(self, cycle: int, stream: list) -> None:
-        """Take a stream ACKed at *cycle*, first event now: ``[source
-        cluster, next event's index, events, source, destination, (RX
-        buffer, destination, source cluster), ACK cycle]``."""
-        self._streams.setdefault(cycle, []).append(stream)
-        self._stream_due = cycle
-
     def _stream_pass(self, cycle: int) -> None:
-        """The streams' events at *cycle*: a launch adds its transmit
-        addends, moves its flits to the destination's held count and
-        queues their landing; the last ends the stream. Flits fed are
-        counted into this cycle's per-flit charges (read and switched)."""
-        buckets = self._streams
-        streams = buckets.pop(cycle)
-        if len(streams) > 1:
-            streams.sort(key=itemgetter(0))  # source-cluster order
+        """The streams' events at *cycle*, in gateway order: a launch adds
+        its transmit addends, moves its flits to the destination's held
+        count and queues their landing; the last ends the stream. Flits
+        fed are counted into this cycle's per-flit charges (read and
+        switched)."""
         breakdown = self.energy.breakdown
         # Each field's addends, one after another, in stream order.
         launch_pj, modulation_pj, tuning_pj = (
             breakdown.launch_pj, breakdown.modulation_pj, breakdown.tuning_pj)
         fed_flits = 0
         landing = []
-        for stream in streams:
-            index = stream[1]
-            gap, fed, launched, launch, modulation, tuning, _step = (
-                stream[2][index])
-            fed_flits += fed
-            if launched:
-                launch_pj += launch
-                modulation_pj += modulation
-                tuning_pj += tuning
-                stream[3]._held -= launched
-                stream[4]._held += launched
-                landing.append((launched, stream[5]))
-                if not gap:
-                    stream[3].end_stream(cycle)
-                    continue
-            stream[1] = index + 1
-            due = cycle + gap
-            bucket = buckets.get(due)
-            if bucket is None:
-                buckets[due] = [stream]
-            else:
-                bucket.append(stream)
+        stream_due = NEVER
+        for gateway in self.gateways:
+            due = gateway._tx_due
+            if due == cycle:
+                index = gateway._tx_index
+                gap, fed, launched, launch, modulation, tuning, _step = (
+                    gateway._tx_events[index])
+                fed_flits += fed
+                if launched:
+                    launch_pj += launch
+                    modulation_pj += modulation
+                    tuning_pj += tuning
+                    gateway._held -= launched
+                    gateway._tx_dst._held += launched
+                    landing.append((launched, gateway._tx_landing))
+                    if not gap:
+                        gateway.end_stream(cycle)
+                        continue
+                gateway._tx_index = index + 1
+                due = gateway._tx_due = cycle + gap
+            if due < stream_due:
+                stream_due = due
         breakdown.launch_pj, breakdown.modulation_pj, breakdown.tuning_pj = (
             launch_pj, modulation_pj, tuning_pj)
-        self._stream_due = min(buckets) if buckets else NEVER
+        self._stream_due = stream_due
         self._switched_flits += fed_flits
         if landing:
             self._landings.append((cycle + self._propagation, landing))
@@ -472,23 +462,20 @@ class PhotonicCrossbarNoC(NoCArchitecture):
 
     def settle(self, cycle: int) -> None:
         """Count each stream's steps before *cycle* into its channel's
-        busy, lit, flit and bit counts, and apply each VC drain's feeds
-        before it."""
+        busy, lit, flit and bit counts, and apply its VC's feeds before
+        it (a drain ends with its stream: no other port has one)."""
         for gateway in self.gateways:
             gateway.settle_stream(cycle)
-            for port in gateway.inputs:
-                if port.drain is not None:
-                    port.catch_up(cycle)
 
     def release(self) -> None:
         """Also drop each gateway's way back: the fabric, its claimed
         packet's destination and its reservations in flight (they carry
         gateways' bound methods)."""
         super().release()
-        self._streams = {}
         self._landings.clear()
         for gateway in self.gateways:
-            gateway.arch = gateway._tx_dst = gateway.reservation_channel = None
+            gateway.arch = gateway._tx_dst = gateway._tx_landing = None
+            gateway.reservation_channel = None
 
     def audit(self) -> None:
         for gateway in self.gateways:
@@ -499,19 +486,21 @@ class PhotonicCrossbarNoC(NoCArchitecture):
                 f"{self.name}: _filling is {self._filling}, the gateways' "
                 f"open fills give {fills}"
             )
-        # Each stream waits for its first event at or after now, the
-        # pass is due at the earliest, and launches land after now.
+        # Each stream waits for its first event at or after now (a
+        # gateway with no stream, at ``NEVER``), the pass is due at the
+        # earliest, and launches land after now.
         now = self.sim.cycle
-        for due, streams in self._streams.items():
-            for stream in streams:
-                index, events, start = stream[1], stream[2], stream[6]
-                first = sum(start + event[6] < now for event in events)
-                if index != first or due != start + events[index][6]:
-                    raise SimulationError(
-                        f"{self.name}: the stream from cluster {stream[0]} "
-                        f"waits at {due} for event {index}, its plan's "
-                        f"next is event {first}")
-        due = min(self._streams, default=NEVER)
+        for gateway in self.gateways:
+            index, events = gateway._tx_index, gateway._tx_events
+            start, due = gateway._tx_start, gateway._tx_due
+            first = sum(start + event[6] < now for event in events)
+            if index != first or due != (
+                    start + events[index][6] if index < len(events) else NEVER):
+                raise SimulationError(
+                    f"{self.name}: the stream from cluster "
+                    f"{gateway.cluster_id} waits at {due} for event {index}, "
+                    f"its plan's next is event {first}")
+        due = min(gateway._tx_due for gateway in self.gateways)
         landing = [cycle for cycle, _launches in self._landings]
         if self._stream_due != due or landing != sorted(set(landing)) or (
                 landing and landing[0] < now):

@@ -26,10 +26,12 @@ and a count of its flits, never flit objects.
 Store-and-forward also fixes two things ahead of time. A packet that
 takes a VC has its tail in ``n_flits - 1`` cycles later (a *fill*), and a
 packet whose reservation is ACKed streams on a cadence fixed by its
-wavelengths and flit widths (a *stream plan*, :class:`StreamPlans`). The
-gateway works from both instead of recomputing them every cycle: at the
-ACK it hands the stream to the fabric, whose stream pass plays the plan
-(:meth:`~repro.arch.base.PhotonicCrossbarNoC.tick_fabric`), so neither
+wavelengths and flit widths (a *stream plan*, :func:`stream_plan`, built
+once per process). The gateway works from both instead of recomputing
+them every cycle: a source streams one packet at a time, so at the ACK
+it keeps its stream's plan and next event (``_tx_events``,
+``_tx_index``, ``_tx_due``), and the fabric's stream pass plays them
+(:meth:`~repro.arch.base.PhotonicCrossbarNoC.tick_fabric`): neither
 gateway is ticked for a stream step.
 
 Energy is charged to the shared :class:`~repro.energy.model.EnergyAccount`
@@ -143,10 +145,11 @@ class InputPort(_Resident):
 
     A streaming VC *drains* on its plan's feeds, applied in closed form
     when the port is next touched (:meth:`catch_up`: by the inject
-    stage, an abandon, the next drain, the engine's settle). ``drain``
-    is ``[vc, ACK cycle, flits fed by each step, the sums of step x
-    flits fed, the last cycle applied]``; the VC frees at ``ACK cycle +
-    len(flits fed by each step)``.
+    stage, the engine's settle, and the stream's end, which applies the
+    last feeds, so no drain outlives its stream). ``drain`` is ``[vc,
+    ACK cycle, flits fed by each step, the sums of step x flits fed, the
+    last cycle applied]``; the VC frees at ``ACK cycle + len(flits fed by
+    each step)``.
     """
 
     __slots__ = ("vc_depth", "packets", "counts", "complete", "fill_end",
@@ -216,75 +219,61 @@ class RxBuffer(_Resident):
         return self.depth - self.occupancy
 
 
-class StreamPlans(dict):
-    """An architecture's stream plans, built on first use.
+#: Every stream plan this process has built, by ``(energy parameters,
+#: key)``: see :func:`stream_plan`.
+_PLANS: Dict[Tuple[PhotonicEnergyParams, tuple], tuple] = {}
 
-    Keyed by ``(n_wavelengths, clock_hz, queue-target width, fed width,
+
+def stream_plan(params: PhotonicEnergyParams, key: tuple) -> tuple:
+    """The plan of the stream *key* names under *params*, built on first
+    use in the process: ``(events, flits launched by each step, flits fed
+    by each step to the last feed, the sums of step x flits fed by
+    each)``.
+
+    *key* is ``(n_wavelengths, clock_hz, queue-target width, fed width,
     n_flits)``: everything a store-and-forward stream's cadence depends
     on (the queue target is sized by the configured flit width, the
-    flits fed have the packet's). A plan holds one ``(fed, launched,
-    bits, launch_pj, modulation_pj, tuning_pj)`` step per streaming
-    cycle, ACK cycle first: what :meth:`DataChannel.top_up` queues and
-    :meth:`DataChannel.tick` launches that cycle, the bits launched, and
-    the three addends ``charge_photonic_transmit`` makes for them (read
-    off a fresh account). It is built by stepping a real
-    :class:`DataChannel` once, so its ``bit_credit`` history is the
-    channel's own.
-
-    :meth:`stream` gives the tables a hand-off takes, built with the
-    plan: its *events*, one ``(gap to the next, fed, launched, the three
-    addends, step)`` per step that launches or feeds (the last, gap 0,
-    launches the last flit), and the flits launched and fed by each step.
+    flits fed have the packet's). A *step* is one streaming cycle, ACK
+    cycle first: what :meth:`DataChannel.top_up` queues and
+    :meth:`DataChannel.tick` launches that cycle, read off a real channel
+    stepped once, so its ``bit_credit`` history is the channel's own.
+    The *events* are one ``(gap to the next, fed, launched, launch_pj,
+    modulation_pj, tuning_pj, step)`` per step that feeds or launches
+    (the last, gap 0, launches the last flit): the three addends are
+    those ``charge_photonic_transmit`` makes for the bits launched (read
+    off a fresh account).
     """
-
-    def __init__(self, params: PhotonicEnergyParams):
-        super().__init__()
-        self._params = params
-        self._streams: Dict[tuple, tuple] = {}
-
-    def stream(self, key: tuple) -> tuple:
-        """``(events, flits launched by each step, flits fed by each
-        step to the last feed, the sums of step x flits fed by each)``
-        of *key*'s plan."""
-        if key not in self._streams:
-            self[key]  # builds the plan and its tables
-        return self._streams[key]
-
-    def __missing__(self, key: tuple) -> Tuple[tuple, ...]:
-        n_wavelengths, clock_hz, queue_bits, flit_bits, n_flits = key
-        channel = DataChannel(0, clock_hz=clock_hz)
-        channel.begin(ReservationFlit(0, 1, 0, n_flits), n_flits, queue_bits,
-                      n_wavelengths, 0)
-        account = EnergyAccount(self._params, clock_hz)
-        steps: list = []
-        distinct: dict = {}  # a plan repeats a few steps: hold each once
-        while channel.busy:
-            fed = channel.top_up(flit_bits)
-            launched = channel.tick(len(steps))
-            bits = flit_bits * launched
-            account.reset()
-            account.charge_photonic_transmit(bits)
-            charged = account.breakdown
-            step = (fed, launched, bits, charged.launch_pj,
-                    charged.modulation_pj, charged.tuning_pj)
-            steps.append(distinct.setdefault(step, step))
-        # The VC holds the whole packet, so a top-up never leaves the
-        # modulators empty: a stream never stalls.
-        assert not channel.stalled_cycles
-        plan = self[key] = tuple(steps)
-        active = [index for index, step in enumerate(plan)
-                  if step[0] or step[1]]
-        events = [(after - index, fed, launched, *addends, index)
-                  for index, after, (fed, launched, _bits, *addends) in zip(
-                      active, [*active[1:], active[-1]],
-                      (plan[index] for index in active))]
-        launched_by = tuple(accumulate(step[1] for step in plan))
-        fed_by = tuple(accumulate(step[0] for step in plan))
-        feeds = range(fed_by.index(n_flits) + 1)
-        self._streams[key] = (
-            tuple(events), launched_by, fed_by[:len(feeds)],
-            tuple(accumulate(index * plan[index][0] for index in feeds)))
+    plan = _PLANS.get((params, key))
+    if plan is not None:
         return plan
+    n_wavelengths, clock_hz, queue_bits, flit_bits, n_flits = key
+    channel = DataChannel(0, clock_hz=clock_hz)
+    channel.begin(ReservationFlit(0, 1, 0, n_flits), n_flits, queue_bits,
+                  n_wavelengths, 0)
+    steps: List[Tuple[int, int]] = []  # (fed, launched)
+    while channel.busy:
+        steps.append((channel.top_up(flit_bits), channel.tick(len(steps))))
+    # The VC holds the whole packet, so a top-up never leaves the
+    # modulators empty: a stream never stalls.
+    assert not channel.stalled_cycles
+    account = EnergyAccount(params, clock_hz)
+    active = [step for step, (fed, launched) in enumerate(steps)
+              if fed or launched]
+    events = []
+    for step, after in zip(active, [*active[1:], active[-1]]):
+        fed, launched = steps[step]
+        account.reset()
+        account.charge_photonic_transmit(flit_bits * launched)
+        charged = account.breakdown
+        events.append((after - step, fed, launched, charged.launch_pj,
+                       charged.modulation_pj, charged.tuning_pj, step))
+    fed_by = tuple(accumulate(fed for fed, _launched in steps))
+    feeds = range(fed_by.index(n_flits) + 1)
+    plan = _PLANS[params, key] = (
+        tuple(events), tuple(accumulate(launched for _fed, launched in steps)),
+        fed_by[:len(feeds)],
+        tuple(accumulate(step * steps[step][0] for step in feeds)))
+    return plan
 
 
 class ClusterGateway:
@@ -426,9 +415,9 @@ class ClusterGateway:
             self._inject_step(cycle)
             worked = True
         # TX FSM: one dispatch on the state the stage is entered in (an
-        # ACK arrives in the reservation stage above and hands the
-        # stream over; a state entered here is first acted on next
-        # cycle; the stream pass ends a stream after the ticks).
+        # ACK arrives in the reservation stage above and starts the
+        # stream; a state entered here is first acted on next cycle; the
+        # stream pass plays and ends a stream after the ticks).
         state = self._tx_state
         if state == _IDLE:
             if self._tx_waiting:
@@ -651,28 +640,26 @@ class ClusterGateway:
             key = (plan.n_wavelengths, config.clock_hz,
                    config.bw_set.flit_bits, packet.flit_bits, packet.n_flits)
             events, self._tx_launched_by, fed_by, weighted = (
-                self.arch.stream_plans.stream(key))
+                stream_plan(self._energy.params, key))
             self._tx_start = cycle
             self._tx_counted = 0
             self._tx_state = self.STREAMING
-            # The VC drains on the plan's feeds from now (an earlier
-            # stream's drain of the port is done: apply it first), and a
-            # front packet waiting for a VC of the port is due after the
-            # last feed. The destination's RX buffer takes the packet.
+            # The VC drains on the plan's feeds from now, and a front
+            # packet waiting for a VC of the port is due after the last
+            # feed. The destination's RX buffer takes the packet, and the
+            # fabric's stream pass plays the first event now.
             slot = self._tx_slot
-            port = self.inputs[slot]
-            if port.drain is not None:
-                port.catch_up(cycle)
-            port.settle(cycle)
-            port.drain = [self._tx_vc, cycle, fed_by, weighted, cycle - 1]
+            self.inputs[slot].drain = [self._tx_vc, cycle, fed_by, weighted,
+                                       cycle - 1]
             if (self._pipes[slot] and self._pipe_active_vc[slot] is None
                     and cycle + len(fed_by) < self._inject_due):
                 self._inject_due = cycle + len(fed_by)
             buffer = dst.rx_buffers[self.cluster_id]
             buffer.fifo.append([packet, packet.n_flits])
-            self.arch.hand_off(cycle, [
-                self.cluster_id, 0, events, self, dst,
-                (buffer, dst, self.cluster_id), cycle])
+            self._tx_landing = (buffer, dst, self.cluster_id)
+            self._tx_events, self._tx_index, self._tx_due = events, 0, cycle
+            arch = self.arch
+            arch._stream_due = min(arch._stream_due, cycle)
             return
         self._tx_retries += 1
         self.arch.metrics.packets_dropped_flits += 1
@@ -689,8 +676,6 @@ class ClusterGateway:
         slot, vc, packet = self._tx_slot, self._tx_vc, self._tx_packet
         assert slot is not None and vc is not None and packet is not None
         port = self.inputs[slot]
-        if port.drain is not None:
-            port.catch_up(cycle)
         n = port.counts[vc]
         port.settle(cycle)
         port.occupancy -= n
@@ -713,15 +698,20 @@ class ClusterGateway:
         self._tx_reservation: Optional[ReservationFlit] = None
         self._tx_plan: Optional[TxPlan] = None
         self._tx_retries = 0
-        #: The streaming packet's flits launched by each step, the ACK
-        #: cycle (step *i* is cycle ``_tx_start + i``'s) and the steps
-        #: counted into the channel's counts.
+        #: The stream: its plan's events, the next one's index and cycle
+        #: (``NEVER``: none), where its launches land, its flits launched
+        #: by each step, the ACK cycle (step *i* is cycle ``_tx_start +
+        #: i``'s) and the steps counted into the channel's counts.
+        self._tx_events: tuple = ()
+        self._tx_index, self._tx_due = 0, NEVER
+        self._tx_landing: Optional[tuple] = None
         self._tx_launched_by: tuple = ()
         self._tx_start = self._tx_counted = 0
 
     def end_stream(self, cycle: int) -> None:
         """The stream's last launch was at *cycle*: count it into the
-        channel and free the FSM (due next cycle if a packet waits)."""
+        channel, apply its VC's last feeds (none comes later) and free
+        the FSM (due next cycle if a packet waits)."""
         self.settle_stream(cycle + 1)
         self.channel.packets_transmitted += 1
         self._clear_tx()
@@ -730,8 +720,12 @@ class ClusterGateway:
 
     def settle_stream(self, cycle: int) -> None:
         """Count into the channel's busy, lit, flit and bit counts the
-        steps of the stream before *cycle* not counted yet."""
+        steps of the stream before *cycle* not counted yet, and apply its
+        VC's feeds before *cycle*."""
         if self._tx_state == _STREAMING:
+            port = self.inputs[self._tx_slot]
+            if port.drain is not None:
+                port.catch_up(cycle)
             done, counted = cycle - self._tx_start, self._tx_counted
             if done > counted:
                 self._tx_counted = done
@@ -758,7 +752,7 @@ class ClusterGateway:
         would compute."""
         arch = self.arch
         metrics = arch.metrics
-        ejected = ejected_bits = 0
+        ejected = 0
         for slot, ready in enumerate(self._rx_ready):
             if not ready:
                 continue
@@ -788,19 +782,18 @@ class ClusterGateway:
                 # later slot then sees it this very cycle, as always).
                 ready.discard(src)
                 self._rx_ready[fifo[0][0].dst % self._cores].add(src)
-            packet = entry[0]
             ejected += 1
-            ejected_bits += packet.flit_bits
             if tail:
                 metrics.packets_delivered += 1
                 metrics.packets_delivered_photonic += 1
-                metrics.latency.add(cycle - packet.created_cycle)
+                metrics.latency.add(cycle - entry[0].created_cycle)
                 self._energy.note_message_delivered()
         # Each flit ejected is read out of the RX buffer and crosses the
         # destination's electronic switch to its core.
         arch._switched_flits += ejected
         self._held -= ejected
         metrics.flits_delivered += ejected
+        ejected_bits = ejected * arch._flit_bits  # the run's one flit width
         metrics.bits_delivered += ejected_bits
         metrics.bits_delivered_photonic += ejected_bits
 
@@ -903,13 +896,13 @@ class ClusterGateway:
         # to come, those handed over here not landed yet.
         queued = in_flight = 0
         unlanded = dict.fromkeys(self.rx_buffers, 0)
-        for streams in self.arch._streams.values():
-            for src, _index, events, source, dst, _rx, start in streams:
-                for _gap, fed, launched, *_pj, step in events:
-                    if source is self and start + step < now:
-                        queued += fed - launched
-                    if dst is self and start + step >= now:
-                        unlanded[src] += launched
+        for source in self.arch.gateways:
+            start = source._tx_start
+            for _gap, fed, launched, *_pj, step in source._tx_events:
+                if source is self and start + step < now:
+                    queued += fed - launched
+                if source._tx_dst is self and start + step >= now:
+                    unlanded[source.cluster_id] += launched
         for _due, landings in self.arch._landings:
             for n, (_buffer, dst, src) in landings:
                 if dst is self:

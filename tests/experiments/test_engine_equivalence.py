@@ -25,7 +25,7 @@ from repro.experiments.runner import Fidelity, attach_traffic, wire_run
 from repro.photonic.channel import ReservationBroadcastChannel
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.traffic.bandwidth_sets import BW_SET_1
+from repro.traffic.bandwidth_sets import BW_SET_1, BW_SET_3
 from repro.traffic.generator import TrafficGenerator
 from repro.traffic.patterns import pattern_by_name
 from repro.traffic.trace import TraceReplayGenerator, TrafficTrace
@@ -232,9 +232,9 @@ def test_the_wake_law_holds_while_packets_wait_for_a_vc(monkeypatch):
     abandon = ClusterGateway._abandon_packet
 
     def counting(self, cycle):
+        # No drain outlives its stream, so the port's counts are exact.
         port = self.inputs[self._tx_slot]
-        if port.drain is not None:
-            port.catch_up(cycle)  # as the abandon does first: exact counts
+        assert all(port.drain is None for port in self.inputs)
         waiting = any(
             pipe and self._pipe_active_vc[slot] is None
             and self.inputs[slot] is port and 0 not in port.counts
@@ -253,8 +253,8 @@ def test_the_wake_law_holds_while_packets_wait_for_a_vc(monkeypatch):
 
 def _launch_skipping_dst_held(original):
     def mutant(self, cycle):
-        before = {stream[4]: stream[4]._held
-                  for stream in self._streams.get(cycle, ())}
+        before = {gateway._tx_dst: gateway._tx_dst._held
+                  for gateway in self.gateways if gateway._tx_due == cycle}
         original(self, cycle)
         for dst, held in before.items():
             dst._held = held  # a launch's ``dst._held += n`` never happened
@@ -300,6 +300,15 @@ def _landing_leaving_dst_asleep(original):
     return mutant
 
 
+def _stream_end_leaving_its_drain(original):
+    def mutant(self, cycle):
+        port = self.inputs[self._tx_slot]
+        drain, port.drain = port.drain, None
+        original(self, cycle)
+        port.drain = drain  # the VC's last feeds are never applied
+    return mutant
+
+
 def _dropping_the_due_it_adds(original):
     def mutant(self, *args, **kwargs):
         due = self.due
@@ -330,69 +339,88 @@ def _submit_leaving_the_gateway_asleep(original):
 WAKE_LAW = r"gateway \d+: _wake is .*, (its state is due|asleep while a stage was due)"
 
 
-@pytest.mark.parametrize("owner,method,mutate,law", [
+#: Where a planted fault runs: the architecture, its config and the
+#: packets queued before the first cycle, ``(source core, destination
+#: core, flits)``, of the config's flit width.
+#:
+#: Three clusters each queue a packet for core 0 and then one for core 1
+#: (8 x 256-bit flits): the three share core 0's ejection, so each
+#: source's second packet lands behind its first, and the first's tail
+#: leaving must move the source to core 1's ready set (cycle ~33). Each
+#: packet fills its VC over 8 cycles, so fills open and close from the
+#: first cycle; with one VC per port, each second packet waits for its
+#: first to stream out.
+THREE_SOURCES = ("dhetpnoc", SystemConfig(bw_set=BW_SET_3, n_vcs=1),
+                 [(4 * cluster, dst, BW_SET_3.packet_flits)
+                  for cluster in (1, 2, 3) for dst in (0, 1)])
+#: One 8 x 32-bit packet between the two clusters of a Firefly whose
+#: channels are 32 wavelengths wide: its plan's last feed is in its last
+#: launch's cycle, so only the stream's end applies it (an ``audit=1``
+#: run settles, and so applies a drain's feeds, after every cycle).
+LONE_WIDE_STREAM = (
+    "firefly",
+    SystemConfig(bw_set=BW_SET_1, n_clusters=2, cores_per_cluster=32),
+    [(32, 0, 8)])
+
+
+@pytest.mark.parametrize("owner,method,mutate,law,scenario", [
     pytest.param(PhotonicCrossbarNoC, "_stream_pass",
                  _launch_skipping_dst_held, r"gateway \d+: _held is",
+                 THREE_SOURCES,
                  id="_stream_pass-_launch_skipping_dst_held-_held"),
     pytest.param(ClusterGateway, "_eject_step", _tail_leaving_rx_ready_stale,
-                 r"gateway \d+: _rx_ready is",
+                 r"gateway \d+: _rx_ready is", THREE_SOURCES,
                  id="_eject_step-_tail_leaving_rx_ready_stale-_rx_ready"),
     pytest.param(ClusterGateway, "_inject_step", _fill_completion_skipped,
                  r"gateway \d+: inputs\[\d+\]\.fill_end is \d+, its tail was due",
-                 id="fill-completion-skipped"),
+                 THREE_SOURCES, id="fill-completion-skipped"),
     pytest.param(ClusterGateway, "_inject_step", _open_fill_total_drifting,
                  r"d-hetpnoc: _filling is \d+, the gateways' open fills give",
-                 id="open-fill-total-drifting"),
+                 THREE_SOURCES, id="open-fill-total-drifting"),
+    pytest.param(ClusterGateway, "end_stream", _stream_end_leaving_its_drain,
+                 r"gateway \d+: inputs\[\d+\]\.counts\[\d+\] is",
+                 LONE_WIDE_STREAM, id="stream-end-leaving-its-drain"),
     pytest.param(PhotonicCrossbarNoC, "_land", _landing_leaving_dst_asleep,
-                 WAKE_LAW, id="wake-dropped-on-a-landing"),
+                 WAKE_LAW, THREE_SOURCES, id="wake-dropped-on-a-landing"),
     pytest.param(ReservationBroadcastChannel, "broadcast",
-                 _dropping_the_due_it_adds, WAKE_LAW,
+                 _dropping_the_due_it_adds, WAKE_LAW, THREE_SOURCES,
                  id="wake-dropped-on-a-reservation"),
     pytest.param(ReservationBroadcastChannel, "respond",
-                 _dropping_the_due_it_adds, WAKE_LAW,
+                 _dropping_the_due_it_adds, WAKE_LAW, THREE_SOURCES,
                  id="wake-dropped-on-a-response"),
     pytest.param(ClusterGateway, "try_submit",
-                 _submit_leaving_the_gateway_asleep, WAKE_LAW,
+                 _submit_leaving_the_gateway_asleep, WAKE_LAW, THREE_SOURCES,
                  id="wake-dropped-on-a-submit"),
     pytest.param(ClusterGateway, "on_reservation_response",
                  _vc_free_leaving_the_inject_stage_asleep, WAKE_LAW,
-                 id="wake-dropped-on-a-vc-free"),
+                 THREE_SOURCES, id="wake-dropped-on-a-vc-free"),
 ])
 def test_gateway_audit_catches_a_planted_fault(monkeypatch, owner, method,
-                                                mutate, law):
+                                                mutate, law, scenario):
     """Each planted fault is named by ``simulate(audit=1)`` within 50
-    cycles.
+    cycles of its scenario.
 
-    Three clusters each queue a packet for core 0 and then one for core
-    1 (8 x 256-bit flits): the three share core 0's ejection, so each
-    source's second packet lands behind its first, and the first's tail
-    leaving must move the source to core 1's ready set (cycle ~33).
-    Each packet fills its VC over 8 cycles, so fills open and close
-    from the first cycle; with one VC per port, each second packet waits
-    for its first to stream out. The last five rows each drop one
-    hand-off's wake, leaving asleep with a stage due: the destination
-    flits land at, the reservation channel of a reservation or a
-    response, the gateway a packet is submitted to, and the inject stage
-    of a gateway whose ACKed stream drains the VC a packet waits for.
+    The last five rows each drop one hand-off's wake, leaving asleep
+    with a stage due: the destination flits land at, the reservation
+    channel of a reservation or a response, the gateway a packet is
+    submitted to, and the inject stage of a gateway whose ACKed stream
+    drains the VC a packet waits for.
     """
     from repro.arch.registry import architectures
     from repro.noc.flit import Packet
     from repro.sim.engine import SimulationError
     from repro.sim.rng import RandomStreams
-    from repro.traffic.bandwidth_sets import BW_SET_3
     from repro.traffic.patterns import pattern_by_name
 
     monkeypatch.setattr(owner, method, mutate(getattr(owner, method)))
-    config = SystemConfig(bw_set=BW_SET_3, n_vcs=1)
+    arch_name, config, packets = scenario
     sim = Simulator(seed=1)
     pattern = pattern_by_name("uniform").bind(
-        BW_SET_3, config.n_clusters, config.cores_per_cluster)
-    arch = architectures.get("dhetpnoc")(sim, config, pattern)
-    for cluster in (1, 2, 3):
-        for dst in (0, 1):
-            arch.submit(Packet(src=4 * cluster, dst=dst,
-                               n_flits=BW_SET_3.packet_flits,
-                               flit_bits=BW_SET_3.flit_bits))
+        config.bw_set, config.n_clusters, config.cores_per_cluster)
+    arch = architectures.get(arch_name)(sim, config, pattern)
+    for src, dst, n_flits in packets:
+        arch.submit(Packet(src=src, dst=dst, n_flits=n_flits,
+                           flit_bits=config.bw_set.flit_bits))
     run = runner.WiredRun(config, RandomStreams(1), sim, pattern, arch)
     with pytest.raises(SimulationError, match=law):
         run.simulate(50, 0, audit=1)

@@ -115,9 +115,9 @@ def test_no_write_lock_lives_outside_the_backend(needle):
         "active.bits_sent", "started_cycle", "demodulator_on_cycles",
         # Queries and call layers the gateway's per-cycle path replaced
         # (first_free_vc is the one free-VC query; tick dispatches the TX
-        # FSM itself; a stream is handed to the fabric's stream pass at
-        # its ACK, not stepped by its source nor delivered launch by
-        # launch through a destination's queue).
+        # FSM itself; the fabric's stream pass plays a stream from its
+        # ACK, not its source's ticks step it nor a destination's queue
+        # delivers it launch by launch).
         "free_vc_ids", "complete_vc_count", "_tx_step", "receive_flit",
         "_check_bits", "_rx_front_changed", "_tx_stream",
         "_deliver_inbound", "_inbound", "next_active",
@@ -243,6 +243,28 @@ def test_one_never_and_one_pass_counter():
 )
 def test_names_the_shell_retired_stay_gone(needle):
     assert _count_in_src(needle) == {}
+
+
+def test_a_stream_is_its_source_gateways():
+    # A source streams one packet at a time, so its stream is the
+    # gateway's state: no hand-off to the fabric, no fabric record of
+    # the streams, no per-architecture plan table (each plan is built
+    # once per process). A VC's drain ends with its stream, so neither
+    # the ACK nor the abandon catches a port up, and the settle touches
+    # only the streaming gateways' ports.
+    import inspect
+
+    from repro.arch.base import PhotonicCrossbarNoC
+    from repro.arch.photonic_router import ClusterGateway
+
+    for needle in ("hand_off", "class StreamPlans", "stream_plans"):
+        assert _count_in_src(needle) == {}, needle
+    fabric = (REPO_ROOT / "src/repro/arch/base.py").read_text(encoding="utf-8")
+    assert "_streams" not in fabric
+    for method in (ClusterGateway.on_reservation_response,
+                   ClusterGateway._abandon_packet, PhotonicCrossbarNoC.settle):
+        assert "catch_up" not in inspect.getsource(method), method.__name__
+    assert "inputs" not in inspect.getsource(PhotonicCrossbarNoC.settle)
 
 
 @pytest.mark.parametrize(

@@ -11,8 +11,8 @@ largest first, then the totals. Code in C (builtins, ``heapq``,
 caller's opcodes.
 
 Before the counted run the same call runs once untraced, so module
-imports and first-use caches (the stream plans are per architecture, so
-they are built again) are not what is measured.
+imports and first-use caches (each stream plan is built once per
+process) are not what is measured.
 
 Usage::
 

@@ -198,21 +198,15 @@ class NoCArchitecture(ClockedComponent):
             self._generator.skip_cycles(start_cycle, stop_cycle)
         self.skip_fabric(start_cycle, stop_cycle)
 
-    def note_flit_delivered(
-        self, flit: Flit, cycle: int, photonic: bool = False
-    ) -> None:
-        """Account one flit reaching its core. The fabrics hand this
-        bound method itself to their ejection path: it runs per flit, so
-        nothing may wrap it."""
+    def note_flit_delivered(self, flit: Flit, cycle: int) -> None:
+        """Account one flit reaching its core over the mesh. The mesh
+        hands this bound method itself to its ejection path: it runs per
+        flit, so nothing may wrap it."""
         metrics = self.metrics
         metrics.flits_delivered += 1
         metrics.bits_delivered += flit.bits
-        if photonic:
-            metrics.bits_delivered_photonic += flit.bits
         if flit.is_tail:
             metrics.packets_delivered += 1
-            if photonic:
-                metrics.packets_delivered_photonic += 1
             metrics.latency.add(cycle - flit.packet.created_cycle)
             self.energy.note_message_delivered()
 
@@ -517,14 +511,11 @@ class PhotonicCrossbarNoC(NoCArchitecture):
                 f"gateways' wakes and the streams give {first}"
             )
 
-    def note_packet_delivered_whole(
-        self, packet: Packet, cycle: int, photonic: bool
-    ) -> None:
+    def note_packet_delivered_whole(self, packet: Packet, cycle: int) -> None:
+        """Account an intra-cluster packet reaching its core whole, over
+        the electronic hop (a photonic ejection counts in the gateway)."""
         self.metrics.flits_delivered += packet.n_flits
         self.metrics.bits_delivered += packet.size_bits
-        if photonic:
-            self.metrics.bits_delivered_photonic += packet.size_bits
-            self.metrics.packets_delivered_photonic += 1
         self.metrics.packets_delivered += 1
         self.metrics.latency.add(cycle - packet.created_cycle)
         self.energy.note_message_delivered()

@@ -806,7 +806,7 @@ class ClusterGateway:
         while intra and intra[0][0] <= cycle:
             _due, packet = intra.popleft()
             self._held -= packet.n_flits
-            self.arch.note_packet_delivered_whole(packet, cycle, photonic=False)
+            self.arch.note_packet_delivered_whole(packet, cycle)
         return True
 
     # ==================================================================

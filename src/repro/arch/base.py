@@ -85,9 +85,12 @@ class NoCArchitecture(ClockedComponent):
     A fabric under the shell implements :meth:`submit`,
     :meth:`tick_fabric`, :meth:`fabric_next_wake`, :meth:`reset_fabric`,
     :meth:`finalize`, :meth:`lit_wavelengths`, :meth:`flits_in_system`
-    and :meth:`audit` (and :meth:`skip_fabric` if it keeps span
+    and :meth:`audit_fabric` (and :meth:`skip_fabric` if it keeps span
     accounting) -- as methods, or, where the fabric is one object with
-    those methods already, by binding them in ``__init__``.
+    those methods already, by binding them in ``__init__``. Its
+    :meth:`submit` adds each accepted packet's flits, as the fabric
+    carries them, to ``_flits_in``; an abandon adds the packet's to
+    ``_flits_abandoned`` (:meth:`audit`).
     """
 
     name = "noc"
@@ -99,6 +102,9 @@ class NoCArchitecture(ClockedComponent):
         self.metrics = ArchMetrics()
         self.current_cycle = 0
         self._generator = None
+        #: Flits carried across the warm-up reset or accepted since, and
+        #: those of packets abandoned since (:meth:`audit`).
+        self._flits_in = self._flits_abandoned = 0
         sim.register(self)
 
     # ------------------------------------------------------------------
@@ -139,15 +145,28 @@ class NoCArchitecture(ClockedComponent):
         raise NotImplementedError
 
     def flits_in_system(self) -> int:
-        """All flits accepted but not yet delivered (conservation checks)."""
+        """All flits accepted, not yet delivered or abandoned."""
         raise NotImplementedError
 
-    def audit(self) -> None:
+    def audit_fabric(self) -> None:
         """Check the fabric's laws between cycles: every O(1) counter
         against a recount of the state it summarises, and whatever its
         state must obey. Raise :class:`~repro.sim.engine.SimulationError`
         naming the component and the first law broken."""
         raise NotImplementedError
+
+    def audit(self) -> None:
+        """Check the run's laws between cycles: the fabric's
+        (:meth:`audit_fabric`), then flit conservation -- every flit
+        carried across the warm-up reset or accepted since is delivered,
+        in the system or in a packet abandoned since."""
+        self.audit_fabric()
+        delivered, held = self.metrics.flits_delivered, self.flits_in_system()
+        if self._flits_in != delivered + held + self._flits_abandoned:
+            raise SimulationError(
+                f"{self.name}: {self._flits_in} flits carried across the "
+                f"warm-up reset or accepted, {delivered} delivered + {held} "
+                f"in the system + {self._flits_abandoned} abandoned")
 
     # ------------------------------------------------------------------
     # Traffic plumbing
@@ -220,6 +239,8 @@ class NoCArchitecture(ClockedComponent):
         self.reset_fabric(cycle)
         if self._generator is not None:
             self._generator.reset_stats()
+        # The flits in the system were accepted before the boundary.
+        self._flits_in, self._flits_abandoned = self.flits_in_system(), 0
 
     def release(self) -> None:
         """Drop the source: it captured this shell's ``submit``."""
@@ -329,6 +350,7 @@ class PhotonicCrossbarNoC(NoCArchitecture):
             accepted = gateway.try_submit(packet, self.current_cycle)
         if accepted:
             self.metrics.packets_accepted += 1
+            self._flits_in += packet.n_flits
         else:
             self.metrics.packets_refused += 1
         return accepted
@@ -471,7 +493,7 @@ class PhotonicCrossbarNoC(NoCArchitecture):
             gateway.arch = gateway._tx_dst = gateway._tx_landing = None
             gateway.reservation_channel = None
 
-    def audit(self) -> None:
+    def audit_fabric(self) -> None:
         for gateway in self.gateways:
             gateway.audit()
         fills = sum(gateway.open_fills() for gateway in self.gateways)

@@ -164,7 +164,7 @@ class DHetPNoC(PhotonicCrossbarNoC):
         super().release()
         self.token_ring.release()
 
-    def audit(self) -> None:
+    def audit_fabric(self) -> None:
         """The gateways' audits, then the ring law: each controller's
         dynamic wavelengths are exactly those the token names its
         cluster the owner of, none holds fewer than its reserved floor or
@@ -172,7 +172,7 @@ class DHetPNoC(PhotonicCrossbarNoC):
         together hold no more wavelengths than there are; last, the token
         ring's own law (:meth:`~repro.dba.controller.TokenRing.audit`),
         which wakes a sleeping ring."""
-        super().audit()
+        super().audit_fabric()
 
         def broken(law: str) -> SimulationError:
             return SimulationError(f"{self.name} ring: {law}")

@@ -74,7 +74,7 @@ class ElectricalMeshNoC(NoCArchitecture):
         self.fabric_next_wake = self.network.next_wake
         self.skip_fabric = self.network.skip_cycles
         self.reset_fabric = self.network.reset_stats
-        self.audit = self.network.audit
+        self.audit_fabric = self.network.audit
 
     # ------------------------------------------------------------------
     def submit(self, packet: Packet) -> bool:
@@ -82,8 +82,10 @@ class ElectricalMeshNoC(NoCArchitecture):
         if len(endpoint.queue) >= self.max_queued:
             self.metrics.packets_refused += 1
             return False
-        self.network.submit(self._reflit(packet))
+        phits = self._reflit(packet)
+        self.network.submit(phits)
         self.metrics.packets_accepted += 1
+        self._flits_in += phits.n_flits
         return True
 
     def _reflit(self, packet: Packet) -> Packet:
@@ -130,9 +132,7 @@ class ElectricalMeshNoC(NoCArchitecture):
     def flits_in_system(self) -> int:
         """Phits accepted and not yet delivered (queued packets count at
         their re-flitted length, not the bandwidth set's)."""
-        total = self.network.flits_in_network
-        total += sum(
+        return self.network.flits_in_network + sum(
             sum(packet.n_flits for packet in ep.queue) + ep.pending_flit_count
             for ep in self.network.endpoints.values()
         )
-        return total

@@ -687,6 +687,7 @@ class ClusterGateway:
         self.arch._buffer_flits += n
         self._held -= n
         self.arch.metrics.packets_abandoned += 1
+        self.arch._flits_abandoned += n
         self._clear_tx()
 
     def _clear_tx(self) -> None:
@@ -835,10 +836,9 @@ class ClusterGateway:
     def flits_held(self) -> int:
         """Every flit currently inside this gateway's domain (injection
         pipes, input VCs, the write channel's serialization queue, the
-        in-flight photonic window, RX buffers and the intra-cluster pipe).
-        Used by the flit-conservation invariant tests. O(1): the counter
-        is maintained at every boundary crossing (:meth:`audit` recounts
-        it)."""
+        in-flight photonic window, RX buffers and the intra-cluster pipe),
+        for the shell's flit conservation. O(1): the counter is kept at
+        every boundary crossing (:meth:`audit` recounts it)."""
         return self._held
 
     def open_fills(self) -> int:

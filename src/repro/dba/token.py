@@ -90,7 +90,7 @@ class WavelengthToken:
     very hazard the token mechanism exists to prevent: "to avoid reusing
     already allocated wavelengths within a single waveguide"), so what
     is checked is that each router's tables agree with it
-    (``DHetPNoC.audit``).
+    (``DHetPNoC.audit_fabric``).
     """
 
     def __init__(self, wavelengths: List[WavelengthId]):

@@ -66,32 +66,16 @@ class TestElectricalMesh:
 
     @pytest.mark.parametrize("bw_set_index", [1, 2, 3])
     def test_phits_are_conserved_under_load(self, bw_set_index):
-        """accepted == delivered + in system, audited every 50 cycles
-        past saturation (queues full, packets mid-injection, links and
-        buffers busy)."""
+        """Flit conservation, in phits, audited every 50 cycles past
+        saturation (queues full, packets mid-injection, links and buffers
+        busy) and across the warm-up reset."""
         run = wire_run("electrical", bandwidth_set_by_index(bw_set_index),
                        "skewed3", QUICK_FIDELITY, 5)
-        sim, noc, submit = run.sim, run.arch, run.arch.submit
-        accepted_phits = 0
-
-        def counting_submit(packet):
-            nonlocal accepted_phits
-            accepted = submit(packet)
-            if accepted:
-                accepted_phits += -(-packet.size_bits // noc.phit_bits)
-            return accepted
-
-        noc.submit = counting_submit  # before the generator captures it
         attach_traffic(run, 600.0, QUICK_FIDELITY)
-        queued = 0
-        for _ in range(12):
-            sim.run(50)
-            queued += sum(len(ep.queue) for ep in noc.network.endpoints.values())
-            assert accepted_phits == (
-                noc.metrics.flits_delivered + noc.flits_in_system()
-            ), f"cycle {sim.cycle}"
-        # The audits saw packets waiting whole in a queue, in flight and out.
-        assert queued > 0 and noc.metrics.flits_delivered > 0
+        run.simulate(600, 100, audit=50)
+        # The last audit saw packets waiting whole in a queue, and some out.
+        assert any(ep.queue for ep in run.arch.network.endpoints.values())
+        assert run.arch.metrics.flits_delivered
 
     def test_traffic_generator_integration(self):
         sim, noc = build_mesh(offered=80.0)

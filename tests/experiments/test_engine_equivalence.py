@@ -10,6 +10,7 @@ with ``==``.
 """
 
 import re
+from contextlib import nullcontext
 from dataclasses import fields
 
 import pytest
@@ -22,8 +23,10 @@ from repro.dba.allocator import WavelengthAllocator
 from repro.dba.tables import CurrentTable
 from repro.experiments import runner
 from repro.experiments.runner import Fidelity, attach_traffic, wire_run
+from repro.noc.flit import Packet
+from repro.noc.network import ElectricalNetwork
 from repro.photonic.channel import ReservationBroadcastChannel
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.rng import RandomStreams
 from repro.traffic.bandwidth_sets import BW_SET_1, BW_SET_3
 from repro.traffic.generator import TrafficGenerator
@@ -179,46 +182,35 @@ def test_a_trace_replay_sleeps_between_records_bitwise(arch):
     assert fast_sim.jumped_cycles > 100
 
 
-def audited_run(arch_name, bw_set, pattern_name, offered, scenario=None):
-    """The runner's own wiring under generated traffic, for tests that
-    audit state mid-run and so step the simulator themselves."""
-    run = wire_run(arch_name, bw_set, pattern_name, FIDELITY, seed=1,
-                   scenario=scenario)
+def loaded(arch_name, pattern_name, offered, scenario=None, config=None):
+    """The runner's own wiring under generated traffic, ready to run."""
+    run = wire_run(arch_name, BW_SET_1, pattern_name, FIDELITY, seed=1,
+                   config=config, scenario=scenario)
     attach_traffic(run, offered, FIDELITY)
-    return run.sim, run.arch
+    return run
 
 
-def step_auditing(sim, arch, cycles):
-    """Step *cycles* cycles, auditing *arch* after each."""
-    for _ in range(cycles):
-        sim.step()
-        arch.audit()
-
-
-@pytest.mark.parametrize("arch,pattern,offered,scenario", CASES)
+@pytest.mark.parametrize(
+    "arch,pattern,offered,scenario", CASES + SWAMPED_CASES,
+    ids=lambda value: "swamped" if isinstance(value, dict) else None,
+)
 def test_audit_holds_on_every_case(arch, pattern, offered, scenario):
-    """``arch.audit`` -- on d-HetPNoC the ring law included -- holds all
-    through every equivalence row, checked every 10 cycles: under
-    ``fault_storm`` through two wavelength deaths and a token freeze."""
-    sim, noc = audited_run(arch, BW_SET_1, pattern, offered, scenario)
-    for _ in range(FIDELITY.total_cycles // 10):
-        sim.run(10)
-        noc.audit()
+    """``arch.audit`` -- the fabric's laws, d-HetPNoC's ring law, flit
+    conservation across the warm-up reset -- holds every 10 cycles of
+    each row: through two wavelength deaths and a token freeze under
+    ``fault_storm``, and through abandons on the swamped rows (overrides
+    in place of a scenario), the only ones that abandon."""
+    swamped = isinstance(scenario, dict)
+    run = loaded(arch, pattern, offered, None if swamped else scenario,
+                 SystemConfig(bw_set=BW_SET_1, **scenario) if swamped else None)
+    run.simulate(FIDELITY.total_cycles, FIDELITY.reset_cycles, audit=10)
+    assert (run.arch.metrics.packets_abandoned > 0) == swamped
 
 
 def test_gateway_held_counter_matches_enumeration():
-    """The O(1) counters never drift from the state they count.
-
-    ``ClusterGateway.audit`` re-derives the held-flit count by
-    enumerating every pipe, buffer and in-flight launch, and the counts
-    that gate the gateway's stages each against what it stands for; it
-    must pass at every cycle, across injection, transmission, ejection
-    and abandonment (``arch.audit`` runs it on every gateway, then the
-    ring law).
-    """
-    sim, arch = audited_run("dhetpnoc", BW_SET_1, "skewed3", 400.0)
-    arch.audit()
-    step_auditing(sim, arch, 300)
+    """On the default config (several VCs per port) no gateway counter
+    drifts from its recount, not even for one cycle."""
+    loaded("dhetpnoc", "skewed3", 400.0).simulate(300, 0, audit=1)
 
 
 def test_the_wake_law_holds_while_packets_wait_for_a_vc(monkeypatch):
@@ -245,12 +237,48 @@ def test_the_wake_law_holds_while_packets_wait_for_a_vc(monkeypatch):
 
     monkeypatch.setattr(ClusterGateway, "_abandon_packet", counting)
     config = SystemConfig(bw_set=BW_SET_1, n_vcs=1, **SWAMPED)
-    run = wire_run("dhetpnoc", BW_SET_1, "skewed3", FIDELITY, 1, config)
-    attach_traffic(run, 900.0, FIDELITY)
-    run.simulate(FIDELITY.total_cycles, FIDELITY.reset_cycles, audit=1)
+    loaded("dhetpnoc", "skewed3", 900.0, config=config).simulate(
+        FIDELITY.total_cycles, FIDELITY.reset_cycles, audit=1)
     assert freed_for_a_waiter
 
 
+@pytest.mark.parametrize("pattern_name,offered", [("skewed3", 600.0), ("uniform", 20.0)])
+def test_mesh_counters_match_enumeration(pattern_name, offered):
+    """What the mesh keeps in O(1) never drifts from a full enumeration.
+
+    ``ElectricalNetwork.audit`` recounts the flits in the network
+    (``drain`` trusts it), the set of routers holding a flit (only those
+    tick), the order of the two due queues for everything in flight and
+    ``vc_depth`` slots around every credit loop; ``simulate(audit=1)``
+    runs it, and flit conservation, after every cycle. BW set 1 only:
+    every set's packet is the same 64 phits on the mesh
+    (``test_electrical_baseline.py::test_phits_are_conserved_under_load``
+    audits all three).
+    """
+    run = loaded("electrical", pattern_name, offered)
+    net, law = run.arch.network, run.arch.audit
+    assert len(net._links) == 224
+    seen = []
+
+    def audit():
+        law()
+        seen.append((net.is_idle(), net.flits_in_network, len(net._occupied)))
+
+    run.arch.audit = audit
+    run.simulate(1000, 0, audit=1)
+    idle, held, backlogged = zip(*seen)
+
+    # Each regime is really visited: past the knee flits queue in many
+    # routers at once and the mesh is never quiet; at low load a router
+    # forwards what it gets at once and most cycles are idle.
+    if offered > 100:
+        assert max(backlogged) >= 8 and sum(idle) < 100
+    else:
+        assert max(held) > 0 and max(backlogged) <= 2 and sum(idle) > 500
+
+
+# Planted faults: each mutant wraps one method and leaves the run's
+# state wrong; it raises nothing itself.
 def _launch_skipping_dst_held(original):
     def mutant(self, cycle):
         before = {gateway._tx_dst: gateway._tx_dst._held
@@ -272,6 +300,16 @@ def _tail_leaving_rx_ready_stale(original):
             for src in [s for s in ready if before.get(s, slot) != slot]:
                 ready.discard(src)
                 self._rx_ready[before[src]].add(src)
+    return mutant
+
+
+def _ejection_leaving_a_flit_uncounted(original):
+    def mutant(self, cycle):
+        metrics = self.arch.metrics
+        delivered = metrics.flits_delivered
+        original(self, cycle)
+        if metrics.flits_delivered > delivered:
+            metrics.flits_delivered -= 1  # one flit reached its core unseen
     return mutant
 
 
@@ -335,95 +373,11 @@ def _submit_leaving_the_gateway_asleep(original):
     return mutant
 
 
-#: A sleeping gateway's wake against the one its state gives.
-WAKE_LAW = r"gateway \d+: _wake is .*, (its state is due|asleep while a stage was due)"
-
-
-#: Where a planted fault runs: the architecture, its config and the
-#: packets queued before the first cycle, ``(source core, destination
-#: core, flits)``, of the config's flit width.
-#:
-#: Three clusters each queue a packet for core 0 and then one for core 1
-#: (8 x 256-bit flits): the three share core 0's ejection, so each
-#: source's second packet lands behind its first, and the first's tail
-#: leaving must move the source to core 1's ready set (cycle ~33). Each
-#: packet fills its VC over 8 cycles, so fills open and close from the
-#: first cycle; with one VC per port, each second packet waits for its
-#: first to stream out.
-THREE_SOURCES = ("dhetpnoc", SystemConfig(bw_set=BW_SET_3, n_vcs=1),
-                 [(4 * cluster, dst, BW_SET_3.packet_flits)
-                  for cluster in (1, 2, 3) for dst in (0, 1)])
-#: One 8 x 32-bit packet between the two clusters of a Firefly whose
-#: channels are 32 wavelengths wide: its plan's last feed is in its last
-#: launch's cycle, so only the stream's end applies it (an ``audit=1``
-#: run settles, and so applies a drain's feeds, after every cycle).
-LONE_WIDE_STREAM = (
-    "firefly",
-    SystemConfig(bw_set=BW_SET_1, n_clusters=2, cores_per_cluster=32),
-    [(32, 0, 8)])
-
-
-@pytest.mark.parametrize("owner,method,mutate,law,scenario", [
-    pytest.param(PhotonicCrossbarNoC, "_stream_pass",
-                 _launch_skipping_dst_held, r"gateway \d+: _held is",
-                 THREE_SOURCES,
-                 id="_stream_pass-_launch_skipping_dst_held-_held"),
-    pytest.param(ClusterGateway, "_eject_step", _tail_leaving_rx_ready_stale,
-                 r"gateway \d+: _rx_ready is", THREE_SOURCES,
-                 id="_eject_step-_tail_leaving_rx_ready_stale-_rx_ready"),
-    pytest.param(ClusterGateway, "_inject_step", _fill_completion_skipped,
-                 r"gateway \d+: inputs\[\d+\]\.fill_end is \d+, its tail was due",
-                 THREE_SOURCES, id="fill-completion-skipped"),
-    pytest.param(ClusterGateway, "_inject_step", _open_fill_total_drifting,
-                 r"d-hetpnoc: _filling is \d+, the gateways' open fills give",
-                 THREE_SOURCES, id="open-fill-total-drifting"),
-    pytest.param(ClusterGateway, "end_stream", _stream_end_leaving_its_drain,
-                 r"gateway \d+: inputs\[\d+\]\.counts\[\d+\] is",
-                 LONE_WIDE_STREAM, id="stream-end-leaving-its-drain"),
-    pytest.param(PhotonicCrossbarNoC, "_land", _landing_leaving_dst_asleep,
-                 WAKE_LAW, THREE_SOURCES, id="wake-dropped-on-a-landing"),
-    pytest.param(ReservationBroadcastChannel, "broadcast",
-                 _dropping_the_due_it_adds, WAKE_LAW, THREE_SOURCES,
-                 id="wake-dropped-on-a-reservation"),
-    pytest.param(ReservationBroadcastChannel, "respond",
-                 _dropping_the_due_it_adds, WAKE_LAW, THREE_SOURCES,
-                 id="wake-dropped-on-a-response"),
-    pytest.param(ClusterGateway, "try_submit",
-                 _submit_leaving_the_gateway_asleep, WAKE_LAW, THREE_SOURCES,
-                 id="wake-dropped-on-a-submit"),
-    pytest.param(ClusterGateway, "on_reservation_response",
-                 _vc_free_leaving_the_inject_stage_asleep, WAKE_LAW,
-                 THREE_SOURCES, id="wake-dropped-on-a-vc-free"),
-])
-def test_gateway_audit_catches_a_planted_fault(monkeypatch, owner, method,
-                                                mutate, law, scenario):
-    """Each planted fault is named by ``simulate(audit=1)`` within 50
-    cycles of its scenario.
-
-    The last five rows each drop one hand-off's wake, leaving asleep
-    with a stage due: the destination flits land at, the reservation
-    channel of a reservation or a response, the gateway a packet is
-    submitted to, and the inject stage of a gateway whose ACKed stream
-    drains the VC a packet waits for.
-    """
-    from repro.arch.registry import architectures
-    from repro.noc.flit import Packet
-    from repro.sim.engine import SimulationError
-    from repro.sim.rng import RandomStreams
-    from repro.traffic.patterns import pattern_by_name
-
-    monkeypatch.setattr(owner, method, mutate(getattr(owner, method)))
-    arch_name, config, packets = scenario
-    sim = Simulator(seed=1)
-    pattern = pattern_by_name("uniform").bind(
-        config.bw_set, config.n_clusters, config.cores_per_cluster)
-    arch = architectures.get(arch_name)(sim, config, pattern)
-    for src, dst, n_flits in packets:
-        arch.submit(Packet(src=src, dst=dst, n_flits=n_flits,
-                           flit_bits=config.bw_set.flit_bits))
-    run = runner.WiredRun(config, RandomStreams(1), sim, pattern, arch)
-    with pytest.raises(SimulationError, match=law):
-        run.simulate(50, 0, audit=1)
+def _delivered_twice(original):
+    def mutant(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        original(self, *args, **kwargs)  # the core is credited again
+    return mutant
 
 
 def _release_keeping_one(original):
@@ -438,73 +392,6 @@ def _folding_nothing(original):
     def mutant(self, request_table, current):
         pass  # the per-destination entries keep what the last fold wrote
     return mutant
-
-
-@pytest.mark.parametrize("owner,method,mutate,law", [
-    (CurrentTable, "remove_dynamic", _release_keeping_one,
-     "holds dynamic wavelengths"),
-    (WavelengthAllocator, "_update_per_destination", _folding_nothing,
-     r"allocates \d+ wavelengths to cluster \d+, holds 1$"),
-], ids=["kept-released-wavelength", "stale-per-destination-entry"])
-def test_ring_audit_catches_a_planted_fault(monkeypatch, owner, method,
-                                            mutate, law):
-    """Each planted fault is named by ``audit`` within 50 cycles. The
-    cores of the cluster holding the most drop their demand to nothing,
-    so the token's first visit there (within one 16-hop round) releases
-    what the cluster held: a controller that keeps a wavelength the
-    token has back, or entries that still allocate the old holdings,
-    break the ring law."""
-    from repro.sim.engine import SimulationError
-
-    sim, arch = audited_run("dhetpnoc", BW_SET_1, "skewed3", 400.0)
-    hot = max(arch.controllers, key=lambda c: c.held_count).cluster
-    assert arch.controllers[hot].current_table.dynamic_ids
-    monkeypatch.setattr(owner, method, mutate(getattr(owner, method)))
-    for slot in range(arch.config.cores_per_cluster):
-        arch.remap_demand(hot, slot, {dst: 0 for dst in range(16) if dst != hot})
-    with pytest.raises(SimulationError,
-                       match=rf"d-hetpnoc ring: cluster {hot} {law}"):
-        step_auditing(sim, arch, 50)
-
-
-@pytest.mark.parametrize("bw_set_index", [1])
-@pytest.mark.parametrize("pattern_name,offered", [("skewed3", 600.0), ("uniform", 20.0)])
-def test_mesh_counters_match_enumeration(pattern_name, offered, bw_set_index):
-    """What the mesh keeps in O(1) never drifts from a full enumeration.
-
-    ``ElectricalNetwork.audit`` recounts the flits in the network
-    (``drain`` trusts it), the set of routers holding a flit (only those
-    tick), the order of the two due queues for everything in flight and
-    ``vc_depth`` slots around every credit loop; it must pass after every
-    cycle, so the simulator is stepped by hand.
-
-    BW set 1 only: every set's packet is the same 64 phits on the mesh,
-    and the other sets' phit conservation under load is
-    ``test_electrical_baseline.py::test_phits_are_conserved_under_load``.
-    """
-    from repro.traffic.bandwidth_sets import bandwidth_set_by_index
-
-    sim, arch = audited_run(
-        "electrical", bandwidth_set_by_index(bw_set_index), pattern_name, offered
-    )
-    net = arch.network
-    assert len(net._links) == 224
-    most_held = most_backlogged = idle_cycles = 0
-
-    for _ in range(1000):
-        sim.step()
-        arch.audit()
-        idle_cycles += net.is_idle()
-        most_held = max(most_held, net.flits_in_network)
-        most_backlogged = max(most_backlogged, len(net._occupied))
-
-    # Each regime is really visited: past the knee flits queue in many
-    # routers at once and the mesh is never quiet; at low load a router
-    # forwards what it gets at once and most cycles are idle.
-    if offered > 100:
-        assert most_backlogged >= 8 and idle_cycles < 100
-    else:
-        assert most_held > 0 and most_backlogged <= 2 and idle_cycles > 500
 
 
 def _landing_dropping_a_credit(original):
@@ -527,20 +414,164 @@ def _landing_leaving_occupied_stale(original):
     return mutant
 
 
-@pytest.mark.parametrize("mutate,counter", [
-    (_landing_dropping_a_credit, r"emesh\.\d+->\d+ credits"),
-    (_landing_leaving_occupied_stale, "_occupied"),
-], ids=["dropped-credit", "stale-occupied"])
-def test_mesh_audit_catches_a_planted_fault(monkeypatch, mutate, counter):
-    """Each planted fault in landing what is due is named by ``audit``
-    within 50 cycles of a loaded mesh."""
-    from repro.noc.network import ElectricalNetwork
-    from repro.sim.engine import SimulationError
+def _sink_swallowing_a_tail(original):
+    def mutant(self, flit):
+        if flit.is_tail:
+            self.flits_in_network -= 1  # it left the mesh, and no core has it
+            return
+        original(self, flit)
+    return mutant
 
-    monkeypatch.setattr(ElectricalNetwork, "tick", mutate(ElectricalNetwork.tick))
-    sim, arch = audited_run("electrical", BW_SET_1, "skewed3", 600.0)
-    with pytest.raises(SimulationError, match=rf"emesh: {counter} is"):
-        step_auditing(sim, arch, 50)
+
+#: A sleeping gateway's wake against the one its state gives.
+WAKE_LAW = r"gateway \d+: _wake is .*, (its state is due|asleep while a stage was due)"
+#: The shell's flit conservation.
+CONSERVATION = r"^audit at cycle \d+: [\w-]+: \d+ flits carried across the"
+#: The d-HetPNoC cluster holding the most after a warm start, which the
+#: ring law must name when it goes quiet (``hot_cluster_going_quiet``).
+HOT = 2
+
+
+def queued(arch_name, config, packets):
+    """A run of *arch_name* on *config* with no traffic source, and
+    *packets* -- ``(source core, destination core, flits)``, of the
+    config's flit width -- submitted before its first cycle; the fault
+    goes in first (the mesh binds its network's methods when built)."""
+    def scenario(plant):
+        plant()
+        run = wire_run(arch_name, config.bw_set, "uniform", FIDELITY, seed=1,
+                       config=config)
+        for src, dst, n_flits in packets:
+            assert run.arch.submit(Packet(src=src, dst=dst, n_flits=n_flits,
+                                          flit_bits=config.bw_set.flit_bits))
+        return run
+    return scenario
+
+
+#: Three clusters each queue a packet for core 0 and then one for core 1
+#: (8 x 256-bit flits): the three share core 0's ejection, so each
+#: source's second packet lands behind its first, and the first's tail
+#: leaving must move the source to core 1's ready set (cycle ~33). Each
+#: packet fills its VC over 8 cycles, so fills open and close from the
+#: first cycle; with one VC per port, each second packet waits for its
+#: first to stream out.
+THREE_SOURCES = queued(
+    "dhetpnoc", SystemConfig(bw_set=BW_SET_3, n_vcs=1),
+    [(4 * cluster, dst, BW_SET_3.packet_flits)
+     for cluster in (1, 2, 3) for dst in (0, 1)])
+#: One 8 x 32-bit packet between the two clusters of a Firefly whose
+#: channels are 32 wavelengths wide: its plan's last feed is in its last
+#: launch's cycle, so only the stream's end applies it (an ``audit=1``
+#: run settles, and so applies a drain's feeds, after every cycle).
+LONE_WIDE_STREAM = queued(
+    "firefly", SystemConfig(bw_set=BW_SET_1, n_clusters=2, cores_per_cluster=32),
+    [(32, 0, 8)])
+#: One packet between two cores of cluster 0: the electronic hop
+#: delivers it whole.
+ONE_LOCAL_PACKET = queued(
+    "dhetpnoc", SystemConfig(bw_set=BW_SET_3), [(1, 2, BW_SET_3.packet_flits)])
+#: Four 4-phit packets from row 0 of the mesh to row 7, east along the
+#: links of row 0 they share: flits wait in routers from the first
+#: cycles, and the tails reach their cores within 50.
+SHORT_MESH_PACKETS = queued(
+    "electrical", SystemConfig(bw_set=BW_SET_1),
+    [(src, 63 - src, 4) for src in (0, 2, 4, 6)])
+
+
+def hot_cluster_going_quiet(plant):
+    """d-HetPNoC under skewed3 whose cluster holding the most drops its
+    demand to nothing: the token's first visit there (within one 16-hop
+    round) releases what it held. The fault goes in after the warm start."""
+    run = loaded("dhetpnoc", "skewed3", 400.0)
+    arch = run.arch
+    hot = max(arch.controllers, key=lambda c: c.held_count).cluster
+    assert hot == HOT and arch.controllers[hot].current_table.dynamic_ids
+    for slot in range(arch.config.cores_per_cluster):
+        arch.remap_demand(hot, slot, {dst: 0 for dst in range(16) if dst != hot})
+    plant()
+    return run
+
+
+#: (owner, method, mutant, the law that names it, scenario, what refuses
+#: the run at ``audit=0`` or None). A scenario takes the fault's
+#: ``plant()`` and returns a run ready to simulate.
+PLANTED_FAULTS = [
+    pytest.param(PhotonicCrossbarNoC, "_stream_pass",
+                 _launch_skipping_dst_held, r"gateway \d+: _held is",
+                 THREE_SOURCES, None,
+                 id="_stream_pass-_launch_skipping_dst_held-_held"),
+    pytest.param(ClusterGateway, "_eject_step", _tail_leaving_rx_ready_stale,
+                 r"gateway \d+: _rx_ready is", THREE_SOURCES, None,
+                 id="_eject_step-_tail_leaving_rx_ready_stale-_rx_ready"),
+    pytest.param(ClusterGateway, "_inject_step", _fill_completion_skipped,
+                 r"gateway \d+: inputs\[\d+\]\.fill_end is \d+, its tail was due",
+                 THREE_SOURCES, None, id="fill-completion-skipped"),
+    pytest.param(ClusterGateway, "_inject_step", _open_fill_total_drifting,
+                 r"d-hetpnoc: _filling is \d+, the gateways' open fills give",
+                 THREE_SOURCES, None, id="open-fill-total-drifting"),
+    pytest.param(ClusterGateway, "end_stream", _stream_end_leaving_its_drain,
+                 r"gateway \d+: inputs\[\d+\]\.counts\[\d+\] is",
+                 LONE_WIDE_STREAM, None, id="stream-end-leaving-its-drain"),
+    # Each drops one hand-off's wake, leaving asleep with a stage due:
+    # the destination flits land at, the reservation channel of a
+    # reservation or a response, the gateway a packet is submitted to,
+    # and the inject stage of a gateway whose ACKed stream drains the VC
+    # a packet waits for.
+    pytest.param(PhotonicCrossbarNoC, "_land", _landing_leaving_dst_asleep,
+                 WAKE_LAW, THREE_SOURCES, None, id="wake-dropped-on-a-landing"),
+    pytest.param(ReservationBroadcastChannel, "broadcast",
+                 _dropping_the_due_it_adds, WAKE_LAW, THREE_SOURCES, None,
+                 id="wake-dropped-on-a-reservation"),
+    pytest.param(ReservationBroadcastChannel, "respond",
+                 _dropping_the_due_it_adds, WAKE_LAW, THREE_SOURCES, None,
+                 id="wake-dropped-on-a-response"),
+    pytest.param(ClusterGateway, "try_submit",
+                 _submit_leaving_the_gateway_asleep, WAKE_LAW, THREE_SOURCES, None,
+                 id="wake-dropped-on-a-submit"),
+    pytest.param(ClusterGateway, "on_reservation_response",
+                 _vc_free_leaving_the_inject_stage_asleep, WAKE_LAW,
+                 THREE_SOURCES, None, id="wake-dropped-on-a-vc-free"),
+    pytest.param(ClusterGateway, "_eject_step",
+                 _ejection_leaving_a_flit_uncounted, CONSERVATION,
+                 THREE_SOURCES, None, id="ejected-flit-uncounted"),
+    pytest.param(PhotonicCrossbarNoC, "note_packet_delivered_whole",
+                 _delivered_twice, CONSERVATION, ONE_LOCAL_PACKET, None,
+                 id="packet-delivered-twice"),
+    # Unaudited, the token refuses to take back a wavelength twice.
+    pytest.param(CurrentTable, "remove_dynamic", _release_keeping_one,
+                 rf"d-hetpnoc ring: cluster {HOT} holds dynamic wavelengths",
+                 hot_cluster_going_quiet, "cannot release",
+                 id="kept-released-wavelength"),
+    pytest.param(WavelengthAllocator, "_update_per_destination",
+                 _folding_nothing,
+                 rf"d-hetpnoc ring: cluster {HOT} allocates \d+ wavelengths to "
+                 r"cluster \d+, holds 1$",
+                 hot_cluster_going_quiet, None, id="stale-per-destination-entry"),
+    pytest.param(ElectricalNetwork, "tick", _landing_dropping_a_credit,
+                 r"emesh: emesh\.\d+->\d+ credits is", SHORT_MESH_PACKETS, None,
+                 id="dropped-credit"),
+    pytest.param(ElectricalNetwork, "tick", _landing_leaving_occupied_stale,
+                 r"emesh: _occupied is", SHORT_MESH_PACKETS, None, id="stale-occupied"),
+    pytest.param(ElectricalNetwork, "_eject", _sink_swallowing_a_tail,
+                 CONSERVATION, SHORT_MESH_PACKETS, None,
+                 id="tail-swallowed-at-the-mesh-sink"),
+]
+
+
+@pytest.mark.parametrize("owner,method,mutate,law,scenario,refused", PLANTED_FAULTS)
+def test_an_audit_names_a_planted_fault(monkeypatch, owner, method, mutate,
+                                        law, scenario, refused):
+    """Each planted fault is named by ``simulate(audit=1)`` within 50
+    cycles of its scenario; at ``audit=0`` the run finishes, silently
+    wrong, unless *refused* names what stops it."""
+    def plant():
+        monkeypatch.setattr(owner, method, mutate(getattr(owner, method)))
+
+    with pytest.raises(SimulationError, match=law):
+        scenario(plant).simulate(50, 0, audit=1)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match=refused) if refused else nullcontext():
+        scenario(plant).simulate(50, 0)
 
 
 #: What ``WiredRun.simulate(audit=N)`` must leave bitwise alone: both
@@ -585,11 +616,8 @@ def test_an_audited_run_names_a_planted_fault_and_its_cycle():
     """A scheduled event bumps one gateway's held-flit counter at cycle
     250: ``audit=7`` stops the run at the first audit after it, naming
     the cycle and the counter; ``audit=0`` finishes, silently wrong."""
-    from repro.sim.engine import SimulationError
-
     def planted():
-        run = wire_run("dhetpnoc", BW_SET_1, "skewed3", TINY, seed=1)
-        attach_traffic(run, 400.0, TINY)
+        run = loaded("dhetpnoc", "skewed3", 400.0)
 
         def bump():
             run.arch.gateways[3]._held += 1

@@ -118,7 +118,7 @@ class TestEndOfRunBoundary:
     ``measured_cycles`` counts ``total - reset``: the last measured cycle
     of buffer residency is never charged. Fixing that moves every
     ``energy_per_message_pj`` and ``sim_digest``, so it waits for the
-    versioned digest boundary (ROADMAP item 5); until then this is the
+    versioned digest boundary (ROADMAP item 6(b)); until then this is the
     one place the relation is written down."""
 
     TOTAL, RESET = 600, 100

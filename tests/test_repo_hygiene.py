@@ -169,6 +169,32 @@ def test_the_gateway_carries_counts_not_flits():
     assert _count_in_src("audit_flits_held") == {}
 
 
+def _tests_matching(pattern: str) -> dict:
+    """``{relative path: matches}`` of regex *pattern* in tests but this."""
+    import re
+
+    hits = {}
+    for path in sorted((REPO_ROOT / "tests").rglob("*.py")):
+        if path.samefile(__file__):
+            continue
+        count = len(re.findall(pattern, path.read_text(encoding="utf-8")))
+        if count:
+            hits[str(path.relative_to(REPO_ROOT))] = count
+    return hits
+
+
+def test_each_law_is_stated_once_and_checked_through_simulate():
+    # Flit conservation is the architecture shell's audit: no test sums
+    # it by hand, no test steps a run to audit it (``simulate(audit=N)``
+    # does), and the planted faults are one table.
+    assert _count_in_src("flits carried across the ") == {
+        "src/repro/arch/base.py": 1}
+    assert _tests_matching(r"\bstep_auditing\b") == {}
+    assert _tests_matching(r"packets_(accepted|abandoned)\s*\*") == {}
+    assert _tests_matching(r"parametrize\(\s*[\"'][^\"']*\bmuta(te|nt)\b") == {
+        "tests/experiments/test_engine_equivalence.py": 1}
+
+
 def test_one_architecture_shell_and_one_reset_protocol():
     # What a run drives is held once: the three NoCs share one clocked
     # shell (arch/base.py), and a second subclass of the kernel's base

@@ -54,7 +54,6 @@ class ArchMetrics:
     reservations_sent: int = 0
     reservations_nacked: int = 0
     reservation_retries: int = 0
-    packets_dropped_flits: int = 0
     packets_abandoned: int = 0
     measured_cycles: int = 0
     latency: RunningMean = field(default_factory=lambda: RunningMean("latency"))

@@ -662,7 +662,6 @@ class ClusterGateway:
             arch._stream_due = min(arch._stream_due, cycle)
             return
         self._tx_retries += 1
-        self.arch.metrics.packets_dropped_flits += 1
         if self._tx_retries > self.config.max_retries:
             self._abandon_packet(cycle)
             return

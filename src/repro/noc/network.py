@@ -274,7 +274,7 @@ class ElectricalNetwork(ClockedComponent):
             _when, credits, vc = due.popleft()
             credits[vc] += 1
             if credits[vc] > depth:
-                raise self._credit_overflow(credits, vc)
+                raise self._credit_overflow(credits, vc, cycle)
         active = self._active_eps
         if active:
             for node in sorted(active):
@@ -290,14 +290,18 @@ class ElectricalNetwork(ClockedComponent):
         if self._measuring:
             self.metrics.measured_cycles += 1
 
-    def _credit_overflow(self, credits: List[int], vc: int) -> RuntimeError:
+    def _credit_overflow(
+        self, credits: List[int], vc: int, cycle: int
+    ) -> SimulationError:
         router, port = next(
             (router, port)
             for router in self.routers.values()
             for port, row in enumerate(router._credits)
             if row is credits
         )
-        return RuntimeError(f"{router.name}: credit overflow on port {port} vc {vc}")
+        return SimulationError(
+            f"{router.name}: credit overflow on port {port} vc {vc} at cycle {cycle}"
+        )
 
     def next_wake(self, cycle: int) -> int:
         """*cycle* while there is traffic anywhere (endpoint work, a flit

@@ -11,9 +11,10 @@ Examples::
         --bw-set 1 --seeds 1 2 3 --workers 4 --store results/store.jsonl
     dhetpnoc-repro sweep --adaptive --resolution 0.05 --pattern skewed3
     dhetpnoc-repro serve --port 7123 --store results/shards/ --workers 4
+    dhetpnoc-repro fabric worker --connect localhost:7123
     dhetpnoc-repro jobs submit spec.json --connect localhost:7123
     dhetpnoc-repro jobs status job-abc123def456 --connect localhost:7123
-    dhetpnoc-repro run --spec spec.json --service localhost:7123
+    dhetpnoc-repro run --spec spec.json --fabric localhost:7123
     dhetpnoc-repro store info --store results/shards/ --store-backend sharded
     dhetpnoc-repro store compact --store results/store.jsonl
     dhetpnoc-repro scenarios list

@@ -1,5 +1,5 @@
-"""``fabric`` / ``serve`` / ``jobs``: host a daemon, join one as a
-worker, drive jobs on one (see docs/fabric.md, docs/service.md)."""
+"""``serve`` / ``fabric`` / ``jobs``: host the daemon, join it as a
+worker, drive jobs on it (see docs/fabric.md, docs/service.md)."""
 
 from __future__ import annotations
 
@@ -17,39 +17,17 @@ from repro.experiments.report import ascii_table
 def register(sub) -> None:
     fabric = sub.add_parser(
         "fabric",
-        help="distributed sweep fabric: host a coordinator or join as a "
-        "worker (see docs/fabric.md)",
+        help="distributed sweep fabric: join a daemon as a worker "
+        "(see docs/fabric.md)",
     )
     fabric_sub = fabric.add_subparsers(dest="fabric_command", required=True)
-
-    serve = fabric_sub.add_parser(
-        "serve",
-        help="host the coordinator: work queue, retries and the "
-        "authoritative result store",
-    )
-    add_daemon_options(serve, 7023, "coordinator")
-    serve.add_argument(
-        "--lease-size", type=int, default=2, metavar="N",
-        help="points leased to a worker per request (default: 2)",
-    )
-    serve.add_argument(
-        "--max-attempts", type=int, default=3, metavar="N",
-        help="lease attempts per point before it is surfaced as a "
-        "point-level failure (default: 3)",
-    )
-    serve.add_argument(
-        "--worker-timeout", type=float, default=20.0, metavar="SECONDS",
-        help="heartbeat silence after which a worker's leases are "
-        "re-queued (default: 20)",
-    )
-    serve.set_defaults(handler=_fabric_serve)
 
     worker = fabric_sub.add_parser(
         "worker", help="join a coordinator and simulate leased points"
     )
     worker.add_argument(
         "--connect", required=True, metavar="HOST:PORT",
-        help="coordinator address ('fabric serve' or 'serve' prints it)",
+        help="coordinator address ('serve' prints it)",
     )
     worker.add_argument(
         "--fail-after", type=int, default=None, metavar="N",
@@ -64,7 +42,7 @@ def register(sub) -> None:
         "accepts spec submissions as jobs and streams results back "
         "(see docs/service.md)",
     )
-    add_daemon_options(serve, 7123, "service")
+    add_daemon_options(serve)
     serve.add_argument(
         "--workers", type=lambda value: _workers(value, 0), default=1,
         help="local simulation lanes shared by every job (default: 1; 0 "
@@ -78,6 +56,20 @@ def register(sub) -> None:
         "--max-pending", type=int, default=16, metavar="N",
         help="queued jobs admitted before submissions are rejected "
         "(default: 16)",
+    )
+    serve.add_argument(
+        "--lease-size", type=int, default=2, metavar="N",
+        help="points leased to a worker per request (default: 2)",
+    )
+    serve.add_argument(
+        "--max-attempts", type=int, default=3, metavar="N",
+        help="lease attempts per point before it is surfaced as a "
+        "point-level failure (default: 3)",
+    )
+    serve.add_argument(
+        "--worker-timeout", type=float, default=20.0, metavar="SECONDS",
+        help="heartbeat silence after which a worker's leases are "
+        "re-queued (default: 20)",
     )
     serve.set_defaults(handler=_serve)
 
@@ -140,46 +132,28 @@ def _as_daemon() -> None:
     signal.signal(signal.SIGTERM, signal.default_int_handler)
 
 
-def _host(daemon, what: str, owner: str, args) -> None:
-    """Start *daemon*, say where it listens and stores, and block."""
-    host, port = daemon.start()
-    where = daemon.store.path if args.store else f"{owner} memory"
-    print(f"{what} listening on {host}:{port} (store: {where})", flush=True)
-    daemon.serve_forever()
-
-
-def _fabric_serve(args) -> None:
-    from repro.experiments.store import open_store
+def _serve(args) -> None:
+    """Host the daemon, say where it listens and stores, and block."""
     from repro.fabric.coordinator import Coordinator
 
     _as_daemon()
     daemon = Coordinator(
-        store=open_store(args.store, args.store_backend),
-        host=args.host,
-        port=args.port,
-        lease_size=args.lease_size,
-        max_attempts=args.max_attempts,
-        worker_timeout_s=args.worker_timeout,
-    )
-    _host(daemon, "fabric coordinator", "coordinator", args)
-
-
-def _serve(args) -> None:
-    """The experiment service: the fabric coordinator plus the ``jobs``
-    role."""
-    from repro.service.daemon import ExperimentService
-
-    _as_daemon()
-    daemon = ExperimentService(
         args.store,
         host=args.host,
         port=args.port,
         workers=args.workers,
+        lease_size=args.lease_size,
+        worker_timeout_s=args.worker_timeout,
+        max_attempts=args.max_attempts,
         max_jobs=args.max_jobs,
         max_pending=args.max_pending,
         backend=args.store_backend,
     )
-    _host(daemon, "experiment service", "service", args)
+    host, port = daemon.start()
+    where = daemon.store.path if args.store else "service memory"
+    print(f"experiment service listening on {host}:{port} (store: {where})",
+          flush=True)
+    daemon.serve_forever()
 
 
 def _fabric_worker(args) -> None:

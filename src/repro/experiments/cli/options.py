@@ -26,6 +26,9 @@ from repro.experiments.runner import QUICK_FIDELITY, fidelities
 from repro.experiments.store import backend_names
 from repro.traffic.bandwidth_sets import bandwidth_sets
 
+#: Default TCP port of ``dhetpnoc-repro serve``.
+DEFAULT_PORT = 7123
+
 
 class CliError(Exception):
     """A handler's error exit: ``main`` prints *message* to stderr (the
@@ -155,24 +158,24 @@ def add_parallel_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--fabric", default=None, metavar="HOST:PORT",
-        help="submit cache misses to a distributed fabric coordinator "
-        "('fabric serve') instead of a local worker pool; results are "
-        "bitwise-identical (see docs/fabric.md)",
+        help="submit cache misses to a running daemon ('serve') instead "
+        "of a local worker pool; results are bitwise-identical (see "
+        "docs/fabric.md)",
     )
 
 
-def add_daemon_options(
-    parser: argparse.ArgumentParser, port: int, owner: str
-) -> None:
-    """Where a daemon (``fabric serve`` / ``serve``) binds and stores."""
+def add_daemon_options(parser: argparse.ArgumentParser) -> None:
+    """Where the daemon (``serve``) binds and stores."""
     parser.add_argument("--host", default="0.0.0.0",
                         help="bind address (default: all interfaces)")
-    parser.add_argument("--port", type=int, default=port,
-                        help=f"bind port (default: {port}; 0 picks a free one)")
+    parser.add_argument(
+        "--port", type=int, default=DEFAULT_PORT,
+        help=f"bind port (default: {DEFAULT_PORT}; 0 picks a free one)",
+    )
     parser.add_argument(
         "--store", default=None, metavar="PATH",
         help="persistent store every peer shares (directory = sharded); "
-        f"omitting it keeps results in {owner} memory only",
+        "omitting it keeps results in service memory only",
     )
     parser.add_argument(
         "--store-backend", default="auto",

@@ -7,7 +7,6 @@ import inspect
 
 from repro.api.session import Session
 from repro.api.spec import ExperimentSpec
-from repro.experiments.cli.fabric import point_line
 from repro.experiments.cli.options import (
     CliError,
     LazyChoices,
@@ -50,12 +49,6 @@ def register(sub) -> None:
         "the store is missing, and an estimated wall-clock cost priced "
         "from the newest benchmarks/ledger/records/BENCH_*.json, then exit "
         "without simulating",
-    )
-    run.add_argument(
-        "--service", default=None, metavar="HOST:PORT",
-        help="with --spec: submit the spec as a job to a running "
-        "experiment service ('serve') and stream its results; output is "
-        "bitwise-identical to local execution (see docs/service.md)",
     )
     run.add_argument(
         "--model", default=None, metavar="MODEL.json",
@@ -151,20 +144,11 @@ def _run(args) -> None:
     conflicts = (
         ((args.exhibit is None) != with_spec,
          "name an exhibit or pass --spec (exactly one of the two)"),
-        (args.service is not None and args.fabric is not None,
-         "--service and --fabric are mutually exclusive (a service daemon "
-         "is itself a fabric coordinator: attach 'fabric worker's to its "
-         "port)"),
-        (args.model is not None and args.service is not None,
-         "--model and --service are mutually exclusive (model seeding "
-         "happens in the local search loop)"),
         (args.model is not None and not with_spec,
          "--model needs --spec (named exhibits decide their own points)"),
         (with_spec and (args.fidelity is not None or args.seed is not None),
          "--fidelity/--seed belong in the spec file; they cannot be "
          "combined with --spec"),
-        (args.service is not None and not with_spec,
-         "--service needs --spec (the service executes declarative specs)"),
         (args.dry_run and not with_spec,
          "--dry-run needs --spec (named exhibits decide their own points)"),
     )
@@ -231,9 +215,7 @@ def _run_spec_file(args) -> None:
                 "spec (the model seeds the knee search)"
             )
         model = load_model(args.model, "run")
-    if args.service is not None and not args.dry_run:
-        _run_spec_service(spec, args)
-    elif args.dry_run:
+    if args.dry_run:
         from repro.experiments.costing import describe_cost
 
         report = open_session(args).dry_run(spec, model)
@@ -248,31 +230,6 @@ def _run_spec_file(args) -> None:
             print(cost)
     else:
         execute_spec(spec, open_session(args), model)
-
-
-def _run_spec_service(spec: ExperimentSpec, args) -> None:
-    """``run --spec --service``: execute via a running service daemon.
-
-    The daemon streams grid-ordered results that are bitwise-identical
-    to local execution, so the replication table is rendered from a
-    local in-memory session pre-warmed with the streamed points.
-    """
-    from repro.experiments.store import ResultStore
-    from repro.fabric.errors import FabricError
-    from repro.service.client import ServiceClient
-
-    try:
-        with ServiceClient(args.service) as client:
-            run = client.run_spec(spec, on_point=point_line)
-    except FabricError as exc:
-        raise CliError(f"dhetpnoc-repro run: service error: {exc}", 1)
-    print(f"service {args.service}: job {run.job_id} done: "
-          f"{len(run.results)} point(s), {run.executed} simulated, "
-          f"{run.hits} from store")
-    session = Session(ResultStore())
-    for key, result in zip(run.keys, run.results):
-        session.store.put(key, result)
-    _print_replication(spec, session)
 
 
 def execute_spec(spec: ExperimentSpec, session: Session, model=None) -> None:

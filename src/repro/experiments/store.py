@@ -28,8 +28,8 @@ line, so a store file is append-only, human-greppable, safe to merge
 with ``cat``, and tolerant of torn writes: corrupted or truncated lines
 are skipped on load rather than poisoning the sweep. The backend owns
 its files *and* their write locks, so threads sharing one (a
-``Session``, ``fabric serve``, the job daemon) are single-writer per
-file without wrapping it. ``compact`` rewrites a store in place,
+``Session``, the ``serve`` daemon) are single-writer per file without
+wrapping it. ``compact`` rewrites a store in place,
 deduplicating repeated keys (latest record wins) and dropping corrupt
 lines.
 """

@@ -15,7 +15,7 @@ load) grid. The sweep layer has two levels with one door between them:
   coordinator). A miss has one form everywhere: the wire work item
   :meth:`PointExecutor.work_item` encodes and :func:`execute_item`
   decodes and simulates — the single entry of the in-process path, the
-  pool, the service daemon's lanes and remote fabric workers. An
+  pool, the daemon's local lanes and remote fabric workers. An
   executor's public surface is ``plan`` / ``work_item`` /
   ``run_points`` / ``run`` / ``config_for`` / ``close``; it knows
   nothing of curves, peaks, knees or replication.
@@ -417,7 +417,7 @@ def execute_item(item: dict) -> RunResult:
     """Simulate one work item (see :meth:`PointExecutor.work_item`).
 
     The single execution entry of every lane — :class:`SweepExecutor`
-    in-process and in its pool, the service daemon's local lanes, a
+    in-process and in its pool, the daemon's local lanes, a
     remote fabric worker (top-level, so a process pool can pickle it):
     decode the payload, make the scenario identical to the submitter's,
     simulate. The simulated bandwidth set is, in order of precedence:
@@ -523,9 +523,10 @@ class FabricExecutor(PointExecutor):
 
     A drop-in :class:`PointExecutor` sibling of :class:`SweepExecutor`:
     cache-missing points are submitted, as a planned-batch job on the
-    ``jobs`` role, to a coordinator (``dhetpnoc-repro fabric serve``)
-    that leases them to remote workers and answers from its own store
-    when another client already paid for the simulation. Keys, configs
+    ``jobs`` role, to a coordinator (``dhetpnoc-repro serve``) that
+    simulates them on its local lanes or leases them to remote workers,
+    and answers from its own store when another client already paid
+    for the simulation. Keys, configs
     and scenario digests come from the shared base class, so the
     results — and the store they resume from — are bitwise-identical
     to a local run.

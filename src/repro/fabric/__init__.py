@@ -1,6 +1,6 @@
 """Distributed sweep fabric: cross-machine ``RunPoint`` execution.
 
-One coordinator (``dhetpnoc-repro fabric serve``) owns the result
+One coordinator (``dhetpnoc-repro serve``) owns the result
 store and a work queue; any number of workers (``fabric worker
 --connect host:port``) lease point batches and stream results back;
 clients (``sweep --fabric host:port`` or
@@ -18,7 +18,8 @@ Layout::
     server        RoleServer (accept loop, handshake, role dispatch,
                   result-stream loop) + dial(), the one client handshake
     coordinator   RoleServer + work table, leases, retries, shared
-                  store, the jobs role and its runner threads
+                  store, the jobs role and its runner threads, local
+                  lanes
     worker        lease/execute/stream loop + heartbeats
 
 Submodules are imported lazily: the fabric pulls in the whole

@@ -1,7 +1,8 @@
-"""The fabric coordinator: scatter ``RunPoint``\\ s, gather results.
+"""The coordinator: scatter ``RunPoint``\\ s, gather results.
 
-One :class:`Coordinator` multiplexes two peer roles over a single
-listening endpoint (role declared in the ``hello`` handshake):
+One :class:`Coordinator` (``dhetpnoc-repro serve``) multiplexes two
+peer roles over a single listening endpoint (role declared in the
+``hello`` handshake):
 
 * **workers** register with capability info, lease batches of points
   off the shared work queue, stream one ``result`` frame back per
@@ -15,6 +16,10 @@ listening endpoint (role declared in the ``hello`` handshake):
   ``job_end`` summary. A point already in the coordinator's
   :class:`~repro.experiments.store.ResultStore` is such a hit, so a
   client on any machine resumes from, and adds to, that one store.
+
+Its ``workers`` local lanes lease from the same work table, one key at
+a time (:meth:`Coordinator._lane_loop`); ``workers=0`` leaves every
+miss to the attached ``fabric worker``\\ s.
 
 Failure semantics
 -----------------
@@ -52,12 +57,15 @@ import logging
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Set, Tuple,
+)
 
+from repro.api.session import StoreLike, _resolve_store
 from repro.api.spec import ExperimentSpec
 from repro.experiments.runner import Fidelity
-from repro.experiments.store import ResultStore, result_from_dict, result_to_dict
-from repro.experiments.sweep import PointExecutor
+from repro.experiments.store import result_from_dict, result_to_dict
+from repro.experiments.sweep import PointExecutor, execute_item
 from repro.fabric.errors import ProtocolError
 from repro.fabric.protocol import encode_message, point_label, send_message
 from repro.fabric.server import RoleServer
@@ -70,10 +78,10 @@ from repro.service.jobs import (
     job_id_for_spec,
 )
 
-__all__ = ["Coordinator", "DEFAULT_PORT", "JobRecord"]
+if TYPE_CHECKING:  # imported when start() builds a lane pool
+    import multiprocessing.pool
 
-#: Default TCP port of ``dhetpnoc-repro fabric serve``.
-DEFAULT_PORT = 7023
+__all__ = ["Coordinator", "JobRecord"]
 
 log = logging.getLogger("repro.fabric")
 
@@ -256,11 +264,16 @@ class Coordinator(RoleServer):
 
     Args:
         store: The authoritative result store every completed point is
-            persisted to, and every submission is first answered from.
-            Defaults to a fresh in-memory store; production runs point
-            it at a sharded directory.
+            persisted to, and every submission is first answered from:
+            anything :class:`~repro.api.session.Session` accepts --
+            ``None`` (a fresh in-memory store), a path, a ResultStore or
+            a backend. Production runs point it at a sharded directory.
         host, port: Bind address (port ``0`` picks a free port;
             read it back from :attr:`address` after :meth:`start`).
+        workers: Local simulation lanes shared by every job (one
+            in-process lane for ``1``; above that a spawned process pool
+            of this width, so an embedding script needs the usual
+            ``__main__`` guard). ``0`` simulates nothing locally.
         lease_size: Points handed out per worker lease. Small leases
             re-balance better when workers are heterogeneous; large
             leases amortise protocol round-trips.
@@ -271,23 +284,28 @@ class Coordinator(RoleServer):
         max_jobs: Jobs on the work table at once (runner threads).
         max_pending: Queued-job backlog admitted before submissions are
             refused (admission control).
+        backend: Store-backend name for a path *store*.
     """
 
     title = "coordinator"
 
     def __init__(
         self,
-        store: Optional[ResultStore] = None,
+        store: StoreLike = None,
         host: str = "127.0.0.1",
         port: int = 0,
         *,
+        workers: int = 0,
         lease_size: int = 2,
         heartbeat_s: float = 2.0,
         worker_timeout_s: float = 20.0,
         max_attempts: int = 3,
         max_jobs: int = 2,
         max_pending: int = 16,
+        backend: str = "auto",
     ) -> None:
+        if workers < 0:
+            raise ValueError("workers must not be negative")
         if lease_size < 1:
             raise ValueError("lease_size must be at least 1")
         if max_attempts < 1:
@@ -296,7 +314,9 @@ class Coordinator(RoleServer):
             raise ValueError("max_jobs must be at least 1")
         super().__init__(host, port)
         self._roles.update(worker=self._serve_worker, jobs=self._serve_jobs)
-        self.store = store if store is not None else ResultStore()
+        self.store = _resolve_store(store, backend)
+        self.workers = workers
+        self._pool: Optional[multiprocessing.pool.Pool] = None
         self.lease_size = lease_size
         self.heartbeat_s = heartbeat_s
         self.worker_timeout_s = worker_timeout_s
@@ -323,12 +343,19 @@ class Coordinator(RoleServer):
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> Tuple[str, int]:
-        """Bind and begin accepting, monitoring and running jobs in
-        background threads."""
+        """Bind and begin accepting, monitoring, running jobs and
+        simulating on the local lanes in background threads."""
         address = super().start()
         self._spawn(self._monitor_loop, "monitor")
         for i in range(self.max_jobs):
             self._spawn(self._runner_loop, f"runner-{i}")
+        if self.workers > 1:
+            import multiprocessing
+
+            # Spawned, not forked: the coordinator is already multi-threaded.
+            self._pool = multiprocessing.get_context("spawn").Pool(self.workers)
+        for i in range(self.workers):
+            self._spawn(self._lane_loop, f"lane-{i}")
         return address
 
     def _release(self) -> None:
@@ -344,6 +371,9 @@ class Coordinator(RoleServer):
             worker.conn.close()
         with self._store_lock:
             self.store.flush()
+        if self._pool is not None:
+            self._pool.terminate()
+            self._pool.join()
 
     def stats(self) -> dict:
         """Point-in-time counters (also served as a ``stats`` RPC)."""
@@ -557,6 +587,31 @@ class Coordinator(RoleServer):
                     f"no heartbeat for {self.worker_timeout_s:.0f}s",
                 )
                 worker.conn.close()  # unblocks its handler thread
+
+    # -- local lanes ---------------------------------------------------------
+    def _lane_loop(self) -> None:
+        """An in-process worker: lease one key, simulate it, report it —
+        through the same state transitions a remote worker's frames
+        drive, so retries, failure budgets and dedup are shared."""
+        lane = object()  # what its leases are held by
+        while not self._closed:
+            with self._state_changed:
+                items = self._lease(lane, 1)
+                if not items:
+                    self._state_changed.wait(timeout=0.5)
+                    continue
+            (item,) = items
+            try:
+                if self._pool is None:
+                    result = execute_item(item)
+                else:
+                    result = self._pool.apply(execute_item, (item,))
+            except Exception as exc:  # noqa: BLE001 - spent on the point's budget
+                self._requeue_or_fail(
+                    item["key"], f"{type(exc).__name__}: {exc}"
+                )
+            else:
+                self._complete_point(item["key"], result_to_dict(result))
 
     # -- job execution -------------------------------------------------------
     def _runner_loop(self) -> None:

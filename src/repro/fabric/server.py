@@ -5,8 +5,7 @@ peers on a background thread, validate ``hello`` (type,
 :data:`~repro.fabric.protocol.PROTOCOL_VERSION`, role) and hand the
 connection to the handler registered for the peer's role.
 :class:`~repro.fabric.coordinator.Coordinator` registers ``worker`` /
-``jobs``; :class:`~repro.service.daemon.ExperimentService` adds local
-lanes, not roles. Shared by every role, and so defined only here: the
+``jobs`` (its local lanes are threads, not roles). Shared by every role, and so defined only here: the
 lifecycle, the handshake, the rule that a peer's bad frame earns an
 ``error`` frame instead of a traceback, and the result-stream loop
 (:meth:`RoleServer._follow`).

@@ -1,7 +1,8 @@
-"""Experiment service: the ``jobs`` role and the daemon around it.
+"""Experiment service: the ``jobs`` role's queue and client.
 
-One daemon (``dhetpnoc-repro serve``) owns a result store, a job queue
-and the coordinator's work table; any number of clients submit
+One daemon (``dhetpnoc-repro serve``, a
+:class:`~repro.fabric.coordinator.Coordinator`) owns a result store, a
+job queue and the work table; any number of clients submit
 :class:`~repro.api.spec.ExperimentSpec` JSON over the fabric's wire
 layer (``repro jobs submit|status|watch|cancel|list`` or
 :class:`ServiceClient`) and receive results streamed incrementally as
@@ -16,12 +17,12 @@ Layout::
 
     errors   ServiceError (extends FabricError)
     jobs     JobQueue: IDs, lifecycle, admission (JobRecord is the coordinator's)
-    daemon   ExperimentService(Coordinator): local lanes, path stores, port
+    daemon   ExperimentService: the Coordinator's former name
     client   ServiceClient: submit/stream/status/cancel/list/stats
 
-Submodules are imported lazily, mirroring ``repro.fabric``: the daemon
-pulls in the whole simulation stack, and ``repro.service.errors``
-alone must stay cheap.
+Submodules are imported lazily, mirroring ``repro.fabric``: the client
+pulls in the simulation stack, and ``repro.service.errors`` alone must
+stay cheap.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from repro.api.base import lazy_exports
 from repro.service.errors import ServiceError
 
 __all__ = [
-    "ExperimentService",
     "JobQueue",
     "JobRecord",
     "JobRejected",
@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 _LAZY = {
-    "ExperimentService": ("repro.service.daemon", "ExperimentService"),
     "JobQueue": ("repro.service.jobs", "JobQueue"),
     "JobRecord": ("repro.fabric.coordinator", "JobRecord"),
     "JobRejected": ("repro.service.jobs", "JobRejected"),

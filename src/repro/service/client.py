@@ -1,8 +1,8 @@
 """The service client: submit jobs, follow streams, drive job RPCs.
 
 :class:`ServiceClient` is the connection object behind ``repro jobs``,
-the ``run --spec --service`` path and
-:class:`~repro.experiments.sweep.FabricExecutor`. It is a
+and :class:`~repro.experiments.sweep.FabricExecutor` (``run --spec
+--fabric``, ``sweep --fabric``). It is a
 :class:`~repro.fabric.server.Peer` — one persistent connection, dialled
 with backoff — in the ``jobs`` role, speaking ``job_*`` frames: submit an
 :class:`~repro.api.spec.ExperimentSpec` or a planned batch, then consume

@@ -59,7 +59,7 @@ DEAD = "127.0.0.1:1"
 #: after the last refused attempt, not the waiting between attempts, so
 #: the collector runs them with the backoff's sleep stubbed out.
 DIALS_DEAD = frozenset({
-    "spec-service-unreachable", "sweep-fabric-unreachable", "jobs-unreachable",
+    "sweep-fabric-unreachable", "jobs-unreachable",
 })
 
 #: Priced by ``run --spec --dry-run`` in place of the newest committed
@@ -81,16 +81,10 @@ TEXT_FIXTURES = {
 #: The ordered transcript. Later calls read what earlier ones wrote.
 CALLS = (
     ("list", ["list"]),
-    # -- run: the seven flag-conflict exits ---------------------------------
+    # -- run: the four flag-conflict exits ----------------------------------
     ("run-neither", ["run"]),
-    ("run-service-and-fabric",
-     ["run", "--spec", "grid.json", "--service", DEAD, "--fabric", DEAD]),
-    ("run-model-and-service",
-     ["run", "--spec", "adaptive.json", "--model", "model.json",
-      "--service", DEAD]),
     ("run-model-without-spec", ["run", "table-3-5", "--model", "model.json"]),
     ("run-seed-with-spec", ["run", "--spec", "grid.json", "--seed", "2"]),
-    ("run-service-without-spec", ["run", "table-3-5", "--service", DEAD]),
     ("run-dry-run-without-spec", ["run", "table-3-5", "--dry-run"]),
     # -- run: exhibits ------------------------------------------------------
     ("run-static-table", ["run", "table-3-5"]),
@@ -123,8 +117,6 @@ CALLS = (
     ("spec-adaptive-dry-run", ["run", "--spec", "adaptive.json", "--dry-run"]),
     ("spec-adaptive",
      ["run", "--spec", "adaptive.json", "--store", "spec.jsonl"]),
-    ("spec-service-unreachable",
-     ["run", "--spec", "grid.json", "--service", DEAD]),
     # -- sweep --------------------------------------------------------------
     ("sweep-bad-pattern", ["sweep", "--pattern", "uniform", "bogus"]),
     ("sweep-model-needs-adaptive", ["sweep", "--model", "model.json"]),

@@ -514,7 +514,7 @@ class TestFaultTolerance:
 def test_sigterm_stops_serve_and_its_workers_cleanly(tmp_path):
     path = str(tmp_path / "store.jsonl")
     with open(tmp_path / "serve.log", "w") as log:
-        serve = spawn_cli("fabric", "serve", "--host", "127.0.0.1",
+        serve = spawn_cli("serve", "--workers", "0", "--host", "127.0.0.1",
                           "--port", "0", "--store", path, stderr=log)
     workers = []
     try:

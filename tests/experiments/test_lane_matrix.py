@@ -47,7 +47,6 @@ from repro.scenarios.compose import sequence
 from repro.scenarios.library import build_scenario, register_schedule, scenarios
 from repro.scenarios.schedule import ScenarioSchedule
 from repro.service.client import ServiceClient
-from repro.service.daemon import ExperimentService
 from repro.traffic.bandwidth_sets import BW_SET_1
 
 from support import (
@@ -256,9 +255,9 @@ def lanes():
 
         threads = daemon(Coordinator(counting_store()))
         procs = daemon(Coordinator(counting_store()))
-        service = daemon(ExperimentService(counting_store(), workers=1))
-        service_pool = daemon(ExperimentService(counting_store(), workers=2))
-        service_worker = daemon(ExperimentService(counting_store(), workers=0))
+        service = daemon(Coordinator(counting_store(), workers=1))
+        service_pool = daemon(Coordinator(counting_store(), workers=2))
+        service_worker = daemon(Coordinator(counting_store(), workers=0))
         workers, _ = inthread_workers(threads.address, 2)
         attached, _ = attach_worker(service_worker.address)
         for worker in (*workers, attached):

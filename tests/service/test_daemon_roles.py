@@ -1,8 +1,7 @@
 """One server, every role: the coordinator's ``worker`` and ``jobs`` roles.
 
-Every coordinator serves the ``jobs`` role, and ``ExperimentService``
-is the coordinator plus local lanes, so these tests drive the paths
-the two roles share:
+Every coordinator serves both roles, local lanes or none, so these
+tests drive the paths the two roles share:
 
 * a malformed (well-framed) peer frame in any role earns an ``error``
   reply and leaves the daemon serving, never a dead handler thread;
@@ -28,7 +27,6 @@ from repro.fabric.coordinator import Coordinator, JobRecord
 from repro.fabric.errors import ProtocolError
 from repro.fabric.protocol import recv_message, send_message
 from repro.fabric.server import RoleServer, dial
-from repro.service.daemon import ExperimentService
 from repro.service.jobs import JobQueue, JobRejected
 
 from support import (
@@ -45,29 +43,29 @@ from support import (
 # Hostile-but-well-framed input: one fix, in the server core
 # ---------------------------------------------------------------------------
 
-#: (server class, role, extra hello fields, the malformed frame)
+#: (role, extra hello fields, the malformed frame)
 MALFORMED = {
     "batch-without-fidelity": (
-        Coordinator, "jobs", {},
+        "jobs", {},
         {"type": "job_submit",
          "points": [{"key": "k", "point": wire_point()}]},
     ),
     "entry-without-point": (
-        Coordinator, "jobs", {},
+        "jobs", {},
         {"type": "job_submit", "fidelity": TINY.to_dict(),
          "points": [{"key": "k"}]},
     ),
     "fidelity-with-an-unknown-field": (
-        Coordinator, "jobs", {},
+        "jobs", {},
         {"type": "job_submit", "fidelity": {**TINY.to_dict(), "warmup": 5},
          "points": [{"key": "k", "point": wire_point()}]},
     ),
     "result-without-key": (
-        Coordinator, "worker", {"capabilities": {}},
+        "worker", {"capabilities": {}},
         {"type": "result", "result": {}},
     ),
     "spec-with-scalar-archs": (
-        ExperimentService, "jobs", {},
+        "jobs", {},
         {"type": "job_submit", "spec": {"archs": 5}, "watch": False},
     ),
 }
@@ -75,8 +73,8 @@ MALFORMED = {
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_frame_gets_an_error_reply_and_the_daemon_lives(case):
-    server_cls, role, hello, frame = MALFORMED[case]
-    with serving(server_cls()) as server:
+    role, hello, frame = MALFORMED[case]
+    with serving(Coordinator()) as server:
         conn, _welcome = dial(server.address, role, **hello)
         try:
             send_message(conn, frame)
@@ -96,7 +94,7 @@ def test_malformed_frame_gets_an_error_reply_and_the_daemon_lives(case):
 
 
 def test_unknown_role_is_rejected_by_the_service():
-    with serving(ExperimentService()) as service:
+    with serving(Coordinator(workers=1)) as service:
         with pytest.raises(ProtocolError, match="unknown role 'observer'"):
             dial(service.address, "observer", attempts=1)
 

@@ -33,6 +33,7 @@ from repro.experiments.cli import main
 from repro.experiments.runner import RunResult
 from repro.experiments.store import open_store, result_to_dict
 from repro.experiments.sweep import execute_item
+from repro.fabric.coordinator import Coordinator
 from repro.fabric.errors import ProtocolError
 from repro.fabric.protocol import (
     PROTOCOL_VERSION,
@@ -43,7 +44,6 @@ from repro.fabric.protocol import (
 from repro.fabric.server import dial
 from repro.fabric.transport import Connection, make_transport
 from repro.service.client import ServiceClient
-from repro.service.daemon import ExperimentService
 from repro.service.errors import ServiceError
 
 from support import (
@@ -58,7 +58,7 @@ from support import (
 
 @pytest.fixture
 def service():
-    svc = ExperimentService(max_jobs=2)
+    svc = Coordinator(workers=1, max_jobs=2)
     svc.start()
     yield svc
     svc.stop()
@@ -144,7 +144,7 @@ class TestStoredFrames:
         # at a time, through the transitions a lane drives.
         spec = tiny_spec(seeds=(1, 2))
         n = spec.n_points()
-        service = ExperimentService(workers=0, max_jobs=1)
+        service = Coordinator(workers=0, max_jobs=1)
         service.start()
         lane = object()
 
@@ -303,7 +303,7 @@ class TestConcurrentDedup:
 
     def test_overlapping_specs_simulate_each_key_once(self):
         counting = CountingBackend()
-        service = ExperimentService(counting, max_jobs=2)
+        service = Coordinator(counting, workers=1, max_jobs=2)
         service.start()
         try:
             spec_a = tiny_spec(seeds=(1, 2))
@@ -339,7 +339,7 @@ class TestConcurrentDedup:
         # per-file write lock is all that serialises them — the daemon
         # wraps nothing around the store it is given.
         path = str(tmp_path / ("store.jsonl" if layout == "jsonl" else "shards"))
-        service = ExperimentService(path, backend=layout, workers=2, max_jobs=2)
+        service = Coordinator(path, backend=layout, workers=2, max_jobs=2)
         service.start()
         try:
             assert service.store.backend.sharded == (layout == "sharded")
@@ -359,7 +359,7 @@ class TestConcurrentDedup:
 
     def test_identical_specs_share_one_job(self):
         counting = CountingBackend()
-        service = ExperimentService(counting, max_jobs=2)
+        service = Coordinator(counting, workers=1, max_jobs=2)
         service.start()
         try:
             spec = tiny_spec(seeds=(1, 2))
@@ -381,8 +381,8 @@ class TestConcurrentDedup:
 class TestCancellation:
     def test_cancel_mid_run_then_resubmit_resumes(self, tmp_path):
         store_dir = tmp_path / "shards"
-        service = ExperimentService(
-            str(store_dir), backend="sharded", max_jobs=1
+        service = Coordinator(
+            str(store_dir), workers=1, max_jobs=1, backend="sharded"
         )
         service.start()
         try:
@@ -415,8 +415,8 @@ class TestCancellation:
 
         # A fresh daemon over the same store resumes: already-stored
         # points are hits, only the tail is simulated.
-        resumed = ExperimentService(
-            str(store_dir), backend="sharded", max_jobs=1
+        resumed = Coordinator(
+            str(store_dir), workers=1, max_jobs=1, backend="sharded"
         )
         resumed.start()
         try:
@@ -502,7 +502,7 @@ class TestRobustness:
                 client.submit(spec)
 
     def test_admission_control_over_the_wire(self):
-        service = ExperimentService(max_jobs=1, max_pending=1)
+        service = Coordinator(workers=1, max_jobs=1, max_pending=1)
         service.start()
         try:
             with ServiceClient(service.address) as client:
@@ -546,7 +546,7 @@ class TestRobustness:
         probe.bind(("127.0.0.1", 0))
         host, port = probe.getsockname()
         probe.close()
-        service = ExperimentService(host=host, port=port)
+        service = Coordinator(host=host, port=port, workers=1)
 
         def start_late():
             time.sleep(0.5)
@@ -574,7 +574,7 @@ class TestRobustness:
         signals, not out a poll (a ``service_job`` op stops a service)."""
         before = threading.active_count()
         for _ in range(3):
-            service = ExperimentService()
+            service = Coordinator(workers=1)
             service.start()
             began = time.perf_counter()
             service.stop()
@@ -583,34 +583,30 @@ class TestRobustness:
 
 
 # ---------------------------------------------------------------------------
-# CLI: run --spec --service
+# CLI: run --spec --fabric
 # ---------------------------------------------------------------------------
 
 class TestCli:
-    def test_run_spec_via_service(self, service, tmp_path, capsys):
+    def test_run_spec_via_fabric_prints_the_local_run(
+        self, service, tmp_path, capsys
+    ):
         spec = tiny_spec(archs=("firefly", "dhetpnoc"))
         path = tmp_path / "spec.json"
         spec.save(str(path))
+        assert main(["run", "--spec", str(path)]) == 0
+        local = capsys.readouterr().out
         host, port = service.address
         code = main([
-            "run", "--spec", str(path), "--service", f"{host}:{port}",
+            "run", "--spec", str(path), "--fabric", f"{host}:{port}",
         ])
-        out = capsys.readouterr().out
+        banner, out = capsys.readouterr().out.split("\n", 1)
         assert code == 0
-        assert "done: 4 point(s), 4 simulated, 0 from store" in out
-        assert "Saturation peaks" in out
-
-    def test_service_and_fabric_are_mutually_exclusive(
-        self, tmp_path, capsys
-    ):
-        path = tmp_path / "spec.json"
-        tiny_spec().save(str(path))
-        code = main([
-            "run", "--spec", str(path),
-            "--service", "localhost:7123", "--fabric", "localhost:7023",
-        ])
-        assert code == 2
-        assert "mutually exclusive" in capsys.readouterr().err
+        assert banner == (
+            f"fabric {host}:{port}: 2 curve(s), 4 grid point(s), "
+            "4 not in the local store"
+        )
+        assert "4 points, 4 simulated" in out
+        assert out == local
 
 
 # ---------------------------------------------------------------------------

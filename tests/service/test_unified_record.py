@@ -35,7 +35,6 @@ from repro.fabric.coordinator import Coordinator
 from repro.fabric.protocol import recv_message, send_message
 from repro.fabric.server import dial
 from repro.service.client import ServiceClient
-from repro.service.daemon import ExperimentService
 from repro.service.errors import ServiceError
 
 from support import (
@@ -60,7 +59,7 @@ def test_misses_are_queued_in_grid_order_and_hits_resolve_at_admission():
     store = ResultStore()
     for key, result in list(zip(keys, results))[::2]:
         store.put(key, result)  # indices 0, 2, 4 are warm
-    with serving(ExperimentService(store, workers=0)) as service:
+    with serving(Coordinator(store, workers=0)) as service:
         with ServiceClient(service.address) as client:
             handle = client.submit(spec)
             record = service.jobs.get(handle.job_id)
@@ -89,7 +88,7 @@ def test_key_repeated_in_the_grid_is_simulated_once_and_streamed_twice():
     # grid repeats a store key.
     spec = tiny_spec(fidelity=Fidelity("tiny", 700, 100, (0.3, 0.3, 0.8)))
     counting = CountingBackend()
-    with serving(ExperimentService(counting)) as service:
+    with serving(Coordinator(counting, workers=1)) as service:
         with ServiceClient(service.address) as client:
             run = client.run_spec(spec)
     expected, expected_keys = local_run(spec)
@@ -125,7 +124,7 @@ class GatedBackend(CountingBackend):
 def test_cancel_racing_admission_leaves_no_waiter_and_no_orphan_item():
     spec = tiny_spec(seeds=(1, 2))
     backend = GatedBackend(free=1)
-    service = ExperimentService(backend, workers=0, max_jobs=1)
+    service = Coordinator(backend, workers=0, max_jobs=1)
     with serving(service):
         with ServiceClient(service.address) as client:
             handle = client.submit(spec)
@@ -164,7 +163,7 @@ def test_cancel_racing_admission_leaves_no_waiter_and_no_orphan_item():
 def test_failed_job_names_the_point_by_label_lets_go_and_restarts():
     spec = tiny_spec()
     expected, expected_keys = local_run(spec)
-    with serving(ExperimentService(workers=0, max_jobs=1)) as service:
+    with serving(Coordinator(workers=0, max_jobs=1)) as service:
         service.max_attempts = 1
         saboteur, _ = dial(service.address, "worker", capabilities={})
         with ServiceClient(service.address) as client:
@@ -215,7 +214,7 @@ def test_failed_job_names_the_point_by_label_lets_go_and_restarts():
 
 def test_cancelling_a_queued_job_frees_its_slot_over_the_wire():
     # No lanes and no workers: the running job stays running.
-    service = ExperimentService(workers=0, max_jobs=1, max_pending=1)
+    service = Coordinator(workers=0, max_jobs=1, max_pending=1)
     with serving(service):
         with ServiceClient(service.address) as client:
             running = client.submit(tiny_spec(seeds=(1,)))
@@ -248,7 +247,7 @@ def test_job_and_fabric_client_share_one_simulation_per_key(first):
     assert shared
     # No local lanes: nothing simulates until the worker attaches, so
     # the job and the batch are both waiting on the shared keys first.
-    with serving(ExperimentService(counting, workers=0)) as service:
+    with serving(Coordinator(counting, workers=0)) as service:
         outcome: dict = {}
 
         def run_batch():
@@ -310,7 +309,7 @@ def _frames_until(conn, closing: str) -> list:
 
 def test_jobs_role_frames_carry_exactly_the_catalogued_fields():
     spec = tiny_spec()
-    with serving(ExperimentService()) as service:
+    with serving(Coordinator(workers=1)) as service:
         conn, _welcome = dial(service.address, "jobs")
         try:
             send_message(conn, {
@@ -429,7 +428,7 @@ def test_a_finished_batch_drops_its_items_and_still_attaches():
     spec = tiny_spec(seeds=(1,))
     expected, keys = local_run(spec)
     batch = _batch(spec)
-    with serving(ExperimentService()) as service:
+    with serving(Coordinator(workers=1)) as service:
         with ServiceClient(service.address) as client:
             first = client.submit_batch(*batch, watch=True)
             client.stream(first.job_id)

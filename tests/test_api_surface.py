@@ -47,7 +47,6 @@ REPRO_API_EXPORTS = {
 #: The exact exported surface of ``repro.service`` (all but the error
 #: are lazy: importing the package must not pull in the daemon).
 REPRO_SERVICE_EXPORTS = {
-    "ExperimentService",
     "JobQueue",
     "JobRecord",
     "JobRejected",

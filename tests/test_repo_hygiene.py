@@ -86,6 +86,19 @@ def test_one_server_core_and_one_handshake(needle):
     assert _count_in_src(needle) == {"src/repro/fabric/server.py": 1}
 
 
+def test_one_daemon_and_one_way_to_it():
+    # The service daemon was a coordinator subclass with its own verb,
+    # port and client flag; none of the four may grow back beside the
+    # one coordinator, the one `serve` verb and `--fabric`.
+    for needle in ("class ExperimentService", "def _fabric_serve",
+                   "def _run_spec_service", '"--service"'):
+        assert _count_in_src(needle) == {}, needle
+    assert sum(_count_in_src("DEFAULT_PORT =").values()) == 1
+    assert _count_in_src("def _lane_loop") == {
+        "src/repro/fabric/coordinator.py": 1
+    }
+
+
 @pytest.mark.parametrize(
     "needle",
     ["_DEFAULT_STORE", "set_default_store", "make_default", "DeprecationWarning"],
@@ -491,7 +504,7 @@ def test_every_lane_executes_the_same_work_item():
                 ))
     assert handed == {
         ("src/repro/experiments/sweep.py", "execute_item"),
-        ("src/repro/service/daemon.py", "execute_item"),
+        ("src/repro/fabric/coordinator.py", "execute_item"),
     }
     # ... and those two modules are the only ones that can own a pool.
     assert set(_count_in_src("import multiprocessing")) == {

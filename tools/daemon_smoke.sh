@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# Localhost daemon smokes: the fabric coordinator with its workers, then
-# the experiment service, each driven through the CLI as a user would
-# and stopped with SIGTERM (which the daemons and workers treat like
-# Ctrl-C: they stop cleanly and exit 0).
+# Localhost daemon smokes: two runs of the one daemon (`serve`), first
+# with no local lanes and its fabric workers, then with concurrent jobs,
+# each driven through the CLI as a user would and stopped with SIGTERM
+# (which the daemon and its workers treat like Ctrl-C: they stop cleanly
+# and exit 0).
 #
 # Logs (serve.log, worker-*.log, service.log) and transcripts (*.out)
 # go to the current directory, as do the stores and spec files. Uses
-# ports 7023 and 7123 on 127.0.0.1.
+# port 7123 on 127.0.0.1, one half after the other.
 #
 # Usage:
 #
@@ -20,46 +21,46 @@ export PYTHONPATH="$(cd "$(dirname "$0")/.." && pwd)/src${PYTHONPATH:+:$PYTHONPA
 cli="python -m repro.experiments.cli"
 
 # -- Localhost fabric smoke (kill a worker mid-sweep, resume) ---------------
-# Coordinator + two subprocess workers; one worker hard-exits while
-# holding a lease (--fail-after 1). The sweep must still complete (its
-# points re-queue to the survivor), and a second sweep with a fresh
-# local store must resume entirely from the coordinator's shared store
-# (0 simulated). A sweep's batch is a job on the coordinator's `jobs`
-# role, named by its keys: the second sweep submits the same batch, so
-# it attaches to the first one's record, and the list shows that one
-# job, done.
-# No sleep/poll for the coordinator's bind: workers and clients dial
+# The daemon with no local lanes (--workers 0) + two subprocess workers;
+# one worker hard-exits while holding a lease (--fail-after 1). The
+# sweep must still complete (its points re-queue to the survivor), and a
+# second sweep with a fresh local store must resume entirely from the
+# daemon's shared store (0 simulated). A sweep's batch is a job on the
+# daemon's `jobs` role, named by its keys: the second sweep submits the
+# same batch, so it attaches to the first one's record, and the list
+# shows that one job, done.
+# No sleep/poll for the daemon's bind: workers and clients dial
 # with bounded exponential backoff, which is itself part of what this
 # lane exercises.
-$cli fabric serve --host 127.0.0.1 --port 7023 \
+$cli serve --host 127.0.0.1 --port 7123 --workers 0 --lease-size 2 \
   --store fabric-shards/ --store-backend sharded > serve.log 2>&1 &
-$cli fabric worker --connect 127.0.0.1:7023 \
+$cli fabric worker --connect 127.0.0.1:7123 \
   --fail-after 1 > worker-chaos.log 2>&1 &
-$cli fabric worker --connect 127.0.0.1:7023 \
+$cli fabric worker --connect 127.0.0.1:7123 \
   > worker-ok.log 2>&1 &
 $cli sweep --arch firefly dhetpnoc --bw-set 1 \
-  --fabric 127.0.0.1:7023 --store local.jsonl | tee fabric.out
-grep -q "fabric 127.0.0.1:7023" fabric.out
+  --fabric 127.0.0.1:7123 --store local.jsonl | tee fabric.out
+grep -q "fabric 127.0.0.1:7123" fabric.out
 $cli sweep --arch firefly dhetpnoc --bw-set 1 \
-  --fabric 127.0.0.1:7023 --store local2.jsonl | tee fabric-rerun.out
-# The banner reads only the fresh local store; the coordinator's
+  --fabric 127.0.0.1:7123 --store local2.jsonl | tee fabric-rerun.out
+# The banner reads only the fresh local store; the daemon's
 # shared store answers every point.
 grep -q "6 not in the local store" fabric-rerun.out
 grep -q "0 simulated" fabric-rerun.out
 grep -q "re-queueing" serve.log   # the killed worker's lease moved
-$cli jobs list --connect 127.0.0.1:7023 | tee fabric-jobs.out
+$cli jobs list --connect 127.0.0.1:7123 | tee fabric-jobs.out
 test "$(grep -c "^job-" fabric-jobs.out)" -eq 1
 grep -q "^job-[0-9a-f]* *| done " fabric-jobs.out
 kill $(jobs -p) 2>/dev/null || true
 wait  # until each has stopped (and written out what it ran)
 
 # -- Localhost service smoke (concurrent jobs, cancel, resume) --------------
-# Start the experiment service, submit two jobs concurrently, cancel
+# Start the daemon again on a fresh store, submit two jobs concurrently, cancel
 # one mid-run, and assert the other completes. The cancelled job's
 # completed points are already durable in the shared store, so
 # re-submitting its spec must resume with "0 simulated". Clients dial
 # with bounded backoff — no sleep/poll for the daemon's bind. The
-# daemon is the fabric coordinator plus the jobs role, so a fabric
+# daemon serves the worker role beside the jobs role, so a fabric
 # worker attaches to the same port and does all of the simulation.
 python -c "
 from repro.api import ExperimentSpec

@@ -11,10 +11,10 @@ reached it:
 * the perf ledger's own test (``benchmarks/ledger/test_ledger.py``);
 * ``all --fidelity quick --workers 1``, every exhibit and claim, as a
   traced subprocess;
-* the daemons: ``tools/daemon_smoke.sh`` (the CI smokes of ``fabric
-  serve``, ``serve``, ``fabric worker`` and ``jobs``), in a scratch
-  directory. It stops the daemons with SIGTERM, on which they exit
-  cleanly, so each writes out what it ran.
+* the daemon: ``tools/daemon_smoke.sh`` (the CI smokes of ``serve``,
+  ``fabric worker`` and ``jobs``), in a scratch directory. It stops
+  the daemon and its workers with SIGTERM, on which they exit cleanly,
+  so each writes out what it ran.
 
 A function counts as reached only when a line of its body runs: its
 ``def`` line runs at import. A nested function is classified on its

@@ -17,7 +17,7 @@ Layout::
 
     errors   ServiceError (extends FabricError)
     jobs     JobQueue: IDs, lifecycle, admission (JobRecord is the coordinator's)
-    daemon   ExperimentService: the Coordinator's former name
+    daemon   ExperimentService: the Coordinator, by the perf ledger's name
     client   ServiceClient: submit/stream/status/cancel/list/stats
 
 Submodules are imported lazily, mirroring ``repro.fabric``: the client

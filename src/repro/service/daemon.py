@@ -1,4 +1,4 @@
-"""``ExperimentService``: the daemon's former name.
+"""``ExperimentService``: the name the perf ledger builds the daemon by.
 
 The daemon is :class:`~repro.fabric.coordinator.Coordinator`, local
 lanes included (see docs/service.md).
@@ -6,6 +6,6 @@ lanes included (see docs/service.md).
 
 from repro.fabric.coordinator import Coordinator
 
-# The perf ledger builds the daemon by this name, and its files change
-# only together with the benchmark they define.
+# The ledger's files change only together with the benchmark they
+# define, so the name stays while they import it.
 ExperimentService = Coordinator

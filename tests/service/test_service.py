@@ -26,6 +26,7 @@ import socket
 import threading
 import time
 from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
@@ -49,11 +50,16 @@ from repro.service.errors import ServiceError
 from support import (
     CountingBackend,
     local_run,
+    serving,
     tiny_spec,
     wait_until,
     wire_frame,
     within,
 )
+
+
+#: Nothing listens on port 1: a client dialling it is refused at once.
+DEAD = "127.0.0.1:1"
 
 
 @pytest.fixture
@@ -607,6 +613,103 @@ class TestCli:
         )
         assert "4 points, 4 simulated" in out
         assert out == local
+
+    def test_run_spec_via_fabric_to_an_unreachable_daemon_exits_1(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "spec.json"
+        tiny_spec().save(str(path))
+        # The client's bounded backoff still dials every attempt; only
+        # the waiting between them is stubbed out.
+        with mock.patch("repro.fabric.server.time.sleep"):
+            code = main(["run", "--spec", str(path), "--fabric", DEAD])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "dhetpnoc-repro: fabric error: "
+        )
+
+    def test_run_has_one_client_flag(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        tiny_spec().save(str(path))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--spec", str(path), f"--service={DEAD}"])
+        assert exc.value.code == 2
+        assert (f"unrecognized arguments: --service={DEAD}"
+                in capsys.readouterr().err)
+
+    #: ``serve`` option -> (value given, Coordinator attribute, value read)
+    SERVE_OPTIONS = {
+        "--workers": ("0", "workers", 0),
+        "--lease-size": ("5", "lease_size", 5),
+        "--max-attempts": ("4", "max_attempts", 4),
+        "--worker-timeout": ("7.5", "worker_timeout_s", 7.5),
+    }
+
+    @staticmethod
+    def _served(monkeypatch, capsys, *argv):
+        """The Coordinator ``serve *argv`` builds and starts, stopped
+        where the verb would block."""
+        from repro.experiments.cli import fabric
+
+        served = []
+
+        def serve_once(daemon):
+            served.append((daemon, daemon.address))
+            daemon.stop()
+
+        monkeypatch.setattr(fabric, "_as_daemon", lambda: None)
+        monkeypatch.setattr(Coordinator, "serve_forever", serve_once)
+        argv = ["serve", "--host", "127.0.0.1", "--port", "0", *argv]
+        assert main(argv) == 0
+        ((daemon, (host, port)),) = served
+        assert capsys.readouterr().out == (
+            f"experiment service listening on {host}:{port} "
+            "(store: service memory)\n"
+        )
+        return daemon
+
+    @pytest.mark.parametrize("option", sorted(SERVE_OPTIONS))
+    def test_each_serve_option_reaches_the_coordinator(
+        self, option, monkeypatch, capsys
+    ):
+        given, attribute, expected = self.SERVE_OPTIONS[option]
+        daemon = self._served(monkeypatch, capsys, option, given)
+        assert getattr(daemon, attribute) == expected
+
+    def test_serve_defaults_to_one_local_lane(self, monkeypatch, capsys):
+        daemon = self._served(monkeypatch, capsys)
+        assert (daemon.workers, daemon.lease_size, daemon.max_attempts,
+                daemon.worker_timeout_s) == (1, 2, 3, 20.0)
+
+
+# ---------------------------------------------------------------------------
+# The perf ledger's name for the daemon
+# ---------------------------------------------------------------------------
+
+class TestLedgerName:
+    def test_experiment_service_is_the_coordinator(self):
+        from repro.service.daemon import ExperimentService
+
+        assert ExperimentService is Coordinator
+
+    def test_a_daemon_built_the_ledgers_way_serves_a_spec(self, tmp_path):
+        """``service_job`` builds ``ExperimentService(store, workers=1,
+        max_jobs=1)`` on a store path and runs ``ServiceClient.run_spec``:
+        the stream equals a local run and lands in that store."""
+        from repro.service.daemon import ExperimentService
+
+        path = str(tmp_path / "store.jsonl")
+        spec = tiny_spec(archs=("firefly", "dhetpnoc"))
+        with serving(ExperimentService(path, workers=1, max_jobs=1)) as daemon:
+            with ServiceClient(daemon.address) as client:
+                run = client.run_spec(spec)
+        expected, expected_keys = local_run(spec)
+        assert run.keys == expected_keys
+        assert [result_to_dict(r) for r in run.results] == [
+            result_to_dict(r) for r in expected
+        ]
+        stored = open_store(path)
+        assert sorted(key for key, _ in stored) == sorted(expected_keys)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ Examples::
     dhetpnoc-repro trace record --out burst.jsonl --scenario burst_storm
     dhetpnoc-repro trace info burst.jsonl
     dhetpnoc-repro trace replay burst.jsonl --arch firefly dhetpnoc
-    dhetpnoc-repro scenarios ingest burst.jsonl --total-cycles 1500
     dhetpnoc-repro ml export --store results/store.jsonl --out dataset.json
     dhetpnoc-repro ml fit dataset.json --out model.json
     dhetpnoc-repro sweep --adaptive --model model.json --pattern skewed3

@@ -1,5 +1,5 @@
-"""``scenarios ...``: script, play, sweep, fuzz and ingest time-varying
-workloads (see docs/scenarios.md)."""
+"""``scenarios ...``: script, play, sweep and fuzz time-varying workloads
+(see docs/scenarios.md)."""
 
 from __future__ import annotations
 
@@ -114,35 +114,6 @@ def register(sub) -> None:
                      help="write the report (per-schedule scores included)")
     cov.set_defaults(handler=_coverage)
 
-    ingest = scen_sub.add_parser(
-        "ingest",
-        help="fit a recorded (JSONL) or exported (CSV) traffic trace "
-        "into a phased scenario schedule and register it "
-        "(see docs/ml.md)",
-    )
-    ingest.add_argument("path", metavar="TRACE[.jsonl|.csv]")
-    ingest.add_argument(
-        "--total-cycles", type=int, default=1500,
-        help="run length the phase boundaries are rescaled to — pick "
-        "the fidelity the scenario will be swept at (default: 1500, "
-        "the quick fidelity)",
-    )
-    ingest.add_argument(
-        "--name", default=None,
-        help="scenario name (default: trace_<stem>_<digest>)",
-    )
-    ingest.add_argument(
-        "--windows", type=int, default=16,
-        help="analysis windows the trace span is profiled in; more "
-        "windows resolve shorter phases (default: 16)",
-    )
-    ingest.add_argument(
-        "--out", metavar="SCRIPT.json",
-        help="also write the fitted schedule as a scenario-script JSON "
-        "('scenarios load' and spec scenario_files accept it)",
-    )
-    ingest.set_defaults(handler=_ingest)
-
 
 def _write_json(path: str, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
@@ -186,31 +157,6 @@ def _load(args) -> None:
     print(f"fingerprint: {schedule.fingerprint()}")
     print(f"phases: {len(schedule)}")
     print(json.dumps(schedule.to_dict()["phases"], indent=2))
-
-
-def _ingest(args) -> None:
-    from repro.scenarios.ingest import ingest_trace
-    from repro.scenarios.schedule import ScenarioError
-
-    try:
-        report = ingest_trace(
-            args.path,
-            args.total_cycles,
-            name=args.name,
-            n_windows=args.windows,
-        )
-    except (OSError, ValueError, ScenarioError) as exc:
-        raise CliError(
-            f"dhetpnoc-repro scenarios: error: cannot ingest "
-            f"{args.path!r}: {exc}"
-        )
-    print(report.describe())
-    print(f"registered: run it with 'scenarios run "
-          f"{report.schedule.name}', sweep it with 'scenarios sweep "
-          f"--scenario {report.schedule.name}'")
-    if args.out:
-        report.schedule.save(args.out)
-        print(f"script written to {args.out}")
 
 
 def _fuzz(args) -> None:

@@ -61,7 +61,7 @@ def register(sub) -> None:
         help="replay a recorded trace into one or more architectures "
         "(identical injections, so metric deltas are pure architecture)",
     )
-    replay.add_argument("trace", metavar="TRACE[.jsonl|.csv]")
+    replay.add_argument("trace", metavar="TRACE.jsonl")
     add_arch(replay, ["firefly", "dhetpnoc"])
     add_bw_set(replay)
     add_fidelity(replay)
@@ -70,10 +70,9 @@ def register(sub) -> None:
 
     info = trace_sub.add_parser(
         "info",
-        help="summarise a trace: span, digest, src/dst histograms and "
-        "the phase count ingestion would segment it into",
+        help="summarise a trace: span, digest and src/dst histograms",
     )
-    info.add_argument("trace", metavar="TRACE[.jsonl|.csv]")
+    info.add_argument("trace", metavar="TRACE.jsonl")
     info.add_argument("--top", type=int, default=5, metavar="N",
                       help="histogram entries shown per side (default: 5)")
     info.set_defaults(handler=_info)
@@ -114,12 +113,11 @@ def _record(args) -> None:
 
 
 def _load(args):
-    from repro.scenarios.ingest import load_any_trace
-    from repro.scenarios.schedule import ScenarioError
+    from repro.traffic.trace import TrafficTrace
 
     try:
-        return load_any_trace(args.trace)
-    except (OSError, ValueError, ScenarioError) as exc:
+        return TrafficTrace.load(args.trace)
+    except (OSError, ValueError) as exc:
         raise CliError(
             f"dhetpnoc-repro trace: error: bad trace {args.trace!r}: {exc}"
         )
@@ -159,7 +157,7 @@ def _replay(args) -> None:
 
 
 def _info(args) -> None:
-    from repro.scenarios.ingest import infer_phase_count, trace_digest
+    from repro.traffic.trace import trace_digest
 
     trace = _load(args)
 
@@ -173,6 +171,5 @@ def _info(args) -> None:
         print(f"corrupt lines skipped: {trace.corrupt_lines}")
     print(f"span: {trace.span_cycles} cycle(s)")
     print(f"digest: {trace_digest(trace)}")
-    print(f"inferred phases: {infer_phase_count(trace)}")
     print(f"top sources: {top(Counter(r.src for r in trace))}")
     print(f"top destinations: {top(Counter(r.dst for r in trace))}")

@@ -61,7 +61,7 @@ def _scenario_dimensions(scenario: str, total_cycles: int) -> Dict[str, float]:
         return schedule_dimensions(schedule, total_cycles)
     except ScenarioError:
         # The store may hold rows from scenarios registered in another
-        # process (e.g. an ingested trace): featurize them as flat.
+        # process (e.g. a plugin's schedule): featurize them as flat.
         return {d: 0.0 for d in DIMENSIONS}
 
 

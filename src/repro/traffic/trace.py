@@ -8,10 +8,11 @@ comparisons. Traces serialise to JSON lines for archival.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.api.base import FieldTable
 from repro.noc.flit import Packet
@@ -143,6 +144,25 @@ class TrafficTrace:
         trace = cls(records)
         trace.corrupt_lines = corrupt
         return trace
+
+
+def _record_key(record: TraceRecord) -> Tuple[int, int, int, int]:
+    bw = -1 if record.bw_class is None else record.bw_class
+    return (record.cycle, record.src, record.dst, bw)
+
+
+def trace_digest(trace: TrafficTrace) -> str:
+    """Stable 12-hex content digest of a trace.
+
+    A pure function of the record *set* per cycle: the records are
+    hashed in canonical ``(cycle, src, dst, class)`` order, so
+    reordering records within a cycle (concurrent recorders do not
+    serialise same-cycle injections deterministically) cannot change it.
+    """
+    digest = hashlib.sha256()
+    for record in sorted(trace.records, key=_record_key):
+        digest.update(repr(_record_key(record)).encode())
+    return digest.hexdigest()[:12]
 
 
 class TraceReplayGenerator:

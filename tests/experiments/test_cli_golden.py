@@ -24,9 +24,7 @@ pins the photonic gateway:
 
 Both are collected in **one subprocess** (``--emit``) so that nothing
 another test registered (scenarios, plugin architectures, a logging
-handler) can leak into what is compared; inside it the calls share one
-process on purpose -- ``scenarios ingest`` registers what a later
-``scenarios run`` plays.
+handler) can leak into what is compared.
 
 The numbers in ``cli_golden.json`` were produced by the commit before
 ``experiments/cli.py`` became a package. Regenerate them only for a
@@ -76,6 +74,13 @@ TEXT_FIXTURES = {
     "bad_trace.csv": "not,a,trace\n1,2\n",
     "bad_dataset.json": '{"rows": 3}\n',
     "bad_model.json": '{"kind": "nope"}\n',
+}
+
+#: Scratch files copied byte for byte before the first call: a
+#: ten-phase scenario script fitted to the ``record-scenario`` trace,
+#: which ``scenarios load``, ``run`` and ``sweep`` read.
+FILE_FIXTURES = {
+    "script.json": GOLDEN_PATH.with_name("data") / "recorded_script.json",
 }
 
 #: The ordered transcript. Later calls read what earlier ones wrote.
@@ -169,11 +174,6 @@ CALLS = (
     ("scenarios-list", ["scenarios", "list"]),
     ("describe", ["scenarios", "describe", "hotspot_drift"]),
     ("describe-unknown", ["scenarios", "describe", "nope"]),
-    ("ingest",
-     ["scenarios", "ingest", "trace.jsonl", "--name", "recorded", "--out",
-      "script.json"]),
-    ("ingest-default-name", ["scenarios", "ingest", "pattern.jsonl"]),
-    ("ingest-missing", ["scenarios", "ingest", "missing.jsonl"]),
     ("load", ["scenarios", "load", "script.json"]),
     ("load-malformed", ["scenarios", "load", "bad_script.json"]),
     ("scenario-run",
@@ -283,6 +283,8 @@ def _write_fixtures() -> None:
 
     for name, text in TEXT_FIXTURES.items():
         pathlib.Path(name).write_text(text, encoding="utf-8")
+    for name, path in FILE_FIXTURES.items():
+        pathlib.Path(name).write_bytes(path.read_bytes())
     golden = Fidelity("golden", 600, 100, (0.25, 0.60, 1.00))
     axes = dict(archs=("firefly", "dhetpnoc"), bw_sets=(1,),
                 patterns=("uniform",), seeds=(1,), fidelity=golden)

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.noc.flit import Packet
 from repro.traffic.bandwidth_sets import BW_SET_1
@@ -12,6 +13,7 @@ from repro.traffic.trace import (
     TraceRecord,
     TraceReplayGenerator,
     TrafficTrace,
+    trace_digest,
 )
 
 
@@ -21,6 +23,31 @@ class TestTraceRecord:
             TraceRecord(cycle=-1, src=0, dst=1)
         with pytest.raises(ValueError):
             TraceRecord(cycle=0, src=3, dst=3)
+
+
+class TestTraceDigest:
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 40), st.integers(0, 63), st.integers(0, 63)
+            ).filter(lambda t: t[1] != t[2]),
+            min_size=1,
+            max_size=60,
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_any_record_order_gives_one_digest(self, raw, perm_seed):
+        records = [TraceRecord(cycle=c, src=s, dst=d) for c, s, d in raw]
+        shuffled = list(records)
+        random.Random(perm_seed).shuffle(shuffled)
+        assert trace_digest(TrafficTrace(records)) == trace_digest(
+            TrafficTrace(shuffled)
+        )
+
+    def test_digest_differs_for_different_content(self):
+        one = TrafficTrace([TraceRecord(0, 1, 2)])
+        two = TrafficTrace([TraceRecord(0, 1, 3)])
+        assert trace_digest(one) != trace_digest(two)
 
 
 class TestTrafficTrace:

@@ -232,7 +232,13 @@ class TokenRing:
         controller = self.controllers[self._position]
         request, current = controller.request_table, controller.current_table
         versions = (request.version, current.version)
-        result = controller.on_token(self.token)
+        try:
+            result = controller.on_token(self.token)
+        except ValueError as exc:  # the token refused a release
+            raise SimulationError(
+                f"token ring: cluster {controller.cluster}: {exc} "
+                f"at cycle {self.sim.cycle}"
+            ) from exc
         self.hops += 1
         self._position = (self._position + 1) % len(self.controllers)
         if self._position == 0:

@@ -550,7 +550,7 @@ PLANTED_FAULTS = [
     # Unaudited, the token refuses to take back a wavelength twice.
     pytest.param(CurrentTable, "remove_dynamic", _release_keeping_one,
                  rf"d-hetpnoc ring: cluster {HOT} holds dynamic wavelengths",
-                 hot_cluster_going_quiet, "cannot release",
+                 hot_cluster_going_quiet, r"cannot release .* at cycle \d+$",
                  id="kept-released-wavelength"),
     pytest.param(WavelengthAllocator, "_update_per_destination",
                  _folding_nothing,
@@ -585,7 +585,7 @@ def test_an_audit_names_a_planted_fault(monkeypatch, owner, method, mutate,
     with pytest.raises(SimulationError, match=law):
         scenario(plant).simulate(50, 0, audit=1)
     monkeypatch.undo()
-    refusal = pytest.raises((ValueError, SimulationError), match=refused)
+    refusal = pytest.raises(SimulationError, match=refused)
     with refusal if refused else nullcontext():
         scenario(plant).simulate(50, 0)
 

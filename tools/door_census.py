@@ -2,12 +2,16 @@
 """Door census: which functions of ``src/repro`` a door reaches.
 
 A *door* is what a user runs. This tool runs a fixed set of them under
-``test_census``'s line tracer (subprocesses included) and lists, for
-every function in every module under ``src/repro``, whether a door
-reached it:
+``test_census``'s line tracer (subprocesses included) and records, for
+every function in every module under ``src/repro``, which doors reach
+it:
 
-* the CLI transcript (``tests/experiments/test_cli_golden.py``);
-* every example (``tests/test_examples.py``);
+* each verb of the CLI transcript (``tests/experiments/test_cli_golden.py``):
+  its calls run in order, one traced subprocess each, in one scratch
+  directory, and each is charged to its leaf verb (``trace record``,
+  ``scenarios run``, ...); the parser dump that pins every help page is
+  the door ``--help``;
+* each example (``tests/test_examples.py``), one door per test;
 * the perf ledger's own test (``benchmarks/ledger/test_ledger.py``);
 * ``all --fidelity quick --workers 1``, every exhibit and claim, as a
   traced subprocess;
@@ -15,6 +19,9 @@ reached it:
   ``fabric worker`` and ``jobs``), in a scratch directory. It stops
   the daemon and its workers with SIGTERM, on which they exit cleanly,
   so each writes out what it ran.
+
+Lines run while pytest collects the example and ledger tests are
+charged to ``(collection)``.
 
 A function counts as reached only when a line of its body runs: its
 ``def`` line runs at import. A nested function is classified on its
@@ -24,8 +31,10 @@ docstring is skipped.
 Functions no door reaches must be on ``tools/door_allowlist.txt``, one
 line each with the roadmap item that will give it a door and why it is
 kept (``docs/index.md``, "Keeping tier-1 lean"). The report goes to
-``door-census.json``; the exit status is 1 when a function no door
-reaches is not on the list, or a listed name is no function.
+``door-census.json``: per function, how many doors reach it, and per
+door, the functions only it reaches and their body lines -- what
+removing that door would remove. The exit status is 1 when a function
+no door reaches is not on the list, or a listed name is no function.
 
 Usage::
 
@@ -34,13 +43,17 @@ Usage::
 
 from __future__ import annotations
 
+import argparse
 import ast
+import contextlib
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import threading
 import time
+from collections import defaultdict
 from pathlib import Path
 
 import test_census
@@ -50,13 +63,15 @@ SRC = test_census.SRC
 ALLOWLIST = test_census.TOOLS / "door_allowlist.txt"
 REPORT = ROOT / "door-census.json"
 
-#: The test files that drive doors (each runs the CLI, an example or the
-#: ledger as a user would).
+#: The test files that drive doors (each runs an example or the ledger
+#: as a user would).
 DOOR_TESTS = (
-    "tests/experiments/test_cli_golden.py",
     "tests/test_examples.py",
     "benchmarks/ledger/test_ledger.py",
 )
+
+#: The CLI transcript: its calls, its fixtures and its parser dump.
+GOLDEN = ROOT / "tests" / "experiments" / "test_cli_golden.py"
 
 #: Every exhibit and claim, serially so the one traced process runs all.
 ALL_VERB = ("all", "--fidelity", "quick", "--workers", "1")
@@ -100,11 +115,13 @@ def functions(source: str):
     yield from visit(ast.parse(source), "")
 
 
-def classify(path: Path, ran: set) -> dict:
-    """``{qualname: reached}`` for the functions in *path*, given the
-    line numbers *ran* that ran in it."""
+def classify(path: Path, doors: dict) -> dict:
+    """``{qualname: doors}`` for the functions in *path*, given the doors
+    *doors* ``{line: {door}}`` that ran each line in it, with the number
+    of body lines of each: ``{qualname: (set of doors, lines)}``."""
     return {
-        name: bool(lines & ran)
+        name: (set().union(*(doors.get(line, ()) for line in lines)),
+               len(lines))
         for name, lines in functions(path.read_text(encoding="utf-8"))
     }
 
@@ -119,17 +136,92 @@ def read_allowlist(path: Path = ALLOWLIST) -> set:
     }
 
 
+def door_of(nodeid: str) -> str:
+    """The door a test, or a process it started, is charged to: each
+    example test is a door, the ledger's tests are one."""
+    if nodeid.startswith(DOOR_TESTS[0] + "::"):
+        return "example " + nodeid.rsplit("::", 1)[1].removeprefix("test_")
+    if nodeid.startswith(DOOR_TESTS[1]):
+        return "ledger test"
+    return nodeid
+
+
+class DoorCensus(test_census.Census):
+    """Charges each ``src/`` line the set of doors that ran it."""
+
+    def __init__(self, spool: Path) -> None:
+        self.doors: dict = defaultdict(set)
+        super().__init__(spool)
+
+    def _record(self, nodeid: str, lines: set) -> None:
+        door = door_of(nodeid)
+        for line in lines:
+            self.doors[line].add(door)
+
+
+def leaf_verb(parser, argv) -> str:
+    """The subcommand path *argv* names: ``trace record``, ``run``."""
+    words = []
+    for word in argv:
+        choices = next((action.choices for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction)),
+                        {})
+        if word not in choices:
+            break
+        parser = choices[word]
+        words.append(word)
+    return " ".join(words)
+
+
+def run_transcript(census: DoorCensus, scratch: Path) -> None:
+    """Run the CLI transcript's calls in order in *scratch*, one traced
+    subprocess each, charged to ``cli <leaf verb>``; a call whose exit
+    status is not the golden's counts as a failed report."""
+    sys.path.insert(0, str(GOLDEN.parent))
+    import test_cli_golden as golden
+    from repro.experiments.cli import build_parser
+
+    with contextlib.chdir(scratch):
+        golden._write_fixtures()
+    census.seen.clear()  # writing the fixtures is no door
+    env = dict(os.environ, COLUMNS="80", REPRO_BENCH_BASELINE="record.json")
+    env.pop("REPRO_FIDELITY", None)
+    parser = build_parser()
+    calls = [("cli --help", [str(GOLDEN), "--emit", "--parsers-only"], 0)]
+    calls += [
+        (f"cli {leaf_verb(parser, argv)}",
+         ["-m", "repro.experiments.cli", *argv], row["code"])
+        for (_name, argv), row in zip(golden.CALLS,
+                                      golden.GOLDEN["transcript"])
+    ]
+    for door, command, expected in calls:
+        env[test_census.TEST_VAR] = door
+        status = subprocess.run(
+            [sys.executable, *command], cwd=scratch, env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            check=False,
+        ).returncode
+        census.charge(door)
+        if status != expected:
+            print(f"`{' '.join(command)}` exited {status}, not {expected}")
+            census.failed += 1
+
+
 def run_doors():
-    """Run every door under the tracer; returns ``({path: {line}}, number
-    of failed reports)``, paths relative to the repository root."""
+    """Run every door under the tracer; returns ``({path: {line:
+    {door}}}, number of failed reports)``, paths relative to the
+    repository root."""
     import pytest
 
     with test_census.traced_children() as spool, \
             tempfile.TemporaryDirectory(prefix="door-census-") as scratch:
-        census = test_census.Census(spool)
+        census = DoorCensus(spool)
         pytest.main(["-q", "-p", "no:cacheprovider", *DOOR_TESTS],
                     plugins=[census])
         census.charge(census.current)
+        transcript = Path(scratch, "transcript")
+        transcript.mkdir()
+        run_transcript(census, transcript)
         doors = (
             (" ".join(ALL_VERB),
              [sys.executable, "-m", "repro.experiments.cli", *ALL_VERB,
@@ -145,26 +237,41 @@ def run_doors():
             if status:
                 print(f"`{name}` exited {status}")
                 census.failed += 1
-        report = census.report()
-    return {
-        name: {int(line) for line in lines}
-        for name, lines in report["covered"].items()
-    }, census.failed
+        sys.settrace(None)
+        threading.settrace(None)  # type: ignore[arg-type]
+    covered: dict = defaultdict(dict)
+    for (filename, line), doors in census.doors.items():
+        covered[os.path.relpath(filename, ROOT)][line] = doors
+    return covered, census.failed
 
 
 def main() -> int:
     started = time.perf_counter()
     covered, failed = run_doors()
     reached, unreached = {}, []
+    only: dict = defaultdict(list)
+    reaches: dict = defaultdict(int)
     for path in sorted((SRC / "repro").rglob("*.py")):
         rel = str(path.relative_to(ROOT))
         module = ".".join(path.relative_to(SRC).with_suffix("").parts)
         module = module.removesuffix(".__init__")
-        for name, hit in classify(path, covered.get(rel, set())).items():
+        for name, (doors, lines) in classify(path, covered.get(rel, {})).items():
             key = f"{module}:{name}"
-            reached[key] = hit
-            if not hit:
+            reached[key] = len(doors)
+            for door in doors:
+                reaches[door] += 1
+            if not doors:
                 unreached.append(key)
+            elif len(doors) == 1:
+                only[next(iter(doors))].append((key, lines))
+    per_door = {
+        door: {
+            "reaches": reaches[door],
+            "only_lines": sum(lines for _key, lines in only[door]),
+            "only": [key for key, _lines in only[door]],
+        }
+        for door in sorted(reaches)
+    }
     listed = read_allowlist()
     unlisted = [key for key in unreached if key not in listed]
     no_function = sorted(listed - reached.keys())
@@ -177,12 +284,18 @@ def main() -> int:
         "unlisted": unlisted,
         "listed_but_no_function": no_function,
         "listed_but_reached": now_reached,
+        "doors": per_door,
         "reached": reached,
     }, indent=1) + "\n", encoding="utf-8")
 
     print(f"\ndoor census: {len(reached)} functions under src/repro, "
           f"{len(unreached)} no door reaches, {len(listed)} allow-listed; "
           f"{failed} failed report(s)")
+    print(f"{'door':<40}  reaches  only  only-lines")
+    for door, row in sorted(per_door.items(),
+                            key=lambda kv: (-kv[1]["only_lines"], kv[0])):
+        print(f"{door:<40}  {row['reaches']:7d}  {len(row['only']):4d}  "
+              f"{row['only_lines']:10d}")
     for title, keys in (("no door reaches, not allow-listed", unlisted),
                         ("allow-listed, but no such function", no_function),
                         ("allow-listed, but a door reaches it", now_reached)):

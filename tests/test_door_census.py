@@ -2,7 +2,7 @@
 
 A synthetic module is run under a line tracer, the way the census runs
 a door, and each function is classified from the lines that ran: a
-function is reached only when a line of its body runs, a nested
+function is reached by the doors that run a line of its body, a nested
 function is classified on its own, and a function that is only a
 docstring is not classified at all.
 """
@@ -68,14 +68,15 @@ def test_each_function_is_classified_by_its_body(tmp_path):
         namespace["called"]()
         namespace["outer"]()
 
-    assert door_census.classify(path, traced(path, door)) == {
-        "called": True,
+    ran = dict.fromkeys(traced(path, door), {"door"})
+    assert door_census.classify(path, ran) == {
+        "called": {"door"},
         # Its def line ran at import; its body never did.
-        "defined_only": False,
+        "defined_only": set(),
         # Calling outer runs inner's def line, not inner's body.
-        "outer": True,
-        "outer.<locals>.inner": False,
-        "Box.method": False,
+        "outer": {"door"},
+        "outer.<locals>.inner": set(),
+        "Box.method": set(),
     }
 
 
@@ -83,12 +84,26 @@ def test_a_nested_body_is_not_its_parents(tmp_path):
     path = tmp_path / "synthetic.py"
     path.write_text(SOURCE, encoding="utf-8")
     inner_body = SOURCE.splitlines().index("        return 3") + 1
-    reached = door_census.classify(path, {inner_body})
-    assert reached["outer.<locals>.inner"] is True
-    assert reached["outer"] is False
+    reached = door_census.classify(path, {inner_body: {"door"}})
+    assert reached["outer.<locals>.inner"] == {"door"}
+    assert reached["outer"] == set()
+
+
+def test_a_function_is_reached_by_every_door_that_runs_its_body(tmp_path):
+    path = tmp_path / "synthetic.py"
+    path.write_text(SOURCE, encoding="utf-8")
+    lines = SOURCE.splitlines()
+    first, last = lines.index("    return 4"), lines.index("        return 5")
+    reached = door_census.classify(path, {
+        first + 1: {"a", "b"}, last + 1: {"b"}, first: {"c"},
+    })
+    # Line ``first`` is inner's body, not outer's.
+    assert reached["outer"] == {"a", "b"}
+    assert reached["outer.<locals>.inner"] == {"c"}
+    assert reached["Box.method"] == {"b"}
 
 
 def test_a_docstring_only_function_is_skipped(tmp_path):
     path = tmp_path / "synthetic.py"
     path.write_text(SOURCE, encoding="utf-8")
-    assert "docstring_only" not in door_census.classify(path, set())
+    assert "docstring_only" not in door_census.classify(path, {})

@@ -32,8 +32,8 @@ Functions no door reaches must be on ``tools/door_allowlist.txt``, one
 line each with the roadmap item that will give it a door and why it is
 kept (``docs/index.md``, "Keeping tier-1 lean"). The report goes to
 ``door-census.json``: per function, how many doors reach it, and per
-door, the functions only it reaches and their body lines -- what
-removing that door would remove. The exit status is 1 when a function
+door, the functions and the ``src/`` lines only it reaches -- what
+removing that door would leave unreached. The exit status is 1 when a function
 no door reaches is not on the list, or a listed name is no function.
 
 Usage::
@@ -116,12 +116,11 @@ def functions(source: str):
 
 
 def classify(path: Path, doors: dict) -> dict:
-    """``{qualname: doors}`` for the functions in *path*, given the doors
-    *doors* ``{line: {door}}`` that ran each line in it, with the number
-    of body lines of each: ``{qualname: (set of doors, lines)}``."""
+    """``{qualname: {door}}`` for the functions in *path*: the doors
+    that ran a line of its body, given the doors ``{line: {door}}`` that
+    ran each line in it."""
     return {
-        name: (set().union(*(doors.get(line, ()) for line in lines)),
-               len(lines))
+        name: set().union(*(doors.get(line, ()) for line in lines))
         for name, lines in functions(path.read_text(encoding="utf-8"))
     }
 
@@ -249,13 +248,18 @@ def main() -> int:
     started = time.perf_counter()
     covered, failed = run_doors()
     reached, unreached = {}, []
-    only: dict = defaultdict(list)
     reaches: dict = defaultdict(int)
+    only: dict = defaultdict(list)
+    only_lines: dict = defaultdict(int)
+    for lines in covered.values():
+        for doors in lines.values():
+            if len(doors) == 1:
+                only_lines[next(iter(doors))] += 1
     for path in sorted((SRC / "repro").rglob("*.py")):
         rel = str(path.relative_to(ROOT))
         module = ".".join(path.relative_to(SRC).with_suffix("").parts)
         module = module.removesuffix(".__init__")
-        for name, (doors, lines) in classify(path, covered.get(rel, {})).items():
+        for name, doors in classify(path, covered.get(rel, {})).items():
             key = f"{module}:{name}"
             reached[key] = len(doors)
             for door in doors:
@@ -263,12 +267,12 @@ def main() -> int:
             if not doors:
                 unreached.append(key)
             elif len(doors) == 1:
-                only[next(iter(doors))].append((key, lines))
+                only[next(iter(doors))].append(key)
     per_door = {
         door: {
             "reaches": reaches[door],
-            "only_lines": sum(lines for _key, lines in only[door]),
-            "only": [key for key, _lines in only[door]],
+            "only_lines": only_lines[door],
+            "only": only[door],
         }
         for door in sorted(reaches)
     }

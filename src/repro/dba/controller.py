@@ -236,8 +236,7 @@ class TokenRing:
             result = controller.on_token(self.token)
         except ValueError as exc:  # the token refused a release
             raise SimulationError(
-                f"token ring: cluster {controller.cluster}: {exc} "
-                f"at cycle {self.sim.cycle}"
+                f"token ring: {exc} at cycle {self.sim.cycle}"
             ) from exc
         self.hops += 1
         self._position = (self._position + 1) % len(self.controllers)

@@ -33,8 +33,9 @@ line each with the roadmap item that will give it a door and why it is
 kept (``docs/index.md``, "Keeping tier-1 lean"). The report goes to
 ``door-census.json``: per function, how many doors reach it, and per
 door, the functions and the ``src/`` lines only it reaches -- what
-removing that door would leave unreached. The exit status is 1 when a function
-no door reaches is not on the list, or a listed name is no function.
+removing that door would leave unreached. The exit status is 1 when a
+function no door reaches is not on the list, or a listed name is no
+function.
 
 Usage::
 

@@ -249,11 +249,12 @@ def main() -> int:
     started = time.perf_counter()
     covered, failed = run_doors()
     reached, unreached = {}, []
-    reaches: dict = defaultdict(int)
+    every_door: set = set()
     only: dict = defaultdict(list)
     only_lines: dict = defaultdict(int)
     for lines in covered.values():
         for doors in lines.values():
+            every_door |= doors
             if len(doors) == 1:
                 only_lines[next(iter(doors))] += 1
     for path in sorted((SRC / "repro").rglob("*.py")):
@@ -263,19 +264,13 @@ def main() -> int:
         for name, doors in classify(path, covered.get(rel, {})).items():
             key = f"{module}:{name}"
             reached[key] = len(doors)
-            for door in doors:
-                reaches[door] += 1
             if not doors:
                 unreached.append(key)
             elif len(doors) == 1:
                 only[next(iter(doors))].append(key)
     per_door = {
-        door: {
-            "reaches": reaches[door],
-            "only_lines": only_lines[door],
-            "only": only[door],
-        }
-        for door in sorted(reaches)
+        door: {"only_lines": only_lines[door], "only": only[door]}
+        for door in sorted(every_door)
     }
     listed = read_allowlist()
     unlisted = [key for key in unreached if key not in listed]
@@ -296,11 +291,10 @@ def main() -> int:
     print(f"\ndoor census: {len(reached)} functions under src/repro, "
           f"{len(unreached)} no door reaches, {len(listed)} allow-listed; "
           f"{failed} failed report(s)")
-    print(f"{'door':<40}  reaches  only  only-lines")
+    print(f"{'door':<40}  only  only-lines")
     for door, row in sorted(per_door.items(),
                             key=lambda kv: (-kv[1]["only_lines"], kv[0])):
-        print(f"{door:<40}  {row['reaches']:7d}  {len(row['only']):4d}  "
-              f"{row['only_lines']:10d}")
+        print(f"{door:<40}  {len(row['only']):4d}  {row['only_lines']:10d}")
     for title, keys in (("no door reaches, not allow-listed", unlisted),
                         ("allow-listed, but no such function", no_function),
                         ("allow-listed, but a door reaches it", now_reached)):

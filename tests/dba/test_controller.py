@@ -5,7 +5,7 @@ import pytest
 from repro.dba.controller import DBAController, TokenRing
 from repro.dba.token import WavelengthToken
 from repro.photonic.wavelength import WavelengthId
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 
 
 def make_controllers(n=4, pool_size=24, max_channel=8):
@@ -148,3 +148,25 @@ class TestTokenRing:
         _, token = make_controllers(1)
         with pytest.raises(ValueError):
             TokenRing(sim, [], token)
+
+    def test_a_refused_release_names_its_cycle(self):
+        """A controller that gives back a wavelength the token no longer
+        has it owning stops the run with the cycle of the visit."""
+        sim = Simulator()
+        controllers, token = make_controllers(2, pool_size=8)
+        controllers[0].update_core_demand_uniform(0, 8)
+        ring = TokenRing(sim, controllers, token)
+        ring.run_round_immediately()
+        # Behind the controller's back, the token hands one of cluster
+        # 0's wavelengths to cluster 7.
+        stolen = token.held_by(0)[-1]
+        token.release(stolen, cluster=0)
+        assert token.acquire_up_to(1, cluster=7) == [stolen]
+        controllers[0].update_core_demand_uniform(0, 1)
+        ring.start()
+        with pytest.raises(SimulationError) as refused:
+            sim.run(ring.hop_latency_cycles * 4)
+        message = str(refused.value)
+        assert message.startswith("token ring: cluster 0 cannot release")
+        assert message.endswith(f"at cycle {sim.cycle}")
+        assert isinstance(refused.value.__cause__, ValueError)

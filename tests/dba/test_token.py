@@ -107,6 +107,16 @@ class TestWavelengthToken:
         with pytest.raises(ValueError):
             token.release(first, 2)
 
+    def test_retiring_a_wavelength_the_cluster_does_not_hold_is_refused(self):
+        token = WavelengthToken(pool(4))
+        first, *rest = pool(4)
+        token.acquire_up_to(1, cluster=2)
+        with pytest.raises(ValueError, match="cluster 3 cannot release"):
+            token.retire(first, 3)
+        # Refused, so nothing changed hands: cluster 2 still holds it.
+        assert token.held_by(2) == [first]
+        assert token.free_wavelengths() == rest
+
     def test_duplicate_pool_rejected(self):
         with pytest.raises(ValueError):
             WavelengthToken([WavelengthId(0, 0), WavelengthId(0, 0)])

@@ -20,6 +20,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "table-3-1", "--fidelity", "warp"])
 
+    def test_scenarios_ingest_is_an_invalid_choice(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["scenarios", "ingest", "t.jsonl"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'ingest'" in capsys.readouterr().err
+
 
 class TestMain:
     def test_run_area_figure(self, capsys):
@@ -77,6 +83,16 @@ class TestMain:
             assert "overall:" in out
         finally:
             scenarios.unregister("test-cli-run-workload")
+
+    @pytest.mark.parametrize("verb", ["info", "replay"])
+    def test_trace_refuses_a_csv_trace(self, capsys, tmp_path, verb):
+        path = tmp_path / "trace.csv"
+        path.write_text("cycle,src,dst\n0,1,2\n", encoding="utf-8")
+        assert main(["trace", verb, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"dhetpnoc-repro trace: error: bad trace {str(path)!r}")
+        assert "all 2 non-empty lines are corrupt" in err
 
     def test_scenarios_sweep_reports_per_scenario_rows(self, capsys, tmp_path):
         store = str(tmp_path / "store.jsonl")

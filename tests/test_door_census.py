@@ -4,7 +4,8 @@ A synthetic module is run under a line tracer, the way the census runs
 a door, and each function is classified from the lines that ran: a
 function is reached by the doors that run a line of its body, a nested
 function is classified on its own, and a function that is only a
-docstring is not classified at all.
+docstring is not classified at all. A door's own functions and lines
+are those no other door reaches.
 """
 
 import runpy
@@ -101,6 +102,31 @@ def test_a_function_is_reached_by_every_door_that_runs_its_body(tmp_path):
     assert reached["outer"] == {"a", "b"}
     assert reached["outer.<locals>.inner"] == {"c"}
     assert reached["Box.method"] == {"b"}
+
+
+def test_a_function_is_a_doors_own_only_when_no_other_door_reaches_it():
+    doors_of = {
+        "m:mine": {"a"}, "m:shared": {"a", "b"}, "m:theirs": {"b"},
+        "m:nobodys": set(),
+    }
+    covered = {"src/repro/m.py": {1: {"a"}, 2: {"a", "b"}, 3: {"b"}}}
+    per_door = door_census.attribute(covered, doors_of)
+    assert per_door["a"]["only"] == ["m:mine"]
+    assert per_door["b"]["only"] == ["m:theirs"]
+    assert "m:shared" not in per_door["a"]["only"] + per_door["b"]["only"]
+
+
+def test_only_lines_count_the_lines_one_door_runs_across_files():
+    covered = {
+        "src/repro/m.py": {1: {"a"}, 2: {"a", "b"}, 3: {"a"}},
+        "src/repro/n.py": {1: {"a"}, 7: {"c", "a"}},
+    }
+    # ``c`` shares its one line, so it has a row with nothing its own.
+    assert door_census.attribute(covered, {}) == {
+        "a": {"only_lines": 3, "only": []},
+        "b": {"only_lines": 0, "only": []},
+        "c": {"only_lines": 0, "only": []},
+    }
 
 
 def test_a_docstring_only_function_is_skipped(tmp_path):

@@ -850,3 +850,17 @@ def test_the_traffic_stream_has_one_reader():
                         print(f"{path.relative_to(REPO_ROOT)}:{node.lineno}")
     assert reads >= 4
     assert stray == 0
+
+
+@pytest.mark.parametrize(
+    "needle",
+    [
+        # The ingest door: its module, its trace fitter and the report it
+        # printed, and the CSV reader that only its tests used. A trace
+        # is JSONL, read by ``TrafficTrace.load``.
+        "scenarios.ingest", "ingest_trace", "infer_phase_count",
+        "IngestReport", "load_csv_trace", "load_any_trace",
+    ],
+)
+def test_the_ingest_door_stays_gone(needle):
+    assert _count_in_src(needle) == {}

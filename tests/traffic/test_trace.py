@@ -49,6 +49,22 @@ class TestTraceDigest:
         two = TrafficTrace([TraceRecord(0, 1, 3)])
         assert trace_digest(one) != trace_digest(two)
 
+    def test_digest_tells_no_class_from_class_zero(self):
+        unclassed = TrafficTrace([TraceRecord(0, 1, 2)])
+        class_zero = TrafficTrace([TraceRecord(0, 1, 2, bw_class=0)])
+        assert trace_digest(unclassed) != trace_digest(class_zero)
+
+    def test_digest_survives_save_and_load(self, tmp_path):
+        """``trace info`` digests the loaded file: the digest of what
+        was recorded, whatever order it was appended in."""
+        trace = TrafficTrace([
+            TraceRecord(4, 3, 1, bw_class=2), TraceRecord(0, 1, 2),
+            TraceRecord(4, 0, 5),
+        ])
+        path = tmp_path / "trace.jsonl"
+        trace.save(path)
+        assert trace_digest(TrafficTrace.load(path)) == trace_digest(trace)
+
 
 class TestTrafficTrace:
     def test_append_and_len(self):
@@ -161,6 +177,26 @@ class TestTrafficTrace:
         empty = tmp_path / "empty.jsonl"
         empty.write_text("", encoding="utf-8")
         assert len(TrafficTrace.load(empty)) == 0
+
+    def test_save_writes_the_same_bytes_each_time(self, tmp_path):
+        """One JSON object per line, fields in declaration order, so a
+        trace recorded twice compares equal byte for byte."""
+        trace = TrafficTrace([TraceRecord(0, 1, 2), TraceRecord(3, 4, 5, 1)])
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        trace.save(first)
+        trace.save(second)
+        assert first.read_bytes() == second.read_bytes() == (
+            b'{"cycle": 0, "src": 1, "dst": 2, "bw_class": null}\n'
+            b'{"cycle": 3, "src": 4, "dst": 5, "bw_class": 1}\n'
+        )
+
+    def test_load_refuses_a_csv_trace(self, tmp_path):
+        """A trace is JSONL: a CSV file's lines are all schema-
+        incompatible, so it is refused rather than replayed as nothing."""
+        path = tmp_path / "trace.csv"
+        path.write_text("cycle,src,dst\n0,1,2\n1,3,4\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="all 3 non-empty lines"):
+            TrafficTrace.load(path)
 
     def test_file_roundtrip_replays_identically(self, tmp_path):
         """record -> save -> load -> replay equals the direct replay."""

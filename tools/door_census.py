@@ -245,10 +245,11 @@ def run_doors():
     return covered, census.failed
 
 
-def main() -> int:
-    started = time.perf_counter()
-    covered, failed = run_doors()
-    reached, unreached = {}, []
+def attribute(covered: dict, doors_of: dict) -> dict:
+    """Per door, what only it reaches: ``{door: {"only_lines": n,
+    "only": [function]}}``, given the doors ``{file: {line: {door}}}``
+    that ran each line and the doors ``{function: {door}}`` that reach
+    each function. Every door that ran a line has a row."""
     every_door: set = set()
     only: dict = defaultdict(list)
     only_lines: dict = defaultdict(int)
@@ -257,21 +258,28 @@ def main() -> int:
             every_door |= doors
             if len(doors) == 1:
                 only_lines[next(iter(doors))] += 1
+    for key, doors in doors_of.items():
+        if len(doors) == 1:
+            only[next(iter(doors))].append(key)
+    return {
+        door: {"only_lines": only_lines[door], "only": only[door]}
+        for door in sorted(every_door)
+    }
+
+
+def main() -> int:
+    started = time.perf_counter()
+    covered, failed = run_doors()
+    doors_of = {}
     for path in sorted((SRC / "repro").rglob("*.py")):
         rel = str(path.relative_to(ROOT))
         module = ".".join(path.relative_to(SRC).with_suffix("").parts)
         module = module.removesuffix(".__init__")
         for name, doors in classify(path, covered.get(rel, {})).items():
-            key = f"{module}:{name}"
-            reached[key] = len(doors)
-            if not doors:
-                unreached.append(key)
-            elif len(doors) == 1:
-                only[next(iter(doors))].append(key)
-    per_door = {
-        door: {"only_lines": only_lines[door], "only": only[door]}
-        for door in sorted(every_door)
-    }
+            doors_of[f"{module}:{name}"] = doors
+    reached = {key: len(doors) for key, doors in doors_of.items()}
+    unreached = [key for key, doors in doors_of.items() if not doors]
+    per_door = attribute(covered, doors_of)
     listed = read_allowlist()
     unlisted = [key for key in unreached if key not in listed]
     no_function = sorted(listed - reached.keys())

@@ -25,7 +25,6 @@ from repro.experiments.cli.run import execute_spec
 from repro.experiments.report import ascii_table
 
 _BASE_PATTERN = "base pattern for phases that do not rebind"
-_FUZZ_SEED = "base generator seed (schedule i uses seed+i)"
 
 
 def register(sub) -> None:
@@ -87,7 +86,7 @@ def register(sub) -> None:
     )
     fuzz.add_argument("--count", type=int, default=5,
                       help="number of schedules to generate")
-    add_seed(fuzz, help=_FUZZ_SEED)
+    add_seed(fuzz, help="base generator seed (schedule i uses seed+i)")
     fuzz.add_argument("--total-cycles", type=int, default=1500,
                       help="cycle span each schedule is generated for")
     add_bw_set(fuzz)
@@ -97,28 +96,6 @@ def register(sub) -> None:
     fuzz.add_argument("--out", metavar="FINDINGS.json",
                       help="write every finding (schedule script included)")
     fuzz.set_defaults(handler=_fuzz)
-
-    cov = scen_sub.add_parser(
-        "coverage",
-        help="dimension-coverage report (burstiness, hotspot mobility, "
-        "fault density, rule activity) over generated schedules",
-    )
-    cov.add_argument("--count", type=int, default=20,
-                     help="number of schedules to generate")
-    add_seed(cov, help=_FUZZ_SEED)
-    cov.add_argument("--total-cycles", type=int, default=1500,
-                     help="cycle span each schedule is generated for")
-    cov.add_argument("--library", action="store_true",
-                     help="also score the built-in library scenarios")
-    cov.add_argument("--out", metavar="REPORT.json",
-                     help="write the report (per-schedule scores included)")
-    cov.set_defaults(handler=_coverage)
-
-
-def _write_json(path: str, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _list(args) -> None:
@@ -193,29 +170,12 @@ def _fuzz(args) -> None:
     inverted = sum(1 for f in findings if f.inverted)
     print(f"{inverted} of {len(findings)} schedules invert the DBA margin")
     if args.out:
-        _write_json(args.out, [f.to_dict() for f in findings])
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump([f.to_dict() for f in findings], fh, indent=2,
+                      sort_keys=True)
+            fh.write("\n")
         print(f"findings written to {args.out} "
               f"(shrink with tools/fuzz_triage.py)")
-
-
-def _coverage(args) -> None:
-    from repro.scenarios.coverage import coverage_report, library_schedules
-    from repro.scenarios.generate import sample_schedule
-
-    schedules = [
-        sample_schedule(args.seed + i, args.total_cycles)
-        for i in range(args.count)
-    ]
-    if args.library:
-        schedules.extend(library_schedules(args.total_cycles))
-    report = coverage_report(schedules, args.total_cycles)
-    print(report.render())
-    spanned = report.spanned_dimensions()
-    suffix = "" if report.spans_all_dimensions() else " (INCOMPLETE)"
-    print(f"spanned dimensions: {', '.join(spanned)}{suffix}")
-    if args.out:
-        _write_json(args.out, report.to_dict())
-        print(f"report written to {args.out}")
 
 
 def _run(args) -> None:

@@ -15,9 +15,9 @@
 * :mod:`repro.scenarios.generate` — property-based generation of valid
   random schedules (hypothesis strategies + a seed-deterministic
   sampler);
-* :mod:`repro.scenarios.coverage` — dimension-coverage reports
-  (burstiness, hotspot mobility, fault density, rule activity) over any
-  schedule set;
+* :mod:`repro.scenarios.coverage` — one schedule's scores along four
+  dimensions (burstiness, hotspot mobility, fault density, rule
+  activity), the scenario features of :mod:`repro.ml.dataset`;
 * :mod:`repro.scenarios.differential` — generated schedules run on
   every architecture, margin inversions flagged as structured findings.
 """
@@ -28,7 +28,6 @@ from repro.api.base import lazy_exports
 #: (PEP 562).
 _LAZY = {
     "BurstLoad": ("repro.scenarios.schedule", "BurstLoad"),
-    "CoverageReport": ("repro.scenarios.coverage", "CoverageReport"),
     "FaultEvent": ("repro.scenarios.schedule", "FaultEvent"),
     "FeedbackRule": ("repro.scenarios.schedule", "FeedbackRule"),
     "Finding": ("repro.scenarios.differential", "Finding"),
@@ -45,7 +44,6 @@ _LAZY = {
     "SinusoidLoad": ("repro.scenarios.schedule", "SinusoidLoad"),
     "StepLoad": ("repro.scenarios.schedule", "StepLoad"),
     "build_scenario": ("repro.scenarios.library", "build_scenario"),
-    "coverage_report": ("repro.scenarios.coverage", "coverage_report"),
     "describe_scenario": ("repro.scenarios.library", "describe_scenario"),
     "differential_point": ("repro.scenarios.differential", "differential_point"),
     "initial_pattern": ("repro.scenarios.player", "initial_pattern"),

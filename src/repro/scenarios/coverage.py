@@ -1,11 +1,9 @@
-"""Dimension-coverage reports over sets of scenario schedules.
+"""Dimension scores of a scenario schedule.
 
-A fuzz run (or the built-in library) is only as good as the region of
-scenario space it exercises. This module scores any iterable of
-:class:`~repro.scenarios.schedule.ScenarioSchedule`\\ s along the four
-dimensions the ROADMAP names and bins the scores into a histogram, so
-"did the generated set actually span the space?" is a checkable claim
-instead of a hope:
+This module scores one
+:class:`~repro.scenarios.schedule.ScenarioSchedule` along the four
+dimensions of scenario space the ROADMAP names; :mod:`repro.ml.dataset`
+turns the scores of a run's scenario into feature columns:
 
 ``burstiness``
     The largest load-waveform swing any phase carries: 0 for bare
@@ -18,23 +16,11 @@ instead of a hope:
     Scripted faults per 1000 cycles of the schedule's span.
 ``rule_activity``
     Closed-loop feedback rules attached across all phases.
-
-Example::
-
-    >>> from repro.scenarios.coverage import coverage_report
-    >>> from repro.scenarios.generate import sample_schedule
-    >>> report = coverage_report(
-    ...     [sample_schedule(seed, 900) for seed in range(12)], 900)
-    >>> report.total
-    12
-    >>> sorted(report.histograms) == sorted(report.dimensions)
-    True
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.scenarios.schedule import (
     BurstLoad,
@@ -46,26 +32,13 @@ from repro.scenarios.schedule import (
     SinusoidLoad,
 )
 
-#: The four scenario dimensions a coverage report scores.
+#: The four scenario dimensions :func:`schedule_dimensions` scores.
 DIMENSIONS: Tuple[str, ...] = (
     "burstiness",
     "hotspot_mobility",
     "fault_density",
     "rule_activity",
 )
-
-#: Histogram bin labels, ordered from inactive to extreme.
-BIN_LABELS: Tuple[str, ...] = ("zero", "low", "mid", "high")
-
-#: Per-dimension upper edges of the ``low`` and ``mid`` bins (scores of
-#: exactly 0 always land in ``zero``; anything past the ``mid`` edge is
-#: ``high``).
-_BIN_EDGES: Dict[str, Tuple[float, float]] = {
-    "burstiness": (0.25, 0.75),
-    "hotspot_mobility": (1.0, 3.0),
-    "fault_density": (1.0, 3.0),
-    "rule_activity": (1.0, 3.0),
-}
 
 
 def modulator_swing(modulator: Optional[LoadModulator]) -> float:
@@ -74,7 +47,7 @@ def modulator_swing(modulator: Optional[LoadModulator]) -> float:
     ``None``/``step`` score 0 (no time variation); composites
     (``product``/``offset``) aggregate their parts. The exact scale is
     not load-calibrated — it only needs to order scripts from flat to
-    violently bursty, which is what the histogram bins consume.
+    violently bursty, which is all a feature column needs.
     """
     if modulator is None:
         return 0.0
@@ -137,114 +110,3 @@ def schedule_dimensions(
         "fault_density": fault_density(schedule, total_cycles),
         "rule_activity": rule_activity(schedule),
     }
-
-
-def _bin_for(dimension: str, score: float) -> str:
-    """Histogram bin label for a dimension score."""
-    if score <= 0:
-        return "zero"
-    low_edge, mid_edge = _BIN_EDGES[dimension]
-    if score <= low_edge:
-        return "low"
-    if score <= mid_edge:
-        return "mid"
-    return "high"
-
-
-@dataclass(frozen=True)
-class CoverageReport:
-    """Binned dimension histogram over a set of schedules."""
-
-    #: Number of schedules scored.
-    total: int
-    #: ``dimension -> bin label -> schedule count``.
-    histograms: Dict[str, Dict[str, int]]
-    #: ``(schedule name, dimension scores)`` rows, in input order.
-    rows: Tuple[Tuple[str, Dict[str, float]], ...] = ()
-    #: The dimensions scored (mirrors :data:`DIMENSIONS`).
-    dimensions: Tuple[str, ...] = field(default=DIMENSIONS)
-
-    def covered(self, dimension: str) -> bool:
-        """Whether any scored schedule was *active* on *dimension*
-        (landed outside the ``zero`` bin)."""
-        histogram = self.histograms[dimension]
-        return any(
-            histogram.get(label, 0) > 0 for label in BIN_LABELS if label != "zero"
-        )
-
-    def spanned_dimensions(self) -> Tuple[str, ...]:
-        """The dimensions with at least one active schedule."""
-        return tuple(d for d in self.dimensions if self.covered(d))
-
-    def spans_all_dimensions(self) -> bool:
-        """Whether every dimension has at least one active schedule."""
-        return len(self.spanned_dimensions()) == len(self.dimensions)
-
-    def to_dict(self) -> dict:
-        """JSON-able form (what ``scenarios coverage --out`` writes)."""
-        return {
-            "total": self.total,
-            "dimensions": list(self.dimensions),
-            "histograms": {
-                d: {label: self.histograms[d].get(label, 0) for label in BIN_LABELS}
-                for d in self.dimensions
-            },
-            "spanned_dimensions": list(self.spanned_dimensions()),
-            "schedules": [
-                {"name": name, **scores} for name, scores in self.rows
-            ],
-        }
-
-    def render(self) -> str:
-        """Plain-text histogram table for the CLI."""
-        header = ["dimension"] + list(BIN_LABELS) + ["covered"]
-        body = [
-            [
-                dim,
-                *(str(self.histograms[dim].get(label, 0)) for label in BIN_LABELS),
-                "yes" if self.covered(dim) else "NO",
-            ]
-            for dim in self.dimensions
-        ]
-        widths = [
-            max(len(row[i]) for row in [header] + body)
-            for i in range(len(header))
-        ]
-        lines = [
-            f"Scenario dimension coverage ({self.total} schedules)",
-            "  ".join(h.ljust(w) for h, w in zip(header, widths)),
-        ]
-        lines += [
-            "  ".join(cell.ljust(w) for cell, w in zip(row, widths))
-            for row in body
-        ]
-        return "\n".join(lines)
-
-
-def coverage_report(
-    schedules: Iterable[ScenarioSchedule], total_cycles: int
-) -> CoverageReport:
-    """Score *schedules* along every dimension and bin the results."""
-    histograms: Dict[str, Dict[str, int]] = {d: {} for d in DIMENSIONS}
-    rows: List[Tuple[str, Dict[str, float]]] = []
-    total = 0
-    for schedule in schedules:
-        total += 1
-        scores = schedule_dimensions(schedule, total_cycles)
-        rows.append((schedule.name, scores))
-        for dimension, score in scores.items():
-            label = _bin_for(dimension, score)
-            histograms[dimension][label] = (
-                histograms[dimension].get(label, 0) + 1
-            )
-    return CoverageReport(
-        total=total, histograms=histograms, rows=tuple(rows)
-    )
-
-
-def library_schedules(total_cycles: int) -> Sequence[ScenarioSchedule]:
-    """Every built-in library scenario, built for *total_cycles* (the
-    ``scenarios coverage --library`` input set)."""
-    from repro.scenarios.library import build_scenario, scenario_names
-
-    return [build_scenario(name, total_cycles) for name in scenario_names()]

@@ -7,10 +7,10 @@ share one generation core:
 
 * :func:`sample_schedule` — a plain, seed-deterministic sampler
   (``random.Random`` underneath, no hypothesis dependency), used by the
-  ``scenarios fuzz`` / ``scenarios coverage`` CLI commands and the
-  differential runner. The same ``(seed, total_cycles, max_phases)``
-  always yields a schedule with the same content fingerprint, so every
-  fuzz finding names the exact seed that reproduces it.
+  ``scenarios fuzz`` CLI command and the differential runner. The
+  same ``(seed, total_cycles, max_phases)`` always yields a schedule
+  with the same content fingerprint, so every fuzz finding names the
+  exact seed that reproduces it.
 * :func:`schedules` (plus the component strategies :func:`modulators`,
   :func:`fault_events`, :func:`feedback_rules`) — hypothesis strategies
   over the same core, driven through ``st.randoms()`` so hypothesis

@@ -20,11 +20,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "table-3-1", "--fidelity", "warp"])
 
-    def test_scenarios_ingest_is_an_invalid_choice(self, capsys):
+    @pytest.mark.parametrize("verb", ["ingest", "coverage"])
+    def test_a_removed_scenarios_verb_is_an_invalid_choice(self, verb, capsys):
         with pytest.raises(SystemExit) as exited:
-            main(["scenarios", "ingest", "t.jsonl"])
+            main(["scenarios", verb])
         assert exited.value.code == 2
-        assert "invalid choice: 'ingest'" in capsys.readouterr().err
+        assert f"invalid choice: '{verb}'" in capsys.readouterr().err
 
 
 class TestMain:

@@ -199,9 +199,6 @@ CALLS = (
      ["scenarios", "fuzz", "--count", "2", "--seed", "7", "--total-cycles",
       "500", "--out", "findings.json"]),
     ("fuzz-bad-pattern", ["scenarios", "fuzz", "--pattern", "bogus"]),
-    ("coverage",
-     ["scenarios", "coverage", "--count", "6", "--total-cycles", "700",
-      "--library", "--out", "coverage.json"]),
     # -- ml -----------------------------------------------------------------
     ("export-empty-store",
      ["ml", "export", "--store", "empty.jsonl", "--out", "no.json"]),

@@ -1,26 +1,19 @@
-"""Dimension-coverage scoring: known library scores, spanning, report.
+"""Dimension scoring: modulator swings and known library scores.
 
 The library scenarios make the per-dimension scorers checkable against
 hand-derivable values (``steady`` is inactive everywhere,
-``hotspot_drift`` moves its hotspot exactly three times, ...); the
-generated + library union must span all four dimensions — the claim the
-``scenarios coverage`` CLI lane asserts in CI.
+``hotspot_drift`` moves its hotspot exactly three times, ...). That the
+generator spans all four dimensions is ``test_generate.py``'s.
 """
-
-import json
 
 import pytest
 
 from repro.scenarios.coverage import (
-    BIN_LABELS,
     DIMENSIONS,
-    coverage_report,
     fault_density,
-    library_schedules,
     modulator_swing,
     schedule_dimensions,
 )
-from repro.scenarios.generate import sample_schedule
 from repro.scenarios.library import build_scenario
 from repro.scenarios.schedule import (
     BurstLoad,
@@ -87,45 +80,3 @@ class TestKnownLibraryScores:
     def test_fault_density_needs_positive_cycles(self):
         with pytest.raises(ValueError, match="positive"):
             fault_density(build_scenario("steady", TOTAL), 0)
-
-
-class TestCoverageReport:
-    def test_steady_alone_covers_nothing(self):
-        report = coverage_report([build_scenario("steady", TOTAL)], TOTAL)
-        assert report.total == 1
-        assert report.spanned_dimensions() == ()
-        assert not report.spans_all_dimensions()
-        assert "NO" in report.render()
-
-    def test_library_plus_generated_spans_all_dimensions(self):
-        pool = list(library_schedules(TOTAL)) + [
-            sample_schedule(seed, TOTAL) for seed in range(10)
-        ]
-        report = coverage_report(pool, TOTAL)
-        assert report.spans_all_dimensions()
-        assert report.spanned_dimensions() == DIMENSIONS
-
-    def test_histograms_partition_the_input(self):
-        pool = [sample_schedule(seed, TOTAL) for seed in range(8)]
-        report = coverage_report(pool, TOTAL)
-        for dimension in DIMENSIONS:
-            assert sum(report.histograms[dimension].values()) == report.total
-
-    def test_to_dict_is_json_able_and_complete(self):
-        report = coverage_report(library_schedules(TOTAL), TOTAL)
-        data = json.loads(json.dumps(report.to_dict()))
-        assert data["total"] == report.total
-        assert data["dimensions"] == list(DIMENSIONS)
-        for dimension in DIMENSIONS:
-            assert set(data["histograms"][dimension]) == set(BIN_LABELS)
-        assert len(data["schedules"]) == report.total
-        for row in data["schedules"]:
-            assert set(DIMENSIONS) <= set(row)
-
-    def test_render_lists_every_dimension(self):
-        report = coverage_report(library_schedules(TOTAL), TOTAL)
-        text = report.render()
-        for dimension in DIMENSIONS:
-            assert dimension in text
-        for label in BIN_LABELS:
-            assert label in text

@@ -140,6 +140,10 @@ class ExperimentSpec:
             raise ValueError("every sweep axis needs at least one value")
         if self.load_fractions is not None and not self.load_fractions:
             raise ValueError("load_fractions override must be non-empty")
+        if not all(0 <= f < math.inf for f in self.fractions):
+            raise ValueError(
+                f"load fractions must be finite and >= 0: {self.fractions}"
+            )
         for axis in axes + ("load_fractions",):
             values = getattr(self, axis) or ()
             if len(set(values)) != len(values):

@@ -14,6 +14,7 @@ script path, a model file), and fail through :class:`CliError`.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 from typing import Callable, Iterable, Optional
 
@@ -71,14 +72,36 @@ def _fidelity(name: str):
         )
 
 
-def _workers(value: str, minimum: int = 1) -> int:
+def _at_least(value: str, minimum: int, noun: str) -> int:
     try:
         n = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {value!r}")
     if n < minimum:
-        raise argparse.ArgumentTypeError(f"need at least {minimum} worker(s)")
+        raise argparse.ArgumentTypeError(f"need at least {minimum} {noun}")
     return n
+
+
+def _workers(value: str, minimum: int = 1) -> int:
+    return _at_least(value, minimum, "worker(s)")
+
+
+def _count(value: str) -> int:
+    """argparse type: how many schedules a fuzz run generates."""
+    return _at_least(value, 1, "schedule(s)")
+
+
+def _load_fraction(value: str) -> float:
+    """argparse type: an offered load, finite and >= 0."""
+    try:
+        fraction = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {value!r}")
+    if not 0 <= fraction < math.inf:  # NaN fails both comparisons
+        raise argparse.ArgumentTypeError(
+            f"need a finite load fraction >= 0, got {value!r}"
+        )
+    return fraction
 
 
 def _nargs(default) -> Optional[str]:
@@ -114,7 +137,9 @@ def add_seed(
 def add_load_fraction(
     parser: argparse.ArgumentParser, help: Optional[str] = None
 ) -> None:
-    parser.add_argument("--load-fraction", type=float, default=0.6, help=help)
+    parser.add_argument(
+        "--load-fraction", type=_load_fraction, default=0.6, help=help
+    )
 
 
 def add_pattern(parser: argparse.ArgumentParser, help: str) -> None:

@@ -8,6 +8,7 @@ import json
 from repro.api.session import Session
 from repro.experiments.cli.options import (
     CliError,
+    _count,
     add_arch,
     add_bw_set,
     add_fidelity,
@@ -84,7 +85,7 @@ def register(sub) -> None:
         help="generate random schedules and differentially test every "
         "architecture, flagging DBA-margin inversions as findings",
     )
-    fuzz.add_argument("--count", type=int, default=5,
+    fuzz.add_argument("--count", type=_count, default=5,
                       help="number of schedules to generate")
     add_seed(fuzz, help="base generator seed (schedule i uses seed+i)")
     fuzz.add_argument("--total-cycles", type=int, default=1500,

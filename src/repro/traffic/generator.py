@@ -191,8 +191,11 @@ class TrafficGenerator:
         rng: random.Random,
         submit: Callable[[Packet], bool],
     ):
-        if offered_load_packets_per_cycle < 0:
-            raise ValueError("offered load must be >= 0")
+        if not 0 <= offered_load_packets_per_cycle < math.inf:  # NaN too
+            raise ValueError(
+                f"offered load must be finite and >= 0, got "
+                f"{offered_load_packets_per_cycle!r} packets/cycle"
+            )
         self.rng = ReadAheadStream(rng)
         self.submit = submit
         self.offered_load = offered_load_packets_per_cycle

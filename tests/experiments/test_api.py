@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.api import ExperimentSpec, Registry, RegistryError, Session, registry
-from repro.experiments.runner import QUICK_FIDELITY
+from repro.experiments.runner import QUICK_FIDELITY, Fidelity
 from repro.traffic.bandwidth_sets import BW_SET_1
 
 from support import TINY, tiny_spec
@@ -85,6 +85,13 @@ class TestExperimentSpec:
             tiny_spec(seeds=(1, 1))  # duplicate axis values
         with pytest.raises(ValueError):
             tiny_spec(patterns=())  # empty axis
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
+    def test_load_fractions_must_be_finite_and_non_negative(self, bad):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            tiny_spec(load_fractions=(0.5, bad))
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            tiny_spec(fidelity=Fidelity("bad", 700, 100, (0.5, bad)))
 
     def test_to_sweep_spec_matches_axes(self):
         # The spec is the grid: the method is what the ledger calls.
@@ -188,6 +195,16 @@ class TestCliSpecEquivalence:
         assert "bad spec" in capsys.readouterr().err
         assert main(["run", "--spec", str(tmp_path / "absent.json")]) == 2
         capsys.readouterr()
+
+    def test_a_nan_load_in_spec_is_a_clean_error(self, tmp_path, capsys):
+        from repro.experiments.cli import main
+
+        path, store = tmp_path / "spec.json", tmp_path / "spec.jsonl"
+        spec = dict(tiny_spec().to_dict(), load_fractions=[float("nan")])
+        path.write_text(json.dumps(spec))
+        assert main(["run", "--spec", str(path), "--store", str(store)]) == 2
+        assert "finite and >= 0" in capsys.readouterr().err
+        assert not store.exists()
 
     def test_run_requires_exactly_one_target(self, capsys):
         from repro.experiments.cli import main

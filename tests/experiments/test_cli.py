@@ -27,6 +27,27 @@ class TestParser:
         assert exited.value.code == 2
         assert f"invalid choice: '{verb}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("load", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["scenarios", "run", "steady"],
+        ["scenarios", "fuzz"],
+        ["trace", "record", "--out", "t.jsonl"],
+    ], ids=["scenarios-run", "scenarios-fuzz", "trace-record"])
+    def test_a_load_fraction_not_finite_and_non_negative_is_refused(
+            self, argv, load, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(argv + ["--load-fraction", load])
+        assert exited.value.code == 2
+        assert (f"need a finite load fraction >= 0, got '{load}'"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_fuzz_needs_one_schedule(self, count, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["scenarios", "fuzz", "--count", count])
+        assert exited.value.code == 2
+        assert "need at least 1 schedule(s)" in capsys.readouterr().err
+
 
 class TestMain:
     def test_run_area_figure(self, capsys):

@@ -1,7 +1,7 @@
 """Tests for the dhetpnoc-repro command line.
 
 The surface itself is pinned byte for byte by ``cli_golden.json``
-(``test_cli_golden.py``: 35 parsers, a 77-call ``main(argv)``
+(``test_cli_golden.py``: 32 parsers, a 69-call ``main(argv)``
 transcript); a test belongs here only for what that transcript does not
 run.
 """

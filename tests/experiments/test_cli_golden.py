@@ -355,7 +355,6 @@ def _emit(*flags) -> dict:
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ)
-    env.pop("REPRO_FIDELITY", None)
     env.update(
         PYTHONPATH=src + os.pathsep + env.get("PYTHONPATH", ""),
         COLUMNS="80",

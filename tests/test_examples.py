@@ -92,17 +92,14 @@ class TestExamples:
         second = run_example("parallel_sweep_study.py", *args)
         assert "0 simulated" in second
 
-    @pytest.mark.slow
     def test_skewed_traffic_study(self):
         out = run_example("skewed_traffic_study.py", "--fidelity", "quick")
         assert "Saturation peaks" in out
 
-    @pytest.mark.slow
     def test_gpu_workload_study(self):
         out = run_example("gpu_workload_study.py", "--fidelity", "quick")
         assert "d-HetPNoC bandwidth gain on GPU/memory traffic" in out
 
-    @pytest.mark.slow
     def test_electrical_vs_photonic(self):
         """Section 1.5's three claims, checked by the example: the mesh
         wins light-load latency, the crossbar wins bandwidth at scale

@@ -761,7 +761,7 @@ def test_the_ledger_is_the_only_bench_harness():
     # measure beside the ledger's seconds, not a second harness.
     assert names("tools") == [
         "daemon_smoke.sh", "door_allowlist.txt", "door_census.py",
-        "drift_log.py", "fuzz_triage.py", "opcount.py", "test_census.py",
+        "fuzz_triage.py", "opcount.py", "test_census.py",
     ]
     # src/ reads one thing from benchmarks/: the committed records that
     # price `run --spec --dry-run`.

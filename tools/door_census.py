@@ -185,7 +185,6 @@ def run_transcript(census: DoorCensus, scratch: Path) -> None:
         golden._write_fixtures()
     census.seen.clear()  # writing the fixtures is no door
     env = dict(os.environ, COLUMNS="80", REPRO_BENCH_BASELINE="record.json")
-    env.pop("REPRO_FIDELITY", None)
     parser = build_parser()
     calls = [("cli --help", [str(GOLDEN), "--emit", "--parsers-only"], 0)]
     calls += [

@@ -30,6 +30,7 @@ import argparse
 import dataclasses
 
 from repro.api import Session
+from repro.experiments.cli.options import offered_load
 from repro.experiments.report import ascii_table, percent_change, phase_table
 from repro.experiments.runner import PAPER_FIDELITY, QUICK_FIDELITY, Fidelity
 from repro.scenarios.library import build_scenario, register_schedule
@@ -58,7 +59,7 @@ def main() -> None:
     parser.add_argument("--fidelity", choices=("quick", "paper", "tiny"),
                         default="quick")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--load-fraction", type=float, default=0.6)
+    parser.add_argument("--load-fraction", type=offered_load, default=0.6)
     args = parser.parse_args()
     fidelity = {
         "paper": PAPER_FIDELITY,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 
 from repro import BW_SET_1
+from repro.experiments.cli.options import offered_load
 from repro.experiments.report import ascii_table, percent_change
 from repro.experiments.runner import PAPER_FIDELITY, attach_traffic, wire_run
 
@@ -53,7 +54,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--pattern", default="skewed3",
                         help="uniform | skewed1..3 | skewed_hotspot1..4 | real_app")
-    parser.add_argument("--load-gbps", type=float, default=500.0)
+    parser.add_argument("--load-gbps", type=offered_load, default=500.0)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 

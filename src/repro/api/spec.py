@@ -110,8 +110,8 @@ class ExperimentSpec:
             object.__setattr__(self, name, value)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; use one of {MODES}")
-        if self.resolution <= 0:
-            raise ValueError("resolution must be positive")
+        if not 0 < self.resolution < math.inf:  # NaN fails both comparisons
+            raise ValueError("resolution must be finite and > 0")
         # Validate axis names against the registries (typos fail here,
         # not mid-sweep) ...
         for arch in self.archs:

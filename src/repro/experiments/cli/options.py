@@ -91,17 +91,29 @@ def _count(value: str) -> int:
     return _at_least(value, 1, "schedule(s)")
 
 
-def _load_fraction(value: str) -> float:
-    """argparse type: an offered load, finite and >= 0."""
+def _finite(value: str, noun: str, zero_ok: bool) -> float:
     try:
-        fraction = float(value)
+        x = float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {value!r}")
-    if not 0 <= fraction < math.inf:  # NaN fails both comparisons
+    # NaN fails every comparison, so it is refused with the infinities.
+    if not (0 <= x if zero_ok else 0 < x) or not x < math.inf:
+        bound = ">= 0" if zero_ok else "> 0"
         raise argparse.ArgumentTypeError(
-            f"need a finite load fraction >= 0, got {value!r}"
+            f"need a finite {noun} {bound}, got {value!r}"
         )
-    return fraction
+    return x
+
+
+def offered_load(value: str) -> float:
+    """argparse type: an offered load (a fraction of capacity, or Gb/s),
+    finite and >= 0. The example scripts' load flags use it too."""
+    return _finite(value, "load", zero_ok=True)
+
+
+def _resolution(value: str) -> float:
+    """argparse type: the adaptive search's load step, finite and > 0."""
+    return _finite(value, "resolution", zero_ok=False)
 
 
 def _nargs(default) -> Optional[str]:
@@ -138,7 +150,7 @@ def add_load_fraction(
     parser: argparse.ArgumentParser, help: Optional[str] = None
 ) -> None:
     parser.add_argument(
-        "--load-fraction", type=_load_fraction, default=0.6, help=help
+        "--load-fraction", type=offered_load, default=0.6, help=help
     )
 
 

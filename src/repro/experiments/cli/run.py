@@ -9,6 +9,7 @@ from repro.api.session import Session
 from repro.api.spec import ExperimentSpec
 from repro.experiments.cli.options import (
     CliError,
+    _resolution,
     LazyChoices,
     add_fidelity,
     add_grid_axes,
@@ -94,7 +95,7 @@ def register(sub) -> None:
         "seeded from the analytic saturation model (fewer simulations)",
     )
     sweep.add_argument(
-        "--resolution", type=float, default=0.05, metavar="FRACTION",
+        "--resolution", type=_resolution, default=0.05, metavar="FRACTION",
         help="load-fraction step the adaptive search localises the knee "
         "to (default: 0.05)",
     )

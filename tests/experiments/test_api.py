@@ -93,6 +93,11 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="finite and >= 0"):
             tiny_spec(fidelity=Fidelity("bad", 700, 100, (0.5, bad)))
 
+    @pytest.mark.parametrize("bad", [0.0, -0.1, float("nan"), float("inf")])
+    def test_resolution_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            tiny_spec(mode="adaptive", resolution=bad)
+
     def test_to_sweep_spec_matches_axes(self):
         # The spec is the grid: the method is what the ledger calls.
         spec = tiny_spec(patterns=("uniform", "skewed3"))
@@ -204,6 +209,17 @@ class TestCliSpecEquivalence:
         path.write_text(json.dumps(spec))
         assert main(["run", "--spec", str(path), "--store", str(store)]) == 2
         assert "finite and >= 0" in capsys.readouterr().err
+        assert not store.exists()
+
+    def test_a_nan_resolution_in_spec_is_a_clean_error(self, tmp_path, capsys):
+        from repro.experiments.cli import main
+
+        path, store = tmp_path / "spec.json", tmp_path / "spec.jsonl"
+        spec = dict(tiny_spec(mode="adaptive").to_dict(), resolution=float("nan"))
+        path.write_text(json.dumps(spec))
+        assert main(["run", "--spec", str(path), "--store", str(store)]) == 2
+        err = capsys.readouterr().err
+        assert "bad spec" in err and "finite and > 0" in err
         assert not store.exists()
 
     def test_run_requires_exactly_one_target(self, capsys):

@@ -38,7 +38,17 @@ class TestParser:
         with pytest.raises(SystemExit) as exited:
             main(argv + ["--load-fraction", load])
         assert exited.value.code == 2
-        assert (f"need a finite load fraction >= 0, got '{load}'"
+        assert (f"need a finite load >= 0, got '{load}'"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("resolution", ["nan", "inf", "0", "-0.1"])
+    def test_a_resolution_not_finite_and_positive_is_refused(
+            self, resolution, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["sweep", "--adaptive", "--arch", "firefly",
+                  "--resolution", resolution])
+        assert exited.value.code == 2
+        assert (f"need a finite resolution > 0, got '{resolution}'"
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("count", ["0", "-2"])

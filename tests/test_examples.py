@@ -28,6 +28,21 @@ def run_example(name: str, *args: str, timeout: int = 300) -> str:
 
 
 class TestExamples:
+    @pytest.mark.parametrize("script,flag,load", [
+        ("quickstart.py", "--load-gbps", "nan"),
+        ("scenario_showdown.py", "--load-fraction", "inf"),
+        ("closed_loop_shedding.py", "--load-fraction", "-1"),
+    ])
+    def test_a_load_not_finite_and_non_negative_is_refused(
+            self, script, flag, load):
+        """Refused at argument parsing, before any simulation."""
+        result = subprocess.run(
+            [sys.executable, str(EXAMPLES / script), flag, load],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 2
+        assert f"need a finite load >= 0, got '{load}'" in result.stderr
+
     def test_quickstart(self):
         out = run_example("quickstart.py", "--pattern", "skewed3",
                           "--load-gbps", "400")

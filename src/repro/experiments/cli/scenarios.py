@@ -31,7 +31,7 @@ _BASE_PATTERN = "base pattern for phases that do not rebind"
 def register(sub) -> None:
     scenarios = sub.add_parser(
         "scenarios",
-        help="time-varying workload scripts: list/describe/run/sweep",
+        help="time-varying workload scripts: list/describe/load/run/sweep/fuzz",
     )
     scen_sub = scenarios.add_subparsers(dest="scenario_command", required=True)
 

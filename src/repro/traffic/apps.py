@@ -12,8 +12,7 @@ with increase in GPU-memory bandwidth, while the others do not."
 GPGPU-Sim traces. Each profile instead records the two quantities the
 experiment consumes -- the app's demanded bandwidth class and its share of
 traffic volume -- set to encode exactly the thesis's own characterisation
-(MUM/BFS bandwidth-hungry, CP/RAY/LPS not). ``memory_boundedness`` also
-feeds the fig. 1-1 motivation model.
+(MUM/BFS bandwidth-hungry, CP/RAY/LPS not).
 """
 
 from __future__ import annotations
@@ -36,16 +35,12 @@ class AppProfile:
     intensity:
         Relative packets/cycle appetite of one core of this app; scales
         the app's share of offered traffic.
-    memory_boundedness:
-        Fraction of runtime stalled on memory at baseline bandwidth
-        (drives the fig. 1-1 speedup model).
     """
 
     name: str
     cores: int
     demand_class: int
     intensity: float
-    memory_boundedness: float
 
     def __post_init__(self) -> None:
         if self.cores % 4:
@@ -54,8 +49,6 @@ class AppProfile:
             raise ValueError("demand_class must be in [0, 3]")
         if self.intensity <= 0:
             raise ValueError("intensity must be positive")
-        if not 0 <= self.memory_boundedness < 1:
-            raise ValueError("memory_boundedness must be in [0, 1)")
 
     @property
     def clusters(self) -> int:
@@ -66,19 +59,14 @@ class AppProfile:
 APP_PROFILES: Dict[str, AppProfile] = {
     # MUM and BFS: "significant speedup with increase in GPU-memory
     # bandwidth" -> top bandwidth class, high memory-traffic intensity.
-    "MUM": AppProfile("MUM", cores=20, demand_class=3, intensity=1.00,
-                      memory_boundedness=0.55),
-    "BFS": AppProfile("BFS", cores=4, demand_class=3, intensity=0.90,
-                      memory_boundedness=0.50),
+    "MUM": AppProfile("MUM", cores=20, demand_class=3, intensity=1.00),
+    "BFS": AppProfile("BFS", cores=4, demand_class=3, intensity=0.90),
     # "the others do not": compute-bound apps pull little memory traffic
     # (fig. 1-1: <1% speedup from more bandwidth implies a small
     # memory-bound fraction), so their reply volume is correspondingly low.
-    "LPS": AppProfile("LPS", cores=16, demand_class=1, intensity=0.18,
-                      memory_boundedness=0.08),
-    "CP": AppProfile("CP", cores=4, demand_class=1, intensity=0.10,
-                     memory_boundedness=0.04),
-    "RAY": AppProfile("RAY", cores=4, demand_class=0, intensity=0.05,
-                      memory_boundedness=0.03),
+    "LPS": AppProfile("LPS", cores=16, demand_class=1, intensity=0.18),
+    "CP": AppProfile("CP", cores=4, demand_class=1, intensity=0.10),
+    "RAY": AppProfile("RAY", cores=4, demand_class=0, intensity=0.05),
 }
 
 #: Placement order matches the thesis sentence (MUM, BFS, CP, RAY, LPS).

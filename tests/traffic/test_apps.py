@@ -26,24 +26,13 @@ class TestAppProfiles:
         for name in ("CP", "RAY", "LPS"):
             assert APP_PROFILES[name].demand_class < 3
 
-    def test_memory_boundedness_ordering(self):
-        insensitive = max(
-            APP_PROFILES[n].memory_boundedness for n in ("CP", "RAY", "LPS")
-        )
-        sensitive = min(
-            APP_PROFILES[n].memory_boundedness for n in ("MUM", "BFS")
-        )
-        assert sensitive > 3 * insensitive
-
     def test_validation(self):
         with pytest.raises(ValueError):
-            AppProfile("X", cores=3, demand_class=0, intensity=1, memory_boundedness=0.1)
+            AppProfile("X", cores=3, demand_class=0, intensity=1)
         with pytest.raises(ValueError):
-            AppProfile("X", cores=4, demand_class=4, intensity=1, memory_boundedness=0.1)
+            AppProfile("X", cores=4, demand_class=4, intensity=1)
         with pytest.raises(ValueError):
-            AppProfile("X", cores=4, demand_class=0, intensity=0, memory_boundedness=0.1)
-        with pytest.raises(ValueError):
-            AppProfile("X", cores=4, demand_class=0, intensity=1, memory_boundedness=1.0)
+            AppProfile("X", cores=4, demand_class=0, intensity=0)
 
 
 class TestPlacement:

@@ -15,7 +15,8 @@ semantics across the whole code base:
 
 It also holds the two pieces every record codec shares:
 :func:`canonical_json`, the one hashed and written JSON form, and
-:class:`FieldTable`, a dataclass's field names read once.
+:class:`FieldTable`, a dataclass's field names read once; and the input
+checks every door (flag, spec field, constructor) puts a number through.
 
 This module deliberately imports nothing from the rest of ``repro`` so
 any layer — traffic patterns, scenario library, store backends, the
@@ -26,13 +27,18 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 __all__ = [
+    "MAX_LOAD",
+    "MIN_LOAD_STEP",
     "FieldTable",
     "Registry",
     "RegistryError",
     "canonical_json",
+    "check_float",
+    "check_int",
     "lazy_exports",
 ]
 
@@ -261,3 +267,38 @@ class Registry:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Registry({self.kind!r}, {list(self._entries)!r})"
+
+
+# -- Input checks: one message form, "<field> must be <bound>, got <value>".
+#: The largest offered load (a fraction of capacity, or Gb/s) and load
+#: step a door accepts: far below it every core injects on every cycle,
+#: and far above it the conversion to packets per cycle overflows.
+MAX_LOAD = 1e6
+#: The finest load step a door accepts: probe loads round to 9 decimals.
+MIN_LOAD_STEP = 1e-9
+
+
+def check_int(field: str, value: int, minimum: int,
+              maximum: float = math.inf, error: type = ValueError) -> int:
+    """*value* if it is in ``[minimum, maximum]`` (and finite), else
+    *error* (a ``ValueError`` subclass) naming *field*, bound and value."""
+    if not (minimum <= value <= maximum and value < math.inf):
+        bound = f">= {minimum}" if maximum == math.inf else f"in [{minimum}, {maximum}]"
+        raise error(f"{field} must be {bound}, got {value!r}")
+    return value
+
+
+def check_float(field: str, value: float, minimum: float = 0.0, *,
+                strict: bool = False, maximum: float = math.inf,
+                error: type = ValueError) -> float:
+    """*value* if it is finite, ``>= minimum`` (``>`` if *strict*) and
+    ``<= maximum``, else *error* as :func:`check_int` raises it. NaN
+    fails every comparison, so it is refused with the infinities."""
+    if not ((minimum < value if strict else minimum <= value)
+            and value <= maximum and value < math.inf):
+        if maximum < math.inf:
+            bound = f"in {'(' if strict else '['}{minimum:g}, {maximum:g}]"
+        else:
+            bound = f"finite and {'>' if strict else '>='} {minimum:g}"
+        raise error(f"{field} must be {bound}, got {value!r}")
+    return value

@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.api.base import MAX_LOAD, MIN_LOAD_STEP, check_float
 from repro.arch.registry import architectures
 from repro.experiments.runner import Fidelity, QUICK_FIDELITY, fidelities
 from repro.experiments.sweep import RunPoint, curve_points
@@ -110,8 +111,7 @@ class ExperimentSpec:
             object.__setattr__(self, name, value)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; use one of {MODES}")
-        if not 0 < self.resolution < math.inf:  # NaN fails both comparisons
-            raise ValueError("resolution must be finite and > 0")
+        check_float("resolution", self.resolution, MIN_LOAD_STEP, maximum=MAX_LOAD)
         # Validate axis names against the registries (typos fail here,
         # not mid-sweep) ...
         for arch in self.archs:
@@ -140,10 +140,8 @@ class ExperimentSpec:
             raise ValueError("every sweep axis needs at least one value")
         if self.load_fractions is not None and not self.load_fractions:
             raise ValueError("load_fractions override must be non-empty")
-        if not all(0 <= f < math.inf for f in self.fractions):
-            raise ValueError(
-                f"load fractions must be finite and >= 0: {self.fractions}"
-            )
+        for fraction in self.load_fractions or ():  # a Fidelity checks its own
+            check_float("load_fractions", fraction, maximum=MAX_LOAD)
         for axis in axes + ("load_fractions",):
             values = getattr(self, axis) or ()
             if len(set(values)) != len(values):

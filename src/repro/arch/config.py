@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.api.base import check_float, check_int
 from repro.traffic.bandwidth_sets import BW_SET_1, BandwidthSet
 
 
@@ -58,30 +59,19 @@ class SystemConfig:
     token_hold_cycles: int = 1
 
     def __post_init__(self) -> None:
-        if self.n_clusters < 2:
-            raise ValueError("need at least 2 clusters")
-        if self.cores_per_cluster < 1:
-            raise ValueError("need at least 1 core per cluster")
-        if self.clock_hz <= 0:
-            raise ValueError("clock must be positive")
-        if self.vc_depth_flits < self.bw_set.packet_flits:
-            raise ValueError(
-                "VC depth must hold at least one packet "
-                f"({self.bw_set.packet_flits} flits) for store-and-forward TX"
-            )
-        if self.data_propagation_cycles < 1:
-            raise ValueError(
-                "data_propagation_cycles must be >= 1: a launch lands in a "
-                "later cycle than its own"
-            )
-        if self.reserved_wavelengths_per_cluster < 1:
-            raise ValueError(
-                "at least 1 reserved wavelength per cluster "
-                "(thesis 3.2.1 starvation guarantee)"
-            )
+        check_int("n_clusters", self.n_clusters, 2)
+        check_int("cores_per_cluster", self.cores_per_cluster, 1)
+        check_float("clock_hz", self.clock_hz, strict=True)
+        # A VC holds a whole packet (store-and-forward TX); a launch lands
+        # in a later cycle than its own; thesis 3.2.1 reserves a wavelength.
+        check_int("vc_depth_flits", self.vc_depth_flits, self.bw_set.packet_flits)
+        check_int("data_propagation_cycles", self.data_propagation_cycles, 1)
+        check_int("reserved_wavelengths_per_cluster",
+                  self.reserved_wavelengths_per_cluster, 1)
         total_reserved = self.reserved_wavelengths_per_cluster * self.n_clusters
         if total_reserved >= self.bw_set.total_wavelengths:
-            raise ValueError("reserved wavelengths exhaust the pool")
+            raise ValueError(f"reserved_wavelengths_per_cluster x n_clusters = "
+                             f"{total_reserved} exhausts the wavelength pool")
 
     @property
     def n_cores(self) -> int:

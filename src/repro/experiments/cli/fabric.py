@@ -7,8 +7,8 @@ import contextlib
 
 from repro.experiments.cli.options import (
     CliError,
-    _workers,
     add_daemon_options,
+    checked,
     load_spec,
 )
 from repro.experiments.report import ascii_table
@@ -30,7 +30,7 @@ def register(sub) -> None:
         help="coordinator address ('serve' prints it)",
     )
     worker.add_argument(
-        "--fail-after", type=int, default=None, metavar="N",
+        "--fail-after", type=checked("fail_after", 0), default=None, metavar="N",
         help="chaos hook for fault-tolerance tests: hard-exit after "
         "streaming N results while still holding a lease",
     )
@@ -44,30 +44,31 @@ def register(sub) -> None:
     )
     add_daemon_options(serve)
     serve.add_argument(
-        "--workers", type=lambda value: _workers(value, 0), default=1,
+        "--workers", type=checked("workers", 0), default=1,
         help="local simulation lanes shared by every job (default: 1; 0 "
         "leaves all simulation to 'fabric worker's attached to this port)",
     )
     serve.add_argument(
-        "--max-jobs", type=int, default=2, metavar="N",
+        "--max-jobs", type=checked("max_jobs", 1), default=2, metavar="N",
         help="jobs executed concurrently (default: 2)",
     )
     serve.add_argument(
-        "--max-pending", type=int, default=16, metavar="N",
+        "--max-pending", type=checked("max_pending", 1), default=16, metavar="N",
         help="queued jobs admitted before submissions are rejected "
         "(default: 16)",
     )
     serve.add_argument(
-        "--lease-size", type=int, default=2, metavar="N",
+        "--lease-size", type=checked("lease_size", 1), default=2, metavar="N",
         help="points leased to a worker per request (default: 2)",
     )
     serve.add_argument(
-        "--max-attempts", type=int, default=3, metavar="N",
+        "--max-attempts", type=checked("max_attempts", 1), default=3, metavar="N",
         help="lease attempts per point before it is surfaced as a "
         "point-level failure (default: 3)",
     )
     serve.add_argument(
-        "--worker-timeout", type=float, default=20.0, metavar="SECONDS",
+        "--worker-timeout", default=20.0, metavar="SECONDS",
+        type=checked("worker_timeout_s", parse=float, strict=True),
         help="heartbeat silence after which a worker's leases are "
         "re-queued (default: 20)",
     )

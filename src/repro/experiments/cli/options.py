@@ -14,10 +14,10 @@ script path, a model file), and fail through :class:`CliError`.
 from __future__ import annotations
 
 import argparse
-import math
 import os
-from typing import Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
+from repro.api.base import MAX_LOAD, check_float, check_int
 # The registries from their home modules (``repro.api.registry``
 # re-exports them): importing that namespace would load every layer.
 from repro.api.session import Session
@@ -72,48 +72,24 @@ def _fidelity(name: str):
         )
 
 
-def _at_least(value: str, minimum: int, noun: str) -> int:
-    try:
-        n = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}")
-    if n < minimum:
-        raise argparse.ArgumentTypeError(f"need at least {minimum} {noun}")
-    return n
+def checked(field: str, *bounds, parse: type = int, **options) -> Callable[[str], Any]:
+    """argparse type named *field*: *parse* the text, then check it with
+    :func:`check_int` or :func:`check_float`; a refusal exits 2."""
+    check = check_int if parse is int else check_float
+
+    def convert(text: str):
+        try:
+            return check(field, parse(text), *bounds, **options)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+
+    convert.__name__ = field
+    return convert
 
 
-def _workers(value: str, minimum: int = 1) -> int:
-    return _at_least(value, minimum, "worker(s)")
-
-
-def _count(value: str) -> int:
-    """argparse type: how many schedules a fuzz run generates."""
-    return _at_least(value, 1, "schedule(s)")
-
-
-def _finite(value: str, noun: str, zero_ok: bool) -> float:
-    try:
-        x = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {value!r}")
-    # NaN fails every comparison, so it is refused with the infinities.
-    if not (0 <= x if zero_ok else 0 < x) or not x < math.inf:
-        bound = ">= 0" if zero_ok else "> 0"
-        raise argparse.ArgumentTypeError(
-            f"need a finite {noun} {bound}, got {value!r}"
-        )
-    return x
-
-
-def offered_load(value: str) -> float:
-    """argparse type: an offered load (a fraction of capacity, or Gb/s),
-    finite and >= 0. The example scripts' load flags use it too."""
-    return _finite(value, "load", zero_ok=True)
-
-
-def _resolution(value: str) -> float:
-    """argparse type: the adaptive search's load step, finite and > 0."""
-    return _finite(value, "resolution", zero_ok=False)
+#: argparse type: an offered load (a fraction of capacity, or Gb/s).
+#: The example scripts' load flags use it too.
+offered_load = checked("offered_load", parse=float, maximum=MAX_LOAD)
 
 
 def _nargs(default) -> Optional[str]:
@@ -177,7 +153,7 @@ def add_parallel_options(parser: argparse.ArgumentParser) -> None:
     """How a verb that simulates fans out and persists (see
     :func:`open_session`)."""
     parser.add_argument(
-        "--workers", type=_workers, default=1,
+        "--workers", type=checked("workers", 1), default=1,
         help="simulation worker processes (default: 1, serial)",
     )
     parser.add_argument(
@@ -206,7 +182,7 @@ def add_daemon_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--host", default="0.0.0.0",
                         help="bind address (default: all interfaces)")
     parser.add_argument(
-        "--port", type=int, default=DEFAULT_PORT,
+        "--port", type=checked("port", 0, 65535), default=DEFAULT_PORT,
         help=f"bind port (default: {DEFAULT_PORT}; 0 picks a free one)",
     )
     parser.add_argument(

@@ -5,17 +5,18 @@ from __future__ import annotations
 
 import inspect
 
+from repro.api.base import MAX_LOAD, MIN_LOAD_STEP
 from repro.api.session import Session
 from repro.api.spec import ExperimentSpec
 from repro.experiments.cli.options import (
     CliError,
-    _resolution,
     LazyChoices,
     add_fidelity,
     add_grid_axes,
     add_parallel_options,
     add_seed,
     check_patterns,
+    checked,
     load_model,
     load_spec,
     open_session,
@@ -95,7 +96,8 @@ def register(sub) -> None:
         "seeded from the analytic saturation model (fewer simulations)",
     )
     sweep.add_argument(
-        "--resolution", type=_resolution, default=0.05, metavar="FRACTION",
+        "--resolution", default=0.05, metavar="FRACTION",
+        type=checked("resolution", MIN_LOAD_STEP, parse=float, maximum=MAX_LOAD),
         help="load-fraction step the adaptive search localises the knee "
         "to (default: 0.05)",
     )

@@ -8,7 +8,6 @@ import json
 from repro.api.session import Session
 from repro.experiments.cli.options import (
     CliError,
-    _count,
     add_arch,
     add_bw_set,
     add_fidelity,
@@ -18,6 +17,7 @@ from repro.experiments.cli.options import (
     add_pattern,
     add_seed,
     check_patterns,
+    checked,
     open_session,
     resolve_scenario,
     spec_from_args,
@@ -85,10 +85,10 @@ def register(sub) -> None:
         help="generate random schedules and differentially test every "
         "architecture, flagging DBA-margin inversions as findings",
     )
-    fuzz.add_argument("--count", type=_count, default=5,
+    fuzz.add_argument("--count", type=checked("count", 1), default=5,
                       help="number of schedules to generate")
     add_seed(fuzz, help="base generator seed (schedule i uses seed+i)")
-    fuzz.add_argument("--total-cycles", type=int, default=1500,
+    fuzz.add_argument("--total-cycles", type=_total_cycles, default=1500,
                       help="cycle span each schedule is generated for")
     add_bw_set(fuzz)
     add_load_fraction(fuzz)
@@ -97,6 +97,13 @@ def register(sub) -> None:
     fuzz.add_argument("--out", metavar="FINDINGS.json",
                       help="write every finding (schedule script included)")
     fuzz.set_defaults(handler=_fuzz)
+
+
+def _total_cycles(text: str) -> int:
+    """argparse type: at least the scenario generator's shortest run."""
+    from repro.scenarios.generate import MIN_TOTAL_CYCLES  # loads on use
+
+    return checked("total_cycles", MIN_TOTAL_CYCLES)(text)
 
 
 def _list(args) -> None:

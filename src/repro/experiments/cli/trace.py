@@ -21,6 +21,7 @@ from repro.experiments.cli.options import (
     add_pattern,
     add_seed,
     check_patterns,
+    checked,
     resolve_scenario,
 )
 from repro.experiments.report import ascii_table
@@ -73,7 +74,7 @@ def register(sub) -> None:
         help="summarise a trace: span, digest and src/dst histograms",
     )
     info.add_argument("trace", metavar="TRACE.jsonl")
-    info.add_argument("--top", type=int, default=5, metavar="N",
+    info.add_argument("--top", type=checked("top", 0), default=5, metavar="N",
                       help="histogram entries shown per side (default: 5)")
     info.set_defaults(handler=_info)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.api.base import MAX_LOAD, MIN_LOAD_STEP, check_float
 from repro.arch.config import SystemConfig
 from repro.experiments.runner import Fidelity, RunResult
 from repro.experiments.sweep import PointExecutor, RunPoint, curve_points
@@ -211,13 +212,13 @@ def adaptive_knee_sweep(
     store-cached and deterministic regardless of worker count; a re-run
     against the same store simulates nothing.
     """
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    check_float("resolution", resolution, MIN_LOAD_STEP, maximum=MAX_LOAD)
     if not 0 < plateau_margin < 1:
         raise ValueError("plateau_margin must be in (0, 1)")
     capacity = bandwidth_set_by_index(bw_set_index).aggregate_gbps
     if max_fraction is None:
         max_fraction = max(fidelity.load_fractions)
+    check_float("max_fraction", max_fraction, maximum=MAX_LOAD)
     # Floor (with an epsilon for float division) so no probe exceeds
     # the caller's load cap; at least one grid point always exists.
     n = max(1, int(max_fraction / resolution + 1e-9))

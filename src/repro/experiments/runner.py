@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
-from repro.api.base import Registry
+from repro.api.base import MAX_LOAD, Registry, check_float, check_int
 from repro.arch.base import NoCArchitecture
 from repro.arch.config import SystemConfig
 from repro.arch.registry import architectures
@@ -42,10 +42,12 @@ class Fidelity:
     load_fractions: Tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.reset_cycles >= self.total_cycles:
-            raise ValueError("reset must be shorter than the run")
+        check_int("total_cycles", self.total_cycles, 1)
+        check_int("reset_cycles", self.reset_cycles, 0, self.total_cycles - 1)
         if not self.load_fractions:
-            raise ValueError("need at least one load point")
+            raise ValueError("load_fractions needs at least one load point")
+        for fraction in self.load_fractions:
+            check_float("load_fractions", fraction, maximum=MAX_LOAD)
 
     def to_dict(self) -> dict:
         """The one JSON form: a spec's ``fidelity`` and a work item's.
@@ -181,8 +183,7 @@ class WiredRun:
         architecture's message. Auditing does not change the run: its
         results are bitwise those of ``audit=0``.
         """
-        if audit < 0:
-            raise ValueError(f"audit must be >= 0, got {audit}")
+        check_int("audit", audit, 0)
         self._advance(reset_cycles, audit)
         self.sim.reset_all_stats()
         self._advance(total_cycles - reset_cycles, audit)

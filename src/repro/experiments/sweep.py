@@ -79,6 +79,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from repro.api.base import check_int
 from repro.arch.config import SystemConfig
 from repro.experiments.runner import Fidelity, RunResult, _run_once
 from repro.experiments.store import ResultStore, config_fingerprint, result_key
@@ -469,8 +470,7 @@ class SweepExecutor(PointExecutor):
         store: Optional[ResultStore] = None,
         config: Optional[SystemConfig] = None,
     ) -> None:
-        if workers < 1:
-            raise ValueError("need at least one worker")
+        check_int("workers", workers, 1)
         super().__init__(store=store, config=config)
         self.workers = workers
         self._pool: Optional[multiprocessing.pool.Pool] = None

@@ -61,6 +61,7 @@ from typing import (
     TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Set, Tuple,
 )
 
+from repro.api.base import check_float, check_int
 from repro.api.session import StoreLike, _resolve_store
 from repro.api.spec import ExperimentSpec
 from repro.experiments.runner import Fidelity
@@ -304,14 +305,12 @@ class Coordinator(RoleServer):
         max_pending: int = 16,
         backend: str = "auto",
     ) -> None:
-        if workers < 0:
-            raise ValueError("workers must not be negative")
-        if lease_size < 1:
-            raise ValueError("lease_size must be at least 1")
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        if max_jobs < 1:
-            raise ValueError("max_jobs must be at least 1")
+        check_int("workers", workers, 0)
+        check_int("lease_size", lease_size, 1)
+        check_float("heartbeat_s", heartbeat_s, strict=True)
+        check_float("worker_timeout_s", worker_timeout_s, strict=True)
+        check_int("max_attempts", max_attempts, 1)
+        check_int("max_jobs", max_jobs, 1)
         super().__init__(host, port)
         self._roles.update(worker=self._serve_worker, jobs=self._serve_jobs)
         self.store = _resolve_store(store, backend)

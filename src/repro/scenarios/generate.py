@@ -45,6 +45,7 @@ from __future__ import annotations
 import random
 from typing import Optional, Tuple
 
+from repro.api.base import check_int
 from repro.scenarios.compose import overlay, sequence
 from repro.scenarios.schedule import (
     FAULT_ACTIONS,
@@ -290,11 +291,7 @@ def sample_schedule_with_rng(
     simpler generated schedules, sized so the result still validates
     for *total_cycles*.
     """
-    if total_cycles < MIN_TOTAL_CYCLES:
-        raise ScenarioError(
-            f"generator needs total_cycles >= {MIN_TOTAL_CYCLES}, "
-            f"got {total_cycles}"
-        )
+    check_int("total_cycles", total_cycles, MIN_TOTAL_CYCLES, error=ScenarioError)
     if name is None:
         name = _drawn_name(rng)
     if allow_composition and rng.random() < 0.30:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple
 
-from repro.api.base import Registry
+from repro.api.base import Registry, check_int
 from repro.scenarios.schedule import (
     BurstLoad,
     FaultEvent,
@@ -82,8 +82,7 @@ def describe_scenario(name: str) -> str:
 
 def build_scenario(name: str, total_cycles: int) -> ScenarioSchedule:
     """Build the named scenario for a run of ``total_cycles`` cycles."""
-    if total_cycles <= 0:
-        raise ScenarioError("total_cycles must be positive")
+    check_int("total_cycles", total_cycles, 1, error=ScenarioError)
     return scenarios.get(name)[1](total_cycles)
 
 

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.api.base import FieldTable, canonical_json
+from repro.api.base import FieldTable, canonical_json, check_float, check_int
 # Re-exported: it lives with the other metrics so that a run and the
 # store can name it without loading the scenario engine.
 from repro.sim.stats import PhaseStats as PhaseStats
@@ -75,8 +75,7 @@ class StepLoad(LoadModulator):
     kind = "step"
 
     def __post_init__(self) -> None:
-        if self.scale < 0:
-            raise ScenarioError("step scale must be >= 0")
+        check_float("scale", self.scale, error=ScenarioError)
 
     def runtime(self, rng: random.Random) -> Callable[[int, int], float]:
         """Constant ``scale`` regardless of cycle."""
@@ -93,8 +92,8 @@ class RampLoad(LoadModulator):
     kind = "ramp"
 
     def __post_init__(self) -> None:
-        if self.start_scale < 0 or self.end_scale < 0:
-            raise ScenarioError("ramp scales must be >= 0")
+        check_float("start_scale", self.start_scale, error=ScenarioError)
+        check_float("end_scale", self.end_scale, error=ScenarioError)
 
     def runtime(self, rng: random.Random) -> Callable[[int, int], float]:
         """Linear interpolation across the phase's cycle span."""
@@ -125,10 +124,10 @@ class BurstLoad(LoadModulator):
     kind = "burst"
 
     def __post_init__(self) -> None:
-        if min(self.on_scale, self.off_scale) < 0:
-            raise ScenarioError("burst scales must be >= 0")
-        if min(self.mean_on_cycles, self.mean_off_cycles) <= 0:
-            raise ScenarioError("burst dwell means must be positive")
+        check_float("on_scale", self.on_scale, error=ScenarioError)
+        check_float("off_scale", self.off_scale, error=ScenarioError)
+        check_float("mean_on_cycles", self.mean_on_cycles, strict=True, error=ScenarioError)
+        check_float("mean_off_cycles", self.mean_off_cycles, strict=True, error=ScenarioError)
 
     def runtime(self, rng: random.Random) -> Callable[[int, int], float]:
         """Stateful on/off alternation with exponential dwell times."""
@@ -155,10 +154,9 @@ class SinusoidLoad(LoadModulator):
     kind = "sinusoid"
 
     def __post_init__(self) -> None:
-        if self.period_cycles <= 0:
-            raise ScenarioError("sinusoid period must be positive")
-        if self.amplitude < 0 or self.base_scale < 0:
-            raise ScenarioError("sinusoid base/amplitude must be >= 0")
+        check_float("period_cycles", self.period_cycles, strict=True, error=ScenarioError)
+        check_float("amplitude", self.amplitude, error=ScenarioError)
+        check_float("base_scale", self.base_scale, error=ScenarioError)
 
     def runtime(self, rng: random.Random) -> Callable[[int, int], float]:
         """Sinusoid around ``base_scale``, clamped at zero."""
@@ -234,10 +232,9 @@ class OffsetLoad(LoadModulator):
             raise ScenarioError(
                 f"offset inner must be a modulator, got {self.inner!r}"
             )
-        if self.offset_cycles < 0:
-            raise ScenarioError("offset_cycles must be >= 0")
-        if self.span_cycles is not None and self.span_cycles <= 0:
-            raise ScenarioError("span_cycles must be positive (or None)")
+        check_int("offset_cycles", self.offset_cycles, 0, error=ScenarioError)
+        if self.span_cycles is not None:
+            check_int("span_cycles", self.span_cycles, 1, error=ScenarioError)
 
     def runtime(self, rng: random.Random) -> Callable[[int, int], float]:
         """Shifted view into the inner modulator's waveform."""
@@ -322,16 +319,15 @@ class FaultEvent:
     duration_cycles: int = 0
 
     def __post_init__(self) -> None:
-        if self.at_cycle < 0:
-            raise ScenarioError("fault at_cycle must be >= 0")
+        check_int("at_cycle", self.at_cycle, 0, error=ScenarioError)
         if self.action not in FAULT_ACTIONS:
             raise ScenarioError(
                 f"unknown fault action {self.action!r}; use one of {FAULT_ACTIONS}"
             )
-        if self.action == "blackout_receiver" and self.duration_cycles <= 0:
-            raise ScenarioError("blackout needs a positive duration")
-        if self.action == "kill_wavelengths" and self.count <= 0:
-            raise ScenarioError("kill needs a positive count")
+        if self.action == "blackout_receiver":
+            check_int("duration_cycles", self.duration_cycles, 1, error=ScenarioError)
+        if self.action == "kill_wavelengths":
+            check_int("count", self.count, 1, error=ScenarioError)
 
     def to_dict(self) -> dict:
         """JSON-able description of the fault event."""
@@ -434,12 +430,10 @@ class FeedbackRule:
                 f"unknown feedback direction {self.direction!r}; use one of "
                 f"{FEEDBACK_DIRECTIONS}"
             )
-        if self.factor < 0:
-            raise ScenarioError("feedback factor must be >= 0")
-        if self.window_cycles <= 0 or self.check_every <= 0:
-            raise ScenarioError("window_cycles/check_every must be positive")
-        if self.cooldown_cycles < 0:
-            raise ScenarioError("cooldown_cycles must be >= 0")
+        check_float("factor", self.factor, error=ScenarioError)
+        check_int("window_cycles", self.window_cycles, 1, error=ScenarioError)
+        check_int("check_every", self.check_every, 1, error=ScenarioError)
+        check_int("cooldown_cycles", self.cooldown_cycles, 0, error=ScenarioError)
 
     def triggered(self, value: float) -> bool:
         """Whether an observed *value* trips this rule's threshold."""
@@ -502,14 +496,10 @@ class Phase:
     rules: Tuple[FeedbackRule, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.start_cycle < 0:
-            raise ScenarioError("phase start_cycle must be >= 0")
-        if self.load_scale < 0:
-            raise ScenarioError("phase load_scale must be >= 0")
-        if self.app_mix is not None:
-            for app, factor in self.app_mix.items():
-                if factor < 0:
-                    raise ScenarioError(f"app_mix[{app!r}] must be >= 0")
+        check_int("start_cycle", self.start_cycle, 0, error=ScenarioError)
+        check_float("load_scale", self.load_scale, error=ScenarioError)
+        for app, factor in (self.app_mix or {}).items():
+            check_float(f"app_mix[{app!r}]", factor, error=ScenarioError)
         object.__setattr__(self, "faults", tuple(self.faults))
         object.__setattr__(self, "rules", tuple(self.rules))
 

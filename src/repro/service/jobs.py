@@ -38,7 +38,7 @@ import hashlib
 import threading
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.api.base import canonical_json
+from repro.api.base import canonical_json, check_int
 from repro.api.spec import ExperimentSpec
 from repro.service.errors import ServiceError
 
@@ -111,8 +111,7 @@ class JobQueue:
     """
 
     def __init__(self, changed: threading.Condition, max_pending: int = 16) -> None:
-        if max_pending < 1:
-            raise ValueError("max_pending must be at least 1")
+        check_int("max_pending", max_pending, 1)
         self.changed = changed
         self.max_pending = max_pending
         self._jobs: Dict[str, JobRecord] = {}

@@ -21,6 +21,7 @@ import random
 import sys
 from typing import Callable, Dict
 
+from repro.api.base import check_float
 from repro.noc.flit import Packet
 from repro.sim.engine import NEVER
 from repro.traffic.bandwidth_sets import BandwidthSet
@@ -191,11 +192,8 @@ class TrafficGenerator:
         rng: random.Random,
         submit: Callable[[Packet], bool],
     ):
-        if not 0 <= offered_load_packets_per_cycle < math.inf:  # NaN too
-            raise ValueError(
-                f"offered load must be finite and >= 0, got "
-                f"{offered_load_packets_per_cycle!r} packets/cycle"
-            )
+        check_float("offered_load_packets_per_cycle",
+                    offered_load_packets_per_cycle)
         self.rng = ReadAheadStream(rng)
         self.submit = submit
         self.offered_load = offered_load_packets_per_cycle

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Tuple
 
-from repro.api.base import Registry
+from repro.api.base import Registry, check_float
 from repro.traffic.apps import APP_PROFILES, place_applications
 from repro.traffic.bandwidth_sets import BandwidthSet
 
@@ -284,8 +284,7 @@ class RealApplicationTraffic(TrafficPattern):
         """
         self._require_bound()
         for app, factor in mix.items():
-            if factor < 0:
-                raise PatternError(f"intensity factor for {app!r} must be >= 0")
+            check_float(f"intensity factor for {app!r}", factor, error=PatternError)
             if app not in APP_PROFILES:
                 raise PatternError(f"unknown application {app!r}")
         self._intensity = {

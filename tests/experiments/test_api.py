@@ -10,10 +10,13 @@ Covers the three acceptance surfaces of the API redesign:
 """
 
 import json
+import math
+import re
 
 import pytest
 
 from repro.api import ExperimentSpec, Registry, RegistryError, Session, registry
+from repro.arch.config import SystemConfig
 from repro.experiments.runner import QUICK_FIDELITY, Fidelity
 from repro.traffic.bandwidth_sets import BW_SET_1
 
@@ -84,17 +87,40 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             tiny_spec(patterns=())  # empty axis
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1, 1e308])
     def test_load_fractions_must_be_finite_and_non_negative(self, bad):
-        with pytest.raises(ValueError, match="finite and >= 0"):
+        message = f"load_fractions must be in [0, 1e+06], got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             tiny_spec(load_fractions=(0.5, bad))
-        with pytest.raises(ValueError, match="finite and >= 0"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             tiny_spec(fidelity=Fidelity("bad", 700, 100, (0.5, bad)))
 
-    @pytest.mark.parametrize("bad", [0.0, -0.1, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "bad", [0.0, -0.1, float("nan"), float("inf"), 1e-10, 1e308])
     def test_resolution_must_be_finite_and_positive(self, bad):
-        with pytest.raises(ValueError, match="finite and > 0"):
+        message = f"resolution must be in [1e-09, 1e+06], got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             tiny_spec(mode="adaptive", resolution=bad)
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: Session().knee("firefly", 1, "uniform", TINY,
+                                resolution=math.nan),
+         "resolution must be in [1e-09, 1e+06], got nan"),
+        (lambda: Session().knee("firefly", 1, "uniform", TINY,
+                                max_fraction=math.nan),
+         "max_fraction must be in [0, 1e+06], got nan"),
+        (lambda: SystemConfig(clock_hz=math.nan),
+         "clock_hz must be finite and > 0, got nan"),
+        (lambda: Fidelity("bad", 0, -1, (0.5,)),
+         "total_cycles must be >= 1, got 0"),
+        (lambda: Fidelity("bad", 700, -1, (0.5,)),
+         "reset_cycles must be in [0, 699], got -1"),
+    ], ids=["knee-resolution", "knee-max_fraction", "clock_hz",
+            "total_cycles", "reset_cycles"])
+    def test_an_entry_out_of_range_is_refused_by_name(self, build, message):
+        # Refused where it enters: no point is simulated.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
     def test_to_sweep_spec_matches_axes(self):
         # The spec is the grid: the method is what the ledger calls.
@@ -200,8 +226,10 @@ class TestCliSpecEquivalence:
         capsys.readouterr()
 
     @pytest.mark.parametrize("field,value,message", [
-        ("load_fractions", [float("nan")], "finite and >= 0"),
-        ("resolution", float("nan"), "finite and > 0"),
+        ("load_fractions", [float("nan")],
+         "load_fractions must be in [0, 1e+06], got nan"),
+        ("resolution", float("nan"),
+         "resolution must be in [1e-09, 1e+06], got nan"),
     ], ids=["load_fractions", "resolution"])
     def test_a_nan_in_spec_is_a_clean_error(
             self, field, value, message, tmp_path, capsys):
@@ -211,8 +239,9 @@ class TestCliSpecEquivalence:
         spec = dict(tiny_spec().to_dict(), **{field: value})
         path.write_text(json.dumps(spec))
         assert main(["run", "--spec", str(path), "--store", str(store)]) == 2
-        err = capsys.readouterr().err
-        assert "bad spec" in err and message in err
+        assert capsys.readouterr().err == (
+            f"dhetpnoc-repro run: error: bad spec {str(path)!r}: {message}\n"
+        )
         assert not store.exists()
 
     def test_run_requires_exactly_one_target(self, capsys):

@@ -27,7 +27,7 @@ class TestParser:
         assert exited.value.code == 2
         assert f"invalid choice: '{verb}'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("load", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("load", ["nan", "inf", "-1", "1e308"])
     @pytest.mark.parametrize("argv", [
         ["scenarios", "run", "steady"],
         ["scenarios", "fuzz"],
@@ -38,25 +38,54 @@ class TestParser:
         with pytest.raises(SystemExit) as exited:
             main(argv + ["--load-fraction", load])
         assert exited.value.code == 2
-        assert (f"need a finite load >= 0, got '{load}'"
-                in capsys.readouterr().err)
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --load-fraction: offered_load must be in "
+            f"[0, 1e+06], got {float(load)!r}\n"
+        )
 
-    @pytest.mark.parametrize("resolution", ["nan", "inf", "0", "-0.1"])
+    @pytest.mark.parametrize(
+        "resolution", ["nan", "inf", "0", "-0.1", "1e-10", "1e308"])
     def test_a_resolution_not_finite_and_positive_is_refused(
             self, resolution, capsys):
         with pytest.raises(SystemExit) as exited:
             main(["sweep", "--adaptive", "--arch", "firefly",
                   "--resolution", resolution])
         assert exited.value.code == 2
-        assert (f"need a finite resolution > 0, got '{resolution}'"
-                in capsys.readouterr().err)
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --resolution: resolution must be in "
+            f"[1e-09, 1e+06], got {float(resolution)!r}\n"
+        )
 
-    @pytest.mark.parametrize("count", ["0", "-2"])
-    def test_fuzz_needs_one_schedule(self, count, capsys):
+    @pytest.mark.parametrize("argv,message", [
+        (["scenarios", "fuzz", "--count", "0"], "count must be >= 1, got 0"),
+        (["scenarios", "fuzz", "--count", "-2"], "count must be >= 1, got -2"),
+        (["scenarios", "fuzz", "--total-cycles", "0"],
+         "total_cycles must be >= 8, got 0"),
+        (["scenarios", "fuzz", "--total-cycles", "-5"],
+         "total_cycles must be >= 8, got -5"),
+        (["serve", "--max-jobs", "0"], "max_jobs must be >= 1, got 0"),
+        (["serve", "--max-pending", "0"], "max_pending must be >= 1, got 0"),
+        (["serve", "--lease-size", "0"], "lease_size must be >= 1, got 0"),
+        (["serve", "--max-attempts", "0"], "max_attempts must be >= 1, got 0"),
+        (["serve", "--worker-timeout", "nan"],
+         "worker_timeout_s must be finite and > 0, got nan"),
+        (["serve", "--worker-timeout", "0"],
+         "worker_timeout_s must be finite and > 0, got 0.0"),
+        (["serve", "--worker-timeout", "-1"],
+         "worker_timeout_s must be finite and > 0, got -1.0"),
+        (["serve", "--port", "65536"], "port must be in [0, 65535], got 65536"),
+        (["trace", "info", "t.jsonl", "--top", "-1"], "top must be >= 0, got -1"),
+        (["fabric", "worker", "--connect", "127.0.0.1:1", "--fail-after", "-1"],
+         "fail_after must be >= 0, got -1"),
+    ], ids=lambda row: " ".join(row) if isinstance(row, list) else None)
+    def test_a_number_out_of_range_is_refused(self, argv, message, capsys):
+        # Refused by argparse: no daemon starts and no file is read.
         with pytest.raises(SystemExit) as exited:
-            main(["scenarios", "fuzz", "--count", count])
+            main(argv)
         assert exited.value.code == 2
-        assert "need at least 1 schedule(s)" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {argv[-2]}: {message}\n"
+        )
 
 
 class TestMain:

@@ -32,6 +32,7 @@ class TestExamples:
         ("quickstart.py", "--load-gbps", "nan"),
         ("scenario_showdown.py", "--load-fraction", "inf"),
         ("closed_loop_shedding.py", "--load-fraction", "-1"),
+        ("quickstart.py", "--load-gbps", "1e308"),
     ])
     def test_a_load_not_finite_and_non_negative_is_refused(
             self, script, flag, load):
@@ -41,7 +42,10 @@ class TestExamples:
             capture_output=True, text=True, timeout=60,
         )
         assert result.returncode == 2
-        assert f"need a finite load >= 0, got '{load}'" in result.stderr
+        assert result.stderr.endswith(
+            f"error: argument {flag}: offered_load must be in [0, 1e+06], "
+            f"got {float(load)!r}\n"
+        )
 
     def test_quickstart(self):
         out = run_example("quickstart.py", "--pattern", "skewed3",

@@ -1,6 +1,7 @@
 """Tests for the Bernoulli traffic generator."""
 
 import random
+import re
 
 import pytest
 
@@ -123,5 +124,7 @@ class TestTrafficGenerator:
 
     @pytest.mark.parametrize("load", [-1.0, float("nan"), float("inf")])
     def test_negative_or_non_finite_load_rejected(self, load):
-        with pytest.raises(ValueError, match="finite and >= 0"):
+        message = (f"offered_load_packets_per_cycle must be finite and "
+                   f">= 0, got {load!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             TrafficGenerator(bound_pattern(), load, random.Random(1), lambda p: True)
